@@ -31,9 +31,13 @@ This module materializes those gradients **once per outer iterate**:
   allocated, with arithmetic order-identical to the historical loop.
 
 Keys are content fingerprints of the state history, so a continuation step
-or multilevel revisit that linearizes the same velocity again is a warm
-pool hit and performs **zero** spectral-gradient FFTs even for the
-reduced-gradient evaluation.
+that re-linearizes the velocity the previous level ended on is a warm pool
+hit and performs **zero** spectral-gradient FFTs even for the
+reduced-gradient evaluation.  The cache is scoped to the **live iterate**:
+each :class:`~repro.core.problem.RegistrationProblem` remembers the key it
+planned last (:class:`GradientCacheScope`) and releases that stack when a
+different state history is planned, so the stacks of dead iterates do not
+pile up in the pool.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ __all__ = [
     "CachedStateGradients",
     "GradientCacheDecision",
     "GradientCacheDecisionLog",
+    "GradientCacheScope",
     "LazyStateGradients",
     "StateGradients",
     "accumulate_weighted_products",
@@ -320,10 +325,25 @@ def build_gradient_stack(
     return stack
 
 
+class GradientCacheScope:
+    """One owner's memory of the gradient stack it planned last.
+
+    Held per :class:`~repro.core.problem.RegistrationProblem` — never
+    process-wide: problems solved concurrently (the job service) each have a
+    live iterate of their own.
+    """
+
+    __slots__ = ("key",)
+
+    def __init__(self) -> None:
+        self.key: Optional[Tuple] = None
+
+
 def plan_state_gradients(
     operators: SpectralOperators,
     state_history: np.ndarray,
     pool: Optional[PlanPool] = None,
+    scope: Optional[GradientCacheScope] = None,
 ) -> StateGradients:
     """Cache-or-degrade policy for one iterate's state-gradient levels.
 
@@ -334,8 +354,11 @@ def plan_state_gradients(
 
     The pool key is a content fingerprint of the state history (plus the
     grid geometry and FFT engine), so two linearizations of the same
-    velocity — a continuation warm start, a multilevel revisit — share one
-    stack and the second one performs zero spectral-gradient FFTs.
+    velocity — a continuation warm start — share one stack and the second
+    one performs zero spectral-gradient FFTs.  With a *scope*, the stack
+    the scope planned last is released from the pool as soon as a different
+    state history is planned (before the new stack is built): the previous
+    iterate is dead, and so is its stack.
     """
     state_history = np.asarray(state_history)
     num_levels = state_history.shape[0]
@@ -371,16 +394,21 @@ def plan_state_gradients(
             reason=reason,
         )
     )
+    key = None
+    if cached:
+        key = (
+            GRAD_CACHE_TAG,
+            operators.grid.shape,
+            operators.grid.spacing,
+            operators.fft.backend_name,
+            array_fingerprint(state_history),
+        )
+    if scope is not None:
+        if scope.key is not None and scope.key != key:
+            pool.discard(scope.key)
+        scope.key = key
     if not cached:
         return LazyStateGradients(operators, state_history)
-
-    key = (
-        GRAD_CACHE_TAG,
-        operators.grid.shape,
-        operators.grid.spacing,
-        operators.fft.backend_name,
-        array_fingerprint(state_history),
-    )
     stack = pool.get(key, lambda: build_gradient_stack(operators, state_history))
     return CachedStateGradients(stack)
 

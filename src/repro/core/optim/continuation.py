@@ -126,11 +126,7 @@ class BetaContinuation:
             result = solver.solve(velocity)
 
             deformation = DeformationMap(
-                problem.grid,
-                result.velocity,
-                num_time_steps=problem.num_time_steps,
-                interpolation=problem.interpolation,
-                operators=problem.operators,
+                problem.grid, result.velocity, transport=problem.transport
             )
             det_min = float(deformation.determinant().min())
             accepted = det_min >= self.det_grad_bound

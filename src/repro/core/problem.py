@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.gradients import (
     CachedStateGradients,
+    GradientCacheScope,
     StateGradients,
     accumulate_weighted_products,
     gradient_levels_of,
@@ -191,6 +192,7 @@ class RegistrationProblem:
                 interp_backend=self.interp_backend,
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
+        self._gradient_scope = GradientCacheScope()
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -257,7 +259,9 @@ class RegistrationProblem:
         # the whole iterate: the body force below, every Hessian mat-vec of
         # the inner PCG solve, and the incremental-state right-hand sides
         # all consume the same nt + 1 gradient fields.
-        state_gradients = plan_state_gradients(self.operators, state_history)
+        state_gradients = plan_state_gradients(
+            self.operators, state_history, scope=self._gradient_scope
+        )
         body_force = self._body_force(state_history, adjoint_history, state_gradients)
         gradient = self.regularizer.gradient(velocity) + self.project(body_force)
         if self.incompressible:

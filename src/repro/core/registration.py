@@ -325,12 +325,7 @@ class RegistrationSolver:
             optimization = driver.solve(initial_velocity)
 
             deformation = DeformationMap(
-                problem.grid,
-                optimization.velocity,
-                num_time_steps=self.num_time_steps,
-                interpolation=self.interpolation,
-                operators=problem.operators,
-                interp_backend=self.interp_backend,
+                problem.grid, optimization.velocity, transport=problem.transport
             )
             deformed_template = optimization.final_iterate.deformed_template
             res_before = residual_norm(problem.reference, problem.template, problem.grid)

@@ -16,6 +16,9 @@ content (grid, velocity fingerprint, kernel, backend), with
   insert exceeds it, entries larger than the whole budget are handed to
   the caller but never stored, and a budget of ``0`` disables caching
   entirely (every lookup builds), plus
+* **owner-scoped release** — :meth:`PlanPool.discard` lets a consumer that
+  knows an entry is dead (a gather operator two velocities back, the
+  gradient stack of the previous iterate) return its bytes at once, and
 * **hit/miss/eviction statistics** so solvers, tests and benchmarks can
   observe warm-plan reuse (:class:`PoolStats` supports subtraction for
   per-run deltas), both pool-wide and **per entry kind**
@@ -300,6 +303,41 @@ class PlanPool:
                 # by concurrent inserts): the shared build still served us
                 self._record_hit(key_tag(key))
                 return flight.value
+
+    def discard(self, key: Hashable) -> bool:
+        """Drop *key*'s entry now; returns whether one was stored.
+
+        The owner-scoped release: a consumer that knows an entry is dead
+        (the gather operator of a velocity two iterates back, the gradient
+        stack of the previous iterate) gives its bytes back instead of
+        leaving them to LRU pressure.  Not an eviction — the eviction
+        counters track budget pressure only.
+        """
+        with self._lock:
+            entry = self._entries.pop(key, None)
+            if entry is None:
+                return False
+            self._current_bytes -= entry.nbytes
+            counters = self._tag(entry.tag)
+            counters.current_bytes -= entry.nbytes
+            counters.entries -= 1
+            return True
+
+    def lookup(self, key: Hashable) -> Optional[Any]:
+        """The cached value (or ``None``), marked most recently used; no statistics.
+
+        For entries fetched once per *use* rather than once per plan: a
+        gather operator is looked up on every interpolation sweep, and
+        counting those would bury what ``hits``/``misses`` measure — plan
+        reuse across velocities — under the sweep count.  A caller that
+        finds nothing builds through :meth:`get`, which records the miss.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry.value
 
     def peek(self, key: Hashable) -> Optional[Any]:
         """Return the cached value without recording a hit/miss (tests)."""

@@ -25,7 +25,6 @@ import numpy as np
 
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.solvers import TransportSolver
 from repro.utils.validation import check_velocity_shape
 
@@ -65,6 +64,13 @@ class DeformationMap:
     interp_backend:
         Interpolation engine (name, instance, or ``None`` for the
         environment default) shared by the transport and the warp.
+    transport:
+        The transport solver that produced *velocity* (a registration
+        passes its problem's).  The map then transports and warps through
+        that solver — same time steps, kernel, engine and operators, which
+        override the arguments above — so ``det(grad y)`` reuses the warm
+        gather operator of the final velocity instead of standing up a
+        second solver and interpolator.
     """
 
     grid: Grid
@@ -73,12 +79,22 @@ class DeformationMap:
     interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
     interp_backend: Optional[object] = None
+    transport: Optional[TransportSolver] = None
 
     def __post_init__(self) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
-        if self.operators is None:
+        if self.transport is not None:
+            if self.transport.grid.shape != self.grid.shape:
+                raise ValueError(
+                    f"transport solver is bound to grid {self.transport.grid.shape}, "
+                    f"expected {self.grid.shape}"
+                )
+            self.num_time_steps = self.transport.num_time_steps
+            self.interpolation = self.transport.interpolation
+            self.operators = self.transport.operators
+        elif self.operators is None:
             self.operators = SpectralOperators(self.grid)
-        self._solver = TransportSolver(
+        self._solver = self.transport or TransportSolver(
             self.grid,
             num_time_steps=self.num_time_steps,
             interpolation=self.interpolation,
@@ -126,10 +142,7 @@ class DeformationMap:
         image = np.asarray(image, dtype=self.grid.dtype)
         if image.shape != self.grid.shape:
             raise ValueError(f"image has shape {image.shape}, expected {self.grid.shape}")
-        interpolator = PeriodicInterpolator(
-            self.grid, self.interpolation, backend=self.interp_backend
-        )
-        return interpolator(image, self.map())
+        return self._solver.interpolator(image, self.map())
 
     # ------------------------------------------------------------------ #
     # diagnostics (paper Fig. 2 / Fig. 7)

@@ -26,24 +26,30 @@ The *engine* evaluating a kernel is pluggable (``scipy``, ``numpy``,
 via ``REPRO_INTERP_BACKEND``, or the ``--interp-backend`` CLI flag.  This
 frontend owns validation, coordinate wrapping, **gather plans** (the cached
 64-weight/index stencils reused across every field interpolated at one set
-of departure points) and the interpolation counters; counting never happens
-in the backends, so the counters — which the test-suite checks against the
-paper's ``4*nt`` sweeps-per-matvec complexity model — are exactly identical
-no matter which engine gathers.
+of departure points), the residency bound of the scipy engine's gather
+operators (at most two per interpolator — the forward and backward
+characteristics of the live velocity) and the interpolation counters;
+counting never happens in the backends, so the counters — which the
+test-suite checks against the paper's ``4*nt`` sweeps-per-matvec complexity
+model — are exactly identical no matter which engine gathers.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
+from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.kernels import (
+    RESIDENT_OPERATORS,
     SUPPORTED_METHODS,
     FieldSource,
+    GatherOperatorPlan,
     GatherPlan,
     InterpolationBackend,
     catmull_rom_weights,
@@ -71,6 +77,9 @@ _INTERP_SWEEPS = get_metrics_registry().counter(
 ).labels()
 _INTERP_POINTS = get_metrics_registry().counter(
     "interp.points", "total points interpolated"
+).labels()
+_OPERATOR_DISCARDS = get_metrics_registry().counter(
+    "interp.operator_discards", "resident gather operators released by their interpolator"
 ).labels()
 
 
@@ -104,6 +113,10 @@ class PeriodicInterpolator:
         self.backend = get_backend(self.backend)
         self._spacing = np.asarray(self.grid.spacing, dtype=np.float64)
         self.points_interpolated = 0
+        # pool keys of the gather operators this interpolator touched last,
+        # most recent last (see _retain_operator)
+        self._operator_keys: list = []
+        self._operator_lock = threading.Lock()
 
     @property
     def backend_name(self) -> str:
@@ -132,14 +145,23 @@ class PeriodicInterpolator:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
         The plan caches the wrapped coordinates and — for engines with an
-        explicit stencil — the base indices and per-axis kernel weights, so
-        every field interpolated at the same points skips that work.  The
-        planned path is bitwise identical to the unplanned one.
+        explicit stencil — the base indices and per-axis kernel weights (or
+        the key of the gather operator that holds them), so every field
+        interpolated at the same points skips that work.  The planned path
+        is bitwise identical to the unplanned one.
+        """
+        return self._plan(points, reusable=True)
+
+    def _plan(self, points: np.ndarray, reusable: bool) -> GatherPlan:
+        """Wrap *points*; let the backend plan them only when they will be reused.
+
+        A one-shot point set (``reusable=False``) carries no payload: the
+        backend derives its stencil inside the gather and keeps nothing.
         """
         points = np.asarray(points, dtype=np.float64)
         coordinates = self.to_index_coordinates(points)
         payload = None
-        if self.backend.supports_plan(self.method):
+        if reusable and self.backend.supports_plan(self.method):
             payload = self.backend.build_plan(self.grid.shape, coordinates, self.method)
         return GatherPlan(
             method=self.method,
@@ -165,11 +187,30 @@ class PeriodicInterpolator:
     # ------------------------------------------------------------------ #
     # gathering (counting lives here, never in the backends)
     # ------------------------------------------------------------------ #
+    def _retain_operator(self, key) -> None:
+        """Mark *key* most recently used; release the third-most-recent one.
+
+        Residency is owner-scoped: left to the pool's LRU the operators of
+        every dead iterate would sit in memory until the budget (512 MiB by
+        default) pushed them out.
+        """
+        with self._operator_lock:
+            keys = self._operator_keys
+            if key in keys:
+                keys.remove(key)
+            keys.append(key)
+            stale = keys.pop(0) if len(keys) > RESIDENT_OPERATORS else None
+        if stale is not None and get_plan_pool().discard(stale):
+            _OPERATOR_DISCARDS.inc()
+
     def _gather(self, fields: "np.ndarray | FieldSource", plan: GatherPlan) -> np.ndarray:
         batch = fields.num_fields if is_field_source(fields) else fields.shape[0]
         self.points_interpolated += batch * plan.num_points
         _INTERP_SWEEPS.inc(batch)
         _INTERP_POINTS.inc(batch * plan.num_points)
+        if isinstance(plan.payload, GatherOperatorPlan):
+            # before the gather, so a third operator is never resident
+            self._retain_operator(plan.payload.key)
         if not is_field_source(fields):
             # forced out-of-core mode (REPRO_FIELD_SOURCE=memmap /
             # --field-source memmap): spool the resident stack to a
@@ -223,7 +264,7 @@ class PeriodicInterpolator:
             raise ValueError(
                 f"field has shape {field.shape}, expected {self.grid.shape}"
             )
-        plan = self.plan(points)
+        plan = self._plan(points, reusable=False)
         values = self._gather(field[None], plan)[0]
         return values.reshape(plan.output_shape).astype(self.grid.dtype, copy=False)
 
@@ -257,7 +298,7 @@ class PeriodicInterpolator:
         hold for tiled gathers too.
         """
         fields = self._check_stack(fields)
-        plan = self.plan(points)
+        plan = self._plan(points, reusable=False)
         values = self._gather(fields, plan)
         out_shape = (values.shape[0], *plan.output_shape)
         return values.reshape(out_shape).astype(self.grid.dtype, copy=False)

@@ -5,8 +5,8 @@ and the off-grid tricubic interpolation of the semi-Lagrangian scheme
 (roughly ``10 x 64`` flops per point, ``4*nt`` sweeps per Hessian mat-vec,
 Sec. III-C2/C4).  This module applies the architecture of
 :mod:`repro.spectral.backends` to that second kernel: a small registry of
-interchangeable gather engines behind one protocol, plus a precomputed
-**gather plan** that caches the 64-weight/index stencil of a fixed point set
+interchangeable gather engines behind one protocol, plus precomputed
+**gather plans** that cache the 64-weight/index stencil of a fixed point set
 so that every field interpolated at the same departure points (state,
 adjoint, both incremental equations, all time steps of one velocity) reuses
 it — the paper's "interpolation planner".
@@ -14,16 +14,19 @@ it — the paper's "interpolation planner".
 Backends
 --------
 ``"scipy"`` (default)
-    :func:`scipy.ndimage.map_coordinates` for the ``cubic_bspline`` and
-    ``linear`` kernels (the seed implementation, bit-for-bit) and the shared
-    vectorized stencil executor for ``catmull_rom``.
+    ``cubic_bspline`` runs through the **sparse gather operator** (see
+    below): :func:`scipy.ndimage.spline_filter` prefilters each field and a
+    :mod:`scipy.sparse` CSR product evaluates the stencil, so the indices
+    and weights of a planned point set are derived once per velocity, not
+    once per field per sweep.  ``linear`` calls
+    :func:`scipy.ndimage.map_coordinates` per field, and ``catmull_rom``
+    uses the shared vectorized stencil executor.
 ``"numpy"``
     Fully vectorized stencil gather for every kernel.  ``cubic_bspline``
     uses an exact periodic B-spline prefilter (a diagonal Fourier-space
-    solve) followed by the cached-stencil gather, so the *whole* tricubic
-    pipeline becomes plannable; ``catmull_rom`` and ``linear`` gather
-    directly.  The executor is cache-blocked over point chunks, which is
-    what makes the planned path faster than per-call C interpolation.
+    solve) followed by the cached-stencil gather; ``catmull_rom`` and
+    ``linear`` gather directly.  The executor is cache-blocked over point
+    chunks.
 ``"numba"``
     JIT-compiled stencil executor (auto-detected; cleanly reported as
     unavailable when :mod:`numba` is not installed — install the
@@ -43,35 +46,50 @@ Backends only gather; interpolation *counting* stays in
 guarantees exact counter parity across backends — the paper's ``4*nt``
 sweep verification is backend independent by construction.
 
-Since PR 3 the cached stencil defaults to the **memory-lean layout**
+Sparse gather operator (scipy engine, ``cubic_bspline``)
+--------------------------------------------------------
+Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
+``w0[a] * w1[b]`` against the flat index of the wrapped ``(i0+a-1, i1+b-1,
+i2-1)`` coefficient (:class:`GatherOperator`, ~228 bytes per point).  It is
+applied as ``matrix @ windows`` where ``windows[n, f, c]`` is field ``f``'s
+spline coefficient at ``n`` shifted by ``c`` along axis 2, followed by an
+explicit fixed-order 4-term contraction with the axis-2 weights — all fields
+of a stack share one pass over the stencil and a batched gather is bitwise
+equal to scalar ones.  Planned point sets keep their operator resident in
+the plan pool (tag ``gather-operator``, at most two per
+:class:`~repro.transport.interpolation.PeriodicInterpolator`); one-shot
+point sets — and planned ones the pool budget cannot hold — build it block
+by block and keep nothing.  Resident and transient gathers run the same
+blocks and are bitwise identical.
+
+Stencil plans (``catmull_rom`` everywhere, every kernel of ``numpy``/``numba``)
+-----------------------------------------------------------------------------
+The cached stencil defaults to the **memory-lean layout**
 (:class:`LeanStencilPlan`: int32 base indices + fractional offsets, 36
 bytes per point instead of 192) and the chunked executor is thread-pooled
 through the shared runtime (:mod:`repro.runtime.workers`,
 ``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS``); both the layout and the
 worker count leave every gather bitwise unchanged.
 
-PR 4 adds the **streaming layout** (:class:`StreamingStencilPlan`,
-``REPRO_PLAN_LAYOUT=streaming``): no ``base``/``frac`` arrays are
-materialized at all — a generator backed only by the (borrowed) departure
-coordinates produces them one cache-sized chunk at a time, capping the
-resident stencil memory at one chunk regardless of the grid size.  All
-three layouts feed the executor through one uniform chunk protocol
-(:meth:`iter_chunks` + :meth:`chunk_stencil`) and gather bitwise
-identically, so out-of-core grids (>512^3 single node) only change the
-memory profile, never the numerics.
+The **streaming layout** (:class:`StreamingStencilPlan`,
+``REPRO_PLAN_LAYOUT=streaming``) materializes no ``base``/``frac`` arrays at
+all — a generator backed only by the (borrowed) departure coordinates
+produces them one cache-sized chunk at a time, capping the resident stencil
+memory at one chunk regardless of the grid size.  All three layouts feed the
+executor through one uniform chunk protocol (:meth:`iter_chunks` +
+:meth:`chunk_stencil`) and gather bitwise identically, so out-of-core grids
+(>512^3 single node) only change the memory profile, never the numerics.
 
-PR 5 completes the out-of-core story for the *fields*: the executor can run
-in a **tiled** mode where the flattened field stack is never required
-resident — a :class:`FieldSource` (ndarray-backed today, memory-mapped for
-on-disk volumes later) serves axis-0 plane tiles per executor chunk, so the
-resident field bytes are bounded by the tile a chunk touches, not the grid
-size.  Tiled and resident gathers run the same tap-loop arithmetic on the
-same float64 values and are bitwise identical on every backend and layout.
-The stencil layout itself now also defaults to **budget-aware auto
-selection** (``REPRO_PLAN_LAYOUT=auto``, :mod:`repro.runtime.layout`):
-``auto`` projects the lean layout's bytes per plan and degrades to
-streaming when they exceed a fraction of the plan-pool budget; explicit
-layout values opt out.
+The executor can also run in a **tiled** mode where the flattened field
+stack is never required resident — a :class:`FieldSource` (ndarray-backed or
+memory-mapped) serves axis-0 plane tiles per executor chunk, so the resident
+field bytes are bounded by the tile a chunk touches, not the grid size.
+Tiled and resident gathers run the same tap-loop arithmetic on the same
+float64 values and are bitwise identical on every backend and layout.  The
+stencil layout itself defaults to **budget-aware auto selection**
+(``REPRO_PLAN_LAYOUT=auto``, :mod:`repro.runtime.layout`): ``auto`` projects
+the lean layout's bytes per plan and degrades to streaming when they exceed
+a fraction of the plan-pool budget; explicit layout values opt out.
 """
 
 from __future__ import annotations
@@ -81,12 +99,24 @@ import os
 import threading
 from dataclasses import dataclass
 from dataclasses import replace as dataclass_replace
-from typing import Callable, Dict, Optional, Protocol, Tuple, Type, Union, runtime_checkable
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    Optional,
+    Protocol,
+    Tuple,
+    Type,
+    Union,
+    runtime_checkable,
+)
 
 import numpy as np
+from scipy import ndimage, sparse
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
+from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.runtime.workers import get_executor, resolve_workers
 from repro.spectral.backends import BackendUnavailableError
 
@@ -497,7 +527,6 @@ def resolve_plan_layout(
     if layout != AUTO_PLAN_LAYOUT:
         return layout
     from repro.runtime.layout import select_layout
-    from repro.runtime.plan_pool import get_plan_pool
 
     decision = select_layout(
         num_points=num_points,
@@ -522,7 +551,6 @@ def plan_layout_cache_token() -> "str | Tuple":
     if layout != AUTO_PLAN_LAYOUT:
         return layout
     from repro.runtime.layout import auto_streaming_fraction
-    from repro.runtime.plan_pool import get_plan_pool
 
     return (AUTO_PLAN_LAYOUT, get_plan_pool().max_bytes, auto_streaming_fraction())
 
@@ -641,8 +669,8 @@ class FieldSource(Protocol):
     def load_all(self) -> np.ndarray:
         """Materialize the whole ``(B, N1, N2, N3)`` stack (fallback paths).
 
-        Engines that cannot gather from tiles (``map_coordinates``, the
-        global B-spline prefilter) fall back to this; tiled executions never
+        Engines that cannot gather from tiles (the B-spline prefilters,
+        ``map_coordinates``) fall back to this; tiled executions never
         call it.
         """
         ...
@@ -1085,8 +1113,245 @@ def execute_stencil_plan(
 
 
 # --------------------------------------------------------------------------- #
+# sparse gather operator (scipy engine, cubic_bspline)
+# --------------------------------------------------------------------------- #
+#: Plan-pool tag of resident gather operators (the leading key element).
+GATHER_OPERATOR_TAG = "gather-operator"
+
+#: Points per operator block.  A block is the unit of building and applying:
+#: its build scratch and its ``(m, 4 B)`` product stay under a few MB
+#: whatever the grid size, and a one-shot gather never holds more than one
+#: block.  Gather time is flat from 2k to 64k points per block (32^3, 64^3);
+#: peak RSS of a 32^3 solve grows by 7 MB from 4k to 32k.
+OPERATOR_CHUNK = 8192
+
+#: Gather operators one interpolator keeps resident: the forward and the
+#: backward characteristics of the live velocity, which is what a
+#: ``TransportPlan`` structurally has.  Anything older is a dead iterate's.
+RESIDENT_OPERATORS = 2
+
+#: Fields gathered per pass over the stencil.  Bounds the ``windows`` and
+#: product temporaries at ``4 x`` this many fields however deep the stack
+#: (``step_many`` sends six).
+OPERATOR_FIELDS_PER_PASS = 3
+
+_OPERATOR_BUILDS = get_metrics_registry().counter(
+    "interp.operator_builds", "gather operators built (resident or block-transient)"
+).labels()
+_OPERATOR_HITS = get_metrics_registry().counter(
+    "interp.operator_hits", "planned gathers served by a resident gather operator"
+).labels()
+
+
+@dataclass(frozen=True)
+class GatherOperatorBlock:
+    """Rows ``[lo, lo + m)`` of a gather operator.
+
+    ``matrix`` is an ``(m, N1*N2*N3)`` CSR matrix with 16 stored values per
+    row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat index of the
+    wrapped coefficient ``(i0+a-1, i1+b-1, i2-1)``; ``w2`` holds the
+    ``(4, m)`` axis-2 weights the product is contracted with.
+    """
+
+    lo: int
+    matrix: "sparse.csr_matrix"
+    w2: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        matrix = self.matrix
+        return (
+            matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes + self.w2.nbytes
+        )
+
+
+@dataclass(frozen=True)
+class GatherOperator:
+    """The resident form of a point set's gather operator: all its blocks."""
+
+    blocks: Tuple[GatherOperatorBlock, ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Exact array payload in bytes (plan-pool accounting)."""
+        return sum(block.nbytes for block in self.blocks)
+
+
+@dataclass(frozen=True)
+class GatherOperatorPlan:
+    """What a :class:`GatherPlan` carries for the operator: its pool key.
+
+    The operator itself is built on the first gather and accounted in the
+    plan pool under its own tag, so the plan owns no operator bytes.
+    """
+
+    key: Tuple
+
+    nbytes = 0
+
+
+def _operator_index_dtype(num_grid_points: int) -> np.dtype:
+    """int32 while every flat grid index fits, like :mod:`scipy.sparse` itself."""
+    return np.dtype(np.int32 if num_grid_points <= np.iinfo(np.int32).max else np.int64)
+
+
+def projected_gather_operator_nbytes(num_points: int, shape: Tuple[int, int, int]) -> int:
+    """Bytes a resident :class:`GatherOperator` will report, before building it."""
+    index_bytes = _operator_index_dtype(shape[0] * shape[1] * shape[2]).itemsize
+    num_blocks = -(-num_points // OPERATOR_CHUNK)
+    # per point: 16 products + 4 axis-2 weights, 16 indices + 1 row pointer
+    return num_points * (20 * 8 + 17 * index_bytes) + num_blocks * index_bytes
+
+
+def _build_operator_block(
+    shape: Tuple[int, int, int], coordinates: np.ndarray, lo: int, hi: int
+) -> GatherOperatorBlock:
+    """Indices and weights of the points ``[lo, hi)``, derived once.
+
+    The per-axis wrapped indices and weights are the stencil plans' own
+    (:func:`_derive_chunk_stencil`); only their pairing into rows is new.
+    """
+    chunk = coordinates[:, lo:hi]
+    base = np.floor(chunk).astype(np.intp)
+    (rows0, rows1, cols2), (w0, w1, w2) = _derive_chunk_stencil(
+        "cubic_bspline", 4, shape, True, base, chunk - base
+    )
+    num_rows, num_columns = hi - lo, shape[0] * shape[1] * shape[2]
+    index_dtype = _operator_index_dtype(num_columns)
+    rows0 = rows0.astype(index_dtype)
+    rows1 = (rows1 + cols2[0]).astype(index_dtype)
+    # (4, 4, m) sums run over long rows; one transposing copy makes them row-major
+    indices = np.ascontiguousarray((rows0[:, None] + rows1[None]).transpose(2, 0, 1))
+    matrix = sparse.csr_matrix(
+        (
+            np.einsum("ma,mb->mab", w0.T, w1.T).reshape(-1),
+            indices.reshape(-1),
+            np.arange(0, 16 * num_rows + 1, 16, dtype=index_dtype),
+        ),
+        shape=(num_rows, num_columns),
+    )
+    return GatherOperatorBlock(lo, matrix, w2)
+
+
+def _transient_operator_blocks(
+    shape: Tuple[int, int, int], coordinates: np.ndarray
+) -> Iterator[GatherOperatorBlock]:
+    """The operator of *coordinates*, one block alive at a time."""
+    _OPERATOR_BUILDS.inc()
+    for lo, hi in _chunk_spans(coordinates.shape[1], OPERATOR_CHUNK):
+        with trace_span("interp.operator_build", points=hi - lo, resident=False):
+            block = _build_operator_block(shape, coordinates, lo, hi)
+        yield block
+
+
+def build_gather_operator(shape: Tuple[int, int, int], coordinates: np.ndarray) -> GatherOperator:
+    """Build the resident gather operator of fractional index *coordinates*.
+
+    *coordinates* is ``(3, M)``; every axis wraps periodically.  Built block
+    by block, so the only whole-operator arrays are the operator's own.
+    """
+    _OPERATOR_BUILDS.inc()
+    num_points = coordinates.shape[1]
+    with trace_span("interp.operator_build", points=num_points, resident=True):
+        return GatherOperator(
+            tuple(
+                _build_operator_block(shape, coordinates, lo, hi)
+                for lo, hi in _chunk_spans(num_points, OPERATOR_CHUNK)
+            )
+        )
+
+
+def gather_operator_plan(shape: Tuple[int, int, int], coordinates: np.ndarray) -> GatherOperatorPlan:
+    """Plan a point set for resident gathers: fingerprint it, build nothing."""
+    return GatherOperatorPlan(
+        (GATHER_OPERATOR_TAG, tuple(int(n) for n in shape), array_fingerprint(coordinates))
+    )
+
+
+def _resident_gather_operator(
+    plan: GatherOperatorPlan, shape: Tuple[int, int, int], coordinates: np.ndarray
+) -> Optional[GatherOperator]:
+    """The pooled operator of *plan*, or ``None`` when the budget cannot hold it.
+
+    Decided from the projected bytes, before anything is built.  The live
+    pair (forward and backward characteristics) may claim half the pool —
+    the other half holds the departure plans and the iterate's gradient
+    stack, which an operator that merely *fits* would evict on every sweep.
+    A budget of ``0`` therefore never keeps one.
+    """
+    pool = get_plan_pool()
+    projected = projected_gather_operator_nbytes(coordinates.shape[1], shape)
+    if RESIDENT_OPERATORS * projected > pool.max_bytes // 2:
+        return None
+    operator = pool.lookup(plan.key)
+    if operator is not None:
+        _OPERATOR_HITS.inc()
+        return operator
+    return pool.get(plan.key, lambda: build_gather_operator(shape, coordinates))
+
+
+def _coefficient_windows(fields: np.ndarray) -> np.ndarray:
+    """Axis-2 windows of the spline coefficients of a ``(b, N1, N2, N3)`` stack.
+
+    Returns ``(N1*N2*N3, 4 b)`` with ``windows[n, 4 f + c]`` the coefficient
+    of field ``f`` at grid point ``n`` shifted by ``c`` along (periodic)
+    axis 2, so one operator row reaches all four axis-2 taps of every field.
+    The coefficients are those :func:`scipy.ndimage.map_coordinates`
+    computes internally (``spline_filter``, float64, ``grid-wrap``).
+    """
+    num_fields, n1, n2, n3 = fields.shape
+    windows = np.empty((n1, n2, n3, num_fields, 4))
+    for f, field in enumerate(fields):
+        coefficients = ndimage.spline_filter(field, order=3, output=np.float64, mode="grid-wrap")
+        for c in range(4):
+            shift = c % n3
+            windows[:, :, : n3 - shift, f, c] = coefficients[:, :, shift:]
+            windows[:, :, n3 - shift :, f, c] = coefficients[:, :, :shift]
+    return windows.reshape(n1 * n2 * n3, 4 * num_fields)
+
+
+def gather_bspline(
+    fields: np.ndarray, coordinates: np.ndarray, plan: Optional[GatherOperatorPlan]
+) -> np.ndarray:
+    """Tricubic B-spline gather of a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
+
+    With a *plan* the operator is fetched from (or built into) the plan
+    pool; without one — or when the pool budget cannot hold it — its blocks
+    are built, applied and dropped one at a time.  Either way each block's
+    sparse product is contracted with the axis-2 weights in a fixed order,
+    so the result does not depend on residency, on the block size, or on
+    which other fields share the stack.
+    """
+    shape = fields.shape[1:]
+    operator = None if plan is None else _resident_gather_operator(plan, shape, coordinates)
+    out = np.empty((fields.shape[0], coordinates.shape[1]))
+    for start in range(0, fields.shape[0], OPERATOR_FIELDS_PER_PASS):
+        windows = _coefficient_windows(fields[start : start + OPERATOR_FIELDS_PER_PASS])
+        num_fields = windows.shape[1] // 4
+        blocks = (
+            operator.blocks
+            if operator is not None
+            else _transient_operator_blocks(shape, coordinates)
+        )
+        for block in blocks:
+            w2 = block.w2
+            product = (block.matrix @ windows).reshape(-1, num_fields, 4)
+            for f in range(num_fields):
+                value = product[:, f, 0] * w2[0]
+                value += product[:, f, 1] * w2[1]
+                value += product[:, f, 2] * w2[2]
+                value += product[:, f, 3] * w2[3]
+                out[start + f, block.lo : block.lo + w2.shape[1]] = value
+    return out
+
+
+# --------------------------------------------------------------------------- #
 # gather plans (frontend-facing)
 # --------------------------------------------------------------------------- #
+#: What a backend's ``build_plan`` hands the frontend to carry in a plan.
+PlanPayload = Union[StencilPlanLike, GatherOperatorPlan]
+
+
 @dataclass
 class GatherPlan:
     """Cached interpolation data for one fixed set of off-grid points.
@@ -1094,8 +1359,10 @@ class GatherPlan:
     Built once per point set (per velocity, in the semi-Lagrangian scheme)
     by :meth:`repro.transport.interpolation.PeriodicInterpolator.plan` and
     reused by every field interpolated at those points.  ``payload`` is the
-    backend-specific stencil (``None`` for engines that cannot cache one,
-    e.g. ``map_coordinates``; those still reuse the wrapped coordinates).
+    backend-specific planning product: a stencil plan, the scipy engine's
+    :class:`GatherOperatorPlan`, or ``None`` for one-shot point sets and
+    kernels with nothing to cache (``map_coordinates`` behind ``linear``;
+    those still reuse the wrapped coordinates).
     """
 
     method: str
@@ -1103,7 +1370,7 @@ class GatherPlan:
     grid_shape: Tuple[int, int, int]
     output_shape: Tuple[int, ...]
     coordinates: np.ndarray
-    payload: Optional[StencilPlanLike]
+    payload: Optional[PlanPayload]
 
     @property
     def num_points(self) -> int:
@@ -1111,7 +1378,7 @@ class GatherPlan:
 
     @property
     def is_cached(self) -> bool:
-        """True when the stencil (indices + weights) is precomputed."""
+        """True when the stencil (indices + weights) is derived once and reused."""
         return self.payload is not None
 
     @property
@@ -1151,7 +1418,7 @@ class InterpolationBackend(Protocol):
 
     def build_plan(
         self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[PlanPayload]:
         """Precompute the reusable stencil payload (or ``None``)."""
         ...
 
@@ -1159,58 +1426,54 @@ class InterpolationBackend(Protocol):
         self,
         fields: np.ndarray,
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[PlanPayload],
         method: str,
     ) -> np.ndarray:
-        """Interpolate a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``."""
+        """Interpolate a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
+
+        ``payload`` is what this backend's :meth:`build_plan` returned for
+        *coordinates*, or ``None`` for a one-shot point set.
+        """
         ...
 
 
 class ScipyInterpolationBackend:
-    """:func:`scipy.ndimage.map_coordinates` engine (the seed implementation).
+    """SciPy engine: sparse gather operator, ``map_coordinates``, stencil executor.
 
-    ``cubic_bspline`` and ``linear`` call ``map_coordinates`` per field
-    (bit-for-bit the seed numerics; no stencil can be cached because the
-    spline prefilter and the weight evaluation live inside the C call), so a
-    plan only reuses the wrapped coordinates.  ``catmull_rom`` — which scipy
-    has no native kernel for — runs through the shared stencil executor and
-    is fully plannable.
+    ``cubic_bspline`` — the solver's default kernel — gathers through the
+    sparse gather operator (:func:`gather_bspline`): a planned point set
+    derives its indices and weights once and keeps them in the plan pool, a
+    one-shot point set derives them block by block and keeps nothing.  It
+    agrees with ``map_coordinates(order=3, mode="grid-wrap")`` to rounding
+    (same spline coefficients, different summation order).  ``linear`` calls
+    :func:`scipy.ndimage.map_coordinates` per field (nothing worth caching:
+    8 taps, no prefilter), and ``catmull_rom`` — which scipy has no native
+    kernel for — runs through the shared stencil executor.
     """
 
     name = "scipy"
 
-    _ORDERS = {"cubic_bspline": 3, "linear": 1}
-
-    def __init__(self) -> None:
-        if not self.is_available():  # pragma: no cover - scipy is a hard dep
-            raise BackendUnavailableError("scipy is not installed")
-        from scipy import ndimage
-
-        self._ndimage = ndimage
-
     @classmethod
     def is_available(cls) -> bool:
-        try:
-            from scipy import ndimage  # noqa: F401
-        except ImportError:  # pragma: no cover - scipy is a hard dep
-            return False
         return True
 
     def supports_plan(self, method: str) -> bool:
-        return method == "catmull_rom"
+        return method != "linear"
 
     def build_plan(
         self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[PlanPayload]:
         if method == "catmull_rom":
             return build_stencil_plan(grid_shape, coordinates, method)
+        if method == "cubic_bspline":
+            return gather_operator_plan(grid_shape, coordinates)
         return None
 
     def gather(
         self,
         fields: "np.ndarray | FieldSource",
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[PlanPayload],
         method: str,
     ) -> np.ndarray:
         if method == "catmull_rom":
@@ -1221,13 +1484,14 @@ class ScipyInterpolationBackend:
             plan = payload or build_stencil_plan(fields.shape, coordinates, method)
             return execute_stencil_plan(fields, plan)
         if not isinstance(fields, np.ndarray):
-            # map_coordinates evaluates prefilter + weights inside one C
-            # call and cannot gather from tiles; materialize the stack
+            # the spline prefilter is a whole-field recursion and
+            # map_coordinates one C call: neither gathers from tiles
             fields = fields.load_all()
-        order = self._ORDERS[method]
+        if method == "cubic_bspline":
+            return gather_bspline(fields, coordinates, payload)
         return np.stack(
             [
-                self._ndimage.map_coordinates(field, coordinates, order=order, mode="grid-wrap")
+                ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")
                 for field in fields
             ],
             axis=0,

@@ -26,8 +26,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gradients import (
+    GRAD_CACHE_TAG,
     GRADIENT_CACHE_ENV_VAR,
     CachedStateGradients,
+    GradientCacheScope,
     LazyStateGradients,
     accumulate_weighted_products,
     env_gradient_cache_enabled,
@@ -416,3 +418,65 @@ class TestIterateWiring:
     def test_cached_stack_shape_validation(self):
         with pytest.raises(ValueError, match="gradient stack"):
             CachedStateGradients(np.zeros((4, 2, 8, 8, 8)))
+
+
+def _grad_cache_stats():
+    return get_plan_pool().stats_by_tag()[GRAD_CACHE_TAG]
+
+
+class TestLiveIterateScope:
+    """The pool holds the gradient stack of the live iterate, not of dead ones."""
+
+    def test_new_state_history_releases_the_previous_stack(self, ops, state_history):
+        scope = GradientCacheScope()
+        plan_state_gradients(ops, state_history, scope=scope)
+        first_key = scope.key
+        assert first_key in get_plan_pool()
+        plan_state_gradients(ops, 2.0 * state_history, scope=scope)
+        assert first_key not in get_plan_pool()
+        assert scope.key in get_plan_pool()
+        stats = _grad_cache_stats()
+        # released, not evicted; and never two stacks at once
+        assert (stats.entries, stats.evictions) == (1, 0)
+        assert stats.peak_bytes == projected_gradient_cache_nbytes(state_history)
+        get_plan_pool().validate_accounting()
+
+    def test_same_state_history_still_hits(self, ops, state_history):
+        """The continuation re-linearizes the velocity the last level ended on."""
+        scope = GradientCacheScope()
+        plan_state_gradients(ops, state_history, scope=scope)
+        plan_state_gradients(ops, state_history.copy(), scope=scope)
+        stats = _grad_cache_stats()
+        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+
+    def test_degrading_to_lazy_releases_the_stack(self, ops, state_history):
+        scope = GradientCacheScope()
+        plan_state_gradients(ops, state_history, scope=scope)
+        set_gradient_cache_enabled(False)
+        assert not plan_state_gradients(ops, 2.0 * state_history, scope=scope).cached
+        assert scope.key is None
+        assert _grad_cache_stats().entries == 0
+
+    def test_scopes_are_independent(self, ops, state_history):
+        """Two problems solved concurrently each keep their own live stack."""
+        first, second = GradientCacheScope(), GradientCacheScope()
+        plan_state_gradients(ops, state_history, scope=first)
+        plan_state_gradients(ops, 2.0 * state_history, scope=second)
+        plan_state_gradients(ops, 3.0 * state_history, scope=second)
+        assert first.key in get_plan_pool()
+        assert _grad_cache_stats().entries == 2
+
+    def test_unscoped_calls_release_nothing(self, ops, state_history):
+        plan_state_gradients(ops, state_history)
+        plan_state_gradients(ops, 2.0 * state_history)
+        assert _grad_cache_stats().entries == 2
+
+    def test_a_solve_ends_with_one_stack(self):
+        from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
+
+        problem = _problem()
+        GaussNewtonKrylov(problem, SolverOptions(max_newton_iterations=3)).solve()
+        stats = _grad_cache_stats()
+        assert stats.misses >= 2  # several iterates were linearized ...
+        assert stats.entries == 1  # ... and only the live one's stack is pooled
+        assert stats.peak_bytes == stats.current_bytes

@@ -75,6 +75,32 @@ class TestPlanPoolCore:
         assert "a" in pool and "c" in pool
         assert "b" not in pool
 
+    def test_discard_releases_bytes_without_counting_an_eviction(self):
+        pool = PlanPool(max_bytes=100)
+        pool.get(("kind", "a"), lambda: _Sized(30))
+        pool.get(("kind", "b"), lambda: _Sized(20))
+        assert pool.discard(("kind", "a")) is True
+        assert pool.discard(("kind", "a")) is False
+        assert pool.keys() == (("kind", "b"),)
+        assert pool.current_bytes == 20
+        stats = pool.stats_by_tag()["kind"]
+        assert (stats.entries, stats.current_bytes, stats.evictions) == (1, 20, 0)
+        assert pool.stats.peak_bytes == 50
+        pool.validate_accounting()
+        # a discarded key is simply a miss the next time
+        pool.get(("kind", "a"), lambda: _Sized(30))
+        assert pool.stats.misses == 3
+
+    def test_lookup_refreshes_lru_order_without_statistics(self):
+        pool = PlanPool(max_bytes=25)
+        first = pool.get("a", lambda: _Sized(10))
+        pool.get("b", lambda: _Sized(10))
+        assert pool.lookup("missing") is None
+        assert pool.lookup("a") is first
+        assert (pool.stats.hits, pool.stats.misses) == (0, 2)
+        pool.get("c", lambda: _Sized(10))  # evicts "b": "a" was used last
+        assert pool.keys() == ("a", "c")
+
     def test_oversize_entry_is_returned_but_not_stored(self):
         pool = PlanPool(max_bytes=25)
         pool.get("small", lambda: _Sized(10))

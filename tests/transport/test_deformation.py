@@ -99,6 +99,36 @@ class TestDeformationMap:
         with pytest.raises(ValueError):
             DeformationMap(grid, np.zeros(grid.shape))
 
+    def test_shared_transport_solver_is_reused(self, grid):
+        """A registration hands the map its problem's solver: same bits, one
+        interpolator, and the final velocity's gather operator stays warm."""
+        from repro.runtime.plan_pool import get_plan_pool
+        from repro.transport.kernels import GATHER_OPERATOR_TAG
+        from repro.transport.solvers import TransportSolver
+
+        velocity = 0.3 * smooth_vector_field(grid, seed=6)
+        rho0 = smooth_scalar_field(grid, seed=7)
+        transport = TransportSolver(grid, num_time_steps=2)
+        transport.solve_state(transport.plan(velocity), rho0)
+        shared = DeformationMap(grid, velocity, transport=transport)
+        assert shared.num_time_steps == 2 and shared.operators is transport.operators
+        swept = transport.interpolator.points_interpolated
+        determinant = shared.determinant()
+        # two steps of a (3 fields + 3 sources) stack, through the solver's interpolator
+        assert transport.interpolator.points_interpolated - swept == 2 * 6 * grid.num_points
+        operators = get_plan_pool().stats_by_tag().get(GATHER_OPERATOR_TAG)
+        if operators is not None:  # the scipy engine
+            assert (operators.misses, operators.entries) == (1, 1)
+        standalone = DeformationMap(grid, velocity, num_time_steps=2)
+        np.testing.assert_array_equal(determinant, standalone.determinant())
+        np.testing.assert_array_equal(shared.warp(rho0), standalone.warp(rho0))
+
+    def test_shared_transport_solver_must_match_the_grid(self, grid):
+        from repro.transport.solvers import TransportSolver
+
+        with pytest.raises(ValueError, match="grid"):
+            DeformationMap(grid, grid.zeros_vector(), transport=TransportSolver(Grid((8, 8, 8))))
+
     def test_displacement_is_cached(self, grid):
         dmap = DeformationMap(grid, 0.2 * smooth_vector_field(grid, seed=5))
         first = dmap.displacement()

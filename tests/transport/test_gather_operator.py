@@ -1,0 +1,328 @@
+"""The scipy engine's sparse gather operator (``cubic_bspline``).
+
+Three contracts:
+
+* **accuracy** — the operator agrees with
+  ``map_coordinates(order=3, mode="grid-wrap")`` (same spline coefficients,
+  another summation order) to ``1e-13`` on unit-scale fields, wrap seam
+  included;
+* **bitwise invariance** — the bits of a gather depend on the field and the
+  points only: not on the stack it travels in, the block size, or whether
+  the operator is resident or built block by block;
+* **residency** — operators are byte-accounted pool entries, at most two per
+  interpolator, none when the budget cannot hold them.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
+
+from repro.observability.metrics import get_metrics_registry
+from repro.observability.trace import enable_tracing, get_trace_recorder
+from repro.runtime.plan_pool import get_plan_pool
+from repro.spectral.grid import Grid
+from repro.transport import kernels
+from repro.transport.interpolation import PeriodicInterpolator
+from repro.transport.kernels import (
+    GATHER_OPERATOR_TAG,
+    build_gather_operator,
+    gather_bspline,
+    gather_operator_plan,
+    projected_gather_operator_nbytes,
+)
+from repro.transport.sources import set_default_field_source
+
+from tests.fixtures import make_grid
+
+TOLERANCE = 1e-13
+SHAPES = [(16, 19, 16), (8, 8, 8), (9, 7, 11)]
+
+
+def _reference(fields: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
+    return np.stack(
+        [
+            ndimage.map_coordinates(
+                np.asarray(field, dtype=np.float64), coordinates, order=3, mode="grid-wrap"
+            )
+            for field in fields
+        ]
+    )
+
+
+def _coordinates(shape, num_points: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 1.0, (3, num_points)) * np.asarray(shape, dtype=np.float64)[:, None]
+
+
+def _operator_entries() -> int:
+    stats = get_plan_pool().stats_by_tag().get(GATHER_OPERATOR_TAG)
+    return 0 if stats is None else stats.entries
+
+
+@pytest.fixture()
+def pool_budget():
+    """Set the shared pool's budget for one test (the CI legs pin their own)."""
+    pool = get_plan_pool()
+    before = pool.max_bytes
+    yield pool.set_max_bytes
+    pool.set_max_bytes(before)
+
+
+# --------------------------------------------------------------------------- #
+# accuracy against map_coordinates
+# --------------------------------------------------------------------------- #
+class TestAgreesWithMapCoordinates:
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_random_points(self, shape):
+        fields = np.random.default_rng(1).uniform(-1.0, 1.0, (2, *shape))
+        coordinates = _coordinates(shape, 700, seed=2)
+        values = gather_bspline(fields, coordinates, None)
+        assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
+
+    def test_float32_input_is_upcast_exactly(self):
+        shape = (8, 8, 8)
+        fields = np.random.default_rng(3).uniform(-1.0, 1.0, (2, *shape)).astype(np.float32)
+        coordinates = _coordinates(shape, 300, seed=4)
+        values = gather_bspline(fields, coordinates, None)
+        assert values.dtype == np.float64
+        np.testing.assert_array_equal(
+            values, gather_bspline(fields.astype(np.float64), coordinates, None)
+        )
+        assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_wrap_seam_and_integer_coordinates(self, shape):
+        fields = np.random.default_rng(5).uniform(-1.0, 1.0, (1, *shape))
+        n = np.asarray(shape, dtype=np.float64)
+        seam = np.array([0.0, 1e-12, 0.5, 1.0])
+        per_axis = [np.concatenate([seam, size - seam[1:3], [size - 1.0]]) for size in n]
+        coordinates = np.stack(
+            [grid.ravel() for grid in np.meshgrid(*per_axis, indexing="ij")]
+        )
+        values = gather_bspline(fields, coordinates, None)
+        assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
+        # an interpolating spline returns the samples at the nodes
+        nodes = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, shape), indexing="ij")])
+        at_nodes = gather_bspline(fields, nodes.astype(np.float64), None)
+        assert np.abs(at_nodes[0] - fields[0].ravel()).max() <= TOLERANCE
+
+    def test_coordinate_equal_to_the_period_wraps(self):
+        """``np.mod`` can return the period itself; the stencil must wrap it."""
+        shape = (8, 8, 8)
+        fields = np.random.default_rng(6).uniform(-1.0, 1.0, (1, *shape))
+        at_period = gather_bspline(fields, np.full((3, 1), 8.0), None)
+        at_origin = gather_bspline(fields, np.zeros((3, 1)), None)
+        np.testing.assert_array_equal(at_period, at_origin)
+
+    def test_frontend_matches_at_physical_points(self):
+        grid = make_grid((16, 19, 16))
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        field = np.random.default_rng(7).uniform(-1.0, 1.0, grid.shape)
+        points = np.random.default_rng(8).uniform(-7.0, 13.0, (3, 400))
+        reference = _reference(field[None], interp.to_index_coordinates(points))[0]
+        assert np.abs(interp(field, points) - reference).max() <= TOLERANCE
+
+
+# --------------------------------------------------------------------------- #
+# bitwise invariance
+# --------------------------------------------------------------------------- #
+class TestBitwiseInvariance:
+    @given(
+        num_fields=st.integers(1, 6),
+        chunk=st.integers(1, 400),
+        num_points=st.integers(1, 300),
+        seed=st.integers(0, 1000),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stack_depth_and_block_size_never_change_the_bits(
+        self, num_fields, chunk, num_points, seed
+    ):
+        shape = (8, 10, 9)
+        fields = np.random.default_rng(seed).standard_normal((num_fields, *shape))
+        coordinates = _coordinates(shape, num_points, seed + 1)
+        batched = gather_bspline(fields, coordinates, None)
+        before = kernels.OPERATOR_CHUNK
+        kernels.OPERATOR_CHUNK = chunk
+        try:
+            rechunked = gather_bspline(fields, coordinates, None)
+            scalars = [gather_bspline(fields[f : f + 1], coordinates, None)[0] for f in range(num_fields)]
+        finally:
+            kernels.OPERATOR_CHUNK = before
+        np.testing.assert_array_equal(rechunked, batched)
+        for f in range(num_fields):
+            np.testing.assert_array_equal(scalars[f], batched[f])
+
+    @pytest.mark.parametrize("num_fields", [1, 3, 6])
+    def test_resident_equals_block_transient(self, num_fields):
+        shape = (16, 19, 16)
+        fields = np.random.default_rng(9).standard_normal((num_fields, *shape))
+        coordinates = _coordinates(shape, 20000, seed=10)
+        plan = gather_operator_plan(shape, coordinates)
+        resident = gather_bspline(fields, coordinates, plan)
+        assert _operator_entries() == 1
+        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, None))
+        # the warm operator serves the same bits again
+        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, plan))
+
+    def test_one_shot_calls_keep_nothing(self):
+        grid = make_grid(8)
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        fields = np.random.default_rng(11).standard_normal((3, *grid.shape))
+        points = np.random.default_rng(12).uniform(0.0, 6.0, (3, 200))
+        interp(fields[0], points)
+        interp.interpolate_many(fields, points)
+        interp.interpolate_vector(fields, points)
+        assert len(get_plan_pool()) == 0
+
+
+# --------------------------------------------------------------------------- #
+# residency: byte accounting, the bound of two, budget fallback
+# --------------------------------------------------------------------------- #
+class TestResidency:
+    @pytest.mark.parametrize("num_points", [0, 1, 8192, 8193, 20000])
+    def test_projected_bytes_are_the_built_bytes(self, num_points):
+        shape = (16, 19, 16)
+        operator = build_gather_operator(shape, _coordinates(shape, num_points, seed=13))
+        assert operator.nbytes == projected_gather_operator_nbytes(num_points, shape)
+        assert sum(block.w2.shape[1] for block in operator.blocks) == num_points
+
+    def test_pool_accounts_the_operator_under_its_tag(self, pool_budget):
+        pool_budget(64 * 2**20)
+        grid = make_grid((16, 19, 16))
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        points = np.random.default_rng(14).uniform(0.0, 6.0, (3, 5000))
+        plan = interp.plan(points)
+        assert plan.is_cached and plan.payload.nbytes == 0
+        assert len(get_plan_pool()) == 0  # planning builds nothing
+        interp.interpolate_planned(np.ones(grid.shape), plan)
+        stats = get_plan_pool().stats_by_tag()[GATHER_OPERATOR_TAG]
+        assert stats.entries == 1 and stats.misses == 1
+        assert stats.current_bytes == projected_gather_operator_nbytes(5000, grid.shape)
+        # sweeps fetch the warm operator without touching the pool's
+        # hit/miss statistics, which measure reuse across velocities
+        interp.interpolate_planned(np.ones(grid.shape), plan)
+        stats = get_plan_pool().stats_by_tag()[GATHER_OPERATOR_TAG]
+        assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
+        get_plan_pool().validate_accounting()
+
+    def test_third_plan_releases_the_least_recent(self, pool_budget):
+        pool_budget(64 * 2**20)
+        grid = make_grid(8)
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        field = np.random.default_rng(15).standard_normal(grid.shape)
+        plans = [
+            interp.plan(np.random.default_rng(seed).uniform(0.0, 6.0, (3, 300)))
+            for seed in (16, 17, 18)
+        ]
+        first = [interp.interpolate_planned(field, plan) for plan in plans]
+        pool = get_plan_pool()
+        assert _operator_entries() == 2
+        assert plans[0].payload.key not in pool
+        assert plans[1].payload.key in pool and plans[2].payload.key in pool
+        pool.validate_accounting()
+        # touching the second keeps it; the released first one is rebuilt on
+        # demand, bit for bit, and pushes out the least recently used third
+        interp.interpolate_planned(field, plans[1])
+        again = interp.interpolate_planned(field, plans[0])
+        np.testing.assert_array_equal(again, first[0])
+        assert _operator_entries() == 2
+        assert plans[2].payload.key not in pool
+        pool.validate_accounting()
+
+    def test_bound_holds_over_a_transport_solve(self, pool_budget):
+        """Every velocity a solver plans adds two operators; two stay."""
+        from repro.transport.solvers import TransportSolver
+
+        from tests.fixtures import smooth_scalar_field, smooth_velocity_field
+
+        pool_budget(64 * 2**20)
+        grid = make_grid(8)
+        solver = TransportSolver(grid, num_time_steps=2)
+        rho = smooth_scalar_field(grid, seed=1)
+        for seed in (1, 2, 3):
+            plan = solver.plan(0.3 * smooth_velocity_field(grid, seed=seed))
+            solver.solve_adjoint(plan, solver.solve_state(plan, rho)[-1])
+            assert _operator_entries() == 2
+        get_plan_pool().validate_accounting()
+
+    @pytest.mark.parametrize("budget", [0, 100_000])
+    def test_small_budget_degrades_to_transient_bitwise(self, pool_budget, budget):
+        grid = make_grid((16, 19, 16))
+        fields = np.random.default_rng(19).standard_normal((2, *grid.shape))
+        points = np.random.default_rng(20).uniform(0.0, 6.0, (3, 3000))
+        pool_budget(64 * 2**20)
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        resident = interp.interpolate_many_planned(fields, interp.plan(points))
+        assert _operator_entries() == 1
+        get_plan_pool().reset()
+        pool_budget(budget)
+        starved = PeriodicInterpolator(grid, backend="scipy")
+        values = starved.interpolate_many_planned(fields, starved.plan(points))
+        np.testing.assert_array_equal(values, resident)
+        assert _operator_entries() == 0
+        assert get_plan_pool().stats.oversize_rejections == 0  # never built whole
+
+    def test_live_pair_may_claim_half_the_budget(self, pool_budget):
+        shape = (8, 8, 8)
+        coordinates = _coordinates(shape, 1000, seed=21)
+        projected = projected_gather_operator_nbytes(1000, shape)
+        fields = np.ones((1, *shape))
+        pool_budget(4 * projected - 1)
+        gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
+        assert _operator_entries() == 0
+        pool_budget(4 * projected)
+        gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
+        assert _operator_entries() == 1
+
+
+# --------------------------------------------------------------------------- #
+# out-of-core mode and observability
+# --------------------------------------------------------------------------- #
+class TestFrontendIntegration:
+    def test_forced_memmap_mode_is_bitwise_identical(self):
+        """``REPRO_FIELD_SOURCE=memmap``: the spooled source is loaded whole
+        (the prefilter is a whole-field recursion) and meets the same operator."""
+        grid = make_grid((16, 19, 16))
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        fields = np.random.default_rng(22).standard_normal((3, *grid.shape))
+        points = np.random.default_rng(23).uniform(0.0, 6.0, (3, 900))
+        plan = interp.plan(points)
+        resident = interp.interpolate_many_planned(fields, plan)
+        one_shot = interp.interpolate_many(fields, points)
+        set_default_field_source("memmap")
+        np.testing.assert_array_equal(interp.interpolate_many_planned(fields, plan), resident)
+        np.testing.assert_array_equal(interp.interpolate_many(fields, points), one_shot)
+
+    def test_counters_and_build_spans(self, pool_budget):
+        pool_budget(64 * 2**20)
+        registry = get_metrics_registry()
+
+        def counters():
+            collected = registry.collect()
+            return {
+                name: sum(collected.get(f"interp.operator_{name}", {}).values())
+                for name in ("builds", "hits", "discards")
+            }
+
+        grid = Grid((8, 8, 8))
+        interp = PeriodicInterpolator(grid, backend="scipy")
+        field = np.ones(grid.shape)
+        plans = [
+            interp.plan(np.random.default_rng(seed).uniform(0.0, 6.0, (3, 100)))
+            for seed in (24, 25, 26)
+        ]
+        before = counters()
+        enable_tracing()
+        for plan in plans:
+            interp.interpolate_planned(field, plan)  # build
+            interp.interpolate_planned(field, plan)  # hit
+        interp(field, np.zeros((3, 5)))  # one-shot: a transient build
+        after = counters()
+        assert after["builds"] - before["builds"] == 4
+        assert after["hits"] - before["hits"] == 3
+        assert after["discards"] - before["discards"] == 1
+        spans = [s for s in get_trace_recorder().spans() if s.name == "interp.operator_build"]
+        assert [s.attrs["resident"] for s in spans] == [True, True, True, False]
+        assert [s.attrs["points"] for s in spans] == [100, 100, 100, 5]

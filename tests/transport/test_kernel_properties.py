@@ -17,6 +17,7 @@ from repro.transport.kernels import (
     SUPPORTED_METHODS,
     STENCIL_CHUNK,
     ArrayFieldSource,
+    GatherOperatorPlan,
     StreamingStencilPlan,
     available_backends,
     build_stencil_plan,
@@ -35,6 +36,20 @@ def _coords(seed: int, num_points: int) -> np.ndarray:
     rng = np.random.default_rng(seed + 10_000)
     scale = np.asarray(SHAPE, dtype=np.float64)[:, None]
     return rng.uniform(0.0, 1.0, size=(3, num_points)) * scale
+
+
+def _payload(engine, coords: np.ndarray, method: str, layout: str):
+    """The engine's planning product for *coords*, stencil plans in *layout*.
+
+    The scipy engine's ``cubic_bspline`` plans a sparse gather operator,
+    which has no stencil layouts behind it.
+    """
+    if not engine.supports_plan(method):
+        return None
+    payload = engine.build_plan(SHAPE, coords, method)
+    if isinstance(payload, GatherOperatorPlan):
+        return payload
+    return build_stencil_plan(SHAPE, coords, method, layout=layout)
 
 
 class TestGatherBitwiseInvariance:
@@ -104,17 +119,8 @@ class TestTiledGatherInvariance:
         engine = get_backend(backend)
         fields = _field_stack(seed).reshape(2, *SHAPE)
         coords = _coords(seed, num_points)
-        ref_payload = (
-            build_stencil_plan(SHAPE, coords, method, layout="fat")
-            if engine.supports_plan(method)
-            else None
-        )
-        reference = engine.gather(fields, coords, ref_payload, method)
-        payload = (
-            build_stencil_plan(SHAPE, coords, method, layout=layout)
-            if engine.supports_plan(method)
-            else None
-        )
+        reference = engine.gather(fields, coords, _payload(engine, coords, method, "fat"), method)
+        payload = _payload(engine, coords, method, layout)
         candidate_fields = ArrayFieldSource(fields) if tiled else fields
         candidate = engine.gather(candidate_fields, coords, payload, method)
         np.testing.assert_array_equal(candidate, reference)
