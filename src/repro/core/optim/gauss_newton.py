@@ -195,9 +195,6 @@ class GaussNewtonKrylov:
         converged = False
         reason = "max_iterations"
 
-        def objective_of(trial_velocity: np.ndarray) -> float:
-            return problem.evaluate_objective(trial_velocity).total
-
         for iteration in range(options.max_newton_iterations):
             # cooperative cancellation: the safe point between Newton
             # iterations — the current iterate is fully consistent here
@@ -252,7 +249,7 @@ class GaussNewtonKrylov:
 
                 with trace_span("newton.line_search"):
                     ls = options.line_search.search(
-                        objective=objective_of,
+                        objective=problem.trial_objective,
                         grid=grid,
                         current_point=iterate.velocity,
                         current_objective=iterate.objective.total,
@@ -265,7 +262,7 @@ class GaussNewtonKrylov:
                     direction = preconditioner(-iterate.gradient)
                     with trace_span("newton.line_search", retry=True):
                         ls = options.line_search.search(
-                            objective=objective_of,
+                            objective=problem.trial_objective,
                             grid=grid,
                             current_point=iterate.velocity,
                             current_objective=iterate.objective.total,
@@ -273,6 +270,7 @@ class GaussNewtonKrylov:
                             direction=direction,
                         )
                     if not ls.success:
+                        problem.release_trial()
                         reason = "line_search_failure"
                         records.append(
                             self._record(
@@ -289,10 +287,8 @@ class GaussNewtonKrylov:
                         )
                         break
 
-                velocity = iterate.velocity + ls.step_length * direction
-                velocity = problem.project(velocity)
                 with trace_span("newton.linearize"):
-                    iterate = problem.linearize(velocity)
+                    iterate = problem.linearize(problem.trial_velocity)
 
             records.append(
                 self._record(

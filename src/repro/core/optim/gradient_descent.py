@@ -64,9 +64,6 @@ class GradientDescent:
         converged = False
         reason = "max_iterations"
 
-        def objective_of(trial_velocity: np.ndarray) -> float:
-            return problem.evaluate_objective(trial_velocity).total
-
         for iteration in range(options.max_newton_iterations):
             # same safe point as the Newton driver: between outer iterations
             check_cancelled(options.cancel_token, "registration solve")
@@ -95,7 +92,7 @@ class GradientDescent:
 
             direction = preconditioner(-iterate.gradient)
             ls = options.line_search.search(
-                objective=objective_of,
+                objective=problem.trial_objective,
                 grid=grid,
                 current_point=iterate.velocity,
                 current_objective=iterate.objective.total,
@@ -103,11 +100,11 @@ class GradientDescent:
                 direction=direction,
             )
             if not ls.success:
+                problem.release_trial()
                 reason = "line_search_failure"
                 break
 
-            velocity = problem.project(iterate.velocity + ls.step_length * direction)
-            iterate = problem.linearize(velocity)
+            iterate = problem.linearize(problem.trial_velocity)
             records.append(
                 NewtonIterationRecord(
                     iteration=iteration,

@@ -155,7 +155,7 @@ class MultilevelRegistration:
 
         Per-velocity transport plans flow through the shared plan pool:
         each ``(grid, velocity)`` pair is planned at most once per level
-        (the line search and the subsequent ``linearize`` share warm plans)
+        (the accepted line-search trial hands its plan to ``linearize``)
         and the per-run hit/miss delta is reported in the result.
         """
         start = time.perf_counter()

@@ -89,10 +89,11 @@ class KernelWorkCounters:
     """Snapshot of the kernel work executed so far (FFTs, interpolations).
 
     The paper's complexity model (Sec. III-C4) predicts ``8 nt`` FFTs and
-    ``4 nt`` interpolation sweeps per Hessian mat-vec; these counters let the
-    test-suite and the benchmark harness check the prediction against the
-    implementation.  Both counts live in the respective frontends
-    (:class:`repro.spectral.fft.FourierTransform`,
+    ``4 nt`` interpolation sweeps per Hessian mat-vec (the implementation
+    performs ``3 nt``, ``2 nt`` for a divergence-free velocity); these
+    counters let the test-suite and the benchmark harness check the
+    prediction against the implementation.  Both counts live in the
+    respective frontends (:class:`repro.spectral.fft.FourierTransform`,
     :class:`repro.transport.interpolation.PeriodicInterpolator`), never in
     the pluggable backends, so they are identical for every engine.
     """
@@ -110,8 +111,8 @@ class KernelWorkCounters:
         """Interpolated points expressed in grid sweeps (the paper's unit).
 
         One "interpolation" of the complexity model is a sweep over all grid
-        points, so ``4*nt`` sweeps per Hessian mat-vec corresponds to
-        ``4*nt*N1*N2*N3`` interpolated points.
+        points, so ``3*nt`` sweeps per Hessian mat-vec corresponds to
+        ``3*nt*N1*N2*N3`` interpolated points.
         """
         return self.interpolated_points / num_grid_points
 
@@ -193,6 +194,8 @@ class RegistrationProblem:
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
         self._gradient_scope = GradientCacheScope()
+        #: the most recent line-search trial: (velocity, plan, state history)
+        self._trial: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -227,30 +230,69 @@ class RegistrationProblem:
         diff = deformed_template - self.reference
         return 0.5 * self.grid.inner(diff, diff)
 
-    def evaluate_objective(self, velocity: np.ndarray) -> ObjectiveParts:
+    def evaluate_objective(
+        self, velocity: np.ndarray, keep_trial: bool = False
+    ) -> ObjectiveParts:
         """Evaluate ``J[v]`` (one forward transport solve).
 
-        Only the final state enters the distance term, so this rides
+        Only the final state enters the distance term, so a standalone
+        evaluation rides
         :meth:`~repro.transport.solvers.TransportSolver.solve_state_final`
         — same steps, same interpolation counters, no ``(nt + 1)``-level
-        history allocation (the line search evaluates this once per trial).
+        history allocation.  A line search passes *keep_trial*: the solve
+        then keeps its history, and ``(velocity, plan, history)`` replaces
+        whatever the problem's one trial slot held — so a rejected trial is
+        released by the next one — for :meth:`linearize` to adopt if this
+        trial is accepted.  Same steps, same bits, same counters either way.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
         plan = self.transport.plan(velocity)
-        deformed = self.transport.solve_state_final(plan, self.template)
+        if keep_trial:
+            self._trial = None  # the rejected trial's history goes first
+            state_history = self.transport.solve_state(plan, self.template)
+            self._trial = (velocity, plan, state_history)
+            deformed = state_history[-1]
+        else:
+            deformed = self.transport.solve_state_final(plan, self.template)
         return ObjectiveParts(
             distance=self.distance(deformed),
             regularization=self.regularizer.energy(velocity),
         )
 
+    def trial_objective(self, velocity: np.ndarray) -> float:
+        """The line search's objective: ``J`` at the projected trial, kept.
+
+        The accepted trial is the next iterate as it stands — projected
+        once, here — with its plan and state history (:meth:`linearize`).
+        """
+        return self.evaluate_objective(self.project(velocity), keep_trial=True).total
+
+    @property
+    def trial_velocity(self) -> Optional[np.ndarray]:
+        """Velocity of the kept line-search trial (``None``: the slot is empty)."""
+        return None if self._trial is None else self._trial[0]
+
+    def release_trial(self) -> None:
+        """Drop the kept trial (the line search gave up on its direction)."""
+        self._trial = None
+
     # ------------------------------------------------------------------ #
     # reduced gradient (Eq. 4)
     # ------------------------------------------------------------------ #
     def linearize(self, velocity: np.ndarray) -> OuterIterate:
-        """Evaluate objective, state, adjoint, and reduced gradient at ``v``."""
+        """Evaluate objective, state, adjoint, and reduced gradient at ``v``.
+
+        When *velocity* is (content-equal to) the kept line-search trial, its
+        transport plan and state history become the iterate's: nothing is
+        planned, hashed or transported forward a second time.
+        """
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        plan = self.transport.plan(velocity)
-        state_history = self.transport.solve_state(plan, self.template)
+        trial, self._trial = self._trial, None
+        if trial is not None and np.array_equal(trial[0], velocity):
+            _, plan, state_history = trial
+        else:
+            plan = self.transport.plan(velocity)
+            state_history = self.transport.solve_state(plan, self.template)
         deformed = state_history[-1]
         residual = self.reference - deformed
         adjoint_history = self.transport.solve_adjoint(plan, residual)
@@ -322,7 +364,11 @@ class RegistrationProblem:
         **zero** spectral-gradient FFTs — only the regularizer's ``6``
         transforms remain of the paper's ``8 nt`` figure (Sec. III-C4),
         which stays the cost of the uncached fallback.  The interpolation
-        cost (``4 nt`` sweeps) is unchanged either way.
+        cost is the same either way: ``3 nt`` sweeps — one per step for the
+        incremental state, whose grid-given source is merged into the field
+        before the gather, two for the incremental adjoint's ``div v``
+        source, one (``2 nt`` in all) when ``div v = 0``; the paper counts
+        ``4 nt``.
         """
         direction = check_velocity_shape(direction, self.grid.shape)
         direction = self.project(direction)

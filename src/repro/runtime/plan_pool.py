@@ -1,11 +1,12 @@
 """LRU plan pool with byte-accurate memory accounting.
 
 Semi-Lagrangian gather plans are the largest per-velocity data structures of
-the solver (tens to hundreds of MB at production grids), and three call
-sites used to rebuild them redundantly: the line search re-plans the
-velocity the next ``linearize`` call plans again, ``beta``-continuation
-warm-starts each level from a velocity whose plan was just built, and the
-distributed scatter path re-planned on every ``interpolate`` call.  This
+the solver (tens to hundreds of MB at production grids), and call sites
+used to rebuild them redundantly: ``beta``-continuation warm-starts each
+level from a velocity whose plan was just built, the deformation map
+re-plans the final iterate, and the distributed scatter path re-planned on
+every ``interpolate`` call.  (The accepted line-search trial does not go
+through the pool: ``linearize`` adopts its plan directly.)  This
 module centralizes the lifecycle: a process-wide LRU cache keyed by
 content (grid, velocity fingerprint, kernel, backend), with
 

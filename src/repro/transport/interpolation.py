@@ -30,14 +30,16 @@ of departure points), the residency bound of the scipy engine's gather
 operators (at most two per interpolator — the forward and backward
 characteristics of the live velocity) and the interpolation counters;
 counting never happens in the backends, so the counters — which the
-test-suite checks against the paper's ``4*nt`` sweeps-per-matvec complexity
-model — are exactly identical no matter which engine gathers.
+test-suite pins at ``3*nt`` sweeps per Hessian mat-vec, inside the paper's
+``4*nt`` complexity model — are exactly identical no matter which engine
+gathers.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Hashable, Optional
 
 import numpy as np
 
@@ -141,18 +143,23 @@ class PeriodicInterpolator:
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
-    def plan(self, points: np.ndarray) -> GatherPlan:
+    def plan(self, points: np.ndarray, key: Optional[Hashable] = None) -> GatherPlan:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
         The plan caches the wrapped coordinates and — for engines with an
         explicit stencil — the base indices and per-axis kernel weights (or
         the key of the gather operator that holds them), so every field
         interpolated at the same points skips that work.  The planned path
-        is bitwise identical to the unplanned one.
+        is bitwise identical to the unplanned one.  A caller that already
+        holds a content identity of *points* (the stepper: its departure
+        points are a function of its own pool key) passes it as *key*;
+        otherwise an engine that pools by content hashes the coordinates.
         """
-        return self._plan(points, reusable=True)
+        return self._plan(points, reusable=True, key=key)
 
-    def _plan(self, points: np.ndarray, reusable: bool) -> GatherPlan:
+    def _plan(
+        self, points: np.ndarray, reusable: bool, key: Optional[Hashable] = None
+    ) -> GatherPlan:
         """Wrap *points*; let the backend plan them only when they will be reused.
 
         A one-shot point set (``reusable=False``) carries no payload: the
@@ -162,7 +169,7 @@ class PeriodicInterpolator:
         coordinates = self.to_index_coordinates(points)
         payload = None
         if reusable and self.backend.supports_plan(self.method):
-            payload = self.backend.build_plan(self.grid.shape, coordinates, self.method)
+            payload = self.backend.build_plan(self.grid.shape, coordinates, self.method, key)
         return GatherPlan(
             method=self.method,
             backend_name=self.backend.name,
@@ -294,7 +301,7 @@ class PeriodicInterpolator:
         gather then runs **tiled** — the executor loads only the plane tile
         each point chunk touches instead of requiring the flattened stack
         resident — with bitwise-identical values.  Counting is unchanged
-        (it lives here, never in the backends), so the ``4*nt`` sweep pins
+        (it lives here, never in the backends), so the ``3*nt`` sweep pins
         hold for tiled gathers too.
         """
         fields = self._check_stack(fields)

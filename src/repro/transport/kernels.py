@@ -2,14 +2,15 @@
 
 The paper's per-iteration cost has two dominant kernels: spectral transforms
 and the off-grid tricubic interpolation of the semi-Lagrangian scheme
-(roughly ``10 x 64`` flops per point, ``4*nt`` sweeps per Hessian mat-vec,
-Sec. III-C2/C4).  This module applies the architecture of
-:mod:`repro.spectral.backends` to that second kernel: a small registry of
-interchangeable gather engines behind one protocol, plus precomputed
-**gather plans** that cache the 64-weight/index stencil of a fixed point set
-so that every field interpolated at the same departure points (state,
-adjoint, both incremental equations, all time steps of one velocity) reuses
-it — the paper's "interpolation planner".
+(roughly ``10 x 64`` flops per point, ``4*nt`` sweeps per Hessian mat-vec
+in Sec. III-C2/C4; ``3*nt`` here, the semi-Lagrangian step merges a
+grid-given source into the field it gathers).  This module applies the
+architecture of :mod:`repro.spectral.backends` to that second kernel: a
+small registry of interchangeable gather engines behind one protocol, plus
+precomputed **gather plans** that cache the 64-weight/index stencil of a
+fixed point set so that every field interpolated at the same departure
+points (state, adjoint, both incremental equations, all time steps of one
+velocity) reuses it — the paper's "interpolation planner".
 
 Backends
 --------
@@ -43,8 +44,8 @@ Selection precedence (first match wins), mirroring the FFT registry:
 
 Backends only gather; interpolation *counting* stays in
 :class:`repro.transport.interpolation.PeriodicInterpolator`, which
-guarantees exact counter parity across backends — the paper's ``4*nt``
-sweep verification is backend independent by construction.
+guarantees exact counter parity across backends — the ``3*nt`` sweep pins
+(against the paper's ``4*nt``) are backend independent by construction.
 
 Sparse gather operator (scipy engine, ``cubic_bspline``)
 --------------------------------------------------------
@@ -94,6 +95,7 @@ a fraction of the plan-pool budget; explicit layout values opt out.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import threading
@@ -102,6 +104,7 @@ from dataclasses import replace as dataclass_replace
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterator,
     Optional,
     Protocol,
@@ -239,6 +242,19 @@ def _chunk_spans(num_points: int, chunk: int) -> Tuple[Tuple[int, int], ...]:
     return tuple((lo, min(lo + chunk, num_points)) for lo in range(0, num_points, chunk))
 
 
+@functools.lru_cache(maxsize=64)
+def _wrapped_index_parts(n: int, stride: int) -> np.ndarray:
+    """``((k - 1) % n) * stride`` for ``k = 0 .. n + 3``, read-only.
+
+    Every offset a periodic stencil can reach from a base index in
+    ``[0, n]`` (``np.mod`` may round a wrapped coordinate up to ``n``
+    itself), already wrapped and scaled to a flat index part.
+    """
+    table = (np.arange(-1, n + 3) % n) * stride
+    table.setflags(write=False)
+    return table
+
+
 def _derive_chunk_stencil(
     method: str,
     taps: int,
@@ -250,20 +266,23 @@ def _derive_chunk_stencil(
     """Materialize flat index parts and axis weights from ``(3, m)`` base/frac.
 
     This is *the* stencil arithmetic: the fat build, the lean per-chunk
-    rebuild and the streaming generator all run these exact operations, which
-    is what makes every layout gather bitwise identically.
+    rebuild, the streaming generator and the gather operator's blocks all
+    run these exact operations, which is what makes every layout gather
+    bitwise identically.
     """
     weight_fn, lead = _METHOD_STENCILS[method]
     strides = (shape[1] * shape[2], shape[2], 1)
+    offsets = np.arange(lead, lead + taps, dtype=base.dtype)[:, None]
     index_parts = []
     weights = []
     for d in range(3):
-        w = np.stack(weight_fn(frac[d]), axis=0)
-        offsets = [base[d] + (offset + lead) for offset in range(taps)]
+        reached = base[d] + offsets
         if periodic:
-            offsets = [idx % shape[d] for idx in offsets]
-        index_parts.append(np.stack(offsets, axis=0) * strides[d])
-        weights.append(w)
+            # one table read per tap instead of an integer division
+            index_parts.append(_wrapped_index_parts(shape[d], strides[d])[reached + 1])
+        else:
+            index_parts.append(reached * strides[d])
+        weights.append(np.stack(weight_fn(frac[d]), axis=0))
     return tuple(index_parts), tuple(weights)
 
 
@@ -1132,7 +1151,7 @@ RESIDENT_OPERATORS = 2
 
 #: Fields gathered per pass over the stencil.  Bounds the ``windows`` and
 #: product temporaries at ``4 x`` this many fields however deep the stack
-#: (``step_many`` sends six).
+#: (the RK2 trace and ``step_many`` send three, a full pass).
 OPERATOR_FIELDS_PER_PASS = 3
 
 _OPERATOR_BUILDS = get_metrics_registry().counter(
@@ -1220,11 +1239,13 @@ def _build_operator_block(
     index_dtype = _operator_index_dtype(num_columns)
     rows0 = rows0.astype(index_dtype)
     rows1 = (rows1 + cols2[0]).astype(index_dtype)
-    # (4, 4, m) sums run over long rows; one transposing copy makes them row-major
+    # (4, 4, m) sums and products run over long rows; one transposing copy
+    # each makes them row-major
     indices = np.ascontiguousarray((rows0[:, None] + rows1[None]).transpose(2, 0, 1))
+    products = np.ascontiguousarray((w0[:, None] * w1[None]).transpose(2, 0, 1))
     matrix = sparse.csr_matrix(
         (
-            np.einsum("ma,mb->mab", w0.T, w1.T).reshape(-1),
+            products.reshape(-1),
             indices.reshape(-1),
             np.arange(0, 16 * num_rows + 1, 16, dtype=index_dtype),
         ),
@@ -1261,11 +1282,18 @@ def build_gather_operator(shape: Tuple[int, int, int], coordinates: np.ndarray) 
         )
 
 
-def gather_operator_plan(shape: Tuple[int, int, int], coordinates: np.ndarray) -> GatherOperatorPlan:
-    """Plan a point set for resident gathers: fingerprint it, build nothing."""
-    return GatherOperatorPlan(
-        (GATHER_OPERATOR_TAG, tuple(int(n) for n in shape), array_fingerprint(coordinates))
-    )
+def gather_operator_plan(
+    shape: Tuple[int, int, int], coordinates: np.ndarray, key: Optional[Hashable] = None
+) -> GatherOperatorPlan:
+    """Plan a point set for resident gathers: name it, build nothing.
+
+    *key* is the caller's content identity of *coordinates* (a stepper's
+    departure points are a pure function of its own pool key); without one
+    the coordinates are fingerprinted.
+    """
+    if key is None:
+        key = array_fingerprint(coordinates)
+    return GatherOperatorPlan((GATHER_OPERATOR_TAG, tuple(int(n) for n in shape), key))
 
 
 def _resident_gather_operator(
@@ -1417,9 +1445,18 @@ class InterpolationBackend(Protocol):
         ...
 
     def build_plan(
-        self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
+        self,
+        grid_shape: Tuple[int, int, int],
+        coordinates: np.ndarray,
+        method: str,
+        key: Optional[Hashable] = None,
     ) -> Optional[PlanPayload]:
-        """Precompute the reusable stencil payload (or ``None``)."""
+        """Precompute the reusable stencil payload (or ``None``).
+
+        *key*, when given, is the caller's content identity of
+        *coordinates*: an engine that pools by content uses it instead of
+        hashing them.
+        """
         ...
 
     def gather(
@@ -1461,12 +1498,16 @@ class ScipyInterpolationBackend:
         return method != "linear"
 
     def build_plan(
-        self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
+        self,
+        grid_shape: Tuple[int, int, int],
+        coordinates: np.ndarray,
+        method: str,
+        key: Optional[Hashable] = None,
     ) -> Optional[PlanPayload]:
         if method == "catmull_rom":
             return build_stencil_plan(grid_shape, coordinates, method)
         if method == "cubic_bspline":
-            return gather_operator_plan(grid_shape, coordinates)
+            return gather_operator_plan(grid_shape, coordinates, key)
         return None
 
     def gather(
@@ -1519,7 +1560,11 @@ class NumpyInterpolationBackend:
         return method in SUPPORTED_METHODS
 
     def build_plan(
-        self, grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
+        self,
+        grid_shape: Tuple[int, int, int],
+        coordinates: np.ndarray,
+        method: str,
+        key: Optional[Hashable] = None,
     ) -> Optional[StencilPlanLike]:
         return build_stencil_plan(grid_shape, coordinates, method)
 

@@ -20,6 +20,13 @@ Implements the scheme of Sec. III-B2 (Eqs. 6 and 7 of the paper):
        nu(x, dt)    = nu0(X) + dt/2 * (f0(X) + f*(x))
 
    For a pure advection (``f = 0``) this collapses to one interpolation.
+   So it does whenever ``f*`` is given on the grid instead of computed from
+   the predictor — the interpolant is linear, hence::
+
+       nu(x, dt)    = interp(nu(., 0) + dt/2 * f(., 0), X) + dt/2 * f*(x)
+
+   Only a source that depends on the transported quantity itself (the
+   adjoint's ``lam div v``) needs ``nu0(X)`` and ``f0(X)`` separately.
 
 The departure points depend only on the (stationary) velocity and the time
 step, so they are computed once per velocity and re-used for every time step
@@ -28,24 +35,24 @@ Sec. III-C2.  The stepper goes one step further and caches the full
 **gather plan** (base indices + per-axis kernel weights, see
 :mod:`repro.transport.kernels`) for its departure points, so repeated steps
 never re-derive the interpolation stencil; fields that are interpolated
-together (the transported quantity and its source, the three velocity
-components of the RK2 trace) move through one batched gather pass.  The
-same machinery handles the adjoint equations after the time reversal
-``tau = 1 - t`` by passing ``-v``.
+together (a transported quantity and its predictor-dependent source, the
+three velocity components of the RK2 trace) move through one batched gather
+pass.  The same machinery handles the adjoint equations after the time
+reversal ``tau = 1 - t`` by passing ``-v``.
 
 Since PR 3 the departure points and their gather plan live in the shared
 **plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
 ``(grid, velocity, dt, kernel, backend)``: any stepper built for a velocity
-the pool has already planned — the line-search trial that the next
-``linearize`` revisits, a ``beta``-continuation warm start, the deformation
-map of a just-solved registration — reuses the warm plan instead of
-re-tracing and re-planning.
+the pool has already planned — a ``beta``-continuation warm start, the
+deformation map of a just-solved registration — reuses the warm plan instead
+of re-tracing and re-planning.  (The accepted line-search trial does not
+even look: ``linearize`` adopts its whole ``TransportPlan``.)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -142,6 +149,11 @@ class SemiLagrangianStepper:
         ``(grid, velocity, dt, kernel, backend)`` content.
     use_plan_pool:
         Set to ``False`` to bypass the pool entirely (always rebuild).
+    velocity_key:
+        Content identity of *velocity* when the caller already has one
+        (:meth:`TransportSolver.plan` fingerprints ``v`` once and names its
+        ``-v`` stepper ``(fingerprint, "reversed")``); the velocity is
+        fingerprinted when omitted.
     """
 
     grid: Grid
@@ -151,6 +163,7 @@ class SemiLagrangianStepper:
     departure_points: Optional[np.ndarray] = None
     departure_plan: Optional[GatherPlan] = None
     use_plan_pool: bool = True
+    velocity_key: Optional[Hashable] = None
 
     def __post_init__(self) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
@@ -163,7 +176,8 @@ class SemiLagrangianStepper:
             )
         if self.departure_points is None:
             if self.use_plan_pool:
-                data = get_plan_pool().get(self._pool_key(), self._build_departure_data)
+                key = self._pool_key()
+                data = get_plan_pool().get(key, lambda: self._build_departure_data(key))
             else:
                 data = self._build_departure_data()
             self.departure_points = data.points
@@ -187,15 +201,19 @@ class SemiLagrangianStepper:
             self.interpolator.method,
             self.interpolator.backend_name,
             plan_layout_cache_token(),
-            array_fingerprint(self.velocity),
+            self.velocity_key or array_fingerprint(self.velocity),
         )
 
-    def _build_departure_data(self) -> DeparturePlanData:
-        """Trace the characteristics and plan the gather (the pool's miss path)."""
+    def _build_departure_data(self, key: Optional[Tuple] = None) -> DeparturePlanData:
+        """Trace the characteristics and plan the gather (the pool's miss path).
+
+        The departure points are a pure function of the pool *key*, so it
+        also names their gather operator: nothing hashes the coordinates.
+        """
         points = compute_departure_points(self.grid, self.velocity, self.dt, self.interpolator)
         # the paper's planning phase: the gather stencil of the departure
         # points is computed once and reused by every step of every field
-        plan = self.interpolator.plan(points)
+        plan = self.interpolator.plan(points, key=key)
         # pooled entries are shared across steppers; guard them against
         # accidental in-place mutation by any consumer
         points.setflags(write=False)
@@ -248,33 +266,37 @@ class SemiLagrangianStepper:
         nu = np.asarray(nu)
         if nu.shape != self.grid.shape:
             raise ValueError(f"field has shape {nu.shape}, expected {self.grid.shape}")
+        if source_old is not None:
+            source_old = self._checked_source(source_old)
+        half_dt = 0.5 * self.dt
 
-        if source_old is None and source_new is None:
-            # pure advection: nu(x, t+dt) = nu(X, t)
-            return self.interpolate_at_departure(nu)
+        if callable(source_new):
+            # f_new needs the predictor, a second combination of the two
+            # interpolants: gather them side by side
+            if source_old is None:
+                nu_dep = self.interpolate_at_departure(nu)
+                f_dep = np.zeros_like(nu_dep)
+            else:
+                nu_dep, f_dep = self.interpolate_many_at_departure(
+                    np.stack([nu, source_old], axis=0)
+                )
+            f_new = self._checked_source(source_new(nu_dep + self.dt * f_dep))
+            return nu_dep + half_dt * (f_dep + f_new)
 
-        if source_old is None:
-            nu_dep = self.interpolate_at_departure(nu)
-            f_dep = np.zeros_like(nu_dep)
-        else:
-            # one batched gather for the transported field and its source
-            nu_dep, f_dep = self.interpolate_many_at_departure(
-                np.stack([nu, np.asarray(source_old)], axis=0)
-            )
-
-        predictor = nu_dep + self.dt * f_dep
-
+        # grid-given sources: the update is linear in what it interpolates,
+        # so nu + dt/2 f_old moves through one gather (pure advection
+        # without a source)
+        merged = nu if source_old is None else nu + half_dt * source_old
+        nu_new = self.interpolate_at_departure(merged)
         if source_new is None:
-            f_new = np.zeros_like(predictor)
-        elif callable(source_new):
-            f_new = np.asarray(source_new(predictor))
-        else:
-            f_new = np.asarray(source_new)
-        if f_new.shape != self.grid.shape:
-            raise ValueError(
-                f"source has shape {f_new.shape}, expected {self.grid.shape}"
-            )
-        return nu_dep + 0.5 * self.dt * (f_dep + f_new)
+            return nu_new
+        return nu_new + half_dt * self._checked_source(source_new)
+
+    def _checked_source(self, source) -> np.ndarray:
+        source = np.asarray(source)
+        if source.shape != self.grid.shape:
+            raise ValueError(f"source has shape {source.shape}, expected {self.grid.shape}")
+        return source
 
     def step_many(
         self,
@@ -285,10 +307,10 @@ class SemiLagrangianStepper:
         """Advance a ``(B, N1, N2, N3)`` stack of fields by one time step.
 
         The batched counterpart of :meth:`step` for sources given as grid
-        arrays: the fields and their old-time sources are interpolated at
-        the shared departure points in a *single* gather pass through the
-        cached plan (e.g. the three displacement components and the three
-        velocity components of the deformation-map transport).
+        arrays: ``fields + dt/2 * sources_old`` is interpolated at the
+        shared departure points in a single ``B``-field gather pass through
+        the cached plan (e.g. the three displacement components of the
+        deformation-map transport, with the velocity as their source).
 
         For a pure advection (no sources) *fields* may also be a
         :class:`~repro.transport.kernels.FieldSource`: the step then runs a
@@ -302,33 +324,18 @@ class SemiLagrangianStepper:
                 )
             return self.interpolate_many_at_departure(fields)
         fields = np.asarray(fields)
-        if sources_old is None and sources_new is None:
-            return self.interpolate_many_at_departure(fields)
-
-        batch = fields.shape[0]
-        if sources_old is None:
-            dep = self.interpolate_many_at_departure(fields)
-            nu_dep, f_dep = dep, np.zeros_like(dep)
-        else:
-            sources_old = np.asarray(sources_old)
-            if sources_old.shape != fields.shape:
+        half_dt = 0.5 * self.dt
+        for sources in (sources_old, sources_new):
+            if sources is not None and np.shape(sources) != fields.shape:
                 raise ValueError(
-                    f"sources have shape {sources_old.shape}, expected {fields.shape}"
+                    f"sources have shape {np.shape(sources)}, expected {fields.shape}"
                 )
-            dep = self.interpolate_many_at_departure(
-                np.concatenate([fields, sources_old], axis=0)
-            )
-            nu_dep, f_dep = dep[:batch], dep[batch:]
-
+        if sources_old is not None:
+            fields = fields + half_dt * np.asarray(sources_old)
+        stepped = self.interpolate_many_at_departure(fields)
         if sources_new is None:
-            f_new = np.zeros_like(nu_dep)
-        else:
-            f_new = np.asarray(sources_new)
-            if f_new.shape != fields.shape:
-                raise ValueError(
-                    f"sources have shape {f_new.shape}, expected {fields.shape}"
-                )
-        return nu_dep + 0.5 * self.dt * (f_dep + f_new)
+            return stepped
+        return stepped + half_dt * np.asarray(sources_new)
 
     # ------------------------------------------------------------------ #
     def cfl_number(self) -> float:

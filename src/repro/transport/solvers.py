@@ -30,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from repro.observability.trace import trace_span
+from repro.runtime.plan_pool import array_fingerprint
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
@@ -75,15 +76,15 @@ class TransportPlan:
         """Byte size of the per-velocity planning data this plan holds.
 
         Counts the departure points and gather plans of both steppers (the
-        quantities the shared plan pool stores and budgets) plus the cached
-        divergence field.
+        quantities the shared plan pool stores and budgets; ``v = 0`` has
+        one stepper for both directions) plus the cached divergence field.
         """
-        return (
-            self.forward_stepper.departure_points.nbytes
-            + self.forward_gather_plan.nbytes
-            + self.backward_stepper.departure_points.nbytes
-            + self.backward_gather_plan.nbytes
-            + self.divergence.nbytes
+        steppers = [self.forward_stepper]
+        if self.backward_stepper is not self.forward_stepper:
+            steppers.append(self.backward_stepper)
+        return self.divergence.nbytes + sum(
+            stepper.departure_points.nbytes + stepper.departure_plan.nbytes
+            for stepper in steppers
         )
 
 
@@ -146,16 +147,22 @@ class TransportSolver:
         The expensive planning data (departure points + gather stencils of
         both characteristic directions) comes from the shared plan pool
         (:mod:`repro.runtime.plan_pool`): velocities the pool has already
-        planned — the accepted line-search trial, a continuation warm
-        start — are warm hits and skip the trace/plan work entirely.
+        planned — a continuation warm start, the deformation map of the
+        final iterate — are warm hits and skip the trace/plan work entirely.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
+        # one hash per velocity: -v is named after v, and each stepper's
+        # gather operator after the stepper
+        fingerprint = array_fingerprint(velocity)
         forward = SemiLagrangianStepper(
-            self.grid, velocity, self.dt, interpolator=self._interpolator
+            self.grid, velocity, self.dt, self._interpolator, velocity_key=fingerprint
         )
-        backward = SemiLagrangianStepper(
-            self.grid, -velocity, self.dt, interpolator=self._interpolator
-        )
+        backward = forward  # v = 0 (every solve's first iterate) is its own reverse
+        if velocity.any():
+            backward = SemiLagrangianStepper(
+                self.grid, -velocity, self.dt, self._interpolator,
+                velocity_key=(fingerprint, "reversed"),
+            )
         div_v = self.operators.divergence(velocity)
         vel_scale = max(self.grid.norm(velocity), 1e-30)
         div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
@@ -192,10 +199,12 @@ class TransportSolver:
     def solve_state_final(self, plan: TransportPlan, rho0: np.ndarray) -> np.ndarray:
         """Transport the template forward, keeping only the final state.
 
-        The objective evaluation (and the CLI's deformed template) only
-        need ``rho(., 1)``, not the ``(nt + 1)``-level history — at 256^3
-        the history is 0.7 GB of dead weight per trial velocity of the line
-        search.  This runs the identical steps on a two-level rotation
+        A standalone objective evaluation
+        (``RegistrationProblem.evaluate_objective`` without ``keep_trial``)
+        only needs ``rho(., 1)``, not the ``(nt + 1)``-level history — at
+        256^3 that is 0.7 GB nobody will read.  (The line search does not
+        call this: its trials keep their history, which becomes the next
+        iterate's.)  This runs the identical steps on a two-level rotation
         (interpolation counters and bits match ``solve_state(...)[nt]``
         exactly), bounding the state memory at one field regardless of
         ``nt``.

@@ -24,13 +24,14 @@ FFTs** — only the regularizer's batched matvec remains:
     transforms_warm(nt) = 6                      (independent of nt)
 
 **Interpolations.**  One "sweep" is an interpolation of all grid points at
-the cached departure points.  The incremental state performs 2 sweeps per
-time step (the transported field and its source move through one batched
-gather); the incremental adjoint performs 2 for a general velocity (the
-``div v`` source) and 1 when the velocity is divergence-free:
+the cached departure points.  The incremental state performs 1 sweep per
+time step (its source is given on the grid, so the transported field and
+the source are merged before the gather — the interpolant is linear); the
+incremental adjoint performs 2 for a general velocity (the ``div v`` source
+depends on the predictor) and 1 when the velocity is divergence-free:
 
-    sweeps(nt) = 4*nt          (general velocity; exactly the paper's count)
-    sweeps(nt) = 3*nt          (divergence-free velocity)
+    sweeps(nt) = 3*nt          (general velocity; the paper counts 4*nt)
+    sweeps(nt) = 2*nt          (divergence-free velocity)
 
 The interpolation cost is identical cached and uncached — the cache only
 touches spectral work.
@@ -64,7 +65,7 @@ def exact_transforms_per_matvec(nt: int) -> int:
 
 def exact_interpolation_sweeps_per_matvec(nt: int, divergence_free: bool = False) -> int:
     """Analytic interpolation-sweep count of one Gauss-Newton Hessian matvec."""
-    return 3 * nt if divergence_free else 4 * nt
+    return 2 * nt if divergence_free else 3 * nt
 
 
 def _build_problem(nt: int, fft_backend: str = "numpy", interp_backend: str = None):
@@ -161,7 +162,7 @@ class TestPaperComplexityModel:
 
 
 class TestInterpolationSweeps:
-    """Pin the paper's ``4*nt`` interpolation sweeps per Hessian matvec."""
+    """Pin the ``3*nt`` interpolation sweeps per Hessian matvec (paper: ``4*nt``)."""
 
     @pytest.mark.parametrize("nt", [2, 4])
     @pytest.mark.parametrize("gradient_cache", [True, False])

@@ -120,7 +120,11 @@ class TestValidateAndApply:
         assert get_plan_pool().max_bytes == budget_before
         assert default_plan_layout() == layout_before
 
-    def test_apply_sets_layout_workers_and_budget(self):
+    def test_apply_sets_layout_workers_and_budget(self, monkeypatch):
+        # a per-subsystem variable outranks the config's shared ``workers`` by
+        # design, and the runtime-pressure CI leg exports one
+        monkeypatch.delenv("REPRO_INTERP_WORKERS", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         try:
             RegistrationConfig(
                 plan_layout="streaming", workers=3, plan_pool_bytes=123456

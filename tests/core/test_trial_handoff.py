@@ -1,0 +1,213 @@
+"""The accepted line-search trial becomes the next iterate as it stands.
+
+``RegistrationProblem.evaluate_objective(..., keep_trial=True)`` (what
+``trial_objective`` — the line search's callable — does, on the projected
+trial) parks ``(velocity, plan, state history)`` in the problem's one trial
+slot; ``linearize`` of a content-equal velocity adopts it instead of
+planning and transporting a second time.  Pinned here: the adopted iterate
+is bitwise the one a fresh ``linearize`` builds, the slot holds one trial at
+most and none after a rejection, and anything else takes the normal path.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
+from repro.core.optim.gradient_descent import GradientDescent
+from repro.core.optim.line_search import ArmijoLineSearch
+from repro.core.preconditioner import SpectralPreconditioner
+from repro.core.problem import RegistrationProblem
+from repro.data.synthetic import synthetic_registration_problem
+from repro.runtime.plan_pool import PoolStats, reset_plan_pool
+
+from tests.fixtures import smooth_velocity_field
+
+DEPARTURE = "semi-lagrangian-departure"
+
+VARIANTS = [
+    pytest.param(dict(gauss_newton=True, incompressible=False), id="gn"),
+    pytest.param(dict(gauss_newton=False, incompressible=False), id="newton"),
+    pytest.param(dict(gauss_newton=True, incompressible=True), id="gn-incompressible"),
+]
+
+
+def make_problem(**kwargs) -> RegistrationProblem:
+    incompressible = kwargs.get("incompressible", False)
+    synthetic = synthetic_registration_problem(12, incompressible=incompressible)
+    return RegistrationProblem(
+        grid=synthetic.grid, reference=synthetic.reference, template=synthetic.template, **kwargs
+    )
+
+
+def departure_stats(pool) -> PoolStats:
+    return pool.stats_by_tag().get(DEPARTURE, PoolStats())
+
+
+def assert_same_iterate(actual, expected):
+    np.testing.assert_array_equal(actual.velocity, expected.velocity)
+    np.testing.assert_array_equal(actual.state_history, expected.state_history)
+    np.testing.assert_array_equal(actual.adjoint_history, expected.adjoint_history)
+    np.testing.assert_array_equal(actual.gradient, expected.gradient)
+    assert actual.objective == expected.objective
+    assert actual.plan.is_divergence_free == expected.plan.is_divergence_free
+
+
+@pytest.mark.parametrize("kwargs", VARIANTS)
+class TestAdoptedIterate:
+    def test_bitwise_equal_to_a_fresh_linearize(self, kwargs, plan_pool):
+        problem = make_problem(**kwargs)
+        trial = problem.project(smooth_velocity_field(problem.grid, seed=5, amplitude=0.2))
+        value = problem.trial_objective(trial)
+        assert problem.trial_velocity is not None
+        lookups = departure_stats(plan_pool)
+        interpolator = problem.transport.interpolator
+        swept = interpolator.points_interpolated
+        adopted = problem.linearize(problem.trial_velocity)
+        delta = departure_stats(plan_pool) - lookups
+        assert (delta.hits, delta.misses) == (0, 0)
+        adopted_sweeps = (interpolator.points_interpolated - swept) / problem.grid.num_points
+        assert problem.trial_velocity is None  # consumed
+
+        fresh_problem = make_problem(**kwargs)
+        fresh = fresh_problem.linearize(problem.project(trial))
+        assert_same_iterate(adopted, fresh)
+        assert value == fresh.objective.total
+        # the state equation was not solved again: only the adjoint gathered
+        fresh_sweeps = (
+            fresh_problem.transport.interpolator.points_interpolated / problem.grid.num_points
+        )
+        assert adopted_sweeps == fresh_sweeps - problem.num_time_steps
+        assert adopted_sweeps == problem.num_time_steps * (
+            1 if adopted.plan.is_divergence_free else 2
+        )
+
+    def test_different_velocity_takes_the_normal_path(self, kwargs, plan_pool):
+        problem = make_problem(**kwargs)
+        problem.trial_objective(smooth_velocity_field(problem.grid, seed=5, amplitude=0.2))
+        other = problem.project(smooth_velocity_field(problem.grid, seed=6, amplitude=0.1))
+        lookups = departure_stats(plan_pool)
+        iterate = problem.linearize(other)
+        delta = departure_stats(plan_pool) - lookups
+        assert (delta.hits, delta.misses) == (0, 2)  # planned: forward + backward
+        assert problem.trial_velocity is None  # a stale trial does not outlive an iterate
+        assert_same_iterate(iterate, make_problem(**kwargs).linearize(other))
+
+
+class TestTrialSlot:
+    def test_standalone_objective_keeps_nothing(self, plan_pool):
+        problem = make_problem()
+        velocity = smooth_velocity_field(problem.grid, seed=5, amplitude=0.2)
+        kept = problem.evaluate_objective(velocity, keep_trial=True)
+        assert problem.evaluate_objective(velocity) == kept  # same steps, same bits
+        assert problem.trial_velocity is velocity  # ... and the slot is left alone
+        assert make_problem().evaluate_objective(velocity) == kept
+        fresh = make_problem()
+        fresh.evaluate_objective(velocity)
+        assert fresh.trial_velocity is None
+
+    def test_rejected_trial_leaves_no_slot_and_no_extra_pool_entry(self, plan_pool):
+        """One slot: the next trial replaces (releases) a rejected one, and a
+        search that gives up releases the last; the pool holds exactly what
+        history-free evaluations of the same trials leave there."""
+        problem = make_problem()
+        first = smooth_velocity_field(problem.grid, seed=5, amplitude=0.2)
+        second = 0.5 * first
+        problem.trial_objective(first)
+        problem.trial_objective(second)
+        np.testing.assert_array_equal(problem.trial_velocity, second)
+        problem.release_trial()
+        assert problem.trial_velocity is None
+        kept_keys = set(plan_pool.keys())
+
+        reset_plan_pool()
+        plain = make_problem()
+        plain.evaluate_objective(first)
+        plain.evaluate_objective(second)
+        assert set(plan_pool.keys()) == kept_keys
+
+    def test_failed_line_search_releases_the_trial(self, plan_pool):
+        problem = make_problem()
+        options = SolverOptions(
+            max_newton_iterations=2,
+            # a step this long never decreases J, and one evaluation is all it gets
+            line_search=ArmijoLineSearch(initial_step=1e3, max_evaluations=1),
+        )
+        for driver in (GaussNewtonKrylov, GradientDescent):
+            result = driver(problem, options).solve()
+            assert result.termination_reason == "line_search_failure"
+            assert problem.trial_velocity is None
+            np.testing.assert_array_equal(result.velocity, 0.0)
+
+    def test_backtracked_acceptance_hands_over_the_second_trial(self, plan_pool):
+        problem = make_problem(incompressible=True)
+        iterate = problem.linearize(problem.zero_velocity())
+        direction = SpectralPreconditioner(problem.regularizer)(-iterate.gradient)
+        trials = []
+
+        def objective(velocity):
+            trials.append(velocity)
+            return problem.trial_objective(velocity)
+
+        # the first step overshoots: J goes up, the search halves it
+        step = 1.0
+        while problem.evaluate_objective(
+            problem.project(step * direction)
+        ).total < iterate.objective.total:
+            step *= 4.0
+        search = ArmijoLineSearch(initial_step=step)
+        ls = search.search(
+            objective, problem.grid, iterate.velocity, iterate.objective.total,
+            iterate.gradient, direction,
+        )
+        assert ls.success and ls.evaluations >= 2
+        accepted = problem.project(trials[-1])
+        np.testing.assert_array_equal(problem.trial_velocity, accepted)
+        np.testing.assert_array_equal(accepted, problem.project(ls.step_length * direction))
+        lookups = departure_stats(plan_pool)
+        adopted = problem.linearize(problem.trial_velocity)
+        delta = departure_stats(plan_pool) - lookups
+        assert (delta.hits, delta.misses) == (0, 0)
+        assert_same_iterate(adopted, make_problem(incompressible=True).linearize(accepted))
+
+
+class TestDrivers:
+    @pytest.mark.parametrize("driver", [GaussNewtonKrylov, GradientDescent])
+    @pytest.mark.parametrize("kwargs", VARIANTS)
+    def test_solve_never_looks_an_accepted_trial_up_again(self, driver, kwargs, plan_pool):
+        problem = make_problem(**kwargs)
+        options = SolverOptions(max_newton_iterations=3, max_krylov_iterations=5)
+        result = driver(problem, options).solve()
+        assert result.num_iterations == 3
+        assert departure_stats(plan_pool).hits == 0
+        assert problem.trial_velocity is None
+        fresh = make_problem(**kwargs).linearize(result.velocity)
+        assert_same_iterate(result.final_iterate, fresh)
+
+    def test_incompressible_solve_plans_each_velocity_once(self, plan_pool, monkeypatch):
+        """<= 2 departure misses (forward + backward) per planned velocity —
+        the projected trial is not re-traced by ``linearize`` — and every
+        iterate is divergence-free."""
+        problem = make_problem(incompressible=True)
+        before = departure_stats(plan_pool)  # the synthetic reference planned one
+        iterates = []
+        linearize = problem.linearize
+
+        def recording_linearize(velocity):
+            iterates.append(linearize(velocity))
+            return iterates[-1]
+
+        monkeypatch.setattr(problem, "linearize", recording_linearize)
+        result = GaussNewtonKrylov(
+            problem, SolverOptions(max_newton_iterations=4, max_krylov_iterations=8)
+        ).solve()
+        trials = sum(record.line_search_evaluations for record in result.iterations)
+        planned = 1 + trials  # the initial guess, then one velocity per trial
+        departure = departure_stats(plan_pool) - before
+        assert departure.misses <= 2 * planned
+        assert departure.hits == 0
+        assert len(iterates) == 1 + result.num_iterations
+        grid, operators = problem.grid, problem.operators
+        for iterate in iterates:
+            divergence = grid.norm(operators.divergence(iterate.velocity))
+            assert divergence <= 1e-10 * max(grid.norm(iterate.velocity), 1e-300)
+            assert iterate.plan.is_divergence_free

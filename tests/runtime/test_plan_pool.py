@@ -18,6 +18,7 @@ from repro.runtime.plan_pool import (
     reset_plan_pool,
 )
 from repro.spectral.grid import Grid
+from repro.transport.deformation import DeformationMap
 from repro.transport.kernels import build_stencil_plan
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
@@ -205,7 +206,7 @@ class TestStepperPooling:
         assert plan.nbytes > 0
 
     def test_linearize_reuses_line_search_plan(self, plan_pool):
-        """evaluate_objective + linearize of the same velocity plan once."""
+        """A kept trial + linearize of the same velocity plan and transport once."""
         synthetic = synthetic_registration_problem(12)
         problem = RegistrationProblem(
             grid=synthetic.grid,
@@ -213,14 +214,23 @@ class TestStepperPooling:
             template=synthetic.template,
         )
         velocity = smooth_velocity_field(synthetic.grid, seed=104, amplitude=0.2)
-        problem.evaluate_objective(velocity)
+        problem.evaluate_objective(velocity, keep_trial=True)
         before = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
-        problem.linearize(velocity)
-        # scoped to the stepper tag: linearize additionally builds the
-        # iterate's grad-cache entry (a miss under the "grad-cache" tag)
+        swept = problem.transport.interpolator.points_interpolated
+        iterate = problem.linearize(velocity.copy())  # equal by content, not identity
+        # the trial's TransportPlan is adopted: zero departure lookups ...
         delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
-        assert delta.misses == 0
-        assert delta.hits >= 2
+        assert (delta.hits, delta.misses) == (0, 0)
+        # ... and zero state sweeps: only the adjoint (field + div v source) gathers
+        assert not iterate.plan.is_divergence_free
+        sweeps = (problem.transport.interpolator.points_interpolated - swept) / (
+            synthetic.grid.num_points
+        )
+        assert sweeps == 2 * problem.num_time_steps
+        # what still looks the velocity up still hits: the deformation map's plan
+        problem.transport.plan(velocity)
+        delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
+        assert (delta.hits, delta.misses) == (2, 0)
 
 
 class TestTagStats:
@@ -288,8 +298,21 @@ class TestWarmReuseAcrossSolves:
             options=self._options(),
         ).run()
         assert result.plan_pool is not None
-        assert result.plan_pool.hits > 0
         assert result.plan_pool.misses > 0
+        # every accepted trial handed its plan to linearize: nothing inside
+        # the run looked a velocity up a second time
+        trials = sum(
+            record.line_search_evaluations
+            for level in result.levels
+            for record in level.result.iterations
+        )
+        assert trials > 0 and result.plan_pool.hits == 0
+        # what does look the final velocity up again still hits: its
+        # deformation map plans forward + backward characteristics warm
+        before = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
+        DeformationMap(synthetic.grid, result.velocity).determinant()
+        delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
+        assert (delta.hits, delta.misses) == (2, 0)
 
     def test_multilevel_plans_each_velocity_once_per_grid(self, plan_pool):
         """Every pool miss is a distinct (grid, velocity) content key."""

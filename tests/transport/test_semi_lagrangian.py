@@ -7,6 +7,8 @@ from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.semi_lagrangian import SemiLagrangianStepper, compute_departure_points
 
+from tests.fixtures import make_grid, smooth_velocity_field
+
 
 def constant_velocity(grid, vector):
     v = grid.zeros_vector()
@@ -168,3 +170,98 @@ class TestConservation:
             nu = stepper.step(nu)
         assert nu.min() > -0.1
         assert nu.max() < 1.1
+
+
+@pytest.mark.parametrize("backend", ["scipy", "numpy"])
+@pytest.mark.parametrize("shape", [(16, 19, 16), (9, 7, 11)])
+class TestMergedGather:
+    """Grid-given sources are merged into the transported field before the
+    gather (the interpolant is linear): one sweep, same scheme to rounding."""
+
+    DT = 1.0  # nt = 1
+
+    def _setup(self, shape, backend, batch=3):
+        grid = make_grid(shape)
+        interp = PeriodicInterpolator(grid, backend=backend)
+        stepper = SemiLagrangianStepper(
+            grid, smooth_velocity_field(grid, seed=3, amplitude=0.4), self.DT, interp
+        )
+        rng = np.random.default_rng(11)
+        fields, old, new = rng.standard_normal((3, batch, *grid.shape))
+        return grid, interp, stepper, fields, old, new
+
+    def _two_gather(self, stepper, nu, f_old, f_new):
+        """The explicit Heun update: nu and f_old interpolated separately."""
+        nu_dep = stepper.interpolate_at_departure(nu)
+        f_dep = stepper.interpolate_at_departure(f_old)
+        return nu_dep + 0.5 * self.DT * (f_dep + f_new)
+
+    def test_step_matches_two_gather_formula(self, shape, backend):
+        _, _, stepper, fields, old, new = self._setup(shape, backend)
+        merged = stepper.step(fields[0], source_old=old[0], source_new=new[0])
+        reference = self._two_gather(stepper, fields[0], old[0], new[0])
+        np.testing.assert_allclose(merged, reference, rtol=0, atol=1e-13)
+        # absent sources are zero sources
+        zero = np.zeros_like(new[0])
+        np.testing.assert_allclose(
+            stepper.step(fields[0], source_old=old[0]),
+            self._two_gather(stepper, fields[0], old[0], zero),
+            rtol=0,
+            atol=1e-13,
+        )
+        np.testing.assert_array_equal(
+            stepper.step(fields[0], source_new=new[0]),
+            self._two_gather(stepper, fields[0], zero, new[0]),
+        )
+
+    def test_step_many_matches_two_gather_formula(self, shape, backend):
+        _, _, stepper, fields, old, new = self._setup(shape, backend)
+        merged = stepper.step_many(fields, sources_old=old, sources_new=new)
+        for b in range(fields.shape[0]):
+            np.testing.assert_allclose(
+                merged[b],
+                self._two_gather(stepper, fields[b], old[b], new[b]),
+                rtol=0,
+                atol=1e-13,
+            )
+
+    def test_step_is_step_many_bitwise(self, shape, backend):
+        _, _, stepper, fields, old, new = self._setup(shape, backend)
+        for sources in ({}, {"old": old}, {"new": new}, {"old": old, "new": new}):
+            many = stepper.step_many(fields, sources.get("old"), sources.get("new"))
+            for b in range(fields.shape[0]):
+                one = stepper.step(
+                    fields[b],
+                    source_old=None if "old" not in sources else old[b],
+                    source_new=None if "new" not in sources else new[b],
+                )
+                np.testing.assert_array_equal(one, many[b])
+
+    def test_sweeps_per_step(self, shape, backend):
+        """One sweep per field for grid-given sources; a callable keeps two."""
+        grid, interp, stepper, fields, old, new = self._setup(shape, backend)
+
+        def sweeps(call):
+            before = interp.points_interpolated
+            call()
+            return (interp.points_interpolated - before) / grid.num_points
+
+        assert sweeps(lambda: stepper.step(fields[0], old[0], new[0])) == 1
+        assert sweeps(lambda: stepper.step(fields[0], old[0])) == 1
+        assert sweeps(lambda: stepper.step_many(fields, old, new)) == fields.shape[0]
+        assert sweeps(lambda: stepper.step(fields[0], old[0], lambda p: p * new[0])) == 2
+        # ... and the callable branch is still the two-gather formula, exactly
+        nu_dep = stepper.interpolate_at_departure(fields[0])
+        f_dep = stepper.interpolate_at_departure(old[0])
+        predictor = nu_dep + self.DT * f_dep
+        np.testing.assert_array_equal(
+            stepper.step(fields[0], old[0], lambda p: p * new[0]),
+            nu_dep + 0.5 * self.DT * (f_dep + predictor * new[0]),
+        )
+
+    def test_source_shapes_validated(self, shape, backend):
+        grid, _, stepper, fields, old, new = self._setup(shape, backend)
+        with pytest.raises(ValueError, match="source has shape"):
+            stepper.step(fields[0], source_old=old[0, 0])  # would broadcast silently
+        with pytest.raises(ValueError, match="sources have shape"):
+            stepper.step_many(fields, sources_old=old[:1])
