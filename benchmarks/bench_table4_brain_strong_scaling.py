@@ -4,8 +4,9 @@ The paper registers the NIREP na01/na02 pair (256 x 300 x 256) with
 beta = 1e-2 and two Newton iterations, from 1 task to 256 tasks on
 Maverick, and reports a two-orders-of-magnitude reduction in wall-clock
 time.  Here the algorithmic work is measured on the brain-phantom pair
-(the NIREP substitute, see DESIGN.md) at reduced resolution and the
-paper-scale rows come from the calibrated performance model.
+(the NIREP substitute, see README.md, "Substitutions") at reduced
+resolution and the paper-scale rows come from the calibrated performance
+model.
 """
 
 from repro.analysis.experiments import reproduce_scaling_table

@@ -1,16 +1,17 @@
 """Shared fixtures and helpers for the benchmark harness.
 
 Every ``bench_*`` module regenerates one table or figure of the paper's
-evaluation section (see DESIGN.md for the experiment index).  The harness
+evaluation section and is named after it (see README.md, "Substitutions",
+for what is measured and what is modeled).  The harness
 
 * runs the *measured* part (real solves at laptop-scale resolution),
 * produces the *modeled* rows for the paper's node counts via the
   calibrated performance model,
 * prints the paper's reference row next to the reproduced row, and
-* writes the formatted comparison to ``benchmarks/results/<name>.txt`` so
-  EXPERIMENTS.md can reference the artifacts.  Machine-readable twins go
-  to ``benchmarks/results/<name>.json`` (the ``record_json`` fixture), so
-  the perf trajectory can be tracked across PRs without parsing tables.
+* writes the formatted comparison to ``benchmarks/results/<name>.txt``.
+  Machine-readable twins go to ``benchmarks/results/<name>.json`` (the
+  ``record_json`` fixture), so the perf trajectory can be tracked across
+  PRs without parsing tables.
 
 Run with ``pytest benchmarks/ --benchmark-only``.
 """

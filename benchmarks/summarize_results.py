@@ -9,10 +9,25 @@ into a single ``summary.json``: one entry per bench with its headline numeric
 fields (scalars at the top two levels of the payload; tables are reduced to
 their row counts).  Stdlib only — it must run in the leanest CI leg.
 
+``--trajectory OLD.json NEW.json`` is the regression gate over the committed
+end-to-end trajectory (the root-level ``BENCH_<pr>.json`` documents, schema
+``repro.bench-trajectory``): for every (workload, end-to-end metric) that
+``BENCHMARK.json`` declares it prints OLD's ``change`` median (the base),
+NEW's ``change`` median and their ratio, with the declared direction and
+bound.  The two medians come from two measuring sessions, and the host's
+speed moves between sessions by more than the bounds (``BENCH_18.json``
+reads PR 17's code 26-41 % slower than ``BENCH_17.json`` did, at reference
+machine speed), so the verdict divides that out: NEW's ``parent`` side is
+OLD's ``change`` code measured again in NEW's session, ``session`` is how
+much the same code moved between the two, and ``worse by`` is NEW's change
+side against the base re-read in its own session.  It exits 1 when a pair is
+worse than its bound or NEW records failed operations.
+
 Usage::
 
     python benchmarks/summarize_results.py            # writes results/summary.json
     python benchmarks/summarize_results.py --check    # exit 1 on malformed envelopes
+    python benchmarks/summarize_results.py --trajectory BENCH_17.json BENCH_18.json
 """
 
 from __future__ import annotations
@@ -31,6 +46,11 @@ SUMMARY_SCHEMA_VERSION = 1
 RESULT_SCHEMA = "repro.bench-result"
 
 ENVELOPE_KEYS = frozenset({"schema", "schema_version", "bench", "timestamp"})
+
+#: Schema of the root-level ``BENCH_<pr>.json`` trajectory points.
+TRAJECTORY_SCHEMA = "repro.bench-trajectory"
+
+BENCHMARK_DECLARATION = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
 def headline_numbers(payload: dict) -> dict:
@@ -91,6 +111,45 @@ def summarize(results_dir: Path) -> tuple[dict, list[str]]:
     return summary, problems
 
 
+def compare_trajectory(old: dict, new: dict, declared: dict) -> tuple[list[str], list[str]]:
+    """NEW's change side against OLD's; returns ``(table rows, regressions)``.
+
+    ``worse by`` is the harness's own figure (``benchmarks/e2e/run.py``),
+    the relative change of the median in the metric's bad direction, taken
+    against the base as NEW's session read it (module docstring).
+    """
+    rows = [f"{'workload':14s} {'metric':12s} {'base':>12s} {'new':>12s} {'ratio':>7s} "
+            f"{'session':>8s} {'worse by':>9s} {'bound':>6s}"]
+    regressions = []
+    for document in (old, new):
+        if document.get("schema") != TRAJECTORY_SCHEMA:
+            regressions.append(f"PR {document.get('pr')}: not a {TRAJECTORY_SCHEMA!r} document")
+    if regressions:
+        return rows, regressions
+    for workload in (entry["name"] for entry in declared["workloads"]):
+        for metric in declared["end_to_end"]:
+            name = metric["name"]
+            base = old["end_to_end"][workload][name]["change"]["median"]
+            value = new["end_to_end"][workload][name]["change"]["median"]
+            reread = new["end_to_end"][workload][name]["parent"]["median"]
+            worse = (value - reread) / reread
+            if metric["better"] == "higher":
+                worse = -worse
+            verdict = ""
+            if worse > metric["bound"]:
+                verdict = "  EXCEEDS BOUND"
+                regressions.append(
+                    f"{workload} {name}: {base:.5g} -> {value:.5g}, base re-read as {reread:.5g} "
+                    f"({worse:+.1%} worse, bound {metric['bound']:.2f})")
+            rows.append(f"{workload:14s} {name:12s} {base:12.5g} {value:12.5g} "
+                        f"{value / base:7.3f} {reread / base:8.3f} {worse:+9.1%} "
+                        f"{metric['bound']:6.2f}{verdict}")
+    failed = new.get("failed_operations", {}).get("change", 0)
+    if failed > 0:
+        regressions.append(f"PR {new.get('pr')}: {failed} failed operation(s) on the change side")
+    return rows, regressions
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -110,7 +169,25 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="exit non-zero if any artifact is malformed",
     )
+    parser.add_argument(
+        "--trajectory",
+        nargs=2,
+        type=Path,
+        metavar=("OLD", "NEW"),
+        help="compare two BENCH_<pr>.json trajectory points; exit 1 on a regression",
+    )
     args = parser.parse_args(argv)
+
+    if args.trajectory:
+        old, new, declared = (
+            json.loads(path.read_text()) for path in (*args.trajectory, BENCHMARK_DECLARATION)
+        )
+        rows, regressions = compare_trajectory(old, new, declared)
+        print(f"trajectory: PR {old.get('pr')} -> PR {new.get('pr')} (change-side medians)")
+        print("\n".join(rows))
+        for regression in regressions:
+            print(f"regression: {regression}", file=sys.stderr)
+        return 1 if regressions else 0
 
     if not args.results_dir.is_dir():
         print(f"results directory {args.results_dir} does not exist", file=sys.stderr)

@@ -2,10 +2,10 @@
 """Multi-subject brain registration (the paper's real-world experiment).
 
 Registers the two "subjects" of the procedural brain phantom (the offline
-substitute for the NIREP na01/na02 pair, see DESIGN.md), reproducing the
-setup of Sec. IV-C: gtol = 1e-2, beta continuation down to a small
-regularization weight, Gauss-Newton Hessian.  Prints the per-slice residual
-reduction and det(grad y1) ranges that Fig. 7 visualizes.
+substitute for the NIREP na01/na02 pair, see README.md, "Substitutions"),
+reproducing the setup of Sec. IV-C: gtol = 1e-2, beta continuation down to
+a small regularization weight, Gauss-Newton Hessian.  Prints the per-slice
+residual reduction and det(grad y1) ranges that Fig. 7 visualizes.
 
 Run with::
 

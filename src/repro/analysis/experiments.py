@@ -2,7 +2,7 @@
 
 Each driver returns plain data (lists of dictionaries) so it can be used
 from the benchmark harness, the examples, or interactively.  Two kinds of
-reproduction are combined (see DESIGN.md):
+reproduction are combined (see README.md, "Substitutions"):
 
 * **measured** — the actual Python solver is run at laptop-scale resolution
   (the algorithmic quantities the paper reports — Newton iterations,

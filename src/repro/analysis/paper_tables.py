@@ -2,7 +2,7 @@
 
 These values are transcribed verbatim from the paper (Mang, Gholami, Biros;
 SC16) so that every benchmark can print the paper's row next to the
-reproduced row and EXPERIMENTS.md can record the comparison.
+reproduced row.
 
 Times are in seconds.  ``None`` marks entries the paper does not report
 (e.g. FFT communication of a single-task run).

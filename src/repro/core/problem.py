@@ -90,7 +90,7 @@ class KernelWorkCounters:
 
     The paper's complexity model (Sec. III-C4) predicts ``8 nt`` FFTs and
     ``4 nt`` interpolation sweeps per Hessian mat-vec (the implementation
-    performs ``3 nt``, ``2 nt`` for a divergence-free velocity); these
+    performs ``2 nt``, for every velocity); these
     counters let the test-suite and the benchmark harness check the
     prediction against the implementation.  Both counts live in the
     respective frontends (:class:`repro.spectral.fft.FourierTransform`,
@@ -111,8 +111,8 @@ class KernelWorkCounters:
         """Interpolated points expressed in grid sweeps (the paper's unit).
 
         One "interpolation" of the complexity model is a sweep over all grid
-        points, so ``3*nt`` sweeps per Hessian mat-vec corresponds to
-        ``3*nt*N1*N2*N3`` interpolated points.
+        points, so ``2*nt`` sweeps per Hessian mat-vec corresponds to
+        ``2*nt*N1*N2*N3`` interpolated points.
         """
         return self.interpolated_points / num_grid_points
 
@@ -364,11 +364,12 @@ class RegistrationProblem:
         **zero** spectral-gradient FFTs — only the regularizer's ``6``
         transforms remain of the paper's ``8 nt`` figure (Sec. III-C4),
         which stays the cost of the uncached fallback.  The interpolation
-        cost is the same either way: ``3 nt`` sweeps — one per step for the
+        cost is the same either way: ``2 nt`` sweeps — one per step for the
         incremental state, whose grid-given source is merged into the field
-        before the gather, two for the incremental adjoint's ``div v``
-        source, one (``2 nt`` in all) when ``div v = 0``; the paper counts
-        ``4 nt``.
+        before the gather, and one for the incremental adjoint, whose
+        ``div v`` source is the plan's growth factor; the paper counts
+        ``4 nt``.  Full Newton adds one per step for its source when
+        ``div v != 0`` (``3 nt``).
         """
         direction = check_velocity_shape(direction, self.grid.shape)
         direction = self.project(direction)

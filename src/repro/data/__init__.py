@@ -5,8 +5,8 @@ for all scalability studies (Sec. IV-A1, Fig. 5) and (ii) two 3D MRI brain
 images from the NIREP repository (na01/na02, grid 256 x 300 x 256).  The
 NIREP data cannot be redistributed or downloaded in this offline
 environment, so :mod:`repro.data.brain` generates a procedural multi-subject
-brain phantom that exercises the identical code path (see DESIGN.md for the
-substitution rationale).
+brain phantom that exercises the identical code path (see README.md,
+"Substitutions").
 """
 
 from repro.data.preprocessing import normalize_intensity, pad_image, smooth_image

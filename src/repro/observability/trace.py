@@ -22,7 +22,7 @@ function call and a branch.  When enabled, each span records:
     gather) set ``count`` to the batch size so span counts cross-check
     the existing work counters exactly: the sum of ``fft.forward`` span
     counts equals ``FFTCounters.forward``, and the sum of
-    ``interp.gather`` counts equals the sweep counter (3·nt per mat-vec).
+    ``interp.gather`` counts equals the sweep counter (2·nt per mat-vec).
 ``attrs``
     Free-form JSON-safe attributes (grid shape, batch points, tag, ...).
 

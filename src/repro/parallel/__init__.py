@@ -4,7 +4,7 @@ The paper's parallelization (Sec. III-C) rests on four ingredients, all of
 which are implemented here *for real* — the algorithms run on explicitly
 partitioned per-rank data with explicit message exchange — but inside a
 single process, because neither MPI nor a multi-node machine is available in
-this environment (see DESIGN.md, "Substitutions"):
+this environment (see README.md, "Substitutions"):
 
 * **pencil decomposition** of the regular grid across a ``p1 x p2`` process
   grid (:mod:`repro.parallel.pencil`),

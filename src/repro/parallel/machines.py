@@ -15,7 +15,7 @@ sustained per-task flop rate, and memory bandwidth per task), plus empirical
 efficiency factors for the two dominant kernels.  The absolute values are
 order-of-magnitude estimates for 2013-era Xeon nodes with FDR InfiniBand —
 the reproduction targets the *shape* of the scaling tables, not the absolute
-seconds (see DESIGN.md).
+seconds (see README.md, "Substitutions").
 """
 
 from __future__ import annotations

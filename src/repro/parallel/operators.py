@@ -6,7 +6,8 @@ Laplacian (and its inverse), biharmonic, and the Leray projection, each
 applied to per-rank local blocks in the input (pencil) distribution.  They
 are validated against the serial operators in the test-suite, which is the
 correctness argument behind using the *serial* backend plus the *counted*
-communication volumes for the performance reproduction (see DESIGN.md).
+communication volumes for the performance reproduction (see README.md,
+"Substitutions").
 """
 
 from __future__ import annotations

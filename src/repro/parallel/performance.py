@@ -8,8 +8,8 @@ The paper analyses the cost of its solver in Sec. III-C4:
    T_mpi  ~ 8 nt ( 3 t_s sqrt(p) + t_w 3 N^3 / p )  +  4 nt ( t_s + t_w N^2 / p )
 
 per Hessian mat-vec: ``8 nt`` 3D FFTs and ``4 nt`` interpolation sweeps.
-(The model prices the paper's algorithm, whose tables it regenerates; the
-implementation here performs ``3 nt`` sweeps per mat-vec.)  This module
+(The model keeps the paper's ``4 nt``, whose tables it regenerates; the
+implementation here performs ``2 nt`` sweeps per mat-vec.)  This module
 turns those expressions into wall-clock estimates for a given
 :class:`~repro.parallel.machines.MachineSpec`, grid size, task count and
 iteration counts, producing the same five columns the paper's tables report
@@ -22,7 +22,7 @@ Because a laptop cannot time 1024-task runs, the absolute constants
 16 tasks on Maverick) and then used unchanged for every other configuration;
 the reproduction claims only the *shape* of the scaling behaviour (who
 dominates where, how efficiency degrades), not the absolute seconds.  See
-DESIGN.md and EXPERIMENTS.md.
+README.md, "Substitutions".
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ of departure points), the residency bound of the scipy engine's gather
 operators (at most two per interpolator — the forward and backward
 characteristics of the live velocity) and the interpolation counters;
 counting never happens in the backends, so the counters — which the
-test-suite pins at ``3*nt`` sweeps per Hessian mat-vec, inside the paper's
+test-suite pins at ``2*nt`` sweeps per Hessian mat-vec, inside the paper's
 ``4*nt`` complexity model — are exactly identical no matter which engine
 gathers.
 """
@@ -301,7 +301,7 @@ class PeriodicInterpolator:
         gather then runs **tiled** — the executor loads only the plane tile
         each point chunk touches instead of requiring the flattened stack
         resident — with bitwise-identical values.  Counting is unchanged
-        (it lives here, never in the backends), so the ``3*nt`` sweep pins
+        (it lives here, never in the backends), so the ``2*nt`` sweep pins
         hold for tiled gathers too.
         """
         fields = self._check_stack(fields)

@@ -3,8 +3,9 @@
 The paper's per-iteration cost has two dominant kernels: spectral transforms
 and the off-grid tricubic interpolation of the semi-Lagrangian scheme
 (roughly ``10 x 64`` flops per point, ``4*nt`` sweeps per Hessian mat-vec
-in Sec. III-C2/C4; ``3*nt`` here, the semi-Lagrangian step merges a
-grid-given source into the field it gathers).  This module applies the
+in Sec. III-C2/C4; ``2*nt`` here: the semi-Lagrangian step merges a
+grid-given source into the field it gathers, and the adjoint's ``div v``
+source is a per-velocity growth factor).  This module applies the
 architecture of :mod:`repro.spectral.backends` to that second kernel: a
 small registry of interchangeable gather engines behind one protocol, plus
 precomputed **gather plans** that cache the 64-weight/index stencil of a
@@ -44,19 +45,25 @@ Selection precedence (first match wins), mirroring the FFT registry:
 
 Backends only gather; interpolation *counting* stays in
 :class:`repro.transport.interpolation.PeriodicInterpolator`, which
-guarantees exact counter parity across backends — the ``3*nt`` sweep pins
+guarantees exact counter parity across backends — the ``2*nt`` sweep pins
 (against the paper's ``4*nt``) are backend independent by construction.
 
 Sparse gather operator (scipy engine, ``cubic_bspline``)
 --------------------------------------------------------
 Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
 ``w0[a] * w1[b]`` against the flat index of the wrapped ``(i0+a-1, i1+b-1,
-i2-1)`` coefficient (:class:`GatherOperator`, ~228 bytes per point).  It is
-applied as ``matrix @ windows`` where ``windows[n, f, c]`` is field ``f``'s
-spline coefficient at ``n`` shifted by ``c`` along axis 2, followed by an
-explicit fixed-order 4-term contraction with the axis-2 weights — all fields
-of a stack share one pass over the stencil and a batched gather is bitwise
-equal to scalar ones.  Planned point sets keep their operator resident in
+i2-1)`` coefficient (:class:`GatherOperator`, ~228 bytes per point).  The
+spline coefficients are filtered into a buffer padded by three wrapped
+entries along axis 2, so the four axis-2 taps of a row are the same column
+in four contiguous slices of the flat coefficients, each shifted by one.
+The operator is applied as ``matrix @ windows`` where ``windows[n, f, c]``
+is those four slices of field ``f`` copied side by side, followed by an
+explicit fixed-order 4-term contraction with the axis-2 weights — all
+fields of a stack share one pass over the stencil and a batched gather is
+bitwise equal to scalar ones.  (Four products on the slices themselves
+need no copy and win while an operator block is cache-hot; inside a solve
+they re-read every block ``4 B`` times and lose, ``BENCH_18.json``.)
+Planned point sets keep their operator resident in
 the plan pool (tag ``gather-operator``, at most two per
 :class:`~repro.transport.interpolation.PeriodicInterpolator`); one-shot
 point sets — and planned ones the pool budget cannot hold — build it block
@@ -262,16 +269,18 @@ def _derive_chunk_stencil(
     periodic: bool,
     base: np.ndarray,
     frac: np.ndarray,
+    strides: Optional[Tuple[int, int, int]] = None,
 ):
     """Materialize flat index parts and axis weights from ``(3, m)`` base/frac.
 
     This is *the* stencil arithmetic: the fat build, the lean per-chunk
     rebuild, the streaming generator and the gather operator's blocks all
     run these exact operations, which is what makes every layout gather
-    bitwise identically.
+    bitwise identically.  *strides* are those of the flat array the index
+    parts address (C order over *shape* unless given).
     """
     weight_fn, lead = _METHOD_STENCILS[method]
-    strides = (shape[1] * shape[2], shape[2], 1)
+    strides = strides or (shape[1] * shape[2], shape[2], 1)
     offsets = np.arange(lead, lead + taps, dtype=base.dtype)[:, None]
     index_parts = []
     weights = []
@@ -933,9 +942,10 @@ def is_field_source(fields) -> bool:
 
     The single source of truth for the tiled/resident dispatch rule used by
     the executor and every frontend: an ndarray (whose ``shape`` attribute
-    would satisfy a naive protocol check) is always the resident path.
+    would satisfy a naive protocol check) is always the resident path — and
+    is ruled out first, the protocol walk costs 200x the type check.
     """
-    return isinstance(fields, FieldSource) and not isinstance(fields, np.ndarray)
+    return not isinstance(fields, np.ndarray) and isinstance(fields, FieldSource)
 
 
 def as_field_source(fields: "np.ndarray | FieldSource") -> FieldSource:
@@ -1149,11 +1159,6 @@ OPERATOR_CHUNK = 8192
 #: ``TransportPlan`` structurally has.  Anything older is a dead iterate's.
 RESIDENT_OPERATORS = 2
 
-#: Fields gathered per pass over the stencil.  Bounds the ``windows`` and
-#: product temporaries at ``4 x`` this many fields however deep the stack
-#: (the RK2 trace and ``step_many`` send three, a full pass).
-OPERATOR_FIELDS_PER_PASS = 3
-
 _OPERATOR_BUILDS = get_metrics_registry().counter(
     "interp.operator_builds", "gather operators built (resident or block-transient)"
 ).labels()
@@ -1166,9 +1171,12 @@ _OPERATOR_HITS = get_metrics_registry().counter(
 class GatherOperatorBlock:
     """Rows ``[lo, lo + m)`` of a gather operator.
 
-    ``matrix`` is an ``(m, N1*N2*N3)`` CSR matrix with 16 stored values per
-    row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat index of the
-    wrapped coefficient ``(i0+a-1, i1+b-1, i2-1)``; ``w2`` holds the
+    ``matrix`` is an ``(m, N1*N2*(N3+3) - 3)`` CSR matrix with 16 stored
+    values per row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat
+    index of the wrapped coefficient ``(i0+a-1, i1+b-1, i2-1)`` in the
+    axis-2-padded coefficient array (:func:`_padded_coefficients`) — the
+    column space is that array short of its last three entries, so the
+    matrix applies to each of its four shifted slices; ``w2`` holds the
     ``(4, m)`` axis-2 weights the product is contracted with.
     """
 
@@ -1209,14 +1217,15 @@ class GatherOperatorPlan:
     nbytes = 0
 
 
-def _operator_index_dtype(num_grid_points: int) -> np.dtype:
-    """int32 while every flat grid index fits, like :mod:`scipy.sparse` itself."""
-    return np.dtype(np.int32 if num_grid_points <= np.iinfo(np.int32).max else np.int64)
+def _operator_index_dtype(shape: Tuple[int, int, int]) -> np.dtype:
+    """int32 while every padded flat index fits, like :mod:`scipy.sparse` itself."""
+    padded_length = shape[0] * shape[1] * (shape[2] + 3)
+    return np.dtype(np.int32 if padded_length <= np.iinfo(np.int32).max else np.int64)
 
 
 def projected_gather_operator_nbytes(num_points: int, shape: Tuple[int, int, int]) -> int:
     """Bytes a resident :class:`GatherOperator` will report, before building it."""
-    index_bytes = _operator_index_dtype(shape[0] * shape[1] * shape[2]).itemsize
+    index_bytes = _operator_index_dtype(shape).itemsize
     num_blocks = -(-num_points // OPERATOR_CHUNK)
     # per point: 16 products + 4 axis-2 weights, 16 indices + 1 row pointer
     return num_points * (20 * 8 + 17 * index_bytes) + num_blocks * index_bytes
@@ -1228,15 +1237,18 @@ def _build_operator_block(
     """Indices and weights of the points ``[lo, hi)``, derived once.
 
     The per-axis wrapped indices and weights are the stencil plans' own
-    (:func:`_derive_chunk_stencil`); only their pairing into rows is new.
+    (:func:`_derive_chunk_stencil`), strided for the padded coefficients;
+    only their pairing into rows is new.  The wrapped axis-2 start
+    ``cols2[0]`` lies in ``[0, N3 - 1]``, so all four taps stay in the row.
     """
     chunk = coordinates[:, lo:hi]
     base = np.floor(chunk).astype(np.intp)
+    row = shape[2] + 3
     (rows0, rows1, cols2), (w0, w1, w2) = _derive_chunk_stencil(
-        "cubic_bspline", 4, shape, True, base, chunk - base
+        "cubic_bspline", 4, shape, True, base, chunk - base, (shape[1] * row, row, 1)
     )
-    num_rows, num_columns = hi - lo, shape[0] * shape[1] * shape[2]
-    index_dtype = _operator_index_dtype(num_columns)
+    num_rows, num_columns = hi - lo, shape[0] * shape[1] * row - 3
+    index_dtype = _operator_index_dtype(shape)
     rows0 = rows0.astype(index_dtype)
     rows1 = (rows1 + cols2[0]).astype(index_dtype)
     # (4, 4, m) sums and products run over long rows; one transposing copy
@@ -1318,24 +1330,23 @@ def _resident_gather_operator(
     return pool.get(plan.key, lambda: build_gather_operator(shape, coordinates))
 
 
-def _coefficient_windows(fields: np.ndarray) -> np.ndarray:
-    """Axis-2 windows of the spline coefficients of a ``(b, N1, N2, N3)`` stack.
+def _padded_coefficients(fields: np.ndarray) -> np.ndarray:
+    """Spline coefficients of a ``(B, N1, N2, N3)`` stack, padded along axis 2.
 
-    Returns ``(N1*N2*N3, 4 b)`` with ``windows[n, 4 f + c]`` the coefficient
-    of field ``f`` at grid point ``n`` shifted by ``c`` along (periodic)
-    axis 2, so one operator row reaches all four axis-2 taps of every field.
-    The coefficients are those :func:`scipy.ndimage.map_coordinates`
-    computes internally (``spline_filter``, float64, ``grid-wrap``).
+    Returns ``(B, N1*N2*(N3+3))``: each axis-2 row is followed by its first
+    three entries again (periodically), so the four axis-2 taps of a point
+    are the same flat index in four slices shifted by one.  The coefficients
+    are those :func:`scipy.ndimage.map_coordinates` computes internally
+    (``spline_filter``, float64, ``grid-wrap``), filtered straight into the
+    padded buffer.
     """
     num_fields, n1, n2, n3 = fields.shape
-    windows = np.empty((n1, n2, n3, num_fields, 4))
-    for f, field in enumerate(fields):
-        coefficients = ndimage.spline_filter(field, order=3, output=np.float64, mode="grid-wrap")
-        for c in range(4):
-            shift = c % n3
-            windows[:, :, : n3 - shift, f, c] = coefficients[:, :, shift:]
-            windows[:, :, n3 - shift :, f, c] = coefficients[:, :, :shift]
-    return windows.reshape(n1 * n2 * n3, 4 * num_fields)
+    padded = np.empty((num_fields, n1, n2, n3 + 3))
+    wrap = np.arange(n3, n3 + 3) % n3
+    for field, out in zip(fields, padded):
+        ndimage.spline_filter(field, order=3, output=out[:, :, :n3], mode="grid-wrap")
+        out[:, :, n3:] = out[:, :, wrap]
+    return padded.reshape(num_fields, -1)
 
 
 def gather_bspline(
@@ -1345,31 +1356,35 @@ def gather_bspline(
 
     With a *plan* the operator is fetched from (or built into) the plan
     pool; without one — or when the pool budget cannot hold it — its blocks
-    are built, applied and dropped one at a time.  Either way each block's
-    sparse product is contracted with the axis-2 weights in a fixed order,
+    are built, applied and dropped one at a time, once per gather.  Either
+    way each block makes one pass over ``windows[n, f, c]``, the coefficient
+    of field ``f`` at padded flat index ``n + c`` (four shifted slices of
+    the padded coefficients, copied side by side: four times the stack),
+    and its product is contracted with the axis-2 weights in a fixed order,
     so the result does not depend on residency, on the block size, or on
     which other fields share the stack.
     """
     shape = fields.shape[1:]
     operator = None if plan is None else _resident_gather_operator(plan, shape, coordinates)
-    out = np.empty((fields.shape[0], coordinates.shape[1]))
-    for start in range(0, fields.shape[0], OPERATOR_FIELDS_PER_PASS):
-        windows = _coefficient_windows(fields[start : start + OPERATOR_FIELDS_PER_PASS])
-        num_fields = windows.shape[1] // 4
-        blocks = (
-            operator.blocks
-            if operator is not None
-            else _transient_operator_blocks(shape, coordinates)
-        )
-        for block in blocks:
-            w2 = block.w2
-            product = (block.matrix @ windows).reshape(-1, num_fields, 4)
-            for f in range(num_fields):
-                value = product[:, f, 0] * w2[0]
-                value += product[:, f, 1] * w2[1]
-                value += product[:, f, 2] * w2[2]
-                value += product[:, f, 3] * w2[3]
-                out[start + f, block.lo : block.lo + w2.shape[1]] = value
+    num_fields = fields.shape[0]
+    coefficients = _padded_coefficients(fields)
+    span = coefficients.shape[1] - 3
+    windows = np.empty((span, num_fields, 4))
+    for c in range(4):
+        windows[:, :, c] = coefficients[:, c : c + span].T
+    windows = windows.reshape(span, 4 * num_fields)
+    out = np.empty((num_fields, coordinates.shape[1]))
+    blocks = (
+        operator.blocks if operator is not None else _transient_operator_blocks(shape, coordinates)
+    )
+    for block in blocks:
+        w2 = block.w2
+        product = (block.matrix @ windows).reshape(-1, num_fields, 4)
+        for f in range(num_fields):
+            value = out[f, block.lo : block.lo + w2.shape[1]]
+            np.multiply(product[:, f, 0], w2[0], out=value)
+            for c in (1, 2, 3):
+                value += product[:, f, c] * w2[c]
     return out
 
 

@@ -20,13 +20,21 @@ Implements the scheme of Sec. III-B2 (Eqs. 6 and 7 of the paper):
        nu(x, dt)    = nu0(X) + dt/2 * (f0(X) + f*(x))
 
    For a pure advection (``f = 0``) this collapses to one interpolation.
-   So it does whenever ``f*`` is given on the grid instead of computed from
-   the predictor — the interpolant is linear, hence::
+   So it does for every source the stepper accepts — ``f`` and ``f*`` are
+   given on the grid, and the interpolant is linear, hence::
 
        nu(x, dt)    = interp(nu(., 0) + dt/2 * f(., 0), X) + dt/2 * f*(x)
 
-   Only a source that depends on the transported quantity itself (the
-   adjoint's ``lam div v``) needs ``nu0(X)`` and ``f0(X)`` separately.
+   The one source that depends on the transported quantity itself, the
+   adjoint's ``nu div v``, never reaches the stepper: with the endpoint
+   values ``d_X = interp(div v, X)`` and ``d = div v(x)`` the Heun update of
+   ``d nu/d tau = nu div v`` along the characteristic is a multiplication
+   by a growth factor of the velocity alone::
+
+       nu(x, dt)    = nu0(X) * phi,   phi = 1 + dt/2 * (d_X + d * (1 + dt * d_X))
+
+   which :class:`repro.transport.solvers.TransportPlan` builds once per
+   velocity (one gather of ``div v``) and applies to ``step(nu)``.
 
 The departure points depend only on the (stationary) velocity and the time
 step, so they are computed once per velocity and re-used for every time step
@@ -35,10 +43,10 @@ Sec. III-C2.  The stepper goes one step further and caches the full
 **gather plan** (base indices + per-axis kernel weights, see
 :mod:`repro.transport.kernels`) for its departure points, so repeated steps
 never re-derive the interpolation stencil; fields that are interpolated
-together (a transported quantity and its predictor-dependent source, the
-three velocity components of the RK2 trace) move through one batched gather
-pass.  The same machinery handles the adjoint equations after the time
-reversal ``tau = 1 - t`` by passing ``-v``.
+together (the three velocity components of the RK2 trace, the displacement
+components of the deformation map) move through one batched gather pass.
+The same machinery handles the adjoint equations after the time reversal
+``tau = 1 - t`` by passing ``-v``.
 
 Since PR 3 the departure points and their gather plan live in the shared
 **plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
@@ -52,7 +60,7 @@ even look: ``linearize`` adopts its whole ``TransportPlan``.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 import numpy as np
 
@@ -240,23 +248,19 @@ class SemiLagrangianStepper:
         self,
         nu: np.ndarray,
         source_old: Optional[np.ndarray] = None,
-        source_new: Optional[Callable[[np.ndarray], np.ndarray] | np.ndarray] = None,
+        source_new: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Advance ``nu`` by one time step.
+        """Advance ``nu`` by one time step (one interpolation sweep).
 
         Parameters
         ----------
         nu:
             Field at the current time level, on the grid.
         source_old:
-            Source field ``f(., t_n)`` on the grid (or None for pure
-            advection).
+            Source field ``f(., t_n)`` on the grid (or None for no source at
+            the old time level).
         source_new:
-            Either the source field ``f(., t_{n+1})`` on the grid, a callable
-            mapping the predictor ``nu*`` to the source (for sources that
-            depend on the transported quantity itself, e.g. ``f = nu div v``),
-            or None.  Ignored when *source_old* is None and *source_new* is
-            None.
+            Source field ``f(., t_{n+1})`` on the grid, or None.
 
         Returns
         -------
@@ -266,27 +270,10 @@ class SemiLagrangianStepper:
         nu = np.asarray(nu)
         if nu.shape != self.grid.shape:
             raise ValueError(f"field has shape {nu.shape}, expected {self.grid.shape}")
-        if source_old is not None:
-            source_old = self._checked_source(source_old)
         half_dt = 0.5 * self.dt
-
-        if callable(source_new):
-            # f_new needs the predictor, a second combination of the two
-            # interpolants: gather them side by side
-            if source_old is None:
-                nu_dep = self.interpolate_at_departure(nu)
-                f_dep = np.zeros_like(nu_dep)
-            else:
-                nu_dep, f_dep = self.interpolate_many_at_departure(
-                    np.stack([nu, source_old], axis=0)
-                )
-            f_new = self._checked_source(source_new(nu_dep + self.dt * f_dep))
-            return nu_dep + half_dt * (f_dep + f_new)
-
-        # grid-given sources: the update is linear in what it interpolates,
-        # so nu + dt/2 f_old moves through one gather (pure advection
-        # without a source)
-        merged = nu if source_old is None else nu + half_dt * source_old
+        # the update is linear in what it interpolates, so nu + dt/2 f_old
+        # moves through one gather (pure advection without a source)
+        merged = nu if source_old is None else nu + half_dt * self._checked_source(source_old)
         nu_new = self.interpolate_at_departure(merged)
         if source_new is None:
             return nu_new

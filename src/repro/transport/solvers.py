@@ -13,7 +13,19 @@ incremental adjoint (5c)  ``-d lam~/dt - div(lam~ v + lam v~) = 0``
 
 All four are advection equations with (possibly field-dependent) sources, so
 after the time reversal ``tau = 1 - t`` the backward equations reduce to the
-same semi-Lagrangian kernel with velocity ``-v``.
+same semi-Lagrangian kernel with velocity ``-v``.  Their one field-dependent
+source, ``nu div v``, is integrated in closed form: along a backward
+characteristic ``d nu/d tau = nu div v + g``, and Heun with the endpoint
+values ``d_X = I_X[div v]`` and ``d = div v(x)`` gives::
+
+    nu(x, t - dt) = I_X[nu] phi + I_X[g(t)] psi + dt/2 g(t - dt)
+    phi = 1 + dt/2 (d_X + d (1 + dt d_X)),    psi = dt/2 (1 + dt d)
+
+``phi`` depends on the velocity only (:meth:`TransportPlan.growth_factor`,
+one gather of ``div v`` per velocity), so an adjoint step is one
+interpolation sweep; ``g`` is the full-Newton source, absent from the adjoint
+and the Gauss-Newton incremental adjoint.  For ``div v = 0`` (``phi = 1``,
+``psi = dt/2``) this is the stepper's merged update.
 
 Because the paper stores every time level in memory (``n_t`` is kept small —
 the motivation for the unconditionally stable semi-Lagrangian scheme), the
@@ -60,6 +72,21 @@ class TransportPlan:
     backward_stepper: SemiLagrangianStepper
     divergence: np.ndarray
     is_divergence_free: bool
+    _growth: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    def growth_factor(self) -> Optional[np.ndarray]:
+        """The adjoint's per-step growth factor ``phi`` (module docstring).
+
+        ``None`` for a divergence-free velocity (``phi = 1``).  Built by the
+        first backward solve that asks — never by a forward-only objective
+        evaluation — from one gather of ``div v`` at the backward departure
+        points, then kept for every later step of this plan.
+        """
+        if self._growth is None and not self.is_divergence_free:
+            div_v = self.divergence
+            div_dep = self.backward_stepper.interpolate_at_departure(div_v)
+            self._growth = 1.0 + 0.5 * self.dt * (div_dep + div_v * (1.0 + self.dt * div_dep))
+        return self._growth
 
     @property
     def forward_gather_plan(self):
@@ -77,12 +104,14 @@ class TransportPlan:
 
         Counts the departure points and gather plans of both steppers (the
         quantities the shared plan pool stores and budgets; ``v = 0`` has
-        one stepper for both directions) plus the cached divergence field.
+        one stepper for both directions) plus the cached divergence field
+        and, once built, the growth factor.
         """
         steppers = [self.forward_stepper]
         if self.backward_stepper is not self.forward_stepper:
             steppers.append(self.backward_stepper)
-        return self.divergence.nbytes + sum(
+        growth_bytes = 0 if self._growth is None else self._growth.nbytes
+        return self.divergence.nbytes + growth_bytes + sum(
             stepper.departure_points.nbytes + stepper.departure_plan.nbytes
             for stepper in steppers
         )
@@ -227,7 +256,8 @@ class TransportSolver:
         Solves ``-d lam/dt - div(v lam) = 0`` with ``lam(., 1) = terminal``
         (the image mismatch ``rho_R - rho(., 1)``).  After the time reversal
         ``tau = 1 - t`` this is an advection with velocity ``-v`` and source
-        ``lam * div v``; the source vanishes for divergence-free velocities.
+        ``lam * div v``, which the plan's growth factor carries: one
+        interpolation sweep per step for every velocity.
 
         Returns the history indexed by *t* (``history[nt] = terminal``,
         ``history[0] = lam(., 0)``).
@@ -240,19 +270,30 @@ class TransportSolver:
         nt = plan.num_time_steps
         history = np.empty((nt + 1, *self.grid.shape), dtype=self.grid.dtype)
         history[nt] = terminal
-        div_v = plan.divergence
         with trace_span("transport.adjoint", nt=nt):
             for j in range(nt, 0, -1):
-                lam = history[j]
-                if plan.is_divergence_free:
-                    history[j - 1] = plan.backward_stepper.step(lam)
-                else:
-                    history[j - 1] = plan.backward_stepper.step(
-                        lam,
-                        source_old=lam * div_v,
-                        source_new=lambda predictor, d=div_v: predictor * d,
-                    )
+                history[j - 1] = self._backward_step(plan, history[j])
         return history
+
+    @staticmethod
+    def _backward_step(
+        plan: TransportPlan,
+        nu: np.ndarray,
+        source_old: Optional[np.ndarray] = None,
+        source_new: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """One step of ``d nu/d tau - v . grad nu = nu div v + g`` (module docstring)."""
+        stepper = plan.backward_stepper
+        growth = plan.growth_factor()
+        if growth is None:
+            return stepper.step(nu, source_old, source_new)
+        stepped = stepper.step(nu) * growth
+        if source_old is not None:
+            half_dt = 0.5 * plan.dt
+            source_dep = stepper.interpolate_at_departure(source_old)
+            stepped += source_dep * (half_dt * (1.0 + plan.dt * plan.divergence))
+            stepped += half_dt * source_new
+        return stepped
 
     # ------------------------------------------------------------------ #
     # incremental state equation (Eq. 5a)
@@ -346,10 +387,8 @@ class TransportSolver:
                 f"terminal condition has shape {terminal.shape}, expected {self.grid.shape}"
             )
         nt = plan.num_time_steps
-        ops = self.operators
-        div_v = plan.divergence
-
-        newton_sources: Optional[np.ndarray] = None
+        # the full-Newton source g(t_j) per time level; Gauss-Newton has none
+        sources = [None] * (nt + 1)
         if not gauss_newton:
             if perturbation is None or adjoint_history is None:
                 raise ValueError(
@@ -363,7 +402,7 @@ class TransportSolver:
                 )
             # div(lam(t) v~) for every time level, computed spectrally with
             # the whole time axis fused into one batched transform pair
-            newton_sources = ops.divergence_many(
+            sources = self.operators.divergence_many(
                 adjoint_history[:, None] * perturbation[None]
             )
 
@@ -371,27 +410,9 @@ class TransportSolver:
         history[nt] = terminal
         with trace_span("transport.incremental_adjoint", nt=nt, gauss_newton=gauss_newton):
             for j in range(nt, 0, -1):
-                lam_tilde = history[j]
-                source_old = np.zeros_like(lam_tilde)
-                if not plan.is_divergence_free:
-                    source_old = lam_tilde * div_v
-                if newton_sources is not None:
-                    source_old = source_old + newton_sources[j]
-
-                extra_new = newton_sources[j - 1] if newton_sources is not None else 0.0
-
-                if plan.is_divergence_free and newton_sources is None:
-                    history[j - 1] = plan.backward_stepper.step(lam_tilde)
-                else:
-                    def source_new(predictor: np.ndarray) -> np.ndarray:
-                        value = np.zeros_like(predictor)
-                        if not plan.is_divergence_free:
-                            value = predictor * div_v
-                        return value + extra_new
-
-                    history[j - 1] = plan.backward_stepper.step(
-                        lam_tilde, source_old=source_old, source_new=source_new
-                    )
+                history[j - 1] = self._backward_step(
+                    plan, history[j], sources[j], sources[j - 1]
+                )
         return history
 
     # ------------------------------------------------------------------ #

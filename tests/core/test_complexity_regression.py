@@ -26,12 +26,12 @@ FFTs** — only the regularizer's batched matvec remains:
 **Interpolations.**  One "sweep" is an interpolation of all grid points at
 the cached departure points.  The incremental state performs 1 sweep per
 time step (its source is given on the grid, so the transported field and
-the source are merged before the gather — the interpolant is linear); the
-incremental adjoint performs 2 for a general velocity (the ``div v`` source
-depends on the predictor) and 1 when the velocity is divergence-free:
+the source are merged before the gather — the interpolant is linear); so
+does the incremental adjoint (its ``div v`` source is the plan's growth
+factor, a multiplication after the gather), for every velocity:
 
-    sweeps(nt) = 3*nt          (general velocity; the paper counts 4*nt)
-    sweeps(nt) = 2*nt          (divergence-free velocity)
+    sweeps(nt) = 2*nt          (general and divergence-free velocities;
+                                the paper counts 4*nt)
 
 The interpolation cost is identical cached and uncached — the cache only
 touches spectral work.
@@ -63,9 +63,9 @@ def exact_transforms_per_matvec(nt: int) -> int:
     return 8 * (nt + 1) + 6
 
 
-def exact_interpolation_sweeps_per_matvec(nt: int, divergence_free: bool = False) -> int:
+def exact_interpolation_sweeps_per_matvec(nt: int) -> int:
     """Analytic interpolation-sweep count of one Gauss-Newton Hessian matvec."""
-    return 2 * nt if divergence_free else 3 * nt
+    return 2 * nt
 
 
 def _build_problem(nt: int, fft_backend: str = "numpy", interp_backend: str = None):
@@ -162,7 +162,7 @@ class TestPaperComplexityModel:
 
 
 class TestInterpolationSweeps:
-    """Pin the ``3*nt`` interpolation sweeps per Hessian matvec (paper: ``4*nt``)."""
+    """Pin the ``2*nt`` interpolation sweeps per Hessian matvec (paper: ``4*nt``)."""
 
     @pytest.mark.parametrize("nt", [2, 4])
     @pytest.mark.parametrize("gradient_cache", [True, False])
@@ -174,9 +174,9 @@ class TestInterpolationSweeps:
     def test_within_paper_budget(self, nt):
         """The matvec never exceeds the paper's ``4*nt`` sweeps."""
         assert exact_interpolation_sweeps_per_matvec(nt) <= 4 * nt
-        assert exact_interpolation_sweeps_per_matvec(nt, divergence_free=True) <= 4 * nt
 
     def test_divergence_free_velocity_saves_a_sweep_per_step(self):
+        """The same ``2*nt`` as a general velocity (the name predates the growth factor)."""
         nt = 4
         problem = _build_problem(nt)
         iterate = problem.linearize(problem.zero_velocity())
@@ -188,7 +188,7 @@ class TestInterpolationSweeps:
         problem.hessian_matvec(iterate, direction)
         delta = problem.work_counters() - before
         sweeps = delta.interpolation_sweeps(problem.grid.num_points)
-        assert sweeps == exact_interpolation_sweeps_per_matvec(nt, divergence_free=True)
+        assert sweeps == exact_interpolation_sweeps_per_matvec(nt)
 
     @pytest.mark.parametrize("backend", available_interp_backends())
     def test_count_is_backend_independent(self, backend):

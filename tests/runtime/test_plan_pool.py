@@ -221,12 +221,12 @@ class TestStepperPooling:
         # the trial's TransportPlan is adopted: zero departure lookups ...
         delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
         assert (delta.hits, delta.misses) == (0, 0)
-        # ... and zero state sweeps: only the adjoint (field + div v source) gathers
+        # ... and zero state sweeps: only the adjoint (nt steps + its growth factor) gathers
         assert not iterate.plan.is_divergence_free
         sweeps = (problem.transport.interpolator.points_interpolated - swept) / (
             synthetic.grid.num_points
         )
-        assert sweeps == 2 * problem.num_time_steps
+        assert sweeps == problem.num_time_steps + 1
         # what still looks the velocity up still hits: the deformation map's plan
         problem.transport.plan(velocity)
         delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before

@@ -1,6 +1,6 @@
 """The scipy engine's sparse gather operator (``cubic_bspline``).
 
-Three contracts:
+Four contracts:
 
 * **accuracy** — the operator agrees with
   ``map_coordinates(order=3, mode="grid-wrap")`` (same spline coefficients,
@@ -10,14 +10,18 @@ Three contracts:
   points only: not on the stack it travels in, the block size, or whether
   the operator is resident or built block by block;
 * **residency** — operators are byte-accounted pool entries, at most two per
-  interpolator, none when the budget cannot hold them.
+  interpolator, none when the budget cannot hold them;
+* **layout invariance** — gathering from axis-2-padded coefficients (padded
+  column space, windows from four shifted slices) gives the bits of the
+  formulation it replaced, rolled windows of the unpadded coefficients
+  (kept here as a test-local oracle).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
+from scipy import ndimage, sparse
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import enable_tracing, get_trace_recorder
@@ -27,6 +31,7 @@ from repro.transport import kernels
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     GATHER_OPERATOR_TAG,
+    bspline_weights,
     build_gather_operator,
     gather_bspline,
     gather_operator_plan,
@@ -178,6 +183,99 @@ class TestBitwiseInvariance:
 
 
 # --------------------------------------------------------------------------- #
+# layout invariance: padded coefficients vs the stacked-windows formulation
+# --------------------------------------------------------------------------- #
+def _windows_gather(fields: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
+    """The formulation the padded gather replaced, as the bitwise oracle.
+
+    One CSR product (16 ``w0[a] * w1[b]`` values per row, columns in the
+    *unpadded* grid) against ``windows[n, 4 f + c]``, the spline coefficient
+    of field ``f`` at ``n`` rolled by ``c`` along axis 2, then the same
+    fixed-order contraction with the axis-2 weights.
+    """
+    num_fields, n1, n2, n3 = fields.shape
+    num_points = coordinates.shape[1]
+    base = np.floor(coordinates).astype(np.intp)
+    w0, w1, w2 = (np.stack(bspline_weights(coordinates[d] - base[d])) for d in range(3))
+    taps = np.arange(-1, 3)[:, None]
+    i0, i1 = (base[0] + taps) % n1, (base[1] + taps) % n2
+    columns = (i0[:, None] * n2 + i1[None]) * n3 + (base[2] - 1) % n3
+    matrix = sparse.csr_matrix(
+        (
+            np.ascontiguousarray((w0[:, None] * w1[None]).transpose(2, 0, 1)).reshape(-1),
+            np.ascontiguousarray(columns.transpose(2, 0, 1)).reshape(-1),
+            np.arange(0, 16 * num_points + 1, 16),
+        ),
+        shape=(num_points, n1 * n2 * n3),
+    )
+    windows = np.empty((n1, n2, n3, num_fields, 4))
+    for f, field in enumerate(fields):
+        coefficients = ndimage.spline_filter(field, order=3, output=np.float64, mode="grid-wrap")
+        for c in range(4):
+            windows[:, :, :, f, c] = np.roll(coefficients, -c, axis=2)
+    product = (matrix @ windows.reshape(-1, 4 * num_fields)).reshape(-1, num_fields, 4)
+    out = np.empty((num_fields, num_points))
+    for f in range(num_fields):
+        value = product[:, f, 0] * w2[0]
+        value += product[:, f, 1] * w2[1]
+        value += product[:, f, 2] * w2[2]
+        value += product[:, f, 3] * w2[3]
+        out[f] = value
+    return out
+
+
+def _with_seam_points(shape, num_points: int, seed: int) -> np.ndarray:
+    """Random points plus every combination of ``0``, ``N - 1e-13``, ``N - 1``."""
+    per_axis = [np.array([0.0, size - 1e-13, size - 1.0]) for size in shape]
+    seam = np.stack([g.ravel() for g in np.meshgrid(*per_axis, indexing="ij")])
+    return np.concatenate([seam, _coordinates(shape, num_points, seed)], axis=1)
+
+
+class TestPaddedCoefficients:
+    SHAPES = [(32, 32, 32), (16, 19, 16), (9, 7, 11), (6, 5, 2), (2, 4, 5), (3, 2, 1)]
+
+    @pytest.mark.parametrize("num_fields", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bitwise_equal_to_the_windows_formulation(self, shape, num_fields):
+        fields = np.random.default_rng(30).standard_normal((num_fields, *shape))
+        coordinates = _with_seam_points(shape, min(9000, 2 * int(np.prod(shape))), seed=31)
+        expected = _windows_gather(fields, coordinates)
+        transient = gather_bspline(fields, coordinates, None)
+        np.testing.assert_array_equal(transient, expected)
+        resident = gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
+        assert _operator_entries() == 1
+        np.testing.assert_array_equal(resident, expected)
+        assert np.abs(transient - _reference(fields, coordinates)).max() <= TOLERANCE
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (6, 5, 2)])
+    def test_coordinate_rounded_up_to_the_period(self, shape):
+        """``np.mod`` may return ``N``: base ``N``, window start ``N - 1``, in range."""
+        fields = np.random.default_rng(32).standard_normal((2, *shape))
+        period = np.asarray(shape, dtype=np.float64)[:, None]
+        np.testing.assert_array_equal(
+            gather_bspline(fields, period, None), gather_bspline(fields, 0.0 * period, None)
+        )
+        np.testing.assert_array_equal(
+            gather_bspline(fields, period, None), _windows_gather(fields, period)
+        )
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_column_space_and_padding(self, shape):
+        n1, n2, n3 = shape
+        coordinates = _with_seam_points(shape, 200, seed=33)
+        (block,) = build_gather_operator(shape, coordinates).blocks
+        assert block.matrix.shape == (coordinates.shape[1], n1 * n2 * (n3 + 3) - 3)
+        starts = block.matrix.indices % (n3 + 3)
+        assert starts.min() >= 0 and starts.max() <= n3 - 1
+        field = np.random.default_rng(34).standard_normal((1, *shape))
+        padded = kernels._padded_coefficients(field).reshape(n1, n2, n3 + 3)
+        coefficients = ndimage.spline_filter(
+            field[0], order=3, output=np.float64, mode="grid-wrap"
+        )
+        np.testing.assert_array_equal(padded, coefficients[:, :, np.arange(n3 + 3) % n3])
+
+
+# --------------------------------------------------------------------------- #
 # residency: byte accounting, the bound of two, budget fallback
 # --------------------------------------------------------------------------- #
 class TestResidency:
@@ -187,6 +285,15 @@ class TestResidency:
         operator = build_gather_operator(shape, _coordinates(shape, num_points, seed=13))
         assert operator.nbytes == projected_gather_operator_nbytes(num_points, shape)
         assert sum(block.w2.shape[1] for block in operator.blocks) == num_points
+
+    def test_index_dtype_follows_the_padded_length(self):
+        """1290 x 1290 x 1290 fits int32 unpadded; its padded flat length does not."""
+        for shape, dtype in (((1024, 1024, 1024), np.int32), ((1290, 1290, 1290), np.int64)):
+            assert kernels._operator_index_dtype(shape) == dtype
+            per_point = 20 * 8 + 17 * np.dtype(dtype).itemsize
+            assert projected_gather_operator_nbytes(8192, shape) == (
+                8192 * per_point + np.dtype(dtype).itemsize
+            )
 
     def test_pool_accounts_the_operator_under_its_tag(self, pool_budget):
         pool_budget(64 * 2**20)

@@ -100,15 +100,6 @@ class TestStepper:
         nu1 = stepper.step(nu0, source_old=ones, source_new=ones)
         np.testing.assert_allclose(nu1, 0.5, atol=1e-12)
 
-    def test_callable_source_receives_predictor(self):
-        # v = 0, f = nu: exact solution exp(dt); Heun gives 1 + dt + dt^2/2
-        grid = Grid((8, 8, 8))
-        dt = 0.1
-        stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), dt)
-        nu0 = np.ones(grid.shape)
-        nu1 = stepper.step(nu0, source_old=nu0.copy(), source_new=lambda p: p)
-        np.testing.assert_allclose(nu1, 1 + dt + dt**2 / 2, atol=1e-12)
-
     def test_field_shape_validated(self):
         grid = Grid((8, 8, 8))
         stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.1)
@@ -238,7 +229,7 @@ class TestMergedGather:
                 np.testing.assert_array_equal(one, many[b])
 
     def test_sweeps_per_step(self, shape, backend):
-        """One sweep per field for grid-given sources; a callable keeps two."""
+        """One sweep per field, whatever sources the step carries."""
         grid, interp, stepper, fields, old, new = self._setup(shape, backend)
 
         def sweeps(call):
@@ -246,18 +237,12 @@ class TestMergedGather:
             call()
             return (interp.points_interpolated - before) / grid.num_points
 
+        assert sweeps(lambda: stepper.step(fields[0])) == 1
         assert sweeps(lambda: stepper.step(fields[0], old[0], new[0])) == 1
         assert sweeps(lambda: stepper.step(fields[0], old[0])) == 1
+        assert sweeps(lambda: stepper.step(fields[0], source_new=new[0])) == 1
+        assert sweeps(lambda: stepper.step_many(fields)) == fields.shape[0]
         assert sweeps(lambda: stepper.step_many(fields, old, new)) == fields.shape[0]
-        assert sweeps(lambda: stepper.step(fields[0], old[0], lambda p: p * new[0])) == 2
-        # ... and the callable branch is still the two-gather formula, exactly
-        nu_dep = stepper.interpolate_at_departure(fields[0])
-        f_dep = stepper.interpolate_at_departure(old[0])
-        predictor = nu_dep + self.DT * f_dep
-        np.testing.assert_array_equal(
-            stepper.step(fields[0], old[0], lambda p: p * new[0]),
-            nu_dep + 0.5 * self.DT * (f_dep + predictor * new[0]),
-        )
 
     def test_source_shapes_validated(self, shape, backend):
         grid, _, stepper, fields, old, new = self._setup(shape, backend)
