@@ -3,12 +3,21 @@
 The scenario the job service exists for: four same-grid requests arrive
 together (an atlas normalization pass — apply one population-average
 velocity to four subject images, plus a four-subject registration burst).
-The benchmark runs each workload twice:
+The transport workload runs twice:
 
 * **serial** — four independent solves through the plain synchronous path,
 * **queued** — the same four solves submitted as service jobs, where the
   micro-batcher merges compatible transport jobs into shared
   ``solve_state_many`` stacks and the plan pool serves later batches warm.
+
+The registration burst measures the service's default width instead: after
+one discarded warm-up (direct ``register()`` calls, kept as the bitwise
+reference) the four *distinct* subjects run as jobs on **one** worker thread
+and on **two**, and the burst wall, the process CPU and the median
+RUNNING -> DONE time of a job are recorded for both.  Most of a solve holds
+the GIL, so the second thread roughly doubles every job's latency and buys
+little or no throughput (``repro.runtime.workers``); the numbers are
+recorded, not asserted — four jobs do not resolve the burst wall.
 
 The deterministic results (asserted, so no wall-clock gate can flake):
 
@@ -40,7 +49,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import register
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
 from repro.parallel.comm import SimulatedCommunicator
@@ -152,50 +160,43 @@ def _queued_transport(grid, velocity, movings):
 
 
 def _registration_workload():
-    problem = synthetic_registration_problem(N, num_time_steps=NUM_TIME_STEPS)
-    options = SolverOptions(max_newton_iterations=1, max_krylov_iterations=3)
-    return problem, options
+    """Four *distinct* subjects to one atlas (identical jobs would measure the
+    pool's single-flight builds and the submit order, not the lanes), solved
+    to the default tolerance (a one-iteration job is mostly set-up)."""
+    return synthetic_population(N, num_subjects=NUM_JOBS, num_time_steps=NUM_TIME_STEPS)
 
 
-def _serial_registration(problem, options):
+def _direct_registration(population):
+    """The discarded warm-up; its results are the bitwise reference."""
+    reset_plan_pool()
+    return [register(subject, population.atlas) for subject in population.subjects]
+
+
+def _queued_registration(population, num_workers):
+    """The four-subject burst on *num_workers* worker threads, pool cold."""
     reset_plan_pool()
     pool_before = get_plan_pool().stats
+    cpu_start = time.process_time()
     start = time.perf_counter()
-    results = [
-        register(problem.template, problem.reference, options=options)
-        for _ in range(NUM_JOBS)
-    ]
-    wall = time.perf_counter() - start
-    delta = get_plan_pool().stats - pool_before
-    return {
-        "results": results,
-        "wall_seconds": wall,
-        "plan_pool": delta.as_dict(),
-        "plan_pool_hit_rate": _hit_rate(delta),
-    }
-
-
-def _queued_registration(problem, options):
-    reset_plan_pool()
-    pool_before = get_plan_pool().stats
-    start = time.perf_counter()
-    with RegistrationService(num_workers=2) as service:
+    with RegistrationService(num_workers=num_workers) as service:
         jobs = [
             service.submit_registration(
-                RegistrationJobSpec(
-                    template=problem.template,
-                    reference=problem.reference,
-                    options=options,
-                )
+                RegistrationJobSpec(template=subject, reference=population.atlas)
             )
-            for _ in range(NUM_JOBS)
+            for subject in population.subjects
         ]
         results = service.gather(jobs, timeout=600)
     wall = time.perf_counter() - start
+    cpu = time.process_time() - cpu_start
     delta = get_plan_pool().stats - pool_before
     return {
         "results": results,
+        "num_workers": num_workers,
         "wall_seconds": wall,
+        "cpu_seconds": cpu,
+        "job_seconds_median": float(
+            np.median([job.record.finished_at - job.record.started_at for job in jobs])
+        ),
         "plan_pool": delta.as_dict(),
         "plan_pool_hit_rate": _hit_rate(delta),
     }
@@ -212,12 +213,16 @@ def test_service_throughput(record_text, record_json):
         for expected, got in zip(serial_t["results"], queued_t["results"])
     )
 
-    problem, options = _registration_workload()
-    serial_r = _serial_registration(problem, options)
-    queued_r = _queued_registration(problem, options)
+    # recorded, not asserted: which width wins is a wall-clock fact, and
+    # wall-clock pins flake on shared hosts (benchmarks/e2e's burst16 is the
+    # judge: BENCH_20.json)
+    population = _registration_workload()
+    direct_r = _direct_registration(population)
+    lanes_r = [_queued_registration(population, width) for width in (1, 2)]
     register_bitwise = all(
-        np.array_equal(serial_r["results"][0].velocity, result.velocity)
-        for result in queued_r["results"]
+        np.array_equal(expected.velocity, got.velocity)
+        for lane in lanes_r
+        for expected, got in zip(direct_r, lane["results"])
     )
 
     acceptance = {
@@ -248,10 +253,10 @@ def test_service_throughput(record_text, record_json):
             "bitwise_equal": bitwise_equal,
         },
         "registration": {
-            "serial": _public(serial_r),
-            "queued": _public(queued_r),
+            "one_worker": _public(lanes_r[0]),
+            "two_workers": _public(lanes_r[1]),
             "bitwise_equal": register_bitwise,
-            "relative_residual": serial_r["results"][0].relative_residual,
+            "relative_residuals": [result.relative_residual for result in direct_r],
         },
     }
     record_json("service_throughput", payload)
@@ -269,12 +274,16 @@ def test_service_throughput(record_text, record_json):
         f"pool hit rate {queued_t['plan_pool_hit_rate']:.0%}",
         f"  bitwise equal to serial: {bitwise_equal}",
         "",
-        "registration (four-subject burst, 1 Gauss-Newton iteration each)",
-        f"  serial : {serial_r['wall_seconds']:8.3f} s, "
-        f"pool hit rate {serial_r['plan_pool_hit_rate']:.0%}",
-        f"  queued : {queued_r['wall_seconds']:8.3f} s on 2 workers, "
-        f"pool hit rate {queued_r['plan_pool_hit_rate']:.0%}",
-        f"  velocities bitwise equal across jobs: {register_bitwise}",
+        "registration (four distinct subjects to the default tolerance, "
+        "after one discarded warm-up; recorded, not asserted)",
+        *(
+            f"  {lane['num_workers']} worker(s): burst wall {lane['wall_seconds']:6.3f} s, "
+            f"process CPU {lane['cpu_seconds']:6.3f} s, "
+            f"median job {lane['job_seconds_median']:6.3f} s, "
+            f"pool hit rate {lane['plan_pool_hit_rate']:.0%}"
+            for lane in lanes_r
+        ),
+        f"  velocities bitwise equal to direct register() calls: {register_bitwise}",
     ]
     record_text("service_throughput", "\n".join(lines))
 
@@ -282,6 +291,7 @@ def test_service_throughput(record_text, record_json):
     assert acceptance["hit_rate_ge_50_percent"], acceptance
     assert acceptance["strictly_fewer_ghost_rounds"], acceptance
     assert acceptance["bitwise_equal_to_serial"], acceptance
+    assert register_bitwise, "a queued registration differs from the direct call"
 
 
 # --------------------------------------------------------------------------- #

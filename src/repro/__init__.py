@@ -15,7 +15,7 @@ The package is organized bottom-up, mirroring the structure of the paper:
   and the analytic performance model used to reproduce the scaling studies
   (Sec. III-C, IV),
 * :mod:`repro.service` — the async job layer: queued registrations,
-  worker fan-out, transport micro-batching and the atlas workload,
+  one compute lane, transport micro-batching and the atlas workload,
 * :mod:`repro.data` — the synthetic problem of Fig. 5 and the brain-phantom
   substitute for the NIREP data,
 * :mod:`repro.analysis` — scaling analysis, table formatting and the paper's

@@ -149,9 +149,9 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "shared worker count for threaded kernels (default: $REPRO_WORKERS; "
-            "per-subsystem $REPRO_FFT_WORKERS / $REPRO_INTERP_WORKERS / "
-            "$REPRO_SERVICE_WORKERS / $REPRO_IO_WORKERS override it)"
+            "shared worker count of every subsystem, service threads included (default: "
+            "$REPRO_WORKERS, else each subsystem's own); $REPRO_FFT_WORKERS / "
+            "$REPRO_INTERP_WORKERS / $REPRO_SERVICE_WORKERS / $REPRO_IO_WORKERS override it"
         ),
     )
     sub.add_argument(
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="service worker threads (default: $REPRO_SERVICE_WORKERS or one per core)",
+        help="service worker threads (default: $REPRO_SERVICE_WORKERS or 1: solves hold the GIL)",
     )
     serve.add_argument(
         "--max-batch",

@@ -46,7 +46,7 @@ from repro.observability.trace import (
 )
 from repro.runtime.layout import auto_streaming_fraction, set_auto_fraction
 from repro.runtime.plan_pool import configure_plan_pool, env_pool_budget, get_plan_pool
-from repro.runtime.workers import resolve_workers, set_default_workers
+from repro.runtime.workers import default_workers, resolve_workers, set_default_workers
 from repro.spectral import backends as fft_backends
 from repro.transport import kernels as interp_kernels
 from repro.transport import sources as field_sources
@@ -208,8 +208,9 @@ class RegistrationConfig:
         Resolves every knob the way the solvers would (environment variable,
         process-wide override, or built-in default) and freezes the concrete
         values, so the snapshot is reproducible even if the environment
-        changes later.  Malformed environment values raise here with the
-        valid choices, exactly as they would at solve time.
+        changes later (``workers``: the *shared* default only, ``None`` when
+        unset, so that ``from_env().apply()`` changes no subsystem's count).
+        Malformed environment values raise here with the valid choices.
         """
         # imported lazily: repro.core.registration imports this module, so a
         # top-level import of repro.core.* here would be circular
@@ -219,7 +220,7 @@ class RegistrationConfig:
             fft_backend=fft_backends.default_backend_name(),
             interp_backend=interp_kernels.default_backend_name(),
             plan_layout=interp_kernels.default_plan_layout(),
-            workers=resolve_workers("service"),
+            workers=default_workers(),
             plan_pool_bytes=get_plan_pool().max_bytes,
             auto_fraction=auto_streaming_fraction(),
             field_source=field_sources.default_field_source(),

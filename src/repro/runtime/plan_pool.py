@@ -242,7 +242,7 @@ class PlanPool:
         """Return the cached value for *key*, building (and storing) on miss.
 
         Builds are **single-flight**: when several threads miss the same key
-        concurrently (the job service's worker fan-out planning one shared
+        concurrently (a multi-worker job service planning one shared
         velocity), exactly one runs the builder — charged the miss — and the
         others wait for the shared product, each charged a *hit* (they
         received a warm plan without building; this also holds when the

@@ -6,10 +6,10 @@ managed its own threading ad hoc.  This module turns the pattern into one
 process-wide resource policy:
 
 * ``REPRO_WORKERS`` sets the shared default worker count of *every*
-  subsystem (the paper's "one MPI task per core" analogue for the threaded
-  single-node path).
-* ``REPRO_FFT_WORKERS`` / ``REPRO_INTERP_WORKERS`` override it per
-  subsystem, exactly as before (the FFT variable keeps its PR-1 semantics).
+  subsystem.
+* ``REPRO_FFT_WORKERS`` / ``REPRO_INTERP_WORKERS`` / ``REPRO_SERVICE_WORKERS``
+  / ``REPRO_IO_WORKERS`` override it per subsystem (the FFT variable keeps
+  its PR-1 semantics).
 * :func:`set_default_workers` is the programmatic/CLI (``--workers``)
   equivalent of ``REPRO_WORKERS``; explicit per-call arguments (e.g.
   ``ScipyFFTBackend(workers=4)``) still win over everything.
@@ -19,13 +19,13 @@ Resolution precedence, first match wins::
     explicit argument > per-subsystem env > set_default_workers()
         > REPRO_WORKERS > subsystem default
 
-The subsystem defaults differ deliberately: FFT engines thread inside one
-C call and default to all cores (unchanged from PR 1); the stencil executor
-threads at the Python level over point chunks and defaults to ``1`` so the
-serial path stays bit-for-bit the PR-2 implementation unless the user opts
-in.  Thread pools are shared per size (:func:`get_executor`), so the FFT
-and interpolation subsystems never oversubscribe the machine with separate
-pools of the same width.
+The subsystem defaults differ by whether a thread can own a core, as each of
+the paper's MPI tasks does: a Python thread only does inside native code that
+released the GIL.  FFT engines thread inside one C call and default to all
+cores; the stencil executor threads over point chunks in Python and defaults
+to ``1``; so does the job service, whose workers run whole solves on kernels
+that hold the GIL (measured at its :data:`SUBSYSTEMS` entry).  Pools are shared
+per size (:func:`get_executor`): subsystems of one width never oversubscribe.
 """
 
 from __future__ import annotations
@@ -74,10 +74,13 @@ class SubsystemPolicy:
 SUBSYSTEMS: Dict[str, SubsystemPolicy] = {
     "fft": SubsystemPolicy(FFT_WORKERS_ENV_VAR, _all_cores),
     "interp": SubsystemPolicy(INTERP_WORKERS_ENV_VAR, _one),
-    # job-level fan-out of repro.service: every worker drives whole solves,
-    # so the default is one worker per core (the per-kernel subsystems
-    # above still bound the threading *inside* each solve)
-    "service": SubsystemPolicy(SERVICE_WORKERS_ENV_VAR, _all_cores),
+    # repro.service: every worker thread drives whole solves, and ~70 % of a
+    # solve (CSR gather product, spline_filter) holds the GIL, so two workers
+    # time-slice one interpreter.  burst16 on 2 -> 1 workers (BENCH_20.json):
+    # register job 0.35 -> 0.16 s, 9.2 -> 10.5 jobs/s, CPU 1.23x -> 0.95x wall.
+    # Width > 1 (REPRO_SERVICE_WORKERS, num_workers=) buys only that a short
+    # job never queues behind a long one, or an engine that releases the GIL.
+    "service": SubsystemPolicy(SERVICE_WORKERS_ENV_VAR, _one),
     # tile prefetch of the out-of-core field sources: one background loader
     # overlaps the next chunk's disk read with the current chunk's gather;
     # more only help when the storage itself is parallel
@@ -113,6 +116,12 @@ def _env_int(name: str) -> Optional[int]:
         raise ValueError(f"{name} must be an integer worker count, got {value!r}") from exc
 
 
+def default_workers() -> Optional[int]:
+    """The shared default alone: :func:`set_default_workers`, else ``$REPRO_WORKERS``, else None."""
+    shared_env = _env_int(WORKERS_ENV_VAR)  # read even when overridden: a malformed value raises
+    return _default_workers if _default_workers is not None else shared_env
+
+
 def resolve_workers(subsystem: str, explicit: Optional[int] = None) -> int:
     """Resolve the worker count of *subsystem* under the unified policy."""
     try:
@@ -123,7 +132,7 @@ def resolve_workers(subsystem: str, explicit: Optional[int] = None) -> int:
         ) from exc
     if explicit is not None:
         return max(1, int(explicit))
-    for resolved in (_env_int(policy.env_var), _default_workers, _env_int(WORKERS_ENV_VAR)):
+    for resolved in (_env_int(policy.env_var), default_workers()):
         if resolved is not None:
             return resolved
     return policy.default()

@@ -17,8 +17,8 @@ service without forking the numerics:
     ``solve_state_many`` stack.
 :mod:`repro.service.workers`
     :class:`~repro.service.workers.RegistrationService` — the worker
-    fan-out executing jobs through the existing solver paths, sharing the
-    process-wide plan pool across requests.
+    thread(s) (one by default: solves hold the GIL) executing jobs through the
+    existing solver paths, sharing the process-wide plan pool across requests.
 :mod:`repro.service.artifacts`
     Versioned per-job JSON artifacts (result report, pool/layout/ledger
     metrics).

@@ -1,19 +1,20 @@
-"""The registration service: queued jobs, worker fan-out, micro-batching.
+"""The registration service: queued jobs, one compute lane, micro-batching.
 
 :class:`RegistrationService` is the async front end of the solver: callers
 submit work (full registrations or distributed transport solves) and get
-:class:`~repro.service.jobs.Job` handles back immediately; a pool of
-daemon worker threads drains the :class:`~repro.service.queue.
-SubmissionQueue` and executes every job through the *existing* synchronous
-paths — :func:`repro.register` and :class:`~repro.parallel.transport.
-DistributedTransportSolver` — so a queued solve is numerically the very
-solve a direct call would have produced.
+:class:`~repro.service.jobs.Job` handles back immediately; daemon worker
+threads — one unless asked otherwise: solves hold the GIL, a second thread
+only time-slices the first (:mod:`repro.runtime.workers`) — drain the
+:class:`~repro.service.queue.SubmissionQueue` and execute every job through
+the *existing* synchronous paths — :func:`repro.register` and
+:class:`~repro.parallel.transport.DistributedTransportSolver` — so a queued
+solve is numerically the very solve a direct call would have produced.
 
 What the service adds over a loop of direct calls:
 
-* **Cross-request plan reuse.**  All workers share the process-wide plan
-  pool; with the pool's single-flight builds, N concurrent jobs planning
-  the same velocity perform one build and N-1 warm hits.
+* **Cross-request plan reuse.**  All jobs share the process-wide plan pool:
+  a velocity an earlier job planned is a warm hit, and with several workers
+  N concurrent jobs planning it single-flight into one build and N-1 hits.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
   task layout, backend, stencil layout and velocity — see
   :func:`~repro.service.batching.batch_key`) are claimed together and ride
@@ -81,7 +82,7 @@ def _hit_rate(hits: int, misses: int) -> float:
 
 
 class RegistrationService:
-    """Thread-pooled job service over the registration solver.
+    """Queued job service over the registration solver.
 
     Parameters
     ----------
@@ -93,7 +94,7 @@ class RegistrationService:
     num_workers:
         Worker threads draining the queue.  ``None`` resolves the unified
         worker policy for the ``"service"`` subsystem
-        (``REPRO_SERVICE_WORKERS`` > ``REPRO_WORKERS`` > one per core).
+        (``REPRO_SERVICE_WORKERS`` > ``REPRO_WORKERS`` > 1: see the module docstring).
     max_batch:
         Upper bound on the micro-batch size (1 disables batching).
     artifacts_dir:
@@ -357,6 +358,8 @@ class RegistrationService:
                     self._execute_registration(job)
 
     def _execute_registration(self, job: Job) -> None:
+        """One register job; its pool/layout deltas difference *process-wide* counters,
+        so with several workers they also carry the concurrent jobs' hits and misses."""
         spec: RegistrationJobSpec = job.spec
         pool = get_plan_pool()
         pool_before = pool.stats
@@ -404,6 +407,8 @@ class RegistrationService:
         self._finalize(job)
 
     def _execute_transport_batch(self, batch: List[Job]) -> None:
+        """One micro-batch; pool/layout deltas as in :meth:`_execute_registration`
+        (attributable on one lane only), the ledger is the batch's own."""
         lead: TransportJobSpec = batch[0].spec
         grid = lead.resolved_grid()
         decomposition = PencilDecomposition.from_num_tasks(grid.shape, lead.num_tasks)

@@ -56,15 +56,32 @@ class TestConstruction:
         assert derived.workers == 2
         assert base.workers is None  # frozen: the base is untouched
 
-    def test_from_env_snapshots_concrete_values(self):
+    def test_from_env_snapshots_concrete_values(self, monkeypatch):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
         config = RegistrationConfig.from_env()
         assert config.fft_backend is not None
         assert config.interp_backend is not None
         assert config.plan_layout in ("auto", "lean", "fat", "streaming")
-        assert config.workers >= 1
+        # the *shared* worker default only: nothing set, nothing to snapshot
+        # (the subsystems' own defaults differ: fft all cores, service 1)
+        assert config.workers is None
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
         assert 0.0 < config.auto_fraction <= 1.0
         assert config.field_source in ("resident", "memmap")
+
+    @pytest.mark.parametrize("shared_env", [None, "3"])
+    def test_from_env_apply_changes_no_resolved_worker_count(self, monkeypatch, shared_env):
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        if shared_env is not None:
+            monkeypatch.setenv("REPRO_WORKERS", shared_env)
+        subsystems = ("fft", "interp", "service", "io")
+        before = {name: resolve_workers(name) for name in subsystems}
+        try:
+            config = RegistrationConfig.from_env().apply()
+            assert config.workers == (None if shared_env is None else int(shared_env))
+            assert {name: resolve_workers(name) for name in subsystems} == before
+        finally:
+            configure_plan_pool(None)
 
     def test_from_env_snapshots_the_field_source_mode(self, monkeypatch):
         monkeypatch.setenv(FIELD_SOURCE_ENV_VAR, "memmap")

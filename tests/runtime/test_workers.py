@@ -9,7 +9,9 @@ from repro.runtime.workers import (
     FFT_WORKERS_ENV_VAR,
     INTERP_WORKERS_ENV_VAR,
     IO_WORKERS_ENV_VAR,
+    SERVICE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
+    default_workers,
     get_executor,
     get_subsystem_executor,
     resolve_workers,
@@ -32,6 +34,7 @@ def clean_policy(monkeypatch):
         FFT_WORKERS_ENV_VAR,
         INTERP_WORKERS_ENV_VAR,
         IO_WORKERS_ENV_VAR,
+        SERVICE_WORKERS_ENV_VAR,
     ):
         monkeypatch.delenv(var, raising=False)
     set_default_workers(None)
@@ -44,6 +47,9 @@ class TestResolution:
         assert resolve_workers("fft") == max(1, os.cpu_count() or 1)
         assert resolve_workers("interp") == 1  # serial unless opted in
         assert resolve_workers("io") == 1  # one background tile loader
+        # one compute lane: a solve's kernels hold the GIL, a second worker
+        # thread only time-slices the first (burst16, BENCH_20.json)
+        assert resolve_workers("service") == 1
 
     def test_shared_env_var_applies_to_every_subsystem(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
@@ -70,6 +76,26 @@ class TestResolution:
         assert resolve_workers("interp") == 4
         monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "2")
         assert resolve_workers("interp") == 2
+
+    def test_service_width_stays_overridable_in_the_documented_order(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert resolve_workers("service") == 3
+        set_default_workers(4)
+        assert resolve_workers("service") == 4
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "2")
+        assert resolve_workers("service") == 2
+        assert resolve_workers("service", explicit=5) == 5
+
+    def test_default_workers_reads_the_shared_default_only(self, monkeypatch):
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "2")  # per-subsystem: not shared
+        assert default_workers() is None
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
+        assert default_workers() == 3
+        set_default_workers(4)
+        assert default_workers() == 4
+        monkeypatch.setenv(WORKERS_ENV_VAR, "three")  # malformed: raises even when overridden
+        with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
+            default_workers()
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "5")
