@@ -37,7 +37,6 @@ from repro.transport.kernels import (
     execute_stencil_plan,
 )
 from repro.transport.semi_lagrangian import compute_departure_points
-from repro.transport.interpolation import PeriodicInterpolator
 
 #: Grid edge of the distributed batching scenario (p = 4 simulated ranks).
 DISTRIBUTED_N = int(os.environ.get("REPRO_BENCH_TRANSPORT_N", "32"))
@@ -71,9 +70,7 @@ def test_bench_transport_batching(record_text, record_json):
     velocity = 0.5 * np.stack(
         [np.sin(grid.coordinates()[d] + d) for d in range(3)], axis=0
     )
-    departure = compute_departure_points(
-        grid, velocity, dt=0.25, interpolator=PeriodicInterpolator(grid, "catmull_rom")
-    )
+    departure = compute_departure_points(grid, velocity, dt=0.25)
     points = [
         departure[(slice(None), *deco.local_slices(rank))].reshape(3, -1)
         for rank in range(deco.num_tasks)

@@ -8,9 +8,13 @@ at those off-grid points with the owner/worker scatter plan
 equation is advanced one step at a time — exactly the "interpolation
 planner" + "transport" structure the paper describes.
 
-The distributed result is validated in the test-suite against the serial
-:class:`~repro.transport.solvers.TransportSolver` with the same
-(Catmull-Rom) interpolation kernel, to machine precision.  Only the pure
+The departure points are the paper's interpolated RK2 trace (Eq. 6); the
+serial solver expands the flow spectrally instead
+(:mod:`repro.transport.semi_lagrangian`), so the test-suite validates the
+distributed result against a serial
+:class:`~repro.transport.semi_lagrangian.SemiLagrangianStepper` handed the
+same RK2 points and the same (Catmull-Rom) interpolation kernel, to machine
+precision.  Only the pure
 advection (state / adjoint for divergence-free velocities) is provided here;
 it is the kernel whose communication pattern the performance model charges
 for, and the source-term variants reduce to extra interpolations of grid

@@ -233,6 +233,25 @@ class SpectralOperators:
         )
         return self.fft.backward_batch(rows)
 
+    def convective_derivative(
+        self, velocity: np.ndarray, vector_field: np.ndarray
+    ) -> np.ndarray:
+        """``(v . grad) w`` of two ``(3, N1, N2, N3)`` fields.
+
+        The Jacobian of ``w`` contracted with ``v`` one derivative direction
+        at a time: one batched forward transform, three batched inverses of
+        three fields each (12 transforms, three derivative fields live where
+        :meth:`jacobian` holds nine).
+        """
+        velocity = check_velocity_shape(velocity, self.grid.shape)
+        vector_field = check_velocity_shape(vector_field, self.grid.shape)
+        spectra = self.fft.forward_vector(vector_field)
+        ik1, ik2, ik3 = self._ik
+        out = velocity[0] * self.fft.inverse_vector(ik1 * spectra)
+        out += velocity[1] * self.fft.inverse_vector(ik2 * spectra)
+        out += velocity[2] * self.fft.inverse_vector(ik3 * spectra)
+        return out
+
     # ------------------------------------------------------------------ #
     # Leray projection
     # ------------------------------------------------------------------ #

@@ -2,13 +2,22 @@
 
 Implements the scheme of Sec. III-B2 (Eqs. 6 and 7 of the paper):
 
-1. For every regular grid point ``x`` the departure point ``X`` is found with
-   a two-stage (RK2 / explicit midpoint) backward trace::
+1. For every regular grid point ``x`` the departure point ``X`` is where
+   the characteristic ``dX/ds = v(X)``, ``X(0) = x`` was one step earlier.
+   The paper traces it with an RK2 step whose predictor value ``v(X*)`` is
+   interpolated; here the flow is expanded about ``x`` instead (McGregor
+   1993, "Economical determination of departure points for semi-Lagrangian
+   models", Mon. Wea. Rev. 121), to third order::
 
-       X* = x - dt * v(x)
-       X  = x - dt/2 * (v(x) + v(X*))
+       X(s) = x + s v + s^2/2 a + s^3/6 b,    a = (v . grad) v,  b = (v . grad) a
+       X    = X(-dt)
 
-   ``v(X*)`` is interpolated because ``X*`` is off the grid.
+   ``a`` and ``b`` are spectral derivatives on the grid, so planning a
+   velocity interpolates nothing.  ``a`` is even and ``b`` odd in ``v``:
+   the characteristics of ``-v`` (the adjoint equations) end at ``X(+dt)``
+   of the same pair.  The expansion assumes a velocity the grid resolves —
+   every velocity the solver produces (regularized, band-limited); its error
+   is ``O(dt^4)`` per step against the RK2 trace's ``O(dt^3)``.
 
 2. The transported scalar ``nu`` with source ``f`` is then updated with the
    Heun (explicit trapezoidal) rule along the characteristic::
@@ -43,29 +52,31 @@ Sec. III-C2.  The stepper goes one step further and caches the full
 **gather plan** (base indices + per-axis kernel weights, see
 :mod:`repro.transport.kernels`) for its departure points, so repeated steps
 never re-derive the interpolation stencil; fields that are interpolated
-together (the three velocity components of the RK2 trace, the displacement
-components of the deformation map) move through one batched gather pass.
-The same machinery handles the adjoint equations after the time reversal
-``tau = 1 - t`` by passing ``-v``.
+together (the displacement components of the deformation map) move through
+one batched gather pass.  The same machinery handles the adjoint equations
+after the time reversal ``tau = 1 - t`` by passing ``-v``.  A velocity that
+is identically zero — the first iterate of every registration — has no
+characteristics to follow: its stepper plans nothing and gathers nothing.
 
 Since PR 3 the departure points and their gather plan live in the shared
 **plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
 ``(grid, velocity, dt, kernel, backend)``: any stepper built for a velocity
 the pool has already planned — a ``beta``-continuation warm start, the
 deformation map of a just-solved registration — reuses the warm plan instead
-of re-tracing and re-planning.  (The accepted line-search trial does not
+of re-expanding and re-planning.  (The accepted line-search trial does not
 even look: ``linearize`` adopts its whole ``TransportPlan``.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from dataclasses import InitVar, dataclass
+from typing import Callable, Hashable, Optional, Tuple
 
 import numpy as np
 
 from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
+from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     FieldSource,
@@ -76,25 +87,39 @@ from repro.transport.kernels import (
 from repro.utils.validation import check_velocity_shape
 
 
+def flow_derivatives(
+    velocity: np.ndarray, operators: SpectralOperators
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The fields ``a = (v . grad) v`` and ``b = (v . grad) a`` of the expansion.
+
+    Two spectral Jacobians contracted with ``v`` (24 transforms).  The pair
+    serves both directions: ``-v`` has the derivatives ``(a, -b)``.
+    """
+    a = operators.convective_derivative(velocity, velocity)
+    return a, operators.convective_derivative(velocity, a)
+
+
 def compute_departure_points(
     grid: Grid,
     velocity: np.ndarray,
     dt: float,
-    interpolator: Optional[PeriodicInterpolator] = None,
+    derivatives: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
-    """Backward-traced departure points ``X`` for every grid point (Eq. 6).
+    """Departure points ``X(-dt)`` of every grid point (module docstring, step 1).
 
     Parameters
     ----------
     grid:
         Regular grid whose nodes are the arrival points ``x``.
     velocity:
-        Stationary velocity field ``v`` stacked as ``(3, N1, N2, N3)``.
+        Stationary velocity field ``v`` stacked as ``(3, N1, N2, N3)``,
+        resolved on the grid (the expansion differentiates it spectrally).
     dt:
         Time-step size.
-    interpolator:
-        Interpolator used for ``v(X*)``; a tricubic B-spline interpolator is
-        created if not supplied.
+    derivatives:
+        The pair :func:`flow_derivatives` returns for *velocity*, when the
+        caller already has it (``(a, -b)`` of ``v`` for ``-v``); computed
+        here when omitted.
 
     Returns
     -------
@@ -105,21 +130,23 @@ def compute_departure_points(
     velocity = check_velocity_shape(velocity, grid.shape)
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
-    interpolator = interpolator or PeriodicInterpolator(grid)
-    x = grid.coordinate_stack()
-    x_star = x - dt * velocity
-    v_at_star = interpolator.interpolate_vector(velocity, x_star)
-    return x - 0.5 * dt * (velocity + v_at_star)
+    if derivatives is None:
+        derivatives = flow_derivatives(velocity, SpectralOperators(grid))
+    a, b = derivatives
+    points = grid.coordinate_stack()
+    points -= dt * velocity
+    points += (0.5 * dt**2) * a
+    points -= (dt**3 / 6.0) * b
+    return points
 
 
 @dataclass
 class DeparturePlanData:
     """Pooled per-velocity planning data: departure points + gather plan.
 
-    The unit the plan pool stores and accounts for: the backward-traced
-    departure points of one ``(velocity, dt)`` pair and the gather plan
-    (wrapped coordinates + cached stencil) of one interpolation kernel /
-    backend at those points.
+    The unit the plan pool stores and accounts for: the departure points of
+    one ``(velocity, dt)`` pair and the gather plan (wrapped coordinates +
+    cached stencil) of one interpolation kernel / backend at those points.
     """
 
     points: np.ndarray
@@ -137,7 +164,10 @@ class SemiLagrangianStepper:
 
     The stepper is bound to a fixed velocity and time step; the departure
     points are computed once at construction (the paper's "scatter"/planning
-    phase) and shared by every call to :meth:`step`.
+    phase) and shared by every call to :meth:`step`.  A velocity that is
+    identically zero departs from the grid itself: that stepper holds no
+    departure data (both fields stay ``None``), touches no pool and gathers
+    nothing — :meth:`step` is ``nu + dt/2 (f_old + f_new)``.
 
     Parameters
     ----------
@@ -162,6 +192,11 @@ class SemiLagrangianStepper:
         (:meth:`TransportSolver.plan` fingerprints ``v`` once and names its
         ``-v`` stepper ``(fingerprint, "reversed")``); the velocity is
         fingerprinted when omitted.
+    derivatives:
+        Called on a pool miss for the :func:`flow_derivatives` pair of
+        *velocity* (:meth:`TransportSolver.plan` shares one pair between its
+        two steppers, through its own operators); a standalone stepper
+        computes the pair itself.  Not kept.
     """
 
     grid: Grid
@@ -172,8 +207,9 @@ class SemiLagrangianStepper:
     departure_plan: Optional[GatherPlan] = None
     use_plan_pool: bool = True
     velocity_key: Optional[Hashable] = None
+    derivatives: InitVar[Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]]] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, derivatives) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
         if self.interpolator is None:
             self.interpolator = PeriodicInterpolator(self.grid)
@@ -182,12 +218,14 @@ class SemiLagrangianStepper:
                 "departure_points and departure_plan must be provided together "
                 "(one without the other would silently be rebuilt and ignored)"
             )
-        if self.departure_points is None:
+        if self.departure_points is None and self.velocity.any():
             if self.use_plan_pool:
                 key = self._pool_key()
-                data = get_plan_pool().get(key, lambda: self._build_departure_data(key))
+                data = get_plan_pool().get(
+                    key, lambda: self._build_departure_data(derivatives, key)
+                )
             else:
-                data = self._build_departure_data()
+                data = self._build_departure_data(derivatives)
             self.departure_points = data.points
             self.departure_plan = data.plan
 
@@ -212,13 +250,16 @@ class SemiLagrangianStepper:
             self.velocity_key or array_fingerprint(self.velocity),
         )
 
-    def _build_departure_data(self, key: Optional[Tuple] = None) -> DeparturePlanData:
-        """Trace the characteristics and plan the gather (the pool's miss path).
+    def _build_departure_data(
+        self, derivatives=None, key: Optional[Tuple] = None
+    ) -> DeparturePlanData:
+        """Expand the characteristics and plan the gather (the pool's miss path).
 
         The departure points are a pure function of the pool *key*, so it
         also names their gather operator: nothing hashes the coordinates.
         """
-        points = compute_departure_points(self.grid, self.velocity, self.dt, self.interpolator)
+        pair = None if derivatives is None else derivatives()
+        points = compute_departure_points(self.grid, self.velocity, self.dt, pair)
         # the paper's planning phase: the gather stencil of the departure
         # points is computed once and reused by every step of every field
         plan = self.interpolator.plan(points, key=key)
@@ -231,6 +272,8 @@ class SemiLagrangianStepper:
     # ------------------------------------------------------------------ #
     def interpolate_at_departure(self, field: np.ndarray) -> np.ndarray:
         """Interpolate a grid field at the cached departure points."""
+        if self.departure_plan is None:  # v = 0: the departure points are the grid
+            return np.array(field, dtype=self.grid.dtype)
         return self.interpolator.interpolate_planned(field, self.departure_plan)
 
     def interpolate_many_at_departure(
@@ -242,6 +285,10 @@ class SemiLagrangianStepper:
         tiled (out-of-core) mode with bitwise-identical values — the entry
         point for fields too large to hold resident.
         """
+        if self.departure_plan is None:  # v = 0: the departure points are the grid
+            if is_field_source(fields):
+                return fields.load_all().astype(self.grid.dtype, copy=False)
+            return np.array(fields, dtype=self.grid.dtype)
         return self.interpolator.interpolate_many_planned(fields, self.departure_plan)
 
     def step(

@@ -36,6 +36,7 @@ solvers here return full space-time histories as arrays of shape
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -46,7 +47,7 @@ from repro.runtime.plan_pool import array_fingerprint
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.semi_lagrangian import SemiLagrangianStepper
+from repro.transport.semi_lagrangian import SemiLagrangianStepper, flow_derivatives
 from repro.utils.validation import check_positive_int, check_velocity_shape
 
 
@@ -55,14 +56,16 @@ class TransportPlan:
     """Pre-computed data shared by every transport solve for one velocity.
 
     Mirrors the paper's "interpolation planner": the semi-Lagrangian
-    departure points are computed once per velocity for the forward
-    characteristics (velocity ``v``) and once for the backward
-    characteristics (velocity ``-v``), then re-used by the state, adjoint and
-    both incremental equations of every Hessian matvec (Sec. III-C2).  Each
-    stepper additionally caches the gather plan (base indices + per-axis
-    interpolation weights, :mod:`repro.transport.kernels`) of its departure
-    points, so the Hessian mat-vecs never re-derive stencils they already
-    have.
+    departure points of the forward characteristics (velocity ``v``) and of
+    the backward characteristics (velocity ``-v``) are computed once per
+    velocity — both from one third-order expansion of the flow, no
+    interpolation (:mod:`repro.transport.semi_lagrangian`) — then re-used by
+    the state, adjoint and both incremental equations of every Hessian
+    matvec (Sec. III-C2).  Each stepper additionally caches the gather plan
+    (base indices + per-axis interpolation weights,
+    :mod:`repro.transport.kernels`) of its departure points, so the Hessian
+    mat-vecs never re-derive stencils they already have.  ``v = 0`` has one
+    stepper for both directions, and it holds nothing.
     """
 
     velocity: np.ndarray
@@ -103,17 +106,15 @@ class TransportPlan:
         """Byte size of the per-velocity planning data this plan holds.
 
         Counts the departure points and gather plans of both steppers (the
-        quantities the shared plan pool stores and budgets; ``v = 0`` has
-        one stepper for both directions) plus the cached divergence field
-        and, once built, the growth factor.
+        quantities the shared plan pool stores and budgets; none for
+        ``v = 0``) plus the cached divergence field and, once built, the
+        growth factor.
         """
-        steppers = [self.forward_stepper]
-        if self.backward_stepper is not self.forward_stepper:
-            steppers.append(self.backward_stepper)
         growth_bytes = 0 if self._growth is None else self._growth.nbytes
         return self.divergence.nbytes + growth_bytes + sum(
             stepper.departure_points.nbytes + stepper.departure_plan.nbytes
-            for stepper in steppers
+            for stepper in (self.forward_stepper, self.backward_stepper)
+            if stepper.departure_plan is not None
         )
 
 
@@ -177,20 +178,34 @@ class TransportSolver:
         both characteristic directions) comes from the shared plan pool
         (:mod:`repro.runtime.plan_pool`): velocities the pool has already
         planned — a continuation warm start, the deformation map of the
-        final iterate — are warm hits and skip the trace/plan work entirely.
+        final iterate — are warm hits and skip the expansion/plan work
+        entirely.  A direction that misses expands the flow through this
+        solver's operators; the derivative pair is computed once for both
+        directions and dropped when this method returns.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        # one hash per velocity: -v is named after v, and each stepper's
-        # gather operator after the stepper
-        fingerprint = array_fingerprint(velocity)
-        forward = SemiLagrangianStepper(
-            self.grid, velocity, self.dt, self._interpolator, velocity_key=fingerprint
-        )
-        backward = forward  # v = 0 (every solve's first iterate) is its own reverse
-        if velocity.any():
+        if not velocity.any():
+            # every solve's first iterate: its own reverse, nothing to plan
+            forward = backward = SemiLagrangianStepper(
+                self.grid, velocity, self.dt, self._interpolator
+            )
+        else:
+            # one hash per velocity: -v is named after v, and each stepper's
+            # gather operator after the stepper
+            fingerprint = array_fingerprint(velocity)
+            derivatives = functools.cache(lambda: flow_derivatives(velocity, self.operators))
+
+            def reversed_derivatives():
+                a, b = derivatives()
+                return a, -b
+
+            forward = SemiLagrangianStepper(
+                self.grid, velocity, self.dt, self._interpolator,
+                velocity_key=fingerprint, derivatives=derivatives,
+            )
             backward = SemiLagrangianStepper(
                 self.grid, -velocity, self.dt, self._interpolator,
-                velocity_key=(fingerprint, "reversed"),
+                velocity_key=(fingerprint, "reversed"), derivatives=reversed_derivatives,
             )
         div_v = self.operators.divergence(velocity)
         vel_scale = max(self.grid.norm(velocity), 1e-30)

@@ -36,6 +36,14 @@ factor, a multiplication after the gather), for every velocity:
 The interpolation cost is identical cached and uncached — the cache only
 touches spectral work.
 
+**Planning.**  The departure points of both characteristic directions come
+from one spectral expansion of the flow (two Jacobians of the velocity), so
+planning a new velocity interpolates nothing:
+
+    linearize(new v):  2*nt + 1 sweeps (state, adjoint, growth factor),
+                       24 transforms more than on a pool hit
+    v = 0:             no plan, no pool entry, no sweep at all
+
 These tests pin all three numbers exactly so any refactor of the spectral or
 interpolation layers (backends, batching, plan caching) that changes the
 amount of kernel work is caught immediately, and they assert the counts are
@@ -48,7 +56,9 @@ import pytest
 
 from repro.core.gradients import set_gradient_cache_enabled
 from repro.core.problem import RegistrationProblem
-from repro.data.synthetic import synthetic_registration_problem
+from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
+from repro.observability import get_metrics_registry
+from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
 from repro.spectral.backends import available_backends as available_fft_backends
 from repro.transport.kernels import available_backends as available_interp_backends
 
@@ -131,6 +141,7 @@ class TestPaperComplexityModel:
         """
         counts = {}
         for cached in (True, False):
+            reset_plan_pool()  # both arms plan the velocity (24 transforms)
             set_gradient_cache_enabled(cached)
             problem = _build_problem(nt)
             velocity = _generic_velocity(problem)
@@ -179,7 +190,7 @@ class TestInterpolationSweeps:
         """The same ``2*nt`` as a general velocity (the name predates the growth factor)."""
         nt = 4
         problem = _build_problem(nt)
-        iterate = problem.linearize(problem.zero_velocity())
+        iterate = problem.linearize(solenoidal_velocity(problem.grid, 0.1))
         assert iterate.plan.is_divergence_free
         direction = 0.1 * np.random.default_rng(1).standard_normal(
             (3, *problem.grid.shape)
@@ -196,3 +207,41 @@ class TestInterpolationSweeps:
         nt = 4
         _, sweeps = _measure_matvec_work(nt, interp_backend=backend)
         assert sweeps == exact_interpolation_sweeps_per_matvec(nt)
+
+
+class TestPlanningCost:
+    """What planning a velocity costs: 24 transforms, no interpolation."""
+
+    @pytest.mark.parametrize("nt", [2, 4])
+    def test_linearize_of_a_new_velocity(self, nt):
+        set_gradient_cache_enabled(False)  # its pooled stack would be a hit too
+        problem = _build_problem(nt)
+        velocity = _generic_velocity(problem)
+        work = []
+        for _ in ("pool miss", "pool hit"):
+            before = problem.work_counters()
+            problem.linearize(velocity)
+            work.append(problem.work_counters() - before)
+        cold, warm = work
+        sweeps = [w.interpolation_sweeps(problem.grid.num_points) for w in work]
+        assert sweeps == [2 * nt + 1, 2 * nt + 1]
+        assert cold.fft_transforms - warm.fft_transforms == 24
+
+    def test_zero_velocity_plans_and_gathers_nothing(self):
+        problem = _build_problem(4)
+        reset_plan_pool()  # the synthetic problem planned its generating velocity
+
+        def operator_builds():
+            series = get_metrics_registry().collect().get("interp.operator_builds", {})
+            return sum(series.values())
+
+        builds = operator_builds()
+        before = problem.work_counters()
+        iterate = problem.linearize(problem.zero_velocity())
+        direction = 0.1 * np.random.default_rng(2).standard_normal((3, *problem.grid.shape))
+        problem.hessian_matvec(iterate, direction)
+        delta = problem.work_counters() - before
+        assert delta.interpolated_points == 0
+        assert operator_builds() == builds
+        assert set(get_plan_pool().stats_by_tag()) <= {"grad-cache"}
+        assert iterate.plan.backward_stepper is iterate.plan.forward_stepper

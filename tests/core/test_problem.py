@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.gradients import set_gradient_cache_enabled
 from repro.core.problem import RegistrationProblem
-from repro.data.synthetic import synthetic_registration_problem
+from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 
 from tests.fixtures import smooth_vector_field
 
@@ -278,7 +278,9 @@ class TestComplexityCounts:
             template=synthetic.template,
             num_time_steps=4,
         )
-        iterate = problem.linearize(problem.zero_velocity())
+        # not v = 0: a zero velocity plans and gathers nothing
+        velocity = solenoidal_velocity(problem.grid, 0.1)
+        iterate = problem.linearize(velocity)
         direction = 0.1 * smooth_vector_field(problem.grid, seed=22)
 
         before = problem.work_counters()
@@ -301,7 +303,7 @@ class TestComplexityCounts:
 
         set_gradient_cache_enabled(False)
         try:
-            uncached_iterate = problem.linearize(problem.zero_velocity())
+            uncached_iterate = problem.linearize(velocity)
             before = problem.work_counters()
             problem.hessian_matvec(uncached_iterate, direction)
             delta = problem.work_counters() - before

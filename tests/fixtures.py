@@ -102,6 +102,29 @@ def departure_like_points(grid: Grid, seed: int = 0, cells: float = 3.0) -> np.n
     )
 
 
+def rk2_departure_points(grid: Grid, velocity: np.ndarray, dt: float, interpolator) -> np.ndarray:
+    """The paper's interpolated RK2 trace (Eq. 6) — a test oracle.
+
+    What ``compute_departure_points`` did before the spectral expansion and
+    what ``DistributedSemiLagrangian`` still does through its star plan.
+    """
+    x = grid.coordinate_stack()
+    x_star = x - dt * velocity
+    v_at_star = interpolator.interpolate_vector(velocity, x_star)
+    return x - 0.5 * dt * (velocity + v_at_star)
+
+
+def rk2_stepper(grid: Grid, velocity: np.ndarray, dt: float, interpolator):
+    """A serial stepper on the RK2 oracle's departure points."""
+    from repro.transport.semi_lagrangian import SemiLagrangianStepper
+
+    points = rk2_departure_points(grid, velocity, dt, interpolator)
+    return SemiLagrangianStepper(
+        grid, velocity, dt, interpolator,
+        departure_points=points, departure_plan=interpolator.plan(points),
+    )
+
+
 # --------------------------------------------------------------------------- #
 # distributed harness
 # --------------------------------------------------------------------------- #

@@ -8,11 +8,15 @@ from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedSemiLagrangian, DistributedTransportSolver
 from repro.spectral.grid import Grid
-from repro.transport.semi_lagrangian import SemiLagrangianStepper, compute_departure_points
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.solvers import TransportSolver
 
-from tests.fixtures import smooth_scalar_field, smooth_vector_field, smooth_velocity_field
+from tests.fixtures import (
+    rk2_departure_points,
+    rk2_stepper,
+    smooth_scalar_field,
+    smooth_vector_field,
+    smooth_velocity_field,
+)
 
 pytestmark = pytest.mark.mpi
 
@@ -32,7 +36,8 @@ class TestDistributedSemiLagrangian:
     def test_departure_points_match_serial(self, grid, velocity, pgrid):
         deco = PencilDecomposition(grid.shape, *pgrid)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
-        serial = compute_departure_points(
+        # the distributed stepper still traces RK2 through its star plan
+        serial = rk2_departure_points(
             grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom")
         )
         for rank in range(deco.num_tasks):
@@ -43,8 +48,8 @@ class TestDistributedSemiLagrangian:
         deco = PencilDecomposition(grid.shape, 2, 2)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         field = smooth_scalar_field(grid, seed=7)
-        serial_stepper = SemiLagrangianStepper(
-            grid, velocity, 0.25, interpolator=PeriodicInterpolator(grid, "catmull_rom")
+        serial_stepper = rk2_stepper(
+            grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom")
         )
         expected = serial_stepper.step(field)
         blocks = stepper.step(deco.scatter(field))
@@ -138,8 +143,10 @@ class TestDistributedTransportSolver:
         distributed = DistributedTransportSolver(grid, deco, num_time_steps=4)
         result = distributed.solve_state(velocity, template)
 
-        serial = TransportSolver(grid, num_time_steps=4, interpolation="catmull_rom")
-        expected = serial.solve_state(serial.plan(velocity), template)[-1]
+        serial = rk2_stepper(grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom"))
+        expected = template
+        for _ in range(4):
+            expected = serial.step(expected)
         np.testing.assert_allclose(result, expected, atol=1e-9)
 
     def test_communication_is_charged(self):

@@ -60,8 +60,10 @@ for job in fast:
     deadline = time.monotonic() + 60
     while not os.path.exists(path) and time.monotonic() < deadline:
         time.sleep(0.005)
-with open(marker_path, "w") as handle:
+# published atomically: the parent kills this process as soon as the marker exists
+with open(marker_path + ".tmp", "w") as handle:
     json.dump({{"job_ids": [job.job_id for job in fast + slow]}}, handle)
+os.replace(marker_path + ".tmp", marker_path)
 threading.Event().wait()  # hold every claimed solve open until SIGKILL
 """
 

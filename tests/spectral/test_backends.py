@@ -207,10 +207,12 @@ class TestCounterParity:
         from repro.core.optim.gauss_newton import SolverOptions
         from repro.core.registration import RegistrationSolver
         from repro.data.synthetic import synthetic_registration_problem
+        from repro.runtime.plan_pool import reset_plan_pool
 
         synthetic = synthetic_registration_problem(8)
         totals = {}
         for name in ALL_AVAILABLE:
+            reset_plan_pool()  # every arm plans its velocities (24 transforms each)
             solver = RegistrationSolver(
                 beta=1e-2,
                 num_time_steps=2,

@@ -67,6 +67,15 @@ class TestDerivatives:
         for i in range(3):
             np.testing.assert_allclose(jac[i, i], ops.derivative(v[i], i), atol=1e-10)
 
+    def test_convective_derivative_is_the_contracted_jacobian(self, ops):
+        v = smooth_vector_field(ops.grid, seed=6)
+        w = smooth_vector_field(ops.grid, seed=7)
+        before = ops.fft.counters.total
+        out = ops.convective_derivative(v, w)
+        assert ops.fft.counters.total - before == 12
+        expected = np.einsum("j...,ij...->i...", v, ops.jacobian(w))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
+
 
 class TestLaplacianFamily:
     def test_laplacian_eigenfunction(self, ops):

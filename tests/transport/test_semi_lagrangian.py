@@ -3,11 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.data.synthetic import synthetic_velocity
+from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
+from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.semi_lagrangian import SemiLagrangianStepper, compute_departure_points
+from repro.transport.kernels import ArrayFieldSource
+from repro.transport.semi_lagrangian import (
+    SemiLagrangianStepper,
+    compute_departure_points,
+    flow_derivatives,
+)
 
-from tests.fixtures import make_grid, smooth_velocity_field
+from tests.fixtures import make_grid, rk2_departure_points, smooth_velocity_field
 
 
 def constant_velocity(grid, vector):
@@ -29,7 +37,7 @@ class TestDeparturePoints:
         dt = 0.25
         X = compute_departure_points(grid, v, dt)
         expected = grid.coordinate_stack() - dt * v
-        np.testing.assert_allclose(X, expected, atol=1e-10)
+        np.testing.assert_allclose(X, expected, atol=1e-14)
 
     def test_zero_dt_departure_is_identity(self):
         grid = Grid((8, 8, 8))
@@ -48,28 +56,62 @@ class TestDeparturePoints:
         with pytest.raises(ValueError):
             compute_departure_points(grid, np.zeros(grid.shape), 0.1)
 
-    def test_second_order_accuracy_for_rotation(self):
-        # rigid rotation in the x1-x2 plane about the domain center: the exact
-        # departure point is known analytically; the two-stage trace is O(dt^3)
-        # locally, i.e. O(dt^2) error per unit time.
+    def test_fourth_order_local_accuracy_on_a_periodic_flow(self):
+        # v_j = A sin(x_j) has the exact characteristics
+        # tan(X_j(s) / 2) = tan(x_j / 2) exp(A s); the third-order expansion
+        # leaves an O(dt^4) local error (the interpolated RK2 trace: O(dt^3)).
         grid = Grid((16, 16, 16))
-        center = np.pi
-        x1, x2, x3 = grid.coordinates()
-        omega = 0.5
-        v = np.stack([-(x2 - center) * omega, (x1 - center) * omega, np.zeros_like(x3)], axis=0)
+        amplitude = 0.8
+        x = grid.coordinate_stack()
+        v = amplitude * np.sin(x)
         errors = []
         for dt in (0.2, 0.1):
-            X = compute_departure_points(grid, v, dt)
-            angle = -omega * dt
-            exact1 = center + np.cos(angle) * (x1 - center) - np.sin(angle) * (x2 - center)
-            exact2 = center + np.sin(angle) * (x1 - center) + np.cos(angle) * (x2 - center)
-            interior = (np.abs(x1 - center) < 2.0) & (np.abs(x2 - center) < 2.0)
-            err = np.max(
-                np.abs(X[0] - exact1)[interior] + np.abs(X[1] - exact2)[interior]
+            exact = 2.0 * np.arctan2(np.sin(x / 2) * np.exp(-amplitude * dt), np.cos(x / 2))
+            errors.append(np.max(np.abs(compute_departure_points(grid, v, dt) - exact)))
+        assert errors[0] < 5e-5
+        assert errors[1] < errors[0] / 14.0
+
+    def test_error_and_order_against_rk4_reference(self):
+        """Orders, not tolerances: the paper's analytic velocity, traced by a
+        substepped RK4 on the formula, is the reference for the expansion."""
+        grid = Grid((32, 32, 32))
+        velocity = synthetic_velocity(grid, amplitude=1.0)
+
+        def analytic(X):
+            x1, x2, x3 = X
+            return np.stack(
+                [np.cos(x1) * np.sin(x2), np.cos(x2) * np.sin(x1), np.cos(x1) * np.sin(x3)]
             )
-            errors.append(err)
-        # the local error of the two-stage trace is better than first order in dt
-        assert errors[1] < errors[0] / 2.5
+
+        def reference(dt, substeps=32):
+            X, h = grid.coordinate_stack(), -dt / substeps
+            for _ in range(substeps):
+                k1 = analytic(X)
+                k2 = analytic(X + 0.5 * h * k1)
+                k3 = analytic(X + 0.5 * h * k2)
+                k4 = analytic(X + h * k3)
+                X = X + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+            return X
+
+        errors = [
+            np.max(np.abs(compute_departure_points(grid, velocity, dt) - reference(dt)))
+            for dt in (0.25, 0.125)
+        ]
+        assert errors[0] <= 7.5e-4
+        assert errors[1] <= errors[0] / 14.0
+        # what it replaced: the interpolated RK2 trace errs by 2.6e-3 here
+        rk2 = rk2_departure_points(grid, velocity, 0.25, PeriodicInterpolator(grid))
+        assert np.max(np.abs(rk2 - reference(0.25))) > 3.0 * errors[0]
+
+    def test_backward_points_share_the_forward_derivatives(self):
+        """``a`` is even and ``b`` odd in ``v``: ``-v`` departs from ``(a, -b)``."""
+        grid = Grid((16, 19, 16))
+        v = smooth_velocity_field(grid, seed=5, amplitude=0.7)
+        a, b = flow_derivatives(v, SpectralOperators(grid))
+        np.testing.assert_array_equal(
+            compute_departure_points(grid, -v, 0.25, (a, -b)),
+            compute_departure_points(grid, -v, 0.25),
+        )
 
 
 class TestStepper:
@@ -90,6 +132,24 @@ class TestStepper:
         stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.25)
         nu = rng.standard_normal(grid.shape)
         np.testing.assert_allclose(stepper.step(nu), nu, atol=1e-10)
+
+    def test_zero_velocity_plans_and_gathers_nothing(self, rng):
+        grid = Grid((8, 8, 8))
+        interp = PeriodicInterpolator(grid)
+        stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.5, interp)
+        assert stepper.departure_points is None and stepper.departure_plan is None
+        assert len(get_plan_pool()) == 0
+        nu, f_old, f_new = rng.standard_normal((3, *grid.shape))
+        np.testing.assert_array_equal(
+            stepper.step(nu, f_old, f_new), (nu + 0.25 * f_old) + 0.25 * f_new
+        )
+        stepped = stepper.step(nu)
+        np.testing.assert_array_equal(stepped, nu)
+        assert stepped is not nu
+        stack = np.stack([nu, f_old])
+        np.testing.assert_array_equal(stepper.step_many(stack), stack)
+        np.testing.assert_array_equal(stepper.step_many(ArrayFieldSource(stack)), stack)
+        assert interp.points_interpolated == 0
 
     def test_source_only_integration(self):
         # v = 0, f = 1 everywhere: nu(dt) = nu(0) + dt
