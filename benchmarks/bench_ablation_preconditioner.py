@@ -33,8 +33,8 @@ def _pcg_iterations(resolution: int, variant: str, beta: float = 1e-2) -> int:
     preconditioner = SpectralPreconditioner(problem.regularizer, variant)
     result = pcg(
         problem.hessian_operator(iterate),
-        -iterate.gradient,
-        problem.grid,
+        -iterate.gradient_spectrum,
+        problem.operators.fft,
         preconditioner,
         rel_tol=1e-2,
         max_iterations=200,

@@ -38,8 +38,8 @@ def _pcg_iterations_for_beta(pair, beta: float) -> int:
     preconditioner = SpectralPreconditioner(problem.regularizer)
     result = pcg(
         problem.hessian_operator(iterate),
-        -iterate.gradient,
-        problem.grid,
+        -iterate.gradient_spectrum,
+        problem.operators.fft,
         preconditioner,
         rel_tol=1e-2,
         max_iterations=300,

@@ -104,9 +104,9 @@ class BetaContinuation:
 
         Successive levels revisit velocities (each level warm-starts from
         the previous optimum, whose transport plan the previous solve just
-        built, and the admissibility check transports the same velocity
-        again), so the shared plan pool turns those re-plans into warm
-        hits; the per-run delta is reported in the result.
+        built), so the shared plan pool turns those re-plans into warm
+        hits; the per-run delta is reported in the result.  The
+        admissibility check transports through the final iterate's own plan.
         """
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
@@ -126,7 +126,10 @@ class BetaContinuation:
             result = solver.solve(velocity)
 
             deformation = DeformationMap(
-                problem.grid, result.velocity, transport=problem.transport
+                problem.grid,
+                result.velocity,
+                transport=problem.transport,
+                plan=result.final_iterate.plan,
             )
             det_min = float(deformation.determinant().min())
             accepted = det_min >= self.det_grad_bound

@@ -5,7 +5,8 @@ This is the optimization driver of the paper (Sec. III-A):
 * outer iteration: Newton's method globalized with an Armijo line search,
 * inner iteration: matrix-free PCG on the (Gauss-)Newton system
   ``H(v) v~ = -g(v)``, preconditioned with the spectral inverse of the
-  regularization operator,
+  regularization operator — iterated on half-spectra, where that inverse
+  is one multiply, and transformed back once, as the step,
 * inexactness: the PCG relative tolerance is chosen from the current
   gradient norm (Eisenstat-Walker forcing; the paper uses "an inexact
   Newton method with quadratic forcing", Sec. IV-A3),
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -226,47 +227,35 @@ class GaussNewtonKrylov:
             forcing = options.forcing_term(iterate.gradient_norm, initial_gradient_norm)
             matvec_count_before = problem.hessian_matvec_count
             with trace_span("newton.iteration", iteration=iteration) as iteration_span:
-                with trace_span("newton.pcg", forcing=forcing):
-                    pcg_result = pcg(
-                        matvec=problem.hessian_operator(iterate),
-                        rhs=-iterate.gradient,
-                        grid=grid,
-                        preconditioner=preconditioner,
-                        rel_tol=forcing,
-                        max_iterations=options.max_krylov_iterations,
-                        cancel_token=options.cancel_token,
-                    )
+                direction, pcg_iterations = self._newton_step(iterate, preconditioner, forcing)
                 matvecs_this_iteration = problem.hessian_matvec_count - matvec_count_before
                 total_matvecs += matvecs_this_iteration
-                total_pcg += pcg_result.iterations
+                total_pcg += pcg_iterations
                 iteration_span.set_attr("hessian_matvecs", matvecs_this_iteration)
 
-                direction = pcg_result.solution
-                if not np.any(direction):
-                    # PCG returned a zero step (e.g. immediate negative
-                    # curvature); fall back to preconditioned steepest descent.
-                    direction = preconditioner(-iterate.gradient)
-
+                gradient = iterate.gradient  # a field, for the line search's slope
                 with trace_span("newton.line_search"):
                     ls = options.line_search.search(
                         objective=problem.trial_objective,
                         grid=grid,
                         current_point=iterate.velocity,
                         current_objective=iterate.objective.total,
-                        gradient=iterate.gradient,
+                        gradient=gradient,
                         direction=direction,
                     )
                 if not ls.success:
                     # Retry along the preconditioned negative gradient before
                     # declaring failure.
-                    direction = preconditioner(-iterate.gradient)
+                    direction = problem.operators.fft.inverse_vector(
+                        preconditioner(-iterate.gradient_spectrum)
+                    )
                     with trace_span("newton.line_search", retry=True):
                         ls = options.line_search.search(
                             objective=problem.trial_objective,
                             grid=grid,
                             current_point=iterate.velocity,
                             current_objective=iterate.objective.total,
-                            gradient=iterate.gradient,
+                            gradient=gradient,
                             direction=direction,
                         )
                     if not ls.success:
@@ -278,7 +267,7 @@ class GaussNewtonKrylov:
                                 iterate,
                                 rel_gnorm,
                                 forcing,
-                                pcg_result.iterations,
+                                pcg_iterations,
                                 matvecs_this_iteration,
                                 0.0,
                                 ls.evaluations,
@@ -296,7 +285,7 @@ class GaussNewtonKrylov:
                     iterate,
                     iterate.gradient_norm / initial_gradient_norm,
                     forcing,
-                    pcg_result.iterations,
+                    pcg_iterations,
                     matvecs_this_iteration,
                     ls.step_length,
                     ls.evaluations,
@@ -315,6 +304,29 @@ class GaussNewtonKrylov:
             total_pcg_iterations=total_pcg,
             elapsed_seconds=elapsed,
         )
+
+    def _newton_step(
+        self, iterate: OuterIterate, preconditioner: SpectralPreconditioner, forcing: float
+    ) -> Tuple[np.ndarray, int]:
+        """PCG on half-spectra to *forcing*: the step as a field, the iteration count."""
+        problem = self.problem
+        fft = problem.operators.fft
+        with trace_span("newton.pcg", forcing=forcing):
+            result = pcg(
+                matvec=problem.hessian_operator(iterate),
+                rhs=-iterate.gradient_spectrum,
+                space=fft,
+                preconditioner=preconditioner,
+                rel_tol=forcing,
+                max_iterations=self.options.max_krylov_iterations,
+                cancel_token=self.options.cancel_token,
+            )
+        step = result.solution
+        if not np.any(step):
+            # PCG returned a zero step (e.g. immediate negative curvature);
+            # fall back to preconditioned steepest descent.
+            step = preconditioner(-iterate.gradient_spectrum)
+        return fft.inverse_vector(step), result.iterations
 
     def _record(
         self,

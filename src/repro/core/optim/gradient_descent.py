@@ -90,7 +90,9 @@ class GradientDescent:
                 reason = "wall_clock_budget"
                 break
 
-            direction = preconditioner(-iterate.gradient)
+            direction = problem.operators.fft.inverse_vector(
+                preconditioner(-iterate.gradient_spectrum)
+            )
             ls = options.line_search.search(
                 objective=problem.trial_objective,
                 grid=grid,

@@ -2,10 +2,14 @@
 
 The Newton step is computed by solving ``H(v) v~ = -g(v)`` with PCG
 (Sec. III-A).  The operator is only available as a mat-vec (two transport
-solves per application), so a fully matrix-free implementation working on
-velocity-shaped ``(3, N1, N2, N3)`` arrays is required.  The solve is
-*inexact*: the relative tolerance is the Eisenstat-Walker forcing term chosen
-by the outer Newton iteration.
+solves per application), so the implementation is fully matrix-free, and it
+takes the space its vectors live in: it adds and scales arrays and asks the
+*space* for inner products and norms.  The Newton driver iterates on ``rfftn``
+half-spectra of velocity fields (:class:`~repro.spectral.fft.FourierTransform`
+is that space), where the preconditioner and the Leray projection are diagonal
+and cost no transform; a :class:`~repro.spectral.grid.Grid` is the space of
+the fields themselves.  The solve is *inexact*: the relative tolerance is the
+Eisenstat-Walker forcing term chosen by the outer Newton iteration.
 
 Safeguards follow standard Newton-Krylov practice (e.g. Nocedal & Wright):
 if a direction of negative curvature is encountered the iteration stops and
@@ -17,18 +21,25 @@ step a descent direction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Protocol
 
 import numpy as np
 
 from repro.observability.trace import trace_span
 from repro.runtime.cancellation import check_cancelled
-from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
 
 LOGGER = get_logger("core.optim.pcg")
 
 MatVec = Callable[[np.ndarray], np.ndarray]
+
+
+class VectorSpace(Protocol):
+    """What :func:`pcg` needs of the space its iterates live in."""
+
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float: ...
+
+    def norm(self, a: np.ndarray) -> float: ...
 
 
 @dataclass
@@ -51,7 +62,7 @@ class PCGResult:
 def pcg(
     matvec: MatVec,
     rhs: np.ndarray,
-    grid: Grid,
+    space: VectorSpace,
     preconditioner: Optional[MatVec] = None,
     rel_tol: float = 1e-2,
     abs_tol: float = 0.0,
@@ -64,11 +75,13 @@ def pcg(
     Parameters
     ----------
     matvec:
-        Callable applying the SPD operator ``H`` to a velocity-shaped array.
+        Callable applying the SPD operator ``H`` to an array of *space*.
     rhs:
         Right-hand side (``-g`` for the Newton system).
-    grid:
-        Grid defining the inner product (mesh-weighted L2).
+    space:
+        Defines the inner product (mesh-weighted L2) of the arrays iterated
+        on: a :class:`~repro.spectral.grid.Grid` for fields, a
+        :class:`~repro.spectral.fft.FourierTransform` for their half-spectra.
     preconditioner:
         Callable applying ``M^{-1}``; identity when omitted.
     rel_tol:
@@ -107,13 +120,13 @@ def pcg(
     r = rhs - matvec(x) if x0 is not None and np.any(x0) else rhs.copy()
     z = apply_prec(r)
     p = z.copy()
-    rz = grid.inner(r, z)
+    rz = space.inner(r, z)
 
-    r_norm = grid.norm(r)
+    r_norm = space.norm(r)
     residual_norms = [r_norm]
     # the relative tolerance is measured against ||rhs|| (scipy convention),
     # so a warm start that already satisfies the system converges immediately
-    target = max(rel_tol * grid.norm(rhs), abs_tol)
+    target = max(rel_tol * space.norm(rhs), abs_tol)
 
     if r_norm <= target:
         return PCGResult(solution=x, iterations=0, residual_norms=residual_norms, converged=True)
@@ -127,7 +140,7 @@ def pcg(
         check_cancelled(cancel_token, "pcg solve")
         with trace_span("pcg.matvec", iteration=iteration):
             hp = matvec(p)
-        curvature = grid.inner(p, hp)
+        curvature = space.inner(p, hp)
         iterations = iteration + 1
         if curvature <= 0.0:
             # Negative (or zero) curvature: fall back to the best iterate so
@@ -141,13 +154,13 @@ def pcg(
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * hp
-        r_norm = grid.norm(r)
+        r_norm = space.norm(r)
         residual_norms.append(r_norm)
         if r_norm <= target:
             converged = True
             break
         z = apply_prec(r)
-        rz_new = grid.inner(r, z)
+        rz_new = space.inner(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
 

@@ -12,7 +12,9 @@ the spectrum around ``1 + (beta A)^+ Q``: the number of PCG iterations is
 then independent of the mesh size, but it degrades as ``beta`` is reduced —
 exactly the behaviour the paper reports in Table V.
 
-Two variants are provided:
+``M^{-1}`` is diagonal in Fourier space and the Krylov solve iterates on
+half-spectra (:mod:`repro.core.optim.pcg`), so applying it is one multiply
+by its symbol — no transform.  Three variants are provided:
 
 ``"inverse_regularization"``
     ``M^{-1} = (beta A)^+`` with the identity on the (null-space) constant
@@ -75,11 +77,11 @@ class SpectralPreconditioner:
         symbol[a == 0.0] = 1.0
         return symbol
 
-    def __call__(self, residual: np.ndarray) -> np.ndarray:
-        """Apply ``M^{-1}`` to a (vector-field) residual."""
+    def __call__(self, spectrum: np.ndarray) -> np.ndarray:
+        """Apply ``M^{-1}`` to the half-spectra of a (vector-field) residual."""
         if self._symbol is None:
-            return residual.copy()
-        return self.regularizer.operators.apply_vector_symbol(residual, self._symbol)
+            return spectrum.copy()
+        return spectrum * self._symbol
 
     def rebuild(self, regularizer: _SobolevSeminormRegularization) -> "SpectralPreconditioner":
         """New preconditioner for an updated regularization weight."""

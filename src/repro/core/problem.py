@@ -16,12 +16,19 @@ optimization problem (Sec. II-B of the paper):
 Every evaluation follows the optimize-then-discretize strategy of the paper:
 the continuous optimality conditions are discretized with the spectral /
 semi-Lagrangian kernels of :mod:`repro.spectral` and :mod:`repro.transport`.
+
+``beta A``, ``P`` and the preconditioner are diagonal in Fourier space, so
+the velocity-space algebra runs on ``rfftn`` half-spectra: the gradient is
+``g^ = P^(beta A^ v^ + b^)`` after one forward transform of the body force
+``b``, norms and energies are Parseval sums, and a Hessian mat-vec of a
+half-spectrum (what the Krylov solver iterates on) transforms twice —
+``p^ -> p`` for the two transport solves, ``b~ -> b~^`` for their result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +43,7 @@ from repro.core.gradients import (
 )
 from repro.core.regularization import make_regularization
 from repro.observability.trace import trace_span
+from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.kernels import default_plan_layout, resolve_plan_layout
@@ -70,9 +78,12 @@ class OuterIterate:
     state_history: np.ndarray
     adjoint_history: np.ndarray
     objective: ObjectiveParts
-    gradient: np.ndarray
+    #: half-spectra of the reduced gradient (minus the Newton system's right-hand side)
+    gradient_spectrum: np.ndarray
     gradient_norm: float
     residual: np.ndarray
+    #: the transform :attr:`gradient` comes back through
+    fft: FourierTransform
     #: Iterate-scoped source of the state-history gradients (cached stack or
     #: lazy recomputation, :mod:`repro.core.gradients`).  ``None`` on
     #: hand-built iterates — every consumer then degrades to the lazy path.
@@ -82,6 +93,15 @@ class OuterIterate:
     def deformed_template(self) -> np.ndarray:
         """The transported template ``rho(., 1)``."""
         return self.state_history[-1]
+
+    @property
+    def gradient(self) -> np.ndarray:
+        """The reduced gradient as a field, transformed on demand (3 transforms).
+
+        Not stored: results and continuation levels retain their final
+        iterates, and a line search asks for the field once per Newton step.
+        """
+        return self.fft.inverse_vector(self.gradient_spectrum)
 
 
 @dataclass
@@ -194,7 +214,7 @@ class RegistrationProblem:
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
         self._gradient_scope = GradientCacheScope()
-        #: the most recent line-search trial: (velocity, plan, state history)
+        #: the most recent line-search trial: (velocity, spectrum, plan, state history)
         self._trial: Optional[tuple] = None
 
     # ------------------------------------------------------------------ #
@@ -210,10 +230,21 @@ class RegistrationProblem:
         self.regularizer = self.regularizer.with_beta(beta)
 
     def project(self, vector_field: np.ndarray) -> np.ndarray:
-        """Apply the Leray projection if the problem is incompressible."""
+        """Apply the Leray projection if the problem is incompressible.
+
+        For a caller-supplied velocity; the solver projects half-spectra.
+        """
+        return self._projected(vector_field)[0] if self.incompressible else vector_field
+
+    def _projected(self, velocity: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The admissible velocity nearest *velocity*, and its half-spectra."""
+        velocity = check_velocity_shape(velocity, self.grid.shape)
+        fft = self.operators.fft
+        spectrum = fft.forward_vector(velocity)
         if self.incompressible:
-            return self.operators.leray_project(vector_field)
-        return vector_field
+            self.operators.leray_project_spectra(spectrum, out=spectrum)
+            velocity = fft.inverse_vector(spectrum)
+        return velocity, spectrum
 
     def work_counters(self) -> KernelWorkCounters:
         """Current snapshot of FFT / interpolation work."""
@@ -231,7 +262,10 @@ class RegistrationProblem:
         return 0.5 * self.grid.inner(diff, diff)
 
     def evaluate_objective(
-        self, velocity: np.ndarray, keep_trial: bool = False
+        self,
+        velocity: np.ndarray,
+        keep_trial: bool = False,
+        spectrum: Optional[np.ndarray] = None,
     ) -> ObjectiveParts:
         """Evaluate ``J[v]`` (one forward transport solve).
 
@@ -240,32 +274,37 @@ class RegistrationProblem:
         :meth:`~repro.transport.solvers.TransportSolver.solve_state_final`
         — same steps, same interpolation counters, no ``(nt + 1)``-level
         history allocation.  A line search passes *keep_trial*: the solve
-        then keeps its history, and ``(velocity, plan, history)`` replaces
-        whatever the problem's one trial slot held — so a rejected trial is
-        released by the next one — for :meth:`linearize` to adopt if this
-        trial is accepted.  Same steps, same bits, same counters either way.
+        then keeps its history, and ``(velocity, spectrum, plan, history)``
+        replaces whatever the problem's one trial slot held — so a rejected
+        trial is released by the next one — for :meth:`linearize` to adopt if
+        this trial is accepted.  Same steps, same bits, same counters either
+        way.  *spectrum*: the velocity's half-spectra, if the caller has them.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        plan = self.transport.plan(velocity)
+        if spectrum is None:
+            spectrum = self.operators.fft.forward_vector(velocity)
+        plan = self.transport.plan(velocity, spectrum=spectrum)
         if keep_trial:
             self._trial = None  # the rejected trial's history goes first
             state_history = self.transport.solve_state(plan, self.template)
-            self._trial = (velocity, plan, state_history)
+            self._trial = (velocity, spectrum, plan, state_history)
             deformed = state_history[-1]
         else:
             deformed = self.transport.solve_state_final(plan, self.template)
         return ObjectiveParts(
             distance=self.distance(deformed),
-            regularization=self.regularizer.energy(velocity),
+            regularization=self.regularizer.energy_of_spectrum(spectrum),
         )
 
     def trial_objective(self, velocity: np.ndarray) -> float:
         """The line search's objective: ``J`` at the projected trial, kept.
 
         The accepted trial is the next iterate as it stands — projected
-        once, here — with its plan and state history (:meth:`linearize`).
+        once, here, as a half-spectrum — with its spectrum, plan and state
+        history (:meth:`linearize`).
         """
-        return self.evaluate_objective(self.project(velocity), keep_trial=True).total
+        velocity, spectrum = self._projected(velocity)
+        return self.evaluate_objective(velocity, keep_trial=True, spectrum=spectrum).total
 
     @property
     def trial_velocity(self) -> Optional[np.ndarray]:
@@ -287,11 +326,13 @@ class RegistrationProblem:
         planned, hashed or transported forward a second time.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
+        fft = self.operators.fft
         trial, self._trial = self._trial, None
         if trial is not None and np.array_equal(trial[0], velocity):
-            _, plan, state_history = trial
+            _, spectrum, plan, state_history = trial
         else:
-            plan = self.transport.plan(velocity)
+            spectrum = fft.forward_vector(velocity)
+            plan = self.transport.plan(velocity, spectrum=spectrum)
             state_history = self.transport.solve_state(plan, self.template)
         deformed = state_history[-1]
         residual = self.reference - deformed
@@ -305,14 +346,12 @@ class RegistrationProblem:
             self.operators, state_history, scope=self._gradient_scope
         )
         body_force = self._body_force(state_history, adjoint_history, state_gradients)
-        gradient = self.regularizer.gradient(velocity) + self.project(body_force)
-        if self.incompressible:
-            # keep the full gradient in the divergence-free subspace
-            gradient = self.operators.leray_project(gradient)
+        # P^ keeps the full gradient in the divergence-free subspace
+        gradient_spectrum = self._reduced_spectrum(fft.forward_vector(body_force), spectrum)
 
         objective = ObjectiveParts(
             distance=self.distance(deformed),
-            regularization=self.regularizer.energy(velocity),
+            regularization=self.regularizer.energy_of_spectrum(spectrum),
         )
         return OuterIterate(
             velocity=velocity,
@@ -320,11 +359,19 @@ class RegistrationProblem:
             state_history=state_history,
             adjoint_history=adjoint_history,
             objective=objective,
-            gradient=gradient,
-            gradient_norm=self.grid.norm(gradient),
+            gradient_spectrum=gradient_spectrum,
+            gradient_norm=fft.norm(gradient_spectrum),
             residual=residual,
+            fft=fft,
             state_gradients=state_gradients,
         )
+
+    def _reduced_spectrum(self, force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
+        """``P^(beta A^ v^ + b^)`` in place of *force* (``b^``): Eq. 4 and Eq. 5 alike."""
+        self.regularizer.add_first_variation(velocity, out=force)
+        if self.incompressible:
+            self.operators.leray_project_spectra(force, out=force)
+        return force
 
     #: Trapezoidal quadrature weights on ``nt + 1`` uniform time levels
     #: (kept as a static method for the existing call sites and tests).
@@ -358,23 +405,42 @@ class RegistrationProblem:
     def hessian_matvec(self, iterate: OuterIterate, direction: np.ndarray) -> np.ndarray:
         """Apply the (Gauss-)Newton Hessian at *iterate* to *direction*.
 
-        Requires two transport solves (incremental state forward,
-        incremental adjoint backward); with the iterate's state gradients
-        cached (:mod:`repro.core.gradients`) a Gauss-Newton mat-vec performs
-        **zero** spectral-gradient FFTs — only the regularizer's ``6``
-        transforms remain of the paper's ``8 nt`` figure (Sec. III-C4),
-        which stays the cost of the uncached fallback.  The interpolation
-        cost is the same either way: ``2 nt`` sweeps — one per step for the
-        incremental state, whose grid-given source is merged into the field
-        before the gather, and one for the incremental adjoint, whose
-        ``div v`` source is the plan's growth factor; the paper counts
-        ``4 nt``.  Full Newton adds one per step for its source when
-        ``div v != 0`` (``3 nt``).
+        *direction* is the ``(3, N1, N2, N3//2+1)`` half-spectra of a velocity
+        field (what the Krylov solver iterates on) or the real field itself;
+        the result comes back the way the argument came.  Two transport
+        solves (incremental state forward, incremental adjoint backward) sit
+        between an inverse transform of the projected direction and a forward
+        transform of the resulting body force; ``beta A`` and ``P`` act on
+        the spectra.  With the iterate's state gradients cached
+        (:mod:`repro.core.gradients`) those **6** transforms are all a
+        Gauss-Newton mat-vec performs, compressible or not (a real argument
+        adds its own round trip: 12), of the paper's ``8 nt`` figure
+        (Sec. III-C4), which stays the cost of the uncached fallback.  The
+        interpolation cost is the same either way: ``2 nt`` sweeps — one per
+        step for the incremental state, whose grid-given source is merged
+        into the field before the gather, and one for the incremental
+        adjoint, whose ``div v`` source is the plan's growth factor; the
+        paper counts ``4 nt``.  Full Newton adds one per step for its source
+        when ``div v != 0`` (``3 nt``).
         """
-        direction = check_velocity_shape(direction, self.grid.shape)
-        direction = self.project(direction)
+        fft = self.operators.fft
+        real = not np.iscomplexobj(direction)
+        if real:
+            direction = fft.forward_vector(check_velocity_shape(direction, self.grid.shape))
+        if self.incompressible:
+            # never in the caller's array (the Krylov solver's search direction)
+            direction = self.operators.leray_project_spectra(
+                direction, out=direction if real else None
+            )
         self.hessian_matvec_count += 1
+        matvec = self._reduced_spectrum(
+            fft.forward_vector(self._body_force_tilde(iterate, fft.inverse_vector(direction))),
+            direction,
+        )
+        return fft.inverse_vector(matvec) if real else matvec
 
+    def _body_force_tilde(self, iterate: OuterIterate, direction: np.ndarray) -> np.ndarray:
+        """``int_0^1 (lam~ grad rho [+ lam grad rho~]) dt`` for the field *direction*."""
         state_gradients = gradient_levels_of(
             self.operators, iterate.state_history, iterate.state_gradients
         )
@@ -402,14 +468,9 @@ class RegistrationProblem:
         with trace_span(
             "problem.body_force_tilde", nt=nt, cached=state_gradients.cached
         ):
-            body_force_tilde = accumulate_weighted_products(
+            return accumulate_weighted_products(
                 trapezoid_weights(nt), pairs, out=self.grid.zeros_vector()
             )
-
-        matvec = self.regularizer.hessian_matvec(direction) + self.project(body_force_tilde)
-        if self.incompressible:
-            matvec = self.operators.leray_project(matvec)
-        return matvec
 
     def hessian_operator(self, iterate: OuterIterate):
         """Return a closure ``v~ -> H(v) v~`` bound to *iterate* (for PCG)."""

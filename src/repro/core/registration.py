@@ -325,7 +325,10 @@ class RegistrationSolver:
             optimization = driver.solve(initial_velocity)
 
             deformation = DeformationMap(
-                problem.grid, optimization.velocity, transport=problem.transport
+                problem.grid,
+                optimization.velocity,
+                transport=problem.transport,
+                plan=optimization.final_iterate.plan,
             )
             deformed_template = optimization.final_iterate.deformed_template
             res_before = residual_norm(problem.reference, problem.template, problem.grid)

@@ -90,35 +90,24 @@ class _SobolevSeminormRegularization:
     def energy(self, velocity: np.ndarray) -> float:
         """Regularization energy ``beta/2 <A v, v>`` (a scalar >= 0)."""
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        av = self.apply_operator(velocity)
-        return 0.5 * self.beta * self.grid.inner(av, velocity)
+        return self.energy_of_spectrum(self.operators.fft.forward_vector(velocity))
+
+    def energy_of_spectrum(self, spectrum: np.ndarray) -> float:
+        """The energy of the velocity with half-spectra *spectrum*, by Parseval."""
+        return 0.5 * self.beta * self.operators.fft.inner(self.symbol * spectrum, spectrum)
 
     def apply_operator(self, velocity: np.ndarray) -> np.ndarray:
         """Unweighted operator ``A v`` applied component-wise."""
         return self.operators.apply_vector_symbol(velocity, self.symbol)
 
-    def gradient(self, velocity: np.ndarray) -> np.ndarray:
-        """First variation ``beta A v`` of the regularization energy."""
-        return self.beta * self.apply_operator(velocity)
+    def add_first_variation(self, spectrum: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out += beta A v`` on half-spectra, ``v`` given by *spectrum*.
 
-    def hessian_matvec(self, direction: np.ndarray) -> np.ndarray:
-        """Second variation ``beta A v~`` (the regularization is quadratic)."""
-        return self.beta * self.apply_operator(direction)
-
-    def apply_inverse(self, field: np.ndarray, include_beta: bool = True) -> np.ndarray:
-        """Apply ``(beta A)^+`` (or ``A^+``), the paper's preconditioner core.
-
-        The constant mode, which lies in the null space of the seminorm, is
-        passed through unchanged so the preconditioner remains symmetric
-        positive definite.
+        ``beta A`` is the first variation of the energy and — the energy
+        being quadratic — its Hessian; one symbol multiply either way.
         """
-        field = check_velocity_shape(field, self.grid.shape)
-        scale = self.beta if include_beta else 1.0
-        symbol = self.inverse_symbol / scale
-        # identity on the null space (the constant / zero-frequency mode)
-        symbol = symbol.copy()
-        symbol[self.symbol == 0.0] = 1.0
-        return self.operators.apply_vector_symbol(field, symbol)
+        out += (self.beta * self.symbol) * spectrum
+        return out
 
 
 class H1Regularization(_SobolevSeminormRegularization):

@@ -235,8 +235,12 @@ class ScatterInterpolationPlan:
                     continue
                 # the owner test guarantees floor(q) lies in the owner's index
                 # range, so the shift into the ghost-extended block needs no
-                # periodic unwrapping
-                local = q - offsets + GHOST_WIDTH
+                # periodic unwrapping — but its floating-point sum may round a
+                # point one ulp below a cell boundary up onto it, and the
+                # stencil of that next cell can reach past the ghost layer:
+                # keep every point inside the cell of floor(q)
+                next_cell = np.floor(q) - offsets + (GHOST_WIDTH + 1)
+                local = np.minimum(q - offsets + GHOST_WIDTH, np.nextafter(next_cell, 0.0))
                 stencil_builds += 1
                 stencil_plans[owner][requester] = build_stencil_plan(
                     extended_shape, local, "catmull_rom", periodic=False

@@ -211,5 +211,34 @@ class FourierTransform:
         spectra = spectra * symbol[None]
         return self.inverse_vector(spectra)
 
+    # ------------------------------------------------------------------ #
+    # L2 algebra on half-spectra (Parseval)
+    # ------------------------------------------------------------------ #
+    def inner(self, a: np.ndarray, b: np.ndarray) -> float:
+        """The grid's L2 inner product of two real fields given by their half-spectra.
+
+        ``inner(forward(f), forward(g)) == grid.inner(f, g)`` to round-off,
+        for scalar fields and ``(..., N1, N2, N3//2+1)`` stacks alike, with
+        no transform: the omitted modes are conjugates of stored ones, so
+        every plane counts twice except ``k3 = 0`` and, for even ``N3``, the
+        Nyquist plane.  With :meth:`norm`, what :func:`repro.core.optim.pcg.pcg`
+        needs to iterate on half-spectra, as a :class:`Grid` provides for fields.
+        """
+        a = np.asarray(a)
+        b = np.asarray(b)
+        if a.shape != b.shape or a.shape[-3:] != self.spectral_shape:
+            raise ValueError(
+                f"spectra must share a shape ending in {self.spectral_shape}, "
+                f"got {a.shape} and {b.shape}"
+            )
+        total = 2.0 * np.vdot(a, b).real - np.vdot(a[..., 0], b[..., 0]).real
+        if self.grid.shape[2] % 2 == 0:
+            total -= np.vdot(a[..., -1], b[..., -1]).real
+        return float(total * self.grid.cell_volume / self.grid.num_points)
+
+    def norm(self, a: np.ndarray) -> float:
+        """Grid L2 norm of the real field whose half-spectrum is *a*."""
+        return float(np.sqrt(max(self.inner(a, a), 0.0)))
+
     def reset_counters(self) -> None:
         self.counters.reset()

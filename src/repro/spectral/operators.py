@@ -163,10 +163,12 @@ class SpectralOperators:
     def divergence(self, vector_field: np.ndarray) -> np.ndarray:
         """Divergence of a ``(3, N1, N2, N3)`` vector field."""
         vector_field = check_velocity_shape(vector_field, self.grid.shape)
-        spectra = self.fft.forward_vector(vector_field)
+        return self.divergence_of_spectra(self.fft.forward_vector(vector_field))
+
+    def divergence_of_spectra(self, spectra: np.ndarray) -> np.ndarray:
+        """Divergence (a real field) of the vector field with half-spectra *spectra*."""
         ik1, ik2, ik3 = self._ik
-        spectrum = ik1 * spectra[0] + ik2 * spectra[1] + ik3 * spectra[2]
-        return self.fft.backward(spectrum)
+        return self.fft.backward(ik1 * spectra[0] + ik2 * spectra[1] + ik3 * spectra[2])
 
     def divergence_many(self, vector_fields: np.ndarray) -> np.ndarray:
         """Divergences of a ``(B, 3, N1, N2, N3)`` stack, returned ``(B, ...)``.
@@ -234,18 +236,23 @@ class SpectralOperators:
         return self.fft.backward_batch(rows)
 
     def convective_derivative(
-        self, velocity: np.ndarray, vector_field: np.ndarray
+        self,
+        velocity: np.ndarray,
+        vector_field: np.ndarray,
+        spectra: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """``(v . grad) w`` of two ``(3, N1, N2, N3)`` fields.
 
         The Jacobian of ``w`` contracted with ``v`` one derivative direction
         at a time: one batched forward transform, three batched inverses of
         three fields each (12 transforms, three derivative fields live where
-        :meth:`jacobian` holds nine).
+        :meth:`jacobian` holds nine).  A caller that already holds the
+        half-spectra of ``w`` passes them as *spectra* and saves the forward.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        vector_field = check_velocity_shape(vector_field, self.grid.shape)
-        spectra = self.fft.forward_vector(vector_field)
+        if spectra is None:
+            vector_field = check_velocity_shape(vector_field, self.grid.shape)
+            spectra = self.fft.forward_vector(vector_field)
         ik1, ik2, ik3 = self._ik
         out = velocity[0] * self.fft.inverse_vector(ik1 * spectra)
         out += velocity[1] * self.fft.inverse_vector(ik2 * spectra)
@@ -260,23 +267,33 @@ class SpectralOperators:
 
         Implements ``P v = v - grad lap^{-1} div v`` (the Leray operator of
         Eq. 4), applied entirely in the spectral domain:
-        ``P v^ = v^ - k (k . v^) / |k|^2``.
+        ``P v^ = v^ - k (k . v^) / |k|^2`` (:meth:`leray_project_spectra`).
         """
         vector_field = check_velocity_shape(vector_field, self.grid.shape)
         spectra = self.fft.forward_vector(vector_field)
-        k1, k2, k3 = self.grid.wavenumber_mesh(real_last_axis=True, derivative=True)
-        inv_ksq = self.symbols.inv_derivative_ksq
-        k_dot_v = k1 * spectra[0] + k2 * spectra[1] + k3 * spectra[2]
-        factor = k_dot_v * inv_ksq
-        projected = np.stack(
-            [
-                spectra[0] - k1 * factor,
-                spectra[1] - k2 * factor,
-                spectra[2] - k3 * factor,
-            ],
-            axis=0,
-        )
-        return self.fft.inverse_vector(projected)
+        return self.fft.inverse_vector(self.leray_project_spectra(spectra, out=spectra))
+
+    def leray_project_spectra(
+        self, spectra: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """The Leray projection of a ``(3, N1, N2, N3//2+1)`` half-spectrum stack.
+
+        Diagonal in Fourier space, so it costs no transform; *out* may be
+        *spectra* itself (the projection then runs in place).
+        """
+        spectra = np.asarray(spectra)
+        if spectra.shape != (3, *self.fft.spectral_shape):
+            raise ValueError(
+                f"spectra have shape {spectra.shape}, expected {(3, *self.fft.spectral_shape)}"
+            )
+        k = self.grid.wavenumber_mesh(real_last_axis=True, derivative=True)
+        factor = k[0] * spectra[0] + k[1] * spectra[1] + k[2] * spectra[2]
+        factor *= self.symbols.inv_derivative_ksq
+        if out is None:
+            out = np.empty_like(spectra)
+        for axis in range(3):
+            np.subtract(spectra[axis], k[axis] * factor, out=out[axis])
+        return out
 
     def is_divergence_free(self, vector_field: np.ndarray, tol: float = 1e-10) -> bool:
         """Check (up to *tol*, relative) that ``div v`` vanishes."""

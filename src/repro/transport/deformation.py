@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.solvers import TransportSolver
+from repro.transport.solvers import TransportPlan, TransportSolver
 from repro.utils.validation import check_velocity_shape
 
 
@@ -71,6 +71,10 @@ class DeformationMap:
         override the arguments above — so ``det(grad y)`` reuses the warm
         gather operator of the final velocity instead of standing up a
         second solver and interpolator.
+    plan:
+        The :class:`~repro.transport.solvers.TransportPlan` of *velocity*
+        when the caller owns one (a registration's final iterate does);
+        the velocity is planned again — a pool hit — when omitted.
     """
 
     grid: Grid
@@ -80,9 +84,12 @@ class DeformationMap:
     operators: Optional[SpectralOperators] = None
     interp_backend: Optional[object] = None
     transport: Optional[TransportSolver] = None
+    plan: Optional[TransportPlan] = None
 
     def __post_init__(self) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
+        if self.plan is not None and not np.array_equal(self.plan.velocity, self.velocity):
+            raise ValueError("plan was built for a different velocity")
         if self.transport is not None:
             if self.transport.grid.shape != self.grid.shape:
                 raise ValueError(
@@ -109,7 +116,7 @@ class DeformationMap:
     def displacement(self) -> np.ndarray:
         """Displacement ``u = y1 - x`` (computed lazily, then cached)."""
         if self._displacement is None:
-            plan = self._solver.plan(self.velocity)
+            plan = self.plan or self._solver.plan(self.velocity)
             nt = plan.num_time_steps
             u = np.zeros((3, *self.grid.shape), dtype=self.grid.dtype)
             minus_v = -self.velocity

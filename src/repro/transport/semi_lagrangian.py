@@ -88,14 +88,17 @@ from repro.utils.validation import check_velocity_shape
 
 
 def flow_derivatives(
-    velocity: np.ndarray, operators: SpectralOperators
+    velocity: np.ndarray,
+    operators: SpectralOperators,
+    spectrum: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The fields ``a = (v . grad) v`` and ``b = (v . grad) a`` of the expansion.
 
-    Two spectral Jacobians contracted with ``v`` (24 transforms).  The pair
-    serves both directions: ``-v`` has the derivatives ``(a, -b)``.
+    Two spectral Jacobians contracted with ``v`` (24 transforms, 21 given the
+    half-spectra of ``v`` as *spectrum*).  The pair serves both directions:
+    ``-v`` has the derivatives ``(a, -b)``.
     """
-    a = operators.convective_derivative(velocity, velocity)
+    a = operators.convective_derivative(velocity, velocity, spectra=spectrum)
     return a, operators.convective_derivative(velocity, a)
 
 

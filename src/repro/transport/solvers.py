@@ -171,17 +171,21 @@ class TransportSolver:
     def interpolator(self) -> PeriodicInterpolator:
         return self._interpolator
 
-    def plan(self, velocity: np.ndarray) -> TransportPlan:
+    def plan(
+        self, velocity: np.ndarray, spectrum: Optional[np.ndarray] = None
+    ) -> TransportPlan:
         """Build the forward/backward semi-Lagrangian plans for *velocity*.
 
         The expensive planning data (departure points + gather stencils of
         both characteristic directions) comes from the shared plan pool
         (:mod:`repro.runtime.plan_pool`): velocities the pool has already
-        planned — a continuation warm start, the deformation map of the
-        final iterate — are warm hits and skip the expansion/plan work
-        entirely.  A direction that misses expands the flow through this
-        solver's operators; the derivative pair is computed once for both
-        directions and dropped when this method returns.
+        planned — a continuation warm start, a deformation map that was not
+        handed its iterate's plan — are warm hits and skip the expansion/plan
+        work entirely.  A direction that misses expands the flow through
+        this solver's operators; the derivative pair is computed once for
+        both directions and dropped when this method returns.  *spectrum* is the velocity's half-spectra when the caller
+        holds them (the optimizer does): the expansion and ``div v`` then
+        start from it instead of transforming the velocity again.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
         if not velocity.any():
@@ -189,11 +193,16 @@ class TransportSolver:
             forward = backward = SemiLagrangianStepper(
                 self.grid, velocity, self.dt, self._interpolator
             )
+            div_v, div_free = self.grid.zeros(), True
         else:
+            if spectrum is None:
+                spectrum = self.operators.fft.forward_vector(velocity)
             # one hash per velocity: -v is named after v, and each stepper's
             # gather operator after the stepper
             fingerprint = array_fingerprint(velocity)
-            derivatives = functools.cache(lambda: flow_derivatives(velocity, self.operators))
+            derivatives = functools.cache(
+                lambda: flow_derivatives(velocity, self.operators, spectrum)
+            )
 
             def reversed_derivatives():
                 a, b = derivatives()
@@ -207,9 +216,9 @@ class TransportSolver:
                 self.grid, -velocity, self.dt, self._interpolator,
                 velocity_key=(fingerprint, "reversed"), derivatives=reversed_derivatives,
             )
-        div_v = self.operators.divergence(velocity)
-        vel_scale = max(self.grid.norm(velocity), 1e-30)
-        div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
+            div_v = self.operators.divergence_of_spectra(spectrum)
+            vel_scale = max(self.grid.norm(velocity), 1e-30)
+            div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
         return TransportPlan(
             velocity=velocity,
             dt=self.dt,

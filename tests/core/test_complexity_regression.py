@@ -4,22 +4,27 @@ The paper counts ``8*nt`` 3D FFTs and ``4*nt`` interpolation sweeps per
 Gauss-Newton Hessian matvec.
 
 **FFTs.**  In this implementation one "paper FFT" is a forward/inverse pair,
-and the exact per-matvec transform count for the Gauss-Newton,
-non-incompressible path in the paper's *uncached* cost model
-(``REPRO_GRADIENT_CACHE=0``) is
+and the exact per-matvec transform count for the Gauss-Newton path in the
+paper's *uncached* cost model (``REPRO_GRADIENT_CACHE=0``) is
 
     transforms(nt) = 8*(nt + 1) + 6
 
 (``4*(nt+1)`` for the incremental-state source gradients, ``4*(nt+1)`` for
 the body-force integrand gradients — both trapezoid rules visit ``nt + 1``
-time levels — plus ``6`` for the batched regularization matvec), i.e.
-``4*nt + 7`` pairs, which sits inside the paper's ``8*nt`` budget for every
-``nt >= 2``.
+time levels — plus ``6`` to leave and re-enter Fourier space around the two
+transport solves), i.e. ``4*nt + 7`` pairs, which sits inside the paper's
+``8*nt`` budget for every ``nt >= 2``.  The mat-vec is measured as the
+Krylov solver applies it, to a half-spectrum: ``beta A``, the Leray
+projection and the preconditioner are diagonal there and cost no transform,
+so the count is the same with and without the incompressibility constraint.
+A real ``(3, N1, N2, N3)`` argument adds its own forward transform and the
+result's inverse (``+ 6``).
 
 With the per-iterate gradient cache (:mod:`repro.core.gradients`, the
 default), all ``8*(nt+1)`` state-gradient transforms amortize into the
 ``linearize`` call, so a **warm matvec performs zero spectral-gradient
-FFTs** — only the regularizer's batched matvec remains:
+FFTs** — only the inverse of the direction and the forward of the body
+force remain:
 
     transforms_warm(nt) = 6                      (independent of nt)
 
@@ -37,12 +42,18 @@ The interpolation cost is identical cached and uncached — the cache only
 touches spectral work.
 
 **Planning.**  The departure points of both characteristic directions come
-from one spectral expansion of the flow (two Jacobians of the velocity), so
-planning a new velocity interpolates nothing:
+from one spectral expansion of the flow (two Jacobians of the velocity,
+the first from the velocity's own half-spectra), so planning a new velocity
+interpolates nothing:
 
     linearize(new v):  2*nt + 1 sweeps (state, adjoint, growth factor),
-                       24 transforms more than on a pool hit
-    v = 0:             no plan, no pool entry, no sweep at all
+                       21 transforms more than on a pool hit; in all
+                       3 (v^) + 22 (plan: 21 + div v) + 4*(nt+1) (gradient
+                       stack) + 3 (b -> b^); the iterate keeps g^, its
+                       ``gradient`` field is 3 more on demand
+    line-search trial: 3 (v^; + 3 to project it when incompressible) + 22
+    adopted trial:     4*(nt+1) + 3
+    v = 0:             no plan, no pool entry, no sweep, no transform
 
 These tests pin all three numbers exactly so any refactor of the spectral or
 interpolation layers (backends, batching, plan caching) that changes the
@@ -55,6 +66,8 @@ import numpy as np
 import pytest
 
 from repro.core.gradients import set_gradient_cache_enabled
+from repro.core.optim.pcg import pcg
+from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 from repro.observability import get_metrics_registry
@@ -64,7 +77,7 @@ from repro.transport.kernels import available_backends as available_interp_backe
 
 
 def warm_transforms_per_matvec() -> int:
-    """Transform count of a warm cached Gauss-Newton matvec: regularizer only."""
+    """Transform count of a warm cached Gauss-Newton matvec: p^ -> p, b~ -> b~^."""
     return 6
 
 
@@ -78,13 +91,16 @@ def exact_interpolation_sweeps_per_matvec(nt: int) -> int:
     return 2 * nt
 
 
-def _build_problem(nt: int, fft_backend: str = "numpy", interp_backend: str = None):
+def _build_problem(
+    nt: int, fft_backend: str = "numpy", interp_backend: str = None, incompressible=False
+):
     synthetic = synthetic_registration_problem(8, num_time_steps=nt)
     return RegistrationProblem(
         grid=synthetic.grid,
         reference=synthetic.reference,
         template=synthetic.template,
         num_time_steps=nt,
+        incompressible=incompressible,
         fft_backend=fft_backend,
         interp_backend=interp_backend,
     )
@@ -104,14 +120,18 @@ def _measure_matvec_work(
     fft_backend: str = "numpy",
     interp_backend: str = None,
     gradient_cache: bool = True,
+    incompressible: bool = False,
+    real_argument: bool = False,
 ):
     set_gradient_cache_enabled(gradient_cache)
-    problem = _build_problem(nt, fft_backend, interp_backend)
-    velocity = _generic_velocity(problem)
+    problem = _build_problem(nt, fft_backend, interp_backend, incompressible)
+    velocity = problem.project(_generic_velocity(problem))
     iterate = problem.linearize(velocity)
-    assert not iterate.plan.is_divergence_free
+    assert iterate.plan.is_divergence_free is incompressible
     assert iterate.state_gradients.cached is gradient_cache
     direction = 0.1 * np.random.default_rng(0).standard_normal((3, *problem.grid.shape))
+    if not real_argument:  # what the Krylov solver hands over
+        direction = problem.operators.fft.forward_vector(direction)
     before = problem.work_counters()
     problem.hessian_matvec(iterate, direction)
     delta = problem.work_counters() - before
@@ -119,11 +139,37 @@ def _measure_matvec_work(
 
 
 class TestPaperComplexityModel:
+    @pytest.mark.parametrize("incompressible", [False, True])
     @pytest.mark.parametrize("nt", [2, 4])
-    def test_exact_warm_transform_count(self, nt):
+    def test_exact_warm_transform_count(self, nt, incompressible):
         """A warm cached matvec performs zero spectral-gradient FFTs."""
-        transforms, _ = _measure_matvec_work(nt)
+        transforms, _ = _measure_matvec_work(nt, incompressible=incompressible)
         assert transforms == warm_transforms_per_matvec()
+
+    @pytest.mark.parametrize("incompressible", [False, True])
+    def test_real_argument_pays_for_its_own_round_trip(self, incompressible):
+        transforms, _ = _measure_matvec_work(
+            4, incompressible=incompressible, real_argument=True
+        )
+        assert transforms == warm_transforms_per_matvec() + 6
+
+    @pytest.mark.parametrize("incompressible", [False, True])
+    def test_a_krylov_iteration_costs_one_matvec(self, incompressible):
+        """Preconditioner, projection and inner products add no transform."""
+        problem = _build_problem(4, incompressible=incompressible)
+        iterate = problem.linearize(problem.project(_generic_velocity(problem)))
+        before = problem.work_counters()
+        result = pcg(
+            problem.hessian_operator(iterate),
+            -iterate.gradient_spectrum,
+            problem.operators.fft,
+            SpectralPreconditioner(problem.regularizer),
+            rel_tol=1e-12,
+            max_iterations=3,
+        )
+        delta = problem.work_counters() - before
+        assert result.iterations == 3
+        assert delta.fft_transforms == 3 * warm_transforms_per_matvec()
 
     @pytest.mark.parametrize("nt", [2, 4])
     def test_exact_uncached_transform_count(self, nt):
@@ -141,7 +187,7 @@ class TestPaperComplexityModel:
         """
         counts = {}
         for cached in (True, False):
-            reset_plan_pool()  # both arms plan the velocity (24 transforms)
+            reset_plan_pool()  # both arms plan the velocity (21 transforms)
             set_gradient_cache_enabled(cached)
             problem = _build_problem(nt)
             velocity = _generic_velocity(problem)
@@ -210,7 +256,7 @@ class TestInterpolationSweeps:
 
 
 class TestPlanningCost:
-    """What planning a velocity costs: 24 transforms, no interpolation."""
+    """What planning a velocity costs: 21 transforms, no interpolation."""
 
     @pytest.mark.parametrize("nt", [2, 4])
     def test_linearize_of_a_new_velocity(self, nt):
@@ -225,7 +271,26 @@ class TestPlanningCost:
         cold, warm = work
         sweeps = [w.interpolation_sweeps(problem.grid.num_points) for w in work]
         assert sweeps == [2 * nt + 1, 2 * nt + 1]
-        assert cold.fft_transforms - warm.fft_transforms == 24
+        assert cold.fft_transforms - warm.fft_transforms == 21
+        # v^, the plan (expansion + div v), the gradient stack, b -> b^
+        assert cold.fft_transforms == 3 + 22 + 4 * (nt + 1) + 3
+
+    @pytest.mark.parametrize("incompressible", [False, True])
+    def test_trial_and_its_adoption(self, incompressible):
+        nt = 4
+        problem = _build_problem(nt, incompressible=incompressible)
+        velocity = _generic_velocity(problem)
+        before = problem.work_counters()
+        problem.trial_objective(velocity)
+        trial = problem.work_counters() - before
+        assert trial.fft_transforms == 3 + (3 if incompressible else 0) + 22
+        before = problem.work_counters()
+        iterate = problem.linearize(problem.trial_velocity)
+        adopted = problem.work_counters() - before
+        assert adopted.fft_transforms == 4 * (nt + 1) + 3
+        before = problem.work_counters()
+        iterate.gradient  # the field, on demand
+        assert (problem.work_counters() - before).fft_transforms == 3
 
     def test_zero_velocity_plans_and_gathers_nothing(self):
         problem = _build_problem(4)
@@ -237,11 +302,15 @@ class TestPlanningCost:
 
         builds = operator_builds()
         before = problem.work_counters()
+        assert problem.transport.plan(problem.zero_velocity()).is_divergence_free
+        assert (problem.work_counters() - before).fft_transforms == 0
         iterate = problem.linearize(problem.zero_velocity())
         direction = 0.1 * np.random.default_rng(2).standard_normal((3, *problem.grid.shape))
         problem.hessian_matvec(iterate, direction)
         delta = problem.work_counters() - before
         assert delta.interpolated_points == 0
+        # v^ of zeros, the gradient stack, b -> b^; then one mat-vec
+        assert delta.fft_transforms == (3 + 4 * 5 + 3) + 12
         assert operator_builds() == builds
         assert set(get_plan_pool().stats_by_tag()) <= {"grad-cache"}
         assert iterate.plan.backward_stepper is iterate.plan.forward_stepper

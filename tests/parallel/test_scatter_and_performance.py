@@ -55,6 +55,45 @@ class TestScatterInterpolation:
             expected = serial[deco.local_slices(rank)].reshape(-1)
             np.testing.assert_allclose(values[rank], expected, atol=1e-10)
 
+    @pytest.mark.parametrize("layout", ["lean", "fat", "streaming"])
+    def test_points_one_ulp_from_a_block_edge(self, layout, monkeypatch, rng):
+        """A point one ulp below a block's upper index stays in its block.
+
+        On 16^3 over 2 x 2 the blocks end at index 8 and 16; shifting
+        ``nextafter(8, 0)`` into the ghost-extended block in floating point
+        rounds up to the next cell, whose stencil reads one plane past the
+        ghost layer (an ``IndexError`` before the fix).
+        """
+        monkeypatch.setenv("REPRO_PLAN_LAYOUT", layout)
+        grid = Grid((16, 16, 16))
+        deco = PencilDecomposition(grid.shape, 2, 2)
+        comm = SimulatedCommunicator(deco.num_tasks)
+        edges = np.array(
+            [np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0),
+             np.nextafter(16.0, 0.0), np.nextafter(16.0, 17.0)]
+        )
+        h = grid.spacing[0]
+        coordinates = edges * h
+        for _ in range(4):  # the plan divides by h again: land on the index exactly
+            quotient = coordinates / h
+            coordinates = np.where(
+                quotient == edges, coordinates,
+                np.nextafter(coordinates, np.where(quotient < edges, np.inf, -np.inf)),
+            )
+        np.testing.assert_array_equal(coordinates / h, edges)
+        # every combination of edge coordinates along the two decomposed axes
+        x, y = np.meshgrid(coordinates, coordinates, indexing="ij")
+        z = np.linspace(0.3, 15.7, x.size) * h
+        points = [np.stack([x.ravel(), y.ravel(), z]) for _ in range(deco.num_tasks)]
+        plan = ScatterInterpolationPlan(grid, deco, comm, points, use_plan_pool=False)
+        field = rng.standard_normal(grid.shape)
+        values = plan.interpolate(deco.scatter(field))
+        serial = PeriodicInterpolator(grid, "catmull_rom")
+        for rank in range(deco.num_tasks):
+            np.testing.assert_allclose(
+                values[rank], serial(field, points[rank]), rtol=0, atol=1e-12
+            )
+
     def test_communication_is_recorded(self, grid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 3))
         plan.interpolate(deco.scatter(rng.standard_normal(grid.shape)))

@@ -110,6 +110,34 @@ class TestCounters:
         assert fft16.counters.total == 0
 
 
+class TestHalfSpectrumInnerProduct:
+    """``fft.inner`` / ``fft.norm`` are ``grid.inner`` / ``grid.norm`` of the fields."""
+
+    # even, odd and non-cubic grids: the Nyquist plane exists only for even N3
+    SHAPES = [(8, 8, 8), (9, 8, 7), (16, 19, 16)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("stack", [(), (3,), (2, 3)])
+    def test_matches_the_grid_inner_product(self, shape, stack):
+        grid = Grid(shape)
+        fft = FourierTransform(grid)
+        rng = np.random.default_rng(sum(shape) + len(stack))
+        a = rng.standard_normal((*stack, *shape))
+        b = rng.standard_normal((*stack, *shape))
+        a_hat, b_hat = fft.forward_batch(a), fft.forward_batch(b)
+        before = fft.counters.total
+        assert fft.inner(a_hat, b_hat) == pytest.approx(grid.inner(a, b), rel=1e-13)
+        assert fft.norm(a_hat) == pytest.approx(grid.norm(a), rel=1e-13)
+        assert fft.counters.total == before  # Parseval: no transform
+
+    def test_rejects_mismatched_or_full_spectra(self, fft16, rng):
+        spectrum = fft16.forward(rng.standard_normal(fft16.grid.shape))
+        with pytest.raises(ValueError):
+            fft16.inner(spectrum, spectrum[:, :, :-1])
+        with pytest.raises(ValueError):
+            fft16.inner(np.zeros((16, 16, 16), dtype=complex), np.zeros((16, 16, 16), dtype=complex))
+
+
 class TestParsevalProperty:
     @given(seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=15, deadline=None)

@@ -183,6 +183,35 @@ class TestLerayProjection:
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)
 
 
+class TestLerayProjectionOfSpectra:
+    """The projection where it is diagonal: no transform, optionally in place."""
+
+    def test_idempotent_and_divergence_free(self, ops):
+        spectra = ops.fft.forward_vector(smooth_vector_field(ops.grid, seed=17))
+        before = ops.fft.counters.total
+        projected = ops.leray_project_spectra(spectra)
+        again = ops.leray_project_spectra(projected)
+        assert ops.fft.counters.total == before
+        scale = np.abs(projected).max()
+        np.testing.assert_allclose(again, projected, rtol=0, atol=1e-12 * scale)
+        divergence = ops.divergence_of_spectra(projected)
+        assert ops.grid.norm(divergence) <= 1e-12 * ops.grid.norm(ops.fft.inverse_vector(projected))
+
+    def test_is_the_projection_of_the_field(self, ops):
+        v = smooth_vector_field(ops.grid, seed=18)
+        spectra = ops.fft.forward_vector(v)
+        kept = spectra.copy()
+        projected = ops.leray_project_spectra(spectra)
+        np.testing.assert_array_equal(spectra, kept)  # out of place by default
+        np.testing.assert_array_equal(ops.fft.inverse_vector(projected), ops.leray_project(v))
+        assert ops.leray_project_spectra(spectra, out=spectra) is spectra
+        np.testing.assert_array_equal(spectra, projected)
+
+    def test_validates_shape(self, ops):
+        with pytest.raises(ValueError):
+            ops.leray_project_spectra(np.zeros((3, 16, 16, 16), dtype=complex))
+
+
 class TestOperatorLinearityProperty:
     @given(
         seed=st.integers(min_value=0, max_value=1000),

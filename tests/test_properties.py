@@ -153,7 +153,8 @@ class TestRegularizationProperties:
         reg = make_regularization(name, OPS, beta=1e-1)
         v = random_vector(seed)
         # for a quadratic energy: E(v) = 1/2 <grad E(v), v>
-        assert reg.energy(v) == pytest.approx(0.5 * GRID.inner(reg.gradient(v), v), rel=1e-8)
+        gradient = reg.beta * reg.apply_operator(v)
+        assert reg.energy(v) == pytest.approx(0.5 * GRID.inner(gradient, v), rel=1e-8)
 
 
 class TestPerformanceModelProperties:

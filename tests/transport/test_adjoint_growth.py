@@ -149,7 +149,7 @@ class TestGrowthFactorLifecycle:
         velocity = compressible_velocity(problem.grid, 0.2)
         problem.evaluate_objective(velocity)
         problem.evaluate_objective(velocity, keep_trial=True)
-        _, plan, _ = problem._trial
+        _, _, plan, _ = problem._trial
         assert not plan.is_divergence_free and plan._growth is None
         iterate = problem.linearize(velocity)  # adopts the trial's plan
         assert iterate.plan is plan and plan._growth is not None

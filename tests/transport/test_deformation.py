@@ -130,6 +130,29 @@ class TestDeformationMap:
         with pytest.raises(ValueError, match="grid"):
             DeformationMap(grid, grid.zeros_vector(), transport=TransportSolver(Grid((8, 8, 8))))
 
+    def test_handed_plan_is_not_planned_again(self, grid, plan_pool):
+        """The owner of a velocity's plan hands it over: no hash, no lookup,
+        no ``div v`` — and the same map as planning again (a pool hit)."""
+        from repro.transport.solvers import TransportSolver
+
+        velocity = 0.3 * smooth_vector_field(grid, seed=8)
+        transport = TransportSolver(grid, num_time_steps=2)
+        plan = transport.plan(velocity)
+
+        def departure_lookups():
+            stats = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
+            return stats.hits + stats.misses
+
+        lookups, transforms = departure_lookups(), transport.operators.fft.counters.total
+        handed = DeformationMap(grid, velocity, transport=transport, plan=plan).displacement()
+        assert departure_lookups() == lookups
+        assert transport.operators.fft.counters.total == transforms
+        replanned = DeformationMap(grid, velocity, transport=transport).displacement()
+        assert departure_lookups() == lookups + 2  # forward + backward, both hits
+        np.testing.assert_array_equal(handed, replanned)
+        with pytest.raises(ValueError, match="different velocity"):
+            DeformationMap(grid, 2.0 * velocity, transport=transport, plan=plan)
+
     def test_displacement_is_cached(self, grid):
         dmap = DeformationMap(grid, 0.2 * smooth_vector_field(grid, seed=5))
         first = dmap.displacement()
