@@ -61,7 +61,7 @@ def test_bench_fieldsource(record_text, record_json):
     rng = np.random.default_rng(20160613)
     field = rng.standard_normal(shape)
     coords = _departure_coords(shape, rng)
-    plan = build_stencil_plan(shape, coords, "catmull_rom", layout="streaming")
+    plan = build_stencil_plan(shape, coords, "catmull_rom")
     schedule = chunk_plane_schedule(shape, plan)
 
     resident, resident_time = _timed(

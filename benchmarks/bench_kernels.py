@@ -12,10 +12,8 @@ vector-field FFT of every available backend at 128^3 and writes the
 comparison table to ``benchmarks/results/fft_backend_comparison.txt``;
 ``test_bench_interp_backend_comparison`` does the same for the
 interpolation subsystem (scalar vs batched, plan-cached vs uncached, per
-gather engine) and writes ``benchmarks/results/interp_backend_comparison.txt``;
-``test_bench_plan_memory`` compares the fat and memory-lean stencil-plan
-layouts (bytes, build time, execute time) at 128^3 and pins the ISSUE's
-<= 30% memory criterion.  All three also emit machine-readable twins
+gather engine) and writes ``benchmarks/results/interp_backend_comparison.txt``.
+Both also emit machine-readable twins
 (``benchmarks/results/*.json``) so the perf trajectory can be tracked
 across PRs.  (They time directly instead of using the ``benchmark``
 fixture so all backends land in one table; run them with
@@ -36,11 +34,7 @@ from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import (
-    available_backends as available_interp_backends,
-    build_stencil_plan,
-    execute_stencil_plan,
-)
+from repro.transport.kernels import available_backends as available_interp_backends
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
 
@@ -53,9 +47,6 @@ BACKEND_COMPARISON_N = 128
 #: acceptance benchmark runs at 128^3; override with REPRO_BENCH_INTERP_N
 #: for quick local iterations).
 INTERP_COMPARISON_N = int(os.environ.get("REPRO_BENCH_INTERP_N", "128"))
-
-#: Resolution of the stencil-plan memory comparison (fat vs lean layout).
-PLAN_MEMORY_N = int(os.environ.get("REPRO_BENCH_PLAN_N", "128"))
 
 
 @pytest.fixture(scope="module")
@@ -328,111 +319,3 @@ def _interp_backend_comparison(record_text, record_json):
         if os.environ.get("REPRO_BENCH_NONSTRICT"):
             pytest.skip(message)
         raise AssertionError(message)
-
-
-# --------------------------------------------------------------------------- #
-# stencil-plan memory: fat vs lean layout (written to benchmarks/results/)
-# --------------------------------------------------------------------------- #
-def test_bench_plan_memory(record_text, record_json):
-    """Fat vs lean vs streaming stencil plans at 128^3: bytes, build, execute.
-
-    Pins the acceptance criteria deterministically (no wall-clock gate):
-    the lean tricubic plan must use <= 30% of the fat layout's memory, and
-    the streaming plan's resident bytes must not exceed one executor chunk
-    (the out-of-core cap: independent of the grid size), while all three
-    layouts gather bitwise-identical values.  The JSON twin records plan
-    bytes and plan-build vs execute time for every layout, plus the
-    analytic per-point memory model for 64^3/128^3/256^3/512^3 (the
-    README's pool-sizing table).
-    """
-    n = PLAN_MEMORY_N
-    grid = Grid((n, n, n))
-    rng = np.random.default_rng(0)
-    field = rng.standard_normal(grid.shape)
-    flat = field.reshape(1, -1)
-    # departure-point-like coordinates (grid-ordered, CFL-scale displaced),
-    # pre-wrapped into [0, N) as the interpolation frontend does
-    points = grid.coordinate_stack().reshape(3, -1) + np.asarray(grid.spacing)[
-        :, None
-    ] * 3.0 * rng.standard_normal((3, grid.num_points))
-    coords = np.mod(points / np.asarray(grid.spacing)[:, None], n)
-
-    from repro.transport.kernels import STENCIL_CHUNK
-
-    method = "catmull_rom"
-    layouts = {}
-    outputs = {}
-    for layout in ("fat", "lean", "streaming"):
-        plan = build_stencil_plan(grid.shape, coords, method, layout=layout)
-        build = _best_of(
-            lambda layout=layout: build_stencil_plan(grid.shape, coords, method, layout=layout),
-            repeats=3,
-        )
-        execute = _best_of(lambda p=plan: execute_stencil_plan(flat, p), repeats=3)
-        outputs[layout] = execute_stencil_plan(flat, plan)
-        layouts[layout] = {
-            "plan_nbytes": plan.nbytes,
-            "bytes_per_point": plan.nbytes / grid.num_points,
-            "plan_build_seconds": build,
-            "execute_seconds_per_field": execute,
-        }
-
-    np.testing.assert_array_equal(outputs["lean"], outputs["fat"])
-    np.testing.assert_array_equal(outputs["streaming"], outputs["fat"])
-    ratio = layouts["lean"]["plan_nbytes"] / layouts["fat"]["plan_nbytes"]
-    chunk_cap = 3 * STENCIL_CHUNK * (np.dtype(np.intp).itemsize + 8)
-
-    # analytic per-point model (tricubic): fat = 3*(taps*8) index parts +
-    # 3*(taps*8) weights; lean = 3*4 (int32 base) + 3*8 (float64 frac);
-    # streaming = one chunk of scratch, independent of the point count
-    fat_per_point = 2 * 3 * 4 * 8
-    lean_per_point = 3 * (4 + 8)
-    memory_table = {
-        f"{m}^3": {
-            "points": m**3,
-            "fat_plan_bytes": fat_per_point * m**3,
-            "lean_plan_bytes": lean_per_point * m**3,
-            "streaming_plan_bytes": min(chunk_cap, 3 * (8 + 8) * m**3),
-            "transport_plan_pair_lean_bytes": 2 * (lean_per_point + 24 + 24) * m**3,
-        }
-        for m in (64, 128, 256, 512)
-    }
-
-    header = f"{'layout':<10} {'plan bytes':>14} {'B/point':>9} {'build [s]':>10} {'execute [s]':>12}"
-    rows = [
-        f"tricubic stencil plan, fat vs lean vs streaming layout at {n}^3 "
-        f"({grid.num_points} points)",
-        "(streaming bytes = resident stencil scratch, capped at one "
-        f"{STENCIL_CHUNK}-point chunk; its coordinates are borrowed)",
-        header,
-        "-" * len(header),
-    ]
-    for layout, data in layouts.items():
-        rows.append(
-            f"{layout:<10} {data['plan_nbytes']:>14d} {data['bytes_per_point']:>9.2f} "
-            f"{data['plan_build_seconds']:>10.4f} {data['execute_seconds_per_field']:>12.4f}"
-        )
-    rows.append(f"lean / fat memory ratio: {ratio:.3f} (acceptance: <= 0.30)")
-    rows.append(
-        f"streaming resident bytes: {layouts['streaming']['plan_nbytes']} "
-        f"(acceptance: <= one chunk = {chunk_cap})"
-    )
-    record_text("plan_memory", "\n".join(rows))
-    record_json(
-        "plan_memory",
-        {
-            "benchmark": "stencil-plan memory, fat vs lean vs streaming layout",
-            "grid": [n, n, n],
-            "num_points": grid.num_points,
-            "method": method,
-            "stencil_chunk_points": STENCIL_CHUNK,
-            "layouts": layouts,
-            "lean_over_fat_memory_ratio": ratio,
-            "streaming_chunk_cap_bytes": chunk_cap,
-            "bitwise_identical": True,
-            "memory_model_tricubic": memory_table,
-        },
-    )
-
-    assert ratio <= 0.30, f"lean plan uses {ratio:.1%} of the fat layout's memory"
-    assert layouts["streaming"]["plan_nbytes"] <= chunk_cap

@@ -13,8 +13,8 @@ timers involved —
 * the **uncached opt-out restores the paper's figure** ``8(nt+1)+6``
   exactly, and building the cache adds zero transforms to ``linearize``,
 * results are **bitwise identical cached vs uncached** across every
-  available FFT backend x stencil-plan layout (the cache reuses FFT
-  outputs, it never changes them), and
+  available FFT backend (the cache reuses FFT outputs, it never changes
+  them), and
 * the cache **degrades cleanly (and logs the decision)** when the
   ``REPRO_PLAN_POOL_BYTES`` budget cannot hold the stack.
 
@@ -41,7 +41,6 @@ from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
 from repro.spectral.backends import available_backends as available_fft_backends
-from repro.transport.kernels import PLAN_LAYOUT_CHOICES, set_default_plan_layout
 
 RESOLUTION = 16
 NUM_TIME_STEPS = 4
@@ -129,30 +128,22 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
             for gn in (True, False)
         }
 
-        # bitwise identity across every FFT backend x plan layout
+        # bitwise identity across every FFT backend
         identity_cells = []
         for backend in available_fft_backends():
-            for layout in sorted(PLAN_LAYOUT_CHOICES):
-                set_default_plan_layout(layout)
-                try:
-                    warm = _measure_mode(True, fft_backend=backend)
-                    cold = _measure_mode(False, fft_backend=backend)
-                finally:
-                    set_default_plan_layout(None)
-                identity_cells.append(
-                    {
-                        "fft_backend": backend,
-                        "plan_layout": layout,
-                        "gradient_identical": bool(
-                            np.array_equal(warm["gradient"], cold["gradient"])
-                        ),
-                        "matvec_identical": bool(
-                            np.array_equal(warm["matvec"], cold["matvec"])
-                        ),
-                        "warm_transforms": warm["matvec_transforms"],
-                        "cold_transforms": cold["matvec_transforms"],
-                    }
-                )
+            warm = _measure_mode(True, fft_backend=backend)
+            cold = _measure_mode(False, fft_backend=backend)
+            identity_cells.append(
+                {
+                    "fft_backend": backend,
+                    "gradient_identical": bool(
+                        np.array_equal(warm["gradient"], cold["gradient"])
+                    ),
+                    "matvec_identical": bool(np.array_equal(warm["matvec"], cold["matvec"])),
+                    "warm_transforms": warm["matvec_transforms"],
+                    "cold_transforms": cold["matvec_transforms"],
+                }
+            )
 
         # budget fallback: a pool too small for the stack degrades (logged)
         gradient_cache_decision_log().reset()
@@ -249,7 +240,7 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
     # carries its div v source as the plan's growth factor)
     assert warm_gn["matvec_sweeps"] == cold_gn["matvec_sweeps"] == 2 * nt
 
-    # --- bitwise identity across backends x layouts ------------------------ #
+    # --- bitwise identity across backends ----------------------------------- #
     for cell in m["identity_cells"]:
         assert cell["gradient_identical"] and cell["matvec_identical"], cell
         assert cell["warm_transforms"] == WARM_GN_TRANSFORMS

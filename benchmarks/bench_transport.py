@@ -10,8 +10,8 @@ alongside the other machine-readable results:
   them once for the whole stack.  The ledger deltas (messages = the
   latency term of the machine model) are the deterministic result; wall
   time on the simulated communicator is reported for context.
-* **resident vs tiled gather** — the same streaming-layout plan executed
-  from a resident flattened stack and through an `ArrayFieldSource`:
+* **resident vs tiled gather** — the same stencil plan executed from a
+  resident flattened stack and through an `ArrayFieldSource`:
   reports the peak resident tile bytes (the out-of-core working set)
   against the field bytes, plus the wall-time cost of tile loading.
 
@@ -30,12 +30,7 @@ from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.scatter import ScatterInterpolationPlan
 from repro.spectral.grid import Grid
-from repro.transport.kernels import (
-    STENCIL_CHUNK,
-    ArrayFieldSource,
-    build_stencil_plan,
-    execute_stencil_plan,
-)
+from repro.transport.kernels import ArrayFieldSource, build_stencil_plan, execute_stencil_plan
 from repro.transport.semi_lagrangian import compute_departure_points
 
 #: Grid edge of the distributed batching scenario (p = 4 simulated ranks).
@@ -130,7 +125,7 @@ def test_bench_transport_batching(record_text, record_json):
     ]["bytes"]
 
     # ------------------------------------------------------------------ #
-    # scenario 2: resident vs tiled gather (streaming layout)
+    # scenario 2: resident vs tiled gather
     # ------------------------------------------------------------------ #
     m = TILED_N
     tgrid = Grid((m, m, m))
@@ -140,7 +135,7 @@ def test_bench_transport_batching(record_text, record_json):
         -3.0, 3.0, size=(3, tgrid.num_points)
     )
     coords = np.mod(tpoints / spacing, m)
-    splan = build_stencil_plan(tgrid.shape, coords, "catmull_rom", layout="streaming")
+    splan = build_stencil_plan(tgrid.shape, coords, "catmull_rom")
 
     flat = np.ascontiguousarray(field.reshape(1, -1))
     resident_time = _best_of(lambda: execute_stencil_plan(flat, splan))
@@ -149,8 +144,6 @@ def test_bench_transport_batching(record_text, record_json):
     np.testing.assert_array_equal(
         execute_stencil_plan(source, splan), execute_stencil_plan(flat, splan)
     )
-    chunk_cap = 3 * STENCIL_CHUNK * (np.dtype(np.intp).itemsize + 8)
-    working_set = source.peak_tile_bytes + splan.nbytes
     assert source.peak_tile_bytes < 0.25 * field.nbytes  # tile-bounded, not O(N^3)
 
     # ------------------------------------------------------------------ #
@@ -174,14 +167,14 @@ def test_bench_transport_batching(record_text, record_json):
         f"-> {ghost_calls_saved} ghost-exchange rounds saved per {BATCH}-field batch "
         f"(latency term /{BATCH}); payload bytes unchanged; bitwise identical",
         "",
-        f"[2] resident vs tiled gather at {m}^3 (streaming layout, {tgrid.num_points} points)",
+        f"[2] resident vs tiled gather at {m}^3 ({tgrid.num_points} points)",
         f"{'mode':<12} {'time [s]':>10} {'resident field bytes':>22}",
         "-" * 48,
         f"{'resident':<12} {resident_time:>10.4f} {flat.nbytes:>22}",
         f"{'tiled':<12} {tiled_time:>10.4f} {source.peak_tile_bytes:>22}",
-        f"-> peak tile {source.peak_tile_bytes} B + streaming stencil {splan.nbytes} B "
-        f"= {working_set} B working set ({working_set / field.nbytes:.1%} of the field); "
-        f"stencil scratch cap {chunk_cap} B; bitwise identical",
+        f"-> peak tile {source.peak_tile_bytes} B "
+        f"({source.peak_tile_bytes / field.nbytes:.1%} of the field); "
+        f"stencil plan {splan.nbytes} B (36 B/point); bitwise identical",
     ]
     record_text("transport_batching", "\n".join(rows))
     record_json(
@@ -206,14 +199,12 @@ def test_bench_transport_batching(record_text, record_json):
             "tiled_gather": {
                 "grid": [m, m, m],
                 "num_points": tgrid.num_points,
-                "layout": "streaming",
                 "resident_seconds": resident_time,
                 "tiled_seconds": tiled_time,
                 "field_bytes": int(field.nbytes),
                 "peak_tile_bytes": int(source.peak_tile_bytes),
-                "streaming_stencil_bytes": int(splan.nbytes),
-                "working_set_bytes": int(working_set),
-                "working_set_over_field": working_set / field.nbytes,
+                "stencil_plan_bytes": int(splan.nbytes),
+                "peak_tile_over_field": source.peak_tile_bytes / field.nbytes,
                 "bitwise_identical": True,
             },
         },

@@ -27,7 +27,7 @@ Python:
     ``$REPRO_SERVICE_JOURNAL``) every submission is crash-safe — a killed
     service re-queues its unfinished jobs on restart.
 
-Execution knobs (``--fft-backend``, ``--plan-layout``, ``--workers``, ...)
+Execution knobs (``--fft-backend``, ``--plan-pool-bytes``, ``--workers``, ...)
 are shared by ``register`` and ``serve``; internally they are layered onto
 a :class:`repro.config.RegistrationConfig` (flags beat config fields beat
 ``REPRO_*`` environment variables beat built-in defaults).
@@ -69,14 +69,13 @@ from repro.observability import (
 )
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
-from repro.runtime import get_plan_pool, layout_decision_log
+from repro.runtime import get_plan_pool
 from repro.spectral.backends import (
     BackendUnavailableError,
     available_backends,
     registered_backends,
 )
 from repro.transport.kernels import (
-    PLAN_LAYOUT_CHOICES,
     available_backends as available_interp_backends,
     registered_backends as registered_interp_backends,
 )
@@ -111,19 +110,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         ),
     )
     sub.add_argument(
-        "--plan-layout",
-        choices=PLAN_LAYOUT_CHOICES,
-        default=None,
-        help=(
-            "stencil-plan storage layout: 'auto' (budget-aware: streaming "
-            "when a plan's projected lean bytes exceed a fraction of the "
-            "pool budget, lean otherwise), 'lean' (36 B/point), 'fat' "
-            "(192 B/point), or 'streaming' (chunk-resident, for out-of-core "
-            "grids; default: $REPRO_PLAN_LAYOUT or 'auto'); all layouts are "
-            "bitwise identical"
-        ),
-    )
-    sub.add_argument(
         "--plan-pool-bytes",
         type=int,
         default=None,
@@ -131,16 +117,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help=(
             "memory budget of the shared execution-plan pool (default: "
             "$REPRO_PLAN_POOL_BYTES or 512 MiB; 0 disables plan caching)"
-        ),
-    )
-    sub.add_argument(
-        "--auto-fraction",
-        type=float,
-        default=None,
-        metavar="F",
-        help=(
-            "threshold fraction of the budget-aware 'auto' plan layout "
-            "(default: $REPRO_PLAN_AUTO_FRACTION or 0.5)"
         ),
     )
     sub.add_argument(
@@ -195,9 +171,7 @@ def _config_from_args(
     overrides = {
         "fft_backend": args.fft_backend,
         "interp_backend": args.interp_backend,
-        "plan_layout": args.plan_layout,
         "plan_pool_bytes": args.plan_pool_bytes,
-        "auto_fraction": args.auto_fraction,
         "workers": args.workers,
         "field_source": args.field_source,
         "trace": args.trace,
@@ -441,17 +415,6 @@ def _run_register(
                 f"{sources.tile_cache_misses} misses, "
                 f"prefetch {sources.prefetch_issued} issued / "
                 f"{sources.prefetch_hits} hits"
-            )
-        decisions = layout_decision_log()
-        if decisions.total:
-            counts = ", ".join(
-                f"{layout}: {count}" for layout, count in decisions.counts().items()
-            )
-            print(f"auto plan layout: {decisions.total} decisions ({counts})")
-            last = decisions.recent()[-1]
-            print(
-                f"  last: {last.layout} for {last.num_points} points "
-                f"({last.reason})"
             )
         cache_decisions = gradient_cache_decision_log()
         if cache_decisions.total:

@@ -1,11 +1,11 @@
 """Unified registration configuration (:class:`RegistrationConfig`).
 
 PRs 1-5 grew the runtime a knob at a time — ``REPRO_FFT_BACKEND``,
-``REPRO_INTERP_BACKEND``, ``REPRO_PLAN_LAYOUT``, ``REPRO_WORKERS``,
-``REPRO_PLAN_POOL_BYTES``, ``REPRO_PLAN_AUTO_FRACTION`` — each with its own
-environment variable, CLI flag and keyword argument.  Every entry point
-(the CLI, :func:`repro.register`, the benchmarks, and now the job service)
-re-implemented the same resolve-and-apply dance.  This module consolidates
+``REPRO_INTERP_BACKEND``, ``REPRO_WORKERS``, ``REPRO_PLAN_POOL_BYTES`` —
+each with its own environment variable, CLI flag and keyword argument.
+Every entry point (the CLI, :func:`repro.register`, the benchmarks, and
+now the job service) re-implemented the same resolve-and-apply dance.
+This module consolidates
 the scattered knobs into one frozen dataclass that every entry point
 accepts:
 
@@ -13,8 +13,8 @@ accepts:
   configuration (useful for artifacts: "what configuration produced this
   result"),
 * :meth:`RegistrationConfig.apply` validates every field and pushes the
-  process-wide ones (plan layout, worker default, pool budget, auto
-  fraction) into the runtime — fields left at ``None`` keep the
+  process-wide ones (worker default, pool budget, field source, gradient
+  cache, tracing) into the runtime — fields left at ``None`` keep the
   environment/default behavior untouched,
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
   flags over a base config this way).
@@ -44,7 +44,6 @@ from repro.observability.trace import (
     env_trace_out,
     tracing_enabled,
 )
-from repro.runtime.layout import auto_streaming_fraction, set_auto_fraction
 from repro.runtime.plan_pool import configure_plan_pool, env_pool_budget, get_plan_pool
 from repro.runtime.workers import default_workers, resolve_workers, set_default_workers
 from repro.spectral import backends as fft_backends
@@ -141,9 +140,6 @@ class RegistrationConfig:
     interp_backend:
         Semi-Lagrangian gather engine name (``"scipy"``, ``"numpy"``,
         ``"numba"``).
-    plan_layout:
-        Stencil-plan storage layout (``"auto"``, ``"lean"``, ``"fat"``,
-        ``"streaming"``); applied process-wide (the ``--plan-layout`` path).
     workers:
         Shared default worker count for threaded kernels (the
         ``REPRO_WORKERS`` / ``--workers`` knob); per-subsystem environment
@@ -151,9 +147,6 @@ class RegistrationConfig:
     plan_pool_bytes:
         Byte budget of the shared execution-plan pool (``0`` disables
         caching).
-    auto_fraction:
-        Threshold fraction of the budget-aware ``auto`` layout policy,
-        in ``(0, 1]``.
     field_source:
         Field-source mode (``"resident"``, ``"memmap"``); ``memmap`` runs
         every frontend gather through a disk-backed source (the
@@ -177,10 +170,8 @@ class RegistrationConfig:
 
     fft_backend: Optional[str] = None
     interp_backend: Optional[str] = None
-    plan_layout: Optional[str] = None
     workers: Optional[int] = None
     plan_pool_bytes: Optional[int] = None
-    auto_fraction: Optional[float] = None
     field_source: Optional[str] = None
     gradient_cache: Optional[bool] = None
     trace: Optional[bool] = None
@@ -192,10 +183,6 @@ class RegistrationConfig:
         if self.plan_pool_bytes is not None and int(self.plan_pool_bytes) < 0:
             raise ValueError(
                 f"plan_pool_bytes must be non-negative, got {self.plan_pool_bytes}"
-            )
-        if self.auto_fraction is not None and not 0.0 < float(self.auto_fraction) <= 1.0:
-            raise ValueError(
-                f"auto_fraction must lie in (0, 1], got {self.auto_fraction}"
             )
 
     # ------------------------------------------------------------------ #
@@ -219,10 +206,8 @@ class RegistrationConfig:
         return cls(
             fft_backend=fft_backends.default_backend_name(),
             interp_backend=interp_kernels.default_backend_name(),
-            plan_layout=interp_kernels.default_plan_layout(),
             workers=default_workers(),
             plan_pool_bytes=get_plan_pool().max_bytes,
-            auto_fraction=auto_streaming_fraction(),
             field_source=field_sources.default_field_source(),
             gradient_cache=gradient_cache_enabled(),
             trace=tracing_enabled() or bool(env_trace_enabled()),
@@ -244,13 +229,6 @@ class RegistrationConfig:
         """
         fft_backends.get_backend(self.fft_backend)
         interp_kernels.get_backend(self.interp_backend)
-        if self.plan_layout is not None and (
-            self.plan_layout not in interp_kernels.PLAN_LAYOUT_CHOICES
-        ):
-            raise ValueError(
-                f"unknown stencil-plan layout {self.plan_layout!r}; "
-                f"expected one of {interp_kernels.PLAN_LAYOUT_CHOICES}"
-            )
         if self.field_source is not None and (
             self.field_source not in field_sources.FIELD_SOURCE_MODES
         ):
@@ -260,9 +238,7 @@ class RegistrationConfig:
             )
         from repro.core.gradients import env_gradient_cache_enabled
 
-        interp_kernels.default_plan_layout()  # validate $REPRO_PLAN_LAYOUT
-        auto_streaming_fraction()  # ... and $REPRO_PLAN_AUTO_FRACTION
-        env_gradient_cache_enabled()  # ... and $REPRO_GRADIENT_CACHE
+        env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
         env_pool_budget()  # ... and $REPRO_PLAN_POOL_BYTES
         field_sources.default_field_source()  # ... and $REPRO_FIELD_SOURCE
         env_trace_enabled()  # ... and $REPRO_TRACE
@@ -281,10 +257,6 @@ class RegistrationConfig:
         explicit choices.
         """
         self.validate()
-        if self.plan_layout is not None:
-            interp_kernels.set_default_plan_layout(self.plan_layout)
-        if self.auto_fraction is not None:
-            set_auto_fraction(self.auto_fraction)
         if self.workers is not None:
             set_default_workers(self.workers)
         if self.plan_pool_bytes is not None:

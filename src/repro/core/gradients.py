@@ -18,8 +18,7 @@ This module materializes those gradients **once per outer iterate**:
   ``grad-cache`` tag and **degrades to the uncached per-level path** when it
   does not fit (or when ``REPRO_GRADIENT_CACHE=0`` opts out).  Every
   decision is recorded in a process-wide log
-  (:func:`gradient_cache_decision_log`, the twin of
-  :func:`repro.runtime.layout.layout_decision_log`).
+  (:func:`gradient_cache_decision_log`).
 * The cached stack is built level by level with the *identical*
   :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
   uncached path performs, so consuming a cached level is bitwise identical
@@ -130,7 +129,7 @@ def gradient_cache_enabled() -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# decision log (the twin of repro.runtime.layout.LayoutDecisionLog)
+# decision log
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class GradientCacheDecision:
@@ -152,8 +151,7 @@ class GradientCacheDecisionLog:
     """Process-wide record of gradient-cache decisions (counts + recent).
 
     Answers "did the iterate-scoped gradient cache actually engage this
-    run, and if not, why" next to the plan pool's hit/miss statistics —
-    the same observability contract the auto-layout policy established.
+    run, and if not, why" next to the plan pool's hit/miss statistics.
     """
 
     def __init__(self, recent: int = 8) -> None:

@@ -46,7 +46,6 @@ from repro.observability.trace import trace_span
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import default_plan_layout, resolve_plan_layout
 from repro.transport.solvers import TransportPlan, TransportSolver
 from repro.utils.validation import check_positive_int, check_velocity_shape
 
@@ -496,8 +495,4 @@ class RegistrationProblem:
             "interpolation": self.interpolation,
             "fft_backend": self.operators.fft.backend_name,
             "interp_backend": self.transport.interpolator.backend_name,
-            "plan_layout": default_plan_layout(),
-            "plan_layout_resolved": resolve_plan_layout(
-                self.grid.num_points, method=self.interpolation, record=False
-            ),
         }

@@ -36,14 +36,15 @@ from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
 from repro.transport.kernels import SourceStats, field_source_log
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_finite
 
 LOGGER = get_logger("core.registration")
 
 #: Name and version of the JSON document :meth:`RegistrationResult.to_dict`
 #: emits.  The CLI's verbose report and the job service's per-job artifacts
 #: share this one schema; bump the version on any breaking field change.
-#: v2: adds the embedded ``observability`` snapshot block
-#: (``repro.observability-snapshot`` v1).
+#: v2: adds the embedded ``observability`` snapshot block (a
+#: ``repro.observability-snapshot`` document carrying its own version).
 RESULT_SCHEMA = "repro.registration-result"
 RESULT_SCHEMA_VERSION = 2
 
@@ -220,10 +221,10 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (plan layout, worker default, pool budget,
-        auto fraction) and supplies the FFT/interpolation engines unless
-        the explicit ``fft_backend``/``interp_backend`` arguments override
-        them.
+        applied process-wide (worker default, pool budget, field source,
+        gradient cache, tracing) and supplies the FFT/interpolation engines
+        unless the explicit ``fft_backend``/``interp_backend`` arguments
+        override them.
     """
 
     beta: float = 1e-2
@@ -268,6 +269,8 @@ class RegistrationSolver:
             raise ValueError(
                 f"grid shape {grid.shape} does not match the image shape {template.shape}"
             )
+        check_finite(template, "template")
+        check_finite(reference, "reference")
 
         if self.normalize:
             template = normalize_intensity(template)
@@ -302,6 +305,8 @@ class RegistrationSolver:
         initial_velocity: Optional[np.ndarray] = None,
     ) -> RegistrationResult:
         """Register *template* to *reference* and collect the diagnostics."""
+        if initial_velocity is not None:
+            check_finite(np.asarray(initial_velocity), "initial_velocity")
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
         sources_before = field_source_log().snapshot()
@@ -382,7 +387,7 @@ def register(
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (backends, plan layout, workers, pool budget) belong in
+    Execution knobs (backends, workers, pool budget) belong in
     *config* (:class:`repro.config.RegistrationConfig`); the bare
     ``fft_backend``/``interp_backend`` keywords are the legacy spelling and
     warn (once per process) when used.

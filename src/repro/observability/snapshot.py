@@ -2,19 +2,18 @@
 
 :func:`snapshot` unifies the process's observability state — the metrics
 registry, plan-pool statistics (pool-wide and per tag), field-source
-traffic, auto-layout decisions, and the tracing summary — into one
+traffic and the tracing summary — into one
 JSON-safe document:
 
 .. code-block:: python
 
     {
         "schema": "repro.observability-snapshot",
-        "schema_version": 1,
+        "schema_version": 2,
         "metrics": {"fft.transforms": {"direction=forward": 42.0, ...}, ...},
         "plan_pool": {"hits": ..., "misses": ..., ...},
         "plan_pool_by_tag": {"scatter-plan": {...}, ...},
         "field_sources": {"loads": ..., "planes_loaded": ..., ...},
-        "layout_decisions": {"total": ..., "counts": {"lean": ..., ...}},
         "trace": {"enabled": ..., "spans": ..., "span_counts": {...},
                   "span_durations_seconds": {...}},
     }
@@ -26,7 +25,8 @@ service artifacts, and ``RegistrationService.service_stats()``; the CI
 
 Schema evolution: additive fields bump ``SNAPSHOT_SCHEMA_VERSION`` only on
 breaking changes, mirroring the other versioned documents
-(``repro.registration-result``, ``repro.service-job``).
+(``repro.registration-result``, ``repro.service-job``).  Version 2 dropped
+v1's ``layout_decisions`` block with the stencil-layout policy it reported.
 
 Unlike the stdlib-only :mod:`trace`/:mod:`metrics` leaves, this module
 reads the stat mechanisms across the codebase — imports happen lazily
@@ -46,19 +46,17 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.observability-snapshot"
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
 
 
 def snapshot() -> Dict[str, Any]:
     """Collect the process-wide observability snapshot document."""
     from repro.observability.metrics import get_metrics_registry
     from repro.observability.trace import get_trace_recorder, tracing_enabled
-    from repro.runtime.layout import layout_decision_log
     from repro.runtime.plan_pool import get_plan_pool
     from repro.transport.kernels import field_source_log
 
     pool = get_plan_pool()
-    layout_log = layout_decision_log()
     recorder = get_trace_recorder()
     return {
         "schema": SNAPSHOT_SCHEMA,
@@ -69,10 +67,6 @@ def snapshot() -> Dict[str, Any]:
             tag: stats.as_dict() for tag, stats in sorted(pool.stats_by_tag().items())
         },
         "field_sources": field_source_log().snapshot().as_dict(),
-        "layout_decisions": {
-            "total": layout_log.total,
-            "counts": layout_log.counts(),
-        },
         "trace": {
             "enabled": tracing_enabled(),
             "spans": len(recorder),
@@ -108,7 +102,6 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
         "plan_pool",
         "plan_pool_by_tag",
         "field_sources",
-        "layout_decisions",
         "trace",
     ):
         if key not in document:
@@ -123,11 +116,6 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
         for key, value in document[block].items():
             if not isinstance(value, int):
                 fail(f"{block}[{key!r}] must be an integer, got {value!r}")
-    layout = document["layout_decisions"]
-    if not isinstance(layout.get("total"), int):
-        fail("layout_decisions.total must be an integer")
-    if not isinstance(layout.get("counts"), dict):
-        fail("layout_decisions.counts must be a dict")
     trace = document["trace"]
     if not isinstance(trace.get("enabled"), bool):
         fail("trace.enabled must be a boolean")

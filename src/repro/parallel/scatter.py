@@ -55,13 +55,7 @@ from repro.parallel.ghost import exchange_ghost_layers_batched
 from repro.parallel.pencil import PencilDecomposition
 from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
-from repro.transport.kernels import (
-    StencilPlanLike,
-    StreamingStencilPlan,
-    build_stencil_plan,
-    execute_stencil_plan,
-    plan_layout_cache_token,
-)
+from repro.transport.kernels import StencilPlan, build_stencil_plan, execute_stencil_plan
 
 #: Halo width required by the 4-point (tricubic) stencil.
 GHOST_WIDTH = 2
@@ -86,34 +80,23 @@ class ScatterPlanData:
     oversize-rejected) as one unit: a plan larger than the whole pool
     budget caches nothing, and every re-creation then redoes the full
     setup.  Size ``REPRO_PLAN_POOL_BYTES`` for distributed runs accordingly
-    — one entry is roughly ``(32 + stencil bytes/point) * N^3`` bytes; the
-    streaming layout shrinks the stencil term to a per-owner constant.
+    — one entry is roughly ``(32 + 36) * N^3`` bytes (owner map and routing
+    tables, then the stencils' int32 base + float64 fraction per point).
     """
 
     owner_of_point: List[np.ndarray]
     points_by_owner: List[List[np.ndarray]]
-    stencil_plans: List[List[Optional[StencilPlanLike]]]
+    stencil_plans: List[List[Optional[StencilPlan]]]
     stencil_builds: int
 
     @property
     def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting).
-
-        Streaming stencils only report their one-chunk scratch cap and
-        *borrow* their coordinate buffers — here those buffers are owned by
-        this entry (they are the shifted ghost-block coordinates, not the
-        routing-table points), so they are charged explicitly.
-        """
+        """Exact array payload in bytes (plan-pool accounting)."""
         total = sum(owner.nbytes for owner in self.owner_of_point)
         for rows in self.points_by_owner:
             total += sum(np.asarray(chunk).nbytes for chunk in rows)
         for rows in self.stencil_plans:
-            for plan in rows:
-                if plan is None:
-                    continue
-                total += plan.nbytes
-                if isinstance(plan, StreamingStencilPlan):
-                    total += plan.coordinates.nbytes
+            total += sum(plan.nbytes for plan in rows if plan is not None)
         return total
 
 
@@ -169,9 +152,8 @@ class ScatterInterpolationPlan:
             points.append(np.ascontiguousarray(pts))
 
         # the entire planning product is keyed by content: same grid, same
-        # decomposition, same departure points (and the same stencil layout)
-        # -> same routing tables and stencils, no matter which solver or
-        # communicator asks
+        # decomposition, same departure points -> same routing tables and
+        # stencils, no matter which solver or communicator asks
         built: List[bool] = []
 
         def build() -> ScatterPlanData:
@@ -183,7 +165,6 @@ class ScatterInterpolationPlan:
                 SCATTER_PLAN_TAG,
                 self.grid,
                 self.decomposition,
-                plan_layout_cache_token(),
                 array_fingerprint(*points),
             )
             data = get_plan_pool().get(key, build)
@@ -220,7 +201,7 @@ class ScatterInterpolationPlan:
         # planning phase: build each owner's local stencil plans once, right
         # next to the routing tables they belong to
         stencil_builds = 0
-        stencil_plans: List[List[Optional[StencilPlanLike]]] = [
+        stencil_plans: List[List[Optional[StencilPlan]]] = [
             [None] * deco.num_tasks for _ in range(deco.num_tasks)
         ]
         for owner in range(deco.num_tasks):

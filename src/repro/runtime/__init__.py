@@ -19,13 +19,6 @@ registries:
     override per subsystem, and thread pools are shared per width so the
     subsystems never stack separate pools on the same cores.
 
-:mod:`repro.runtime.layout`
-    The budget-aware stencil-layout policy behind ``REPRO_PLAN_LAYOUT=auto``
-    (the default): pick the chunk-resident streaming layout when a plan's
-    projected lean bytes exceed a configured fraction of the pool budget,
-    keep the faster lean layout otherwise.  Decisions are recorded in a
-    process-wide log surfaced next to the pool statistics.
-
 GPU engines and distributed launchers added through the backend registries
 should acquire their plans and workers here so they inherit the same
 lifecycle (budgeting, eviction, statistics) without re-implementing it.
@@ -36,16 +29,6 @@ from repro.runtime.cancellation import (
     CombinedCancelToken,
     SolveCancelled,
     check_cancelled,
-)
-from repro.runtime.layout import (
-    AUTO_FRACTION_ENV_VAR,
-    DEFAULT_AUTO_FRACTION,
-    LayoutDecision,
-    LayoutDecisionLog,
-    auto_streaming_fraction,
-    layout_decision_log,
-    select_layout,
-    set_auto_fraction,
 )
 from repro.runtime.plan_pool import (
     DEFAULT_POOL_BYTES,
@@ -77,14 +60,6 @@ __all__ = [
     "CombinedCancelToken",
     "SolveCancelled",
     "check_cancelled",
-    "AUTO_FRACTION_ENV_VAR",
-    "DEFAULT_AUTO_FRACTION",
-    "LayoutDecision",
-    "LayoutDecisionLog",
-    "auto_streaming_fraction",
-    "layout_decision_log",
-    "select_layout",
-    "set_auto_fraction",
     "DEFAULT_POOL_BYTES",
     "POOL_BYTES_ENV_VAR",
     "PlanPool",

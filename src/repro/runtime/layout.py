@@ -1,229 +1,13 @@
-"""Budget-aware stencil-plan layout policy (``REPRO_PLAN_LAYOUT=auto``).
+"""Compatibility stub: ``layout_decision_log().reset()`` does nothing.
 
-PR 3 introduced the memory-lean stencil layout, PR 4 the chunk-resident
-streaming layout, and both left the *choice* to the user: a 512^3 run that
-forgot ``--plan-layout streaming`` would happily try to materialize a
-4.8 GB lean stencil.  The accounting needed to make that choice
-automatically has existed since PR 3 — every layout's projected ``nbytes``
-is computable from the point count alone, and the plan pool knows its byte
-budget — so this module turns it into a policy:
-
-* ``auto`` (the default since PR 5) projects the lean layout's bytes for
-  the plan about to be built and picks **streaming** when they exceed a
-  configured fraction of the pool budget (``REPRO_PLAN_AUTO_FRACTION``,
-  default 0.5), **lean** otherwise.  Laptop-scale grids keep the faster
-  lean plans; out-of-core grids degrade to the chunk-resident layout
-  instead of exhausting memory.
-* Explicit values (``lean``/``fat``/``streaming`` via the environment, the
-  CLI flag or a ``build_stencil_plan`` argument) opt out entirely — the
-  policy never overrides a human.
-* Every decision is recorded in a process-wide :class:`LayoutDecisionLog`
-  (counts per chosen layout + the most recent decisions with their
-  inputs), surfaced next to the plan-pool statistics in the verbose CLI.
-
-The module is deliberately free of imports from :mod:`repro.transport` —
-the kernel layer calls *into* the policy with projected byte counts, so
-the policy stays reusable for future plan kinds (GPU tiles, distributed
-blocks) that budget different byte streams.
+Stencil plans have one storage layout, so there are no layout decisions to
+log.  This name exists only because ``benchmarks/e2e/workloads.py`` imports
+it and resets it once per rep; nothing in the package calls it.
 """
 
-from __future__ import annotations
-
-import os
-import threading
-from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
-
-from repro.observability.metrics import get_metrics_registry
-
-#: Environment variable with the auto-layout threshold: ``auto`` picks the
-#: streaming layout when the projected lean-plan bytes exceed this fraction
-#: of the plan-pool budget.
-AUTO_FRACTION_ENV_VAR = "REPRO_PLAN_AUTO_FRACTION"
-
-#: Default threshold fraction.  One transport plan needs a forward and a
-#: backward stencil, so a single plan projected at more than half the pool
-#: budget could never hold a warm pair — the point where streaming's
-#: chunk-resident layout wins.
-DEFAULT_AUTO_FRACTION = 0.5
-
-_process_auto_fraction: Optional[float] = None
+from types import SimpleNamespace
 
 
-def set_auto_fraction(fraction: Optional[float]) -> None:
-    """Set the process-wide auto-layout threshold fraction.
-
-    The programmatic twin of ``REPRO_PLAN_AUTO_FRACTION`` (the
-    :class:`repro.config.RegistrationConfig` path); ``None`` clears a
-    previous override, falling back to the environment / built-in default.
-    The environment is never mutated.
-    """
-    global _process_auto_fraction
-    if fraction is None:
-        _process_auto_fraction = None
-        return
-    fraction = float(fraction)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"auto fraction must lie in (0, 1], got {fraction}")
-    _process_auto_fraction = fraction
-
-
-def auto_streaming_fraction() -> float:
-    """Active auto-layout threshold fraction.
-
-    Resolution order: process-wide override (:func:`set_auto_fraction`),
-    then ``REPRO_PLAN_AUTO_FRACTION``, then the default.
-    """
-    if _process_auto_fraction is not None:
-        return _process_auto_fraction
-    value = os.environ.get(AUTO_FRACTION_ENV_VAR, "").strip()
-    if not value:
-        return DEFAULT_AUTO_FRACTION
-    try:
-        fraction = float(value)
-    except ValueError as exc:
-        raise ValueError(
-            f"{AUTO_FRACTION_ENV_VAR} must be a number in (0, 1], got {value!r}"
-        ) from exc
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(
-            f"{AUTO_FRACTION_ENV_VAR} must lie in (0, 1], got {fraction}"
-        )
-    return fraction
-
-
-@dataclass(frozen=True)
-class LayoutDecision:
-    """One auto-layout decision with the inputs that produced it."""
-
-    layout: str
-    num_points: int
-    projected_lean_bytes: int
-    budget_bytes: int
-    fraction: float
-    reason: str
-
-
-class LayoutDecisionLog:
-    """Process-wide record of auto-layout decisions (counts + recent ones).
-
-    The log only ever sees *auto* decisions — explicit layout choices never
-    reach the policy — so its counts answer "what did ``auto`` actually do
-    this run", next to the plan pool's hit/miss statistics.
-    """
-
-    def __init__(self, recent: int = 8) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {}
-        self._recent: Deque[LayoutDecision] = deque(maxlen=recent)
-
-    def record(self, decision: LayoutDecision) -> None:
-        with self._lock:
-            self._counts[decision.layout] = self._counts.get(decision.layout, 0) + 1
-            self._recent.append(decision)
-
-    @property
-    def total(self) -> int:
-        with self._lock:
-            return sum(self._counts.values())
-
-    def counts(self) -> Dict[str, int]:
-        """Decisions per chosen layout, e.g. ``{"lean": 4, "streaming": 2}``."""
-        with self._lock:
-            return dict(sorted(self._counts.items()))
-
-    def recent(self) -> Tuple[LayoutDecision, ...]:
-        """The most recent decisions, oldest first."""
-        with self._lock:
-            return tuple(self._recent)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._counts.clear()
-            self._recent.clear()
-
-
-_decision_log = LayoutDecisionLog()
-
-
-def layout_decision_log() -> LayoutDecisionLog:
-    """The shared process-wide auto-layout decision log."""
-    return _decision_log
-
-
-def _collect_layout_metrics() -> Dict[str, Dict[str, int]]:
-    """Pull collector publishing auto-layout decision counts to the registry."""
-    counts = _decision_log.counts()
-    if not counts:
-        return {}
-    return {
-        "layout.decisions": {
-            f"layout={layout}": count for layout, count in counts.items()
-        }
-    }
-
-
-get_metrics_registry().register_collector("layout_decisions", _collect_layout_metrics)
-
-
-def select_layout(
-    num_points: int,
-    projected_lean_bytes: int,
-    budget_bytes: int,
-    fraction: Optional[float] = None,
-    record: bool = True,
-) -> LayoutDecision:
-    """Pick a concrete stencil layout for one plan under the ``auto`` policy.
-
-    Parameters
-    ----------
-    num_points:
-        Point count of the plan about to be built (diagnostic only).
-    projected_lean_bytes:
-        The lean layout's projected payload for that plan (the kernel layer
-        computes this exactly; see
-        :func:`repro.transport.kernels.projected_stencil_nbytes`).
-    budget_bytes:
-        The plan pool's byte budget.  ``0`` (pool disabled) means there is
-        no byte budget to respect, so the faster lean layout is kept.
-    fraction:
-        Threshold fraction; ``None`` resolves ``REPRO_PLAN_AUTO_FRACTION``.
-    record:
-        Record the decision in the shared :func:`layout_decision_log`
-        (pass ``False`` for purely diagnostic what-if queries so they never
-        skew the log of decisions that actually shaped a plan).
-
-    Returns
-    -------
-    LayoutDecision
-        The chosen layout plus the decision inputs.
-    """
-    if fraction is None:
-        fraction = auto_streaming_fraction()
-    if budget_bytes <= 0:
-        layout = "lean"
-        reason = "plan pool disabled (budget 0); no byte budget to respect"
-    elif projected_lean_bytes > fraction * budget_bytes:
-        layout = "streaming"
-        reason = (
-            f"projected lean bytes ({projected_lean_bytes}) exceed "
-            f"{fraction:g} x pool budget ({budget_bytes})"
-        )
-    else:
-        layout = "lean"
-        reason = (
-            f"projected lean bytes ({projected_lean_bytes}) fit within "
-            f"{fraction:g} x pool budget ({budget_bytes})"
-        )
-    decision = LayoutDecision(
-        layout=layout,
-        num_points=int(num_points),
-        projected_lean_bytes=int(projected_lean_bytes),
-        budget_bytes=int(budget_bytes),
-        fraction=float(fraction),
-        reason=reason,
-    )
-    if record:
-        _decision_log.record(decision)
-    return decision
+def layout_decision_log() -> SimpleNamespace:
+    """An object whose ``reset()`` is a no-op."""
+    return SimpleNamespace(reset=lambda: None)

@@ -20,8 +20,7 @@ service without forking the numerics:
     thread(s) (one by default: solves hold the GIL) executing jobs through the
     existing solver paths, sharing the process-wide plan pool across requests.
 :mod:`repro.service.artifacts`
-    Versioned per-job JSON artifacts (result report, pool/layout/ledger
-    metrics).
+    Versioned per-job JSON artifacts (result report, pool/ledger metrics).
 :mod:`repro.service.journal`
     Durable, crash-safe job journal (versioned jobspec documents,
     append-only fsync'd segments, replay + compaction on restart).

@@ -8,8 +8,8 @@ registration jobs it embeds the registration result's own versioned report
 ``"result"`` — one result schema shared by the CLI's verbose report and the
 service — and for every job kind it carries the job record (status,
 timestamps, batch size, error/traceback) plus the execution metrics the
-worker collected (plan-pool delta and hit rate, layout decisions,
-communication-ledger summary for distributed batches).
+worker collected (plan-pool delta and hit rate, communication-ledger
+summary for distributed batches).
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-write never
 leaves a torn document for a collector to trip over.
@@ -26,9 +26,10 @@ from repro.observability import snapshot as observability_snapshot
 from repro.service.jobs import Job
 
 #: Name and version of the per-job artifact document; bump the version on
-#: any breaking field change.
+#: any breaking field change (v2: the job metrics no longer carry
+#: ``layout_decisions``, and the embedded snapshot is v2).
 ARTIFACT_SCHEMA = "repro.service-job"
-ARTIFACT_SCHEMA_VERSION = 1
+ARTIFACT_SCHEMA_VERSION = 2
 
 __all__ = [
     "ARTIFACT_SCHEMA",

@@ -11,7 +11,7 @@ and ``json``:
     encoder).  Returns ``202`` with ``{"job_id": ...}``; a malformed spec
     returns ``400`` with the validation message.
 ``GET /jobs/<id>``
-    Status plus the full ``repro.service-job`` v1 artifact document of the
+    Status plus the full ``repro.service-job`` v2 artifact document of the
     job (the same document the artifact directory holds); ``404`` for an
     unknown id.
 ``DELETE /jobs/<id>``

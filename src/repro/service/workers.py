@@ -16,13 +16,13 @@ What the service adds over a loop of direct calls:
   a velocity an earlier job planned is a warm hit, and with several workers
   N concurrent jobs planning it single-flight into one build and N-1 hits.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
-  task layout, backend, stencil layout and velocity — see
+  task layout, backend and velocity — see
   :func:`~repro.service.batching.batch_key`) are claimed together and ride
   one ``solve_state_many`` stack: one ghost-exchange round and one return
   ``alltoallv`` per time step for the whole batch, results bitwise
   identical to solving each job alone.
 * **Observability.**  Every job records metrics (plan-pool delta, pool hit
-  rate, layout-decision counts, communication-ledger summary, timings) and
+  rate, communication-ledger summary, timings) and
   can be journaled to a per-job JSON artifact
   (:mod:`repro.service.artifacts`).
 * **Durability.**  With a journal directory
@@ -57,7 +57,6 @@ from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
 from repro.runtime.cancellation import CombinedCancelToken, SolveCancelled
-from repro.runtime.layout import layout_decision_log
 from repro.runtime.plan_pool import get_plan_pool
 from repro.runtime.workers import resolve_workers
 from repro.service.artifacts import write_job_artifact
@@ -319,7 +318,6 @@ class RegistrationService:
             "journal": self.journal.stats() if self.journal is not None else None,
             "plan_pool": pool.as_dict(),
             "plan_pool_hit_rate": _hit_rate(pool.hits, pool.misses),
-            "layout_decisions": layout_decision_log().counts(),
             "observability": observability_snapshot(),
         }
 
@@ -358,12 +356,11 @@ class RegistrationService:
                     self._execute_registration(job)
 
     def _execute_registration(self, job: Job) -> None:
-        """One register job; its pool/layout deltas difference *process-wide* counters,
+        """One register job; its pool deltas difference *process-wide* counters,
         so with several workers they also carry the concurrent jobs' hits and misses."""
         spec: RegistrationJobSpec = job.spec
         pool = get_plan_pool()
         pool_before = pool.stats
-        decisions_before = layout_decision_log().total
         # hand the job's cancel token to the Newton loop on a per-job copy:
         # the caller's options object is never mutated
         options = dataclasses.replace(
@@ -401,13 +398,12 @@ class RegistrationService:
             "result": result.to_dict(),
             "plan_pool_delta": delta.as_dict(),
             "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
-            "layout_decisions": layout_decision_log().total - decisions_before,
         }
         job._complete(result)
         self._finalize(job)
 
     def _execute_transport_batch(self, batch: List[Job]) -> None:
-        """One micro-batch; pool/layout deltas as in :meth:`_execute_registration`
+        """One micro-batch; pool deltas as in :meth:`_execute_registration`
         (attributable on one lane only), the ledger is the batch's own."""
         lead: TransportJobSpec = batch[0].spec
         grid = lead.resolved_grid()
@@ -415,7 +411,6 @@ class RegistrationService:
         comm = SimulatedCommunicator(decomposition.num_tasks)
         pool = get_plan_pool()
         pool_before = pool.stats
-        decisions_before = layout_decision_log().total
         # a merged solve is only abandoned once EVERY rider cancelled;
         # individually cancelled riders are sorted out after the solve
         batch_token = CombinedCancelToken([job.cancel_token for job in batch])
@@ -453,7 +448,6 @@ class RegistrationService:
             "batch_size": len(batch),
             "plan_pool_delta": delta.as_dict(),
             "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
-            "layout_decisions": layout_decision_log().total - decisions_before,
             "communication": ledger,
             "ghost_exchange_calls": ledger.get("ghost_exchange", {}).get("calls", 0),
         }

@@ -32,7 +32,7 @@ Backends
 ``"numba"``
     JIT-compiled stencil executor (auto-detected; cleanly reported as
     unavailable when :mod:`numba` is not installed — install the
-    ``[numba]`` extra).  Shares the plan layout and the prefilter with the
+    ``[numba]`` extra).  Shares the stencil plans and the prefilter with the
     ``numpy`` backend.
 
 Selection precedence (first match wins), mirroring the FFT registry:
@@ -72,32 +72,19 @@ blocks and are bitwise identical.
 
 Stencil plans (``catmull_rom`` everywhere, every kernel of ``numpy``/``numba``)
 -----------------------------------------------------------------------------
-The cached stencil defaults to the **memory-lean layout**
-(:class:`LeanStencilPlan`: int32 base indices + fractional offsets, 36
-bytes per point instead of 192) and the chunked executor is thread-pooled
-through the shared runtime (:mod:`repro.runtime.workers`,
-``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS``); both the layout and the
-worker count leave every gather bitwise unchanged.
-
-The **streaming layout** (:class:`StreamingStencilPlan`,
-``REPRO_PLAN_LAYOUT=streaming``) materializes no ``base``/``frac`` arrays at
-all — a generator backed only by the (borrowed) departure coordinates
-produces them one cache-sized chunk at a time, capping the resident stencil
-memory at one chunk regardless of the grid size.  All three layouts feed the
-executor through one uniform chunk protocol (:meth:`iter_chunks` +
-:meth:`chunk_stencil`) and gather bitwise identically, so out-of-core grids
-(>512^3 single node) only change the memory profile, never the numerics.
+A :class:`StencilPlan` stores what the tensor-product stencil is derived
+from — int32 base indices and float64 fractional offsets, 36 bytes per
+point — and the chunked executor derives each chunk's index parts and
+weights in cache.  The executor is thread-pooled through the shared runtime
+(:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` /
+``REPRO_WORKERS``); the worker count leaves every gather bitwise unchanged.
 
 The executor can also run in a **tiled** mode where the flattened field
 stack is never required resident — a :class:`FieldSource` (ndarray-backed or
 memory-mapped) serves axis-0 plane tiles per executor chunk, so the resident
 field bytes are bounded by the tile a chunk touches, not the grid size.
 Tiled and resident gathers run the same tap-loop arithmetic on the same
-float64 values and are bitwise identical on every backend and layout.  The
-stencil layout itself defaults to **budget-aware auto selection**
-(``REPRO_PLAN_LAYOUT=auto``, :mod:`repro.runtime.layout`): ``auto`` projects
-the lean layout's bytes per plan and degrades to streaming when they exceed
-a fraction of the plan-pool budget; explicit layout values opt out.
+float64 values and are bitwise identical on every backend.
 """
 
 from __future__ import annotations
@@ -134,25 +121,6 @@ from repro.spectral.backends import BackendUnavailableError
 BACKEND_ENV_VAR = "REPRO_INTERP_BACKEND"
 
 DEFAULT_BACKEND = "scipy"
-
-#: Environment variable selecting the stencil-plan storage layout
-#: (``"auto"`` — the budget-aware default —, ``"lean"``, ``"fat"``, or the
-#: chunk-resident ``"streaming"``).
-PLAN_LAYOUT_ENV_VAR = "REPRO_PLAN_LAYOUT"
-
-#: The budget-aware layout policy (see :mod:`repro.runtime.layout`): pick
-#: ``streaming`` when the projected lean bytes of the plan about to be
-#: built exceed a fraction of the plan-pool budget, ``lean`` otherwise.
-AUTO_PLAN_LAYOUT = "auto"
-
-DEFAULT_PLAN_LAYOUT = AUTO_PLAN_LAYOUT
-
-#: Concrete stencil-plan storage layouts (see :func:`build_stencil_plan`).
-PLAN_LAYOUTS = ("lean", "fat", "streaming")
-
-#: Everything ``REPRO_PLAN_LAYOUT`` / ``--plan-layout`` accepts: a concrete
-#: layout, or ``auto`` for the budget-aware policy.
-PLAN_LAYOUT_CHOICES = (AUTO_PLAN_LAYOUT,) + PLAN_LAYOUTS
 
 #: Interpolation kernels every backend understands.
 SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
@@ -273,11 +241,10 @@ def _derive_chunk_stencil(
 ):
     """Materialize flat index parts and axis weights from ``(3, m)`` base/frac.
 
-    This is *the* stencil arithmetic: the fat build, the lean per-chunk
-    rebuild, the streaming generator and the gather operator's blocks all
-    run these exact operations, which is what makes every layout gather
-    bitwise identically.  *strides* are those of the flat array the index
-    parts address (C order over *shape* unless given).
+    This is *the* stencil arithmetic: the stencil plans' per-chunk rebuild
+    and the gather operator's blocks both run these exact operations.
+    *strides* are those of the flat array the index parts address (C order
+    over *shape* unless given).
     """
     weight_fn, lead = _METHOD_STENCILS[method]
     strides = strides or (shape[1] * shape[2], shape[2], 1)
@@ -297,62 +264,15 @@ def _derive_chunk_stencil(
 
 @dataclass
 class StencilPlan:
-    """Fully materialized ("fat") stencil: flat index parts + axis weights.
-
-    ``index_parts[d]`` has shape ``(taps, M)`` and already contains the
-    *flattened* index contribution of axis ``d`` (wrapped index times the
-    axis stride), so the flat gather index of tap ``(a, b, c)`` is simply
-    ``index_parts[0][a] + index_parts[1][b] + index_parts[2][c]``.
-    ``weights[d]`` holds the matching per-axis kernel weights.
-
-    At ``2 * taps`` stored values per axis (12 index parts + 12 weights)
-    this weighs 24 doubles per point for the tricubic kernels (~400 MB per
-    plan at 128^3); the memory-lean :class:`LeanStencilPlan` is the default
-    layout since PR 3.
-    """
-
-    method: str
-    taps: int
-    index_parts: Tuple[np.ndarray, np.ndarray, np.ndarray]
-    weights: Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def num_points(self) -> int:
-        return self.index_parts[0].shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
-        return sum(part.nbytes for part in self.index_parts) + sum(
-            w.nbytes for w in self.weights
-        )
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-        """The executor's chunk protocol: spans to feed :meth:`chunk_stencil`."""
-        return _chunk_spans(self.num_points, chunk or STENCIL_CHUNK)
-
-    def chunk_stencil(self, lo: int, hi: int):
-        """Index-part / weight views of the points ``[lo, hi)``."""
-        return (
-            tuple(part[:, lo:hi] for part in self.index_parts),
-            tuple(w[:, lo:hi] for w in self.weights),
-        )
-
-
-@dataclass
-class LeanStencilPlan:
-    """Memory-lean stencil: int32 base indices + float64 fractional offsets.
+    """The gather stencil of a point set: int32 base indices + float64 fractions.
 
     Stores only what the tensor-product stencil is *derived from* — the
     per-axis base grid index (int32) and the fractional coordinate
-    (float64), 36 bytes per point instead of the 192 bytes of the
-    materialized :class:`StencilPlan` (a ~5x cut; ~75 MB instead of ~400 MB
-    at 128^3).  The executor re-derives each chunk's index parts and axis
-    weights inside its cache-blocked loop (:meth:`chunk_stencil`), applying
-    bit-for-bit the same arithmetic as the fat build, so lean and fat plans
-    produce bitwise-identical gathers; the per-chunk rebuild is ``O(3
-    taps)`` work per point against the ``O(taps^3)`` gather it feeds, and
-    its operands stay L1/L2-resident.
+    (float64), 36 bytes per point.  The executor derives each chunk's flat
+    index parts and axis weights inside its cache-blocked loop
+    (:meth:`chunk_stencil`); that rebuild is ``O(3 taps)`` work per point
+    against the ``O(taps^3)`` gather it feeds, and its operands stay
+    L1/L2-resident.
     """
 
     method: str
@@ -376,10 +296,10 @@ class LeanStencilPlan:
         return _chunk_spans(self.num_points, chunk or STENCIL_CHUNK)
 
     def chunk_stencil(self, lo: int, hi: int):
-        """Materialize index parts and weights of the points ``[lo, hi)``.
+        """Flat index parts ``(taps, m)`` per axis and axis weights of ``[lo, hi)``.
 
-        Exactly the arithmetic of the fat build in
-        :func:`build_stencil_plan`, applied to one chunk.
+        The flat gather index of tap ``(a, b, c)`` is ``index_parts[0][a] +
+        index_parts[1][b] + index_parts[2][c]``.
         """
         return _derive_chunk_stencil(
             self.method,
@@ -391,205 +311,12 @@ class LeanStencilPlan:
         )
 
 
-@dataclass
-class StreamingStencilPlan:
-    """Chunk-resident stencil: ``base``/``frac`` are never materialized.
-
-    The plan stores nothing but a *borrowed* reference to the fractional
-    departure coordinates (which the wrapping :class:`GatherPlan` or scatter
-    plan owns and accounts for anyway); a generator derives each chunk's
-    ``base``/``frac`` — and from them the index parts and weights — inside
-    the executor's cache-blocked loop.  Resident stencil memory is therefore
-    capped at **one chunk** regardless of the grid size, which is what makes
-    >512^3 single-node (out-of-core) runs feasible: a 512^3 lean plan weighs
-    ~4.8 GB, the streaming plan a few hundred kB of per-chunk scratch.
-
-    Deriving ``base = floor(c)`` and ``frac = c - base`` per chunk applies
-    bit-for-bit the arithmetic of the lean build, and the shared
-    :func:`_derive_chunk_stencil` does the rest, so streaming gathers are
-    bitwise identical to the lean and fat layouts (pinned by the property
-    suite across layouts, chunk sizes and worker counts).  Unlike the lean
-    layout it also needs no int32 range guard — indices are derived straight
-    into the native ``intp`` width.
-    """
-
-    method: str
-    taps: int
-    shape: Tuple[int, int, int]
-    periodic: bool
-    coordinates: np.ndarray
-    chunk: int = STENCIL_CHUNK
-
-    @property
-    def num_points(self) -> int:
-        return self.coordinates.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Resident plan bytes: the one-chunk ``base``/``frac`` scratch cap.
-
-        The coordinates are borrowed, not owned — the :class:`GatherPlan`
-        (or the scatter-plan entry) that hands them to this plan accounts
-        for them, so the pool never double counts the shared buffer.
-        """
-        m = min(self.num_points, self.chunk)
-        return 3 * m * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-        """The executor's chunk protocol: spans to feed :meth:`chunk_stencil`."""
-        return _chunk_spans(self.num_points, chunk or self.chunk)
-
-    def chunk_stencil(self, lo: int, hi: int):
-        """Generate index parts and weights of the points ``[lo, hi)`` lazily.
-
-        Pure function of the borrowed coordinates — chunks can run in any
-        order and concurrently (the threaded executor) with bitwise
-        deterministic results.
-        """
-        c = self.coordinates[:, lo:hi]
-        base = np.floor(c).astype(np.intp)
-        return _derive_chunk_stencil(
-            self.method, self.taps, self.shape, self.periodic, base, c - base
-        )
-
-
-#: Any stencil-plan layout; all execute through the same chunked loop.
-StencilPlanLike = Union[StencilPlan, LeanStencilPlan, StreamingStencilPlan]
-
-
-#: Process-wide layout override (the CLI's ``--plan-layout`` path); takes
-#: precedence over ``REPRO_PLAN_LAYOUT``, mirrors ``set_default_workers``.
-_process_plan_layout: Optional[str] = None
-
-
-def default_plan_layout() -> str:
-    """Active layout setting: process override, then ``REPRO_PLAN_LAYOUT``, then auto.
-
-    A malformed environment value is rejected here with the valid choices —
-    a typo must never silently fall through to some other layout (or, worse,
-    only surface deep inside a plan build).
-    """
-    if _process_plan_layout is not None:
-        return _process_plan_layout
-    raw = os.environ.get(PLAN_LAYOUT_ENV_VAR, DEFAULT_PLAN_LAYOUT)
-    layout = raw.strip().lower() or DEFAULT_PLAN_LAYOUT
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"{PLAN_LAYOUT_ENV_VAR}={raw!r} is not a valid stencil-plan layout; "
-            f"valid choices: {PLAN_LAYOUT_CHOICES}"
-        )
-    return layout
-
-
-def set_default_plan_layout(layout: Optional[str]) -> None:
-    """Set the process-wide default stencil-plan layout (the CLI path).
-
-    ``None`` clears a previous override (falling back to the environment /
-    built-in default — the same contract as
-    :func:`repro.runtime.workers.set_default_workers`); anything else must
-    be one of :data:`PLAN_LAYOUT_CHOICES` and becomes the default for every
-    subsequently built plan.  The environment is never mutated, so child
-    processes are unaffected.
-    """
-    global _process_plan_layout
-    if layout is None:
-        _process_plan_layout = None
-        return
-    layout = layout.strip().lower()
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUT_CHOICES}"
-        )
-    _process_plan_layout = layout
-
-
-def _method_taps(method: str) -> int:
-    """Per-axis tap count of *method* (4 for the cubics, 2 for linear)."""
-    weight_fn, _ = _METHOD_STENCILS[method]
-    return len(weight_fn(np.zeros(1)))
-
-
-def projected_stencil_nbytes(num_points: int, method: str, layout: str) -> int:
-    """Projected payload bytes of a stencil plan *before* building it.
-
-    Exactly the ``nbytes`` the corresponding plan class will report — the
-    accounting the auto-layout policy (:mod:`repro.runtime.layout`) decides
-    from, and the pool-sizing numbers of the README's memory table.
-    """
-    if layout not in PLAN_LAYOUTS:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUTS}"
-        )
-    num_points = int(num_points)
-    if layout == "fat":
-        taps = _method_taps(method)
-        return (
-            3 * taps * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize) * num_points
-        )
-    if layout == "lean":
-        return 3 * (np.dtype(np.int32).itemsize + np.dtype(np.float64).itemsize) * num_points
-    m = min(num_points, STENCIL_CHUNK)
-    return 3 * m * (np.dtype(np.intp).itemsize + np.dtype(np.float64).itemsize)
-
-
-def resolve_plan_layout(
-    num_points: int,
-    layout: Optional[str] = None,
-    method: str = "catmull_rom",
-    record: bool = True,
-) -> str:
-    """Resolve a layout setting to a concrete storage layout for one plan.
-
-    Explicit concrete layouts pass through untouched; ``None`` reads the
-    active default; ``"auto"`` asks the budget-aware policy
-    (:func:`repro.runtime.layout.select_layout`) with this plan's projected
-    lean bytes against the shared plan pool's budget, and records the
-    decision in the process-wide decision log.
-    """
-    if layout is None:
-        layout = default_plan_layout()
-    if layout not in PLAN_LAYOUT_CHOICES:
-        raise ValueError(
-            f"unknown stencil-plan layout {layout!r}; expected one of {PLAN_LAYOUT_CHOICES}"
-        )
-    if layout != AUTO_PLAN_LAYOUT:
-        return layout
-    from repro.runtime.layout import select_layout
-
-    decision = select_layout(
-        num_points=num_points,
-        projected_lean_bytes=projected_stencil_nbytes(num_points, method, "lean"),
-        budget_bytes=get_plan_pool().max_bytes,
-        record=record,
-    )
-    return decision.layout
-
-
-def plan_layout_cache_token() -> "str | Tuple":
-    """Pool-key element identifying the active layout policy.
-
-    Concrete layout settings are their own token.  Under ``auto`` the token
-    carries the decision inputs (pool budget, threshold fraction) instead of
-    a single resolved layout: different plans of one run may legitimately
-    resolve differently (per-owner scatter stencils have different point
-    counts), and a pooled plan built under one budget must never satisfy a
-    lookup whose auto decision could differ.
-    """
-    layout = default_plan_layout()
-    if layout != AUTO_PLAN_LAYOUT:
-        return layout
-    from repro.runtime.layout import auto_streaming_fraction
-
-    return (AUTO_PLAN_LAYOUT, get_plan_pool().max_bytes, auto_streaming_fraction())
-
-
 def build_stencil_plan(
     shape: Tuple[int, int, int],
     coordinates: np.ndarray,
     method: str,
     periodic: bool = True,
-    layout: Optional[str] = None,
-) -> StencilPlanLike:
+) -> StencilPlan:
     """Precompute the gather stencil for fractional index *coordinates*.
 
     Parameters
@@ -603,46 +330,17 @@ def build_stencil_plan(
         the array (the ghosted blocks of :mod:`repro.parallel.scatter`).
     method:
         One of :data:`SUPPORTED_METHODS`.
-    layout:
-        ``"lean"`` (int32 base + fractional offsets), ``"fat"``
-        (materialized index parts and weights), ``"streaming"``
-        (chunk-resident: nothing materialized, ``base``/``frac`` generated
-        per chunk from the coordinates), ``"auto"`` (budget-aware: lean
-        unless this plan's projected lean bytes exceed a fraction of the
-        plan-pool budget, see :mod:`repro.runtime.layout`), or ``None``
-        for the ``REPRO_PLAN_LAYOUT`` default (itself ``auto`` unless
-        overridden).  All layouts gather bitwise identically.
     """
     coordinates = np.asarray(coordinates)
-    layout = resolve_plan_layout(coordinates.shape[1], layout, method)
-    weight_fn, lead = _METHOD_STENCILS[method]
-    taps = len(weight_fn(np.zeros(1)))
-    shape = tuple(int(n) for n in shape)
-    if layout == "streaming":
-        return StreamingStencilPlan(
-            method=method,
-            taps=taps,
-            shape=shape,
-            periodic=periodic,
-            coordinates=np.ascontiguousarray(coordinates, dtype=np.float64),
-        )
-    base = np.floor(coordinates).astype(np.intp)
-    frac = coordinates - base
-    if layout == "lean" and max(shape) <= np.iinfo(np.int32).max:
-        return LeanStencilPlan(
-            method=method,
-            taps=taps,
-            shape=shape,
-            periodic=periodic,
-            base=base.astype(np.int32),
-            frac=np.ascontiguousarray(frac),
-        )
-    index_parts, weights = _derive_chunk_stencil(method, taps, shape, periodic, base, frac)
+    weight_fn, _ = _METHOD_STENCILS[method]
+    base = np.floor(coordinates).astype(np.int32)
     return StencilPlan(
         method=method,
-        taps=taps,
-        index_parts=index_parts,
-        weights=weights,
+        taps=len(weight_fn(np.zeros(1))),
+        shape=tuple(int(n) for n in shape),
+        periodic=periodic,
+        base=base,
+        frac=np.ascontiguousarray(coordinates - base),
     )
 
 
@@ -762,7 +460,7 @@ class FieldSourceLog:
     statistics can be surfaced — in :class:`~repro.core.registration.
     RegistrationResult`, the verbose CLI report and the service artifacts —
     without plumbing source objects through the solver stack.  The same
-    pattern as :class:`repro.runtime.layout.LayoutDecisionLog`; snapshot
+    pattern as :class:`repro.core.gradients.GradientCacheDecisionLog`; snapshot
     deltas (``log.snapshot() - before``) give per-run numbers.
     """
 
@@ -989,7 +687,7 @@ def _run_tap_loop(flat_fields, index_parts, weights, taps: int, acc: np.ndarray)
 
 
 def _execute_stencil_chunk(
-    flat_fields: np.ndarray, plan: StencilPlanLike, lo: int, hi: int, out: np.ndarray
+    flat_fields: np.ndarray, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
 ) -> None:
     """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
 
@@ -1015,7 +713,7 @@ def _chunk_planes(i0: np.ndarray, stride0: int) -> Tuple[np.ndarray, np.ndarray]
 
 
 def chunk_plane_schedule(
-    shape: Tuple[int, int, int], plan: StencilPlanLike, chunk: Optional[int] = None
+    shape: Tuple[int, int, int], plan: StencilPlan, chunk: Optional[int] = None
 ) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
     """The tiled executor's plane requests, computed ahead of execution.
 
@@ -1036,7 +734,7 @@ def chunk_plane_schedule(
     return tuple(schedule)
 
 
-def _load_chunk_tile(source: FieldSource, plan: StencilPlanLike, lo: int, hi: int):
+def _load_chunk_tile(source: FieldSource, plan: StencilPlan, lo: int, hi: int):
     """Load one chunk's plane tile and remap its stencil into tile coordinates.
 
     The axis-0 index parts already carry the flattened contribution
@@ -1057,7 +755,7 @@ def _load_chunk_tile(source: FieldSource, plan: StencilPlanLike, lo: int, hi: in
 
 
 def _execute_tiled_chunk(
-    source: FieldSource, plan: StencilPlanLike, lo: int, hi: int, out: np.ndarray
+    source: FieldSource, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
 ) -> None:
     """Tiled twin of :func:`_execute_stencil_chunk`: load the tile, then gather."""
     flat_tile, index_parts, weights = _load_chunk_tile(source, plan, lo, hi)
@@ -1066,7 +764,7 @@ def _execute_tiled_chunk(
 
 def execute_stencil_plan(
     flat_fields: "np.ndarray | FieldSource",
-    plan: StencilPlanLike,
+    plan: StencilPlan,
     chunk: Optional[int] = None,
     workers: Optional[int] = None,
 ) -> np.ndarray:
@@ -1078,22 +776,18 @@ def execute_stencil_plan(
     (grid-ordered) departure points.  One index computation serves every
     field of the batch — the batching win of ``interpolate_many``.
 
-    Every plan layout feeds this loop through the same chunk protocol —
+    The plan feeds this loop through its chunk protocol —
     ``plan.iter_chunks(chunk)`` yields the spans, ``plan.chunk_stencil(lo,
-    hi)`` hands back that chunk's index parts and weights: fat plans return
-    views, lean plans re-derive from their stored ``base``/``frac``, and
-    streaming plans generate ``base``/``frac`` on the fly from the departure
-    coordinates.  All three run the fat build's exact arithmetic, so every
-    layout gathers bitwise identically.
+    hi)`` derives that chunk's index parts and weights from the stored
+    ``base``/``frac``.
 
     Passing a :class:`FieldSource` instead of a flattened stack runs the
     executor in **tiled** mode: the field is never required resident — each
     chunk loads only the axis-0 plane tile its stencil touches
     (:func:`_load_chunk_tile`) and gathers from it with remapped indices.
     Resident field bytes are then bounded by the tile/chunk sizes instead
-    of the grid size (the out-of-core story for the fields, matching what
-    the streaming layout does for the stencils), and the gathered bits are
-    identical to the resident path on every layout.
+    of the grid size, and the gathered bits are identical to the resident
+    path.
 
     The chunks are embarrassingly parallel (disjoint output slices) and are
     dispatched to the shared runtime thread pool when *workers* — resolved
@@ -1392,7 +1086,7 @@ def gather_bspline(
 # gather plans (frontend-facing)
 # --------------------------------------------------------------------------- #
 #: What a backend's ``build_plan`` hands the frontend to carry in a plan.
-PlanPayload = Union[StencilPlanLike, GatherOperatorPlan]
+PlanPayload = Union[StencilPlan, GatherOperatorPlan]
 
 
 @dataclass
@@ -1426,18 +1120,8 @@ class GatherPlan:
 
     @property
     def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting).
-
-        A streaming payload normally borrows this plan's own coordinate
-        buffer (zero copy); if a build ever had to copy (non-contiguous or
-        non-float64 input), the copy is accounted here too.
-        """
+        """Exact array payload in bytes (plan-pool accounting)."""
         payload_bytes = self.payload.nbytes if self.payload is not None else 0
-        if (
-            isinstance(self.payload, StreamingStencilPlan)
-            and self.payload.coordinates is not self.coordinates
-        ):
-            payload_bytes += self.payload.coordinates.nbytes
         return self.coordinates.nbytes + payload_bytes
 
 
@@ -1580,7 +1264,7 @@ class NumpyInterpolationBackend:
         coordinates: np.ndarray,
         method: str,
         key: Optional[Hashable] = None,
-    ) -> Optional[StencilPlanLike]:
+    ) -> Optional[StencilPlan]:
         return build_stencil_plan(grid_shape, coordinates, method)
 
     def _prepare(self, fields: np.ndarray, method: str) -> np.ndarray:
@@ -1609,7 +1293,7 @@ class NumpyInterpolationBackend:
         self,
         fields: "np.ndarray | FieldSource",
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
         shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
@@ -1620,7 +1304,7 @@ class NumpyInterpolationBackend:
 class NumbaInterpolationBackend(NumpyInterpolationBackend):
     """JIT-compiled stencil executor (auto-detected ``numba`` engine).
 
-    Shares the plan layout and the B-spline prefilter with the ``numpy``
+    Shares the stencil plans and the B-spline prefilter with the ``numpy``
     backend; only the tap loop is replaced by a compiled per-point kernel,
     which removes the remaining array-temporary traffic entirely.
     """
@@ -1665,7 +1349,7 @@ class NumbaInterpolationBackend(NumpyInterpolationBackend):
         self,
         fields: "np.ndarray | FieldSource",
         coordinates: np.ndarray,
-        payload: Optional[StencilPlanLike],
+        payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
         shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
@@ -1686,18 +1370,12 @@ class NumbaInterpolationBackend(NumpyInterpolationBackend):
                 )
                 self._kernel(flat_tile, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
             return out
-        flat = prepared
-        out = np.zeros((flat.shape[0], plan.num_points))
-        if isinstance(plan, StencilPlan):
-            i0, i1, i2 = plan.index_parts
-            w0, w1, w2 = plan.weights
-            self._kernel(flat, i0, i1, i2, w0, w1, w2, out)
-        else:
-            # lean/streaming path: materialize one cache-sized chunk at a
-            # time and hand it to the JIT kernel (disjoint output slices)
-            for lo, hi in plan.iter_chunks():
-                (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
-                self._kernel(flat, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
+        # materialize one cache-sized chunk at a time and hand it to the
+        # JIT kernel (disjoint output slices)
+        out = np.zeros((prepared.shape[0], plan.num_points))
+        for lo, hi in plan.iter_chunks():
+            (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
+            self._kernel(prepared, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
         return out
 
 

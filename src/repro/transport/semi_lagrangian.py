@@ -78,12 +78,7 @@ from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import (
-    FieldSource,
-    GatherPlan,
-    is_field_source,
-    plan_layout_cache_token,
-)
+from repro.transport.kernels import FieldSource, GatherPlan, is_field_source
 from repro.utils.validation import check_velocity_shape
 
 
@@ -234,22 +229,13 @@ class SemiLagrangianStepper:
 
     # ------------------------------------------------------------------ #
     def _pool_key(self) -> Tuple:
-        """Content key of this stepper's planning data in the shared pool.
-
-        The stencil-plan layout policy is part of the content: a pooled lean
-        plan must never satisfy a lookup made under
-        ``REPRO_PLAN_LAYOUT=streaming`` (they gather identically, but their
-        memory accounting differs).  Under the ``auto`` policy the token
-        carries the decision inputs (pool budget, threshold fraction), so a
-        budget change re-keys the plans whose auto decision could flip.
-        """
+        """Content key of this stepper's planning data in the shared pool."""
         return (
             "semi-lagrangian-departure",
             self.grid,
             float(self.dt),
             self.interpolator.method,
             self.interpolator.backend_name,
-            plan_layout_cache_token(),
             self.velocity_key or array_fingerprint(self.velocity),
         )
 

@@ -6,8 +6,8 @@ optimization, parallel substrate) can use them freely.
 """
 
 from repro.utils.logging import get_logger, set_verbosity
-from repro.utils.timing import Timer, TimingRegistry
 from repro.utils.validation import (
+    check_finite,
     check_positive,
     check_positive_int,
     check_probability,
@@ -19,8 +19,7 @@ from repro.utils.validation import (
 __all__ = [
     "get_logger",
     "set_verbosity",
-    "Timer",
-    "TimingRegistry",
+    "check_finite",
     "check_positive",
     "check_positive_int",
     "check_probability",

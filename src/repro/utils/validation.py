@@ -48,6 +48,16 @@ def check_shape_3d(shape: Sequence[int], name: str = "shape") -> Tuple[int, int,
     return shape  # type: ignore[return-value]
 
 
+def check_finite(array: np.ndarray, name: str) -> np.ndarray:
+    """Raise if *array* holds a NaN or an infinity, naming it and the count."""
+    bad = array.size - int(np.count_nonzero(np.isfinite(array)))
+    if bad:
+        raise ValueError(
+            f"{name} has {bad} non-finite value{'s' if bad > 1 else ''} (NaN or +-Inf)"
+        )
+    return array
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, names: str = "arrays") -> None:
     """Raise if the two arrays do not share the same shape."""
     if a.shape != b.shape:

@@ -9,12 +9,11 @@ import pytest
 
 from repro.config import RegistrationConfig
 from repro.core import registration as registration_module
+from repro.core.gradients import gradient_cache_enabled
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
-from repro.runtime.layout import auto_streaming_fraction
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
 from repro.runtime.workers import resolve_workers
-from repro.transport.kernels import default_plan_layout, set_default_plan_layout
 from repro.transport.sources import (
     FIELD_SOURCE_ENV_VAR,
     default_field_source,
@@ -44,10 +43,6 @@ class TestConstruction:
             RegistrationConfig(workers=0)
         with pytest.raises(ValueError, match="plan_pool_bytes"):
             RegistrationConfig(plan_pool_bytes=-1)
-        with pytest.raises(ValueError, match="auto_fraction"):
-            RegistrationConfig(auto_fraction=1.5)
-        with pytest.raises(ValueError, match="auto_fraction"):
-            RegistrationConfig(auto_fraction=0.0)
 
     def test_replace_derives_a_variant(self):
         base = RegistrationConfig(fft_backend="numpy")
@@ -61,12 +56,10 @@ class TestConstruction:
         config = RegistrationConfig.from_env()
         assert config.fft_backend is not None
         assert config.interp_backend is not None
-        assert config.plan_layout in ("auto", "lean", "fat", "streaming")
         # the *shared* worker default only: nothing set, nothing to snapshot
         # (the subsystems' own defaults differ: fft all cores, service 1)
         assert config.workers is None
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
-        assert 0.0 < config.auto_fraction <= 1.0
         assert config.field_source in ("resident", "memmap")
 
     @pytest.mark.parametrize("shared_env", [None, "3"])
@@ -93,9 +86,13 @@ class TestValidateAndApply:
         with pytest.raises((ValueError, KeyError)):
             RegistrationConfig(fft_backend="no-such-engine").validate()
 
-    def test_validate_rejects_unknown_layout(self):
-        with pytest.raises(ValueError, match="layout"):
-            RegistrationConfig(plan_layout="no-such-layout").validate()
+    def test_config_has_the_eight_knobs(self):
+        assert set(RegistrationConfig().as_dict()) == {
+            "fft_backend", "interp_backend", "workers", "plan_pool_bytes",
+            "field_source", "gradient_cache", "trace", "trace_out",
+        }
+        with pytest.raises(TypeError):
+            RegistrationConfig(plan_layout="lean")
 
     def test_validate_rejects_unknown_field_source(self):
         with pytest.raises(ValueError, match="field-source"):
@@ -123,34 +120,30 @@ class TestValidateAndApply:
     def test_apply_leaves_field_source_untouched_when_unset(self):
         set_default_field_source("memmap")
         try:
-            RegistrationConfig(auto_fraction=0.25).apply()
+            RegistrationConfig(gradient_cache=True).apply()
             assert default_field_source() == "memmap"
         finally:
             set_default_field_source(None)
 
     def test_apply_pushes_only_set_fields(self):
         budget_before = get_plan_pool().max_bytes
-        layout_before = default_plan_layout()
-        RegistrationConfig(auto_fraction=0.25).apply()
-        assert auto_streaming_fraction() == 0.25
+        source_before = default_field_source()
+        RegistrationConfig(gradient_cache=False).apply()
+        assert not gradient_cache_enabled()
         # unset fields leave the other process-wide knobs untouched
         assert get_plan_pool().max_bytes == budget_before
-        assert default_plan_layout() == layout_before
+        assert default_field_source() == source_before
 
-    def test_apply_sets_layout_workers_and_budget(self, monkeypatch):
+    def test_apply_sets_workers_and_budget(self, monkeypatch):
         # a per-subsystem variable outranks the config's shared ``workers`` by
         # design, and the runtime-pressure CI leg exports one
         monkeypatch.delenv("REPRO_INTERP_WORKERS", raising=False)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         try:
-            RegistrationConfig(
-                plan_layout="streaming", workers=3, plan_pool_bytes=123456
-            ).apply()
-            assert default_plan_layout() == "streaming"
+            RegistrationConfig(workers=3, plan_pool_bytes=123456).apply()
             assert resolve_workers("interp") == 3
             assert get_plan_pool().max_bytes == 123456
         finally:
-            set_default_plan_layout(None)
             configure_plan_pool(None)
 
     def test_apply_returns_self_for_chaining(self):

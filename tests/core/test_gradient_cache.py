@@ -3,8 +3,8 @@
 Covers the tentpole guarantees of the cache layer:
 
 * **bitwise identity** — cached and uncached solves produce bit-identical
-  gradients and Hessian mat-vecs on every FFT/interpolation backend, every
-  plan layout, and both Hessian variants (Gauss-Newton and full Newton);
+  gradients and Hessian mat-vecs on every FFT/interpolation backend and
+  both Hessian variants (Gauss-Newton and full Newton);
   the cache reuses the FFT outputs, it never changes them;
 * **budget participation** — the cached stack lives in the shared plan
   pool under the ``grad-cache`` tag, is byte-accounted exactly, and
@@ -47,11 +47,7 @@ from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_pl
 from repro.spectral.backends import available_backends as available_fft_backends
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import (
-    PLAN_LAYOUT_CHOICES,
-    available_backends as available_interp_backends,
-    set_default_plan_layout,
-)
+from repro.transport.kernels import available_backends as available_interp_backends
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -348,14 +344,10 @@ class TestBitwiseIdentity:
     @given(
         fft_backend=st.sampled_from(available_fft_backends()),
         interp_backend=st.sampled_from(available_interp_backends()),
-        plan_layout=st.sampled_from(sorted(PLAN_LAYOUT_CHOICES)),
         gauss_newton=st.booleans(),
     )
-    def test_identity_across_backends_and_layouts(
-        self, fft_backend, interp_backend, plan_layout, gauss_newton
-    ):
-        """Hypothesis sweep: backends x layouts x Hessian variants."""
-        set_default_plan_layout(plan_layout)
+    def test_identity_across_backends(self, fft_backend, interp_backend, gauss_newton):
+        """Hypothesis sweep: backends x Hessian variants."""
         try:
             g_cached, mv_cached, warm = _solve_one_matvec(
                 gauss_newton, True, fft_backend, interp_backend
@@ -364,7 +356,6 @@ class TestBitwiseIdentity:
                 gauss_newton, False, fft_backend, interp_backend
             )
         finally:
-            set_default_plan_layout(None)
             set_gradient_cache_enabled(None)
         np.testing.assert_array_equal(g_cached, g_lazy)
         np.testing.assert_array_equal(mv_cached, mv_lazy)

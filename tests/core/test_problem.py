@@ -56,10 +56,8 @@ class TestConstruction:
         assert summary["grid"] == (12, 12, 12)
         assert summary["num_unknowns_velocity"] == 3 * 12**3
         assert summary["gauss_newton"] is True
-        # the layout policy is surfaced: the setting and its resolution for
-        # this grid (12^3 under the default budget resolves to lean)
-        assert summary["plan_layout"] in ("auto", "lean", "fat", "streaming")
-        assert summary["plan_layout_resolved"] in ("lean", "fat", "streaming")
+        assert summary["interp_backend"] == problem12.transport.interpolator.backend_name
+        assert "plan_layout" not in summary
 
     def test_objective_matches_linearize_objective(self, problem12):
         """evaluate_objective (history-free) == linearize's objective parts."""

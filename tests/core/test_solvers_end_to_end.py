@@ -199,6 +199,28 @@ class TestRegistrationFrontEnd:
         with pytest.raises(ValueError):
             register(synthetic.template, synthetic.reference[:-1])
 
+    @pytest.mark.parametrize("image", ["template", "reference"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_rejected(self, synthetic, image, bad):
+        images = {"template": synthetic.template.copy(), "reference": synthetic.reference.copy()}
+        images[image][3, 4, 5] = bad
+        with pytest.raises(ValueError, match=f"{image} has 1 non-finite value"):
+            register(images["template"], images["reference"])
+
+    def test_non_finite_voxels_are_counted_at_the_shared_boundary(self, synthetic):
+        """build_problem is what register, run and continuation share."""
+        template = synthetic.template.copy()
+        template[0, :2, 0] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match="template has 2 non-finite values"):
+            RegistrationSolver().build_problem(template, synthetic.reference)
+
+    def test_non_finite_initial_velocity_rejected(self, synthetic):
+        velocity = np.zeros((3, *synthetic.grid.shape))
+        velocity[1, 0, 0, 0] = -np.inf
+        solver = RegistrationSolver(options=quick_options())
+        with pytest.raises(ValueError, match="initial_velocity has 1 non-finite value"):
+            solver.run(synthetic.template, synthetic.reference, initial_velocity=velocity)
+
     def test_unknown_optimizer_rejected(self, synthetic):
         solver = RegistrationSolver(optimizer="adam", options=quick_options())
         with pytest.raises(ValueError):

@@ -114,6 +114,36 @@ def rk2_departure_points(grid: Grid, velocity: np.ndarray, dt: float, interpolat
     return x - 0.5 * dt * (velocity + v_at_star)
 
 
+def materialized_stencil_gather(
+    flat_fields: np.ndarray,
+    shape: Tuple[int, int, int],
+    coordinates: np.ndarray,
+    method: str,
+    periodic: bool = True,
+) -> np.ndarray:
+    """The stencil gather with every index and weight formed at once — an oracle.
+
+    Derives the stencil of all points in one call instead of per executor
+    chunk, then sums the taps in the executor's order, so
+    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size,
+    worker count or field source.
+    """
+    from repro.transport.kernels import _METHOD_STENCILS, _derive_chunk_stencil
+
+    weight_fn, _ = _METHOD_STENCILS[method]
+    taps = len(weight_fn(np.zeros(1)))
+    base = np.floor(coordinates).astype(np.intp)
+    (i0, i1, i2), (w0, w1, w2) = _derive_chunk_stencil(
+        method, taps, shape, periodic, base, coordinates - base
+    )
+    out = np.zeros((flat_fields.shape[0], coordinates.shape[1]))
+    for a in range(taps):
+        for b in range(taps):
+            for c in range(taps):
+                out += (w0[a] * w1[b] * w2[c]) * flat_fields[:, i0[a] + i1[b] + i2[c]]
+    return out
+
+
 def rk2_stepper(grid: Grid, velocity: np.ndarray, dt: float, interpolator):
     """A serial stepper on the RK2 oracle's departure points."""
     from repro.transport.semi_lagrangian import SemiLagrangianStepper

@@ -48,17 +48,6 @@ class TestParser:
         defaults = build_parser().parse_args(["register", "--synthetic", "16"])
         assert defaults.plan_pool_bytes is None
         assert defaults.workers is None
-        assert defaults.plan_layout is None
-
-    def test_plan_layout_choices(self):
-        args = build_parser().parse_args(
-            ["register", "--synthetic", "16", "--plan-layout", "streaming"]
-        )
-        assert args.plan_layout == "streaming"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["register", "--synthetic", "16", "--plan-layout", "sparse"]
-            )
 
 
 class TestRegisterCommand:
@@ -130,68 +119,6 @@ class TestRegisterCommand:
         finally:
             configure_plan_pool(None)
             set_default_workers(None)
-
-    def test_plan_layout_run_sets_process_default(self, capsys, monkeypatch):
-        import os
-
-        from repro.transport.kernels import (
-            PLAN_LAYOUT_ENV_VAR,
-            default_plan_layout,
-            set_default_plan_layout,
-        )
-
-        monkeypatch.delenv(PLAN_LAYOUT_ENV_VAR, raising=False)
-        try:
-            code = main(
-                [
-                    "register",
-                    "--synthetic", "12",
-                    "--plan-layout", "streaming",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-            assert code == 0
-            assert "Registration summary" in capsys.readouterr().out
-            assert default_plan_layout() == "streaming"
-            # the CLI flag never leaks into the environment (child processes)
-            assert PLAN_LAYOUT_ENV_VAR not in os.environ
-        finally:
-            set_default_plan_layout(None)
-        assert default_plan_layout() == "auto"
-
-    def test_plan_layout_auto_flag_accepted(self, capsys):
-        from repro.transport.kernels import set_default_plan_layout
-
-        try:
-            code = main(
-                [
-                    "register",
-                    "--synthetic", "12",
-                    "--plan-layout", "auto",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-            assert code == 0
-            assert "Registration summary" in capsys.readouterr().out
-        finally:
-            set_default_plan_layout(None)
-
-    def test_malformed_plan_layout_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.transport.kernels import PLAN_LAYOUT_ENV_VAR
-
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "leann")
-        assert main(["register", "--synthetic", "12"]) == 2
-        err = capsys.readouterr().err
-        assert PLAN_LAYOUT_ENV_VAR in err and "streaming" in err
-
-    def test_malformed_auto_fraction_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.runtime import AUTO_FRACTION_ENV_VAR
-
-        monkeypatch.setenv(AUTO_FRACTION_ENV_VAR, "2.0")
-        assert main(["register", "--synthetic", "12"]) == 2
-        assert AUTO_FRACTION_ENV_VAR in capsys.readouterr().err
 
     def test_malformed_interp_backend_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.transport.kernels import BACKEND_ENV_VAR
@@ -359,7 +286,7 @@ class TestServeCommand:
         assert "subjects" in capsys.readouterr().err
 
     def test_serve_accepts_config_flags(self, capsys):
-        code = main(self._serve_args("--fft-backend", "numpy", "--plan-layout", "lean"))
+        code = main(self._serve_args("--fft-backend", "numpy", "--interp-backend", "scipy"))
         assert code == 0
 
     def test_serve_main_entry_point(self, capsys):
@@ -536,18 +463,6 @@ class TestObservabilityCLI:
         for name, (num_spans, total_count) in rows.items():
             assert total_count == span_counts[name]
             assert 1 <= num_spans <= total_count
-
-    def test_verbose_layout_decisions_agree_with_log(self, capsys):
-        from repro.runtime import layout_decision_log
-
-        code = main(
-            ["--verbose", *self._register_args("--plan-layout", "auto")]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        decisions = layout_decision_log()
-        if decisions.total:
-            assert f"auto plan layout: {decisions.total} decisions" in out
 
 
 class TestFieldSourceMode:

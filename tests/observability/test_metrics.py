@@ -115,15 +115,15 @@ class TestRegistry:
 class TestProcessRegistry:
     def test_kernel_frontends_registered_their_collectors(self):
         # importing the kernel layers registers the pull collectors for the
-        # plan pool, field sources and layout decisions
-        import repro.runtime.layout  # noqa: F401
+        # plan pool, field sources and gradient-cache decisions
+        import repro.core.gradients  # noqa: F401
         import repro.runtime.plan_pool  # noqa: F401
         import repro.transport.kernels  # noqa: F401
 
         names = get_metrics_registry().collector_names()
         assert "plan_pool" in names
         assert "field_sources" in names
-        assert "layout_decisions" in names
+        assert "gradient_cache_decisions" in names
 
     def test_push_metrics_flow_into_the_registry(self, small_grid, smooth_field):
         from repro.spectral.fft import FourierTransform

@@ -19,7 +19,8 @@ class TestSnapshot:
     def test_snapshot_is_versioned_and_valid(self):
         document = snapshot()
         assert document["schema"] == SNAPSHOT_SCHEMA
-        assert document["schema_version"] == SNAPSHOT_SCHEMA_VERSION
+        assert document["schema_version"] == SNAPSHOT_SCHEMA_VERSION == 2
+        assert "layout_decisions" not in document
         validate_snapshot(document)
 
     def test_snapshot_reflects_recorded_spans(self):

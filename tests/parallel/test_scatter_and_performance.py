@@ -55,18 +55,17 @@ class TestScatterInterpolation:
             expected = serial[deco.local_slices(rank)].reshape(-1)
             np.testing.assert_allclose(values[rank], expected, atol=1e-10)
 
-    @pytest.mark.parametrize("layout", ["lean", "fat", "streaming"])
-    def test_points_one_ulp_from_a_block_edge(self, layout, monkeypatch, rng):
+    @pytest.mark.parametrize("pgrid", [(2, 2), (2, 1), (1, 2)])
+    def test_points_one_ulp_from_a_block_edge(self, pgrid, rng):
         """A point one ulp below a block's upper index stays in its block.
 
-        On 16^3 over 2 x 2 the blocks end at index 8 and 16; shifting
-        ``nextafter(8, 0)`` into the ghost-extended block in floating point
-        rounds up to the next cell, whose stencil reads one plane past the
-        ghost layer (an ``IndexError`` before the fix).
+        On 16^3 split in two along an axis the blocks end at index 8 and 16;
+        shifting ``nextafter(8, 0)`` into the ghost-extended block in
+        floating point rounds up to the next cell, whose stencil reads one
+        plane past the ghost layer (an ``IndexError`` before the fix).
         """
-        monkeypatch.setenv("REPRO_PLAN_LAYOUT", layout)
         grid = Grid((16, 16, 16))
-        deco = PencilDecomposition(grid.shape, 2, 2)
+        deco = PencilDecomposition(grid.shape, *pgrid)
         comm = SimulatedCommunicator(deco.num_tasks)
         edges = np.array(
             [np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0),

@@ -99,6 +99,24 @@ class TestFailureIsolation:
             # ... and the queue keeps serving later jobs (no hang)
             assert good.result(timeout=120).shape == grid.shape
 
+    def test_non_finite_voxel_fails_the_job_with_a_named_error(
+        self, tiny_problem, fast_options
+    ):
+        template = tiny_problem.template.copy()
+        template[1, 2, 3] = np.nan
+        with RegistrationService(num_workers=1) as service:
+            job = service.submit_registration(
+                RegistrationJobSpec(
+                    template=template,
+                    reference=tiny_problem.reference,
+                    options=fast_options,
+                )
+            )
+            with pytest.raises(JobFailedError, match="template has 1 non-finite value"):
+                job.result(timeout=120)
+        assert job.status is JobStatus.FAILED
+        assert "IndexError" not in job.record.traceback
+
     def test_failed_transport_batch_fails_every_member(self):
         grid = make_grid(8)
         bad_spec = TransportJobSpec(
@@ -210,8 +228,10 @@ class TestArtifactsAndStats:
         ok_doc = json.loads((tmp_path / f"job-{ok.job_id}.json").read_text())
         bad_doc = json.loads((tmp_path / f"job-{bad.job_id}.json").read_text())
         assert ok_doc["schema"] == "repro.service-job"
+        assert ok_doc["schema_version"] == 2
         assert ok_doc["job"]["status"] == "done"
         assert ok_doc["job"]["metrics"]["plan_pool_delta"]["misses"] >= 0
+        assert "layout_decisions" not in ok_doc["job"]["metrics"]
         assert bad_doc["job"]["status"] == "failed"
         assert "Traceback" in bad_doc["job"]["traceback"]
 
@@ -226,6 +246,7 @@ class TestArtifactsAndStats:
         assert stats["num_workers"] == 2
         assert 0.0 <= stats["plan_pool_hit_rate"] <= 1.0
         assert stats["plan_pool"]["hits"] == get_plan_pool().stats.hits
+        assert "layout_decisions" not in stats
 
     def test_shutdown_without_drain_cancels_queued(self):
         grid = make_grid(8)

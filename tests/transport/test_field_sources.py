@@ -5,7 +5,7 @@ Three layers of guarantees:
 * a shared **conformance suite** every registered source kind must pass —
   arbitrary plane subsets equal ``load_all()`` slices (Hypothesis), and
   gathers through any source are bitwise identical to the resident path on
-  every plan layout and backend;
+  every backend;
 * the **wrapper semantics**: the pool-budgeted tile cache (warm re-gathers
   of the same file hit memory, ``field-tile`` tag accounting, budget-0 and
   eviction behavior) and the overlapped prefetcher (schedule consumption,
@@ -27,7 +27,7 @@ from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
 from repro.spectral.backends import BackendUnavailableError
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    PLAN_LAYOUTS,
+    SUPPORTED_METHODS,
     ArrayFieldSource,
     FieldSource,
     build_stencil_plan,
@@ -133,12 +133,10 @@ class TestSourceConformance:
         )
 
     @pytest.mark.parametrize("name", SOURCE_NAMES)
-    @pytest.mark.parametrize("layout", PLAN_LAYOUTS)
-    def test_gather_matches_resident_every_layout(
-        self, name, layout, make_source, grid, points
-    ):
-        coords = PeriodicInterpolator(grid, "catmull_rom").to_index_coordinates(points)
-        plan = build_stencil_plan(grid.shape, coords, "catmull_rom", layout=layout)
+    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
+    def test_gather_matches_resident(self, name, method, make_source, grid, points):
+        coords = PeriodicInterpolator(grid, method).to_index_coordinates(points)
+        plan = build_stencil_plan(grid.shape, coords, method)
         resident = execute_stencil_plan(
             np.ascontiguousarray(STACK.reshape(2, -1)), plan
         )
@@ -350,7 +348,7 @@ class TestTileCache:
 class TestPrefetch:
     def _plan(self, grid, points, chunk=128):
         coords = PeriodicInterpolator(grid, "catmull_rom").to_index_coordinates(points)
-        plan = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="streaming")
+        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
         return plan, chunk_plane_schedule(grid.shape, plan, chunk)
 
     def test_schedule_matches_executor_requests(self, grid, points):
@@ -412,7 +410,7 @@ class TestPrefetch:
         """End-to-end: a memmap source handed to the executor gathers with
         chunk k+1's load issued before chunk k completes (instrumented)."""
         coords = PeriodicInterpolator(grid, "catmull_rom").to_index_coordinates(points)
-        plan = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="streaming")
+        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
         before = field_source_log().snapshot()
         source = MemmapFieldSource.from_npy(source_files["npy"])
         tiled = execute_stencil_plan(source, plan, chunk=128, workers=1)

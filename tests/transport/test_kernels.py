@@ -1,7 +1,5 @@
 """Tests for repro.transport.kernels (backend registry + gather plans)."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -10,30 +8,28 @@ from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     BACKEND_ENV_VAR,
-    PLAN_LAYOUT_CHOICES,
-    PLAN_LAYOUT_ENV_VAR,
-    PLAN_LAYOUTS,
-    STENCIL_CHUNK,
     SUPPORTED_METHODS,
-    LeanStencilPlan,
+    ArrayFieldSource,
     NumbaInterpolationBackend,
     StencilPlan,
-    StreamingStencilPlan,
+    _derive_chunk_stencil,
     available_backends,
     build_stencil_plan,
     bspline_weights,
     default_backend_name,
-    default_plan_layout,
     execute_stencil_plan,
     get_backend,
     periodic_bspline_prefilter,
     register_backend,
     registered_backends,
-    resolve_plan_layout,
-    set_default_plan_layout,
 )
 
-from tests.fixtures import interp_backend_params, random_points, smooth_scalar_field
+from tests.fixtures import (
+    interp_backend_params,
+    materialized_stencil_gather,
+    random_points,
+    smooth_scalar_field,
+)
 
 BACKENDS = interp_backend_params()
 
@@ -236,280 +232,71 @@ class TestCounterParity:
         assert interp.points_interpolated == 4 * points.shape[1]
 
 
-class TestLeanStencilPlans:
-    """The memory-lean plan layout: bitwise identity + the ~4x memory cut."""
-
-    def test_default_layout_is_auto_resolving_to_lean(self, monkeypatch):
-        monkeypatch.delenv(PLAN_LAYOUT_ENV_VAR, raising=False)
-        # the default *setting* is the budget-aware auto policy, which
-        # resolves to the lean layout at laptop-scale point counts
-        assert default_plan_layout() == "auto"
-        assert resolve_plan_layout(16**3) == "lean"
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "fat")
-        assert default_plan_layout() == "fat"
-
-    def test_malformed_layout_env_is_a_clear_error(self, monkeypatch):
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "leann")
-        with pytest.raises(ValueError, match="REPRO_PLAN_LAYOUT") as excinfo:
-            default_plan_layout()
-        # the error lists the valid choices instead of falling through
-        for choice in PLAN_LAYOUT_CHOICES:
-            assert choice in str(excinfo.value)
-
-    def test_unknown_layout_rejected(self, grid, points):
-        with pytest.raises(ValueError, match="unknown stencil-plan layout"):
-            build_stencil_plan(grid.shape, np.zeros((3, 4)), "linear", layout="sparse")
+class TestStencilPlans:
+    """The one plan: 36 bytes per point, gathers bitwise like its oracle."""
 
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_lean_and_fat_gather_bitwise_identically(self, method, grid, field):
+    @pytest.mark.parametrize("chunk", [1, 97, None])
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("tiled", [False, True], ids=["resident", "tiled"])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ghosted"])
+    def test_gathers_bitwise_like_materialized_stencil(
+        self, method, chunk, workers, tiled, periodic
+    ):
+        """Every chunk size x worker count x field source x block kind
+        gathers bitwise what the whole-point-set stencil gathers."""
         rng = np.random.default_rng(11)
-        coords = rng.uniform(0, 16, size=(3, 3000))
-        flat = np.stack([field, field[::-1]]).reshape(2, -1)
-        fat = build_stencil_plan(grid.shape, coords, method, layout="fat")
-        lean = build_stencil_plan(grid.shape, coords, method, layout="lean")
-        assert isinstance(fat, StencilPlan) and isinstance(lean, LeanStencilPlan)
-        np.testing.assert_array_equal(
-            execute_stencil_plan(flat, fat), execute_stencil_plan(flat, lean)
+        shape = (12, 11, 13)
+        if periodic:
+            coords = rng.uniform(0.0, 1.0, size=(3, 400)) * np.asarray(shape)[:, None]
+        else:  # interior of a ghost-extended block: no tap leaves the block
+            coords = rng.uniform(2.0, 8.0, size=(3, 400))
+        fields = rng.standard_normal((2, *shape))
+        flat = fields.reshape(2, -1)
+        plan = build_stencil_plan(shape, coords, method, periodic=periodic)
+        candidate = execute_stencil_plan(
+            ArrayFieldSource(fields) if tiled else flat, plan, chunk=chunk, workers=workers
         )
-
-    def test_lean_and_fat_agree_non_periodic(self):
-        rng = np.random.default_rng(12)
-        block = rng.standard_normal((12, 12, 12))
-        coords = rng.uniform(2.0, 9.0, size=(3, 500))
-        fat = build_stencil_plan(block.shape, coords, "catmull_rom", periodic=False, layout="fat")
-        lean = build_stencil_plan(
-            block.shape, coords, "catmull_rom", periodic=False, layout="lean"
-        )
-        flat = block.reshape(1, -1)
         np.testing.assert_array_equal(
-            execute_stencil_plan(flat, fat), execute_stencil_plan(flat, lean)
+            candidate, materialized_stencil_gather(flat, shape, coords, method, periodic)
         )
 
     @pytest.mark.parametrize("method", ["cubic_bspline", "catmull_rom"])
-    def test_lean_tricubic_plan_is_under_thirty_percent(self, grid, method):
-        """The ISSUE's memory criterion: lean <= ~30% of the fat layout."""
+    def test_tricubic_plan_is_36_bytes_per_point(self, grid, method):
         rng = np.random.default_rng(13)
         coords = rng.uniform(0, 16, size=(3, 4096))
-        fat = build_stencil_plan(grid.shape, coords, method, layout="fat")
-        lean = build_stencil_plan(grid.shape, coords, method, layout="lean")
-        assert lean.nbytes <= 0.30 * fat.nbytes
+        plan = build_stencil_plan(grid.shape, coords, method)
         # exact accounting: 3 int32 base + 3 float64 frac per point
-        assert lean.nbytes == coords.shape[1] * 3 * (4 + 8)
+        assert plan.base.dtype == np.int32
+        assert plan.nbytes == coords.shape[1] * 3 * (4 + 8)
 
-    def test_lean_plan_chunk_matches_fat_views(self, grid):
-        rng = np.random.default_rng(14)
-        coords = rng.uniform(0, 16, size=(3, 1000))
-        fat = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="fat")
-        lean = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="lean")
-        fat_idx, fat_w = fat.chunk_stencil(100, 300)
-        lean_idx, lean_w = lean.chunk_stencil(100, 300)
+    def test_chunk_stencil_is_a_slice_of_the_whole_stencil(self, grid):
+        coords = random_points(1000, seed=14, low=0.0, high=16.0)
+        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
+        base = np.floor(coords).astype(np.intp)
+        whole_idx, whole_w = _derive_chunk_stencil(
+            "catmull_rom", 4, grid.shape, True, base, coords - base
+        )
+        idx, w = plan.chunk_stencil(100, 300)
         for d in range(3):
-            np.testing.assert_array_equal(np.asarray(fat_idx[d]), np.asarray(lean_idx[d]))
-            np.testing.assert_array_equal(np.asarray(fat_w[d]), np.asarray(lean_w[d]))
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_plan_lean_by_default(self, backend, grid, points, monkeypatch):
-        monkeypatch.delenv(PLAN_LAYOUT_ENV_VAR, raising=False)
-        interp = PeriodicInterpolator(grid, "catmull_rom", backend=backend)
-        plan = interp.plan(points)
-        assert isinstance(plan.payload, LeanStencilPlan)
-        assert plan.nbytes == plan.coordinates.nbytes + plan.payload.nbytes
-
-    def test_fat_layout_env_opt_out_is_bitwise_identical(self, grid, field, points, monkeypatch):
-        interp = PeriodicInterpolator(grid, "catmull_rom", backend="numpy")
-        lean_values = interp.interpolate_planned(field, interp.plan(points))
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "fat")
-        fat_plan = interp.plan(points)
-        assert isinstance(fat_plan.payload, StencilPlan)
-        np.testing.assert_array_equal(
-            interp.interpolate_planned(field, fat_plan), lean_values
-        )
-
-
-class TestStreamingStencilPlans:
-    """The chunk-resident layout: bitwise identity + the one-chunk memory cap."""
-
-    def test_layout_registered_and_env_selectable(self, monkeypatch):
-        assert "streaming" in PLAN_LAYOUTS
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "streaming")
-        assert default_plan_layout() == "streaming"
-
-    def test_set_default_plan_layout(self, monkeypatch):
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "lean")
-        try:
-            set_default_plan_layout("streaming")  # overrides the environment
-            assert default_plan_layout() == "streaming"
-            with pytest.raises(ValueError, match="unknown stencil-plan layout"):
-                set_default_plan_layout("sparse")
-            assert default_plan_layout() == "streaming"  # invalid set changes nothing
-        finally:
-            set_default_plan_layout(None)  # clears the override, env wins again
-        assert default_plan_layout() == "lean"
-        # the override never leaks into the environment (child processes)
-        assert PLAN_LAYOUT_ENV_VAR not in os.environ or os.environ[
-            PLAN_LAYOUT_ENV_VAR
-        ] == "lean"
-
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_streaming_gathers_bitwise_like_lean_and_fat(self, method, grid, field):
-        coords = random_points(3000, seed=11, low=0.0, high=16.0)
-        flat = np.stack([field, field[::-1]]).reshape(2, -1)
-        outputs = {
-            layout: execute_stencil_plan(
-                flat, build_stencil_plan(grid.shape, coords, method, layout=layout)
-            )
-            for layout in PLAN_LAYOUTS
-        }
-        np.testing.assert_array_equal(outputs["streaming"], outputs["fat"])
-        np.testing.assert_array_equal(outputs["streaming"], outputs["lean"])
-
-    def test_streaming_agrees_non_periodic(self):
-        rng = np.random.default_rng(12)
-        block = rng.standard_normal((12, 12, 12))
-        coords = rng.uniform(2.0, 9.0, size=(3, 500))
-        flat = block.reshape(1, -1)
-        fat = build_stencil_plan(block.shape, coords, "catmull_rom", periodic=False, layout="fat")
-        streaming = build_stencil_plan(
-            block.shape, coords, "catmull_rom", periodic=False, layout="streaming"
-        )
-        assert isinstance(streaming, StreamingStencilPlan)
-        np.testing.assert_array_equal(
-            execute_stencil_plan(flat, streaming), execute_stencil_plan(flat, fat)
-        )
+            np.testing.assert_array_equal(idx[d], whole_idx[d][:, 100:300])
+            np.testing.assert_array_equal(w[d], whole_w[d][:, 100:300])
 
     def test_chunk_protocol_spans_cover_all_points(self, grid):
         coords = random_points(1000, seed=13, low=0.0, high=16.0)
-        for layout in PLAN_LAYOUTS:
-            plan = build_stencil_plan(grid.shape, coords, "catmull_rom", layout=layout)
-            for chunk in (1, 7, 256, None):
-                spans = plan.iter_chunks(chunk)
-                assert spans[0][0] == 0 and spans[-1][1] == 1000
-                for (lo_a, hi_a), (lo_b, _) in zip(spans, spans[1:]):
-                    assert hi_a == lo_b and lo_a < hi_a
-
-    def test_streaming_chunk_matches_lean_chunk(self, grid):
-        coords = random_points(1000, seed=14, low=0.0, high=16.0)
-        lean = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="lean")
-        streaming = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="streaming")
-        lean_idx, lean_w = lean.chunk_stencil(100, 300)
-        stream_idx, stream_w = streaming.chunk_stencil(100, 300)
-        for d in range(3):
-            np.testing.assert_array_equal(stream_idx[d], lean_idx[d])
-            np.testing.assert_array_equal(stream_w[d], lean_w[d])
-
-    def test_resident_bytes_capped_at_one_chunk(self, grid):
-        """The tentpole memory criterion, at the plan level: ``nbytes`` of a
-        streaming plan never exceeds one chunk of base/frac scratch, no
-        matter how many points the plan covers."""
-        chunk_cap = 3 * STENCIL_CHUNK * (np.dtype(np.intp).itemsize + 8)
-        for num_points in (100, STENCIL_CHUNK, 5 * STENCIL_CHUNK + 17):
-            coords = random_points(num_points, seed=15, low=0.0, high=16.0)
-            plan = build_stencil_plan(grid.shape, coords, "catmull_rom", layout="streaming")
-            assert plan.nbytes <= chunk_cap
-            if num_points >= STENCIL_CHUNK:
-                assert plan.nbytes == chunk_cap
-        # and the cap is independent of the point count, unlike lean/fat
-        big = build_stencil_plan(
-            grid.shape,
-            random_points(4 * STENCIL_CHUNK, seed=16, low=0.0, high=16.0),
-            "catmull_rom",
-            layout="streaming",
-        )
-        small = build_stencil_plan(
-            grid.shape,
-            random_points(STENCIL_CHUNK, seed=16, low=0.0, high=16.0),
-            "catmull_rom",
-            layout="streaming",
-        )
-        assert big.nbytes == small.nbytes == chunk_cap
-
-    def test_streaming_payload_borrows_gather_plan_coordinates(self, grid, points, monkeypatch):
-        """No copy: the GatherPlan and its streaming payload share one buffer,
-        and the pool accounting counts it exactly once."""
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "streaming")
-        interp = PeriodicInterpolator(grid, "catmull_rom", backend="numpy")
-        plan = interp.plan(points)
-        assert isinstance(plan.payload, StreamingStencilPlan)
-        assert plan.payload.coordinates is plan.coordinates
-        assert plan.nbytes == plan.coordinates.nbytes + plan.payload.nbytes
+        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
+        for chunk in (1, 7, 256, None):
+            spans = plan.iter_chunks(chunk)
+            assert spans[0][0] == 0 and spans[-1][1] == 1000
+            for (lo_a, hi_a), (lo_b, _) in zip(spans, spans[1:]):
+                assert hi_a == lo_b and lo_a < hi_a
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_streaming_env_is_bitwise_identical_on_every_backend(
-        self, backend, grid, field, points, monkeypatch
-    ):
-        monkeypatch.delenv(PLAN_LAYOUT_ENV_VAR, raising=False)
+    def test_backends_plan_stencils(self, backend, grid, points):
         interp = PeriodicInterpolator(grid, "catmull_rom", backend=backend)
-        lean_values = interp.interpolate_planned(field, interp.plan(points))
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, "streaming")
-        streaming_plan = interp.plan(points)
-        assert isinstance(streaming_plan.payload, StreamingStencilPlan)
-        np.testing.assert_array_equal(
-            interp.interpolate_planned(field, streaming_plan), lean_values
-        )
-
-
-@pytest.mark.slow
-class TestStreamingMemoryCapAt96:
-    """The ISSUE's 96^3 acceptance pins: pool-accounted memory + bitwise output."""
-
-    N = 96
-
-    @pytest.fixture(autouse=True)
-    def _roomy_pool(self):
-        """A 1 GiB budget so even the fat 96^3 entry is stored (the byte
-        comparison needs every layout's entry resident, which the pressure
-        CI leg's 64 MB ambient budget would oversize-reject)."""
-        from repro.runtime.plan_pool import configure_plan_pool
-
-        configure_plan_pool(1 << 30)
-        yield
-        configure_plan_pool(None)
-
-    def _steppers(self, monkeypatch, layout):
-        from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
-        from repro.transport.semi_lagrangian import SemiLagrangianStepper
-
-        from tests.fixtures import make_grid, smooth_velocity_field
-
-        grid = make_grid(self.N)
-        velocity = smooth_velocity_field(grid, seed=21, amplitude=0.4)
-        monkeypatch.setenv(PLAN_LAYOUT_ENV_VAR, layout)
-        reset_plan_pool()
-        interp = PeriodicInterpolator(grid, "catmull_rom", backend="numpy")
-        stepper = SemiLagrangianStepper(grid, velocity, dt=0.25, interpolator=interp)
-        return grid, stepper, get_plan_pool()
-
-    def test_resident_plan_bytes_capped_at_one_chunk(self, monkeypatch):
-        """At 96^3 the pooled streaming entry carries no per-point stencil
-        payload: the stencil's resident bytes are <= one chunk (vs ~30 MB
-        for the lean layout), and the pool's byte accounting shows it."""
-        chunk_cap = 3 * STENCIL_CHUNK * (np.dtype(np.intp).itemsize + 8)
-        grid, stepper, pool = self._steppers(monkeypatch, "streaming")
-        payload = stepper.departure_plan.payload
-        assert isinstance(payload, StreamingStencilPlan)
-        assert payload.num_points == self.N**3
-        assert payload.nbytes <= chunk_cap
-        streaming_bytes = pool.current_bytes
-        assert streaming_bytes == pool.stats.peak_bytes
-
-        grid, lean_stepper, pool = self._steppers(monkeypatch, "lean")
-        lean_payload = lean_stepper.departure_plan.payload
-        assert isinstance(lean_payload, LeanStencilPlan)
-        lean_bytes = pool.current_bytes
-        # the pooled entries differ by exactly the stencil payload: the
-        # lean base/frac arrays (36 B/point) vs the one-chunk scratch cap
-        assert lean_payload.nbytes == 36 * self.N**3
-        assert lean_bytes - streaming_bytes == lean_payload.nbytes - payload.nbytes
-        assert streaming_bytes < 0.65 * lean_bytes
-
-    def test_streaming_step_bitwise_matches_lean_and_fat(self, monkeypatch):
-        field = smooth_scalar_field(Grid((self.N,) * 3), seed=22)
-        outputs = {}
-        for layout in PLAN_LAYOUTS:
-            grid, stepper, _ = self._steppers(monkeypatch, layout)
-            outputs[layout] = stepper.step(field)
-        np.testing.assert_array_equal(outputs["streaming"], outputs["fat"])
-        np.testing.assert_array_equal(outputs["streaming"], outputs["lean"])
+        plan = interp.plan(points)
+        assert isinstance(plan.payload, StencilPlan)
+        assert plan.nbytes == plan.coordinates.nbytes + plan.payload.nbytes
 
 
 class TestStencilPrimitives:
