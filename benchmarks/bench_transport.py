@@ -1,24 +1,19 @@
-"""Field-transport engine benchmarks: batched exchange + tiled gather (PR 5).
+"""Field-transport engine benchmark: batched distributed exchange.
 
-Two scenarios, written to ``benchmarks/results/transport_batching.{txt,json}``
-alongside the other machine-readable results:
-
-* **per-field vs batched distributed ghost exchange** — interpolating a
-  ``B``-field stack through one `ScatterInterpolationPlan`: the per-field
-  path pays a full ghost-exchange round (4 neighbour exchanges) and a
-  return ``alltoallv`` per field, the batched ``interpolate_many`` pays
-  them once for the whole stack.  The ledger deltas (messages = the
-  latency term of the machine model) are the deterministic result; wall
-  time on the simulated communicator is reported for context.
-* **resident vs tiled gather** — the same stencil plan executed from a
-  resident flattened stack and through an `ArrayFieldSource`:
-  reports the peak resident tile bytes (the out-of-core working set)
-  against the field bytes, plus the wall-time cost of tile loading.
+Written to ``benchmarks/results/transport_batching.{txt,json}`` alongside
+the other machine-readable results: **per-field vs batched distributed
+ghost exchange** — interpolating a ``B``-field stack through one
+`ScatterInterpolationPlan`: the per-field path pays a full ghost-exchange
+round (4 neighbour exchanges) and a return ``alltoallv`` per field, the
+batched ``interpolate_many`` pays them once for the whole stack.  The
+ledger deltas (messages = the latency term of the machine model) are the
+deterministic result; wall time on the simulated communicator is reported
+for context.
 
 Run with a plain pytest invocation (``pytest benchmarks/bench_transport.py``)
-or the bench-smoke CI job; both scenarios assert the structural wins
-deterministically (ledger counts, byte bounds, bitwise identity) so no
-wall-clock gate can flake.
+or the bench-smoke CI job; the structural wins are asserted
+deterministically (ledger counts, bitwise identity) so no wall-clock gate
+can flake.
 """
 
 import os
@@ -30,14 +25,10 @@ from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.scatter import ScatterInterpolationPlan
 from repro.spectral.grid import Grid
-from repro.transport.kernels import ArrayFieldSource, build_stencil_plan, execute_stencil_plan
 from repro.transport.semi_lagrangian import compute_departure_points
 
 #: Grid edge of the distributed batching scenario (p = 4 simulated ranks).
 DISTRIBUTED_N = int(os.environ.get("REPRO_BENCH_TRANSPORT_N", "32"))
-
-#: Grid edge of the resident-vs-tiled gather scenario.
-TILED_N = int(os.environ.get("REPRO_BENCH_TILED_N", "64"))
 
 #: Fields per batch (state + adjoint + two incremental fields, say).
 BATCH = 4
@@ -56,9 +47,6 @@ def _best_of(fn, repeats: int = 3) -> float:
 def test_bench_transport_batching(record_text, record_json):
     rng = np.random.default_rng(0)
 
-    # ------------------------------------------------------------------ #
-    # scenario 1: per-field vs batched distributed ghost exchange
-    # ------------------------------------------------------------------ #
     n = DISTRIBUTED_N
     grid = Grid((n, n, n))
     deco = PencilDecomposition(grid.shape, 2, 2)
@@ -125,34 +113,12 @@ def test_bench_transport_batching(record_text, record_json):
     ]["bytes"]
 
     # ------------------------------------------------------------------ #
-    # scenario 2: resident vs tiled gather
-    # ------------------------------------------------------------------ #
-    m = TILED_N
-    tgrid = Grid((m, m, m))
-    field = rng.standard_normal(tgrid.shape)
-    spacing = np.asarray(tgrid.spacing)[:, None]
-    tpoints = tgrid.coordinate_stack().reshape(3, -1) + spacing * rng.uniform(
-        -3.0, 3.0, size=(3, tgrid.num_points)
-    )
-    coords = np.mod(tpoints / spacing, m)
-    splan = build_stencil_plan(tgrid.shape, coords, "catmull_rom")
-
-    flat = np.ascontiguousarray(field.reshape(1, -1))
-    resident_time = _best_of(lambda: execute_stencil_plan(flat, splan))
-    source = ArrayFieldSource(field)
-    tiled_time = _best_of(lambda: execute_stencil_plan(source, splan))
-    np.testing.assert_array_equal(
-        execute_stencil_plan(source, splan), execute_stencil_plan(flat, splan)
-    )
-    assert source.peak_tile_bytes < 0.25 * field.nbytes  # tile-bounded, not O(N^3)
-
-    # ------------------------------------------------------------------ #
     # artifacts
     # ------------------------------------------------------------------ #
     rows = [
-        f"field-transport engine: batched exchange + tiled gather",
+        "field-transport engine: batched distributed exchange",
         "",
-        f"[1] distributed interpolation of a {BATCH}-field stack at {n}^3, 2x2 ranks",
+        f"distributed interpolation of a {BATCH}-field stack at {n}^3, 2x2 ranks",
         f"{'path':<12} {'ghost calls':>12} {'ghost msgs':>11} {'return calls':>13} "
         f"{'bytes':>12} {'time [s]':>10}",
         "-" * 76,
@@ -166,21 +132,12 @@ def test_bench_transport_batching(record_text, record_json):
         f"{batched_ledger['ghost_exchange']['bytes']:>12} {batched_time:>10.4f}",
         f"-> {ghost_calls_saved} ghost-exchange rounds saved per {BATCH}-field batch "
         f"(latency term /{BATCH}); payload bytes unchanged; bitwise identical",
-        "",
-        f"[2] resident vs tiled gather at {m}^3 ({tgrid.num_points} points)",
-        f"{'mode':<12} {'time [s]':>10} {'resident field bytes':>22}",
-        "-" * 48,
-        f"{'resident':<12} {resident_time:>10.4f} {flat.nbytes:>22}",
-        f"{'tiled':<12} {tiled_time:>10.4f} {source.peak_tile_bytes:>22}",
-        f"-> peak tile {source.peak_tile_bytes} B "
-        f"({source.peak_tile_bytes / field.nbytes:.1%} of the field); "
-        f"stencil plan {splan.nbytes} B (36 B/point); bitwise identical",
     ]
     record_text("transport_batching", "\n".join(rows))
     record_json(
         "transport_batching",
         {
-            "benchmark": "field-transport engine: batched ghost exchange + tiled gather",
+            "benchmark": "field-transport engine: batched ghost exchange",
             "distributed": {
                 "grid": [n, n, n],
                 "tasks": deco.num_tasks,
@@ -194,17 +151,6 @@ def test_bench_transport_batching(record_text, record_json):
                     "seconds": batched_time,
                 },
                 "ghost_rounds_saved_per_batch": ghost_calls_saved // 4,
-                "bitwise_identical": True,
-            },
-            "tiled_gather": {
-                "grid": [m, m, m],
-                "num_points": tgrid.num_points,
-                "resident_seconds": resident_time,
-                "tiled_seconds": tiled_time,
-                "field_bytes": int(field.nbytes),
-                "peak_tile_bytes": int(source.peak_tile_bytes),
-                "stencil_plan_bytes": int(splan.nbytes),
-                "peak_tile_over_field": source.peak_tile_bytes / field.nbytes,
                 "bitwise_identical": True,
             },
         },

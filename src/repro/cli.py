@@ -59,7 +59,7 @@ from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import RegistrationSolver
 from repro.data.brain import brain_registration_pair
-from repro.data.io import load_problem, memmap_npz_member, open_problem
+from repro.data.io import load_problem
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
 from repro.observability import (
     env_trace_out,
@@ -79,7 +79,6 @@ from repro.transport.kernels import (
     available_backends as available_interp_backends,
     registered_backends as registered_interp_backends,
 )
-from repro.transport.sources import FIELD_SOURCE_MODES, default_field_source
 from repro.utils.logging import set_verbosity
 
 
@@ -127,18 +126,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help=(
             "shared worker count of every subsystem, service threads included (default: "
             "$REPRO_WORKERS, else each subsystem's own); $REPRO_FFT_WORKERS / "
-            "$REPRO_INTERP_WORKERS / $REPRO_SERVICE_WORKERS / $REPRO_IO_WORKERS override it"
-        ),
-    )
-    sub.add_argument(
-        "--field-source",
-        choices=FIELD_SOURCE_MODES,
-        default=None,
-        help=(
-            "field-source mode: 'resident' gathers in-memory stacks, "
-            "'memmap' runs every gather through a memory-mapped on-disk "
-            "source with overlapped tile prefetch (bitwise identical; "
-            "default: $REPRO_FIELD_SOURCE or 'resident')"
+            "$REPRO_INTERP_WORKERS / $REPRO_SERVICE_WORKERS override it"
         ),
     )
     sub.add_argument(
@@ -173,7 +161,6 @@ def _config_from_args(
         "interp_backend": args.interp_backend,
         "plan_pool_bytes": args.plan_pool_bytes,
         "workers": args.workers,
-        "field_source": args.field_source,
         "trace": args.trace,
         "trace_out": args.trace_out,
     }
@@ -340,18 +327,7 @@ def _export_trace(config: RegistrationConfig) -> Optional[str]:
 
 def _load_pair(args: argparse.Namespace):
     if args.input:
-        if default_field_source() == "memmap":
-            # out-of-core mode: map the volumes in place (uncompressed .npz
-            # only) instead of materializing them; compressed archives fall
-            # back to resident loading (the gathers themselves still run
-            # through memory-mapped spools under this mode)
-            try:
-                data = open_problem(args.input, mmap=True)
-            except ValueError as exc:
-                print(f"warning: {exc}; loading resident instead", file=sys.stderr)
-                data = load_problem(args.input)
-        else:
-            data = load_problem(args.input)
+        data = load_problem(args.input)
         return data["reference"], data["template"], data["grid"]
     if args.synthetic:
         problem = synthetic_registration_problem(
@@ -405,17 +381,6 @@ def _run_register(
                 f"  {tag}: {tag_stats.hits} hits, {tag_stats.misses} misses, "
                 f"{tag_stats.entries} entries, {tag_stats.current_bytes} bytes"
             )
-        if result.field_sources is not None:
-            sources = result.field_sources
-            print(
-                f"field sources: {sources.loads} tile loads "
-                f"({sources.planes_loaded} planes, {sources.bytes_loaded} bytes, "
-                f"peak tile {sources.peak_tile_bytes} bytes), "
-                f"tile cache {sources.tile_cache_hits} hits / "
-                f"{sources.tile_cache_misses} misses, "
-                f"prefetch {sources.prefetch_issued} issued / "
-                f"{sources.prefetch_hits} hits"
-            )
         cache_decisions = gradient_cache_decision_log()
         if cache_decisions.total:
             counts = ", ".join(
@@ -458,13 +423,7 @@ def _load_population(args: argparse.Namespace):
                     f"{args.input} must contain 'reference' (N1,N2,N3) and "
                     "'subjects' (K,N1,N2,N3) arrays"
                 )
-            if default_field_source() != "memmap":
-                return np.asarray(data["reference"]), list(np.asarray(data["subjects"]))
-        # out-of-core mode: map both members in place — the K subject
-        # volumes are row views of one mapping, paged in as each job runs
-        reference = memmap_npz_member(args.input, "reference")
-        subjects = memmap_npz_member(args.input, "subjects")
-        return reference, [subjects[k] for k in range(subjects.shape[0])]
+            return np.asarray(data["reference"]), list(np.asarray(data["subjects"]))
     population = synthetic_population(
         args.synthetic,
         num_subjects=args.subjects,

@@ -13,8 +13,8 @@ accepts:
   configuration (useful for artifacts: "what configuration produced this
   result"),
 * :meth:`RegistrationConfig.apply` validates every field and pushes the
-  process-wide ones (worker default, pool budget, field source, gradient
-  cache, tracing) into the runtime — fields left at ``None`` keep the
+  process-wide ones (worker default, pool budget, gradient cache,
+  tracing) into the runtime — fields left at ``None`` keep the
   environment/default behavior untouched,
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
   flags over a base config this way).
@@ -48,7 +48,6 @@ from repro.runtime.plan_pool import configure_plan_pool, env_pool_budget, get_pl
 from repro.runtime.workers import default_workers, resolve_workers, set_default_workers
 from repro.spectral import backends as fft_backends
 from repro.transport import kernels as interp_kernels
-from repro.transport import sources as field_sources
 
 __all__ = [
     "HTTP_PORT_ENV_VAR",
@@ -147,10 +146,6 @@ class RegistrationConfig:
     plan_pool_bytes:
         Byte budget of the shared execution-plan pool (``0`` disables
         caching).
-    field_source:
-        Field-source mode (``"resident"``, ``"memmap"``); ``memmap`` runs
-        every frontend gather through a disk-backed source (the
-        ``REPRO_FIELD_SOURCE`` / ``--field-source`` knob).
     gradient_cache:
         Enable the per-iterate state-gradient cache
         (:mod:`repro.core.gradients`; the ``REPRO_GRADIENT_CACHE`` knob).
@@ -172,7 +167,6 @@ class RegistrationConfig:
     interp_backend: Optional[str] = None
     workers: Optional[int] = None
     plan_pool_bytes: Optional[int] = None
-    field_source: Optional[str] = None
     gradient_cache: Optional[bool] = None
     trace: Optional[bool] = None
     trace_out: Optional[str] = None
@@ -208,7 +202,6 @@ class RegistrationConfig:
             interp_backend=interp_kernels.default_backend_name(),
             workers=default_workers(),
             plan_pool_bytes=get_plan_pool().max_bytes,
-            field_source=field_sources.default_field_source(),
             gradient_cache=gradient_cache_enabled(),
             trace=tracing_enabled() or bool(env_trace_enabled()),
             trace_out=env_trace_out(),
@@ -229,22 +222,14 @@ class RegistrationConfig:
         """
         fft_backends.get_backend(self.fft_backend)
         interp_kernels.get_backend(self.interp_backend)
-        if self.field_source is not None and (
-            self.field_source not in field_sources.FIELD_SOURCE_MODES
-        ):
-            raise ValueError(
-                f"unknown field-source mode {self.field_source!r}; "
-                f"expected one of {field_sources.FIELD_SOURCE_MODES}"
-            )
         from repro.core.gradients import env_gradient_cache_enabled
 
         env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
         env_pool_budget()  # ... and $REPRO_PLAN_POOL_BYTES
-        field_sources.default_field_source()  # ... and $REPRO_FIELD_SOURCE
         env_trace_enabled()  # ... and $REPRO_TRACE
         env_http_port()  # ... and $REPRO_HTTP_PORT
         env_service_class_weights()  # ... and $REPRO_SERVICE_CLASS_WEIGHTS
-        for subsystem in ("fft", "interp", "service", "io"):  # ... and the worker vars
+        for subsystem in ("fft", "interp", "service"):  # ... and the worker vars
             resolve_workers(subsystem)
         return self
 
@@ -261,8 +246,6 @@ class RegistrationConfig:
             set_default_workers(self.workers)
         if self.plan_pool_bytes is not None:
             configure_plan_pool(self.plan_pool_bytes)
-        if self.field_source is not None:
-            field_sources.set_default_field_source(self.field_source)
         if self.gradient_cache is not None:
             from repro.core.gradients import set_gradient_cache_enabled
 

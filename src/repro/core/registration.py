@@ -34,7 +34,6 @@ from repro.observability.trace import trace_span
 from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
-from repro.transport.kernels import SourceStats, field_source_log
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_finite
 
@@ -45,8 +44,10 @@ LOGGER = get_logger("core.registration")
 #: share this one schema; bump the version on any breaking field change.
 #: v2: adds the embedded ``observability`` snapshot block (a
 #: ``repro.observability-snapshot`` document carrying its own version).
+#: v3: drops the out-of-core tile-traffic block and its two summary keys, adds
+#: ``optimization.termination_reason``.
 RESULT_SCHEMA = "repro.registration-result"
-RESULT_SCHEMA_VERSION = 2
+RESULT_SCHEMA_VERSION = 3
 
 _legacy_kwargs_warned = False
 
@@ -95,7 +96,6 @@ class RegistrationResult:
     det_grad_stats: Dict[str, float]
     elapsed_seconds: float
     plan_pool: Optional[PoolStats] = None
-    field_sources: Optional[SourceStats] = None
     problem: RegistrationProblem = field(repr=False, default=None)
 
     @property
@@ -138,12 +138,6 @@ class RegistrationResult:
             ),
             "plan_pool_hits": self.plan_pool.hits if self.plan_pool is not None else 0,
             "plan_pool_misses": self.plan_pool.misses if self.plan_pool is not None else 0,
-            "field_source_loads": (
-                self.field_sources.loads if self.field_sources is not None else 0
-            ),
-            "field_source_peak_tile_bytes": (
-                self.field_sources.peak_tile_bytes if self.field_sources is not None else 0
-            ),
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -165,15 +159,11 @@ class RegistrationResult:
                 "converged": bool(opt.converged),
                 "num_iterations": int(opt.num_iterations),
                 "total_hessian_matvecs": int(opt.total_hessian_matvecs),
+                "termination_reason": opt.termination_reason,
             },
             "det_grad": _jsonable(self.det_grad_stats),
             "plan_pool": (
                 _jsonable(self.plan_pool.as_dict()) if self.plan_pool is not None else None
-            ),
-            "field_sources": (
-                _jsonable(self.field_sources.as_dict())
-                if self.field_sources is not None
-                else None
             ),
             "observability": _jsonable(observability_snapshot()),
             "elapsed_seconds": float(self.elapsed_seconds),
@@ -221,8 +211,8 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (worker default, pool budget, field source,
-        gradient cache, tracing) and supplies the FFT/interpolation engines
+        applied process-wide (worker default, pool budget, gradient cache,
+        tracing) and supplies the FFT/interpolation engines
         unless the explicit ``fft_backend``/``interp_backend`` arguments
         override them.
     """
@@ -309,7 +299,6 @@ class RegistrationSolver:
             check_finite(np.asarray(initial_velocity), "initial_velocity")
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
-        sources_before = field_source_log().snapshot()
         with trace_span(
             "registration.solve",
             optimizer=self.optimizer,
@@ -361,7 +350,6 @@ class RegistrationSolver:
             det_grad_stats=det_stats,
             elapsed_seconds=elapsed,
             plan_pool=get_plan_pool().stats - pool_before,
-            field_sources=field_source_log().snapshot() - sources_before,
             problem=problem,
         )
 

@@ -11,9 +11,8 @@ Two loading modes are provided:
 * :func:`load_problem` materializes every array in memory (the classic
   path, works for compressed and uncompressed archives alike);
 * :func:`open_problem` returns **memory-mapped** arrays instead: nothing is
-  read until a slice is touched, so the out-of-core field pipeline
-  (:mod:`repro.transport.sources`) can gather plane tiles of volumes far
-  larger than RAM.  Mappability requires the *uncompressed* ``.npz``
+  read until a slice is touched (the solver gathers them like any other
+  ``ndarray``).  Mappability requires the *uncompressed* ``.npz``
   variant — save with ``save_problem(..., compress=False)`` (a zip member
   can only be mapped when it is stored, not deflated).
 """
@@ -49,8 +48,8 @@ def save_problem(
     """Save a registration problem (and optional velocity) to ``.npz``.
 
     ``compress=False`` writes a plain (stored, uncompressed) archive whose
-    members :func:`open_problem` can memory-map — the on-disk format of the
-    out-of-core pipeline.  Compressed archives stay the default for
+    members :func:`open_problem` can memory-map.  Compressed archives stay
+    the default for
     portability; they simply cannot be mapped.
     """
     path = Path(path)
@@ -116,7 +115,7 @@ def load_problem(path: str | Path) -> Dict[str, object]:
 
 
 # --------------------------------------------------------------------------- #
-# memory-mapped access (the out-of-core pipeline's disk format)
+# memory-mapped access
 # --------------------------------------------------------------------------- #
 def _member_array_offset(path: Path, handle, info: "zipfile.ZipInfo"):
     """Byte offset, dtype and shape of an ``.npy`` member's raw array data.
@@ -155,7 +154,7 @@ def _member_array_offset(path: Path, handle, info: "zipfile.ZipInfo"):
     if fortran_order:
         raise ValueError(
             f"{path}: member {info.filename!r} is stored in Fortran (column-major) "
-            "order; the tiled gather executor requires C-contiguous plane tiles — "
+            "order; only C-contiguous members can be mapped — "
             "re-save it with numpy's default (C) order"
         )
     return handle.tell(), dtype, shape
@@ -194,11 +193,10 @@ def memmap_npz_member(path: str | Path, key: str) -> np.ndarray:
 def open_problem(path: str | Path, mmap: bool = True) -> Dict[str, object]:
     """Open a problem with its volume arrays memory-mapped.
 
-    The out-of-core twin of :func:`load_problem`: ``reference``,
-    ``template`` and ``velocity`` come back as read-only memmap views (for
-    ``.npz``: of the archive members in place), so opening a 512^3 problem
-    costs a few kB — the field bytes are paged in tile by tile as the
-    gather executor touches them.  The small arrays (grid geometry,
+    The lazy twin of :func:`load_problem`: ``reference``, ``template`` and
+    ``velocity`` come back as read-only memmap views (for ``.npz``: of the
+    archive members in place), so opening a 512^3 problem costs a few kB —
+    the field bytes are paged in as they are read.  The small arrays (grid geometry,
     metadata) are always materialized.
 
     ``mmap=False`` degrades to :func:`load_problem` exactly (compressed

@@ -6,7 +6,7 @@ interpolation vs communication time per matvec and per Newton iteration
 analytically, but until this subsystem the running code could not *measure*
 them: timing, counter and traffic data were scattered across ad-hoc
 mechanisms (FFT counters, interpolation sweep counters, plan-pool
-statistics, the communication ledger, field-source traffic) with no shared
+statistics, the communication ledger) with no shared
 schema and no timing for solver phases.
 
 Three pieces, deliberately layered so the hot kernels stay untouched when
@@ -29,9 +29,9 @@ observability is off:
     their own APIs.
 
 :mod:`repro.observability.snapshot`
-    One versioned ``repro.observability-snapshot`` v2 document
+    One versioned ``repro.observability-snapshot`` v3 document
     (:func:`snapshot`) unifying all of it: the registry, plan-pool stats
-    (pool-wide and per tag), field-source traffic, and the trace summary.
+    (pool-wide and per tag) and the trace summary.
     Embedded in ``RegistrationResult.to_dict()``, per-job service
     artifacts, and ``RegistrationService.service_stats()``.
 

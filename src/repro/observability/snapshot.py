@@ -1,19 +1,17 @@
 """The versioned ``repro.observability-snapshot`` document.
 
 :func:`snapshot` unifies the process's observability state — the metrics
-registry, plan-pool statistics (pool-wide and per tag), field-source
-traffic and the tracing summary — into one
-JSON-safe document:
+registry, plan-pool statistics (pool-wide and per tag) and the tracing
+summary — into one JSON-safe document:
 
 .. code-block:: python
 
     {
         "schema": "repro.observability-snapshot",
-        "schema_version": 2,
+        "schema_version": 3,
         "metrics": {"fft.transforms": {"direction=forward": 42.0, ...}, ...},
         "plan_pool": {"hits": ..., "misses": ..., ...},
         "plan_pool_by_tag": {"scatter-plan": {...}, ...},
-        "field_sources": {"loads": ..., "planes_loaded": ..., ...},
         "trace": {"enabled": ..., "spans": ..., "span_counts": {...},
                   "span_durations_seconds": {...}},
     }
@@ -26,7 +24,9 @@ service artifacts, and ``RegistrationService.service_stats()``; the CI
 Schema evolution: additive fields bump ``SNAPSHOT_SCHEMA_VERSION`` only on
 breaking changes, mirroring the other versioned documents
 (``repro.registration-result``, ``repro.service-job``).  Version 2 dropped
-v1's ``layout_decisions`` block with the stencil-layout policy it reported.
+v1's ``layout_decisions`` block with the stencil-layout policy it reported;
+version 3 dropped v2's tile-traffic block with the out-of-core gather
+pipeline it counted.
 
 Unlike the stdlib-only :mod:`trace`/:mod:`metrics` leaves, this module
 reads the stat mechanisms across the codebase — imports happen lazily
@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.observability-snapshot"
-SNAPSHOT_SCHEMA_VERSION = 2
+SNAPSHOT_SCHEMA_VERSION = 3
 
 
 def snapshot() -> Dict[str, Any]:
@@ -54,7 +54,6 @@ def snapshot() -> Dict[str, Any]:
     from repro.observability.metrics import get_metrics_registry
     from repro.observability.trace import get_trace_recorder, tracing_enabled
     from repro.runtime.plan_pool import get_plan_pool
-    from repro.transport.kernels import field_source_log
 
     pool = get_plan_pool()
     recorder = get_trace_recorder()
@@ -66,7 +65,6 @@ def snapshot() -> Dict[str, Any]:
         "plan_pool_by_tag": {
             tag: stats.as_dict() for tag, stats in sorted(pool.stats_by_tag().items())
         },
-        "field_sources": field_source_log().snapshot().as_dict(),
         "trace": {
             "enabled": tracing_enabled(),
             "spans": len(recorder),
@@ -97,13 +95,7 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
             f"schema_version must be {SNAPSHOT_SCHEMA_VERSION}, "
             f"got {document.get('schema_version')!r}"
         )
-    for key in (
-        "metrics",
-        "plan_pool",
-        "plan_pool_by_tag",
-        "field_sources",
-        "trace",
-    ):
+    for key in ("metrics", "plan_pool", "plan_pool_by_tag", "trace"):
         if key not in document:
             fail(f"missing required block {key!r}")
         if not isinstance(document[key], dict):
@@ -112,10 +104,9 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
     for name, series in metrics.items():
         if not isinstance(series, dict):
             fail(f"metrics[{name!r}] must map label keys to values")
-    for block in ("plan_pool", "field_sources"):
-        for key, value in document[block].items():
-            if not isinstance(value, int):
-                fail(f"{block}[{key!r}] must be an integer, got {value!r}")
+    for key, value in document["plan_pool"].items():
+        if not isinstance(value, int):
+            fail(f"plan_pool[{key!r}] must be an integer, got {value!r}")
     trace = document["trace"]
     if not isinstance(trace.get("enabled"), bool):
         fail("trace.enabled must be a boolean")

@@ -45,11 +45,9 @@ from repro.runtime.plan_pool import (
 from repro.runtime.workers import (
     FFT_WORKERS_ENV_VAR,
     INTERP_WORKERS_ENV_VAR,
-    IO_WORKERS_ENV_VAR,
     SERVICE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
     get_executor,
-    get_subsystem_executor,
     resolve_workers,
     set_default_workers,
     shutdown_executors,
@@ -72,11 +70,9 @@ __all__ = [
     "reset_plan_pool",
     "FFT_WORKERS_ENV_VAR",
     "INTERP_WORKERS_ENV_VAR",
-    "IO_WORKERS_ENV_VAR",
     "SERVICE_WORKERS_ENV_VAR",
     "WORKERS_ENV_VAR",
     "get_executor",
-    "get_subsystem_executor",
     "resolve_workers",
     "set_default_workers",
     "shutdown_executors",

@@ -8,8 +8,7 @@ process-wide resource policy:
 * ``REPRO_WORKERS`` sets the shared default worker count of *every*
   subsystem.
 * ``REPRO_FFT_WORKERS`` / ``REPRO_INTERP_WORKERS`` / ``REPRO_SERVICE_WORKERS``
-  / ``REPRO_IO_WORKERS`` override it per subsystem (the FFT variable keeps
-  its PR-1 semantics).
+  override it per subsystem (the FFT variable keeps its original semantics).
 * :func:`set_default_workers` is the programmatic/CLI (``--workers``)
   equivalent of ``REPRO_WORKERS``; explicit per-call arguments (e.g.
   ``ScipyFFTBackend(workers=4)``) still win over everything.
@@ -49,9 +48,6 @@ INTERP_WORKERS_ENV_VAR = "REPRO_INTERP_WORKERS"
 #: Per-subsystem override for the registration service's job workers.
 SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
 
-#: Per-subsystem override for the out-of-core tile prefetch I/O workers.
-IO_WORKERS_ENV_VAR = "REPRO_IO_WORKERS"
-
 
 def _all_cores() -> int:
     return max(1, os.cpu_count() or 1)
@@ -81,15 +77,10 @@ SUBSYSTEMS: Dict[str, SubsystemPolicy] = {
     # Width > 1 (REPRO_SERVICE_WORKERS, num_workers=) buys only that a short
     # job never queues behind a long one, or an engine that releases the GIL.
     "service": SubsystemPolicy(SERVICE_WORKERS_ENV_VAR, _one),
-    # tile prefetch of the out-of-core field sources: one background loader
-    # overlaps the next chunk's disk read with the current chunk's gather;
-    # more only help when the storage itself is parallel
-    "io": SubsystemPolicy(IO_WORKERS_ENV_VAR, _one),
 }
 
 _default_workers: Optional[int] = None
 _executors: Dict[int, ThreadPoolExecutor] = {}
-_subsystem_executors: Dict[str, ThreadPoolExecutor] = {}
 _lock = threading.Lock()
 
 
@@ -156,37 +147,9 @@ def get_executor(workers: int) -> ThreadPoolExecutor:
         return executor
 
 
-def get_subsystem_executor(subsystem: str, workers: Optional[int] = None) -> ThreadPoolExecutor:
-    """A *dedicated* shared executor owned by one subsystem.
-
-    Unlike :func:`get_executor` — which shares pools by width across
-    subsystems — this keeps one pool per subsystem name, resolved once
-    under the unified policy on first use.  The tile prefetcher needs this
-    separation: its I/O futures must never queue behind the interpolation
-    chunk tasks of the very gather that is waiting for them (a shared
-    width-1 pool would deadlock).
-    """
-    if subsystem not in SUBSYSTEMS:
-        raise ValueError(
-            f"unknown worker subsystem {subsystem!r}; known: {tuple(sorted(SUBSYSTEMS))}"
-        )
-    with _lock:
-        executor = _subsystem_executors.get(subsystem)
-        if executor is None:
-            width = resolve_workers(subsystem, workers)
-            executor = ThreadPoolExecutor(
-                max_workers=width, thread_name_prefix=f"repro-{subsystem}"
-            )
-            _subsystem_executors[subsystem] = executor
-        return executor
-
-
 def shutdown_executors() -> None:
     """Shut down every shared executor (used by tests)."""
     with _lock:
         for executor in _executors.values():
             executor.shutdown(wait=True)
-        for executor in _subsystem_executors.values():
-            executor.shutdown(wait=True)
         _executors.clear()
-        _subsystem_executors.clear()

@@ -27,9 +27,11 @@ from repro.service.jobs import Job
 
 #: Name and version of the per-job artifact document; bump the version on
 #: any breaking field change (v2: the job metrics no longer carry
-#: ``layout_decisions``, and the embedded snapshot is v2).
+#: ``layout_decisions``, and the embedded snapshot is v2; v3: the embedded
+#: result and snapshot are v3 — no tile-traffic blocks, the result's
+#: ``optimization`` carries ``termination_reason``).
 ARTIFACT_SCHEMA = "repro.service-job"
-ARTIFACT_SCHEMA_VERSION = 2
+ARTIFACT_SCHEMA_VERSION = 3
 
 __all__ = [
     "ARTIFACT_SCHEMA",

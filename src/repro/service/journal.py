@@ -62,6 +62,7 @@ from repro.service.jobs import (
 )
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_finite
 
 LOGGER = get_logger("service.journal")
 
@@ -125,7 +126,11 @@ def _decode_array(doc: Any, what: str) -> np.ndarray:
             f"{what} payload has {len(raw)} bytes, expected {expected} "
             f"for dtype {dtype} and shape {shape}"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    try:
+        return check_finite(array, what)
+    except ValueError as exc:
+        raise MalformedSpecError(str(exc)) from None
 
 
 def _encode_grid(grid: Optional[Grid]) -> Optional[Dict[str, Any]]:
@@ -228,8 +233,10 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     Raises
     ------
     MalformedSpecError
-        The document is not a valid v1 jobspec (clean, client-facing
-        message — the HTTP front returns it verbatim with a 400).
+        The document is not a valid v1 jobspec, a float array holds a NaN or
+        an infinity, or the arrays' shapes disagree (clean, client-facing
+        message — the HTTP front returns it verbatim with a 400, before
+        anything is journaled).
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -251,9 +258,16 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
         raise MalformedSpecError("jobspec 'job_class' must be a non-empty string")
     try:
         if kind == "register":
+            template = _decode_array(payload.get("template"), "template")
+            reference = _decode_array(payload.get("reference"), "reference")
+            if template.shape != reference.shape:
+                raise MalformedSpecError(
+                    f"template and reference must share a shape, got {template.shape} "
+                    f"and {reference.shape}"
+                )
             return RegistrationJobSpec(
-                template=_decode_array(payload.get("template"), "template"),
-                reference=_decode_array(payload.get("reference"), "reference"),
+                template=template,
+                reference=reference,
                 beta=float(payload.get("beta", 1e-2)),
                 regularization=str(payload.get("regularization", "h1")),
                 incompressible=bool(payload.get("incompressible", False)),
@@ -268,9 +282,16 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 job_class=job_class,
             )
         if kind == "transport":
+            velocity = _decode_array(payload.get("velocity"), "velocity")
+            moving = _decode_array(payload.get("moving"), "moving")
+            if velocity.shape != (3, *moving.shape):
+                raise MalformedSpecError(
+                    f"velocity must have shape {(3, *moving.shape)} for a moving "
+                    f"image of shape {moving.shape}, got {velocity.shape}"
+                )
             return TransportJobSpec(
-                velocity=_decode_array(payload.get("velocity"), "velocity"),
-                moving=_decode_array(payload.get("moving"), "moving"),
+                velocity=velocity,
+                moving=moving,
                 num_time_steps=int(payload.get("num_time_steps", 4)),
                 num_tasks=int(payload.get("num_tasks", 4)),
                 grid=_decode_grid(payload.get("grid")),

@@ -135,10 +135,6 @@ class RegistrationService:
         if config is not None:
             config.apply()
         self.num_workers = resolve_workers("service", num_workers)
-        # Fail fast on a malformed REPRO_IO_WORKERS before any job runs:
-        # the out-of-core sources resolve it lazily on the first prefetch,
-        # which would otherwise surface as a per-job failure mid-run.
-        resolve_workers("io")
         self.max_batch = int(max_batch)
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir is not None else None
         if journal_dir is None:

@@ -16,25 +16,12 @@ and reused by every transported field.
 
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    ArrayFieldSource,
-    FieldSource,
     GatherPlan,
     InterpolationBackend,
     available_backends as available_interpolation_backends,
     get_backend as get_interpolation_backend,
     register_backend as register_interpolation_backend,
     registered_backends as registered_interpolation_backends,
-)
-from repro.transport.sources import (
-    FIELD_SOURCE_ENV_VAR,
-    FIELD_SOURCE_MODES,
-    Hdf5FieldSource,
-    MemmapFieldSource,
-    PrefetchingFieldSource,
-    SpooledMemmapFieldSource,
-    TileCachingFieldSource,
-    default_field_source,
-    set_default_field_source,
 )
 from repro.transport.semi_lagrangian import (
     SemiLagrangianStepper,
@@ -45,23 +32,12 @@ from repro.transport.deformation import DeformationMap, deformation_gradient_det
 
 __all__ = [
     "PeriodicInterpolator",
-    "ArrayFieldSource",
-    "FieldSource",
     "GatherPlan",
     "InterpolationBackend",
     "available_interpolation_backends",
     "get_interpolation_backend",
     "register_interpolation_backend",
     "registered_interpolation_backends",
-    "FIELD_SOURCE_ENV_VAR",
-    "FIELD_SOURCE_MODES",
-    "MemmapFieldSource",
-    "Hdf5FieldSource",
-    "SpooledMemmapFieldSource",
-    "PrefetchingFieldSource",
-    "TileCachingFieldSource",
-    "default_field_source",
-    "set_default_field_source",
     "SemiLagrangianStepper",
     "compute_departure_points",
     "TransportPlan",

@@ -50,13 +50,11 @@ from repro.spectral.grid import Grid
 from repro.transport.kernels import (
     RESIDENT_OPERATORS,
     SUPPORTED_METHODS,
-    FieldSource,
     GatherOperatorPlan,
     GatherPlan,
     InterpolationBackend,
     catmull_rom_weights,
     get_backend,
-    is_field_source,
     linear_weights,
 )
 
@@ -210,24 +208,14 @@ class PeriodicInterpolator:
         if stale is not None and get_plan_pool().discard(stale):
             _OPERATOR_DISCARDS.inc()
 
-    def _gather(self, fields: "np.ndarray | FieldSource", plan: GatherPlan) -> np.ndarray:
-        batch = fields.num_fields if is_field_source(fields) else fields.shape[0]
+    def _gather(self, fields: np.ndarray, plan: GatherPlan) -> np.ndarray:
+        batch = fields.shape[0]
         self.points_interpolated += batch * plan.num_points
         _INTERP_SWEEPS.inc(batch)
         _INTERP_POINTS.inc(batch * plan.num_points)
         if isinstance(plan.payload, GatherOperatorPlan):
             # before the gather, so a third operator is never resident
             self._retain_operator(plan.payload.key)
-        if not is_field_source(fields):
-            # forced out-of-core mode (REPRO_FIELD_SOURCE=memmap /
-            # --field-source memmap): spool the resident stack to a
-            # temporary .npy and gather it memory-mapped.  float64
-            # round-trips .npy bit for bit, so results are unchanged —
-            # imported lazily to keep the module graph acyclic.
-            from repro.transport.sources import SpooledMemmapFieldSource, default_field_source
-
-            if default_field_source() == "memmap":
-                fields = SpooledMemmapFieldSource(fields)
         with trace_span(
             "interp.gather",
             count=batch,
@@ -236,14 +224,7 @@ class PeriodicInterpolator:
         ):
             return self.backend.gather(fields, plan.coordinates, plan.payload, self.method)
 
-    def _check_stack(self, fields: "np.ndarray | FieldSource") -> "np.ndarray | FieldSource":
-        if is_field_source(fields):
-            if tuple(fields.shape) != self.grid.shape:
-                raise ValueError(
-                    f"field source serves shape {tuple(fields.shape)}, "
-                    f"expected {self.grid.shape}"
-                )
-            return fields
+    def _check_stack(self, fields: np.ndarray) -> np.ndarray:
         fields = np.asarray(fields)
         if fields.ndim != 4 or fields.shape[1:] != self.grid.shape:
             raise ValueError(
@@ -286,23 +267,13 @@ class PeriodicInterpolator:
         values = self._gather(field[None], plan)[0]
         return values.reshape(plan.output_shape).astype(self.grid.dtype, copy=False)
 
-    def interpolate_many(
-        self, fields: "np.ndarray | FieldSource", points: np.ndarray
-    ) -> np.ndarray:
+    def interpolate_many(self, fields: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Interpolate a ``(B, N1, N2, N3)`` stack at *points* in one gather.
 
         All fields share the index computation of one gather pass (and, on
         planned paths, the cached stencil), which is the batching the paper
         exploits for the velocity components of the RK2 trace and the
         state/adjoint histories.
-
-        *fields* may also be a :class:`~repro.transport.kernels.FieldSource`
-        (e.g. :class:`~repro.transport.kernels.ArrayFieldSource`): the
-        gather then runs **tiled** — the executor loads only the plane tile
-        each point chunk touches instead of requiring the flattened stack
-        resident — with bitwise-identical values.  Counting is unchanged
-        (it lives here, never in the backends), so the ``2*nt`` sweep pins
-        hold for tiled gathers too.
         """
         fields = self._check_stack(fields)
         plan = self._plan(points, reusable=False)
@@ -310,14 +281,8 @@ class PeriodicInterpolator:
         out_shape = (values.shape[0], *plan.output_shape)
         return values.reshape(out_shape).astype(self.grid.dtype, copy=False)
 
-    def interpolate_many_planned(
-        self, fields: "np.ndarray | FieldSource", plan: GatherPlan
-    ) -> np.ndarray:
-        """Batched interpolation of a field stack at the points of *plan*.
-
-        Accepts a :class:`~repro.transport.kernels.FieldSource` for tiled
-        (out-of-core) gathers, exactly like :meth:`interpolate_many`.
-        """
+    def interpolate_many_planned(self, fields: np.ndarray, plan: GatherPlan) -> np.ndarray:
+        """Batched interpolation of a field stack at the points of *plan*."""
         fields = self._check_stack(fields)
         self._check_plan(plan)
         values = self._gather(fields, plan)

@@ -78,23 +78,13 @@ point — and the chunked executor derives each chunk's index parts and
 weights in cache.  The executor is thread-pooled through the shared runtime
 (:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` /
 ``REPRO_WORKERS``); the worker count leaves every gather bitwise unchanged.
-
-The executor can also run in a **tiled** mode where the flattened field
-stack is never required resident — a :class:`FieldSource` (ndarray-backed or
-memory-mapped) serves axis-0 plane tiles per executor chunk, so the resident
-field bytes are bounded by the tile a chunk touches, not the grid size.
-Tiled and resident gathers run the same tap-loop arithmetic on the same
-float64 values and are bitwise identical on every backend.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import os
-import threading
 from dataclasses import dataclass
-from dataclasses import replace as dataclass_replace
 from typing import (
     Callable,
     Dict,
@@ -353,318 +343,20 @@ def _as_flat_float64(fields: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fields.reshape(fields.shape[0], -1), dtype=np.float64)
 
 
-# --------------------------------------------------------------------------- #
-# field sources (the tiled/out-of-core side of a gather)
-# --------------------------------------------------------------------------- #
-@runtime_checkable
-class FieldSource(Protocol):
-    """Tile provider for out-of-core gathers (the field-side chunk protocol).
+def _execute_stencil_chunk(
+    flat_fields: np.ndarray, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
+) -> None:
+    """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
 
-    A field source serves the *field bytes* of a gather the way the stencil
-    plans serve the stencil bytes: on demand, one executor chunk at a time.
-    The unit of loading is an **axis-0 plane tile** — the set of
-    ``(N2, N3)`` planes one chunk's stencil touches — because grid-ordered
-    departure points (the semi-Lagrangian access pattern) keep consecutive
-    chunks inside a narrow plane band, so the resident field bytes are
-    bounded by the tile a chunk needs, never the grid size.
-
-    Implementations: :class:`ArrayFieldSource` wraps an in-memory stack
-    (the executor then only ever *copies* a tile-sized view at a time); a
-    memory-mapped source for on-disk >512^3 volumes plugs in through the
-    same three members without touching the executor.
+    All scratch arrays of the chunk stay in cache while the tap loop runs;
+    chunks write disjoint output slices, so any number of chunks can execute
+    concurrently (and in any order) with bitwise-deterministic results.
     """
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        """Shape of the (possibly ghost-extended) array being gathered from."""
-        ...
-
-    @property
-    def num_fields(self) -> int:
-        """Batch size ``B`` of the stacked fields this source serves."""
-        ...
-
-    def load_planes(self, planes: np.ndarray) -> np.ndarray:
-        """Materialize the axis-0 planes *planes* as a ``(B, P, N2, N3)`` tile.
-
-        ``planes`` is sorted and unique; the returned tile must be float64
-        (matching the resident executor's upcast) and contiguous.
-        """
-        ...
-
-    def load_all(self) -> np.ndarray:
-        """Materialize the whole ``(B, N1, N2, N3)`` stack (fallback paths).
-
-        Engines that cannot gather from tiles (the B-spline prefilters,
-        ``map_coordinates``) fall back to this; tiled executions never
-        call it.
-        """
-        ...
-
-
-@dataclass(frozen=True)
-class SourceStats:
-    """Snapshot of field-source traffic (supports ``-`` for per-run deltas).
-
-    ``loads``/``planes_loaded``/``bytes_loaded`` count tile materializations
-    by the *leaf* sources (array, memmap, HDF5, spooled) — the traffic that
-    would hit the disk for an out-of-core source.  The cache/prefetch
-    counters are contributed by the wrapper sources of
-    :mod:`repro.transport.sources`.  ``peak_tile_bytes`` is a gauge (the
-    largest single tile seen), so — like the plan pool's gauges — it is not
-    differenced by subtraction.
-    """
-
-    loads: int = 0
-    planes_loaded: int = 0
-    bytes_loaded: int = 0
-    peak_tile_bytes: int = 0
-    tile_cache_hits: int = 0
-    tile_cache_misses: int = 0
-    prefetch_issued: int = 0
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
-
-    def __sub__(self, other: "SourceStats") -> "SourceStats":
-        return SourceStats(
-            loads=self.loads - other.loads,
-            planes_loaded=self.planes_loaded - other.planes_loaded,
-            bytes_loaded=self.bytes_loaded - other.bytes_loaded,
-            peak_tile_bytes=self.peak_tile_bytes,
-            tile_cache_hits=self.tile_cache_hits - other.tile_cache_hits,
-            tile_cache_misses=self.tile_cache_misses - other.tile_cache_misses,
-            prefetch_issued=self.prefetch_issued - other.prefetch_issued,
-            prefetch_hits=self.prefetch_hits - other.prefetch_hits,
-            prefetch_misses=self.prefetch_misses - other.prefetch_misses,
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "loads": self.loads,
-            "planes_loaded": self.planes_loaded,
-            "bytes_loaded": self.bytes_loaded,
-            "peak_tile_bytes": self.peak_tile_bytes,
-            "tile_cache_hits": self.tile_cache_hits,
-            "tile_cache_misses": self.tile_cache_misses,
-            "prefetch_issued": self.prefetch_issued,
-            "prefetch_hits": self.prefetch_hits,
-            "prefetch_misses": self.prefetch_misses,
-        }
-
-
-class FieldSourceLog:
-    """Process-wide aggregator of field-source traffic.
-
-    Every :class:`FieldSourceBase` source reports its tile loads here (and
-    the cache/prefetch wrappers their hit/miss counters), so per-run source
-    statistics can be surfaced — in :class:`~repro.core.registration.
-    RegistrationResult`, the verbose CLI report and the service artifacts —
-    without plumbing source objects through the solver stack.  The same
-    pattern as :class:`repro.core.gradients.GradientCacheDecisionLog`; snapshot
-    deltas (``log.snapshot() - before``) give per-run numbers.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._stats = SourceStats()
-
-    def record_load(self, num_planes: int, nbytes: int) -> None:
-        with self._lock:
-            s = self._stats
-            self._stats = dataclass_replace(
-                s,
-                loads=s.loads + 1,
-                planes_loaded=s.planes_loaded + int(num_planes),
-                bytes_loaded=s.bytes_loaded + int(nbytes),
-                peak_tile_bytes=max(s.peak_tile_bytes, int(nbytes)),
-            )
-
-    def record_cache(self, hit: bool) -> None:
-        with self._lock:
-            s = self._stats
-            if hit:
-                self._stats = dataclass_replace(s, tile_cache_hits=s.tile_cache_hits + 1)
-            else:
-                self._stats = dataclass_replace(s, tile_cache_misses=s.tile_cache_misses + 1)
-
-    def record_prefetch(self, issued: int = 0, hits: int = 0, misses: int = 0) -> None:
-        with self._lock:
-            s = self._stats
-            self._stats = dataclass_replace(
-                s,
-                prefetch_issued=s.prefetch_issued + int(issued),
-                prefetch_hits=s.prefetch_hits + int(hits),
-                prefetch_misses=s.prefetch_misses + int(misses),
-            )
-
-    def snapshot(self) -> SourceStats:
-        with self._lock:
-            return self._stats
-
-    @property
-    def total_loads(self) -> int:
-        with self._lock:
-            return self._stats.loads
-
-    def reset(self) -> None:
-        with self._lock:
-            self._stats = SourceStats()
-
-
-_field_source_log = FieldSourceLog()
-
-
-def field_source_log() -> FieldSourceLog:
-    """The process-wide field-source traffic log."""
-    return _field_source_log
-
-
-def _collect_field_source_metrics() -> Dict[str, Dict[str, int]]:
-    """Pull collector publishing the field-source log into the registry."""
-    stats = _field_source_log.snapshot().as_dict()
-    return {f"field_source.{key}": {"": value} for key, value in stats.items()}
-
-
-get_metrics_registry().register_collector(
-    "field_sources", _collect_field_source_metrics
-)
-
-
-#: Monotonic identity tokens for in-memory sources.  Deliberately not
-#: ``id()``: object ids are reused after garbage collection, and a reused id
-#: inside a tile-cache key would serve another array's stale tiles.
-_SOURCE_TOKENS = itertools.count(1)
-
-
-class FieldSourceBase:
-    """Shared accounting base of the concrete :class:`FieldSource` classes.
-
-    Owns the traffic counters every source reports (``loads``,
-    ``planes_loaded``, ``bytes_loaded``, ``peak_tile_bytes``), their
-    thread-safe recording (the threaded executor loads tiles concurrently),
-    :meth:`reset_stats`, and the :attr:`fingerprint` identity that keys this
-    source's tiles in the pool-budgeted tile cache.  In-memory sources get a
-    process-unique monotonic token; file-backed sources override
-    :attr:`fingerprint` with ``(path, mtime, size)`` content identity so
-    that re-opening the same file warms the same cache entries.
-    """
-
-    def __init__(self) -> None:
-        self._stats_lock = threading.Lock()
-        self._memory_token = next(_SOURCE_TOKENS)
-        self.loads = 0
-        self.planes_loaded = 0
-        self.bytes_loaded = 0
-        self.peak_tile_bytes = 0
-
-    @property
-    def fingerprint(self) -> Tuple:
-        """Identity of this source's tiles in the shared tile cache."""
-        return ("memory", self._memory_token)
-
-    def reset_stats(self) -> None:
-        """Zero the traffic counters (the per-run measurement idiom)."""
-        with self._stats_lock:
-            self.loads = 0
-            self.planes_loaded = 0
-            self.bytes_loaded = 0
-            self.peak_tile_bytes = 0
-
-    def stats(self) -> Dict[str, int]:
-        """Current counters as a plain dictionary (JSON-ready)."""
-        with self._stats_lock:
-            return {
-                "loads": self.loads,
-                "planes_loaded": self.planes_loaded,
-                "bytes_loaded": self.bytes_loaded,
-                "peak_tile_bytes": self.peak_tile_bytes,
-            }
-
-    def _record_load(self, num_planes: int, nbytes: int) -> None:
-        with self._stats_lock:
-            self.loads += 1
-            self.planes_loaded += int(num_planes)
-            self.bytes_loaded += int(nbytes)
-            if nbytes > self.peak_tile_bytes:
-                self.peak_tile_bytes = int(nbytes)
-        _field_source_log.record_load(num_planes, nbytes)
-
-
-class ArrayFieldSource(FieldSourceBase):
-    """ndarray-backed :class:`FieldSource` with tile accounting.
-
-    Wraps a ``(B, N1, N2, N3)`` stack (a single ``(N1, N2, N3)`` field is
-    promoted to a one-field batch) and serves plane tiles as float64 copies
-    — exactly the values the resident executor's upcast produces, which is
-    what keeps tiled gathers bitwise identical to resident ones.
-
-    The source counts its traffic (``loads``, ``planes_loaded``,
-    ``bytes_loaded``, ``peak_tile_bytes``): for an in-memory array the
-    backing stack is of course resident anyway, but ``peak_tile_bytes`` is
-    precisely the working set a memory-mapped source would keep in RAM, so
-    the out-of-core memory pins assert on it.  :meth:`reset_stats` zeroes
-    the counters between measurements.
-    """
-
-    def __init__(self, fields: np.ndarray) -> None:
-        super().__init__()
-        fields = np.asarray(fields)
-        if fields.ndim == 3:
-            fields = fields[None]
-        if fields.ndim != 4:
-            raise ValueError(
-                f"fields must be stacked as (B, N1, N2, N3) or a single "
-                f"(N1, N2, N3) field, got shape {fields.shape}"
-            )
-        self._fields = fields
-
-    @property
-    def shape(self) -> Tuple[int, int, int]:
-        return self._fields.shape[1:]
-
-    @property
-    def num_fields(self) -> int:
-        return self._fields.shape[0]
-
-    def load_planes(self, planes: np.ndarray) -> np.ndarray:
-        tile = np.ascontiguousarray(self._fields[:, planes], dtype=np.float64)
-        self._record_load(len(planes), tile.nbytes)
-        return tile
-
-    def load_all(self) -> np.ndarray:
-        return np.ascontiguousarray(self._fields, dtype=np.float64)
-
-
-def is_field_source(fields) -> bool:
-    """True when *fields* implements :class:`FieldSource` (tiled dispatch).
-
-    The single source of truth for the tiled/resident dispatch rule used by
-    the executor and every frontend: an ndarray (whose ``shape`` attribute
-    would satisfy a naive protocol check) is always the resident path — and
-    is ruled out first, the protocol walk costs 200x the type check.
-    """
-    return not isinstance(fields, np.ndarray) and isinstance(fields, FieldSource)
-
-
-def as_field_source(fields: "np.ndarray | FieldSource") -> FieldSource:
-    """Wrap an ndarray stack in an :class:`ArrayFieldSource` (sources pass through)."""
-    if is_field_source(fields):
-        return fields
-    return ArrayFieldSource(fields)
-
-
-def _run_tap_loop(flat_fields, index_parts, weights, taps: int, acc: np.ndarray) -> None:
-    """The tap loop of one point chunk, accumulating into ``acc``.
-
-    This is *the* gather arithmetic: the resident and the tiled executor
-    both run exactly this sequence of operations (tiling only remaps the
-    axis-0 index parts into tile coordinates before calling it), which is
-    what makes tiled gathers bitwise identical to resident ones.
-    """
-    i0, i1, i2 = index_parts
-    w0, w1, w2 = weights
+    (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
+    taps = plan.taps
     num_fields = flat_fields.shape[0]
-    m = acc.shape[1]
+    acc = out[:, lo:hi]
+    m = hi - lo
     ib = np.empty(m, dtype=np.intp)
     gi = np.empty(m, dtype=np.intp)
     wb = np.empty(m)
@@ -686,84 +378,8 @@ def _run_tap_loop(flat_fields, index_parts, weights, taps: int, acc: np.ndarray)
                     acc[f] += tb
 
 
-def _execute_stencil_chunk(
-    flat_fields: np.ndarray, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
-) -> None:
-    """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
-
-    All scratch arrays of the chunk stay in cache while the tap loop runs;
-    chunks write disjoint output slices, so any number of chunks can execute
-    concurrently (and in any order) with bitwise-deterministic results.
-    """
-    index_parts, weights = plan.chunk_stencil(lo, hi)
-    _run_tap_loop(flat_fields, index_parts, weights, plan.taps, out[:, lo:hi])
-
-
-def _chunk_planes(i0: np.ndarray, stride0: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Plane ids and their sorted-unique set for one chunk's axis-0 parts.
-
-    The single source of truth for "which planes does this chunk touch":
-    :func:`_load_chunk_tile` loads exactly these planes, and
-    :func:`chunk_plane_schedule` precomputes them per chunk for the
-    prefetcher — the two must agree bit for bit or a prefetched tile would
-    never match the executor's request.
-    """
-    plane_ids = np.asarray(i0) // stride0
-    return plane_ids, np.unique(plane_ids)
-
-
-def chunk_plane_schedule(
-    shape: Tuple[int, int, int], plan: StencilPlan, chunk: Optional[int] = None
-) -> Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]:
-    """The tiled executor's plane requests, computed ahead of execution.
-
-    Returns one ``((lo, hi), planes)`` entry per executor chunk, where
-    ``planes`` is exactly the (sorted, unique) axis-0 plane tuple
-    :func:`_load_chunk_tile` will pass to ``source.load_planes`` for that
-    chunk — the stencil plan fully determines the access pattern, so the
-    whole tile schedule is known before the first gather.  This is what the
-    overlapped prefetcher (:class:`repro.transport.sources.
-    PrefetchingFieldSource`) keys its lookahead on.
-    """
-    stride0 = int(shape[1]) * int(shape[2])
-    schedule = []
-    for lo, hi in plan.iter_chunks(chunk):
-        (i0, _, _), _ = plan.chunk_stencil(lo, hi)
-        _, planes = _chunk_planes(i0, stride0)
-        schedule.append(((lo, hi), tuple(int(p) for p in planes)))
-    return tuple(schedule)
-
-
-def _load_chunk_tile(source: FieldSource, plan: StencilPlan, lo: int, hi: int):
-    """Load one chunk's plane tile and remap its stencil into tile coordinates.
-
-    The axis-0 index parts already carry the flattened contribution
-    ``plane * N2 * N3``; the planes a chunk touches are their unique
-    quotients (:func:`_chunk_planes`), the tile is those planes loaded from
-    the source, and the remap replaces each plane id by its position in the
-    tile (the tile's inner strides equal the field's, so axes 1/2 need no
-    remapping).  The weights and the gathered float64 values are untouched,
-    so the tap loop runs bit-for-bit the resident arithmetic.
-    """
-    (i0, i1, i2), weights = plan.chunk_stencil(lo, hi)
-    stride0 = source.shape[1] * source.shape[2]
-    plane_ids, planes = _chunk_planes(i0, stride0)
-    tile = source.load_planes(planes)
-    flat_tile = tile.reshape(tile.shape[0], -1)
-    i0_tile = np.searchsorted(planes, plane_ids) * stride0
-    return flat_tile, (i0_tile, i1, i2), weights
-
-
-def _execute_tiled_chunk(
-    source: FieldSource, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
-) -> None:
-    """Tiled twin of :func:`_execute_stencil_chunk`: load the tile, then gather."""
-    flat_tile, index_parts, weights = _load_chunk_tile(source, plan, lo, hi)
-    _run_tap_loop(flat_tile, index_parts, weights, plan.taps, out[:, lo:hi])
-
-
 def execute_stencil_plan(
-    flat_fields: "np.ndarray | FieldSource",
+    flat_fields: np.ndarray,
     plan: StencilPlan,
     chunk: Optional[int] = None,
     workers: Optional[int] = None,
@@ -781,32 +397,13 @@ def execute_stencil_plan(
     hi)`` derives that chunk's index parts and weights from the stored
     ``base``/``frac``.
 
-    Passing a :class:`FieldSource` instead of a flattened stack runs the
-    executor in **tiled** mode: the field is never required resident — each
-    chunk loads only the axis-0 plane tile its stencil touches
-    (:func:`_load_chunk_tile`) and gathers from it with remapped indices.
-    Resident field bytes are then bounded by the tile/chunk sizes instead
-    of the grid size, and the gathered bits are identical to the resident
-    path.
-
     The chunks are embarrassingly parallel (disjoint output slices) and are
     dispatched to the shared runtime thread pool when *workers* — resolved
     through :func:`repro.runtime.workers.resolve_workers` under the
     ``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS`` policy — exceeds one.  The
-    result is bitwise independent of the worker count, the chunk size and
-    the tiled/resident mode.
+    result is bitwise independent of the worker count and the chunk size.
     """
-    tiled = is_field_source(flat_fields)
-    if tiled:
-        # disk-backed sources gather through the out-of-core pipeline
-        # (overlapped prefetch + pool-budgeted tile cache); resident and
-        # already-wrapped sources pass through untouched.  Imported lazily:
-        # sources.py builds on this module.
-        from repro.transport.sources import plan_scoped_source
-
-        flat_fields = plan_scoped_source(flat_fields, plan, chunk)
-    num_fields = flat_fields.num_fields if tiled else flat_fields.shape[0]
-    run_chunk = _execute_tiled_chunk if tiled else _execute_stencil_chunk
+    num_fields = flat_fields.shape[0]
     out = np.zeros((num_fields, plan.num_points))
     spans = plan.iter_chunks(chunk)
     if workers is None:
@@ -819,19 +416,18 @@ def execute_stencil_plan(
         fields=num_fields,
         chunks=len(spans),
         workers=workers,
-        tiled=tiled,
     ):
         if workers > 1 and len(spans) > 1:
             executor = get_executor(workers)
             list(
                 executor.map(
-                    lambda span: run_chunk(flat_fields, plan, span[0], span[1], out),
+                    lambda span: _execute_stencil_chunk(flat_fields, plan, span[0], span[1], out),
                     spans,
                 )
             )
         else:
             for lo, hi in spans:
-                run_chunk(flat_fields, plan, lo, hi, out)
+                _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
     return out
 
 
@@ -1211,22 +807,14 @@ class ScipyInterpolationBackend:
 
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
         payload: Optional[PlanPayload],
         method: str,
     ) -> np.ndarray:
         if method == "catmull_rom":
-            if isinstance(fields, np.ndarray):
-                plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-                return execute_stencil_plan(_as_flat_float64(fields), plan)
-            # tiled mode: gather straight from the source's plane tiles
-            plan = payload or build_stencil_plan(fields.shape, coordinates, method)
-            return execute_stencil_plan(fields, plan)
-        if not isinstance(fields, np.ndarray):
-            # the spline prefilter is a whole-field recursion and
-            # map_coordinates one C call: neither gathers from tiles
-            fields = fields.load_all()
+            plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+            return execute_stencil_plan(_as_flat_float64(fields), plan)
         if method == "cubic_bspline":
             return gather_bspline(fields, coordinates, payload)
         return np.stack(
@@ -1272,33 +860,15 @@ class NumpyInterpolationBackend:
             fields = periodic_bspline_prefilter(fields)
         return _as_flat_float64(fields)
 
-    def _prepare_source(self, fields: "np.ndarray | FieldSource", method: str):
-        """Executor input for *fields*: flat stack (resident) or source (tiled).
-
-        ``cubic_bspline`` gathers from *prefiltered coefficients*, and the
-        prefilter is a global Fourier solve — the coefficient stack must be
-        materialized once per batch regardless of tiling (the per-field cost
-        no plan can avoid).  The gather itself still runs tiled over the
-        coefficient source, so the executor-side working set stays
-        tile-bounded; fully out-of-core transport uses ``catmull_rom``
-        (the paper's distributed kernel), which needs no prefilter.
-        """
-        if isinstance(fields, np.ndarray):
-            return self._prepare(fields, method)
-        if method == "cubic_bspline":
-            return ArrayFieldSource(periodic_bspline_prefilter(fields.load_all()))
-        return fields
-
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
         payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
-        shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
-        plan = payload or build_stencil_plan(shape, coordinates, method)
-        return execute_stencil_plan(self._prepare_source(fields, method), plan)
+        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+        return execute_stencil_plan(self._prepare(fields, method), plan)
 
 
 class NumbaInterpolationBackend(NumpyInterpolationBackend):
@@ -1347,29 +917,13 @@ class NumbaInterpolationBackend(NumpyInterpolationBackend):
 
     def gather(
         self,
-        fields: "np.ndarray | FieldSource",
+        fields: np.ndarray,
         coordinates: np.ndarray,
         payload: Optional[StencilPlan],
         method: str,
     ) -> np.ndarray:
-        shape = fields.shape[-3:] if isinstance(fields, np.ndarray) else fields.shape
-        plan = payload or build_stencil_plan(shape, coordinates, method)
-        prepared = self._prepare_source(fields, method)
-        if not isinstance(prepared, np.ndarray):
-            # tiled mode: per chunk, load the plane tile and hand the
-            # remapped stencil to the JIT kernel (disjoint output slices);
-            # the per-point tap arithmetic is identical to the resident
-            # path, so tiled numba gathers are bitwise unchanged too
-            from repro.transport.sources import plan_scoped_source
-
-            prepared = plan_scoped_source(prepared, plan)
-            out = np.zeros((prepared.num_fields, plan.num_points))
-            for lo, hi in plan.iter_chunks():
-                flat_tile, (i0, i1, i2), (w0, w1, w2) = _load_chunk_tile(
-                    prepared, plan, lo, hi
-                )
-                self._kernel(flat_tile, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
-            return out
+        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
+        prepared = self._prepare(fields, method)
         # materialize one cache-sized chunk at a time and hand it to the
         # JIT kernel (disjoint output slices)
         out = np.zeros((prepared.shape[0], plan.num_points))

@@ -78,7 +78,7 @@ from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import FieldSource, GatherPlan, is_field_source
+from repro.transport.kernels import GatherPlan
 from repro.utils.validation import check_velocity_shape
 
 
@@ -265,18 +265,9 @@ class SemiLagrangianStepper:
             return np.array(field, dtype=self.grid.dtype)
         return self.interpolator.interpolate_planned(field, self.departure_plan)
 
-    def interpolate_many_at_departure(
-        self, fields: "np.ndarray | FieldSource"
-    ) -> np.ndarray:
-        """Batched interpolation of a ``(B, N1, N2, N3)`` stack at the plan.
-
-        A :class:`~repro.transport.kernels.FieldSource` runs the gather in
-        tiled (out-of-core) mode with bitwise-identical values — the entry
-        point for fields too large to hold resident.
-        """
+    def interpolate_many_at_departure(self, fields: np.ndarray) -> np.ndarray:
+        """Batched interpolation of a ``(B, N1, N2, N3)`` stack at the plan."""
         if self.departure_plan is None:  # v = 0: the departure points are the grid
-            if is_field_source(fields):
-                return fields.load_all().astype(self.grid.dtype, copy=False)
             return np.array(fields, dtype=self.grid.dtype)
         return self.interpolator.interpolate_many_planned(fields, self.departure_plan)
 
@@ -334,18 +325,7 @@ class SemiLagrangianStepper:
         shared departure points in a single ``B``-field gather pass through
         the cached plan (e.g. the three displacement components of the
         deformation-map transport, with the velocity as their source).
-
-        For a pure advection (no sources) *fields* may also be a
-        :class:`~repro.transport.kernels.FieldSource`: the step then runs a
-        tiled gather (the out-of-core path) with bitwise-identical values.
         """
-        if is_field_source(fields):
-            if sources_old is not None or sources_new is not None:
-                raise ValueError(
-                    "tiled step_many only supports pure advection "
-                    "(sources must be None when fields is a FieldSource)"
-                )
-            return self.interpolate_many_at_departure(fields)
         fields = np.asarray(fields)
         half_dt = 0.5 * self.dt
         for sources in (sources_old, sources_new):

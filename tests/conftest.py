@@ -32,8 +32,6 @@ from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
 from repro.runtime.workers import set_default_workers
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import field_source_log
-from repro.transport.sources import set_default_field_source
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -62,16 +60,12 @@ def _fresh_plan_pool():
     trace_was_enabled = tracing_enabled()
     reset_plan_pool()
     set_default_workers(None)
-    set_default_field_source(None)
     set_gradient_cache_enabled(None)
-    field_source_log().reset()
     gradient_cache_decision_log().reset()
     yield
     reset_plan_pool()
     set_default_workers(None)
-    set_default_field_source(None)
     set_gradient_cache_enabled(None)
-    field_source_log().reset()
     gradient_cache_decision_log().reset()
     if trace_was_enabled:
         enable_tracing()

@@ -14,11 +14,6 @@ from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
 from repro.runtime.workers import resolve_workers
-from repro.transport.sources import (
-    FIELD_SOURCE_ENV_VAR,
-    default_field_source,
-    set_default_field_source,
-)
 
 
 @pytest.fixture()
@@ -60,14 +55,13 @@ class TestConstruction:
         # (the subsystems' own defaults differ: fft all cores, service 1)
         assert config.workers is None
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
-        assert config.field_source in ("resident", "memmap")
 
     @pytest.mark.parametrize("shared_env", [None, "3"])
     def test_from_env_apply_changes_no_resolved_worker_count(self, monkeypatch, shared_env):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         if shared_env is not None:
             monkeypatch.setenv("REPRO_WORKERS", shared_env)
-        subsystems = ("fft", "interp", "service", "io")
+        subsystems = ("fft", "interp", "service")
         before = {name: resolve_workers(name) for name in subsystems}
         try:
             config = RegistrationConfig.from_env().apply()
@@ -76,27 +70,21 @@ class TestConstruction:
         finally:
             configure_plan_pool(None)
 
-    def test_from_env_snapshots_the_field_source_mode(self, monkeypatch):
-        monkeypatch.setenv(FIELD_SOURCE_ENV_VAR, "memmap")
-        assert RegistrationConfig.from_env().field_source == "memmap"
-
 
 class TestValidateAndApply:
     def test_validate_rejects_unknown_backend(self):
         with pytest.raises((ValueError, KeyError)):
             RegistrationConfig(fft_backend="no-such-engine").validate()
 
-    def test_config_has_the_eight_knobs(self):
+    def test_config_has_the_seven_knobs(self):
         assert set(RegistrationConfig().as_dict()) == {
             "fft_backend", "interp_backend", "workers", "plan_pool_bytes",
-            "field_source", "gradient_cache", "trace", "trace_out",
+            "gradient_cache", "trace", "trace_out",
         }
         with pytest.raises(TypeError):
             RegistrationConfig(plan_layout="lean")
-
-    def test_validate_rejects_unknown_field_source(self):
-        with pytest.raises(ValueError, match="field-source"):
-            RegistrationConfig(field_source="floppy").validate()
+        with pytest.raises(TypeError):
+            RegistrationConfig(field_source="memmap")
 
     def test_validate_surfaces_malformed_env(self, monkeypatch):
         from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
@@ -105,34 +93,12 @@ class TestValidateAndApply:
         with pytest.raises(ValueError, match=POOL_BYTES_ENV_VAR):
             RegistrationConfig().validate()
 
-    def test_validate_surfaces_malformed_field_source_env(self, monkeypatch):
-        monkeypatch.setenv(FIELD_SOURCE_ENV_VAR, "floppy")
-        with pytest.raises(ValueError, match=FIELD_SOURCE_ENV_VAR):
-            RegistrationConfig().validate()
-
-    def test_apply_sets_the_field_source_mode(self):
-        try:
-            RegistrationConfig(field_source="memmap").apply()
-            assert default_field_source() == "memmap"
-        finally:
-            set_default_field_source(None)
-
-    def test_apply_leaves_field_source_untouched_when_unset(self):
-        set_default_field_source("memmap")
-        try:
-            RegistrationConfig(gradient_cache=True).apply()
-            assert default_field_source() == "memmap"
-        finally:
-            set_default_field_source(None)
-
     def test_apply_pushes_only_set_fields(self):
         budget_before = get_plan_pool().max_bytes
-        source_before = default_field_source()
         RegistrationConfig(gradient_cache=False).apply()
         assert not gradient_cache_enabled()
         # unset fields leave the other process-wide knobs untouched
         assert get_plan_pool().max_bytes == budget_before
-        assert default_field_source() == source_before
 
     def test_apply_sets_workers_and_budget(self, monkeypatch):
         # a per-subsystem variable outranks the config's shared ``workers`` by
@@ -269,7 +235,7 @@ class TestResultSchema:
         )
         doc = result.to_dict()
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 2  # v2 embeds the observability snapshot
+        assert doc["schema_version"] == 3
         text = json.dumps(doc)  # no numpy scalars may survive
         round_tripped = json.loads(text)
         assert round_tripped["summary"]["relative_residual"] == pytest.approx(
@@ -277,27 +243,10 @@ class TestResultSchema:
         )
         assert isinstance(round_tripped["plan_pool"]["hits"], int)
         assert np.isfinite(round_tripped["elapsed_seconds"])
-        # per-run field-source traffic rides along for artifact storage
-        for key in ("loads", "bytes_loaded", "peak_tile_bytes", "prefetch_issued"):
-            assert isinstance(round_tripped["field_sources"][key], int)
-        assert round_tripped["summary"]["field_source_loads"] == (
-            round_tripped["field_sources"]["loads"]
+        # v3: why the outer loop stopped, beside how many steps it took
+        assert round_tripped["optimization"]["termination_reason"] == (
+            result.optimization.termination_reason
         )
-
-    def test_field_source_traffic_is_counted_per_run(self, tiny_problem, fast_options):
-        # the numpy engine gathers tiled from sources (scipy's cubic spline
-        # materializes inside map_coordinates), so tile traffic is recorded
-        try:
-            result = register(
-                tiny_problem.template,
-                tiny_problem.reference,
-                options=fast_options,
-                config=RegistrationConfig(
-                    interp_backend="numpy", field_source="memmap"
-                ),
-            )
-        finally:
-            set_default_field_source(None)
-        assert result.field_sources.loads > 0
-        assert result.field_sources.bytes_loaded > 0
-        assert result.summary()["field_source_loads"] == result.field_sources.loads
+        assert isinstance(round_tripped["optimization"]["termination_reason"], str)
+        assert "field_sources" not in round_tripped
+        assert not any(key.startswith("field_source") for key in round_tripped["summary"])

@@ -125,8 +125,8 @@ def materialized_stencil_gather(
 
     Derives the stencil of all points in one call instead of per executor
     chunk, then sums the taps in the executor's order, so
-    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size,
-    worker count or field source.
+    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size or
+    worker count.
     """
     from repro.transport.kernels import _METHOD_STENCILS, _derive_chunk_stencil
 

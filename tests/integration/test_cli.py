@@ -82,6 +82,35 @@ class TestRegisterCommand:
         assert code == 0
         assert "Registration summary" in capsys.readouterr().out
 
+    def test_stored_and_deflated_inputs_register_alike(self, tmp_path):
+        """``--input`` loads either archive variant resident: the outputs
+        are bitwise identical."""
+        problem = synthetic_registration_problem(8)
+        outputs = []
+        for compress in (False, True):
+            path = save_problem(
+                tmp_path / f"pair-{compress}.npz",
+                problem.reference,
+                problem.template,
+                grid=problem.grid,
+                compress=compress,
+            )
+            outputs.append(tmp_path / f"result-{compress}.npz")
+            code = main(
+                [
+                    "register",
+                    "--input", str(path),
+                    "--max-newton", "1",
+                    "--max-krylov", "3",
+                    "--output", str(outputs[-1]),
+                ]
+            )
+            assert code == 0
+        with np.load(outputs[0]) as stored, np.load(outputs[1]) as deflated:
+            assert sorted(stored.files) == sorted(deflated.files)
+            for key in stored.files:
+                np.testing.assert_array_equal(stored[key], deflated[key])
+
     def test_interp_backend_run(self, capsys):
         code = main(
             [
@@ -394,13 +423,6 @@ class TestObservabilityCLI:
         assert main(self._register_args()) == 2
         assert TRACE_ENV_VAR in capsys.readouterr().err
 
-    def test_malformed_io_workers_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.runtime.workers import IO_WORKERS_ENV_VAR
-
-        monkeypatch.setenv(IO_WORKERS_ENV_VAR, "fast")
-        assert main(self._register_args()) == 2
-        assert IO_WORKERS_ENV_VAR in capsys.readouterr().err
-
     def test_malformed_service_workers_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.runtime.workers import SERVICE_WORKERS_ENV_VAR
 
@@ -409,12 +431,12 @@ class TestObservabilityCLI:
         assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_serve_rejects_malformed_worker_envs_too(self, capsys, monkeypatch):
-        from repro.runtime.workers import IO_WORKERS_ENV_VAR
+        from repro.runtime.workers import INTERP_WORKERS_ENV_VAR
 
-        monkeypatch.setenv(IO_WORKERS_ENV_VAR, "many")
+        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "many")
         code = main(["serve", "--synthetic", "8", "--subjects", "1"])
         assert code == 2
-        assert IO_WORKERS_ENV_VAR in capsys.readouterr().err
+        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_verbose_report_agrees_with_result_document(self, capsys):
         from repro.observability import get_trace_recorder
@@ -426,7 +448,7 @@ class TestObservabilityCLI:
         out = capsys.readouterr().out
         doc = _extract_result_document(out)
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
 
         # embedded observability snapshot: enabled trace, valid document
         from repro.observability import validate_snapshot
@@ -444,10 +466,6 @@ class TestObservabilityCLI:
         assert delta["misses"] >= 1
         assert delta["misses"] <= pool["misses"]
 
-        # field-source traffic line vs the document
-        sources = doc["field_sources"]
-        assert f"field sources: {sources['loads']} tile loads" in out
-
         # phase-timing table: one row per span name, spans/count columns
         # agreeing with the recorder (= the document's span_counts)
         assert "phase timings (traced spans):" in out
@@ -463,95 +481,3 @@ class TestObservabilityCLI:
         for name, (num_spans, total_count) in rows.items():
             assert total_count == span_counts[name]
             assert 1 <= num_spans <= total_count
-
-
-class TestFieldSourceMode:
-    """The ``--field-source`` flag and the out-of-core register/serve paths."""
-
-    def test_flag_choices(self):
-        args = build_parser().parse_args(
-            ["register", "--synthetic", "12", "--field-source", "memmap"]
-        )
-        assert args.field_source == "memmap"
-        defaults = build_parser().parse_args(["register", "--synthetic", "12"])
-        assert defaults.field_source is None
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["register", "--synthetic", "12", "--field-source", "floppy"]
-            )
-
-    def test_register_memmaps_an_uncompressed_input(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        problem = synthetic_registration_problem(12)
-        path = tmp_path / "pair.npz"
-        save_problem(path, problem.reference, problem.template, grid=problem.grid,
-                     compress=False)
-        try:
-            code = main(
-                [
-                    "--verbose",
-                    "register",
-                    "--input", str(path),
-                    "--field-source", "memmap",
-                    "--max-newton", "2",
-                    "--max-krylov", "4",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Registration summary" in out
-        assert "field sources:" in out
-
-    def test_register_compressed_input_degrades_with_a_warning(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        problem = synthetic_registration_problem(12)
-        path = tmp_path / "pair.npz"
-        save_problem(path, problem.reference, problem.template, grid=problem.grid,
-                     compress=True)
-        try:
-            code = main(
-                [
-                    "register",
-                    "--input", str(path),
-                    "--field-source", "memmap",
-                    "--max-newton", "1",
-                    "--max-krylov", "3",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "loading resident instead" in captured.err
-        assert "Registration summary" in captured.out
-
-    def test_serve_memmaps_an_uncompressed_population(self, tmp_path, capsys):
-        from repro.transport.sources import set_default_field_source
-
-        population_path = tmp_path / "population.npz"
-        problem = synthetic_registration_problem(8)
-        np.savez(  # plain savez: stored members, mappable in place
-            population_path,
-            reference=problem.reference,
-            subjects=np.stack([problem.template, problem.template], axis=0),
-        )
-        try:
-            code = main(
-                [
-                    "serve",
-                    "--input", str(population_path),
-                    "--field-source", "memmap",
-                    "--beta", "1e-1",
-                    "--max-newton", "1",
-                    "--max-krylov", "3",
-                    "--num-workers", "1",
-                ]
-            )
-        finally:
-            set_default_field_source(None)
-        assert code == 0
-        assert "num_subjects" in capsys.readouterr().out

@@ -115,14 +115,13 @@ class TestRegistry:
 class TestProcessRegistry:
     def test_kernel_frontends_registered_their_collectors(self):
         # importing the kernel layers registers the pull collectors for the
-        # plan pool, field sources and gradient-cache decisions
+        # plan pool and gradient-cache decisions
         import repro.core.gradients  # noqa: F401
         import repro.runtime.plan_pool  # noqa: F401
         import repro.transport.kernels  # noqa: F401
 
         names = get_metrics_registry().collector_names()
         assert "plan_pool" in names
-        assert "field_sources" in names
         assert "gradient_cache_decisions" in names
 
     def test_push_metrics_flow_into_the_registry(self, small_grid, smooth_field):

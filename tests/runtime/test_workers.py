@@ -8,12 +8,10 @@ import pytest
 from repro.runtime.workers import (
     FFT_WORKERS_ENV_VAR,
     INTERP_WORKERS_ENV_VAR,
-    IO_WORKERS_ENV_VAR,
     SERVICE_WORKERS_ENV_VAR,
     WORKERS_ENV_VAR,
     default_workers,
     get_executor,
-    get_subsystem_executor,
     resolve_workers,
     set_default_workers,
     shutdown_executors,
@@ -33,7 +31,6 @@ def clean_policy(monkeypatch):
         WORKERS_ENV_VAR,
         FFT_WORKERS_ENV_VAR,
         INTERP_WORKERS_ENV_VAR,
-        IO_WORKERS_ENV_VAR,
         SERVICE_WORKERS_ENV_VAR,
     ):
         monkeypatch.delenv(var, raising=False)
@@ -46,7 +43,6 @@ class TestResolution:
     def test_subsystem_defaults(self):
         assert resolve_workers("fft") == max(1, os.cpu_count() or 1)
         assert resolve_workers("interp") == 1  # serial unless opted in
-        assert resolve_workers("io") == 1  # one background tile loader
         # one compute lane: a solve's kernels hold the GIL, a second worker
         # thread only time-slices the first (burst16, BENCH_20.json)
         assert resolve_workers("service") == 1
@@ -55,13 +51,6 @@ class TestResolution:
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         assert resolve_workers("fft") == 3
         assert resolve_workers("interp") == 3
-        assert resolve_workers("io") == 3
-
-    def test_io_env_overrides_shared(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        monkeypatch.setenv(IO_WORKERS_ENV_VAR, "2")
-        assert resolve_workers("io") == 2
-        assert resolve_workers("fft") == 3
 
     def test_per_subsystem_env_overrides_shared(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
@@ -127,34 +116,10 @@ class TestExecutors:
         results = list(get_executor(2).map(lambda x: x * x, range(8)))
         assert results == [0, 1, 4, 9, 16, 25, 36, 49]
 
-
-class TestSubsystemExecutors:
-    """The dedicated per-subsystem pools behind the prefetching pipeline.
-
-    Prefetch futures must never share a pool with the gather chunk tasks
-    that wait on them (a width-1 shared pool would deadlock), so the ``io``
-    loader gets its own executor keyed by subsystem name.
-    """
-
-    def test_one_executor_per_subsystem(self):
-        assert get_subsystem_executor("io") is get_subsystem_executor("io")
-        assert get_subsystem_executor("io") is not get_subsystem_executor("interp")
-
-    def test_distinct_from_width_shared_pools(self):
-        assert get_subsystem_executor("io") is not get_executor(1)
-
-    def test_unknown_subsystem_rejected(self):
-        with pytest.raises(ValueError, match="unknown worker subsystem"):
-            get_subsystem_executor("gpu")
-
-    def test_runs_work(self):
-        future = get_subsystem_executor("io").submit(lambda: 7 * 6)
-        assert future.result() == 42
-
     def test_shutdown_clears_the_cache(self):
-        first = get_subsystem_executor("io")
+        first = get_executor(1)
         shutdown_executors()
-        second = get_subsystem_executor("io")
+        second = get_executor(1)
         assert second is not first
         assert second.submit(lambda: 1).result() == 1
 

@@ -162,6 +162,24 @@ class TestMalformedSubmissions:
         _request(f"{base}/jobs", "POST", {"schema": "bogus"})
         assert service.service_stats()["jobs_submitted"] == before
 
+    def test_non_finite_array_is_400_before_anything_is_journaled(self, tmp_path):
+        from repro.service.journal import JobJournal
+
+        spec = _transport_spec(make_grid(8))
+        spec.moving[1, 2, 3] = np.nan
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            server = serve_http(service, 0)
+            try:
+                status, doc = _request(
+                    f"http://127.0.0.1:{server.port}/jobs", "POST", spec_to_dict(spec)
+                )
+            finally:
+                server.shutdown()
+            assert service.service_stats()["jobs_submitted"] == 0
+        assert status == 400
+        assert "moving has 1 non-finite value" in doc["error"]
+        assert JobJournal(tmp_path).replay() == []
+
 
 class TestCancelOverHTTP:
     def test_delete_cancels_a_running_job(self, served):

@@ -145,6 +145,39 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpecError):
             spec_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("register", "template", np.nan),
+            ("register", "reference", np.inf),
+            ("transport", "velocity", -np.inf),
+            ("transport", "moving", np.nan),
+        ],
+    )
+    def test_non_finite_arrays_raise_malformed(self, kind, name, value):
+        spec = _registration_spec() if kind == "register" else _transport_spec()
+        getattr(spec, name).flat[7] = value
+        doc = json.loads(json.dumps(spec_to_dict(spec), allow_nan=False))
+        with pytest.raises(MalformedSpecError, match=f"{name} has 1 non-finite value"):
+            spec_from_dict(doc)
+
+    def test_registration_shape_mismatch_raises_malformed(self):
+        spec = _registration_spec(reference=smooth_scalar_field(make_grid(10), seed=2))
+        with pytest.raises(MalformedSpecError, match="template and reference must share"):
+            spec_from_dict(spec_to_dict(spec))
+
+    @pytest.mark.parametrize(
+        "velocity_shape",
+        [(2, 8, 8, 8), (3, 8, 8, 10), (8, 8, 8)],
+        ids=["components", "grid", "rank"],
+    )
+    def test_transport_velocity_shape_mismatch_raises_malformed(self, velocity_shape):
+        spec = TransportJobSpec(
+            velocity=np.zeros(velocity_shape), moving=_transport_spec().moving
+        )
+        with pytest.raises(MalformedSpecError, match=r"velocity must have shape \(3, 8, 8, 8\)"):
+            spec_from_dict(spec_to_dict(spec))
+
     def test_non_dict_raises(self):
         with pytest.raises(MalformedSpecError, match="JSON object"):
             spec_from_dict([1, 2, 3])

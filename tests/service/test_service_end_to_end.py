@@ -228,12 +228,34 @@ class TestArtifactsAndStats:
         ok_doc = json.loads((tmp_path / f"job-{ok.job_id}.json").read_text())
         bad_doc = json.loads((tmp_path / f"job-{bad.job_id}.json").read_text())
         assert ok_doc["schema"] == "repro.service-job"
-        assert ok_doc["schema_version"] == 2
+        assert ok_doc["schema_version"] == 3
         assert ok_doc["job"]["status"] == "done"
         assert ok_doc["job"]["metrics"]["plan_pool_delta"]["misses"] >= 0
         assert "layout_decisions" not in ok_doc["job"]["metrics"]
         assert bad_doc["job"]["status"] == "failed"
         assert "Traceback" in bad_doc["job"]["traceback"]
+
+    def test_register_artifact_carries_termination_reason(
+        self, tmp_path, tiny_problem, fast_options
+    ):
+        with RegistrationService(num_workers=1, artifacts_dir=tmp_path) as service:
+            job = service.submit_registration(
+                RegistrationJobSpec(
+                    template=tiny_problem.template,
+                    reference=tiny_problem.reference,
+                    options=fast_options,
+                )
+            )
+            result = job.result(timeout=120)
+        doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
+        embedded = doc["job"]["metrics"]["result"]
+        assert embedded["schema"] == "repro.registration-result"
+        assert embedded["schema_version"] == 3
+        assert embedded["optimization"]["termination_reason"] == (
+            result.optimization.termination_reason
+        )
+        assert "field_sources" not in embedded
+        assert "field_sources" not in doc["observability"]
 
     def test_service_stats_shape(self):
         grid = make_grid(8)

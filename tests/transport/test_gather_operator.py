@@ -37,7 +37,6 @@ from repro.transport.kernels import (
     gather_operator_plan,
     projected_gather_operator_nbytes,
 )
-from repro.transport.sources import set_default_field_source
 
 from tests.fixtures import make_grid
 
@@ -385,23 +384,9 @@ class TestResidency:
 
 
 # --------------------------------------------------------------------------- #
-# out-of-core mode and observability
+# observability
 # --------------------------------------------------------------------------- #
 class TestFrontendIntegration:
-    def test_forced_memmap_mode_is_bitwise_identical(self):
-        """``REPRO_FIELD_SOURCE=memmap``: the spooled source is loaded whole
-        (the prefilter is a whole-field recursion) and meets the same operator."""
-        grid = make_grid((16, 19, 16))
-        interp = PeriodicInterpolator(grid, backend="scipy")
-        fields = np.random.default_rng(22).standard_normal((3, *grid.shape))
-        points = np.random.default_rng(23).uniform(0.0, 6.0, (3, 900))
-        plan = interp.plan(points)
-        resident = interp.interpolate_many_planned(fields, plan)
-        one_shot = interp.interpolate_many(fields, points)
-        set_default_field_source("memmap")
-        np.testing.assert_array_equal(interp.interpolate_many_planned(fields, plan), resident)
-        np.testing.assert_array_equal(interp.interpolate_many(fields, points), one_shot)
-
     def test_counters_and_build_spans(self, pool_budget):
         pool_budget(64 * 2**20)
         registry = get_metrics_registry()

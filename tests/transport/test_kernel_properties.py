@@ -2,8 +2,7 @@
 
 The executor contract the whole subsystem rests on: a gather's bits depend
 only on the (method, coordinates, field) content — never on the executor's
-chunk size, the worker count, or whether the field is resident or served
-as plane tiles.  The oracle is a test-local materialized stencil: every
+chunk size or the worker count.  The oracle is a test-local materialized stencil: every
 index and weight formed for all points at once.
 """
 
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
-    ArrayFieldSource,
     available_backends,
     build_stencil_plan,
     execute_stencil_plan,
@@ -43,18 +41,16 @@ class TestGatherBitwiseInvariance:
         method=st.sampled_from(SUPPORTED_METHODS),
         chunk=st.integers(1, 700),
         workers=st.integers(1, 4),
-        tiled=st.booleans(),
         periodic=st.booleans(),
         num_points=st.integers(1, 500),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunk_workers_source_never_change_the_bits(
-        self, method, chunk, workers, tiled, periodic, num_points, seed
+    def test_chunk_workers_never_change_the_bits(
+        self, method, chunk, workers, periodic, num_points, seed
     ):
-        """The tentpole pin: every (chunk, workers, resident/tiled,
-        periodic/ghosted) combination gathers bitwise what the materialized
-        stencil gathers."""
+        """The tentpole pin: every (chunk, workers, periodic/ghosted)
+        combination gathers bitwise what the materialized stencil gathers."""
         if periodic:
             shape, coords = SHAPE, _coords(seed, num_points)
         else:
@@ -63,29 +59,26 @@ class TestGatherBitwiseInvariance:
         flat = _field_stack(seed, shape)
         reference = materialized_stencil_gather(flat, shape, coords, method, periodic)
         plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        fields = ArrayFieldSource(flat.reshape(2, *shape)) if tiled else flat
-        candidate = execute_stencil_plan(fields, plan, chunk=chunk, workers=workers)
+        candidate = execute_stencil_plan(flat, plan, chunk=chunk, workers=workers)
         np.testing.assert_array_equal(candidate, reference)
 
 
-class TestTiledGatherInvariance:
-    """The PR-5 pin: tiling is invisible in the bits, on every backend."""
+class TestPlannedGatherInvariance:
+    """Planning is invisible in the bits, on every backend."""
 
     @given(
         method=st.sampled_from(SUPPORTED_METHODS),
-        tiled=st.booleans(),
         planned=st.booleans(),
         backend=st.sampled_from(available_backends()),
         num_points=st.integers(1, 500),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_tiling_planning_backend_never_change_the_bits(
-        self, method, tiled, planned, backend, num_points, seed
+    def test_planning_never_changes_the_bits(
+        self, method, planned, backend, num_points, seed
     ):
-        """Random tiled/resident x planned/one-shot x gather engine: every
-        combination produces the bits of that engine's resident planned
-        gather."""
+        """Random planned/one-shot x gather engine: every combination
+        produces the bits of that engine's planned gather."""
         engine = get_backend(backend)
         fields = _field_stack(seed).reshape(2, *SHAPE)
         coords = _coords(seed, num_points)
@@ -93,8 +86,7 @@ class TestTiledGatherInvariance:
         if engine.supports_plan(method):
             payload = engine.build_plan(SHAPE, coords, method)
         reference = engine.gather(fields, coords, payload, method)
-        candidate_fields = ArrayFieldSource(fields) if tiled else fields
-        candidate = engine.gather(candidate_fields, coords, payload if planned else None, method)
+        candidate = engine.gather(fields, coords, payload if planned else None, method)
         np.testing.assert_array_equal(candidate, reference)
 
 

@@ -9,7 +9,6 @@ from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     BACKEND_ENV_VAR,
     SUPPORTED_METHODS,
-    ArrayFieldSource,
     NumbaInterpolationBackend,
     StencilPlan,
     _derive_chunk_stencil,
@@ -238,25 +237,26 @@ class TestStencilPlans:
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
     @pytest.mark.parametrize("chunk", [1, 97, None])
     @pytest.mark.parametrize("workers", [1, 3])
-    @pytest.mark.parametrize("tiled", [False, True], ids=["resident", "tiled"])
+    @pytest.mark.parametrize("mapped", [False, True], ids=["resident", "memmap"])
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ghosted"])
     def test_gathers_bitwise_like_materialized_stencil(
-        self, method, chunk, workers, tiled, periodic
+        self, method, chunk, workers, mapped, periodic, tmp_path
     ):
-        """Every chunk size x worker count x field source x block kind
-        gathers bitwise what the whole-point-set stencil gathers."""
+        """Every chunk size x worker count x in-memory/memory-mapped stack x
+        block kind gathers bitwise what the whole-point-set stencil gathers."""
         rng = np.random.default_rng(11)
         shape = (12, 11, 13)
         if periodic:
             coords = rng.uniform(0.0, 1.0, size=(3, 400)) * np.asarray(shape)[:, None]
         else:  # interior of a ghost-extended block: no tap leaves the block
             coords = rng.uniform(2.0, 8.0, size=(3, 400))
-        fields = rng.standard_normal((2, *shape))
-        flat = fields.reshape(2, -1)
+        flat = rng.standard_normal((2, *shape)).reshape(2, -1)
+        fields = flat
+        if mapped:
+            np.save(tmp_path / "flat.npy", flat)
+            fields = np.load(tmp_path / "flat.npy", mmap_mode="r")
         plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        candidate = execute_stencil_plan(
-            ArrayFieldSource(fields) if tiled else flat, plan, chunk=chunk, workers=workers
-        )
+        candidate = execute_stencil_plan(fields, plan, chunk=chunk, workers=workers)
         np.testing.assert_array_equal(
             candidate, materialized_stencil_gather(flat, shape, coords, method, periodic)
         )

@@ -8,7 +8,6 @@ from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import ArrayFieldSource
 from repro.transport.semi_lagrangian import (
     SemiLagrangianStepper,
     compute_departure_points,
@@ -148,7 +147,6 @@ class TestStepper:
         assert stepped is not nu
         stack = np.stack([nu, f_old])
         np.testing.assert_array_equal(stepper.step_many(stack), stack)
-        np.testing.assert_array_equal(stepper.step_many(ArrayFieldSource(stack)), stack)
         assert interp.points_interpolated == 0
 
     def test_source_only_integration(self):
