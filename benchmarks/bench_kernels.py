@@ -8,16 +8,15 @@ gradient and one Hessian mat-vec.  They document where the time goes in this
 Python implementation (interpolation and FFTs, as in the paper).
 
 ``test_bench_fft_backend_comparison`` additionally times the batched
-vector-field FFT of every available backend at 128^3 and writes the
-comparison table to ``benchmarks/results/fft_backend_comparison.txt``;
-``test_bench_interp_backend_comparison`` does the same for the
-interpolation subsystem (scalar vs batched, plan-cached vs uncached, per
-gather engine) and writes ``benchmarks/results/interp_backend_comparison.txt``.
-Both also emit machine-readable twins
-(``benchmarks/results/*.json``) so the perf trajectory can be tracked
-across PRs.  (They time directly instead of using the ``benchmark``
-fixture so all backends land in one table; run them with
-``--benchmark-disable`` or a plain pytest invocation.)
+vector-field FFT of every backend at 128^3 and writes the comparison table
+to ``benchmarks/results/fft_backend_comparison.txt``;
+``test_bench_interp_kernel_comparison`` does the same for the three
+interpolation kernels (one-shot vs planned, scalar vs batched) and writes
+``benchmarks/results/interp_kernel_comparison.txt``.  Both also emit
+machine-readable twins (``benchmarks/results/*.json``) so the perf
+trajectory can be tracked across PRs.  (They time directly instead of
+using the ``benchmark`` fixture so every row lands in one table; run them
+with ``--benchmark-disable`` or a plain pytest invocation.)
 """
 
 import os
@@ -29,12 +28,12 @@ import pytest
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
 from repro.runtime.plan_pool import get_plan_pool
-from repro.spectral.backends import available_backends
+from repro.spectral.backends import registered_backends
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import available_backends as available_interp_backends
+from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
 
@@ -43,10 +42,9 @@ N = 32
 #: Resolution of the per-backend batched vector FFT comparison.
 BACKEND_COMPARISON_N = 128
 
-#: Resolution of the per-backend interpolation comparison (the ISSUE's
-#: acceptance benchmark runs at 128^3; override with REPRO_BENCH_INTERP_N
-#: for quick local iterations).
-INTERP_COMPARISON_N = int(os.environ.get("REPRO_BENCH_INTERP_N", "128"))
+#: Resolution of the interpolation-kernel comparison (override with
+#: REPRO_BENCH_INTERP_N; at 128^3 the resident operator pair alone is ~1 GB).
+INTERP_COMPARISON_N = int(os.environ.get("REPRO_BENCH_INTERP_N", "64"))
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +151,7 @@ def test_bench_fft_backend_comparison(record_text, record_json):
     vector = np.random.default_rng(0).standard_normal((3, n, n, n))
 
     timings = {}
-    for name in available_backends():
+    for name in registered_backends():
         fft = FourierTransform(grid, backend=name)
         spectra = fft.forward_vector(vector)
         forward = _best_of(lambda f=fft: f.forward_vector(vector))
@@ -197,124 +195,113 @@ def test_bench_fft_backend_comparison(record_text, record_json):
 
 
 # --------------------------------------------------------------------------- #
-# per-backend interpolation comparison (written to benchmarks/results/)
+# interpolation-kernel comparison (written to benchmarks/results/)
 # --------------------------------------------------------------------------- #
-def test_bench_interp_backend_comparison(record_text, record_json):
-    """Semi-Lagrangian interpolation at 128^3, per backend and gather mode.
+#: Gather modes of the comparison, in table order.
+INTERP_MODES = ("scalar, one-shot", "scalar, planned", "batched(3), planned")
+
+
+def test_bench_interp_kernel_comparison(record_text, record_json):
+    """Semi-Lagrangian interpolation per kernel, one-shot vs planned.
 
     Times the production ``PeriodicInterpolator`` paths at realistic
-    (grid-ordered, CFL-scale displaced) departure points: scalar vs batched
-    and plan-cached vs uncached for every available gather engine, for both
-    tricubic kernels.  Produces the comparison table and asserts that the
-    best cached-plan batched path beats the reference row (``scipy``
-    ``cubic_bspline``, scalar, one-shot: the default engine gathering a
-    point set it was not asked to plan).  The JSON twin additionally
-    records plan-build vs execute time and the plan bytes of every engine.
+    (grid-ordered, CFL-scale displaced) departure points: a one-shot scalar
+    gather, a planned scalar gather and a planned three-field stack, for
+    each of the three kernels.  Produces the comparison table and asserts
+    that the planned batched ``cubic_bspline`` path (the solver's sweep)
+    beats its one-shot gather (the operator built block by block and
+    dropped).  The JSON twin additionally records plan-build time and plan
+    bytes.
 
-    The pool budget is raised to 2 GiB for the duration: the scipy
-    engine's gather operators stay resident only while the forward +
-    backward pair (0.96 GB at 128^3) fits half the budget, and the
-    "plan-cached" rows are meant to time the resident operator.
+    The pool budget is raised to 2 GiB for the duration: a gather operator
+    stays resident only while the forward + backward pair fits half the
+    budget, and the "planned" rows are meant to time the resident operator.
     """
     pool = get_plan_pool()
     budget_before = pool.max_bytes
     pool.set_max_bytes(2 * 2**30)
     try:
-        _interp_backend_comparison(record_text, record_json)
+        _interp_kernel_comparison(record_text, record_json)
     finally:
         pool.set_max_bytes(budget_before)
 
 
-def _interp_backend_comparison(record_text, record_json):
+def _interp_kernel_comparison(record_text, record_json):
     n = INTERP_COMPARISON_N
     grid = Grid((n, n, n))
     rng = np.random.default_rng(0)
     field = rng.standard_normal(grid.shape)
     fields = np.stack([field, rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)])
     # departure-point-like coordinates: every grid point displaced by a few
-    # cells, exactly the access pattern of the semi-Lagrangian trace
+    # cells, exactly the access pattern of the semi-Lagrangian step
     points = grid.coordinate_stack().reshape(3, -1) + np.asarray(grid.spacing)[
         :, None
     ] * 3.0 * rng.standard_normal((3, grid.num_points))
 
     timings = {}
     plan_bytes = {}
-    for backend in available_interp_backends():
-        for method in ("cubic_bspline", "catmull_rom"):
-            interp = PeriodicInterpolator(grid, method, backend=backend)
-            plan = interp.plan(points)
-            build = _best_of(lambda i=interp: i.plan(points), repeats=3)
-            scalar_uncached = _best_of(lambda i=interp: i(field, points), repeats=3)
-            scalar_cached = _best_of(
+    for method in SUPPORTED_METHODS:
+        interp = PeriodicInterpolator(grid, method)
+        plan = interp.plan(points)
+        timings[method] = {
+            "build": _best_of(lambda i=interp: i.plan(points), repeats=3),
+            "scalar, one-shot": _best_of(lambda i=interp: i(field, points), repeats=3),
+            "scalar, planned": _best_of(
                 lambda i=interp, p=plan: i.interpolate_planned(field, p), repeats=3
+            ),
+            "batched(3), planned": _best_of(
+                lambda i=interp, p=plan: i.interpolate_many_planned(fields, p), repeats=3
             )
-            batched_cached = (
-                _best_of(
-                    lambda i=interp, p=plan: i.interpolate_many_planned(fields, p),
-                    repeats=3,
-                )
-                / fields.shape[0]
-            )
-            timings[(backend, method)] = {
-                "build": build,
-                "scalar, uncached": scalar_uncached,
-                "scalar, plan-cached": scalar_cached,
-                "batched(3), plan-cached": batched_cached,
-            }
-            plan_bytes[(backend, method)] = plan.nbytes
+            / fields.shape[0],
+        }
+        plan_bytes[method] = plan.nbytes
 
-    seed = timings[("scipy", "cubic_bspline")]["scalar, uncached"]
-    header = (
-        f"{'backend':<8} {'method':<14} {'mode':<24} {'time/field [s]':>14} {'vs ref':>8}"
-    )
+    reference = timings["cubic_bspline"]["scalar, one-shot"]
+    header = f"{'method':<14} {'mode':<24} {'time/field [s]':>14} {'vs ref':>8}"
     rows = [
         f"semi-Lagrangian interpolation at {n}^3 ({grid.num_points} departure points, best of 3)",
-        "reference = scipy cubic_bspline, scalar, uncached (one-shot: operator built "
-        "block by block, nothing kept); plan pool budget 2 GiB",
+        "reference = cubic_bspline, scalar, one-shot (operator built block by block, "
+        "nothing kept); plan pool budget 2 GiB",
         header,
         "-" * len(header),
     ]
-    for (backend, method), modes in timings.items():
-        for mode in ("scalar, uncached", "scalar, plan-cached", "batched(3), plan-cached"):
+    for method, modes in timings.items():
+        for mode in INTERP_MODES:
             t = modes[mode]
-            rows.append(
-                f"{backend:<8} {method:<14} {mode:<24} {t:>14.4f} {seed / t:>7.2f}x"
-            )
-        rows.append(
-            f"{backend:<8} {method:<14} {'plan build (amortized)':<24} {modes['build']:>14.4f}"
-        )
-    record_text("interp_backend_comparison", "\n".join(rows))
+            rows.append(f"{method:<14} {mode:<24} {t:>14.4f} {reference / t:>7.2f}x")
+        rows.append(f"{method:<14} {'plan build (amortized)':<24} {modes['build']:>14.4f}")
+    record_text("interp_kernel_comparison", "\n".join(rows))
     record_json(
-        "interp_backend_comparison",
+        "interp_kernel_comparison",
         {
-            "benchmark": "semi-Lagrangian interpolation, per gather engine",
+            "benchmark": "semi-Lagrangian interpolation, per kernel",
             "grid": [n, n, n],
             "num_points": grid.num_points,
             "repeats": "best of 3",
-            "seed_path": "scipy cubic_bspline, scalar, uncached (one-shot gather operator)",
-            "seed_seconds_per_field": seed,
-            "engines": {
-                f"{backend}/{method}": {
+            "reference_path": "cubic_bspline, scalar, one-shot (transient gather operator)",
+            "reference_seconds_per_field": reference,
+            "kernels": {
+                method: {
                     "plan_build_seconds": modes["build"],
-                    "plan_nbytes": plan_bytes[(backend, method)],
-                    "scalar_uncached_seconds": modes["scalar, uncached"],
-                    "scalar_plan_cached_seconds": modes["scalar, plan-cached"],
-                    "batched3_plan_cached_seconds_per_field": modes["batched(3), plan-cached"],
-                    "speedup_vs_seed": seed / modes["batched(3), plan-cached"],
+                    "plan_nbytes": plan_bytes[method],
+                    "scalar_one_shot_seconds": modes["scalar, one-shot"],
+                    "scalar_planned_seconds": modes["scalar, planned"],
+                    "batched3_planned_seconds_per_field": modes["batched(3), planned"],
+                    "speedup_vs_reference": reference / modes["batched(3), planned"],
                 }
-                for (backend, method), modes in timings.items()
+                for method, modes in timings.items()
             },
         },
     )
 
-    # the best cached-plan batched tricubic path must beat the one-shot
-    # scalar reference; REPRO_BENCH_NONSTRICT=1 downgrades a loss to a skip
-    # for noisy shared runners where wall-clock comparisons can flip
-    best_batched = min(modes["batched(3), plan-cached"] for modes in timings.values())
-    if best_batched >= seed:
+    # the solver's planned batched sweep must beat the one-shot gather;
+    # REPRO_BENCH_NONSTRICT=1 downgrades a loss to a skip for noisy shared
+    # runners where wall-clock comparisons can flip
+    planned = timings["cubic_bspline"]["batched(3), planned"]
+    if planned >= reference:
         message = (
-            f"cached-plan batched path ({best_batched:.4f}s/field) did not beat "
-            f"the one-shot cubic_bspline path ({seed:.4f}s/field)"
+            f"planned batched cubic_bspline ({planned:.4f}s/field) did not beat "
+            f"its one-shot gather ({reference:.4f}s/field)"
         )
         if os.environ.get("REPRO_BENCH_NONSTRICT"):
             pytest.skip(message)

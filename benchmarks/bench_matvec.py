@@ -13,7 +13,7 @@ timers involved —
 * the **uncached opt-out restores the paper's figure** ``8(nt+1)+6``
   exactly, and building the cache adds zero transforms to ``linearize``,
 * results are **bitwise identical cached vs uncached** across every
-  available FFT backend (the cache reuses FFT outputs, it never changes
+  FFT backend (the cache reuses FFT outputs, it never changes
   them), and
 * the cache **degrades cleanly (and logs the decision)** when the
   ``REPRO_PLAN_POOL_BYTES`` budget cannot hold the stack.
@@ -40,7 +40,7 @@ from repro.core.gradients import (
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
-from repro.spectral.backends import available_backends as available_fft_backends
+from repro.spectral.backends import registered_backends as fft_backends
 
 RESOLUTION = 16
 NUM_TIME_STEPS = 4
@@ -130,7 +130,7 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
 
         # bitwise identity across every FFT backend
         identity_cells = []
-        for backend in available_fft_backends():
+        for backend in fft_backends():
             warm = _measure_mode(True, fft_backend=backend)
             cold = _measure_mode(False, fft_backend=backend)
             identity_cells.append(

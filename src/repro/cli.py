@@ -57,7 +57,7 @@ from repro.analysis.reporting import format_breakdown_table, format_rows
 from repro.config import RegistrationConfig, env_http_port
 from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
-from repro.core.registration import RegistrationSolver
+from repro.core.registration import OPTIMIZERS, RegistrationSolver
 from repro.data.brain import brain_registration_pair
 from repro.data.io import load_problem
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
@@ -70,15 +70,7 @@ from repro.observability import (
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
 from repro.runtime import get_plan_pool
-from repro.spectral.backends import (
-    BackendUnavailableError,
-    available_backends,
-    registered_backends,
-)
-from repro.transport.kernels import (
-    available_backends as available_interp_backends,
-    registered_backends as registered_interp_backends,
-)
+from repro.spectral.backends import registered_backends
 from repro.utils.logging import set_verbosity
 
 
@@ -95,17 +87,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "FFT engine for the spectral kernels (default: $REPRO_FFT_BACKEND "
-            f"or 'numpy'; available here: {', '.join(available_backends())})"
-        ),
-    )
-    sub.add_argument(
-        "--interp-backend",
-        choices=registered_interp_backends(),
-        default=None,
-        help=(
-            "gather engine for the semi-Lagrangian interpolation (default: "
-            "$REPRO_INTERP_BACKEND or 'scipy'; available here: "
-            f"{', '.join(available_interp_backends())})"
+            "or 'numpy')"
         ),
     )
     sub.add_argument(
@@ -126,7 +108,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help=(
             "shared worker count of every subsystem, service threads included (default: "
             "$REPRO_WORKERS, else each subsystem's own); $REPRO_FFT_WORKERS / "
-            "$REPRO_INTERP_WORKERS / $REPRO_SERVICE_WORKERS override it"
+            "$REPRO_SERVICE_WORKERS override it"
         ),
     )
     sub.add_argument(
@@ -158,7 +140,6 @@ def _config_from_args(
     base = base if base is not None else RegistrationConfig()
     overrides = {
         "fft_backend": args.fft_backend,
-        "interp_backend": args.interp_backend,
         "plan_pool_bytes": args.plan_pool_bytes,
         "workers": args.workers,
         "trace": args.trace,
@@ -196,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     reg.add_argument("--max-krylov", type=int, default=50, help="maximum PCG iterations per step")
     reg.add_argument(
         "--optimizer",
-        choices=("gauss_newton", "gradient_descent"),
+        choices=OPTIMIZERS,
         default="gauss_newton",
         help="outer optimizer",
     )
@@ -345,7 +326,7 @@ def _run_register(
         # construct, validate and apply every knob (flag or environment)
         # early, for a clean error message before any data is loaded
         config = _config_from_args(args, base_config).apply()
-    except (BackendUnavailableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reference, template, grid = _load_pair(args)
@@ -482,7 +463,7 @@ def _run_serve(
         if args.input is None and args.synthetic is None:
             raise ValueError("one of --input, --synthetic or --http is required")
         reference, subjects = _load_population(args)
-    except (BackendUnavailableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     options = SolverOptions(

@@ -1,13 +1,10 @@
 """Unified registration configuration (:class:`RegistrationConfig`).
 
-PRs 1-5 grew the runtime a knob at a time — ``REPRO_FFT_BACKEND``,
-``REPRO_INTERP_BACKEND``, ``REPRO_WORKERS``, ``REPRO_PLAN_POOL_BYTES`` —
-each with its own environment variable, CLI flag and keyword argument.
-Every entry point (the CLI, :func:`repro.register`, the benchmarks, and
-now the job service) re-implemented the same resolve-and-apply dance.
-This module consolidates
-the scattered knobs into one frozen dataclass that every entry point
-accepts:
+The runtime knobs — ``REPRO_FFT_BACKEND``, ``REPRO_WORKERS``,
+``REPRO_PLAN_POOL_BYTES``, ... — each have an environment variable and a CLI
+flag.  This module consolidates them into one frozen dataclass that every
+entry point (the CLI, :func:`repro.register`, the benchmarks, the job
+service) accepts:
 
 * :meth:`RegistrationConfig.from_env` snapshots the *effective* environment
   configuration (useful for artifacts: "what configuration produced this
@@ -19,15 +16,10 @@ accepts:
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
   flags over a base config this way).
 
-Precedence, first match wins (unchanged from the pre-config behavior —
-the config object slots in where the scattered kwargs used to be)::
+Precedence, first match wins::
 
     explicit kwarg / CLI flag  >  RegistrationConfig field  >
         per-subsystem env var  >  shared env var  >  built-in default
-
-The legacy keyword arguments (``register(..., fft_backend=...)``) keep
-working through a deprecation shim in :mod:`repro.core.registration` that
-warns once per process.
 """
 
 from __future__ import annotations
@@ -47,7 +39,6 @@ from repro.observability.trace import (
 from repro.runtime.plan_pool import configure_plan_pool, env_pool_budget, get_plan_pool
 from repro.runtime.workers import default_workers, resolve_workers, set_default_workers
 from repro.spectral import backends as fft_backends
-from repro.transport import kernels as interp_kernels
 
 __all__ = [
     "HTTP_PORT_ENV_VAR",
@@ -135,10 +126,7 @@ class RegistrationConfig:
     Parameters
     ----------
     fft_backend:
-        FFT engine name (``"numpy"``, ``"scipy"``, ``"pyfftw"``).
-    interp_backend:
-        Semi-Lagrangian gather engine name (``"scipy"``, ``"numpy"``,
-        ``"numba"``).
+        FFT engine name (``"numpy"``, ``"scipy"``).
     workers:
         Shared default worker count for threaded kernels (the
         ``REPRO_WORKERS`` / ``--workers`` knob); per-subsystem environment
@@ -164,7 +152,6 @@ class RegistrationConfig:
     """
 
     fft_backend: Optional[str] = None
-    interp_backend: Optional[str] = None
     workers: Optional[int] = None
     plan_pool_bytes: Optional[int] = None
     gradient_cache: Optional[bool] = None
@@ -199,7 +186,6 @@ class RegistrationConfig:
 
         return cls(
             fft_backend=fft_backends.default_backend_name(),
-            interp_backend=interp_kernels.default_backend_name(),
             workers=default_workers(),
             plan_pool_bytes=get_plan_pool().max_bytes,
             gradient_cache=gradient_cache_enabled(),
@@ -221,7 +207,6 @@ class RegistrationConfig:
         before starting a solve, factored into the config object.
         """
         fft_backends.get_backend(self.fft_backend)
-        interp_kernels.get_backend(self.interp_backend)
         from repro.core.gradients import env_gradient_cache_enabled
 
         env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
@@ -229,7 +214,7 @@ class RegistrationConfig:
         env_trace_enabled()  # ... and $REPRO_TRACE
         env_http_port()  # ... and $REPRO_HTTP_PORT
         env_service_class_weights()  # ... and $REPRO_SERVICE_CLASS_WEIGHTS
-        for subsystem in ("fft", "interp", "service"):  # ... and the worker vars
+        for subsystem in ("fft", "service"):  # ... and the worker vars
             resolve_workers(subsystem)
         return self
 

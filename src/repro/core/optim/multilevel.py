@@ -81,10 +81,7 @@ class MultilevelRegistration:
         FFT engine name or instance used by every level's spectral operators
         (``None`` selects the environment default).
     interpolation:
-        Semi-Lagrangian interpolation kernel used on every level.
-    interp_backend:
-        Interpolation engine name or instance used by every level's
-        transport solver (``None`` selects the environment default); each
+        Semi-Lagrangian interpolation kernel used on every level; each
         level plans its own gather stencils on its own grid.
     """
 
@@ -100,7 +97,6 @@ class MultilevelRegistration:
     options: SolverOptions = field(default_factory=SolverOptions)
     fft_backend: Optional[object] = None
     interpolation: str = "cubic_bspline"
-    interp_backend: Optional[object] = None
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_levels, "num_levels")
@@ -140,7 +136,6 @@ class MultilevelRegistration:
             gauss_newton=self.gauss_newton,
             fft_backend=self.fft_backend,
             interpolation=self.interpolation,
-            interp_backend=self.interp_backend,
         )
 
     @staticmethod

@@ -165,13 +165,9 @@ class RegistrationProblem:
     interpolation:
         Off-grid interpolation kernel.
     fft_backend:
-        FFT engine name or instance (``"numpy"``, ``"scipy"``, ``"pyfftw"``,
-        or ``None`` for the ``REPRO_FFT_BACKEND`` / numpy default) used when
-        the spectral operators are constructed on demand.
-    interp_backend:
-        Interpolation engine name or instance (``"scipy"``, ``"numpy"``,
-        ``"numba"``, or ``None`` for the ``REPRO_INTERP_BACKEND`` / scipy
-        default) used when the transport solver is constructed on demand.
+        FFT engine name or instance (``"numpy"``, ``"scipy"``, or ``None``
+        for the ``REPRO_FFT_BACKEND`` / numpy default) used when the
+        spectral operators are constructed on demand.
     """
 
     grid: Grid
@@ -184,7 +180,6 @@ class RegistrationProblem:
     gauss_newton: bool = True
     interpolation: str = "cubic_bspline"
     fft_backend: Optional[object] = None
-    interp_backend: Optional[object] = None
     operators: Optional[SpectralOperators] = None
     transport: Optional[TransportSolver] = None
     hessian_matvec_count: int = field(default=0, init=False)
@@ -209,7 +204,6 @@ class RegistrationProblem:
                 num_time_steps=self.num_time_steps,
                 interpolation=self.interpolation,
                 operators=self.operators,
-                interp_backend=self.interp_backend,
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
         self._gradient_scope = GradientCacheScope()
@@ -494,5 +488,4 @@ class RegistrationProblem:
             "gauss_newton": self.gauss_newton,
             "interpolation": self.interpolation,
             "fft_backend": self.operators.fft.backend_name,
-            "interp_backend": self.transport.interpolator.backend_name,
         }

@@ -13,7 +13,6 @@ of the deformation gradient.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -46,25 +45,13 @@ LOGGER = get_logger("core.registration")
 #: ``repro.observability-snapshot`` document carrying its own version).
 #: v3: drops the out-of-core tile-traffic block and its two summary keys, adds
 #: ``optimization.termination_reason``.
+#: v4: drops the interpolation-engine summary key, adds ``optimization.iterations``
+#: (one convergence record per Newton iteration).
 RESULT_SCHEMA = "repro.registration-result"
-RESULT_SCHEMA_VERSION = 3
+RESULT_SCHEMA_VERSION = 4
 
-_legacy_kwargs_warned = False
-
-
-def _warn_legacy_backend_kwargs() -> None:
-    """One-per-process deprecation warning for the pre-config kwargs."""
-    global _legacy_kwargs_warned
-    if _legacy_kwargs_warned:
-        return
-    _legacy_kwargs_warned = True
-    warnings.warn(
-        "passing fft_backend/interp_backend to register() directly is "
-        "deprecated; bundle them in a repro.RegistrationConfig "
-        "(register(..., config=RegistrationConfig(fft_backend=...)))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: Outer optimizers :class:`RegistrationSolver` drives.
+OPTIMIZERS = ("gauss_newton", "gradient_descent")
 
 
 def _jsonable(value):
@@ -131,11 +118,6 @@ class RegistrationResult:
             "fft_backend": (
                 self.problem.operators.fft.backend_name if self.problem is not None else "?"
             ),
-            "interp_backend": (
-                self.problem.transport.interpolator.backend_name
-                if self.problem is not None
-                else "?"
-            ),
             "plan_pool_hits": self.plan_pool.hits if self.plan_pool is not None else 0,
             "plan_pool_misses": self.plan_pool.misses if self.plan_pool is not None else 0,
         }
@@ -160,6 +142,7 @@ class RegistrationResult:
                 "num_iterations": int(opt.num_iterations),
                 "total_hessian_matvecs": int(opt.total_hessian_matvecs),
                 "termination_reason": opt.termination_reason,
+                "iterations": _jsonable(opt.convergence_table()),
             },
             "det_grad": _jsonable(self.det_grad_stats),
             "plan_pool": (
@@ -201,20 +184,14 @@ class RegistrationSolver:
         Off-grid interpolation kernel for the semi-Lagrangian scheme.
     fft_backend:
         FFT engine for every spectral operation of the pipeline
-        (``"numpy"``, ``"scipy"``, ``"pyfftw"``, a backend instance, or
-        ``None`` for the ``REPRO_FFT_BACKEND`` / numpy default).
-    interp_backend:
-        Interpolation engine for every semi-Lagrangian gather of the
-        pipeline (``"scipy"``, ``"numpy"``, ``"numba"``, a backend
-        instance, or ``None`` for the ``REPRO_INTERP_BACKEND`` / scipy
-        default).
+        (``"numpy"``, ``"scipy"``, a backend instance, or ``None`` for the
+        ``REPRO_FFT_BACKEND`` / numpy default).
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
         applied process-wide (worker default, pool budget, gradient cache,
-        tracing) and supplies the FFT/interpolation engines
-        unless the explicit ``fft_backend``/``interp_backend`` arguments
-        override them.
+        tracing) and supplies the FFT engine unless the explicit
+        ``fft_backend`` argument overrides it.
     """
 
     beta: float = 1e-2
@@ -228,7 +205,6 @@ class RegistrationSolver:
     options: SolverOptions = field(default_factory=SolverOptions)
     interpolation: str = "cubic_bspline"
     fft_backend: Optional[object] = None
-    interp_backend: Optional[object] = None
     config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
@@ -237,8 +213,6 @@ class RegistrationSolver:
         self.config.apply()
         if self.fft_backend is None:
             self.fft_backend = self.config.fft_backend
-        if self.interp_backend is None:
-            self.interp_backend = self.config.interp_backend
 
     def build_problem(
         self,
@@ -284,7 +258,6 @@ class RegistrationSolver:
             gauss_newton=self.gauss_newton,
             interpolation=self.interpolation,
             fft_backend=self.fft_backend,
-            interp_backend=self.interp_backend,
         )
 
     def run(
@@ -313,8 +286,7 @@ class RegistrationSolver:
                 driver = GradientDescent(problem, self.options)
             else:
                 raise ValueError(
-                    f"unknown optimizer {self.optimizer!r}; expected 'gauss_newton' or "
-                    "'gradient_descent'"
+                    f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}"
                 )
             optimization = driver.solve(initial_velocity)
 
@@ -368,17 +340,13 @@ def register(
     smooth_sigma: float = 1.0,
     normalize: bool = True,
     interpolation: str = "cubic_bspline",
-    fft_backend: Optional[object] = None,
-    interp_backend: Optional[object] = None,
     config: Optional[RegistrationConfig] = None,
 ) -> RegistrationResult:
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (backends, workers, pool budget) belong in
-    *config* (:class:`repro.config.RegistrationConfig`); the bare
-    ``fft_backend``/``interp_backend`` keywords are the legacy spelling and
-    warn (once per process) when used.
+    Execution knobs (FFT backend, workers, pool budget) belong in
+    *config* (:class:`repro.config.RegistrationConfig`).
 
     Examples
     --------
@@ -388,8 +356,6 @@ def register(
     >>> result.relative_residual < 1.0
     True
     """
-    if fft_backend is not None or interp_backend is not None:
-        _warn_legacy_backend_kwargs()
     solver = RegistrationSolver(
         beta=beta,
         regularization=regularization,
@@ -401,8 +367,6 @@ def register(
         smooth_sigma=smooth_sigma,
         normalize=normalize,
         interpolation=interpolation,
-        fft_backend=fft_backend,
-        interp_backend=interp_backend,
         config=config,
     )
     return solver.run(template, reference, grid=grid)

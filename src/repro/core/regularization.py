@@ -137,6 +137,9 @@ _REGISTRY = {
     "h3": H3Regularization,
 }
 
+#: Regularization names :func:`make_regularization` accepts.
+REGULARIZATIONS = tuple(_REGISTRY)
+
 
 def make_regularization(
     name: str,

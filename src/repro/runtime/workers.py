@@ -1,14 +1,11 @@
-"""Unified worker-pool manager for every threaded kernel.
+"""Unified worker-count policy of every threaded subsystem.
 
-PR 1 introduced ``REPRO_FFT_WORKERS`` for the threaded FFT engines; the
-interpolation subsystem of PR 2 stayed single-threaded and every registry
-managed its own threading ad hoc.  This module turns the pattern into one
-process-wide resource policy:
+One process-wide resource policy:
 
 * ``REPRO_WORKERS`` sets the shared default worker count of *every*
   subsystem.
-* ``REPRO_FFT_WORKERS`` / ``REPRO_INTERP_WORKERS`` / ``REPRO_SERVICE_WORKERS``
-  override it per subsystem (the FFT variable keeps its original semantics).
+* ``REPRO_FFT_WORKERS`` / ``REPRO_SERVICE_WORKERS`` override it per
+  subsystem.
 * :func:`set_default_workers` is the programmatic/CLI (``--workers``)
   equivalent of ``REPRO_WORKERS``; explicit per-call arguments (e.g.
   ``ScipyFFTBackend(workers=4)``) still win over everything.
@@ -21,17 +18,13 @@ Resolution precedence, first match wins::
 The subsystem defaults differ by whether a thread can own a core, as each of
 the paper's MPI tasks does: a Python thread only does inside native code that
 released the GIL.  FFT engines thread inside one C call and default to all
-cores; the stencil executor threads over point chunks in Python and defaults
-to ``1``; so does the job service, whose workers run whole solves on kernels
-that hold the GIL (measured at its :data:`SUBSYSTEMS` entry).  Pools are shared
-per size (:func:`get_executor`): subsystems of one width never oversubscribe.
+cores; the job service, whose workers run whole solves on kernels that hold
+the GIL, defaults to ``1`` (measured at its :data:`SUBSYSTEMS` entry).
 """
 
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -39,11 +32,8 @@ from typing import Callable, Dict, Optional
 #: subsystem (overridden per subsystem by the variables below).
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
-#: Per-subsystem override for the threaded FFT backends (PR-1 semantics).
+#: Per-subsystem override for the threaded FFT backends.
 FFT_WORKERS_ENV_VAR = "REPRO_FFT_WORKERS"
-
-#: Per-subsystem override for the thread-pooled stencil executor.
-INTERP_WORKERS_ENV_VAR = "REPRO_INTERP_WORKERS"
 
 #: Per-subsystem override for the registration service's job workers.
 SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
@@ -65,11 +55,9 @@ class SubsystemPolicy:
     default: Callable[[], int]
 
 
-#: Known subsystems; future engines (GPU streams, distributed launchers)
-#: register here by adding a policy.
+#: Known subsystems.
 SUBSYSTEMS: Dict[str, SubsystemPolicy] = {
     "fft": SubsystemPolicy(FFT_WORKERS_ENV_VAR, _all_cores),
-    "interp": SubsystemPolicy(INTERP_WORKERS_ENV_VAR, _one),
     # repro.service: every worker thread drives whole solves, and ~70 % of a
     # solve (CSR gather product, spline_filter) holds the GIL, so two workers
     # time-slice one interpreter.  burst16 on 2 -> 1 workers (BENCH_20.json):
@@ -80,8 +68,6 @@ SUBSYSTEMS: Dict[str, SubsystemPolicy] = {
 }
 
 _default_workers: Optional[int] = None
-_executors: Dict[int, ThreadPoolExecutor] = {}
-_lock = threading.Lock()
 
 
 def set_default_workers(workers: Optional[int]) -> None:
@@ -127,29 +113,3 @@ def resolve_workers(subsystem: str, explicit: Optional[int] = None) -> int:
         if resolved is not None:
             return resolved
     return policy.default()
-
-
-def get_executor(workers: int) -> ThreadPoolExecutor:
-    """Shared :class:`ThreadPoolExecutor` of the given width (process-wide).
-
-    Pools are created lazily and kept for the process lifetime, so repeated
-    kernel launches never pay thread start-up costs (the "pooled context"
-    of the FFT backends, generalized).
-    """
-    workers = max(1, int(workers))
-    with _lock:
-        executor = _executors.get(workers)
-        if executor is None:
-            executor = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix=f"repro-runtime-{workers}"
-            )
-            _executors[workers] = executor
-        return executor
-
-
-def shutdown_executors() -> None:
-    """Shut down every shared executor (used by tests)."""
-    with _lock:
-        for executor in _executors.values():
-            executor.shutdown(wait=True)
-        _executors.clear()

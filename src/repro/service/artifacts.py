@@ -29,9 +29,11 @@ from repro.service.jobs import Job
 #: any breaking field change (v2: the job metrics no longer carry
 #: ``layout_decisions``, and the embedded snapshot is v2; v3: the embedded
 #: result and snapshot are v3 — no tile-traffic blocks, the result's
-#: ``optimization`` carries ``termination_reason``).
+#: ``optimization`` carries ``termination_reason``; v4: the embedded result is
+#: v4 — no interpolation-engine summary key, one ``optimization.iterations``
+#: record per Newton iteration).
 ARTIFACT_SCHEMA = "repro.service-job"
-ARTIFACT_SCHEMA_VERSION = 3
+ARTIFACT_SCHEMA_VERSION = 4
 
 __all__ = [
     "ARTIFACT_SCHEMA",

@@ -4,8 +4,8 @@ The service batches at the *transport* level: two queued transport jobs can
 ride one :meth:`~repro.parallel.transport.DistributedTransportSolver.
 solve_state_many` stack — sharing the stepper's plan setup plus one ghost
 exchange and one value-return ``alltoallv`` per time step — exactly when
-every ingredient of the distributed stencil plan matches: grid, time step,
-task count and backend; the plan additionally depends on the velocity
+every ingredient of the distributed stencil plan matches: grid, time step
+and task count; the plan additionally depends on the velocity
 *content* (departure points are ``x - dt·v``), so
 the batch key includes the velocity fingerprint too — without it the merged
 solve could not be bitwise identical to the serial jobs.
@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.runtime.plan_pool import array_fingerprint
-from repro.transport.kernels import default_backend_name
 
 __all__ = ["batch_key", "group_compatible", "stack_compatible"]
 
@@ -41,7 +40,6 @@ def batch_key(spec) -> Optional[Hashable]:
         grid.shape,
         int(spec.num_time_steps),
         int(spec.num_tasks),
-        default_backend_name(),
         array_fingerprint(spec.velocity),
     )
 

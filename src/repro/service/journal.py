@@ -53,6 +53,8 @@ import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.line_search import ArmijoLineSearch
+from repro.core.registration import OPTIMIZERS
+from repro.core.regularization import REGULARIZATIONS
 from repro.observability.trace import trace_span
 from repro.service.jobs import (
     JOB_CLASS_INTERACTIVE,
@@ -61,6 +63,7 @@ from repro.service.jobs import (
     TransportJobSpec,
 )
 from repro.spectral.grid import Grid
+from repro.transport.kernels import SUPPORTED_METHODS
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_finite
 
@@ -120,6 +123,10 @@ def _decode_array(doc: Any, what: str) -> np.ndarray:
         raw = base64.b64decode(doc["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSpecError(f"{what} is not a valid ndarray document: {exc}") from None
+    if dtype.kind not in "fiu":
+        raise MalformedSpecError(
+            f"{what} must hold real floating-point or integer values, got dtype {dtype}"
+        )
     expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
     if len(raw) != expected:
         raise MalformedSpecError(
@@ -183,6 +190,18 @@ def _decode_options(doc: Any) -> Optional[SolverOptions]:
         raise MalformedSpecError(f"invalid solver-options document: {exc}") from None
 
 
+def _check_choice(value: str, name: str, choices: Tuple[str, ...]) -> str:
+    if value not in choices:
+        raise MalformedSpecError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _check_count(value: int, name: str) -> int:
+    if value < 1:
+        raise MalformedSpecError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 # --------------------------------------------------------------------- #
 # spec documents
 # --------------------------------------------------------------------- #
@@ -233,10 +252,12 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     Raises
     ------
     MalformedSpecError
-        The document is not a valid v1 jobspec, a float array holds a NaN or
-        an infinity, or the arrays' shapes disagree (clean, client-facing
-        message — the HTTP front returns it verbatim with a 400, before
-        anything is journaled).
+        The document is not a valid v1 jobspec, an array is not real
+        floating-point or integer, a float array holds a NaN or an infinity,
+        the arrays' shapes disagree, the interpolation, regularization or
+        optimizer is not one the solver knows, or a time-step or task count
+        is below one (clean, client-facing message — the HTTP front returns
+        it verbatim with a 400, before anything is journaled).
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -269,14 +290,24 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 template=template,
                 reference=reference,
                 beta=float(payload.get("beta", 1e-2)),
-                regularization=str(payload.get("regularization", "h1")),
+                regularization=_check_choice(
+                    str(payload.get("regularization", "h1")), "regularization", REGULARIZATIONS
+                ),
                 incompressible=bool(payload.get("incompressible", False)),
-                num_time_steps=int(payload.get("num_time_steps", 4)),
+                num_time_steps=_check_count(
+                    int(payload.get("num_time_steps", 4)), "num_time_steps"
+                ),
                 gauss_newton=bool(payload.get("gauss_newton", True)),
-                optimizer=str(payload.get("optimizer", "gauss_newton")),
+                optimizer=_check_choice(
+                    str(payload.get("optimizer", "gauss_newton")), "optimizer", OPTIMIZERS
+                ),
                 smooth_sigma=float(payload.get("smooth_sigma", 1.0)),
                 normalize=bool(payload.get("normalize", True)),
-                interpolation=str(payload.get("interpolation", "cubic_bspline")),
+                interpolation=_check_choice(
+                    str(payload.get("interpolation", "cubic_bspline")),
+                    "interpolation",
+                    SUPPORTED_METHODS,
+                ),
                 options=_decode_options(payload.get("options")),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
@@ -292,8 +323,10 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
             return TransportJobSpec(
                 velocity=velocity,
                 moving=moving,
-                num_time_steps=int(payload.get("num_time_steps", 4)),
-                num_tasks=int(payload.get("num_tasks", 4)),
+                num_time_steps=_check_count(
+                    int(payload.get("num_time_steps", 4)), "num_time_steps"
+                ),
+                num_tasks=_check_count(int(payload.get("num_tasks", 4)), "num_tasks"),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
             )

@@ -10,7 +10,7 @@ counterparts built on the pencil-decomposed FFT live in
 :mod:`repro.parallel`.
 
 The actual FFT engine is pluggable: :mod:`repro.spectral.backends` keeps a
-registry of interchangeable backends (``numpy``, ``scipy``, ``pyfftw``)
+registry of interchangeable backends (``numpy``, ``scipy``)
 selectable per call site, through the ``REPRO_FFT_BACKEND`` environment
 variable, or the ``--fft-backend`` CLI flag.  Spectral symbols are shared
 per grid through the :mod:`repro.spectral.symbols` store.
@@ -18,9 +18,7 @@ per grid through the :mod:`repro.spectral.symbols` store.
 
 from repro.spectral.backends import (
     BACKEND_ENV_VAR,
-    BackendUnavailableError,
     FFTBackend,
-    available_backends,
     default_backend_name,
     get_backend,
     register_backend,
@@ -41,14 +39,12 @@ from repro.spectral.symbols import SymbolTable, clear_symbol_cache, get_symbols
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "BackendUnavailableError",
     "FFTBackend",
     "FFTCounters",
     "FourierTransform",
     "Grid",
     "SpectralOperators",
     "SymbolTable",
-    "available_backends",
     "clear_symbol_cache",
     "default_backend_name",
     "gaussian_smooth",

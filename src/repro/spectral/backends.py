@@ -7,15 +7,11 @@ module provides a small registry of interchangeable backends behind one
 protocol:
 
 ``"numpy"``
-    :mod:`numpy.fft` (pocketfft).  Always available; the reference backend.
+    :mod:`numpy.fft` (pocketfft); the reference backend.
 ``"scipy"``
     :mod:`scipy.fft` (the vectorized pocketfft C++ engine) with a pooled
     worker configuration (``workers=N`` multi-threading) resolved once per
     process and re-used by every transform.
-``"pyfftw"``
-    FFTW via :mod:`pyfftw` with the interface plan cache enabled, so repeated
-    transforms of the same shape re-use their FFTW plans.  Auto-detected;
-    cleanly reported as unavailable when the package is not installed.
 
 Selection precedence (first match wins):
 
@@ -50,10 +46,6 @@ BACKEND_ENV_VAR = "REPRO_FFT_BACKEND"
 WORKERS_ENV_VAR = FFT_WORKERS_ENV_VAR
 
 DEFAULT_BACKEND = "numpy"
-
-
-class BackendUnavailableError(RuntimeError):
-    """Raised when a registered backend cannot run in this environment."""
 
 
 @runtime_checkable
@@ -97,13 +89,9 @@ def _resolve_workers(workers: int | None) -> int:
 
 
 class NumpyFFTBackend:
-    """Reference backend wrapping :mod:`numpy.fft` (always available)."""
+    """Reference backend wrapping :mod:`numpy.fft`."""
 
     name = "numpy"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return True
 
     def rfftn(self, a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         return np.fft.rfftn(a, axes=tuple(axes))
@@ -132,20 +120,10 @@ class ScipyFFTBackend:
     name = "scipy"
 
     def __init__(self, workers: int | None = None) -> None:
-        if not self.is_available():  # pragma: no cover - scipy is a hard dep
-            raise BackendUnavailableError("scipy is not installed")
         import scipy.fft as _scipy_fft
 
         self._fft = _scipy_fft
         self.workers = _resolve_workers(workers)
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            import scipy.fft  # noqa: F401
-        except ImportError:  # pragma: no cover - scipy is a hard dep
-            return False
-        return True
 
     def rfftn(self, a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         return self._fft.rfftn(a, axes=tuple(axes), workers=self.workers)
@@ -160,60 +138,6 @@ class ScipyFFTBackend:
         return self._fft.ifft(a, axis=axis, workers=self.workers)
 
 
-class PyFFTWBackend:
-    """FFTW backend via :mod:`pyfftw` with plan re-use.
-
-    Uses the :mod:`pyfftw.interfaces` numpy-compatible API with the interface
-    cache enabled: the first transform of a given shape plans (ESTIMATE
-    rigor, so planning stays cheap), subsequent transforms of the same shape
-    re-use the cached FFTW plan.  This is the serial stand-in for the AccFFT
-    (FFTW-based) engine the paper runs on.
-    """
-
-    name = "pyfftw"
-
-    def __init__(self, workers: int | None = None, planner_effort: str = "FFTW_ESTIMATE") -> None:
-        if not self.is_available():
-            raise BackendUnavailableError(
-                "pyfftw is not installed; install the 'fftw' extra "
-                "(pip install repro-sc16-registration[fftw]) to enable this backend"
-            )
-        import pyfftw
-
-        pyfftw.interfaces.cache.enable()
-        pyfftw.interfaces.cache.set_keepalive_time(60.0)
-        self._interfaces = pyfftw.interfaces.numpy_fft
-        self.workers = _resolve_workers(workers)
-        self.planner_effort = planner_effort
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            import pyfftw  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def _kwargs(self) -> dict:
-        return {"threads": self.workers, "planner_effort": self.planner_effort}
-
-    def rfftn(self, a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-        return self._interfaces.rfftn(a, axes=tuple(axes), **self._kwargs())
-
-    def irfftn(self, a: np.ndarray, s: Sequence[int], axes: Sequence[int]) -> np.ndarray:
-        # FFTW's multi-dimensional c2r transform destroys its input; copy so
-        # callers keep their spectra intact, matching numpy/scipy semantics
-        return self._interfaces.irfftn(
-            np.array(a, copy=True), s=tuple(s), axes=tuple(axes), **self._kwargs()
-        )
-
-    def fft(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._interfaces.fft(a, axis=axis, **self._kwargs())
-
-    def ifft(self, a: np.ndarray, axis: int) -> np.ndarray:
-        return self._interfaces.ifft(a, axis=axis, **self._kwargs())
-
-
 # --------------------------------------------------------------------------- #
 # registry
 # --------------------------------------------------------------------------- #
@@ -222,10 +146,7 @@ _INSTANCES: Dict[str, FFTBackend] = {}
 
 
 def register_backend(name: str, cls: Type) -> Type:
-    """Register a backend class under *name* (overwrites a prior entry).
-
-    Later PRs (GPU, distributed) plug their engines in through this hook.
-    """
+    """Register a backend class under *name* (overwrites a prior entry)."""
     _REGISTRY[name.lower()] = cls
     _INSTANCES.pop(name.lower(), None)
     return cls
@@ -233,17 +154,11 @@ def register_backend(name: str, cls: Type) -> Type:
 
 register_backend("numpy", NumpyFFTBackend)
 register_backend("scipy", ScipyFFTBackend)
-register_backend("pyfftw", PyFFTWBackend)
 
 
 def registered_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, available or not."""
+    """Names of all registered backends."""
     return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends that can run in this environment."""
-    return tuple(name for name in registered_backends() if _REGISTRY[name].is_available())
 
 
 def default_backend_name() -> str:
@@ -291,11 +206,6 @@ def get_backend(spec: "str | FFTBackend | None" = None) -> FFTBackend:
         raise ValueError(
             f"unknown FFT backend {spec!r}; registered backends: {registered_backends()}"
         ) from exc
-    if not cls.is_available():
-        raise BackendUnavailableError(
-            f"FFT backend {name!r} is registered but not available in this "
-            f"environment; available backends: {available_backends()}"
-        )
     instance = cls()
     _INSTANCES[name] = instance
     return instance

@@ -3,12 +3,11 @@
 The paper's implementation uses AccFFT (built on FFTW) for its distributed
 transforms; the serial, single-process transform used by the core solver here
 delegates to one of the engines in :mod:`repro.spectral.backends` —
-``numpy`` (the reference), ``scipy`` (pooled multi-threaded pocketfft) or
-``pyfftw`` (FFTW with plan re-use) — selected per instance, via the
-``REPRO_FFT_BACKEND`` environment variable, or the ``--fft-backend`` CLI
-flag.  All fields of the problem are real, so the transforms are
-real-to-complex.  The distributed pencil-decomposed transform that mirrors
-AccFFT's communication pattern lives in
+``numpy`` (the reference) or ``scipy`` (pooled multi-threaded pocketfft) —
+selected per instance, via the ``REPRO_FFT_BACKEND`` environment variable,
+or the ``--fft-backend`` CLI flag.  All fields of the problem are real, so
+the transforms are real-to-complex.  The distributed pencil-decomposed
+transform that mirrors AccFFT's communication pattern lives in
 :mod:`repro.parallel.distributed_fft` and is validated against whichever
 serial backend is active.
 
@@ -72,15 +71,15 @@ class FourierTransform:
     grid:
         The periodic grid defining the transform size.
     backend:
-        FFT engine: a registered backend name (``"numpy"``, ``"scipy"``,
-        ``"pyfftw"``), a backend instance, or ``None`` for the environment
-        default (see :func:`repro.spectral.backends.get_backend`).
+        FFT engine: a registered backend name (``"numpy"``, ``"scipy"``), a
+        backend instance, or ``None`` for the environment default (see
+        :func:`repro.spectral.backends.get_backend`).
 
     Notes
     -----
     The transform is unnormalized in the forward direction and normalized in
     the backward direction (numpy's convention), which is what every spectral
-    symbol in :mod:`repro.spectral.operators` assumes; all three backends
+    symbol in :mod:`repro.spectral.operators` assumes; both backends
     implement the same convention.
     """
 

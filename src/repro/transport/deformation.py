@@ -61,13 +61,10 @@ class DeformationMap:
     interpolation:
         Interpolation kernel for the semi-Lagrangian steps and for warping
         images with the final map.
-    interp_backend:
-        Interpolation engine (name, instance, or ``None`` for the
-        environment default) shared by the transport and the warp.
     transport:
         The transport solver that produced *velocity* (a registration
         passes its problem's).  The map then transports and warps through
-        that solver — same time steps, kernel, engine and operators, which
+        that solver — same time steps, kernel and operators, which
         override the arguments above — so ``det(grad y)`` reuses the warm
         gather operator of the final velocity instead of standing up a
         second solver and interpolator.
@@ -82,7 +79,6 @@ class DeformationMap:
     num_time_steps: int = 4
     interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
-    interp_backend: Optional[object] = None
     transport: Optional[TransportSolver] = None
     plan: Optional[TransportPlan] = None
 
@@ -106,7 +102,6 @@ class DeformationMap:
             num_time_steps=self.num_time_steps,
             interpolation=self.interpolation,
             operators=self.operators,
-            interp_backend=self.interp_backend,
         )
         self._displacement: Optional[np.ndarray] = None
 

@@ -21,18 +21,14 @@ Three interpolation kernels are provided:
     Trilinear interpolation, provided as the ablation baseline
     (``benchmarks/bench_ablation_interpolation.py``).
 
-The *engine* evaluating a kernel is pluggable (``scipy``, ``numpy``,
-``numba`` — see :mod:`repro.transport.kernels`), selected per constructor,
-via ``REPRO_INTERP_BACKEND``, or the ``--interp-backend`` CLI flag.  This
-frontend owns validation, coordinate wrapping, **gather plans** (the cached
+The kernels live in :mod:`repro.transport.kernels`.  This frontend owns
+validation, coordinate wrapping, **gather plans** (the cached
 64-weight/index stencils reused across every field interpolated at one set
-of departure points), the residency bound of the scipy engine's gather
-operators (at most two per interpolator — the forward and backward
-characteristics of the live velocity) and the interpolation counters;
-counting never happens in the backends, so the counters — which the
-test-suite pins at ``2*nt`` sweeps per Hessian mat-vec, inside the paper's
-``4*nt`` complexity model — are exactly identical no matter which engine
-gathers.
+of departure points), the residency bound of the gather operators (at most
+two per interpolator — the forward and backward characteristics of the
+live velocity) and the interpolation counters, which the test-suite pins at
+``2*nt`` sweeps per Hessian mat-vec, inside the paper's ``4*nt`` complexity
+model.
 """
 
 from __future__ import annotations
@@ -52,10 +48,10 @@ from repro.transport.kernels import (
     SUPPORTED_METHODS,
     GatherOperatorPlan,
     GatherPlan,
-    InterpolationBackend,
     catmull_rom_weights,
-    get_backend,
+    gather,
     linear_weights,
+    plan_payload,
 )
 
 __all__ = [
@@ -93,16 +89,10 @@ class PeriodicInterpolator:
         Grid on which the interpolated fields are defined.
     method:
         One of ``"cubic_bspline"``, ``"catmull_rom"`` or ``"linear"``.
-    backend:
-        Gather engine: a registered backend name (``"scipy"``, ``"numpy"``,
-        ``"numba"``), a backend instance, or ``None`` for the
-        ``REPRO_INTERP_BACKEND`` / ``"scipy"`` default (see
-        :func:`repro.transport.kernels.get_backend`).
     """
 
     grid: Grid
     method: str = "cubic_bspline"
-    backend: "str | InterpolationBackend | None" = None
 
     def __post_init__(self) -> None:
         if self.method not in _SUPPORTED_METHODS:
@@ -110,18 +100,12 @@ class PeriodicInterpolator:
                 f"unknown interpolation method {self.method!r}; "
                 f"expected one of {_SUPPORTED_METHODS}"
             )
-        self.backend = get_backend(self.backend)
         self._spacing = np.asarray(self.grid.spacing, dtype=np.float64)
         self.points_interpolated = 0
         # pool keys of the gather operators this interpolator touched last,
         # most recent last (see _retain_operator)
         self._operator_keys: list = []
         self._operator_lock = threading.Lock()
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active gather engine."""
-        return self.backend.name
 
     # ------------------------------------------------------------------ #
     # coordinate handling
@@ -144,33 +128,32 @@ class PeriodicInterpolator:
     def plan(self, points: np.ndarray, key: Optional[Hashable] = None) -> GatherPlan:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
-        The plan caches the wrapped coordinates and — for engines with an
+        The plan caches the wrapped coordinates and — for kernels with an
         explicit stencil — the base indices and per-axis kernel weights (or
         the key of the gather operator that holds them), so every field
         interpolated at the same points skips that work.  The planned path
         is bitwise identical to the unplanned one.  A caller that already
         holds a content identity of *points* (the stepper: its departure
         points are a function of its own pool key) passes it as *key*;
-        otherwise an engine that pools by content hashes the coordinates.
+        otherwise a pooled gather operator hashes the coordinates.
         """
         return self._plan(points, reusable=True, key=key)
 
     def _plan(
         self, points: np.ndarray, reusable: bool, key: Optional[Hashable] = None
     ) -> GatherPlan:
-        """Wrap *points*; let the backend plan them only when they will be reused.
+        """Wrap *points*; plan the kernel's stencil only when they will be reused.
 
         A one-shot point set (``reusable=False``) carries no payload: the
-        backend derives its stencil inside the gather and keeps nothing.
+        gather derives its stencil itself and keeps nothing.
         """
         points = np.asarray(points, dtype=np.float64)
         coordinates = self.to_index_coordinates(points)
         payload = None
-        if reusable and self.backend.supports_plan(self.method):
-            payload = self.backend.build_plan(self.grid.shape, coordinates, self.method, key)
+        if reusable:
+            payload = plan_payload(self.grid.shape, coordinates, self.method, key)
         return GatherPlan(
             method=self.method,
-            backend_name=self.backend.name,
             grid_shape=self.grid.shape,
             output_shape=points.shape[1:],
             coordinates=coordinates,
@@ -190,7 +173,7 @@ class PeriodicInterpolator:
             )
 
     # ------------------------------------------------------------------ #
-    # gathering (counting lives here, never in the backends)
+    # gathering (counting lives here, never in the kernels)
     # ------------------------------------------------------------------ #
     def _retain_operator(self, key) -> None:
         """Mark *key* most recently used; release the third-most-recent one.
@@ -222,7 +205,7 @@ class PeriodicInterpolator:
             points=batch * plan.num_points,
             method=self.method,
         ):
-            return self.backend.gather(fields, plan.coordinates, plan.payload, self.method)
+            return gather(fields, plan.coordinates, plan.payload, self.method)
 
     def _check_stack(self, fields: np.ndarray) -> np.ndarray:
         fields = np.asarray(fields)

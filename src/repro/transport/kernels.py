@@ -1,55 +1,38 @@
-"""Pluggable interpolation-kernel backends and cached gather plans.
+"""The gather kernels of the semi-Lagrangian scheme and their cached plans.
 
 The paper's per-iteration cost has two dominant kernels: spectral transforms
 and the off-grid tricubic interpolation of the semi-Lagrangian scheme
 (roughly ``10 x 64`` flops per point, ``4*nt`` sweeps per Hessian mat-vec
 in Sec. III-C2/C4; ``2*nt`` here: the semi-Lagrangian step merges a
 grid-given source into the field it gathers, and the adjoint's ``div v``
-source is a per-velocity growth factor).  This module applies the
-architecture of :mod:`repro.spectral.backends` to that second kernel: a
-small registry of interchangeable gather engines behind one protocol, plus
-precomputed **gather plans** that cache the 64-weight/index stencil of a
-fixed point set so that every field interpolated at the same departure
-points (state, adjoint, both incremental equations, all time steps of one
+source is a per-velocity growth factor).  This module evaluates that second
+kernel and precomputes **gather plans** that cache what a fixed point set
+needs, so that every field interpolated at the same departure points
+(state, adjoint, both incremental equations, all time steps of one
 velocity) reuses it — the paper's "interpolation planner".
 
-Backends
---------
-``"scipy"`` (default)
-    ``cubic_bspline`` runs through the **sparse gather operator** (see
-    below): :func:`scipy.ndimage.spline_filter` prefilters each field and a
-    :mod:`scipy.sparse` CSR product evaluates the stencil, so the indices
-    and weights of a planned point set are derived once per velocity, not
-    once per field per sweep.  ``linear`` calls
-    :func:`scipy.ndimage.map_coordinates` per field, and ``catmull_rom``
-    uses the shared vectorized stencil executor.
-``"numpy"``
-    Fully vectorized stencil gather for every kernel.  ``cubic_bspline``
-    uses an exact periodic B-spline prefilter (a diagonal Fourier-space
-    solve) followed by the cached-stencil gather; ``catmull_rom`` and
-    ``linear`` gather directly.  The executor is cache-blocked over point
-    chunks.
-``"numba"``
-    JIT-compiled stencil executor (auto-detected; cleanly reported as
-    unavailable when :mod:`numba` is not installed — install the
-    ``[numba]`` extra).  Shares the stencil plans and the prefilter with the
-    ``numpy`` backend.
+Each interpolation kernel has one gather path (:func:`plan_payload` plans,
+:func:`gather` evaluates):
 
-Selection precedence (first match wins), mirroring the FFT registry:
+``cubic_bspline`` (the solver's default)
+    The **sparse gather operator** (below): :func:`scipy.ndimage.spline_filter`
+    prefilters each field and a :mod:`scipy.sparse` CSR product evaluates
+    the stencil, so the indices and weights of a planned point set are
+    derived once per velocity, not once per field per sweep.
+``catmull_rom``
+    The vectorized stencil executor over a :class:`StencilPlan` (scipy has
+    no native kernel for it); the distributed scatter gathers its ghosted
+    blocks through the same executor.
+``linear``
+    :func:`scipy.ndimage.map_coordinates` per field (nothing worth caching:
+    8 taps, no prefilter).
 
-1. an explicit backend instance or name passed to the consumer
-   (e.g. ``PeriodicInterpolator(grid, backend="numpy")`` or the CLI flag
-   ``--interp-backend``),
-2. the ``REPRO_INTERP_BACKEND`` environment variable,
-3. the ``"scipy"`` default.
+Interpolation *counting* stays in
+:class:`repro.transport.interpolation.PeriodicInterpolator`, which pins the
+``2*nt`` sweeps per mat-vec (against the paper's ``4*nt``).
 
-Backends only gather; interpolation *counting* stays in
-:class:`repro.transport.interpolation.PeriodicInterpolator`, which
-guarantees exact counter parity across backends — the ``2*nt`` sweep pins
-(against the paper's ``4*nt``) are backend independent by construction.
-
-Sparse gather operator (scipy engine, ``cubic_bspline``)
---------------------------------------------------------
+Sparse gather operator (``cubic_bspline``)
+------------------------------------------
 Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
 ``w0[a] * w1[b]`` against the flat index of the wrapped ``(i0+a-1, i1+b-1,
 i2-1)`` coefficient (:class:`GatherOperator`, ~228 bytes per point).  The
@@ -70,33 +53,19 @@ point sets — and planned ones the pool budget cannot hold — build it block
 by block and keep nothing.  Resident and transient gathers run the same
 blocks and are bitwise identical.
 
-Stencil plans (``catmull_rom`` everywhere, every kernel of ``numpy``/``numba``)
------------------------------------------------------------------------------
+Stencil plans (``catmull_rom``)
+-------------------------------
 A :class:`StencilPlan` stores what the tensor-product stencil is derived
 from — int32 base indices and float64 fractional offsets, 36 bytes per
 point — and the chunked executor derives each chunk's index parts and
-weights in cache.  The executor is thread-pooled through the shared runtime
-(:mod:`repro.runtime.workers`, ``REPRO_INTERP_WORKERS`` /
-``REPRO_WORKERS``); the worker count leaves every gather bitwise unchanged.
+weights in cache.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Hashable,
-    Iterator,
-    Optional,
-    Protocol,
-    Tuple,
-    Type,
-    Union,
-    runtime_checkable,
-)
+from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -104,15 +73,8 @@ from scipy import ndimage, sparse
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
 from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
-from repro.runtime.workers import get_executor, resolve_workers
-from repro.spectral.backends import BackendUnavailableError
 
-#: Environment variable selecting the default interpolation backend.
-BACKEND_ENV_VAR = "REPRO_INTERP_BACKEND"
-
-DEFAULT_BACKEND = "scipy"
-
-#: Interpolation kernels every backend understands.
+#: The interpolation kernels.
 SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
 
 #: Point-chunk size of the cache-blocked stencil executor.  Chosen so that
@@ -146,7 +108,7 @@ def bspline_weights(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     """Uniform cubic B-spline basis weights for samples at offsets ``-1, 0, 1, 2``.
 
     Evaluating these weights on *prefiltered* coefficients (see
-    :func:`periodic_bspline_prefilter`) reproduces the interpolating tricubic
+    :func:`_padded_coefficients`) reproduces the interpolating tricubic
     B-spline of :func:`scipy.ndimage.map_coordinates` with ``order=3`` on
     periodic data.
     """
@@ -171,32 +133,6 @@ _METHOD_STENCILS: Dict[str, Tuple[Callable, int]] = {
     "catmull_rom": (catmull_rom_weights, -1),
     "linear": (linear_weights, 0),
 }
-
-
-def periodic_bspline_prefilter(fields: np.ndarray) -> np.ndarray:
-    """Exact periodic cubic B-spline prefilter of a ``(..., N1, N2, N3)`` stack.
-
-    The interpolating B-spline coefficients ``c`` solve the separable
-    convolution ``c * [1/6, 4/6, 1/6] = f`` along each axis; on a periodic
-    grid that convolution is diagonal in Fourier space with per-axis symbol
-    ``(4 + 2 cos(2 pi k / N)) / 6``, so the solve is one real-to-complex
-    transform, a division by the separable (outer-product) symbol, and the
-    inverse transform.  Matches :func:`scipy.ndimage.spline_filter` with
-    ``mode="grid-wrap"`` to machine precision.
-    """
-    fields = np.asarray(fields, dtype=np.float64)
-    n1, n2, n3 = fields.shape[-3:]
-
-    def axis_symbol(n: int) -> np.ndarray:
-        return (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
-
-    symbol = (
-        axis_symbol(n1)[:, None, None]
-        * axis_symbol(n2)[None, :, None]
-        * axis_symbol(n3)[None, None, : n3 // 2 + 1]
-    )
-    spectrum = np.fft.rfftn(fields, axes=(-3, -2, -1)) / symbol
-    return np.fft.irfftn(spectrum, s=(n1, n2, n3), axes=(-3, -2, -1))
 
 
 # --------------------------------------------------------------------------- #
@@ -349,8 +285,7 @@ def _execute_stencil_chunk(
     """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
 
     All scratch arrays of the chunk stay in cache while the tap loop runs;
-    chunks write disjoint output slices, so any number of chunks can execute
-    concurrently (and in any order) with bitwise-deterministic results.
+    chunks write disjoint output slices.
     """
     (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
     taps = plan.taps
@@ -379,10 +314,7 @@ def _execute_stencil_chunk(
 
 
 def execute_stencil_plan(
-    flat_fields: np.ndarray,
-    plan: StencilPlan,
-    chunk: Optional[int] = None,
-    workers: Optional[int] = None,
+    flat_fields: np.ndarray, plan: StencilPlan, chunk: Optional[int] = None
 ) -> np.ndarray:
     """Gather a ``(B, num_grid_points)`` stack through a stencil plan.
 
@@ -395,44 +327,23 @@ def execute_stencil_plan(
     The plan feeds this loop through its chunk protocol —
     ``plan.iter_chunks(chunk)`` yields the spans, ``plan.chunk_stencil(lo,
     hi)`` derives that chunk's index parts and weights from the stored
-    ``base``/``frac``.
-
-    The chunks are embarrassingly parallel (disjoint output slices) and are
-    dispatched to the shared runtime thread pool when *workers* — resolved
-    through :func:`repro.runtime.workers.resolve_workers` under the
-    ``REPRO_INTERP_WORKERS`` / ``REPRO_WORKERS`` policy — exceeds one.  The
-    result is bitwise independent of the worker count and the chunk size.
+    ``base``/``frac``.  The result is bitwise independent of the chunk size.
     """
     num_fields = flat_fields.shape[0]
     out = np.zeros((num_fields, plan.num_points))
     spans = plan.iter_chunks(chunk)
-    if workers is None:
-        workers = resolve_workers("interp")
     # one aggregated span per plan execution — never per chunk, which
     # would swamp the recorder at thousands of chunks per gather
     with trace_span(
-        "stencil.execute",
-        num_points=plan.num_points,
-        fields=num_fields,
-        chunks=len(spans),
-        workers=workers,
+        "stencil.execute", num_points=plan.num_points, fields=num_fields, chunks=len(spans)
     ):
-        if workers > 1 and len(spans) > 1:
-            executor = get_executor(workers)
-            list(
-                executor.map(
-                    lambda span: _execute_stencil_chunk(flat_fields, plan, span[0], span[1], out),
-                    spans,
-                )
-            )
-        else:
-            for lo, hi in spans:
-                _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
+        for lo, hi in spans:
+            _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
     return out
 
 
 # --------------------------------------------------------------------------- #
-# sparse gather operator (scipy engine, cubic_bspline)
+# sparse gather operator (cubic_bspline)
 # --------------------------------------------------------------------------- #
 #: Plan-pool tag of resident gather operators (the leading key element).
 GATHER_OPERATOR_TAG = "gather-operator"
@@ -681,7 +592,7 @@ def gather_bspline(
 # --------------------------------------------------------------------------- #
 # gather plans (frontend-facing)
 # --------------------------------------------------------------------------- #
-#: What a backend's ``build_plan`` hands the frontend to carry in a plan.
+#: What :func:`plan_payload` hands the frontend to carry in a plan.
 PlanPayload = Union[StencilPlan, GatherOperatorPlan]
 
 
@@ -692,14 +603,13 @@ class GatherPlan:
     Built once per point set (per velocity, in the semi-Lagrangian scheme)
     by :meth:`repro.transport.interpolation.PeriodicInterpolator.plan` and
     reused by every field interpolated at those points.  ``payload`` is the
-    backend-specific planning product: a stencil plan, the scipy engine's
+    kernel's planning product (:func:`plan_payload`): a stencil plan, a
     :class:`GatherOperatorPlan`, or ``None`` for one-shot point sets and
     kernels with nothing to cache (``map_coordinates`` behind ``linear``;
     those still reuse the wrapped coordinates).
     """
 
     method: str
-    backend_name: str
     grid_shape: Tuple[int, int, int]
     output_shape: Tuple[int, ...]
     coordinates: np.ndarray
@@ -721,302 +631,49 @@ class GatherPlan:
         return self.coordinates.nbytes + payload_bytes
 
 
-# --------------------------------------------------------------------------- #
-# backends
-# --------------------------------------------------------------------------- #
-@runtime_checkable
-class InterpolationBackend(Protocol):
-    """Minimal gather interface every interpolation backend implements.
+def plan_payload(
+    grid_shape: Tuple[int, int, int],
+    coordinates: np.ndarray,
+    method: str,
+    key: Optional[Hashable] = None,
+) -> Optional[PlanPayload]:
+    """The reusable part of a gather at fractional index *coordinates*.
 
-    ``fields`` is always a stacked ``(B, N1, N2, N3)`` batch so that engines
-    which can amortize index computation across fields (the stencil
-    executors) receive the whole batch in one call.
+    ``catmull_rom`` gets its :class:`StencilPlan`, ``cubic_bspline`` the key
+    of its pooled gather operator (*key*, when given, is the caller's
+    content identity of *coordinates*; otherwise they are fingerprinted),
+    and ``linear`` nothing.
     """
-
-    name: str
-
-    def supports_plan(self, method: str) -> bool:
-        """True when :meth:`build_plan` caches a stencil for *method*."""
-        ...
-
-    def build_plan(
-        self,
-        grid_shape: Tuple[int, int, int],
-        coordinates: np.ndarray,
-        method: str,
-        key: Optional[Hashable] = None,
-    ) -> Optional[PlanPayload]:
-        """Precompute the reusable stencil payload (or ``None``).
-
-        *key*, when given, is the caller's content identity of
-        *coordinates*: an engine that pools by content uses it instead of
-        hashing them.
-        """
-        ...
-
-    def gather(
-        self,
-        fields: np.ndarray,
-        coordinates: np.ndarray,
-        payload: Optional[PlanPayload],
-        method: str,
-    ) -> np.ndarray:
-        """Interpolate a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
-
-        ``payload`` is what this backend's :meth:`build_plan` returned for
-        *coordinates*, or ``None`` for a one-shot point set.
-        """
-        ...
-
-
-class ScipyInterpolationBackend:
-    """SciPy engine: sparse gather operator, ``map_coordinates``, stencil executor.
-
-    ``cubic_bspline`` — the solver's default kernel — gathers through the
-    sparse gather operator (:func:`gather_bspline`): a planned point set
-    derives its indices and weights once and keeps them in the plan pool, a
-    one-shot point set derives them block by block and keeps nothing.  It
-    agrees with ``map_coordinates(order=3, mode="grid-wrap")`` to rounding
-    (same spline coefficients, different summation order).  ``linear`` calls
-    :func:`scipy.ndimage.map_coordinates` per field (nothing worth caching:
-    8 taps, no prefilter), and ``catmull_rom`` — which scipy has no native
-    kernel for — runs through the shared stencil executor.
-    """
-
-    name = "scipy"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return True
-
-    def supports_plan(self, method: str) -> bool:
-        return method != "linear"
-
-    def build_plan(
-        self,
-        grid_shape: Tuple[int, int, int],
-        coordinates: np.ndarray,
-        method: str,
-        key: Optional[Hashable] = None,
-    ) -> Optional[PlanPayload]:
-        if method == "catmull_rom":
-            return build_stencil_plan(grid_shape, coordinates, method)
-        if method == "cubic_bspline":
-            return gather_operator_plan(grid_shape, coordinates, key)
-        return None
-
-    def gather(
-        self,
-        fields: np.ndarray,
-        coordinates: np.ndarray,
-        payload: Optional[PlanPayload],
-        method: str,
-    ) -> np.ndarray:
-        if method == "catmull_rom":
-            plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-            return execute_stencil_plan(_as_flat_float64(fields), plan)
-        if method == "cubic_bspline":
-            return gather_bspline(fields, coordinates, payload)
-        return np.stack(
-            [
-                ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")
-                for field in fields
-            ],
-            axis=0,
-        )
-
-
-class NumpyInterpolationBackend:
-    """Vectorized stencil gather engine; every kernel is plannable.
-
-    ``catmull_rom`` and ``linear`` gather the raw field values directly.
-    ``cubic_bspline`` first runs the exact periodic prefilter of
-    :func:`periodic_bspline_prefilter` (a per-field cost no plan can avoid —
-    the coefficients depend on the field) and then gathers with the
-    B-spline basis weights, agreeing with the scipy engine to machine
-    precision while reusing the cached stencil across fields.
-    """
-
-    name = "numpy"
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return True
-
-    def supports_plan(self, method: str) -> bool:
-        return method in SUPPORTED_METHODS
-
-    def build_plan(
-        self,
-        grid_shape: Tuple[int, int, int],
-        coordinates: np.ndarray,
-        method: str,
-        key: Optional[Hashable] = None,
-    ) -> Optional[StencilPlan]:
+    if method == "catmull_rom":
         return build_stencil_plan(grid_shape, coordinates, method)
+    if method == "cubic_bspline":
+        return gather_operator_plan(grid_shape, coordinates, key)
+    return None
 
-    def _prepare(self, fields: np.ndarray, method: str) -> np.ndarray:
-        if method == "cubic_bspline":
-            fields = periodic_bspline_prefilter(fields)
-        return _as_flat_float64(fields)
 
-    def gather(
-        self,
-        fields: np.ndarray,
-        coordinates: np.ndarray,
-        payload: Optional[StencilPlan],
-        method: str,
-    ) -> np.ndarray:
+def gather(
+    fields: np.ndarray,
+    coordinates: np.ndarray,
+    payload: Optional[PlanPayload],
+    method: str,
+) -> np.ndarray:
+    """Interpolate a ``(B, N1, N2, N3)`` stack at *coordinates*; returns ``(B, M)``.
+
+    ``payload`` is what :func:`plan_payload` returned for *coordinates*, or
+    ``None`` for a one-shot point set.  ``cubic_bspline`` gathers through
+    the sparse gather operator (:func:`gather_bspline`), which agrees with
+    ``map_coordinates(order=3, mode="grid-wrap")`` to rounding (same spline
+    coefficients, different summation order).
+    """
+    if method == "catmull_rom":
         plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-        return execute_stencil_plan(self._prepare(fields, method), plan)
-
-
-class NumbaInterpolationBackend(NumpyInterpolationBackend):
-    """JIT-compiled stencil executor (auto-detected ``numba`` engine).
-
-    Shares the stencil plans and the B-spline prefilter with the ``numpy``
-    backend; only the tap loop is replaced by a compiled per-point kernel,
-    which removes the remaining array-temporary traffic entirely.
-    """
-
-    name = "numba"
-
-    def __init__(self) -> None:
-        if not self.is_available():
-            raise BackendUnavailableError(
-                "numba is not installed; install the 'numba' extra "
-                "(pip install repro-sc16-registration[numba]) to enable this backend"
-            )
-        import numba
-
-        @numba.njit(parallel=True)
-        def _gather(flat_fields, i0, i1, i2, w0, w1, w2, out):
-            taps = w0.shape[0]
-            num_fields = flat_fields.shape[0]
-            num_points = i0.shape[1]
-            for m in numba.prange(num_points):
-                for a in range(taps):
-                    for b in range(taps):
-                        iab = i0[a, m] + i1[b, m]
-                        wab = w0[a, m] * w1[b, m]
-                        for c in range(taps):
-                            idx = iab + i2[c, m]
-                            w = wab * w2[c, m]
-                            for f in range(num_fields):
-                                out[f, m] += w * flat_fields[f, idx]
-
-        self._kernel = _gather
-
-    @classmethod
-    def is_available(cls) -> bool:
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            return False
-        return True
-
-    def gather(
-        self,
-        fields: np.ndarray,
-        coordinates: np.ndarray,
-        payload: Optional[StencilPlan],
-        method: str,
-    ) -> np.ndarray:
-        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-        prepared = self._prepare(fields, method)
-        # materialize one cache-sized chunk at a time and hand it to the
-        # JIT kernel (disjoint output slices)
-        out = np.zeros((prepared.shape[0], plan.num_points))
-        for lo, hi in plan.iter_chunks():
-            (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
-            self._kernel(prepared, i0, i1, i2, w0, w1, w2, out[:, lo:hi])
-        return out
-
-
-# --------------------------------------------------------------------------- #
-# registry
-# --------------------------------------------------------------------------- #
-_REGISTRY: Dict[str, Type] = {}
-_INSTANCES: Dict[str, InterpolationBackend] = {}
-
-
-def register_backend(name: str, cls: Type) -> Type:
-    """Register a backend class under *name* (overwrites a prior entry).
-
-    Later PRs (GPU gathers, distributed plan reuse) plug in through this
-    hook, exactly like :func:`repro.spectral.backends.register_backend`.
-    """
-    _REGISTRY[name.lower()] = cls
-    _INSTANCES.pop(name.lower(), None)
-    return cls
-
-
-register_backend("scipy", ScipyInterpolationBackend)
-register_backend("numpy", NumpyInterpolationBackend)
-register_backend("numba", NumbaInterpolationBackend)
-
-
-def registered_backends() -> Tuple[str, ...]:
-    """Names of all registered interpolation backends, available or not."""
-    return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends that can run in this environment."""
-    return tuple(name for name in registered_backends() if _REGISTRY[name].is_available())
-
-
-def default_backend_name() -> str:
-    """Backend selected by ``REPRO_INTERP_BACKEND`` or the ``"scipy"`` default.
-
-    A name the registry does not know is rejected here with the valid
-    choices and the variable that carried it — an environment typo must
-    produce a clear error, never silently select something else.
-    """
-    raw = os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND)
-    name = raw.strip().lower() or DEFAULT_BACKEND
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"{BACKEND_ENV_VAR}={raw!r} is not a registered interpolation "
-            f"backend; valid choices: {registered_backends()}"
-        )
-    return name
-
-
-def get_backend(spec: "str | InterpolationBackend | None" = None) -> InterpolationBackend:
-    """Resolve *spec* to an interpolation backend instance.
-
-    Parameters
-    ----------
-    spec:
-        ``None`` (environment variable or the ``"scipy"`` default), a
-        registered backend name, or an already-constructed backend instance
-        (returned unchanged, enabling custom engines without registration).
-    """
-    if spec is None:
-        spec = default_backend_name()
-    if not isinstance(spec, str):
-        if not isinstance(spec, InterpolationBackend):
-            raise TypeError(
-                f"interpolation backend must be a registered name or an object "
-                f"implementing the InterpolationBackend protocol, got {type(spec).__name__}"
-            )
-        return spec
-    name = spec.strip().lower()
-    if name in _INSTANCES:
-        return _INSTANCES[name]
-    try:
-        cls = _REGISTRY[name]
-    except KeyError as exc:
-        raise ValueError(
-            f"unknown interpolation backend {spec!r}; "
-            f"registered backends: {registered_backends()}"
-        ) from exc
-    if not cls.is_available():
-        raise BackendUnavailableError(
-            f"interpolation backend {name!r} is registered but not available in "
-            f"this environment; available backends: {available_backends()}"
-        )
-    instance = cls()
-    _INSTANCES[name] = instance
-    return instance
+        return execute_stencil_plan(_as_flat_float64(fields), plan)
+    if method == "cubic_bspline":
+        return gather_bspline(fields, coordinates, payload)
+    return np.stack(
+        [
+            ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")
+            for field in fields
+        ],
+        axis=0,
+    )

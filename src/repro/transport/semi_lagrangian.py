@@ -60,7 +60,7 @@ characteristics to follow: its stepper plans nothing and gathers nothing.
 
 Since PR 3 the departure points and their gather plan live in the shared
 **plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
-``(grid, velocity, dt, kernel, backend)``: any stepper built for a velocity
+``(grid, velocity, dt, kernel)``: any stepper built for a velocity
 the pool has already planned — a ``beta``-continuation warm start, the
 deformation map of a just-solved registration — reuses the warm plan instead
 of re-expanding and re-planning.  (The accepted line-search trial does not
@@ -144,7 +144,7 @@ class DeparturePlanData:
 
     The unit the plan pool stores and accounts for: the departure points of
     one ``(velocity, dt)`` pair and the gather plan (wrapped coordinates +
-    cached stencil) of one interpolation kernel / backend at those points.
+    cached stencil) of one interpolation kernel at those points.
     """
 
     points: np.ndarray
@@ -182,7 +182,7 @@ class SemiLagrangianStepper:
         Precomputed planning data (both must be given together); when
         omitted the stepper fetches them from the shared plan pool —
         building them only if no prior stepper planned the same
-        ``(grid, velocity, dt, kernel, backend)`` content.
+        ``(grid, velocity, dt, kernel)`` content.
     use_plan_pool:
         Set to ``False`` to bypass the pool entirely (always rebuild).
     velocity_key:
@@ -235,7 +235,6 @@ class SemiLagrangianStepper:
             self.grid,
             float(self.dt),
             self.interpolator.method,
-            self.interpolator.backend_name,
             self.velocity_key or array_fingerprint(self.velocity),
         )
 

@@ -136,10 +136,6 @@ class TransportSolver:
         FFT engine name or instance used when *operators* is constructed on
         demand (``None`` selects the environment default); ignored when
         *operators* is provided.
-    interp_backend:
-        Interpolation engine name or instance (``"scipy"``, ``"numpy"``,
-        ``"numba"``, or ``None`` for the ``REPRO_INTERP_BACKEND`` / scipy
-        default) used by the semi-Lagrangian gathers.
     """
 
     grid: Grid
@@ -147,7 +143,6 @@ class TransportSolver:
     interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
     fft_backend: Optional[object] = None
-    interp_backend: Optional[object] = None
     divergence_tolerance: float = 1e-8
     _interpolator: PeriodicInterpolator = field(init=False, repr=False)
 
@@ -155,9 +150,7 @@ class TransportSolver:
         check_positive_int(self.num_time_steps, "num_time_steps")
         if self.operators is None:
             self.operators = SpectralOperators(self.grid, fft_backend=self.fft_backend)
-        self._interpolator = PeriodicInterpolator(
-            self.grid, self.interpolation, backend=self.interp_backend
-        )
+        self._interpolator = PeriodicInterpolator(self.grid, self.interpolation)
 
     # ------------------------------------------------------------------ #
     # planning

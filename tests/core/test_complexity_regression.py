@@ -58,8 +58,8 @@ interpolates nothing:
 These tests pin all three numbers exactly so any refactor of the spectral or
 interpolation layers (backends, batching, plan caching) that changes the
 amount of kernel work is caught immediately, and they assert the counts are
-identical for every available FFT / interpolation backend — counting lives
-in the frontends, never in the pluggable engines.
+identical for every FFT backend and every gather kernel — counting lives in
+the frontends, never in the engines.
 """
 
 import numpy as np
@@ -72,8 +72,8 @@ from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 from repro.observability import get_metrics_registry
 from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
-from repro.spectral.backends import available_backends as available_fft_backends
-from repro.transport.kernels import available_backends as available_interp_backends
+from repro.spectral.backends import registered_backends as fft_backends
+from repro.transport.kernels import SUPPORTED_METHODS
 
 
 def warm_transforms_per_matvec() -> int:
@@ -92,7 +92,10 @@ def exact_interpolation_sweeps_per_matvec(nt: int) -> int:
 
 
 def _build_problem(
-    nt: int, fft_backend: str = "numpy", interp_backend: str = None, incompressible=False
+    nt: int,
+    fft_backend: str = "numpy",
+    incompressible=False,
+    interpolation: str = "cubic_bspline",
 ):
     synthetic = synthetic_registration_problem(8, num_time_steps=nt)
     return RegistrationProblem(
@@ -101,8 +104,8 @@ def _build_problem(
         template=synthetic.template,
         num_time_steps=nt,
         incompressible=incompressible,
+        interpolation=interpolation,
         fft_backend=fft_backend,
-        interp_backend=interp_backend,
     )
 
 
@@ -118,13 +121,13 @@ def _generic_velocity(problem) -> np.ndarray:
 def _measure_matvec_work(
     nt: int,
     fft_backend: str = "numpy",
-    interp_backend: str = None,
     gradient_cache: bool = True,
     incompressible: bool = False,
     real_argument: bool = False,
+    interpolation: str = "cubic_bspline",
 ):
     set_gradient_cache_enabled(gradient_cache)
-    problem = _build_problem(nt, fft_backend, interp_backend, incompressible)
+    problem = _build_problem(nt, fft_backend, incompressible, interpolation)
     velocity = problem.project(_generic_velocity(problem))
     iterate = problem.linearize(velocity)
     assert iterate.plan.is_divergence_free is incompressible
@@ -203,7 +206,7 @@ class TestPaperComplexityModel:
         assert pairs <= 8 * nt
         assert warm_transforms_per_matvec() < exact_transforms_per_matvec(nt)
 
-    @pytest.mark.parametrize("backend", available_fft_backends())
+    @pytest.mark.parametrize("backend", fft_backends())
     @pytest.mark.parametrize("gradient_cache", [True, False])
     def test_count_is_backend_independent(self, backend, gradient_cache):
         nt = 4
@@ -232,6 +235,14 @@ class TestInterpolationSweeps:
         """The matvec never exceeds the paper's ``4*nt`` sweeps."""
         assert exact_interpolation_sweeps_per_matvec(nt) <= 4 * nt
 
+    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
+    def test_count_is_kernel_independent(self, method):
+        """Counter parity: every gather kernel reports identical work."""
+        nt = 4
+        transforms, sweeps = _measure_matvec_work(nt, interpolation=method)
+        assert sweeps == exact_interpolation_sweeps_per_matvec(nt)
+        assert transforms == warm_transforms_per_matvec()
+
     def test_divergence_free_velocity_saves_a_sweep_per_step(self):
         """The same ``2*nt`` as a general velocity (the name predates the growth factor)."""
         nt = 4
@@ -245,13 +256,6 @@ class TestInterpolationSweeps:
         problem.hessian_matvec(iterate, direction)
         delta = problem.work_counters() - before
         sweeps = delta.interpolation_sweeps(problem.grid.num_points)
-        assert sweeps == exact_interpolation_sweeps_per_matvec(nt)
-
-    @pytest.mark.parametrize("backend", available_interp_backends())
-    def test_count_is_backend_independent(self, backend):
-        """Counter parity: every gather engine reports identical work."""
-        nt = 4
-        _, sweeps = _measure_matvec_work(nt, interp_backend=backend)
         assert sweeps == exact_interpolation_sweeps_per_matvec(nt)
 
 

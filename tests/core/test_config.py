@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
 from repro.config import RegistrationConfig
-from repro.core import registration as registration_module
 from repro.core.gradients import gradient_cache_enabled
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
@@ -50,7 +47,6 @@ class TestConstruction:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         config = RegistrationConfig.from_env()
         assert config.fft_backend is not None
-        assert config.interp_backend is not None
         # the *shared* worker default only: nothing set, nothing to snapshot
         # (the subsystems' own defaults differ: fft all cores, service 1)
         assert config.workers is None
@@ -61,7 +57,7 @@ class TestConstruction:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         if shared_env is not None:
             monkeypatch.setenv("REPRO_WORKERS", shared_env)
-        subsystems = ("fft", "interp", "service")
+        subsystems = ("fft", "service")
         before = {name: resolve_workers(name) for name in subsystems}
         try:
             config = RegistrationConfig.from_env().apply()
@@ -76,15 +72,17 @@ class TestValidateAndApply:
         with pytest.raises((ValueError, KeyError)):
             RegistrationConfig(fft_backend="no-such-engine").validate()
 
-    def test_config_has_the_seven_knobs(self):
+    def test_config_has_the_six_knobs(self):
         assert set(RegistrationConfig().as_dict()) == {
-            "fft_backend", "interp_backend", "workers", "plan_pool_bytes",
+            "fft_backend", "workers", "plan_pool_bytes",
             "gradient_cache", "trace", "trace_out",
         }
         with pytest.raises(TypeError):
             RegistrationConfig(plan_layout="lean")
         with pytest.raises(TypeError):
             RegistrationConfig(field_source="memmap")
+        with pytest.raises(TypeError):
+            RegistrationConfig(interp_backend="scipy")
 
     def test_validate_surfaces_malformed_env(self, monkeypatch):
         from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
@@ -102,12 +100,12 @@ class TestValidateAndApply:
 
     def test_apply_sets_workers_and_budget(self, monkeypatch):
         # a per-subsystem variable outranks the config's shared ``workers`` by
-        # design, and the runtime-pressure CI leg exports one
-        monkeypatch.delenv("REPRO_INTERP_WORKERS", raising=False)
+        # design
+        monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         try:
             RegistrationConfig(workers=3, plan_pool_bytes=123456).apply()
-            assert resolve_workers("interp") == 3
+            assert resolve_workers("fft") == 3
             assert get_plan_pool().max_bytes == 123456
         finally:
             configure_plan_pool(None)
@@ -171,11 +169,11 @@ class TestSolverIntegration:
     def test_solver_takes_backends_from_config(self, tiny_problem, fast_options):
         solver = RegistrationSolver(
             options=fast_options,
-            config=RegistrationConfig(fft_backend="numpy", interp_backend="scipy"),
+            config=RegistrationConfig(fft_backend="numpy"),
         )
         result = solver.run(tiny_problem.template, tiny_problem.reference)
         assert result.summary()["fft_backend"] == "numpy"
-        assert result.summary()["interp_backend"] == "scipy"
+        assert "interp_backend" not in result.summary()
 
     def test_explicit_backend_beats_config(self, tiny_problem, fast_options):
         solver = RegistrationSolver(
@@ -195,35 +193,15 @@ class TestSolverIntegration:
         )
         assert result.summary()["fft_backend"] == "numpy"
 
-
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_once_and_keep_working(self, tiny_problem, fast_options, monkeypatch):
-        monkeypatch.setattr(registration_module, "_legacy_kwargs_warned", False)
-        with pytest.warns(DeprecationWarning, match="RegistrationConfig"):
-            result = register(
-                tiny_problem.template,
-                tiny_problem.reference,
-                options=fast_options,
-                fft_backend="numpy",
-            )
-        assert result.summary()["fft_backend"] == "numpy"
-        # second use: the warning already fired this process
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            register(
-                tiny_problem.template,
-                tiny_problem.reference,
-                options=fast_options,
-                fft_backend="numpy",
-            )
-
-    def test_solver_class_does_not_warn(self, tiny_problem, fast_options, monkeypatch):
-        monkeypatch.setattr(registration_module, "_legacy_kwargs_warned", False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            RegistrationSolver(options=fast_options, fft_backend="numpy").run(
-                tiny_problem.template, tiny_problem.reference
-            )
+    def test_register_takes_backends_only_through_config(self, tiny_problem, fast_options):
+        for legacy in ("fft_backend", "interp_backend"):
+            with pytest.raises(TypeError, match=legacy):
+                register(
+                    tiny_problem.template,
+                    tiny_problem.reference,
+                    options=fast_options,
+                    **{legacy: "numpy"},
+                )
 
 
 class TestResultSchema:
@@ -235,7 +213,7 @@ class TestResultSchema:
         )
         doc = result.to_dict()
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         text = json.dumps(doc)  # no numpy scalars may survive
         round_tripped = json.loads(text)
         assert round_tripped["summary"]["relative_residual"] == pytest.approx(
@@ -250,3 +228,16 @@ class TestResultSchema:
         assert isinstance(round_tripped["optimization"]["termination_reason"], str)
         assert "field_sources" not in round_tripped
         assert not any(key.startswith("field_source") for key in round_tripped["summary"])
+
+    def test_to_dict_carries_one_record_per_newton_iteration(self):
+        problem = synthetic_registration_problem(12)
+        result = register(problem.template, problem.reference)
+        iterations = result.to_dict()["optimization"]["iterations"]
+        assert len(iterations) == result.num_newton_iterations > 1
+        assert [record["iteration"] for record in iterations] == list(
+            range(len(iterations))
+        )
+        assert sum(record["hessian_matvecs"] for record in iterations) == (
+            result.to_dict()["optimization"]["total_hessian_matvecs"]
+        )
+        assert iterations == result.optimization.convergence_table()

@@ -3,7 +3,7 @@
 Covers the tentpole guarantees of the cache layer:
 
 * **bitwise identity** — cached and uncached solves produce bit-identical
-  gradients and Hessian mat-vecs on every FFT/interpolation backend and
+  gradients and Hessian mat-vecs on every FFT backend and
   both Hessian variants (Gauss-Newton and full Newton);
   the cache reuses the FFT outputs, it never changes them;
 * **budget participation** — the cached stack lives in the shared plan
@@ -44,10 +44,9 @@ from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem
 from repro.observability.metrics import get_metrics_registry
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
-from repro.spectral.backends import available_backends as available_fft_backends
+from repro.spectral.backends import registered_backends as fft_backends
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.transport.kernels import available_backends as available_interp_backends
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -79,7 +78,7 @@ def state_history(grid) -> np.ndarray:
     return np.stack([smooth_scalar_field(grid, seed=10 + j) for j in range(5)])
 
 
-def _problem(nt=4, fft_backend="numpy", interp_backend=None, gauss_newton=True):
+def _problem(nt=4, fft_backend="numpy", gauss_newton=True):
     synthetic = synthetic_registration_problem(8, num_time_steps=nt)
     return RegistrationProblem(
         grid=synthetic.grid,
@@ -88,7 +87,6 @@ def _problem(nt=4, fft_backend="numpy", interp_backend=None, gauss_newton=True):
         num_time_steps=nt,
         gauss_newton=gauss_newton,
         fft_backend=fft_backend,
-        interp_backend=interp_backend,
     )
 
 
@@ -285,13 +283,11 @@ class TestBatchedOperators:
 # --------------------------------------------------------------------------- #
 # solver integration: counters and identity
 # --------------------------------------------------------------------------- #
-def _solve_one_matvec(gauss_newton, cached, fft_backend="numpy", interp_backend=None):
+def _solve_one_matvec(gauss_newton, cached, fft_backend="numpy"):
     """One linearize + two mat-vecs; returns (gradient, matvec, warm fft delta)."""
     set_gradient_cache_enabled(cached)
     reset_plan_pool()
-    problem = _problem(
-        fft_backend=fft_backend, interp_backend=interp_backend, gauss_newton=gauss_newton
-    )
+    problem = _problem(fft_backend=fft_backend, gauss_newton=gauss_newton)
     velocity = 0.2 * smooth_velocity_field(problem.grid, seed=60)
     # a half-spectrum, as the Krylov solver applies the Hessian
     direction = problem.operators.fft.forward_vector(
@@ -342,24 +338,19 @@ class TestBitwiseIdentity:
 
     @settings(max_examples=8, deadline=None)
     @given(
-        fft_backend=st.sampled_from(available_fft_backends()),
-        interp_backend=st.sampled_from(available_interp_backends()),
+        fft_backend=st.sampled_from(fft_backends()),
         gauss_newton=st.booleans(),
     )
-    def test_identity_across_backends(self, fft_backend, interp_backend, gauss_newton):
-        """Hypothesis sweep: backends x Hessian variants."""
+    def test_identity_across_backends(self, fft_backend, gauss_newton):
+        """Hypothesis sweep: FFT backends x Hessian variants."""
         try:
-            g_cached, mv_cached, warm = _solve_one_matvec(
-                gauss_newton, True, fft_backend, interp_backend
-            )
-            g_lazy, mv_lazy, cold = _solve_one_matvec(
-                gauss_newton, False, fft_backend, interp_backend
-            )
+            g_cached, mv_cached, warm = _solve_one_matvec(gauss_newton, True, fft_backend)
+            g_lazy, mv_lazy, cold = _solve_one_matvec(gauss_newton, False, fft_backend)
         finally:
             set_gradient_cache_enabled(None)
         np.testing.assert_array_equal(g_cached, g_lazy)
         np.testing.assert_array_equal(mv_cached, mv_lazy)
-        # counter parity across engines, warm strictly cheaper than cold
+        # counter parity across FFT engines, warm strictly cheaper than cold
         nt = 4
         expected_cold = (16 if not gauss_newton else 8) * (nt + 1) + 6
         expected_warm = expected_cold - 8 * (nt + 1)

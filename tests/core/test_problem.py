@@ -56,7 +56,8 @@ class TestConstruction:
         assert summary["grid"] == (12, 12, 12)
         assert summary["num_unknowns_velocity"] == 3 * 12**3
         assert summary["gauss_newton"] is True
-        assert summary["interp_backend"] == problem12.transport.interpolator.backend_name
+        assert summary["interpolation"] == "cubic_bspline"
+        assert "interp_backend" not in summary
         assert "plan_layout" not in summary
 
     def test_objective_matches_linearize_objective(self, problem12):

@@ -15,10 +15,9 @@ identical arrays, which the plan-pool and bitwise-identity suites rely on.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
-import pytest
 
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
@@ -125,8 +124,7 @@ def materialized_stencil_gather(
 
     Derives the stencil of all points in one call instead of per executor
     chunk, then sums the taps in the executor's order, so
-    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size or
-    worker count.
+    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size.
     """
     from repro.transport.kernels import _METHOD_STENCILS, _derive_chunk_stencil
 
@@ -142,6 +140,32 @@ def materialized_stencil_gather(
             for c in range(taps):
                 out += (w0[a] * w1[b] * w2[c]) * flat_fields[:, i0[a] + i1[b] + i2[c]]
     return out
+
+
+def periodic_bspline_prefilter(fields: np.ndarray) -> np.ndarray:
+    """Exact periodic cubic B-spline prefilter of a ``(..., N1, N2, N3)`` stack — an oracle.
+
+    The interpolating B-spline coefficients ``c`` solve the separable
+    convolution ``c * [1/6, 4/6, 1/6] = f`` along each axis; on a periodic
+    grid that convolution is diagonal in Fourier space with per-axis symbol
+    ``(4 + 2 cos(2 pi k / N)) / 6``, so the solve is one real-to-complex
+    transform, a division by the separable symbol, and the inverse
+    transform — independent of :func:`scipy.ndimage.spline_filter`, which
+    the gather operator uses.
+    """
+    fields = np.asarray(fields, dtype=np.float64)
+    n1, n2, n3 = fields.shape[-3:]
+
+    def axis_symbol(n: int) -> np.ndarray:
+        return (4.0 + 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / 6.0
+
+    symbol = (
+        axis_symbol(n1)[:, None, None]
+        * axis_symbol(n2)[None, :, None]
+        * axis_symbol(n3)[None, None, : n3 // 2 + 1]
+    )
+    spectrum = np.fft.rfftn(fields, axes=(-3, -2, -1)) / symbol
+    return np.fft.irfftn(spectrum, s=(n1, n2, n3), axes=(-3, -2, -1))
 
 
 def rk2_stepper(grid: Grid, velocity: np.ndarray, dt: float, interpolator):
@@ -187,15 +211,3 @@ def make_scatter_plan(
     plan = ScatterInterpolationPlan(grid, deco, comm, points, **plan_kwargs)
     return deco, comm, points, plan
 
-
-# --------------------------------------------------------------------------- #
-# backend parametrization helpers
-# --------------------------------------------------------------------------- #
-def interp_backend_params() -> List:
-    """Available interpolation backends as params, numba rows marked."""
-    from repro.transport.kernels import available_backends
-
-    return [
-        pytest.param(name, marks=[pytest.mark.numba] if name == "numba" else [])
-        for name in available_backends()
-    ]

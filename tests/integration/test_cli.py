@@ -27,17 +27,7 @@ class TestParser:
         assert args.nt == 4
         assert args.optimizer == "gauss_newton"
         assert args.fft_backend is None
-        assert args.interp_backend is None
-
-    def test_interp_backend_choices(self):
-        args = build_parser().parse_args(
-            ["register", "--synthetic", "16", "--interp-backend", "numpy"]
-        )
-        assert args.interp_backend == "numpy"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["register", "--synthetic", "16", "--interp-backend", "cuda"]
-            )
+        assert not hasattr(args, "interp_backend")
 
     def test_runtime_flags(self):
         args = build_parser().parse_args(
@@ -111,21 +101,6 @@ class TestRegisterCommand:
             for key in stored.files:
                 np.testing.assert_array_equal(stored[key], deflated[key])
 
-    def test_interp_backend_run(self, capsys):
-        code = main(
-            [
-                "register",
-                "--synthetic", "12",
-                "--interp-backend", "numpy",
-                "--max-newton", "2",
-                "--max-krylov", "4",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Registration summary" in out
-        assert "numpy" in out
-
     def test_plan_pool_flag_and_verbose_stats(self, capsys):
         from repro.runtime import configure_plan_pool, set_default_workers
 
@@ -149,14 +124,6 @@ class TestRegisterCommand:
             configure_plan_pool(None)
             set_default_workers(None)
 
-    def test_malformed_interp_backend_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.transport.kernels import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpyy")
-        assert main(["register", "--synthetic", "12"]) == 2
-        err = capsys.readouterr().err
-        assert BACKEND_ENV_VAR in err and "scipy" in err
-
     def test_malformed_fft_backend_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.spectral.backends import BACKEND_ENV_VAR
 
@@ -173,7 +140,7 @@ class TestRegisterCommand:
         assert "non-negative" in capsys.readouterr().err
 
     def test_malformed_runtime_env_vars_are_clean_errors(self, capsys, monkeypatch):
-        from repro.runtime import POOL_BYTES_ENV_VAR, INTERP_WORKERS_ENV_VAR
+        from repro.runtime import FFT_WORKERS_ENV_VAR, POOL_BYTES_ENV_VAR
         from repro.runtime import configure_plan_pool
 
         monkeypatch.setenv(POOL_BYTES_ENV_VAR, "512M")
@@ -182,20 +149,9 @@ class TestRegisterCommand:
         monkeypatch.delenv(POOL_BYTES_ENV_VAR)
         configure_plan_pool(None)
 
-        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "two")
+        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "two")
         assert main(["register", "--synthetic", "12"]) == 2
-        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
-
-    def test_unavailable_interp_backend_is_a_clean_error(self, capsys):
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba is installed; unavailability path not testable")
-        except ImportError:
-            pass
-        code = main(["register", "--synthetic", "12", "--interp-backend", "numba"])
-        assert code == 2
-        assert "not available" in capsys.readouterr().err
+        assert FFT_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_brain_incompressible_run(self, capsys):
         code = main(
@@ -315,7 +271,7 @@ class TestServeCommand:
         assert "subjects" in capsys.readouterr().err
 
     def test_serve_accepts_config_flags(self, capsys):
-        code = main(self._serve_args("--fft-backend", "numpy", "--interp-backend", "scipy"))
+        code = main(self._serve_args("--fft-backend", "numpy"))
         assert code == 0
 
     def test_serve_main_entry_point(self, capsys):
@@ -431,12 +387,12 @@ class TestObservabilityCLI:
         assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_serve_rejects_malformed_worker_envs_too(self, capsys, monkeypatch):
-        from repro.runtime.workers import INTERP_WORKERS_ENV_VAR
+        from repro.runtime.workers import FFT_WORKERS_ENV_VAR
 
-        monkeypatch.setenv(INTERP_WORKERS_ENV_VAR, "many")
+        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "many")
         code = main(["serve", "--synthetic", "8", "--subjects", "1"])
         assert code == 2
-        assert INTERP_WORKERS_ENV_VAR in capsys.readouterr().err
+        assert FFT_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_verbose_report_agrees_with_result_document(self, capsys):
         from repro.observability import get_trace_recorder
@@ -448,7 +404,7 @@ class TestObservabilityCLI:
         out = capsys.readouterr().out
         doc = _extract_result_document(out)
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
 
         # embedded observability snapshot: enabled trace, valid document
         from repro.observability import validate_snapshot

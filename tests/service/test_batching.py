@@ -10,7 +10,6 @@ from repro.parallel.transport import DistributedTransportSolver
 from repro.service.batching import batch_key, group_compatible, stack_compatible
 from repro.service.jobs import RegistrationJobSpec, TransportJobSpec
 from repro.spectral.grid import Grid
-from repro.transport.kernels import BACKEND_ENV_VAR
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -44,12 +43,6 @@ class TestBatchKey:
         assert batch_key(base) != batch_key(_spec(grid, num_tasks=2))  # layout
         other_grid = make_grid(10)
         assert batch_key(base) != batch_key(_spec(other_grid))  # grid
-
-    def test_key_separates_interp_backends(self, grid, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scipy")
-        base_key = batch_key(_spec(grid))
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert batch_key(_spec(grid)) != base_key
 
 
 class TestGrouping:

@@ -181,6 +181,31 @@ class TestMalformedSubmissions:
         assert JobJournal(tmp_path).replay() == []
 
 
+    def test_unknown_interpolation_is_400_before_anything_is_journaled(self, tmp_path):
+        from repro.service.journal import JobJournal
+
+        grid = make_grid(8)
+        document = spec_to_dict(
+            RegistrationJobSpec(
+                template=smooth_scalar_field(grid, seed=1),
+                reference=smooth_scalar_field(grid, seed=2),
+            )
+        )
+        document["spec"]["interpolation"] = "bogus"
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            server = serve_http(service, 0)
+            try:
+                status, doc = _request(
+                    f"http://127.0.0.1:{server.port}/jobs", "POST", document
+                )
+            finally:
+                server.shutdown()
+            assert service.service_stats()["jobs_submitted"] == 0
+        assert status == 400
+        assert "interpolation must be one of" in doc["error"]
+        assert JobJournal(tmp_path).replay() == []
+
+
 class TestCancelOverHTTP:
     def test_delete_cancels_a_running_job(self, served):
         service, base = served

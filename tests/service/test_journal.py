@@ -178,6 +178,39 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpecError, match=r"velocity must have shape \(3, 8, 8, 8\)"):
             spec_from_dict(spec_to_dict(spec))
 
+    @pytest.mark.parametrize(
+        "kind, field, value, message",
+        [
+            ("register", "interpolation", "bogus", "interpolation must be one of"),
+            ("register", "regularization", "h9", "regularization must be one of"),
+            ("register", "optimizer", "adam", "optimizer must be one of"),
+            ("register", "num_time_steps", 0, "num_time_steps must be at least 1"),
+            ("transport", "num_time_steps", -2, "num_time_steps must be at least 1"),
+            ("transport", "num_tasks", 0, "num_tasks must be at least 1"),
+        ],
+    )
+    def test_settings_the_solver_cannot_run_raise_malformed(self, kind, field, value, message):
+        spec = _registration_spec() if kind == "register" else _transport_spec()
+        doc = spec_to_dict(spec)
+        doc["spec"][field] = value
+        with pytest.raises(MalformedSpecError, match=message):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "dtype", [np.complex128, np.bool_, np.dtype("U4")], ids=["complex", "bool", "string"]
+    )
+    def test_arrays_neither_real_float_nor_integer_raise_malformed(self, dtype):
+        spec = _registration_spec()
+        spec.template = spec.template.astype(dtype)
+        with pytest.raises(MalformedSpecError, match="template must hold real"):
+            spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+
+    def test_integer_arrays_are_accepted(self):
+        spec = _transport_spec()
+        spec.moving = np.arange(spec.moving.size, dtype=np.int16).reshape(spec.moving.shape)
+        back = spec_from_dict(spec_to_dict(spec))
+        np.testing.assert_array_equal(back.moving, spec.moving)
+
     def test_non_dict_raises(self):
         with pytest.raises(MalformedSpecError, match="JSON object"):
             spec_from_dict([1, 2, 3])

@@ -228,7 +228,7 @@ class TestArtifactsAndStats:
         ok_doc = json.loads((tmp_path / f"job-{ok.job_id}.json").read_text())
         bad_doc = json.loads((tmp_path / f"job-{bad.job_id}.json").read_text())
         assert ok_doc["schema"] == "repro.service-job"
-        assert ok_doc["schema_version"] == 3
+        assert ok_doc["schema_version"] == 4
         assert ok_doc["job"]["status"] == "done"
         assert ok_doc["job"]["metrics"]["plan_pool_delta"]["misses"] >= 0
         assert "layout_decisions" not in ok_doc["job"]["metrics"]
@@ -250,12 +250,29 @@ class TestArtifactsAndStats:
         doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
         embedded = doc["job"]["metrics"]["result"]
         assert embedded["schema"] == "repro.registration-result"
-        assert embedded["schema_version"] == 3
+        assert embedded["schema_version"] == 4
         assert embedded["optimization"]["termination_reason"] == (
             result.optimization.termination_reason
         )
         assert "field_sources" not in embedded
         assert "field_sources" not in doc["observability"]
+        assert "interp_backend" not in embedded["summary"]
+
+    def test_register_artifact_carries_the_convergence_records(self, tmp_path):
+        problem = synthetic_registration_problem(12)
+        with RegistrationService(num_workers=1, artifacts_dir=tmp_path) as service:
+            job = service.submit_registration(
+                RegistrationJobSpec(template=problem.template, reference=problem.reference)
+            )
+            result = job.result(timeout=120)
+        doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
+        optimization = doc["job"]["metrics"]["result"]["optimization"]
+        records = optimization["iterations"]
+        assert len(records) == result.num_newton_iterations > 1
+        assert sum(record["hessian_matvecs"] for record in records) == (
+            optimization["total_hessian_matvecs"]
+        )
+        assert records == result.optimization.convergence_table()
 
     def test_service_stats_shape(self):
         grid = make_grid(8)

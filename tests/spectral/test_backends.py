@@ -2,9 +2,8 @@
 
 Covers the registry (selection by name, environment variable, and instance),
 per-backend numerical correctness (round trip, Parseval, batched-vs-looped
-equivalence), exact FFT-counter parity across backends, clean skipping of
-the optional ``pyfftw`` backend, and validation of the distributed
-pencil-decomposed FFT against every available serial backend.
+equivalence), exact FFT-counter parity across backends, and validation of
+the distributed pencil-decomposed FFT against every serial backend.
 """
 
 import numpy as np
@@ -15,9 +14,7 @@ from repro.parallel.pencil import PencilDecomposition
 from repro.spectral import backends
 from repro.spectral.backends import (
     BACKEND_ENV_VAR,
-    BackendUnavailableError,
     NumpyFFTBackend,
-    available_backends,
     default_backend_name,
     get_backend,
     registered_backends,
@@ -26,12 +23,10 @@ from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
-ALL_AVAILABLE = available_backends()
-
-pyfftw_missing = "pyfftw" not in ALL_AVAILABLE
+ALL_BACKENDS = registered_backends()
 
 
-@pytest.fixture(params=ALL_AVAILABLE)
+@pytest.fixture(params=ALL_BACKENDS)
 def backend_name(request) -> str:
     return request.param
 
@@ -41,11 +36,7 @@ def backend_name(request) -> str:
 # --------------------------------------------------------------------------- #
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"numpy", "scipy", "pyfftw"} <= set(registered_backends())
-
-    def test_numpy_and_scipy_always_available(self):
-        assert "numpy" in ALL_AVAILABLE
-        assert "scipy" in ALL_AVAILABLE
+        assert set(registered_backends()) == {"numpy", "scipy"}
 
     def test_default_is_numpy_without_env(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
@@ -86,12 +77,6 @@ class TestRegistry:
     def test_non_backend_object_rejected_early(self):
         with pytest.raises(TypeError, match="FFTBackend protocol"):
             get_backend(object())
-
-    @pytest.mark.skipif(not pyfftw_missing, reason="pyfftw is installed here")
-    def test_missing_pyfftw_reported_cleanly(self):
-        assert "pyfftw" not in ALL_AVAILABLE
-        with pytest.raises(BackendUnavailableError, match="pyfftw"):
-            get_backend("pyfftw")
 
     def test_custom_backend_registration(self):
         class EchoBackend(NumpyFFTBackend):
@@ -182,7 +167,7 @@ class TestCounterParity:
     def test_operator_workload_counts_identical(self):
         """The counters must be exactly equal no matter which engine runs."""
         totals = {}
-        for name in ALL_AVAILABLE:
+        for name in ALL_BACKENDS:
             ops = SpectralOperators(Grid((8, 8, 8)), fft_backend=name)
             _canonical_operator_workload(ops)
             totals[name] = (ops.fft.counters.forward, ops.fft.counters.backward)
@@ -211,7 +196,7 @@ class TestCounterParity:
 
         synthetic = synthetic_registration_problem(8)
         totals = {}
-        for name in ALL_AVAILABLE:
+        for name in ALL_BACKENDS:
             reset_plan_pool()  # every arm plans its velocities (24 transforms each)
             solver = RegistrationSolver(
                 beta=1e-2,

@@ -1,4 +1,4 @@
-"""The scipy engine's sparse gather operator (``cubic_bspline``).
+"""The sparse gather operator behind ``cubic_bspline``.
 
 Four contracts:
 
@@ -122,7 +122,7 @@ class TestAgreesWithMapCoordinates:
 
     def test_frontend_matches_at_physical_points(self):
         grid = make_grid((16, 19, 16))
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         field = np.random.default_rng(7).uniform(-1.0, 1.0, grid.shape)
         points = np.random.default_rng(8).uniform(-7.0, 13.0, (3, 400))
         reference = _reference(field[None], interp.to_index_coordinates(points))[0]
@@ -172,7 +172,7 @@ class TestBitwiseInvariance:
 
     def test_one_shot_calls_keep_nothing(self):
         grid = make_grid(8)
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         fields = np.random.default_rng(11).standard_normal((3, *grid.shape))
         points = np.random.default_rng(12).uniform(0.0, 6.0, (3, 200))
         interp(fields[0], points)
@@ -297,7 +297,7 @@ class TestResidency:
     def test_pool_accounts_the_operator_under_its_tag(self, pool_budget):
         pool_budget(64 * 2**20)
         grid = make_grid((16, 19, 16))
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         points = np.random.default_rng(14).uniform(0.0, 6.0, (3, 5000))
         plan = interp.plan(points)
         assert plan.is_cached and plan.payload.nbytes == 0
@@ -316,7 +316,7 @@ class TestResidency:
     def test_third_plan_releases_the_least_recent(self, pool_budget):
         pool_budget(64 * 2**20)
         grid = make_grid(8)
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         field = np.random.default_rng(15).standard_normal(grid.shape)
         plans = [
             interp.plan(np.random.default_rng(seed).uniform(0.0, 6.0, (3, 300)))
@@ -359,12 +359,12 @@ class TestResidency:
         fields = np.random.default_rng(19).standard_normal((2, *grid.shape))
         points = np.random.default_rng(20).uniform(0.0, 6.0, (3, 3000))
         pool_budget(64 * 2**20)
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         resident = interp.interpolate_many_planned(fields, interp.plan(points))
         assert _operator_entries() == 1
         get_plan_pool().reset()
         pool_budget(budget)
-        starved = PeriodicInterpolator(grid, backend="scipy")
+        starved = PeriodicInterpolator(grid)
         values = starved.interpolate_many_planned(fields, starved.plan(points))
         np.testing.assert_array_equal(values, resident)
         assert _operator_entries() == 0
@@ -399,7 +399,7 @@ class TestFrontendIntegration:
             }
 
         grid = Grid((8, 8, 8))
-        interp = PeriodicInterpolator(grid, backend="scipy")
+        interp = PeriodicInterpolator(grid)
         field = np.ones(grid.shape)
         plans = [
             interp.plan(np.random.default_rng(seed).uniform(0.0, 6.0, (3, 100)))

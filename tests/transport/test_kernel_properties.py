@@ -2,8 +2,8 @@
 
 The executor contract the whole subsystem rests on: a gather's bits depend
 only on the (method, coordinates, field) content — never on the executor's
-chunk size or the worker count.  The oracle is a test-local materialized stencil: every
-index and weight formed for all points at once.
+chunk size.  The oracle is a test-local materialized stencil: every index
+and weight formed for all points at once.
 """
 
 import numpy as np
@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
-    available_backends,
     build_stencil_plan,
     execute_stencil_plan,
-    get_backend,
+    gather,
+    plan_payload,
 )
 
 from tests.fixtures import materialized_stencil_gather
@@ -40,17 +40,14 @@ class TestGatherBitwiseInvariance:
     @given(
         method=st.sampled_from(SUPPORTED_METHODS),
         chunk=st.integers(1, 700),
-        workers=st.integers(1, 4),
         periodic=st.booleans(),
         num_points=st.integers(1, 500),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunk_workers_never_change_the_bits(
-        self, method, chunk, workers, periodic, num_points, seed
-    ):
-        """The tentpole pin: every (chunk, workers, periodic/ghosted)
-        combination gathers bitwise what the materialized stencil gathers."""
+    def test_chunk_never_changes_the_bits(self, method, chunk, periodic, num_points, seed):
+        """Every (chunk, periodic/ghosted) combination gathers bitwise what
+        the materialized stencil gathers."""
         if periodic:
             shape, coords = SHAPE, _coords(seed, num_points)
         else:
@@ -59,34 +56,28 @@ class TestGatherBitwiseInvariance:
         flat = _field_stack(seed, shape)
         reference = materialized_stencil_gather(flat, shape, coords, method, periodic)
         plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        candidate = execute_stencil_plan(flat, plan, chunk=chunk, workers=workers)
+        candidate = execute_stencil_plan(flat, plan, chunk=chunk)
         np.testing.assert_array_equal(candidate, reference)
 
 
 class TestPlannedGatherInvariance:
-    """Planning is invisible in the bits, on every backend."""
+    """Planning is invisible in the bits, on every kernel."""
 
     @given(
         method=st.sampled_from(SUPPORTED_METHODS),
         planned=st.booleans(),
-        backend=st.sampled_from(available_backends()),
         num_points=st.integers(1, 500),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_planning_never_changes_the_bits(
-        self, method, planned, backend, num_points, seed
-    ):
-        """Random planned/one-shot x gather engine: every combination
-        produces the bits of that engine's planned gather."""
-        engine = get_backend(backend)
+    def test_planning_never_changes_the_bits(self, method, planned, num_points, seed):
+        """Random planned/one-shot x kernel: every combination produces the
+        bits of that kernel's planned gather."""
         fields = _field_stack(seed).reshape(2, *SHAPE)
         coords = _coords(seed, num_points)
-        payload = None
-        if engine.supports_plan(method):
-            payload = engine.build_plan(SHAPE, coords, method)
-        reference = engine.gather(fields, coords, payload, method)
-        candidate = engine.gather(fields, coords, payload if planned else None, method)
+        payload = plan_payload(SHAPE, coords, method)
+        reference = gather(fields, coords, payload, method)
+        candidate = gather(fields, coords, payload if planned else None, method)
         np.testing.assert_array_equal(candidate, reference)
 
 

@@ -1,44 +1,43 @@
-"""Tests for repro.transport.kernels (backend registry + gather plans)."""
+"""Tests for repro.transport.kernels (the gather kernels + gather plans)."""
 
 import numpy as np
 import pytest
 
-from repro.spectral.backends import BackendUnavailableError
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    BACKEND_ENV_VAR,
     SUPPORTED_METHODS,
-    NumbaInterpolationBackend,
     StencilPlan,
     _derive_chunk_stencil,
-    available_backends,
     build_stencil_plan,
     bspline_weights,
-    default_backend_name,
     execute_stencil_plan,
-    get_backend,
-    periodic_bspline_prefilter,
-    register_backend,
-    registered_backends,
 )
 
 from tests.fixtures import (
-    interp_backend_params,
     materialized_stencil_gather,
+    periodic_bspline_prefilter,
     random_points,
     smooth_scalar_field,
 )
 
-BACKENDS = interp_backend_params()
+
+#: A cubic grid and an odd, anisotropic one: every axis wraps at its own period.
+SHAPES = [(16, 16, 16), (9, 12, 7)]
+SHAPE_IDS = ["cubic", "anisotropic"]
 
 
-@pytest.fixture(scope="module")
-def grid():
-    return Grid((16, 16, 16))
+@pytest.fixture
+def shape():
+    return (16, 16, 16)
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
+def grid(shape):
+    return Grid(shape)
+
+
+@pytest.fixture
 def field(grid):
     return smooth_scalar_field(grid, seed=0, modes=2)
 
@@ -48,120 +47,56 @@ def points():
     return random_points(500, seed=1)
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert set(registered_backends()) >= {"scipy", "numpy", "numba"}
-
-    def test_always_available_backends(self):
-        assert "scipy" in available_backends()
-        assert "numpy" in available_backends()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown interpolation backend"):
-            get_backend("cuda")
-
-    def test_instances_are_cached_per_name(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-    def test_instance_passes_through(self):
-        instance = get_backend("numpy")
-        assert get_backend(instance) is instance
-
-    def test_non_backend_object_rejected(self):
-        with pytest.raises(TypeError):
-            get_backend(42)
-
-    def test_default_is_scipy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert default_backend_name() == "scipy"
-
-    def test_environment_variable_selects_default(self, monkeypatch, grid):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert default_backend_name() == "numpy"
-        assert PeriodicInterpolator(grid).backend_name == "numpy"
-
-    def test_unavailable_backend_raises_cleanly(self):
-        if NumbaInterpolationBackend.is_available():
-            pytest.skip("numba is installed; unavailability path not testable")
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            get_backend("numba")
-
-    def test_malformed_env_backend_is_a_clear_error(self, monkeypatch):
-        """An env typo names the variable and lists the registered backends."""
-        monkeypatch.setenv(BACKEND_ENV_VAR, "scippy")
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR) as excinfo:
-            default_backend_name()
-        assert "scipy" in str(excinfo.value) and "numpy" in str(excinfo.value)
-        with pytest.raises(ValueError, match=BACKEND_ENV_VAR):
-            get_backend(None)  # the env path of every consumer
-
-    def test_register_backend_hook(self, grid, field, points):
-        class EchoBackend:
-            name = "echo"
-
-            @classmethod
-            def is_available(cls):
-                return True
-
-            def supports_plan(self, method):
-                return False
-
-            def build_plan(self, grid_shape, coordinates, method):
-                return None
-
-            def gather(self, fields, coordinates, payload, method):
-                return np.zeros((fields.shape[0], coordinates.shape[1]))
-
-        register_backend("echo", EchoBackend)
-        try:
-            interp = PeriodicInterpolator(grid, backend="echo")
-            np.testing.assert_array_equal(interp(field, points), 0.0)
-        finally:
-            from repro.transport import kernels
-
-            kernels._REGISTRY.pop("echo", None)
-            kernels._INSTANCES.pop("echo", None)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-class TestBackendAgreement:
-    def test_agrees_with_scipy_reference(self, backend, method, grid, field, points):
-        """All engines agree to <= 1e-10 on a smooth-field evaluation."""
-        reference = PeriodicInterpolator(grid, method, backend="scipy")(field, points)
-        values = PeriodicInterpolator(grid, method, backend=backend)(field, points)
-        np.testing.assert_allclose(values, reference, atol=1e-10)
+class TestOracleAgreement:
+    def test_agrees_with_materialized_stencil_oracle(self, method, grid, field, points):
+        """Each kernel's gather path agrees to <= 1e-12 with a test-local oracle.
 
-    def test_smooth_field_round_trip(self, backend, method, grid, field):
+        ``cubic_bspline`` (the CSR gather operator on ``spline_filter``
+        coefficients) against the Fourier-space prefilter + the whole-point-set
+        stencil; ``catmull_rom`` (the stencil executor) and ``linear``
+        (``map_coordinates``) against the stencil on the raw field.
+        """
+        interp = PeriodicInterpolator(grid, method)
+        coefficients = field
+        if method == "cubic_bspline":
+            coefficients = periodic_bspline_prefilter(field)
+        reference = materialized_stencil_gather(
+            coefficients.reshape(1, -1), grid.shape, interp.to_index_coordinates(points), method
+        )[0]
+        np.testing.assert_allclose(interp(field, points), reference, rtol=0, atol=1e-12)
+
+    def test_smooth_field_round_trip(self, method, grid, field):
         """Interpolating at the grid nodes reproduces the field itself."""
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+        interp = PeriodicInterpolator(grid, method)
         values = interp(field, grid.coordinate_stack())
         np.testing.assert_allclose(values, field, atol=1e-10)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
 @pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestGatherPlans:
-    def test_planned_path_is_bitwise_identical(self, backend, method, grid, field, points):
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+    def test_planned_path_is_bitwise_identical(self, method, grid, field, points):
+        interp = PeriodicInterpolator(grid, method)
         unplanned = interp(field, points)
         plan = interp.plan(points)
         planned = interp.interpolate_planned(field, plan)
         np.testing.assert_array_equal(planned, unplanned)
 
-    def test_batched_matches_scalar_bitwise(self, backend, method, grid, points):
+    def test_batched_matches_scalar_bitwise(self, method, grid, points):
         rng = np.random.default_rng(7)
         fields = rng.standard_normal((3, *grid.shape))
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+        interp = PeriodicInterpolator(grid, method)
         plan = interp.plan(points)
         batched = interp.interpolate_many_planned(fields, plan)
         for component in range(3):
             scalar = interp.interpolate_planned(fields[component], plan)
             np.testing.assert_array_equal(batched[component], scalar)
 
-    def test_plan_reused_across_fields(self, backend, method, grid, points):
+    def test_plan_reused_across_fields(self, method, grid, points):
         rng = np.random.default_rng(8)
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+        interp = PeriodicInterpolator(grid, method)
         plan = interp.plan(points)
         for seed in (1, 2):
             f = rng.standard_normal(grid.shape)
@@ -169,26 +104,26 @@ class TestGatherPlans:
                 interp.interpolate_planned(f, plan), interp(f, points)
             )
 
-    def test_plan_records_caching_capability(self, backend, method, grid, points):
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+    def test_plan_records_caching_capability(self, method, grid, points):
+        interp = PeriodicInterpolator(grid, method)
         plan = interp.plan(points)
-        assert plan.is_cached == interp.backend.supports_plan(method)
+        assert plan.is_cached == (method != "linear")
         assert plan.num_points == points.shape[1]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("shape", [(8, 8, 8), SHAPES[1]], ids=SHAPE_IDS)
 @pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestLowerPrecisionFields:
-    def test_float32_grid_fields_are_upcast(self, backend, method):
-        """Regression: float32 fields interpolate on every backend/kernel."""
-        grid = Grid((8, 8, 8), dtype=np.float32)
+    def test_float32_grid_fields_are_upcast(self, method, shape):
+        """Regression: float32 fields interpolate on every kernel."""
+        grid = Grid(shape, dtype=np.float32)
         rng = np.random.default_rng(9)
         field = rng.standard_normal(grid.shape).astype(np.float32)
         points = rng.uniform(0, 2 * np.pi, size=(3, 50))
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+        interp = PeriodicInterpolator(grid, method)
         values = interp(field, points)
         assert values.dtype == np.float32
-        reference = PeriodicInterpolator(Grid((8, 8, 8)), method, backend=backend)(
+        reference = PeriodicInterpolator(Grid(shape), method)(
             field.astype(np.float64), points
         )
         np.testing.assert_allclose(values, reference, atol=1e-6)
@@ -214,18 +149,8 @@ class TestPlanValidation:
 
 
 class TestCounterParity:
-    def test_counters_identical_across_backends(self, grid, field, points):
-        counts = {}
-        for backend in available_backends():
-            interp = PeriodicInterpolator(grid, "catmull_rom", backend=backend)
-            interp(field, points)
-            plan = interp.plan(points)
-            interp.interpolate_many_planned(np.stack([field] * 3), plan)
-            counts[backend] = interp.points_interpolated
-        assert len(set(counts.values())) == 1, counts
-
     def test_batched_counts_batch_times_points(self, grid, field, points):
-        interp = PeriodicInterpolator(grid, backend="numpy")
+        interp = PeriodicInterpolator(grid)
         plan = interp.plan(points)
         interp.interpolate_many_planned(np.stack([field] * 4), plan)
         assert interp.points_interpolated == 4 * points.shape[1]
@@ -236,13 +161,13 @@ class TestStencilPlans:
 
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
     @pytest.mark.parametrize("chunk", [1, 97, None])
-    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("mapped", [False, True], ids=["resident", "memmap"])
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ghosted"])
     def test_gathers_bitwise_like_materialized_stencil(
-        self, method, chunk, workers, mapped, periodic, tmp_path
+        self, method, chunk, batch, mapped, periodic, tmp_path
     ):
-        """Every chunk size x worker count x in-memory/memory-mapped stack x
+        """Every chunk size x batch width x in-memory/memory-mapped stack x
         block kind gathers bitwise what the whole-point-set stencil gathers."""
         rng = np.random.default_rng(11)
         shape = (12, 11, 13)
@@ -250,13 +175,13 @@ class TestStencilPlans:
             coords = rng.uniform(0.0, 1.0, size=(3, 400)) * np.asarray(shape)[:, None]
         else:  # interior of a ghost-extended block: no tap leaves the block
             coords = rng.uniform(2.0, 8.0, size=(3, 400))
-        flat = rng.standard_normal((2, *shape)).reshape(2, -1)
+        flat = rng.standard_normal((batch, *shape)).reshape(batch, -1)
         fields = flat
         if mapped:
             np.save(tmp_path / "flat.npy", flat)
             fields = np.load(tmp_path / "flat.npy", mmap_mode="r")
         plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        candidate = execute_stencil_plan(fields, plan, chunk=chunk, workers=workers)
+        candidate = execute_stencil_plan(fields, plan, chunk=chunk)
         np.testing.assert_array_equal(
             candidate, materialized_stencil_gather(flat, shape, coords, method, periodic)
         )
@@ -291,9 +216,8 @@ class TestStencilPlans:
             for (lo_a, hi_a), (lo_b, _) in zip(spans, spans[1:]):
                 assert hi_a == lo_b and lo_a < hi_a
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_plan_stencils(self, backend, grid, points):
-        interp = PeriodicInterpolator(grid, "catmull_rom", backend=backend)
+    def test_catmull_rom_plans_a_stencil(self, grid, points):
+        interp = PeriodicInterpolator(grid, "catmull_rom")
         plan = interp.plan(points)
         assert isinstance(plan.payload, StencilPlan)
         assert plan.nbytes == plan.coordinates.nbytes + plan.payload.nbytes

@@ -5,8 +5,9 @@ hand the solver read-only ``np.memmap`` views, and every gather takes them
 as the plain ``ndarray`` stacks they are.  This conformance suite runs the
 input kinds a caller can hold — an in-memory array, a read-only array, a
 mapped ``.npy`` file and a mapped member of an uncompressed ``.npz``
-archive — through every layer that gathers (the stencil executor, each
-engine planned and one-shot, the interpolator front end, the
+archive, each stored in double or single precision — through every layer
+that gathers (the stencil executor, each
+kernel planned and one-shot, the interpolator front end, the
 semi-Lagrangian stepper and a whole registration) and pins that each
 produces the bits of the in-memory stack.
 """
@@ -18,7 +19,6 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.config import RegistrationConfig
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import register
 from repro.data.io import load_problem, memmap_npz_member, open_problem, save_problem
@@ -28,23 +28,27 @@ from repro.transport.kernels import (
     SUPPORTED_METHODS,
     build_stencil_plan,
     execute_stencil_plan,
-    get_backend,
+    gather,
+    plan_payload,
 )
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 
-from tests.fixtures import (
-    interp_backend_params,
-    make_grid,
-    random_points,
-    smooth_velocity_field,
-)
-
-BACKENDS = interp_backend_params()
+from tests.fixtures import make_grid, random_points, smooth_velocity_field
 
 SHAPE = (12, 13, 14)
 STACK = np.random.default_rng(7).standard_normal((2, *SHAPE))
 
 INPUT_KINDS = ("array", "readonly", "memmap_npy", "memmap_npz")
+
+#: Stored precisions: images are often kept on disk in single precision.
+DTYPES = [np.float64, np.float32]
+DTYPE_IDS = ["float64", "float32"]
+
+
+@pytest.fixture(params=DTYPES, ids=DTYPE_IDS)
+def stack(request):
+    """``STACK`` in one stored precision (the in-memory reference)."""
+    return STACK.astype(request.param)
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +92,13 @@ def points():
 # --------------------------------------------------------------------------- #
 class TestInputKinds:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    def test_kind_holds_the_stack(self, kind, as_input):
-        fields = as_input(kind)
+    def test_kind_holds_the_stack(self, kind, as_input, stack):
+        fields = as_input(kind, stack)
         assert fields.shape == STACK.shape
-        assert fields.dtype == np.float64
+        assert fields.dtype == stack.dtype
         assert isinstance(fields, np.memmap) == kind.startswith("memmap")
         assert fields.flags.writeable == (kind == "array")
-        np.testing.assert_array_equal(np.asarray(fields), STACK)
+        np.testing.assert_array_equal(np.asarray(fields), stack)
 
 
 # --------------------------------------------------------------------------- #
@@ -112,23 +116,19 @@ class TestStencilExecutor:
 
 
 # --------------------------------------------------------------------------- #
-# every engine, planned and one-shot
+# every kernel, planned and one-shot
 # --------------------------------------------------------------------------- #
-class TestEngines:
+class TestKernels:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
     @pytest.mark.parametrize("planned", [True, False], ids=["planned", "one-shot"])
     def test_gather_matches_resident(
-        self, kind, backend, method, planned, as_input, grid, points
+        self, kind, method, planned, as_input, stack, grid, points
     ):
-        engine = get_backend(backend)
         coords = PeriodicInterpolator(grid, method).to_index_coordinates(points)
-        payload = None
-        if planned and engine.supports_plan(method):
-            payload = engine.build_plan(SHAPE, coords, method)
-        resident = engine.gather(STACK, coords, payload, method)
-        candidate = engine.gather(as_input(kind), coords, payload, method)
+        payload = plan_payload(SHAPE, coords, method) if planned else None
+        resident = gather(stack, coords, payload, method)
+        candidate = gather(as_input(kind, stack), coords, payload, method)
         np.testing.assert_array_equal(candidate, resident)
 
 
@@ -137,35 +137,28 @@ class TestEngines:
 # --------------------------------------------------------------------------- #
 class TestInterpolator:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_planned_stack_matches_resident(
-        self, kind, backend, method, as_input, grid, points
-    ):
-        interp = PeriodicInterpolator(grid, method, backend=backend)
+    def test_planned_stack_matches_resident(self, kind, method, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid, method)
         plan = interp.plan(points)
-        resident = interp.interpolate_many_planned(STACK, plan)
-        candidate = interp.interpolate_many_planned(as_input(kind), plan)
+        resident = interp.interpolate_many_planned(stack, plan)
+        candidate = interp.interpolate_many_planned(as_input(kind, stack), plan)
         np.testing.assert_array_equal(candidate, resident)
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_one_shot_stack_matches_resident(
-        self, kind, backend, method, as_input, grid, points
-    ):
-        interp = PeriodicInterpolator(grid, method, backend=backend)
-        resident = interp.interpolate_many(STACK, points)
-        candidate = interp.interpolate_many(as_input(kind), points)
+    def test_one_shot_stack_matches_resident(self, kind, method, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid, method)
+        resident = interp.interpolate_many(stack, points)
+        candidate = interp.interpolate_many(as_input(kind, stack), points)
         np.testing.assert_array_equal(candidate, resident)
         assert interp.points_interpolated == 2 * STACK.shape[0] * points.shape[1]
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_single_field_matches_resident(self, kind, backend, as_input, grid, points):
-        interp = PeriodicInterpolator(grid, backend=backend)
-        resident = interp(STACK[0], points)
-        candidate = interp(as_input(kind, STACK[0]), points)
+    def test_single_field_matches_resident(self, kind, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid)
+        resident = interp(stack[0], points)
+        candidate = interp(as_input(kind, stack[0]), points)
         np.testing.assert_array_equal(candidate, resident)
 
 
@@ -174,39 +167,33 @@ class TestInterpolator:
 # --------------------------------------------------------------------------- #
 class TestStepper:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_step_many_matches_resident(self, kind, backend, as_input, grid):
-        stepper = SemiLagrangianStepper(
-            grid,
-            smooth_velocity_field(grid, seed=3),
-            dt=0.25,
-            interpolator=PeriodicInterpolator(grid, backend=backend),
-        )
+    def test_step_many_matches_resident(self, kind, as_input, stack, grid):
+        stepper = SemiLagrangianStepper(grid, smooth_velocity_field(grid, seed=3), dt=0.25)
         np.testing.assert_array_equal(
-            stepper.step_many(as_input(kind)), stepper.step_many(STACK)
+            stepper.step_many(as_input(kind, stack)), stepper.step_many(stack)
         )
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    def test_step_many_with_mapped_sources_matches_resident(self, kind, as_input, grid):
+    def test_step_many_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
         stepper = SemiLagrangianStepper(grid, smooth_velocity_field(grid, seed=4), dt=0.25)
-        sources_old, sources_new = 0.5 * STACK, -0.25 * STACK
-        resident = stepper.step_many(STACK, sources_old, sources_new)
+        sources_old, sources_new = 0.5 * stack, -0.25 * stack
+        resident = stepper.step_many(stack, sources_old, sources_new)
         candidate = stepper.step_many(
-            as_input(kind), as_input(kind, sources_old), as_input(kind, sources_new)
+            as_input(kind, stack), as_input(kind, sources_old), as_input(kind, sources_new)
         )
         np.testing.assert_array_equal(candidate, resident)
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    def test_zero_velocity_returns_a_resident_copy(self, kind, as_input, grid):
+    def test_zero_velocity_returns_a_resident_copy(self, kind, as_input, stack, grid):
         """v = 0 gathers nothing: the step is a writable in-memory copy of
         the input, never the caller's (possibly mapped) array."""
         stepper = SemiLagrangianStepper(grid, np.zeros((3, *SHAPE)), dt=0.25)
-        fields = as_input(kind)
+        fields = as_input(kind, stack)
         stepped = stepper.step_many(fields)
         assert type(stepped) is np.ndarray
         assert stepped.flags.writeable
         assert not np.shares_memory(stepped, fields)
-        np.testing.assert_array_equal(stepped, STACK)
+        np.testing.assert_array_equal(stepped, stack)
         assert stepper.interpolator.points_interpolated == 0
 
 
@@ -214,8 +201,8 @@ class TestStepper:
 # a whole registration
 # --------------------------------------------------------------------------- #
 class TestRegistration:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_open_problem_registers_like_load_problem(self, backend, tmp_path):
+    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
+    def test_open_problem_registers_like_load_problem(self, method, tmp_path):
         problem = synthetic_registration_problem(8)
         path = save_problem(
             tmp_path / "problem.npz",
@@ -231,8 +218,8 @@ class TestRegistration:
                     data["template"],
                     data["reference"],
                     grid=data["grid"],
+                    interpolation=method,
                     options=SolverOptions(max_newton_iterations=1, max_krylov_iterations=3),
-                    config=RegistrationConfig(interp_backend=backend),
                 )
             )
         resident, mapped = results

@@ -8,6 +8,7 @@ from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
+from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.semi_lagrangian import (
     SemiLagrangianStepper,
     compute_departure_points,
@@ -221,17 +222,18 @@ class TestConservation:
         assert nu.max() < 1.1
 
 
-@pytest.mark.parametrize("backend", ["scipy", "numpy"])
+@pytest.mark.parametrize("method", SUPPORTED_METHODS)
 @pytest.mark.parametrize("shape", [(16, 19, 16), (9, 7, 11)])
 class TestMergedGather:
     """Grid-given sources are merged into the transported field before the
-    gather (the interpolant is linear): one sweep, same scheme to rounding."""
+    gather (every kernel's interpolant is linear in the field): one sweep,
+    same scheme to rounding."""
 
     DT = 1.0  # nt = 1
 
-    def _setup(self, shape, backend, batch=3):
+    def _setup(self, shape, method, batch=3):
         grid = make_grid(shape)
-        interp = PeriodicInterpolator(grid, backend=backend)
+        interp = PeriodicInterpolator(grid, method)
         stepper = SemiLagrangianStepper(
             grid, smooth_velocity_field(grid, seed=3, amplitude=0.4), self.DT, interp
         )
@@ -245,8 +247,8 @@ class TestMergedGather:
         f_dep = stepper.interpolate_at_departure(f_old)
         return nu_dep + 0.5 * self.DT * (f_dep + f_new)
 
-    def test_step_matches_two_gather_formula(self, shape, backend):
-        _, _, stepper, fields, old, new = self._setup(shape, backend)
+    def test_step_matches_two_gather_formula(self, shape, method):
+        _, _, stepper, fields, old, new = self._setup(shape, method)
         merged = stepper.step(fields[0], source_old=old[0], source_new=new[0])
         reference = self._two_gather(stepper, fields[0], old[0], new[0])
         np.testing.assert_allclose(merged, reference, rtol=0, atol=1e-13)
@@ -263,8 +265,8 @@ class TestMergedGather:
             self._two_gather(stepper, fields[0], zero, new[0]),
         )
 
-    def test_step_many_matches_two_gather_formula(self, shape, backend):
-        _, _, stepper, fields, old, new = self._setup(shape, backend)
+    def test_step_many_matches_two_gather_formula(self, shape, method):
+        _, _, stepper, fields, old, new = self._setup(shape, method)
         merged = stepper.step_many(fields, sources_old=old, sources_new=new)
         for b in range(fields.shape[0]):
             np.testing.assert_allclose(
@@ -274,8 +276,8 @@ class TestMergedGather:
                 atol=1e-13,
             )
 
-    def test_step_is_step_many_bitwise(self, shape, backend):
-        _, _, stepper, fields, old, new = self._setup(shape, backend)
+    def test_step_is_step_many_bitwise(self, shape, method):
+        _, _, stepper, fields, old, new = self._setup(shape, method)
         for sources in ({}, {"old": old}, {"new": new}, {"old": old, "new": new}):
             many = stepper.step_many(fields, sources.get("old"), sources.get("new"))
             for b in range(fields.shape[0]):
@@ -286,9 +288,9 @@ class TestMergedGather:
                 )
                 np.testing.assert_array_equal(one, many[b])
 
-    def test_sweeps_per_step(self, shape, backend):
+    def test_sweeps_per_step(self, shape, method):
         """One sweep per field, whatever sources the step carries."""
-        grid, interp, stepper, fields, old, new = self._setup(shape, backend)
+        grid, interp, stepper, fields, old, new = self._setup(shape, method)
 
         def sweeps(call):
             before = interp.points_interpolated
@@ -302,8 +304,8 @@ class TestMergedGather:
         assert sweeps(lambda: stepper.step_many(fields)) == fields.shape[0]
         assert sweeps(lambda: stepper.step_many(fields, old, new)) == fields.shape[0]
 
-    def test_source_shapes_validated(self, shape, backend):
-        grid, _, stepper, fields, old, new = self._setup(shape, backend)
+    def test_source_shapes_validated(self, shape, method):
+        grid, _, stepper, fields, old, new = self._setup(shape, method)
         with pytest.raises(ValueError, match="source has shape"):
             stepper.step(fields[0], source_old=old[0, 0])  # would broadcast silently
         with pytest.raises(ValueError, match="sources have shape"):

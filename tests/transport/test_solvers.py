@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.spectral.grid import Grid
-from repro.transport.kernels import available_backends
+from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.solvers import TransportSolver
 
 from tests.fixtures import smooth_scalar_field, smooth_vector_field
@@ -233,9 +233,9 @@ class TestIncrementalAdjoint:
         np.testing.assert_allclose(lam_tilde, lam, atol=1e-10)
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestNonDivergenceFreeAdjoint:
-    """State/adjoint round-trip consistency with ``div v != 0``, per backend.
+    """State/adjoint round-trip consistency with ``div v != 0``, per kernel.
 
     For a general (compressible) velocity the adjoint equation keeps its
     conservative form, so two exact invariants survive the discretization:
@@ -244,8 +244,7 @@ class TestNonDivergenceFreeAdjoint:
       ``<rho(1), lam(1)> = <rho(0), lam(0)>``;
     * conservation: ``d/dt int lam dx = 0``.
 
-    Both exercise the ``lam * div v`` source branch of ``solve_adjoint``
-    (and the gather plans of every registered interpolation backend).
+    Both exercise the ``lam * div v`` source branch of ``solve_adjoint``.
     """
 
     @staticmethod
@@ -256,13 +255,13 @@ class TestNonDivergenceFreeAdjoint:
             axis=0,
         )
 
-    def test_velocity_is_not_divergence_free(self, grid, backend):
-        solver = TransportSolver(grid, interp_backend=backend)
+    def test_velocity_is_not_divergence_free(self, grid, method):
+        solver = TransportSolver(grid, interpolation=method)
         plan = solver.plan(self._compressible_velocity(grid))
         assert not plan.is_divergence_free
 
-    def test_state_adjoint_duality(self, grid, backend):
-        solver = TransportSolver(grid, num_time_steps=4, interp_backend=backend)
+    def test_state_adjoint_duality(self, grid, method):
+        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
         plan = solver.plan(self._compressible_velocity(grid))
         rho0 = 1.0 + 0.3 * smooth_scalar_field(grid, seed=30)
         lam1 = 1.0 + 0.3 * smooth_scalar_field(grid, seed=31)
@@ -272,27 +271,16 @@ class TestNonDivergenceFreeAdjoint:
         rhs = grid.inner(rho[0], lam[0])
         assert lhs == pytest.approx(rhs, rel=2e-2)
 
-    def test_adjoint_integral_conserved(self, grid, backend):
-        solver = TransportSolver(grid, num_time_steps=4, interp_backend=backend)
+    def test_adjoint_integral_conserved(self, grid, method):
+        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
         plan = solver.plan(self._compressible_velocity(grid))
         terminal = 1.0 + 0.3 * smooth_scalar_field(grid, seed=32)
         history = solver.solve_adjoint(plan, terminal)
         assert history[0].mean() == pytest.approx(terminal.mean(), rel=5e-3)
 
-    def test_backends_agree_on_adjoint_history(self, grid, backend):
-        velocity = self._compressible_velocity(grid)
-        terminal = smooth_scalar_field(grid, seed=33)
-        reference = TransportSolver(
-            grid, num_time_steps=4, interp_backend="scipy"
-        )
-        ours = TransportSolver(grid, num_time_steps=4, interp_backend=backend)
-        lam_ref = reference.solve_adjoint(reference.plan(velocity), terminal)
-        lam = ours.solve_adjoint(ours.plan(velocity), terminal)
-        np.testing.assert_allclose(lam, lam_ref, atol=1e-8)
-
-    def test_incremental_adjoint_source_branch(self, grid, backend):
+    def test_incremental_adjoint_source_branch(self, grid, method):
         """GN incremental adjoint equals the adjoint when ``div v != 0``."""
-        solver = TransportSolver(grid, num_time_steps=4, interp_backend=backend)
+        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
         plan = solver.plan(self._compressible_velocity(grid))
         terminal = smooth_scalar_field(grid, seed=34)
         lam = solver.solve_adjoint(plan, terminal)
