@@ -160,12 +160,13 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
             set_gradient_cache_enabled(None)
             reset_plan_pool()
 
-        # pool accounting of a cached run
+        # the stack of a cached run belongs to its iterate, not to the pool
         set_gradient_cache_enabled(True)
         reset_plan_pool()
         problem = _build_problem()
-        problem.linearize(_velocity(problem))
-        grad_cache_stats = get_plan_pool().stats_by_tag()["grad-cache"]
+        iterate = problem.linearize(_velocity(problem))
+        stack_bytes = iterate.state_gradients.nbytes
+        pool_bytes = get_plan_pool().current_bytes
         set_gradient_cache_enabled(None)
 
         return {
@@ -173,7 +174,8 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
             "identity_cells": identity_cells,
             "fallback_decision": fallback_decision,
             "fallback_cached": fallback_cached,
-            "grad_cache_bytes": grad_cache_stats.current_bytes,
+            "stack_bytes": stack_bytes,
+            "pool_bytes": pool_bytes,
             "expected_stack_bytes": 3 * state_nbytes,
         }
 
@@ -220,7 +222,8 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
                 "projected_bytes": m["fallback_decision"].projected_bytes,
                 "budget_bytes": m["fallback_decision"].budget_bytes,
             },
-            "grad_cache_pool_bytes": m["grad_cache_bytes"],
+            "gradient_stack_bytes": m["stack_bytes"],
+            "plan_pool_bytes_after_linearize": m["pool_bytes"],
         },
     )
 
@@ -250,8 +253,9 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
     assert not m["fallback_cached"]
     assert not m["fallback_decision"].cached
     assert "exceeds the plan-pool budget" in m["fallback_decision"].reason
-    # cached runs account the stack exactly under the grad-cache tag
-    assert m["grad_cache_bytes"] == m["expected_stack_bytes"]
+    # a cached run's iterate holds exactly the projected stack; the pool holds none
+    assert m["stack_bytes"] == m["expected_stack_bytes"]
+    assert m["pool_bytes"] == 0
 
     # --- wall-clock pin (NONSTRICT downgrades to skip) ---------------------- #
     if speedup < WARM_SPEEDUP_FLOOR:

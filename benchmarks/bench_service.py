@@ -25,7 +25,14 @@ The deterministic results (asserted, so no wall-clock gate can flake):
   rounds** than four independent solves (batches share one round per step),
 * the plan-pool **hit rate of the queued jobs is >= 50 %** (the first
   batch builds the two scatter plans, every later batch reuses them),
-* the queued results are **bitwise equal** to the serial ones.
+* the queued results are **bitwise equal** to the serial ones,
+* **no per-velocity entry is left in the pool after a burst**: a register
+  job's departure data, gather operators and gradient stack belong to its
+  problem and are released when its solve ends, so the only tag the pool
+  holds after any burst is ``scatter-plan`` (what transport jobs share).
+
+The end-of-burst pool bytes per tag and the process's peak RSS
+(``ru_maxrss``) are recorded beside them.
 
 Wall times are reported for context.  Artifacts go to
 ``benchmarks/results/service_throughput.{txt,json}``; the ``acceptance``
@@ -44,6 +51,7 @@ Run with ``pytest benchmarks/bench_service.py``.
 from __future__ import annotations
 
 import os
+import resource
 import time
 
 import numpy as np
@@ -71,10 +79,28 @@ MAX_BATCH = 2
 NUM_TASKS = 4
 NUM_TIME_STEPS = 4
 
+#: The only pool entries that outlive a job: the scatter plans transport jobs
+#: with one velocity share.  Any other tag is a finished solve's leftovers.
+CROSS_JOB_TAGS = frozenset({"scatter-plan"})
+
 
 def _hit_rate(stats) -> float:
     total = stats.hits + stats.misses
     return stats.hits / total if total else 0.0
+
+
+def _pool_bytes_by_tag() -> dict:
+    """Resident pool bytes per entry kind at the end of a burst."""
+    return {
+        tag: stats.current_bytes
+        for tag, stats in get_plan_pool().stats_by_tag().items()
+        if stats.entries
+    }
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set of this process so far (``ru_maxrss`` is in kB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def _transport_workload():
@@ -143,6 +169,7 @@ def _queued_transport(grid, velocity, movings):
         results = service.gather(jobs, timeout=600)
         wall = time.perf_counter() - start
     delta = get_plan_pool().stats - pool_after_blocker
+    pool_bytes = _pool_bytes_by_tag()
     # every job reports its batch's ledger; dividing by the batch size and
     # summing charges each batch exactly once
     ghost_calls = sum(
@@ -156,6 +183,7 @@ def _queued_transport(grid, velocity, movings):
         "batch_sizes": sorted(job.record.batch_size for job in jobs),
         "plan_pool": delta.as_dict(),
         "plan_pool_hit_rate": _hit_rate(delta),
+        "pool_bytes_by_tag_after_burst": pool_bytes,
     }
 
 
@@ -191,6 +219,7 @@ def _queued_registration(population, num_workers):
     delta = get_plan_pool().stats - pool_before
     return {
         "results": results,
+        "pool_bytes_by_tag_after_burst": _pool_bytes_by_tag(),
         "num_workers": num_workers,
         "wall_seconds": wall,
         "cpu_seconds": cpu,
@@ -225,8 +254,17 @@ def test_service_throughput(record_text, record_json):
         for expected, got in zip(direct_r, lane["results"])
     )
 
+    leftovers = {
+        burst: sorted(set(section["pool_bytes_by_tag_after_burst"]) - CROSS_JOB_TAGS)
+        for burst, section in (
+            ("queued_transport", queued_t),
+            *((f"registration_{lane['num_workers']}_workers", lane) for lane in lanes_r),
+        )
+    }
     acceptance = {
         "num_jobs": NUM_JOBS,
+        "per_velocity_tags_after_burst": leftovers,
+        "no_per_velocity_tag_after_burst": not any(leftovers.values()),
         "plan_pool_hit_rate": queued_t["plan_pool_hit_rate"],
         "hit_rate_ge_50_percent": queued_t["plan_pool_hit_rate"] >= 0.5,
         "queued_ghost_exchange_calls": queued_t["ghost_exchange_calls"],
@@ -246,6 +284,7 @@ def test_service_throughput(record_text, record_json):
         "num_tasks": NUM_TASKS,
         "num_time_steps": NUM_TIME_STEPS,
         "max_batch": MAX_BATCH,
+        "ru_maxrss_mb": _peak_rss_mb(),
         "acceptance": acceptance,
         "transport": {
             "serial": _public(serial_t),
@@ -284,6 +323,15 @@ def test_service_throughput(record_text, record_json):
             for lane in lanes_r
         ),
         f"  velocities bitwise equal to direct register() calls: {register_bitwise}",
+        "",
+        "pool bytes by tag after each burst (only scatter-plan may remain):",
+        f"  queued transport: {queued_t['pool_bytes_by_tag_after_burst']}",
+        *(
+            f"  registration on {lane['num_workers']} worker(s): "
+            f"{lane['pool_bytes_by_tag_after_burst']}"
+            for lane in lanes_r
+        ),
+        f"peak RSS of the bench process: {payload['ru_maxrss_mb']:.1f} MB",
     ]
     record_text("service_throughput", "\n".join(lines))
 
@@ -291,6 +339,7 @@ def test_service_throughput(record_text, record_json):
     assert acceptance["hit_rate_ge_50_percent"], acceptance
     assert acceptance["strictly_fewer_ghost_rounds"], acceptance
     assert acceptance["bitwise_equal_to_serial"], acceptance
+    assert acceptance["no_per_velocity_tag_after_burst"], acceptance
     assert register_bitwise, "a queued registration differs from the direct call"
 
 

@@ -19,7 +19,7 @@ Python:
 ``repro-register serve`` (also installed as ``repro-serve``)
     Run an atlas (population) workload through the registration service:
     every subject image is queued as a job, a worker pool executes the
-    solves sharing the process-wide plan pool, and per-job JSON artifacts
+    solves, and per-job JSON artifacts
     can be journaled with ``--artifacts-dir``.  With ``--http PORT`` (or
     ``$REPRO_HTTP_PORT``) the command instead runs a long-lived service
     exposing the stdlib HTTP front (``POST /jobs``, ``GET /jobs/<id>``,
@@ -188,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run an atlas (population) workload through the job service",
         description=(
             "Queue one registration job per subject image against a fixed "
-            "atlas/reference, execute them on a worker pool sharing the "
-            "process-wide plan pool, and report population-level results "
-            "plus service statistics."
+            "atlas/reference, execute them on a worker pool, and report "
+            "population-level results plus service statistics."
         ),
     )
     # SUPPRESS: only set when present, so the top-level --verbose survives

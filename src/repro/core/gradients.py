@@ -12,13 +12,11 @@ single largest pile of redundant FLOPs in the solver.
 This module materializes those gradients **once per outer iterate**:
 
 * :func:`plan_state_gradients` decides — per state history, against the
-  shared plan pool's byte budget — whether to cache.  A cached stack is
-  ``(nt + 1, 3, N1, N2, N3)`` doubles (~3x the state history itself), so it
-  participates in the ``REPRO_PLAN_POOL_BYTES`` accounting under the
-  ``grad-cache`` tag and **degrades to the uncached per-level path** when it
-  does not fit (or when ``REPRO_GRADIENT_CACHE=0`` opts out).  Every
-  decision is recorded in a process-wide log
-  (:func:`gradient_cache_decision_log`).
+  ``REPRO_PLAN_POOL_BYTES`` budget — whether to cache.  A cached stack is
+  ``(nt + 1, 3, N1, N2, N3)`` doubles (~3x the state history itself); it
+  **degrades to the uncached per-level path** when it does not fit the
+  budget (or when ``REPRO_GRADIENT_CACHE=0`` opts out).  Every decision is
+  recorded in a process-wide log (:func:`gradient_cache_decision_log`).
 * The cached stack is built level by level with the *identical*
   :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
   uncached path performs, so consuming a cached level is bitwise identical
@@ -29,14 +27,13 @@ This module materializes those gradients **once per outer iterate**:
   the two fresh temporaries per time level the old accumulation loops
   allocated, with arithmetic order-identical to the historical loop.
 
-Keys are content fingerprints of the state history, so a continuation step
-that re-linearizes the velocity the previous level ended on is a warm pool
-hit and performs **zero** spectral-gradient FFTs even for the
-reduced-gradient evaluation.  The cache is scoped to the **live iterate**:
-each :class:`~repro.core.problem.RegistrationProblem` remembers the key it
-planned last (:class:`GradientCacheScope`) and releases that stack when a
-different state history is planned, so the stacks of dead iterates do not
-pile up in the pool.
+The stack belongs to its iterate (:class:`CachedStateGradients` holds it,
+the :class:`~repro.core.problem.OuterIterate` holds that) and dies with it;
+nothing is shared through the process-wide plan pool.  A continuation level
+that re-linearizes the velocity the previous level ended on reuses that
+iterate's stack through the problem's live-iterate hand-off
+(:meth:`~repro.core.problem.RegistrationProblem.linearize`) and performs
+**zero** spectral-gradient FFTs.
 """
 
 from __future__ import annotations
@@ -51,16 +48,14 @@ import numpy as np
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
-from repro.runtime.plan_pool import PlanPool, array_fingerprint, get_plan_pool
+from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.operators import SpectralOperators
 
 __all__ = [
     "GRADIENT_CACHE_ENV_VAR",
-    "GRAD_CACHE_TAG",
     "CachedStateGradients",
     "GradientCacheDecision",
     "GradientCacheDecisionLog",
-    "GradientCacheScope",
     "LazyStateGradients",
     "StateGradients",
     "accumulate_weighted_products",
@@ -76,10 +71,6 @@ __all__ = [
 #: Opt-out knob: ``REPRO_GRADIENT_CACHE=0`` forces the uncached per-level
 #: path everywhere (the paper's original ``8 nt`` FFT cost model).
 GRADIENT_CACHE_ENV_VAR = "REPRO_GRADIENT_CACHE"
-
-#: Plan-pool tag of the cached gradient stacks (visible in
-#: :meth:`repro.runtime.plan_pool.PlanPool.stats_by_tag`).
-GRAD_CACHE_TAG = "grad-cache"
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_VALUES = frozenset({"0", "false", "no", "off"})
@@ -311,8 +302,8 @@ def build_gradient_stack(
     :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
     lazy path performs — the stored levels are bitwise identical to fresh
     recomputations on every FFT backend, which is what makes cached and
-    uncached solves interchangeable.  The stack is marked read-only: it is
-    shared through the plan pool, so no consumer may scribble on it.
+    uncached solves interchangeable.  The stack is marked read-only: every
+    mat-vec of its iterate reads it, so no consumer may scribble on it.
     """
     num_levels = state_history.shape[0]
     stack = np.empty((num_levels, 3, *state_history.shape[1:]), dtype=state_history.dtype)
@@ -323,48 +314,22 @@ def build_gradient_stack(
     return stack
 
 
-class GradientCacheScope:
-    """One owner's memory of the gradient stack it planned last.
-
-    Held per :class:`~repro.core.problem.RegistrationProblem` — never
-    process-wide: problems solved concurrently (the job service) each have a
-    live iterate of their own.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self) -> None:
-        self.key: Optional[Tuple] = None
-
-
 def plan_state_gradients(
-    operators: SpectralOperators,
-    state_history: np.ndarray,
-    pool: Optional[PlanPool] = None,
-    scope: Optional[GradientCacheScope] = None,
+    operators: SpectralOperators, state_history: np.ndarray
 ) -> StateGradients:
     """Cache-or-degrade policy for one iterate's state-gradient levels.
 
-    Caches (through the shared plan pool, tag ``grad-cache``) when the
-    policy is enabled and the projected stack fits the pool's byte budget;
-    otherwise returns the lazy per-level source.  Every decision is
-    recorded in :func:`gradient_cache_decision_log`.
-
-    The pool key is a content fingerprint of the state history (plus the
-    grid geometry and FFT engine), so two linearizations of the same
-    velocity — a continuation warm start — share one stack and the second
-    one performs zero spectral-gradient FFTs.  With a *scope*, the stack
-    the scope planned last is released from the pool as soon as a different
-    state history is planned (before the new stack is built): the previous
-    iterate is dead, and so is its stack.
+    Builds the stack when the policy is enabled and the projected stack fits
+    the ``REPRO_PLAN_POOL_BYTES`` budget (decided before anything is built);
+    otherwise returns the lazy per-level source.  Every decision is recorded
+    in :func:`gradient_cache_decision_log`.  The returned source owns its
+    stack: it lives as long as the iterate that holds it.
     """
     state_history = np.asarray(state_history)
     num_levels = state_history.shape[0]
     num_points = int(np.prod(state_history.shape[1:], dtype=int))
     projected = projected_gradient_cache_nbytes(state_history)
-    if pool is None:
-        pool = get_plan_pool()
-    budget = pool.max_bytes
+    budget = get_plan_pool().max_bytes
 
     if not gradient_cache_enabled():
         reason = f"disabled ({GRADIENT_CACHE_ENV_VAR}=0 or config opt-out)"
@@ -392,23 +357,9 @@ def plan_state_gradients(
             reason=reason,
         )
     )
-    key = None
-    if cached:
-        key = (
-            GRAD_CACHE_TAG,
-            operators.grid.shape,
-            operators.grid.spacing,
-            operators.fft.backend_name,
-            array_fingerprint(state_history),
-        )
-    if scope is not None:
-        if scope.key is not None and scope.key != key:
-            pool.discard(scope.key)
-        scope.key = key
     if not cached:
         return LazyStateGradients(operators, state_history)
-    stack = pool.get(key, lambda: build_gradient_stack(operators, state_history))
-    return CachedStateGradients(stack)
+    return CachedStateGradients(build_gradient_stack(operators, state_history))
 
 
 # --------------------------------------------------------------------------- #

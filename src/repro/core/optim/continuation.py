@@ -102,11 +102,14 @@ class BetaContinuation:
     def run(self, initial_velocity: Optional[np.ndarray] = None) -> ContinuationResult:
         """Run the continuation and return the last accepted velocity.
 
-        Successive levels revisit velocities (each level warm-starts from
-        the previous optimum, whose transport plan the previous solve just
-        built), so the shared plan pool turns those re-plans into warm
-        hits; the per-run delta is reported in the result.  The
-        admissibility check transports through the final iterate's own plan.
+        Each level warm-starts from the previous optimum, which is still the
+        problem's live iterate: its first ``linearize`` reuses that iterate's
+        plan, state, adjoint and gradient stack and recomputes only what
+        ``beta`` changes (no plan, no sweep), and its gather operators are
+        still resident.  The admissibility check transports through the final
+        iterate's own plan.  When the run ends the problem releases its
+        per-velocity data (:meth:`RegistrationProblem.release`); the plan-pool
+        delta of the run is reported in the result.
         """
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
@@ -152,6 +155,7 @@ class BetaContinuation:
                 break
             beta = max(beta * self.reduction, self.target_beta)
 
+        problem.release()
         pool_delta = get_plan_pool().stats - pool_before
         LOGGER.info(
             "plan pool over %d continuation levels: %d hits, %d misses, %d evictions",

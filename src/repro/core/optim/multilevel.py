@@ -148,10 +148,10 @@ class MultilevelRegistration:
     def run(self, initial_velocity: Optional[np.ndarray] = None) -> MultilevelResult:
         """Solve coarse-to-fine and return the fine-level velocity.
 
-        Per-velocity transport plans flow through the shared plan pool:
-        each ``(grid, velocity)`` pair is planned at most once per level
+        Each level solves its own problem, which plans every velocity once
         (the accepted line-search trial hands its plan to ``linearize``)
-        and the per-run hit/miss delta is reported in the result.
+        and releases its per-velocity data when the level is done; the
+        per-run plan-pool delta is reported in the result.
         """
         start = time.perf_counter()
         pool_before = get_plan_pool().stats
@@ -166,6 +166,7 @@ class MultilevelRegistration:
                 velocity = self._prolong_velocity(velocity, previous_grid, grid)
             level_start = time.perf_counter()
             result = GaussNewtonKrylov(problem, self.options).solve(velocity)
+            problem.release()
             elapsed = time.perf_counter() - level_start
             LOGGER.info(
                 "level %d (%s): %d Newton iterations, %d mat-vecs, J=%.3e",

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.core.gradients import (
     CachedStateGradients,
-    GradientCacheScope,
     StateGradients,
     accumulate_weighted_products,
     gradient_levels_of,
@@ -206,9 +205,10 @@ class RegistrationProblem:
                 operators=self.operators,
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
-        self._gradient_scope = GradientCacheScope()
         #: the most recent line-search trial: (velocity, spectrum, plan, state history)
         self._trial: Optional[tuple] = None
+        #: the live iterate (the last :meth:`linearize` result) and its velocity's spectrum
+        self._live: Optional[Tuple[OuterIterate, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # helpers
@@ -274,11 +274,12 @@ class RegistrationProblem:
         way.  *spectrum*: the velocity's half-spectra, if the caller has them.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
+        if keep_trial:
+            self._trial = None  # the rejected trial's plan and history go first
         if spectrum is None:
             spectrum = self.operators.fft.forward_vector(velocity)
         plan = self.transport.plan(velocity, spectrum=spectrum)
         if keep_trial:
-            self._trial = None  # the rejected trial's history goes first
             state_history = self.transport.solve_state(plan, self.template)
             self._trial = (velocity, spectrum, plan, state_history)
             deformed = state_history[-1]
@@ -308,6 +309,18 @@ class RegistrationProblem:
         """Drop the kept trial (the line search gave up on its direction)."""
         self._trial = None
 
+    def release(self) -> None:
+        """Drop every per-velocity object the problem holds: the solve is over.
+
+        The kept trial, the live iterate and the resident gather operators of
+        the transport solver's interpolator go; what a caller still holds (a
+        result's final iterate and its plan) stays valid — a later gather
+        through it builds its operator block by block, same bits.
+        """
+        self._trial = None
+        self._live = None
+        self.transport.interpolator.release_operators()
+
     # ------------------------------------------------------------------ #
     # reduced gradient (Eq. 4)
     # ------------------------------------------------------------------ #
@@ -316,37 +329,45 @@ class RegistrationProblem:
 
         When *velocity* is (content-equal to) the kept line-search trial, its
         transport plan and state history become the iterate's: nothing is
-        planned, hashed or transported forward a second time.
+        planned or transported forward a second time.  When it is the live
+        iterate's (a ``beta``-continuation level starting where the previous
+        one ended), that iterate's plan, state, adjoint and gradient stack
+        are reused and only what depends on ``beta`` is recomputed — the
+        body force, its forward transform, ``g^`` and the energies: 3
+        transforms and no sweep, bitwise what a fresh linearization gives.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
         fft = self.operators.fft
         trial, self._trial = self._trial, None
-        if trial is not None and np.array_equal(trial[0], velocity):
-            _, spectrum, plan, state_history = trial
+        live, self._live = self._live, None
+        if live is not None and np.array_equal(live[0].velocity, velocity):
+            previous, spectrum = live
+            plan, state_history = previous.plan, previous.state_history
+            residual, adjoint_history = previous.residual, previous.adjoint_history
+            state_gradients = previous.state_gradients
         else:
-            spectrum = fft.forward_vector(velocity)
-            plan = self.transport.plan(velocity, spectrum=spectrum)
-            state_history = self.transport.solve_state(plan, self.template)
-        deformed = state_history[-1]
-        residual = self.reference - deformed
-        adjoint_history = self.transport.solve_adjoint(plan, residual)
-
-        # Materialize (or lazily alias) the state-history gradients once for
-        # the whole iterate: the body force below, every Hessian mat-vec of
-        # the inner PCG solve, and the incremental-state right-hand sides
-        # all consume the same nt + 1 gradient fields.
-        state_gradients = plan_state_gradients(
-            self.operators, state_history, scope=self._gradient_scope
-        )
+            if trial is not None and np.array_equal(trial[0], velocity):
+                _, spectrum, plan, state_history = trial
+            else:
+                spectrum = fft.forward_vector(velocity)
+                plan = self.transport.plan(velocity, spectrum=spectrum)
+                state_history = self.transport.solve_state(plan, self.template)
+            residual = self.reference - state_history[-1]
+            adjoint_history = self.transport.solve_adjoint(plan, residual)
+            # Materialize (or lazily alias) the state-history gradients once
+            # for the whole iterate: the body force below, every Hessian
+            # mat-vec of the inner PCG solve, and the incremental-state
+            # right-hand sides all consume the same nt + 1 gradient fields.
+            state_gradients = plan_state_gradients(self.operators, state_history)
         body_force = self._body_force(state_history, adjoint_history, state_gradients)
         # P^ keeps the full gradient in the divergence-free subspace
         gradient_spectrum = self._reduced_spectrum(fft.forward_vector(body_force), spectrum)
 
         objective = ObjectiveParts(
-            distance=self.distance(deformed),
+            distance=self.distance(state_history[-1]),
             regularization=self.regularizer.energy_of_spectrum(spectrum),
         )
-        return OuterIterate(
+        iterate = OuterIterate(
             velocity=velocity,
             plan=plan,
             state_history=state_history,
@@ -358,6 +379,8 @@ class RegistrationProblem:
             fft=fft,
             state_gradients=state_gradients,
         )
+        self._live = (iterate, spectrum)
+        return iterate
 
     def _reduced_spectrum(self, force: np.ndarray, velocity: np.ndarray) -> np.ndarray:
         """``P^(beta A^ v^ + b^)`` in place of *force* (``b^``): Eq. 4 and Eq. 5 alike."""
@@ -365,10 +388,6 @@ class RegistrationProblem:
         if self.incompressible:
             self.operators.leray_project_spectra(force, out=force)
         return force
-
-    #: Trapezoidal quadrature weights on ``nt + 1`` uniform time levels
-    #: (kept as a static method for the existing call sites and tests).
-    _trapezoid_weights = staticmethod(trapezoid_weights)
 
     def _body_force(
         self,

@@ -300,6 +300,9 @@ class RegistrationSolver:
             res_before = residual_norm(problem.reference, problem.template, problem.grid)
             res_after = residual_norm(problem.reference, deformed_template, problem.grid)
             det_stats = determinant_summary(deformation.determinant())
+            # the solve is over: a finished result (or service job) pins no
+            # gather operator, no kept trial and no live-iterate slot
+            problem.release()
         elapsed = time.perf_counter() - start
 
         LOGGER.info(

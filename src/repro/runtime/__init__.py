@@ -5,12 +5,13 @@ semi-Lagrangian tricubic gathers — are planned and batched.  This subsystem
 owns the *execution resources* behind both:
 
 :mod:`repro.runtime.plan_pool`
-    A process-wide LRU cache of per-velocity plans keyed by content
-    (grid, velocity fingerprint, kernel) with byte-accurate
-    memory accounting, a configurable budget (``REPRO_PLAN_POOL_BYTES`` /
-    ``--plan-pool-bytes``) and hit/miss/eviction statistics.  It carries
-    warm plans across the line search, across ``beta``-continuation levels
-    and across repeated distributed scatter plans.
+    A process-wide LRU cache of what crosses solves — the distributed
+    scatter plans that transport jobs with one velocity share — keyed by
+    content, with byte-accurate memory accounting, a configurable budget
+    (``REPRO_PLAN_POOL_BYTES`` / ``--plan-pool-bytes``) and
+    hit/miss/eviction statistics.  The same budget decides what a
+    registration keeps resident of its own per-velocity data (gather
+    operators, gradient stack), which its problem owns and releases.
 
 :mod:`repro.runtime.workers`
     One worker-count policy for the threaded FFT engines and the job

@@ -1,36 +1,33 @@
 """LRU plan pool with byte-accurate memory accounting.
 
-Semi-Lagrangian gather plans are the largest per-velocity data structures of
-the solver (tens to hundreds of MB at production grids), and call sites
-used to rebuild them redundantly: ``beta``-continuation warm-starts each
-level from a velocity whose plan was just built, the deformation map
-re-plans the final iterate, and the distributed scatter path re-planned on
-every ``interpolate`` call.  (The accepted line-search trial does not go
-through the pool: ``linearize`` adopts its plan directly.)  This
-module centralizes the lifecycle: a process-wide LRU cache keyed by
-content (grid, velocity fingerprint, kernel, backend), with
+The pool holds what crosses solves: the distributed scatter plans
+(``scatter-plan``) that the service's micro-batched transport jobs share —
+every batch that transports with the same velocity reuses the first one's
+owner map, routing tables and stencils.  Per-velocity planning data of a
+registration is *not* pooled: its owner holds it (the stepper its departure
+points, the problem's interpolator its at most two gather operators, the
+iterate its gradient stack) and it dies with its solve.  The pool's budget
+(``REPRO_PLAN_POOL_BYTES`` or the CLI flag ``--plan-pool-bytes``) is also
+the residency budget those owners decide against: the live operator pair
+must fit half of it, a gradient stack all of it.
+
+The pool itself is a process-wide LRU cache keyed by content, with
 
 * **byte-accurate accounting** — every entry reports its ``nbytes``
   (the exact array payload), the pool tracks the running total, and
-* a **configurable budget** — ``REPRO_PLAN_POOL_BYTES`` or the CLI flag
-  ``--plan-pool-bytes``; least-recently-used entries are evicted when an
-  insert exceeds it, entries larger than the whole budget are handed to
+* a **configurable budget** — least-recently-used entries are evicted when
+  an insert exceeds it, entries larger than the whole budget are handed to
   the caller but never stored, and a budget of ``0`` disables caching
   entirely (every lookup builds), plus
-* **owner-scoped release** — :meth:`PlanPool.discard` lets a consumer that
-  knows an entry is dead (a gather operator two velocities back, the
-  gradient stack of the previous iterate) return its bytes at once, and
 * **hit/miss/eviction statistics** so solvers, tests and benchmarks can
   observe warm-plan reuse (:class:`PoolStats` supports subtraction for
   per-run deltas), both pool-wide and **per entry kind**
   (:meth:`PlanPool.stats_by_tag`: every key's leading string — e.g.
-  ``"semi-lagrangian-departure"`` or ``"scatter-plan"`` — is its tag, so
-  the distributed scatter plans are visible in the accounting next to the
-  serial gather plans).
+  ``"scatter-plan"`` — is its tag).
 
 Keys are content fingerprints (:func:`array_fingerprint`), never object
-identities, so two solves that revisit the same velocity on the same grid
-share one plan no matter which solver instance asks.
+identities, so two jobs that transport with the same velocity on the same
+grid share one plan no matter which solver instance asks.
 """
 
 from __future__ import annotations
@@ -50,9 +47,9 @@ from repro.observability.trace import trace_span
 #: Environment variable with the pool budget in bytes.
 POOL_BYTES_ENV_VAR = "REPRO_PLAN_POOL_BYTES"
 
-#: Default budget (512 MiB): comfortably holds every plan of a laptop-scale
-#: run and several warm velocities at 64^3; production 128^3+ runs should
-#: size the budget explicitly (see the README's memory table).
+#: Default budget (512 MiB): keeps the live gather-operator pair resident up
+#: to about 83^3 and the gradient stack beyond 128^3; production 128^3+ runs
+#: should size the budget explicitly (see the README's memory table).
 DEFAULT_POOL_BYTES = 512 * 2**20
 
 
@@ -82,7 +79,7 @@ def array_fingerprint(*arrays: np.ndarray) -> str:
     """Content fingerprint (BLAKE2b) of one or more arrays.
 
     Hashes dtype, shape and raw bytes, so any numerical change — including
-    sign flips like the backward stepper's ``-v`` — yields a different key.
+    sign flips — yields a different key.
     """
     digest = hashlib.blake2b(digest_size=16)
     for array in arrays:
@@ -145,8 +142,8 @@ def key_tag(key: Hashable) -> str:
     """Entry-kind tag of a pool key: its leading string element.
 
     Every subsystem keys its entries with a tuple whose first element names
-    the plan kind (``"semi-lagrangian-departure"``, ``"scatter-plan"``, ...);
-    anything else lands in the ``"untagged"`` bucket.
+    the plan kind (``"scatter-plan"``, ...); anything else lands in the
+    ``"untagged"`` bucket.
     """
     if isinstance(key, tuple) and key and isinstance(key[0], str):
         return key[0]
@@ -166,9 +163,9 @@ class _InflightBuild:
     The first thread to miss a key becomes the *owner* and runs the
     builder; every other thread that asks for the same key while the build
     is in flight waits on :attr:`event` and receives the shared product —
-    under the concurrent submitters of the job service, N same-grid
-    registrations planning the same (e.g. zero) velocity perform one build
-    instead of N redundant ones.
+    under the concurrent workers of the job service, N transport batches
+    scattering with the same velocity perform one build instead of N
+    redundant ones.
     """
 
     __slots__ = ("event", "value", "success")
@@ -304,41 +301,6 @@ class PlanPool:
                 # by concurrent inserts): the shared build still served us
                 self._record_hit(key_tag(key))
                 return flight.value
-
-    def discard(self, key: Hashable) -> bool:
-        """Drop *key*'s entry now; returns whether one was stored.
-
-        The owner-scoped release: a consumer that knows an entry is dead
-        (the gather operator of a velocity two iterates back, the gradient
-        stack of the previous iterate) gives its bytes back instead of
-        leaving them to LRU pressure.  Not an eviction — the eviction
-        counters track budget pressure only.
-        """
-        with self._lock:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._current_bytes -= entry.nbytes
-            counters = self._tag(entry.tag)
-            counters.current_bytes -= entry.nbytes
-            counters.entries -= 1
-            return True
-
-    def lookup(self, key: Hashable) -> Optional[Any]:
-        """The cached value (or ``None``), marked most recently used; no statistics.
-
-        For entries fetched once per *use* rather than once per plan: a
-        gather operator is looked up on every interpolation sweep, and
-        counting those would bury what ``hits``/``misses`` measure — plan
-        reuse across velocities — under the sweep count.  A caller that
-        finds nothing builds through :meth:`get`, which records the miss.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry.value
 
     def peek(self, key: Hashable) -> Optional[Any]:
         """Return the cached value without recording a hit/miss (tests)."""

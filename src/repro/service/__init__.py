@@ -18,7 +18,8 @@ service without forking the numerics:
 :mod:`repro.service.workers`
     :class:`~repro.service.workers.RegistrationService` — the worker
     thread(s) (one by default: solves hold the GIL) executing jobs through the
-    existing solver paths, sharing the process-wide plan pool across requests.
+    existing solver paths, transport jobs sharing the process-wide plan
+    pool's scatter plans across requests.
 :mod:`repro.service.artifacts`
     Versioned per-job JSON artifacts (result report, pool/ledger metrics).
 :mod:`repro.service.journal`

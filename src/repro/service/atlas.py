@@ -4,10 +4,9 @@ Atlas construction registers every subject image of a population to one
 fixed reference (the atlas/template) — the paper's clinical motivation for
 a *fast* solver is exactly such population studies, where "a single study
 may require thousands of registrations".  The workload is embarrassingly
-parallel across subjects but heavily redundant across solves: every
-registration shares the grid, the regularization and — at the first
-Gauss-Newton iteration — the zero initial velocity, so the plan pool's
-single-flight builds turn N cold starts into one build plus N-1 warm hits.
+parallel across subjects: every registration shares the grid and the
+regularization (spectral symbols are cached per grid), while each solve's
+per-velocity planning data is its own and is released when it ends.
 
 :func:`run_atlas` drives the workload through a
 :class:`~repro.service.workers.RegistrationService`: submit one

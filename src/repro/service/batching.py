@@ -12,9 +12,8 @@ solve could not be bitwise identical to the serial jobs.
 
 Registration jobs never merge (each one is its own Gauss-Newton iteration
 over a different image pair): :func:`batch_key` returns ``None`` and the
-queue hands them out one at a time.  Their cross-request sharing happens in
-the process-wide plan pool instead, which concurrent workers hit through
-the single-flight build path.
+queue hands them out one at a time; each solve plans its own velocities
+and releases them when it ends.
 """
 
 from __future__ import annotations

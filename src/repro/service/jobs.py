@@ -144,8 +144,8 @@ class RegistrationJobSpec:
 
     ``kind = "register"``.  Registrations are never merged by the
     micro-batcher (each solve is an independent Gauss-Newton iteration);
-    their cross-request sharing happens in the process-wide plan pool,
-    spectral symbol store and worker pools instead.
+    what they share across requests is the spectral symbol store and the
+    worker pools.
     """
 
     template: np.ndarray

@@ -12,9 +12,11 @@ solve is numerically the very solve a direct call would have produced.
 
 What the service adds over a loop of direct calls:
 
-* **Cross-request plan reuse.**  All jobs share the process-wide plan pool:
-  a velocity an earlier job planned is a warm hit, and with several workers
-  N concurrent jobs planning it single-flight into one build and N-1 hits.
+* **Cross-request plan reuse.**  Transport jobs share the process-wide plan
+  pool's scatter plans: a velocity an earlier batch scattered with is a warm
+  hit, and with several workers N concurrent batches planning it
+  single-flight into one build and N-1 hits.  A register job's per-velocity
+  data belongs to its problem and is released when the job's solve ends.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
   task layout, backend and velocity — see
   :func:`~repro.service.batching.batch_key`) are claimed together and ride

@@ -188,9 +188,6 @@ class FourierTransform:
             )
         return self.backward_batch(spectra)
 
-    #: Backwards-compatible alias of :meth:`inverse_vector`.
-    backward_vector = inverse_vector
-
     # ------------------------------------------------------------------ #
     # multiplier application
     # ------------------------------------------------------------------ #

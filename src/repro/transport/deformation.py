@@ -71,7 +71,8 @@ class DeformationMap:
     plan:
         The :class:`~repro.transport.solvers.TransportPlan` of *velocity*
         when the caller owns one (a registration's final iterate does);
-        the velocity is planned again — a pool hit — when omitted.
+        when omitted the velocity is planned again — the flow expansion and
+        both departure sets, nothing is shared with earlier plans.
     """
 
     grid: Grid

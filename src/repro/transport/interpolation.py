@@ -24,18 +24,19 @@ Three interpolation kernels are provided:
 The kernels live in :mod:`repro.transport.kernels`.  This frontend owns
 validation, coordinate wrapping, **gather plans** (the cached
 64-weight/index stencils reused across every field interpolated at one set
-of departure points), the residency bound of the gather operators (at most
-two per interpolator — the forward and backward characteristics of the
-live velocity) and the interpolation counters, which the test-suite pins at
-``2*nt`` sweeps per Hessian mat-vec, inside the paper's ``4*nt`` complexity
-model.
+of departure points), the resident gather operators themselves (at most two
+per interpolator — the forward and backward characteristics of the live
+velocity — held here, not in the process-wide plan pool, and released with
+:meth:`PeriodicInterpolator.release_operators` when their solve ends) and
+the interpolation counters, which the test-suite pins at ``2*nt`` sweeps per
+Hessian mat-vec, inside the paper's ``4*nt`` complexity model.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,14 +45,16 @@ from repro.observability.trace import trace_span
 from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.kernels import (
-    RESIDENT_OPERATORS,
     SUPPORTED_METHODS,
+    GatherOperator,
     GatherOperatorPlan,
     GatherPlan,
+    build_gather_operator,
     catmull_rom_weights,
     gather,
     linear_weights,
     plan_payload,
+    projected_gather_operator_nbytes,
 )
 
 __all__ = [
@@ -68,11 +71,19 @@ _SUPPORTED_METHODS = SUPPORTED_METHODS
 #: (Sec. III-C2).  Used by the performance model.
 TRICUBIC_FLOPS_PER_POINT = 640
 
+#: Gather operators one interpolator keeps resident: the forward and the
+#: backward characteristics of the live velocity, which is what a
+#: ``TransportPlan`` structurally has.  Anything older is a dead iterate's.
+RESIDENT_OPERATORS = 2
+
 _INTERP_SWEEPS = get_metrics_registry().counter(
     "interp.sweeps", "whole-field interpolation sweeps (one field x one point set)"
 ).labels()
 _INTERP_POINTS = get_metrics_registry().counter(
     "interp.points", "total points interpolated"
+).labels()
+_OPERATOR_HITS = get_metrics_registry().counter(
+    "interp.operator_hits", "planned gathers served by a resident gather operator"
 ).labels()
 _OPERATOR_DISCARDS = get_metrics_registry().counter(
     "interp.operator_discards", "resident gather operators released by their interpolator"
@@ -102,9 +113,9 @@ class PeriodicInterpolator:
             )
         self._spacing = np.asarray(self.grid.spacing, dtype=np.float64)
         self.points_interpolated = 0
-        # pool keys of the gather operators this interpolator touched last,
-        # most recent last (see _retain_operator)
-        self._operator_keys: list = []
+        # the resident gather operators, most recently used last, each with
+        # the plan payload that names it (see _resident_operator)
+        self._operators: List[Tuple[GatherOperatorPlan, GatherOperator]] = []
         self._operator_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -125,23 +136,18 @@ class PeriodicInterpolator:
     # ------------------------------------------------------------------ #
     # planning
     # ------------------------------------------------------------------ #
-    def plan(self, points: np.ndarray, key: Optional[Hashable] = None) -> GatherPlan:
+    def plan(self, points: np.ndarray) -> GatherPlan:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
         The plan caches the wrapped coordinates and — for kernels with an
         explicit stencil — the base indices and per-axis kernel weights (or
-        the key of the gather operator that holds them), so every field
+        the name of the gather operator that will hold them), so every field
         interpolated at the same points skips that work.  The planned path
-        is bitwise identical to the unplanned one.  A caller that already
-        holds a content identity of *points* (the stepper: its departure
-        points are a function of its own pool key) passes it as *key*;
-        otherwise a pooled gather operator hashes the coordinates.
+        is bitwise identical to the unplanned one.
         """
-        return self._plan(points, reusable=True, key=key)
+        return self._plan(points, reusable=True)
 
-    def _plan(
-        self, points: np.ndarray, reusable: bool, key: Optional[Hashable] = None
-    ) -> GatherPlan:
+    def _plan(self, points: np.ndarray, reusable: bool) -> GatherPlan:
         """Wrap *points*; plan the kernel's stencil only when they will be reused.
 
         A one-shot point set (``reusable=False``) carries no payload: the
@@ -151,7 +157,7 @@ class PeriodicInterpolator:
         coordinates = self.to_index_coordinates(points)
         payload = None
         if reusable:
-            payload = plan_payload(self.grid.shape, coordinates, self.method, key)
+            payload = plan_payload(self.grid.shape, coordinates, self.method)
         return GatherPlan(
             method=self.method,
             grid_shape=self.grid.shape,
@@ -175,37 +181,60 @@ class PeriodicInterpolator:
     # ------------------------------------------------------------------ #
     # gathering (counting lives here, never in the kernels)
     # ------------------------------------------------------------------ #
-    def _retain_operator(self, key) -> None:
-        """Mark *key* most recently used; release the third-most-recent one.
+    def _resident_operator(self, plan: GatherPlan) -> Optional[GatherOperator]:
+        """The operator of *plan*'s points, built on first use; ``None`` if not resident.
 
-        Residency is owner-scoped: left to the pool's LRU the operators of
-        every dead iterate would sit in memory until the budget (512 MiB by
-        default) pushed them out.
+        The two most recently used operators stay; the third-most-recent is
+        released *before* a new one is built, so three are never alive.  The
+        live pair may claim half the plan-pool budget
+        (``REPRO_PLAN_POOL_BYTES``) — decided from the projected bytes,
+        before anything is built; otherwise, and at a budget of ``0``, every
+        sweep builds its blocks transiently (same bits).
         """
+        name = plan.payload
         with self._operator_lock:
-            keys = self._operator_keys
-            if key in keys:
-                keys.remove(key)
-            keys.append(key)
-            stale = keys.pop(0) if len(keys) > RESIDENT_OPERATORS else None
-        if stale is not None and get_plan_pool().discard(stale):
-            _OPERATOR_DISCARDS.inc()
+            for index, (owner, operator) in enumerate(self._operators):
+                if owner is name:
+                    self._operators.append(self._operators.pop(index))
+                    _OPERATOR_HITS.inc()
+                    return operator
+            projected = projected_gather_operator_nbytes(plan.num_points, self.grid.shape)
+            if RESIDENT_OPERATORS * projected > get_plan_pool().max_bytes // 2:
+                return None
+            while len(self._operators) >= RESIDENT_OPERATORS:
+                self._operators.pop(0)
+                _OPERATOR_DISCARDS.inc()
+            operator = build_gather_operator(self.grid.shape, plan.coordinates)
+            self._operators.append((name, operator))
+            return operator
+
+    @property
+    def resident_operators(self) -> int:
+        """How many gather operators this interpolator holds (at most two)."""
+        with self._operator_lock:
+            return len(self._operators)
+
+    def release_operators(self) -> None:
+        """Drop every resident gather operator (the solve that needed them is over)."""
+        with self._operator_lock:
+            _OPERATOR_DISCARDS.inc(len(self._operators))
+            self._operators.clear()
 
     def _gather(self, fields: np.ndarray, plan: GatherPlan) -> np.ndarray:
         batch = fields.shape[0]
         self.points_interpolated += batch * plan.num_points
         _INTERP_SWEEPS.inc(batch)
         _INTERP_POINTS.inc(batch * plan.num_points)
-        if isinstance(plan.payload, GatherOperatorPlan):
-            # before the gather, so a third operator is never resident
-            self._retain_operator(plan.payload.key)
         with trace_span(
             "interp.gather",
             count=batch,
             points=batch * plan.num_points,
             method=self.method,
         ):
-            return gather(fields, plan.coordinates, plan.payload, self.method)
+            payload = plan.payload
+            if isinstance(payload, GatherOperatorPlan):
+                payload = self._resident_operator(plan)
+            return gather(fields, plan.coordinates, payload, self.method)
 
     def _check_stack(self, fields: np.ndarray) -> np.ndarray:
         fields = np.asarray(fields)

@@ -47,11 +47,11 @@ bitwise equal to scalar ones.  (Four products on the slices themselves
 need no copy and win while an operator block is cache-hot; inside a solve
 they re-read every block ``4 B`` times and lose, ``BENCH_18.json``.)
 Planned point sets keep their operator resident in
-the plan pool (tag ``gather-operator``, at most two per
-:class:`~repro.transport.interpolation.PeriodicInterpolator`); one-shot
-point sets — and planned ones the pool budget cannot hold — build it block
-by block and keep nothing.  Resident and transient gathers run the same
-blocks and are bitwise identical.
+the :class:`~repro.transport.interpolation.PeriodicInterpolator` that
+gathers them (at most two per interpolator); one-shot point sets — and
+planned ones the residency budget cannot hold — build it block by block and
+keep nothing.  Resident and transient gathers run the same blocks and are
+bitwise identical.
 
 Stencil plans (``catmull_rom``)
 -------------------------------
@@ -65,14 +65,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 from scipy import ndimage, sparse
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
-from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 
 #: The interpolation kernels.
 SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
@@ -345,9 +344,6 @@ def execute_stencil_plan(
 # --------------------------------------------------------------------------- #
 # sparse gather operator (cubic_bspline)
 # --------------------------------------------------------------------------- #
-#: Plan-pool tag of resident gather operators (the leading key element).
-GATHER_OPERATOR_TAG = "gather-operator"
-
 #: Points per operator block.  A block is the unit of building and applying:
 #: its build scratch and its ``(m, 4 B)`` product stay under a few MB
 #: whatever the grid size, and a one-shot gather never holds more than one
@@ -355,16 +351,8 @@ GATHER_OPERATOR_TAG = "gather-operator"
 #: peak RSS of a 32^3 solve grows by 7 MB from 4k to 32k.
 OPERATOR_CHUNK = 8192
 
-#: Gather operators one interpolator keeps resident: the forward and the
-#: backward characteristics of the live velocity, which is what a
-#: ``TransportPlan`` structurally has.  Anything older is a dead iterate's.
-RESIDENT_OPERATORS = 2
-
 _OPERATOR_BUILDS = get_metrics_registry().counter(
     "interp.operator_builds", "gather operators built (resident or block-transient)"
-).labels()
-_OPERATOR_HITS = get_metrics_registry().counter(
-    "interp.operator_hits", "planned gathers served by a resident gather operator"
 ).labels()
 
 
@@ -401,19 +389,19 @@ class GatherOperator:
 
     @property
     def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
+        """Exact array payload in bytes."""
         return sum(block.nbytes for block in self.blocks)
 
 
-@dataclass(frozen=True)
 class GatherOperatorPlan:
-    """What a :class:`GatherPlan` carries for the operator: its pool key.
+    """What a :class:`GatherPlan` carries for the operator: a name, no bytes.
 
-    The operator itself is built on the first gather and accounted in the
-    plan pool under its own tag, so the plan owns no operator bytes.
+    The operator itself is built on the first planned gather and held by the
+    interpolator that gathered it, which recognizes its plans by this
+    object's identity.
     """
 
-    key: Tuple
+    __slots__ = ()
 
     nbytes = 0
 
@@ -495,42 +483,6 @@ def build_gather_operator(shape: Tuple[int, int, int], coordinates: np.ndarray) 
         )
 
 
-def gather_operator_plan(
-    shape: Tuple[int, int, int], coordinates: np.ndarray, key: Optional[Hashable] = None
-) -> GatherOperatorPlan:
-    """Plan a point set for resident gathers: name it, build nothing.
-
-    *key* is the caller's content identity of *coordinates* (a stepper's
-    departure points are a pure function of its own pool key); without one
-    the coordinates are fingerprinted.
-    """
-    if key is None:
-        key = array_fingerprint(coordinates)
-    return GatherOperatorPlan((GATHER_OPERATOR_TAG, tuple(int(n) for n in shape), key))
-
-
-def _resident_gather_operator(
-    plan: GatherOperatorPlan, shape: Tuple[int, int, int], coordinates: np.ndarray
-) -> Optional[GatherOperator]:
-    """The pooled operator of *plan*, or ``None`` when the budget cannot hold it.
-
-    Decided from the projected bytes, before anything is built.  The live
-    pair (forward and backward characteristics) may claim half the pool —
-    the other half holds the departure plans and the iterate's gradient
-    stack, which an operator that merely *fits* would evict on every sweep.
-    A budget of ``0`` therefore never keeps one.
-    """
-    pool = get_plan_pool()
-    projected = projected_gather_operator_nbytes(coordinates.shape[1], shape)
-    if RESIDENT_OPERATORS * projected > pool.max_bytes // 2:
-        return None
-    operator = pool.lookup(plan.key)
-    if operator is not None:
-        _OPERATOR_HITS.inc()
-        return operator
-    return pool.get(plan.key, lambda: build_gather_operator(shape, coordinates))
-
-
 def _padded_coefficients(fields: np.ndarray) -> np.ndarray:
     """Spline coefficients of a ``(B, N1, N2, N3)`` stack, padded along axis 2.
 
@@ -551,13 +503,13 @@ def _padded_coefficients(fields: np.ndarray) -> np.ndarray:
 
 
 def gather_bspline(
-    fields: np.ndarray, coordinates: np.ndarray, plan: Optional[GatherOperatorPlan]
+    fields: np.ndarray, coordinates: np.ndarray, operator: Optional[GatherOperator] = None
 ) -> np.ndarray:
     """Tricubic B-spline gather of a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
 
-    With a *plan* the operator is fetched from (or built into) the plan
-    pool; without one — or when the pool budget cannot hold it — its blocks
-    are built, applied and dropped one at a time, once per gather.  Either
+    With the resident *operator* of *coordinates* its blocks are applied;
+    without one its blocks are built, applied and dropped one at a time,
+    once per gather.  Either
     way each block makes one pass over ``windows[n, f, c]``, the coefficient
     of field ``f`` at padded flat index ``n + c`` (four shifted slices of
     the padded coefficients, copied side by side: four times the stack),
@@ -566,7 +518,6 @@ def gather_bspline(
     which other fields share the stack.
     """
     shape = fields.shape[1:]
-    operator = None if plan is None else _resident_gather_operator(plan, shape, coordinates)
     num_fields = fields.shape[0]
     coefficients = _padded_coefficients(fields)
     span = coefficients.shape[1] - 3
@@ -626,50 +577,49 @@ class GatherPlan:
 
     @property
     def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
+        """Exact array payload in bytes."""
         payload_bytes = self.payload.nbytes if self.payload is not None else 0
         return self.coordinates.nbytes + payload_bytes
 
 
 def plan_payload(
-    grid_shape: Tuple[int, int, int],
-    coordinates: np.ndarray,
-    method: str,
-    key: Optional[Hashable] = None,
+    grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
 ) -> Optional[PlanPayload]:
     """The reusable part of a gather at fractional index *coordinates*.
 
-    ``catmull_rom`` gets its :class:`StencilPlan`, ``cubic_bspline`` the key
-    of its pooled gather operator (*key*, when given, is the caller's
-    content identity of *coordinates*; otherwise they are fingerprinted),
-    and ``linear`` nothing.
+    ``catmull_rom`` gets its :class:`StencilPlan`, ``cubic_bspline`` the
+    name of its gather operator (built on the first gather), and ``linear``
+    nothing.
     """
     if method == "catmull_rom":
         return build_stencil_plan(grid_shape, coordinates, method)
     if method == "cubic_bspline":
-        return gather_operator_plan(grid_shape, coordinates, key)
+        return GatherOperatorPlan()
     return None
 
 
 def gather(
     fields: np.ndarray,
     coordinates: np.ndarray,
-    payload: Optional[PlanPayload],
+    payload: Optional[Union[PlanPayload, GatherOperator]],
     method: str,
 ) -> np.ndarray:
     """Interpolate a ``(B, N1, N2, N3)`` stack at *coordinates*; returns ``(B, M)``.
 
-    ``payload`` is what :func:`plan_payload` returned for *coordinates*, or
-    ``None`` for a one-shot point set.  ``cubic_bspline`` gathers through
-    the sparse gather operator (:func:`gather_bspline`), which agrees with
-    ``map_coordinates(order=3, mode="grid-wrap")`` to rounding (same spline
-    coefficients, different summation order).
+    ``payload`` is what :func:`plan_payload` returned for *coordinates* —
+    or, for ``cubic_bspline``, the resident gather operator the frontend
+    resolved that to — or ``None`` for a one-shot point set.
+    ``cubic_bspline`` gathers through the sparse gather operator
+    (:func:`gather_bspline`; built block by block unless resident), which
+    agrees with ``map_coordinates(order=3, mode="grid-wrap")`` to rounding
+    (same spline coefficients, different summation order).
     """
     if method == "catmull_rom":
         plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
         return execute_stencil_plan(_as_flat_float64(fields), plan)
     if method == "cubic_bspline":
-        return gather_bspline(fields, coordinates, payload)
+        operator = payload if isinstance(payload, GatherOperator) else None
+        return gather_bspline(fields, coordinates, operator)
     return np.stack(
         [
             ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")

@@ -58,23 +58,21 @@ after the time reversal ``tau = 1 - t`` by passing ``-v``.  A velocity that
 is identically zero — the first iterate of every registration — has no
 characteristics to follow: its stepper plans nothing and gathers nothing.
 
-Since PR 3 the departure points and their gather plan live in the shared
-**plan pool** (:mod:`repro.runtime.plan_pool`), keyed by the *content* of
-``(grid, velocity, dt, kernel)``: any stepper built for a velocity
-the pool has already planned — a ``beta``-continuation warm start, the
-deformation map of a just-solved registration — reuses the warm plan instead
-of re-expanding and re-planning.  (The accepted line-search trial does not
-even look: ``linearize`` adopts its whole ``TransportPlan``.)
+The departure points and their gather plan belong to the stepper, and so to
+the :class:`~repro.transport.solvers.TransportPlan` of its velocity: they
+live as long as that plan does and are never shared through the process-wide
+plan pool.  Whoever holds a velocity's plan hands it on instead of planning
+again — ``linearize`` adopts the accepted line-search trial's, the
+deformation map takes the final iterate's.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from typing import Callable, Hashable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
@@ -139,33 +137,16 @@ def compute_departure_points(
 
 
 @dataclass
-class DeparturePlanData:
-    """Pooled per-velocity planning data: departure points + gather plan.
-
-    The unit the plan pool stores and accounts for: the departure points of
-    one ``(velocity, dt)`` pair and the gather plan (wrapped coordinates +
-    cached stencil) of one interpolation kernel at those points.
-    """
-
-    points: np.ndarray
-    plan: GatherPlan
-
-    @property
-    def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
-        return self.points.nbytes + self.plan.nbytes
-
-
-@dataclass
 class SemiLagrangianStepper:
     """One semi-Lagrangian time step for a scalar transport equation.
 
     The stepper is bound to a fixed velocity and time step; the departure
-    points are computed once at construction (the paper's "scatter"/planning
-    phase) and shared by every call to :meth:`step`.  A velocity that is
-    identically zero departs from the grid itself: that stepper holds no
-    departure data (both fields stay ``None``), touches no pool and gathers
-    nothing — :meth:`step` is ``nu + dt/2 (f_old + f_new)``.
+    points and their gather plan are computed once at construction (the
+    paper's "scatter"/planning phase), held by the stepper and shared by
+    every call to :meth:`step`.  A velocity that is identically zero departs
+    from the grid itself: that stepper holds no departure data (both fields
+    stay ``None``) and gathers nothing — :meth:`step` is
+    ``nu + dt/2 (f_old + f_new)``.
 
     Parameters
     ----------
@@ -179,22 +160,13 @@ class SemiLagrangianStepper:
     interpolator:
         Off-grid interpolation kernel (tricubic by default).
     departure_points, departure_plan:
-        Precomputed planning data (both must be given together); when
-        omitted the stepper fetches them from the shared plan pool —
-        building them only if no prior stepper planned the same
-        ``(grid, velocity, dt, kernel)`` content.
-    use_plan_pool:
-        Set to ``False`` to bypass the pool entirely (always rebuild).
-    velocity_key:
-        Content identity of *velocity* when the caller already has one
-        (:meth:`TransportSolver.plan` fingerprints ``v`` once and names its
-        ``-v`` stepper ``(fingerprint, "reversed")``); the velocity is
-        fingerprinted when omitted.
+        Precomputed planning data (both must be given together); computed
+        here when omitted.
     derivatives:
-        Called on a pool miss for the :func:`flow_derivatives` pair of
-        *velocity* (:meth:`TransportSolver.plan` shares one pair between its
-        two steppers, through its own operators); a standalone stepper
-        computes the pair itself.  Not kept.
+        The :func:`flow_derivatives` pair of *velocity* when the caller has
+        it (:meth:`TransportSolver.plan` shares one pair between its two
+        steppers, through its own operators); a standalone stepper computes
+        the pair itself.  Not kept.
     """
 
     grid: Grid
@@ -203,9 +175,7 @@ class SemiLagrangianStepper:
     interpolator: Optional[PeriodicInterpolator] = None
     departure_points: Optional[np.ndarray] = None
     departure_plan: Optional[GatherPlan] = None
-    use_plan_pool: bool = True
-    velocity_key: Optional[Hashable] = None
-    derivatives: InitVar[Optional[Callable[[], Tuple[np.ndarray, np.ndarray]]]] = None
+    derivatives: InitVar[Optional[Tuple[np.ndarray, np.ndarray]]] = None
 
     def __post_init__(self, derivatives) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
@@ -217,45 +187,12 @@ class SemiLagrangianStepper:
                 "(one without the other would silently be rebuilt and ignored)"
             )
         if self.departure_points is None and self.velocity.any():
-            if self.use_plan_pool:
-                key = self._pool_key()
-                data = get_plan_pool().get(
-                    key, lambda: self._build_departure_data(derivatives, key)
-                )
-            else:
-                data = self._build_departure_data(derivatives)
-            self.departure_points = data.points
-            self.departure_plan = data.plan
-
-    # ------------------------------------------------------------------ #
-    def _pool_key(self) -> Tuple:
-        """Content key of this stepper's planning data in the shared pool."""
-        return (
-            "semi-lagrangian-departure",
-            self.grid,
-            float(self.dt),
-            self.interpolator.method,
-            self.velocity_key or array_fingerprint(self.velocity),
-        )
-
-    def _build_departure_data(
-        self, derivatives=None, key: Optional[Tuple] = None
-    ) -> DeparturePlanData:
-        """Expand the characteristics and plan the gather (the pool's miss path).
-
-        The departure points are a pure function of the pool *key*, so it
-        also names their gather operator: nothing hashes the coordinates.
-        """
-        pair = None if derivatives is None else derivatives()
-        points = compute_departure_points(self.grid, self.velocity, self.dt, pair)
-        # the paper's planning phase: the gather stencil of the departure
-        # points is computed once and reused by every step of every field
-        plan = self.interpolator.plan(points, key=key)
-        # pooled entries are shared across steppers; guard them against
-        # accidental in-place mutation by any consumer
-        points.setflags(write=False)
-        plan.coordinates.setflags(write=False)
-        return DeparturePlanData(points=points, plan=plan)
+            self.departure_points = compute_departure_points(
+                self.grid, self.velocity, self.dt, derivatives
+            )
+            # the paper's planning phase: the gather stencil of the departure
+            # points is computed once and reused by every step of every field
+            self.departure_plan = self.interpolator.plan(self.departure_points)
 
     # ------------------------------------------------------------------ #
     def interpolate_at_departure(self, field: np.ndarray) -> np.ndarray:

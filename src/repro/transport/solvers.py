@@ -36,14 +36,12 @@ solvers here return full space-time histories as arrays of shape
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.observability.trace import trace_span
-from repro.runtime.plan_pool import array_fingerprint
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
@@ -105,10 +103,10 @@ class TransportPlan:
     def nbytes(self) -> int:
         """Byte size of the per-velocity planning data this plan holds.
 
-        Counts the departure points and gather plans of both steppers (the
-        quantities the shared plan pool stores and budgets; none for
-        ``v = 0``) plus the cached divergence field and, once built, the
-        growth factor.
+        Counts the departure points and gather plans of both steppers (none
+        for ``v = 0``) plus the cached divergence field and, once built, the
+        growth factor.  The gather operators the plans name are not counted:
+        the solver's interpolator holds those.
         """
         growth_bytes = 0 if self._growth is None else self._growth.nbytes
         return self.divergence.nbytes + growth_bytes + sum(
@@ -169,16 +167,14 @@ class TransportSolver:
     ) -> TransportPlan:
         """Build the forward/backward semi-Lagrangian plans for *velocity*.
 
-        The expensive planning data (departure points + gather stencils of
-        both characteristic directions) comes from the shared plan pool
-        (:mod:`repro.runtime.plan_pool`): velocities the pool has already
-        planned — a continuation warm start, a deformation map that was not
-        handed its iterate's plan — are warm hits and skip the expansion/plan
-        work entirely.  A direction that misses expands the flow through
-        this solver's operators; the derivative pair is computed once for
-        both directions and dropped when this method returns.  *spectrum* is the velocity's half-spectra when the caller
-        holds them (the optimizer does): the expansion and ``div v`` then
-        start from it instead of transforming the velocity again.
+        Expands the flow once through this solver's operators — the
+        derivative pair serves both directions and is dropped when this
+        method returns — and plans the departure points of each direction
+        into its own stepper; the returned plan owns all of it.  A caller
+        that already holds a velocity's plan hands it on instead of calling
+        this again.  *spectrum* is the velocity's half-spectra when the
+        caller holds them (the optimizer does): the expansion and ``div v``
+        then start from it instead of transforming the velocity again.
         """
         velocity = check_velocity_shape(velocity, self.grid.shape)
         if not velocity.any():
@@ -190,25 +186,15 @@ class TransportSolver:
         else:
             if spectrum is None:
                 spectrum = self.operators.fft.forward_vector(velocity)
-            # one hash per velocity: -v is named after v, and each stepper's
-            # gather operator after the stepper
-            fingerprint = array_fingerprint(velocity)
-            derivatives = functools.cache(
-                lambda: flow_derivatives(velocity, self.operators, spectrum)
-            )
-
-            def reversed_derivatives():
-                a, b = derivatives()
-                return a, -b
-
+            a, b = flow_derivatives(velocity, self.operators, spectrum)
             forward = SemiLagrangianStepper(
-                self.grid, velocity, self.dt, self._interpolator,
-                velocity_key=fingerprint, derivatives=derivatives,
+                self.grid, velocity, self.dt, self._interpolator, derivatives=(a, b)
             )
+            # -v departs from the same expansion with b's sign flipped
             backward = SemiLagrangianStepper(
-                self.grid, -velocity, self.dt, self._interpolator,
-                velocity_key=(fingerprint, "reversed"), derivatives=reversed_derivatives,
+                self.grid, -velocity, self.dt, self._interpolator, derivatives=(a, -b)
             )
+            del a, b
             div_v = self.operators.divergence_of_spectra(spectrum)
             vel_scale = max(self.grid.norm(velocity), 1e-30)
             div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
@@ -431,22 +417,3 @@ class TransportSolver:
                     plan, history[j], sources[j], sources[j - 1]
                 )
         return history
-
-    # ------------------------------------------------------------------ #
-    # time quadrature
-    # ------------------------------------------------------------------ #
-    def time_integral(self, integrand_history: np.ndarray) -> np.ndarray:
-        """Trapezoidal quadrature of a time history over ``t in [0, 1]``.
-
-        Used for the body force ``b = int_0^1 lam grad rho dt`` of the
-        reduced gradient (Eq. 4) and its incremental counterpart (Eq. 5).
-        """
-        integrand_history = np.asarray(integrand_history)
-        nt = integrand_history.shape[0] - 1
-        if nt < 1:
-            raise ValueError("history must contain at least two time levels")
-        weights = np.full(nt + 1, 1.0, dtype=np.float64)
-        weights[0] = 0.5
-        weights[-1] = 0.5
-        weights /= nt
-        return np.tensordot(weights, integrand_history, axes=(0, 0))

@@ -47,13 +47,13 @@ the first from the velocity's own half-spectra), so planning a new velocity
 interpolates nothing:
 
     linearize(new v):  2*nt + 1 sweeps (state, adjoint, growth factor),
-                       21 transforms more than on a pool hit; in all
                        3 (v^) + 22 (plan: 21 + div v) + 4*(nt+1) (gradient
-                       stack) + 3 (b -> b^); the iterate keeps g^, its
-                       ``gradient`` field is 3 more on demand
+                       stack) + 3 (b -> b^) transforms; the iterate keeps
+                       g^, its ``gradient`` field is 3 more on demand
     line-search trial: 3 (v^; + 3 to project it when incompressible) + 22
     adopted trial:     4*(nt+1) + 3
-    v = 0:             no plan, no pool entry, no sweep, no transform
+    live iterate:      3 (b -> b^), no sweep (a continuation level's start)
+    v = 0:             no plan, no operator, no sweep, no transform
 
 These tests pin all three numbers exactly so any refactor of the spectral or
 interpolation layers (backends, batching, plan caching) that changes the
@@ -264,20 +264,35 @@ class TestPlanningCost:
 
     @pytest.mark.parametrize("nt", [2, 4])
     def test_linearize_of_a_new_velocity(self, nt):
-        set_gradient_cache_enabled(False)  # its pooled stack would be a hit too
         problem = _build_problem(nt)
         velocity = _generic_velocity(problem)
-        work = []
-        for _ in ("pool miss", "pool hit"):
-            before = problem.work_counters()
-            problem.linearize(velocity)
-            work.append(problem.work_counters() - before)
-        cold, warm = work
-        sweeps = [w.interpolation_sweeps(problem.grid.num_points) for w in work]
-        assert sweeps == [2 * nt + 1, 2 * nt + 1]
-        assert cold.fft_transforms - warm.fft_transforms == 21
+        before = problem.work_counters()
+        problem.linearize(velocity)
+        cold = problem.work_counters() - before
+        assert cold.interpolation_sweeps(problem.grid.num_points) == 2 * nt + 1
         # v^, the plan (expansion + div v), the gradient stack, b -> b^
         assert cold.fft_transforms == 3 + 22 + 4 * (nt + 1) + 3
+        # planning alone: v^ and the plan, no interpolation
+        before = problem.work_counters()
+        problem.transport.plan(velocity, spectrum=problem.operators.fft.forward_vector(velocity))
+        planning = problem.work_counters() - before
+        assert (planning.fft_transforms, planning.interpolated_points) == (3 + 22, 0)
+
+    @pytest.mark.parametrize("gradient_cache", [True, False])
+    def test_relinearizing_the_live_iterate(self, gradient_cache):
+        """A continuation level's first linearize: only what beta changes."""
+        nt = 4
+        set_gradient_cache_enabled(gradient_cache)
+        problem = _build_problem(nt)
+        velocity = _generic_velocity(problem)
+        problem.linearize(velocity)
+        problem.set_beta(0.1 * problem.beta)
+        before = problem.work_counters()
+        problem.linearize(velocity.copy())
+        warm = problem.work_counters() - before
+        assert warm.interpolated_points == 0
+        # b -> b^; the lazy source recomputes the body force's gradients
+        assert warm.fft_transforms == 3 + (0 if gradient_cache else 4 * (nt + 1))
 
     @pytest.mark.parametrize("incompressible", [False, True])
     def test_trial_and_its_adoption(self, incompressible):
@@ -316,5 +331,5 @@ class TestPlanningCost:
         # v^ of zeros, the gradient stack, b -> b^; then one mat-vec
         assert delta.fft_transforms == (3 + 4 * 5 + 3) + 12
         assert operator_builds() == builds
-        assert set(get_plan_pool().stats_by_tag()) <= {"grad-cache"}
+        assert get_plan_pool().stats_by_tag() == {}
         assert iterate.plan.backward_stepper is iterate.plan.forward_stepper

@@ -6,8 +6,8 @@ Covers the tentpole guarantees of the cache layer:
   gradients and Hessian mat-vecs on every FFT backend and
   both Hessian variants (Gauss-Newton and full Newton);
   the cache reuses the FFT outputs, it never changes them;
-* **budget participation** — the cached stack lives in the shared plan
-  pool under the ``grad-cache`` tag, is byte-accounted exactly, and
+* **budget participation** — the cached stack belongs to its iterate (never
+  to the process-wide plan pool), is exactly the projected size, and
   degrades to the lazy per-level path (with a logged decision) whenever
   the ``REPRO_PLAN_POOL_BYTES`` budget cannot hold it;
 * **counter exactness** — a warm Gauss-Newton mat-vec performs zero
@@ -20,16 +20,17 @@ Covers the tentpole guarantees of the cache layer:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.gradients import (
-    GRAD_CACHE_TAG,
     GRADIENT_CACHE_ENV_VAR,
     CachedStateGradients,
-    GradientCacheScope,
     LazyStateGradients,
     accumulate_weighted_products,
     env_gradient_cache_enabled,
@@ -180,20 +181,20 @@ class TestCachePlanning:
         with pytest.raises(ValueError):
             source.stack()[0] = 0.0
 
-    def test_pool_accounting_under_grad_cache_tag(self, ops, state_history):
-        plan_state_gradients(ops, state_history)
-        stats = get_plan_pool().stats_by_tag()["grad-cache"]
-        assert stats.misses == 1 and stats.entries == 1
-        assert stats.current_bytes == projected_gradient_cache_nbytes(state_history)
-        assert stats.current_bytes == 3 * state_history.nbytes
-
-    def test_revisit_is_a_warm_pool_hit_with_zero_ffts(self, ops, state_history):
-        plan_state_gradients(ops, state_history)
-        before = ops.fft.counters.total
+    def test_stack_is_the_projected_size_and_never_pooled(self, ops, state_history):
         source = plan_state_gradients(ops, state_history)
-        assert ops.fft.counters.total == before
-        assert source.cached
-        assert get_plan_pool().stats_by_tag()["grad-cache"].hits == 1
+        assert source.nbytes == projected_gradient_cache_nbytes(state_history)
+        assert source.nbytes == 3 * state_history.nbytes
+        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0
+
+    def test_every_plan_builds_its_own_stack(self, ops, state_history):
+        """Nothing is shared by content: reuse is the owner's hand-off."""
+        first = plan_state_gradients(ops, state_history)
+        before = ops.fft.counters.total
+        second = plan_state_gradients(ops, state_history.copy())
+        assert ops.fft.counters.total - before == 4 * state_history.shape[0]
+        assert second.stack() is not first.stack()
+        np.testing.assert_array_equal(second.stack(), first.stack())
 
     def test_budget_too_small_degrades_and_logs(self, ops, state_history):
         configure_plan_pool(projected_gradient_cache_nbytes(state_history) - 1)
@@ -405,63 +406,62 @@ class TestIterateWiring:
             CachedStateGradients(np.zeros((4, 2, 8, 8, 8)))
 
 
-def _grad_cache_stats():
-    return get_plan_pool().stats_by_tag()[GRAD_CACHE_TAG]
+class TestStackOwnership:
+    """The iterate holds its stack; the problem hands the live one over."""
 
+    def test_a_dead_source_frees_its_stack(self, ops, state_history):
+        source = plan_state_gradients(ops, state_history)
+        stack = weakref.ref(source.stack())
+        del source
+        gc.collect()
+        assert stack() is None
 
-class TestLiveIterateScope:
-    """The pool holds the gradient stack of the live iterate, not of dead ones."""
+    def test_a_new_iterate_does_not_keep_the_previous_stack(self):
+        problem = _problem()
+        first = problem.linearize(0.1 * smooth_velocity_field(problem.grid, seed=73))
+        stack = weakref.ref(first.state_gradients.stack())
+        del first
+        problem.linearize(0.1 * smooth_velocity_field(problem.grid, seed=74))
+        gc.collect()
+        assert stack() is None  # neither the problem nor the pool kept it
 
-    def test_new_state_history_releases_the_previous_stack(self, ops, state_history):
-        scope = GradientCacheScope()
-        plan_state_gradients(ops, state_history, scope=scope)
-        first_key = scope.key
-        assert first_key in get_plan_pool()
-        plan_state_gradients(ops, 2.0 * state_history, scope=scope)
-        assert first_key not in get_plan_pool()
-        assert scope.key in get_plan_pool()
-        stats = _grad_cache_stats()
-        # released, not evicted; and never two stacks at once
-        assert (stats.entries, stats.evictions) == (1, 0)
-        assert stats.peak_bytes == projected_gradient_cache_nbytes(state_history)
-        get_plan_pool().validate_accounting()
+    def test_the_live_iterate_hands_its_stack_over(self):
+        """A continuation level re-linearizes where the last one ended."""
+        problem = _problem()
+        velocity = 0.1 * smooth_velocity_field(problem.grid, seed=75)
+        live = problem.linearize(velocity)
+        problem.set_beta(0.1 * problem.beta)
+        before = problem.operators.fft.counters.total
+        again = problem.linearize(velocity.copy())
+        assert again.state_gradients is live.state_gradients
+        assert problem.operators.fft.counters.total - before == 3  # b -> b^ only
 
-    def test_same_state_history_still_hits(self, ops, state_history):
-        """The continuation re-linearizes the velocity the last level ended on."""
-        scope = GradientCacheScope()
-        plan_state_gradients(ops, state_history, scope=scope)
-        plan_state_gradients(ops, state_history.copy(), scope=scope)
-        stats = _grad_cache_stats()
-        assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
+    def test_the_hand_off_is_bitwise_a_fresh_linearize(self):
+        problem = _problem()
+        velocity = 0.1 * smooth_velocity_field(problem.grid, seed=76)
+        problem.linearize(velocity)
+        problem.set_beta(0.1 * problem.beta)
+        again = problem.linearize(velocity)
+        fresh_problem = _problem()
+        fresh_problem.set_beta(problem.beta)
+        fresh = fresh_problem.linearize(velocity)
+        np.testing.assert_array_equal(again.gradient_spectrum, fresh.gradient_spectrum)
+        assert again.objective == fresh.objective
+        assert again.gradient_norm == fresh.gradient_norm
 
-    def test_degrading_to_lazy_releases_the_stack(self, ops, state_history):
-        scope = GradientCacheScope()
-        plan_state_gradients(ops, state_history, scope=scope)
-        set_gradient_cache_enabled(False)
-        assert not plan_state_gradients(ops, 2.0 * state_history, scope=scope).cached
-        assert scope.key is None
-        assert _grad_cache_stats().entries == 0
+    def test_concurrent_problems_keep_their_own_stacks(self):
+        """Two problems solved side by side (the job service) share nothing."""
+        first, second = _problem(), _problem()
+        velocity = 0.1 * smooth_velocity_field(first.grid, seed=77)
+        a, b = first.linearize(velocity), second.linearize(velocity)
+        assert a.state_gradients.stack() is not b.state_gradients.stack()
+        np.testing.assert_array_equal(a.state_gradients.stack(), b.state_gradients.stack())
+        assert len(get_plan_pool()) == 0
 
-    def test_scopes_are_independent(self, ops, state_history):
-        """Two problems solved concurrently each keep their own live stack."""
-        first, second = GradientCacheScope(), GradientCacheScope()
-        plan_state_gradients(ops, state_history, scope=first)
-        plan_state_gradients(ops, 2.0 * state_history, scope=second)
-        plan_state_gradients(ops, 3.0 * state_history, scope=second)
-        assert first.key in get_plan_pool()
-        assert _grad_cache_stats().entries == 2
-
-    def test_unscoped_calls_release_nothing(self, ops, state_history):
-        plan_state_gradients(ops, state_history)
-        plan_state_gradients(ops, 2.0 * state_history)
-        assert _grad_cache_stats().entries == 2
-
-    def test_a_solve_ends_with_one_stack(self):
+    def test_a_solve_leaves_no_stack_in_the_pool(self):
         from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
 
         problem = _problem()
-        GaussNewtonKrylov(problem, SolverOptions(max_newton_iterations=3)).solve()
-        stats = _grad_cache_stats()
-        assert stats.misses >= 2  # several iterates were linearized ...
-        assert stats.entries == 1  # ... and only the live one's stack is pooled
-        assert stats.peak_bytes == stats.current_bytes
+        result = GaussNewtonKrylov(problem, SolverOptions(max_newton_iterations=3)).solve()
+        assert result.final_iterate.state_gradients.cached
+        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0

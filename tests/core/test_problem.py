@@ -307,6 +307,7 @@ class TestComplexityCounts:
         assert (problem.work_counters() - before).fft_transforms / 2 == 3
 
         set_gradient_cache_enabled(False)
+        problem.release()  # else linearize hands the live iterate's stack over
         try:
             uncached_iterate = problem.linearize(velocity)
             before = problem.work_counters()

@@ -7,7 +7,8 @@ problem's one trial slot; ``linearize`` of a content-equal velocity adopts
 it instead of transforming, planning and transporting a second time.  Pinned
 here: the adopted iterate is the one a fresh ``linearize`` builds, the slot
 holds one trial at most and none after a rejection, and anything else takes
-the normal path.
+the normal path.  Planning is observed through ``TransportSolver.plan``
+calls and plan identity — nothing per-velocity goes through the plan pool.
 
 "Is the one": bitwise for a compressible problem, whose trial spectrum is
 ``forward(trial)`` — exactly what a fresh ``linearize`` computes.  An
@@ -19,6 +20,9 @@ planned from the spectrum (departure points, hence histories and gradient)
 agrees to ``1e-13`` of its size.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -28,11 +32,9 @@ from repro.core.optim.line_search import ArmijoLineSearch
 from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem
-from repro.runtime.plan_pool import PoolStats, reset_plan_pool
+from repro.transport.solvers import TransportSolver
 
 from tests.fixtures import smooth_velocity_field
-
-DEPARTURE = "semi-lagrangian-departure"
 
 VARIANTS = [
     pytest.param(dict(gauss_newton=True, incompressible=False), id="gn"),
@@ -49,8 +51,18 @@ def make_problem(**kwargs) -> RegistrationProblem:
     )
 
 
-def departure_stats(pool) -> PoolStats:
-    return pool.stats_by_tag().get(DEPARTURE, PoolStats())
+@pytest.fixture()
+def plans(monkeypatch):
+    """Every velocity ``TransportSolver.plan`` is called for, in order."""
+    planned = []
+    original = TransportSolver.plan
+
+    def recording_plan(self, velocity, spectrum=None):
+        planned.append(np.array(velocity))
+        return original(self, velocity, spectrum=spectrum)
+
+    monkeypatch.setattr(TransportSolver, "plan", recording_plan)
+    return planned
 
 
 def handoff_rtol(problem) -> float:
@@ -74,17 +86,17 @@ def assert_same_iterate(actual, expected, rtol=0.0):
 
 @pytest.mark.parametrize("kwargs", VARIANTS)
 class TestAdoptedIterate:
-    def test_bitwise_equal_to_a_fresh_linearize(self, kwargs, plan_pool):
+    def test_bitwise_equal_to_a_fresh_linearize(self, kwargs, plans):
         problem = make_problem(**kwargs)
         trial = problem.project(smooth_velocity_field(problem.grid, seed=5, amplitude=0.2))
         value = problem.trial_objective(trial)
         assert problem.trial_velocity is not None
-        lookups = departure_stats(plan_pool)
+        trial_plan = problem._trial[2]
+        planned = len(plans)
         interpolator = problem.transport.interpolator
         swept = interpolator.points_interpolated
         adopted = problem.linearize(problem.trial_velocity)
-        delta = departure_stats(plan_pool) - lookups
-        assert (delta.hits, delta.misses) == (0, 0)
+        assert len(plans) == planned and adopted.plan is trial_plan
         adopted_sweeps = (interpolator.points_interpolated - swept) / problem.grid.num_points
         assert problem.trial_velocity is None  # consumed
 
@@ -102,20 +114,21 @@ class TestAdoptedIterate:
             0 if adopted.plan.is_divergence_free else 1
         )
 
-    def test_different_velocity_takes_the_normal_path(self, kwargs, plan_pool):
+    def test_different_velocity_takes_the_normal_path(self, kwargs, plans):
         problem = make_problem(**kwargs)
         problem.trial_objective(smooth_velocity_field(problem.grid, seed=5, amplitude=0.2))
+        trial_plan = problem._trial[2]
         other = problem.project(smooth_velocity_field(problem.grid, seed=6, amplitude=0.1))
-        lookups = departure_stats(plan_pool)
+        planned = len(plans)
         iterate = problem.linearize(other)
-        delta = departure_stats(plan_pool) - lookups
-        assert (delta.hits, delta.misses) == (0, 2)  # planned: forward + backward
+        assert len(plans) == planned + 1 and iterate.plan is not trial_plan
+        np.testing.assert_array_equal(plans[-1], other)
         assert problem.trial_velocity is None  # a stale trial does not outlive an iterate
         assert_same_iterate(iterate, make_problem(**kwargs).linearize(other))
 
 
 class TestTrialSlot:
-    def test_standalone_objective_keeps_nothing(self, plan_pool):
+    def test_standalone_objective_keeps_nothing(self):
         problem = make_problem()
         velocity = smooth_velocity_field(problem.grid, seed=5, amplitude=0.2)
         kept = problem.evaluate_objective(velocity, keep_trial=True)
@@ -126,27 +139,31 @@ class TestTrialSlot:
         fresh.evaluate_objective(velocity)
         assert fresh.trial_velocity is None
 
-    def test_rejected_trial_leaves_no_slot_and_no_extra_pool_entry(self, plan_pool):
+    def test_rejected_trial_leaves_no_slot_and_no_extra_operator(self, plan_pool):
         """One slot: the next trial replaces (releases) a rejected one, and a
-        search that gives up releases the last; the pool holds exactly what
-        history-free evaluations of the same trials leave there."""
+        search that gives up releases the last; the interpolator holds exactly
+        what history-free evaluations of the same trials leave there, and the
+        pool holds nothing."""
         problem = make_problem()
         first = smooth_velocity_field(problem.grid, seed=5, amplitude=0.2)
         second = 0.5 * first
         problem.trial_objective(first)
+        first_plan = weakref.ref(problem._trial[2])
         problem.trial_objective(second)
         np.testing.assert_array_equal(problem.trial_velocity, second)
+        gc.collect()
+        assert first_plan() is None  # the rejected trial's plan died with it
         problem.release_trial()
         assert problem.trial_velocity is None
-        kept_keys = set(plan_pool.keys())
+        kept = problem.transport.interpolator.resident_operators
 
-        reset_plan_pool()
         plain = make_problem()
         plain.evaluate_objective(first)
         plain.evaluate_objective(second)
-        assert set(plan_pool.keys()) == kept_keys
+        assert plain.transport.interpolator.resident_operators == kept == 2
+        assert len(plan_pool) == 0
 
-    def test_failed_line_search_releases_the_trial(self, plan_pool):
+    def test_failed_line_search_releases_the_trial(self):
         problem = make_problem()
         options = SolverOptions(
             max_newton_iterations=2,
@@ -159,7 +176,7 @@ class TestTrialSlot:
             assert problem.trial_velocity is None
             np.testing.assert_array_equal(result.velocity, 0.0)
 
-    def test_backtracked_acceptance_hands_over_the_second_trial(self, plan_pool):
+    def test_backtracked_acceptance_hands_over_the_second_trial(self, plans):
         problem = make_problem(incompressible=True)
         iterate = problem.linearize(problem.zero_velocity())
         direction = problem.operators.fft.inverse_vector(
@@ -186,10 +203,9 @@ class TestTrialSlot:
         accepted = problem.project(trials[-1])
         np.testing.assert_array_equal(problem.trial_velocity, accepted)
         np.testing.assert_array_equal(accepted, problem.project(ls.step_length * direction))
-        lookups = departure_stats(plan_pool)
+        trial_plan, planned = problem._trial[2], len(plans)
         adopted = problem.linearize(problem.trial_velocity)
-        delta = departure_stats(plan_pool) - lookups
-        assert (delta.hits, delta.misses) == (0, 0)
+        assert len(plans) == planned and adopted.plan is trial_plan
         assert_same_iterate(
             adopted, make_problem(incompressible=True).linearize(accepted), handoff_rtol(problem)
         )
@@ -198,22 +214,25 @@ class TestTrialSlot:
 class TestDrivers:
     @pytest.mark.parametrize("driver", [GaussNewtonKrylov, GradientDescent])
     @pytest.mark.parametrize("kwargs", VARIANTS)
-    def test_solve_never_looks_an_accepted_trial_up_again(self, driver, kwargs, plan_pool):
+    def test_solve_never_plans_an_accepted_trial_again(self, driver, kwargs, plans, plan_pool):
         problem = make_problem(**kwargs)
         options = SolverOptions(max_newton_iterations=3, max_krylov_iterations=5)
+        planned = len(plans)
         result = driver(problem, options).solve()
         assert result.num_iterations == 3
-        assert departure_stats(plan_pool).hits == 0
+        trials = sum(record.line_search_evaluations for record in result.iterations)
+        assert len(plans) - planned == 1 + trials  # the initial guess, then each trial
+        assert len(plan_pool) == 0
         assert problem.trial_velocity is None
         fresh = make_problem(**kwargs).linearize(result.velocity)
         assert_same_iterate(result.final_iterate, fresh, handoff_rtol(problem))
 
-    def test_incompressible_solve_plans_each_velocity_once(self, plan_pool, monkeypatch):
-        """<= 2 departure misses (forward + backward) per planned velocity —
-        the projected trial is not re-traced by ``linearize`` — and every
-        iterate is divergence-free."""
+    def test_incompressible_solve_plans_each_velocity_once(self, plans, monkeypatch):
+        """One ``TransportSolver.plan`` per planned velocity — the projected
+        trial is not re-planned by ``linearize`` — and every iterate is
+        divergence-free."""
         problem = make_problem(incompressible=True)
-        before = departure_stats(plan_pool)  # the synthetic reference planned one
+        before = len(plans)  # the synthetic reference planned one
         iterates = []
         linearize = problem.linearize
 
@@ -227,9 +246,7 @@ class TestDrivers:
         ).solve()
         trials = sum(record.line_search_evaluations for record in result.iterations)
         planned = 1 + trials  # the initial guess, then one velocity per trial
-        departure = departure_stats(plan_pool) - before
-        assert departure.misses <= 2 * planned
-        assert departure.hits == 0
+        assert len(plans) - before == planned
         assert len(iterates) == 1 + result.num_iterations
         grid, operators = problem.grid, problem.operators
         for iterate in iterates:

@@ -3,22 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.core.optim.continuation import BetaContinuation
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.multilevel import MultilevelRegistration
 from repro.core.problem import RegistrationProblem
+from repro.core.registration import register
 from repro.data.synthetic import synthetic_registration_problem
 from repro.runtime.plan_pool import (
     DEFAULT_POOL_BYTES,
     POOL_BYTES_ENV_VAR,
     PlanPool,
+    PoolStats,
     array_fingerprint,
     configure_plan_pool,
     get_plan_pool,
     reset_plan_pool,
 )
 from repro.spectral.grid import Grid
-from repro.transport.deformation import DeformationMap
+from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import build_stencil_plan
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
@@ -76,32 +77,6 @@ class TestPlanPoolCore:
         assert "a" in pool and "c" in pool
         assert "b" not in pool
 
-    def test_discard_releases_bytes_without_counting_an_eviction(self):
-        pool = PlanPool(max_bytes=100)
-        pool.get(("kind", "a"), lambda: _Sized(30))
-        pool.get(("kind", "b"), lambda: _Sized(20))
-        assert pool.discard(("kind", "a")) is True
-        assert pool.discard(("kind", "a")) is False
-        assert pool.keys() == (("kind", "b"),)
-        assert pool.current_bytes == 20
-        stats = pool.stats_by_tag()["kind"]
-        assert (stats.entries, stats.current_bytes, stats.evictions) == (1, 20, 0)
-        assert pool.stats.peak_bytes == 50
-        pool.validate_accounting()
-        # a discarded key is simply a miss the next time
-        pool.get(("kind", "a"), lambda: _Sized(30))
-        assert pool.stats.misses == 3
-
-    def test_lookup_refreshes_lru_order_without_statistics(self):
-        pool = PlanPool(max_bytes=25)
-        first = pool.get("a", lambda: _Sized(10))
-        pool.get("b", lambda: _Sized(10))
-        assert pool.lookup("missing") is None
-        assert pool.lookup("a") is first
-        assert (pool.stats.hits, pool.stats.misses) == (0, 2)
-        pool.get("c", lambda: _Sized(10))  # evicts "b": "a" was used last
-        assert pool.keys() == ("a", "c")
-
     def test_oversize_entry_is_returned_but_not_stored(self):
         pool = PlanPool(max_bytes=25)
         pool.get("small", lambda: _Sized(10))
@@ -157,19 +132,19 @@ class TestPlanPoolCore:
         assert array_fingerprint(a) != array_fingerprint(a.reshape(3, 4))
 
 
-class TestStepperPooling:
-    def test_same_velocity_planned_once(self, plan_pool):
+class TestPlansOwnTheirData:
+    """Per-velocity planning data belongs to its stepper / plan: no pool entry."""
+
+    def test_steppers_plan_independently_and_pool_nothing(self, plan_pool):
         grid = Grid((12, 12, 12))
         velocity = smooth_velocity_field(grid, seed=101, amplitude=0.4)
-        SemiLagrangianStepper(grid, velocity, dt=0.25)
-        before = plan_pool.stats
-        stepper = SemiLagrangianStepper(grid, velocity, dt=0.25)
-        delta = plan_pool.stats - before
-        assert delta.hits == 1 and delta.misses == 0
-        # the warm plan is the real one: stepping works and matches a rebuild
+        first = SemiLagrangianStepper(grid, velocity, dt=0.25)
+        second = SemiLagrangianStepper(grid, velocity, dt=0.25)
+        assert second.departure_points is not first.departure_points
+        np.testing.assert_array_equal(second.departure_points, first.departure_points)
         field = np.random.default_rng(0).standard_normal(grid.shape)
-        cold = SemiLagrangianStepper(grid, velocity, dt=0.25, use_plan_pool=False)
-        np.testing.assert_array_equal(stepper.step(field), cold.step(field))
+        np.testing.assert_array_equal(first.step(field), second.step(field))
+        assert len(plan_pool) == 0 and plan_pool.stats == PoolStats()
 
     def test_one_sided_precomputed_data_rejected(self, plan_pool):
         grid = Grid((12, 12, 12))
@@ -184,28 +159,34 @@ class TestStepperPooling:
                 grid, velocity, dt=0.25, departure_plan=full.departure_plan
             )
 
-    def test_key_separates_velocity_dt_method(self, plan_pool):
+    def test_velocity_sign_and_dt_change_the_points(self, plan_pool):
         grid = Grid((12, 12, 12))
         velocity = smooth_velocity_field(grid, seed=102, amplitude=0.4)
-        SemiLagrangianStepper(grid, velocity, dt=0.25)
-        before = plan_pool.stats
-        SemiLagrangianStepper(grid, -velocity, dt=0.25)  # backward direction
-        SemiLagrangianStepper(grid, velocity, dt=0.5)
-        delta = plan_pool.stats - before
-        assert delta.hits == 0 and delta.misses == 2
+        base = SemiLagrangianStepper(grid, velocity, dt=0.25)
+        for other in (
+            SemiLagrangianStepper(grid, -velocity, dt=0.25),  # backward direction
+            SemiLagrangianStepper(grid, velocity, dt=0.5),
+        ):
+            assert not np.array_equal(other.departure_points, base.departure_points)
+        assert len(plan_pool) == 0
 
-    def test_transport_solver_plan_reuses_pool(self, plan_pool):
+    def test_transport_solver_plan_owns_its_data(self, plan_pool):
         grid = Grid((12, 12, 12))
         solver = TransportSolver(grid, num_time_steps=4)
         velocity = smooth_velocity_field(grid, seed=103, amplitude=0.4)
-        solver.plan(velocity)
-        before = plan_pool.stats
-        plan = solver.plan(velocity)
-        delta = plan_pool.stats - before
-        assert delta.hits == 2 and delta.misses == 0  # forward + backward
-        assert plan.nbytes > 0
+        first, second = solver.plan(velocity), solver.plan(velocity)
+        for forward, again in (
+            (first.forward_stepper, second.forward_stepper),
+            (first.backward_stepper, second.backward_stepper),
+        ):
+            assert again.departure_plan is not forward.departure_plan
+            np.testing.assert_array_equal(again.departure_points, forward.departure_points)
+        points = grid.num_points * 3 * 8  # one (3, N) float64 array
+        # departure points + wrapped coordinates per direction, and div v
+        assert first.nbytes == 2 * 2 * points + grid.num_points * 8
+        assert len(plan_pool) == 0
 
-    def test_linearize_reuses_line_search_plan(self, plan_pool):
+    def test_linearize_adopts_the_line_search_plan(self, plan_pool):
         """A kept trial + linearize of the same velocity plan and transport once."""
         synthetic = synthetic_registration_problem(12)
         problem = RegistrationProblem(
@@ -215,35 +196,35 @@ class TestStepperPooling:
         )
         velocity = smooth_velocity_field(synthetic.grid, seed=104, amplitude=0.2)
         problem.evaluate_objective(velocity, keep_trial=True)
-        before = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
+        trial_plan = problem._trial[2]
         swept = problem.transport.interpolator.points_interpolated
         iterate = problem.linearize(velocity.copy())  # equal by content, not identity
-        # the trial's TransportPlan is adopted: zero departure lookups ...
-        delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
-        assert (delta.hits, delta.misses) == (0, 0)
+        # the trial's TransportPlan is adopted ...
+        assert iterate.plan is trial_plan
         # ... and zero state sweeps: only the adjoint (nt steps + its growth factor) gathers
         assert not iterate.plan.is_divergence_free
         sweeps = (problem.transport.interpolator.points_interpolated - swept) / (
             synthetic.grid.num_points
         )
         assert sweeps == problem.num_time_steps + 1
-        # what still looks the velocity up still hits: the deformation map's plan
-        problem.transport.plan(velocity)
-        delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
-        assert (delta.hits, delta.misses) == (2, 0)
+        # the forward and backward operators of the iterate are resident
+        assert problem.transport.interpolator.resident_operators == 2
+        assert len(plan_pool) == 0
 
 
 class TestTagStats:
     """Per-entry-kind accounting (stats_by_tag), incl. the stepper entries."""
 
-    def test_stepper_entries_are_tagged(self, plan_pool):
-        grid = Grid((12, 12, 12))
-        velocity = smooth_velocity_field(grid, seed=106, amplitude=0.4)
-        SemiLagrangianStepper(grid, velocity, dt=0.25)
-        SemiLagrangianStepper(grid, velocity, dt=0.25)
-        stats = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
-        assert stats.misses == 1 and stats.hits == 1 and stats.entries == 1
-        assert stats.current_bytes == plan_pool.current_bytes
+    def test_a_registration_leaves_no_tag(self, plan_pool):
+        """Only what crosses solves is pooled; a registration is self-contained."""
+        synthetic = synthetic_registration_problem(8)
+        result = register(
+            synthetic.template, synthetic.reference,
+            options=SolverOptions(max_newton_iterations=2),
+        )
+        assert result.num_newton_iterations >= 1
+        assert plan_pool.stats_by_tag() == {}
+        assert result.plan_pool == PoolStats()
 
     def test_tag_gauges_sum_to_pool_gauges(self):
         pool = PlanPool(max_bytes=1000)
@@ -282,94 +263,76 @@ class TestTagStats:
         assert plan_pool.stats_by_tag() == {}
 
 
-class TestWarmReuseAcrossSolves:
+class TestPerLevelOwnership:
+    """Multilevel runs: every level plans its own velocities and releases them."""
+
     def _options(self):
         return SolverOptions(
             gradient_tolerance=1e-2, max_newton_iterations=3, max_krylov_iterations=6
         )
 
-    def test_multilevel_run_has_pool_hits(self, plan_pool):
-        synthetic = synthetic_registration_problem(16)
-        result = MultilevelRegistration(
+    def _run(self, synthetic):
+        return MultilevelRegistration(
             grid=synthetic.grid,
             reference=synthetic.reference,
             template=synthetic.template,
             num_levels=2,
             options=self._options(),
         ).run()
-        assert result.plan_pool is not None
-        assert result.plan_pool.misses > 0
-        # every accepted trial handed its plan to linearize: nothing inside
-        # the run looked a velocity up a second time
+
+    def test_multilevel_run_touches_no_pool(self, plan_pool):
+        result = self._run(synthetic_registration_problem(16))
         trials = sum(
             record.line_search_evaluations
             for level in result.levels
             for record in level.result.iterations
         )
-        assert trials > 0 and result.plan_pool.hits == 0
-        # what does look the final velocity up again still hits: its
-        # deformation map plans forward + backward characteristics warm
-        before = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
-        DeformationMap(synthetic.grid, result.velocity).determinant()
-        delta = plan_pool.stats_by_tag()["semi-lagrangian-departure"] - before
-        assert (delta.hits, delta.misses) == (2, 0)
+        assert trials > 0
+        assert result.plan_pool == PoolStats()
+        assert len(plan_pool) == 0
 
-    def test_multilevel_plans_each_velocity_once_per_grid(self, plan_pool):
-        """Every pool miss is a distinct (grid, velocity) content key."""
+    def test_multilevel_plans_each_velocity_once_per_grid(self, plan_pool, monkeypatch):
+        """No (grid, velocity) content is planned twice: trials hand their plans on."""
+        planned = []
+        original = TransportSolver.plan
+
+        def recording_plan(self, velocity, spectrum=None):
+            planned.append((self.grid.shape, array_fingerprint(velocity)))
+            return original(self, velocity, spectrum=spectrum)
+
         synthetic = synthetic_registration_problem(16)
-        MultilevelRegistration(
-            grid=synthetic.grid,
-            reference=synthetic.reference,
-            template=synthetic.template,
-            num_levels=2,
-            options=self._options(),
-        ).run()
-        keys = [k for k in plan_pool.keys() if k[0] == "semi-lagrangian-departure"]
-        assert len(keys) == len(set(keys))
-        stepper = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
-        assert stepper.misses == len(keys) + stepper.evictions
-
-    def test_continuation_run_has_pool_hits(self, plan_pool):
-        synthetic = synthetic_registration_problem(12)
-        problem = RegistrationProblem(
-            grid=synthetic.grid,
-            reference=synthetic.reference,
-            template=synthetic.template,
+        monkeypatch.setattr(TransportSolver, "plan", recording_plan)
+        result = self._run(synthetic)
+        assert len(planned) == len(set(planned))
+        assert {shape for shape, _ in planned} == {(8, 8, 8), (16, 16, 16)}
+        levels = [level.result for level in result.levels]
+        assert len(planned) == sum(
+            1 + sum(record.line_search_evaluations for record in level.iterations)
+            for level in levels
         )
-        result = BetaContinuation(
-            problem,
-            options=self._options(),
-            initial_beta=1e-1,
-            target_beta=1e-2,
-            reduction=0.1,
-        ).run()
-        assert result.plan_pool is not None
-        assert result.plan_pool.hits > 0
 
-    def test_eviction_under_pressure_keeps_solves_correct(self, plan_pool):
-        """A tiny budget forces evictions but never changes results."""
-        configure_plan_pool(200_000)  # far below one 16^3 transport plan pair
+    def test_every_level_releases_its_operators(self, plan_pool):
+        result = self._run(synthetic_registration_problem(16))
+        for level in result.levels:
+            plan = level.result.final_iterate.plan
+            assert plan.forward_stepper.interpolator.resident_operators == 0
+
+    def test_tiny_budget_keeps_solves_correct(self, plan_pool, monkeypatch):
+        """A budget below one operator pair makes every gather transient: same bits."""
+        synthetic = synthetic_registration_problem(12)
+        result_default = self._run(synthetic)
+        resolved = []
+        original = PeriodicInterpolator._resident_operator
+
+        def recording(self, plan):
+            resolved.append(original(self, plan))
+            return resolved[-1]
+
+        monkeypatch.setattr(PeriodicInterpolator, "_resident_operator", recording)
+        configure_plan_pool(100_000)  # half of it is below the 6^3 pair (2 x 49 kB)
         try:
-            synthetic = synthetic_registration_problem(12)
-            result_small = MultilevelRegistration(
-                grid=synthetic.grid,
-                reference=synthetic.reference,
-                template=synthetic.template,
-                num_levels=2,
-                options=self._options(),
-            ).run()
-            stats = get_plan_pool().stats
-            assert stats.evictions > 0 or stats.oversize_rejections > 0
-            assert get_plan_pool().current_bytes <= 200_000
-            reset_plan_pool()
-            configure_plan_pool(None)
-            result_default = MultilevelRegistration(
-                grid=synthetic.grid,
-                reference=synthetic.reference,
-                template=synthetic.template,
-                num_levels=2,
-                options=self._options(),
-            ).run()
-            np.testing.assert_array_equal(result_small.velocity, result_default.velocity)
+            result_small = self._run(synthetic)
         finally:
             configure_plan_pool(None)
+        assert resolved and not any(resolved)  # never resident
+        np.testing.assert_array_equal(result_small.velocity, result_default.velocity)

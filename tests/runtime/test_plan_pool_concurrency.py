@@ -72,7 +72,7 @@ class TestNoLostHits:
 class TestSingleFlight:
     def test_concurrent_misses_build_once(self):
         pool = PlanPool(max_bytes=1 << 20)
-        key = ("semi-lagrangian-departure", "cold")
+        key = ("scatter-plan", "cold")
         builds = []
         build_gate = threading.Event()
 
@@ -166,7 +166,7 @@ class TestAccountingUnderPressure:
 
     def test_concurrent_distinct_tags_partition_exactly(self):
         pool = PlanPool(max_bytes=1 << 20)
-        tags = ("semi-lagrangian-departure", "scatter-plan", "untimed")
+        tags = ("scatter-plan", "kind-b", "untimed")
 
         def worker(index):
             tag = tags[index % len(tags)]

@@ -4,8 +4,7 @@ Model-based randomized checks of the invariants every consumer relies on:
 
 * **exact byte accounting** — ``current_bytes`` equals the sum of the
   stored entries' ``nbytes`` after *any* interleaving of inserts, warm
-  hits, owner-scoped discards and lookups, budget changes and the
-  evictions they trigger;
+  hits, budget changes and the evictions they trigger;
 * **LRU discipline** — the pool's key order always matches a reference
   model (an ``OrderedDict`` with move-to-end on hit), so the entry evicted
   under pressure is provably the least recently used one;
@@ -32,24 +31,11 @@ _OPS = st.one_of(
     st.tuples(st.just("budget"), st.integers(0, 150)),
 )
 
-#: The same, plus ("discard", key) — an owner releasing a dead entry — and
-#: ("lookup", key) — a per-use fetch that only refreshes the LRU position.
-_OPS_WITH_OWNER_CALLS = st.one_of(
-    _OPS,
-    st.tuples(st.just("discard"), st.integers(0, 7)),
-    st.tuples(st.just("lookup"), st.integers(0, 7)),
-)
-
 
 def _apply_to_model(model: "OrderedDict[tuple, int]", op, budget: int) -> int:
     """Reference LRU semantics; returns the (possibly updated) budget."""
     if op[0] == "budget":
         budget = op[1]
-    elif op[0] == "discard":
-        model.pop(("prop", op[1]), None)
-    elif op[0] == "lookup":
-        if ("prop", op[1]) in model:
-            model.move_to_end(("prop", op[1]))
     else:
         _, key_id, size = op
         key = ("prop", key_id)
@@ -63,7 +49,7 @@ def _apply_to_model(model: "OrderedDict[tuple, int]", op, budget: int) -> int:
 
 
 class TestPoolInvariants:
-    @given(ops=st.lists(_OPS_WITH_OWNER_CALLS, max_size=60), initial_budget=st.integers(0, 150))
+    @given(ops=st.lists(_OPS, max_size=60), initial_budget=st.integers(0, 150))
     @settings(max_examples=60, deadline=None)
     def test_byte_accounting_and_lru_order_under_random_ops(self, ops, initial_budget):
         pool = PlanPool(max_bytes=initial_budget)
@@ -72,12 +58,6 @@ class TestPoolInvariants:
         for op in ops:
             if op[0] == "budget":
                 pool.set_max_bytes(op[1])
-            elif op[0] == "discard":
-                key = ("prop", op[1])
-                assert pool.discard(key) == (key in model)
-            elif op[0] == "lookup":
-                key = ("prop", op[1])
-                assert (pool.lookup(key) is not None) == (key in model)
             else:
                 _, key_id, size = op
                 value = pool.get(("prop", key_id), lambda size=size: _Sized(size))

@@ -34,7 +34,7 @@ class TestRoundTrip:
     def test_vector_round_trip(self, fft16, rng):
         v = rng.standard_normal((3, *fft16.grid.shape))
         np.testing.assert_allclose(
-            fft16.backward_vector(fft16.forward_vector(v)), v, atol=1e-12
+            fft16.inverse_vector(fft16.forward_vector(v)), v, atol=1e-12
         )
 
 
@@ -54,7 +54,7 @@ class TestShapesAndValidation:
         with pytest.raises(ValueError):
             fft16.forward_vector(np.zeros(fft16.grid.shape))
         with pytest.raises(ValueError):
-            fft16.backward_vector(np.zeros((2, *fft16.spectral_shape), dtype=complex))
+            fft16.inverse_vector(np.zeros((2, *fft16.spectral_shape), dtype=complex))
 
     def test_backward_returns_real_dtype(self, fft16, rng):
         out = fft16.backward(fft16.forward(rng.standard_normal(fft16.grid.shape)))

@@ -102,24 +102,22 @@ class TestDeformationMap:
     def test_shared_transport_solver_is_reused(self, grid):
         """A registration hands the map its problem's solver: same bits, one
         interpolator, and the final velocity's gather operator stays warm."""
-        from repro.runtime.plan_pool import get_plan_pool
-        from repro.transport.kernels import GATHER_OPERATOR_TAG
         from repro.transport.solvers import TransportSolver
 
         velocity = 0.3 * smooth_vector_field(grid, seed=6)
         rho0 = smooth_scalar_field(grid, seed=7)
         transport = TransportSolver(grid, num_time_steps=2)
-        transport.solve_state(transport.plan(velocity), rho0)
-        shared = DeformationMap(grid, velocity, transport=transport)
+        plan = transport.plan(velocity)
+        transport.solve_state(plan, rho0)
+        assert transport.interpolator.resident_operators == 1
+        shared = DeformationMap(grid, velocity, transport=transport, plan=plan)
         assert shared.num_time_steps == 2 and shared.operators is transport.operators
         swept = transport.interpolator.points_interpolated
         determinant = shared.determinant()
         # two steps of a 3-field stack (each component merged with its
-        # source), through the solver's interpolator
+        # source), through the solver's interpolator and its resident operator
         assert transport.interpolator.points_interpolated - swept == 2 * 3 * grid.num_points
-        operators = get_plan_pool().stats_by_tag().get(GATHER_OPERATOR_TAG)
-        if operators is not None:  # the scipy engine
-            assert (operators.misses, operators.entries) == (1, 1)
+        assert transport.interpolator.resident_operators == 1
         standalone = DeformationMap(grid, velocity, num_time_steps=2)
         np.testing.assert_array_equal(determinant, standalone.determinant())
         np.testing.assert_array_equal(shared.warp(rho0), standalone.warp(rho0))
@@ -130,25 +128,26 @@ class TestDeformationMap:
         with pytest.raises(ValueError, match="grid"):
             DeformationMap(grid, grid.zeros_vector(), transport=TransportSolver(Grid((8, 8, 8))))
 
-    def test_handed_plan_is_not_planned_again(self, grid, plan_pool):
-        """The owner of a velocity's plan hands it over: no hash, no lookup,
-        no ``div v`` — and the same map as planning again (a pool hit)."""
+    def test_handed_plan_is_not_planned_again(self, grid, monkeypatch):
+        """The owner of a velocity's plan hands it over: no expansion, no
+        ``div v`` — and the same map as planning again."""
         from repro.transport.solvers import TransportSolver
 
         velocity = 0.3 * smooth_vector_field(grid, seed=8)
         transport = TransportSolver(grid, num_time_steps=2)
         plan = transport.plan(velocity)
-
-        def departure_lookups():
-            stats = plan_pool.stats_by_tag()["semi-lagrangian-departure"]
-            return stats.hits + stats.misses
-
-        lookups, transforms = departure_lookups(), transport.operators.fft.counters.total
+        planned = []
+        original = TransportSolver.plan
+        monkeypatch.setattr(
+            TransportSolver, "plan",
+            lambda self, v, spectrum=None: planned.append(v) or original(self, v, spectrum),
+        )
+        transforms = transport.operators.fft.counters.total
         handed = DeformationMap(grid, velocity, transport=transport, plan=plan).displacement()
-        assert departure_lookups() == lookups
+        assert planned == []
         assert transport.operators.fft.counters.total == transforms
         replanned = DeformationMap(grid, velocity, transport=transport).displacement()
-        assert departure_lookups() == lookups + 2  # forward + backward, both hits
+        assert len(planned) == 1
         np.testing.assert_array_equal(handed, replanned)
         with pytest.raises(ValueError, match="different velocity"):
             DeformationMap(grid, 2.0 * velocity, transport=transport, plan=plan)

@@ -9,8 +9,9 @@ Four contracts:
 * **bitwise invariance** — the bits of a gather depend on the field and the
   points only: not on the stack it travels in, the block size, or whether
   the operator is resident or built block by block;
-* **residency** — operators are byte-accounted pool entries, at most two per
-  interpolator, none when the budget cannot hold them;
+* **residency** — operators are held by the interpolator that gathers
+  through them, at most two, none when the budget cannot hold them, and
+  never by the process-wide plan pool;
 * **layout invariance** — gathering from axis-2-padded coefficients (padded
   column space, windows from four shifted slices) gives the bits of the
   formulation it replaced, rolled windows of the unpadded coefficients
@@ -30,11 +31,9 @@ from repro.spectral.grid import Grid
 from repro.transport import kernels
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    GATHER_OPERATOR_TAG,
     bspline_weights,
     build_gather_operator,
     gather_bspline,
-    gather_operator_plan,
     projected_gather_operator_nbytes,
 )
 
@@ -60,9 +59,8 @@ def _coordinates(shape, num_points: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, (3, num_points)) * np.asarray(shape, dtype=np.float64)[:, None]
 
 
-def _operator_entries() -> int:
-    stats = get_plan_pool().stats_by_tag().get(GATHER_OPERATOR_TAG)
-    return 0 if stats is None else stats.entries
+def _operator_builds() -> int:
+    return sum(get_metrics_registry().collect().get("interp.operator_builds", {}).values())
 
 
 @pytest.fixture()
@@ -163,12 +161,11 @@ class TestBitwiseInvariance:
         shape = (16, 19, 16)
         fields = np.random.default_rng(9).standard_normal((num_fields, *shape))
         coordinates = _coordinates(shape, 20000, seed=10)
-        plan = gather_operator_plan(shape, coordinates)
-        resident = gather_bspline(fields, coordinates, plan)
-        assert _operator_entries() == 1
+        operator = build_gather_operator(shape, coordinates)
+        resident = gather_bspline(fields, coordinates, operator)
         np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, None))
-        # the warm operator serves the same bits again
-        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, plan))
+        # the resident operator serves the same bits again
+        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, operator))
 
     def test_one_shot_calls_keep_nothing(self):
         grid = make_grid(8)
@@ -178,6 +175,7 @@ class TestBitwiseInvariance:
         interp(fields[0], points)
         interp.interpolate_many(fields, points)
         interp.interpolate_vector(fields, points)
+        assert interp.resident_operators == 0
         assert len(get_plan_pool()) == 0
 
 
@@ -241,8 +239,7 @@ class TestPaddedCoefficients:
         expected = _windows_gather(fields, coordinates)
         transient = gather_bspline(fields, coordinates, None)
         np.testing.assert_array_equal(transient, expected)
-        resident = gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
-        assert _operator_entries() == 1
+        resident = gather_bspline(fields, coordinates, build_gather_operator(shape, coordinates))
         np.testing.assert_array_equal(resident, expected)
         assert np.abs(transient - _reference(fields, coordinates)).max() <= TOLERANCE
 
@@ -294,24 +291,20 @@ class TestResidency:
                 8192 * per_point + np.dtype(dtype).itemsize
             )
 
-    def test_pool_accounts_the_operator_under_its_tag(self, pool_budget):
+    def test_the_interpolator_holds_the_operator(self, pool_budget):
         pool_budget(64 * 2**20)
         grid = make_grid((16, 19, 16))
         interp = PeriodicInterpolator(grid)
         points = np.random.default_rng(14).uniform(0.0, 6.0, (3, 5000))
         plan = interp.plan(points)
         assert plan.is_cached and plan.payload.nbytes == 0
-        assert len(get_plan_pool()) == 0  # planning builds nothing
+        assert interp.resident_operators == 0  # planning builds nothing
+        builds = _operator_builds()
         interp.interpolate_planned(np.ones(grid.shape), plan)
-        stats = get_plan_pool().stats_by_tag()[GATHER_OPERATOR_TAG]
-        assert stats.entries == 1 and stats.misses == 1
-        assert stats.current_bytes == projected_gather_operator_nbytes(5000, grid.shape)
-        # sweeps fetch the warm operator without touching the pool's
-        # hit/miss statistics, which measure reuse across velocities
         interp.interpolate_planned(np.ones(grid.shape), plan)
-        stats = get_plan_pool().stats_by_tag()[GATHER_OPERATOR_TAG]
-        assert (stats.hits, stats.misses, stats.entries) == (0, 1, 1)
-        get_plan_pool().validate_accounting()
+        # built once, then served resident; nothing went through the pool
+        assert (interp.resident_operators, _operator_builds() - builds) == (1, 1)
+        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0
 
     def test_third_plan_releases_the_least_recent(self, pool_budget):
         pool_budget(64 * 2**20)
@@ -323,19 +316,35 @@ class TestResidency:
             for seed in (16, 17, 18)
         ]
         first = [interp.interpolate_planned(field, plan) for plan in plans]
-        pool = get_plan_pool()
-        assert _operator_entries() == 2
-        assert plans[0].payload.key not in pool
-        assert plans[1].payload.key in pool and plans[2].payload.key in pool
-        pool.validate_accounting()
-        # touching the second keeps it; the released first one is rebuilt on
-        # demand, bit for bit, and pushes out the least recently used third
+        assert interp.resident_operators == 2
+        # the second and third are resident: gathering them builds nothing
+        builds = _operator_builds()
+        interp.interpolate_planned(field, plans[2])
         interp.interpolate_planned(field, plans[1])
+        assert _operator_builds() == builds
+        # the released first one is rebuilt on demand, bit for bit, and pushes
+        # out the least recently used third
         again = interp.interpolate_planned(field, plans[0])
         np.testing.assert_array_equal(again, first[0])
-        assert _operator_entries() == 2
-        assert plans[2].payload.key not in pool
-        pool.validate_accounting()
+        assert (interp.resident_operators, _operator_builds() - builds) == (2, 1)
+        interp.interpolate_planned(field, plans[1])
+        assert _operator_builds() - builds == 1
+        interp.interpolate_planned(field, plans[2])
+        assert _operator_builds() - builds == 2
+
+    def test_release_drops_every_operator(self, pool_budget):
+        pool_budget(64 * 2**20)
+        grid = make_grid(8)
+        interp = PeriodicInterpolator(grid)
+        field = np.random.default_rng(22).standard_normal(grid.shape)
+        plan = interp.plan(np.random.default_rng(23).uniform(0.0, 6.0, (3, 300)))
+        resident = interp.interpolate_planned(field, plan)
+        assert interp.resident_operators == 1
+        interp.release_operators()
+        assert interp.resident_operators == 0
+        # the plan stays valid: its next gather builds the operator again, same bits
+        np.testing.assert_array_equal(interp.interpolate_planned(field, plan), resident)
+        assert interp.resident_operators == 1
 
     def test_bound_holds_over_a_transport_solve(self, pool_budget):
         """Every velocity a solver plans adds two operators; two stay."""
@@ -350,8 +359,8 @@ class TestResidency:
         for seed in (1, 2, 3):
             plan = solver.plan(0.3 * smooth_velocity_field(grid, seed=seed))
             solver.solve_adjoint(plan, solver.solve_state(plan, rho)[-1])
-            assert _operator_entries() == 2
-        get_plan_pool().validate_accounting()
+            assert solver.interpolator.resident_operators == 2
+        assert len(get_plan_pool()) == 0
 
     @pytest.mark.parametrize("budget", [0, 100_000])
     def test_small_budget_degrades_to_transient_bitwise(self, pool_budget, budget):
@@ -361,26 +370,25 @@ class TestResidency:
         pool_budget(64 * 2**20)
         interp = PeriodicInterpolator(grid)
         resident = interp.interpolate_many_planned(fields, interp.plan(points))
-        assert _operator_entries() == 1
-        get_plan_pool().reset()
+        assert interp.resident_operators == 1
         pool_budget(budget)
         starved = PeriodicInterpolator(grid)
         values = starved.interpolate_many_planned(fields, starved.plan(points))
         np.testing.assert_array_equal(values, resident)
-        assert _operator_entries() == 0
-        assert get_plan_pool().stats.oversize_rejections == 0  # never built whole
+        assert starved.resident_operators == 0
 
     def test_live_pair_may_claim_half_the_budget(self, pool_budget):
-        shape = (8, 8, 8)
-        coordinates = _coordinates(shape, 1000, seed=21)
-        projected = projected_gather_operator_nbytes(1000, shape)
-        fields = np.ones((1, *shape))
+        grid = make_grid(8)
+        interp = PeriodicInterpolator(grid)
+        points = np.random.default_rng(21).uniform(0.0, 6.0, (3, 1000))
+        projected = projected_gather_operator_nbytes(1000, grid.shape)
+        field = np.ones(grid.shape)
         pool_budget(4 * projected - 1)
-        gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
-        assert _operator_entries() == 0
+        interp.interpolate_planned(field, interp.plan(points))
+        assert interp.resident_operators == 0
         pool_budget(4 * projected)
-        gather_bspline(fields, coordinates, gather_operator_plan(shape, coordinates))
-        assert _operator_entries() == 1
+        interp.interpolate_planned(field, interp.plan(points))
+        assert interp.resident_operators == 1
 
 
 # --------------------------------------------------------------------------- #

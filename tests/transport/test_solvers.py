@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.gradients import trapezoid_weights
 from repro.spectral.grid import Grid
 from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.solvers import TransportSolver
@@ -288,24 +289,28 @@ class TestNonDivergenceFreeAdjoint:
         np.testing.assert_allclose(lam_tilde, lam, atol=1e-10)
 
 
+def _time_integral(history: np.ndarray) -> np.ndarray:
+    """The solver's quadrature over ``t in [0, 1]``: trapezoid weights per level."""
+    return np.tensordot(trapezoid_weights(history.shape[0] - 1), history, axes=(0, 0))
+
+
 class TestTimeIntegral:
     def test_constant_history_integrates_to_itself(self, grid, solver):
-        history = np.ones((5, *grid.shape))
-        np.testing.assert_allclose(solver.time_integral(history), 1.0, atol=1e-14)
+        history = np.ones((solver.num_time_steps + 1, *grid.shape))
+        np.testing.assert_allclose(_time_integral(history), 1.0, atol=1e-14)
 
     def test_linear_in_time_history(self, grid, solver):
         # f(t) = t integrates to 1/2
         nt = solver.num_time_steps
         times = np.linspace(0, 1, nt + 1)
         history = np.stack([np.full(grid.shape, t) for t in times], axis=0)
-        np.testing.assert_allclose(solver.time_integral(history), 0.5, atol=1e-12)
+        np.testing.assert_allclose(_time_integral(history), 0.5, atol=1e-12)
 
-    def test_requires_at_least_two_levels(self, grid, solver):
-        with pytest.raises(ValueError):
-            solver.time_integral(np.ones((1, *grid.shape)))
+    def test_one_step_averages_the_endpoints(self):
+        np.testing.assert_array_equal(trapezoid_weights(1), [0.5, 0.5])
 
     def test_vector_history_supported(self, grid, solver):
-        history = np.ones((5, 3, *grid.shape))
-        out = solver.time_integral(history)
+        history = np.ones((solver.num_time_steps + 1, 3, *grid.shape))
+        out = _time_integral(history)
         assert out.shape == (3, *grid.shape)
         np.testing.assert_allclose(out, 1.0, atol=1e-14)
