@@ -7,16 +7,13 @@ interpolation, one semi-Lagrangian step, a full transport solve, the reduced
 gradient and one Hessian mat-vec.  They document where the time goes in this
 Python implementation (interpolation and FFTs, as in the paper).
 
-``test_bench_fft_backend_comparison`` additionally times the batched
-vector-field FFT of every backend at 128^3 and writes the comparison table
-to ``benchmarks/results/fft_backend_comparison.txt``;
-``test_bench_interp_kernel_comparison`` does the same for the three
+``test_bench_interp_kernel_comparison`` additionally times the three
 interpolation kernels (one-shot vs planned, scalar vs batched) and writes
-``benchmarks/results/interp_kernel_comparison.txt``.  Both also emit
-machine-readable twins (``benchmarks/results/*.json``) so the perf
-trajectory can be tracked across PRs.  (They time directly instead of
-using the ``benchmark`` fixture so every row lands in one table; run them
-with ``--benchmark-disable`` or a plain pytest invocation.)
+``benchmarks/results/interp_kernel_comparison.txt`` plus a machine-readable
+twin (``.json``) so the perf trajectory can be tracked across PRs.  (It
+times directly instead of using the ``benchmark`` fixture so every row lands
+in one table; run it with ``--benchmark-disable`` or a plain pytest
+invocation.)
 """
 
 import os
@@ -28,8 +25,6 @@ import pytest
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem, synthetic_velocity
 from repro.runtime.plan_pool import get_plan_pool
-from repro.spectral.backends import registered_backends
-from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
@@ -38,9 +33,6 @@ from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
 
 N = 32
-
-#: Resolution of the per-backend batched vector FFT comparison.
-BACKEND_COMPARISON_N = 128
 
 #: Resolution of the interpolation-kernel comparison (override with
 #: REPRO_BENCH_INTERP_N; at 128^3 the resident operator pair alone is ~1 GB).
@@ -126,72 +118,14 @@ def test_bench_hessian_matvec(benchmark, problem, velocity):
     benchmark(lambda: problem.hessian_matvec(iterate, direction))
 
 
-# --------------------------------------------------------------------------- #
-# per-backend batched vector FFT comparison (written to benchmarks/results/)
-# --------------------------------------------------------------------------- #
 def _best_of(fn, repeats: int = 5) -> float:
-    fn()  # warm up plan caches / thread pools outside the timed region
+    fn()  # warm up plan caches outside the timed region
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def test_bench_fft_backend_comparison(record_text, record_json):
-    """Batched (3, 128, 128, 128) vector FFT round trip, per backend.
-
-    Produces the comparison table the ISSUE's acceptance criterion asks for
-    and asserts that the pooled ``scipy`` backend beats the ``numpy``
-    reference on the batched vector transform.
-    """
-    n = BACKEND_COMPARISON_N
-    grid = Grid((n, n, n))
-    vector = np.random.default_rng(0).standard_normal((3, n, n, n))
-
-    timings = {}
-    for name in registered_backends():
-        fft = FourierTransform(grid, backend=name)
-        spectra = fft.forward_vector(vector)
-        forward = _best_of(lambda f=fft: f.forward_vector(vector))
-        inverse = _best_of(lambda f=fft, s=spectra: f.inverse_vector(s))
-        timings[name] = (forward, inverse)
-
-    base_total = sum(timings["numpy"])
-    header = f"{'backend':<10} {'forward [s]':>12} {'inverse [s]':>12} {'total [s]':>12} {'vs numpy':>9}"
-    rows = [f"batched vector FFT round trip at {n}^3 (best of 5)", header, "-" * len(header)]
-    for name, (forward, inverse) in sorted(timings.items(), key=lambda kv: sum(kv[1])):
-        total = forward + inverse
-        rows.append(
-            f"{name:<10} {forward:>12.4f} {inverse:>12.4f} {total:>12.4f} {base_total / total:>8.2f}x"
-        )
-    record_text("fft_backend_comparison", "\n".join(rows))
-    record_json(
-        "fft_backend_comparison",
-        {
-            "benchmark": "batched vector FFT round trip",
-            "grid": [n, n, n],
-            "repeats": "best of 5",
-            "backends": {
-                name: {
-                    "forward_seconds": forward,
-                    "inverse_seconds": inverse,
-                    "total_seconds": forward + inverse,
-                    "speedup_vs_numpy": base_total / (forward + inverse),
-                }
-                for name, (forward, inverse) in timings.items()
-            },
-        },
-    )
-
-    # acceptance criterion; REPRO_BENCH_NONSTRICT=1 downgrades a loss to a
-    # skip for noisy shared runners where wall-clock comparisons can flip
-    if sum(timings["scipy"]) >= sum(timings["numpy"]):
-        message = f"scipy backend did not beat numpy: {timings}"
-        if os.environ.get("REPRO_BENCH_NONSTRICT"):
-            pytest.skip(message)
-        raise AssertionError(message)
 
 
 # --------------------------------------------------------------------------- #

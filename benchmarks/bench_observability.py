@@ -87,7 +87,7 @@ def test_observability_overhead(benchmark, record_text, record_json):
         # -- disabled path: microbenchmark + solve timings ------------------
         disable_tracing()
         span_cost_us = _disabled_span_cost_us()
-        _solve(problem)  # warm plan pool and backends once
+        _solve(problem)  # warm plan pool and symbol store once
         result_off, time_off = _timed_solve(problem)
         _, time_off_repeat = _timed_solve(problem)
 

@@ -27,7 +27,7 @@ Python:
     ``$REPRO_SERVICE_JOURNAL``) every submission is crash-safe — a killed
     service re-queues its unfinished jobs on restart.
 
-Execution knobs (``--fft-backend``, ``--plan-pool-bytes``, ``--workers``, ...)
+Execution knobs (``--plan-pool-bytes``, ``--trace``, ...)
 are shared by ``register`` and ``serve``; internally they are layered onto
 a :class:`repro.config.RegistrationConfig` (flags beat config fields beat
 ``REPRO_*`` environment variables beat built-in defaults).
@@ -70,7 +70,6 @@ from repro.observability import (
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
 from repro.runtime import get_plan_pool
-from repro.spectral.backends import registered_backends
 from repro.utils.logging import set_verbosity
 
 
@@ -82,15 +81,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     config/environment defaults.
     """
     sub.add_argument(
-        "--fft-backend",
-        choices=registered_backends(),
-        default=None,
-        help=(
-            "FFT engine for the spectral kernels (default: $REPRO_FFT_BACKEND "
-            "or 'numpy')"
-        ),
-    )
-    sub.add_argument(
         "--plan-pool-bytes",
         type=int,
         default=None,
@@ -98,17 +88,6 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         help=(
             "memory budget of the shared execution-plan pool (default: "
             "$REPRO_PLAN_POOL_BYTES or 512 MiB; 0 disables plan caching)"
-        ),
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "shared worker count of every subsystem, service threads included (default: "
-            "$REPRO_WORKERS, else each subsystem's own); $REPRO_FFT_WORKERS / "
-            "$REPRO_SERVICE_WORKERS override it"
         ),
     )
     sub.add_argument(
@@ -139,9 +118,7 @@ def _config_from_args(
     """Layer the CLI's configuration flags over *base* (flags win)."""
     base = base if base is not None else RegistrationConfig()
     overrides = {
-        "fft_backend": args.fft_backend,
         "plan_pool_bytes": args.plan_pool_bytes,
-        "workers": args.workers,
         "trace": args.trace,
         "trace_out": args.trace_out,
     }

@@ -1,25 +1,28 @@
 """Unified registration configuration (:class:`RegistrationConfig`).
 
-The runtime knobs — ``REPRO_FFT_BACKEND``, ``REPRO_WORKERS``,
-``REPRO_PLAN_POOL_BYTES``, ... — each have an environment variable and a CLI
-flag.  This module consolidates them into one frozen dataclass that every
-entry point (the CLI, :func:`repro.register`, the benchmarks, the job
-service) accepts:
+The runtime knobs — ``REPRO_PLAN_POOL_BYTES``, ``REPRO_GRADIENT_CACHE``,
+``REPRO_TRACE``, ... — each have an environment variable and a CLI flag.
+This module consolidates them into one frozen dataclass that every entry
+point (the CLI, :func:`repro.register`, the benchmarks, the job service)
+accepts:
 
 * :meth:`RegistrationConfig.from_env` snapshots the *effective* environment
   configuration (useful for artifacts: "what configuration produced this
   result"),
 * :meth:`RegistrationConfig.apply` validates every field and pushes the
-  process-wide ones (worker default, pool budget, gradient cache,
-  tracing) into the runtime — fields left at ``None`` keep the
-  environment/default behavior untouched,
+  process-wide ones (pool budget, gradient cache, tracing) into the
+  runtime — fields left at ``None`` keep the environment/default behavior
+  untouched,
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
   flags over a base config this way).
 
 Precedence, first match wins::
 
-    explicit kwarg / CLI flag  >  RegistrationConfig field  >
-        per-subsystem env var  >  shared env var  >  built-in default
+    explicit kwarg / CLI flag  >  RegistrationConfig field  >  env var  >
+        built-in default
+
+The job service's own knobs (journal, HTTP port, class weights, width) are
+read here too, by the ``env_*`` helpers below.
 """
 
 from __future__ import annotations
@@ -37,17 +40,18 @@ from repro.observability.trace import (
     tracing_enabled,
 )
 from repro.runtime.plan_pool import configure_plan_pool, env_pool_budget, get_plan_pool
-from repro.runtime.workers import default_workers, resolve_workers, set_default_workers
-from repro.spectral import backends as fft_backends
 
 __all__ = [
+    "DEFAULT_SERVICE_WORKERS",
     "HTTP_PORT_ENV_VAR",
     "RegistrationConfig",
     "SERVICE_CLASS_WEIGHTS_ENV_VAR",
     "SERVICE_JOURNAL_ENV_VAR",
+    "SERVICE_WORKERS_ENV_VAR",
     "env_http_port",
     "env_service_class_weights",
     "env_service_journal",
+    "env_service_workers",
 ]
 
 #: Directory of the durable job journal; set = every service submission is
@@ -61,11 +65,35 @@ HTTP_PORT_ENV_VAR = "REPRO_HTTP_PORT"
 #: ``interactive=4,atlas-burst=1``.
 SERVICE_CLASS_WEIGHTS_ENV_VAR = "REPRO_SERVICE_CLASS_WEIGHTS"
 
+#: Worker threads of the registration service (``num_workers=`` overrides).
+SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
+
+#: Service width when neither ``num_workers=`` nor the variable is set.  Every
+#: worker thread drives whole solves, and ~70 % of a solve (CSR gather
+#: product, spline_filter) holds the GIL, so two workers time-slice one
+#: interpreter.  burst16 on 2 -> 1 workers (BENCH_20.json): register job
+#: 0.35 -> 0.16 s, 9.2 -> 10.5 jobs/s, CPU 1.23x -> 0.95x wall.  Width > 1
+#: buys only that a short job never queues behind a long one.
+DEFAULT_SERVICE_WORKERS = 1
+
 
 def env_service_journal() -> Optional[str]:
     """``$REPRO_SERVICE_JOURNAL`` (journal directory), or ``None``."""
     value = os.environ.get(SERVICE_JOURNAL_ENV_VAR, "").strip()
     return value or None
+
+
+def env_service_workers() -> Optional[int]:
+    """``$REPRO_SERVICE_WORKERS`` as a worker count (at least 1), or ``None``."""
+    value = os.environ.get(SERVICE_WORKERS_ENV_VAR, "").strip()
+    if not value:
+        return None
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ValueError(
+            f"{SERVICE_WORKERS_ENV_VAR} must be an integer worker count, got {value!r}"
+        ) from None
 
 
 def env_http_port() -> Optional[int]:
@@ -125,12 +153,6 @@ class RegistrationConfig:
 
     Parameters
     ----------
-    fft_backend:
-        FFT engine name (``"numpy"``, ``"scipy"``).
-    workers:
-        Shared default worker count for threaded kernels (the
-        ``REPRO_WORKERS`` / ``--workers`` knob); per-subsystem environment
-        variables still override it.
     plan_pool_bytes:
         Byte budget of the shared execution-plan pool (``0`` disables
         caching).
@@ -151,16 +173,12 @@ class RegistrationConfig:
         explicitly disabled.
     """
 
-    fft_backend: Optional[str] = None
-    workers: Optional[int] = None
     plan_pool_bytes: Optional[int] = None
     gradient_cache: Optional[bool] = None
     trace: Optional[bool] = None
     trace_out: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None and int(self.workers) < 1:
-            raise ValueError(f"workers must be a positive count, got {self.workers}")
         if self.plan_pool_bytes is not None and int(self.plan_pool_bytes) < 0:
             raise ValueError(
                 f"plan_pool_bytes must be non-negative, got {self.plan_pool_bytes}"
@@ -176,17 +194,14 @@ class RegistrationConfig:
         Resolves every knob the way the solvers would (environment variable,
         process-wide override, or built-in default) and freezes the concrete
         values, so the snapshot is reproducible even if the environment
-        changes later (``workers``: the *shared* default only, ``None`` when
-        unset, so that ``from_env().apply()`` changes no subsystem's count).
-        Malformed environment values raise here with the valid choices.
+        changes later.  Malformed environment values raise here with the
+        valid choices.
         """
         # imported lazily: repro.core.registration imports this module, so a
         # top-level import of repro.core.* here would be circular
         from repro.core.gradients import gradient_cache_enabled
 
         return cls(
-            fft_backend=fft_backends.default_backend_name(),
-            workers=default_workers(),
             plan_pool_bytes=get_plan_pool().max_bytes,
             gradient_cache=gradient_cache_enabled(),
             trace=tracing_enabled() or bool(env_trace_enabled()),
@@ -206,7 +221,6 @@ class RegistrationConfig:
         Nothing is mutated: this is the validation the CLI used to run
         before starting a solve, factored into the config object.
         """
-        fft_backends.get_backend(self.fft_backend)
         from repro.core.gradients import env_gradient_cache_enabled
 
         env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
@@ -214,8 +228,7 @@ class RegistrationConfig:
         env_trace_enabled()  # ... and $REPRO_TRACE
         env_http_port()  # ... and $REPRO_HTTP_PORT
         env_service_class_weights()  # ... and $REPRO_SERVICE_CLASS_WEIGHTS
-        for subsystem in ("fft", "service"):  # ... and the worker vars
-            resolve_workers(subsystem)
+        env_service_workers()  # ... and $REPRO_SERVICE_WORKERS
         return self
 
     def apply(self) -> "RegistrationConfig":
@@ -227,8 +240,6 @@ class RegistrationConfig:
         explicit choices.
         """
         self.validate()
-        if self.workers is not None:
-            set_default_workers(self.workers)
         if self.plan_pool_bytes is not None:
             configure_plan_pool(self.plan_pool_bytes)
         if self.gradient_cache is not None:

@@ -20,7 +20,7 @@ This module materializes those gradients **once per outer iterate**:
 * The cached stack is built level by level with the *identical*
   :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
   uncached path performs, so consuming a cached level is bitwise identical
-  to recomputing it — same FFT outputs, reused — on every backend.
+  to recomputing it — same FFT outputs, reused.
 * :func:`accumulate_weighted_products` is the fused body-force quadrature
   shared by the reduced gradient and the Hessian mat-vec: the trapezoid
   weights are applied through two pre-allocated scratch buffers instead of
@@ -83,7 +83,7 @@ def env_gradient_cache_enabled() -> Optional[bool]:
 
     Returns ``None`` when unset, ``True``/``False`` for recognised values,
     and raises :class:`ValueError` naming the variable otherwise — the same
-    clean-error contract as the backend/worker env vars.
+    clean-error contract as every other ``REPRO_*`` variable.
     """
     raw = os.environ.get(GRADIENT_CACHE_ENV_VAR)
     if raw is None:
@@ -301,7 +301,7 @@ def build_gradient_stack(
     Built level by level with the same
     :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
     lazy path performs — the stored levels are bitwise identical to fresh
-    recomputations on every FFT backend, which is what makes cached and
+    recomputations, which is what makes cached and
     uncached solves interchangeable.  The stack is marked read-only: every
     mat-vec of its iterate reads it, so no consumer may scribble on it.
     """

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.core.optim.gauss_newton import GaussNewtonKrylov, OptimizationResult, SolverOptions
 from repro.core.problem import RegistrationProblem
-from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.transport.deformation import DeformationMap
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
@@ -45,7 +44,6 @@ class ContinuationResult:
     final_beta: float
     steps: List[ContinuationStep]
     elapsed_seconds: float
-    plan_pool: Optional[PoolStats] = None
 
     @property
     def num_levels(self) -> int:
@@ -108,11 +106,9 @@ class BetaContinuation:
         ``beta`` changes (no plan, no sweep), and its gather operators are
         still resident.  The admissibility check transports through the final
         iterate's own plan.  When the run ends the problem releases its
-        per-velocity data (:meth:`RegistrationProblem.release`); the plan-pool
-        delta of the run is reported in the result.
+        per-velocity data (:meth:`RegistrationProblem.release`).
         """
         start = time.perf_counter()
-        pool_before = get_plan_pool().stats
         problem = self.problem
         steps: List[ContinuationStep] = []
 
@@ -156,18 +152,9 @@ class BetaContinuation:
             beta = max(beta * self.reduction, self.target_beta)
 
         problem.release()
-        pool_delta = get_plan_pool().stats - pool_before
-        LOGGER.info(
-            "plan pool over %d continuation levels: %d hits, %d misses, %d evictions",
-            len(steps),
-            pool_delta.hits,
-            pool_delta.misses,
-            pool_delta.evictions,
-        )
         return ContinuationResult(
             velocity=accepted_velocity,
             final_beta=accepted_beta,
             steps=steps,
             elapsed_seconds=time.perf_counter() - start,
-            plan_pool=pool_delta,
         )

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.optim.gauss_newton import GaussNewtonKrylov, OptimizationResult, SolverOptions
 from repro.core.problem import RegistrationProblem
-from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.filters import prolong, restrict
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
@@ -48,7 +47,6 @@ class MultilevelResult:
     velocity: np.ndarray
     levels: List[MultilevelLevelRecord]
     elapsed_seconds: float
-    plan_pool: Optional[PoolStats] = None
 
     @property
     def fine_result(self) -> OptimizationResult:
@@ -77,9 +75,6 @@ class MultilevelRegistration:
     options:
         Solver options; the coarse levels reuse them with the same iteration
         caps (coarse iterations are cheap).
-    fft_backend:
-        FFT engine name or instance used by every level's spectral operators
-        (``None`` selects the environment default).
     interpolation:
         Semi-Lagrangian interpolation kernel used on every level; each
         level plans its own gather stencils on its own grid.
@@ -95,7 +90,6 @@ class MultilevelRegistration:
     num_time_steps: int = 4
     gauss_newton: bool = True
     options: SolverOptions = field(default_factory=SolverOptions)
-    fft_backend: Optional[object] = None
     interpolation: str = "cubic_bspline"
 
     def __post_init__(self) -> None:
@@ -134,7 +128,6 @@ class MultilevelRegistration:
             incompressible=self.incompressible,
             num_time_steps=self.num_time_steps,
             gauss_newton=self.gauss_newton,
-            fft_backend=self.fft_backend,
             interpolation=self.interpolation,
         )
 
@@ -150,11 +143,9 @@ class MultilevelRegistration:
 
         Each level solves its own problem, which plans every velocity once
         (the accepted line-search trial hands its plan to ``linearize``)
-        and releases its per-velocity data when the level is done; the
-        per-run plan-pool delta is reported in the result.
+        and releases its per-velocity data when the level is done.
         """
         start = time.perf_counter()
-        pool_before = get_plan_pool().stats
         records: List[MultilevelLevelRecord] = []
         velocity = initial_velocity
         previous_grid: Optional[Grid] = None
@@ -184,17 +175,8 @@ class MultilevelRegistration:
             velocity = result.velocity
             previous_grid = grid
 
-        pool_delta = get_plan_pool().stats - pool_before
-        LOGGER.info(
-            "plan pool over %d levels: %d hits, %d misses, %d evictions",
-            len(records),
-            pool_delta.hits,
-            pool_delta.misses,
-            pool_delta.evictions,
-        )
         return MultilevelResult(
             velocity=velocity,
             levels=records,
             elapsed_seconds=time.perf_counter() - start,
-            plan_pool=pool_delta,
         )

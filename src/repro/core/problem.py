@@ -112,8 +112,7 @@ class KernelWorkCounters:
     counters let the test-suite and the benchmark harness check the
     prediction against the implementation.  Both counts live in the
     respective frontends (:class:`repro.spectral.fft.FourierTransform`,
-    :class:`repro.transport.interpolation.PeriodicInterpolator`), never in
-    the pluggable backends, so they are identical for every engine.
+    :class:`repro.transport.interpolation.PeriodicInterpolator`).
     """
 
     fft_transforms: int = 0
@@ -163,10 +162,6 @@ class RegistrationProblem:
         default for all reported experiments).
     interpolation:
         Off-grid interpolation kernel.
-    fft_backend:
-        FFT engine name or instance (``"numpy"``, ``"scipy"``, or ``None``
-        for the ``REPRO_FFT_BACKEND`` / numpy default) used when the
-        spectral operators are constructed on demand.
     """
 
     grid: Grid
@@ -178,7 +173,6 @@ class RegistrationProblem:
     num_time_steps: int = 4
     gauss_newton: bool = True
     interpolation: str = "cubic_bspline"
-    fft_backend: Optional[object] = None
     operators: Optional[SpectralOperators] = None
     transport: Optional[TransportSolver] = None
     hessian_matvec_count: int = field(default=0, init=False)
@@ -196,7 +190,7 @@ class RegistrationProblem:
                 f"template image has shape {self.template.shape}, expected {self.grid.shape}"
             )
         if self.operators is None:
-            self.operators = SpectralOperators(self.grid, fft_backend=self.fft_backend)
+            self.operators = SpectralOperators(self.grid)
         if self.transport is None:
             self.transport = TransportSolver(
                 self.grid,
@@ -506,5 +500,4 @@ class RegistrationProblem:
             "num_time_steps": self.num_time_steps,
             "gauss_newton": self.gauss_newton,
             "interpolation": self.interpolation,
-            "fft_backend": self.operators.fft.backend_name,
         }

@@ -30,11 +30,10 @@ from repro.core.problem import RegistrationProblem
 from repro.data.preprocessing import normalize_intensity, smooth_image
 from repro.observability.snapshot import snapshot as observability_snapshot
 from repro.observability.trace import trace_span
-from repro.runtime.plan_pool import PoolStats, get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_real_dtype
 
 LOGGER = get_logger("core.registration")
 
@@ -47,8 +46,11 @@ LOGGER = get_logger("core.registration")
 #: ``optimization.termination_reason``.
 #: v4: drops the interpolation-engine summary key, adds ``optimization.iterations``
 #: (one convergence record per Newton iteration).
+#: v5: drops the FFT-engine summary key and the per-solve plan-pool delta (the
+#: ``plan_pool`` block and its two summary keys): a registration touches no
+#: pool entry, the process-wide numbers stay in the ``observability`` block.
 RESULT_SCHEMA = "repro.registration-result"
-RESULT_SCHEMA_VERSION = 4
+RESULT_SCHEMA_VERSION = 5
 
 #: Outer optimizers :class:`RegistrationSolver` drives.
 OPTIMIZERS = ("gauss_newton", "gradient_descent")
@@ -82,7 +84,6 @@ class RegistrationResult:
     relative_residual: float
     det_grad_stats: Dict[str, float]
     elapsed_seconds: float
-    plan_pool: Optional[PoolStats] = None
     problem: RegistrationProblem = field(repr=False, default=None)
 
     @property
@@ -115,11 +116,6 @@ class RegistrationResult:
             "det_grad_max": self.det_grad_stats["max"],
             "diffeomorphic": self.is_diffeomorphic,
             "time_to_solution": self.elapsed_seconds,
-            "fft_backend": (
-                self.problem.operators.fft.backend_name if self.problem is not None else "?"
-            ),
-            "plan_pool_hits": self.plan_pool.hits if self.plan_pool is not None else 0,
-            "plan_pool_misses": self.plan_pool.misses if self.plan_pool is not None else 0,
         }
 
     def to_dict(self) -> Dict[str, object]:
@@ -145,9 +141,6 @@ class RegistrationResult:
                 "iterations": _jsonable(opt.convergence_table()),
             },
             "det_grad": _jsonable(self.det_grad_stats),
-            "plan_pool": (
-                _jsonable(self.plan_pool.as_dict()) if self.plan_pool is not None else None
-            ),
             "observability": _jsonable(observability_snapshot()),
             "elapsed_seconds": float(self.elapsed_seconds),
         }
@@ -182,16 +175,10 @@ class RegistrationSolver:
         Solver options (tolerances, iteration caps, preconditioner variant).
     interpolation:
         Off-grid interpolation kernel for the semi-Lagrangian scheme.
-    fft_backend:
-        FFT engine for every spectral operation of the pipeline
-        (``"numpy"``, ``"scipy"``, a backend instance, or ``None`` for the
-        ``REPRO_FFT_BACKEND`` / numpy default).
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (worker default, pool budget, gradient cache,
-        tracing) and supplies the FFT engine unless the explicit
-        ``fft_backend`` argument overrides it.
+        applied process-wide (pool budget, gradient cache, tracing).
     """
 
     beta: float = 1e-2
@@ -204,15 +191,11 @@ class RegistrationSolver:
     normalize: bool = True
     options: SolverOptions = field(default_factory=SolverOptions)
     interpolation: str = "cubic_bspline"
-    fft_backend: Optional[object] = None
     config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
-        if self.config is None:
-            return
-        self.config.apply()
-        if self.fft_backend is None:
-            self.fft_backend = self.config.fft_backend
+        if self.config is not None:
+            self.config.apply()
 
     def build_problem(
         self,
@@ -221,6 +204,10 @@ class RegistrationSolver:
         grid: Optional[Grid] = None,
     ) -> RegistrationProblem:
         """Pre-process the images and assemble the discretized problem."""
+        template = np.asarray(template)
+        reference = np.asarray(reference)
+        check_real_dtype(template.dtype, "template")
+        check_real_dtype(reference.dtype, "reference")
         template = np.asarray(template, dtype=np.float64)
         reference = np.asarray(reference, dtype=np.float64)
         if template.shape != reference.shape:
@@ -240,12 +227,8 @@ class RegistrationSolver:
             template = normalize_intensity(template)
             reference = normalize_intensity(reference)
         if self.smooth_sigma > 0:
-            template = smooth_image(
-                template, grid, sigma_cells=self.smooth_sigma, backend=self.fft_backend
-            )
-            reference = smooth_image(
-                reference, grid, sigma_cells=self.smooth_sigma, backend=self.fft_backend
-            )
+            template = smooth_image(template, grid, sigma_cells=self.smooth_sigma)
+            reference = smooth_image(reference, grid, sigma_cells=self.smooth_sigma)
 
         return RegistrationProblem(
             grid=grid,
@@ -257,7 +240,6 @@ class RegistrationSolver:
             num_time_steps=self.num_time_steps,
             gauss_newton=self.gauss_newton,
             interpolation=self.interpolation,
-            fft_backend=self.fft_backend,
         )
 
     def run(
@@ -271,7 +253,6 @@ class RegistrationSolver:
         if initial_velocity is not None:
             check_finite(np.asarray(initial_velocity), "initial_velocity")
         start = time.perf_counter()
-        pool_before = get_plan_pool().stats
         with trace_span(
             "registration.solve",
             optimizer=self.optimizer,
@@ -324,7 +305,6 @@ class RegistrationSolver:
             ),
             det_grad_stats=det_stats,
             elapsed_seconds=elapsed,
-            plan_pool=get_plan_pool().stats - pool_before,
             problem=problem,
         )
 
@@ -348,7 +328,7 @@ def register(
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (FFT backend, workers, pool budget) belong in
+    Execution knobs (pool budget, gradient cache, tracing) belong in
     *config* (:class:`repro.config.RegistrationConfig`).
 
     Examples

@@ -29,21 +29,18 @@ def normalize_intensity(image: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return (image - lo) / (hi - lo)
 
 
-def smooth_image(
-    image: np.ndarray, grid: Grid, sigma_cells: float = 1.0, backend: object = None
-) -> np.ndarray:
+def smooth_image(image: np.ndarray, grid: Grid, sigma_cells: float = 1.0) -> np.ndarray:
     """Spectral Gaussian smoothing with a bandwidth of *sigma_cells* cells.
 
     ``sigma_cells = 1`` reproduces the paper's choice of a ``2*pi/N``
-    bandwidth.  *backend* selects the FFT engine (``None``: environment
-    default).
+    bandwidth.
     """
     if sigma_cells < 0:
         raise ValueError(f"sigma_cells must be non-negative, got {sigma_cells}")
     if sigma_cells == 0:
         return np.asarray(image, dtype=grid.dtype).copy()
     sigma = tuple(sigma_cells * h for h in grid.spacing)
-    return gaussian_smooth(image, grid, sigma=sigma, backend=backend)
+    return gaussian_smooth(image, grid, sigma=sigma)
 
 
 def pad_image(image: np.ndarray, grid: Grid, pad_cells: int = 4) -> Tuple[np.ndarray, Grid]:

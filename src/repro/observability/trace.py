@@ -206,7 +206,7 @@ def env_trace_enabled(environ: Optional[Dict[str, str]] = None) -> Optional[bool
 
     Returns ``None`` when unset, ``True``/``False`` for recognised values,
     and raises :class:`ValueError` naming the variable otherwise — the
-    same clean-error contract as the backend/worker env vars.
+    same clean-error contract as every other ``REPRO_*`` variable.
     """
     env = os.environ if environ is None else environ
     raw = env.get(TRACE_ENV_VAR)

@@ -25,13 +25,12 @@ several grid shapes and process-grid configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
-from repro.spectral.backends import get_backend
 
 #: Distribution labels: which two axes are split over (p1, p2).
 INPUT_DIST: Tuple[int, int] = (0, 1)
@@ -49,19 +48,16 @@ class DistributedFFT:
         The pencil decomposition (process grid and global shape).
     comm:
         Simulated communicator; created automatically when omitted.
-    backend:
-        Serial FFT engine performing the per-pencil 1-D transforms
-        (``None`` resolves the active default, so the distributed transform
-        is validated against whichever serial backend is selected).
+
+    The per-pencil 1-D transforms are :func:`numpy.fft.fft` /
+    :func:`numpy.fft.ifft`, the engine of the serial transform.
     """
 
     decomposition: PencilDecomposition
     comm: SimulatedCommunicator = None
-    backend: Optional[object] = None
     fft_1d_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        self.backend = get_backend(self.backend)
         if self.comm is None:
             self.comm = SimulatedCommunicator(self.decomposition.num_tasks)
         if self.comm.size != self.decomposition.num_tasks:
@@ -161,7 +157,7 @@ class DistributedFFT:
     # forward / backward transforms
     # ------------------------------------------------------------------ #
     def _fft_along(self, blocks: Sequence[np.ndarray], axis: int, inverse: bool) -> List[np.ndarray]:
-        transform = self.backend.ifft if inverse else self.backend.fft
+        transform = np.fft.ifft if inverse else np.fft.fft
         out = []
         for block in blocks:
             self.fft_1d_count += int(np.prod(block.shape) // block.shape[axis])

@@ -5,7 +5,7 @@ These are the distributed counterparts of
 Laplacian (and its inverse), biharmonic, and the Leray projection, each
 applied to per-rank local blocks in the input (pencil) distribution.  They
 are validated against the serial operators in the test-suite, which is the
-correctness argument behind using the *serial* backend plus the *counted*
+correctness argument behind using the *serial* transform plus the *counted*
 communication volumes for the performance reproduction (see README.md,
 "Substitutions").
 """

@@ -291,7 +291,7 @@ class ScatterInterpolationPlan:
         extended = exchange_ghost_layers_batched(stacks, deco, GHOST_WIDTH, self.comm)
 
         # line 3: every owner runs its cached (non-periodic) stencil plans —
-        # the same registered kernel the serial backends evaluate, planned
+        # the same registered kernel the serial gather evaluates, planned
         # once per departure-point content instead of per call; the whole
         # batch gathers through one pass per (owner, requester) plan
         stencil_plans = self._data.stencil_plans

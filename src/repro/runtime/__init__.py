@@ -1,4 +1,4 @@
-"""Shared execution runtime: plan pool and unified worker counts.
+"""Shared execution runtime: plan pool and cooperative cancellation.
 
 The two dominant kernels of the paper's per-iteration cost — 3D FFTs and
 semi-Lagrangian tricubic gathers — are planned and batched.  This subsystem
@@ -12,12 +12,6 @@ owns the *execution resources* behind both:
     hit/miss/eviction statistics.  The same budget decides what a
     registration keeps resident of its own per-velocity data (gather
     operators, gradient stack), which its problem owns and releases.
-
-:mod:`repro.runtime.workers`
-    One worker-count policy for the threaded FFT engines and the job
-    service: ``REPRO_WORKERS`` sets the shared default,
-    ``REPRO_FFT_WORKERS`` / ``REPRO_SERVICE_WORKERS`` override per
-    subsystem.
 """
 
 from repro.runtime.cancellation import (
@@ -38,13 +32,6 @@ from repro.runtime.plan_pool import (
     key_tag,
     reset_plan_pool,
 )
-from repro.runtime.workers import (
-    FFT_WORKERS_ENV_VAR,
-    SERVICE_WORKERS_ENV_VAR,
-    WORKERS_ENV_VAR,
-    resolve_workers,
-    set_default_workers,
-)
 
 __all__ = [
     "CancelToken",
@@ -61,9 +48,4 @@ __all__ = [
     "get_plan_pool",
     "key_tag",
     "reset_plan_pool",
-    "FFT_WORKERS_ENV_VAR",
-    "SERVICE_WORKERS_ENV_VAR",
-    "WORKERS_ENV_VAR",
-    "resolve_workers",
-    "set_default_workers",
 ]

@@ -8,7 +8,7 @@ registration jobs it embeds the registration result's own versioned report
 ``"result"`` — one result schema shared by the CLI's verbose report and the
 service — and for every job kind it carries the job record (status,
 timestamps, batch size, error/traceback) plus the execution metrics the
-worker collected (plan-pool delta and hit rate, communication-ledger
+worker collected (plan-pool delta, hit rate and communication-ledger
 summary for distributed batches).
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-write never
@@ -31,9 +31,11 @@ from repro.service.jobs import Job
 #: result and snapshot are v3 — no tile-traffic blocks, the result's
 #: ``optimization`` carries ``termination_reason``; v4: the embedded result is
 #: v4 — no interpolation-engine summary key, one ``optimization.iterations``
-#: record per Newton iteration).
+#: record per Newton iteration; v5: the embedded result is v5 — no FFT-engine
+#: summary key, no per-solve ``plan_pool`` block — and a register job's metrics
+#: drop ``plan_pool_delta`` / ``plan_pool_hit_rate``).
 ARTIFACT_SCHEMA = "repro.service-job"
-ARTIFACT_SCHEMA_VERSION = 4
+ARTIFACT_SCHEMA_VERSION = 5
 
 __all__ = [
     "ARTIFACT_SCHEMA",

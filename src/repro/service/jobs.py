@@ -172,8 +172,8 @@ class TransportJobSpec:
 
     ``kind = "transport"``.  Transport the scalar *moving* field over
     ``t in [0, 1]`` with *velocity* on a simulated ``num_tasks``-rank pencil
-    decomposition.  Jobs that agree on (grid, time step, task layout,
-    kernel backend **and velocity content**) are
+    decomposition.  Jobs that agree on (grid, time step, task layout
+    **and velocity content**) are
     micro-batched: the whole group ships through one
     :meth:`~repro.parallel.transport.DistributedTransportSolver.solve_state_many`
     stack — one ghost-exchange round and one return ``alltoallv`` per time

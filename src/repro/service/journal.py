@@ -65,7 +65,7 @@ from repro.service.jobs import (
 from repro.spectral.grid import Grid
 from repro.transport.kernels import SUPPORTED_METHODS
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite
+from repro.utils.validation import check_finite, check_real_dtype
 
 LOGGER = get_logger("service.journal")
 
@@ -123,10 +123,10 @@ def _decode_array(doc: Any, what: str) -> np.ndarray:
         raw = base64.b64decode(doc["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSpecError(f"{what} is not a valid ndarray document: {exc}") from None
-    if dtype.kind not in "fiu":
-        raise MalformedSpecError(
-            f"{what} must hold real floating-point or integer values, got dtype {dtype}"
-        )
+    try:
+        check_real_dtype(dtype, what)
+    except TypeError as exc:
+        raise MalformedSpecError(str(exc)) from None
     expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
     if len(raw) != expected:
         raise MalformedSpecError(

@@ -4,9 +4,9 @@
 submit work (full registrations or distributed transport solves) and get
 :class:`~repro.service.jobs.Job` handles back immediately; daemon worker
 threads — one unless asked otherwise: solves hold the GIL, a second thread
-only time-slices the first (:mod:`repro.runtime.workers`) — drain the
-:class:`~repro.service.queue.SubmissionQueue` and execute every job through
-the *existing* synchronous paths — :func:`repro.register` and
+only time-slices the first (:data:`repro.config.DEFAULT_SERVICE_WORKERS`) —
+drain the :class:`~repro.service.queue.SubmissionQueue` and execute every
+job through the *existing* synchronous paths — :func:`repro.register` and
 :class:`~repro.parallel.transport.DistributedTransportSolver` — so a queued
 solve is numerically the very solve a direct call would have produced.
 
@@ -18,13 +18,14 @@ What the service adds over a loop of direct calls:
   single-flight into one build and N-1 hits.  A register job's per-velocity
   data belongs to its problem and is released when the job's solve ends.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
-  task layout, backend and velocity — see
+  task layout and velocity — see
   :func:`~repro.service.batching.batch_key`) are claimed together and ride
   one ``solve_state_many`` stack: one ghost-exchange round and one return
   ``alltoallv`` per time step for the whole batch, results bitwise
   identical to solving each job alone.
-* **Observability.**  Every job records metrics (plan-pool delta, pool hit
-  rate, communication-ledger summary, timings) and
+* **Observability.**  Every job records metrics (the registration result
+  document; for transport batches the plan-pool delta, pool hit rate and
+  communication-ledger summary) and
   can be journaled to a per-job JSON artifact
   (:mod:`repro.service.artifacts`).
 * **Durability.**  With a journal directory
@@ -50,7 +51,12 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.config import RegistrationConfig, env_service_journal
+from repro.config import (
+    DEFAULT_SERVICE_WORKERS,
+    RegistrationConfig,
+    env_service_journal,
+    env_service_workers,
+)
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import register
 from repro.observability import snapshot as observability_snapshot
@@ -60,7 +66,6 @@ from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
 from repro.runtime.cancellation import CombinedCancelToken, SolveCancelled
 from repro.runtime.plan_pool import get_plan_pool
-from repro.runtime.workers import resolve_workers
 from repro.service.artifacts import write_job_artifact
 from repro.service.jobs import (
     Job,
@@ -93,9 +98,9 @@ class RegistrationService:
         (:class:`repro.config.RegistrationConfig`); ``None`` keeps the
         ambient environment-driven defaults.
     num_workers:
-        Worker threads draining the queue.  ``None`` resolves the unified
-        worker policy for the ``"service"`` subsystem
-        (``REPRO_SERVICE_WORKERS`` > ``REPRO_WORKERS`` > 1: see the module docstring).
+        Worker threads draining the queue (at least 1).  ``None`` reads
+        ``REPRO_SERVICE_WORKERS``, else :data:`~repro.config.DEFAULT_SERVICE_WORKERS`
+        (1: see the module docstring).
     max_batch:
         Upper bound on the micro-batch size (1 disables batching).
     artifacts_dir:
@@ -136,7 +141,9 @@ class RegistrationService:
         self.config = config
         if config is not None:
             config.apply()
-        self.num_workers = resolve_workers("service", num_workers)
+        if num_workers is None:
+            num_workers = env_service_workers() or DEFAULT_SERVICE_WORKERS
+        self.num_workers = max(1, int(num_workers))
         self.max_batch = int(max_batch)
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir is not None else None
         if journal_dir is None:
@@ -354,11 +361,8 @@ class RegistrationService:
                     self._execute_registration(job)
 
     def _execute_registration(self, job: Job) -> None:
-        """One register job; its pool deltas difference *process-wide* counters,
-        so with several workers they also carry the concurrent jobs' hits and misses."""
+        """One register job: its metrics are the result document."""
         spec: RegistrationJobSpec = job.spec
-        pool = get_plan_pool()
-        pool_before = pool.stats
         # hand the job's cancel token to the Newton loop on a per-job copy:
         # the caller's options object is never mutated
         options = dataclasses.replace(
@@ -391,17 +395,12 @@ class RegistrationService:
             job._fail(str(exc), traceback.format_exc())
             self._finalize(job)
             return
-        delta = pool.stats - pool_before
-        job.record.metrics = {
-            "result": result.to_dict(),
-            "plan_pool_delta": delta.as_dict(),
-            "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
-        }
+        job.record.metrics = {"result": result.to_dict()}
         job._complete(result)
         self._finalize(job)
 
     def _execute_transport_batch(self, batch: List[Job]) -> None:
-        """One micro-batch; pool deltas as in :meth:`_execute_registration`
+        """One micro-batch; its pool deltas difference *process-wide* counters
         (attributable on one lane only), the ledger is the batch's own."""
         lead: TransportJobSpec = batch[0].spec
         grid = lead.resolved_grid()

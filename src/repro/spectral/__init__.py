@@ -9,21 +9,11 @@ building blocks for the single-node (serial) path; the distributed
 counterparts built on the pencil-decomposed FFT live in
 :mod:`repro.parallel`.
 
-The actual FFT engine is pluggable: :mod:`repro.spectral.backends` keeps a
-registry of interchangeable backends (``numpy``, ``scipy``)
-selectable per call site, through the ``REPRO_FFT_BACKEND`` environment
-variable, or the ``--fft-backend`` CLI flag.  Spectral symbols are shared
+The FFT engine is :mod:`numpy.fft`, called directly by
+:class:`~repro.spectral.fft.FourierTransform`.  Spectral symbols are shared
 per grid through the :mod:`repro.spectral.symbols` store.
 """
 
-from repro.spectral.backends import (
-    BACKEND_ENV_VAR,
-    FFTBackend,
-    default_backend_name,
-    get_backend,
-    register_backend,
-    registered_backends,
-)
 from repro.spectral.fft import FFTCounters, FourierTransform
 from repro.spectral.filters import (
     gaussian_smooth,
@@ -38,22 +28,16 @@ from repro.spectral.operators import SpectralOperators
 from repro.spectral.symbols import SymbolTable, clear_symbol_cache, get_symbols
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "FFTBackend",
     "FFTCounters",
     "FourierTransform",
     "Grid",
     "SpectralOperators",
     "SymbolTable",
     "clear_symbol_cache",
-    "default_backend_name",
     "gaussian_smooth",
-    "get_backend",
     "get_symbols",
     "low_pass_filter",
     "prolong",
-    "register_backend",
-    "registered_backends",
     "remove_padding",
     "restrict",
     "zero_pad",

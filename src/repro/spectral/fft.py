@@ -1,23 +1,18 @@
-"""Serial Fourier-transform frontend over pluggable backends.
+"""Serial Fourier-transform frontend over :mod:`numpy.fft`.
 
 The paper's implementation uses AccFFT (built on FFTW) for its distributed
 transforms; the serial, single-process transform used by the core solver here
-delegates to one of the engines in :mod:`repro.spectral.backends` —
-``numpy`` (the reference) or ``scipy`` (pooled multi-threaded pocketfft) —
-selected per instance, via the ``REPRO_FFT_BACKEND`` environment variable,
-or the ``--fft-backend`` CLI flag.  All fields of the problem are real, so
-the transforms are real-to-complex.  The distributed pencil-decomposed
-transform that mirrors AccFFT's communication pattern lives in
-:mod:`repro.parallel.distributed_fft` and is validated against whichever
-serial backend is active.
+calls :mod:`numpy.fft` (pocketfft) directly.  All fields of the problem are
+real, so the transforms are real-to-complex.  The distributed
+pencil-decomposed transform that mirrors AccFFT's communication pattern lives
+in :mod:`repro.parallel.distributed_fft` and is validated against this one.
 
 The frontend also counts the number of (scalar 3D) transforms performed.
 The paper's complexity model (Sec. III-C4) expresses the per-iteration cost
 as a number of 3D FFTs and interpolations; counting the transforms lets the
 benchmark harness verify those counts against the analytic formula ``8*nt``
-FFTs per Hessian matvec.  Counting happens here — never in the backends —
-so the counters are exactly identical no matter which engine runs the
-transforms; a batched vector transform counts as three scalar transforms.
+FFTs per Hessian matvec.  A batched vector transform counts as three scalar
+transforms.
 
 Tracing spans (``fft.forward``/``fft.backward``) and the process-wide
 ``fft.transforms`` metric are emitted at the same seam: each span carries
@@ -33,7 +28,6 @@ import numpy as np
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
-from repro.spectral.backends import FFTBackend, get_backend
 from repro.spectral.grid import Grid
 
 _fft_metric = get_metrics_registry().counter(
@@ -70,30 +64,16 @@ class FourierTransform:
     ----------
     grid:
         The periodic grid defining the transform size.
-    backend:
-        FFT engine: a registered backend name (``"numpy"``, ``"scipy"``), a
-        backend instance, or ``None`` for the environment default (see
-        :func:`repro.spectral.backends.get_backend`).
 
     Notes
     -----
     The transform is unnormalized in the forward direction and normalized in
     the backward direction (numpy's convention), which is what every spectral
-    symbol in :mod:`repro.spectral.operators` assumes; both backends
-    implement the same convention.
+    symbol in :mod:`repro.spectral.operators` assumes.
     """
 
     grid: Grid
-    backend: "str | FFTBackend | None" = None
     counters: FFTCounters = field(default_factory=FFTCounters)
-
-    def __post_init__(self) -> None:
-        self.backend = get_backend(self.backend)
-
-    @property
-    def backend_name(self) -> str:
-        """Name of the active FFT engine."""
-        return self.backend.name
 
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
@@ -114,7 +94,7 @@ class FourierTransform:
         self.counters.forward += 1
         _FFT_FORWARD.inc()
         with trace_span("fft.forward"):
-            return self.backend.rfftn(field_values, axes=SPATIAL_AXES)
+            return np.fft.rfftn(field_values, axes=SPATIAL_AXES)
 
     def backward(self, spectrum: np.ndarray) -> np.ndarray:
         """Inverse transform returning a real field on the grid."""
@@ -126,7 +106,7 @@ class FourierTransform:
         self.counters.backward += 1
         _FFT_BACKWARD.inc()
         with trace_span("fft.backward"):
-            out = self.backend.irfftn(spectrum, s=self.grid.shape, axes=SPATIAL_AXES)
+            out = np.fft.irfftn(spectrum, s=self.grid.shape, axes=SPATIAL_AXES)
         return out.astype(self.grid.dtype, copy=False)
 
     # ------------------------------------------------------------------ #
@@ -135,9 +115,9 @@ class FourierTransform:
     def forward_batch(self, fields: np.ndarray) -> np.ndarray:
         """Forward transform of a ``(..., N1, N2, N3)`` stack in one call.
 
-        All leading axes are batch dimensions handed to the backend as one
-        stacked transform; the counter increases by the batch size (each
-        batch entry is one scalar 3D FFT of the paper's complexity model).
+        All leading axes are batch dimensions of one stacked transform; the
+        counter increases by the batch size (each batch entry is one scalar 3D
+        FFT of the paper's complexity model).
         """
         fields = np.asarray(fields)
         if fields.ndim < 3 or fields.shape[-3:] != self.grid.shape:
@@ -149,7 +129,7 @@ class FourierTransform:
         self.counters.forward += batch
         _FFT_FORWARD.inc(batch)
         with trace_span("fft.forward", count=batch, batch=batch):
-            return self.backend.rfftn(fields, axes=SPATIAL_AXES)
+            return np.fft.rfftn(fields, axes=SPATIAL_AXES)
 
     def backward_batch(self, spectra: np.ndarray) -> np.ndarray:
         """Inverse transform of a ``(..., N1, N2, N3//2+1)`` spectral stack."""
@@ -163,13 +143,13 @@ class FourierTransform:
         self.counters.backward += batch
         _FFT_BACKWARD.inc(batch)
         with trace_span("fft.backward", count=batch, batch=batch):
-            out = self.backend.irfftn(spectra, s=self.grid.shape, axes=SPATIAL_AXES)
+            out = np.fft.irfftn(spectra, s=self.grid.shape, axes=SPATIAL_AXES)
         return out.astype(self.grid.dtype, copy=False)
 
     def forward_vector(self, vector_field: np.ndarray) -> np.ndarray:
         """Batched forward transform of a ``(3, N1, N2, N3)`` vector field.
 
-        All three components are transformed in one stacked backend call
+        All three components are transformed in one stacked call
         (counted as three scalar transforms).
         """
         vector_field = np.asarray(vector_field)

@@ -15,39 +15,31 @@ All filters are Fourier multipliers and therefore preserve periodicity and
 commute with the differential operators.  Filter symbols come from the
 shared :mod:`repro.spectral.symbols` store and the transforms from a small
 per-grid transform cache, so repeated filtering of same-sized images (the
-multilevel pre-processing path) re-uses both the symbol arrays and the
-backend plan state instead of rebuilding them per call.
+multilevel pre-processing path) re-uses the symbol arrays instead of
+rebuilding them per call.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.spectral.backends import FFTBackend, get_backend
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.symbols import get_symbols
 
 
 @lru_cache(maxsize=64)
-def _cached_transform(grid: Grid, backend: FFTBackend) -> FourierTransform:
-    """Shared per-(grid, backend instance) transform used by the filters.
+def _cached_transform(grid: Grid) -> FourierTransform:
+    """Shared per-grid transform used by the filters.
 
     The filters are outside the solver's counted hot loop (their transform
     counts are not part of the ``8*nt`` complexity model), so sharing one
-    frontend per grid is safe and keeps backend plan caches warm.  Keying on
-    the backend *instance* (not its name) means a re-registered backend —
-    which gets a fresh singleton from :func:`get_backend` — automatically
-    gets a fresh cache entry rather than a stale engine.
+    frontend per grid is safe.
     """
-    return FourierTransform(grid, backend=backend)
-
-
-def _transform_for(grid: Grid, backend: Union[str, FFTBackend, None]) -> FourierTransform:
-    return _cached_transform(grid, get_backend(backend))
+    return FourierTransform(grid)
 
 
 def _normalize_sigma(
@@ -82,10 +74,9 @@ def gaussian_smooth(
     field: np.ndarray,
     grid: Grid,
     sigma: Sequence[float] | float | None = None,
-    backend: Union[str, FFTBackend, None] = None,
 ) -> np.ndarray:
     """Smooth a scalar field with the periodic spectral Gaussian filter."""
-    fft = _transform_for(grid, backend)
+    fft = _cached_transform(grid)
     return fft.apply_symbol(np.asarray(field, dtype=grid.dtype), gaussian_symbol(grid, sigma))
 
 
@@ -93,7 +84,6 @@ def low_pass_filter(
     field: np.ndarray,
     grid: Grid,
     cutoff_fraction: float = 2.0 / 3.0,
-    backend: Union[str, FFTBackend, None] = None,
 ) -> np.ndarray:
     """Sharp spectral low-pass (classic 2/3 de-aliasing rule by default).
 
@@ -102,7 +92,7 @@ def low_pass_filter(
     """
     if not 0.0 < cutoff_fraction <= 1.0:
         raise ValueError(f"cutoff_fraction must lie in (0, 1], got {cutoff_fraction}")
-    fft = _transform_for(grid, backend)
+    fft = _cached_transform(grid)
     mask = get_symbols(grid).low_pass_mask(cutoff_fraction)
     return fft.apply_symbol(np.asarray(field, dtype=grid.dtype), mask)
 

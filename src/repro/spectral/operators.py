@@ -22,7 +22,7 @@ Two performance properties of this layer:
   :mod:`repro.spectral.symbols` store, so grids of equal value share one set
   of symbol arrays across operators, regularizations and filters;
 * every vector-field operator transforms all components in one **batched**
-  backend call (:meth:`FourierTransform.forward_vector` /
+  FFT call (:meth:`FourierTransform.forward_vector` /
   :meth:`FourierTransform.inverse_vector`), which mirrors the paper's
   optimization of the ``grad``/``div`` operators (Sec. III-C1: avoid
   multiple 3D FFT invocations).
@@ -31,11 +31,10 @@ Two performance properties of this layer:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.spectral.backends import FFTBackend
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.symbols import SymbolTable, get_symbols
@@ -50,17 +49,12 @@ class SpectralOperators:
     ----------
     grid:
         The periodic computational grid.
-    fft_backend:
-        FFT engine name or instance forwarded to
-        :class:`~repro.spectral.fft.FourierTransform`; ``None`` selects the
-        environment default.
     """
 
     grid: Grid
-    fft_backend: Optional[Union[str, FFTBackend]] = None
 
     def __post_init__(self) -> None:
-        self.fft = FourierTransform(self.grid, backend=self.fft_backend)
+        self.fft = FourierTransform(self.grid)
         self.symbols: SymbolTable = get_symbols(self.grid)
 
     # ------------------------------------------------------------------ #
@@ -125,7 +119,7 @@ class SpectralOperators:
         of :meth:`gradient` — batching changes the dispatch, never the
         complexity accounting).  This is the time-axis fusion of the
         incremental solvers: all ``nt + 1`` state-gradient levels in two
-        backend calls instead of ``nt + 1`` Python-loop iterations.
+        FFT calls instead of ``nt + 1`` Python-loop iterations.
         """
         fields = np.asarray(fields)
         if fields.ndim != 4 or fields.shape[1:] != self.grid.shape:
@@ -176,7 +170,7 @@ class SpectralOperators:
         One batched forward over all ``3 B`` components and one batched
         inverse over the ``B`` results (``4 B`` scalar FFTs, matching ``B``
         calls of :meth:`divergence`).  Fuses the full-Newton source loop of
-        the incremental adjoint into two backend calls.
+        the incremental adjoint into two FFT calls.
         """
         vector_fields = np.asarray(vector_fields)
         if vector_fields.ndim != 5 or vector_fields.shape[1:] != (3, *self.grid.shape):

@@ -130,24 +130,19 @@ class TransportSolver:
         Interpolation kernel passed to :class:`PeriodicInterpolator`.
     operators:
         Spectral operators; constructed on demand when not provided.
-    fft_backend:
-        FFT engine name or instance used when *operators* is constructed on
-        demand (``None`` selects the environment default); ignored when
-        *operators* is provided.
     """
 
     grid: Grid
     num_time_steps: int = 4
     interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
-    fft_backend: Optional[object] = None
     divergence_tolerance: float = 1e-8
     _interpolator: PeriodicInterpolator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_time_steps, "num_time_steps")
         if self.operators is None:
-            self.operators = SpectralOperators(self.grid, fft_backend=self.fft_backend)
+            self.operators = SpectralOperators(self.grid)
         self._interpolator = PeriodicInterpolator(self.grid, self.interpolation)
 
     # ------------------------------------------------------------------ #

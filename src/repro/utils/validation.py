@@ -58,6 +58,20 @@ def check_finite(array: np.ndarray, name: str) -> np.ndarray:
     return array
 
 
+def check_real_dtype(dtype: np.dtype, name: str) -> np.dtype:
+    """Raise ``TypeError`` unless *dtype* is real floating-point or integer.
+
+    Complex, bool, string and object arrays are rejected: casting them to
+    ``float64`` would drop an imaginary part or accept a mask as an image.
+    """
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "fiu":
+        raise TypeError(
+            f"{name} must hold real floating-point or integer values, got dtype {dtype}"
+        )
+    return dtype
+
+
 def check_same_shape(a: np.ndarray, b: np.ndarray, names: str = "arrays") -> None:
     """Raise if the two arrays do not share the same shape."""
     if a.shape != b.shape:

@@ -29,7 +29,6 @@ from repro.observability.trace import (
     tracing_enabled,
 )
 from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
-from repro.runtime.workers import set_default_workers
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
@@ -59,12 +58,10 @@ def _fresh_plan_pool():
     """
     trace_was_enabled = tracing_enabled()
     reset_plan_pool()
-    set_default_workers(None)
     set_gradient_cache_enabled(None)
     gradient_cache_decision_log().reset()
     yield
     reset_plan_pool()
-    set_default_workers(None)
     set_gradient_cache_enabled(None)
     gradient_cache_decision_log().reset()
     if trace_was_enabled:

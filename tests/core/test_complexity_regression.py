@@ -56,10 +56,9 @@ interpolates nothing:
     v = 0:             no plan, no operator, no sweep, no transform
 
 These tests pin all three numbers exactly so any refactor of the spectral or
-interpolation layers (backends, batching, plan caching) that changes the
-amount of kernel work is caught immediately, and they assert the counts are
-identical for every FFT backend and every gather kernel — counting lives in
-the frontends, never in the engines.
+interpolation layers (batching, plan caching) that changes the amount of
+kernel work is caught immediately, and they assert the counts are identical
+for every gather kernel — counting lives in the frontends.
 """
 
 import numpy as np
@@ -72,7 +71,6 @@ from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 from repro.observability import get_metrics_registry
 from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
-from repro.spectral.backends import registered_backends as fft_backends
 from repro.transport.kernels import SUPPORTED_METHODS
 
 
@@ -93,7 +91,6 @@ def exact_interpolation_sweeps_per_matvec(nt: int) -> int:
 
 def _build_problem(
     nt: int,
-    fft_backend: str = "numpy",
     incompressible=False,
     interpolation: str = "cubic_bspline",
 ):
@@ -105,7 +102,6 @@ def _build_problem(
         num_time_steps=nt,
         incompressible=incompressible,
         interpolation=interpolation,
-        fft_backend=fft_backend,
     )
 
 
@@ -120,14 +116,13 @@ def _generic_velocity(problem) -> np.ndarray:
 
 def _measure_matvec_work(
     nt: int,
-    fft_backend: str = "numpy",
     gradient_cache: bool = True,
     incompressible: bool = False,
     real_argument: bool = False,
     interpolation: str = "cubic_bspline",
 ):
     set_gradient_cache_enabled(gradient_cache)
-    problem = _build_problem(nt, fft_backend, incompressible, interpolation)
+    problem = _build_problem(nt, incompressible, interpolation)
     velocity = problem.project(_generic_velocity(problem))
     iterate = problem.linearize(velocity)
     assert iterate.plan.is_divergence_free is incompressible
@@ -205,20 +200,6 @@ class TestPaperComplexityModel:
         pairs = exact_transforms_per_matvec(nt) / 2
         assert pairs <= 8 * nt
         assert warm_transforms_per_matvec() < exact_transforms_per_matvec(nt)
-
-    @pytest.mark.parametrize("backend", fft_backends())
-    @pytest.mark.parametrize("gradient_cache", [True, False])
-    def test_count_is_backend_independent(self, backend, gradient_cache):
-        nt = 4
-        transforms, _ = _measure_matvec_work(
-            nt, fft_backend=backend, gradient_cache=gradient_cache
-        )
-        expected = (
-            warm_transforms_per_matvec()
-            if gradient_cache
-            else exact_transforms_per_matvec(nt)
-        )
-        assert transforms == expected
 
 
 class TestInterpolationSweeps:

@@ -10,7 +10,6 @@ from repro.core.gradients import gradient_cache_enabled
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
-from repro.runtime.workers import resolve_workers
 
 
 @pytest.fixture()
@@ -31,58 +30,60 @@ class TestConstruction:
         assert all(value is None for value in config.as_dict().values())
 
     def test_validation_of_bad_fields(self):
-        with pytest.raises(ValueError, match="workers"):
-            RegistrationConfig(workers=0)
         with pytest.raises(ValueError, match="plan_pool_bytes"):
             RegistrationConfig(plan_pool_bytes=-1)
 
     def test_replace_derives_a_variant(self):
-        base = RegistrationConfig(fft_backend="numpy")
-        derived = base.replace(workers=2)
-        assert derived.fft_backend == "numpy"
-        assert derived.workers == 2
-        assert base.workers is None  # frozen: the base is untouched
+        base = RegistrationConfig(plan_pool_bytes=1000)
+        derived = base.replace(trace=True)
+        assert derived.plan_pool_bytes == 1000
+        assert derived.trace is True
+        assert base.trace is None  # frozen: the base is untouched
 
-    def test_from_env_snapshots_concrete_values(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_from_env_snapshots_concrete_values(self):
         config = RegistrationConfig.from_env()
-        assert config.fft_backend is not None
-        # the *shared* worker default only: nothing set, nothing to snapshot
-        # (the subsystems' own defaults differ: fft all cores, service 1)
-        assert config.workers is None
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
+        assert config.gradient_cache is not None
 
-    @pytest.mark.parametrize("shared_env", [None, "3"])
-    def test_from_env_apply_changes_no_resolved_worker_count(self, monkeypatch, shared_env):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        if shared_env is not None:
-            monkeypatch.setenv("REPRO_WORKERS", shared_env)
-        subsystems = ("fft", "service")
-        before = {name: resolve_workers(name) for name in subsystems}
+    @pytest.mark.parametrize("service_env", [None, "3"])
+    def test_from_env_apply_changes_no_service_width(self, monkeypatch, service_env):
+        from repro.config import SERVICE_WORKERS_ENV_VAR, env_service_workers
+        from repro.core.gradients import set_gradient_cache_enabled
+
+        monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
+        if service_env is not None:
+            monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, service_env)
+        before = env_service_workers()
         try:
             config = RegistrationConfig.from_env().apply()
-            assert config.workers == (None if shared_env is None else int(shared_env))
-            assert {name: resolve_workers(name) for name in subsystems} == before
+            # the width is the service's own knob, never a config field
+            assert "workers" not in config.as_dict()
+            assert env_service_workers() == before
+            assert before == (None if service_env is None else int(service_env))
         finally:
             configure_plan_pool(None)
+            set_gradient_cache_enabled(None)
 
 
 class TestValidateAndApply:
-    def test_validate_rejects_unknown_backend(self):
-        with pytest.raises((ValueError, KeyError)):
-            RegistrationConfig(fft_backend="no-such-engine").validate()
-
-    def test_config_has_the_six_knobs(self):
+    def test_config_has_the_four_knobs(self):
         assert set(RegistrationConfig().as_dict()) == {
-            "fft_backend", "workers", "plan_pool_bytes",
-            "gradient_cache", "trace", "trace_out",
+            "plan_pool_bytes", "gradient_cache", "trace", "trace_out",
         }
+
+    @pytest.mark.parametrize(
+        "removed",
+        [
+            {"plan_layout": "lean"},
+            {"field_source": "memmap"},
+            {"interp_backend": "scipy"},
+            {"fft_backend": "numpy"},
+            {"workers": 2},
+        ],
+    )
+    def test_removed_knobs_are_type_errors(self, removed):
         with pytest.raises(TypeError):
-            RegistrationConfig(plan_layout="lean")
-        with pytest.raises(TypeError):
-            RegistrationConfig(field_source="memmap")
-        with pytest.raises(TypeError):
-            RegistrationConfig(interp_backend="scipy")
+            RegistrationConfig(**removed)
 
     def test_validate_surfaces_malformed_env(self, monkeypatch):
         from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
@@ -98,14 +99,9 @@ class TestValidateAndApply:
         # unset fields leave the other process-wide knobs untouched
         assert get_plan_pool().max_bytes == budget_before
 
-    def test_apply_sets_workers_and_budget(self, monkeypatch):
-        # a per-subsystem variable outranks the config's shared ``workers`` by
-        # design
-        monkeypatch.delenv("REPRO_FFT_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    def test_apply_sets_the_budget(self):
         try:
-            RegistrationConfig(workers=3, plan_pool_bytes=123456).apply()
-            assert resolve_workers("fft") == 3
+            RegistrationConfig(plan_pool_bytes=123456).apply()
             assert get_plan_pool().max_bytes == 123456
         finally:
             configure_plan_pool(None)
@@ -166,34 +162,30 @@ class TestServiceEnvVars:
 
 
 class TestSolverIntegration:
-    def test_solver_takes_backends_from_config(self, tiny_problem, fast_options):
+    def test_solver_applies_its_config(self, tiny_problem, fast_options):
         solver = RegistrationSolver(
             options=fast_options,
-            config=RegistrationConfig(fft_backend="numpy"),
+            config=RegistrationConfig(gradient_cache=False),
         )
+        assert not gradient_cache_enabled()
         result = solver.run(tiny_problem.template, tiny_problem.reference)
-        assert result.summary()["fft_backend"] == "numpy"
-        assert "interp_backend" not in result.summary()
-
-    def test_explicit_backend_beats_config(self, tiny_problem, fast_options):
-        solver = RegistrationSolver(
-            options=fast_options,
-            fft_backend="scipy",
-            config=RegistrationConfig(fft_backend="numpy"),
-        )
-        result = solver.run(tiny_problem.template, tiny_problem.reference)
-        assert result.summary()["fft_backend"] == "scipy"
+        for removed in ("fft_backend", "interp_backend", "plan_pool_hits", "plan_pool_misses"):
+            assert removed not in result.summary()
 
     def test_register_accepts_config(self, tiny_problem, fast_options):
         result = register(
             tiny_problem.template,
             tiny_problem.reference,
             options=fast_options,
-            config=RegistrationConfig(fft_backend="numpy"),
+            config=RegistrationConfig(trace=False),
         )
-        assert result.summary()["fft_backend"] == "numpy"
+        assert result.relative_residual < 1.0
 
-    def test_register_takes_backends_only_through_config(self, tiny_problem, fast_options):
+    def test_solver_has_no_engine_argument(self):
+        with pytest.raises(TypeError, match="fft_backend"):
+            RegistrationSolver(fft_backend="numpy")
+
+    def test_register_takes_no_engine_argument(self, tiny_problem, fast_options):
         for legacy in ("fft_backend", "interp_backend"):
             with pytest.raises(TypeError, match=legacy):
                 register(
@@ -213,13 +205,15 @@ class TestResultSchema:
         )
         doc = result.to_dict()
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         text = json.dumps(doc)  # no numpy scalars may survive
         round_tripped = json.loads(text)
         assert round_tripped["summary"]["relative_residual"] == pytest.approx(
             result.relative_residual
         )
-        assert isinstance(round_tripped["plan_pool"]["hits"], int)
+        # v5: no per-solve pool delta; the process-wide pool lives in the snapshot
+        assert "plan_pool" not in round_tripped
+        assert isinstance(round_tripped["observability"]["plan_pool"]["hits"], int)
         assert np.isfinite(round_tripped["elapsed_seconds"])
         # v3: why the outer loop stopped, beside how many steps it took
         assert round_tripped["optimization"]["termination_reason"] == (

@@ -3,8 +3,8 @@
 Covers the tentpole guarantees of the cache layer:
 
 * **bitwise identity** — cached and uncached solves produce bit-identical
-  gradients and Hessian mat-vecs on every FFT backend and
-  both Hessian variants (Gauss-Newton and full Newton);
+  gradients and Hessian mat-vecs for both Hessian variants (Gauss-Newton
+  and full Newton);
   the cache reuses the FFT outputs, it never changes them;
 * **budget participation** — the cached stack belongs to its iterate (never
   to the process-wide plan pool), is exactly the projected size, and
@@ -25,8 +25,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.gradients import (
     GRADIENT_CACHE_ENV_VAR,
@@ -45,7 +43,6 @@ from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem
 from repro.observability.metrics import get_metrics_registry
 from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
-from repro.spectral.backends import registered_backends as fft_backends
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
@@ -79,7 +76,7 @@ def state_history(grid) -> np.ndarray:
     return np.stack([smooth_scalar_field(grid, seed=10 + j) for j in range(5)])
 
 
-def _problem(nt=4, fft_backend="numpy", gauss_newton=True):
+def _problem(nt=4, gauss_newton=True):
     synthetic = synthetic_registration_problem(8, num_time_steps=nt)
     return RegistrationProblem(
         grid=synthetic.grid,
@@ -87,7 +84,6 @@ def _problem(nt=4, fft_backend="numpy", gauss_newton=True):
         template=synthetic.template,
         num_time_steps=nt,
         gauss_newton=gauss_newton,
-        fft_backend=fft_backend,
     )
 
 
@@ -284,11 +280,11 @@ class TestBatchedOperators:
 # --------------------------------------------------------------------------- #
 # solver integration: counters and identity
 # --------------------------------------------------------------------------- #
-def _solve_one_matvec(gauss_newton, cached, fft_backend="numpy"):
+def _solve_one_matvec(gauss_newton, cached):
     """One linearize + two mat-vecs; returns (gradient, matvec, warm fft delta)."""
     set_gradient_cache_enabled(cached)
     reset_plan_pool()
-    problem = _problem(fft_backend=fft_backend, gauss_newton=gauss_newton)
+    problem = _problem(gauss_newton=gauss_newton)
     velocity = 0.2 * smooth_velocity_field(problem.grid, seed=60)
     # a half-spectrum, as the Krylov solver applies the Hessian
     direction = problem.operators.fft.forward_vector(
@@ -336,27 +332,6 @@ class TestBitwiseIdentity:
         g_lazy, mv_lazy, _ = _solve_one_matvec(gauss_newton, cached=False)
         np.testing.assert_array_equal(g_cached, g_lazy)
         np.testing.assert_array_equal(mv_cached, mv_lazy)
-
-    @settings(max_examples=8, deadline=None)
-    @given(
-        fft_backend=st.sampled_from(fft_backends()),
-        gauss_newton=st.booleans(),
-    )
-    def test_identity_across_backends(self, fft_backend, gauss_newton):
-        """Hypothesis sweep: FFT backends x Hessian variants."""
-        try:
-            g_cached, mv_cached, warm = _solve_one_matvec(gauss_newton, True, fft_backend)
-            g_lazy, mv_lazy, cold = _solve_one_matvec(gauss_newton, False, fft_backend)
-        finally:
-            set_gradient_cache_enabled(None)
-        np.testing.assert_array_equal(g_cached, g_lazy)
-        np.testing.assert_array_equal(mv_cached, mv_lazy)
-        # counter parity across FFT engines, warm strictly cheaper than cold
-        nt = 4
-        expected_cold = (16 if not gauss_newton else 8) * (nt + 1) + 6
-        expected_warm = expected_cold - 8 * (nt + 1)
-        assert cold.fft_transforms == expected_cold
-        assert warm.fft_transforms == expected_warm
 
     def test_full_solve_velocity_identity(self):
         """End to end: the optimized velocity is bit-identical either way."""

@@ -1,6 +1,8 @@
 """Tests for the Gauss-Newton-Krylov driver, the gradient-descent baseline,
 the beta continuation and the high-level registration front end."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,33 @@ class TestRegistrationFrontEnd:
         images[image][3, 4, 5] = bad
         with pytest.raises(ValueError, match=f"{image} has 1 non-finite value"):
             register(images["template"], images["reference"])
+
+    @pytest.mark.parametrize("image", ["template", "reference"])
+    @pytest.mark.parametrize(
+        "cast",
+        [
+            lambda a: a.astype(np.complex128),
+            lambda a: a > a.mean(),
+            lambda a: a.astype(object),
+            lambda a: a.astype(str),
+        ],
+        ids=["complex", "bool", "object", "string"],
+    )
+    def test_non_real_dtype_rejected(self, synthetic, image, cast):
+        """Complex (imaginary part dropped), bool and string / object images
+        never reach the solver: a TypeError names the image, no ComplexWarning."""
+        images = {"template": synthetic.template, "reference": synthetic.reference}
+        images[image] = cast(images[image])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.ComplexWarning)
+            with pytest.raises(TypeError, match=f"{image} must hold real"):
+                register(images["template"], images["reference"])
+
+    def test_integer_images_are_accepted(self, synthetic):
+        template = np.round(255 * synthetic.template).astype(np.uint8)
+        reference = np.round(255 * synthetic.reference).astype(np.int32)
+        problem = RegistrationSolver().build_problem(template, reference)
+        assert problem.template.dtype == problem.reference.dtype == np.float64
 
     def test_non_finite_voxels_are_counted_at_the_shared_boundary(self, synthetic):
         """build_problem is what register, run and continuation share."""

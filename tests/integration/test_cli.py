@@ -26,18 +26,23 @@ class TestParser:
         assert args.beta == pytest.approx(1e-2)
         assert args.nt == 4
         assert args.optimizer == "gauss_newton"
-        assert args.fft_backend is None
-        assert not hasattr(args, "interp_backend")
+        for removed in ("fft_backend", "interp_backend", "workers"):
+            assert not hasattr(args, removed)
 
     def test_runtime_flags(self):
         args = build_parser().parse_args(
-            ["register", "--synthetic", "16", "--plan-pool-bytes", "1000000", "--workers", "2"]
+            ["register", "--synthetic", "16", "--plan-pool-bytes", "1000000"]
         )
         assert args.plan_pool_bytes == 1000000
-        assert args.workers == 2
         defaults = build_parser().parse_args(["register", "--synthetic", "16"])
         assert defaults.plan_pool_bytes is None
-        assert defaults.workers is None
+
+    @pytest.mark.parametrize("command", ["register", "serve"])
+    @pytest.mark.parametrize("flag", [["--fft-backend", "scipy"], ["--workers", "2"]])
+    def test_removed_engine_and_worker_flags_are_rejected(self, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--synthetic", "8", *flag])
+        assert excinfo.value.code == 2
 
 
 class TestRegisterCommand:
@@ -102,7 +107,7 @@ class TestRegisterCommand:
                 np.testing.assert_array_equal(stored[key], deflated[key])
 
     def test_plan_pool_flag_and_verbose_stats(self, capsys):
-        from repro.runtime import configure_plan_pool, set_default_workers
+        from repro.runtime import configure_plan_pool
 
         try:
             code = main(
@@ -111,26 +116,15 @@ class TestRegisterCommand:
                     "register",
                     "--synthetic", "12",
                     "--plan-pool-bytes", "50000000",
-                    "--workers", "1",
                     "--max-newton", "2",
                     "--max-krylov", "4",
                 ]
             )
             assert code == 0
             out = capsys.readouterr().out
-            assert "plan_pool_hits" in out
             assert "plan pool:" in out and "evictions" in out
         finally:
             configure_plan_pool(None)
-            set_default_workers(None)
-
-    def test_malformed_fft_backend_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.spectral.backends import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fftw3")
-        assert main(["register", "--synthetic", "12"]) == 2
-        err = capsys.readouterr().err
-        assert BACKEND_ENV_VAR in err and "numpy" in err
 
     def test_negative_plan_pool_budget_is_a_clean_error(self, capsys):
         code = main(
@@ -140,8 +134,7 @@ class TestRegisterCommand:
         assert "non-negative" in capsys.readouterr().err
 
     def test_malformed_runtime_env_vars_are_clean_errors(self, capsys, monkeypatch):
-        from repro.runtime import FFT_WORKERS_ENV_VAR, POOL_BYTES_ENV_VAR
-        from repro.runtime import configure_plan_pool
+        from repro.runtime import POOL_BYTES_ENV_VAR, configure_plan_pool
 
         monkeypatch.setenv(POOL_BYTES_ENV_VAR, "512M")
         assert main(["register", "--synthetic", "12"]) == 2
@@ -149,9 +142,13 @@ class TestRegisterCommand:
         monkeypatch.delenv(POOL_BYTES_ENV_VAR)
         configure_plan_pool(None)
 
-        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "two")
-        assert main(["register", "--synthetic", "12"]) == 2
-        assert FFT_WORKERS_ENV_VAR in capsys.readouterr().err
+    @pytest.mark.parametrize("retired", ["REPRO_FFT_BACKEND", "REPRO_FFT_WORKERS"])
+    def test_retired_engine_variables_are_not_read(self, capsys, monkeypatch, retired):
+        # numpy.fft is the one engine: a value that once failed validation
+        # is now simply ignored
+        monkeypatch.setenv(retired, "fftw3")
+        assert main(["register", "--synthetic", "8", "--max-newton", "1"]) == 0
+        assert retired not in capsys.readouterr().err
 
     def test_brain_incompressible_run(self, capsys):
         code = main(
@@ -271,7 +268,7 @@ class TestServeCommand:
         assert "subjects" in capsys.readouterr().err
 
     def test_serve_accepts_config_flags(self, capsys):
-        code = main(self._serve_args("--fft-backend", "numpy"))
+        code = main(self._serve_args("--trace"))
         assert code == 0
 
     def test_serve_main_entry_point(self, capsys):
@@ -380,19 +377,19 @@ class TestObservabilityCLI:
         assert TRACE_ENV_VAR in capsys.readouterr().err
 
     def test_malformed_service_workers_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.runtime.workers import SERVICE_WORKERS_ENV_VAR
+        from repro.config import SERVICE_WORKERS_ENV_VAR
 
         monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "3.5")
         assert main(self._register_args()) == 2
         assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
-    def test_serve_rejects_malformed_worker_envs_too(self, capsys, monkeypatch):
-        from repro.runtime.workers import FFT_WORKERS_ENV_VAR
+    def test_serve_rejects_malformed_service_workers_env_too(self, capsys, monkeypatch):
+        from repro.config import SERVICE_WORKERS_ENV_VAR
 
-        monkeypatch.setenv(FFT_WORKERS_ENV_VAR, "many")
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "many")
         code = main(["serve", "--synthetic", "8", "--subjects", "1"])
         assert code == 2
-        assert FFT_WORKERS_ENV_VAR in capsys.readouterr().err
+        assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_verbose_report_agrees_with_result_document(self, capsys):
         from repro.observability import get_trace_recorder
@@ -404,7 +401,8 @@ class TestObservabilityCLI:
         out = capsys.readouterr().out
         doc = _extract_result_document(out)
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
+        assert "plan_pool" not in doc
 
         # embedded observability snapshot: enabled trace, valid document
         from repro.observability import validate_snapshot
@@ -413,15 +411,12 @@ class TestObservabilityCLI:
         validate_snapshot(snap)
         assert snap["trace"]["enabled"] is True
 
-        # plan-pool line: process-wide stats, i.e. the snapshot's view (the
-        # doc's top-level plan_pool block is the solve-only delta); a
-        # registration's planning data belongs to its problem, so neither
-        # saw a lookup
+        # plan-pool line: process-wide stats, i.e. the snapshot's view; a
+        # registration's planning data belongs to its problem, so the pool
+        # saw no lookup
         pool = snap["plan_pool"]
         assert f"plan pool: {pool['hits']} hits, {pool['misses']} misses" in out
-        delta = doc["plan_pool"]
-        assert delta["misses"] == delta["hits"] == 0
-        assert delta["misses"] <= pool["misses"]
+        assert pool["misses"] == pool["hits"] == 0
 
         # phase-timing table: one row per span name, spans/count columns
         # agreeing with the recorder (= the document's span_counts)

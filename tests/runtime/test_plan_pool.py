@@ -224,7 +224,7 @@ class TestTagStats:
         )
         assert result.num_newton_iterations >= 1
         assert plan_pool.stats_by_tag() == {}
-        assert result.plan_pool == PoolStats()
+        assert plan_pool.stats == PoolStats()
 
     def test_tag_gauges_sum_to_pool_gauges(self):
         pool = PlanPool(max_bytes=1000)
@@ -288,7 +288,7 @@ class TestPerLevelOwnership:
             for record in level.result.iterations
         )
         assert trials > 0
-        assert result.plan_pool == PoolStats()
+        assert plan_pool.stats == PoolStats()
         assert len(plan_pool) == 0
 
     def test_multilevel_plans_each_velocity_once_per_grid(self, plan_pool, monkeypatch):

@@ -1,11 +1,13 @@
 """The service's default width — one compute lane — and what it buys.
 
 A solve's kernels hold the GIL, so ``RegistrationService()`` starts one worker
-thread (``repro.runtime.workers``).  On one lane two things the artifacts
-report become deterministic: the rest of a burst is queued while the first
-job runs, so the micro-batcher claims *full* batches, and each job's
-``plan_pool_delta`` is its own (the deltas difference process-wide counters).
-The two-worker race / recovery suites next door are why ``num_workers`` stays.
+thread (``repro.config.DEFAULT_SERVICE_WORKERS``); ``num_workers=`` beats
+``REPRO_SERVICE_WORKERS`` beats that default.  On one lane two things the
+artifacts report become deterministic: the rest of a burst is queued while the
+first job runs, so the micro-batcher claims *full* batches, and each transport
+batch's ``plan_pool_delta`` is its own (the deltas difference process-wide
+counters).  The two-worker race / recovery suites next door are why
+``num_workers`` stays.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from repro.data.synthetic import synthetic_registration_problem
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
+from repro.config import SERVICE_WORKERS_ENV_VAR, env_service_workers
 from repro.runtime.plan_pool import get_plan_pool
-from repro.runtime.workers import SERVICE_WORKERS_ENV_VAR, WORKERS_ENV_VAR
 from repro.service import RegistrationJobSpec, RegistrationService, TransportJobSpec
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
@@ -33,7 +35,6 @@ MAX_BATCH = 4
 @pytest.fixture(autouse=True)
 def no_worker_env(monkeypatch):
     monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
 
 
 class TestDefaultWidth:
@@ -51,6 +52,28 @@ class TestDefaultWidth:
             assert len(service._threads) == service.service_stats()["num_workers"] == 2
         with RegistrationService(num_workers=1) as service:  # explicit beats the variable
             assert service.num_workers == 1
+
+    def test_the_retired_shared_variable_is_not_read(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        with RegistrationService() as service:
+            assert service.num_workers == 1
+        monkeypatch.setenv("REPRO_WORKERS", "three")  # not even validated
+        with RegistrationService() as service:
+            assert service.num_workers == 1
+
+    def test_counts_are_clamped_to_one(self, monkeypatch):
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "0")
+        assert env_service_workers() == 1
+        with RegistrationService(num_workers=-3) as service:
+            assert service.num_workers == 1
+
+    @pytest.mark.parametrize("bad", ["two", "3.5"])
+    def test_malformed_variable_is_a_clean_value_error(self, monkeypatch, bad):
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, bad)
+        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
+            env_service_workers()
+        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
+            RegistrationService()
 
 
 def _mixed_burst(service):
@@ -115,14 +138,15 @@ def test_one_lane_claims_full_micro_batches():
 
 
 def test_one_lane_pool_deltas_sum_to_the_pool_totals():
-    """Per-job deltas are attributable on one lane: no other job ran meanwhile."""
+    """Per-batch deltas are attributable on one lane: no other job ran meanwhile.
+
+    A register job touches no pool entry, so it reports no delta at all.
+    """
     with RegistrationService(max_batch=MAX_BATCH) as service:
         burst = _mixed_burst(service)
+    assert not any("plan_pool_delta" in job.record.metrics for job in burst.registers)
     # every rider of a batch carries its batch's delta: count each batch once
-    deltas = [
-        job.record.metrics["plan_pool_delta"]
-        for job in burst.registers + burst.transports[::MAX_BATCH]
-    ]
+    deltas = [job.record.metrics["plan_pool_delta"] for job in burst.transports[::MAX_BATCH]]
     totals = burst.pool_delta
     assert totals.misses > 0 and totals.hits > 0
     assert sum(delta["hits"] for delta in deltas) == totals.hits

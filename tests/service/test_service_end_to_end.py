@@ -64,9 +64,12 @@ class TestRegistrationJobs:
         assert job.record.metrics["result"]["schema"] == "repro.registration-result"
 
     def test_service_applies_its_config(self, tiny_problem, fast_options):
+        from repro.core.gradients import gradient_cache_enabled
+
         with RegistrationService(
-            config=RegistrationConfig(fft_backend="numpy"), num_workers=1
+            config=RegistrationConfig(gradient_cache=False), num_workers=1
         ) as service:
+            assert not gradient_cache_enabled()
             job = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
@@ -75,7 +78,7 @@ class TestRegistrationJobs:
                 )
             )
             result = job.result(timeout=120)
-        assert result.summary()["fft_backend"] == "numpy"
+        assert "fft_backend" not in result.summary()
 
 
 class TestFailureIsolation:
@@ -228,7 +231,7 @@ class TestArtifactsAndStats:
         ok_doc = json.loads((tmp_path / f"job-{ok.job_id}.json").read_text())
         bad_doc = json.loads((tmp_path / f"job-{bad.job_id}.json").read_text())
         assert ok_doc["schema"] == "repro.service-job"
-        assert ok_doc["schema_version"] == 4
+        assert ok_doc["schema_version"] == 5
         assert ok_doc["job"]["status"] == "done"
         assert ok_doc["job"]["metrics"]["plan_pool_delta"]["misses"] >= 0
         assert "layout_decisions" not in ok_doc["job"]["metrics"]
@@ -250,13 +253,37 @@ class TestArtifactsAndStats:
         doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
         embedded = doc["job"]["metrics"]["result"]
         assert embedded["schema"] == "repro.registration-result"
-        assert embedded["schema_version"] == 4
+        assert embedded["schema_version"] == 5
         assert embedded["optimization"]["termination_reason"] == (
             result.optimization.termination_reason
         )
         assert "field_sources" not in embedded
         assert "field_sources" not in doc["observability"]
         assert "interp_backend" not in embedded["summary"]
+
+    def test_register_artifact_is_v5_without_a_pool_delta(
+        self, tmp_path, tiny_problem, fast_options
+    ):
+        """A registration touches no pool entry: neither the job nor its result
+        reports a per-solve delta; the process-wide pool is in the snapshot."""
+        with RegistrationService(num_workers=1, artifacts_dir=tmp_path) as service:
+            job = service.submit_registration(
+                RegistrationJobSpec(
+                    template=tiny_problem.template,
+                    reference=tiny_problem.reference,
+                    options=fast_options,
+                )
+            )
+            job.result(timeout=120)
+        doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
+        assert (doc["schema"], doc["schema_version"]) == ("repro.service-job", 5)
+        metrics = doc["job"]["metrics"]
+        assert set(metrics) == {"result"}
+        embedded = metrics["result"]
+        assert embedded["schema_version"] == 5
+        assert "plan_pool" not in embedded
+        assert not any(key.startswith(("plan_pool", "fft_")) for key in embedded["summary"])
+        assert "plan_pool" in doc["observability"]
 
     def test_register_artifact_carries_the_convergence_records(self, tmp_path):
         problem = synthetic_registration_problem(12)

@@ -7,6 +7,7 @@ from repro.utils.validation import (
     check_positive,
     check_positive_int,
     check_probability,
+    check_real_dtype,
     check_same_shape,
     check_shape_3d,
     check_velocity_shape,
@@ -111,3 +112,14 @@ class TestCheckVelocityShape:
     def test_rejects_wrong_grid(self):
         with pytest.raises(ValueError):
             check_velocity_shape(np.zeros((3, 4, 5, 6)), (4, 5, 7))
+
+
+class TestCheckRealDtype:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int16, np.uint8])
+    def test_accepts_real_floats_and_integers(self, dtype):
+        assert check_real_dtype(dtype, "image") == np.dtype(dtype)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_, np.str_, object])
+    def test_rejects_the_rest_naming_the_array(self, dtype):
+        with pytest.raises(TypeError, match="image must hold real floating-point or integer"):
+            check_real_dtype(dtype, "image")
