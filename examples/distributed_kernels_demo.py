@@ -6,7 +6,9 @@ machine — the pencil-decomposed 3D FFT (AccFFT-style transposes) and the
 semi-Lagrangian scatter interpolation (Algorithm 1) — on a small grid with
 several process-grid configurations, verifies them against the serial
 kernels, and prints the communication ledger (messages and bytes moved per
-category), which is what the analytic performance model consumes.
+category), which is what the analytic performance model consumes.  Exits
+non-zero when either kernel strays more than ``TOLERANCE`` from its serial
+counterpart.
 
 Run with::
 
@@ -14,6 +16,8 @@ Run with::
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -29,8 +33,12 @@ from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.semi_lagrangian import compute_departure_points
 
+#: Largest relative FFT / absolute interpolation error that counts as
+#: machine precision on the unit-scale demo field.
+TOLERANCE = 1e-12
 
-def main() -> None:
+
+def main() -> int:
     grid = Grid((32, 32, 32))
     field = sinusoidal_template(grid)
     velocity = synthetic_velocity(grid)
@@ -79,9 +87,15 @@ def main() -> None:
 
     print(format_rows(rows, title="Distributed kernels vs serial kernels (32^3 grid)"))
     print()
+    worst = max(max(row["fft_error"], row["interp_error"]) for row in rows)
+    if worst > TOLERANCE:
+        print(f"FAILED: a distributed kernel is {worst:.3g} from the serial one "
+              f"(tolerance {TOLERANCE:g})")
+        return 1
     print("Both kernels reproduce the serial results to machine precision;")
     print("the ledger columns are the communication volumes the performance model uses.")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

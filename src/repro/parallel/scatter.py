@@ -15,32 +15,31 @@ departure point ``X``, which may fall into the subdomain of a different rank
 4. returns the interpolated values to the ranks that asked for them
    (``alltoallv``, once per transported field per time step).
 
-The result is numerically identical to the serial
-:class:`repro.transport.interpolation.PeriodicInterpolator` with the
-``"catmull_rom"`` kernel, which is what the test-suite asserts.
+Every owner evaluates the ``"catmull_rom"`` kernel through the serial
+gather operator (:func:`repro.transport.kernels.build_gather_operator`),
+built without wrapping on its ghosted block, so the result agrees with the
+serial :class:`repro.transport.interpolation.PeriodicInterpolator` with that
+kernel to rounding, which is what the test-suite asserts.
 
-The whole planning product — the owner map, the ``alltoallv`` routing
-tables (which points each owner received from each requester) and the
-per-owner non-periodic stencil plans — depends only on the departure
-points, the grid and the decomposition, so since PR 4 it is pooled **as
-one unit** (:class:`ScatterPlanData`) in the shared plan pool
-(:mod:`repro.runtime.plan_pool`), keyed by content.  Re-creating a plan
-for an unchanged velocity — a re-built distributed solver, the backward
+The whole planning product — the owner map, one resident operator per
+owner over the points it received (in requester order) and the
+per-requester point counts that split its values for the return — depends
+only on the departure points, the grid and the decomposition, so it is
+pooled **as one unit** (:class:`ScatterPlanData`) in the shared plan pool
+(:mod:`repro.runtime.plan_pool`), keyed by content.  Re-creating a plan for
+an unchanged velocity — a re-built distributed solver, the backward
 characteristics of an adjoint sweep — is a single warm hit with *zero*
-``alltoallv`` setup: no owner computation, no point scatter, no stencil
-builds.  Every ``interpolate`` call then only exchanges ghosts and runs
-the cached stencils, giving the distributed path the same per-velocity
-amortization as the serial steppers, now including the routing tables
-the alltoallv setup used to rebuild per plan.
+``alltoallv`` setup: no owner computation, no point scatter, no operator
+builds.  Every ``interpolate`` call then only exchanges ghosts and applies
+the cached operators.
 
-With the setup amortized, the per-*field* ghost exchange became the
-dominant distributed overhead, so since PR 5 the evaluation side batches
-too: :meth:`ScatterInterpolationPlan.interpolate_many` ships a whole
-``(B, ...)`` stack of fields through **one** ghost-exchange round and
-**one** value-return ``alltoallv`` — the same message counts as a single
-field with ``B`` times the payload — mirroring how the serial
-``interpolate_many`` batches gathers.  The scalar :meth:`interpolate` is
-the ``B = 1`` case of the same code path.
+The evaluation side batches too:
+:meth:`ScatterInterpolationPlan.interpolate_many` ships a whole
+``(B, ...)`` stack of fields through **one** ghost-exchange round, **one**
+gather per owner and **one** value-return ``alltoallv`` — the same message
+counts as a single field with ``B`` times the payload — mirroring how the
+serial ``interpolate_many`` batches gathers.  The scalar
+:meth:`interpolate` is the ``B = 1`` case of the same code path.
 """
 
 from __future__ import annotations
@@ -55,10 +54,13 @@ from repro.parallel.ghost import exchange_ghost_layers_batched
 from repro.parallel.pencil import PencilDecomposition
 from repro.runtime.plan_pool import array_fingerprint, get_plan_pool
 from repro.spectral.grid import Grid
-from repro.transport.kernels import StencilPlan, build_stencil_plan, execute_stencil_plan
+from repro.transport.kernels import GatherOperator, build_gather_operator, gather_cubic
 
 #: Halo width required by the 4-point (tricubic) stencil.
 GHOST_WIDTH = 2
+
+#: The kernel every owner evaluates on its ghosted block.
+SCATTER_KERNEL = "catmull_rom"
 
 #: Leading key element (= plan-pool tag) of pooled scatter-plan entries.
 SCATTER_PLAN_TAG = "scatter-plan"
@@ -69,35 +71,37 @@ class ScatterPlanData:
     """The pooled content of one scatter plan (communicator independent).
 
     Everything the ``alltoallv`` setup produces for one set of departure
-    points: the owner of every local point, the routing tables (the point
-    coordinates each owner received, per requester — exactly the layout the
-    value return travels back along) and the per-owner ghost-block stencil
-    plans.  None of it references the communicator, so one pooled entry
-    serves any number of re-created :class:`ScatterInterpolationPlan`
-    instances, each with its own ledger.
+    points: the owner of every local point, one resident gather operator
+    per owner over the points it received — requester by requester, in the
+    order they arrived, which is the layout the value return travels back
+    along — and ``counts[owner, requester]``, how many of them came from
+    each requester.  None of it references the communicator, so one pooled
+    entry serves any number of re-created
+    :class:`ScatterInterpolationPlan` instances, each with its own ledger.
 
     Because the product is pooled as one unit, it is also evicted (or
     oversize-rejected) as one unit: a plan larger than the whole pool
     budget caches nothing, and every re-creation then redoes the full
     setup.  Size ``REPRO_PLAN_POOL_BYTES`` for distributed runs accordingly
-    — one entry is roughly ``(32 + 36) * N^3`` bytes (owner map and routing
-    tables, then the stencils' int32 base + float64 fraction per point).
+    — one entry is roughly ``(8 + 228) * N^3`` bytes (the owner map, then
+    the operators' 16 int32 indices, 16 float64 products and 4 float64
+    axis-2 weights per point).
     """
 
     owner_of_point: List[np.ndarray]
-    points_by_owner: List[List[np.ndarray]]
-    stencil_plans: List[List[Optional[StencilPlan]]]
-    stencil_builds: int
+    operators: List[Optional[GatherOperator]]
+    counts: np.ndarray
+
+    @property
+    def operator_builds(self) -> int:
+        """Operators the miss path built: one per owner that received points."""
+        return sum(op is not None for op in self.operators)
 
     @property
     def nbytes(self) -> int:
         """Exact array payload in bytes (plan-pool accounting)."""
-        total = sum(owner.nbytes for owner in self.owner_of_point)
-        for rows in self.points_by_owner:
-            total += sum(np.asarray(chunk).nbytes for chunk in rows)
-        for rows in self.stencil_plans:
-            total += sum(plan.nbytes for plan in rows if plan is not None)
-        return total
+        total = sum(owner.nbytes for owner in self.owner_of_point) + self.counts.nbytes
+        return total + sum(op.nbytes for op in self.operators if op is not None)
 
 
 @dataclass
@@ -118,21 +122,20 @@ class ScatterInterpolationPlan:
         Per-rank arrays of physical coordinates, shape ``(3, M_r)``; the
         points rank ``r`` needs values at (one per locally owned grid point
         in the semi-Lagrangian scheme, but any point set is accepted).
-    use_plan_pool:
-        Set to ``False`` to bypass the shared pool (always rebuild the
-        routing tables and stencils).
 
     After construction, ``pool_hit`` records whether the whole planning
     product came warm from the pool (in which case the construction did no
-    ``alltoallv`` and ``stencil_builds`` is 0).
+    ``alltoallv`` and ``operator_builds`` is 0).  A pool budget of ``0``
+    (:func:`repro.runtime.plan_pool.configure_plan_pool`) keeps nothing, so
+    every plan is built afresh.
     """
 
     grid: Grid
     decomposition: PencilDecomposition
     comm: SimulatedCommunicator
     departure_points: Sequence[np.ndarray]
-    use_plan_pool: bool = True
     pool_hit: bool = field(init=False, default=False)
+    operator_builds: int = field(init=False, default=0)
     _data: ScatterPlanData = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -152,31 +155,23 @@ class ScatterInterpolationPlan:
             points.append(np.ascontiguousarray(pts))
 
         # the entire planning product is keyed by content: same grid, same
-        # decomposition, same departure points -> same routing tables and
-        # stencils, no matter which solver or communicator asks
+        # decomposition, same departure points -> same routing and operators,
+        # no matter which solver or communicator asks
         built: List[bool] = []
 
         def build() -> ScatterPlanData:
             built.append(True)
             return self._build_plan_data(points)
 
-        if self.use_plan_pool:
-            key = (
-                SCATTER_PLAN_TAG,
-                self.grid,
-                self.decomposition,
-                array_fingerprint(*points),
-            )
-            data = get_plan_pool().get(key, build)
-        else:
-            data = build()
+        key = (SCATTER_PLAN_TAG, self.grid, deco, array_fingerprint(*points))
+        data = get_plan_pool().get(key, build)
         self.pool_hit = not built
         # builds executed during *this* construction (0 on a warm hit)
-        self.stencil_builds = data.stencil_builds if built else 0
+        self.operator_builds = data.operator_builds if built else 0
         self._data = data
 
     def _build_plan_data(self, points: List[np.ndarray]) -> ScatterPlanData:
-        """Owner map + alltoallv routing tables + stencils (the miss path)."""
+        """Owner map + alltoallv point scatter + per-owner operators (the miss path)."""
         deco = self.decomposition
         spacing = np.asarray(self.grid.spacing)[:, None]
         shape = np.asarray(self.grid.shape, dtype=np.float64)[:, None]
@@ -197,41 +192,35 @@ class ScatterInterpolationPlan:
         # scatter phase: ship the points to their owners (once per velocity
         # *content* — a pooled plan never repeats this)
         points_by_owner = self.comm.alltoallv(send, category="interp_scatter")
+        counts = np.array(
+            [[chunk.shape[1] for chunk in received] for received in points_by_owner],
+            dtype=np.int64,
+        )
 
-        # planning phase: build each owner's local stencil plans once, right
-        # next to the routing tables they belong to
-        stencil_builds = 0
-        stencil_plans: List[List[Optional[StencilPlan]]] = [
-            [None] * deco.num_tasks for _ in range(deco.num_tasks)
-        ]
+        # planning phase: each owner builds one operator over everything it
+        # received; the routed coordinates die with this call
+        operators: List[Optional[GatherOperator]] = [None] * deco.num_tasks
         for owner in range(deco.num_tasks):
+            if not counts[owner].any():
+                continue
+            q = np.concatenate(points_by_owner[owner], axis=1)
             slices = deco.local_slices(owner, (0, 1))
             offsets = np.array([s.start or 0 for s in slices], dtype=np.float64)[:, None]
             extended_shape = tuple(
                 n + 2 * GHOST_WIDTH for n in deco.local_shape(owner, (0, 1))
             )
-            for requester in range(deco.num_tasks):
-                q = np.asarray(points_by_owner[owner][requester])
-                if q.size == 0:
-                    continue
-                # the owner test guarantees floor(q) lies in the owner's index
-                # range, so the shift into the ghost-extended block needs no
-                # periodic unwrapping — but its floating-point sum may round a
-                # point one ulp below a cell boundary up onto it, and the
-                # stencil of that next cell can reach past the ghost layer:
-                # keep every point inside the cell of floor(q)
-                next_cell = np.floor(q) - offsets + (GHOST_WIDTH + 1)
-                local = np.minimum(q - offsets + GHOST_WIDTH, np.nextafter(next_cell, 0.0))
-                stencil_builds += 1
-                stencil_plans[owner][requester] = build_stencil_plan(
-                    extended_shape, local, "catmull_rom", periodic=False
-                )
-        return ScatterPlanData(
-            owner_of_point=owner_of_point,
-            points_by_owner=points_by_owner,
-            stencil_plans=stencil_plans,
-            stencil_builds=stencil_builds,
-        )
+            # the owner test guarantees floor(q) lies in the owner's index
+            # range, so the shift into the ghost-extended block needs no
+            # periodic unwrapping — but its floating-point sum may round a
+            # point one ulp below a cell boundary up onto it, and the
+            # stencil of that next cell can reach past the ghost layer:
+            # keep every point inside the cell of floor(q)
+            next_cell = np.floor(q) - offsets + (GHOST_WIDTH + 1)
+            local = np.minimum(q - offsets + GHOST_WIDTH, np.nextafter(next_cell, 0.0))
+            operators[owner] = build_gather_operator(
+                extended_shape, local, SCATTER_KERNEL, wrap=False
+            )
+        return ScatterPlanData(owner_of_point, operators, counts)
 
     # ------------------------------------------------------------------ #
     @property
@@ -241,8 +230,8 @@ class ScatterInterpolationPlan:
     def local_point_counts(self) -> List[int]:
         """Number of points each owner has to interpolate (load-balance view)."""
         return [
-            int(sum(np.asarray(chunk).shape[1] for chunk in self._data.points_by_owner[rank]))
-            for rank in range(self.num_tasks)
+            operator.num_points if operator is not None else 0
+            for operator in self._data.operators
         ]
 
     # ------------------------------------------------------------------ #
@@ -254,9 +243,9 @@ class ScatterInterpolationPlan:
         batch size ``B``), and all ``B`` fields move through **one** ghost
         exchange round and **one** value-return ``alltoallv`` — the same
         message counts as a single field, with ``B`` times the payload.
-        Each owner then runs its cached non-periodic stencil plans once per
-        requester for the whole batch (one index computation serves every
-        field, the serial batching win).  Per-field values are bitwise
+        Each owner applies its cached operator once for the whole batch (one
+        index computation serves every field, the serial batching win) and
+        splits the values by requester.  Per-field values are bitwise
         identical to ``B`` separate :meth:`interpolate` calls; only the
         ledger's latency story changes.
 
@@ -290,31 +279,26 @@ class ScatterInterpolationPlan:
         # neighbour round for the whole batch (shape validation included)
         extended = exchange_ghost_layers_batched(stacks, deco, GHOST_WIDTH, self.comm)
 
-        # line 3: every owner runs its cached (non-periodic) stencil plans —
-        # the same registered kernel the serial gather evaluates, planned
-        # once per departure-point content instead of per call; the whole
-        # batch gathers through one pass per (owner, requester) plan
-        stencil_plans = self._data.stencil_plans
+        # line 3: every owner applies its cached (non-wrapping) operator —
+        # the serial kernel's engine, planned once per departure-point
+        # content — to the whole batch, then splits the values by requester
+        data = self._data
         results_back: List[List[np.ndarray]] = [
             [np.empty((batch, 0)) for _ in range(deco.num_tasks)]
             for _ in range(deco.num_tasks)
         ]
-        for owner in range(deco.num_tasks):
-            flat_blocks = np.ascontiguousarray(extended[owner], dtype=np.float64).reshape(
-                batch, -1
-            )
-            for requester in range(deco.num_tasks):
-                plan = stencil_plans[owner][requester]
-                if plan is None:
-                    continue
-                results_back[owner][requester] = execute_stencil_plan(flat_blocks, plan)
+        for owner, operator in enumerate(data.operators):
+            if operator is None:
+                continue
+            values = gather_cubic(extended[owner], None, SCATTER_KERNEL, operator)
+            results_back[owner] = np.split(values, np.cumsum(data.counts[owner])[:-1], axis=1)
 
         # line 4: one alltoallv returns every field's values together
         returned = self.comm.alltoallv(results_back, category="interp_return")
 
         output: List[np.ndarray] = []
         for rank in range(deco.num_tasks):
-            owner = self._data.owner_of_point[rank]
+            owner = data.owner_of_point[rank]
             n_points = owner.shape[0]
             values = np.empty((batch, n_points), dtype=np.float64)
             for source in range(deco.num_tasks):

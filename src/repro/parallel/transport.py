@@ -13,8 +13,9 @@ serial solver expands the flow spectrally instead
 (:mod:`repro.transport.semi_lagrangian`), so the test-suite validates the
 distributed result against a serial
 :class:`~repro.transport.semi_lagrangian.SemiLagrangianStepper` handed the
-same RK2 points and the same (Catmull-Rom) interpolation kernel, to machine
-precision.  Only the pure
+same RK2 points and the same (Catmull-Rom) interpolation kernel — every
+owner applies the serial gather operator, built on its ghosted block — to
+machine precision (``1e-13``).  Only the pure
 advection (state / adjoint for divergence-free velocities) is provided here;
 it is the kernel whose communication pattern the performance model charges
 for, and the source-term variants reduce to extra interpolations of grid
@@ -33,6 +34,12 @@ exchange and **one** return ``alltoallv`` (instead of one round per
 component), and :meth:`DistributedSemiLagrangian.step_many` /
 :meth:`DistributedTransportSolver.solve_state_many` advance whole stacks of
 transported fields per round the same way.
+
+The ghost layers are copied out of the neighbours' blocks, so every pencil
+must be at least ``GHOST_WIDTH`` points wide; :class:`DistributedTransportSolver`
+rejects a thinner decomposition when it is constructed
+(:func:`check_ghost_width`), and the service runs the same check when a job
+is submitted.
 """
 
 from __future__ import annotations
@@ -44,10 +51,28 @@ import numpy as np
 
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
-from repro.parallel.scatter import ScatterInterpolationPlan
+from repro.parallel.scatter import GHOST_WIDTH, ScatterInterpolationPlan
 from repro.runtime.cancellation import check_cancelled
 from repro.spectral.grid import Grid
 from repro.utils.validation import check_positive_int, check_velocity_shape
+
+
+def check_ghost_width(decomposition: PencilDecomposition) -> PencilDecomposition:
+    """Return *decomposition*, or reject it when a pencil is thinner than the halo.
+
+    Each owner's tricubic stencil reads ``GHOST_WIDTH`` ghost planes that a
+    neighbour copies out of its own block, so no local extent may be
+    smaller than that.
+    """
+    deco = decomposition
+    smallest = min(min(deco.local_shape(rank)) for rank in range(deco.num_tasks))
+    if smallest < GHOST_WIDTH:
+        raise ValueError(
+            f"num_tasks={deco.num_tasks} splits the {deco.global_shape} grid over a "
+            f"{deco.p1}x{deco.p2} process grid whose thinnest pencil is {smallest} "
+            f"point(s) wide, below the ghost width {GHOST_WIDTH}; use fewer tasks"
+        )
+    return decomposition
 
 
 @dataclass
@@ -69,9 +94,6 @@ class DistributedSemiLagrangian:
         Time-step size.
     comm:
         Simulated communicator (created when omitted).
-    use_plan_pool:
-        Set to ``False`` to bypass the shared plan pool (always rebuild the
-        scatter plans' routing tables and stencils).
     """
 
     grid: Grid
@@ -79,7 +101,6 @@ class DistributedSemiLagrangian:
     velocity: np.ndarray
     dt: float
     comm: Optional[SimulatedCommunicator] = None
-    use_plan_pool: bool = True
     star_plan: ScatterInterpolationPlan = field(init=False, repr=False)
     departure_plan: ScatterInterpolationPlan = field(init=False, repr=False)
 
@@ -106,9 +127,7 @@ class DistributedSemiLagrangian:
             (self._local_coords[rank] - self.dt * self._local_velocity[rank]).reshape(3, -1)
             for rank in range(deco.num_tasks)
         ]
-        self.star_plan = ScatterInterpolationPlan(
-            self.grid, deco, self.comm, x_star, use_plan_pool=self.use_plan_pool
-        )
+        self.star_plan = ScatterInterpolationPlan(self.grid, deco, self.comm, x_star)
         # all three velocity components ride one batched round trip (one
         # ghost exchange + one return alltoallv instead of one round each)
         v_at_star = self.star_plan.interpolate_many(
@@ -125,7 +144,7 @@ class DistributedSemiLagrangian:
             )
             departure_points.append(departure.reshape(3, -1))
         self.departure_plan = ScatterInterpolationPlan(
-            self.grid, deco, self.comm, departure_points, use_plan_pool=self.use_plan_pool
+            self.grid, deco, self.comm, departure_points
         )
 
     # ------------------------------------------------------------------ #
@@ -135,7 +154,7 @@ class DistributedSemiLagrangian:
 
         ``2`` means this stepper was re-created for a velocity the pool had
         already planned: the construction performed zero ``alltoallv`` setup
-        and zero stencil builds.
+        and zero operator builds.
         """
         return int(self.star_plan.pool_hit) + int(self.departure_plan.pool_hit)
 
@@ -178,7 +197,9 @@ class DistributedTransportSolver:
     This is the distributed counterpart of
     :meth:`repro.transport.solvers.TransportSolver.solve_state`, operating on
     per-rank blocks throughout and charging every exchange to the
-    communicator's ledger.
+    communicator's ledger.  A decomposition with a pencil thinner than the
+    ghost width is rejected here (:func:`check_ghost_width`), before any
+    work.
     """
 
     grid: Grid
@@ -188,6 +209,7 @@ class DistributedTransportSolver:
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_time_steps, "num_time_steps")
+        check_ghost_width(self.decomposition)
         if self.comm is None:
             self.comm = SimulatedCommunicator(self.decomposition.num_tasks)
 

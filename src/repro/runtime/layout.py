@@ -1,6 +1,6 @@
 """Compatibility stub: ``layout_decision_log().reset()`` does nothing.
 
-Stencil plans have one storage layout, so there are no layout decisions to
+Gather plans have one storage layout, so there are no layout decisions to
 log.  This name exists only because ``benchmarks/e2e/workloads.py`` imports
 it and resets it once per rep; nothing in the package calls it.
 """

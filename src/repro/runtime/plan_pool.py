@@ -3,10 +3,11 @@
 The pool holds what crosses solves: the distributed scatter plans
 (``scatter-plan``) that the service's micro-batched transport jobs share —
 every batch that transports with the same velocity reuses the first one's
-owner map, routing tables and stencils.  Per-velocity planning data of a
-registration is *not* pooled: its owner holds it (the stepper its departure
-points, the problem's interpolator its at most two gather operators, the
-iterate its gradient stack) and it dies with its solve.  The pool's budget
+owner map, point counts and per-owner gather operators.  Per-velocity
+planning data of a registration is *not* pooled: its owner holds it (the
+stepper its departure points, the problem's interpolator its at most two
+gather operators, the iterate its gradient stack) and it dies with its
+solve.  The pool's budget
 (``REPRO_PLAN_POOL_BYTES`` or the CLI flag ``--plan-pool-bytes``) is also
 the residency budget those owners decide against: the live operator pair
 must fit half of it, a gradient stack all of it.

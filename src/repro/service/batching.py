@@ -4,8 +4,11 @@ The service batches at the *transport* level: two queued transport jobs can
 ride one :meth:`~repro.parallel.transport.DistributedTransportSolver.
 solve_state_many` stack — sharing the stepper's plan setup plus one ghost
 exchange and one value-return ``alltoallv`` per time step — exactly when
-every ingredient of the distributed stencil plan matches: grid, time step
-and task count; the plan additionally depends on the velocity
+every ingredient of the distributed scatter plans (owner map and per-owner
+gather operators) matches: grid, time step and task count — a task count
+that leaves a pencil thinner than the ghost width never reaches the queue
+(:meth:`~repro.service.jobs.TransportJobSpec.decomposition`); the plan
+additionally depends on the velocity
 *content* (departure points are ``x - dt·v``), so
 the batch key includes the velocity fingerprint too — without it the merged
 solve could not be bitwise identical to the serial jobs.

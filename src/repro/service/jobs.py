@@ -51,6 +51,8 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
+from repro.parallel.pencil import PencilDecomposition
+from repro.parallel.transport import check_ghost_width
 from repro.runtime.cancellation import CancelToken
 from repro.spectral.grid import Grid
 
@@ -193,6 +195,17 @@ class TransportJobSpec:
     def resolved_grid(self) -> Grid:
         """The job's grid (built from the field shape when not given)."""
         return self.grid if self.grid is not None else Grid(self.moving.shape)
+
+    def decomposition(self) -> PencilDecomposition:
+        """The job's pencil decomposition; ``ValueError`` when it cannot run.
+
+        ``num_tasks`` must factor into a process grid that fits the grid and
+        leaves every pencil at least as wide as the ghost layers
+        (:func:`~repro.parallel.transport.check_ghost_width`).
+        """
+        return check_ghost_width(
+            PencilDecomposition.from_num_tasks(self.resolved_grid().shape, self.num_tasks)
+        )
 
 
 @dataclass

@@ -320,7 +320,7 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                     f"velocity must have shape {(3, *moving.shape)} for a moving "
                     f"image of shape {moving.shape}, got {velocity.shape}"
                 )
-            return TransportJobSpec(
+            spec = TransportJobSpec(
                 velocity=velocity,
                 moving=moving,
                 num_time_steps=_check_count(
@@ -330,6 +330,8 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
             )
+            spec.decomposition()
+            return spec
     except MalformedSpecError:
         raise
     except (TypeError, ValueError) as exc:

@@ -62,7 +62,6 @@ from repro.core.registration import register
 from repro.observability import snapshot as observability_snapshot
 from repro.observability import trace_span
 from repro.parallel.comm import SimulatedCommunicator
-from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
 from repro.runtime.cancellation import CombinedCancelToken, SolveCancelled
 from repro.runtime.plan_pool import get_plan_pool
@@ -203,7 +202,13 @@ class RegistrationService:
         return self._submit(spec)
 
     def submit_transport(self, spec: TransportJobSpec) -> Job:
-        """Queue one distributed transport solve (micro-batchable)."""
+        """Queue one distributed transport solve (micro-batchable).
+
+        Raises ``ValueError`` — before anything is journaled or queued — when
+        ``spec.num_tasks`` cannot decompose its grid
+        (:meth:`~repro.service.jobs.TransportJobSpec.decomposition`).
+        """
+        spec.decomposition()
         return self._submit(spec)
 
     def _submit(self, spec) -> Job:
@@ -404,7 +409,7 @@ class RegistrationService:
         (attributable on one lane only), the ledger is the batch's own."""
         lead: TransportJobSpec = batch[0].spec
         grid = lead.resolved_grid()
-        decomposition = PencilDecomposition.from_num_tasks(grid.shape, lead.num_tasks)
+        decomposition = lead.decomposition()
         comm = SimulatedCommunicator(decomposition.num_tasks)
         pool = get_plan_pool()
         pool_before = pool.stats

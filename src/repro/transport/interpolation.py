@@ -13,23 +13,24 @@ Three interpolation kernels are provided:
     accurate for smooth fields.
 ``"catmull_rom"``
     Tricubic convolution (Catmull-Rom kernel, the classical "tricubic
-    interpolation" of the paper, 64 coefficients per point).  This is the
-    kernel re-used verbatim by the distributed interpolation in
-    :mod:`repro.parallel`, where each rank evaluates it on its local
-    ghosted block.
+    interpolation" of the paper, 64 coefficients per point) on the raw
+    samples, through the same gather operator.  This is the kernel the
+    distributed interpolation in :mod:`repro.parallel` evaluates, where
+    each owner builds that operator on its ghosted block.
 ``"linear"``
     Trilinear interpolation, provided as the ablation baseline
     (``benchmarks/bench_ablation_interpolation.py``).
 
 The kernels live in :mod:`repro.transport.kernels`.  This frontend owns
-validation, coordinate wrapping, **gather plans** (the cached
-64-weight/index stencils reused across every field interpolated at one set
-of departure points), the resident gather operators themselves (at most two
-per interpolator — the forward and backward characteristics of the live
-velocity — held here, not in the process-wide plan pool, and released with
-:meth:`PeriodicInterpolator.release_operators` when their solve ends) and
-the interpolation counters, which the test-suite pins at ``2*nt`` sweeps per
-Hessian mat-vec, inside the paper's ``4*nt`` complexity model.
+validation, coordinate wrapping, **gather plans** (the wrapped coordinates
+and the name of the gather operator reused across every field interpolated
+at one set of departure points), the resident gather operators themselves
+(at most two per interpolator — the forward and backward characteristics
+of the live velocity — held here, not in the process-wide plan pool, and
+released with :meth:`PeriodicInterpolator.release_operators` when their
+solve ends) and the interpolation counters, which the test-suite pins at
+``2*nt`` sweeps per Hessian mat-vec, inside the paper's ``4*nt``
+complexity model.
 """
 
 from __future__ import annotations
@@ -139,11 +140,10 @@ class PeriodicInterpolator:
     def plan(self, points: np.ndarray) -> GatherPlan:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
-        The plan caches the wrapped coordinates and — for kernels with an
-        explicit stencil — the base indices and per-axis kernel weights (or
-        the name of the gather operator that will hold them), so every field
-        interpolated at the same points skips that work.  The planned path
-        is bitwise identical to the unplanned one.
+        The plan caches the wrapped coordinates and — for the cubic kernels
+        — the name of the gather operator that will hold their indices and
+        weights, so every field interpolated at the same points skips that
+        work.  The planned path is bitwise identical to the unplanned one.
         """
         return self._plan(points, reusable=True)
 
@@ -204,7 +204,7 @@ class PeriodicInterpolator:
             while len(self._operators) >= RESIDENT_OPERATORS:
                 self._operators.pop(0)
                 _OPERATOR_DISCARDS.inc()
-            operator = build_gather_operator(self.grid.shape, plan.coordinates)
+            operator = build_gather_operator(self.grid.shape, plan.coordinates, self.method)
             self._operators.append((name, operator))
             return operator
 

@@ -14,15 +14,16 @@ velocity) reuses it — the paper's "interpolation planner".
 Each interpolation kernel has one gather path (:func:`plan_payload` plans,
 :func:`gather` evaluates):
 
-``cubic_bspline`` (the solver's default)
-    The **sparse gather operator** (below): :func:`scipy.ndimage.spline_filter`
-    prefilters each field and a :mod:`scipy.sparse` CSR product evaluates
-    the stencil, so the indices and weights of a planned point set are
-    derived once per velocity, not once per field per sweep.
-``catmull_rom``
-    The vectorized stencil executor over a :class:`StencilPlan` (scipy has
-    no native kernel for it); the distributed scatter gathers its ghosted
-    blocks through the same executor.
+``cubic_bspline`` (the solver's default) and ``catmull_rom``
+    The **sparse gather operator** (below), one engine for both cubic
+    kernels: the padded coefficients are the
+    :func:`scipy.ndimage.spline_filter` prefilter of each field for
+    ``cubic_bspline`` and the raw samples for ``catmull_rom`` (the paper's
+    local tricubic), and a :mod:`scipy.sparse` CSR product evaluates the
+    stencil, so the indices and weights of a planned point set are derived
+    once per velocity, not once per field per sweep.  The distributed
+    scatter (:mod:`repro.parallel.scatter`) builds the same operator,
+    without wrapping, on each owner's ghosted block.
 ``linear``
     :func:`scipy.ndimage.map_coordinates` per field (nothing worth caching:
     8 taps, no prefilter).
@@ -31,14 +32,15 @@ Interpolation *counting* stays in
 :class:`repro.transport.interpolation.PeriodicInterpolator`, which pins the
 ``2*nt`` sweeps per mat-vec (against the paper's ``4*nt``).
 
-Sparse gather operator (``cubic_bspline``)
-------------------------------------------
+Sparse gather operator
+----------------------
 Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
-``w0[a] * w1[b]`` against the flat index of the wrapped ``(i0+a-1, i1+b-1,
-i2-1)`` coefficient (:class:`GatherOperator`, ~228 bytes per point).  The
-spline coefficients are filtered into a buffer padded by three wrapped
-entries along axis 2, so the four axis-2 taps of a row are the same column
-in four contiguous slices of the flat coefficients, each shifted by one.
+``w0[a] * w1[b]`` against the flat index of the ``(i0+a-1, i1+b-1, i2-1)``
+coefficient — wrapped periodically, or, on a ghosted block, read as is
+(:class:`GatherOperator`, ~228 bytes per point).  The coefficients are
+written into a buffer padded by three wrapped entries along axis 2, so the
+four axis-2 taps of a row are the same column in four contiguous slices of
+the flat coefficients, each shifted by one.
 The operator is applied as ``matrix @ windows`` where ``windows[n, f, c]``
 is those four slices of field ``f`` copied side by side, followed by an
 explicit fixed-order 4-term contraction with the axis-2 weights — all
@@ -52,13 +54,6 @@ gathers them (at most two per interpolator); one-shot point sets — and
 planned ones the residency budget cannot hold — build it block by block and
 keep nothing.  Resident and transient gathers run the same blocks and are
 bitwise identical.
-
-Stencil plans (``catmull_rom``)
--------------------------------
-A :class:`StencilPlan` stores what the tensor-product stencil is derived
-from — int32 base indices and float64 fractional offsets, 36 bytes per
-point — and the chunked executor derives each chunk's index parts and
-weights in cache.
 """
 
 from __future__ import annotations
@@ -75,12 +70,6 @@ from repro.observability.trace import trace_span
 
 #: The interpolation kernels.
 SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
-
-#: Point-chunk size of the cache-blocked stencil executor.  Chosen so that
-#: every per-chunk scratch array (indices, weights, gathered values) stays
-#: resident in L1/L2 cache; the tap loop then streams only the field and the
-#: plan arrays through memory once per chunk.
-STENCIL_CHUNK = 8192
 
 
 # --------------------------------------------------------------------------- #
@@ -126,17 +115,13 @@ def linear_weights(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return 1.0 - t, t
 
 
-#: kernel name -> (per-axis weight function, leading stencil offset)
-_METHOD_STENCILS: Dict[str, Tuple[Callable, int]] = {
-    "cubic_bspline": (bspline_weights, -1),
-    "catmull_rom": (catmull_rom_weights, -1),
-    "linear": (linear_weights, 0),
+#: cubic kernel name -> per-axis weights at the stencil offsets ``-1 .. 2``
+_CUBIC_WEIGHTS: Dict[str, Callable] = {
+    "cubic_bspline": bspline_weights,
+    "catmull_rom": catmull_rom_weights,
 }
 
 
-# --------------------------------------------------------------------------- #
-# stencil plans (the cached part of a gather plan)
-# --------------------------------------------------------------------------- #
 def _chunk_spans(num_points: int, chunk: int) -> Tuple[Tuple[int, int], ...]:
     """Disjoint, ascending ``[lo, hi)`` spans covering ``[0, num_points)``."""
     return tuple((lo, min(lo + chunk, num_points)) for lo in range(0, num_points, chunk))
@@ -155,194 +140,8 @@ def _wrapped_index_parts(n: int, stride: int) -> np.ndarray:
     return table
 
 
-def _derive_chunk_stencil(
-    method: str,
-    taps: int,
-    shape: Tuple[int, int, int],
-    periodic: bool,
-    base: np.ndarray,
-    frac: np.ndarray,
-    strides: Optional[Tuple[int, int, int]] = None,
-):
-    """Materialize flat index parts and axis weights from ``(3, m)`` base/frac.
-
-    This is *the* stencil arithmetic: the stencil plans' per-chunk rebuild
-    and the gather operator's blocks both run these exact operations.
-    *strides* are those of the flat array the index parts address (C order
-    over *shape* unless given).
-    """
-    weight_fn, lead = _METHOD_STENCILS[method]
-    strides = strides or (shape[1] * shape[2], shape[2], 1)
-    offsets = np.arange(lead, lead + taps, dtype=base.dtype)[:, None]
-    index_parts = []
-    weights = []
-    for d in range(3):
-        reached = base[d] + offsets
-        if periodic:
-            # one table read per tap instead of an integer division
-            index_parts.append(_wrapped_index_parts(shape[d], strides[d])[reached + 1])
-        else:
-            index_parts.append(reached * strides[d])
-        weights.append(np.stack(weight_fn(frac[d]), axis=0))
-    return tuple(index_parts), tuple(weights)
-
-
-@dataclass
-class StencilPlan:
-    """The gather stencil of a point set: int32 base indices + float64 fractions.
-
-    Stores only what the tensor-product stencil is *derived from* — the
-    per-axis base grid index (int32) and the fractional coordinate
-    (float64), 36 bytes per point.  The executor derives each chunk's flat
-    index parts and axis weights inside its cache-blocked loop
-    (:meth:`chunk_stencil`); that rebuild is ``O(3 taps)`` work per point
-    against the ``O(taps^3)`` gather it feeds, and its operands stay
-    L1/L2-resident.
-    """
-
-    method: str
-    taps: int
-    shape: Tuple[int, int, int]
-    periodic: bool
-    base: np.ndarray
-    frac: np.ndarray
-
-    @property
-    def num_points(self) -> int:
-        return self.base.shape[1]
-
-    @property
-    def nbytes(self) -> int:
-        """Exact array payload in bytes (plan-pool accounting)."""
-        return self.base.nbytes + self.frac.nbytes
-
-    def iter_chunks(self, chunk: Optional[int] = None) -> Tuple[Tuple[int, int], ...]:
-        """The executor's chunk protocol: spans to feed :meth:`chunk_stencil`."""
-        return _chunk_spans(self.num_points, chunk or STENCIL_CHUNK)
-
-    def chunk_stencil(self, lo: int, hi: int):
-        """Flat index parts ``(taps, m)`` per axis and axis weights of ``[lo, hi)``.
-
-        The flat gather index of tap ``(a, b, c)`` is ``index_parts[0][a] +
-        index_parts[1][b] + index_parts[2][c]``.
-        """
-        return _derive_chunk_stencil(
-            self.method,
-            self.taps,
-            self.shape,
-            self.periodic,
-            self.base[:, lo:hi].astype(np.intp),
-            self.frac[:, lo:hi],
-        )
-
-
-def build_stencil_plan(
-    shape: Tuple[int, int, int],
-    coordinates: np.ndarray,
-    method: str,
-    periodic: bool = True,
-) -> StencilPlan:
-    """Precompute the gather stencil for fractional index *coordinates*.
-
-    Parameters
-    ----------
-    shape:
-        Shape of the (possibly ghost-extended) array the gather will read.
-    coordinates:
-        Fractional indices of shape ``(3, M)``.  With ``periodic=True`` they
-        must lie in ``[0, N_d)`` per axis and the stencil wraps; with
-        ``periodic=False`` the caller guarantees the full stencil lies inside
-        the array (the ghosted blocks of :mod:`repro.parallel.scatter`).
-    method:
-        One of :data:`SUPPORTED_METHODS`.
-    """
-    coordinates = np.asarray(coordinates)
-    weight_fn, _ = _METHOD_STENCILS[method]
-    base = np.floor(coordinates).astype(np.int32)
-    return StencilPlan(
-        method=method,
-        taps=len(weight_fn(np.zeros(1))),
-        shape=tuple(int(n) for n in shape),
-        periodic=periodic,
-        base=base,
-        frac=np.ascontiguousarray(coordinates - base),
-    )
-
-
-def _as_flat_float64(fields: np.ndarray) -> np.ndarray:
-    """Flatten a ``(B, N1, N2, N3)`` stack to the executor's gather layout.
-
-    The stencil executor accumulates in float64 scratch buffers, so lower
-    precision inputs are upcast here (the seed kernel did the same).
-    """
-    return np.ascontiguousarray(fields.reshape(fields.shape[0], -1), dtype=np.float64)
-
-
-def _execute_stencil_chunk(
-    flat_fields: np.ndarray, plan: StencilPlan, lo: int, hi: int, out: np.ndarray
-) -> None:
-    """Run the tap loop of one point chunk, accumulating into ``out[:, lo:hi]``.
-
-    All scratch arrays of the chunk stay in cache while the tap loop runs;
-    chunks write disjoint output slices.
-    """
-    (i0, i1, i2), (w0, w1, w2) = plan.chunk_stencil(lo, hi)
-    taps = plan.taps
-    num_fields = flat_fields.shape[0]
-    acc = out[:, lo:hi]
-    m = hi - lo
-    ib = np.empty(m, dtype=np.intp)
-    gi = np.empty(m, dtype=np.intp)
-    wb = np.empty(m)
-    wt = np.empty(m)
-    gb = np.empty(m)
-    tb = np.empty(m)
-    for a in range(taps):
-        ia = i0[a]
-        wa = w0[a]
-        for b in range(taps):
-            np.add(ia, i1[b], out=ib)
-            np.multiply(wa, w1[b], out=wb)
-            for c in range(taps):
-                np.add(ib, i2[c], out=gi)
-                np.multiply(wb, w2[c], out=wt)
-                for f in range(num_fields):
-                    np.take(flat_fields[f], gi, out=gb)
-                    np.multiply(wt, gb, out=tb)
-                    acc[f] += tb
-
-
-def execute_stencil_plan(
-    flat_fields: np.ndarray, plan: StencilPlan, chunk: Optional[int] = None
-) -> np.ndarray:
-    """Gather a ``(B, num_grid_points)`` stack through a stencil plan.
-
-    Cache-blocked over point chunks: all scratch arrays of one chunk stay in
-    cache while the tap loop runs, so each batched gather streams the plan
-    arrays exactly once and reads the field with the locality of the
-    (grid-ordered) departure points.  One index computation serves every
-    field of the batch — the batching win of ``interpolate_many``.
-
-    The plan feeds this loop through its chunk protocol —
-    ``plan.iter_chunks(chunk)`` yields the spans, ``plan.chunk_stencil(lo,
-    hi)`` derives that chunk's index parts and weights from the stored
-    ``base``/``frac``.  The result is bitwise independent of the chunk size.
-    """
-    num_fields = flat_fields.shape[0]
-    out = np.zeros((num_fields, plan.num_points))
-    spans = plan.iter_chunks(chunk)
-    # one aggregated span per plan execution — never per chunk, which
-    # would swamp the recorder at thousands of chunks per gather
-    with trace_span(
-        "stencil.execute", num_points=plan.num_points, fields=num_fields, chunks=len(spans)
-    ):
-        for lo, hi in spans:
-            _execute_stencil_chunk(flat_fields, plan, lo, hi, out)
-    return out
-
-
 # --------------------------------------------------------------------------- #
-# sparse gather operator (cubic_bspline)
+# sparse gather operator (both cubic kernels)
 # --------------------------------------------------------------------------- #
 #: Points per operator block.  A block is the unit of building and applying:
 #: its build scratch and its ``(m, 4 B)`` product stay under a few MB
@@ -362,11 +161,12 @@ class GatherOperatorBlock:
 
     ``matrix`` is an ``(m, N1*N2*(N3+3) - 3)`` CSR matrix with 16 stored
     values per row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat
-    index of the wrapped coefficient ``(i0+a-1, i1+b-1, i2-1)`` in the
-    axis-2-padded coefficient array (:func:`_padded_coefficients`) — the
-    column space is that array short of its last three entries, so the
-    matrix applies to each of its four shifted slices; ``w2`` holds the
-    ``(4, m)`` axis-2 weights the product is contracted with.
+    index of the coefficient ``(i0+a-1, i1+b-1, i2-1)`` (wrapped when the
+    axes wrap) in the axis-2-padded coefficient array
+    (:func:`_padded_coefficients`) — the column space is that array short
+    of its last three entries, so the matrix applies to each of its four
+    shifted slices; ``w2`` holds the ``(4, m)`` axis-2 weights the product
+    is contracted with.
     """
 
     lo: int
@@ -386,6 +186,11 @@ class GatherOperator:
     """The resident form of a point set's gather operator: all its blocks."""
 
     blocks: Tuple[GatherOperatorBlock, ...]
+
+    @property
+    def num_points(self) -> int:
+        """Rows of the operator: the points it gathers at."""
+        return sum(block.w2.shape[1] for block in self.blocks)
 
     @property
     def nbytes(self) -> int:
@@ -421,21 +226,38 @@ def projected_gather_operator_nbytes(num_points: int, shape: Tuple[int, int, int
 
 
 def _build_operator_block(
-    shape: Tuple[int, int, int], coordinates: np.ndarray, lo: int, hi: int
+    shape: Tuple[int, int, int],
+    coordinates: np.ndarray,
+    lo: int,
+    hi: int,
+    kernel: str,
+    wrap: bool,
 ) -> GatherOperatorBlock:
     """Indices and weights of the points ``[lo, hi)``, derived once.
 
-    The per-axis wrapped indices and weights are the stencil plans' own
-    (:func:`_derive_chunk_stencil`), strided for the padded coefficients;
-    only their pairing into rows is new.  The wrapped axis-2 start
+    With *wrap* every axis is periodic and the wrapped axis-2 start
     ``cols2[0]`` lies in ``[0, N3 - 1]``, so all four taps stay in the row.
+    Without it the caller guarantees the whole stencil lies inside the
+    array (the ghosted blocks of :mod:`repro.parallel.scatter`), and the
+    indices are read as they are.
     """
     chunk = coordinates[:, lo:hi]
     base = np.floor(chunk).astype(np.intp)
+    frac = chunk - base
+    weight_fn = _CUBIC_WEIGHTS[kernel]
     row = shape[2] + 3
-    (rows0, rows1, cols2), (w0, w1, w2) = _derive_chunk_stencil(
-        "cubic_bspline", 4, shape, True, base, chunk - base, (shape[1] * row, row, 1)
-    )
+    strides = (shape[1] * row, row, 1)
+    offsets = np.arange(-1, 3, dtype=base.dtype)[:, None]
+    index_parts = []
+    for d in range(3):
+        reached = base[d] + offsets
+        if wrap:
+            # one table read per tap instead of an integer division
+            index_parts.append(_wrapped_index_parts(shape[d], strides[d])[reached + 1])
+        else:
+            index_parts.append(reached * strides[d])
+    rows0, rows1, cols2 = index_parts
+    w0, w1, w2 = (np.stack(weight_fn(frac[d]), axis=0) for d in range(3))
     num_rows, num_columns = hi - lo, shape[0] * shape[1] * row - 3
     index_dtype = _operator_index_dtype(shape)
     rows0 = rows0.astype(index_dtype)
@@ -456,60 +278,72 @@ def _build_operator_block(
 
 
 def _transient_operator_blocks(
-    shape: Tuple[int, int, int], coordinates: np.ndarray
+    shape: Tuple[int, int, int], coordinates: np.ndarray, kernel: str, wrap: bool
 ) -> Iterator[GatherOperatorBlock]:
     """The operator of *coordinates*, one block alive at a time."""
     _OPERATOR_BUILDS.inc()
     for lo, hi in _chunk_spans(coordinates.shape[1], OPERATOR_CHUNK):
         with trace_span("interp.operator_build", points=hi - lo, resident=False):
-            block = _build_operator_block(shape, coordinates, lo, hi)
+            block = _build_operator_block(shape, coordinates, lo, hi, kernel, wrap)
         yield block
 
 
-def build_gather_operator(shape: Tuple[int, int, int], coordinates: np.ndarray) -> GatherOperator:
+def build_gather_operator(
+    shape: Tuple[int, int, int], coordinates: np.ndarray, kernel: str, wrap: bool = True
+) -> GatherOperator:
     """Build the resident gather operator of fractional index *coordinates*.
 
-    *coordinates* is ``(3, M)``; every axis wraps periodically.  Built block
-    by block, so the only whole-operator arrays are the operator's own.
+    *coordinates* is ``(3, M)`` and *kernel* one of the cubic kernels.  With
+    *wrap* every axis wraps periodically; without it the whole stencil of
+    every point must lie inside an array of *shape* (a ghosted block).
+    Built block by block, so the only whole-operator arrays are the
+    operator's own.
     """
     _OPERATOR_BUILDS.inc()
     num_points = coordinates.shape[1]
     with trace_span("interp.operator_build", points=num_points, resident=True):
         return GatherOperator(
             tuple(
-                _build_operator_block(shape, coordinates, lo, hi)
+                _build_operator_block(shape, coordinates, lo, hi, kernel, wrap)
                 for lo, hi in _chunk_spans(num_points, OPERATOR_CHUNK)
             )
         )
 
 
-def _padded_coefficients(fields: np.ndarray) -> np.ndarray:
-    """Spline coefficients of a ``(B, N1, N2, N3)`` stack, padded along axis 2.
+def _padded_coefficients(fields: np.ndarray, kernel: str) -> np.ndarray:
+    """Kernel coefficients of a ``(B, N1, N2, N3)`` stack, padded along axis 2.
 
     Returns ``(B, N1*N2*(N3+3))``: each axis-2 row is followed by its first
     three entries again (periodically), so the four axis-2 taps of a point
-    are the same flat index in four slices shifted by one.  The coefficients
-    are those :func:`scipy.ndimage.map_coordinates` computes internally
+    are the same flat index in four slices shifted by one.  For
+    ``cubic_bspline`` the coefficients are those
+    :func:`scipy.ndimage.map_coordinates` computes internally
     (``spline_filter``, float64, ``grid-wrap``), filtered straight into the
-    padded buffer.
+    padded buffer; ``catmull_rom`` convolves the samples themselves.
     """
     num_fields, n1, n2, n3 = fields.shape
     padded = np.empty((num_fields, n1, n2, n3 + 3))
     wrap = np.arange(n3, n3 + 3) % n3
     for field, out in zip(fields, padded):
-        ndimage.spline_filter(field, order=3, output=out[:, :, :n3], mode="grid-wrap")
+        if kernel == "cubic_bspline":
+            ndimage.spline_filter(field, order=3, output=out[:, :, :n3], mode="grid-wrap")
+        else:
+            out[:, :, :n3] = field
         out[:, :, n3:] = out[:, :, wrap]
     return padded.reshape(num_fields, -1)
 
 
-def gather_bspline(
-    fields: np.ndarray, coordinates: np.ndarray, operator: Optional[GatherOperator] = None
+def gather_cubic(
+    fields: np.ndarray,
+    coordinates: Optional[np.ndarray],
+    kernel: str,
+    operator: Optional[GatherOperator] = None,
 ) -> np.ndarray:
-    """Tricubic B-spline gather of a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
+    """Tricubic gather of a ``(B, N1, N2, N3)`` stack; returns ``(B, M)``.
 
-    With the resident *operator* of *coordinates* its blocks are applied;
-    without one its blocks are built, applied and dropped one at a time,
-    once per gather.  Either
+    With the resident *operator* its blocks are applied (*coordinates* may
+    then be ``None``); without one the periodic operator of *coordinates*
+    is built, applied and dropped block by block, once per gather.  Either
     way each block makes one pass over ``windows[n, f, c]``, the coefficient
     of field ``f`` at padded flat index ``n + c`` (four shifted slices of
     the padded coefficients, copied side by side: four times the stack),
@@ -519,16 +353,18 @@ def gather_bspline(
     """
     shape = fields.shape[1:]
     num_fields = fields.shape[0]
-    coefficients = _padded_coefficients(fields)
+    coefficients = _padded_coefficients(fields, kernel)
     span = coefficients.shape[1] - 3
     windows = np.empty((span, num_fields, 4))
     for c in range(4):
         windows[:, :, c] = coefficients[:, c : c + span].T
     windows = windows.reshape(span, 4 * num_fields)
-    out = np.empty((num_fields, coordinates.shape[1]))
-    blocks = (
-        operator.blocks if operator is not None else _transient_operator_blocks(shape, coordinates)
-    )
+    if operator is not None:
+        num_points, blocks = operator.num_points, operator.blocks
+    else:
+        num_points = coordinates.shape[1]
+        blocks = _transient_operator_blocks(shape, coordinates, kernel, True)
+    out = np.empty((num_fields, num_points))
     for block in blocks:
         w2 = block.w2
         product = (block.matrix @ windows).reshape(-1, num_fields, 4)
@@ -543,10 +379,6 @@ def gather_bspline(
 # --------------------------------------------------------------------------- #
 # gather plans (frontend-facing)
 # --------------------------------------------------------------------------- #
-#: What :func:`plan_payload` hands the frontend to carry in a plan.
-PlanPayload = Union[StencilPlan, GatherOperatorPlan]
-
-
 @dataclass
 class GatherPlan:
     """Cached interpolation data for one fixed set of off-grid points.
@@ -554,7 +386,7 @@ class GatherPlan:
     Built once per point set (per velocity, in the semi-Lagrangian scheme)
     by :meth:`repro.transport.interpolation.PeriodicInterpolator.plan` and
     reused by every field interpolated at those points.  ``payload`` is the
-    kernel's planning product (:func:`plan_payload`): a stencil plan, a
+    kernel's planning product (:func:`plan_payload`): a
     :class:`GatherOperatorPlan`, or ``None`` for one-shot point sets and
     kernels with nothing to cache (``map_coordinates`` behind ``linear``;
     those still reuse the wrapped coordinates).
@@ -564,7 +396,7 @@ class GatherPlan:
     grid_shape: Tuple[int, int, int]
     output_shape: Tuple[int, ...]
     coordinates: np.ndarray
-    payload: Optional[PlanPayload]
+    payload: Optional[GatherOperatorPlan]
 
     @property
     def num_points(self) -> int:
@@ -584,16 +416,13 @@ class GatherPlan:
 
 def plan_payload(
     grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-) -> Optional[PlanPayload]:
+) -> Optional[GatherOperatorPlan]:
     """The reusable part of a gather at fractional index *coordinates*.
 
-    ``catmull_rom`` gets its :class:`StencilPlan`, ``cubic_bspline`` the
-    name of its gather operator (built on the first gather), and ``linear``
-    nothing.
+    Both cubic kernels get the name of their gather operator (built on the
+    first gather), ``linear`` nothing.
     """
-    if method == "catmull_rom":
-        return build_stencil_plan(grid_shape, coordinates, method)
-    if method == "cubic_bspline":
+    if method in _CUBIC_WEIGHTS:
         return GatherOperatorPlan()
     return None
 
@@ -601,25 +430,22 @@ def plan_payload(
 def gather(
     fields: np.ndarray,
     coordinates: np.ndarray,
-    payload: Optional[Union[PlanPayload, GatherOperator]],
+    payload: Optional[Union[GatherOperatorPlan, GatherOperator]],
     method: str,
 ) -> np.ndarray:
     """Interpolate a ``(B, N1, N2, N3)`` stack at *coordinates*; returns ``(B, M)``.
 
     ``payload`` is what :func:`plan_payload` returned for *coordinates* —
-    or, for ``cubic_bspline``, the resident gather operator the frontend
-    resolved that to — or ``None`` for a one-shot point set.
-    ``cubic_bspline`` gathers through the sparse gather operator
-    (:func:`gather_bspline`; built block by block unless resident), which
-    agrees with ``map_coordinates(order=3, mode="grid-wrap")`` to rounding
-    (same spline coefficients, different summation order).
+    or the resident gather operator the frontend resolved that to — or
+    ``None`` for a one-shot point set.  The cubic kernels gather through the
+    sparse gather operator (:func:`gather_cubic`; built block by block
+    unless resident); ``cubic_bspline`` agrees with
+    ``map_coordinates(order=3, mode="grid-wrap")`` to rounding (same spline
+    coefficients, different summation order).
     """
-    if method == "catmull_rom":
-        plan = payload or build_stencil_plan(fields.shape[-3:], coordinates, method)
-        return execute_stencil_plan(_as_flat_float64(fields), plan)
-    if method == "cubic_bspline":
+    if method in _CUBIC_WEIGHTS:
         operator = payload if isinstance(payload, GatherOperator) else None
-        return gather_bspline(fields, coordinates, operator)
+        return gather_cubic(fields, coordinates, method, operator)
     return np.stack(
         [
             ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")

@@ -120,25 +120,33 @@ def materialized_stencil_gather(
     method: str,
     periodic: bool = True,
 ) -> np.ndarray:
-    """The stencil gather with every index and weight formed at once — an oracle.
+    """The tensor-product stencil with every index and weight formed at once — an oracle.
 
-    Derives the stencil of all points in one call instead of per executor
-    chunk, then sums the taps in the executor's order, so
-    ``execute_stencil_plan`` must reproduce it bitwise for any chunk size.
+    Independent of the gather engine: the indices of all points are formed
+    in one go — wrapped by modular arithmetic when *periodic*, read as they
+    are on a ghosted block whose stencils stay inside — the weights come
+    from the public per-axis weight functions, and the taps are summed one
+    by one.  *flat_fields* is ``(B, prod(shape))``, the kernel's
+    coefficients (prefiltered for ``cubic_bspline``).
     """
-    from repro.transport.kernels import _METHOD_STENCILS, _derive_chunk_stencil
+    from repro.transport.kernels import bspline_weights, catmull_rom_weights, linear_weights
 
-    weight_fn, _ = _METHOD_STENCILS[method]
-    taps = len(weight_fn(np.zeros(1)))
+    weight_fn, lead = {
+        "cubic_bspline": (bspline_weights, -1),
+        "catmull_rom": (catmull_rom_weights, -1),
+        "linear": (linear_weights, 0),
+    }[method]
     base = np.floor(coordinates).astype(np.intp)
-    (i0, i1, i2), (w0, w1, w2) = _derive_chunk_stencil(
-        method, taps, shape, periodic, base, coordinates - base
-    )
+    w0, w1, w2 = (weight_fn(coordinates[d] - base[d]) for d in range(3))
+    taps = len(w0)
+    reached = [base[d] + np.arange(lead, lead + taps)[:, None] for d in range(3)]
+    i0, i1, i2 = (reached[d] % shape[d] if periodic else reached[d] for d in range(3))
     out = np.zeros((flat_fields.shape[0], coordinates.shape[1]))
     for a in range(taps):
         for b in range(taps):
             for c in range(taps):
-                out += (w0[a] * w1[b] * w2[c]) * flat_fields[:, i0[a] + i1[b] + i2[c]]
+                flat = (i0[a] * shape[1] + i1[b]) * shape[2] + i2[c]
+                out += (w0[a] * w1[b] * w2[c]) * flat_fields[:, flat]
     return out
 
 

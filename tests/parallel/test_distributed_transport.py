@@ -7,6 +7,7 @@ from repro.data.synthetic import sinusoidal_template, synthetic_velocity
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedSemiLagrangian, DistributedTransportSolver
+from repro.runtime.plan_pool import configure_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 
@@ -32,7 +33,7 @@ def velocity(grid):
 
 
 class TestDistributedSemiLagrangian:
-    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 4), (2, 3)])
+    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 4), (2, 3), (4, 2)])
     def test_departure_points_match_serial(self, grid, velocity, pgrid):
         deco = PencilDecomposition(grid.shape, *pgrid)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
@@ -42,10 +43,11 @@ class TestDistributedSemiLagrangian:
         )
         for rank in range(deco.num_tasks):
             expected = serial[(slice(None), *deco.local_slices(rank))].reshape(3, -1)
-            np.testing.assert_allclose(stepper.departure_points(rank), expected, atol=1e-10)
+            np.testing.assert_allclose(stepper.departure_points(rank), expected, atol=1e-13)
 
-    def test_single_step_matches_serial(self, grid, velocity):
-        deco = PencilDecomposition(grid.shape, 2, 2)
+    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 4), (4, 2)])
+    def test_single_step_matches_serial(self, grid, velocity, pgrid):
+        deco = PencilDecomposition(grid.shape, *pgrid)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         field = smooth_scalar_field(grid, seed=7)
         serial_stepper = rk2_stepper(
@@ -53,7 +55,7 @@ class TestDistributedSemiLagrangian:
         )
         expected = serial_stepper.step(field)
         blocks = stepper.step(deco.scatter(field))
-        np.testing.assert_allclose(deco.gather(blocks), expected, atol=1e-10)
+        np.testing.assert_allclose(deco.gather(blocks), expected, atol=1e-13)
 
     def test_zero_velocity_is_identity(self, grid):
         deco = PencilDecomposition(grid.shape, 2, 2)
@@ -78,7 +80,7 @@ class TestDistributedSemiLagrangian:
         A re-created distributed stepper for an unchanged velocity must get
         both of its scatter plans (the RK2 star plan and the departure plan)
         warm from the shared pool — no owner computation, no point scatter,
-        no stencil builds — and still step bitwise identically.
+        no operator builds — and still step bitwise identically.
         """
         deco = PencilDecomposition(grid.shape, 2, 2)
         cold = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
@@ -89,8 +91,8 @@ class TestDistributedSemiLagrangian:
         warm_comm = SimulatedCommunicator(deco.num_tasks)
         warm = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25, comm=warm_comm)
         assert warm.plan_pool_hits == 2
-        assert warm.star_plan.stencil_builds == 0
-        assert warm.departure_plan.stencil_builds == 0
+        assert warm.star_plan.operator_builds == 0
+        assert warm.departure_plan.operator_builds == 0
         # the warm construction shipped no departure points anywhere: its
         # only communication was interpolating v(X*) through the warm plan
         assert warm_comm.ledger.bytes("interp_scatter") == 0
@@ -98,14 +100,16 @@ class TestDistributedSemiLagrangian:
         for rank in range(deco.num_tasks):
             np.testing.assert_array_equal(blocks[rank], expected[rank])
 
-    def test_pool_bypass_always_rebuilds(self, grid, velocity):
+    def test_disabled_pool_always_rebuilds(self, grid, velocity):
         deco = PencilDecomposition(grid.shape, 2, 2)
         DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
-        rebuilt = DistributedSemiLagrangian(
-            grid, deco, velocity, dt=0.25, use_plan_pool=False
-        )
+        configure_plan_pool(0)
+        try:
+            rebuilt = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
+        finally:
+            configure_plan_pool(None)
         assert rebuilt.plan_pool_hits == 0
-        assert rebuilt.departure_plan.stencil_builds > 0
+        assert rebuilt.departure_plan.operator_builds > 0
 
     def test_rk2_velocity_components_share_one_exchange_round(self, grid, velocity):
         """Constructing the stepper interpolates all three components of
@@ -134,7 +138,7 @@ class TestDistributedSemiLagrangian:
 
 
 class TestDistributedTransportSolver:
-    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3)])
+    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (1, 4), (4, 2)])
     def test_state_solve_matches_serial(self, pgrid):
         grid = Grid((16, 16, 16))
         template = sinusoidal_template(grid)
@@ -147,7 +151,7 @@ class TestDistributedTransportSolver:
         expected = template
         for _ in range(4):
             expected = serial.step(expected)
-        np.testing.assert_allclose(result, expected, atol=1e-9)
+        np.testing.assert_allclose(result, expected, atol=1e-13)
 
     def test_communication_is_charged(self):
         grid = Grid((12, 12, 12))
@@ -186,6 +190,30 @@ class TestDistributedTransportSolver:
         solver = DistributedTransportSolver(grid, deco)
         with pytest.raises(ValueError):
             solver.solve_state(grid.zeros_vector(), np.zeros((4, 4, 4)))
+
+    @pytest.mark.parametrize(
+        "num_tasks, pgrid, smallest", [(7, "1x7", 1), (32, "4x8", 1), (64, "8x8", 1)]
+    )
+    def test_pencil_thinner_than_the_ghost_width_rejected(self, num_tasks, pgrid, smallest):
+        grid = Grid((8, 8, 8))
+        deco = PencilDecomposition.from_num_tasks(grid.shape, num_tasks)
+        message = (
+            f"num_tasks={num_tasks} splits the \\(8, 8, 8\\) grid over a {pgrid} process "
+            f"grid whose thinnest pencil is {smallest} point"
+        )
+        with pytest.raises(ValueError, match=message):
+            DistributedTransportSolver(grid, deco)
+
+    @pytest.mark.parametrize("num_tasks", [9, 16])
+    def test_pencils_as_wide_as_the_ghost_width_solve(self, num_tasks):
+        grid = Grid((8, 8, 8))
+        deco = PencilDecomposition.from_num_tasks(grid.shape, num_tasks)
+        assert min(min(deco.local_shape(rank)) for rank in range(num_tasks)) == 2
+        template = smooth_scalar_field(grid, seed=3)
+        result = DistributedTransportSolver(grid, deco, num_time_steps=2).solve_state(
+            0.3 * smooth_vector_field(grid, seed=2), template
+        )
+        assert result.shape == grid.shape and np.all(np.isfinite(result))
 
     def test_invalid_time_steps(self):
         grid = Grid((12, 12, 12))

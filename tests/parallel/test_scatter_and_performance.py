@@ -13,6 +13,7 @@ from repro.parallel.performance import (
     weak_scaling_efficiency,
 )
 from repro.parallel.scatter import SCATTER_PLAN_TAG, ScatterInterpolationPlan
+from repro.runtime.plan_pool import configure_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.semi_lagrangian import compute_departure_points
@@ -28,14 +29,14 @@ def grid():
 
 
 class TestScatterInterpolation:
-    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (3, 2), (1, 1)])
+    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (3, 2), (1, 1), (1, 4), (4, 2)])
     def test_matches_serial_catmull_rom(self, grid, pgrid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, pgrid)
         field = rng.standard_normal(grid.shape)
         values = plan.interpolate(deco.scatter(field))
         serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
-            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-10)
+            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-13)
 
     def test_semi_lagrangian_departure_points(self, grid):
         # the actual use case: departure points of the synthetic velocity
@@ -53,7 +54,7 @@ class TestScatterInterpolation:
         serial = PeriodicInterpolator(grid, "catmull_rom")(field, departure)
         for rank in range(deco.num_tasks):
             expected = serial[deco.local_slices(rank)].reshape(-1)
-            np.testing.assert_allclose(values[rank], expected, atol=1e-10)
+            np.testing.assert_allclose(values[rank], expected, atol=1e-13)
 
     @pytest.mark.parametrize("pgrid", [(2, 2), (2, 1), (1, 2)])
     def test_points_one_ulp_from_a_block_edge(self, pgrid, rng):
@@ -84,7 +85,7 @@ class TestScatterInterpolation:
         x, y = np.meshgrid(coordinates, coordinates, indexing="ij")
         z = np.linspace(0.3, 15.7, x.size) * h
         points = [np.stack([x.ravel(), y.ravel(), z]) for _ in range(deco.num_tasks)]
-        plan = ScatterInterpolationPlan(grid, deco, comm, points, use_plan_pool=False)
+        plan = ScatterInterpolationPlan(grid, deco, comm, points)
         field = rng.standard_normal(grid.shape)
         values = plan.interpolate(deco.scatter(field))
         serial = PeriodicInterpolator(grid, "catmull_rom")
@@ -104,26 +105,34 @@ class TestScatterInterpolation:
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), points_per_rank=100)
         assert sum(plan.local_point_counts()) == 4 * 100
 
-    def test_stencils_are_planned_once_per_velocity(self, grid, rng):
-        """Repeated interpolate calls never rebuild the local stencil plans."""
+    def test_point_counts_are_the_points_each_owner_received(self, grid):
+        deco, comm, points, plan = make_scatter_plan(grid, (2, 3), points_per_rank=100)
+        spacing = np.asarray(grid.spacing)[:, None]
+        cells = np.floor(np.mod(np.concatenate(points, axis=1) / spacing, 12.0))
+        owners = deco.owner_of_indices(cells.astype(np.intp) % 12)
+        assert plan.local_point_counts() == [int(np.sum(owners == rank)) for rank in range(6)]
+
+    def test_operators_are_planned_once_per_velocity(self, grid, rng):
+        """Repeated interpolate calls never rebuild the owners' operators."""
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=11)
-        builds_after_init = plan.stencil_builds
-        assert builds_after_init > 0
+        builds_after_init = plan.operator_builds
+        # one operator per owner, each over the points it received
+        assert builds_after_init == 4
         assert not plan.pool_hit
         for _ in range(3):
             plan.interpolate(deco.scatter(rng.standard_normal(grid.shape)))
-        assert plan.stencil_builds == builds_after_init
+        assert plan.operator_builds == builds_after_init
 
     def test_replanning_same_points_is_one_whole_plan_hit(self, grid, plan_pool):
         """The tentpole no-replan pin: re-creating a plan for unchanged
         departure points is a *single* warm pool hit — no routing-table
-        rebuild, no stencil builds, no ``alltoallv`` point scatter."""
+        rebuild, no operator builds, no ``alltoallv`` point scatter."""
         make_scatter_plan(grid, (2, 2), seed=12)
         before = plan_pool.stats
         deco, comm, points, warm = make_scatter_plan(grid, (2, 2), seed=12)
         delta = plan_pool.stats - before
         assert warm.pool_hit
-        assert warm.stencil_builds == 0
+        assert warm.operator_builds == 0
         assert (delta.hits, delta.misses) == (1, 0)
         # zero alltoallv setup: the warm plan's own communicator shipped
         # no departure points at all
@@ -133,7 +142,7 @@ class TestScatterInterpolation:
         values = warm.interpolate(deco.scatter(field))
         serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
-            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-10)
+            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-13)
 
     def test_pool_stats_include_scatter_entries(self, grid, plan_pool):
         """Scatter plans are first-class citizens of the pool accounting."""
@@ -156,13 +165,15 @@ class TestScatterInterpolation:
         data = plan_pool.peek(key)
         assert plan_pool.stats_by_tag()[SCATTER_PLAN_TAG].current_bytes == data.nbytes
 
-    def test_pool_bypass_always_rebuilds(self, grid):
+    def test_disabled_pool_always_rebuilds(self, grid):
         make_scatter_plan(grid, (2, 2), seed=16)
-        deco, comm, points, plan = make_scatter_plan(
-            grid, (2, 2), seed=16, use_plan_pool=False
-        )
+        configure_plan_pool(0)
+        try:
+            deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=16)
+        finally:
+            configure_plan_pool(None)
         assert not plan.pool_hit
-        assert plan.stencil_builds > 0
+        assert plan.operator_builds > 0
         assert comm.ledger.bytes("interp_scatter") > 0
 
     def test_validates_inputs(self, grid):
@@ -230,7 +241,7 @@ class TestBatchedScatterInterpolation:
         serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
             expected = serial.interpolate_many(fields, points[rank])
-            np.testing.assert_allclose(batched[rank], expected, atol=1e-10)
+            np.testing.assert_allclose(batched[rank], expected, atol=1e-13)
 
     def test_input_validation(self, grid):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=25)

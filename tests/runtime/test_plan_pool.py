@@ -20,7 +20,6 @@ from repro.runtime.plan_pool import (
 )
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import build_stencil_plan
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
 
@@ -46,13 +45,11 @@ class TestPlanPoolCore:
         """The pool's running total is exactly the sum of stored plan nbytes."""
         pool = PlanPool(max_bytes=10**9)
         rng = np.random.default_rng(0)
-        shape = (8, 8, 8)
         plans = []
         for seed in range(4):
-            coords = rng.uniform(0, 8, size=(3, 100 + seed))
             plan = pool.get(
-                ("stencil", seed),
-                lambda c=coords: build_stencil_plan(shape, c, "catmull_rom"),
+                ("payload", seed),
+                lambda n=100 + seed: rng.uniform(0, 8, size=(3, n)),
             )
             plans.append(plan)
         assert pool.current_bytes == sum(plan.nbytes for plan in plans)

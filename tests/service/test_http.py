@@ -180,6 +180,23 @@ class TestMalformedSubmissions:
         assert "moving has 1 non-finite value" in doc["error"]
         assert JobJournal(tmp_path).replay() == []
 
+    def test_thin_pencil_is_400_before_anything_is_journaled(self, tmp_path):
+        from repro.service.journal import JobJournal
+
+        spec = _transport_spec(make_grid(8))
+        spec.num_tasks = 7
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            server = serve_http(service, 0)
+            try:
+                status, doc = _request(
+                    f"http://127.0.0.1:{server.port}/jobs", "POST", spec_to_dict(spec)
+                )
+            finally:
+                server.shutdown()
+            assert service.service_stats()["jobs_submitted"] == 0
+        assert status == 400
+        assert "num_tasks=7 splits the (8, 8, 8) grid over a 1x7 process grid" in doc["error"]
+        assert JobJournal(tmp_path).replay() == []
 
     def test_unknown_interpolation_is_400_before_anything_is_journaled(self, tmp_path):
         from repro.service.journal import JobJournal

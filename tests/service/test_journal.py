@@ -205,6 +205,20 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpecError, match="template must hold real"):
             spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
 
+    @pytest.mark.parametrize("num_tasks", [7, 32, 64])
+    def test_pencils_thinner_than_the_ghost_width_raise_malformed(self, num_tasks):
+        """On 8^3, 7 / 32 / 64 tasks leave a 1-point pencil: rejected on decode."""
+        doc = spec_to_dict(_transport_spec())
+        doc["spec"]["num_tasks"] = num_tasks
+        with pytest.raises(MalformedSpecError, match=f"num_tasks={num_tasks} splits"):
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("num_tasks", [9, 16])
+    def test_pencils_as_wide_as_the_ghost_width_decode(self, num_tasks):
+        doc = spec_to_dict(_transport_spec())
+        doc["spec"]["num_tasks"] = num_tasks
+        assert spec_from_dict(doc).num_tasks == num_tasks
+
     def test_integer_arrays_are_accepted(self):
         spec = _transport_spec()
         spec.moving = np.arange(spec.moving.size, dtype=np.int16).reshape(spec.moving.shape)

@@ -20,6 +20,7 @@ from repro.service import (
     RegistrationService,
     TransportJobSpec,
 )
+from repro.service.journal import JobJournal
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -132,6 +133,31 @@ class TestFailureIsolation:
             service.drain()
         assert all(job.status is JobStatus.FAILED for job in jobs)
         assert all(job.record.traceback for job in jobs)
+
+    @pytest.mark.parametrize("num_tasks", [7, 32, 64])
+    def test_thin_pencil_is_rejected_at_submit(self, num_tasks, tmp_path):
+        """Regression: 8^3 on 7 / 32 / 64 tasks used to be journaled, then
+        fail in the worker with a ghost-width error."""
+        spec = _transport_spec(make_grid(8))
+        spec.num_tasks = num_tasks
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            with pytest.raises(ValueError, match=f"num_tasks={num_tasks} splits the"):
+                service.submit_transport(spec)
+            assert service.service_stats()["jobs_submitted"] == 0
+        assert JobJournal(tmp_path).replay() == []
+
+    @pytest.mark.parametrize("num_tasks", [9, 16])
+    def test_pencils_two_points_wide_run(self, num_tasks):
+        grid = make_grid(8)
+        spec = _transport_spec(grid)
+        spec.num_tasks = num_tasks
+        with RegistrationService(num_workers=1) as service:
+            result = service.submit_transport(spec).result(timeout=120)
+        deco = PencilDecomposition.from_num_tasks(grid.shape, num_tasks)
+        expected = DistributedTransportSolver(grid, deco, spec.num_time_steps).solve_state(
+            spec.velocity, spec.moving
+        )
+        np.testing.assert_array_equal(result, expected)
 
     def test_gather_partial_results(self, tiny_problem, fast_options):
         grid = make_grid(8)

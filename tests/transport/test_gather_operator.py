@@ -1,4 +1,4 @@
-"""The sparse gather operator behind ``cubic_bspline``.
+"""The sparse gather operator behind ``cubic_bspline`` (and ``catmull_rom``).
 
 Four contracts:
 
@@ -33,7 +33,7 @@ from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     bspline_weights,
     build_gather_operator,
-    gather_bspline,
+    gather_cubic,
     projected_gather_operator_nbytes,
 )
 
@@ -59,6 +59,14 @@ def _coordinates(shape, num_points: int, seed: int) -> np.ndarray:
     return rng.uniform(0.0, 1.0, (3, num_points)) * np.asarray(shape, dtype=np.float64)[:, None]
 
 
+def _gather(fields, coordinates, operator=None):
+    return gather_cubic(fields, coordinates, "cubic_bspline", operator)
+
+
+def _operator(shape, coordinates):
+    return build_gather_operator(shape, coordinates, "cubic_bspline")
+
+
 def _operator_builds() -> int:
     return sum(get_metrics_registry().collect().get("interp.operator_builds", {}).values())
 
@@ -80,17 +88,17 @@ class TestAgreesWithMapCoordinates:
     def test_random_points(self, shape):
         fields = np.random.default_rng(1).uniform(-1.0, 1.0, (2, *shape))
         coordinates = _coordinates(shape, 700, seed=2)
-        values = gather_bspline(fields, coordinates, None)
+        values = _gather(fields, coordinates)
         assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
 
     def test_float32_input_is_upcast_exactly(self):
         shape = (8, 8, 8)
         fields = np.random.default_rng(3).uniform(-1.0, 1.0, (2, *shape)).astype(np.float32)
         coordinates = _coordinates(shape, 300, seed=4)
-        values = gather_bspline(fields, coordinates, None)
+        values = _gather(fields, coordinates)
         assert values.dtype == np.float64
         np.testing.assert_array_equal(
-            values, gather_bspline(fields.astype(np.float64), coordinates, None)
+            values, _gather(fields.astype(np.float64), coordinates)
         )
         assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
 
@@ -103,19 +111,19 @@ class TestAgreesWithMapCoordinates:
         coordinates = np.stack(
             [grid.ravel() for grid in np.meshgrid(*per_axis, indexing="ij")]
         )
-        values = gather_bspline(fields, coordinates, None)
+        values = _gather(fields, coordinates)
         assert np.abs(values - _reference(fields, coordinates)).max() <= TOLERANCE
         # an interpolating spline returns the samples at the nodes
         nodes = np.stack([g.ravel() for g in np.meshgrid(*map(np.arange, shape), indexing="ij")])
-        at_nodes = gather_bspline(fields, nodes.astype(np.float64), None)
+        at_nodes = _gather(fields, nodes.astype(np.float64))
         assert np.abs(at_nodes[0] - fields[0].ravel()).max() <= TOLERANCE
 
     def test_coordinate_equal_to_the_period_wraps(self):
         """``np.mod`` can return the period itself; the stencil must wrap it."""
         shape = (8, 8, 8)
         fields = np.random.default_rng(6).uniform(-1.0, 1.0, (1, *shape))
-        at_period = gather_bspline(fields, np.full((3, 1), 8.0), None)
-        at_origin = gather_bspline(fields, np.zeros((3, 1)), None)
+        at_period = _gather(fields, np.full((3, 1), 8.0))
+        at_origin = _gather(fields, np.zeros((3, 1)))
         np.testing.assert_array_equal(at_period, at_origin)
 
     def test_frontend_matches_at_physical_points(self):
@@ -144,12 +152,12 @@ class TestBitwiseInvariance:
         shape = (8, 10, 9)
         fields = np.random.default_rng(seed).standard_normal((num_fields, *shape))
         coordinates = _coordinates(shape, num_points, seed + 1)
-        batched = gather_bspline(fields, coordinates, None)
+        batched = _gather(fields, coordinates)
         before = kernels.OPERATOR_CHUNK
         kernels.OPERATOR_CHUNK = chunk
         try:
-            rechunked = gather_bspline(fields, coordinates, None)
-            scalars = [gather_bspline(fields[f : f + 1], coordinates, None)[0] for f in range(num_fields)]
+            rechunked = _gather(fields, coordinates)
+            scalars = [_gather(fields[f : f + 1], coordinates)[0] for f in range(num_fields)]
         finally:
             kernels.OPERATOR_CHUNK = before
         np.testing.assert_array_equal(rechunked, batched)
@@ -161,11 +169,11 @@ class TestBitwiseInvariance:
         shape = (16, 19, 16)
         fields = np.random.default_rng(9).standard_normal((num_fields, *shape))
         coordinates = _coordinates(shape, 20000, seed=10)
-        operator = build_gather_operator(shape, coordinates)
-        resident = gather_bspline(fields, coordinates, operator)
-        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, None))
+        operator = _operator(shape, coordinates)
+        resident = _gather(fields, coordinates, operator)
+        np.testing.assert_array_equal(resident, _gather(fields, coordinates))
         # the resident operator serves the same bits again
-        np.testing.assert_array_equal(resident, gather_bspline(fields, coordinates, operator))
+        np.testing.assert_array_equal(resident, _gather(fields, coordinates, operator))
 
     def test_one_shot_calls_keep_nothing(self):
         grid = make_grid(8)
@@ -237,9 +245,9 @@ class TestPaddedCoefficients:
         fields = np.random.default_rng(30).standard_normal((num_fields, *shape))
         coordinates = _with_seam_points(shape, min(9000, 2 * int(np.prod(shape))), seed=31)
         expected = _windows_gather(fields, coordinates)
-        transient = gather_bspline(fields, coordinates, None)
+        transient = _gather(fields, coordinates)
         np.testing.assert_array_equal(transient, expected)
-        resident = gather_bspline(fields, coordinates, build_gather_operator(shape, coordinates))
+        resident = _gather(fields, coordinates, _operator(shape, coordinates))
         np.testing.assert_array_equal(resident, expected)
         assert np.abs(transient - _reference(fields, coordinates)).max() <= TOLERANCE
 
@@ -249,22 +257,22 @@ class TestPaddedCoefficients:
         fields = np.random.default_rng(32).standard_normal((2, *shape))
         period = np.asarray(shape, dtype=np.float64)[:, None]
         np.testing.assert_array_equal(
-            gather_bspline(fields, period, None), gather_bspline(fields, 0.0 * period, None)
+            _gather(fields, period), _gather(fields, 0.0 * period)
         )
         np.testing.assert_array_equal(
-            gather_bspline(fields, period, None), _windows_gather(fields, period)
+            _gather(fields, period), _windows_gather(fields, period)
         )
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_column_space_and_padding(self, shape):
         n1, n2, n3 = shape
         coordinates = _with_seam_points(shape, 200, seed=33)
-        (block,) = build_gather_operator(shape, coordinates).blocks
+        (block,) = _operator(shape, coordinates).blocks
         assert block.matrix.shape == (coordinates.shape[1], n1 * n2 * (n3 + 3) - 3)
         starts = block.matrix.indices % (n3 + 3)
         assert starts.min() >= 0 and starts.max() <= n3 - 1
         field = np.random.default_rng(34).standard_normal((1, *shape))
-        padded = kernels._padded_coefficients(field).reshape(n1, n2, n3 + 3)
+        padded = kernels._padded_coefficients(field, "cubic_bspline").reshape(n1, n2, n3 + 3)
         coefficients = ndimage.spline_filter(
             field[0], order=3, output=np.float64, mode="grid-wrap"
         )
@@ -278,7 +286,7 @@ class TestResidency:
     @pytest.mark.parametrize("num_points", [0, 1, 8192, 8193, 20000])
     def test_projected_bytes_are_the_built_bytes(self, num_points):
         shape = (16, 19, 16)
-        operator = build_gather_operator(shape, _coordinates(shape, num_points, seed=13))
+        operator = _operator(shape, _coordinates(shape, num_points, seed=13))
         assert operator.nbytes == projected_gather_operator_nbytes(num_points, shape)
         assert sum(block.w2.shape[1] for block in operator.blocks) == num_points
 

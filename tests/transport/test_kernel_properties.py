@@ -1,21 +1,25 @@
-"""Hypothesis property tests for the stencil-plan/executor layer.
+"""Hypothesis property tests for the gather-operator layer.
 
-The executor contract the whole subsystem rests on: a gather's bits depend
-only on the (method, coordinates, field) content — never on the executor's
-chunk size.  The oracle is a test-local materialized stencil: every index
-and weight formed for all points at once.
+The contract the whole engine rests on: a gather's bits depend only on the
+(kernel, coordinates, field) content — never on the operator's block size —
+and agree with a test-local materialized stencil (every index and weight
+formed for all points at once) to rounding, periodic and on ghosted blocks.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro.transport import kernels
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
-    build_stencil_plan,
-    execute_stencil_plan,
+    _chunk_spans,
+    build_gather_operator,
     gather,
+    gather_cubic,
     plan_payload,
+    projected_gather_operator_nbytes,
 )
 
 from tests.fixtures import materialized_stencil_gather
@@ -38,26 +42,42 @@ def _coords(seed: int, num_points: int) -> np.ndarray:
 
 class TestGatherBitwiseInvariance:
     @given(
-        method=st.sampled_from(SUPPORTED_METHODS),
-        chunk=st.integers(1, 700),
+        kernel=st.sampled_from(("cubic_bspline", "catmull_rom")),
+        block=st.integers(1, 700),
         periodic=st.booleans(),
         num_points=st.integers(1, 500),
         seed=st.integers(0, 1000),
     )
     @settings(max_examples=60, deadline=None)
-    def test_chunk_never_changes_the_bits(self, method, chunk, periodic, num_points, seed):
-        """Every (chunk, periodic/ghosted) combination gathers bitwise what
-        the materialized stencil gathers."""
+    def test_block_size_never_changes_the_bits(self, kernel, block, periodic, num_points, seed):
+        """Every (block size, periodic/ghosted) combination gathers the bits
+        of the default block size, within 1e-12 of the materialized stencil."""
         if periodic:
             shape, coords = SHAPE, _coords(seed, num_points)
         else:
             shape = BLOCK_SHAPE
             coords = np.random.default_rng(seed).uniform(2.0, 8.0, size=(3, num_points))
-        flat = _field_stack(seed, shape)
-        reference = materialized_stencil_gather(flat, shape, coords, method, periodic)
-        plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        candidate = execute_stencil_plan(flat, plan, chunk=chunk)
-        np.testing.assert_array_equal(candidate, reference)
+        fields = _field_stack(seed, shape).reshape(2, *shape)
+        default = gather_cubic(
+            fields, None, kernel, build_gather_operator(shape, coords, kernel, periodic)
+        )
+        before = kernels.OPERATOR_CHUNK
+        kernels.OPERATOR_CHUNK = block
+        try:
+            operator = build_gather_operator(shape, coords, kernel, periodic)
+        finally:
+            kernels.OPERATOR_CHUNK = before
+        candidate = gather_cubic(fields, None, kernel, operator)
+        np.testing.assert_array_equal(candidate, default)
+        coefficients = fields
+        if kernel == "cubic_bspline":
+            coefficients = np.stack(
+                [ndimage.spline_filter(f, order=3, mode="grid-wrap") for f in fields]
+            )
+        reference = materialized_stencil_gather(
+            coefficients.reshape(2, -1), shape, coords, kernel, periodic
+        )
+        np.testing.assert_allclose(candidate, reference, rtol=0, atol=1e-12)
 
 
 class TestPlannedGatherInvariance:
@@ -81,18 +101,15 @@ class TestPlannedGatherInvariance:
         np.testing.assert_array_equal(candidate, reference)
 
 
-class TestChunkProtocolProperties:
+class TestOperatorBlockProperties:
     @given(
         num_points=st.integers(0, 2000),
         chunk=st.integers(1, 512),
     )
     @settings(max_examples=50, deadline=None)
     def test_spans_partition_the_point_range(self, num_points, chunk):
-        """iter_chunks always yields a disjoint ascending cover of [0, M)."""
-        plan = build_stencil_plan(
-            SHAPE, _coords(0, num_points) if num_points else np.empty((3, 0)), "linear"
-        )
-        spans = plan.iter_chunks(chunk)
+        """The operator's blocks always form a disjoint ascending cover of [0, M)."""
+        spans = _chunk_spans(num_points, chunk)
         assert sum(hi - lo for lo, hi in spans) == num_points
         previous = 0
         for lo, hi in spans:
@@ -101,10 +118,15 @@ class TestChunkProtocolProperties:
         if num_points:
             assert spans[-1][1] == num_points
 
-    @given(num_points=st.integers(0, 60_000))
+    @given(
+        num_points=st.integers(0, 20_000),
+        kernel=st.sampled_from(("cubic_bspline", "catmull_rom")),
+        periodic=st.booleans(),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_plan_bytes_are_36_per_point(self, num_points):
-        """nbytes of a plan is its int32 base + float64 fraction, exactly."""
+    def test_operator_bytes_are_the_projected_bytes(self, num_points, kernel, periodic):
+        """nbytes of an operator is what the residency rule projects, exactly."""
         coords = np.zeros((3, num_points)) + 1.5
-        plan = build_stencil_plan(SHAPE, coords, "catmull_rom")
-        assert plan.nbytes == 36 * num_points
+        operator = build_gather_operator(SHAPE, coords, kernel, periodic)
+        assert operator.num_points == num_points
+        assert operator.nbytes == projected_gather_operator_nbytes(num_points, SHAPE)

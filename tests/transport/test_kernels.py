@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from scipy import ndimage
+
 from repro.spectral.grid import Grid
+from repro.transport import kernels
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
-    StencilPlan,
-    _derive_chunk_stencil,
-    build_stencil_plan,
+    GatherOperatorPlan,
+    _chunk_spans,
+    build_gather_operator,
     bspline_weights,
-    execute_stencil_plan,
+    gather_cubic,
+    projected_gather_operator_nbytes,
 )
 
 from tests.fixtures import (
@@ -25,6 +29,19 @@ from tests.fixtures import (
 #: A cubic grid and an odd, anisotropic one: every axis wraps at its own period.
 SHAPES = [(16, 16, 16), (9, 12, 7)]
 SHAPE_IDS = ["cubic", "anisotropic"]
+
+#: The kernels the gather operator evaluates.
+CUBIC_KERNELS = ("cubic_bspline", "catmull_rom")
+
+
+def _coefficients(fields: np.ndarray, kernel: str) -> np.ndarray:
+    """What the operator's stencil is applied to: the (periodic) B-spline
+    prefilter of each field, or the samples themselves."""
+    if kernel == "catmull_rom":
+        return np.asarray(fields, dtype=np.float64)
+    return np.stack(
+        [ndimage.spline_filter(f, order=3, output=np.float64, mode="grid-wrap") for f in fields]
+    )
 
 
 @pytest.fixture
@@ -55,8 +72,8 @@ class TestOracleAgreement:
 
         ``cubic_bspline`` (the CSR gather operator on ``spline_filter``
         coefficients) against the Fourier-space prefilter + the whole-point-set
-        stencil; ``catmull_rom`` (the stencil executor) and ``linear``
-        (``map_coordinates``) against the stencil on the raw field.
+        stencil; ``catmull_rom`` (the same operator on the samples) and
+        ``linear`` (``map_coordinates``) against the stencil on the raw field.
         """
         interp = PeriodicInterpolator(grid, method)
         coefficients = field
@@ -156,71 +173,80 @@ class TestCounterParity:
         assert interp.points_interpolated == 4 * points.shape[1]
 
 
-class TestStencilPlans:
-    """The one plan: 36 bytes per point, gathers bitwise like its oracle."""
+class TestGatherOperators:
+    """The one engine of both cubic kernels, periodic and on ghosted blocks."""
 
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    @pytest.mark.parametrize("chunk", [1, 97, None])
+    @pytest.mark.parametrize("kernel", CUBIC_KERNELS)
+    @pytest.mark.parametrize("block", [1, 97, None])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("mapped", [False, True], ids=["resident", "memmap"])
     @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ghosted"])
-    def test_gathers_bitwise_like_materialized_stencil(
-        self, method, chunk, batch, mapped, periodic, tmp_path
+    def test_gathers_like_materialized_stencil(
+        self, kernel, block, batch, mapped, periodic, tmp_path, monkeypatch
     ):
-        """Every chunk size x batch width x in-memory/memory-mapped stack x
-        block kind gathers bitwise what the whole-point-set stencil gathers."""
+        """Every operator block size x batch width x in-memory/memory-mapped
+        stack x block kind agrees with the whole-point-set stencil to 1e-12,
+        and gathers the bits of the default block size."""
         rng = np.random.default_rng(11)
         shape = (12, 11, 13)
         if periodic:
             coords = rng.uniform(0.0, 1.0, size=(3, 400)) * np.asarray(shape)[:, None]
         else:  # interior of a ghost-extended block: no tap leaves the block
             coords = rng.uniform(2.0, 8.0, size=(3, 400))
-        flat = rng.standard_normal((batch, *shape)).reshape(batch, -1)
-        fields = flat
+        stack = rng.standard_normal((batch, *shape))
+        fields = stack
         if mapped:
-            np.save(tmp_path / "flat.npy", flat)
-            fields = np.load(tmp_path / "flat.npy", mmap_mode="r")
-        plan = build_stencil_plan(shape, coords, method, periodic=periodic)
-        candidate = execute_stencil_plan(fields, plan, chunk=chunk)
-        np.testing.assert_array_equal(
-            candidate, materialized_stencil_gather(flat, shape, coords, method, periodic)
+            np.save(tmp_path / "stack.npy", stack)
+            fields = np.load(tmp_path / "stack.npy", mmap_mode="r")
+        default = gather_cubic(
+            stack, None, kernel, build_gather_operator(shape, coords, kernel, wrap=periodic)
         )
+        if block is not None:
+            monkeypatch.setattr(kernels, "OPERATOR_CHUNK", block)
+        operator = build_gather_operator(shape, coords, kernel, wrap=periodic)
+        candidate = gather_cubic(fields, None, kernel, operator)
+        np.testing.assert_array_equal(candidate, default)
+        reference = materialized_stencil_gather(
+            _coefficients(stack, kernel).reshape(batch, -1), shape, coords, kernel, periodic
+        )
+        np.testing.assert_allclose(candidate, reference, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["cubic_bspline", "catmull_rom"])
-    def test_tricubic_plan_is_36_bytes_per_point(self, grid, method):
+    @pytest.mark.parametrize("kernel", CUBIC_KERNELS)
+    def test_operator_is_228_bytes_per_point(self, grid, kernel):
         rng = np.random.default_rng(13)
         coords = rng.uniform(0, 16, size=(3, 4096))
-        plan = build_stencil_plan(grid.shape, coords, method)
-        # exact accounting: 3 int32 base + 3 float64 frac per point
-        assert plan.base.dtype == np.int32
-        assert plan.nbytes == coords.shape[1] * 3 * (4 + 8)
+        operator = build_gather_operator(grid.shape, coords, kernel)
+        # exact accounting: 16 int32 indices + 16 float64 products + 4 float64
+        # axis-2 weights per point, one int32 row pointer more per block
+        assert operator.blocks[0].matrix.indices.dtype == np.int32
+        assert operator.nbytes == coords.shape[1] * 228 + 4
+        assert operator.nbytes == projected_gather_operator_nbytes(4096, grid.shape)
 
-    def test_chunk_stencil_is_a_slice_of_the_whole_stencil(self, grid):
-        coords = random_points(1000, seed=14, low=0.0, high=16.0)
-        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
-        base = np.floor(coords).astype(np.intp)
-        whole_idx, whole_w = _derive_chunk_stencil(
-            "catmull_rom", 4, grid.shape, True, base, coords - base
-        )
-        idx, w = plan.chunk_stencil(100, 300)
-        for d in range(3):
-            np.testing.assert_array_equal(idx[d], whole_idx[d][:, 100:300])
-            np.testing.assert_array_equal(w[d], whole_w[d][:, 100:300])
+    @pytest.mark.parametrize("periodic", [True, False], ids=["periodic", "ghosted"])
+    def test_blocks_are_row_slices_of_the_whole_operator(self, grid, periodic, monkeypatch):
+        coords = random_points(1000, seed=14, low=2.0, high=13.0)
+        (whole,) = build_gather_operator(grid.shape, coords, "catmull_rom", periodic).blocks
+        monkeypatch.setattr(kernels, "OPERATOR_CHUNK", 300)
+        blocks = build_gather_operator(grid.shape, coords, "catmull_rom", periodic).blocks
+        assert [block.lo for block in blocks] == [0, 300, 600, 900]
+        for block in blocks:
+            rows = slice(block.lo, block.lo + block.w2.shape[1])
+            assert (whole.matrix[rows] != block.matrix).nnz == 0
+            np.testing.assert_array_equal(block.w2, whole.w2[:, rows])
 
-    def test_chunk_protocol_spans_cover_all_points(self, grid):
-        coords = random_points(1000, seed=13, low=0.0, high=16.0)
-        plan = build_stencil_plan(grid.shape, coords, "catmull_rom")
-        for chunk in (1, 7, 256, None):
-            spans = plan.iter_chunks(chunk)
+    def test_block_spans_cover_all_points(self):
+        for chunk in (1, 7, 256, kernels.OPERATOR_CHUNK):
+            spans = _chunk_spans(1000, chunk)
             assert spans[0][0] == 0 and spans[-1][1] == 1000
             for (lo_a, hi_a), (lo_b, _) in zip(spans, spans[1:]):
                 assert hi_a == lo_b and lo_a < hi_a
 
-    def test_catmull_rom_plans_a_stencil(self, grid, points):
-        interp = PeriodicInterpolator(grid, "catmull_rom")
+    @pytest.mark.parametrize("kernel", CUBIC_KERNELS)
+    def test_cubic_kernels_plan_an_operator(self, grid, points, kernel):
+        interp = PeriodicInterpolator(grid, kernel)
         plan = interp.plan(points)
-        assert isinstance(plan.payload, StencilPlan)
-        assert plan.nbytes == plan.coordinates.nbytes + plan.payload.nbytes
+        assert isinstance(plan.payload, GatherOperatorPlan)
+        assert plan.nbytes == plan.coordinates.nbytes
 
 
 class TestStencilPrimitives:
@@ -237,15 +263,16 @@ class TestStencilPrimitives:
         theirs = ndimage.spline_filter(f, order=3, mode="grid-wrap")
         np.testing.assert_allclose(ours, theirs, atol=1e-12)
 
-    def test_non_periodic_stencil_matches_periodic_interior(self):
-        """The ghost-block (non-wrapping) plan agrees with the periodic one."""
+    @pytest.mark.parametrize("kernel", CUBIC_KERNELS)
+    def test_ghosted_operator_matches_periodic_interior(self, kernel):
+        """The ghost-block (non-wrapping) operator gathers the periodic one's bits."""
         rng = np.random.default_rng(4)
-        block = rng.standard_normal((12, 12, 12))
+        block = rng.standard_normal((1, 12, 12, 12))
         # interior coordinates: the full 4x4x4 stencil stays inside the block
         coords = rng.uniform(2.0, 9.0, size=(3, 200))
-        periodic = build_stencil_plan(block.shape, coords, "catmull_rom", periodic=True)
-        interior = build_stencil_plan(block.shape, coords, "catmull_rom", periodic=False)
-        flat = block.reshape(1, -1)
+        periodic = build_gather_operator(block.shape[1:], coords, kernel, wrap=True)
+        interior = build_gather_operator(block.shape[1:], coords, kernel, wrap=False)
         np.testing.assert_array_equal(
-            execute_stencil_plan(flat, periodic), execute_stencil_plan(flat, interior)
+            gather_cubic(block, None, kernel, periodic),
+            gather_cubic(block, None, kernel, interior),
         )

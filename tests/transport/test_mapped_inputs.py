@@ -6,7 +6,7 @@ as the plain ``ndarray`` stacks they are.  This conformance suite runs the
 input kinds a caller can hold — an in-memory array, a read-only array, a
 mapped ``.npy`` file and a mapped member of an uncompressed ``.npz``
 archive, each stored in double or single precision — through every layer
-that gathers (the stencil executor, each
+that gathers (the gather operator, periodic and on a ghosted block, each
 kernel planned and one-shot, the interpolator front end, the
 semi-Lagrangian stepper and a whole registration) and pins that each
 produces the bits of the in-memory stack.
@@ -26,9 +26,9 @@ from repro.data.synthetic import synthetic_registration_problem
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
     SUPPORTED_METHODS,
-    build_stencil_plan,
-    execute_stencil_plan,
+    build_gather_operator,
     gather,
+    gather_cubic,
     plan_payload,
 )
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
@@ -102,16 +102,20 @@ class TestInputKinds:
 
 
 # --------------------------------------------------------------------------- #
-# the stencil executor
+# the gather operator
 # --------------------------------------------------------------------------- #
-class TestStencilExecutor:
+class TestGatherOperator:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_gather_matches_resident(self, kind, method, as_input, grid, points):
-        coords = PeriodicInterpolator(grid, method).to_index_coordinates(points)
-        plan = build_stencil_plan(grid.shape, coords, method)
-        resident = execute_stencil_plan(np.ascontiguousarray(STACK.reshape(2, -1)), plan)
-        candidate = execute_stencil_plan(as_input(kind).reshape(2, -1), plan)
+    @pytest.mark.parametrize("kernel", ["cubic_bspline", "catmull_rom"])
+    @pytest.mark.parametrize("wrap", [True, False], ids=["periodic", "ghosted"])
+    def test_gather_matches_resident(self, kind, kernel, wrap, as_input, grid, points):
+        if wrap:
+            coords = PeriodicInterpolator(grid, kernel).to_index_coordinates(points)
+        else:  # a ghosted block's interior: no tap leaves the block
+            coords = np.random.default_rng(8).uniform(2.0, 9.0, size=(3, 900))
+        operator = build_gather_operator(grid.shape, coords, kernel, wrap)
+        resident = gather_cubic(STACK, None, kernel, operator)
+        candidate = gather_cubic(as_input(kind), None, kernel, operator)
         np.testing.assert_array_equal(candidate, resident)
 
 
