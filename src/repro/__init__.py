@@ -39,7 +39,7 @@ Queued (service) style::
     jobs = [repro.submit(moving, atlas) for moving in subjects]
     results = repro.gather(jobs)
 
-Execution knobs (pool budget, gradient cache, tracing) travel in a
+Execution knobs (pool budget, tracing) travel in a
 :class:`repro.RegistrationConfig`; see its docstring for the precedence
 rules against the ``REPRO_*`` environment variables.
 """

@@ -58,6 +58,7 @@ from repro.config import RegistrationConfig, env_http_port
 from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import OPTIMIZERS, RegistrationSolver
+from repro.core.regularization import REGULARIZATIONS
 from repro.data.brain import brain_registration_pair
 from repro.data.io import load_problem
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
@@ -112,6 +113,20 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
+    """The output path and solver settings ``register`` and ``serve`` share."""
+    sub.add_argument("--output", type=str, default=None, help="output .npz path")
+    sub.add_argument("--beta", type=float, default=1e-2, help="regularization weight")
+    sub.add_argument(
+        "--regularization", choices=REGULARIZATIONS, default="h1", help="Sobolev seminorm"
+    )
+    sub.add_argument("--incompressible", action="store_true", help="enforce div v = 0")
+    sub.add_argument("--nt", type=int, default=4, help="semi-Lagrangian time steps")
+    sub.add_argument("--gtol", type=float, default=1e-2, help="relative gradient tolerance")
+    sub.add_argument("--max-newton", type=int, default=20, help="maximum Newton iterations")
+    sub.add_argument("--max-krylov", type=int, default=50, help="maximum PCG iterations per step")
+
+
 def _config_from_args(
     args: argparse.Namespace, base: Optional[RegistrationConfig] = None
 ) -> RegistrationConfig:
@@ -142,16 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument(
         "--brain", type=int, metavar="N", help="use the brain-phantom pair at base resolution N"
     )
-    reg.add_argument("--output", type=str, default=None, help="output .npz path")
-    reg.add_argument("--beta", type=float, default=1e-2, help="regularization weight")
-    reg.add_argument(
-        "--regularization", choices=("h1", "h2", "h3"), default="h1", help="Sobolev seminorm"
-    )
-    reg.add_argument("--incompressible", action="store_true", help="enforce div v = 0")
-    reg.add_argument("--nt", type=int, default=4, help="semi-Lagrangian time steps")
-    reg.add_argument("--gtol", type=float, default=1e-2, help="relative gradient tolerance")
-    reg.add_argument("--max-newton", type=int, default=20, help="maximum Newton iterations")
-    reg.add_argument("--max-krylov", type=int, default=50, help="maximum PCG iterations per step")
+    _add_solver_flags(reg)
     reg.add_argument(
         "--optimizer",
         choices=OPTIMIZERS,
@@ -194,18 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--subjects", type=int, default=4, metavar="K", help="synthetic population size"
     )
-    serve.add_argument("--output", type=str, default=None, help="output .npz path")
-    serve.add_argument("--beta", type=float, default=1e-2, help="regularization weight")
-    serve.add_argument(
-        "--regularization", choices=("h1", "h2", "h3"), default="h1", help="Sobolev seminorm"
-    )
-    serve.add_argument("--incompressible", action="store_true", help="enforce div v = 0")
-    serve.add_argument("--nt", type=int, default=4, help="semi-Lagrangian time steps")
-    serve.add_argument("--gtol", type=float, default=1e-2, help="relative gradient tolerance")
-    serve.add_argument("--max-newton", type=int, default=20, help="maximum Newton iterations")
-    serve.add_argument(
-        "--max-krylov", type=int, default=50, help="maximum PCG iterations per step"
-    )
+    _add_solver_flags(serve)
     serve.add_argument(
         "--num-workers",
         type=int,

@@ -1,7 +1,7 @@
 """Unified registration configuration (:class:`RegistrationConfig`).
 
-The runtime knobs — ``REPRO_PLAN_POOL_BYTES``, ``REPRO_GRADIENT_CACHE``,
-``REPRO_TRACE``, ... — each have an environment variable and a CLI flag.
+The runtime knobs — ``REPRO_PLAN_POOL_BYTES``, ``REPRO_TRACE``,
+``REPRO_TRACE_OUT`` — each have an environment variable and a CLI flag.
 This module consolidates them into one frozen dataclass that every entry
 point (the CLI, :func:`repro.register`, the benchmarks, the job service)
 accepts:
@@ -10,7 +10,7 @@ accepts:
   configuration (useful for artifacts: "what configuration produced this
   result"),
 * :meth:`RegistrationConfig.apply` validates every field and pushes the
-  process-wide ones (pool budget, gradient cache, tracing) into the
+  process-wide ones (pool budget, tracing) into the
   runtime — fields left at ``None`` keep the environment/default behavior
   untouched,
 * :meth:`RegistrationConfig.replace` derives a variant (the CLI layers its
@@ -21,7 +21,7 @@ Precedence, first match wins::
     explicit kwarg / CLI flag  >  RegistrationConfig field  >  env var  >
         built-in default
 
-The job service's own knobs (journal, HTTP port, class weights, width) are
+The job service's own knobs (journal, HTTP port, width) are
 read here too, by the ``env_*`` helpers below.
 """
 
@@ -45,11 +45,9 @@ __all__ = [
     "DEFAULT_SERVICE_WORKERS",
     "HTTP_PORT_ENV_VAR",
     "RegistrationConfig",
-    "SERVICE_CLASS_WEIGHTS_ENV_VAR",
     "SERVICE_JOURNAL_ENV_VAR",
     "SERVICE_WORKERS_ENV_VAR",
     "env_http_port",
-    "env_service_class_weights",
     "env_service_journal",
     "env_service_workers",
 ]
@@ -60,10 +58,6 @@ SERVICE_JOURNAL_ENV_VAR = "REPRO_SERVICE_JOURNAL"
 
 #: Default port of the ``repro-serve --http`` front (flag overrides env).
 HTTP_PORT_ENV_VAR = "REPRO_HTTP_PORT"
-
-#: Claim-weight overrides of the queue's weighted fair scheduling, e.g.
-#: ``interactive=4,atlas-burst=1``.
-SERVICE_CLASS_WEIGHTS_ENV_VAR = "REPRO_SERVICE_CLASS_WEIGHTS"
 
 #: Worker threads of the registration service (``num_workers=`` overrides).
 SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
@@ -112,38 +106,6 @@ def env_http_port() -> Optional[int]:
     return port
 
 
-def env_service_class_weights() -> Dict[str, float]:
-    """``$REPRO_SERVICE_CLASS_WEIGHTS`` parsed into ``{class: weight}``.
-
-    Format: comma-separated ``class=weight`` entries, e.g.
-    ``interactive=4,atlas-burst=1``.  Malformed entries raise with the
-    variable name and the expected format (the clean-error path shared by
-    every ``REPRO_*`` knob).
-    """
-    value = os.environ.get(SERVICE_CLASS_WEIGHTS_ENV_VAR, "").strip()
-    if not value:
-        return {}
-    weights: Dict[str, float] = {}
-    for entry in value.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
-        name, sep, raw = entry.partition("=")
-        name = name.strip()
-        try:
-            weight = float(raw.strip()) if sep else float("nan")
-        except ValueError:
-            weight = float("nan")
-        if not sep or not name or not weight > 0:
-            raise ValueError(
-                f"{SERVICE_CLASS_WEIGHTS_ENV_VAR} entries must look like "
-                f"'class=positive_weight' (e.g. 'interactive=4,atlas-burst=1'), "
-                f"got {entry!r}"
-            )
-        weights[name] = weight
-    return weights
-
-
 @dataclass(frozen=True)
 class RegistrationConfig:
     """Consolidated execution configuration of one registration entry point.
@@ -155,12 +117,9 @@ class RegistrationConfig:
     ----------
     plan_pool_bytes:
         Byte budget of the shared execution-plan pool (``0`` disables
-        caching).
-    gradient_cache:
-        Enable the per-iterate state-gradient cache
-        (:mod:`repro.core.gradients`; the ``REPRO_GRADIENT_CACHE`` knob).
-        ``False`` restores the paper's uncached ``8 nt``-FFT mat-vec cost
-        model; results are bitwise identical either way.
+        caching).  It is also the residency budget of the per-iterate
+        state-gradient stack (:mod:`repro.core.gradients`): ``0`` restores
+        the paper's uncached ``8 nt``-FFT mat-vec, bitwise identically.
     trace:
         Enable structured tracing spans (the ``REPRO_TRACE`` / ``--trace``
         knob).  Applying ``trace=True`` turns the process-wide recorder on;
@@ -174,7 +133,6 @@ class RegistrationConfig:
     """
 
     plan_pool_bytes: Optional[int] = None
-    gradient_cache: Optional[bool] = None
     trace: Optional[bool] = None
     trace_out: Optional[str] = None
 
@@ -197,13 +155,8 @@ class RegistrationConfig:
         changes later.  Malformed environment values raise here with the
         valid choices.
         """
-        # imported lazily: repro.core.registration imports this module, so a
-        # top-level import of repro.core.* here would be circular
-        from repro.core.gradients import gradient_cache_enabled
-
         return cls(
             plan_pool_bytes=get_plan_pool().max_bytes,
-            gradient_cache=gradient_cache_enabled(),
             trace=tracing_enabled() or bool(env_trace_enabled()),
             trace_out=env_trace_out(),
         )
@@ -221,13 +174,9 @@ class RegistrationConfig:
         Nothing is mutated: this is the validation the CLI used to run
         before starting a solve, factored into the config object.
         """
-        from repro.core.gradients import env_gradient_cache_enabled
-
-        env_gradient_cache_enabled()  # validate $REPRO_GRADIENT_CACHE
-        env_pool_budget()  # ... and $REPRO_PLAN_POOL_BYTES
+        env_pool_budget()  # validate $REPRO_PLAN_POOL_BYTES
         env_trace_enabled()  # ... and $REPRO_TRACE
         env_http_port()  # ... and $REPRO_HTTP_PORT
-        env_service_class_weights()  # ... and $REPRO_SERVICE_CLASS_WEIGHTS
         env_service_workers()  # ... and $REPRO_SERVICE_WORKERS
         return self
 
@@ -242,10 +191,6 @@ class RegistrationConfig:
         self.validate()
         if self.plan_pool_bytes is not None:
             configure_plan_pool(self.plan_pool_bytes)
-        if self.gradient_cache is not None:
-            from repro.core.gradients import set_gradient_cache_enabled
-
-            set_gradient_cache_enabled(self.gradient_cache)
         if self.trace is not None:
             if self.trace:
                 enable_tracing()

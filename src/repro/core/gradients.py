@@ -15,8 +15,9 @@ This module materializes those gradients **once per outer iterate**:
   ``REPRO_PLAN_POOL_BYTES`` budget — whether to cache.  A cached stack is
   ``(nt + 1, 3, N1, N2, N3)`` doubles (~3x the state history itself); it
   **degrades to the uncached per-level path** when it does not fit the
-  budget (or when ``REPRO_GRADIENT_CACHE=0`` opts out).  Every decision is
-  recorded in a process-wide log (:func:`gradient_cache_decision_log`).
+  budget (``REPRO_PLAN_POOL_BYTES=0`` gives the paper's uncached ``8 nt``-FFT
+  mat-vec everywhere).  Every decision is recorded in a process-wide log
+  (:func:`gradient_cache_decision_log`).
 * The cached stack is built level by level with the *identical*
   :meth:`~repro.spectral.operators.SpectralOperators.gradient` calls the
   uncached path performs, so consuming a cached level is bitwise identical
@@ -38,11 +39,10 @@ iterate's stack through the problem's live-iterate hand-off
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,71 +52,17 @@ from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.operators import SpectralOperators
 
 __all__ = [
-    "GRADIENT_CACHE_ENV_VAR",
     "CachedStateGradients",
     "GradientCacheDecision",
     "GradientCacheDecisionLog",
     "LazyStateGradients",
     "StateGradients",
     "accumulate_weighted_products",
-    "env_gradient_cache_enabled",
     "gradient_cache_decision_log",
-    "gradient_cache_enabled",
     "plan_state_gradients",
     "projected_gradient_cache_nbytes",
-    "set_gradient_cache_enabled",
     "trapezoid_weights",
 ]
-
-#: Opt-out knob: ``REPRO_GRADIENT_CACHE=0`` forces the uncached per-level
-#: path everywhere (the paper's original ``8 nt`` FFT cost model).
-GRADIENT_CACHE_ENV_VAR = "REPRO_GRADIENT_CACHE"
-
-_TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
-_FALSE_VALUES = frozenset({"0", "false", "no", "off"})
-
-_process_override: Optional[bool] = None
-
-
-def env_gradient_cache_enabled() -> Optional[bool]:
-    """Strictly parse ``REPRO_GRADIENT_CACHE``.
-
-    Returns ``None`` when unset, ``True``/``False`` for recognised values,
-    and raises :class:`ValueError` naming the variable otherwise — the same
-    clean-error contract as every other ``REPRO_*`` variable.
-    """
-    raw = os.environ.get(GRADIENT_CACHE_ENV_VAR)
-    if raw is None:
-        return None
-    value = raw.strip().lower()
-    if value in _TRUE_VALUES:
-        return True
-    if value in _FALSE_VALUES or value == "":
-        return False if value else None
-    raise ValueError(
-        f"{GRADIENT_CACHE_ENV_VAR} must be one of "
-        f"{sorted(_TRUE_VALUES | _FALSE_VALUES)}, got {raw!r}"
-    )
-
-
-def set_gradient_cache_enabled(enabled: Optional[bool]) -> None:
-    """Process-wide override of the gradient-cache policy.
-
-    The programmatic twin of ``REPRO_GRADIENT_CACHE`` (the
-    :class:`repro.config.RegistrationConfig` path); ``None`` clears a
-    previous override, falling back to the environment / built-in default
-    (enabled).  The environment is never mutated.
-    """
-    global _process_override
-    _process_override = None if enabled is None else bool(enabled)
-
-
-def gradient_cache_enabled() -> bool:
-    """Active gradient-cache policy (override > environment > on)."""
-    if _process_override is not None:
-        return _process_override
-    env = env_gradient_cache_enabled()
-    return True if env is None else env
 
 
 # --------------------------------------------------------------------------- #
@@ -319,8 +265,8 @@ def plan_state_gradients(
 ) -> StateGradients:
     """Cache-or-degrade policy for one iterate's state-gradient levels.
 
-    Builds the stack when the policy is enabled and the projected stack fits
-    the ``REPRO_PLAN_POOL_BYTES`` budget (decided before anything is built);
+    Builds the stack when the projected stack fits the
+    ``REPRO_PLAN_POOL_BYTES`` budget (decided before anything is built);
     otherwise returns the lazy per-level source.  Every decision is recorded
     in :func:`gradient_cache_decision_log`.  The returned source owns its
     stack: it lives as long as the iterate that holds it.
@@ -331,10 +277,7 @@ def plan_state_gradients(
     projected = projected_gradient_cache_nbytes(state_history)
     budget = get_plan_pool().max_bytes
 
-    if not gradient_cache_enabled():
-        reason = f"disabled ({GRADIENT_CACHE_ENV_VAR}=0 or config opt-out)"
-        cached = False
-    elif budget <= 0:
+    if budget <= 0:
         reason = "plan pool disabled (budget 0); nothing to budget the stack against"
         cached = False
     elif projected > budget:
@@ -419,9 +362,3 @@ def gradient_levels_of(
     if gradients is not None:
         return gradients
     return LazyStateGradients(operators, state_history)
-
-
-def iter_levels(gradients: StateGradients) -> Iterable[np.ndarray]:
-    """Iterate the gradient levels in time order (diagnostic helper)."""
-    for j in range(gradients.num_levels):
-        yield gradients.level(j)

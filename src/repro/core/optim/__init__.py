@@ -21,7 +21,6 @@ from repro.core.optim.gauss_newton import (
 )
 from repro.core.optim.gradient_descent import GradientDescent
 from repro.core.optim.continuation import BetaContinuation, ContinuationResult
-from repro.core.optim.multilevel import MultilevelRegistration, MultilevelResult
 
 __all__ = [
     "PCGResult",
@@ -35,6 +34,4 @@ __all__ = [
     "GradientDescent",
     "BetaContinuation",
     "ContinuationResult",
-    "MultilevelRegistration",
-    "MultilevelResult",
 ]

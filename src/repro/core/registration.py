@@ -27,11 +27,13 @@ from repro.core.optim.gauss_newton import (
 )
 from repro.core.optim.gradient_descent import GradientDescent
 from repro.core.problem import RegistrationProblem
+from repro.core.regularization import REGULARIZATIONS
 from repro.data.preprocessing import normalize_intensity, smooth_image
 from repro.observability.snapshot import snapshot as observability_snapshot
 from repro.observability.trace import trace_span
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
+from repro.transport.kernels import SUPPORTED_METHODS
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_finite, check_real_dtype
 
@@ -52,8 +54,9 @@ LOGGER = get_logger("core.registration")
 RESULT_SCHEMA = "repro.registration-result"
 RESULT_SCHEMA_VERSION = 5
 
-#: Outer optimizers :class:`RegistrationSolver` drives.
-OPTIMIZERS = ("gauss_newton", "gradient_descent")
+#: Outer optimizers :class:`RegistrationSolver` drives, by name.
+_DRIVERS = {"gauss_newton": GaussNewtonKrylov, "gradient_descent": GradientDescent}
+OPTIMIZERS = tuple(_DRIVERS)
 
 
 def _jsonable(value):
@@ -178,7 +181,10 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (pool budget, gradient cache, tracing).
+        applied process-wide (pool budget, tracing).
+
+    An unknown ``interpolation``, ``regularization`` or ``optimizer`` is a
+    :class:`ValueError` at construction, before any image is touched.
     """
 
     beta: float = 1e-2
@@ -194,6 +200,14 @@ class RegistrationSolver:
     config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
+        for name, choices in (
+            ("interpolation", SUPPORTED_METHODS),
+            ("regularization", REGULARIZATIONS),
+            ("optimizer", OPTIMIZERS),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
         if self.config is not None:
             self.config.apply()
 
@@ -261,14 +275,7 @@ class RegistrationSolver:
             problem = self.build_problem(template, reference, grid)
             root_span.set_attr("shape", list(problem.grid.shape))
 
-            if self.optimizer == "gauss_newton":
-                driver = GaussNewtonKrylov(problem, self.options)
-            elif self.optimizer == "gradient_descent":
-                driver = GradientDescent(problem, self.options)
-            else:
-                raise ValueError(
-                    f"unknown optimizer {self.optimizer!r}; expected one of {OPTIMIZERS}"
-                )
+            driver = _DRIVERS[self.optimizer](problem, self.options)
             optimization = driver.solve(initial_velocity)
 
             deformation = DeformationMap(
@@ -328,7 +335,7 @@ def register(
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (pool budget, gradient cache, tracing) belong in
+    Execution knobs (pool budget, tracing) belong in
     *config* (:class:`repro.config.RegistrationConfig`).
 
     Examples

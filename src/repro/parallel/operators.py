@@ -161,12 +161,3 @@ class DistributedSpectralOperators:
         return [
             [np.real(b) for b in self.fft.backward(projected[axis])] for axis in range(3)
         ]
-
-    # ------------------------------------------------------------------ #
-    # convenience: compare against a serial (gathered) evaluation
-    # ------------------------------------------------------------------ #
-    def gather_scalar(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
-        return self.decomposition.gather([np.asarray(b) for b in blocks])
-
-    def scatter_scalar(self, global_field: np.ndarray) -> List[np.ndarray]:
-        return self.decomposition.scatter(np.asarray(global_field, dtype=self.grid.dtype))

@@ -339,11 +339,6 @@ class ScatterInterpolationPlan:
             stacks.append(block[None])
         return [values[0] for values in self.interpolate_many(stacks)]
 
-    def interpolate_global(self, global_field: np.ndarray) -> List[np.ndarray]:
-        """Convenience wrapper: scatter a global field, then interpolate."""
-        blocks = self.decomposition.scatter(np.asarray(global_field))
-        return self.interpolate(blocks)
-
     def interpolate_many_global(self, global_fields: np.ndarray) -> List[np.ndarray]:
         """Convenience wrapper: scatter a ``(B, N1, N2, N3)`` stack, batch it."""
         global_fields = np.asarray(global_fields)

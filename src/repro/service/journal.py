@@ -15,9 +15,8 @@ library and the existing versioned-document discipline:
 
 * **Append-only segments.**  A journal is a directory of
   ``segment-<n>.jsonl`` files.  Every submission appends one
-  ``submitted`` record (spec included) to the active segment and — with
-  ``fsync_on_commit`` (the default) — fsyncs before the submit call
-  returns, so an acknowledged job survives a crash of the very next
+  ``submitted`` record (spec included) to the active segment and fsyncs
+  before the submit call returns, so an acknowledged job survives a crash of the very next
   instruction.  Terminal transitions append small ``done`` / ``failed`` /
   ``cancelled`` records.  Appends never rewrite existing bytes; a torn
   final line (killed mid-append) is detected and skipped at replay.
@@ -366,18 +365,15 @@ class JobJournal:
         to one service process at a time.
     max_segment_bytes:
         Rotation threshold of the active segment.
-    fsync_on_commit:
-        ``True`` (default) forces every record to stable storage before
-        the append returns — the durability the kill -9 test pins.
-        ``False`` trades that for lower submit latency (data survives a
-        process crash but not a host power loss).
+
+    Every record is forced to stable storage before its append returns —
+    the durability the kill -9 test pins.
     """
 
     def __init__(
         self,
         directory: Union[str, Path],
         max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        fsync_on_commit: bool = True,
     ) -> None:
         if max_segment_bytes < 1:
             raise ValueError(
@@ -386,7 +382,6 @@ class JobJournal:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.max_segment_bytes = int(max_segment_bytes)
-        self.fsync_on_commit = bool(fsync_on_commit)
         self._lock = threading.Lock()
         self._active: Optional[Any] = None  # open file handle of the active segment
         indices = [index for index, _ in self._segments()]
@@ -444,8 +439,7 @@ class JobJournal:
             handle = self._open_active()
             handle.write(line + "\n")
             handle.flush()
-            if self.fsync_on_commit:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
             self._rotate_if_needed()
 
     def _record(self, event: str, job_id: str, **extra: Any) -> Dict[str, Any]:
@@ -589,6 +583,5 @@ class JobJournal:
                 "directory": str(self.directory),
                 "segments": len(segments),
                 "bytes": sum(path.stat().st_size for _, path in segments),
-                "fsync_on_commit": self.fsync_on_commit,
                 "max_segment_bytes": self.max_segment_bytes,
             }

@@ -5,7 +5,7 @@ The queue keeps one FIFO per *job class* (``interactive`` submissions vs.
 claims across them with **stride scheduling**: every class has a virtual
 time that advances by ``1 / weight`` per claimed job, and
 :meth:`SubmissionQueue.claim_batch` always serves the non-empty class with
-the smallest virtual time.  With the default weights (``interactive: 4,
+the smallest virtual time.  With the fixed weights (``interactive: 4,
 atlas-burst: 1``) a thousand-subject atlas burst cannot starve a single
 interactive registration: the interactive job is claimed after at most a
 handful of burst jobs, while the burst still consumes every idle worker
@@ -39,14 +39,13 @@ import time
 from collections import deque
 from typing import Deque, Dict, List, Optional
 
-from repro.config import env_service_class_weights
 from repro.observability.metrics import get_metrics_registry
 from repro.service.batching import batch_key
 from repro.service.jobs import Job, JobStatus
 
 __all__ = ["DEFAULT_CLASS_WEIGHTS", "SubmissionQueue"]
 
-#: Built-in claim weights; any class not listed here claims with weight 1.
+#: Fixed claim weights; any class not listed here claims with weight 1.
 #: Interactive jobs get 4x the claim rate of atlas-burst jobs.
 DEFAULT_CLASS_WEIGHTS: Dict[str, float] = {
     "interactive": 4.0,
@@ -64,31 +63,15 @@ _CLAIMED_COUNTER = get_metrics_registry().counter(
 class SubmissionQueue:
     """Per-class FIFOs with weighted fair claiming and batch merging.
 
-    Parameters
-    ----------
-    class_weights:
-        Claim weight per job class, layered over
-        :data:`DEFAULT_CLASS_WEIGHTS` (and the
-        ``REPRO_SERVICE_CLASS_WEIGHTS`` environment variable, which sits
-        between the two).  Higher weight = claimed more often under
-        contention; unknown classes default to weight 1.
+    Claim weights are :data:`DEFAULT_CLASS_WEIGHTS`: higher weight = claimed
+    more often under contention; unknown classes claim with weight 1.
     """
 
-    def __init__(self, class_weights: Optional[Dict[str, float]] = None) -> None:
+    def __init__(self) -> None:
         self._queues: Dict[str, Deque[Job]] = {}
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
-        self._weights = dict(DEFAULT_CLASS_WEIGHTS)
-        self._weights.update(env_service_class_weights())
-        if class_weights:
-            for name, weight in class_weights.items():
-                weight = float(weight)
-                if weight <= 0:
-                    raise ValueError(
-                        f"class weight of {name!r} must be positive, got {weight}"
-                    )
-                self._weights[name] = weight
         #: stride-scheduling virtual time per class (claims / weight)
         self._virtual_time: Dict[str, float] = {}
         #: monotonically increasing submission sequence (FIFO tie-breaks)
@@ -111,8 +94,8 @@ class SubmissionQueue:
             return {name: len(q) for name, q in self._queues.items()}
 
     def class_weight(self, job_class: str) -> float:
-        """Effective claim weight of *job_class*."""
-        return self._weights.get(job_class, 1.0)
+        """Claim weight of *job_class* (1 for a class not in the table)."""
+        return DEFAULT_CLASS_WEIGHTS.get(job_class, 1.0)
 
     def _publish_depth(self, job_class: str) -> None:
         # caller holds the lock
@@ -231,9 +214,8 @@ class SubmissionQueue:
                         kept.append(job)
                 if len(batch) > 1:
                     self._queues[job_class] = deque(kept)
-            weight = self._weights.get(job_class, 1.0)
             self._virtual_time[job_class] = (
-                self._virtual_time.get(job_class, 0.0) + len(batch) / weight
+                self._virtual_time.get(job_class, 0.0) + len(batch) / self.class_weight(job_class)
             )
             now = time.time()
             for job in batch:

@@ -110,12 +110,6 @@ class RegistrationService:
         ``$REPRO_SERVICE_JOURNAL`` (unset = no journal, PR-6 in-memory
         behavior).  On start, journaled jobs without a terminal record are
         compacted and re-queued with their original ids.
-    journal_fsync:
-        ``False`` skips the per-commit fsync (crash-safe, not
-        power-loss-safe); the journal-overhead benchmark's knob.
-    class_weights:
-        Claim-weight overrides per job class (see
-        :class:`~repro.service.queue.SubmissionQueue`).
 
     The service is a context manager; leaving the ``with`` block drains the
     queue and joins the workers::
@@ -132,8 +126,6 @@ class RegistrationService:
         max_batch: int = 4,
         artifacts_dir: Optional[Union[str, Path]] = None,
         journal_dir: Optional[Union[str, Path]] = None,
-        journal_fsync: bool = True,
-        class_weights: Optional[Dict[str, float]] = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -147,12 +139,8 @@ class RegistrationService:
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir is not None else None
         if journal_dir is None:
             journal_dir = env_service_journal()
-        self.journal = (
-            JobJournal(journal_dir, fsync_on_commit=journal_fsync)
-            if journal_dir is not None
-            else None
-        )
-        self.queue = SubmissionQueue(class_weights=class_weights)
+        self.journal = JobJournal(journal_dir) if journal_dir is not None else None
+        self.queue = SubmissionQueue()
         self._jobs: List[Job] = []
         self._jobs_by_id: Dict[str, Job] = {}
         self._stats_lock = threading.Lock()

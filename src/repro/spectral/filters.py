@@ -15,8 +15,8 @@ All filters are Fourier multipliers and therefore preserve periodicity and
 commute with the differential operators.  Filter symbols come from the
 shared :mod:`repro.spectral.symbols` store and the transforms from a small
 per-grid transform cache, so repeated filtering of same-sized images (the
-multilevel pre-processing path) re-uses the symbol arrays instead of
-rebuilding them per call.
+pre-processing of every subject of a population) re-uses the symbol arrays
+instead of rebuilding them per call.
 """
 
 from __future__ import annotations

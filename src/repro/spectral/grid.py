@@ -187,12 +187,6 @@ class Grid:
         k1, k2, k3 = self.wavenumber_mesh(real_last_axis=real_last_axis)
         return -(k1 * k1 + k2 * k2 + k3 * k3)
 
-    def nyquist_wavenumber(self) -> float:
-        """Largest resolvable angular wavenumber (isotropic estimate)."""
-        return float(
-            min(n / 2 * TWO_PI / L for n, L in zip(self.shape, self.lengths))
-        )
-
     # ------------------------------------------------------------------ #
     # field factories
     # ------------------------------------------------------------------ #

@@ -90,16 +90,6 @@ class TransportPlan:
         return self._growth
 
     @property
-    def forward_gather_plan(self):
-        """Cached gather plan of the forward characteristics."""
-        return self.forward_stepper.departure_plan
-
-    @property
-    def backward_gather_plan(self):
-        """Cached gather plan of the backward characteristics."""
-        return self.backward_stepper.departure_plan
-
-    @property
     def nbytes(self) -> int:
         """Byte size of the per-velocity planning data this plan holds.
 

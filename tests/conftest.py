@@ -18,17 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.gradients import (
-    gradient_cache_decision_log,
-    set_gradient_cache_enabled,
-)
+from repro.core.gradients import gradient_cache_decision_log
 from repro.observability.trace import (
     disable_tracing,
     enable_tracing,
     get_trace_recorder,
     tracing_enabled,
 )
-from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
+from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
@@ -49,20 +46,20 @@ def _fresh_plan_pool():
     The pool is shared process state: without this, a stepper planned by one
     test is a warm hit in the next, so hit/miss/byte assertions (and any
     test run in isolation vs. in-suite) would depend on execution order.
-    Entries and statistics are dropped; the byte budget (which the pressure
-    CI leg sets via ``REPRO_PLAN_POOL_BYTES``) is left untouched.  The
-    process-wide overrides and decision logs are reset for the same reason:
-    they are shared state a test may set.  The tracing flag and span
-    recorder are restored too, so a test that enables tracing never leaks
-    spans into the next.
+    Entries and statistics are dropped, and the byte budget returns to the
+    environment's (which the pressure CI leg sets via
+    ``REPRO_PLAN_POOL_BYTES``) after the test, so a test may set a budget to
+    force the block-transient operators or the lazy gradient levels.  The
+    decision log is reset for the same reason: it is shared state.  The
+    tracing flag and span recorder are restored too, so a test that enables
+    tracing never leaks spans into the next.
     """
     trace_was_enabled = tracing_enabled()
     reset_plan_pool()
-    set_gradient_cache_enabled(None)
     gradient_cache_decision_log().reset()
     yield
+    configure_plan_pool(None)
     reset_plan_pool()
-    set_gradient_cache_enabled(None)
     gradient_cache_decision_log().reset()
     if trace_was_enabled:
         enable_tracing()

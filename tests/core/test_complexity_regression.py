@@ -5,7 +5,8 @@ Gauss-Newton Hessian matvec.
 
 **FFTs.**  In this implementation one "paper FFT" is a forward/inverse pair,
 and the exact per-matvec transform count for the Gauss-Newton path in the
-paper's *uncached* cost model (``REPRO_GRADIENT_CACHE=0``) is
+paper's *uncached* cost model (``REPRO_PLAN_POOL_BYTES=0``: no budget for
+the per-iterate gradient stack) is
 
     transforms(nt) = 8*(nt + 1) + 6
 
@@ -64,13 +65,12 @@ for every gather kernel — counting lives in the frontends.
 import numpy as np
 import pytest
 
-from repro.core.gradients import set_gradient_cache_enabled
 from repro.core.optim.pcg import pcg
 from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 from repro.observability import get_metrics_registry
-from repro.runtime.plan_pool import get_plan_pool, reset_plan_pool
+from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
 from repro.transport.kernels import SUPPORTED_METHODS
 
 
@@ -87,6 +87,11 @@ def exact_transforms_per_matvec(nt: int) -> int:
 def exact_interpolation_sweeps_per_matvec(nt: int) -> int:
     """Analytic interpolation-sweep count of one Gauss-Newton Hessian matvec."""
     return 2 * nt
+
+
+def _budget_gradient_stack(cached: bool) -> None:
+    """The default budget caches the gradient stack; a zero budget forces lazy levels."""
+    configure_plan_pool(None if cached else 0)
 
 
 def _build_problem(
@@ -121,7 +126,7 @@ def _measure_matvec_work(
     real_argument: bool = False,
     interpolation: str = "cubic_bspline",
 ):
-    set_gradient_cache_enabled(gradient_cache)
+    _budget_gradient_stack(gradient_cache)
     problem = _build_problem(nt, incompressible, interpolation)
     velocity = problem.project(_generic_velocity(problem))
     iterate = problem.linearize(velocity)
@@ -169,10 +174,13 @@ class TestPaperComplexityModel:
         assert result.iterations == 3
         assert delta.fft_transforms == 3 * warm_transforms_per_matvec()
 
+    @pytest.mark.parametrize("incompressible", [False, True])
     @pytest.mark.parametrize("nt", [2, 4])
-    def test_exact_uncached_transform_count(self, nt):
-        """The paper-mode pin: disabling the cache restores ``8(nt+1)+6``."""
-        transforms, _ = _measure_matvec_work(nt, gradient_cache=False)
+    def test_exact_uncached_transform_count(self, nt, incompressible):
+        """The paper-mode pin: a zero budget (no stack) restores ``8(nt+1)+6``."""
+        transforms, _ = _measure_matvec_work(
+            nt, gradient_cache=False, incompressible=incompressible
+        )
         assert transforms == exact_transforms_per_matvec(nt)
 
     @pytest.mark.parametrize("nt", [2, 4])
@@ -186,7 +194,7 @@ class TestPaperComplexityModel:
         counts = {}
         for cached in (True, False):
             reset_plan_pool()  # both arms plan the velocity (21 transforms)
-            set_gradient_cache_enabled(cached)
+            _budget_gradient_stack(cached)
             problem = _build_problem(nt)
             velocity = _generic_velocity(problem)
             before = problem.work_counters()
@@ -263,7 +271,7 @@ class TestPlanningCost:
     def test_relinearizing_the_live_iterate(self, gradient_cache):
         """A continuation level's first linearize: only what beta changes."""
         nt = 4
-        set_gradient_cache_enabled(gradient_cache)
+        _budget_gradient_stack(gradient_cache)
         problem = _build_problem(nt)
         velocity = _generic_velocity(problem)
         problem.linearize(velocity)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import RegistrationConfig
-from repro.core.gradients import gradient_cache_enabled
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
-from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
+from repro.observability.trace import tracing_enabled
+from repro.runtime.plan_pool import get_plan_pool
 
 
 @pytest.fixture()
@@ -43,32 +43,27 @@ class TestConstruction:
     def test_from_env_snapshots_concrete_values(self):
         config = RegistrationConfig.from_env()
         assert config.plan_pool_bytes == get_plan_pool().max_bytes
-        assert config.gradient_cache is not None
+        assert config.trace is not None
 
     @pytest.mark.parametrize("service_env", [None, "3"])
     def test_from_env_apply_changes_no_service_width(self, monkeypatch, service_env):
         from repro.config import SERVICE_WORKERS_ENV_VAR, env_service_workers
-        from repro.core.gradients import set_gradient_cache_enabled
 
         monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
         if service_env is not None:
             monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, service_env)
         before = env_service_workers()
-        try:
-            config = RegistrationConfig.from_env().apply()
-            # the width is the service's own knob, never a config field
-            assert "workers" not in config.as_dict()
-            assert env_service_workers() == before
-            assert before == (None if service_env is None else int(service_env))
-        finally:
-            configure_plan_pool(None)
-            set_gradient_cache_enabled(None)
+        config = RegistrationConfig.from_env().apply()
+        # the width is the service's own knob, never a config field
+        assert "workers" not in config.as_dict()
+        assert env_service_workers() == before
+        assert before == (None if service_env is None else int(service_env))
 
 
 class TestValidateAndApply:
-    def test_config_has_the_four_knobs(self):
+    def test_config_has_the_three_knobs(self):
         assert set(RegistrationConfig().as_dict()) == {
-            "plan_pool_bytes", "gradient_cache", "trace", "trace_out",
+            "plan_pool_bytes", "trace", "trace_out",
         }
 
     @pytest.mark.parametrize(
@@ -79,6 +74,7 @@ class TestValidateAndApply:
             {"interp_backend": "scipy"},
             {"fft_backend": "numpy"},
             {"workers": 2},
+            {"gradient_cache": False},
         ],
     )
     def test_removed_knobs_are_type_errors(self, removed):
@@ -94,17 +90,14 @@ class TestValidateAndApply:
 
     def test_apply_pushes_only_set_fields(self):
         budget_before = get_plan_pool().max_bytes
-        RegistrationConfig(gradient_cache=False).apply()
-        assert not gradient_cache_enabled()
+        RegistrationConfig(trace=True).apply()
+        assert tracing_enabled()
         # unset fields leave the other process-wide knobs untouched
         assert get_plan_pool().max_bytes == budget_before
 
     def test_apply_sets_the_budget(self):
-        try:
-            RegistrationConfig(plan_pool_bytes=123456).apply()
-            assert get_plan_pool().max_bytes == 123456
-        finally:
-            configure_plan_pool(None)
+        RegistrationConfig(plan_pool_bytes=123456).apply()
+        assert get_plan_pool().max_bytes == 123456
 
     def test_apply_returns_self_for_chaining(self):
         config = RegistrationConfig()
@@ -132,32 +125,15 @@ class TestServiceEnvVars:
             with pytest.raises(ValueError, match=HTTP_PORT_ENV_VAR):
                 env_http_port()
 
-    def test_env_class_weights_parses_and_validates(self, monkeypatch):
-        from repro.config import (
-            SERVICE_CLASS_WEIGHTS_ENV_VAR,
-            env_service_class_weights,
-        )
-
-        monkeypatch.delenv(SERVICE_CLASS_WEIGHTS_ENV_VAR, raising=False)
-        assert env_service_class_weights() == {}
-        monkeypatch.setenv(
-            SERVICE_CLASS_WEIGHTS_ENV_VAR, "interactive=4, atlas-burst=0.5"
-        )
-        assert env_service_class_weights() == {"interactive": 4.0, "atlas-burst": 0.5}
-        for bad in ("interactive", "interactive=fast", "interactive=0", "=2"):
-            monkeypatch.setenv(SERVICE_CLASS_WEIGHTS_ENV_VAR, bad)
-            with pytest.raises(ValueError, match=SERVICE_CLASS_WEIGHTS_ENV_VAR):
-                env_service_class_weights()
-
     def test_validate_surfaces_malformed_service_env(self, monkeypatch):
-        from repro.config import HTTP_PORT_ENV_VAR, SERVICE_CLASS_WEIGHTS_ENV_VAR
+        from repro.config import HTTP_PORT_ENV_VAR, SERVICE_WORKERS_ENV_VAR
 
         monkeypatch.setenv(HTTP_PORT_ENV_VAR, "not-a-port")
         with pytest.raises(ValueError, match=HTTP_PORT_ENV_VAR):
             RegistrationConfig().validate()
         monkeypatch.delenv(HTTP_PORT_ENV_VAR)
-        monkeypatch.setenv(SERVICE_CLASS_WEIGHTS_ENV_VAR, "interactive=-3")
-        with pytest.raises(ValueError, match=SERVICE_CLASS_WEIGHTS_ENV_VAR):
+        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "many")
+        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
             RegistrationConfig().validate()
 
 
@@ -165,9 +141,9 @@ class TestSolverIntegration:
     def test_solver_applies_its_config(self, tiny_problem, fast_options):
         solver = RegistrationSolver(
             options=fast_options,
-            config=RegistrationConfig(gradient_cache=False),
+            config=RegistrationConfig(plan_pool_bytes=0),
         )
-        assert not gradient_cache_enabled()
+        assert get_plan_pool().max_bytes == 0
         result = solver.run(tiny_problem.template, tiny_problem.reference)
         for removed in ("fft_backend", "interp_backend", "plan_pool_hits", "plan_pool_misses"):
             assert removed not in result.summary()

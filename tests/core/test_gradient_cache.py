@@ -2,7 +2,8 @@
 
 Covers the tentpole guarantees of the cache layer:
 
-* **bitwise identity** — cached and uncached solves produce bit-identical
+* **bitwise identity** — cached and uncached solves (the latter forced by a
+  zero ``REPRO_PLAN_POOL_BYTES`` budget) produce bit-identical
   gradients and Hessian mat-vecs for both Hessian variants (Gauss-Newton
   and full Newton);
   the cache reuses the FFT outputs, it never changes them;
@@ -27,16 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core.gradients import (
-    GRADIENT_CACHE_ENV_VAR,
     CachedStateGradients,
     LazyStateGradients,
     accumulate_weighted_products,
-    env_gradient_cache_enabled,
     gradient_cache_decision_log,
-    gradient_cache_enabled,
     plan_state_gradients,
     projected_gradient_cache_nbytes,
-    set_gradient_cache_enabled,
     trapezoid_weights,
 )
 from repro.core.problem import RegistrationProblem
@@ -47,18 +44,6 @@ from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
-
-
-@pytest.fixture(autouse=True)
-def _restore_pool_budget():
-    """Re-read the environment budget after every test.
-
-    The shared conftest hygiene deliberately preserves the pool budget
-    across tests (the pressure CI leg sets it via the environment); the
-    budget-fallback tests below shrink it, so they must put it back.
-    """
-    yield
-    configure_plan_pool(None)
 
 
 @pytest.fixture()
@@ -76,49 +61,18 @@ def state_history(grid) -> np.ndarray:
     return np.stack([smooth_scalar_field(grid, seed=10 + j) for j in range(5)])
 
 
-def _problem(nt=4, gauss_newton=True):
-    synthetic = synthetic_registration_problem(8, num_time_steps=nt)
+def _problem(nt=4, gauss_newton=True, incompressible=False):
+    synthetic = synthetic_registration_problem(
+        8, num_time_steps=nt, incompressible=incompressible
+    )
     return RegistrationProblem(
         grid=synthetic.grid,
         reference=synthetic.reference,
         template=synthetic.template,
         num_time_steps=nt,
         gauss_newton=gauss_newton,
+        incompressible=incompressible,
     )
-
-
-# --------------------------------------------------------------------------- #
-# policy knob
-# --------------------------------------------------------------------------- #
-class TestPolicyKnob:
-    def test_default_is_enabled(self):
-        assert gradient_cache_enabled() is True
-
-    def test_process_override_wins(self):
-        set_gradient_cache_enabled(False)
-        assert gradient_cache_enabled() is False
-        set_gradient_cache_enabled(None)
-        assert gradient_cache_enabled() is True
-
-    @pytest.mark.parametrize("raw,expected", [("1", True), ("true", True), ("on", True), ("0", False), ("off", False), ("no", False)])
-    def test_env_values(self, monkeypatch, raw, expected):
-        monkeypatch.setenv(GRADIENT_CACHE_ENV_VAR, raw)
-        assert env_gradient_cache_enabled() is expected
-        assert gradient_cache_enabled() is expected
-
-    def test_env_unset_means_none(self, monkeypatch):
-        monkeypatch.delenv(GRADIENT_CACHE_ENV_VAR, raising=False)
-        assert env_gradient_cache_enabled() is None
-
-    def test_env_malformed_raises_with_variable_name(self, monkeypatch):
-        monkeypatch.setenv(GRADIENT_CACHE_ENV_VAR, "sometimes")
-        with pytest.raises(ValueError, match=GRADIENT_CACHE_ENV_VAR):
-            env_gradient_cache_enabled()
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(GRADIENT_CACHE_ENV_VAR, "0")
-        set_gradient_cache_enabled(True)
-        assert gradient_cache_enabled() is True
 
 
 # --------------------------------------------------------------------------- #
@@ -212,15 +166,9 @@ class TestCachePlanning:
         assert not source.cached
         assert "budget 0" in gradient_cache_decision_log().recent()[-1].reason
 
-    def test_opt_out_degrades_and_logs(self, ops, state_history):
-        set_gradient_cache_enabled(False)
-        source = plan_state_gradients(ops, state_history)
-        assert not source.cached
-        assert "disabled" in gradient_cache_decision_log().recent()[-1].reason
-
     def test_decision_counts_and_metrics_collector(self, ops, state_history):
         plan_state_gradients(ops, state_history)
-        set_gradient_cache_enabled(False)
+        configure_plan_pool(0)
         plan_state_gradients(ops, state_history)
         log = gradient_cache_decision_log()
         assert log.counts() == {"cached": 1, "uncached": 1}
@@ -280,12 +228,15 @@ class TestBatchedOperators:
 # --------------------------------------------------------------------------- #
 # solver integration: counters and identity
 # --------------------------------------------------------------------------- #
-def _solve_one_matvec(gauss_newton, cached):
-    """One linearize + two mat-vecs; returns (gradient, matvec, warm fft delta)."""
-    set_gradient_cache_enabled(cached)
+def _solve_one_matvec(gauss_newton, cached, incompressible=False):
+    """One linearize + two mat-vecs; returns (gradient, matvec, warm fft delta).
+
+    The uncached arm runs at a zero budget, which leaves no room for the stack.
+    """
+    configure_plan_pool(None if cached else 0)
     reset_plan_pool()
-    problem = _problem(gauss_newton=gauss_newton)
-    velocity = 0.2 * smooth_velocity_field(problem.grid, seed=60)
+    problem = _problem(gauss_newton=gauss_newton, incompressible=incompressible)
+    velocity = problem.project(0.2 * smooth_velocity_field(problem.grid, seed=60))
     # a half-spectrum, as the Krylov solver applies the Hessian
     direction = problem.operators.fft.forward_vector(
         0.1 * smooth_velocity_field(problem.grid, seed=61)
@@ -326,10 +277,11 @@ class TestSolverCounters:
 class TestBitwiseIdentity:
     """Cached and uncached solves are bit-identical — the acceptance pin."""
 
+    @pytest.mark.parametrize("incompressible", [False, True])
     @pytest.mark.parametrize("gauss_newton", [True, False])
-    def test_gradient_and_matvec_identity(self, gauss_newton):
-        g_cached, mv_cached, _ = _solve_one_matvec(gauss_newton, cached=True)
-        g_lazy, mv_lazy, _ = _solve_one_matvec(gauss_newton, cached=False)
+    def test_gradient_and_matvec_identity(self, gauss_newton, incompressible):
+        g_cached, mv_cached, _ = _solve_one_matvec(gauss_newton, True, incompressible)
+        g_lazy, mv_lazy, _ = _solve_one_matvec(gauss_newton, False, incompressible)
         np.testing.assert_array_equal(g_cached, g_lazy)
         np.testing.assert_array_equal(mv_cached, mv_lazy)
 
@@ -339,7 +291,7 @@ class TestBitwiseIdentity:
 
         results = {}
         for cached in (True, False):
-            set_gradient_cache_enabled(cached)
+            configure_plan_pool(None if cached else 0)
             reset_plan_pool()
             problem = _problem()
             solver = GaussNewtonKrylov(
@@ -357,7 +309,7 @@ class TestIterateWiring:
         assert iterate.state_gradients.cached
 
     def test_linearize_attaches_lazy_source_when_disabled(self):
-        set_gradient_cache_enabled(False)
+        configure_plan_pool(0)
         problem = _problem()
         iterate = problem.linearize(0.1 * smooth_velocity_field(problem.grid, seed=70))
         assert iterate.state_gradients is not None

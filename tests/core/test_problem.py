@@ -13,9 +13,9 @@ The central correctness checks of the whole solver live here:
 import numpy as np
 import pytest
 
-from repro.core.gradients import set_gradient_cache_enabled
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
+from repro.runtime.plan_pool import configure_plan_pool
 
 from tests.fixtures import smooth_vector_field
 
@@ -306,14 +306,12 @@ class TestComplexityCounts:
         problem.hessian_matvec(iterate, spectrum)
         assert (problem.work_counters() - before).fft_transforms / 2 == 3
 
-        set_gradient_cache_enabled(False)
+        configure_plan_pool(0)  # no budget for the gradient stack
         problem.release()  # else linearize hands the live iterate's stack over
-        try:
-            uncached_iterate = problem.linearize(velocity)
-            before = problem.work_counters()
-            problem.hessian_matvec(uncached_iterate, direction)
-            delta = problem.work_counters() - before
-        finally:
-            set_gradient_cache_enabled(None)
+        uncached_iterate = problem.linearize(velocity)
+        assert not uncached_iterate.state_gradients.cached
+        before = problem.work_counters()
+        problem.hessian_matvec(uncached_iterate, direction)
+        delta = problem.work_counters() - before
         fft_pairs = delta.fft_transforms / 2
         assert 2 * nt <= fft_pairs <= 10 * nt

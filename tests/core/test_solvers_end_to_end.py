@@ -18,9 +18,12 @@ from repro.core.optim.continuation import BetaContinuation
 from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
 from repro.core.optim.gradient_descent import GradientDescent
 from repro.core.problem import RegistrationProblem
-from repro.core.registration import RegistrationSolver, register
+from repro.core.registration import OPTIMIZERS, RegistrationSolver, register
+from repro.core.regularization import REGULARIZATIONS
 from repro.data.synthetic import synthetic_registration_problem
+from repro.observability import get_metrics_registry
 from repro.spectral.grid import Grid
+from repro.transport.kernels import SUPPORTED_METHODS
 
 
 @pytest.fixture(scope="module")
@@ -250,10 +253,30 @@ class TestRegistrationFrontEnd:
         with pytest.raises(ValueError, match="initial_velocity has 1 non-finite value"):
             solver.run(synthetic.template, synthetic.reference, initial_velocity=velocity)
 
-    def test_unknown_optimizer_rejected(self, synthetic):
-        solver = RegistrationSolver(optimizer="adam", options=quick_options())
-        with pytest.raises(ValueError):
-            solver.run(synthetic.template, synthetic.reference, grid=synthetic.grid)
+    @pytest.mark.parametrize("entry", ["solver", "register"])
+    @pytest.mark.parametrize("name", ["interpolation", "regularization", "optimizer"])
+    def test_unknown_choice_rejected_at_construction(self, synthetic, name, entry):
+        """Named at the boundary, before any image is preprocessed."""
+
+        def transforms():
+            return sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
+
+        before = transforms()
+        with pytest.raises(ValueError, match=f"unknown {name} 'foo'"):
+            if entry == "solver":
+                RegistrationSolver(**{name: "foo"}, options=quick_options())
+            else:
+                register(synthetic.template, synthetic.reference, **{name: "foo"})
+        assert transforms() == before
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("interpolation", method) for method in SUPPORTED_METHODS]
+        + [("regularization", name) for name in REGULARIZATIONS]
+        + [("optimizer", name) for name in OPTIMIZERS],
+    )
+    def test_every_supported_choice_constructs(self, name, value):
+        assert getattr(RegistrationSolver(**{name: value}), name) == value
 
     def test_grid_shape_must_match_images(self, synthetic):
         solver = RegistrationSolver(options=quick_options())

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,11 @@ from repro.cli import build_parser, main
 from repro.data.io import save_problem
 from repro.data.synthetic import synthetic_registration_problem
 
+#: Destinations of the flags ``register`` and ``serve`` both declare.
+SOLVER_FLAGS = {
+    "output", "beta", "regularization", "incompressible", "nt", "gtol", "max_newton",
+    "max_krylov",
+}
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -43,6 +50,25 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args([command, "--synthetic", "8", *flag])
         assert excinfo.value.code == 2
+
+
+    def test_register_and_serve_share_the_solver_flags(self):
+        subparsers = next(
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+
+        def solver_flags(command):
+            return {
+                tuple(action.option_strings): (action.dest, action.default, action.choices)
+                for action in subparsers.choices[command]._actions
+                if action.dest in SOLVER_FLAGS
+            }
+
+        register = solver_flags("register")
+        assert {dest for dest, _, _ in register.values()} == SOLVER_FLAGS
+        assert register == solver_flags("serve")
 
 
 class TestRegisterCommand:
@@ -142,11 +168,18 @@ class TestRegisterCommand:
         monkeypatch.delenv(POOL_BYTES_ENV_VAR)
         configure_plan_pool(None)
 
-    @pytest.mark.parametrize("retired", ["REPRO_FFT_BACKEND", "REPRO_FFT_WORKERS"])
+    #: retired variable -> a value its old parser rejected
+    RETIRED_VALUES = {
+        "REPRO_FFT_BACKEND": "fftw3",
+        "REPRO_FFT_WORKERS": "fftw3",
+        "REPRO_GRADIENT_CACHE": "maybe",
+        "REPRO_SERVICE_CLASS_WEIGHTS": "x",
+    }
+
+    @pytest.mark.parametrize("retired", sorted(RETIRED_VALUES))
     def test_retired_engine_variables_are_not_read(self, capsys, monkeypatch, retired):
-        # numpy.fft is the one engine: a value that once failed validation
-        # is now simply ignored
-        monkeypatch.setenv(retired, "fftw3")
+        # a value that once failed validation is now simply ignored
+        monkeypatch.setenv(retired, self.RETIRED_VALUES[retired])
         assert main(["register", "--synthetic", "8", "--max-newton", "1"]) == 0
         assert retired not in capsys.readouterr().err
 

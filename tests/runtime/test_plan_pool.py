@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.gradients import gradient_cache_decision_log
+from repro.core.optim.continuation import BetaContinuation
 from repro.core.optim.gauss_newton import SolverOptions
-from repro.core.optim.multilevel import MultilevelRegistration
 from repro.core.problem import RegistrationProblem
 from repro.core.registration import register
 from repro.data.synthetic import synthetic_registration_problem
@@ -261,7 +262,7 @@ class TestTagStats:
 
 
 class TestPerLevelOwnership:
-    """Multilevel runs: every level plans its own velocities and releases them."""
+    """Continuation runs: every level plans its own velocities and releases them."""
 
     def _options(self):
         return SolverOptions(
@@ -269,27 +270,27 @@ class TestPerLevelOwnership:
         )
 
     def _run(self, synthetic):
-        return MultilevelRegistration(
-            grid=synthetic.grid,
-            reference=synthetic.reference,
-            template=synthetic.template,
-            num_levels=2,
-            options=self._options(),
+        problem = RegistrationProblem(
+            grid=synthetic.grid, reference=synthetic.reference, template=synthetic.template
+        )
+        return BetaContinuation(
+            problem, self._options(), initial_beta=1e-1, target_beta=1e-2, reduction=0.1
         ).run()
 
-    def test_multilevel_run_touches_no_pool(self, plan_pool):
+    def test_continuation_run_touches_no_pool(self, plan_pool):
         result = self._run(synthetic_registration_problem(16))
+        assert result.num_levels == 2
         trials = sum(
             record.line_search_evaluations
-            for level in result.levels
-            for record in level.result.iterations
+            for step in result.steps
+            for record in step.result.iterations
         )
         assert trials > 0
         assert plan_pool.stats == PoolStats()
         assert len(plan_pool) == 0
 
-    def test_multilevel_plans_each_velocity_once_per_grid(self, plan_pool, monkeypatch):
-        """No (grid, velocity) content is planned twice: trials hand their plans on."""
+    def test_continuation_plans_each_velocity_once(self, plan_pool, monkeypatch):
+        """No velocity content is planned twice: trials hand their plans on."""
         planned = []
         original = TransportSolver.plan
 
@@ -301,20 +302,27 @@ class TestPerLevelOwnership:
         monkeypatch.setattr(TransportSolver, "plan", recording_plan)
         result = self._run(synthetic)
         assert len(planned) == len(set(planned))
-        assert {shape for shape, _ in planned} == {(8, 8, 8), (16, 16, 16)}
-        levels = [level.result for level in result.levels]
-        assert len(planned) == sum(
-            1 + sum(record.line_search_evaluations for record in level.iterations)
-            for level in levels
+        assert {shape for shape, _ in planned} == {(16, 16, 16)}
+        # the initial velocity, then one plan per line-search trial; a level
+        # change re-linearizes the live iterate and plans nothing
+        assert len(planned) == 1 + sum(
+            record.line_search_evaluations
+            for step in result.steps
+            for record in step.result.iterations
         )
 
     def test_every_level_releases_its_operators(self, plan_pool):
         result = self._run(synthetic_registration_problem(16))
-        for level in result.levels:
-            plan = level.result.final_iterate.plan
+        for step in result.steps:
+            plan = step.result.final_iterate.plan
             assert plan.forward_stepper.interpolator.resident_operators == 0
 
-    def test_tiny_budget_keeps_solves_correct(self, plan_pool, monkeypatch):
+    # half of either budget is below the 12^3 operator pair (2 x 394 kB); the
+    # gradient stack (207 kB) misses the first and fits the second
+    @pytest.mark.parametrize(
+        "budget,gradients", [(100_000, "uncached"), (1_000_000, "cached")]
+    )
+    def test_tiny_budget_keeps_solves_correct(self, plan_pool, monkeypatch, budget, gradients):
         """A budget below one operator pair makes every gather transient: same bits."""
         synthetic = synthetic_registration_problem(12)
         result_default = self._run(synthetic)
@@ -326,10 +334,9 @@ class TestPerLevelOwnership:
             return resolved[-1]
 
         monkeypatch.setattr(PeriodicInterpolator, "_resident_operator", recording)
-        configure_plan_pool(100_000)  # half of it is below the 6^3 pair (2 x 49 kB)
-        try:
-            result_small = self._run(synthetic)
-        finally:
-            configure_plan_pool(None)
+        gradient_cache_decision_log().reset()
+        configure_plan_pool(budget)
+        result_small = self._run(synthetic)
         assert resolved and not any(resolved)  # never resident
+        assert set(gradient_cache_decision_log().counts()) == {gradients}
         np.testing.assert_array_equal(result_small.velocity, result_default.velocity)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -288,12 +289,20 @@ class TestJournalReplay:
             handle.write(json.dumps({"schema": "someone-else", "event": "x"}) + "\n")
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [job.job_id]
 
-    def test_unfsynced_journal_still_replays(self, tmp_path):
-        journal = JobJournal(tmp_path, fsync_on_commit=False)
+    def test_every_commit_is_fsynced(self, tmp_path, monkeypatch):
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+        journal = JobJournal(tmp_path)
         job = _job(_transport_spec())
         journal.record_submitted(job)
+        assert len(synced) == 1
+        job._complete(None)
+        journal.record_terminal(job)
+        assert len(synced) == 2
         journal.close()
-        assert len(JobJournal(tmp_path).replay()) == 1
+        with pytest.raises(TypeError):
+            JobJournal(tmp_path, fsync_on_commit=False)
 
 
 class TestSegmentsAndCompaction:
@@ -341,7 +350,7 @@ class TestSegmentsAndCompaction:
         stats = journal.stats()
         assert stats["segments"] == 1
         assert stats["bytes"] > 0
-        assert stats["fsync_on_commit"] is True
+        assert "fsync_on_commit" not in stats
 
     def test_rejects_non_positive_segment_size(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):

@@ -169,26 +169,15 @@ class TestWeightedFairness:
         assert set(late) <= set(next_four)
         assert any(job.job_class == JOB_CLASS_ATLAS for job in next_four)
 
-    def test_constructor_weights_override_defaults(self, service):
-        flipped = SubmissionQueue(
-            class_weights={JOB_CLASS_ATLAS: 4.0, JOB_CLASS_INTERACTIVE: 1.0}
-        )
-        assert flipped.class_weight(JOB_CLASS_ATLAS) == 4.0
-        assert flipped.class_weight(JOB_CLASS_INTERACTIVE) == 1.0
-        assert flipped.class_weight("unknown-class") == 1.0
-
-    def test_env_weights_layer_between_defaults_and_constructor(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_CLASS_WEIGHTS", "interactive=7,extra=2.5")
+    def test_weights_are_fixed_at_four_to_one(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_CLASS_WEIGHTS", "interactive=7")  # not read
         queue = SubmissionQueue()
-        assert queue.class_weight(JOB_CLASS_INTERACTIVE) == 7.0
-        assert queue.class_weight("extra") == 2.5
-        assert queue.class_weight(JOB_CLASS_ATLAS) == DEFAULT_CLASS_WEIGHTS[JOB_CLASS_ATLAS]
-        explicit = SubmissionQueue(class_weights={"interactive": 9.0})
-        assert explicit.class_weight(JOB_CLASS_INTERACTIVE) == 9.0
-
-    def test_non_positive_weight_is_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            SubmissionQueue(class_weights={"interactive": 0.0})
+        assert queue.class_weight(JOB_CLASS_INTERACTIVE) == 4.0
+        assert queue.class_weight(JOB_CLASS_ATLAS) == 1.0
+        assert queue.class_weight("unknown-class") == 1.0
+        assert DEFAULT_CLASS_WEIGHTS == {JOB_CLASS_INTERACTIVE: 4.0, JOB_CLASS_ATLAS: 1.0}
+        with pytest.raises(TypeError):
+            SubmissionQueue(class_weights={JOB_CLASS_ATLAS: 4.0})
 
     def test_depths_report_per_class(self, queue, service):
         self._submit_population(queue, service, 3, 2)

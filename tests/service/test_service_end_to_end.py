@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.config import RegistrationConfig
+from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.data.synthetic import synthetic_registration_problem
 from repro.parallel.pencil import PencilDecomposition
@@ -65,12 +66,10 @@ class TestRegistrationJobs:
         assert job.record.metrics["result"]["schema"] == "repro.registration-result"
 
     def test_service_applies_its_config(self, tiny_problem, fast_options):
-        from repro.core.gradients import gradient_cache_enabled
-
         with RegistrationService(
-            config=RegistrationConfig(gradient_cache=False), num_workers=1
+            config=RegistrationConfig(plan_pool_bytes=0), num_workers=1
         ) as service:
-            assert not gradient_cache_enabled()
+            assert get_plan_pool().max_bytes == 0
             job = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
@@ -80,6 +79,8 @@ class TestRegistrationJobs:
             )
             result = job.result(timeout=120)
         assert "fft_backend" not in result.summary()
+        # no budget for the gradient stack: every iterate ran the lazy levels
+        assert set(gradient_cache_decision_log().counts()) == {"uncached"}
 
 
 class TestFailureIsolation:

@@ -34,4 +34,4 @@ def test_table_rows_match_the_knobs_in_the_source():
 
 
 def test_knob_count():
-    assert len(_source_knobs()) == 8
+    assert len(_source_knobs()) == 6
