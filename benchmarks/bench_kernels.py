@@ -7,8 +7,10 @@ interpolation, one semi-Lagrangian step, a full transport solve, the reduced
 gradient and one Hessian mat-vec.  They document where the time goes in this
 Python implementation (interpolation and FFTs, as in the paper).
 
-``test_bench_interp_kernel_comparison`` additionally times the three
-interpolation kernels (one-shot vs planned, scalar vs batched) and writes
+``test_bench_interp_kernel_comparison`` additionally times the solver's
+interpolation kernel and the distributed scatter's ``catmull_rom`` (through
+the gather-operator API, periodic), one-shot vs planned and scalar vs
+batched, and writes
 ``benchmarks/results/interp_kernel_comparison.txt`` plus a machine-readable
 twin (``.json``) so the perf trajectory can be tracked across PRs.  (It
 times directly instead of using the ``benchmark`` fixture so every row lands
@@ -28,7 +30,7 @@ from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import SUPPORTED_METHODS
+from repro.transport.kernels import build_gather_operator, gather_cubic
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 from repro.transport.solvers import TransportSolver
 
@@ -75,9 +77,8 @@ def test_bench_leray_projection(benchmark, ops, velocity):
     benchmark(lambda: ops.leray_project(velocity))
 
 
-@pytest.mark.parametrize("method", ["cubic_bspline", "catmull_rom", "linear"])
-def test_bench_interpolation(benchmark, grid, field, method):
-    interp = PeriodicInterpolator(grid, method)
+def test_bench_interpolation(benchmark, grid, field):
+    interp = PeriodicInterpolator(grid)
     points = np.random.default_rng(1).uniform(0, 2 * np.pi, size=(3, grid.num_points))
     benchmark(lambda: interp(field, points))
 
@@ -140,12 +141,13 @@ def test_bench_interp_kernel_comparison(record_text, record_json):
 
     Times the production ``PeriodicInterpolator`` paths at realistic
     (grid-ordered, CFL-scale displaced) departure points: a one-shot scalar
-    gather, a planned scalar gather and a planned three-field stack, for
-    each of the three kernels.  Produces the comparison table and asserts
-    that the planned batched ``cubic_bspline`` path (the solver's sweep)
-    beats its one-shot gather (the operator built block by block and
-    dropped).  The JSON twin additionally records plan-build time and plan
-    bytes.
+    gather, a planned scalar gather and a planned three-field stack; and the
+    same three gathers of the scatter's ``catmull_rom`` through the periodic
+    gather operator.  Produces the comparison table and asserts that the
+    planned batched ``cubic_bspline`` path (the solver's sweep) beats its
+    one-shot gather (the operator built block by block and dropped).  The
+    JSON twin additionally records, per kernel, the build time and bytes of
+    the resident gather operator the planned rows gather through.
 
     The pool budget is raised to 2 GiB for the duration: a gather operator
     stays resident only while the forward + backward pair fits half the
@@ -172,23 +174,34 @@ def _interp_kernel_comparison(record_text, record_json):
         :, None
     ] * 3.0 * rng.standard_normal((3, grid.num_points))
 
-    timings = {}
-    plan_bytes = {}
-    for method in SUPPORTED_METHODS:
-        interp = PeriodicInterpolator(grid, method)
-        plan = interp.plan(points)
-        timings[method] = {
-            "build": _best_of(lambda i=interp: i.plan(points), repeats=3),
-            "scalar, one-shot": _best_of(lambda i=interp: i(field, points), repeats=3),
-            "scalar, planned": _best_of(
-                lambda i=interp, p=plan: i.interpolate_planned(field, p), repeats=3
-            ),
-            "batched(3), planned": _best_of(
-                lambda i=interp, p=plan: i.interpolate_many_planned(fields, p), repeats=3
-            )
-            / fields.shape[0],
-        }
-        plan_bytes[method] = plan.nbytes
+    interp = PeriodicInterpolator(grid)
+    plan = interp.plan(points)
+    coordinates = plan.coordinates
+    operator = build_gather_operator(grid.shape, coordinates, "catmull_rom")
+    paths = {
+        "cubic_bspline": {
+            "build": lambda: build_gather_operator(grid.shape, coordinates, "cubic_bspline"),
+            "scalar, one-shot": lambda: interp(field, points),
+            "scalar, planned": lambda: interp.interpolate_planned(field, plan),
+            "batched(3), planned": lambda: interp.interpolate_many_planned(fields, plan),
+        },
+        "catmull_rom": {
+            "build": lambda: build_gather_operator(grid.shape, coordinates, "catmull_rom"),
+            "scalar, one-shot": lambda: gather_cubic(field[None], coordinates, "catmull_rom"),
+            "scalar, planned": lambda: gather_cubic(field[None], None, "catmull_rom", operator),
+            "batched(3), planned": lambda: gather_cubic(fields, None, "catmull_rom", operator),
+        },
+    }
+    timings = {
+        kernel: {mode: _best_of(fn, repeats=3) for mode, fn in modes.items()}
+        for kernel, modes in paths.items()
+    }
+    for modes in timings.values():
+        modes["batched(3), planned"] /= fields.shape[0]
+    operator_bytes = {
+        kernel: build_gather_operator(grid.shape, coordinates, kernel).nbytes
+        for kernel in paths
+    }
 
     reference = timings["cubic_bspline"]["scalar, one-shot"]
     header = f"{'method':<14} {'mode':<24} {'time/field [s]':>14} {'vs ref':>8}"
@@ -196,6 +209,8 @@ def _interp_kernel_comparison(record_text, record_json):
         f"semi-Lagrangian interpolation at {n}^3 ({grid.num_points} departure points, best of 3)",
         "reference = cubic_bspline, scalar, one-shot (operator built block by block, "
         "nothing kept); plan pool budget 2 GiB",
+        "catmull_rom: the scatter's kernel through the periodic gather operator; "
+        "operator build: the resident gather operator of the departure points",
         header,
         "-" * len(header),
     ]
@@ -203,7 +218,7 @@ def _interp_kernel_comparison(record_text, record_json):
         for mode in INTERP_MODES:
             t = modes[mode]
             rows.append(f"{method:<14} {mode:<24} {t:>14.4f} {reference / t:>7.2f}x")
-        rows.append(f"{method:<14} {'plan build (amortized)':<24} {modes['build']:>14.4f}")
+        rows.append(f"{method:<14} {'operator build':<24} {modes['build']:>14.4f}")
     record_text("interp_kernel_comparison", "\n".join(rows))
     record_json(
         "interp_kernel_comparison",
@@ -216,8 +231,8 @@ def _interp_kernel_comparison(record_text, record_json):
             "reference_seconds_per_field": reference,
             "kernels": {
                 method: {
-                    "plan_build_seconds": modes["build"],
-                    "plan_nbytes": plan_bytes[method],
+                    "operator_build_seconds": modes["build"],
+                    "operator_nbytes": operator_bytes[method],
                     "scalar_one_shot_seconds": modes["scalar, one-shot"],
                     "scalar_planned_seconds": modes["scalar, planned"],
                     "batched3_planned_seconds_per_field": modes["batched(3), planned"],

@@ -29,8 +29,10 @@ from repro.parallel import (
     ScatterInterpolationPlan,
     SimulatedCommunicator,
 )
+from repro.parallel.scatter import SCATTER_KERNEL
 from repro.spectral.grid import Grid
 from repro.transport.interpolation import PeriodicInterpolator
+from repro.transport.kernels import gather_cubic
 from repro.transport.semi_lagrangian import compute_departure_points
 
 #: Largest relative FFT / absolute interpolation error that counts as
@@ -43,8 +45,9 @@ def main() -> int:
     field = sinusoidal_template(grid)
     velocity = synthetic_velocity(grid)
     departure = compute_departure_points(grid, velocity, dt=0.25)
-    serial_interp = PeriodicInterpolator(grid, "catmull_rom")
-    serial_values = serial_interp(field, departure)
+    # the scatter's kernel, evaluated serially with periodic wrapping
+    coordinates = PeriodicInterpolator(grid).to_index_coordinates(departure)
+    serial_values = gather_cubic(field[None], coordinates, SCATTER_KERNEL)[0].reshape(grid.shape)
     serial_spectrum = np.fft.fftn(field)
 
     rows = []

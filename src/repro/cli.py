@@ -277,6 +277,15 @@ def _export_trace(config: RegistrationConfig) -> Optional[str]:
     return path
 
 
+def _solver_options(args: argparse.Namespace) -> SolverOptions:
+    return SolverOptions(
+        gradient_tolerance=args.gtol,
+        max_newton_iterations=args.max_newton,
+        max_krylov_iterations=args.max_krylov,
+        verbose=args.verbose,
+    )
+
+
 def _load_pair(args: argparse.Namespace):
     if args.input:
         data = load_problem(args.input)
@@ -294,28 +303,23 @@ def _run_register(
     args: argparse.Namespace, base_config: Optional[RegistrationConfig] = None
 ) -> int:
     try:
-        # construct, validate and apply every knob (flag or environment)
-        # early, for a clean error message before any data is loaded
+        # construct, validate and apply every knob (flag or environment) and
+        # solver setting early, for a clean error message before any data is
+        # loaded
         config = _config_from_args(args, base_config).apply()
+        solver = RegistrationSolver(
+            beta=args.beta,
+            regularization=args.regularization,
+            incompressible=args.incompressible,
+            num_time_steps=args.nt,
+            optimizer=args.optimizer,
+            options=_solver_options(args),
+            config=config,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reference, template, grid = _load_pair(args)
-    options = SolverOptions(
-        gradient_tolerance=args.gtol,
-        max_newton_iterations=args.max_newton,
-        max_krylov_iterations=args.max_krylov,
-        verbose=args.verbose,
-    )
-    solver = RegistrationSolver(
-        beta=args.beta,
-        regularization=args.regularization,
-        incompressible=args.incompressible,
-        num_time_steps=args.nt,
-        optimizer=args.optimizer,
-        options=options,
-        config=config,
-    )
     result = solver.run(template, reference, grid=grid)
     print(format_rows([result.summary()], title="Registration summary"))
     if args.verbose:
@@ -433,16 +437,14 @@ def _run_serve(
             return _run_http_service(args, config, http_port)
         if args.input is None and args.synthetic is None:
             raise ValueError("one of --input, --synthetic or --http is required")
+        options = _solver_options(args)
+        # every subject's job runs these settings: check them before any
+        # image is loaded
+        RegistrationSolver(beta=args.beta, regularization=args.regularization, options=options)
         reference, subjects = _load_population(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    options = SolverOptions(
-        gradient_tolerance=args.gtol,
-        max_newton_iterations=args.max_newton,
-        max_krylov_iterations=args.max_krylov,
-        verbose=args.verbose,
-    )
     with RegistrationService(
         config=config,
         num_workers=args.num_workers,

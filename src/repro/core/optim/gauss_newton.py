@@ -28,13 +28,17 @@ import numpy as np
 
 from repro.core.optim.line_search import ArmijoLineSearch
 from repro.core.optim.pcg import pcg
-from repro.core.preconditioner import SpectralPreconditioner
+from repro.core.preconditioner import PRECONDITIONERS, SpectralPreconditioner
 from repro.core.problem import OuterIterate, RegistrationProblem
 from repro.observability.trace import trace_span
 from repro.runtime.cancellation import check_cancelled
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_nonnegative, check_positive
 
 LOGGER = get_logger("core.optim.gauss_newton")
+
+#: Eisenstat-Walker forcing sequences :class:`SolverOptions` accepts.
+FORCINGS = ("quadratic", "linear", "constant")
 
 
 @dataclass
@@ -78,6 +82,11 @@ class SolverOptions:
         :class:`~repro.runtime.cancellation.SolveCancelled` instead of
         starting the next Newton step or Hessian mat-vec.  Never serialized
         with the options.
+
+    An unknown forcing or preconditioner, a negative Newton or non-positive
+    Krylov cap, a negative or non-finite tolerance and a non-positive or
+    non-finite wall-clock budget are a :class:`ValueError` naming the field,
+    at construction.
     """
 
     gradient_tolerance: float = 1e-2
@@ -93,19 +102,26 @@ class SolverOptions:
     verbose: bool = False
     cancel_token: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        for name, choices in (("forcing", FORCINGS), ("preconditioner", PRECONDITIONERS)):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+        for name, least in (("max_newton_iterations", 0), ("max_krylov_iterations", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        for name in ("gradient_tolerance", "absolute_gradient_tolerance", "forcing_max",
+                     "constant_forcing"):
+            check_nonnegative(getattr(self, name), name)
+        if self.max_wall_clock_seconds is not None:
+            check_positive(self.max_wall_clock_seconds, "max_wall_clock_seconds")
+
     def forcing_term(self, gradient_norm: float, initial_gradient_norm: float) -> float:
         """Relative PCG tolerance for the current Newton iteration."""
         if self.forcing == "constant":
             return min(self.forcing_max, self.constant_forcing)
         ratio = gradient_norm / max(initial_gradient_norm, 1e-300)
-        if self.forcing == "quadratic":
-            value = np.sqrt(ratio)
-        elif self.forcing == "linear":
-            value = ratio
-        else:
-            raise ValueError(
-                f"unknown forcing {self.forcing!r}; expected 'quadratic', 'linear' or 'constant'"
-            )
+        value = np.sqrt(ratio) if self.forcing == "quadratic" else ratio
         return float(min(self.forcing_max, max(value, 1e-12)))
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.core.regularization import _SobolevSeminormRegularization
 
-_VARIANTS = ("inverse_regularization", "shifted", "none")
+PRECONDITIONERS = ("inverse_regularization", "shifted", "none")
 
 
 @dataclass
@@ -56,9 +56,10 @@ class SpectralPreconditioner:
     variant: str = "inverse_regularization"
 
     def __post_init__(self) -> None:
-        if self.variant not in _VARIANTS:
+        if self.variant not in PRECONDITIONERS:
             raise ValueError(
-                f"unknown preconditioner variant {self.variant!r}; expected one of {_VARIANTS}"
+                f"unknown preconditioner variant {self.variant!r}; "
+                f"expected one of {PRECONDITIONERS}"
             )
 
     @cached_property

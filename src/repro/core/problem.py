@@ -160,8 +160,6 @@ class RegistrationProblem:
     gauss_newton:
         Use the Gauss-Newton approximation of the Hessian (the paper's
         default for all reported experiments).
-    interpolation:
-        Off-grid interpolation kernel.
     """
 
     grid: Grid
@@ -172,7 +170,6 @@ class RegistrationProblem:
     incompressible: bool = False
     num_time_steps: int = 4
     gauss_newton: bool = True
-    interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
     transport: Optional[TransportSolver] = None
     hessian_matvec_count: int = field(default=0, init=False)
@@ -195,7 +192,6 @@ class RegistrationProblem:
             self.transport = TransportSolver(
                 self.grid,
                 num_time_steps=self.num_time_steps,
-                interpolation=self.interpolation,
                 operators=self.operators,
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
@@ -499,5 +495,4 @@ class RegistrationProblem:
             "incompressible": self.incompressible,
             "num_time_steps": self.num_time_steps,
             "gauss_newton": self.gauss_newton,
-            "interpolation": self.interpolation,
         }

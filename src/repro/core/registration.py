@@ -33,9 +33,8 @@ from repro.observability.snapshot import snapshot as observability_snapshot
 from repro.observability.trace import trace_span
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
-from repro.transport.kernels import SUPPORTED_METHODS
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite, check_real_dtype
+from repro.utils.validation import check_finite, check_nonnegative, check_positive, check_real_dtype
 
 LOGGER = get_logger("core.registration")
 
@@ -176,15 +175,15 @@ class RegistrationSolver:
         Rescale both images to ``[0, 1]`` before registration.
     options:
         Solver options (tolerances, iteration caps, preconditioner variant).
-    interpolation:
-        Off-grid interpolation kernel for the semi-Lagrangian scheme.
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
         applied process-wide (pool budget, tracing).
 
-    An unknown ``interpolation``, ``regularization`` or ``optimizer`` is a
-    :class:`ValueError` at construction, before any image is touched.
+    An unknown ``regularization`` or ``optimizer``, a ``beta`` that is not
+    positive and finite and a ``smooth_sigma`` that is negative or not
+    finite are a :class:`ValueError` at construction, before any image is
+    touched.
     """
 
     beta: float = 1e-2
@@ -196,18 +195,15 @@ class RegistrationSolver:
     smooth_sigma: float = 1.0
     normalize: bool = True
     options: SolverOptions = field(default_factory=SolverOptions)
-    interpolation: str = "cubic_bspline"
     config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
-        for name, choices in (
-            ("interpolation", SUPPORTED_METHODS),
-            ("regularization", REGULARIZATIONS),
-            ("optimizer", OPTIMIZERS),
-        ):
+        for name, choices in (("regularization", REGULARIZATIONS), ("optimizer", OPTIMIZERS)):
             value = getattr(self, name)
             if value not in choices:
                 raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+        check_positive(self.beta, "beta")
+        check_nonnegative(self.smooth_sigma, "smooth_sigma")
         if self.config is not None:
             self.config.apply()
 
@@ -253,7 +249,6 @@ class RegistrationSolver:
             incompressible=self.incompressible,
             num_time_steps=self.num_time_steps,
             gauss_newton=self.gauss_newton,
-            interpolation=self.interpolation,
         )
 
     def run(
@@ -329,7 +324,6 @@ def register(
     grid: Optional[Grid] = None,
     smooth_sigma: float = 1.0,
     normalize: bool = True,
-    interpolation: str = "cubic_bspline",
     config: Optional[RegistrationConfig] = None,
 ) -> RegistrationResult:
     """Register *template* onto *reference* (functional convenience wrapper).
@@ -356,7 +350,6 @@ def register(
         options=options or SolverOptions(),
         smooth_sigma=smooth_sigma,
         normalize=normalize,
-        interpolation=interpolation,
         config=config,
     )
     return solver.run(template, reference, grid=grid)

@@ -85,7 +85,6 @@ def synthetic_registration_problem(
     num_time_steps: int = 4,
     incompressible: bool = False,
     grid: Optional[Grid] = None,
-    interpolation: str = "cubic_bspline",
 ) -> SyntheticProblem:
     """Build the synthetic problem of Fig. 5 at the requested resolution.
 
@@ -103,8 +102,6 @@ def synthetic_registration_problem(
         Use the divergence-free velocity (the setup of Table III).
     grid:
         Optional pre-built grid (overrides *resolution*).
-    interpolation:
-        Interpolation kernel used for the data-generating transport solve.
     """
     if grid is None:
         if np.isscalar(resolution):
@@ -119,7 +116,7 @@ def synthetic_registration_problem(
         if incompressible
         else synthetic_velocity(grid, amplitude)
     )
-    transport = TransportSolver(grid, num_time_steps=num_time_steps, interpolation=interpolation)
+    transport = TransportSolver(grid, num_time_steps=num_time_steps)
     plan = transport.plan(velocity)
     reference = transport.solve_state(plan, template)[-1]
     return SyntheticProblem(
@@ -155,7 +152,6 @@ def synthetic_population(
     num_time_steps: int = 4,
     incompressible: bool = False,
     grid: Optional[Grid] = None,
-    interpolation: str = "cubic_bspline",
 ) -> SyntheticPopulation:
     """A deterministic population for the atlas (service) workload.
 
@@ -184,7 +180,7 @@ def synthetic_population(
     else:
         offsets = np.linspace(-spread, spread, num_subjects)
         amplitudes = [float(amplitude * (1.0 + offset)) for offset in offsets]
-    transport = TransportSolver(grid, num_time_steps=num_time_steps, interpolation=interpolation)
+    transport = TransportSolver(grid, num_time_steps=num_time_steps)
     subjects = []
     for subject_amplitude in amplitudes:
         velocity = (

@@ -55,6 +55,7 @@ from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import check_ghost_width
 from repro.runtime.cancellation import CancelToken
 from repro.spectral.grid import Grid
+from repro.utils.validation import check_nonnegative, check_positive
 
 __all__ = [
     "JOB_CLASS_ATLAS",
@@ -147,7 +148,10 @@ class RegistrationJobSpec:
     ``kind = "register"``.  Registrations are never merged by the
     micro-batcher (each solve is an independent Gauss-Newton iteration);
     what they share across requests is the spectral symbol store and the
-    worker pools.
+    worker pools.  A ``beta`` that is not positive and finite or a
+    ``smooth_sigma`` that is negative or not finite is a
+    :class:`ValueError` at construction, before the job is journaled or
+    queued.
     """
 
     template: np.ndarray
@@ -160,12 +164,15 @@ class RegistrationJobSpec:
     optimizer: str = "gauss_newton"
     smooth_sigma: float = 1.0
     normalize: bool = True
-    interpolation: str = "cubic_bspline"
     options: Optional[SolverOptions] = None
     grid: Optional[Grid] = None
     job_class: str = JOB_CLASS_INTERACTIVE
 
     kind = "register"
+
+    def __post_init__(self) -> None:
+        self.beta = check_positive(self.beta, "beta")
+        self.smooth_sigma = check_nonnegative(self.smooth_sigma, "smooth_sigma")
 
 
 @dataclass

@@ -62,7 +62,6 @@ from repro.service.jobs import (
     TransportJobSpec,
 )
 from repro.spectral.grid import Grid
-from repro.transport.kernels import SUPPORTED_METHODS
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_finite, check_real_dtype
 
@@ -222,7 +221,6 @@ def spec_to_dict(spec: Union[RegistrationJobSpec, TransportJobSpec]) -> Dict[str
             "optimizer": spec.optimizer,
             "smooth_sigma": float(spec.smooth_sigma),
             "normalize": bool(spec.normalize),
-            "interpolation": spec.interpolation,
             "options": _encode_options(spec.options),
             "grid": _encode_grid(spec.grid),
         }
@@ -253,10 +251,13 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     MalformedSpecError
         The document is not a valid v1 jobspec, an array is not real
         floating-point or integer, a float array holds a NaN or an infinity,
-        the arrays' shapes disagree, the interpolation, regularization or
-        optimizer is not one the solver knows, or a time-step or task count
-        is below one (clean, client-facing message — the HTTP front returns
-        it verbatim with a 400, before anything is journaled).
+        the arrays' shapes disagree, the regularization, optimizer or a
+        solver option is not one the solver accepts, ``beta`` is not
+        positive and finite, ``smooth_sigma`` is negative or not finite, an
+        ``interpolation`` key names anything but ``cubic_bspline``, or a
+        time-step or task count is below one (clean, client-facing message —
+        the HTTP front returns it verbatim with a 400, before anything is
+        journaled).
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -285,6 +286,12 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                     f"template and reference must share a shape, got {template.shape} "
                     f"and {reference.shape}"
                 )
+            # documents from before the kernel option name the one kernel
+            _check_choice(
+                str(payload.get("interpolation", "cubic_bspline")),
+                "interpolation",
+                ("cubic_bspline",),
+            )
             return RegistrationJobSpec(
                 template=template,
                 reference=reference,
@@ -302,11 +309,6 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 ),
                 smooth_sigma=float(payload.get("smooth_sigma", 1.0)),
                 normalize=bool(payload.get("normalize", True)),
-                interpolation=_check_choice(
-                    str(payload.get("interpolation", "cubic_bspline")),
-                    "interpolation",
-                    SUPPORTED_METHODS,
-                ),
                 options=_decode_options(payload.get("options")),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,

@@ -377,7 +377,6 @@ class RegistrationService:
                     grid=spec.grid,
                     smooth_sigma=spec.smooth_sigma,
                     normalize=spec.normalize,
-                    interpolation=spec.interpolation,
                     config=self.config,
                 )
         except SolveCancelled:

@@ -7,7 +7,7 @@ Sec. III-B2: a second-order Runge-Kutta backward characteristic trace followed
 by a Heun (explicit trapezoidal) update of the source term, with tricubic
 interpolation at the off-grid departure points.
 
-The interpolation kernels live in :mod:`repro.transport.kernels`; the
+The gather kernels live in :mod:`repro.transport.kernels`; the
 stencil of a fixed set of departure points is precomputed once per velocity
 as a :class:`GatherPlan` and reused by every transported field.
 """

@@ -58,13 +58,10 @@ class DeformationMap:
         Stationary velocity ``v`` of shape ``(3, N1, N2, N3)``.
     num_time_steps:
         Pseudo-time steps used for the transport of the displacement.
-    interpolation:
-        Interpolation kernel for the semi-Lagrangian steps and for warping
-        images with the final map.
     transport:
         The transport solver that produced *velocity* (a registration
         passes its problem's).  The map then transports and warps through
-        that solver — same time steps, kernel and operators, which
+        that solver — same time steps, interpolator and operators, which
         override the arguments above — so ``det(grad y)`` reuses the warm
         gather operator of the final velocity instead of standing up a
         second solver and interpolator.
@@ -78,7 +75,6 @@ class DeformationMap:
     grid: Grid
     velocity: np.ndarray
     num_time_steps: int = 4
-    interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
     transport: Optional[TransportSolver] = None
     plan: Optional[TransportPlan] = None
@@ -94,14 +90,12 @@ class DeformationMap:
                     f"expected {self.grid.shape}"
                 )
             self.num_time_steps = self.transport.num_time_steps
-            self.interpolation = self.transport.interpolation
             self.operators = self.transport.operators
         elif self.operators is None:
             self.operators = SpectralOperators(self.grid)
         self._solver = self.transport or TransportSolver(
             self.grid,
             num_time_steps=self.num_time_steps,
-            interpolation=self.interpolation,
             operators=self.operators,
         )
         self._displacement: Optional[np.ndarray] = None

@@ -4,24 +4,14 @@ The semi-Lagrangian scheme needs the value of grid fields at irregularly
 spaced departure points, which "cannot be done using a FFT, since the
 interpolation points can be spaced irregularly between grid points"
 (Sec. III-B2).  The paper uses tricubic interpolation because linear
-interpolation accumulates too much error over the time steps.
+interpolation accumulates too much error over the time steps; so does this
+frontend, with one kernel: the interpolating tricubic B-spline
+(``cubic_bspline``: prefilter + basis gather, 4th-order accurate for smooth
+fields).  The distributed scatter evaluates the local tricubic
+(``catmull_rom``) instead, through the same gather operator
+(:mod:`repro.parallel.scatter`).
 
-Three interpolation kernels are provided:
-
-``"cubic_bspline"`` (default)
-    Interpolating tricubic B-spline (prefilter + basis gather), 4th-order
-    accurate for smooth fields.
-``"catmull_rom"``
-    Tricubic convolution (Catmull-Rom kernel, the classical "tricubic
-    interpolation" of the paper, 64 coefficients per point) on the raw
-    samples, through the same gather operator.  This is the kernel the
-    distributed interpolation in :mod:`repro.parallel` evaluates, where
-    each owner builds that operator on its ghosted block.
-``"linear"``
-    Trilinear interpolation, provided as the ablation baseline
-    (``benchmarks/bench_ablation_interpolation.py``).
-
-The kernels live in :mod:`repro.transport.kernels`.  This frontend owns
+The kernel lives in :mod:`repro.transport.kernels`.  This frontend owns
 validation, coordinate wrapping, **gather plans** (the wrapped coordinates
 and the name of the gather operator reused across every field interpolated
 at one set of departure points), the resident gather operators themselves
@@ -46,31 +36,15 @@ from repro.observability.trace import trace_span
 from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.transport.kernels import (
-    SUPPORTED_METHODS,
     GatherOperator,
     GatherOperatorPlan,
     GatherPlan,
     build_gather_operator,
-    catmull_rom_weights,
-    gather,
-    linear_weights,
-    plan_payload,
+    gather_cubic,
     projected_gather_operator_nbytes,
 )
 
-__all__ = [
-    "PeriodicInterpolator",
-    "TRICUBIC_FLOPS_PER_POINT",
-    "catmull_rom_weights",
-    "linear_weights",
-]
-
-_SUPPORTED_METHODS = SUPPORTED_METHODS
-
-#: Number of floating point operations per interpolated point for the
-#: tricubic kernel; the paper estimates "roughly 10 x 64" flops per point
-#: (Sec. III-C2).  Used by the performance model.
-TRICUBIC_FLOPS_PER_POINT = 640
+__all__ = ["PeriodicInterpolator"]
 
 #: Gather operators one interpolator keeps resident: the forward and the
 #: backward characteristics of the live velocity, which is what a
@@ -99,19 +73,11 @@ class PeriodicInterpolator:
     ----------
     grid:
         Grid on which the interpolated fields are defined.
-    method:
-        One of ``"cubic_bspline"``, ``"catmull_rom"`` or ``"linear"``.
     """
 
     grid: Grid
-    method: str = "cubic_bspline"
 
     def __post_init__(self) -> None:
-        if self.method not in _SUPPORTED_METHODS:
-            raise ValueError(
-                f"unknown interpolation method {self.method!r}; "
-                f"expected one of {_SUPPORTED_METHODS}"
-            )
         self._spacing = np.asarray(self.grid.spacing, dtype=np.float64)
         self.points_interpolated = 0
         # the resident gather operators, most recently used last, each with
@@ -140,30 +106,25 @@ class PeriodicInterpolator:
     def plan(self, points: np.ndarray) -> GatherPlan:
         """Precompute a gather plan for *points* (the paper's planner phase).
 
-        The plan caches the wrapped coordinates and — for the cubic kernels
-        — the name of the gather operator that will hold their indices and
-        weights, so every field interpolated at the same points skips that
-        work.  The planned path is bitwise identical to the unplanned one.
+        The plan caches the wrapped coordinates and the name of the gather
+        operator that will hold their indices and weights, so every field
+        interpolated at the same points skips that work.  The planned path is
+        bitwise identical to the unplanned one.
         """
         return self._plan(points, reusable=True)
 
     def _plan(self, points: np.ndarray, reusable: bool) -> GatherPlan:
-        """Wrap *points*; plan the kernel's stencil only when they will be reused.
+        """Wrap *points*; name a gather operator only when they will be reused.
 
         A one-shot point set (``reusable=False``) carries no payload: the
         gather derives its stencil itself and keeps nothing.
         """
         points = np.asarray(points, dtype=np.float64)
-        coordinates = self.to_index_coordinates(points)
-        payload = None
-        if reusable:
-            payload = plan_payload(self.grid.shape, coordinates, self.method)
         return GatherPlan(
-            method=self.method,
             grid_shape=self.grid.shape,
             output_shape=points.shape[1:],
-            coordinates=coordinates,
-            payload=payload,
+            coordinates=self.to_index_coordinates(points),
+            payload=GatherOperatorPlan() if reusable else None,
         )
 
     def _check_plan(self, plan: GatherPlan) -> None:
@@ -171,11 +132,6 @@ class PeriodicInterpolator:
             raise ValueError(
                 f"gather plan was built for grid {plan.grid_shape}, "
                 f"but this interpolator is bound to {self.grid.shape}"
-            )
-        if plan.method != self.method:
-            raise ValueError(
-                f"gather plan was built for method {plan.method!r}, "
-                f"but this interpolator uses {self.method!r}"
             )
 
     # ------------------------------------------------------------------ #
@@ -204,7 +160,7 @@ class PeriodicInterpolator:
             while len(self._operators) >= RESIDENT_OPERATORS:
                 self._operators.pop(0)
                 _OPERATOR_DISCARDS.inc()
-            operator = build_gather_operator(self.grid.shape, plan.coordinates, self.method)
+            operator = build_gather_operator(self.grid.shape, plan.coordinates, "cubic_bspline")
             self._operators.append((name, operator))
             return operator
 
@@ -225,16 +181,9 @@ class PeriodicInterpolator:
         self.points_interpolated += batch * plan.num_points
         _INTERP_SWEEPS.inc(batch)
         _INTERP_POINTS.inc(batch * plan.num_points)
-        with trace_span(
-            "interp.gather",
-            count=batch,
-            points=batch * plan.num_points,
-            method=self.method,
-        ):
-            payload = plan.payload
-            if isinstance(payload, GatherOperatorPlan):
-                payload = self._resident_operator(plan)
-            return gather(fields, plan.coordinates, payload, self.method)
+        with trace_span("interp.gather", count=batch, points=batch * plan.num_points):
+            operator = None if plan.payload is None else self._resident_operator(plan)
+            return gather_cubic(fields, plan.coordinates, "cubic_bspline", operator)
 
     def _check_stack(self, fields: np.ndarray) -> np.ndarray:
         fields = np.asarray(fields)
@@ -310,12 +259,3 @@ class PeriodicInterpolator:
                 f"expected {(3, *self.grid.shape)}"
             )
         return self.interpolate_many(vector_field, points)
-
-    # ------------------------------------------------------------------ #
-    def flops(self) -> int:
-        """Estimated floating point work of all interpolations so far."""
-        if self.method == "linear":
-            per_point = 24
-        else:
-            per_point = TRICUBIC_FLOPS_PER_POINT
-        return per_point * self.points_interpolated

@@ -11,22 +11,18 @@ needs, so that every field interpolated at the same departure points
 (state, adjoint, both incremental equations, all time steps of one
 velocity) reuses it — the paper's "interpolation planner".
 
-Each interpolation kernel has one gather path (:func:`plan_payload` plans,
-:func:`gather` evaluates):
+One engine evaluates both cubic kernels: the **sparse gather operator**
+(below; :func:`build_gather_operator` builds it, :func:`gather_cubic`
+applies it), a :mod:`scipy.sparse` CSR product whose indices and weights a
+planned point set derives once per velocity, not once per field per sweep.
 
-``cubic_bspline`` (the solver's default) and ``catmull_rom``
-    The **sparse gather operator** (below), one engine for both cubic
-    kernels: the padded coefficients are the
-    :func:`scipy.ndimage.spline_filter` prefilter of each field for
-    ``cubic_bspline`` and the raw samples for ``catmull_rom`` (the paper's
-    local tricubic), and a :mod:`scipy.sparse` CSR product evaluates the
-    stencil, so the indices and weights of a planned point set are derived
-    once per velocity, not once per field per sweep.  The distributed
-    scatter (:mod:`repro.parallel.scatter`) builds the same operator,
-    without wrapping, on each owner's ghosted block.
-``linear``
-    :func:`scipy.ndimage.map_coordinates` per field (nothing worth caching:
-    8 taps, no prefilter).
+``cubic_bspline``
+    The solver's kernel, on the :func:`scipy.ndimage.spline_filter`
+    prefilter of each field.
+``catmull_rom``
+    The paper's local tricubic on the raw samples: the distributed
+    scatter's kernel (:data:`repro.parallel.scatter.SCATTER_KERNEL`), built
+    without wrapping on each owner's ghosted block.
 
 Interpolation *counting* stays in
 :class:`repro.transport.interpolation.PeriodicInterpolator`, which pins the
@@ -60,17 +56,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 from scipy import ndimage, sparse
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
-
-#: The interpolation kernels.
-SUPPORTED_METHODS = ("cubic_bspline", "catmull_rom", "linear")
-
 
 # --------------------------------------------------------------------------- #
 # per-axis kernel weights
@@ -108,11 +100,6 @@ def bspline_weights(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     w2 = (-3.0 * t3 + 3.0 * t2 + 3.0 * t + 1.0) / 6.0
     w3 = t3 / 6.0
     return w0, w1, w2, w3
-
-
-def linear_weights(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Linear interpolation weights for samples at offsets ``0, 1``."""
-    return 1.0 - t, t
 
 
 #: cubic kernel name -> per-axis weights at the stencil offsets ``-1 .. 2``
@@ -385,14 +372,12 @@ class GatherPlan:
 
     Built once per point set (per velocity, in the semi-Lagrangian scheme)
     by :meth:`repro.transport.interpolation.PeriodicInterpolator.plan` and
-    reused by every field interpolated at those points.  ``payload`` is the
-    kernel's planning product (:func:`plan_payload`): a
-    :class:`GatherOperatorPlan`, or ``None`` for one-shot point sets and
-    kernels with nothing to cache (``map_coordinates`` behind ``linear``;
-    those still reuse the wrapped coordinates).
+    reused by every field interpolated at those points.  ``payload`` names
+    the point set's gather operator (a :class:`GatherOperatorPlan`), or is
+    ``None`` for a one-shot point set, whose gather builds its operator
+    block by block and keeps nothing.
     """
 
-    method: str
     grid_shape: Tuple[int, int, int]
     output_shape: Tuple[int, ...]
     coordinates: np.ndarray
@@ -403,53 +388,6 @@ class GatherPlan:
         return self.coordinates.shape[1]
 
     @property
-    def is_cached(self) -> bool:
-        """True when the stencil (indices + weights) is derived once and reused."""
-        return self.payload is not None
-
-    @property
     def nbytes(self) -> int:
-        """Exact array payload in bytes."""
-        payload_bytes = self.payload.nbytes if self.payload is not None else 0
-        return self.coordinates.nbytes + payload_bytes
-
-
-def plan_payload(
-    grid_shape: Tuple[int, int, int], coordinates: np.ndarray, method: str
-) -> Optional[GatherOperatorPlan]:
-    """The reusable part of a gather at fractional index *coordinates*.
-
-    Both cubic kernels get the name of their gather operator (built on the
-    first gather), ``linear`` nothing.
-    """
-    if method in _CUBIC_WEIGHTS:
-        return GatherOperatorPlan()
-    return None
-
-
-def gather(
-    fields: np.ndarray,
-    coordinates: np.ndarray,
-    payload: Optional[Union[GatherOperatorPlan, GatherOperator]],
-    method: str,
-) -> np.ndarray:
-    """Interpolate a ``(B, N1, N2, N3)`` stack at *coordinates*; returns ``(B, M)``.
-
-    ``payload`` is what :func:`plan_payload` returned for *coordinates* —
-    or the resident gather operator the frontend resolved that to — or
-    ``None`` for a one-shot point set.  The cubic kernels gather through the
-    sparse gather operator (:func:`gather_cubic`; built block by block
-    unless resident); ``cubic_bspline`` agrees with
-    ``map_coordinates(order=3, mode="grid-wrap")`` to rounding (same spline
-    coefficients, different summation order).
-    """
-    if method in _CUBIC_WEIGHTS:
-        operator = payload if isinstance(payload, GatherOperator) else None
-        return gather_cubic(fields, coordinates, method, operator)
-    return np.stack(
-        [
-            ndimage.map_coordinates(field, coordinates, order=1, mode="grid-wrap")
-            for field in fields
-        ],
-        axis=0,
-    )
+        """Exact array payload in bytes: the coordinates (the payload has none)."""
+        return self.coordinates.nbytes

@@ -48,9 +48,9 @@ Implements the scheme of Sec. III-B2 (Eqs. 6 and 7 of the paper):
 The departure points depend only on the (stationary) velocity and the time
 step, so they are computed once per velocity and re-used for every time step
 and every transported field — the "interpolation planner"/scatter phase of
-Sec. III-C2.  The stepper goes one step further and caches the full
-**gather plan** (base indices + per-axis kernel weights, see
-:mod:`repro.transport.kernels`) for its departure points, so repeated steps
+Sec. III-C2.  The stepper plans them straight into a **gather plan** (the
+wrapped coordinates and the name of their gather operator, see
+:mod:`repro.transport.kernels`) and keeps only that, so repeated steps
 never re-derive the interpolation stencil; fields that are interpolated
 together (the displacement components of the deformation map) move through
 one batched gather pass.  The same machinery handles the adjoint equations
@@ -58,9 +58,9 @@ after the time reversal ``tau = 1 - t`` by passing ``-v``.  A velocity that
 is identically zero — the first iterate of every registration — has no
 characteristics to follow: its stepper plans nothing and gathers nothing.
 
-The departure points and their gather plan belong to the stepper, and so to
-the :class:`~repro.transport.solvers.TransportPlan` of its velocity: they
-live as long as that plan does and are never shared through the process-wide
+A stepper's gather plan belongs to it, and so to the
+:class:`~repro.transport.solvers.TransportPlan` of its velocity: it lives
+as long as that plan does and is never shared through the process-wide
 plan pool.  Whoever holds a velocity's plan hands it on instead of planning
 again — ``linearize`` adopts the accepted line-search trial's, the
 deformation map takes the final iterate's.
@@ -68,7 +68,7 @@ deformation map takes the final iterate's.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -141,11 +141,12 @@ class SemiLagrangianStepper:
     """One semi-Lagrangian time step for a scalar transport equation.
 
     The stepper is bound to a fixed velocity and time step; the departure
-    points and their gather plan are computed once at construction (the
-    paper's "scatter"/planning phase), held by the stepper and shared by
-    every call to :meth:`step`.  A velocity that is identically zero departs
-    from the grid itself: that stepper holds no departure data (both fields
-    stay ``None``) and gathers nothing — :meth:`step` is
+    points are computed and planned once at construction (the paper's
+    "scatter"/planning phase), and their gather plan — the one copy of them
+    the stepper keeps, as ``departure_plan`` — is shared by every call to
+    :meth:`step`.  A velocity that is identically zero departs from the
+    grid itself: that stepper holds no departure data (``departure_plan``
+    stays ``None``) and gathers nothing — :meth:`step` is
     ``nu + dt/2 (f_old + f_new)``.
 
     Parameters
@@ -158,10 +159,7 @@ class SemiLagrangianStepper:
     dt:
         Time-step size.
     interpolator:
-        Off-grid interpolation kernel (tricubic by default).
-    departure_points, departure_plan:
-        Precomputed planning data (both must be given together); computed
-        here when omitted.
+        Off-grid interpolator (one per grid when omitted).
     derivatives:
         The :func:`flow_derivatives` pair of *velocity* when the caller has
         it (:meth:`TransportSolver.plan` shares one pair between its two
@@ -173,26 +171,19 @@ class SemiLagrangianStepper:
     velocity: np.ndarray
     dt: float
     interpolator: Optional[PeriodicInterpolator] = None
-    departure_points: Optional[np.ndarray] = None
-    departure_plan: Optional[GatherPlan] = None
     derivatives: InitVar[Optional[Tuple[np.ndarray, np.ndarray]]] = None
+    departure_plan: Optional[GatherPlan] = field(default=None, init=False)
 
     def __post_init__(self, derivatives) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
         if self.interpolator is None:
             self.interpolator = PeriodicInterpolator(self.grid)
-        if (self.departure_points is None) != (self.departure_plan is None):
-            raise ValueError(
-                "departure_points and departure_plan must be provided together "
-                "(one without the other would silently be rebuilt and ignored)"
-            )
-        if self.departure_points is None and self.velocity.any():
-            self.departure_points = compute_departure_points(
-                self.grid, self.velocity, self.dt, derivatives
-            )
+        if self.velocity.any():
             # the paper's planning phase: the gather stencil of the departure
             # points is computed once and reused by every step of every field
-            self.departure_plan = self.interpolator.plan(self.departure_points)
+            self.departure_plan = self.interpolator.plan(
+                compute_departure_points(self.grid, self.velocity, self.dt, derivatives)
+            )
 
     # ------------------------------------------------------------------ #
     def interpolate_at_departure(self, field: np.ndarray) -> np.ndarray:

@@ -59,10 +59,10 @@ class TransportPlan:
     velocity — both from one third-order expansion of the flow, no
     interpolation (:mod:`repro.transport.semi_lagrangian`) — then re-used by
     the state, adjoint and both incremental equations of every Hessian
-    matvec (Sec. III-C2).  Each stepper additionally caches the gather plan
-    (base indices + per-axis interpolation weights,
-    :mod:`repro.transport.kernels`) of its departure points, so the Hessian
-    mat-vecs never re-derive stencils they already have.  ``v = 0`` has one
+    matvec (Sec. III-C2).  Each stepper keeps its departure points only as
+    their gather plan (wrapped coordinates + the name of their gather
+    operator, :mod:`repro.transport.kernels`), so the Hessian mat-vecs never
+    re-derive stencils they already have.  ``v = 0`` has one
     stepper for both directions, and it holds nothing.
     """
 
@@ -93,14 +93,14 @@ class TransportPlan:
     def nbytes(self) -> int:
         """Byte size of the per-velocity planning data this plan holds.
 
-        Counts the departure points and gather plans of both steppers (none
-        for ``v = 0``) plus the cached divergence field and, once built, the
-        growth factor.  The gather operators the plans name are not counted:
-        the solver's interpolator holds those.
+        Counts the gather plans of both steppers (none for ``v = 0``) plus
+        the cached divergence field and, once built, the growth factor.  The
+        gather operators the plans name are not counted: the solver's
+        interpolator holds those.
         """
         growth_bytes = 0 if self._growth is None else self._growth.nbytes
         return self.divergence.nbytes + growth_bytes + sum(
-            stepper.departure_points.nbytes + stepper.departure_plan.nbytes
+            stepper.departure_plan.nbytes
             for stepper in (self.forward_stepper, self.backward_stepper)
             if stepper.departure_plan is not None
         )
@@ -116,15 +116,12 @@ class TransportSolver:
         Computational grid.
     num_time_steps:
         Number of pseudo-time steps ``nt`` (the paper uses ``nt = 4``).
-    interpolation:
-        Interpolation kernel passed to :class:`PeriodicInterpolator`.
     operators:
         Spectral operators; constructed on demand when not provided.
     """
 
     grid: Grid
     num_time_steps: int = 4
-    interpolation: str = "cubic_bspline"
     operators: Optional[SpectralOperators] = None
     divergence_tolerance: float = 1e-8
     _interpolator: PeriodicInterpolator = field(init=False, repr=False)
@@ -133,7 +130,7 @@ class TransportSolver:
         check_positive_int(self.num_time_steps, "num_time_steps")
         if self.operators is None:
             self.operators = SpectralOperators(self.grid)
-        self._interpolator = PeriodicInterpolator(self.grid, self.interpolation)
+        self._interpolator = PeriodicInterpolator(self.grid)
 
     # ------------------------------------------------------------------ #
     # planning

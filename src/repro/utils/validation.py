@@ -20,6 +20,14 @@ def check_positive(value: float, name: str) -> float:
     return value
 
 
+def check_nonnegative(value: float, name: str) -> float:
+    """Ensure *value* is a finite scalar ``>= 0``."""
+    value = float(value)
+    if not np.isfinite(value) or value < 0.0:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+    return value
+
+
 def check_positive_int(value: int, name: str) -> int:
     """Ensure *value* is a strictly positive integer."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):

@@ -56,7 +56,7 @@ class TestConstruction:
         assert summary["grid"] == (12, 12, 12)
         assert summary["num_unknowns_velocity"] == 3 * 12**3
         assert summary["gauss_newton"] is True
-        assert summary["interpolation"] == "cubic_bspline"
+        assert "interpolation" not in summary
         assert "interp_backend" not in summary
         assert "plan_layout" not in summary
 

@@ -20,10 +20,37 @@ from repro.core.optim.gradient_descent import GradientDescent
 from repro.core.problem import RegistrationProblem
 from repro.core.registration import OPTIMIZERS, RegistrationSolver, register
 from repro.core.regularization import REGULARIZATIONS
-from repro.data.synthetic import synthetic_registration_problem
+from repro.data.synthetic import synthetic_population, synthetic_registration_problem
 from repro.observability import get_metrics_registry
+from repro.service.jobs import RegistrationJobSpec
 from repro.spectral.grid import Grid
-from repro.transport.kernels import SUPPORTED_METHODS
+from repro.transport.deformation import DeformationMap
+from repro.transport.interpolation import PeriodicInterpolator
+from repro.transport.solvers import TransportSolver
+
+
+#: Every layer the kernel option once threaded through, named with it.
+KERNEL_LAYERS = {
+    "PeriodicInterpolator": lambda s, kernel: PeriodicInterpolator(s.grid, kernel),
+    "TransportSolver": lambda s, kernel: TransportSolver(s.grid, interpolation=kernel),
+    "DeformationMap": lambda s, kernel: DeformationMap(
+        s.grid, s.grid.zeros_vector(), interpolation=kernel
+    ),
+    "RegistrationProblem": lambda s, kernel: RegistrationProblem(
+        grid=s.grid, reference=s.reference, template=s.template, interpolation=kernel
+    ),
+    "RegistrationSolver": lambda s, kernel: RegistrationSolver(interpolation=kernel),
+    "register": lambda s, kernel: register(s.template, s.reference, interpolation=kernel),
+    "RegistrationJobSpec": lambda s, kernel: RegistrationJobSpec(
+        template=s.template, reference=s.reference, interpolation=kernel
+    ),
+    "synthetic_registration_problem": lambda s, kernel: synthetic_registration_problem(
+        8, interpolation=kernel
+    ),
+    "synthetic_population": lambda s, kernel: synthetic_population(
+        8, num_subjects=2, interpolation=kernel
+    ),
+}
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +118,7 @@ class TestGaussNewtonKrylov:
 
     def test_wall_clock_budget(self, problem):
         result = GaussNewtonKrylov(
-            problem, quick_options(max_wall_clock_seconds=0.0, max_newton_iterations=50)
+            problem, quick_options(max_wall_clock_seconds=1e-9, max_newton_iterations=50)
         ).solve()
         assert result.termination_reason in ("wall_clock_budget", "gradient_tolerance")
         assert result.num_iterations <= 1
@@ -254,7 +281,7 @@ class TestRegistrationFrontEnd:
             solver.run(synthetic.template, synthetic.reference, initial_velocity=velocity)
 
     @pytest.mark.parametrize("entry", ["solver", "register"])
-    @pytest.mark.parametrize("name", ["interpolation", "regularization", "optimizer"])
+    @pytest.mark.parametrize("name", ["regularization", "optimizer"])
     def test_unknown_choice_rejected_at_construction(self, synthetic, name, entry):
         """Named at the boundary, before any image is preprocessed."""
 
@@ -271,12 +298,22 @@ class TestRegistrationFrontEnd:
 
     @pytest.mark.parametrize(
         "name,value",
-        [("interpolation", method) for method in SUPPORTED_METHODS]
-        + [("regularization", name) for name in REGULARIZATIONS]
+        [("regularization", name) for name in REGULARIZATIONS]
         + [("optimizer", name) for name in OPTIMIZERS],
     )
     def test_every_supported_choice_constructs(self, name, value):
         assert getattr(RegistrationSolver(**{name: value}), name) == value
+
+    @pytest.mark.parametrize("kernel", ["linear", "catmull_rom", "cubic_bspline"])
+    @pytest.mark.parametrize("layer", sorted(KERNEL_LAYERS))
+    def test_no_kernel_option_at_any_layer(self, synthetic, layer, kernel):
+        """One kernel: naming one, even the default, is a TypeError at every
+        layer that once took it, before any transform runs."""
+        before = sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
+        with pytest.raises(TypeError, match="'interpolation'|positional arguments"):
+            KERNEL_LAYERS[layer](synthetic, kernel)
+        after = sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
+        assert after == before
 
     def test_grid_shape_must_match_images(self, synthetic):
         solver = RegistrationSolver(options=quick_options())

@@ -101,15 +101,34 @@ def departure_like_points(grid: Grid, seed: int = 0, cells: float = 3.0) -> np.n
     )
 
 
-def rk2_departure_points(grid: Grid, velocity: np.ndarray, dt: float, interpolator) -> np.ndarray:
+def periodic_gather(grid: Grid, fields, points, kernel: str = "catmull_rom") -> np.ndarray:
+    """A cubic kernel's periodic operator at physical *points* — an oracle.
+
+    With ``catmull_rom``, the serial counterpart of the distributed scatter;
+    with ``cubic_bspline``, the interpolator's bits.  *fields* is one field
+    or a ``(B, ...)`` stack; the trailing shape of *points* is kept.
+    """
+    from repro.transport.interpolation import PeriodicInterpolator
+    from repro.transport.kernels import gather_cubic
+
+    fields = np.asarray(fields)
+    coordinates = PeriodicInterpolator(grid).to_index_coordinates(points)
+    values = gather_cubic(fields.reshape(-1, *grid.shape), coordinates, kernel)
+    return values.reshape(*fields.shape[:-3], *np.shape(points)[1:])
+
+
+def rk2_departure_points(
+    grid: Grid, velocity: np.ndarray, dt: float, kernel: str = "cubic_bspline"
+) -> np.ndarray:
     """The paper's interpolated RK2 trace (Eq. 6) — a test oracle.
 
     What ``compute_departure_points`` did before the spectral expansion and
-    what ``DistributedSemiLagrangian`` still does through its star plan.
+    what ``DistributedSemiLagrangian`` still does through its star plan
+    (with ``catmull_rom``).
     """
     x = grid.coordinate_stack()
     x_star = x - dt * velocity
-    v_at_star = interpolator.interpolate_vector(velocity, x_star)
+    v_at_star = periodic_gather(grid, velocity, x_star, kernel)
     return x - 0.5 * dt * (velocity + v_at_star)
 
 
@@ -117,7 +136,7 @@ def materialized_stencil_gather(
     flat_fields: np.ndarray,
     shape: Tuple[int, int, int],
     coordinates: np.ndarray,
-    method: str,
+    kernel: str,
     periodic: bool = True,
 ) -> np.ndarray:
     """The tensor-product stencil with every index and weight formed at once — an oracle.
@@ -129,22 +148,17 @@ def materialized_stencil_gather(
     by one.  *flat_fields* is ``(B, prod(shape))``, the kernel's
     coefficients (prefiltered for ``cubic_bspline``).
     """
-    from repro.transport.kernels import bspline_weights, catmull_rom_weights, linear_weights
+    from repro.transport.kernels import bspline_weights, catmull_rom_weights
 
-    weight_fn, lead = {
-        "cubic_bspline": (bspline_weights, -1),
-        "catmull_rom": (catmull_rom_weights, -1),
-        "linear": (linear_weights, 0),
-    }[method]
+    weight_fn = {"cubic_bspline": bspline_weights, "catmull_rom": catmull_rom_weights}[kernel]
     base = np.floor(coordinates).astype(np.intp)
     w0, w1, w2 = (weight_fn(coordinates[d] - base[d]) for d in range(3))
-    taps = len(w0)
-    reached = [base[d] + np.arange(lead, lead + taps)[:, None] for d in range(3)]
+    reached = [base[d] + np.arange(-1, 3)[:, None] for d in range(3)]
     i0, i1, i2 = (reached[d] % shape[d] if periodic else reached[d] for d in range(3))
     out = np.zeros((flat_fields.shape[0], coordinates.shape[1]))
-    for a in range(taps):
-        for b in range(taps):
-            for c in range(taps):
+    for a in range(4):
+        for b in range(4):
+            for c in range(4):
                 flat = (i0[a] * shape[1] + i1[b]) * shape[2] + i2[c]
                 out += (w0[a] * w1[b] * w2[c]) * flat_fields[:, flat]
     return out
@@ -174,17 +188,6 @@ def periodic_bspline_prefilter(fields: np.ndarray) -> np.ndarray:
     )
     spectrum = np.fft.rfftn(fields, axes=(-3, -2, -1)) / symbol
     return np.fft.irfftn(spectrum, s=(n1, n2, n3), axes=(-3, -2, -1))
-
-
-def rk2_stepper(grid: Grid, velocity: np.ndarray, dt: float, interpolator):
-    """A serial stepper on the RK2 oracle's departure points."""
-    from repro.transport.semi_lagrangian import SemiLagrangianStepper
-
-    points = rk2_departure_points(grid, velocity, dt, interpolator)
-    return SemiLagrangianStepper(
-        grid, velocity, dt, interpolator,
-        departure_points=points, departure_plan=interpolator.plan(points),
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -159,6 +159,25 @@ class TestRegisterCommand:
         assert code == 2
         assert "non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["register", "serve"])
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--beta", "0", "beta"), ("--max-krylov", "0", "max_krylov_iterations")],
+    )
+    def test_bad_solver_setting_is_a_clean_error_before_loading(
+        self, capsys, monkeypatch, command, flag, value, field
+    ):
+        import repro.cli as cli
+
+        def no_data(args):
+            raise AssertionError("images loaded before the settings were checked")
+
+        monkeypatch.setattr(cli, "_load_pair", no_data)
+        monkeypatch.setattr(cli, "_load_population", no_data)
+        assert main([command, "--synthetic", "8", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_malformed_runtime_env_vars_are_clean_errors(self, capsys, monkeypatch):
         from repro.runtime import POOL_BYTES_ENV_VAR, configure_plan_pool
 

@@ -21,9 +21,10 @@ from repro.parallel import (
 )
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
-from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.semi_lagrangian import compute_departure_points
 from repro.transport.solvers import TransportSolver
+
+from tests.fixtures import periodic_gather
 
 pytestmark = pytest.mark.slow
 
@@ -136,7 +137,7 @@ class TestDistributedConsistencyEndToEnd:
         ]
         plan = ScatterInterpolationPlan(grid, deco, comm, local_points)
         values = plan.interpolate(deco.scatter(deformed))
-        serial = PeriodicInterpolator(grid, "catmull_rom")(deformed, departure)
+        serial = periodic_gather(grid, deformed, departure)
         for rank in range(deco.num_tasks):
             np.testing.assert_allclose(
                 values[rank], serial[deco.local_slices(rank)].reshape(-1), atol=1e-10

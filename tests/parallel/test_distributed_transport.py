@@ -9,11 +9,10 @@ from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedSemiLagrangian, DistributedTransportSolver
 from repro.runtime.plan_pool import configure_plan_pool
 from repro.spectral.grid import Grid
-from repro.transport.interpolation import PeriodicInterpolator
 
 from tests.fixtures import (
+    periodic_gather,
     rk2_departure_points,
-    rk2_stepper,
     smooth_scalar_field,
     smooth_vector_field,
     smooth_velocity_field,
@@ -38,9 +37,7 @@ class TestDistributedSemiLagrangian:
         deco = PencilDecomposition(grid.shape, *pgrid)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         # the distributed stepper still traces RK2 through its star plan
-        serial = rk2_departure_points(
-            grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom")
-        )
+        serial = rk2_departure_points(grid, velocity, 0.25, "catmull_rom")
         for rank in range(deco.num_tasks):
             expected = serial[(slice(None), *deco.local_slices(rank))].reshape(3, -1)
             np.testing.assert_allclose(stepper.departure_points(rank), expected, atol=1e-13)
@@ -50,10 +47,8 @@ class TestDistributedSemiLagrangian:
         deco = PencilDecomposition(grid.shape, *pgrid)
         stepper = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         field = smooth_scalar_field(grid, seed=7)
-        serial_stepper = rk2_stepper(
-            grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom")
-        )
-        expected = serial_stepper.step(field)
+        points = rk2_departure_points(grid, velocity, 0.25, "catmull_rom")
+        expected = periodic_gather(grid, field, points)
         blocks = stepper.step(deco.scatter(field))
         np.testing.assert_allclose(deco.gather(blocks), expected, atol=1e-13)
 
@@ -147,10 +142,10 @@ class TestDistributedTransportSolver:
         distributed = DistributedTransportSolver(grid, deco, num_time_steps=4)
         result = distributed.solve_state(velocity, template)
 
-        serial = rk2_stepper(grid, velocity, 0.25, PeriodicInterpolator(grid, "catmull_rom"))
+        points = rk2_departure_points(grid, velocity, 0.25, "catmull_rom")
         expected = template
         for _ in range(4):
-            expected = serial.step(expected)
+            expected = periodic_gather(grid, expected, points)
         np.testing.assert_allclose(result, expected, atol=1e-13)
 
     def test_communication_is_charged(self):

@@ -15,10 +15,14 @@ from repro.parallel.performance import (
 from repro.parallel.scatter import SCATTER_PLAN_TAG, ScatterInterpolationPlan
 from repro.runtime.plan_pool import configure_plan_pool
 from repro.spectral.grid import Grid
-from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.semi_lagrangian import compute_departure_points
 
-from tests.fixtures import make_scatter_plan, smooth_scalar_field, smooth_velocity_field
+from tests.fixtures import (
+    make_scatter_plan,
+    periodic_gather,
+    smooth_scalar_field,
+    smooth_velocity_field,
+)
 
 pytestmark = pytest.mark.mpi
 
@@ -34,9 +38,9 @@ class TestScatterInterpolation:
         deco, comm, points, plan = make_scatter_plan(grid, pgrid)
         field = rng.standard_normal(grid.shape)
         values = plan.interpolate(deco.scatter(field))
-        serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
-            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-13)
+            serial = periodic_gather(grid, field, points[rank])
+            np.testing.assert_allclose(values[rank], serial, atol=1e-13)
 
     def test_semi_lagrangian_departure_points(self, grid):
         # the actual use case: departure points of the synthetic velocity
@@ -51,7 +55,7 @@ class TestScatterInterpolation:
         plan = ScatterInterpolationPlan(grid, deco, comm, local_points)
         field = smooth_scalar_field(grid, seed=3)
         values = plan.interpolate(deco.scatter(field))
-        serial = PeriodicInterpolator(grid, "catmull_rom")(field, departure)
+        serial = periodic_gather(grid, field, departure)
         for rank in range(deco.num_tasks):
             expected = serial[deco.local_slices(rank)].reshape(-1)
             np.testing.assert_allclose(values[rank], expected, atol=1e-13)
@@ -88,10 +92,9 @@ class TestScatterInterpolation:
         plan = ScatterInterpolationPlan(grid, deco, comm, points)
         field = rng.standard_normal(grid.shape)
         values = plan.interpolate(deco.scatter(field))
-        serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
             np.testing.assert_allclose(
-                values[rank], serial(field, points[rank]), rtol=0, atol=1e-12
+                values[rank], periodic_gather(grid, field, points[rank]), rtol=0, atol=1e-12
             )
 
     def test_communication_is_recorded(self, grid, rng):
@@ -140,9 +143,9 @@ class TestScatterInterpolation:
         # and the warm plans still interpolate correctly
         field = smooth_scalar_field(grid, seed=13)
         values = warm.interpolate(deco.scatter(field))
-        serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
-            np.testing.assert_allclose(values[rank], serial(field, points[rank]), atol=1e-13)
+            serial = periodic_gather(grid, field, points[rank])
+            np.testing.assert_allclose(values[rank], serial, atol=1e-13)
 
     def test_pool_stats_include_scatter_entries(self, grid, plan_pool):
         """Scatter plans are first-class citizens of the pool accounting."""
@@ -238,9 +241,8 @@ class TestBatchedScatterInterpolation:
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=24)
         fields = np.stack([rng.standard_normal(grid.shape) for _ in range(3)])
         batched = plan.interpolate_many_global(fields)
-        serial = PeriodicInterpolator(grid, "catmull_rom")
         for rank in range(deco.num_tasks):
-            expected = serial.interpolate_many(fields, points[rank])
+            expected = periodic_gather(grid, fields, points[rank])
             np.testing.assert_allclose(batched[rank], expected, atol=1e-13)
 
     def test_input_validation(self, grid):

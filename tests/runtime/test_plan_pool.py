@@ -138,24 +138,12 @@ class TestPlansOwnTheirData:
         velocity = smooth_velocity_field(grid, seed=101, amplitude=0.4)
         first = SemiLagrangianStepper(grid, velocity, dt=0.25)
         second = SemiLagrangianStepper(grid, velocity, dt=0.25)
-        assert second.departure_points is not first.departure_points
-        np.testing.assert_array_equal(second.departure_points, first.departure_points)
+        plans = (first.departure_plan, second.departure_plan)
+        assert plans[0] is not plans[1]
+        np.testing.assert_array_equal(plans[0].coordinates, plans[1].coordinates)
         field = np.random.default_rng(0).standard_normal(grid.shape)
         np.testing.assert_array_equal(first.step(field), second.step(field))
         assert len(plan_pool) == 0 and plan_pool.stats == PoolStats()
-
-    def test_one_sided_precomputed_data_rejected(self, plan_pool):
-        grid = Grid((12, 12, 12))
-        velocity = smooth_velocity_field(grid, seed=105, amplitude=0.4)
-        full = SemiLagrangianStepper(grid, velocity, dt=0.25)
-        with pytest.raises(ValueError, match="provided together"):
-            SemiLagrangianStepper(
-                grid, velocity, dt=0.25, departure_points=full.departure_points
-            )
-        with pytest.raises(ValueError, match="provided together"):
-            SemiLagrangianStepper(
-                grid, velocity, dt=0.25, departure_plan=full.departure_plan
-            )
 
     def test_velocity_sign_and_dt_change_the_points(self, plan_pool):
         grid = Grid((12, 12, 12))
@@ -165,7 +153,9 @@ class TestPlansOwnTheirData:
             SemiLagrangianStepper(grid, -velocity, dt=0.25),  # backward direction
             SemiLagrangianStepper(grid, velocity, dt=0.5),
         ):
-            assert not np.array_equal(other.departure_points, base.departure_points)
+            assert not np.array_equal(
+                other.departure_plan.coordinates, base.departure_plan.coordinates
+            )
         assert len(plan_pool) == 0
 
     def test_transport_solver_plan_owns_its_data(self, plan_pool):
@@ -178,10 +168,12 @@ class TestPlansOwnTheirData:
             (first.backward_stepper, second.backward_stepper),
         ):
             assert again.departure_plan is not forward.departure_plan
-            np.testing.assert_array_equal(again.departure_points, forward.departure_points)
+            np.testing.assert_array_equal(
+                again.departure_plan.coordinates, forward.departure_plan.coordinates
+            )
         points = grid.num_points * 3 * 8  # one (3, N) float64 array
-        # departure points + wrapped coordinates per direction, and div v
-        assert first.nbytes == 2 * 2 * points + grid.num_points * 8
+        # the wrapped coordinates of each direction's plan, and div v
+        assert first.nbytes == 2 * points + grid.num_points * 8
         assert len(plan_pool) == 0
 
     def test_linearize_adopts_the_line_search_plan(self, plan_pool):

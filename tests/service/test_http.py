@@ -12,9 +12,12 @@ import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.line_search import ArmijoLineSearch
+from repro.core.registration import RegistrationSolver
+from repro.observability import get_metrics_registry
 from repro.service import RegistrationService, spec_to_dict
 from repro.service.http import serve_http
 from repro.service.jobs import JobStatus, RegistrationJobSpec, TransportJobSpec
+from repro.service.journal import JobJournal, MalformedSpecError, spec_from_dict
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -81,6 +84,35 @@ def _wait_for(predicate, timeout=60.0):
             return True
         time.sleep(0.005)
     return False
+
+
+def _registration_document():
+    grid = make_grid(8)
+    return spec_to_dict(
+        RegistrationJobSpec(
+            template=smooth_scalar_field(grid, seed=1),
+            reference=smooth_scalar_field(grid, seed=2),
+            options=SolverOptions(),
+        )
+    )
+
+
+def _post_rejected(journal_dir, document):
+    """(status, body) of POSTing *document* to a journaled service, which must
+    neither accept nor journal it."""
+    with RegistrationService(num_workers=1, journal_dir=journal_dir) as service:
+        server = serve_http(service, 0)
+        try:
+            response = _request(f"http://127.0.0.1:{server.port}/jobs", "POST", document)
+        finally:
+            server.shutdown()
+        assert service.service_stats()["jobs_submitted"] == 0
+    assert JobJournal(journal_dir).replay() == []
+    return response
+
+
+def _transforms() -> float:
+    return sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
 
 
 class TestSubmitAndStatus:
@@ -163,64 +195,99 @@ class TestMalformedSubmissions:
         assert service.service_stats()["jobs_submitted"] == before
 
     def test_non_finite_array_is_400_before_anything_is_journaled(self, tmp_path):
-        from repro.service.journal import JobJournal
-
         spec = _transport_spec(make_grid(8))
         spec.moving[1, 2, 3] = np.nan
-        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
-            server = serve_http(service, 0)
-            try:
-                status, doc = _request(
-                    f"http://127.0.0.1:{server.port}/jobs", "POST", spec_to_dict(spec)
-                )
-            finally:
-                server.shutdown()
-            assert service.service_stats()["jobs_submitted"] == 0
+        status, doc = _post_rejected(tmp_path, spec_to_dict(spec))
         assert status == 400
         assert "moving has 1 non-finite value" in doc["error"]
-        assert JobJournal(tmp_path).replay() == []
 
     def test_thin_pencil_is_400_before_anything_is_journaled(self, tmp_path):
-        from repro.service.journal import JobJournal
-
         spec = _transport_spec(make_grid(8))
         spec.num_tasks = 7
-        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
-            server = serve_http(service, 0)
-            try:
-                status, doc = _request(
-                    f"http://127.0.0.1:{server.port}/jobs", "POST", spec_to_dict(spec)
-                )
-            finally:
-                server.shutdown()
-            assert service.service_stats()["jobs_submitted"] == 0
+        status, doc = _post_rejected(tmp_path, spec_to_dict(spec))
         assert status == 400
         assert "num_tasks=7 splits the (8, 8, 8) grid over a 1x7 process grid" in doc["error"]
-        assert JobJournal(tmp_path).replay() == []
 
-    def test_unknown_interpolation_is_400_before_anything_is_journaled(self, tmp_path):
-        from repro.service.journal import JobJournal
-
-        grid = make_grid(8)
-        document = spec_to_dict(
-            RegistrationJobSpec(
-                template=smooth_scalar_field(grid, seed=1),
-                reference=smooth_scalar_field(grid, seed=2),
-            )
-        )
-        document["spec"]["interpolation"] = "bogus"
-        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
-            server = serve_http(service, 0)
-            try:
-                status, doc = _request(
-                    f"http://127.0.0.1:{server.port}/jobs", "POST", document
-                )
-            finally:
-                server.shutdown()
-            assert service.service_stats()["jobs_submitted"] == 0
+    @pytest.mark.parametrize("kernel", ["linear", "catmull_rom"])
+    def test_other_kernel_is_400_before_anything_is_journaled(self, tmp_path, kernel):
+        """``catmull_rom`` is the scatter's kernel, not a solver option."""
+        document = _registration_document()
+        document["spec"]["interpolation"] = kernel
+        status, doc = _post_rejected(tmp_path, document)
         assert status == 400
-        assert "interpolation must be one of" in doc["error"]
-        assert JobJournal(tmp_path).replay() == []
+        assert "interpolation must be one of ('cubic_bspline',)" in doc["error"]
+
+
+#: Solver settings no solve can use: (jobspec section, field, value).
+BAD_SETTINGS = [
+    ("spec", "beta", 0.0), ("spec", "beta", -1e-2), ("spec", "beta", float("nan")),
+    ("spec", "smooth_sigma", -1.0), ("spec", "smooth_sigma", float("nan")),
+    ("options", "forcing", "foo"), ("options", "preconditioner", "bogus"),
+    ("options", "max_newton_iterations", -1), ("options", "max_krylov_iterations", 0),
+    ("options", "forcing_max", -1.0), ("options", "gradient_tolerance", float("nan")),
+    ("options", "absolute_gradient_tolerance", float("inf")),
+    ("options", "constant_forcing", -0.1), ("options", "max_wall_clock_seconds", 0.0),
+    ("spec", "beta", float("inf")), ("spec", "smooth_sigma", float("inf")),
+    ("options", "max_newton_iterations", -5), ("options", "max_krylov_iterations", -1),
+    ("options", "forcing", "Quadratic"), ("options", "preconditioner", ""),
+    ("options", "forcing_max", float("nan")), ("options", "gradient_tolerance", -1e-3),
+    ("options", "absolute_gradient_tolerance", -1.0),
+    ("options", "constant_forcing", float("inf")),
+    ("options", "max_wall_clock_seconds", -1.0),
+    ("options", "max_wall_clock_seconds", float("nan")),
+    ("options", "max_wall_clock_seconds", float("inf")),
+]
+
+#: The least settings a solve can still use: (jobspec section, field, value).
+EDGE_SETTINGS = [
+    ("spec", "beta", 1e-12), ("spec", "smooth_sigma", 0.0),
+    ("options", "max_newton_iterations", 0), ("options", "max_krylov_iterations", 1),
+    ("options", "gradient_tolerance", 0.0), ("options", "absolute_gradient_tolerance", 0.0),
+    ("options", "forcing_max", 0.0), ("options", "constant_forcing", 0.0),
+    ("options", "max_wall_clock_seconds", None), ("options", "max_wall_clock_seconds", 1e-3),
+    ("options", "forcing", "linear"), ("options", "forcing", "constant"),
+    ("options", "preconditioner", "shifted"), ("options", "preconditioner", "none"),
+]
+
+
+class TestBadSolverSettings:
+    @pytest.mark.parametrize("section, name, value", BAD_SETTINGS)
+    def test_rejected_at_every_boundary(self, tmp_path, section, name, value):
+        """Construction (of the solver, of a Python-submitted jobspec), the
+        jobspec decoder and ``POST /jobs`` all name the field, before any
+        transform runs or anything is journaled."""
+        document = _registration_document()
+        before = _transforms()
+        with pytest.raises(ValueError, match=name):
+            if section == "spec":
+                RegistrationSolver(**{name: value})
+            else:
+                SolverOptions(**{name: value})
+        if section == "spec":
+            images = np.zeros((2, 8, 8, 8))
+            with pytest.raises(ValueError, match=name):
+                RegistrationJobSpec(template=images[0], reference=images[1], **{name: value})
+        fields = document["spec"] if section == "spec" else document["spec"]["options"]
+        fields[name] = value
+        with pytest.raises(MalformedSpecError, match=name):
+            spec_from_dict(json.loads(json.dumps(document)))
+        status, doc = _post_rejected(tmp_path, document)
+        assert status == 400 and name in doc["error"]
+        assert _transforms() == before
+
+    @pytest.mark.parametrize("section, name, value", EDGE_SETTINGS)
+    def test_edge_accepted_at_every_boundary(self, section, name, value):
+        """The checks are tight: each least usable setting constructs and
+        decodes to itself."""
+        document = _registration_document()
+        if section == "spec":
+            assert getattr(RegistrationSolver(**{name: value}), name) == value
+        else:
+            assert getattr(SolverOptions(**{name: value}), name) == value
+        fields = document["spec"] if section == "spec" else document["spec"]["options"]
+        fields[name] = value
+        spec = spec_from_dict(json.loads(json.dumps(document)))
+        assert getattr(spec if section == "spec" else spec.options, name) == value
 
 
 class TestCancelOverHTTP:

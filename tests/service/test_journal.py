@@ -23,6 +23,7 @@ from repro.service.journal import (
     spec_from_dict,
     spec_to_dict,
 )
+from repro.service.workers import RegistrationService
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
 
@@ -81,6 +82,35 @@ class TestSpecRoundTrip:
         assert back.grid == spec.grid
         assert back.options.max_newton_iterations == 2
         assert back.options.gradient_tolerance == 5e-2
+
+    def test_document_naming_the_solver_kernel_solves_bitwise_alike(self):
+        """Documents from when the kernel was an option name it; they solve alike."""
+        doc = spec_to_dict(_registration_spec(options=SolverOptions(max_newton_iterations=1)))
+        assert "interpolation" not in doc["spec"]
+        named = json.loads(json.dumps(doc))
+        named["spec"]["interpolation"] = "cubic_bspline"
+        with RegistrationService(num_workers=1) as service:
+            submit = service.submit_registration
+            plain, kernel = (submit(spec_from_dict(d)).result(timeout=120) for d in (doc, named))
+        np.testing.assert_array_equal(kernel.velocity, plain.velocity)
+        np.testing.assert_array_equal(kernel.deformed_template, plain.deformed_template)
+
+    @pytest.mark.parametrize("kernel", ["linear", "catmull_rom", "CUBIC_BSPLINE", "", None])
+    def test_document_naming_another_kernel_raises_malformed(self, kernel):
+        doc = spec_to_dict(_registration_spec())
+        doc["spec"]["interpolation"] = kernel
+        message = r"interpolation must be one of \('cubic_bspline',\)"
+        with pytest.raises(MalformedSpecError, match=message):
+            spec_from_dict(json.loads(json.dumps(doc)))
+
+    @pytest.mark.parametrize("named", [False, True], ids=["absent", "cubic_bspline"])
+    def test_kernel_key_absent_or_named_decodes_alike(self, named):
+        spec = _registration_spec()
+        doc = spec_to_dict(spec)
+        if named:
+            doc["spec"]["interpolation"] = "cubic_bspline"
+        back = spec_from_dict(json.loads(json.dumps(doc)))
+        assert spec_to_dict(back) == spec_to_dict(spec)
 
     def test_transport_spec_round_trips_bitwise(self):
         spec = _transport_spec()

@@ -9,7 +9,6 @@ from repro.spectral.grid import Grid
 from repro.transport import kernels
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    SUPPORTED_METHODS,
     GatherOperatorPlan,
     _chunk_spans,
     build_gather_operator,
@@ -21,6 +20,7 @@ from repro.transport.kernels import (
 from tests.fixtures import (
     materialized_stencil_gather,
     periodic_bspline_prefilter,
+    periodic_gather,
     random_points,
     smooth_scalar_field,
 )
@@ -30,7 +30,7 @@ from tests.fixtures import (
 SHAPES = [(16, 16, 16), (9, 12, 7)]
 SHAPE_IDS = ["cubic", "anisotropic"]
 
-#: The kernels the gather operator evaluates.
+#: The kernels the gather operator evaluates: the solver's and the scatter's.
 CUBIC_KERNELS = ("cubic_bspline", "catmull_rom")
 
 
@@ -65,55 +65,61 @@ def points():
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-@pytest.mark.parametrize("method", SUPPORTED_METHODS)
+@pytest.mark.parametrize("kernel", CUBIC_KERNELS)
 class TestOracleAgreement:
-    def test_agrees_with_materialized_stencil_oracle(self, method, grid, field, points):
-        """Each kernel's gather path agrees to <= 1e-12 with a test-local oracle.
+    def test_agrees_with_materialized_stencil_oracle(self, kernel, grid, field, points):
+        """Each kernel's periodic operator agrees to <= 1e-12 with a test-local oracle.
 
         ``cubic_bspline`` (the CSR gather operator on ``spline_filter``
         coefficients) against the Fourier-space prefilter + the whole-point-set
-        stencil; ``catmull_rom`` (the same operator on the samples) and
-        ``linear`` (``map_coordinates``) against the stencil on the raw field.
+        stencil; ``catmull_rom`` (the same operator on the samples) against
+        the stencil on the raw field.
         """
-        interp = PeriodicInterpolator(grid, method)
         coefficients = field
-        if method == "cubic_bspline":
+        if kernel == "cubic_bspline":
             coefficients = periodic_bspline_prefilter(field)
+        coordinates = PeriodicInterpolator(grid).to_index_coordinates(points)
         reference = materialized_stencil_gather(
-            coefficients.reshape(1, -1), grid.shape, interp.to_index_coordinates(points), method
+            coefficients.reshape(1, -1), grid.shape, coordinates, kernel
         )[0]
-        np.testing.assert_allclose(interp(field, points), reference, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            periodic_gather(grid, field, points, kernel), reference, rtol=0, atol=1e-12
+        )
 
-    def test_smooth_field_round_trip(self, method, grid, field):
+    def test_smooth_field_round_trip(self, kernel, grid, field):
         """Interpolating at the grid nodes reproduces the field itself."""
-        interp = PeriodicInterpolator(grid, method)
-        values = interp(field, grid.coordinate_stack())
+        values = periodic_gather(grid, field, grid.coordinate_stack(), kernel)
         np.testing.assert_allclose(values, field, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
-@pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestGatherPlans:
-    def test_planned_path_is_bitwise_identical(self, method, grid, field, points):
-        interp = PeriodicInterpolator(grid, method)
+    def test_interpolator_gathers_the_cubic_bspline_operator(self, grid, field, points):
+        np.testing.assert_array_equal(
+            PeriodicInterpolator(grid)(field, points),
+            periodic_gather(grid, field, points, "cubic_bspline"),
+        )
+
+    def test_planned_path_is_bitwise_identical(self, grid, field, points):
+        interp = PeriodicInterpolator(grid)
         unplanned = interp(field, points)
         plan = interp.plan(points)
         planned = interp.interpolate_planned(field, plan)
         np.testing.assert_array_equal(planned, unplanned)
 
-    def test_batched_matches_scalar_bitwise(self, method, grid, points):
+    def test_batched_matches_scalar_bitwise(self, grid, points):
         rng = np.random.default_rng(7)
         fields = rng.standard_normal((3, *grid.shape))
-        interp = PeriodicInterpolator(grid, method)
+        interp = PeriodicInterpolator(grid)
         plan = interp.plan(points)
         batched = interp.interpolate_many_planned(fields, plan)
         for component in range(3):
             scalar = interp.interpolate_planned(fields[component], plan)
             np.testing.assert_array_equal(batched[component], scalar)
 
-    def test_plan_reused_across_fields(self, method, grid, points):
+    def test_plan_reused_across_fields(self, grid, points):
         rng = np.random.default_rng(8)
-        interp = PeriodicInterpolator(grid, method)
+        interp = PeriodicInterpolator(grid)
         plan = interp.plan(points)
         for seed in (1, 2):
             f = rng.standard_normal(grid.shape)
@@ -121,29 +127,80 @@ class TestGatherPlans:
                 interp.interpolate_planned(f, plan), interp(f, points)
             )
 
-    def test_plan_records_caching_capability(self, method, grid, points):
-        interp = PeriodicInterpolator(grid, method)
-        plan = interp.plan(points)
-        assert plan.is_cached == (method != "linear")
+    def test_plan_names_an_operator(self, grid, points):
+        plan = PeriodicInterpolator(grid).plan(points)
+        assert isinstance(plan.payload, GatherOperatorPlan)
         assert plan.num_points == points.shape[1]
+        assert plan.nbytes == plan.coordinates.nbytes
 
 
 @pytest.mark.parametrize("shape", [(8, 8, 8), SHAPES[1]], ids=SHAPE_IDS)
-@pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestLowerPrecisionFields:
-    def test_float32_grid_fields_are_upcast(self, method, shape):
-        """Regression: float32 fields interpolate on every kernel."""
+    def test_float32_grid_fields_are_upcast(self, shape):
+        """Regression: float32 fields interpolate."""
         grid = Grid(shape, dtype=np.float32)
         rng = np.random.default_rng(9)
         field = rng.standard_normal(grid.shape).astype(np.float32)
         points = rng.uniform(0, 2 * np.pi, size=(3, 50))
-        interp = PeriodicInterpolator(grid, method)
-        values = interp(field, points)
+        values = PeriodicInterpolator(grid)(field, points)
         assert values.dtype == np.float32
-        reference = PeriodicInterpolator(Grid(shape), method)(
-            field.astype(np.float64), points
-        )
+        reference = PeriodicInterpolator(Grid(shape))(field.astype(np.float64), points)
         np.testing.assert_allclose(values, reference, atol=1e-6)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+@pytest.mark.parametrize("kernel", CUBIC_KERNELS)
+class TestOperatorPaths:
+    """The plan-level invariants above, per kernel, through the operator API
+    (the only way to reach ``catmull_rom``, the scatter's kernel)."""
+
+    @staticmethod
+    def _coordinates(grid, points):
+        return PeriodicInterpolator(grid).to_index_coordinates(points)
+
+    def test_resident_operator_is_bitwise_identical_to_one_shot(
+        self, kernel, grid, field, points
+    ):
+        coords = self._coordinates(grid, points)
+        operator = build_gather_operator(grid.shape, coords, kernel)
+        stack = field[None]
+        np.testing.assert_array_equal(
+            gather_cubic(stack, None, kernel, operator), gather_cubic(stack, coords, kernel)
+        )
+
+    def test_stacked_matches_single_field_bitwise(self, kernel, grid, points):
+        fields = np.random.default_rng(7).standard_normal((3, *grid.shape))
+        operator = build_gather_operator(grid.shape, self._coordinates(grid, points), kernel)
+        stacked = gather_cubic(fields, None, kernel, operator)
+        for component in range(3):
+            single = gather_cubic(fields[component : component + 1], None, kernel, operator)
+            np.testing.assert_array_equal(stacked[component], single[0])
+
+    def test_operator_reused_across_fields(self, kernel, grid, points):
+        rng = np.random.default_rng(8)
+        coords = self._coordinates(grid, points)
+        operator = build_gather_operator(grid.shape, coords, kernel)
+        for _ in range(2):
+            f = rng.standard_normal((1, *grid.shape))
+            np.testing.assert_array_equal(
+                gather_cubic(f, None, kernel, operator), gather_cubic(f, coords, kernel)
+            )
+
+    def test_float32_fields_gather_like_float64(self, kernel, grid, points):
+        field = np.random.default_rng(9).standard_normal((1, *grid.shape)).astype(np.float32)
+        coords = self._coordinates(grid, points)
+        values = gather_cubic(field, coords, kernel)
+        assert values.dtype == np.float64
+        np.testing.assert_allclose(
+            values, gather_cubic(field.astype(np.float64), coords, kernel), rtol=0, atol=1e-6
+        )
+
+    def test_operator_covers_every_point_once(self, kernel, grid, points, monkeypatch):
+        monkeypatch.setattr(kernels, "OPERATOR_CHUNK", 128)
+        operator = build_gather_operator(grid.shape, self._coordinates(grid, points), kernel)
+        assert operator.num_points == points.shape[1]
+        assert [block.lo for block in operator.blocks] == [0, 128, 256, 384]
+        assert sum(block.w2.shape[1] for block in operator.blocks) == points.shape[1]
 
 
 class TestPlanValidation:
@@ -153,11 +210,6 @@ class TestPlanValidation:
         plan = other.plan(np.zeros((3, 5)))
         with pytest.raises(ValueError, match="gather plan was built for grid"):
             interp.interpolate_planned(field, plan)
-
-    def test_plan_method_mismatch_rejected(self, grid, field, points):
-        plan = PeriodicInterpolator(grid, "linear").plan(points)
-        with pytest.raises(ValueError, match="method"):
-            PeriodicInterpolator(grid, "catmull_rom").interpolate_planned(field, plan)
 
     def test_batched_field_stack_validated(self, grid, points):
         interp = PeriodicInterpolator(grid)
@@ -240,13 +292,6 @@ class TestGatherOperators:
             assert spans[0][0] == 0 and spans[-1][1] == 1000
             for (lo_a, hi_a), (lo_b, _) in zip(spans, spans[1:]):
                 assert hi_a == lo_b and lo_a < hi_a
-
-    @pytest.mark.parametrize("kernel", CUBIC_KERNELS)
-    def test_cubic_kernels_plan_an_operator(self, grid, points, kernel):
-        interp = PeriodicInterpolator(grid, kernel)
-        plan = interp.plan(points)
-        assert isinstance(plan.payload, GatherOperatorPlan)
-        assert plan.nbytes == plan.coordinates.nbytes
 
 
 class TestStencilPrimitives:

@@ -7,7 +7,7 @@ input kinds a caller can hold — an in-memory array, a read-only array, a
 mapped ``.npy`` file and a mapped member of an uncompressed ``.npz``
 archive, each stored in double or single precision — through every layer
 that gathers (the gather operator, periodic and on a ghosted block, each
-kernel planned and one-shot, the interpolator front end, the
+cubic kernel planned and one-shot, the interpolator front end, the
 semi-Lagrangian stepper and a whole registration) and pins that each
 produces the bits of the in-memory stack.
 """
@@ -24,13 +24,7 @@ from repro.core.registration import register
 from repro.data.io import load_problem, memmap_npz_member, open_problem, save_problem
 from repro.data.synthetic import synthetic_registration_problem
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import (
-    SUPPORTED_METHODS,
-    build_gather_operator,
-    gather,
-    gather_cubic,
-    plan_payload,
-)
+from repro.transport.kernels import build_gather_operator, gather_cubic
 from repro.transport.semi_lagrangian import SemiLagrangianStepper
 
 from tests.fixtures import make_grid, random_points, smooth_velocity_field
@@ -102,37 +96,22 @@ class TestInputKinds:
 
 
 # --------------------------------------------------------------------------- #
-# the gather operator
+# the gather operator: both cubic kernels, resident and one-shot
 # --------------------------------------------------------------------------- #
 class TestGatherOperator:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     @pytest.mark.parametrize("kernel", ["cubic_bspline", "catmull_rom"])
-    @pytest.mark.parametrize("wrap", [True, False], ids=["periodic", "ghosted"])
-    def test_gather_matches_resident(self, kind, kernel, wrap, as_input, grid, points):
-        if wrap:
-            coords = PeriodicInterpolator(grid, kernel).to_index_coordinates(points)
-        else:  # a ghosted block's interior: no tap leaves the block
+    @pytest.mark.parametrize("mode", ["periodic", "one-shot", "ghosted"])
+    def test_gather_matches_resident(self, kind, kernel, mode, as_input, stack, grid, points):
+        if mode == "ghosted":  # a ghosted block's interior: no tap leaves the block
             coords = np.random.default_rng(8).uniform(2.0, 9.0, size=(3, 900))
-        operator = build_gather_operator(grid.shape, coords, kernel, wrap)
-        resident = gather_cubic(STACK, None, kernel, operator)
-        candidate = gather_cubic(as_input(kind), None, kernel, operator)
-        np.testing.assert_array_equal(candidate, resident)
-
-
-# --------------------------------------------------------------------------- #
-# every kernel, planned and one-shot
-# --------------------------------------------------------------------------- #
-class TestKernels:
-    @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    @pytest.mark.parametrize("planned", [True, False], ids=["planned", "one-shot"])
-    def test_gather_matches_resident(
-        self, kind, method, planned, as_input, stack, grid, points
-    ):
-        coords = PeriodicInterpolator(grid, method).to_index_coordinates(points)
-        payload = plan_payload(SHAPE, coords, method) if planned else None
-        resident = gather(stack, coords, payload, method)
-        candidate = gather(as_input(kind, stack), coords, payload, method)
+        else:
+            coords = PeriodicInterpolator(grid).to_index_coordinates(points)
+        operator = None
+        if mode != "one-shot":
+            operator = build_gather_operator(SHAPE, coords, kernel, wrap=mode == "periodic")
+        resident = gather_cubic(stack, coords, kernel, operator)
+        candidate = gather_cubic(as_input(kind, stack), coords, kernel, operator)
         np.testing.assert_array_equal(candidate, resident)
 
 
@@ -141,18 +120,16 @@ class TestKernels:
 # --------------------------------------------------------------------------- #
 class TestInterpolator:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_planned_stack_matches_resident(self, kind, method, as_input, stack, grid, points):
-        interp = PeriodicInterpolator(grid, method)
+    def test_planned_stack_matches_resident(self, kind, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid)
         plan = interp.plan(points)
         resident = interp.interpolate_many_planned(stack, plan)
         candidate = interp.interpolate_many_planned(as_input(kind, stack), plan)
         np.testing.assert_array_equal(candidate, resident)
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_one_shot_stack_matches_resident(self, kind, method, as_input, stack, grid, points):
-        interp = PeriodicInterpolator(grid, method)
+    def test_one_shot_stack_matches_resident(self, kind, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid)
         resident = interp.interpolate_many(stack, points)
         candidate = interp.interpolate_many(as_input(kind, stack), points)
         np.testing.assert_array_equal(candidate, resident)
@@ -163,6 +140,22 @@ class TestInterpolator:
         interp = PeriodicInterpolator(grid)
         resident = interp(stack[0], points)
         candidate = interp(as_input(kind, stack[0]), points)
+        np.testing.assert_array_equal(candidate, resident)
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_planned_single_field_matches_resident(self, kind, as_input, stack, grid, points):
+        interp = PeriodicInterpolator(grid)
+        plan = interp.plan(points)
+        resident = interp.interpolate_planned(stack[0], plan)
+        candidate = interp.interpolate_planned(as_input(kind, stack[0]), plan)
+        np.testing.assert_array_equal(candidate, resident)
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_vector_field_matches_resident(self, kind, as_input, stack, grid, points):
+        vector = np.concatenate([stack, stack[:1]])
+        interp = PeriodicInterpolator(grid)
+        resident = interp.interpolate_vector(vector, points)
+        candidate = interp.interpolate_vector(as_input(kind, vector), points)
         np.testing.assert_array_equal(candidate, resident)
 
 
@@ -176,6 +169,16 @@ class TestStepper:
         np.testing.assert_array_equal(
             stepper.step_many(as_input(kind, stack)), stepper.step_many(stack)
         )
+
+    @pytest.mark.parametrize("kind", INPUT_KINDS)
+    def test_step_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
+        stepper = SemiLagrangianStepper(grid, smooth_velocity_field(grid, seed=4), dt=0.25)
+        field, source_old, source_new = stack[0], 0.5 * stack[1], -0.25 * stack[0]
+        resident = stepper.step(field, source_old, source_new)
+        candidate = stepper.step(
+            as_input(kind, field), as_input(kind, source_old), as_input(kind, source_new)
+        )
+        np.testing.assert_array_equal(candidate, resident)
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_step_many_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
@@ -205,8 +208,7 @@ class TestStepper:
 # a whole registration
 # --------------------------------------------------------------------------- #
 class TestRegistration:
-    @pytest.mark.parametrize("method", SUPPORTED_METHODS)
-    def test_open_problem_registers_like_load_problem(self, method, tmp_path):
+    def test_open_problem_registers_like_load_problem(self, tmp_path):
         problem = synthetic_registration_problem(8)
         path = save_problem(
             tmp_path / "problem.npz",
@@ -222,7 +224,6 @@ class TestRegistration:
                     data["template"],
                     data["reference"],
                     grid=data["grid"],
-                    interpolation=method,
                     options=SolverOptions(max_newton_iterations=1, max_krylov_iterations=3),
                 )
             )

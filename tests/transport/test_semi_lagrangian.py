@@ -8,7 +8,6 @@ from repro.runtime.plan_pool import get_plan_pool
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.interpolation import PeriodicInterpolator
-from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.semi_lagrangian import (
     SemiLagrangianStepper,
     compute_departure_points,
@@ -100,7 +99,7 @@ class TestDeparturePoints:
         assert errors[0] <= 7.5e-4
         assert errors[1] <= errors[0] / 14.0
         # what it replaced: the interpolated RK2 trace errs by 2.6e-3 here
-        rk2 = rk2_departure_points(grid, velocity, 0.25, PeriodicInterpolator(grid))
+        rk2 = rk2_departure_points(grid, velocity, 0.25)
         assert np.max(np.abs(rk2 - reference(0.25))) > 3.0 * errors[0]
 
     def test_backward_points_share_the_forward_derivatives(self):
@@ -137,7 +136,7 @@ class TestStepper:
         grid = Grid((8, 8, 8))
         interp = PeriodicInterpolator(grid)
         stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.5, interp)
-        assert stepper.departure_points is None and stepper.departure_plan is None
+        assert stepper.departure_plan is None
         assert len(get_plan_pool()) == 0
         nu, f_old, f_new = rng.standard_normal((3, *grid.shape))
         np.testing.assert_array_equal(
@@ -179,7 +178,7 @@ class TestStepper:
         field = rng.standard_normal(grid.shape)
         np.testing.assert_allclose(
             stepper.interpolate_at_departure(field),
-            interp(field, stepper.departure_points),
+            interp(field, compute_departure_points(grid, v, 0.25)),
             atol=1e-14,
         )
 
@@ -222,21 +221,23 @@ class TestConservation:
         assert nu.max() < 1.1
 
 
-@pytest.mark.parametrize("method", SUPPORTED_METHODS)
+@pytest.mark.parametrize("departure", ["forward", "backward"])
 @pytest.mark.parametrize("shape", [(16, 19, 16), (9, 7, 11)])
 class TestMergedGather:
     """Grid-given sources are merged into the transported field before the
-    gather (every kernel's interpolant is linear in the field): one sweep,
-    same scheme to rounding."""
+    gather (the interpolant is linear in the field): one sweep, same scheme
+    to rounding — along the velocity (the state) and against it (the
+    adjoint)."""
 
     DT = 1.0  # nt = 1
 
-    def _setup(self, shape, method, batch=3):
+    def _setup(self, shape, departure, batch=3):
         grid = make_grid(shape)
-        interp = PeriodicInterpolator(grid, method)
-        stepper = SemiLagrangianStepper(
-            grid, smooth_velocity_field(grid, seed=3, amplitude=0.4), self.DT, interp
-        )
+        interp = PeriodicInterpolator(grid)
+        velocity = smooth_velocity_field(grid, seed=3, amplitude=0.4)
+        if departure == "backward":
+            velocity = -velocity
+        stepper = SemiLagrangianStepper(grid, velocity, self.DT, interp)
         rng = np.random.default_rng(11)
         fields, old, new = rng.standard_normal((3, batch, *grid.shape))
         return grid, interp, stepper, fields, old, new
@@ -247,8 +248,8 @@ class TestMergedGather:
         f_dep = stepper.interpolate_at_departure(f_old)
         return nu_dep + 0.5 * self.DT * (f_dep + f_new)
 
-    def test_step_matches_two_gather_formula(self, shape, method):
-        _, _, stepper, fields, old, new = self._setup(shape, method)
+    def test_step_matches_two_gather_formula(self, shape, departure):
+        _, _, stepper, fields, old, new = self._setup(shape, departure)
         merged = stepper.step(fields[0], source_old=old[0], source_new=new[0])
         reference = self._two_gather(stepper, fields[0], old[0], new[0])
         np.testing.assert_allclose(merged, reference, rtol=0, atol=1e-13)
@@ -265,8 +266,8 @@ class TestMergedGather:
             self._two_gather(stepper, fields[0], zero, new[0]),
         )
 
-    def test_step_many_matches_two_gather_formula(self, shape, method):
-        _, _, stepper, fields, old, new = self._setup(shape, method)
+    def test_step_many_matches_two_gather_formula(self, shape, departure):
+        _, _, stepper, fields, old, new = self._setup(shape, departure)
         merged = stepper.step_many(fields, sources_old=old, sources_new=new)
         for b in range(fields.shape[0]):
             np.testing.assert_allclose(
@@ -276,8 +277,8 @@ class TestMergedGather:
                 atol=1e-13,
             )
 
-    def test_step_is_step_many_bitwise(self, shape, method):
-        _, _, stepper, fields, old, new = self._setup(shape, method)
+    def test_step_is_step_many_bitwise(self, shape, departure):
+        _, _, stepper, fields, old, new = self._setup(shape, departure)
         for sources in ({}, {"old": old}, {"new": new}, {"old": old, "new": new}):
             many = stepper.step_many(fields, sources.get("old"), sources.get("new"))
             for b in range(fields.shape[0]):
@@ -288,9 +289,9 @@ class TestMergedGather:
                 )
                 np.testing.assert_array_equal(one, many[b])
 
-    def test_sweeps_per_step(self, shape, method):
+    def test_sweeps_per_step(self, shape, departure):
         """One sweep per field, whatever sources the step carries."""
-        grid, interp, stepper, fields, old, new = self._setup(shape, method)
+        grid, interp, stepper, fields, old, new = self._setup(shape, departure)
 
         def sweeps(call):
             before = interp.points_interpolated
@@ -304,8 +305,8 @@ class TestMergedGather:
         assert sweeps(lambda: stepper.step_many(fields)) == fields.shape[0]
         assert sweeps(lambda: stepper.step_many(fields, old, new)) == fields.shape[0]
 
-    def test_source_shapes_validated(self, shape, method):
-        grid, _, stepper, fields, old, new = self._setup(shape, method)
+    def test_source_shapes_validated(self, shape, departure):
+        grid, _, stepper, fields, old, new = self._setup(shape, departure)
         with pytest.raises(ValueError, match="source has shape"):
             stepper.step(fields[0], source_old=old[0, 0])  # would broadcast silently
         with pytest.raises(ValueError, match="sources have shape"):

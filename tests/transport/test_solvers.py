@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.gradients import trapezoid_weights
 from repro.spectral.grid import Grid
-from repro.transport.kernels import SUPPORTED_METHODS
 from repro.transport.solvers import TransportSolver
 
 from tests.fixtures import smooth_scalar_field, smooth_vector_field
@@ -234,9 +233,8 @@ class TestIncrementalAdjoint:
         np.testing.assert_allclose(lam_tilde, lam, atol=1e-10)
 
 
-@pytest.mark.parametrize("method", SUPPORTED_METHODS)
 class TestNonDivergenceFreeAdjoint:
-    """State/adjoint round-trip consistency with ``div v != 0``, per kernel.
+    """State/adjoint round-trip consistency with ``div v != 0``.
 
     For a general (compressible) velocity the adjoint equation keeps its
     conservative form, so two exact invariants survive the discretization:
@@ -256,13 +254,13 @@ class TestNonDivergenceFreeAdjoint:
             axis=0,
         )
 
-    def test_velocity_is_not_divergence_free(self, grid, method):
-        solver = TransportSolver(grid, interpolation=method)
+    def test_velocity_is_not_divergence_free(self, grid):
+        solver = TransportSolver(grid)
         plan = solver.plan(self._compressible_velocity(grid))
         assert not plan.is_divergence_free
 
-    def test_state_adjoint_duality(self, grid, method):
-        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
+    def test_state_adjoint_duality(self, grid):
+        solver = TransportSolver(grid, num_time_steps=4)
         plan = solver.plan(self._compressible_velocity(grid))
         rho0 = 1.0 + 0.3 * smooth_scalar_field(grid, seed=30)
         lam1 = 1.0 + 0.3 * smooth_scalar_field(grid, seed=31)
@@ -272,16 +270,16 @@ class TestNonDivergenceFreeAdjoint:
         rhs = grid.inner(rho[0], lam[0])
         assert lhs == pytest.approx(rhs, rel=2e-2)
 
-    def test_adjoint_integral_conserved(self, grid, method):
-        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
+    def test_adjoint_integral_conserved(self, grid):
+        solver = TransportSolver(grid, num_time_steps=4)
         plan = solver.plan(self._compressible_velocity(grid))
         terminal = 1.0 + 0.3 * smooth_scalar_field(grid, seed=32)
         history = solver.solve_adjoint(plan, terminal)
         assert history[0].mean() == pytest.approx(terminal.mean(), rel=5e-3)
 
-    def test_incremental_adjoint_source_branch(self, grid, method):
+    def test_incremental_adjoint_source_branch(self, grid):
         """GN incremental adjoint equals the adjoint when ``div v != 0``."""
-        solver = TransportSolver(grid, num_time_steps=4, interpolation=method)
+        solver = TransportSolver(grid, num_time_steps=4)
         plan = solver.plan(self._compressible_velocity(grid))
         terminal = smooth_scalar_field(grid, seed=34)
         lam = solver.solve_adjoint(plan, terminal)
