@@ -63,8 +63,8 @@ HTTP_PORT_ENV_VAR = "REPRO_HTTP_PORT"
 SERVICE_WORKERS_ENV_VAR = "REPRO_SERVICE_WORKERS"
 
 #: Service width when neither ``num_workers=`` nor the variable is set.  Every
-#: worker thread drives whole solves, and ~70 % of a solve (CSR gather
-#: product, spline_filter) holds the GIL, so two workers time-slice one
+#: worker thread drives whole solves, and most of a solve (the CSR gather
+#: product, the window copies) holds the GIL, so two workers time-slice one
 #: interpreter.  burst16 on 2 -> 1 workers (BENCH_20.json): register job
 #: 0.35 -> 0.16 s, 9.2 -> 10.5 jobs/s, CPU 1.23x -> 0.95x wall.  Width > 1
 #: buys only that a short job never queues behind a long one.

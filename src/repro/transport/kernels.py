@@ -17,8 +17,9 @@ applies it), a :mod:`scipy.sparse` CSR product whose indices and weights a
 planned point set derives once per velocity, not once per field per sweep.
 
 ``cubic_bspline``
-    The solver's kernel, on the :func:`scipy.ndimage.spline_filter`
-    prefilter of each field.
+    The solver's kernel, on the periodic B-spline prefilter of each field:
+    three dense products, one per axis, with that axis's inverse of the
+    ``[1/6, 4/6, 1/6]`` circulant (:func:`_prefilter_factor`).
 ``catmull_rom``
     The paper's local tricubic on the raw samples: the distributed
     scatter's kernel (:data:`repro.parallel.scatter.SCATTER_KERNEL`), built
@@ -31,19 +32,18 @@ Interpolation *counting* stays in
 Sparse gather operator
 ----------------------
 Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
-``w0[a] * w1[b]`` against the flat index of the ``(i0+a-1, i1+b-1, i2-1)``
-coefficient — wrapped periodically, or, on a ghosted block, read as is
-(:class:`GatherOperator`, ~228 bytes per point).  The coefficients are
-written into a buffer padded by three wrapped entries along axis 2, so the
-four axis-2 taps of a row are the same column in four contiguous slices of
-the flat coefficients, each shifted by one.
-The operator is applied as ``matrix @ windows`` where ``windows[n, f, c]``
-is those four slices of field ``f`` copied side by side, followed by an
-explicit fixed-order 4-term contraction with the axis-2 weights — all
-fields of a stack share one pass over the stencil and a batched gather is
-bitwise equal to scalar ones.  (Four products on the slices themselves
-need no copy and win while an operator block is cache-hot; inside a solve
-they re-read every block ``4 B`` times and lose, ``BENCH_18.json``.)
+``w0[a] * w1[b]`` against the flat index of ``(i0+a-1, i1+b-1, i2)`` —
+wrapped periodically, or, on a ghosted block, read as is
+(:class:`GatherOperator`, ~228 bytes per point).  The operator is applied
+as ``matrix @ windows``, where ``windows[n, f, c]`` is the coefficient of
+field ``f`` at flat index ``n`` shifted by ``c - 1`` along axis 2
+(wrapped): one ``np.take`` of the four axis-2 taps writes it for the whole
+stack (:func:`_windows`).  An explicit fixed-order 4-term contraction with
+the axis-2 weights follows — all fields of a stack share one pass over the
+stencil and a batched gather is bitwise equal to scalar ones.  (Four
+products, one per tap, need no windows and win while an operator block is
+cache-hot; inside a solve they re-read every block ``4 B`` times and lose,
+``BENCH_18.json``.)
 Planned point sets keep their operator resident in
 the :class:`~repro.transport.interpolation.PeriodicInterpolator` that
 gathers them (at most two per interpolator); one-shot point sets — and
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
-from scipy import ndimage, sparse
+from scipy import sparse
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
@@ -88,8 +88,8 @@ def bspline_weights(t: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, 
     """Uniform cubic B-spline basis weights for samples at offsets ``-1, 0, 1, 2``.
 
     Evaluating these weights on *prefiltered* coefficients (see
-    :func:`_padded_coefficients`) reproduces the interpolating tricubic
-    B-spline of :func:`scipy.ndimage.map_coordinates` with ``order=3`` on
+    :func:`_prefilter_factor`) reproduces the interpolating tricubic
+    B-spline of SciPy's ``map_coordinates`` with ``order=3`` on
     periodic data.
     """
     t2 = t * t
@@ -127,6 +127,38 @@ def _wrapped_index_parts(n: int, stride: int) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=64)
+def _prefilter_factor(n: int) -> np.ndarray:
+    """The periodic cubic B-spline prefilter along an axis of length *n*, read-only.
+
+    The interpolating B-spline's coefficients ``c`` of samples ``f`` solve
+    ``(c[k-1] + 4 c[k] + c[k+1]) / 6 = f[k]`` with wrapped neighbours, so
+    the prefilter is the inverse of that ``n x n`` circulant — a dense
+    ``n x n`` product per axis, ``O(n)`` per point (on ``n = 1`` and
+    ``n = 2`` both neighbours fold onto the same entries, as they do in
+    SciPy's ``grid-wrap`` spline filter).
+    """
+    identity = np.eye(n)
+    neighbours = np.roll(identity, 1, axis=0) + np.roll(identity, -1, axis=0)
+    factor = np.linalg.inv((4.0 * identity + neighbours) / 6.0)
+    factor.setflags(write=False)
+    return factor
+
+
+@functools.lru_cache(maxsize=64)
+def _window_taps(n3: int, num_fields: int) -> np.ndarray:
+    """``f * n3 + (j + c - 1) % n3`` at ``[j, f, c]``, read-only.
+
+    The column of an ``(N1*N2, B*N3)`` coefficient stack (the fields' axis-2
+    rows side by side) that the window entry ``(j, f, c)`` reads: the four
+    axis-2 taps of every field, wrapped.
+    """
+    taps = (np.arange(n3)[:, None, None] + np.arange(-1, 3)) % n3
+    taps = taps + n3 * np.arange(num_fields)[:, None]
+    taps.setflags(write=False)
+    return taps
+
+
 # --------------------------------------------------------------------------- #
 # sparse gather operator (both cubic kernels)
 # --------------------------------------------------------------------------- #
@@ -146,14 +178,12 @@ _OPERATOR_BUILDS = get_metrics_registry().counter(
 class GatherOperatorBlock:
     """Rows ``[lo, lo + m)`` of a gather operator.
 
-    ``matrix`` is an ``(m, N1*N2*(N3+3) - 3)`` CSR matrix with 16 stored
-    values per row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat
-    index of the coefficient ``(i0+a-1, i1+b-1, i2-1)`` (wrapped when the
-    axes wrap) in the axis-2-padded coefficient array
-    (:func:`_padded_coefficients`) — the column space is that array short
-    of its last three entries, so the matrix applies to each of its four
-    shifted slices; ``w2`` holds the ``(4, m)`` axis-2 weights the product
-    is contracted with.
+    ``matrix`` is an ``(m, N1*N2*N3)`` CSR matrix with 16 stored values per
+    row, in tap order ``(a, b)``: ``w0[a] * w1[b]`` at the flat index of
+    ``(i0+a-1, i1+b-1, i2)`` (wrapped when the axes wrap), the row of the
+    windows (:func:`_windows`) that holds the point's four axis-2 taps;
+    ``w2`` holds the ``(4, m)`` axis-2 weights the product is contracted
+    with.
     """
 
     lo: int
@@ -199,9 +229,9 @@ class GatherOperatorPlan:
 
 
 def _operator_index_dtype(shape: Tuple[int, int, int]) -> np.dtype:
-    """int32 while every padded flat index fits, like :mod:`scipy.sparse` itself."""
-    padded_length = shape[0] * shape[1] * (shape[2] + 3)
-    return np.dtype(np.int32 if padded_length <= np.iinfo(np.int32).max else np.int64)
+    """int32 while every flat index fits, like :mod:`scipy.sparse` itself."""
+    length = shape[0] * shape[1] * shape[2]
+    return np.dtype(np.int32 if length <= np.iinfo(np.int32).max else np.int64)
 
 
 def projected_gather_operator_nbytes(num_points: int, shape: Tuple[int, int, int]) -> int:
@@ -222,33 +252,30 @@ def _build_operator_block(
 ) -> GatherOperatorBlock:
     """Indices and weights of the points ``[lo, hi)``, derived once.
 
-    With *wrap* every axis is periodic and the wrapped axis-2 start
-    ``cols2[0]`` lies in ``[0, N3 - 1]``, so all four taps stay in the row.
-    Without it the caller guarantees the whole stencil lies inside the
-    array (the ghosted blocks of :mod:`repro.parallel.scatter`), and the
-    indices are read as they are.
+    With *wrap* every axis is periodic (the axis-2 taps wrap in the
+    windows).  Without it the caller guarantees the whole stencil lies
+    inside the array (the ghosted blocks of :mod:`repro.parallel.scatter`),
+    and the indices are read as they are.
     """
     chunk = coordinates[:, lo:hi]
     base = np.floor(chunk).astype(np.intp)
     frac = chunk - base
     weight_fn = _CUBIC_WEIGHTS[kernel]
-    row = shape[2] + 3
-    strides = (shape[1] * row, row, 1)
+    strides = (shape[1] * shape[2], shape[2], 1)
     offsets = np.arange(-1, 3, dtype=base.dtype)[:, None]
     index_parts = []
-    for d in range(3):
-        reached = base[d] + offsets
+    for d, reached in enumerate((base[0] + offsets, base[1] + offsets, base[2])):
         if wrap:
             # one table read per tap instead of an integer division
             index_parts.append(_wrapped_index_parts(shape[d], strides[d])[reached + 1])
         else:
             index_parts.append(reached * strides[d])
-    rows0, rows1, cols2 = index_parts
+    rows0, rows1, column2 = index_parts
     w0, w1, w2 = (np.stack(weight_fn(frac[d]), axis=0) for d in range(3))
-    num_rows, num_columns = hi - lo, shape[0] * shape[1] * row - 3
+    num_rows, num_columns = hi - lo, shape[0] * shape[1] * shape[2]
     index_dtype = _operator_index_dtype(shape)
     rows0 = rows0.astype(index_dtype)
-    rows1 = (rows1 + cols2[0]).astype(index_dtype)
+    rows1 = (rows1 + column2).astype(index_dtype)
     # (4, 4, m) sums and products run over long rows; one transposing copy
     # each makes them row-major
     indices = np.ascontiguousarray((rows0[:, None] + rows1[None]).transpose(2, 0, 1))
@@ -297,27 +324,37 @@ def build_gather_operator(
         )
 
 
-def _padded_coefficients(fields: np.ndarray, kernel: str) -> np.ndarray:
-    """Kernel coefficients of a ``(B, N1, N2, N3)`` stack, padded along axis 2.
+def _windows(fields: np.ndarray, kernel: str) -> np.ndarray:
+    """The ``(N1*N2*N3, 4 B)`` windows of a ``(B, N1, N2, N3)`` stack.
 
-    Returns ``(B, N1*N2*(N3+3))``: each axis-2 row is followed by its first
-    three entries again (periodically), so the four axis-2 taps of a point
-    are the same flat index in four slices shifted by one.  For
-    ``cubic_bspline`` the coefficients are those
-    :func:`scipy.ndimage.map_coordinates` computes internally
-    (``spline_filter``, float64, ``grid-wrap``), filtered straight into the
-    padded buffer; ``catmull_rom`` convolves the samples themselves.
+    ``windows[n, 4 f + c]`` is the kernel coefficient of field ``f`` at flat
+    index ``n`` shifted by ``c - 1`` along axis 2, wrapped.  For
+    ``cubic_bspline`` the coefficients are each field's periodic B-spline
+    prefilter, three BLAS products with the axes' cached factors
+    (:func:`_prefilter_factor`), the last written straight into an
+    ``(N1*N2, B, N3)`` stack (the fields' axis-2 rows side by side);
+    ``catmull_rom`` copies the samples there.  One ``np.take`` of the four
+    wrapped axis-2 taps then writes the windows.  Each field takes the same
+    steps whatever the stack, so batched windows are bitwise the scalar
+    ones.
     """
     num_fields, n1, n2, n3 = fields.shape
-    padded = np.empty((num_fields, n1, n2, n3 + 3))
-    wrap = np.arange(n3, n3 + 3) % n3
-    for field, out in zip(fields, padded):
-        if kernel == "cubic_bspline":
-            ndimage.spline_filter(field, order=3, output=out[:, :, :n3], mode="grid-wrap")
-        else:
-            out[:, :, :n3] = field
-        out[:, :, n3:] = out[:, :, wrap]
-    return padded.reshape(num_fields, -1)
+    coefficients = np.empty((n1 * n2, num_fields, n3))
+    if kernel == "cubic_bspline":
+        p0, p1, p2 = (_prefilter_factor(n) for n in (n1, n2, n3))
+        along0 = np.empty((n1, n2 * n3))
+        along1 = np.empty((n1, n2, n3))
+        for f, field in enumerate(fields):
+            field = np.asarray(field, dtype=np.float64).reshape(n1, n2 * n3)
+            np.matmul(p0, field, out=along0)
+            np.matmul(p1, along0.reshape(n1, n2, n3), out=along1)
+            np.matmul(along1.reshape(n1 * n2, n3), p2.T, out=coefficients[:, f])
+    else:
+        coefficients[...] = fields.reshape(num_fields, n1 * n2, n3).transpose(1, 0, 2)
+    windows = np.take(
+        coefficients.reshape(n1 * n2, num_fields * n3), _window_taps(n3, num_fields), axis=1
+    )
+    return windows.reshape(n1 * n2 * n3, 4 * num_fields)
 
 
 def gather_cubic(
@@ -331,21 +368,14 @@ def gather_cubic(
     With the resident *operator* its blocks are applied (*coordinates* may
     then be ``None``); without one the periodic operator of *coordinates*
     is built, applied and dropped block by block, once per gather.  Either
-    way each block makes one pass over ``windows[n, f, c]``, the coefficient
-    of field ``f`` at padded flat index ``n + c`` (four shifted slices of
-    the padded coefficients, copied side by side: four times the stack),
-    and its product is contracted with the axis-2 weights in a fixed order,
-    so the result does not depend on residency, on the block size, or on
-    which other fields share the stack.
+    way each block makes one pass over the windows (:func:`_windows`, four
+    times the stack), and its product is contracted with the axis-2
+    weights in a fixed order, so the result does not depend on residency,
+    on the block size, or on which other fields share the stack.
     """
     shape = fields.shape[1:]
     num_fields = fields.shape[0]
-    coefficients = _padded_coefficients(fields, kernel)
-    span = coefficients.shape[1] - 3
-    windows = np.empty((span, num_fields, 4))
-    for c in range(4):
-        windows[:, :, c] = coefficients[:, c : c + span].T
-    windows = windows.reshape(span, 4 * num_fields)
+    windows = _windows(fields, kernel)
     if operator is not None:
         num_points, blocks = operator.num_points, operator.blocks
     else:

@@ -172,8 +172,9 @@ def periodic_bspline_prefilter(fields: np.ndarray) -> np.ndarray:
     grid that convolution is diagonal in Fourier space with per-axis symbol
     ``(4 + 2 cos(2 pi k / N)) / 6``, so the solve is one real-to-complex
     transform, a division by the separable symbol, and the inverse
-    transform — independent of :func:`scipy.ndimage.spline_filter`, which
-    the gather operator uses.
+    transform — independent of the dense per-axis products
+    (:func:`repro.transport.kernels._prefilter_factor`) the gather
+    operator applies.
     """
     fields = np.asarray(fields, dtype=np.float64)
     n1, n2, n3 = fields.shape[-3:]

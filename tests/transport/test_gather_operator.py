@@ -12,17 +12,22 @@ Four contracts:
 * **residency** — operators are held by the interpolator that gathers
   through them, at most two, none when the budget cannot hold them, and
   never by the process-wide plan pool;
-* **layout invariance** — gathering from axis-2-padded coefficients (padded
-  column space, windows from four shifted slices) gives the bits of the
-  formulation it replaced, rolled windows of the unpadded coefficients
-  (kept here as a test-local oracle).
+* **layout** — the windows are the four axis-2 rolls of each field's
+  periodic B-spline coefficients (``spline_filter`` is the test-local
+  oracle, to ``1e-14`` relative), the prefilter factors invert the
+  ``[1/6, 4/6, 1/6]`` circulant, and the operator's columns are unpadded
+  flat grid indices.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage, sparse
+from scipy import ndimage
 
 from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import enable_tracing, get_trace_recorder
@@ -31,7 +36,6 @@ from repro.spectral.grid import Grid
 from repro.transport import kernels
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import (
-    bspline_weights,
     build_gather_operator,
     gather_cubic,
     projected_gather_operator_nbytes,
@@ -188,45 +192,16 @@ class TestBitwiseInvariance:
 
 
 # --------------------------------------------------------------------------- #
-# layout invariance: padded coefficients vs the stacked-windows formulation
+# layout: prefilter factors, windows, unpadded columns
 # --------------------------------------------------------------------------- #
-def _windows_gather(fields: np.ndarray, coordinates: np.ndarray) -> np.ndarray:
-    """The formulation the padded gather replaced, as the bitwise oracle.
+WINDOW_TOLERANCE = 1e-14
 
-    One CSR product (16 ``w0[a] * w1[b]`` values per row, columns in the
-    *unpadded* grid) against ``windows[n, 4 f + c]``, the spline coefficient
-    of field ``f`` at ``n`` rolled by ``c`` along axis 2, then the same
-    fixed-order contraction with the axis-2 weights.
-    """
-    num_fields, n1, n2, n3 = fields.shape
-    num_points = coordinates.shape[1]
-    base = np.floor(coordinates).astype(np.intp)
-    w0, w1, w2 = (np.stack(bspline_weights(coordinates[d] - base[d])) for d in range(3))
-    taps = np.arange(-1, 3)[:, None]
-    i0, i1 = (base[0] + taps) % n1, (base[1] + taps) % n2
-    columns = (i0[:, None] * n2 + i1[None]) * n3 + (base[2] - 1) % n3
-    matrix = sparse.csr_matrix(
-        (
-            np.ascontiguousarray((w0[:, None] * w1[None]).transpose(2, 0, 1)).reshape(-1),
-            np.ascontiguousarray(columns.transpose(2, 0, 1)).reshape(-1),
-            np.arange(0, 16 * num_points + 1, 16),
-        ),
-        shape=(num_points, n1 * n2 * n3),
-    )
-    windows = np.empty((n1, n2, n3, num_fields, 4))
-    for f, field in enumerate(fields):
-        coefficients = ndimage.spline_filter(field, order=3, output=np.float64, mode="grid-wrap")
-        for c in range(4):
-            windows[:, :, :, f, c] = np.roll(coefficients, -c, axis=2)
-    product = (matrix @ windows.reshape(-1, 4 * num_fields)).reshape(-1, num_fields, 4)
-    out = np.empty((num_fields, num_points))
-    for f in range(num_fields):
-        value = product[:, f, 0] * w2[0]
-        value += product[:, f, 1] * w2[1]
-        value += product[:, f, 2] * w2[2]
-        value += product[:, f, 3] * w2[3]
-        out[f] = value
-    return out
+
+def _rolled_spline_coefficients(field: np.ndarray) -> np.ndarray:
+    """``(N1, N2, N3, 4)``: ``spline_filter`` of *field* shifted by ``c - 1``
+    along axis 2 at ``[..., c]`` — what the windows hold, from SciPy."""
+    coefficients = ndimage.spline_filter(field, order=3, output=np.float64, mode="grid-wrap")
+    return np.stack([np.roll(coefficients, 1 - c, axis=2) for c in range(4)], axis=-1)
 
 
 def _with_seam_points(shape, num_points: int, seed: int) -> np.ndarray:
@@ -236,47 +211,110 @@ def _with_seam_points(shape, num_points: int, seed: int) -> np.ndarray:
     return np.concatenate([seam, _coordinates(shape, num_points, seed)], axis=1)
 
 
-class TestPaddedCoefficients:
+def _circulant(n: int) -> np.ndarray:
+    """The ``[1/6, 4/6, 1/6]`` periodic convolution on ``n`` samples, entry by entry."""
+    matrix = np.zeros((n, n))
+    for k in range(n):
+        for offset, weight in ((-1, 1.0), (0, 4.0), (1, 1.0)):
+            matrix[k, (k + offset) % n] += weight / 6.0
+    return matrix
+
+
+class TestPrefilterFactor:
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 19, 32, 128])
+    def test_inverts_the_circulant(self, n):
+        factor = kernels._prefilter_factor(n)
+        assert factor.shape == (n, n)
+        np.testing.assert_allclose(factor @ _circulant(n), np.eye(n), rtol=0, atol=1e-14)
+
+    def test_cached_and_read_only(self):
+        factor = kernels._prefilter_factor(19)
+        assert kernels._prefilter_factor(19) is factor
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 0.0
+        taps = kernels._window_taps(19, 3)
+        assert kernels._window_taps(19, 3) is taps and not taps.flags.writeable
+
+    def test_import_does_not_load_scipy_ndimage(self):
+        """A fresh interpreter imports ``repro`` without ``scipy.ndimage``."""
+        import repro
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+        code = "import sys, repro; print('scipy.ndimage' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+class TestWindowLayout:
     SHAPES = [(32, 32, 32), (16, 19, 16), (9, 7, 11), (6, 5, 2), (2, 4, 5), (3, 2, 1)]
 
     @pytest.mark.parametrize("num_fields", [1, 2, 3, 5])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_bitwise_equal_to_the_windows_formulation(self, shape, num_fields):
+    def test_windows_are_rolled_spline_coefficients(self, shape, num_fields):
+        fields = np.random.default_rng(30).standard_normal((num_fields, *shape))
+        windows = kernels._windows(fields, "cubic_bspline")
+        assert windows.shape == (int(np.prod(shape)), 4 * num_fields)
+        windows = windows.reshape(*shape, num_fields, 4)
+        for f, field in enumerate(fields):
+            expected = _rolled_spline_coefficients(field)
+            error = np.abs(windows[..., f, :] - expected).max()
+            assert error <= WINDOW_TOLERANCE * np.abs(expected).max()
+            # each field's windows are its scalar windows, bit for bit
+            (scalar,) = kernels._windows(fields[f : f + 1], "cubic_bspline").reshape(
+                1, -1, 4
+            )
+            np.testing.assert_array_equal(windows[..., f, :].reshape(-1, 4), scalar)
+
+    @pytest.mark.parametrize("num_fields", [1, 2, 3, 5])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gathers_bitwise_invariant_and_accurate(self, shape, num_fields):
         fields = np.random.default_rng(30).standard_normal((num_fields, *shape))
         coordinates = _with_seam_points(shape, min(9000, 2 * int(np.prod(shape))), seed=31)
-        expected = _windows_gather(fields, coordinates)
         transient = _gather(fields, coordinates)
-        np.testing.assert_array_equal(transient, expected)
         resident = _gather(fields, coordinates, _operator(shape, coordinates))
-        np.testing.assert_array_equal(resident, expected)
+        np.testing.assert_array_equal(resident, transient)
+        for f in range(num_fields):
+            np.testing.assert_array_equal(_gather(fields[f : f + 1], coordinates)[0], transient[f])
         assert np.abs(transient - _reference(fields, coordinates)).max() <= TOLERANCE
 
-    @pytest.mark.parametrize("shape", [(8, 8, 8), (6, 5, 2)])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_catmull_rom_windows_are_rolled_samples(self, shape):
+        fields = np.random.default_rng(35).standard_normal((2, *shape))
+        windows = kernels._windows(fields, "catmull_rom").reshape(*shape, 2, 4)
+        for f, field in enumerate(fields):
+            for c in range(4):
+                np.testing.assert_array_equal(windows[..., f, c], np.roll(field, 1 - c, axis=2))
+
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (6, 5, 2), (3, 2, 1)])
     def test_coordinate_rounded_up_to_the_period(self, shape):
-        """``np.mod`` may return ``N``: base ``N``, window start ``N - 1``, in range."""
+        """``np.mod`` may return ``N``: base ``N`` wraps to ``0``, bit for bit."""
         fields = np.random.default_rng(32).standard_normal((2, *shape))
         period = np.asarray(shape, dtype=np.float64)[:, None]
         np.testing.assert_array_equal(
             _gather(fields, period), _gather(fields, 0.0 * period)
         )
-        np.testing.assert_array_equal(
-            _gather(fields, period), _windows_gather(fields, period)
-        )
+        (at_period,) = _operator(shape, period).blocks
+        (at_origin,) = _operator(shape, 0.0 * period).blocks
+        np.testing.assert_array_equal(at_period.matrix.indices, at_origin.matrix.indices)
 
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_column_space_and_padding(self, shape):
+    def test_columns_are_unpadded_flat_indices(self, shape):
         n1, n2, n3 = shape
         coordinates = _with_seam_points(shape, 200, seed=33)
         (block,) = _operator(shape, coordinates).blocks
-        assert block.matrix.shape == (coordinates.shape[1], n1 * n2 * (n3 + 3) - 3)
-        starts = block.matrix.indices % (n3 + 3)
-        assert starts.min() >= 0 and starts.max() <= n3 - 1
-        field = np.random.default_rng(34).standard_normal((1, *shape))
-        padded = kernels._padded_coefficients(field, "cubic_bspline").reshape(n1, n2, n3 + 3)
-        coefficients = ndimage.spline_filter(
-            field[0], order=3, output=np.float64, mode="grid-wrap"
-        )
-        np.testing.assert_array_equal(padded, coefficients[:, :, np.arange(n3 + 3) % n3])
+        assert block.matrix.shape == (coordinates.shape[1], n1 * n2 * n3)
+        columns = block.matrix.indices.reshape(-1, 4, 4)
+        assert columns.min() >= 0 and columns.max() <= n1 * n2 * n3 - 1
+        base = np.floor(coordinates).astype(np.intp)
+        taps = np.arange(-1, 3)
+        i0 = (base[0][:, None] + taps) % n1
+        i1 = (base[1][:, None] + taps) % n2
+        expected = (i0[:, :, None] * n2 + i1[:, None, :]) * n3 + (base[2] % n3)[:, None, None]
+        np.testing.assert_array_equal(columns, expected)
 
 
 # --------------------------------------------------------------------------- #
@@ -290,9 +328,9 @@ class TestResidency:
         assert operator.nbytes == projected_gather_operator_nbytes(num_points, shape)
         assert sum(block.w2.shape[1] for block in operator.blocks) == num_points
 
-    def test_index_dtype_follows_the_padded_length(self):
-        """1290 x 1290 x 1290 fits int32 unpadded; its padded flat length does not."""
-        for shape, dtype in (((1024, 1024, 1024), np.int32), ((1290, 1290, 1290), np.int64)):
+    def test_index_dtype_follows_the_flat_length(self):
+        """1290 x 1290 x 1290 flat indices fit int32; 1291 x 1291 x 1291 do not."""
+        for shape, dtype in (((1290, 1290, 1290), np.int32), ((1291, 1291, 1291), np.int64)):
             assert kernels._operator_index_dtype(shape) == dtype
             per_point = 20 * 8 + 17 * np.dtype(dtype).itemsize
             assert projected_gather_operator_nbytes(8192, shape) == (

@@ -70,8 +70,8 @@ class TestOracleAgreement:
     def test_agrees_with_materialized_stencil_oracle(self, kernel, grid, field, points):
         """Each kernel's periodic operator agrees to <= 1e-12 with a test-local oracle.
 
-        ``cubic_bspline`` (the CSR gather operator on ``spline_filter``
-        coefficients) against the Fourier-space prefilter + the whole-point-set
+        ``cubic_bspline`` (the CSR gather operator on the per-axis product
+        prefilter's coefficients) against the Fourier-space prefilter + the whole-point-set
         stencil; ``catmull_rom`` (the same operator on the samples) against
         the stencil on the raw field.
         """
