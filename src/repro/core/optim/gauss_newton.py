@@ -7,15 +7,21 @@ This is the optimization driver of the paper (Sec. III-A):
   ``H(v) v~ = -g(v)``, preconditioned with the spectral inverse of the
   regularization operator — iterated on half-spectra, where that inverse
   is one multiply, and transformed back once, as the step,
-* inexactness: the PCG relative tolerance is chosen from the current
-  gradient norm (Eisenstat-Walker forcing; the paper uses "an inexact
-  Newton method with quadratic forcing", Sec. IV-A3),
+* inexactness: the PCG relative tolerance is the quadratic Eisenstat-Walker
+  forcing term ``sqrt(||g|| / ||g0||)`` ("an inexact Newton method with
+  quadratic forcing", Sec. IV-A3),
+* one fallback: when PCG returns a zero step, or the search along its step
+  fails, the iteration searches along the preconditioned negative gradient
+  ``-M^{-1} g`` instead; when that search fails too, the solve stops with
+  ``line_search_failure``.  No direction is searched twice.
 * termination: relative reduction of the gradient norm by ``gtol``
   (``1e-2`` in the paper) or a maximum number of outer iterations.
 
-The paper's C++ implementation delegates this loop to PETSc/TAO; here the
-loop is written out explicitly, with the same control parameters exposed
-(PCG tolerance selection and nonlinear termination criteria).
+:class:`~repro.core.optim.gradient_descent.GradientDescent` is this loop with
+every step the fallback's.  The paper's C++ implementation delegates the loop
+to PETSc/TAO; here it is written out explicitly, with the same control
+parameters exposed (PCG tolerance selection and nonlinear termination
+criteria).
 """
 
 from __future__ import annotations
@@ -26,19 +32,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.optim.line_search import ArmijoLineSearch
+from repro.core.optim.line_search import ArmijoLineSearch, LineSearchResult
 from repro.core.optim.pcg import pcg
 from repro.core.preconditioner import PRECONDITIONERS, SpectralPreconditioner
 from repro.core.problem import OuterIterate, RegistrationProblem
 from repro.observability.trace import trace_span
 from repro.runtime.cancellation import check_cancelled
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_finite, check_nonnegative, check_positive
 
 LOGGER = get_logger("core.optim.gauss_newton")
-
-#: Eisenstat-Walker forcing sequences :class:`SolverOptions` accepts.
-FORCINGS = ("quadratic", "linear", "constant")
 
 
 @dataclass
@@ -57,13 +60,8 @@ class SolverOptions:
         for the brain runs, and at 2 for the pure scalability runs).
     max_krylov_iterations:
         Cap on PCG iterations (Hessian mat-vecs) per Newton step.
-    forcing:
-        Eisenstat-Walker forcing sequence: ``"quadratic"`` (paper default),
-        ``"linear"``, or ``"constant"``.
     forcing_max:
-        Upper bound on the forcing term (PCG relative tolerance).
-    constant_forcing:
-        Tolerance used when ``forcing == "constant"``.
+        Upper bound on the quadratic forcing term (PCG relative tolerance).
     preconditioner:
         Variant passed to :class:`SpectralPreconditioner` (``"none"``
         disables preconditioning; used by the ablation bench).
@@ -83,7 +81,7 @@ class SolverOptions:
         starting the next Newton step or Hessian mat-vec.  Never serialized
         with the options.
 
-    An unknown forcing or preconditioner, a negative Newton or non-positive
+    An unknown preconditioner, a negative Newton or non-positive
     Krylov cap, a negative or non-finite tolerance and a non-positive or
     non-finite wall-clock budget are a :class:`ValueError` naming the field,
     at construction.
@@ -93,9 +91,7 @@ class SolverOptions:
     absolute_gradient_tolerance: float = 1e-12
     max_newton_iterations: int = 50
     max_krylov_iterations: int = 100
-    forcing: str = "quadratic"
     forcing_max: float = 0.5
-    constant_forcing: float = 1e-1
     preconditioner: str = "inverse_regularization"
     line_search: ArmijoLineSearch = field(default_factory=ArmijoLineSearch)
     max_wall_clock_seconds: Optional[float] = None
@@ -103,26 +99,24 @@ class SolverOptions:
     cancel_token: Optional[object] = None
 
     def __post_init__(self) -> None:
-        for name, choices in (("forcing", FORCINGS), ("preconditioner", PRECONDITIONERS)):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+        if self.preconditioner not in PRECONDITIONERS:
+            raise ValueError(
+                f"unknown preconditioner {self.preconditioner!r}; "
+                f"expected one of {PRECONDITIONERS}"
+            )
         for name, least in (("max_newton_iterations", 0), ("max_krylov_iterations", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        for name in ("gradient_tolerance", "absolute_gradient_tolerance", "forcing_max",
-                     "constant_forcing"):
+        for name in ("gradient_tolerance", "absolute_gradient_tolerance", "forcing_max"):
             check_nonnegative(getattr(self, name), name)
         if self.max_wall_clock_seconds is not None:
             check_positive(self.max_wall_clock_seconds, "max_wall_clock_seconds")
 
     def forcing_term(self, gradient_norm: float, initial_gradient_norm: float) -> float:
-        """Relative PCG tolerance for the current Newton iteration."""
-        if self.forcing == "constant":
-            return min(self.forcing_max, self.constant_forcing)
+        """Relative PCG tolerance for the current Newton iteration:
+        ``sqrt(||g|| / ||g0||)``, capped at :attr:`forcing_max`."""
         ratio = gradient_norm / max(initial_gradient_norm, 1e-300)
-        value = np.sqrt(ratio) if self.forcing == "quadratic" else ratio
-        return float(min(self.forcing_max, max(value, 1e-12)))
+        return float(min(self.forcing_max, max(np.sqrt(ratio), 1e-12)))
 
 
 @dataclass
@@ -190,17 +184,20 @@ class GaussNewtonKrylov:
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def solve(self, initial_velocity: Optional[np.ndarray] = None) -> OptimizationResult:
-        """Run the outer Newton loop starting from *initial_velocity* (or 0)."""
+        """Run the outer loop starting from *initial_velocity* (or 0).
+
+        A non-finite *initial_velocity* is a :class:`ValueError` naming it,
+        raised before any transform runs.
+        """
         problem = self.problem
         options = self.options
-        grid = problem.grid
         start = time.perf_counter()
 
-        velocity = (
-            problem.zero_velocity()
-            if initial_velocity is None
-            else problem.project(np.array(initial_velocity, dtype=grid.dtype, copy=True))
-        )
+        if initial_velocity is None:
+            velocity = problem.zero_velocity()
+        else:
+            velocity = np.array(initial_velocity, dtype=problem.grid.dtype, copy=True)
+            velocity = problem.project(check_finite(velocity, "initial_velocity"))
 
         preconditioner = SpectralPreconditioner(problem.regularizer, options.preconditioner)
         iterate = problem.linearize(velocity)
@@ -240,74 +237,47 @@ class GaussNewtonKrylov:
                 reason = "wall_clock_budget"
                 break
 
-            forcing = options.forcing_term(iterate.gradient_norm, initial_gradient_norm)
             matvec_count_before = problem.hessian_matvec_count
             with trace_span("newton.iteration", iteration=iteration) as iteration_span:
-                direction, pcg_iterations = self._newton_step(iterate, preconditioner, forcing)
+                direction, forcing, pcg_iterations = self._step(
+                    iterate, preconditioner, initial_gradient_norm
+                )
                 matvecs_this_iteration = problem.hessian_matvec_count - matvec_count_before
                 total_matvecs += matvecs_this_iteration
                 total_pcg += pcg_iterations
                 iteration_span.set_attr("hessian_matvecs", matvecs_this_iteration)
 
                 gradient = iterate.gradient  # a field, for the line search's slope
-                with trace_span("newton.line_search"):
-                    ls = options.line_search.search(
-                        objective=problem.trial_objective,
-                        grid=grid,
-                        current_point=iterate.velocity,
-                        current_objective=iterate.objective.total,
-                        gradient=gradient,
-                        direction=direction,
-                    )
-                if not ls.success:
-                    # Retry along the preconditioned negative gradient before
-                    # declaring failure.
-                    direction = problem.operators.fft.inverse_vector(
-                        preconditioner(-iterate.gradient_spectrum)
-                    )
-                    with trace_span("newton.line_search", retry=True):
-                        ls = options.line_search.search(
-                            objective=problem.trial_objective,
-                            grid=grid,
-                            current_point=iterate.velocity,
-                            current_objective=iterate.objective.total,
-                            gradient=gradient,
-                            direction=direction,
-                        )
-                    if not ls.success:
-                        problem.release_trial()
-                        reason = "line_search_failure"
-                        records.append(
-                            self._record(
-                                iteration,
-                                iterate,
-                                rel_gnorm,
-                                forcing,
-                                pcg_iterations,
-                                matvecs_this_iteration,
-                                0.0,
-                                ls.evaluations,
-                                start,
-                            )
-                        )
-                        break
-
-                with trace_span("newton.linearize"):
-                    iterate = problem.linearize(problem.trial_velocity)
+                ls = None if direction is None else self._search(iterate, gradient, direction)
+                if ls is None or not ls.success:
+                    # the one fallback: the preconditioned negative gradient
+                    direction = self._gradient_step(iterate, preconditioner)
+                    ls = self._search(iterate, gradient, direction, fallback=True)
+                if ls.success:
+                    with trace_span("newton.linearize"):
+                        iterate = problem.linearize(problem.trial_velocity)
+                else:
+                    problem.release_trial()
+                    reason = "line_search_failure"
 
             records.append(
-                self._record(
-                    iteration,
-                    iterate,
-                    iterate.gradient_norm / initial_gradient_norm,
-                    forcing,
-                    pcg_iterations,
-                    matvecs_this_iteration,
-                    ls.step_length,
-                    ls.evaluations,
-                    start,
+                NewtonIterationRecord(
+                    iteration=iteration,
+                    objective=iterate.objective.total,
+                    distance=iterate.objective.distance,
+                    regularization=iterate.objective.regularization,
+                    gradient_norm=iterate.gradient_norm,
+                    relative_gradient_norm=iterate.gradient_norm / initial_gradient_norm,
+                    forcing_term=forcing,
+                    pcg_iterations=pcg_iterations,
+                    hessian_matvecs=matvecs_this_iteration,
+                    step_length=ls.step_length,
+                    line_search_evaluations=ls.evaluations,
+                    elapsed_seconds=time.perf_counter() - start,
                 )
             )
+            if not ls.success:
+                break
 
         elapsed = time.perf_counter() - start
         return OptimizationResult(
@@ -321,52 +291,49 @@ class GaussNewtonKrylov:
             elapsed_seconds=elapsed,
         )
 
-    def _newton_step(
-        self, iterate: OuterIterate, preconditioner: SpectralPreconditioner, forcing: float
-    ) -> Tuple[np.ndarray, int]:
-        """PCG on half-spectra to *forcing*: the step as a field, the iteration count."""
+    def _step(
+        self,
+        iterate: OuterIterate,
+        preconditioner: SpectralPreconditioner,
+        initial_gradient_norm: float,
+    ) -> Tuple[Optional[np.ndarray], float, int]:
+        """PCG on half-spectra to the forcing term: the step as a field (None
+        when PCG returns zero), the forcing term and the iteration count."""
         problem = self.problem
-        fft = problem.operators.fft
+        forcing = self.options.forcing_term(iterate.gradient_norm, initial_gradient_norm)
         with trace_span("newton.pcg", forcing=forcing):
             result = pcg(
                 matvec=problem.hessian_operator(iterate),
                 rhs=-iterate.gradient_spectrum,
-                space=fft,
+                space=problem.operators.fft,
                 preconditioner=preconditioner,
                 rel_tol=forcing,
                 max_iterations=self.options.max_krylov_iterations,
                 cancel_token=self.options.cancel_token,
             )
-        step = result.solution
-        if not np.any(step):
-            # PCG returned a zero step (e.g. immediate negative curvature);
-            # fall back to preconditioned steepest descent.
-            step = preconditioner(-iterate.gradient_spectrum)
-        return fft.inverse_vector(step), result.iterations
+        if not np.any(result.solution):
+            return None, forcing, result.iterations
+        return problem.operators.fft.inverse_vector(result.solution), forcing, result.iterations
 
-    def _record(
-        self,
-        iteration: int,
-        iterate: OuterIterate,
-        rel_gnorm: float,
-        forcing: float,
-        pcg_iterations: int,
-        matvecs: int,
-        step_length: float,
-        ls_evaluations: int,
-        start: float,
-    ) -> NewtonIterationRecord:
-        return NewtonIterationRecord(
-            iteration=iteration,
-            objective=iterate.objective.total,
-            distance=iterate.objective.distance,
-            regularization=iterate.objective.regularization,
-            gradient_norm=iterate.gradient_norm,
-            relative_gradient_norm=rel_gnorm,
-            forcing_term=forcing,
-            pcg_iterations=pcg_iterations,
-            hessian_matvecs=matvecs,
-            step_length=step_length,
-            line_search_evaluations=ls_evaluations,
-            elapsed_seconds=time.perf_counter() - start,
+    def _gradient_step(
+        self, iterate: OuterIterate, preconditioner: SpectralPreconditioner
+    ) -> np.ndarray:
+        """The preconditioned negative gradient ``-M^{-1} g`` as a field."""
+        return self.problem.operators.fft.inverse_vector(
+            preconditioner(-iterate.gradient_spectrum)
         )
+
+    def _search(
+        self, iterate: OuterIterate, gradient: np.ndarray, direction: np.ndarray, **span_attrs
+    ) -> LineSearchResult:
+        """One Armijo search from *iterate* (whose gradient field is
+        *gradient*) along *direction*."""
+        with trace_span("newton.line_search", **span_attrs):
+            return self.options.line_search.search(
+                objective=self.problem.trial_objective,
+                grid=self.problem.grid,
+                current_point=iterate.velocity,
+                current_objective=iterate.objective.total,
+                gradient=gradient,
+                direction=direction,
+            )

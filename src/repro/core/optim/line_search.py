@@ -8,6 +8,10 @@ decrease condition
 
     J(v + alpha d)  <=  J(v) + c1 * alpha * <g, d>.
 
+A direction that is not a descent direction (``<g, d> >= 0``) is a failed
+search with no evaluation: the Newton driver then falls back to the
+preconditioned negative gradient, which always descends.
+
 The objective evaluation is supplied as a callable, because for the
 registration problem each evaluation requires a forward transport solve.
 """
@@ -91,33 +95,28 @@ class ArmijoLineSearch:
         gradient:
             Reduced gradient ``g(v)``.
         direction:
-            Search direction ``d`` (the Newton/PCG step).
+            Search direction ``d`` (the PCG step or the gradient step).
         """
         directional_derivative = grid.inner(gradient, direction)
-        sign = 1.0
         if directional_derivative >= 0.0:
-            # The (inexact) Newton direction is not a descent direction;
-            # search along the reflected direction instead.  The returned
-            # step length is signed so that callers always update with
-            # ``v + step * direction`` using the *original* direction.
             LOGGER.debug(
-                "direction is not a descent direction (g.d = %.3e); reflecting",
-                directional_derivative,
+                "direction is not a descent direction (g.d = %.3e)", directional_derivative
             )
-            sign = -1.0
-            directional_derivative = -directional_derivative
+            return LineSearchResult(
+                step_length=0.0, objective=current_objective, evaluations=0, success=False
+            )
 
         step = self.initial_step
         evaluations = 0
         while evaluations < self.max_evaluations:
-            trial = current_point + sign * step * direction
-            with trace_span("line_search.trial", step=sign * step):
+            trial = current_point + step * direction
+            with trace_span("line_search.trial", step=step):
                 value = objective(trial)
             evaluations += 1
             sufficient = current_objective + self.c1 * step * directional_derivative
             if np.isfinite(value) and value <= sufficient:
                 return LineSearchResult(
-                    step_length=sign * step,
+                    step_length=step,
                     objective=value,
                     evaluations=evaluations,
                     success=True,

@@ -11,11 +11,11 @@ and cost no transform; a :class:`~repro.spectral.grid.Grid` is the space of
 the fields themselves.  The solve is *inexact*: the relative tolerance is the
 Eisenstat-Walker forcing term chosen by the outer Newton iteration.
 
-Safeguards follow standard Newton-Krylov practice (e.g. Nocedal & Wright):
-if a direction of negative curvature is encountered the iteration stops and
-returns the current iterate (or the preconditioned steepest-descent direction
-if that happens on the very first iteration), which keeps the Gauss-Newton
-step a descent direction.
+The one safeguard follows standard Newton-Krylov practice (e.g. Nocedal &
+Wright): if a direction of negative curvature is encountered the iteration
+stops and returns the current iterate, flagged ``negative_curvature``.  On
+the first iteration that iterate is zero, and the Newton driver takes its
+gradient step instead.
 """
 
 from __future__ import annotations
@@ -143,12 +143,8 @@ def pcg(
         curvature = space.inner(p, hp)
         iterations = iteration + 1
         if curvature <= 0.0:
-            # Negative (or zero) curvature: fall back to the best iterate so
-            # far; on the first iteration use the preconditioned gradient so
-            # the Newton step is still a descent direction.
+            # negative (or zero) curvature: stop with the iterate so far
             negative_curvature = True
-            if iteration == 0:
-                x = z.copy()
             LOGGER.debug("PCG detected non-positive curvature at iteration %d", iteration)
             break
         alpha = rz / curvature

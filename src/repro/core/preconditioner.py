@@ -14,14 +14,11 @@ exactly the behaviour the paper reports in Table V.
 
 ``M^{-1}`` is diagonal in Fourier space and the Krylov solve iterates on
 half-spectra (:mod:`repro.core.optim.pcg`), so applying it is one multiply
-by its symbol — no transform.  Three variants are provided:
+by its symbol — no transform.  Two variants are provided:
 
 ``"inverse_regularization"``
     ``M^{-1} = (beta A)^+`` with the identity on the (null-space) constant
     mode — the paper's choice.
-``"shifted"``
-    ``M^{-1} = (beta A + I)^{-1}`` — a slightly more conservative variant
-    that avoids amplifying the lowest frequencies for very small ``beta``.
 ``"none"``
     The identity (used by the ablation bench).
 """
@@ -35,7 +32,7 @@ import numpy as np
 
 from repro.core.regularization import _SobolevSeminormRegularization
 
-PRECONDITIONERS = ("inverse_regularization", "shifted", "none")
+PRECONDITIONERS = ("inverse_regularization", "none")
 
 
 @dataclass
@@ -48,8 +45,7 @@ class SpectralPreconditioner:
         The Sobolev-seminorm regularization of the problem; provides the
         spectral symbol ``beta * a(k)``.
     variant:
-        One of ``"inverse_regularization"`` (paper default), ``"shifted"``,
-        ``"none"``.
+        ``"inverse_regularization"`` (paper default) or ``"none"``.
     """
 
     regularizer: _SobolevSeminormRegularization
@@ -67,15 +63,11 @@ class SpectralPreconditioner:
         """Spectral symbol of ``M^{-1}`` (None for the identity)."""
         if self.variant == "none":
             return None
-        beta = self.regularizer.beta
-        a = self.regularizer.symbol
-        if self.variant == "shifted":
-            return 1.0 / (beta * a + 1.0)
-        # inverse_regularization: pseudo-inverse with identity on the null
-        # space; the unweighted pseudo-inverse comes pre-computed from the
-        # per-grid symbol store via the regularizer.
-        symbol = self.regularizer.inverse_symbol / beta
-        symbol[a == 0.0] = 1.0
+        # pseudo-inverse with identity on the null space; the unweighted
+        # pseudo-inverse comes pre-computed from the per-grid symbol store
+        # via the regularizer
+        symbol = self.regularizer.inverse_symbol / self.regularizer.beta
+        symbol[self.regularizer.symbol == 0.0] = 1.0
         return symbol
 
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:

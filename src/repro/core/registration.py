@@ -2,8 +2,8 @@
 
 :func:`register` is the public entry point a downstream user calls: it takes
 two images (numpy arrays), pre-processes them the way the paper does
-(intensity normalization and spectral Gaussian smoothing), builds the
-discretized optimal-control problem, runs the preconditioned inexact
+(intensity normalization to ``[0, 1]`` and spectral Gaussian smoothing),
+builds the discretized optimal-control problem, runs the preconditioned inexact
 Gauss-Newton-Krylov solver (optionally with ``beta``-continuation), and
 packages the outputs the paper visualizes: the velocity, the deformation
 map, the deformed template, the residual before/after, and the determinant
@@ -171,8 +171,6 @@ class RegistrationSolver:
     smooth_sigma:
         Standard deviation of the spectral Gaussian pre-smoothing in units of
         grid cells (paper: one grid cell).  ``0`` disables smoothing.
-    normalize:
-        Rescale both images to ``[0, 1]`` before registration.
     options:
         Solver options (tolerances, iteration caps, preconditioner variant).
     config:
@@ -193,7 +191,6 @@ class RegistrationSolver:
     gauss_newton: bool = True
     optimizer: str = "gauss_newton"
     smooth_sigma: float = 1.0
-    normalize: bool = True
     options: SolverOptions = field(default_factory=SolverOptions)
     config: Optional[RegistrationConfig] = None
 
@@ -213,7 +210,10 @@ class RegistrationSolver:
         reference: np.ndarray,
         grid: Optional[Grid] = None,
     ) -> RegistrationProblem:
-        """Pre-process the images and assemble the discretized problem."""
+        """Pre-process the images and assemble the discretized problem.
+
+        Both images are rescaled to ``[0, 1]``, then smoothed.
+        """
         template = np.asarray(template)
         reference = np.asarray(reference)
         check_real_dtype(template.dtype, "template")
@@ -233,9 +233,8 @@ class RegistrationSolver:
         check_finite(template, "template")
         check_finite(reference, "reference")
 
-        if self.normalize:
-            template = normalize_intensity(template)
-            reference = normalize_intensity(reference)
+        template = normalize_intensity(template)
+        reference = normalize_intensity(reference)
         if self.smooth_sigma > 0:
             template = smooth_image(template, grid, sigma_cells=self.smooth_sigma)
             reference = smooth_image(reference, grid, sigma_cells=self.smooth_sigma)
@@ -259,8 +258,6 @@ class RegistrationSolver:
         initial_velocity: Optional[np.ndarray] = None,
     ) -> RegistrationResult:
         """Register *template* to *reference* and collect the diagnostics."""
-        if initial_velocity is not None:
-            check_finite(np.asarray(initial_velocity), "initial_velocity")
         start = time.perf_counter()
         with trace_span(
             "registration.solve",
@@ -323,7 +320,6 @@ def register(
     options: Optional[SolverOptions] = None,
     grid: Optional[Grid] = None,
     smooth_sigma: float = 1.0,
-    normalize: bool = True,
     config: Optional[RegistrationConfig] = None,
 ) -> RegistrationResult:
     """Register *template* onto *reference* (functional convenience wrapper).
@@ -349,7 +345,6 @@ def register(
         optimizer=optimizer,
         options=options or SolverOptions(),
         smooth_sigma=smooth_sigma,
-        normalize=normalize,
         config=config,
     )
     return solver.run(template, reference, grid=grid)

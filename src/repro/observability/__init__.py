@@ -23,8 +23,8 @@ observability is off:
     (``--trace-out run.trace.json``), loadable in Perfetto.
 
 :mod:`repro.observability.metrics`
-    A process-wide registry of :class:`Counter`/:class:`Gauge`/
-    :class:`Histogram` metrics with label sets, plus pull *collectors* so
+    A process-wide registry of :class:`Counter`/:class:`Gauge` metrics
+    with label sets, plus pull *collectors* so
     the existing stat mechanisms publish into one place without changing
     their own APIs.
 
@@ -44,7 +44,6 @@ mechanisms lazily.
 from repro.observability.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     get_metrics_registry,
 )
@@ -75,7 +74,6 @@ from repro.observability.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_metrics_registry",
     "format_phase_table",

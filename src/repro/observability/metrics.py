@@ -1,4 +1,4 @@
-"""Process-wide metrics registry: counters, gauges, histograms, collectors.
+"""Process-wide metrics registry: counters, gauges, collectors.
 
 Two publication styles coexist so the six pre-existing stat mechanisms can
 feed one registry *without changing their own APIs*:
@@ -31,12 +31,11 @@ Stdlib-only: importable from every layer without cycles.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "get_metrics_registry",
     "reset_metrics_registry",
@@ -96,39 +95,8 @@ class _BoundGauge:
             return self._value
 
 
-class _BoundHistogram:
-    __slots__ = ("_lock", "_count", "_sum", "_min", "_max")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._count = 0
-        self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        with self._lock:
-            self._count += 1
-            self._sum += value
-            if self._min is None or value < self._min:
-                self._min = value
-            if self._max is None or value > self._max:
-                self._max = value
-
-    @property
-    def value(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "count": self._count,
-                "sum": self._sum,
-                "min": self._min if self._min is not None else 0.0,
-                "max": self._max if self._max is not None else 0.0,
-            }
-
-
 class _MetricFamily:
-    """Common labelled-children machinery for the three metric kinds."""
+    """Common labelled-children machinery for the two metric kinds."""
 
     kind = "metric"
     _child_type: type = _BoundCounter
@@ -175,16 +143,6 @@ class Gauge(_MetricFamily):
         self.labels(**labels).set(value)
 
 
-class Histogram(_MetricFamily):
-    """count/sum/min/max aggregate per label set."""
-
-    kind = "histogram"
-    _child_type = _BoundHistogram
-
-    def observe(self, value: float, **labels: Any) -> None:
-        self.labels(**labels).observe(value)
-
-
 class MetricsRegistry:
     """Create-or-get metric families plus pull collectors."""
 
@@ -213,9 +171,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, description: str = "") -> Gauge:
         return self._get_or_create(name, description, Gauge)  # type: ignore[return-value]
-
-    def histogram(self, name: str, description: str = "") -> Histogram:
-        return self._get_or_create(name, description, Histogram)  # type: ignore[return-value]
 
     def register_collector(
         self, name: str, collector: Callable[[], Dict[str, Any]]

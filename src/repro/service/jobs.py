@@ -163,7 +163,6 @@ class RegistrationJobSpec:
     gauss_newton: bool = True
     optimizer: str = "gauss_newton"
     smooth_sigma: float = 1.0
-    normalize: bool = True
     options: Optional[SolverOptions] = None
     grid: Optional[Grid] = None
     job_class: str = JOB_CLASS_INTERACTIVE

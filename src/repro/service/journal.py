@@ -63,7 +63,7 @@ from repro.service.jobs import (
 )
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite, check_real_dtype
+from repro.utils.validation import check_finite, check_nonnegative, check_real_dtype
 
 LOGGER = get_logger("service.journal")
 
@@ -180,6 +180,11 @@ def _decode_options(doc: Any) -> Optional[SolverOptions]:
     try:
         fields = dict(doc)
         fields.pop("cancel_token", None)
+        # documents written while the forcing rule was a setting carry it and
+        # its constant: the quadratic rule and a usable constant are dropped
+        _check_choice(fields.pop("forcing", "quadratic"), "forcing", ("quadratic",))
+        if "constant_forcing" in fields:
+            check_nonnegative(fields.pop("constant_forcing"), "constant_forcing")
         line_search = fields.pop("line_search", None)
         if line_search is not None:
             fields["line_search"] = ArmijoLineSearch(**line_search)
@@ -220,7 +225,6 @@ def spec_to_dict(spec: Union[RegistrationJobSpec, TransportJobSpec]) -> Dict[str
             "gauss_newton": bool(spec.gauss_newton),
             "optimizer": spec.optimizer,
             "smooth_sigma": float(spec.smooth_sigma),
-            "normalize": bool(spec.normalize),
             "options": _encode_options(spec.options),
             "grid": _encode_grid(spec.grid),
         }
@@ -254,10 +258,12 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
         the arrays' shapes disagree, the regularization, optimizer or a
         solver option is not one the solver accepts, ``beta`` is not
         positive and finite, ``smooth_sigma`` is negative or not finite, an
-        ``interpolation`` key names anything but ``cubic_bspline``, or a
-        time-step or task count is below one (clean, client-facing message —
-        the HTTP front returns it verbatim with a 400, before anything is
-        journaled).
+        ``interpolation`` key names anything but ``cubic_bspline``, a
+        ``normalize`` key is not ``true``, a ``forcing`` key is not
+        ``"quadratic"`` or a ``constant_forcing`` key is negative or not
+        finite, or a time-step or task count is below one (clean,
+        client-facing message — the HTTP front returns it verbatim with a
+        400, before anything is journaled).
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -292,6 +298,13 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 "interpolation",
                 ("cubic_bspline",),
             )
+            # ... and while normalization was a switch, they carry it: only
+            # the value every solve now uses is accepted (and dropped)
+            if payload.get("normalize", True) is not True:
+                raise MalformedSpecError(
+                    f"normalize must be true (images are always normalized), "
+                    f"got {payload['normalize']!r}"
+                )
             return RegistrationJobSpec(
                 template=template,
                 reference=reference,
@@ -308,7 +321,6 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                     str(payload.get("optimizer", "gauss_newton")), "optimizer", OPTIMIZERS
                 ),
                 smooth_sigma=float(payload.get("smooth_sigma", 1.0)),
-                normalize=bool(payload.get("normalize", True)),
                 options=_decode_options(payload.get("options")),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,

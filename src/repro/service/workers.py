@@ -376,7 +376,6 @@ class RegistrationService:
                     options=options,
                     grid=spec.grid,
                     smooth_sigma=spec.smooth_sigma,
-                    normalize=spec.normalize,
                     config=self.config,
                 )
         except SolveCancelled:

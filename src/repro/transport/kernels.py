@@ -36,7 +36,7 @@ Per point, one 16-nonzero CSR row holds the axis-0 x axis-1 weight products
 wrapped periodically, or, on a ghosted block, read as is
 (:class:`GatherOperator`, ~228 bytes per point).  The operator is applied
 as ``matrix @ windows``, where ``windows[n, f, c]`` is the coefficient of
-field ``f`` at flat index ``n`` shifted by ``c - 1`` along axis 2
+field ``f`` at flat index ``n`` moved by ``c - 1`` along axis 2
 (wrapped): one ``np.take`` of the four axis-2 taps writes it for the whole
 stack (:func:`_windows`).  An explicit fixed-order 4-term contraction with
 the axis-2 weights follows — all fields of a stack share one pass over the
@@ -328,7 +328,7 @@ def _windows(fields: np.ndarray, kernel: str) -> np.ndarray:
     """The ``(N1*N2*N3, 4 B)`` windows of a ``(B, N1, N2, N3)`` stack.
 
     ``windows[n, 4 f + c]`` is the kernel coefficient of field ``f`` at flat
-    index ``n`` shifted by ``c - 1`` along axis 2, wrapped.  For
+    index ``n`` moved by ``c - 1`` along axis 2, wrapped.  For
     ``cubic_bspline`` the coefficients are each field's periodic B-spline
     prefilter, three BLAS products with the axes' cached factors
     (:func:`_prefilter_factor`), the last written straight into an

@@ -1,12 +1,17 @@
-"""Tests for the optimization building blocks: PCG, line search, preconditioner."""
+"""Tests for the optimization building blocks: PCG, line search, preconditioner,
+and the Newton driver's one fallback (the gradient step)."""
 
 import numpy as np
 import pytest
 
+from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
+from repro.core.optim.gradient_descent import GradientDescent
 from repro.core.optim.line_search import ArmijoLineSearch
 from repro.core.optim.pcg import pcg
 from repro.core.preconditioner import SpectralPreconditioner
+from repro.core.problem import RegistrationProblem
 from repro.core.regularization import H1Regularization
+from repro.data.synthetic import synthetic_registration_problem
 from repro.runtime.cancellation import CancelToken, SolveCancelled
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
@@ -62,10 +67,24 @@ class TestPCG:
         assert result.iterations == 2
         assert not result.converged
 
-    def test_negative_curvature_detected(self, grid):
+    def test_negative_curvature_at_first_iteration_returns_zero(self, grid):
+        """No substitute step: the driver owns the one fallback."""
         result = pcg(lambda v: -v, smooth_vector_field(grid, seed=4), grid, rel_tol=1e-8)
         assert result.negative_curvature
-        # falls back to the preconditioned gradient direction
+        assert result.iterations == 1 and not result.converged
+        np.testing.assert_array_equal(result.solution, 0.0)
+
+    def test_negative_curvature_later_keeps_the_iterate(self, grid, ops):
+        """SPD on the first search direction, indefinite afterwards."""
+        spd = spd_operator(grid, ops)
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return spd(v) if len(calls) == 1 else -v
+
+        result = pcg(matvec, smooth_vector_field(grid, seed=4), grid, rel_tol=1e-12)
+        assert result.negative_curvature and result.iterations == 2
         assert np.any(result.solution)
 
     def test_preconditioner_reduces_iterations(self, grid, ops):
@@ -185,14 +204,27 @@ class TestArmijoLineSearch:
         assert result.success
         assert result.step_length < 1.0
 
-    def test_reflects_ascent_direction(self, grid):
+    @pytest.mark.parametrize("kind", ["ascent", "orthogonal"])
+    def test_non_descent_direction_fails_without_evaluating(self, grid, kind):
         objective, center = self.quadratic(grid)
         v = grid.zeros_vector()
         gradient = v - center
-        direction = gradient  # ascent direction
-        result = ArmijoLineSearch().search(objective, grid, v, objective(v), gradient, direction)
-        assert result.success
-        assert result.step_length < 0.0  # signed step along the original direction
+        if kind == "ascent":
+            direction = gradient
+        else:  # <g, d> == 0 exactly: the two live in different components
+            gradient, direction = np.zeros((2, 3, *grid.shape))
+            gradient[1] = 1.0
+            direction[0] = 1.0
+        evaluations = []
+
+        def counting(x):
+            evaluations.append(1)
+            return objective(x)
+
+        result = ArmijoLineSearch().search(counting, grid, v, objective(v), gradient, direction)
+        assert not result.success
+        assert result.evaluations == 0 and evaluations == []
+        assert result.step_length == 0.0 and result.objective == objective(v)
 
     def test_failure_after_max_evaluations(self, grid):
         v = grid.zeros_vector()
@@ -223,14 +255,15 @@ def precondition(prec, ops, v):
 class TestSpectralPreconditioner:
     def test_variants(self, ops):
         reg = H1Regularization(ops, 1e-2)
-        for variant in ("inverse_regularization", "shifted", "none"):
+        for variant in ("inverse_regularization", "none"):
             prec = SpectralPreconditioner(reg, variant)
             v = ops.fft.forward_vector(smooth_vector_field(ops.grid, seed=7))
             out = prec(v)
             assert out.shape == v.shape
             assert out is not v
-        with pytest.raises(ValueError):
-            SpectralPreconditioner(reg, "multigrid")
+        for retired in ("multigrid", "shifted"):
+            with pytest.raises(ValueError, match="unknown preconditioner variant"):
+                SpectralPreconditioner(reg, retired)
 
     def test_none_variant_is_identity(self, ops):
         reg = H1Regularization(ops, 1e-2)
@@ -249,14 +282,13 @@ class TestSpectralPreconditioner:
 
     def test_preconditioner_is_spd(self, ops):
         reg = H1Regularization(ops, 1e-2)
-        for variant in ("inverse_regularization", "shifted"):
-            prec = SpectralPreconditioner(reg, variant)
-            a = smooth_vector_field(ops.grid, seed=10)
-            b = smooth_vector_field(ops.grid, seed=11)
-            assert ops.grid.inner(precondition(prec, ops, a), b) == pytest.approx(
-                ops.grid.inner(a, precondition(prec, ops, b)), rel=1e-9
-            )
-            assert ops.grid.inner(precondition(prec, ops, a), a) > 0.0
+        prec = SpectralPreconditioner(reg, "inverse_regularization")
+        a = smooth_vector_field(ops.grid, seed=10)
+        b = smooth_vector_field(ops.grid, seed=11)
+        assert ops.grid.inner(precondition(prec, ops, a), b) == pytest.approx(
+            ops.grid.inner(a, precondition(prec, ops, b)), rel=1e-9
+        )
+        assert ops.grid.inner(precondition(prec, ops, a), a) > 0.0
 
     def test_rebuild_with_new_beta(self, ops):
         reg = H1Regularization(ops, 1e-2)
@@ -268,3 +300,94 @@ class TestSpectralPreconditioner:
         assert ops.grid.norm(precondition(new, ops, v)) > ops.grid.norm(
             precondition(prec, ops, v)
         )
+
+
+class RecordingSearch(ArmijoLineSearch):
+    """An Armijo search that keeps a copy of every direction it is given."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.directions = []
+
+    def search(self, *args, direction, **kwargs):
+        self.directions.append(direction.copy())
+        return super().search(*args, direction=direction, **kwargs)
+
+
+@pytest.fixture()
+def problem():
+    synthetic = synthetic_registration_problem(8)
+    return RegistrationProblem(
+        grid=synthetic.grid,
+        reference=synthetic.reference,
+        template=synthetic.template,
+        beta=1e-2,
+    )
+
+
+def indefinite_hessian(monkeypatch, problem):
+    """Every Hessian application returns ``-p``: negative curvature at once."""
+    monkeypatch.setattr(problem, "hessian_operator", lambda iterate: lambda p: -p)
+
+
+class TestGradientStepFallback:
+    def test_zero_pcg_step_is_the_former_pcg_substitute_bitwise(self, problem, monkeypatch):
+        """PCG used to return ``z = M^{-1} rhs`` on immediate negative
+        curvature; it returns zero now, and the driver's gradient step is
+        those bits, transformed back."""
+        iterate = problem.linearize(problem.zero_velocity())
+        preconditioner = SpectralPreconditioner(problem.regularizer)
+        rhs = -iterate.gradient_spectrum
+        result = pcg(lambda p: -p, rhs, problem.operators.fft, preconditioner=preconditioner)
+        assert result.negative_curvature and result.iterations == 1
+        np.testing.assert_array_equal(result.solution, 0.0)
+        substitute = problem.operators.fft.inverse_vector(preconditioner(rhs.copy()))
+
+        indefinite_hessian(monkeypatch, problem)
+        search = RecordingSearch()
+        options = SolverOptions(max_newton_iterations=1, line_search=search)
+        solved = GaussNewtonKrylov(problem, options).solve()
+        assert len(search.directions) == 1
+        assert search.directions[0].tobytes() == substitute.tobytes()
+        (record,) = solved.iterations
+        assert record.pcg_iterations == 1 and record.step_length > 0.0
+
+    @pytest.mark.parametrize("driver", ["gauss_newton_zero_step", "gradient_descent"])
+    def test_failed_gradient_step_search_stops_after_one_search(
+        self, problem, monkeypatch, driver
+    ):
+        """The gradient step is searched once; its failure is recorded."""
+        if driver == "gauss_newton_zero_step":
+            indefinite_hessian(monkeypatch, problem)
+        # a step this long never decreases J, and one evaluation is all it gets
+        search = RecordingSearch(initial_step=1e3, max_evaluations=1)
+        options = SolverOptions(max_newton_iterations=3, line_search=search)
+        solver = (GaussNewtonKrylov if driver.startswith("gauss") else GradientDescent)
+        result = solver(problem, options).solve()
+        assert result.termination_reason == "line_search_failure"
+        assert len(search.directions) == 1
+        (record,) = result.iterations
+        assert record.iteration == 0
+        assert record.step_length == 0.0 and record.line_search_evaluations == 1
+        assert record.objective == result.final_iterate.objective.total
+        assert record.relative_gradient_norm == 1.0
+        np.testing.assert_array_equal(result.velocity, 0.0)
+        assert problem.trial_velocity is None
+
+    def test_failed_pcg_step_search_retries_the_gradient_step_once(self, problem):
+        search = RecordingSearch(initial_step=1e3, max_evaluations=1)
+        options = SolverOptions(max_newton_iterations=3, line_search=search)
+        result = GaussNewtonKrylov(problem, options).solve()
+        assert result.termination_reason == "line_search_failure"
+        newton, gradient = search.directions
+        assert not np.array_equal(newton, gradient)
+        (record,) = result.iterations
+        assert record.pcg_iterations >= 1 and record.line_search_evaluations == 1
+
+    def test_gradient_descent_records_no_krylov_work(self, problem):
+        result = GradientDescent(problem, SolverOptions(max_newton_iterations=2)).solve()
+        assert result.num_iterations == 2
+        assert result.total_hessian_matvecs == result.total_pcg_iterations == 0
+        for record in result.iterations:
+            assert record.forcing_term == 0.0
+            assert record.pcg_iterations == record.hessian_matvecs == 0

@@ -78,21 +78,38 @@ def quick_options(**overrides):
     return SolverOptions(**defaults)
 
 
+def transforms():
+    """Process-wide FFT count (``spectral.fft_count``)."""
+    return sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
+
+
+#: Every layer the intensity-normalization switch once threaded through.
+NORMALIZE_LAYERS = {
+    "RegistrationSolver": lambda s, value: RegistrationSolver(normalize=value),
+    "register": lambda s, value: register(s.template, s.reference, normalize=value),
+    "RegistrationJobSpec": lambda s, value: RegistrationJobSpec(
+        template=s.template, reference=s.reference, normalize=value
+    ),
+}
+
+
 class TestSolverOptions:
     def test_quadratic_forcing(self):
-        options = SolverOptions(forcing="quadratic", forcing_max=0.5)
+        options = SolverOptions(forcing_max=0.5)
         assert options.forcing_term(1.0, 1.0) == pytest.approx(0.5)
         assert options.forcing_term(1e-4, 1.0) == pytest.approx(1e-2)
 
-    def test_linear_and_constant_forcing(self):
-        assert SolverOptions(forcing="linear").forcing_term(0.1, 1.0) == pytest.approx(0.1)
-        assert SolverOptions(forcing="constant", constant_forcing=0.3).forcing_term(
-            1e-8, 1.0
-        ) == pytest.approx(0.3)
+    def test_forcing_max_caps_the_forcing_term(self):
+        assert SolverOptions(forcing_max=0.0).forcing_term(1.0, 1.0) == 0.0
+        assert SolverOptions(forcing_max=0.05).forcing_term(0.25, 1.0) == pytest.approx(0.05)
 
-    def test_unknown_forcing_rejected(self):
-        with pytest.raises(ValueError):
-            SolverOptions(forcing="cubic").forcing_term(1.0, 1.0)
+    @pytest.mark.parametrize(
+        "name, value", [("forcing", "quadratic"), ("forcing", "linear"), ("constant_forcing", 0.1)]
+    )
+    def test_forcing_rule_is_not_an_option(self, name, value):
+        """Quadratic Eisenstat-Walker forcing is the one rule."""
+        with pytest.raises(TypeError, match=name):
+            SolverOptions(**{name: value})
 
 
 class TestGaussNewtonKrylov:
@@ -192,6 +209,34 @@ class TestBetaContinuation:
             BetaContinuation(problem, max_levels=0)
 
 
+#: The outer solvers that take an initial velocity, on a fresh problem.
+OUTER_SOLVERS = {
+    "gauss_newton": lambda problem: GaussNewtonKrylov(problem, quick_options()).solve,
+    "gradient_descent": lambda problem: GradientDescent(problem, quick_options()).solve,
+    "continuation": lambda problem: BetaContinuation(
+        problem, quick_options(), initial_beta=1e-1, target_beta=1e-2
+    ).run,
+}
+
+
+class TestInitialVelocityBoundary:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", sorted(OUTER_SOLVERS))
+    def test_non_finite_initial_velocity_rejected_before_any_transform(
+        self, synthetic, entry, bad
+    ):
+        """The driver's entry names it; no kernel sees the non-finite value."""
+        problem = RegistrationProblem(
+            grid=synthetic.grid, reference=synthetic.reference, template=synthetic.template
+        )
+        velocity = problem.zero_velocity()
+        velocity[2, 1, 0, 3] = bad
+        before = transforms()
+        with pytest.raises(ValueError, match="initial_velocity has 1 non-finite value"):
+            OUTER_SOLVERS[entry](problem)(velocity)
+        assert transforms() == before
+
+
 class TestRegistrationFrontEnd:
     def test_register_reduces_residual(self, synthetic):
         result = register(
@@ -273,6 +318,16 @@ class TestRegistrationFrontEnd:
         with pytest.raises(ValueError, match="template has 2 non-finite values"):
             RegistrationSolver().build_problem(template, synthetic.reference)
 
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("layer", sorted(NORMALIZE_LAYERS))
+    def test_no_normalize_option_at_any_layer(self, synthetic, layer, value):
+        """Images are always normalized: naming the switch is a TypeError,
+        before any transform runs."""
+        before = transforms()
+        with pytest.raises(TypeError, match="'normalize'"):
+            NORMALIZE_LAYERS[layer](synthetic, value)
+        assert transforms() == before
+
     def test_non_finite_initial_velocity_rejected(self, synthetic):
         velocity = np.zeros((3, *synthetic.grid.shape))
         velocity[1, 0, 0, 0] = -np.inf
@@ -284,10 +339,6 @@ class TestRegistrationFrontEnd:
     @pytest.mark.parametrize("name", ["regularization", "optimizer"])
     def test_unknown_choice_rejected_at_construction(self, synthetic, name, entry):
         """Named at the boundary, before any image is preprocessed."""
-
-        def transforms():
-            return sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
-
         before = transforms()
         with pytest.raises(ValueError, match=f"unknown {name} 'foo'"):
             if entry == "solver":
@@ -309,11 +360,10 @@ class TestRegistrationFrontEnd:
     def test_no_kernel_option_at_any_layer(self, synthetic, layer, kernel):
         """One kernel: naming one, even the default, is a TypeError at every
         layer that once took it, before any transform runs."""
-        before = sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
+        before = transforms()
         with pytest.raises(TypeError, match="'interpolation'|positional arguments"):
             KERNEL_LAYERS[layer](synthetic, kernel)
-        after = sum(get_metrics_registry().collect().get("fft.transforms", {}).values())
-        assert after == before
+        assert transforms() == before
 
     def test_grid_shape_must_match_images(self, synthetic):
         solver = RegistrationSolver(options=quick_options())

@@ -45,7 +45,7 @@ class TestCounter:
         assert registry.collect()["c"] == {"a=1,b=2": 2.0}
 
 
-class TestGaugeAndHistogram:
+class TestGauge:
     def test_gauge_set_inc_dec(self, registry):
         gauge = registry.gauge("pool.bytes")
         child = gauge.labels()
@@ -53,13 +53,6 @@ class TestGaugeAndHistogram:
         child.inc(10.0)
         child.dec(30.0)
         assert registry.collect()["pool.bytes"][""] == 80.0
-
-    def test_histogram_aggregates(self, registry):
-        histogram = registry.histogram("latency")
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        stats = registry.collect()["latency"][""]
-        assert stats == {"count": 3, "sum": 6.0, "min": 1.0, "max": 3.0}
 
 
 class TestRegistry:
@@ -73,10 +66,10 @@ class TestRegistry:
 
     def test_describe(self, registry):
         registry.counter("a", "first")
-        registry.histogram("b", "second")
+        registry.gauge("b", "second")
         assert registry.describe() == {
             "a": {"kind": "counter", "description": "first"},
-            "b": {"kind": "histogram", "description": "second"},
+            "b": {"kind": "gauge", "description": "second"},
         }
 
     def test_collector_merges_at_collect_time(self, registry):

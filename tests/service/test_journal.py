@@ -213,6 +213,8 @@ class TestMalformedSpecs:
         "kind, field, value, message",
         [
             ("register", "interpolation", "bogus", "interpolation must be one of"),
+            ("register", "normalize", False, "normalize must be true"),
+            ("register", "normalize", "yes", "normalize must be true"),
             ("register", "regularization", "h9", "regularization must be one of"),
             ("register", "optimizer", "adam", "optimizer must be one of"),
             ("register", "num_time_steps", 0, "num_time_steps must be at least 1"),
@@ -318,6 +320,28 @@ class TestJournalReplay:
         with open(segment, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"schema": "someone-else", "event": "x"}) + "\n")
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [job.job_id]
+
+    def test_legacy_record_replays_and_solves_like_the_default(self, tmp_path):
+        """A journal line written while the forcing rule and the normalize
+        switch were settings replays after the upgrade, under its id, and
+        solves bitwise like the spec without them."""
+        spec = _registration_spec(options=SolverOptions(max_newton_iterations=2))
+        journal = JobJournal(tmp_path)
+        job = _job(spec)
+        journal.record_submitted(job)
+        journal.close()
+        (segment,) = sorted(tmp_path.glob("segment-*.jsonl"))
+        record = json.loads(segment.read_text(encoding="utf-8"))
+        record["spec"]["spec"]["normalize"] = True
+        record["spec"]["spec"]["options"].update(forcing="quadratic", constant_forcing=0.1)
+        segment.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            (recovered,) = service.recovered_jobs
+            assert recovered.job_id == job.job_id
+            replayed = recovered.result(timeout=120)
+            plain = service.submit_registration(spec).result(timeout=120)
+        np.testing.assert_array_equal(replayed.velocity, plain.velocity)
+        np.testing.assert_array_equal(replayed.deformed_template, plain.deformed_template)
 
     def test_every_commit_is_fsynced(self, tmp_path, monkeypatch):
         synced = []

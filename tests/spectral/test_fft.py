@@ -221,8 +221,8 @@ class TestCounters:
     def test_end_to_end_solve_counts_are_reproducible(self):
         """A fixed amount of solver work gives the same transform total every run.
 
-        Constant, effectively-zero PCG forcing makes every inner solve run to
-        its iteration cap, so the total depends only on the algorithm.
+        A zero forcing cap makes every inner solve run to its iteration cap,
+        so the total depends only on the algorithm.
         """
         from repro.core.optim.gauss_newton import SolverOptions
         from repro.core.registration import RegistrationSolver
@@ -237,8 +237,7 @@ class TestCounters:
                 options=SolverOptions(
                     max_newton_iterations=2,
                     max_krylov_iterations=3,
-                    forcing="constant",
-                    constant_forcing=1e-14,
+                    forcing_max=0.0,
                     gradient_tolerance=1e-14,
                 ),
             )
