@@ -234,7 +234,7 @@ def test_matvec_gradient_cache(benchmark, record_text, record_json):
     # interpolation work is untouched by the cache: 2 nt sweeps (the paper
     # counts 4 nt; the incremental state merges its grid-given source into
     # the transported field before the gather, the incremental adjoint
-    # carries its div v source as the plan's growth factor)
+    # carries its div v source as the backward stepper's growth factor)
     assert warm_gn["matvec_sweeps"] == cold_gn["matvec_sweeps"] == 2 * nt
 
     # --- bitwise identity, cached vs uncached ------------------------------- #

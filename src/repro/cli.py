@@ -452,17 +452,21 @@ def _run_serve(
         artifacts_dir=args.artifacts_dir,
         journal_dir=args.journal,
     ) as service:
-        atlas = run_atlas(
-            reference,
-            subjects,
-            service=service,
-            raise_on_error=False,
-            beta=args.beta,
-            regularization=args.regularization,
-            incompressible=args.incompressible,
-            num_time_steps=args.nt,
-            options=options,
-        )
+        try:
+            atlas = run_atlas(
+                reference,
+                subjects,
+                service=service,
+                raise_on_error=False,
+                beta=args.beta,
+                regularization=args.regularization,
+                incompressible=args.incompressible,
+                num_time_steps=args.nt,
+                options=options,
+            )
+        except ValueError as exc:  # images no job accepts: nothing was queued
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         stats = service.service_stats()
     print(format_rows([atlas.summary()], title="Atlas registration summary"))
     print(

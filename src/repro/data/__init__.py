@@ -18,7 +18,7 @@ from repro.data.synthetic import (
     solenoidal_velocity,
 )
 from repro.data.brain import BrainPhantomPair, brain_phantom, brain_registration_pair
-from repro.data.io import load_problem, memmap_npz_member, open_problem, save_problem
+from repro.data.io import load_problem, save_problem
 
 __all__ = [
     "normalize_intensity",
@@ -33,7 +33,5 @@ __all__ = [
     "brain_phantom",
     "brain_registration_pair",
     "load_problem",
-    "open_problem",
-    "memmap_npz_member",
     "save_problem",
 ]

@@ -338,18 +338,3 @@ class ScatterInterpolationPlan:
                 )
             stacks.append(block[None])
         return [values[0] for values in self.interpolate_many(stacks)]
-
-    def interpolate_many_global(self, global_fields: np.ndarray) -> List[np.ndarray]:
-        """Convenience wrapper: scatter a ``(B, N1, N2, N3)`` stack, batch it."""
-        global_fields = np.asarray(global_fields)
-        if global_fields.ndim != 4:
-            raise ValueError(
-                f"global fields must be stacked as (B, N1, N2, N3), "
-                f"got shape {global_fields.shape}"
-            )
-        per_field_blocks = [self.decomposition.scatter(field) for field in global_fields]
-        stacks = [
-            np.stack([blocks[rank] for blocks in per_field_blocks], axis=0)
-            for rank in range(self.decomposition.num_tasks)
-        ]
-        return self.interpolate_many(stacks)

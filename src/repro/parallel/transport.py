@@ -27,13 +27,15 @@ stepper — or a whole :class:`DistributedTransportSolver` run — for an
 unchanged velocity performs **zero** ``alltoallv`` setup; ``plan_pool_hits``
 reports how many of the two plans came warm.
 
-Every multi-field interpolation rides the batched distributed entry point
+Every interpolation rides the batched distributed entry point
 (:meth:`~repro.parallel.scatter.ScatterInterpolationPlan.interpolate_many`):
 the three velocity components of the RK2 trace move through **one** ghost
 exchange and **one** return ``alltoallv`` (instead of one round per
-component), and :meth:`DistributedSemiLagrangian.step_many` /
-:meth:`DistributedTransportSolver.solve_state_many` advance whole stacks of
-transported fields per round the same way.
+component), and the stepper's one step method,
+:meth:`DistributedSemiLagrangian.step_many`, advances a whole stack of
+transported fields per round the same way.  There is one distributed time
+loop, :meth:`DistributedTransportSolver.solve_state_many`; a single
+template is its ``B = 1`` stack.
 
 The ghost layers are copied out of the neighbours' blocks, so every pencil
 must be at least ``GHOST_WIDTH`` points wide; :class:`DistributedTransportSolver`
@@ -158,16 +160,6 @@ class DistributedSemiLagrangian:
         """
         return int(self.star_plan.pool_hit) + int(self.departure_plan.pool_hit)
 
-    def step(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Advance a distributed scalar field by one (pure advection) step."""
-        deco = self.decomposition
-        values = self.departure_plan.interpolate(blocks)
-        out = []
-        for rank in range(deco.num_tasks):
-            shape = deco.local_shape(rank)
-            out.append(values[rank].reshape(shape))
-        return out
-
     def step_many(self, block_stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Advance a stack of distributed fields by one step, batched.
 
@@ -175,7 +167,7 @@ class DistributedSemiLagrangian:
         share one ghost exchange and one value-return ``alltoallv`` (the
         batched :meth:`~repro.parallel.scatter.ScatterInterpolationPlan.
         interpolate_many` round).  Per-field results are bitwise identical
-        to ``B`` separate :meth:`step` calls.
+        to ``B`` separate ``B = 1`` calls.
         """
         deco = self.decomposition
         values = self.departure_plan.interpolate_many(block_stacks)
@@ -229,20 +221,15 @@ class DistributedTransportSolver:
         blocks and the gathered final state is returned (global, for easy
         comparison against the serial solver).  *cancel_token* (see
         :mod:`repro.runtime.cancellation`) is polled between time steps.
+        The ``B = 1`` case of :meth:`solve_state_many`: same steps, same
+        bits, same ledger.
         """
         template = np.asarray(template, dtype=self.grid.dtype)
         if template.shape != self.grid.shape:
             raise ValueError(
                 f"template has shape {template.shape}, expected {self.grid.shape}"
             )
-        stepper = DistributedSemiLagrangian(
-            self.grid, self.decomposition, velocity, self.dt, self.comm
-        )
-        blocks = self.decomposition.scatter(template)
-        for _ in range(self.num_time_steps):
-            check_cancelled(cancel_token, "transport solve")
-            blocks = stepper.step(blocks)
-        return self.decomposition.gather(blocks)
+        return self.solve_state_many(velocity, template[None], cancel_token)[0]
 
     def solve_state_many(
         self,

@@ -79,14 +79,16 @@ def submit_atlas(
     under one set of solver parameters.  Atlas jobs submit under the
     ``atlas-burst`` job class by default, so the queue's weighted claiming
     keeps interactive registrations flowing through a population burst.
+    A subject whose shape is not the reference's is a :class:`ValueError`
+    before any job is queued.
     """
     register_kwargs.setdefault("job_class", JOB_CLASS_ATLAS)
-    return [
-        service.submit_registration(
-            RegistrationJobSpec(template=moving, reference=reference, **register_kwargs)
-        )
+    # every spec is checked (shapes, settings) before any job is queued
+    specs = [
+        RegistrationJobSpec(template=moving, reference=reference, **register_kwargs)
         for moving in movings
     ]
+    return [service.submit_registration(spec) for spec in specs]
 
 
 def run_atlas(

@@ -55,7 +55,7 @@ from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import check_ghost_width
 from repro.runtime.cancellation import CancelToken
 from repro.spectral.grid import Grid
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import check_nonnegative, check_positive, check_shape_3d
 
 __all__ = [
     "JOB_CLASS_ATLAS",
@@ -148,8 +148,10 @@ class RegistrationJobSpec:
     ``kind = "register"``.  Registrations are never merged by the
     micro-batcher (each solve is an independent Gauss-Newton iteration);
     what they share across requests is the spectral symbol store and the
-    worker pools.  A ``beta`` that is not positive and finite or a
-    ``smooth_sigma`` that is negative or not finite is a
+    worker pools.  Images that are not 3-D with every axis at least 2
+    wide (the rule :class:`~repro.spectral.grid.Grid` applies), a reference
+    whose shape is not the template's, a ``beta`` that is not positive and
+    finite or a ``smooth_sigma`` that is negative or not finite is a
     :class:`ValueError` at construction, before the job is journaled or
     queued.
     """
@@ -170,6 +172,12 @@ class RegistrationJobSpec:
     kind = "register"
 
     def __post_init__(self) -> None:
+        shape = check_shape_3d(np.shape(self.template), "template shape")
+        if np.shape(self.reference) != shape:
+            raise ValueError(
+                f"template and reference must share a shape, got {shape} "
+                f"and {np.shape(self.reference)}"
+            )
         self.beta = check_positive(self.beta, "beta")
         self.smooth_sigma = check_nonnegative(self.smooth_sigma, "smooth_sigma")
 

@@ -255,7 +255,8 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     MalformedSpecError
         The document is not a valid v1 jobspec, an array is not real
         floating-point or integer, a float array holds a NaN or an infinity,
-        the arrays' shapes disagree, the regularization, optimizer or a
+        an image is not 3-D with every axis at least 2 wide, the arrays'
+        shapes disagree, the regularization, optimizer or a
         solver option is not one the solver accepts, ``beta`` is not
         positive and finite, ``smooth_sigma`` is negative or not finite, an
         ``interpolation`` key names anything but ``cubic_bspline``, a
@@ -287,11 +288,6 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
         if kind == "register":
             template = _decode_array(payload.get("template"), "template")
             reference = _decode_array(payload.get("reference"), "reference")
-            if template.shape != reference.shape:
-                raise MalformedSpecError(
-                    f"template and reference must share a shape, got {template.shape} "
-                    f"and {reference.shape}"
-                )
             # documents from before the kernel option name the one kernel
             _check_choice(
                 str(payload.get("interpolation", "cubic_bspline")),

@@ -107,16 +107,12 @@ class DeformationMap:
         """Displacement ``u = y1 - x`` (computed lazily, then cached)."""
         if self._displacement is None:
             plan = self.plan or self._solver.plan(self.velocity)
-            nt = plan.num_time_steps
-            u = np.zeros((3, *self.grid.shape), dtype=self.grid.dtype)
             minus_v = -self.velocity
-            for _ in range(nt):
-                # all three components (and their sources) move through one
-                # batched gather over the cached departure plan
-                u = plan.forward_stepper.step_many(
-                    u, sources_old=minus_v, sources_new=minus_v
-                )
-            self._displacement = u
+            # all three components (and their sources) move through one
+            # batched gather per step over the cached departure plan
+            self._displacement = self._solver._march(
+                plan, self.grid.zeros_vector(), source=lambda level: minus_v, keep_history=False
+            )
         return self._displacement
 
     def map(self) -> np.ndarray:

@@ -249,13 +249,3 @@ class PeriodicInterpolator:
         values = self._gather(fields, plan)
         out_shape = (values.shape[0], *plan.output_shape)
         return values.reshape(out_shape).astype(self.grid.dtype, copy=False)
-
-    def interpolate_vector(self, vector_field: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Component-wise interpolation of a ``(3, N1, N2, N3)`` field."""
-        vector_field = np.asarray(vector_field)
-        if vector_field.shape != (3, *self.grid.shape):
-            raise ValueError(
-                f"vector field has shape {vector_field.shape}, "
-                f"expected {(3, *self.grid.shape)}"
-            )
-        return self.interpolate_many(vector_field, points)

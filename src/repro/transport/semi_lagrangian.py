@@ -42,8 +42,13 @@ Implements the scheme of Sec. III-B2 (Eqs. 6 and 7 of the paper):
 
        nu(x, dt)    = nu0(X) * phi,   phi = 1 + dt/2 * (d_X + d * (1 + dt * d_X))
 
-   which :class:`repro.transport.solvers.TransportPlan` builds once per
-   velocity (one gather of ``div v``) and applies to ``step(nu)``.
+   The stepper handed ``div v`` (the backward one of a
+   :class:`~repro.transport.solvers.TransportPlan`) builds ``phi`` on its
+   first step — one gather of ``div v`` — and applies it in every step.
+
+One :meth:`SemiLagrangianStepper.step` serves every equation: one field or
+a stack, with or without sources, with or without ``phi``; each call is one
+gather of one stack.
 
 The departure points depend only on the (stationary) velocity and the time
 step, so they are computed once per velocity and re-used for every time step
@@ -138,7 +143,7 @@ def compute_departure_points(
 
 @dataclass
 class SemiLagrangianStepper:
-    """One semi-Lagrangian time step for a scalar transport equation.
+    """One semi-Lagrangian time step of ``d nu/dt + velocity . grad nu = c nu + f``.
 
     The stepper is bound to a fixed velocity and time step; the departure
     points are computed and planned once at construction (the paper's
@@ -154,8 +159,7 @@ class SemiLagrangianStepper:
     grid:
         Computational grid.
     velocity:
-        Stationary velocity of the transport equation
-        ``d nu/dt + velocity . grad nu = f``.
+        Stationary velocity of the transport equation.
     dt:
         Time-step size.
     interpolator:
@@ -165,6 +169,13 @@ class SemiLagrangianStepper:
         it (:meth:`TransportSolver.plan` shares one pair between its two
         steppers, through its own operators); a standalone stepper computes
         the pair itself.  Not kept.
+    divergence:
+        The rate ``c`` of the term ``c nu`` on the grid, or ``None`` for
+        ``c = 0``.  The adjoint equations' backward stepper of ``v`` (its
+        velocity is ``-v``) is handed ``div v``: its :meth:`step` then
+        multiplies by the growth factor ``phi`` (module docstring), which
+        the first step builds — one gather of ``c`` — and keeps as
+        ``growth``.
     """
 
     grid: Grid
@@ -172,7 +183,9 @@ class SemiLagrangianStepper:
     dt: float
     interpolator: Optional[PeriodicInterpolator] = None
     derivatives: InitVar[Optional[Tuple[np.ndarray, np.ndarray]]] = None
+    divergence: Optional[np.ndarray] = field(default=None, repr=False)
     departure_plan: Optional[GatherPlan] = field(default=None, init=False)
+    growth: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self, derivatives) -> None:
         self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
@@ -186,86 +199,86 @@ class SemiLagrangianStepper:
             )
 
     # ------------------------------------------------------------------ #
-    def interpolate_at_departure(self, field: np.ndarray) -> np.ndarray:
-        """Interpolate a grid field at the cached departure points."""
-        if self.departure_plan is None:  # v = 0: the departure points are the grid
-            return np.array(field, dtype=self.grid.dtype)
-        return self.interpolator.interpolate_planned(field, self.departure_plan)
-
-    def interpolate_many_at_departure(self, fields: np.ndarray) -> np.ndarray:
-        """Batched interpolation of a ``(B, N1, N2, N3)`` stack at the plan."""
-        if self.departure_plan is None:  # v = 0: the departure points are the grid
-            return np.array(fields, dtype=self.grid.dtype)
-        return self.interpolator.interpolate_many_planned(fields, self.departure_plan)
-
     def step(
         self,
-        nu: np.ndarray,
+        fields: np.ndarray,
         source_old: Optional[np.ndarray] = None,
         source_new: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Advance ``nu`` by one time step (one interpolation sweep).
+        """Advance one field or a stack of fields by one time step.
 
         Parameters
         ----------
-        nu:
-            Field at the current time level, on the grid.
+        fields:
+            One ``(N1, N2, N3)`` field or a ``(B, N1, N2, N3)`` stack at the
+            current time level, on the grid.
         source_old:
-            Source field ``f(., t_n)`` on the grid (or None for no source at
-            the old time level).
+            Source ``f(., t_n)`` on the grid, shaped like *fields* (or None
+            for no source at the old time level).
         source_new:
-            Source field ``f(., t_{n+1})`` on the grid, or None.
+            Source ``f(., t_{n+1})`` on the grid, or None.
 
         Returns
         -------
         numpy.ndarray
-            ``nu`` at the next time level on the grid.
-        """
-        nu = np.asarray(nu)
-        if nu.shape != self.grid.shape:
-            raise ValueError(f"field has shape {nu.shape}, expected {self.grid.shape}")
-        half_dt = 0.5 * self.dt
-        # the update is linear in what it interpolates, so nu + dt/2 f_old
-        # moves through one gather (pure advection without a source)
-        merged = nu if source_old is None else nu + half_dt * self._checked_source(source_old)
-        nu_new = self.interpolate_at_departure(merged)
-        if source_new is None:
-            return nu_new
-        return nu_new + half_dt * self._checked_source(source_new)
-
-    def _checked_source(self, source) -> np.ndarray:
-        source = np.asarray(source)
-        if source.shape != self.grid.shape:
-            raise ValueError(f"source has shape {source.shape}, expected {self.grid.shape}")
-        return source
-
-    def step_many(
-        self,
-        fields: np.ndarray,
-        sources_old: Optional[np.ndarray] = None,
-        sources_new: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Advance a ``(B, N1, N2, N3)`` stack of fields by one time step.
-
-        The batched counterpart of :meth:`step` for sources given as grid
-        arrays: ``fields + dt/2 * sources_old`` is interpolated at the
-        shared departure points in a single ``B``-field gather pass through
-        the cached plan (e.g. the three displacement components of the
-        deformation-map transport, with the velocity as their source).
+            *fields* at the next time level, in their shape.  Every field
+            takes one sweep through one batched gather, and its bits do not
+            depend on the stack it rides in.
         """
         fields = np.asarray(fields)
-        half_dt = 0.5 * self.dt
-        for sources in (sources_old, sources_new):
-            if sources is not None and np.shape(sources) != fields.shape:
-                raise ValueError(
-                    f"sources have shape {np.shape(sources)}, expected {fields.shape}"
-                )
-        if sources_old is not None:
-            fields = fields + half_dt * np.asarray(sources_old)
-        stepped = self.interpolate_many_at_departure(fields)
-        if sources_new is None:
-            return stepped
-        return stepped + half_dt * np.asarray(sources_new)
+        old = None if source_old is None else np.asarray(source_old)
+        new = None if source_new is None else np.asarray(source_new)
+        if (
+            fields.ndim not in (3, 4)
+            or fields.shape[-3:] != self.grid.shape
+            or (old is not None and old.shape != fields.shape)
+            or (new is not None and new.shape != fields.shape)
+        ):
+            shapes = [array.shape for array in (fields, old, new) if array is not None]
+            raise ValueError(
+                f"fields and sources have shapes {shapes}, expected one field "
+                f"{self.grid.shape} or a stack (B, {self.grid.shape}) of one shape"
+            )
+        stack = fields.reshape(-1, *self.grid.shape)
+        batch, half_dt = stack.shape[0], 0.5 * self.dt
+        growth = self._growth()
+        if old is not None:
+            old = old.reshape(stack.shape)
+            # Heun is linear in what it interpolates, so nu + dt/2 f_old moves
+            # through one gather; with a growth factor the two gathered
+            # fields are weighed apart and share the gather as one stack
+            stack = stack + half_dt * old if growth is None else np.concatenate([stack, old])
+        stepped = self._gather(stack)
+        if growth is not None:
+            # nu(x, t + dt) = I_X[nu] phi + I_X[f_old] psi + dt/2 f_new
+            gathered, stepped = stepped, stepped[:batch] * growth
+            if old is not None:
+                stepped += gathered[batch:] * (half_dt * (1.0 + self.dt * self.divergence))
+        if new is not None:
+            stepped = stepped + half_dt * new.reshape(stepped.shape)
+        return stepped.reshape(fields.shape)
+
+    def _gather(self, stack: np.ndarray) -> np.ndarray:
+        """A ``(B, N1, N2, N3)`` stack at the departure points (as is for ``v = 0``)."""
+        if self.departure_plan is None:  # v = 0: the departure points are the grid
+            return np.array(stack, dtype=self.grid.dtype)
+        return self.interpolator.interpolate_many_planned(stack, self.departure_plan)
+
+    def _growth(self) -> Optional[np.ndarray]:
+        """``phi = 1 + dt/2 (c_X + c (1 + dt c_X))``, built on first use; ``None`` for ``c = 0``."""
+        if self.growth is None and self.divergence is not None:
+            c = self.divergence
+            c_dep = self._gather(c[None])[0]
+            self.growth = 1.0 + 0.5 * self.dt * (c_dep + c * (1.0 + self.dt * c_dep))
+        return self.growth
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the gather plan and, once built, the growth factor."""
+        return sum(
+            0 if array is None else array.nbytes
+            for array in (self.departure_plan, self.growth)
+        )
 
     # ------------------------------------------------------------------ #
     def cfl_number(self) -> float:

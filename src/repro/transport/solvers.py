@@ -21,11 +21,17 @@ values ``d_X = I_X[div v]`` and ``d = div v(x)`` gives::
     nu(x, t - dt) = I_X[nu] phi + I_X[g(t)] psi + dt/2 g(t - dt)
     phi = 1 + dt/2 (d_X + d (1 + dt d_X)),    psi = dt/2 (1 + dt d)
 
-``phi`` depends on the velocity only (:meth:`TransportPlan.growth_factor`,
-one gather of ``div v`` per velocity), so an adjoint step is one
-interpolation sweep; ``g`` is the full-Newton source, absent from the adjoint
-and the Gauss-Newton incremental adjoint.  For ``div v = 0`` (``phi = 1``,
-``psi = dt/2``) this is the stepper's merged update.
+``phi`` depends on the velocity only — the plan's backward stepper builds
+it on its first step, one gather of ``div v`` per velocity — so an adjoint
+step is one interpolation sweep; ``g`` is the full-Newton source, absent
+from the adjoint and the Gauss-Newton incremental adjoint.  For
+``div v = 0`` (``phi = 1``, ``psi = dt/2``) this is the stepper's merged
+update.
+
+So a planned velocity has two step functions, its forward and its backward
+stepper's :meth:`~repro.transport.semi_lagrangian.SemiLagrangianStepper.step`,
+and the solver one time loop (``TransportSolver._march``): each ``solve_*``
+method checks its inputs and marches one stepper with its source.
 
 Because the paper stores every time level in memory (``n_t`` is kept small —
 the motivation for the unconditionally stable semi-Lagrangian scheme), the
@@ -37,7 +43,7 @@ solvers here return full space-time histories as arrays of shape
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,37 +79,18 @@ class TransportPlan:
     backward_stepper: SemiLagrangianStepper
     divergence: np.ndarray
     is_divergence_free: bool
-    _growth: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-
-    def growth_factor(self) -> Optional[np.ndarray]:
-        """The adjoint's per-step growth factor ``phi`` (module docstring).
-
-        ``None`` for a divergence-free velocity (``phi = 1``).  Built by the
-        first backward solve that asks — never by a forward-only objective
-        evaluation — from one gather of ``div v`` at the backward departure
-        points, then kept for every later step of this plan.
-        """
-        if self._growth is None and not self.is_divergence_free:
-            div_v = self.divergence
-            div_dep = self.backward_stepper.interpolate_at_departure(div_v)
-            self._growth = 1.0 + 0.5 * self.dt * (div_dep + div_v * (1.0 + self.dt * div_dep))
-        return self._growth
 
     @property
     def nbytes(self) -> int:
         """Byte size of the per-velocity planning data this plan holds.
 
         Counts the gather plans of both steppers (none for ``v = 0``) plus
-        the cached divergence field and, once built, the growth factor.  The
-        gather operators the plans name are not counted: the solver's
-        interpolator holds those.
+        the cached divergence field and, once built, the backward stepper's
+        growth factor.  The gather operators the plans name are not counted:
+        the solver's interpolator holds those.
         """
-        growth_bytes = 0 if self._growth is None else self._growth.nbytes
-        return self.divergence.nbytes + growth_bytes + sum(
-            stepper.departure_plan.nbytes
-            for stepper in (self.forward_stepper, self.backward_stepper)
-            if stepper.departure_plan is not None
-        )
+        # v = 0 shares one stepper between the directions, and it holds nothing
+        return self.divergence.nbytes + self.forward_stepper.nbytes + self.backward_stepper.nbytes
 
 
 @dataclass
@@ -168,18 +155,19 @@ class TransportSolver:
         else:
             if spectrum is None:
                 spectrum = self.operators.fft.forward_vector(velocity)
+            div_v = self.operators.divergence_of_spectra(spectrum)
+            vel_scale = max(self.grid.norm(velocity), 1e-30)
+            div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
             a, b = flow_derivatives(velocity, self.operators, spectrum)
             forward = SemiLagrangianStepper(
                 self.grid, velocity, self.dt, self._interpolator, derivatives=(a, b)
             )
-            # -v departs from the same expansion with b's sign flipped
+            # -v departs from the same expansion with b's sign flipped, and
+            # its stepper carries the adjoints' nu div v (None: phi = 1)
             backward = SemiLagrangianStepper(
-                self.grid, -velocity, self.dt, self._interpolator, derivatives=(a, -b)
+                self.grid, -velocity, self.dt, self._interpolator, derivatives=(a, -b),
+                divergence=None if div_free else div_v,
             )
-            del a, b
-            div_v = self.operators.divergence_of_spectra(spectrum)
-            vel_scale = max(self.grid.norm(velocity), 1e-30)
-            div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
         return TransportPlan(
             velocity=velocity,
             dt=self.dt,
@@ -191,6 +179,50 @@ class TransportSolver:
         )
 
     # ------------------------------------------------------------------ #
+    # the time loop
+    # ------------------------------------------------------------------ #
+    def _march(
+        self,
+        plan: TransportPlan,
+        initial: np.ndarray,
+        source: Optional[Callable[[int], np.ndarray]] = None,
+        backward: bool = False,
+        keep_history: bool = True,
+    ) -> np.ndarray:
+        """March *initial* through the ``nt`` steps of one of *plan*'s steppers.
+
+        Forward from ``t_0`` with the forward stepper, or *backward* from
+        ``t_nt`` with the backward one.  ``source(j)`` is the source at time
+        level ``j``, called once per level in marching order.  Returns the
+        history indexed by *t* (entry ``j`` the field at ``t_j``), or only
+        the last level without *keep_history* — the same steps, the same
+        bits, one level of memory.
+        """
+        nt = plan.num_time_steps
+        stepper = plan.backward_stepper if backward else plan.forward_stepper
+        levels = range(nt, -1, -1) if backward else range(nt + 1)
+        history = None
+        if keep_history:
+            history = np.empty((nt + 1, *initial.shape), dtype=self.grid.dtype)
+            history[levels[0]] = initial
+        nu = initial
+        old = None if source is None else source(levels[0])
+        for level in levels[1:]:
+            new = None if source is None else source(level)
+            nu = stepper.step(nu, old, new)
+            if history is not None:
+                history[level] = nu
+                nu = history[level]  # the step's own array is freed at once
+            old = new
+        return nu if history is None else history
+
+    def _checked_field(self, field: np.ndarray, name: str) -> np.ndarray:
+        field = np.asarray(field, dtype=self.grid.dtype)
+        if field.shape != self.grid.shape:
+            raise ValueError(f"{name} has shape {field.shape}, expected {self.grid.shape}")
+        return field
+
+    # ------------------------------------------------------------------ #
     # state equation (Eq. 2b)
     # ------------------------------------------------------------------ #
     def solve_state(self, plan: TransportPlan, rho0: np.ndarray) -> np.ndarray:
@@ -199,16 +231,9 @@ class TransportSolver:
         Returns the full history ``rho[j] = rho(., t_j)`` with
         ``rho[0] = rho0`` and ``rho[nt] = rho(., 1)`` (the deformed template).
         """
-        rho0 = np.asarray(rho0, dtype=self.grid.dtype)
-        if rho0.shape != self.grid.shape:
-            raise ValueError(f"rho0 has shape {rho0.shape}, expected {self.grid.shape}")
-        nt = plan.num_time_steps
-        history = np.empty((nt + 1, *self.grid.shape), dtype=self.grid.dtype)
-        history[0] = rho0
-        with trace_span("transport.state", nt=nt):
-            for j in range(nt):
-                history[j + 1] = plan.forward_stepper.step(history[j])
-        return history
+        rho0 = self._checked_field(rho0, "rho0")
+        with trace_span("transport.state", nt=plan.num_time_steps):
+            return self._march(plan, rho0)
 
     def solve_state_final(self, plan: TransportPlan, rho0: np.ndarray) -> np.ndarray:
         """Transport the template forward, keeping only the final state.
@@ -218,19 +243,13 @@ class TransportSolver:
         only needs ``rho(., 1)``, not the ``(nt + 1)``-level history — at
         256^3 that is 0.7 GB nobody will read.  (The line search does not
         call this: its trials keep their history, which becomes the next
-        iterate's.)  This runs the identical steps on a two-level rotation
-        (interpolation counters and bits match ``solve_state(...)[nt]``
-        exactly), bounding the state memory at one field regardless of
-        ``nt``.
+        iterate's.)  The identical steps (interpolation counters and bits
+        match ``solve_state(...)[nt]`` exactly) keep one field of state
+        regardless of ``nt``.
         """
-        rho0 = np.asarray(rho0, dtype=self.grid.dtype)
-        if rho0.shape != self.grid.shape:
-            raise ValueError(f"rho0 has shape {rho0.shape}, expected {self.grid.shape}")
-        nu = rho0
+        rho0 = self._checked_field(rho0, "rho0")
         with trace_span("transport.state", nt=plan.num_time_steps, final_only=True):
-            for _ in range(plan.num_time_steps):
-                nu = plan.forward_stepper.step(nu)
-        return nu
+            return self._march(plan, rho0, keep_history=False)
 
     # ------------------------------------------------------------------ #
     # adjoint equation (Eq. 3)
@@ -241,44 +260,15 @@ class TransportSolver:
         Solves ``-d lam/dt - div(v lam) = 0`` with ``lam(., 1) = terminal``
         (the image mismatch ``rho_R - rho(., 1)``).  After the time reversal
         ``tau = 1 - t`` this is an advection with velocity ``-v`` and source
-        ``lam * div v``, which the plan's growth factor carries: one
-        interpolation sweep per step for every velocity.
+        ``lam * div v``, which the backward stepper's growth factor carries:
+        one interpolation sweep per step for every velocity.
 
         Returns the history indexed by *t* (``history[nt] = terminal``,
         ``history[0] = lam(., 0)``).
         """
-        terminal = np.asarray(terminal, dtype=self.grid.dtype)
-        if terminal.shape != self.grid.shape:
-            raise ValueError(
-                f"terminal condition has shape {terminal.shape}, expected {self.grid.shape}"
-            )
-        nt = plan.num_time_steps
-        history = np.empty((nt + 1, *self.grid.shape), dtype=self.grid.dtype)
-        history[nt] = terminal
-        with trace_span("transport.adjoint", nt=nt):
-            for j in range(nt, 0, -1):
-                history[j - 1] = self._backward_step(plan, history[j])
-        return history
-
-    @staticmethod
-    def _backward_step(
-        plan: TransportPlan,
-        nu: np.ndarray,
-        source_old: Optional[np.ndarray] = None,
-        source_new: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """One step of ``d nu/d tau - v . grad nu = nu div v + g`` (module docstring)."""
-        stepper = plan.backward_stepper
-        growth = plan.growth_factor()
-        if growth is None:
-            return stepper.step(nu, source_old, source_new)
-        stepped = stepper.step(nu) * growth
-        if source_old is not None:
-            half_dt = 0.5 * plan.dt
-            source_dep = stepper.interpolate_at_departure(source_old)
-            stepped += source_dep * (half_dt * (1.0 + plan.dt * plan.divergence))
-            stepped += half_dt * source_new
-        return stepped
+        terminal = self._checked_field(terminal, "terminal condition")
+        with trace_span("transport.adjoint", nt=plan.num_time_steps):
+            return self._march(plan, terminal, backward=True)
 
     # ------------------------------------------------------------------ #
     # incremental state equation (Eq. 5a)
@@ -322,16 +312,8 @@ class TransportSolver:
                 + perturbation[2] * grad_rho[2]
             )
 
-        history = np.zeros((nt + 1, *self.grid.shape), dtype=self.grid.dtype)
         with trace_span("transport.incremental_state", nt=nt):
-            rhs_old = rhs(0)
-            for j in range(nt):
-                rhs_new = rhs(j + 1)
-                history[j + 1] = plan.forward_stepper.step(
-                    history[j], source_old=rhs_old, source_new=rhs_new
-                )
-                rhs_old = rhs_new
-        return history
+            return self._march(plan, self.grid.zeros(), source=rhs)
 
     # ------------------------------------------------------------------ #
     # incremental adjoint equation (Eq. 5c)
@@ -366,14 +348,10 @@ class TransportSolver:
             Drop the ``lam``-dependent source (default, as in the paper's
             experiments).
         """
-        terminal = np.asarray(terminal, dtype=self.grid.dtype)
-        if terminal.shape != self.grid.shape:
-            raise ValueError(
-                f"terminal condition has shape {terminal.shape}, expected {self.grid.shape}"
-            )
+        terminal = self._checked_field(terminal, "terminal condition")
         nt = plan.num_time_steps
         # the full-Newton source g(t_j) per time level; Gauss-Newton has none
-        sources = [None] * (nt + 1)
+        source = None
         if not gauss_newton:
             if perturbation is None or adjoint_history is None:
                 raise ValueError(
@@ -390,12 +368,6 @@ class TransportSolver:
             sources = self.operators.divergence_many(
                 adjoint_history[:, None] * perturbation[None]
             )
-
-        history = np.empty((nt + 1, *self.grid.shape), dtype=self.grid.dtype)
-        history[nt] = terminal
+            source = sources.__getitem__
         with trace_span("transport.incremental_adjoint", nt=nt, gauss_newton=gauss_newton):
-            for j in range(nt, 0, -1):
-                history[j - 1] = self._backward_step(
-                    plan, history[j], sources[j], sources[j - 1]
-                )
-        return history
+            return self._march(plan, terminal, source=source, backward=True)

@@ -178,6 +178,71 @@ class TestGradient:
         assert ahead < iterate.objective.total
 
 
+class TestDerivativeOrders:
+    """How the gradient's gap to the discrete objective's derivative falls.
+
+    The gradient is optimize-then-discretize: the adjoint is a second
+    discretization, so ``<g, d>`` differs from a central difference of ``J``
+    by a consistency gap that must fall with ``h`` and ``dt`` — orders, not
+    a tolerance, guard the transport kernel.  Setup as
+    ``test_gradient_matches_finite_differences_random_direction``.
+    """
+
+    EPS = 1e-4
+
+    @staticmethod
+    def _problem(size, nt):
+        synthetic = synthetic_registration_problem(size, num_time_steps=nt)
+        problem = RegistrationProblem(
+            grid=synthetic.grid,
+            reference=synthetic.reference,
+            template=synthetic.template,
+            beta=1e-2,
+            num_time_steps=nt,
+        )
+        v = 0.3 * smooth_vector_field(problem.grid, seed=2)
+        direction = 0.3 * smooth_vector_field(problem.grid, seed=3)
+        return problem, v, direction, problem.linearize(v)
+
+    def _gap(self, size, nt):
+        """``|<g, d> - FD| / (|g| |d|)`` with a central difference."""
+        problem, v, direction, iterate = self._problem(size, nt)
+        grid, eps = problem.grid, self.EPS
+        plus = problem.evaluate_objective(v + eps * direction).total
+        minus = problem.evaluate_objective(v - eps * direction).total
+        fd = (plus - minus) / (2 * eps)
+        directional = grid.inner(iterate.gradient, direction)
+        return abs(directional - fd) / (grid.norm(iterate.gradient) * grid.norm(direction))
+
+    def test_gap_falls_with_h(self):
+        """12^3 -> 24^3 at nt = 4: 1.28e-3 -> 1.13e-4 (11.3x)."""
+        assert self._gap(12, 4) >= 8.0 * self._gap(24, 4)
+
+    def test_gap_falls_with_dt(self):
+        """At 32^3, nt = 2 -> 4: 3.43e-4 -> 8.07e-5 (4.25x).  A coarser grid
+        hides it: at 16^3 the spatial error dominates (nt 4 -> 8 gives 1.00x)."""
+        assert self._gap(32, 2) >= 3.5 * self._gap(32, 4)
+
+    def test_taylor_remainder_orders(self):
+        """``r(e) = |J(v + e d) - J(v) - e <g, d>|`` is second order at large
+        ``e`` (slope 1.87) and first order below 1e-3 (1.00): that floor is
+        the optimize-then-discretize gap, ``e`` times a constant."""
+        problem, v, direction, iterate = self._problem(12, 4)
+        grid = problem.grid
+        objective = problem.evaluate_objective(v).total
+        directional = grid.inner(iterate.gradient, direction)
+
+        def remainder(eps):
+            trial = problem.evaluate_objective(v + eps * direction).total
+            return abs(trial - objective - eps * directional)
+
+        def slope(large, small):
+            return np.log(remainder(large) / remainder(small)) / np.log(large / small)
+
+        assert slope(1e-1, 3e-2) >= 1.7
+        assert 0.9 <= slope(1e-4, 1e-5) <= 1.1
+
+
 class TestHessian:
     def test_matvec_shape_and_counter(self, problem12):
         before = problem12.hessian_matvec_count

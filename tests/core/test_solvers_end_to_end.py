@@ -28,6 +28,7 @@ from repro.transport.deformation import DeformationMap
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.solvers import TransportSolver
 
+from tests.fixtures import BAD_IMAGE_SHAPES
 
 #: Every layer the kernel option once threaded through, named with it.
 KERNEL_LAYERS = {
@@ -317,6 +318,19 @@ class TestRegistrationFrontEnd:
         template[0, :2, 0] = [np.nan, np.inf]
         with pytest.raises(ValueError, match="template has 2 non-finite values"):
             RegistrationSolver().build_problem(template, synthetic.reference)
+
+    @pytest.mark.parametrize("entry", ["build_problem", "register"])
+    @pytest.mark.parametrize("shape", BAD_IMAGE_SHAPES, ids=str)
+    def test_images_no_grid_holds_rejected(self, shape, entry):
+        """2-D, 4-D and size-0 / size-1 axes: ``Grid``'s rule, before any transform."""
+        images = np.ones((2, *shape))
+        before = transforms()
+        with pytest.raises(ValueError, match="shape"):
+            if entry == "build_problem":
+                RegistrationSolver().build_problem(images[0], images[1])
+            else:
+                register(images[0], images[1])
+        assert transforms() == before
 
     @pytest.mark.parametrize("value", [True, False])
     @pytest.mark.parametrize("layer", sorted(NORMALIZE_LAYERS))

@@ -14,6 +14,7 @@ identical arrays, which the plan-pool and bitwise-identity suites rely on.
 
 from __future__ import annotations
 
+import base64
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
@@ -223,3 +224,24 @@ def make_scatter_plan(
     plan = ScatterInterpolationPlan(grid, deco, comm, points, **plan_kwargs)
     return deco, comm, points, plan
 
+
+
+# --------------------------------------------------------------------------- #
+# jobspec documents
+# --------------------------------------------------------------------------- #
+#: Image shapes no grid holds: not 3-D, or an axis narrower than 2.
+BAD_IMAGE_SHAPES = [(8, 8), (1, 8, 8), (0, 8, 8), (2, 8, 8, 8)]
+
+
+def with_images(document: dict, template: np.ndarray, reference: np.ndarray) -> dict:
+    """*document* (a register jobspec) carrying *template* and *reference* as
+    given — shapes a ``RegistrationJobSpec`` refuses to be built with."""
+    for name, image in (("template", template), ("reference", reference)):
+        image = np.ascontiguousarray(image, dtype=np.float64)
+        document["spec"][name] = {
+            "__ndarray__": True,
+            "dtype": "float64",
+            "shape": list(image.shape),
+            "data": base64.b64encode(image.tobytes()).decode("ascii"),
+        }
+    return document

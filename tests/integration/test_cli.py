@@ -319,6 +319,15 @@ class TestServeCommand:
         assert code == 2
         assert "subjects" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(8, 8), (1, 8, 8)], ids=str)
+    def test_serve_npz_images_no_grid_holds_are_a_clean_error(self, tmp_path, capsys, shape):
+        bad_path = tmp_path / "bad.npz"
+        np.savez(bad_path, reference=np.ones(shape), subjects=np.ones((2, *shape)))
+        code = main(["serve", "--input", str(bad_path), "--num-workers", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "template shape" in err
+
     def test_serve_accepts_config_flags(self, capsys):
         code = main(self._serve_args("--trace"))
         assert code == 0

@@ -191,6 +191,12 @@ class TestScatterInterpolation:
             plan.interpolate([np.zeros((6, 6, 12))] * 3)
 
 
+def stacked_blocks(deco, fields):
+    """Every rank's ``(B, n1, n2, n3)`` stack of a global ``(B, N1, N2, N3)`` stack."""
+    per_field = [deco.scatter(field) for field in fields]
+    return [np.stack([blocks[rank] for blocks in per_field]) for rank in range(deco.num_tasks)]
+
+
 class TestBatchedScatterInterpolation:
     """The PR-5 distributed pin: one ghost round / one return per batch."""
 
@@ -198,7 +204,7 @@ class TestBatchedScatterInterpolation:
         deco, comm, points, plan = make_scatter_plan(grid, (2, 3), seed=21)
         fields = np.stack([rng.standard_normal(grid.shape) for _ in range(4)])
         per_field = [plan.interpolate(deco.scatter(field)) for field in fields]
-        batched = plan.interpolate_many_global(fields)
+        batched = plan.interpolate_many(stacked_blocks(deco, fields))
         for rank in range(deco.num_tasks):
             assert batched[rank].shape == (4, points[rank].shape[1])
             for b in range(4):
@@ -217,7 +223,7 @@ class TestBatchedScatterInterpolation:
 
         _, batched_comm, _, batched_plan = make_scatter_plan(grid, (2, 2), seed=22)
         batched_comm.ledger.reset()
-        batched_plan.interpolate_many_global(np.repeat(field[None], batch, axis=0))
+        batched_plan.interpolate_many(stacked_blocks(deco, np.repeat(field[None], batch, axis=0)))
         batched = batched_comm.ledger.summary()
 
         for category in ("ghost_exchange", "interp_return"):
@@ -233,14 +239,14 @@ class TestBatchedScatterInterpolation:
         deco, comm, points, plan = make_scatter_plan(grid, (1, 3), seed=23)
         field = rng.standard_normal(grid.shape)
         scalar = plan.interpolate(deco.scatter(field))
-        batched = plan.interpolate_many_global(field[None])
+        batched = plan.interpolate_many(stacked_blocks(deco, field[None]))
         for rank in range(deco.num_tasks):
             np.testing.assert_array_equal(batched[rank][0], scalar[rank])
 
     def test_batched_matches_serial_interpolate_many(self, grid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=24)
         fields = np.stack([rng.standard_normal(grid.shape) for _ in range(3)])
-        batched = plan.interpolate_many_global(fields)
+        batched = plan.interpolate_many(stacked_blocks(deco, fields))
         for rank in range(deco.num_tasks):
             expected = periodic_gather(grid, fields, points[rank])
             np.testing.assert_allclose(batched[rank], expected, atol=1e-13)
@@ -251,8 +257,6 @@ class TestBatchedScatterInterpolation:
             plan.interpolate_many([np.zeros((1, 6, 6, 12))] * 3)
         with pytest.raises(ValueError, match="must be"):
             plan.interpolate_many([np.zeros((6, 6, 12))] * 4)
-        with pytest.raises(ValueError, match="stacked"):
-            plan.interpolate_many_global(np.zeros(grid.shape))
 
 
 class TestMachines:

@@ -71,7 +71,8 @@ class TestRunAtlas:
         assert atlas.num_succeeded == 2
 
     def test_partial_failure_keeps_survivors(self, population, fast_options):
-        subjects = [population.subjects[0], np.zeros((10, 10, 10))]  # second: bad shape
+        # the second subject fails in the worker: a NaN voxel
+        subjects = [population.subjects[0], np.full_like(population.subjects[1], np.nan)]
         with RegistrationService(num_workers=1) as service:
             atlas = run_atlas(
                 population.atlas,
@@ -84,6 +85,13 @@ class TestRunAtlas:
         assert atlas.num_failed == 1
         assert atlas.results[1] is None
         assert atlas.mean_deformed is not None  # averaged over the survivor
+
+    def test_bad_subject_shape_queues_nothing(self, population, fast_options):
+        subjects = [population.subjects[0], np.zeros((10, 10, 10))]
+        with RegistrationService(num_workers=1) as service:
+            with pytest.raises(ValueError, match="must share a shape"):
+                run_atlas(population.atlas, subjects, service=service, options=fast_options)
+            assert service.service_stats()["jobs_submitted"] == 0
 
     def test_empty_population_is_an_error(self, population):
         with pytest.raises(ValueError, match="at least one"):

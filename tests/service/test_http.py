@@ -19,7 +19,13 @@ from repro.service.http import serve_http
 from repro.service.jobs import JobStatus, RegistrationJobSpec, TransportJobSpec
 from repro.service.journal import JobJournal, MalformedSpecError, spec_from_dict
 
-from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
+from tests.fixtures import (
+    BAD_IMAGE_SHAPES,
+    make_grid,
+    smooth_scalar_field,
+    smooth_velocity_field,
+    with_images,
+)
 
 
 def _transport_spec(grid, seed=5, num_time_steps=3):
@@ -207,6 +213,24 @@ class TestMalformedSubmissions:
         status, doc = _post_rejected(tmp_path, spec_to_dict(spec))
         assert status == 400
         assert "num_tasks=7 splits the (8, 8, 8) grid over a 1x7 process grid" in doc["error"]
+
+    @pytest.mark.parametrize(
+        "template_shape, reference_shape",
+        [(shape, shape) for shape in BAD_IMAGE_SHAPES] + [((8, 8, 8), (8, 8, 10))],
+        ids=str,
+    )
+    def test_bad_image_shapes_are_400_before_anything_is_journaled(
+        self, tmp_path, template_shape, reference_shape
+    ):
+        """A Python-built spec raises at construction; the same images in a
+        jobspec are a 400, and the worker never sees them."""
+        template, reference = np.zeros(template_shape), np.zeros(reference_shape)
+        with pytest.raises(ValueError, match="template"):
+            RegistrationJobSpec(template=template, reference=reference)
+        document = with_images(_registration_document(), template, reference)
+        status, doc = _post_rejected(tmp_path, document)
+        assert status == 400
+        assert "template" in doc["error"]
 
     @pytest.mark.parametrize("kernel", ["linear", "catmull_rom"])
     def test_other_kernel_is_400_before_anything_is_journaled(self, tmp_path, kernel):

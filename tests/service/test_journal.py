@@ -25,7 +25,13 @@ from repro.service.journal import (
 )
 from repro.service.workers import RegistrationService
 
-from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
+from tests.fixtures import (
+    BAD_IMAGE_SHAPES,
+    make_grid,
+    smooth_scalar_field,
+    smooth_velocity_field,
+    with_images,
+)
 
 
 class _NullService:
@@ -193,9 +199,23 @@ class TestMalformedSpecs:
             spec_from_dict(doc)
 
     def test_registration_shape_mismatch_raises_malformed(self):
-        spec = _registration_spec(reference=smooth_scalar_field(make_grid(10), seed=2))
+        doc = with_images(
+            spec_to_dict(_registration_spec()),
+            smooth_scalar_field(make_grid(8), seed=1),
+            smooth_scalar_field(make_grid(10), seed=2),
+        )
         with pytest.raises(MalformedSpecError, match="template and reference must share"):
-            spec_from_dict(spec_to_dict(spec))
+            spec_from_dict(doc)
+
+    @pytest.mark.parametrize("shape", BAD_IMAGE_SHAPES, ids=str)
+    def test_images_no_grid_holds_raise_malformed(self, shape):
+        """Rejected on decode, as ``Grid`` would reject them in the worker."""
+        images = np.zeros((2, *shape))
+        with pytest.raises(ValueError, match="template shape"):
+            _registration_spec(template=images[0], reference=images[1])
+        doc = with_images(spec_to_dict(_registration_spec()), images[0], images[1])
+        with pytest.raises(MalformedSpecError, match="template shape"):
+            spec_from_dict(json.loads(json.dumps(doc)))
 
     @pytest.mark.parametrize(
         "velocity_shape",

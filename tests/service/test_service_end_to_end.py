@@ -90,13 +90,13 @@ class TestFailureIsolation:
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=smooth_scalar_field(make_grid(10), seed=1),  # shape mismatch
+                    reference=np.full_like(tiny_problem.reference, np.nan),  # fails in the worker
                     options=fast_options,
                 )
             )
             good = service.submit_transport(_transport_spec(grid))
             # the failed job reports status/traceback...
-            with pytest.raises(JobFailedError, match="shape"):
+            with pytest.raises(JobFailedError, match="non-finite"):
                 bad.result(timeout=120)
             assert bad.status is JobStatus.FAILED
             assert bad.record.error is not None
@@ -167,7 +167,7 @@ class TestFailureIsolation:
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=smooth_scalar_field(make_grid(10), seed=1),
+                    reference=np.full_like(tiny_problem.reference, np.nan),
                     options=fast_options,
                 )
             )
@@ -250,7 +250,7 @@ class TestArtifactsAndStats:
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=smooth_scalar_field(make_grid(10), seed=1),
+                    reference=np.full_like(tiny_problem.reference, np.nan),
                     options=fast_options,
                 )
             )

@@ -12,8 +12,8 @@ by the interpolation error of a product, ``I_X[nu d]`` vs ``I_X[nu] I_X[d]``
 * the two invariants of the conservative adjoint (duality with the state,
   conserved integral) are met as well as by the oracle, and at second order
   in ``dt``;
-* ``phi`` is a property of the plan: absent for ``div v = 0``, built once,
-  by the first backward solve, never by a forward one;
+* ``phi`` belongs to the plan's backward stepper: absent for ``div v = 0``,
+  built once, by the first backward solve, never by a forward one;
 * full Newton runs the same closed form with its grid-given source.
 """
 
@@ -46,7 +46,9 @@ def two_interpolant_adjoint(plan, terminal):
     history = [terminal]
     for _ in range(plan.num_time_steps):
         nu = history[-1]
-        nu_dep, f_dep = stepper.interpolate_many_at_departure(np.stack([nu, nu * div_v]))
+        nu_dep, f_dep = stepper.interpolator.interpolate_many_planned(
+            np.stack([nu, nu * div_v]), stepper.departure_plan
+        )
         predictor = nu_dep + dt * f_dep
         history.append(nu_dep + 0.5 * dt * (f_dep + predictor * div_v))
     return np.stack(history[::-1])
@@ -109,7 +111,7 @@ class TestGrowthFactorLifecycle:
         terminal = smooth_scalar_field(grid, seed=40)
         nbytes = plan.nbytes
         history = solver.solve_adjoint(plan, terminal)
-        assert plan.is_divergence_free and plan.growth_factor() is None
+        assert plan.is_divergence_free and plan.backward_stepper.growth is None
         assert plan.nbytes == nbytes
         advected = [terminal]
         for _ in range(4):
@@ -122,7 +124,8 @@ class TestGrowthFactorLifecycle:
             solver = TransportSolver(grid, num_time_steps=nt)
             plan = solver.plan(compressible_velocity(grid, amplitude))
             assert plan.dt * np.abs(plan.divergence).max() < 1.0
-            assert plan.growth_factor().min() > 0.0
+            solver.solve_adjoint(plan, grid.zeros())
+            assert plan.backward_stepper.growth.min() > 0.0
 
     def test_built_once_by_the_first_backward_solve(self):
         grid = make_grid(16)
@@ -132,14 +135,14 @@ class TestGrowthFactorLifecycle:
         terminal = smooth_scalar_field(grid, seed=41)
         solver.solve_state(plan, terminal)
         solver.solve_state_final(plan, terminal)
-        assert plan._growth is None  # forward solves never ask
+        assert plan.backward_stepper.growth is None  # forward solves never ask
         nbytes = plan.nbytes
         assert sweeps_of(solver, lambda: solver.solve_adjoint(plan, terminal)) == nt + 1
-        growth = plan.growth_factor()
+        growth = plan.backward_stepper.growth
         assert plan.nbytes == nbytes + growth.nbytes
         assert sweeps_of(solver, lambda: solver.solve_adjoint(plan, terminal)) == nt
         assert sweeps_of(solver, lambda: solver.solve_incremental_adjoint(plan, terminal)) == nt
-        assert plan.growth_factor() is growth
+        assert plan.backward_stepper.growth is growth
 
     def test_objective_evaluation_never_builds_it(self):
         synthetic = synthetic_registration_problem(12)
@@ -150,9 +153,9 @@ class TestGrowthFactorLifecycle:
         problem.evaluate_objective(velocity)
         problem.evaluate_objective(velocity, keep_trial=True)
         _, _, plan, _ = problem._trial
-        assert not plan.is_divergence_free and plan._growth is None
+        assert not plan.is_divergence_free and plan.backward_stepper.growth is None
         iterate = problem.linearize(velocity)  # adopts the trial's plan
-        assert iterate.plan is plan and plan._growth is not None
+        assert iterate.plan is plan and plan.backward_stepper.growth is not None
 
 
 class TestFullNewtonIncrementalAdjoint:
@@ -207,10 +210,13 @@ class TestFullNewtonIncrementalAdjoint:
         sources = solver.operators.divergence_many(adjoint[:, None] * perturbation[None])
         dt, stepper = plan.dt, plan.backward_stepper
         psi = 0.5 * dt * (1.0 + dt * plan.divergence)
+        def at_departure(field):
+            return stepper.interpolator.interpolate_planned(field, stepper.departure_plan)
+
         for j in range(self.NT, 0, -1):
             expected = (
-                stepper.interpolate_at_departure(history[j]) * plan.growth_factor()
-                + stepper.interpolate_at_departure(sources[j]) * psi
+                at_departure(history[j]) * stepper.growth
+                + at_departure(sources[j]) * psi
                 + 0.5 * dt * sources[j - 1]
             )
             np.testing.assert_allclose(history[j - 1], expected, rtol=0, atol=1e-13)

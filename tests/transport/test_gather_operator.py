@@ -186,7 +186,6 @@ class TestBitwiseInvariance:
         points = np.random.default_rng(12).uniform(0.0, 6.0, (3, 200))
         interp(fields[0], points)
         interp.interpolate_many(fields, points)
-        interp.interpolate_vector(fields, points)
         assert interp.resident_operators == 0
         assert len(get_plan_pool()) == 0
 

@@ -56,10 +56,10 @@ class TestConstructionAndValidation:
         with pytest.raises(ValueError):
             interp(np.zeros((8, 8, 8)), np.zeros((2, 5)))
 
-    def test_vector_field_shape_validated(self):
+    def test_stack_shape_validated(self):
         interp = PeriodicInterpolator(Grid((8, 8, 8)))
         with pytest.raises(ValueError):
-            interp.interpolate_vector(np.zeros((2, 8, 8, 8)), np.zeros((3, 5)))
+            interp.interpolate_many(np.zeros((2, 8, 8, 7)), np.zeros((3, 5)))
 
     def test_counts_interpolated_points(self):
         grid = Grid((8, 8, 8))
@@ -167,7 +167,7 @@ class TestVectorInterpolation:
         v = rng.standard_normal((3, *grid.shape))
         interp = PeriodicInterpolator(grid)
         points = rng.uniform(0, 2 * np.pi, size=(3, 40))
-        out = interp.interpolate_vector(v, points)
+        out = interp.interpolate_many(v, points)
         for comp in range(3):
             np.testing.assert_allclose(out[comp], interp(v[comp], points), atol=1e-12)
 

@@ -1,13 +1,12 @@
 """Gathers of memory-mapped field stacks.
 
-:func:`repro.data.open_problem` and :func:`repro.data.memmap_npz_member`
-hand the solver read-only ``np.memmap`` views, and every gather takes them
-as the plain ``ndarray`` stacks they are.  This conformance suite runs the
-input kinds a caller can hold — an in-memory array, a read-only array, a
-mapped ``.npy`` file and a mapped member of an uncompressed ``.npz``
-archive, each stored in double or single precision — through every layer
-that gathers (the gather operator, periodic and on a ghosted block, each
-cubic kernel planned and one-shot, the interpolator front end, the
+``numpy.load(path, mmap_mode="r")`` hands the solver a read-only
+``np.memmap`` view of a ``.npy`` file, and every gather takes it as the
+plain ``ndarray`` stack it is.  This conformance suite runs the input kinds
+a caller can hold — an in-memory array, a read-only array and a mapped
+``.npy`` file, each stored in double or single precision — through every
+layer that gathers (the gather operator, periodic and on a ghosted block,
+each cubic kernel planned and one-shot, the interpolator front end, the
 semi-Lagrangian stepper and a whole registration) and pins that each
 produces the bits of the in-memory stack.
 """
@@ -21,7 +20,6 @@ import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import register
-from repro.data.io import load_problem, memmap_npz_member, open_problem, save_problem
 from repro.data.synthetic import synthetic_registration_problem
 from repro.transport.interpolation import PeriodicInterpolator
 from repro.transport.kernels import build_gather_operator, gather_cubic
@@ -32,7 +30,7 @@ from tests.fixtures import make_grid, random_points, smooth_velocity_field
 SHAPE = (12, 13, 14)
 STACK = np.random.default_rng(7).standard_normal((2, *SHAPE))
 
-INPUT_KINDS = ("array", "readonly", "memmap_npy", "memmap_npz")
+INPUT_KINDS = ("array", "readonly", "memmap_npy")
 
 #: Stored precisions: images are often kept on disk in single precision.
 DTYPES = [np.float64, np.float32]
@@ -62,10 +60,6 @@ def as_input(tmp_path_factory):
             path = directory / f"stack{next(counter)}.npy"
             np.save(path, array)
             return np.load(path, mmap_mode="r")
-        if kind == "memmap_npz":
-            path = directory / f"stack{next(counter)}.npz"
-            np.savez(path, fields=array)
-            return memmap_npz_member(path, "fields")
         raise AssertionError(kind)
 
     return build
@@ -154,8 +148,8 @@ class TestInterpolator:
     def test_vector_field_matches_resident(self, kind, as_input, stack, grid, points):
         vector = np.concatenate([stack, stack[:1]])
         interp = PeriodicInterpolator(grid)
-        resident = interp.interpolate_vector(vector, points)
-        candidate = interp.interpolate_vector(as_input(kind, vector), points)
+        resident = interp.interpolate_many(vector, points)
+        candidate = interp.interpolate_many(as_input(kind, vector), points)
         np.testing.assert_array_equal(candidate, resident)
 
 
@@ -164,11 +158,9 @@ class TestInterpolator:
 # --------------------------------------------------------------------------- #
 class TestStepper:
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    def test_step_many_matches_resident(self, kind, as_input, stack, grid):
+    def test_step_stack_matches_resident(self, kind, as_input, stack, grid):
         stepper = SemiLagrangianStepper(grid, smooth_velocity_field(grid, seed=3), dt=0.25)
-        np.testing.assert_array_equal(
-            stepper.step_many(as_input(kind, stack)), stepper.step_many(stack)
-        )
+        np.testing.assert_array_equal(stepper.step(as_input(kind, stack)), stepper.step(stack))
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
     def test_step_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
@@ -181,11 +173,11 @@ class TestStepper:
         np.testing.assert_array_equal(candidate, resident)
 
     @pytest.mark.parametrize("kind", INPUT_KINDS)
-    def test_step_many_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
+    def test_step_stack_with_mapped_sources_matches_resident(self, kind, as_input, stack, grid):
         stepper = SemiLagrangianStepper(grid, smooth_velocity_field(grid, seed=4), dt=0.25)
         sources_old, sources_new = 0.5 * stack, -0.25 * stack
-        resident = stepper.step_many(stack, sources_old, sources_new)
-        candidate = stepper.step_many(
+        resident = stepper.step(stack, sources_old, sources_new)
+        candidate = stepper.step(
             as_input(kind, stack), as_input(kind, sources_old), as_input(kind, sources_new)
         )
         np.testing.assert_array_equal(candidate, resident)
@@ -196,7 +188,7 @@ class TestStepper:
         the input, never the caller's (possibly mapped) array."""
         stepper = SemiLagrangianStepper(grid, np.zeros((3, *SHAPE)), dt=0.25)
         fields = as_input(kind, stack)
-        stepped = stepper.step_many(fields)
+        stepped = stepper.step(fields)
         assert type(stepped) is np.ndarray
         assert stepped.flags.writeable
         assert not np.shares_memory(stepped, fields)
@@ -208,25 +200,16 @@ class TestStepper:
 # a whole registration
 # --------------------------------------------------------------------------- #
 class TestRegistration:
-    def test_open_problem_registers_like_load_problem(self, tmp_path):
+    def test_mapped_images_register_like_resident_ones(self, tmp_path):
         problem = synthetic_registration_problem(8)
-        path = save_problem(
-            tmp_path / "problem.npz",
-            problem.reference,
-            problem.template,
-            grid=problem.grid,
-            compress=False,
+        mapped = {}
+        for name in ("template", "reference"):
+            np.save(tmp_path / f"{name}.npy", getattr(problem, name))
+            mapped[name] = np.load(tmp_path / f"{name}.npy", mmap_mode="r")
+        options = SolverOptions(max_newton_iterations=1, max_krylov_iterations=3)
+        resident = register(problem.template, problem.reference, grid=problem.grid, options=options)
+        candidate = register(
+            mapped["template"], mapped["reference"], grid=problem.grid, options=options
         )
-        results = []
-        for data in (load_problem(path), open_problem(path)):
-            results.append(
-                register(
-                    data["template"],
-                    data["reference"],
-                    grid=data["grid"],
-                    options=SolverOptions(max_newton_iterations=1, max_krylov_iterations=3),
-                )
-            )
-        resident, mapped = results
-        np.testing.assert_array_equal(mapped.velocity, resident.velocity)
-        np.testing.assert_array_equal(mapped.deformed_template, resident.deformed_template)
+        np.testing.assert_array_equal(candidate.velocity, resident.velocity)
+        np.testing.assert_array_equal(candidate.deformed_template, resident.deformed_template)

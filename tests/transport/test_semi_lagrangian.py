@@ -146,7 +146,7 @@ class TestStepper:
         np.testing.assert_array_equal(stepped, nu)
         assert stepped is not nu
         stack = np.stack([nu, f_old])
-        np.testing.assert_array_equal(stepper.step_many(stack), stack)
+        np.testing.assert_array_equal(stepper.step(stack), stack)
         assert interp.points_interpolated == 0
 
     def test_source_only_integration(self):
@@ -164,20 +164,32 @@ class TestStepper:
         with pytest.raises(ValueError):
             stepper.step(np.zeros((4, 4, 4)))
 
+    @pytest.mark.parametrize("fields", [np.zeros((8, 8, 7)), np.zeros((2, 8, 8, 7))],
+                             ids=["field", "stack"])
+    @pytest.mark.parametrize("amplitude", [0.0, 0.3], ids=["zero", "nonzero"])
+    def test_wrong_grid_shape_rejected_for_every_velocity(self, amplitude, fields):
+        """``v = 0`` gathers nothing, yet checks the shape as ``v != 0`` does."""
+        grid = Grid((8, 8, 8))
+        velocity = amplitude * smooth_velocity_field(grid, seed=5)
+        stepper = SemiLagrangianStepper(grid, velocity, 0.25)
+        assert (stepper.departure_plan is None) == (amplitude == 0.0)
+        with pytest.raises(ValueError, match="expected one field"):
+            stepper.step(fields)
+
     def test_source_shape_validated(self):
         grid = Grid((8, 8, 8))
         stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.1)
         with pytest.raises(ValueError):
             stepper.step(grid.zeros(), source_old=grid.zeros(), source_new=np.zeros((4, 4, 4)))
 
-    def test_interpolate_at_departure_matches_manual(self, rng):
+    def test_step_without_sources_matches_manual_gather(self, rng):
         grid = Grid((8, 8, 8))
         v = 0.2 * rng.standard_normal((3, *grid.shape))
         interp = PeriodicInterpolator(grid)
         stepper = SemiLagrangianStepper(grid, v, 0.25, interpolator=interp)
         field = rng.standard_normal(grid.shape)
         np.testing.assert_allclose(
-            stepper.interpolate_at_departure(field),
+            stepper.step(field),
             interp(field, compute_departure_points(grid, v, 0.25)),
             atol=1e-14,
         )
@@ -244,8 +256,8 @@ class TestMergedGather:
 
     def _two_gather(self, stepper, nu, f_old, f_new):
         """The explicit Heun update: nu and f_old interpolated separately."""
-        nu_dep = stepper.interpolate_at_departure(nu)
-        f_dep = stepper.interpolate_at_departure(f_old)
+        nu_dep = stepper.interpolator.interpolate_planned(nu, stepper.departure_plan)
+        f_dep = stepper.interpolator.interpolate_planned(f_old, stepper.departure_plan)
         return nu_dep + 0.5 * self.DT * (f_dep + f_new)
 
     def test_step_matches_two_gather_formula(self, shape, departure):
@@ -266,9 +278,9 @@ class TestMergedGather:
             self._two_gather(stepper, fields[0], zero, new[0]),
         )
 
-    def test_step_many_matches_two_gather_formula(self, shape, departure):
+    def test_stack_step_matches_two_gather_formula(self, shape, departure):
         _, _, stepper, fields, old, new = self._setup(shape, departure)
-        merged = stepper.step_many(fields, sources_old=old, sources_new=new)
+        merged = stepper.step(fields, source_old=old, source_new=new)
         for b in range(fields.shape[0]):
             np.testing.assert_allclose(
                 merged[b],
@@ -277,10 +289,10 @@ class TestMergedGather:
                 atol=1e-13,
             )
 
-    def test_step_is_step_many_bitwise(self, shape, departure):
+    def test_field_step_is_stack_step_bitwise(self, shape, departure):
         _, _, stepper, fields, old, new = self._setup(shape, departure)
         for sources in ({}, {"old": old}, {"new": new}, {"old": old, "new": new}):
-            many = stepper.step_many(fields, sources.get("old"), sources.get("new"))
+            many = stepper.step(fields, sources.get("old"), sources.get("new"))
             for b in range(fields.shape[0]):
                 one = stepper.step(
                     fields[b],
@@ -302,12 +314,12 @@ class TestMergedGather:
         assert sweeps(lambda: stepper.step(fields[0], old[0], new[0])) == 1
         assert sweeps(lambda: stepper.step(fields[0], old[0])) == 1
         assert sweeps(lambda: stepper.step(fields[0], source_new=new[0])) == 1
-        assert sweeps(lambda: stepper.step_many(fields)) == fields.shape[0]
-        assert sweeps(lambda: stepper.step_many(fields, old, new)) == fields.shape[0]
+        assert sweeps(lambda: stepper.step(fields)) == fields.shape[0]
+        assert sweeps(lambda: stepper.step(fields, old, new)) == fields.shape[0]
 
     def test_source_shapes_validated(self, shape, departure):
         grid, _, stepper, fields, old, new = self._setup(shape, departure)
-        with pytest.raises(ValueError, match="source has shape"):
+        with pytest.raises(ValueError, match="sources have shape"):
             stepper.step(fields[0], source_old=old[0, 0])  # would broadcast silently
         with pytest.raises(ValueError, match="sources have shape"):
-            stepper.step_many(fields, sources_old=old[:1])
+            stepper.step(fields, source_old=old[:1])
