@@ -70,7 +70,6 @@ from repro.observability import (
 )
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
-from repro.runtime import get_plan_pool
 from repro.utils.logging import set_verbosity
 
 
@@ -325,18 +324,6 @@ def _run_register(
     if args.verbose:
         # the same versioned document the service journals per job
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        pool = get_plan_pool()
-        stats = pool.stats
-        print(
-            f"plan pool: {stats.hits} hits, {stats.misses} misses, "
-            f"{stats.evictions} evictions, {stats.current_bytes} bytes resident "
-            f"(peak {stats.peak_bytes})"
-        )
-        for tag, tag_stats in pool.stats_by_tag().items():
-            print(
-                f"  {tag}: {tag_stats.hits} hits, {tag_stats.misses} misses, "
-                f"{tag_stats.entries} entries, {tag_stats.current_bytes} bytes"
-            )
         cache_decisions = gradient_cache_decision_log()
         if cache_decisions.total:
             counts = ", ".join(

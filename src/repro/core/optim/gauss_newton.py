@@ -121,7 +121,12 @@ class SolverOptions:
 
 @dataclass
 class NewtonIterationRecord:
-    """Convergence history entry for one outer iteration."""
+    """Convergence history entry for one outer iteration.
+
+    ``negative_curvature`` is PCG's flag (:attr:`PCGResult.negative_curvature`);
+    ``gradient_fallback`` is true when the iteration searched the one
+    fallback step, the preconditioned negative gradient.
+    """
 
     iteration: int
     objective: float
@@ -135,6 +140,8 @@ class NewtonIterationRecord:
     step_length: float
     line_search_evaluations: int
     elapsed_seconds: float
+    negative_curvature: bool
+    gradient_fallback: bool
 
 
 @dataclass
@@ -239,7 +246,7 @@ class GaussNewtonKrylov:
 
             matvec_count_before = problem.hessian_matvec_count
             with trace_span("newton.iteration", iteration=iteration) as iteration_span:
-                direction, forcing, pcg_iterations = self._step(
+                direction, forcing, pcg_iterations, negative_curvature = self._step(
                     iterate, preconditioner, initial_gradient_norm
                 )
                 matvecs_this_iteration = problem.hessian_matvec_count - matvec_count_before
@@ -249,7 +256,8 @@ class GaussNewtonKrylov:
 
                 gradient = iterate.gradient  # a field, for the line search's slope
                 ls = None if direction is None else self._search(iterate, gradient, direction)
-                if ls is None or not ls.success:
+                gradient_fallback = ls is None or not ls.success
+                if gradient_fallback:
                     # the one fallback: the preconditioned negative gradient
                     direction = self._gradient_step(iterate, preconditioner)
                     ls = self._search(iterate, gradient, direction, fallback=True)
@@ -274,6 +282,8 @@ class GaussNewtonKrylov:
                     step_length=ls.step_length,
                     line_search_evaluations=ls.evaluations,
                     elapsed_seconds=time.perf_counter() - start,
+                    negative_curvature=negative_curvature,
+                    gradient_fallback=gradient_fallback,
                 )
             )
             if not ls.success:
@@ -296,9 +306,10 @@ class GaussNewtonKrylov:
         iterate: OuterIterate,
         preconditioner: SpectralPreconditioner,
         initial_gradient_norm: float,
-    ) -> Tuple[Optional[np.ndarray], float, int]:
+    ) -> Tuple[Optional[np.ndarray], float, int, bool]:
         """PCG on half-spectra to the forcing term: the step as a field (None
-        when PCG returns zero), the forcing term and the iteration count."""
+        when PCG returns zero), the forcing term, the iteration count and
+        PCG's negative-curvature flag."""
         problem = self.problem
         forcing = self.options.forcing_term(iterate.gradient_norm, initial_gradient_norm)
         with trace_span("newton.pcg", forcing=forcing):
@@ -311,9 +322,12 @@ class GaussNewtonKrylov:
                 max_iterations=self.options.max_krylov_iterations,
                 cancel_token=self.options.cancel_token,
             )
-        if not np.any(result.solution):
-            return None, forcing, result.iterations
-        return problem.operators.fft.inverse_vector(result.solution), forcing, result.iterations
+        direction = (
+            problem.operators.fft.inverse_vector(result.solution)
+            if np.any(result.solution)
+            else None
+        )
+        return direction, forcing, result.iterations, result.negative_curvature
 
     def _gradient_step(
         self, iterate: OuterIterate, preconditioner: SpectralPreconditioner

@@ -20,8 +20,8 @@ class GradientDescent(GaussNewtonKrylov):
     the GPU LDDMM codes cited in the related work), under the same Armijo
     search, cancellation, budget and termination criteria.  The Krylov
     options are ignored; each record reads forcing term 0, no PCG
-    iterations and no Hessian mat-vecs.
+    iterations, no Hessian mat-vecs and ``gradient_fallback``.
     """
 
     def _step(self, iterate, preconditioner, initial_gradient_norm):
-        return None, 0.0, 0
+        return None, 0.0, 0, False

@@ -50,8 +50,11 @@ LOGGER = get_logger("core.registration")
 #: v5: drops the FFT-engine summary key and the per-solve plan-pool delta (the
 #: ``plan_pool`` block and its two summary keys): a registration touches no
 #: pool entry, the process-wide numbers stay in the ``observability`` block.
+#: v6: the embedded ``observability`` snapshot is v4 (no per-tag pool block);
+#: each ``optimization.iterations`` record adds ``negative_curvature``
+#: and ``gradient_fallback``, which the Newton loop already computed.
 RESULT_SCHEMA = "repro.registration-result"
-RESULT_SCHEMA_VERSION = 5
+RESULT_SCHEMA_VERSION = 6
 
 #: Outer optimizers :class:`RegistrationSolver` drives, by name.
 _DRIVERS = {"gauss_newton": GaussNewtonKrylov, "gradient_descent": GradientDescent}

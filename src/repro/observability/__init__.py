@@ -29,9 +29,9 @@ observability is off:
     their own APIs.
 
 :mod:`repro.observability.snapshot`
-    One versioned ``repro.observability-snapshot`` v3 document
-    (:func:`snapshot`) unifying all of it: the registry, plan-pool stats
-    (pool-wide and per tag) and the trace summary.
+    One versioned ``repro.observability-snapshot`` v4 document
+    (:func:`snapshot`) unifying all of it: the registry, the plan pool's
+    stats and the trace summary.
     Embedded in ``RegistrationResult.to_dict()``, per-job service
     artifacts, and ``RegistrationService.service_stats()``.
 

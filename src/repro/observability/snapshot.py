@@ -1,17 +1,16 @@
 """The versioned ``repro.observability-snapshot`` document.
 
 :func:`snapshot` unifies the process's observability state — the metrics
-registry, plan-pool statistics (pool-wide and per tag) and the tracing
-summary — into one JSON-safe document:
+registry, the plan pool's statistics and the tracing summary — into one
+JSON-safe document:
 
 .. code-block:: python
 
     {
         "schema": "repro.observability-snapshot",
-        "schema_version": 3,
+        "schema_version": 4,
         "metrics": {"fft.transforms": {"direction=forward": 42.0, ...}, ...},
         "plan_pool": {"hits": ..., "misses": ..., ...},
-        "plan_pool_by_tag": {"scatter-plan": {...}, ...},
         "trace": {"enabled": ..., "spans": ..., "span_counts": {...},
                   "span_durations_seconds": {...}},
     }
@@ -26,7 +25,9 @@ breaking changes, mirroring the other versioned documents
 (``repro.registration-result``, ``repro.service-job``).  Version 2 dropped
 v1's ``layout_decisions`` block with the stencil-layout policy it reported;
 version 3 dropped v2's tile-traffic block with the out-of-core gather
-pipeline it counted.
+pipeline it counted; version 4 dropped v3's per-tag pool block — the pool
+holds one kind of entry, so that block repeated the pool-wide
+``plan_pool`` one.
 
 Unlike the stdlib-only :mod:`trace`/:mod:`metrics` leaves, this module
 reads the stat mechanisms across the codebase — imports happen lazily
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.observability-snapshot"
-SNAPSHOT_SCHEMA_VERSION = 3
+SNAPSHOT_SCHEMA_VERSION = 4
 
 
 def snapshot() -> Dict[str, Any]:
@@ -55,16 +56,12 @@ def snapshot() -> Dict[str, Any]:
     from repro.observability.trace import get_trace_recorder, tracing_enabled
     from repro.runtime.plan_pool import get_plan_pool
 
-    pool = get_plan_pool()
     recorder = get_trace_recorder()
     return {
         "schema": SNAPSHOT_SCHEMA,
         "schema_version": SNAPSHOT_SCHEMA_VERSION,
         "metrics": get_metrics_registry().collect(),
-        "plan_pool": pool.stats.as_dict(),
-        "plan_pool_by_tag": {
-            tag: stats.as_dict() for tag, stats in sorted(pool.stats_by_tag().items())
-        },
+        "plan_pool": get_plan_pool().stats.as_dict(),
         "trace": {
             "enabled": tracing_enabled(),
             "spans": len(recorder),
@@ -95,7 +92,7 @@ def validate_snapshot(document: Any, *, path: str = "snapshot") -> None:
             f"schema_version must be {SNAPSHOT_SCHEMA_VERSION}, "
             f"got {document.get('schema_version')!r}"
         )
-    for key in ("metrics", "plan_pool", "plan_pool_by_tag", "trace"):
+    for key in ("metrics", "plan_pool", "trace"):
         if key not in document:
             fail(f"missing required block {key!r}")
         if not isinstance(document[key], dict):

@@ -62,7 +62,7 @@ GHOST_WIDTH = 2
 #: The kernel every owner evaluates on its ghosted block.
 SCATTER_KERNEL = "catmull_rom"
 
-#: Leading key element (= plan-pool tag) of pooled scatter-plan entries.
+#: Leading key element of pooled scatter-plan entries.
 SCATTER_PLAN_TAG = "scatter-plan"
 
 
@@ -123,18 +123,17 @@ class ScatterInterpolationPlan:
         points rank ``r`` needs values at (one per locally owned grid point
         in the semi-Lagrangian scheme, but any point set is accepted).
 
-    After construction, ``pool_hit`` records whether the whole planning
-    product came warm from the pool (in which case the construction did no
-    ``alltoallv`` and ``operator_builds`` is 0).  A pool budget of ``0``
-    (:func:`repro.runtime.plan_pool.configure_plan_pool`) keeps nothing, so
-    every plan is built afresh.
+    After construction, ``operator_builds`` counts the operators this
+    construction built: 0 when the whole planning product came warm from
+    the pool (the construction then did no ``alltoallv``).  A pool budget
+    of ``0`` (:func:`repro.runtime.plan_pool.configure_plan_pool`) keeps
+    nothing, so every plan is built afresh.
     """
 
     grid: Grid
     decomposition: PencilDecomposition
     comm: SimulatedCommunicator
     departure_points: Sequence[np.ndarray]
-    pool_hit: bool = field(init=False, default=False)
     operator_builds: int = field(init=False, default=0)
     _data: ScatterPlanData = field(init=False, repr=False)
 
@@ -165,7 +164,6 @@ class ScatterInterpolationPlan:
 
         key = (SCATTER_PLAN_TAG, self.grid, deco, array_fingerprint(*points))
         data = get_plan_pool().get(key, build)
-        self.pool_hit = not built
         # builds executed during *this* construction (0 on a warm hit)
         self.operator_builds = data.operator_builds if built else 0
         self._data = data

@@ -24,8 +24,8 @@ fields through the very same plan.
 Both scatter plans of the RK2 trace (the first-stage ``X*`` plan and the
 departure plan) are fetched through the shared plan pool: re-creating the
 stepper — or a whole :class:`DistributedTransportSolver` run — for an
-unchanged velocity performs **zero** ``alltoallv`` setup; ``plan_pool_hits``
-reports how many of the two plans came warm.
+unchanged velocity performs **zero** ``alltoallv`` setup (no
+``interp_scatter`` call on its communicator's ledger).
 
 Every interpolation rides the batched distributed entry point
 (:meth:`~repro.parallel.scatter.ScatterInterpolationPlan.interpolate_many`):
@@ -150,16 +150,6 @@ class DistributedSemiLagrangian:
         )
 
     # ------------------------------------------------------------------ #
-    @property
-    def plan_pool_hits(self) -> int:
-        """How many of the two scatter plans came warm from the plan pool.
-
-        ``2`` means this stepper was re-created for a velocity the pool had
-        already planned: the construction performed zero ``alltoallv`` setup
-        and zero operator builds.
-        """
-        return int(self.star_plan.pool_hit) + int(self.departure_plan.pool_hit)
-
     def step_many(self, block_stacks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Advance a stack of distributed fields by one step, batched.
 

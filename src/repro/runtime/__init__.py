@@ -29,7 +29,6 @@ from repro.runtime.plan_pool import (
     configure_plan_pool,
     env_pool_budget,
     get_plan_pool,
-    key_tag,
     reset_plan_pool,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "configure_plan_pool",
     "env_pool_budget",
     "get_plan_pool",
-    "key_tag",
     "reset_plan_pool",
 ]

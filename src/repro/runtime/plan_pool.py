@@ -20,11 +20,8 @@ The pool itself is a process-wide LRU cache keyed by content, with
   an insert exceeds it, entries larger than the whole budget are handed to
   the caller but never stored, and a budget of ``0`` disables caching
   entirely (every lookup builds), plus
-* **hit/miss/eviction statistics** so solvers, tests and benchmarks can
-  observe warm-plan reuse (:class:`PoolStats` supports subtraction for
-  per-run deltas), both pool-wide and **per entry kind**
-  (:meth:`PlanPool.stats_by_tag`: every key's leading string — e.g.
-  ``"scatter-plan"`` — is its tag).
+* pool-wide **hit/miss/eviction statistics** (:class:`PoolStats`) so
+  the service, tests and benchmarks can observe warm-plan reuse.
 
 Keys are content fingerprints (:func:`array_fingerprint`), never object
 identities, so two jobs that transport with the same velocity on the same
@@ -54,26 +51,26 @@ POOL_BYTES_ENV_VAR = "REPRO_PLAN_POOL_BYTES"
 DEFAULT_POOL_BYTES = 512 * 2**20
 
 
-def _env_budget() -> int:
-    """Pool budget from ``REPRO_PLAN_POOL_BYTES`` (empty/unset -> default)."""
+def env_pool_budget() -> int:
+    """The pool budget ``REPRO_PLAN_POOL_BYTES`` resolves to right now.
+
+    Empty or unset means :data:`DEFAULT_POOL_BYTES`.  A value that is not a
+    non-negative integer raises :class:`ValueError` naming the variable —
+    entry points call this to fail early and cleanly, before lazy pool
+    creation would.
+    """
     value = os.environ.get(POOL_BYTES_ENV_VAR, "").strip()
     if not value:
         return DEFAULT_POOL_BYTES
     try:
-        return int(value)
+        budget = int(value)
     except ValueError as exc:
         raise ValueError(
             f"{POOL_BYTES_ENV_VAR} must be an integer byte count, got {value!r}"
         ) from exc
-
-
-def env_pool_budget() -> int:
-    """The pool budget ``REPRO_PLAN_POOL_BYTES`` resolves to right now.
-
-    Raises the same :class:`ValueError` as lazy pool creation would on a
-    malformed value — entry points call this to fail early and cleanly.
-    """
-    return _env_budget()
+    if budget < 0:
+        raise ValueError(f"{POOL_BYTES_ENV_VAR} must be non-negative, got {budget}")
+    return budget
 
 
 def array_fingerprint(*arrays: np.ndarray) -> str:
@@ -95,7 +92,7 @@ def array_fingerprint(*arrays: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class PoolStats:
-    """Snapshot of one pool's statistics (supports ``-`` for per-run deltas).
+    """Snapshot of one pool's statistics.
 
     ``hits``/``misses``/``evictions``/``oversize_rejections`` are cumulative
     *counters*; ``current_bytes``/``peak_bytes``/``entries`` are point-in-time
@@ -110,23 +107,6 @@ class PoolStats:
     peak_bytes: int = 0
     entries: int = 0
 
-    def __sub__(self, other: "PoolStats") -> "PoolStats":
-        """Per-run delta: counters are differenced, gauges are NOT.
-
-        The gauge fields (``current_bytes``, ``peak_bytes``, ``entries``)
-        describe the pool's state at the *newer* snapshot — they reflect the
-        pool's whole lifetime, not just the run being measured.
-        """
-        return PoolStats(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            evictions=self.evictions - other.evictions,
-            oversize_rejections=self.oversize_rejections - other.oversize_rejections,
-            current_bytes=self.current_bytes,
-            peak_bytes=self.peak_bytes,
-            entries=self.entries,
-        )
-
     def as_dict(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
@@ -139,23 +119,10 @@ class PoolStats:
         }
 
 
-def key_tag(key: Hashable) -> str:
-    """Entry-kind tag of a pool key: its leading string element.
-
-    Every subsystem keys its entries with a tuple whose first element names
-    the plan kind (``"scatter-plan"``, ...); anything else lands in the
-    ``"untagged"`` bucket.
-    """
-    if isinstance(key, tuple) and key and isinstance(key[0], str):
-        return key[0]
-    return "untagged"
-
-
 @dataclass
 class _Entry:
     value: Any
     nbytes: int
-    tag: str = "untagged"
 
 
 class _InflightBuild:
@@ -177,17 +144,6 @@ class _InflightBuild:
         self.success = False
 
 
-@dataclass
-class _TagCounters:
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    oversize: int = 0
-    current_bytes: int = 0
-    peak_bytes: int = 0
-    entries: int = 0
-
-
 class PlanPool:
     """LRU cache of execution plans with a byte budget.
 
@@ -201,7 +157,7 @@ class PlanPool:
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
         if max_bytes is None:
-            max_bytes = _env_budget()
+            max_bytes = env_pool_budget()
         if max_bytes < 0:
             raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
         self.max_bytes = int(max_bytes)
@@ -214,22 +170,6 @@ class PlanPool:
         self._oversize = 0
         self._current_bytes = 0
         self._peak_bytes = 0
-        self._tags: Dict[str, _TagCounters] = {}
-
-    def _tag(self, tag: str) -> _TagCounters:
-        """Counters of one entry kind (created on first touch, locked)."""
-        counters = self._tags.get(tag)
-        if counters is None:
-            counters = self._tags[tag] = _TagCounters()
-        return counters
-
-    # ------------------------------------------------------------------ #
-    # core operations
-    # ------------------------------------------------------------------ #
-    def _record_hit(self, tag: str) -> None:
-        """Count one hit, pool-wide and per tag (caller holds the lock)."""
-        self._hits += 1
-        self._tag(tag).hits += 1
 
     def get(
         self,
@@ -262,19 +202,18 @@ class PlanPool:
                 entry = self._entries.get(key)
                 if entry is not None:
                     self._entries.move_to_end(key)
-                    self._record_hit(entry.tag)
+                    self._hits += 1
                     return entry.value
                 flight = self._inflight.get(key)
                 if flight is None:
                     flight = self._inflight[key] = _InflightBuild()
                     self._misses += 1
-                    self._tag(key_tag(key)).misses += 1
                     owner = True
                 else:
                     owner = False
             if owner:
                 try:
-                    with trace_span("plan_pool.build", tag=key_tag(key)):
+                    with trace_span("plan_pool.build"):
                         value = builder()
                     size = int(nbytes(value) if nbytes is not None else value.nbytes)
                 except BaseException:
@@ -293,29 +232,15 @@ class PlanPool:
             if not flight.success:
                 continue  # the owner's build failed; retry from scratch
             with self._lock:
+                self._hits += 1
                 entry = self._entries.get(key)
-                if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._record_hit(entry.tag)
-                    return entry.value
-                # built but never stored (oversize plan, or already evicted
-                # by concurrent inserts): the shared build still served us
-                self._record_hit(key_tag(key))
-                return flight.value
-
-    def peek(self, key: Hashable) -> Optional[Any]:
-        """Return the cached value without recording a hit/miss (tests)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return None if entry is None else entry.value
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+                if entry is None:
+                    # built but never stored (oversize plan, or already
+                    # evicted by concurrent inserts): the shared build still
+                    # served us
+                    return flight.value
+                self._entries.move_to_end(key)
+                return entry.value
 
     def _evict_to_fit(self) -> None:
         """Drop least-recently-used entries until the budget holds (locked)."""
@@ -323,30 +248,20 @@ class PlanPool:
             _, evicted = self._entries.popitem(last=False)
             self._current_bytes -= evicted.nbytes
             self._evictions += 1
-            counters = self._tag(evicted.tag)
-            counters.evictions += 1
-            counters.current_bytes -= evicted.nbytes
-            counters.entries -= 1
 
     def _store(self, key: Hashable, value: Any, size: int) -> None:
-        tag = key_tag(key)
         with self._lock:
             if size > self.max_bytes:
                 # would evict the whole pool and still not fit: hand the
                 # plan to the caller but keep the pool contents intact
                 self._oversize += 1
-                self._tag(tag).oversize += 1
                 return
             if key in self._entries:  # concurrent build of the same key
                 return
-            self._entries[key] = _Entry(value, size, tag)
+            self._entries[key] = _Entry(value, size)
             self._current_bytes += size
-            counters = self._tag(tag)
-            counters.current_bytes += size
-            counters.entries += 1
             self._evict_to_fit()
             self._peak_bytes = max(self._peak_bytes, self._current_bytes)
-            counters.peak_bytes = max(counters.peak_bytes, counters.current_bytes)
 
     def set_max_bytes(self, max_bytes: int) -> None:
         """Change the budget, evicting LRU entries if it shrinks below use."""
@@ -356,25 +271,12 @@ class PlanPool:
             self.max_bytes = int(max_bytes)
             self._evict_to_fit()
 
-    # ------------------------------------------------------------------ #
-    # maintenance / introspection
-    # ------------------------------------------------------------------ #
-    def clear(self) -> None:
-        """Drop every entry (statistics are kept; see :meth:`reset`)."""
-        with self._lock:
-            self._entries.clear()
-            self._current_bytes = 0
-            for counters in self._tags.values():
-                counters.current_bytes = 0
-                counters.entries = 0
-
     def reset(self) -> None:
         """Drop every entry and zero all statistics."""
         with self._lock:
-            self.clear()
+            self._entries.clear()
             self._hits = self._misses = self._evictions = self._oversize = 0
-            self._peak_bytes = 0
-            self._tags.clear()
+            self._current_bytes = self._peak_bytes = 0
 
     def keys(self) -> Tuple[Hashable, ...]:
         """Current keys in LRU order (least recently used first)."""
@@ -399,36 +301,12 @@ class PlanPool:
                 entries=len(self._entries),
             )
 
-    def stats_by_tag(self) -> Dict[str, PoolStats]:
-        """Per-entry-kind statistics (see :func:`key_tag`).
-
-        The per-tag counters (hits/misses/evictions/oversize) and the
-        ``current_bytes``/``entries`` gauges partition the pool-wide
-        :attr:`stats` exactly, so the scatter-plan entries of the
-        distributed solver are separately visible in the byte accounting.
-        ``peak_bytes`` is each tag's *own* high-water mark — tags can peak
-        at different times, so those do not sum to the pool-wide peak.
-        """
-        with self._lock:
-            return {
-                tag: PoolStats(
-                    hits=counters.hits,
-                    misses=counters.misses,
-                    evictions=counters.evictions,
-                    oversize_rejections=counters.oversize,
-                    current_bytes=counters.current_bytes,
-                    peak_bytes=counters.peak_bytes,
-                    entries=counters.entries,
-                )
-                for tag, counters in sorted(self._tags.items())
-            }
-
     def validate_accounting(self) -> Dict[str, int]:
         """Cross-check the byte/entry counters against the stored entries.
 
-        Recomputes ``current_bytes`` and the per-tag gauges from the actual
-        entries under the lock and compares them to the incrementally
-        maintained counters; raises :class:`RuntimeError` on any mismatch.
+        Recomputes ``current_bytes`` from the actual entries under the lock
+        and compares it to the incrementally maintained counter; raises
+        :class:`RuntimeError` on any mismatch.
         Used by the concurrency hammer tests (and available to servers as a
         cheap health check): after any interleaving of gets, inserts,
         evictions and budget changes, ``current_bytes`` must equal the sum
@@ -447,22 +325,6 @@ class PlanPool:
                     f"current_bytes={self._current_bytes} exceeds the budget "
                     f"({self.max_bytes})"
                 )
-            by_tag_bytes: Dict[str, int] = {}
-            by_tag_entries: Dict[str, int] = {}
-            for entry in self._entries.values():
-                by_tag_bytes[entry.tag] = by_tag_bytes.get(entry.tag, 0) + entry.nbytes
-                by_tag_entries[entry.tag] = by_tag_entries.get(entry.tag, 0) + 1
-            for tag, counters in self._tags.items():
-                if counters.current_bytes != by_tag_bytes.get(tag, 0):
-                    problems.append(
-                        f"tag {tag!r}: current_bytes={counters.current_bytes} but "
-                        f"stored entries sum to {by_tag_bytes.get(tag, 0)}"
-                    )
-                if counters.entries != by_tag_entries.get(tag, 0):
-                    problems.append(
-                        f"tag {tag!r}: entries={counters.entries} but "
-                        f"{by_tag_entries.get(tag, 0)} stored"
-                    )
             if problems:
                 raise RuntimeError(
                     "plan pool accounting is inconsistent: " + "; ".join(problems)
@@ -493,7 +355,7 @@ def configure_plan_pool(max_bytes: Optional[int]) -> PlanPool:
     immediately, so the accounting stays exact after a reconfiguration.
     """
     pool = get_plan_pool()
-    pool.set_max_bytes(_env_budget() if max_bytes is None else max_bytes)
+    pool.set_max_bytes(env_pool_budget() if max_bytes is None else max_bytes)
     return pool
 
 
@@ -505,20 +367,12 @@ def reset_plan_pool() -> PlanPool:
 
 
 def _collect_pool_metrics() -> Dict[str, Dict[str, int]]:
-    """Pull collector publishing the shared pool's stats into the registry.
-
-    Pool-wide values land under the empty label key; per-tag counters are
-    labelled ``tag=<entry kind>`` (gauges are pool-wide only).
-    """
-    pool = get_plan_pool()
-    series: Dict[str, Dict[str, int]] = {
-        f"plan_pool.{key}": {"": value} for key, value in pool.stats.as_dict().items()
+    """Pull collector publishing the shared pool's stats into the registry
+    (pool-wide values, under the empty label key)."""
+    return {
+        f"plan_pool.{key}": {"": value}
+        for key, value in get_plan_pool().stats.as_dict().items()
     }
-    for tag, stats in pool.stats_by_tag().items():
-        label = f"tag={tag}"
-        for key in ("hits", "misses", "evictions", "oversize_rejections"):
-            series[f"plan_pool.{key}"][label] = getattr(stats, key)
-    return series
 
 
 get_metrics_registry().register_collector("plan_pool", _collect_pool_metrics)

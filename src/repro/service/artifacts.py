@@ -8,8 +8,8 @@ registration jobs it embeds the registration result's own versioned report
 ``"result"`` — one result schema shared by the CLI's verbose report and the
 service — and for every job kind it carries the job record (status,
 timestamps, batch size, error/traceback) plus the execution metrics the
-worker collected (plan-pool delta, hit rate and communication-ledger
-summary for distributed batches).
+worker collected (the communication-ledger summary for distributed
+batches).
 
 Writes are atomic (temp file + ``os.replace``), so a crash mid-write never
 leaves a torn document for a collector to trip over.
@@ -33,9 +33,13 @@ from repro.service.jobs import Job
 #: v4 — no interpolation-engine summary key, one ``optimization.iterations``
 #: record per Newton iteration; v5: the embedded result is v5 — no FFT-engine
 #: summary key, no per-solve ``plan_pool`` block — and a register job's metrics
-#: drop ``plan_pool_delta`` / ``plan_pool_hit_rate``).
+#: drop the pool delta and hit rate; v6: a transport batch's metrics drop the
+#: pool delta and hit rate too — they differenced process-wide counters,
+#: while the batch's own ledger already shows a cold plan as
+#: ``interp_scatter`` calls — and the embedded snapshot is v4, the embedded
+#: result v6).
 ARTIFACT_SCHEMA = "repro.service-job"
-ARTIFACT_SCHEMA_VERSION = 5
+ARTIFACT_SCHEMA_VERSION = 6
 
 __all__ = [
     "ARTIFACT_SCHEMA",

@@ -24,8 +24,8 @@ What the service adds over a loop of direct calls:
   ``alltoallv`` per time step for the whole batch, results bitwise
   identical to solving each job alone.
 * **Observability.**  Every job records metrics (the registration result
-  document; for transport batches the plan-pool delta, pool hit rate and
-  communication-ledger summary) and
+  document; for transport batches the batch's own communication-ledger
+  summary, whose ``interp_scatter`` calls show whether it planned cold) and
   can be journaled to a per-job JSON artifact
   (:mod:`repro.service.artifacts`).
 * **Durability.**  With a journal directory
@@ -79,11 +79,6 @@ from repro.utils.logging import get_logger
 LOGGER = get_logger("service.workers")
 
 __all__ = ["RegistrationService"]
-
-
-def _hit_rate(hits: int, misses: int) -> float:
-    total = hits + misses
-    return hits / total if total else 0.0
 
 
 class RegistrationService:
@@ -315,7 +310,7 @@ class RegistrationService:
             "batched_jobs": batched_jobs,
             "journal": self.journal.stats() if self.journal is not None else None,
             "plan_pool": pool.as_dict(),
-            "plan_pool_hit_rate": _hit_rate(pool.hits, pool.misses),
+            "plan_pool_hit_rate": pool.hits / max(pool.hits + pool.misses, 1),
             "observability": observability_snapshot(),
         }
 
@@ -391,14 +386,11 @@ class RegistrationService:
         self._finalize(job)
 
     def _execute_transport_batch(self, batch: List[Job]) -> None:
-        """One micro-batch; its pool deltas difference *process-wide* counters
-        (attributable on one lane only), the ledger is the batch's own."""
+        """One micro-batch; its metrics (batch size, ledger) are its own."""
         lead: TransportJobSpec = batch[0].spec
         grid = lead.resolved_grid()
         decomposition = lead.decomposition()
         comm = SimulatedCommunicator(decomposition.num_tasks)
-        pool = get_plan_pool()
-        pool_before = pool.stats
         # a merged solve is only abandoned once EVERY rider cancelled;
         # individually cancelled riders are sorted out after the solve
         batch_token = CombinedCancelToken([job.cancel_token for job in batch])
@@ -430,12 +422,9 @@ class RegistrationService:
                 job._fail(str(exc), text)
                 self._finalize(job)
             return
-        delta = pool.stats - pool_before
         ledger = comm.ledger.summary()
         metrics = {
             "batch_size": len(batch),
-            "plan_pool_delta": delta.as_dict(),
-            "plan_pool_hit_rate": _hit_rate(delta.hits, delta.misses),
             "communication": ledger,
             "ghost_exchange_calls": ledger.get("ghost_exchange", {}).get("calls", 0),
         }

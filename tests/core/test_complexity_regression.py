@@ -70,7 +70,12 @@ from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import solenoidal_velocity, synthetic_registration_problem
 from repro.observability import get_metrics_registry
-from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool, reset_plan_pool
+from repro.runtime.plan_pool import (
+    PoolStats,
+    configure_plan_pool,
+    get_plan_pool,
+    reset_plan_pool,
+)
 
 
 def warm_transforms_per_matvec() -> int:
@@ -305,5 +310,5 @@ class TestPlanningCost:
         # v^ of zeros, the gradient stack, b -> b^; then one mat-vec
         assert delta.fft_transforms == (3 + 4 * 5 + 3) + 12
         assert operator_builds() == builds
-        assert get_plan_pool().stats_by_tag() == {}
+        assert get_plan_pool().stats == PoolStats()
         assert iterate.plan.backward_stepper is iterate.plan.forward_stepper

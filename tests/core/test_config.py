@@ -81,10 +81,11 @@ class TestValidateAndApply:
         with pytest.raises(TypeError):
             RegistrationConfig(**removed)
 
-    def test_validate_surfaces_malformed_env(self, monkeypatch):
+    @pytest.mark.parametrize("value", ["lots", "-1"])
+    def test_validate_surfaces_malformed_env(self, monkeypatch, value):
         from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
 
-        monkeypatch.setenv(POOL_BYTES_ENV_VAR, "lots")
+        monkeypatch.setenv(POOL_BYTES_ENV_VAR, value)
         with pytest.raises(ValueError, match=POOL_BYTES_ENV_VAR):
             RegistrationConfig().validate()
 
@@ -181,7 +182,7 @@ class TestResultSchema:
         )
         doc = result.to_dict()
         assert doc["schema"] == "repro.registration-result"
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
         text = json.dumps(doc)  # no numpy scalars may survive
         round_tripped = json.loads(text)
         assert round_tripped["summary"]["relative_residual"] == pytest.approx(

@@ -135,7 +135,7 @@ class TestCachePlanning:
         source = plan_state_gradients(ops, state_history)
         assert source.nbytes == projected_gradient_cache_nbytes(state_history)
         assert source.nbytes == 3 * state_history.nbytes
-        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0
+        assert get_plan_pool().stats.entries == 0 and get_plan_pool().stats.misses == 0
 
     def test_every_plan_builds_its_own_stack(self, ops, state_history):
         """Nothing is shared by content: reuse is the owner's hand-off."""
@@ -383,7 +383,7 @@ class TestStackOwnership:
         a, b = first.linearize(velocity), second.linearize(velocity)
         assert a.state_gradients.stack() is not b.state_gradients.stack()
         np.testing.assert_array_equal(a.state_gradients.stack(), b.state_gradients.stack())
-        assert len(get_plan_pool()) == 0
+        assert get_plan_pool().stats.entries == 0
 
     def test_a_solve_leaves_no_stack_in_the_pool(self):
         from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
@@ -391,4 +391,4 @@ class TestStackOwnership:
         problem = _problem()
         result = GaussNewtonKrylov(problem, SolverOptions(max_newton_iterations=3)).solve()
         assert result.final_iterate.state_gradients.cached
-        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0
+        assert get_plan_pool().stats.entries == 0 and get_plan_pool().stats.misses == 0

@@ -351,6 +351,22 @@ class TestGradientStepFallback:
         assert search.directions[0].tobytes() == substitute.tobytes()
         (record,) = solved.iterations
         assert record.pcg_iterations == 1 and record.step_length > 0.0
+        assert record.negative_curvature and record.gradient_fallback
+
+    @pytest.mark.parametrize("indefinite", [False, True])
+    def test_records_carry_the_pcg_flag_and_the_fallback(
+        self, problem, monkeypatch, indefinite
+    ):
+        """PCG's negative-curvature flag and the fallback reach the record
+        and its JSON-ready row."""
+        if indefinite:
+            indefinite_hessian(monkeypatch, problem)
+        result = GaussNewtonKrylov(problem, SolverOptions(max_newton_iterations=1)).solve()
+        (record,) = result.iterations
+        assert record.negative_curvature is indefinite
+        assert record.gradient_fallback is indefinite
+        (row,) = result.convergence_table()
+        assert row["negative_curvature"] is row["gradient_fallback"] is indefinite
 
     @pytest.mark.parametrize("driver", ["gauss_newton_zero_step", "gradient_descent"])
     def test_failed_gradient_step_search_stops_after_one_search(
@@ -383,6 +399,7 @@ class TestGradientStepFallback:
         assert not np.array_equal(newton, gradient)
         (record,) = result.iterations
         assert record.pcg_iterations >= 1 and record.line_search_evaluations == 1
+        assert record.gradient_fallback and not record.negative_curvature
 
     def test_gradient_descent_records_no_krylov_work(self, problem):
         result = GradientDescent(problem, SolverOptions(max_newton_iterations=2)).solve()
@@ -391,3 +408,4 @@ class TestGradientStepFallback:
         for record in result.iterations:
             assert record.forcing_term == 0.0
             assert record.pcg_iterations == record.hessian_matvecs == 0
+            assert record.gradient_fallback and not record.negative_curvature

@@ -161,7 +161,7 @@ class TestTrialSlot:
         plain.evaluate_objective(first)
         plain.evaluate_objective(second)
         assert plain.transport.interpolator.resident_operators == kept == 2
-        assert len(plan_pool) == 0
+        assert plan_pool.stats.entries == 0
 
     def test_failed_line_search_releases_the_trial(self):
         problem = make_problem()
@@ -222,7 +222,7 @@ class TestDrivers:
         assert result.num_iterations == 3
         trials = sum(record.line_search_evaluations for record in result.iterations)
         assert len(plans) - planned == 1 + trials  # the initial guess, then each trial
-        assert len(plan_pool) == 0
+        assert plan_pool.stats.entries == 0
         assert problem.trial_velocity is None
         fresh = make_problem(**kwargs).linearize(result.velocity)
         assert_same_iterate(result.final_iterate, fresh, handoff_rtol(problem))

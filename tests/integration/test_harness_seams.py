@@ -6,7 +6,8 @@ program's facade.  A rename in ``src/`` breaks the harness without breaking
 any other tier-1 test, so this module imports both files as they are and
 resolves every seam the way ``Recorder.install`` does: ``owner.__dict__``
 for a class (the attribute must be the class's own), ``getattr`` for a
-module.
+module.  It also runs the harness's per-rep reset and its pool counter
+reads, which name plan-pool and decision-log fields outside ``spans.py``.
 """
 
 from __future__ import annotations
@@ -56,3 +57,20 @@ def test_workloads_import_and_match_the_declared_ones():
     workloads = _load("workloads")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert list(workloads.all_workloads()) == [entry["name"] for entry in declared]
+
+
+def test_the_harness_pool_and_log_reads_still_resolve():
+    """``reset_program_state`` resets the pool and the decision logs, and
+    ``counter_delta`` reads the pool's ``hits`` / ``misses`` / ``peak_bytes``:
+    run both from the unedited harness, around one miss and one hit."""
+    from repro.runtime.plan_pool import get_plan_pool
+
+    workloads = _load("workloads")
+    workloads.reset_program_state()
+    before = workloads.program_counters()
+    for _ in range(2):
+        get_plan_pool().get(("harness-seam", 1), lambda: bytearray(64), nbytes=len)
+    counts = workloads.counter_delta(before)
+    assert counts["runtime.pool_hits"] == 1
+    assert counts["runtime.pool_misses"] == 1
+    assert counts["runtime.pool_bytes"] == 64

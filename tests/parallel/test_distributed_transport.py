@@ -74,7 +74,7 @@ class TestDistributedSemiLagrangian:
         with pytest.raises(ValueError):
             DistributedSemiLagrangian(grid, deco, np.zeros(grid.shape), dt=0.1)
 
-    def test_recreated_stepper_is_a_pool_hit_with_no_setup(self, grid, velocity):
+    def test_recreated_stepper_is_a_pool_hit_with_no_setup(self, grid, velocity, plan_pool):
         """The tentpole no-replan pin: same velocity -> zero alltoallv setup.
 
         A re-created distributed stepper for an unchanged velocity must get
@@ -84,13 +84,13 @@ class TestDistributedSemiLagrangian:
         """
         deco = PencilDecomposition(grid.shape, 2, 2)
         cold = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
-        assert cold.plan_pool_hits == 0
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (0, 2)
         field = smooth_scalar_field(grid, seed=9)
         expected = step_one(cold, deco.scatter(field))
 
         warm_comm = SimulatedCommunicator(deco.num_tasks)
         warm = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25, comm=warm_comm)
-        assert warm.plan_pool_hits == 2
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (2, 2)
         assert warm.star_plan.operator_builds == 0
         assert warm.departure_plan.operator_builds == 0
         # the warm construction shipped no departure points anywhere: its
@@ -100,7 +100,7 @@ class TestDistributedSemiLagrangian:
         for rank in range(deco.num_tasks):
             np.testing.assert_array_equal(blocks[rank], expected[rank])
 
-    def test_disabled_pool_always_rebuilds(self, grid, velocity):
+    def test_disabled_pool_always_rebuilds(self, grid, velocity, plan_pool):
         deco = PencilDecomposition(grid.shape, 2, 2)
         DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         configure_plan_pool(0)
@@ -108,7 +108,7 @@ class TestDistributedSemiLagrangian:
             rebuilt = DistributedSemiLagrangian(grid, deco, velocity, dt=0.25)
         finally:
             configure_plan_pool(None)
-        assert rebuilt.plan_pool_hits == 0
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (0, 4)
         assert rebuilt.departure_plan.operator_builds > 0
 
     def test_rk2_velocity_components_share_one_exchange_round(self, grid, velocity):

@@ -115,13 +115,13 @@ class TestScatterInterpolation:
         owners = deco.owner_of_indices(cells.astype(np.intp) % 12)
         assert plan.local_point_counts() == [int(np.sum(owners == rank)) for rank in range(6)]
 
-    def test_operators_are_planned_once_per_velocity(self, grid, rng):
+    def test_operators_are_planned_once_per_velocity(self, grid, rng, plan_pool):
         """Repeated interpolate calls never rebuild the owners' operators."""
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=11)
         builds_after_init = plan.operator_builds
         # one operator per owner, each over the points it received
         assert builds_after_init == 4
-        assert not plan.pool_hit
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (0, 1)
         for _ in range(3):
             plan.interpolate(deco.scatter(rng.standard_normal(grid.shape)))
         assert plan.operator_builds == builds_after_init
@@ -131,12 +131,9 @@ class TestScatterInterpolation:
         departure points is a *single* warm pool hit — no routing-table
         rebuild, no operator builds, no ``alltoallv`` point scatter."""
         make_scatter_plan(grid, (2, 2), seed=12)
-        before = plan_pool.stats
         deco, comm, points, warm = make_scatter_plan(grid, (2, 2), seed=12)
-        delta = plan_pool.stats - before
-        assert warm.pool_hit
         assert warm.operator_builds == 0
-        assert (delta.hits, delta.misses) == (1, 0)
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (1, 1)
         # zero alltoallv setup: the warm plan's own communicator shipped
         # no departure points at all
         assert comm.ledger.bytes("interp_scatter") == 0
@@ -151,31 +148,28 @@ class TestScatterInterpolation:
         """Scatter plans are first-class citizens of the pool accounting."""
         make_scatter_plan(grid, (2, 2), seed=14)
         make_scatter_plan(grid, (2, 2), seed=14)  # warm
-        tags = plan_pool.stats_by_tag()
-        assert SCATTER_PLAN_TAG in tags
-        scatter = tags[SCATTER_PLAN_TAG]
-        assert scatter.entries == 1
-        assert scatter.hits == 1 and scatter.misses == 1
-        assert scatter.current_bytes > 0
-        # the tagged gauges add up to the pool-wide accounting
-        assert sum(s.current_bytes for s in tags.values()) == plan_pool.current_bytes
-        assert sum(s.entries for s in tags.values()) == len(plan_pool)
+        (key,) = plan_pool.keys()
+        assert key[0] == SCATTER_PLAN_TAG
+        stats = plan_pool.stats
+        assert stats.entries == 1
+        assert stats.hits == 1 and stats.misses == 1
+        assert stats.current_bytes > 0
 
     def test_pooled_entry_bytes_match_plan_payload(self, grid, plan_pool):
         """bytes_used of the scatter entry == the plan data's own nbytes."""
         make_scatter_plan(grid, (2, 2), seed=15)
-        (key,) = [k for k in plan_pool.keys() if k[0] == SCATTER_PLAN_TAG]
-        data = plan_pool.peek(key)
-        assert plan_pool.stats_by_tag()[SCATTER_PLAN_TAG].current_bytes == data.nbytes
+        (key,) = plan_pool.keys()
+        data = plan_pool.get(key, lambda: pytest.fail("the entry must be resident"))
+        assert plan_pool.current_bytes == data.nbytes
 
-    def test_disabled_pool_always_rebuilds(self, grid):
+    def test_disabled_pool_always_rebuilds(self, grid, plan_pool):
         make_scatter_plan(grid, (2, 2), seed=16)
         configure_plan_pool(0)
         try:
             deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=16)
         finally:
             configure_plan_pool(None)
-        assert not plan.pool_hit
+        assert (plan_pool.stats.hits, plan_pool.stats.misses) == (0, 2)
         assert plan.operator_builds > 0
         assert comm.ledger.bytes("interp_scatter") > 0
 

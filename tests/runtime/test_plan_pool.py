@@ -61,8 +61,7 @@ class TestPlanPoolCore:
         pool.get("a", lambda: _Sized(10))
         pool.get("b", lambda: _Sized(10))
         pool.get("c", lambda: _Sized(10))  # exceeds 25 -> evict "a" (LRU)
-        assert "a" not in pool
-        assert "b" in pool and "c" in pool
+        assert pool.keys() == ("b", "c")
         assert pool.stats.evictions == 1
         assert pool.current_bytes == 20
 
@@ -72,16 +71,14 @@ class TestPlanPoolCore:
         pool.get("b", lambda: _Sized(10))
         pool.get("a", lambda: _Sized(10))  # touch "a" -> "b" becomes LRU
         pool.get("c", lambda: _Sized(10))
-        assert "a" in pool and "c" in pool
-        assert "b" not in pool
+        assert pool.keys() == ("a", "c")
 
     def test_oversize_entry_is_returned_but_not_stored(self):
         pool = PlanPool(max_bytes=25)
         pool.get("small", lambda: _Sized(10))
         big = pool.get("big", lambda: _Sized(100))
         assert big.nbytes == 100
-        assert "big" not in pool
-        assert "small" in pool  # the pool contents survive the oversize build
+        assert pool.keys() == ("small",)  # the contents survive the oversize build
         assert pool.stats.oversize_rejections == 1
         assert pool.current_bytes == 10
 
@@ -111,16 +108,15 @@ class TestPlanPoolCore:
         pool.get("b", lambda: _Sized(40))
         configure_plan_pool(50)
         assert pool.current_bytes <= 50
-        assert "b" in pool and "a" not in pool
+        assert pool.keys() == ("b",)
         configure_plan_pool(None)  # back to the environment default
 
-    def test_stats_delta_subtraction(self):
-        pool = PlanPool(max_bytes=1000)
-        pool.get("a", lambda: _Sized(10))
-        before = pool.stats
-        pool.get("a", lambda: _Sized(10))
-        delta = pool.stats - before
-        assert delta.hits == 1 and delta.misses == 0
+    def test_reset_drops_entries_and_zeroes_stats(self, plan_pool):
+        plan_pool.get(("a", 1), lambda: _Sized(10))
+        plan_pool.get(("a", 1), lambda: _Sized(10))
+        reset_plan_pool()
+        assert plan_pool.keys() == ()
+        assert plan_pool.stats == PoolStats()
 
     def test_array_fingerprint_content_sensitivity(self):
         a = np.arange(12, dtype=np.float64)
@@ -143,7 +139,7 @@ class TestPlansOwnTheirData:
         np.testing.assert_array_equal(plans[0].coordinates, plans[1].coordinates)
         field = np.random.default_rng(0).standard_normal(grid.shape)
         np.testing.assert_array_equal(first.step(field), second.step(field))
-        assert len(plan_pool) == 0 and plan_pool.stats == PoolStats()
+        assert plan_pool.stats == PoolStats()
 
     def test_velocity_sign_and_dt_change_the_points(self, plan_pool):
         grid = Grid((12, 12, 12))
@@ -156,7 +152,7 @@ class TestPlansOwnTheirData:
             assert not np.array_equal(
                 other.departure_plan.coordinates, base.departure_plan.coordinates
             )
-        assert len(plan_pool) == 0
+        assert plan_pool.stats.entries == 0
 
     def test_transport_solver_plan_owns_its_data(self, plan_pool):
         grid = Grid((12, 12, 12))
@@ -174,7 +170,7 @@ class TestPlansOwnTheirData:
         points = grid.num_points * 3 * 8  # one (3, N) float64 array
         # the wrapped coordinates of each direction's plan, and div v
         assert first.nbytes == 2 * points + grid.num_points * 8
-        assert len(plan_pool) == 0
+        assert plan_pool.stats.entries == 0
 
     def test_linearize_adopts_the_line_search_plan(self, plan_pool):
         """A kept trial + linearize of the same velocity plan and transport once."""
@@ -199,13 +195,11 @@ class TestPlansOwnTheirData:
         assert sweeps == problem.num_time_steps + 1
         # the forward and backward operators of the iterate are resident
         assert problem.transport.interpolator.resident_operators == 2
-        assert len(plan_pool) == 0
+        assert plan_pool.stats.entries == 0
 
 
-class TestTagStats:
-    """Per-entry-kind accounting (stats_by_tag), incl. the stepper entries."""
-
-    def test_a_registration_leaves_no_tag(self, plan_pool):
+class TestRegistrationLeavesNoEntry:
+    def test_a_registration_leaves_the_pool_untouched(self, plan_pool):
         """Only what crosses solves is pooled; a registration is self-contained."""
         synthetic = synthetic_registration_problem(8)
         result = register(
@@ -213,44 +207,9 @@ class TestTagStats:
             options=SolverOptions(max_newton_iterations=2),
         )
         assert result.num_newton_iterations >= 1
-        assert plan_pool.stats_by_tag() == {}
-        assert plan_pool.stats == PoolStats()
-
-    def test_tag_gauges_sum_to_pool_gauges(self):
-        pool = PlanPool(max_bytes=1000)
-        pool.get(("a-tag", 1), lambda: _Sized(10))
-        pool.get(("b-tag", 1), lambda: _Sized(20))
-        pool.get(17, lambda: _Sized(5))  # key without a leading string tag
-        tags = pool.stats_by_tag()
-        assert set(tags) == {"a-tag", "b-tag", "untagged"}
-        assert sum(s.current_bytes for s in tags.values()) == pool.current_bytes
-        assert sum(s.entries for s in tags.values()) == len(pool)
-        assert sum(s.misses for s in tags.values()) == pool.stats.misses
-
-    def test_eviction_and_oversize_attributed_to_their_tag(self):
-        pool = PlanPool(max_bytes=25)
-        pool.get(("a", 1), lambda: _Sized(10))
-        pool.get(("b", 1), lambda: _Sized(10))
-        pool.get(("b", 2), lambda: _Sized(10))  # evicts ("a", 1)
-        pool.get(("c", 1), lambda: _Sized(100))  # oversize, never stored
-        tags = pool.stats_by_tag()
-        assert tags["a"].evictions == 1
-        assert tags["a"].entries == 0 and tags["a"].current_bytes == 0
-        assert tags["b"].entries == 2 and tags["b"].current_bytes == 20
-        assert tags["c"].oversize_rejections == 1 and tags["c"].entries == 0
-
-    def test_key_tag_resolution(self):
-        from repro.runtime.plan_pool import key_tag
-
-        assert key_tag(("scatter-plan", "x")) == "scatter-plan"
-        assert key_tag(42) == "untagged"
-        assert key_tag(()) == "untagged"
-        assert key_tag((1, "late-string")) == "untagged"
-
-    def test_reset_clears_tag_stats(self, plan_pool):
-        plan_pool.get(("a", 1), lambda: _Sized(10))
-        reset_plan_pool()
-        assert plan_pool.stats_by_tag() == {}
+        stats = plan_pool.stats
+        assert stats.hits == stats.misses == stats.entries == 0
+        assert stats == PoolStats()
 
 
 class TestPerLevelOwnership:
@@ -279,7 +238,6 @@ class TestPerLevelOwnership:
         )
         assert trials > 0
         assert plan_pool.stats == PoolStats()
-        assert len(plan_pool) == 0
 
     def test_continuation_plans_each_velocity_once(self, plan_pool, monkeypatch):
         """No velocity content is planned twice: trials hand their plans on."""

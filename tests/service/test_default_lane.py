@@ -4,9 +4,9 @@ A solve's kernels hold the GIL, so ``RegistrationService()`` starts one worker
 thread (``repro.config.DEFAULT_SERVICE_WORKERS``); ``num_workers=`` beats
 ``REPRO_SERVICE_WORKERS`` beats that default.  On one lane two things the
 artifacts report become deterministic: the rest of a burst is queued while the
-first job runs, so the micro-batcher claims *full* batches, and each transport
-batch's ``plan_pool_delta`` is its own (the deltas difference process-wide
-counters).  The two-worker race / recovery suites next door are why
+first job runs, so the micro-batcher claims *full* batches, and the first
+transport batch of a velocity is the one whose own ledger shows the cold
+plan.  The two-worker race / recovery suites next door are why
 ``num_workers`` stays.
 """
 
@@ -94,7 +94,6 @@ def _mixed_burst(service):
             template=problem.template, reference=problem.reference, options=options
         )
 
-    pool_before = get_plan_pool().stats  # building the inputs planned velocities too
     registers = [service.submit_registration(register_spec())]
     transports = [
         service.submit_transport(
@@ -106,7 +105,7 @@ def _mixed_burst(service):
     service.gather(registers + transports, timeout=120)
     return SimpleNamespace(
         grid=grid, velocity=velocity, movings=movings, registers=registers,
-        transports=transports, pool_delta=get_plan_pool().stats - pool_before,
+        transports=transports,
     )
 
 
@@ -137,17 +136,19 @@ def test_one_lane_claims_full_micro_batches():
         np.testing.assert_array_equal(job.result(), alone)
 
 
-def test_one_lane_pool_deltas_sum_to_the_pool_totals():
-    """Per-batch deltas are attributable on one lane: no other job ran meanwhile.
+def test_one_lane_ledgers_show_the_cold_batch_and_the_warm_one():
+    """The first batch plans the velocity — one ``interp_scatter`` call each
+    for the star and the departure plan — and the second finds both warm.
 
-    A register job touches no pool entry, so it reports no delta at all.
+    A register job touches no pool entry and records only its result.
     """
     with RegistrationService(max_batch=MAX_BATCH) as service:
         burst = _mixed_burst(service)
-    assert not any("plan_pool_delta" in job.record.metrics for job in burst.registers)
-    # every rider of a batch carries its batch's delta: count each batch once
-    deltas = [job.record.metrics["plan_pool_delta"] for job in burst.transports[::MAX_BATCH]]
-    totals = burst.pool_delta
-    assert totals.misses > 0 and totals.hits > 0
-    assert sum(delta["hits"] for delta in deltas) == totals.hits
-    assert sum(delta["misses"] for delta in deltas) == totals.misses
+    assert all(set(job.record.metrics) == {"result"} for job in burst.registers)
+    scatters = [
+        job.record.metrics["communication"].get("interp_scatter", {}).get("calls", 0)
+        for job in burst.transports[::MAX_BATCH]
+    ]
+    assert scatters == [2, 0]
+    stats = get_plan_pool().stats
+    assert (stats.hits, stats.misses, stats.entries) == (2, 2, 2)

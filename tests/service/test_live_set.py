@@ -50,13 +50,16 @@ def burst(population, num_register_jobs: int):
     return results[:num_register_jobs]
 
 
-def test_the_pool_holds_only_scatter_plans_whatever_the_burst(population, plan_pool):
+def test_the_pool_holds_two_scatter_plans_per_velocity_whatever_the_burst(
+    population, plan_pool
+):
+    """One star and one departure plan per distinct transport velocity."""
     burst(population, 2)
     after_two = plan_pool.current_bytes
-    assert set(plan_pool.stats_by_tag()) == {"scatter-plan"}
+    assert plan_pool.stats.entries == 2
     assert after_two > 0
     burst(population, 6)
-    assert set(plan_pool.stats_by_tag()) == {"scatter-plan"}
+    assert plan_pool.stats.entries == 2
     assert plan_pool.current_bytes == after_two
     plan_pool.validate_accounting()
 

@@ -258,9 +258,11 @@ class TestArtifactsAndStats:
         ok_doc = json.loads((tmp_path / f"job-{ok.job_id}.json").read_text())
         bad_doc = json.loads((tmp_path / f"job-{bad.job_id}.json").read_text())
         assert ok_doc["schema"] == "repro.service-job"
-        assert ok_doc["schema_version"] == 5
+        assert ok_doc["schema_version"] == 6
         assert ok_doc["job"]["status"] == "done"
-        assert ok_doc["job"]["metrics"]["plan_pool_delta"]["misses"] >= 0
+        # the batch's own ledger shows its cold plan; no process-wide pool delta
+        assert ok_doc["job"]["metrics"]["communication"]["interp_scatter"]["calls"] == 2
+        assert not any(key.startswith("plan_pool") for key in ok_doc["job"]["metrics"])
         assert "layout_decisions" not in ok_doc["job"]["metrics"]
         assert bad_doc["job"]["status"] == "failed"
         assert "Traceback" in bad_doc["job"]["traceback"]
@@ -280,7 +282,7 @@ class TestArtifactsAndStats:
         doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
         embedded = doc["job"]["metrics"]["result"]
         assert embedded["schema"] == "repro.registration-result"
-        assert embedded["schema_version"] == 5
+        assert embedded["schema_version"] == 6
         assert embedded["optimization"]["termination_reason"] == (
             result.optimization.termination_reason
         )
@@ -288,7 +290,7 @@ class TestArtifactsAndStats:
         assert "field_sources" not in doc["observability"]
         assert "interp_backend" not in embedded["summary"]
 
-    def test_register_artifact_is_v5_without_a_pool_delta(
+    def test_register_artifact_is_v6_without_a_pool_delta(
         self, tmp_path, tiny_problem, fast_options
     ):
         """A registration touches no pool entry: neither the job nor its result
@@ -303,11 +305,11 @@ class TestArtifactsAndStats:
             )
             job.result(timeout=120)
         doc = json.loads((tmp_path / f"job-{job.job_id}.json").read_text())
-        assert (doc["schema"], doc["schema_version"]) == ("repro.service-job", 5)
+        assert (doc["schema"], doc["schema_version"]) == ("repro.service-job", 6)
         metrics = doc["job"]["metrics"]
         assert set(metrics) == {"result"}
         embedded = metrics["result"]
-        assert embedded["schema_version"] == 5
+        assert embedded["schema_version"] == 6
         assert "plan_pool" not in embedded
         assert not any(key.startswith(("plan_pool", "fft_")) for key in embedded["summary"])
         assert "plan_pool" in doc["observability"]

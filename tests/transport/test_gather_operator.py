@@ -187,7 +187,7 @@ class TestBitwiseInvariance:
         interp(fields[0], points)
         interp.interpolate_many(fields, points)
         assert interp.resident_operators == 0
-        assert len(get_plan_pool()) == 0
+        assert get_plan_pool().stats.entries == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -349,7 +349,7 @@ class TestResidency:
         interp.interpolate_planned(np.ones(grid.shape), plan)
         # built once, then served resident; nothing went through the pool
         assert (interp.resident_operators, _operator_builds() - builds) == (1, 1)
-        assert len(get_plan_pool()) == 0 and get_plan_pool().stats.misses == 0
+        assert get_plan_pool().stats.entries == 0 and get_plan_pool().stats.misses == 0
 
     def test_third_plan_releases_the_least_recent(self, pool_budget):
         pool_budget(64 * 2**20)
@@ -405,7 +405,7 @@ class TestResidency:
             plan = solver.plan(0.3 * smooth_velocity_field(grid, seed=seed))
             solver.solve_adjoint(plan, solver.solve_state(plan, rho)[-1])
             assert solver.interpolator.resident_operators == 2
-        assert len(get_plan_pool()) == 0
+        assert get_plan_pool().stats.entries == 0
 
     @pytest.mark.parametrize("budget", [0, 100_000])
     def test_small_budget_degrades_to_transient_bitwise(self, pool_budget, budget):

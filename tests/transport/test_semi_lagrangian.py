@@ -137,7 +137,7 @@ class TestStepper:
         interp = PeriodicInterpolator(grid)
         stepper = SemiLagrangianStepper(grid, grid.zeros_vector(), 0.5, interp)
         assert stepper.departure_plan is None
-        assert len(get_plan_pool()) == 0
+        assert get_plan_pool().stats.entries == 0
         nu, f_old, f_new = rng.standard_normal((3, *grid.shape))
         np.testing.assert_array_equal(
             stepper.step(nu, f_old, f_new), (nu + 0.25 * f_old) + 0.25 * f_new
