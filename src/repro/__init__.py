@@ -5,9 +5,9 @@ The package is organized bottom-up, mirroring the structure of the paper:
 
 * :mod:`repro.spectral` — Fourier discretization in space (Sec. III-B1),
 * :mod:`repro.transport` — semi-Lagrangian transport in time (Sec. III-B2),
-* :mod:`repro.runtime` — the shared execution runtime behind both kernel
-  registries: the LRU plan pool with byte-accurate accounting and the
-  unified worker-pool policy,
+* :mod:`repro.runtime` — the execution runtime: the LRU plan pool with
+  byte-accurate accounting (the distributed scatter plans' cache and the
+  residency budget) and cooperative cancellation,
 * :mod:`repro.core` — the optimal-control registration problem and the
   preconditioned inexact Gauss-Newton-Krylov solver (Sec. II-B, III-A),
 * :mod:`repro.parallel` — the distributed-memory substrate: pencil

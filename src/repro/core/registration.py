@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -34,7 +34,14 @@ from repro.observability.trace import trace_span
 from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite, check_nonnegative, check_positive, check_real_dtype
+from repro.utils.validation import (
+    check_choice,
+    check_finite,
+    check_nonnegative,
+    check_positive,
+    check_positive_int,
+    check_real_dtype,
+)
 
 LOGGER = get_logger("core.registration")
 
@@ -61,19 +68,46 @@ _DRIVERS = {"gauss_newton": GaussNewtonKrylov, "gradient_descent": GradientDesce
 OPTIMIZERS = tuple(_DRIVERS)
 
 
-def _jsonable(value):
-    """Coerce numpy scalars (and nested containers) to plain JSON types."""
+def json_safe(value: Any) -> Any:
+    """Recursively coerce *value* into JSON-serializable builtins.
+
+    Result documents and service metrics legitimately carry numpy scalars
+    (ledger byte counts, pool statistics, residual norms), which
+    ``json.dumps`` rejects.  Small numpy arrays become lists; unknown
+    objects fall back to ``str``.
+    """
     if isinstance(value, dict):
-        return {key: _jsonable(item) for key, item in value.items()}
+        return {str(key): json_safe(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (np.bool_, bool)):
+        return [json_safe(item) for item in value]
+    if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, (np.integer, int)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating, float)):
+    if isinstance(value, np.floating):
         return float(value)
-    return value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    return str(value)
+
+
+def check_settings(settings: Any) -> None:
+    """Raise naming the first solve setting no solve can use.
+
+    *settings* is a :class:`RegistrationSolver` or a service
+    :class:`~repro.service.jobs.RegistrationJobSpec`, whose constructors both
+    call this: ``regularization`` must be one of :data:`REGULARIZATIONS`,
+    ``optimizer`` one of :data:`OPTIMIZERS`, ``num_time_steps`` a positive
+    integer (``TypeError`` for a non-integer), ``beta`` positive and finite
+    and ``smooth_sigma`` finite and ``>= 0`` (``ValueError`` otherwise).
+    """
+    check_choice(settings.regularization, "regularization", REGULARIZATIONS)
+    check_choice(settings.optimizer, "optimizer", OPTIMIZERS)
+    check_positive_int(settings.num_time_steps, "num_time_steps")
+    check_positive(settings.beta, "beta")
+    check_nonnegative(settings.smooth_sigma, "smooth_sigma")
 
 
 @dataclass
@@ -137,16 +171,16 @@ class RegistrationResult:
         return {
             "schema": RESULT_SCHEMA,
             "schema_version": RESULT_SCHEMA_VERSION,
-            "summary": _jsonable(self.summary()),
+            "summary": json_safe(self.summary()),
             "optimization": {
                 "converged": bool(opt.converged),
                 "num_iterations": int(opt.num_iterations),
                 "total_hessian_matvecs": int(opt.total_hessian_matvecs),
                 "termination_reason": opt.termination_reason,
-                "iterations": _jsonable(opt.convergence_table()),
+                "iterations": json_safe(opt.convergence_table()),
             },
-            "det_grad": _jsonable(self.det_grad_stats),
-            "observability": _jsonable(observability_snapshot()),
+            "det_grad": json_safe(self.det_grad_stats),
+            "observability": json_safe(observability_snapshot()),
             "elapsed_seconds": float(self.elapsed_seconds),
         }
 
@@ -181,10 +215,10 @@ class RegistrationSolver:
         (:class:`repro.config.RegistrationConfig`).  When provided it is
         applied process-wide (pool budget, tracing).
 
-    An unknown ``regularization`` or ``optimizer``, a ``beta`` that is not
-    positive and finite and a ``smooth_sigma`` that is negative or not
-    finite are a :class:`ValueError` at construction, before any image is
-    touched.
+    A setting :func:`check_settings` refuses (an unknown ``regularization``
+    or ``optimizer``, ``num_time_steps < 1``, a ``beta`` that is not positive
+    and finite, a ``smooth_sigma`` that is negative or not finite) raises at
+    construction, before any image is touched.
     """
 
     beta: float = 1e-2
@@ -198,12 +232,7 @@ class RegistrationSolver:
     config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
-        for name, choices in (("regularization", REGULARIZATIONS), ("optimizer", OPTIMIZERS)):
-            value = getattr(self, name)
-            if value not in choices:
-                raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
-        check_positive(self.beta, "beta")
-        check_nonnegative(self.smooth_sigma, "smooth_sigma")
+        check_settings(self)
         if self.config is not None:
             self.config.apply()
 

@@ -7,24 +7,24 @@ synchronous :func:`repro.register` path into a queued, observable job
 service without forking the numerics:
 
 :mod:`repro.service.jobs`
-    Job specs (registration / distributed transport), records, statuses and
-    the caller-side :class:`~repro.service.jobs.Job` handle.
+    Job specs (registration / distributed transport) — whose constructors
+    are the one definition of a valid job, for Python and HTTP submissions
+    alike —, records, statuses and the caller-side
+    :class:`~repro.service.jobs.Job` handle.
 :mod:`repro.service.queue`
     Thread-safe submission queue whose claim path coalesces compatible
-    transport jobs into micro-batches.
-:mod:`repro.service.batching`
-    The compatibility policy: which jobs may bitwise-safely share one
-    ``solve_state_many`` stack.
+    transport jobs into micro-batches (:func:`~repro.service.queue.batch_key`:
+    which jobs may bitwise-safely share one ``solve_state_many`` stack).
 :mod:`repro.service.workers`
     :class:`~repro.service.workers.RegistrationService` — the worker
     thread(s) (one by default: solves hold the GIL) executing jobs through the
     existing solver paths, transport jobs sharing the process-wide plan
     pool's scatter plans across requests.
 :mod:`repro.service.artifacts`
-    Versioned per-job JSON artifacts (result report, pool/ledger metrics).
+    Versioned per-job JSON artifacts (result report, batch ledger metrics).
 :mod:`repro.service.journal`
-    Durable, crash-safe job journal (versioned jobspec documents,
-    append-only fsync'd segments, replay + compaction on restart).
+    Durable, crash-safe job journal (versioned jobspec documents, one
+    append-only fsync'd ``journal.jsonl``, replay + compaction on restart).
 :mod:`repro.service.http`
     Stdlib HTTP front (``POST /jobs``, ``GET /jobs/<id>``,
     ``DELETE /jobs/<id>``, ``GET /stats``).
@@ -55,7 +55,6 @@ from repro.service.artifacts import (
     write_job_artifact,
 )
 from repro.service.atlas import AtlasResult, run_atlas, submit_atlas
-from repro.service.batching import batch_key, group_compatible, stack_compatible
 from repro.service.http import ServiceHTTPServer, serve_http
 from repro.service.jobs import (
     JOB_CLASS_ATLAS,
@@ -78,7 +77,7 @@ from repro.service.journal import (
     spec_from_dict,
     spec_to_dict,
 )
-from repro.service.queue import SubmissionQueue
+from repro.service.queue import SubmissionQueue, batch_key
 from repro.service.workers import RegistrationService
 
 __all__ = [
@@ -106,14 +105,12 @@ __all__ = [
     "batch_key",
     "default_service",
     "gather",
-    "group_compatible",
     "job_artifact",
     "run_atlas",
     "serve_http",
     "shutdown_default_service",
     "spec_from_dict",
     "spec_to_dict",
-    "stack_compatible",
     "submit",
     "submit_atlas",
     "write_job_artifact",

@@ -8,10 +8,11 @@ and ``json``:
 ``POST /jobs``
     Body: a ``repro.service-jobspec`` v1 document (exactly the journal's
     spec schema — :func:`repro.service.journal.spec_to_dict` is the client
-    encoder).  Returns ``202`` with ``{"job_id": ...}``; a malformed spec
-    returns ``400`` with the validation message.
+    encoder).  Returns ``202`` with ``{"job_id": ...}``; a malformed request
+    or spec returns ``400`` with the validation message — the message the
+    spec constructor gives a Python caller.
 ``GET /jobs/<id>``
-    Status plus the full ``repro.service-job`` v2 artifact document of the
+    Status plus the full ``repro.service-job`` v6 artifact document of the
     job (the same document the artifact directory holds); ``404`` for an
     unknown id.
 ``DELETE /jobs/<id>``
@@ -36,7 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.observability import trace_span
 from repro.service.artifacts import job_artifact
-from repro.service.jobs import json_safe
+from repro.core.registration import json_safe
 from repro.service.journal import MalformedSpecError, spec_from_dict
 from repro.service.workers import RegistrationService
 from repro.utils.logging import get_logger
@@ -92,10 +93,19 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
+        header = self.headers.get("Content-Length", "0")
+        try:
+            length = int(header)
+        except ValueError:
+            # the body was never read: the connection cannot carry another request
+            self.close_connection = True
+            raise MalformedSpecError(
+                f"Content-Length must be an integer, got {header!r}"
+            ) from None
         if length <= 0:
             raise MalformedSpecError("request body must be a JSON document")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise MalformedSpecError(
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_BODY_BYTES}-byte limit"
@@ -123,7 +133,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             with trace_span("service.http.submit"):
                 document = self._read_json_body()
                 spec = spec_from_dict(document)
-                job = self.server.service._submit(spec)
+                job = self.server.service._enqueue(spec)
         except MalformedSpecError as exc:
             self._send_error_json(400, str(exc))
             return

@@ -46,16 +46,22 @@ import time
 import uuid
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
+from repro.core.registration import check_settings, json_safe
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import check_ghost_width
 from repro.runtime.cancellation import CancelToken
 from repro.spectral.grid import Grid
-from repro.utils.validation import check_nonnegative, check_positive, check_shape_3d
+from repro.utils.validation import (
+    check_finite,
+    check_positive_int,
+    check_real_dtype,
+    check_shape_3d,
+)
 
 __all__ = [
     "JOB_CLASS_ATLAS",
@@ -79,29 +85,21 @@ JOB_CLASS_INTERACTIVE = "interactive"
 JOB_CLASS_ATLAS = "atlas-burst"
 
 
-def json_safe(value: Any) -> Any:
-    """Recursively coerce *value* into JSON-serializable builtins.
+def _check_job_class(job_class: Any) -> None:
+    if not isinstance(job_class, str) or not job_class:
+        raise ValueError(f"job_class must be a non-empty string, got {job_class!r}")
 
-    Worker metrics legitimately carry numpy scalars (ledger byte counts,
-    pool statistics, residual norms); ``json.dumps`` rejects those, which
-    used to fail the artifact write *after* the tmp file was created.
-    Small numpy arrays become lists; unknown objects fall back to ``str``.
-    """
-    if isinstance(value, dict):
-        return {str(key): json_safe(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [json_safe(item) for item in value]
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
+
+def _check_grid(grid: Optional[Grid], shape: Tuple[int, ...]) -> None:
+    if grid is not None and grid.shape != shape:
+        raise ValueError(f"grid shape {grid.shape} does not match the image shape {shape}")
+
+
+def _check_values(array: Any, name: str) -> None:
+    """Real floating-point or integer values (``TypeError``), all finite."""
+    array = np.asarray(array)
+    check_real_dtype(array.dtype, name)
+    check_finite(array, name)
 
 
 class JobStatus(str, Enum):
@@ -148,12 +146,14 @@ class RegistrationJobSpec:
     ``kind = "register"``.  Registrations are never merged by the
     micro-batcher (each solve is an independent Gauss-Newton iteration);
     what they share across requests is the spectral symbol store and the
-    worker pools.  Images that are not 3-D with every axis at least 2
-    wide (the rule :class:`~repro.spectral.grid.Grid` applies), a reference
-    whose shape is not the template's, a ``beta`` that is not positive and
-    finite or a ``smooth_sigma`` that is negative or not finite is a
-    :class:`ValueError` at construction, before the job is journaled or
-    queued.
+    worker pools.
+
+    The constructor defines a valid job (the jobspec decoder builds specs
+    through it) and raises before anything is journaled or queued: images
+    that are not 3-D with every axis at least 2 wide, of unequal shape or of
+    another shape than ``grid``, holding a NaN or an infinity, or not real
+    (``TypeError``); an empty ``job_class``; and every setting
+    :func:`~repro.core.registration.check_settings` refuses.
     """
 
     template: np.ndarray
@@ -172,14 +172,17 @@ class RegistrationJobSpec:
     kind = "register"
 
     def __post_init__(self) -> None:
+        _check_job_class(self.job_class)
         shape = check_shape_3d(np.shape(self.template), "template shape")
         if np.shape(self.reference) != shape:
             raise ValueError(
                 f"template and reference must share a shape, got {shape} "
                 f"and {np.shape(self.reference)}"
             )
-        self.beta = check_positive(self.beta, "beta")
-        self.smooth_sigma = check_nonnegative(self.smooth_sigma, "smooth_sigma")
+        _check_grid(self.grid, shape)
+        _check_values(self.template, "template")
+        _check_values(self.reference, "reference")
+        check_settings(self)
 
 
 @dataclass
@@ -195,6 +198,12 @@ class TransportJobSpec:
     stack — one ghost-exchange round and one return ``alltoallv`` per time
     step for the entire batch — with results bitwise identical to running
     every job alone.
+
+    The constructor raises, as :class:`RegistrationJobSpec`'s does, for a
+    *moving* field that is not 3-D, a *velocity* that is not
+    ``(3, *moving.shape)``, a ``grid`` of another shape, arrays holding a
+    NaN or an infinity or not real, counts below one, an empty
+    ``job_class`` and a ``num_tasks`` :meth:`decomposition` refuses.
     """
 
     velocity: np.ndarray
@@ -205,6 +214,21 @@ class TransportJobSpec:
     job_class: str = JOB_CLASS_INTERACTIVE
 
     kind = "transport"
+
+    def __post_init__(self) -> None:
+        _check_job_class(self.job_class)
+        shape = check_shape_3d(np.shape(self.moving), "moving shape")
+        if np.shape(self.velocity) != (3, *shape):
+            raise ValueError(
+                f"velocity must have shape {(3, *shape)} for a moving image of "
+                f"shape {shape}, got {np.shape(self.velocity)}"
+            )
+        _check_grid(self.grid, shape)
+        _check_values(self.moving, "moving")
+        _check_values(self.velocity, "velocity")
+        check_positive_int(self.num_time_steps, "num_time_steps")
+        check_positive_int(self.num_tasks, "num_tasks")
+        self.decomposition()
 
     def resolved_grid(self) -> Grid:
         """The job's grid (built from the field shape when not given)."""

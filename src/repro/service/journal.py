@@ -11,29 +11,30 @@ library and the existing versioned-document discipline:
   (``repro.service-jobspec`` v1).  Arrays are embedded bitwise (base64 of
   the C-contiguous buffer + dtype + shape), so a replayed job computes the
   *identical* result the original submission would have.  The same schema
-  is the wire format of the HTTP front's ``POST /jobs``.
+  is the wire format of the HTTP front's ``POST /jobs``.  The decoder only
+  decodes: every rule of a valid job is the spec constructor's, so a
+  document and a Python-built spec are rejected with the same message.
 
-* **Append-only segments.**  A journal is a directory of
-  ``segment-<n>.jsonl`` files.  Every submission appends one
-  ``submitted`` record (spec included) to the active segment and fsyncs
-  before the submit call returns, so an acknowledged job survives a crash of the very next
-  instruction.  Terminal transitions append small ``done`` / ``failed`` /
-  ``cancelled`` records.  Appends never rewrite existing bytes; a torn
-  final line (killed mid-append) is detected and skipped at replay.
+* **One append-only file.**  A journal is a directory holding
+  ``journal.jsonl``.  Every submission appends one ``submitted`` record
+  (spec included) and fsyncs before the submit call returns, so an
+  acknowledged job survives a crash of the very next instruction.
+  Terminal transitions append small ``done`` / ``failed`` / ``cancelled``
+  records.  Appends never rewrite existing bytes; a torn final line (killed
+  mid-append) is detected and skipped at replay.
 
-* **Replay + compaction.**  :meth:`JobJournal.replay` folds the segments
+* **Replay + compaction.**  :meth:`JobJournal.replay` folds the records
   into the set of jobs that were submitted but never reached a terminal
   state — exactly the work a restarted service must re-queue.
-  :meth:`JobJournal.compact` rewrites those pending records into one
-  fresh segment through the atomic temp-file + ``os.replace`` pattern
-  (fsync'd before the swap), then deletes the dead segments, bounding the
-  journal's size by the live backlog instead of the service's lifetime.
+  :meth:`JobJournal.compact` rewrites the file down to those pending
+  records through the atomic temp-file + ``os.replace`` pattern (fsync'd
+  before the swap), bounding the journal's size by the live backlog
+  instead of the service's lifetime; the service compacts on every start.
+  ``segment-<n>.jsonl`` files an earlier version rotated through are read
+  first, in index order, and removed by the first compaction.
 
 Journal sizing: a record is ~1.4x the spec's array payload (base64) plus
-~300 bytes of envelope; terminal records are ~150 bytes.  With the default
-16 MiB segment cap, a 64^3 transport job (~4 MB of fields) rotates every
-~3 jobs, and compaction on service start keeps dead segments from
-accumulating.
+~300 bytes of envelope; terminal records are ~150 bytes.
 """
 
 from __future__ import annotations
@@ -52,8 +53,6 @@ import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.line_search import ArmijoLineSearch
-from repro.core.registration import OPTIMIZERS
-from repro.core.regularization import REGULARIZATIONS
 from repro.observability.trace import trace_span
 from repro.service.jobs import (
     JOB_CLASS_INTERACTIVE,
@@ -63,7 +62,7 @@ from repro.service.jobs import (
 )
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite, check_nonnegative, check_real_dtype
+from repro.utils.validation import check_choice, check_nonnegative
 
 LOGGER = get_logger("service.journal")
 
@@ -88,11 +87,12 @@ SPEC_SCHEMA_VERSION = 1
 JOURNAL_SCHEMA = "repro.service-journal"
 JOURNAL_SCHEMA_VERSION = 1
 
+#: The journal file inside the journal directory.
+JOURNAL_FILE = "journal.jsonl"
+
+#: Files an earlier version rotated through: ``segment-<n>.jsonl``.
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
-
-#: Default rotation threshold of the active segment.
-DEFAULT_SEGMENT_BYTES = 16 * 1024 * 1024
 
 
 class MalformedSpecError(ValueError):
@@ -121,21 +121,13 @@ def _decode_array(doc: Any, what: str) -> np.ndarray:
         raw = base64.b64decode(doc["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSpecError(f"{what} is not a valid ndarray document: {exc}") from None
-    try:
-        check_real_dtype(dtype, what)
-    except TypeError as exc:
-        raise MalformedSpecError(str(exc)) from None
     expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
     if len(raw) != expected:
         raise MalformedSpecError(
             f"{what} payload has {len(raw)} bytes, expected {expected} "
             f"for dtype {dtype} and shape {shape}"
         )
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
-    try:
-        return check_finite(array, what)
-    except ValueError as exc:
-        raise MalformedSpecError(str(exc)) from None
+    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 def _encode_grid(grid: Optional[Grid]) -> Optional[Dict[str, Any]]:
@@ -182,7 +174,7 @@ def _decode_options(doc: Any) -> Optional[SolverOptions]:
         fields.pop("cancel_token", None)
         # documents written while the forcing rule was a setting carry it and
         # its constant: the quadratic rule and a usable constant are dropped
-        _check_choice(fields.pop("forcing", "quadratic"), "forcing", ("quadratic",))
+        check_choice(fields.pop("forcing", "quadratic"), "forcing", ("quadratic",))
         if "constant_forcing" in fields:
             check_nonnegative(fields.pop("constant_forcing"), "constant_forcing")
         line_search = fields.pop("line_search", None)
@@ -191,18 +183,6 @@ def _decode_options(doc: Any) -> Optional[SolverOptions]:
         return SolverOptions(**fields)
     except (TypeError, ValueError) as exc:
         raise MalformedSpecError(f"invalid solver-options document: {exc}") from None
-
-
-def _check_choice(value: str, name: str, choices: Tuple[str, ...]) -> str:
-    if value not in choices:
-        raise MalformedSpecError(f"{name} must be one of {choices}, got {value!r}")
-    return value
-
-
-def _check_count(value: int, name: str) -> int:
-    if value < 1:
-        raise MalformedSpecError(f"{name} must be at least 1, got {value}")
-    return value
 
 
 # --------------------------------------------------------------------- #
@@ -250,21 +230,21 @@ def spec_to_dict(spec: Union[RegistrationJobSpec, TransportJobSpec]) -> Dict[str
 def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec]:
     """Reconstruct a job spec from :func:`spec_to_dict` output.
 
+    Decodes the document and builds the spec through its constructor, which
+    owns every rule of a valid job.
+
     Raises
     ------
     MalformedSpecError
-        The document is not a valid v1 jobspec, an array is not real
-        floating-point or integer, a float array holds a NaN or an infinity,
-        an image is not 3-D with every axis at least 2 wide, the arrays'
-        shapes disagree, the regularization, optimizer or a
-        solver option is not one the solver accepts, ``beta`` is not
-        positive and finite, ``smooth_sigma`` is negative or not finite, an
-        ``interpolation`` key names anything but ``cubic_bspline``, a
-        ``normalize`` key is not ``true``, a ``forcing`` key is not
-        ``"quadratic"`` or a ``constant_forcing`` key is negative or not
-        finite, or a time-step or task count is below one (clean,
-        client-facing message — the HTTP front returns it verbatim with a
-        400, before anything is journaled).
+        The document is not a valid v1 jobspec (schema, kind, an array,
+        grid or solver-options document that does not decode), a retired
+        key is set to anything but what every solve now does (an
+        ``interpolation`` other than ``cubic_bspline``, a ``normalize`` that
+        is not ``true``, a ``forcing`` other than ``"quadratic"``, a
+        negative or non-finite ``constant_forcing``), or the spec
+        constructor raised — with the constructor's message.  The message is
+        clean and client-facing: the HTTP front returns it verbatim with a
+        400, before anything is journaled.
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -282,14 +262,10 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     if not isinstance(payload, dict):
         raise MalformedSpecError("jobspec 'spec' section must be a JSON object")
     job_class = document.get("job_class", JOB_CLASS_INTERACTIVE)
-    if not isinstance(job_class, str) or not job_class:
-        raise MalformedSpecError("jobspec 'job_class' must be a non-empty string")
     try:
         if kind == "register":
-            template = _decode_array(payload.get("template"), "template")
-            reference = _decode_array(payload.get("reference"), "reference")
             # documents from before the kernel option name the one kernel
-            _check_choice(
+            check_choice(
                 str(payload.get("interpolation", "cubic_bspline")),
                 "interpolation",
                 ("cubic_bspline",),
@@ -302,49 +278,30 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                     f"got {payload['normalize']!r}"
                 )
             return RegistrationJobSpec(
-                template=template,
-                reference=reference,
+                template=_decode_array(payload.get("template"), "template"),
+                reference=_decode_array(payload.get("reference"), "reference"),
                 beta=float(payload.get("beta", 1e-2)),
-                regularization=_check_choice(
-                    str(payload.get("regularization", "h1")), "regularization", REGULARIZATIONS
-                ),
+                regularization=str(payload.get("regularization", "h1")),
                 incompressible=bool(payload.get("incompressible", False)),
-                num_time_steps=_check_count(
-                    int(payload.get("num_time_steps", 4)), "num_time_steps"
-                ),
+                num_time_steps=int(payload.get("num_time_steps", 4)),
                 gauss_newton=bool(payload.get("gauss_newton", True)),
-                optimizer=_check_choice(
-                    str(payload.get("optimizer", "gauss_newton")), "optimizer", OPTIMIZERS
-                ),
+                optimizer=str(payload.get("optimizer", "gauss_newton")),
                 smooth_sigma=float(payload.get("smooth_sigma", 1.0)),
                 options=_decode_options(payload.get("options")),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
             )
         if kind == "transport":
-            velocity = _decode_array(payload.get("velocity"), "velocity")
-            moving = _decode_array(payload.get("moving"), "moving")
-            if velocity.shape != (3, *moving.shape):
-                raise MalformedSpecError(
-                    f"velocity must have shape {(3, *moving.shape)} for a moving "
-                    f"image of shape {moving.shape}, got {velocity.shape}"
-                )
-            spec = TransportJobSpec(
-                velocity=velocity,
-                moving=moving,
-                num_time_steps=_check_count(
-                    int(payload.get("num_time_steps", 4)), "num_time_steps"
-                ),
-                num_tasks=_check_count(int(payload.get("num_tasks", 4)), "num_tasks"),
+            return TransportJobSpec(
+                velocity=_decode_array(payload.get("velocity"), "velocity"),
+                moving=_decode_array(payload.get("moving"), "moving"),
+                num_time_steps=int(payload.get("num_time_steps", 4)),
+                num_tasks=int(payload.get("num_tasks", 4)),
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
             )
-            spec.decomposition()
-            return spec
-    except MalformedSpecError:
-        raise
     except (TypeError, ValueError) as exc:
-        raise MalformedSpecError(f"invalid {kind} jobspec: {exc}") from None
+        raise MalformedSpecError(str(exc)) from None
     raise MalformedSpecError(
         f"jobspec kind must be 'register' or 'transport', got {kind!r}"
     )
@@ -366,45 +323,28 @@ class PendingJob:
 
 
 class JobJournal:
-    """Append-only, fsync'd, segmented journal of service jobs.
+    """Append-only, fsync'd journal of service jobs in one file.
 
     Parameters
     ----------
     directory:
-        Journal directory (created on first use).  One directory belongs
-        to one service process at a time.
-    max_segment_bytes:
-        Rotation threshold of the active segment.
+        Journal directory (created on first use); the records go to
+        ``<directory>/journal.jsonl``.  One directory belongs to one service
+        process at a time.
 
     Every record is forced to stable storage before its append returns —
     the durability the kill -9 test pins.
     """
 
-    def __init__(
-        self,
-        directory: Union[str, Path],
-        max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-    ) -> None:
-        if max_segment_bytes < 1:
-            raise ValueError(
-                f"max_segment_bytes must be positive, got {max_segment_bytes}"
-            )
+    def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_segment_bytes = int(max_segment_bytes)
+        self.path = self.directory / JOURNAL_FILE
         self._lock = threading.Lock()
-        self._active: Optional[Any] = None  # open file handle of the active segment
-        indices = [index for index, _ in self._segments()]
-        self._active_index = max(indices) if indices else 0
+        self._active: Optional[Any] = None  # open append handle of the file
 
-    # ------------------------------------------------------------------ #
-    # segment bookkeeping
-    # ------------------------------------------------------------------ #
-    def _segment_path(self, index: int) -> Path:
-        return self.directory / f"{_SEGMENT_PREFIX}{index:08d}{_SEGMENT_SUFFIX}"
-
-    def _segments(self) -> List[Tuple[int, Path]]:
-        """(index, path) of every segment on disk, sorted by index."""
+    def _legacy_segments(self) -> List[Path]:
+        """``segment-<n>.jsonl`` files of an earlier version, by index."""
         segments: List[Tuple[int, Path]] = []
         for path in self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"):
             stem = path.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
@@ -412,30 +352,14 @@ class JobJournal:
                 segments.append((int(stem), path))
             except ValueError:  # foreign file; never touch it
                 continue
-        segments.sort()
-        return segments
+        return [path for _, path in sorted(segments)]
 
-    def _open_active(self) -> Any:
-        if self._active is None or self._active.closed:
-            if self._active_index == 0:
-                self._active_index = 1
-            self._active = open(  # noqa: SIM115 - long-lived append handle
-                self._segment_path(self._active_index), "a", encoding="utf-8"
-            )
-        return self._active
-
-    def _rotate_if_needed(self) -> None:
-        # caller holds the lock; the active handle is open
-        if self._active.tell() < self.max_segment_bytes:
-            return
-        self._active.close()
-        self._active_index += 1
-        self._active = open(  # noqa: SIM115 - long-lived append handle
-            self._segment_path(self._active_index), "a", encoding="utf-8"
-        )
+    def _files(self) -> List[Path]:
+        """Every file holding records, oldest first."""
+        return self._legacy_segments() + ([self.path] if self.path.exists() else [])
 
     def close(self) -> None:
-        """Close the active segment handle (the journal stays replayable)."""
+        """Close the append handle (the journal stays replayable)."""
         with self._lock:
             if self._active is not None and not self._active.closed:
                 self._active.close()
@@ -446,11 +370,11 @@ class JobJournal:
     def _append(self, record: Dict[str, Any]) -> None:
         line = json.dumps(record, sort_keys=True)
         with self._lock:
-            handle = self._open_active()
-            handle.write(line + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-            self._rotate_if_needed()
+            if self._active is None or self._active.closed:
+                self._active = open(self.path, "a", encoding="utf-8")  # noqa: SIM115
+            self._active.write(line + "\n")
+            self._active.flush()
+            os.fsync(self._active.fileno())
 
     def _record(self, event: str, job_id: str, **extra: Any) -> Dict[str, Any]:
         return {
@@ -487,12 +411,12 @@ class JobJournal:
     # replay + compaction
     # ------------------------------------------------------------------ #
     def _iter_records(self) -> Iterator[Dict[str, Any]]:
-        segments = self._segments()
-        for position, (_, path) in enumerate(segments):
+        files = self._files()
+        for position, path in enumerate(files):
             text = path.read_text(encoding="utf-8")
             lines = text.split("\n")
             # a file killed mid-append may end in a torn line (no trailing
-            # newline); only the FINAL line of the FINAL segment may be
+            # newline); only the FINAL line of the FINAL file may be
             # legitimately torn — anything else is corruption worth a warning
             for line_number, line in enumerate(lines):
                 if not line:
@@ -500,9 +424,9 @@ class JobJournal:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError:
-                    last_segment = position == len(segments) - 1
+                    last_file = position == len(files) - 1
                     torn_tail = line_number == len(lines) - 1 and not text.endswith("\n")
-                    if last_segment and torn_tail:
+                    if last_file and torn_tail:
                         LOGGER.warning(
                             "journal %s: skipping torn final record (crash mid-append)",
                             path.name,
@@ -551,20 +475,18 @@ class JobJournal:
     def compact(self) -> List[PendingJob]:
         """Rewrite the journal down to its pending records; return them.
 
-        The surviving records are written to a fresh segment through the
-        atomic temp-file + ``os.replace`` pattern (fsync'd before the
-        swap), and the dead segments are removed afterwards — a crash at
-        any point leaves either the old segment set or the compacted one,
-        never a mix missing live records.
+        The surviving records are written to a temp file, fsync'd and swapped
+        in with ``os.replace``; legacy segments are removed after the swap.
+        A crash at any point leaves either the old records or the compacted
+        ones (plus segments whose records the compacted file repeats), never
+        a journal missing a live record.
         """
         with self._lock:
             if self._active is not None and not self._active.closed:
                 self._active.close()
             pending = self.replay()
-            old_segments = self._segments()
-            next_index = (old_segments[-1][0] + 1) if old_segments else 1
-            target = self._segment_path(next_index)
-            tmp = target.with_suffix(target.suffix + ".tmp")
+            segments = self._legacy_segments()
+            tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
                 for entry in pending:
                     record = self._record(
@@ -577,10 +499,9 @@ class JobJournal:
                     handle.write(json.dumps(record, sort_keys=True) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
-            os.replace(tmp, target)
-            for _, path in old_segments:
+            os.replace(tmp, self.path)
+            for path in segments:
                 path.unlink(missing_ok=True)
-            self._active_index = next_index
             self._active = None
             return pending
 
@@ -588,10 +509,7 @@ class JobJournal:
     def stats(self) -> Dict[str, Any]:
         """Journal shape for ``service_stats()`` / ``GET /stats``."""
         with self._lock:
-            segments = self._segments()
             return {
                 "directory": str(self.directory),
-                "segments": len(segments),
-                "bytes": sum(path.stat().st_size for _, path in segments),
-                "max_segment_bytes": self.max_segment_bytes,
+                "bytes": sum(path.stat().st_size for path in self._files()),
             }

@@ -15,9 +15,9 @@ credit never turns into a retaliatory burst.
 Within the chosen class, claiming is FIFO with one twist: workers claim
 *batches*.  :meth:`claim_batch` pops the oldest queued job and — when it
 is batchable — scans the rest of its class for jobs with the same
-:func:`~repro.service.batching.batch_key`, pulling up to ``max_batch`` of
-them out of order.  Compatible jobs therefore coalesce at *claim* time
-with no artificial waiting when the queue is short.
+:func:`batch_key`, pulling up to ``max_batch`` of them out of order.
+Compatible jobs therefore coalesce at *claim* time with no artificial
+waiting when the queue is short.
 
 Cancellation races are resolved here: a job can be cancelled exactly
 while it is still in its deque, and the CANCELLED transition happens
@@ -37,13 +37,13 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, Hashable, List, Optional
 
 from repro.observability.metrics import get_metrics_registry
-from repro.service.batching import batch_key
+from repro.runtime.plan_pool import array_fingerprint
 from repro.service.jobs import Job, JobStatus
 
-__all__ = ["DEFAULT_CLASS_WEIGHTS", "SubmissionQueue"]
+__all__ = ["DEFAULT_CLASS_WEIGHTS", "SubmissionQueue", "batch_key"]
 
 #: Fixed claim weights; any class not listed here claims with weight 1.
 #: Interactive jobs get 4x the claim rate of atlas-burst jobs.
@@ -58,6 +58,27 @@ _QUEUE_DEPTH_GAUGE = get_metrics_registry().gauge(
 _CLAIMED_COUNTER = get_metrics_registry().counter(
     "service.jobs_claimed", "service jobs claimed by workers, by job class"
 )
+
+
+def batch_key(spec) -> Optional[Hashable]:
+    """Batch-compatibility key of a job spec, or ``None`` when unbatchable.
+
+    Two specs with equal keys produce bitwise-identical results whether they
+    are solved together (one ``solve_state_many`` stack: one ghost exchange
+    and one ``alltoallv`` per time step) or alone: the key holds every
+    ingredient of the distributed scatter plans — grid, time step, task
+    count and the velocity *content* (departure points are ``x - dt·v``).
+    Registrations never merge (each is its own Gauss-Newton solve).
+    """
+    if spec.kind != "transport":
+        return None
+    return (
+        "transport",
+        spec.resolved_grid().shape,
+        int(spec.num_time_steps),
+        int(spec.num_tasks),
+        array_fingerprint(spec.velocity),
+    )
 
 
 class SubmissionQueue:

@@ -19,7 +19,7 @@ What the service adds over a loop of direct calls:
   data belongs to its problem and is released when the job's solve ends.
 * **Micro-batching.**  Compatible transport jobs (same grid, time step,
   task layout and velocity — see
-  :func:`~repro.service.batching.batch_key`) are claimed together and ride
+  :func:`~repro.service.queue.batch_key`) are claimed together and ride
   one ``solve_state_many`` stack: one ghost-exchange round and one return
   ``alltoallv`` per time step for the whole batch, results bitwise
   identical to solving each job alone.
@@ -182,19 +182,10 @@ class RegistrationService:
     # ------------------------------------------------------------------ #
     def submit_registration(self, spec: RegistrationJobSpec) -> Job:
         """Queue one registration solve; returns immediately with a handle."""
-        return self._submit(spec)
+        return self._enqueue(spec)
 
     def submit_transport(self, spec: TransportJobSpec) -> Job:
-        """Queue one distributed transport solve (micro-batchable).
-
-        Raises ``ValueError`` — before anything is journaled or queued — when
-        ``spec.num_tasks`` cannot decompose its grid
-        (:meth:`~repro.service.jobs.TransportJobSpec.decomposition`).
-        """
-        spec.decomposition()
-        return self._submit(spec)
-
-    def _submit(self, spec) -> Job:
+        """Queue one distributed transport solve (micro-batchable)."""
         return self._enqueue(spec)
 
     def _enqueue(self, spec, job_id: Optional[str] = None, journal: bool = True) -> Job:

@@ -7,6 +7,7 @@ optimization, parallel substrate) can use them freely.
 
 from repro.utils.logging import get_logger, set_verbosity
 from repro.utils.validation import (
+    check_choice,
     check_finite,
     check_positive,
     check_positive_int,
@@ -19,6 +20,7 @@ from repro.utils.validation import (
 __all__ = [
     "get_logger",
     "set_verbosity",
+    "check_choice",
     "check_finite",
     "check_positive",
     "check_positive_int",

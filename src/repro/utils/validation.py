@@ -7,7 +7,7 @@ numpy broadcasting failure three layers down.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Any, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,13 @@ def check_positive_int(value: int, name: str) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return int(value)
+
+
+def check_choice(value: Any, name: str, choices: Sequence[Any]) -> Any:
+    """Ensure *value* is one of *choices*."""
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+    return value
 
 
 def check_probability(value: float, name: str) -> float:

@@ -354,7 +354,7 @@ class TestRegistrationFrontEnd:
     def test_unknown_choice_rejected_at_construction(self, synthetic, name, entry):
         """Named at the boundary, before any image is preprocessed."""
         before = transforms()
-        with pytest.raises(ValueError, match=f"unknown {name} 'foo'"):
+        with pytest.raises(ValueError, match=f"{name} must be one of .*, got 'foo'"):
             if entry == "solver":
                 RegistrationSolver(**{name: "foo"}, options=quick_options())
             else:

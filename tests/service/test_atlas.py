@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.data.synthetic import synthetic_population
-from repro.service import RegistrationService
+from repro.service import RegistrationService, workers
 from repro.service.atlas import run_atlas, submit_atlas
 
 
@@ -70,9 +70,18 @@ class TestRunAtlas:
         )
         assert atlas.num_succeeded == 2
 
-    def test_partial_failure_keeps_survivors(self, population, fast_options):
-        # the second subject fails in the worker: a NaN voxel
-        subjects = [population.subjects[0], np.full_like(population.subjects[1], np.nan)]
+    def test_partial_failure_keeps_survivors(self, population, fast_options, monkeypatch):
+        # the second subject fails in the worker (injected: a subject that
+        # fails its spec's checks is rejected before anything is queued)
+        subjects = [population.subjects[0], population.subjects[1].copy()]
+        real_register = workers.register
+
+        def register(template, reference, **kwargs):
+            if template is subjects[1]:
+                raise RuntimeError("injected solver failure")
+            return real_register(template, reference, **kwargs)
+
+        monkeypatch.setattr(workers, "register", register)
         with RegistrationService(num_workers=1) as service:
             atlas = run_atlas(
                 population.atlas,
@@ -86,10 +95,15 @@ class TestRunAtlas:
         assert atlas.results[1] is None
         assert atlas.mean_deformed is not None  # averaged over the survivor
 
-    def test_bad_subject_shape_queues_nothing(self, population, fast_options):
-        subjects = [population.subjects[0], np.zeros((10, 10, 10))]
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(np.zeros((10, 10, 10)), "must share a shape"), (np.full((8, 8, 8), np.nan), "non-finite")],
+        ids=["shape", "nan"],
+    )
+    def test_bad_subject_queues_nothing(self, population, fast_options, bad, message):
+        subjects = [population.subjects[0], bad]
         with RegistrationService(num_workers=1) as service:
-            with pytest.raises(ValueError, match="must share a shape"):
+            with pytest.raises(ValueError, match=message):
                 run_atlas(population.atlas, subjects, service=service, options=fast_options)
             assert service.service_stats()["jobs_submitted"] == 0
 

@@ -7,8 +7,8 @@ import pytest
 
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
-from repro.service.batching import batch_key, group_compatible, stack_compatible
 from repro.service.jobs import RegistrationJobSpec, TransportJobSpec
+from repro.service.queue import batch_key
 from repro.spectral.grid import Grid
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
@@ -43,28 +43,6 @@ class TestBatchKey:
         assert batch_key(base) != batch_key(_spec(grid, num_tasks=2))  # layout
         other_grid = make_grid(10)
         assert batch_key(base) != batch_key(_spec(other_grid))  # grid
-
-
-class TestGrouping:
-    def test_greedy_grouping_respects_order_and_cap(self, grid):
-        a = [_spec(grid, seed=1) for _ in range(3)]
-        b = [_spec(grid, seed=2) for _ in range(2)]
-        groups = group_compatible([a[0], b[0], a[1], b[1], a[2]], max_batch=2)
-        assert groups == [[a[0], a[1]], [b[0], b[1]], [a[2]]]
-
-    def test_unbatchable_specs_are_singletons(self, grid):
-        reg = RegistrationJobSpec(
-            template=smooth_scalar_field(grid, seed=1),
-            reference=smooth_scalar_field(grid, seed=2),
-        )
-        groups = group_compatible([reg, reg], max_batch=4)
-        assert groups == [[reg], [reg]]
-
-    def test_stack_compatible(self, grid):
-        same = [_spec(grid, seed=3), _spec(grid, seed=3)]
-        assert stack_compatible(same)
-        assert not stack_compatible([_spec(grid, seed=3), _spec(grid, seed=4)])
-        assert not stack_compatible([])
 
 
 @pytest.mark.mpi

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
 import urllib.error
@@ -164,15 +165,28 @@ class TestSubmitAndStatus:
 
 
 class TestMalformedSubmissions:
-    def test_invalid_json_is_400(self, served):
-        _, base = served
-        request = urllib.request.Request(
-            f"{base}/jobs", data=b"{not json", method="POST"
-        )
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=30)
-        assert excinfo.value.code == 400
-        assert "not valid JSON" in json.load(excinfo.value)["error"]
+    @pytest.mark.parametrize(
+        "body, length, message",
+        [
+            (b"{not json", None, "not valid JSON"),
+            (b"{}", "abc", "Content-Length must be an integer, got 'abc'"),
+        ],
+        ids=["invalid-json", "non-integer-content-length"],
+    )
+    def test_malformed_request_is_400(self, served, body, length, message):
+        service, base = served
+        host, port = base.rsplit("/", 1)[1].split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=30)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Length", str(len(body)) if length is None else length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            assert response.status == 400
+            assert message in json.load(response)["error"]
+        finally:
+            connection.close()
+        assert service.service_stats()["jobs_submitted"] == 0
 
     def test_empty_body_is_400(self, served):
         _, base = served

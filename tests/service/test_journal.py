@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -152,7 +153,69 @@ class TestSpecRoundTrip:
         assert spec_from_dict(doc).options.cancel_token is None
 
 
+def _poked(name, value):
+    """Factory of a copy of a spec's *name* array with one entry set to *value*."""
+
+    def make(spec):
+        array = getattr(spec, name).copy()
+        array.flat[7] = value
+        return array
+
+    return make
+
+
+#: One bad value per rule of a valid job: (spec kind, field, the value or a
+#: factory of it from a valid spec).
+BAD_JOB_FIELDS = [
+    pytest.param("register", "regularization", "h9", id="regularization"),
+    pytest.param("register", "optimizer", "bfgs", id="optimizer"),
+    pytest.param("register", "num_time_steps", 0, id="register-nt"),
+    pytest.param("register", "beta", 0.0, id="beta-zero"),
+    pytest.param("register", "beta", float("nan"), id="beta-nan"),
+    pytest.param("register", "smooth_sigma", -1.0, id="sigma-negative"),
+    pytest.param("register", "smooth_sigma", float("inf"), id="sigma-inf"),
+    pytest.param("register", "job_class", "", id="register-job-class"),
+    pytest.param("register", "grid", make_grid(10), id="register-grid"),
+    pytest.param("register", "template", _poked("template", np.nan), id="template-nan"),
+    pytest.param("register", "reference", _poked("reference", np.inf), id="reference-inf"),
+    pytest.param(
+        "register", "template", lambda spec: spec.template.astype(np.complex128),
+        id="template-complex",
+    ),
+    pytest.param(
+        "register", "reference", lambda spec: np.zeros((8, 8, 10)), id="reference-shape"
+    ),
+    pytest.param("transport", "velocity", _poked("velocity", np.nan), id="velocity-nan"),
+    pytest.param("transport", "moving", _poked("moving", -np.inf), id="moving-inf"),
+    pytest.param(
+        "transport", "moving", lambda spec: spec.moving.astype(np.complex128),
+        id="moving-complex",
+    ),
+    pytest.param("transport", "velocity", lambda spec: spec.velocity[:2], id="velocity-shape"),
+    pytest.param("transport", "num_time_steps", 0, id="transport-nt"),
+    pytest.param("transport", "num_tasks", 0, id="num-tasks"),
+    pytest.param("transport", "num_tasks", 7, id="thin-pencil"),
+    pytest.param("transport", "grid", make_grid(10), id="transport-grid"),
+    pytest.param("transport", "job_class", "", id="transport-job-class"),
+]
+
+
 class TestMalformedSpecs:
+    @pytest.mark.parametrize("kind, name, bad", BAD_JOB_FIELDS)
+    def test_constructor_and_decoder_agree(self, kind, name, bad):
+        """One definition of a valid job: a Python-built spec raises at
+        construction, and its document gets the same message from the
+        decoder."""
+        spec = _registration_spec() if kind == "register" else _transport_spec()
+        value = bad(spec) if callable(bad) else bad
+        with pytest.raises((TypeError, ValueError)) as built:
+            dataclasses.replace(spec, **{name: value})
+        assert name in str(built.value)
+        setattr(spec, name, value)
+        with pytest.raises(MalformedSpecError) as decoded:
+            spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        assert str(decoded.value) == str(built.value)
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -182,22 +245,6 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpecError):
             spec_from_dict(doc)
 
-    @pytest.mark.parametrize(
-        "kind, name, value",
-        [
-            ("register", "template", np.nan),
-            ("register", "reference", np.inf),
-            ("transport", "velocity", -np.inf),
-            ("transport", "moving", np.nan),
-        ],
-    )
-    def test_non_finite_arrays_raise_malformed(self, kind, name, value):
-        spec = _registration_spec() if kind == "register" else _transport_spec()
-        getattr(spec, name).flat[7] = value
-        doc = json.loads(json.dumps(spec_to_dict(spec), allow_nan=False))
-        with pytest.raises(MalformedSpecError, match=f"{name} has 1 non-finite value"):
-            spec_from_dict(doc)
-
     def test_registration_shape_mismatch_raises_malformed(self):
         doc = with_images(
             spec_to_dict(_registration_spec()),
@@ -223,28 +270,24 @@ class TestMalformedSpecs:
         ids=["components", "grid", "rank"],
     )
     def test_transport_velocity_shape_mismatch_raises_malformed(self, velocity_shape):
-        spec = TransportJobSpec(
-            velocity=np.zeros(velocity_shape), moving=_transport_spec().moving
-        )
-        with pytest.raises(MalformedSpecError, match=r"velocity must have shape \(3, 8, 8, 8\)"):
+        spec = _transport_spec()
+        message = r"velocity must have shape \(3, 8, 8, 8\)"
+        with pytest.raises(ValueError, match=message):
+            TransportJobSpec(velocity=np.zeros(velocity_shape), moving=spec.moving)
+        spec.velocity = np.zeros(velocity_shape)
+        with pytest.raises(MalformedSpecError, match=message):
             spec_from_dict(spec_to_dict(spec))
 
     @pytest.mark.parametrize(
-        "kind, field, value, message",
+        "field, value, message",
         [
-            ("register", "interpolation", "bogus", "interpolation must be one of"),
-            ("register", "normalize", False, "normalize must be true"),
-            ("register", "normalize", "yes", "normalize must be true"),
-            ("register", "regularization", "h9", "regularization must be one of"),
-            ("register", "optimizer", "adam", "optimizer must be one of"),
-            ("register", "num_time_steps", 0, "num_time_steps must be at least 1"),
-            ("transport", "num_time_steps", -2, "num_time_steps must be at least 1"),
-            ("transport", "num_tasks", 0, "num_tasks must be at least 1"),
+            ("interpolation", "bogus", "interpolation must be one of"),
+            ("normalize", False, "normalize must be true"),
+            ("normalize", "yes", "normalize must be true"),
         ],
     )
-    def test_settings_the_solver_cannot_run_raise_malformed(self, kind, field, value, message):
-        spec = _registration_spec() if kind == "register" else _transport_spec()
-        doc = spec_to_dict(spec)
+    def test_retired_keys_set_otherwise_raise_malformed(self, field, value, message):
+        doc = spec_to_dict(_registration_spec())
         doc["spec"][field] = value
         with pytest.raises(MalformedSpecError, match=message):
             spec_from_dict(doc)
@@ -326,8 +369,8 @@ class TestJournalReplay:
         journal.record_submitted(safe)
         journal.close()
         # simulate a crash mid-append: a torn, newline-less final record
-        (segment,) = sorted(tmp_path.glob("segment-*.jsonl"))
-        with open(segment, "a", encoding="utf-8") as handle:
+        path = tmp_path / "journal.jsonl"
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write('{"schema": "repro.service-journal", "event": "subm')
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [safe.job_id]
 
@@ -336,8 +379,8 @@ class TestJournalReplay:
         job = _job(_transport_spec())
         journal.record_submitted(job)
         journal.close()
-        (segment,) = sorted(tmp_path.glob("segment-*.jsonl"))
-        with open(segment, "a", encoding="utf-8") as handle:
+        path = tmp_path / "journal.jsonl"
+        with open(path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps({"schema": "someone-else", "event": "x"}) + "\n")
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [job.job_id]
 
@@ -350,11 +393,11 @@ class TestJournalReplay:
         job = _job(spec)
         journal.record_submitted(job)
         journal.close()
-        (segment,) = sorted(tmp_path.glob("segment-*.jsonl"))
-        record = json.loads(segment.read_text(encoding="utf-8"))
+        path = tmp_path / "journal.jsonl"
+        record = json.loads(path.read_text(encoding="utf-8"))
         record["spec"]["spec"]["normalize"] = True
         record["spec"]["spec"]["options"].update(forcing="quadratic", constant_forcing=0.1)
-        segment.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
             (recovered,) = service.recovered_jobs
             assert recovered.job_id == job.job_id
@@ -379,36 +422,27 @@ class TestJournalReplay:
             JobJournal(tmp_path, fsync_on_commit=False)
 
 
-class TestSegmentsAndCompaction:
-    def test_appends_rotate_segments(self, tmp_path):
-        journal = JobJournal(tmp_path, max_segment_bytes=1024)
-        for seed in range(3):
-            journal.record_submitted(_job(_transport_spec(seed=seed)))
-        journal.close()
-        assert len(list(tmp_path.glob("segment-*.jsonl"))) >= 2
-        assert len(JobJournal(tmp_path).replay()) == 3
-
-    def test_compact_drops_dead_segments_keeps_pending(self, tmp_path):
-        journal = JobJournal(tmp_path, max_segment_bytes=1024)
+class TestCompaction:
+    def test_compact_drops_finished_records_keeps_pending(self, tmp_path):
+        journal = JobJournal(tmp_path)
         jobs = [_job(_transport_spec(seed=s)) for s in range(4)]
         for job in jobs:
             journal.record_submitted(job)
         for job in jobs[:3]:
             job._complete(None)
             journal.record_terminal(job)
-        bytes_before = sum(p.stat().st_size for p in tmp_path.glob("segment-*.jsonl"))
+        bytes_before = journal.stats()["bytes"]
         pending = journal.compact()
         assert [e.job_id for e in pending] == [jobs[3].job_id]
-        segments = list(tmp_path.glob("segment-*.jsonl"))
-        assert len(segments) == 1
-        assert segments[0].stat().st_size < bytes_before
+        assert [p.name for p in tmp_path.iterdir()] == ["journal.jsonl"]
+        assert journal.stats()["bytes"] < bytes_before
         # the compacted journal replays identically (second-crash safety)
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [jobs[3].job_id]
 
     def test_compact_empty_journal(self, tmp_path):
         assert JobJournal(tmp_path).compact() == []
 
-    def test_append_after_compact_lands_in_fresh_segment(self, tmp_path):
+    def test_append_after_compact_survives_replay(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.record_submitted(_job(_transport_spec(seed=1)))
         journal.compact()
@@ -418,14 +452,41 @@ class TestSegmentsAndCompaction:
         ids = {e.job_id for e in JobJournal(tmp_path).replay()}
         assert late.job_id in ids and len(ids) == 2
 
+    def test_legacy_segments_replay_in_order_and_compact_away(self, tmp_path):
+        """Two ``segment-<n>.jsonl`` files as an earlier version rotated them,
+        with pending jobs in both: replayed across the files in index order,
+        re-queued under their ids, and compacted into ``journal.jsonl``."""
+        writer = JobJournal(tmp_path / "writer")
+        jobs = [_job(_transport_spec(seed=s)) for s in range(4)]
+        for job in jobs:
+            writer.record_submitted(job)
+        jobs[1]._complete(None)
+        writer.record_terminal(jobs[1])
+        writer.close()
+        # the record format is unchanged; only the file layout is legacy
+        lines = writer.path.read_text(encoding="utf-8").splitlines(keepends=True)
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        (legacy / "segment-00000001.jsonl").write_text("".join(lines[:2]), encoding="utf-8")
+        (legacy / "segment-00000002.jsonl").write_text("".join(lines[2:]), encoding="utf-8")
+        pending = [jobs[0], jobs[2], jobs[3]]
+        pending_ids = [job.job_id for job in pending]
+        assert [e.job_id for e in JobJournal(legacy).replay()] == pending_ids
+        with RegistrationService(num_workers=1, journal_dir=legacy) as service:
+            assert [job.job_id for job in service.recovered_jobs] == pending_ids
+            assert [p.name for p in legacy.iterdir()] == ["journal.jsonl"]
+            results = service.gather(service.recovered_jobs, timeout=120)
+        for job, result in zip(pending, results):
+            assert result.shape == job.spec.moving.shape
+        assert JobJournal(legacy).replay() == []
+
     def test_stats_shape(self, tmp_path):
         journal = JobJournal(tmp_path)
         journal.record_submitted(_job(_transport_spec()))
         stats = journal.stats()
-        assert stats["segments"] == 1
-        assert stats["bytes"] > 0
-        assert "fsync_on_commit" not in stats
+        assert set(stats) == {"directory", "bytes"}
+        assert stats["bytes"] == (tmp_path / "journal.jsonl").stat().st_size > 0
 
-    def test_rejects_non_positive_segment_size(self, tmp_path):
-        with pytest.raises(ValueError, match="positive"):
-            JobJournal(tmp_path, max_segment_bytes=0)
+    def test_segment_size_is_not_an_option(self, tmp_path):
+        with pytest.raises(TypeError):
+            JobJournal(tmp_path, max_segment_bytes=1024)

@@ -13,6 +13,7 @@ from repro.service.jobs import (
     Job,
     JobCancelledError,
     JobStatus,
+    RegistrationJobSpec,
     TransportJobSpec,
 )
 from repro.service.queue import DEFAULT_CLASS_WEIGHTS, SubmissionQueue
@@ -77,6 +78,16 @@ class TestFifoAndClaim:
         assert len(queue.claim_batch(max_batch=2)) == 2
         assert len(queue.claim_batch(max_batch=2)) == 2
         assert len(queue.claim_batch(max_batch=2)) == 1
+
+    def test_registration_jobs_are_claimed_alone(self, queue, service):
+        """Registrations have no batch key: equal specs still claim one by one."""
+        image = np.random.default_rng(0).standard_normal((8, 8, 8))
+        spec = RegistrationJobSpec(template=image, reference=image)
+        jobs = [Job(spec, service) for _ in range(2)]
+        for job in jobs:
+            queue.submit(job)
+        assert queue.claim_batch(max_batch=4) == [jobs[0]]
+        assert queue.claim_batch(max_batch=4) == [jobs[1]]
 
     def test_claim_timeout_returns_none(self, queue):
         assert queue.claim_batch(max_batch=1, timeout=0.05) is None

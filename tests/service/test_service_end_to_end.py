@@ -20,6 +20,7 @@ from repro.service import (
     RegistrationJobSpec,
     RegistrationService,
     TransportJobSpec,
+    workers,
 )
 from repro.service.journal import JobJournal
 
@@ -34,6 +35,25 @@ def fast_options():
 @pytest.fixture(scope="module")
 def tiny_problem():
     return synthetic_registration_problem(8)
+
+
+@pytest.fixture()
+def doomed_reference(monkeypatch, tiny_problem):
+    """A reference whose registration raises in the worker.
+
+    The failure is injected: a spec that fails its checks never reaches a
+    worker, so a worker failure needs a valid spec.
+    """
+    doomed = tiny_problem.reference.copy()
+    real_register = workers.register
+
+    def register(template, reference, **kwargs):
+        if reference is doomed:
+            raise RuntimeError("injected solver failure")
+        return real_register(template, reference, **kwargs)
+
+    monkeypatch.setattr(workers, "register", register)
+    return doomed
 
 
 def _transport_spec(grid, seed=5, moving_seed=None):
@@ -84,19 +104,21 @@ class TestRegistrationJobs:
 
 
 class TestFailureIsolation:
-    def test_worker_exception_fails_the_job_not_the_queue(self, tiny_problem, fast_options):
+    def test_worker_exception_fails_the_job_not_the_queue(
+        self, tiny_problem, fast_options, doomed_reference
+    ):
         grid = make_grid(8)
         with RegistrationService(num_workers=1) as service:
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=np.full_like(tiny_problem.reference, np.nan),  # fails in the worker
+                    reference=doomed_reference,
                     options=fast_options,
                 )
             )
             good = service.submit_transport(_transport_spec(grid))
             # the failed job reports status/traceback...
-            with pytest.raises(JobFailedError, match="non-finite"):
+            with pytest.raises(JobFailedError, match="injected solver failure"):
                 bad.result(timeout=120)
             assert bad.status is JobStatus.FAILED
             assert bad.record.error is not None
@@ -104,48 +126,54 @@ class TestFailureIsolation:
             # ... and the queue keeps serving later jobs (no hang)
             assert good.result(timeout=120).shape == grid.shape
 
-    def test_non_finite_voxel_fails_the_job_with_a_named_error(
-        self, tiny_problem, fast_options
-    ):
+    def test_bad_specs_raise_at_construction_and_journal_nothing(self, tiny_problem, tmp_path):
+        """Regression: a NaN velocity used to finish ``done`` with an all-NaN
+        result, and a NaN voxel or ``regularization="h9"`` was journaled and
+        queued, then failed in the worker."""
+        grid = make_grid(8)
+        velocity = smooth_velocity_field(grid, seed=5)
+        velocity[0, 1, 2, 3] = np.nan
         template = tiny_problem.template.copy()
         template[1, 2, 3] = np.nan
-        with RegistrationService(num_workers=1) as service:
-            job = service.submit_registration(
-                RegistrationJobSpec(
-                    template=template,
-                    reference=tiny_problem.reference,
-                    options=fast_options,
+        images = dict(template=tiny_problem.template, reference=tiny_problem.reference)
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            with pytest.raises(ValueError, match="velocity has 1 non-finite value"):
+                service.submit_transport(
+                    TransportJobSpec(velocity=velocity, moving=tiny_problem.template)
                 )
-            )
-            with pytest.raises(JobFailedError, match="template has 1 non-finite value"):
-                job.result(timeout=120)
-        assert job.status is JobStatus.FAILED
-        assert "IndexError" not in job.record.traceback
+            with pytest.raises(ValueError, match="template has 1 non-finite value"):
+                service.submit_registration(
+                    RegistrationJobSpec(template=template, reference=tiny_problem.reference)
+                )
+            with pytest.raises(ValueError, match="regularization must be one of"):
+                service.submit_registration(RegistrationJobSpec(**images, regularization="h9"))
+            assert service.service_stats()["jobs_submitted"] == 0
+        assert JobJournal(tmp_path).replay() == []
 
-    def test_failed_transport_batch_fails_every_member(self):
-        grid = make_grid(8)
-        bad_spec = TransportJobSpec(
-            velocity=np.zeros((3, 9, 9, 9)),  # wrong shape for its grid
-            moving=smooth_scalar_field(grid, seed=2),
-            grid=grid,
-        )
+    def test_failed_transport_batch_fails_every_member(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected transport failure")
+
+        monkeypatch.setattr(DistributedTransportSolver, "solve_state_many", fail)
+        spec = _transport_spec(make_grid(8))
         with RegistrationService(num_workers=1, max_batch=2) as service:
-            jobs = [service.submit_transport(bad_spec) for _ in range(2)]
+            jobs = [service.submit_transport(spec) for _ in range(2)]
             service.drain()
         assert all(job.status is JobStatus.FAILED for job in jobs)
+        assert all(job.record.batch_size == 2 for job in jobs)
         assert all(job.record.traceback for job in jobs)
 
     @pytest.mark.parametrize("num_tasks", [7, 32, 64])
-    def test_thin_pencil_is_rejected_at_submit(self, num_tasks, tmp_path):
+    def test_thin_pencil_is_rejected_at_construction(self, num_tasks):
         """Regression: 8^3 on 7 / 32 / 64 tasks used to be journaled, then
         fail in the worker with a ghost-width error."""
-        spec = _transport_spec(make_grid(8))
-        spec.num_tasks = num_tasks
-        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
-            with pytest.raises(ValueError, match=f"num_tasks={num_tasks} splits the"):
-                service.submit_transport(spec)
-            assert service.service_stats()["jobs_submitted"] == 0
-        assert JobJournal(tmp_path).replay() == []
+        grid = make_grid(8)
+        with pytest.raises(ValueError, match=f"num_tasks={num_tasks} splits the"):
+            TransportJobSpec(
+                velocity=smooth_velocity_field(grid, seed=5),
+                moving=smooth_scalar_field(grid, seed=50),
+                num_tasks=num_tasks,
+            )
 
     @pytest.mark.parametrize("num_tasks", [9, 16])
     def test_pencils_two_points_wide_run(self, num_tasks):
@@ -160,14 +188,14 @@ class TestFailureIsolation:
         )
         np.testing.assert_array_equal(result, expected)
 
-    def test_gather_partial_results(self, tiny_problem, fast_options):
+    def test_gather_partial_results(self, tiny_problem, fast_options, doomed_reference):
         grid = make_grid(8)
         with RegistrationService(num_workers=1) as service:
             good = service.submit_transport(_transport_spec(grid))
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=np.full_like(tiny_problem.reference, np.nan),
+                    reference=doomed_reference,
                     options=fast_options,
                 )
             )
@@ -243,14 +271,16 @@ class TestMicroBatching:
 
 
 class TestArtifactsAndStats:
-    def test_artifacts_written_for_done_and_failed(self, tmp_path, tiny_problem, fast_options):
+    def test_artifacts_written_for_done_and_failed(
+        self, tmp_path, tiny_problem, fast_options, doomed_reference
+    ):
         grid = make_grid(8)
         with RegistrationService(num_workers=1, artifacts_dir=tmp_path) as service:
             ok = service.submit_transport(_transport_spec(grid))
             bad = service.submit_registration(
                 RegistrationJobSpec(
                     template=tiny_problem.template,
-                    reference=np.full_like(tiny_problem.reference, np.nan),
+                    reference=doomed_reference,
                     options=fast_options,
                 )
             )
