@@ -68,11 +68,15 @@ def test_bench_transport_batching(record_text, record_json):
     comm = SimulatedCommunicator(deco.num_tasks)
     plan = ScatterInterpolationPlan(grid, deco, comm, points)
 
+    def interpolate_one(blocks):
+        """One field as a ``B = 1`` stack: values per rank, shape ``(M_r,)``."""
+        return [values[0] for values in plan.interpolate_many([b[None] for b in blocks])]
+
     comm.ledger.reset()
     per_field_time = _best_of(
-        lambda: [plan.interpolate(blocks) for blocks in per_field_blocks]
+        lambda: [interpolate_one(blocks) for blocks in per_field_blocks]
     )
-    per_field_values = [plan.interpolate(blocks) for blocks in per_field_blocks]
+    per_field_values = [interpolate_one(blocks) for blocks in per_field_blocks]
     # 4 timed sweeps + 1 value sweep = 5 x BATCH interpolate calls
     per_field_ledger = {
         category: {

@@ -66,7 +66,8 @@ def main() -> int:
             for rank in range(deco.num_tasks)
         ]
         plan = ScatterInterpolationPlan(grid, deco, comm, local_points)
-        values = plan.interpolate(deco.scatter(field))
+        stacks = [block[None] for block in deco.scatter(field)]
+        values = [stack[0] for stack in plan.interpolate_many(stacks)]
         serial_blocks = [
             serial_values[deco.local_slices(rank)].reshape(-1) for rank in range(deco.num_tasks)
         ]

@@ -315,10 +315,11 @@ def _run_register(
             options=_solver_options(args),
             config=config,
         )
+        # an image size no grid holds (``--synthetic 1``) fails here
+        reference, template, grid = _load_pair(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    reference, template, grid = _load_pair(args)
     result = solver.run(template, reference, grid=grid)
     print(format_rows([result.summary()], title="Registration summary"))
     if args.verbose:
@@ -429,16 +430,17 @@ def _run_serve(
         # image is loaded
         RegistrationSolver(beta=args.beta, regularization=args.regularization, options=options)
         reference, subjects = _load_population(args)
+        service = RegistrationService(
+            config=config,
+            num_workers=args.num_workers,
+            max_batch=args.max_batch,
+            artifacts_dir=args.artifacts_dir,
+            journal_dir=args.journal,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with RegistrationService(
-        config=config,
-        num_workers=args.num_workers,
-        max_batch=args.max_batch,
-        artifacts_dir=args.artifacts_dir,
-        journal_dir=args.journal,
-    ) as service:
+    with service:
         try:
             atlas = run_atlas(
                 reference,
@@ -505,13 +507,17 @@ def _run_scaling(args: argparse.Namespace) -> int:
     if args.grid is None or args.tasks is None:
         print("either --table or both --grid and --tasks are required", file=sys.stderr)
         return 2
-    model = RegistrationCostModel(
-        grid_shape=(args.grid,) * 3,
-        num_tasks=args.tasks,
-        machine=get_machine(args.machine),
-        num_newton_iterations=args.newton,
-        num_hessian_matvecs=args.matvecs,
-    )
+    try:
+        model = RegistrationCostModel(
+            grid_shape=(args.grid,) * 3,
+            num_tasks=args.tasks,
+            machine=get_machine(args.machine),
+            num_newton_iterations=args.newton,
+            num_hessian_matvecs=args.matvecs,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     breakdown = model.breakdown().as_dict()
     breakdown.update({"grid": f"{args.grid}^3", "machine": args.machine})
     print(format_rows([breakdown], title="Modeled cost"))

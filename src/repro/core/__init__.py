@@ -27,11 +27,7 @@ from repro.core.regularization import (
 from repro.core.problem import RegistrationProblem, OuterIterate
 from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.registration import RegistrationResult, RegistrationSolver, register
-from repro.core.metrics import (
-    relative_residual,
-    residual_norm,
-    mismatch_reduction,
-)
+from repro.core.metrics import relative_residual, residual_norm
 
 __all__ = [
     "H1Regularization",
@@ -46,5 +42,4 @@ __all__ = [
     "register",
     "relative_residual",
     "residual_norm",
-    "mismatch_reduction",
 ]

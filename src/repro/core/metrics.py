@@ -41,24 +41,6 @@ def relative_residual(
     return after / max(before, 1e-300)
 
 
-def mismatch_reduction(
-    reference: np.ndarray,
-    template: np.ndarray,
-    deformed_template: np.ndarray,
-    grid: Grid,
-) -> float:
-    """Fractional reduction of the mismatch, ``1 - relative_residual``."""
-    return 1.0 - relative_residual(reference, template, deformed_template, grid)
-
-
-def max_pointwise_residual(reference: np.ndarray, deformed_template: np.ndarray) -> float:
-    """Maximum absolute point-wise residual (the dark spots of the figures)."""
-    reference = np.asarray(reference)
-    deformed_template = np.asarray(deformed_template)
-    check_same_shape(reference, deformed_template, "images")
-    return float(np.max(np.abs(reference - deformed_template)))
-
-
 def determinant_summary(det: np.ndarray) -> Dict[str, float]:
     """Summary statistics of ``det(grad y1)`` as reported with Fig. 7."""
     det = np.asarray(det)
@@ -69,20 +51,3 @@ def determinant_summary(det: np.ndarray) -> Dict[str, float]:
         "std": float(det.std()),
         "fraction_nonpositive": float(np.mean(det <= 0.0)),
     }
-
-
-def dice_overlap(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """Dice overlap of two binary masks (a standard registration metric).
-
-    Not reported in the paper's tables but routinely used to validate
-    registration quality on labeled data; exposed for the brain-phantom
-    example.
-    """
-    mask_a = np.asarray(mask_a, dtype=bool)
-    mask_b = np.asarray(mask_b, dtype=bool)
-    check_same_shape(mask_a, mask_b, "masks")
-    intersection = np.logical_and(mask_a, mask_b).sum()
-    total = mask_a.sum() + mask_b.sum()
-    if total == 0:
-        return 1.0
-    return float(2.0 * intersection / total)

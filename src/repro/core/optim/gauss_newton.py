@@ -162,10 +162,6 @@ class OptimizationResult:
         return len(self.iterations)
 
     @property
-    def final_objective(self) -> float:
-        return self.final_iterate.objective.total
-
-    @property
     def final_gradient_norm(self) -> float:
         return self.final_iterate.gradient_norm
 

@@ -75,7 +75,3 @@ class SpectralPreconditioner:
         if self._symbol is None:
             return spectrum.copy()
         return spectrum * self._symbol
-
-    def rebuild(self, regularizer: _SobolevSeminormRegularization) -> "SpectralPreconditioner":
-        """New preconditioner for an updated regularization weight."""
-        return SpectralPreconditioner(regularizer, self.variant)

@@ -213,7 +213,9 @@ class RegistrationSolver:
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (pool budget, tracing).
+        applied process-wide (pool budget, tracing).  Either way the
+        ``REPRO_*`` environment is validated: a malformed variable raises
+        ``ValueError`` naming it.
 
     A setting :func:`check_settings` refuses (an unknown ``regularization``
     or ``optimizer``, ``num_time_steps < 1``, a ``beta`` that is not positive
@@ -233,8 +235,9 @@ class RegistrationSolver:
 
     def __post_init__(self) -> None:
         check_settings(self)
-        if self.config is not None:
-            self.config.apply()
+        # an empty config applies nothing but still validates the REPRO_*
+        # environment, so a malformed variable is a named error here
+        (self.config or RegistrationConfig()).apply()
 
     def build_problem(
         self,

@@ -9,7 +9,7 @@ brain phantom that exercises the identical code path (see README.md,
 "Substitutions").
 """
 
-from repro.data.preprocessing import normalize_intensity, pad_image, smooth_image
+from repro.data.preprocessing import normalize_intensity, smooth_image
 from repro.data.synthetic import (
     SyntheticProblem,
     sinusoidal_template,
@@ -22,7 +22,6 @@ from repro.data.io import load_problem, save_problem
 
 __all__ = [
     "normalize_intensity",
-    "pad_image",
     "smooth_image",
     "SyntheticProblem",
     "sinusoidal_template",

@@ -6,9 +6,9 @@ grid ``256 x 300 x 256``).  Those data are not available offline, so this
 module synthesizes a pair of "subjects" that reproduces the properties that
 matter for the solver:
 
-* a compact head/brain geometry embedded in a zero background (the image is
-  *not* periodic — it exercises the zero-padding / spectral-smoothing
-  pipeline),
+* a compact head/brain geometry embedded in a zero background (the role
+  the paper's zero padding plays for its MRI volumes; the sharp tissue
+  edges exercise the spectral-smoothing pipeline),
 * several tissue classes with distinct intensities (white matter, gray
   matter ribbon, CSF/ventricles, background),
 * cortical-folding-like high-frequency structure,

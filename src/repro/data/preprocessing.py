@@ -1,18 +1,16 @@
 """Image pre-processing used before registration.
 
-The paper's pipeline (Sec. III-B1): images are rescaled, zero-padded when
-they are not periodic, and smoothed spectrally with a Gaussian whose
-bandwidth equals the grid spacing so that the spectral differentiation of
-discontinuous intensities does not produce excessive aliasing.
+The paper's pipeline (Sec. III-B1): images are rescaled and smoothed
+spectrally with a Gaussian whose bandwidth equals the grid spacing so that
+the spectral differentiation of discontinuous intensities does not produce
+excessive aliasing.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
-from repro.spectral.filters import gaussian_smooth, zero_pad
+from repro.spectral.filters import gaussian_smooth
 from repro.spectral.grid import Grid
 
 
@@ -41,17 +39,3 @@ def smooth_image(image: np.ndarray, grid: Grid, sigma_cells: float = 1.0) -> np.
         return np.asarray(image, dtype=grid.dtype).copy()
     sigma = tuple(sigma_cells * h for h in grid.spacing)
     return gaussian_smooth(image, grid, sigma=sigma)
-
-
-def pad_image(image: np.ndarray, grid: Grid, pad_cells: int = 4) -> Tuple[np.ndarray, Grid]:
-    """Zero-pad a non-periodic image and return the enlarged grid.
-
-    Returns the padded image together with a new :class:`Grid` covering the
-    enlarged index space with the same grid spacing.
-    """
-    if pad_cells < 0:
-        raise ValueError(f"pad_cells must be non-negative, got {pad_cells}")
-    padded = zero_pad(image, pad_cells)
-    spacing = grid.spacing
-    new_lengths = tuple(h * n for h, n in zip(spacing, padded.shape))
-    return padded, Grid(padded.shape, new_lengths, grid.dtype)

@@ -38,7 +38,6 @@ __all__ = [
     "Gauge",
     "MetricsRegistry",
     "get_metrics_registry",
-    "reset_metrics_registry",
 ]
 
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -212,30 +211,10 @@ class MetricsRegistry:
                 merged.setdefault(name, {}).update(values)
         return merged
 
-    def describe(self) -> Dict[str, Dict[str, str]]:
-        """``{metric_name: {"kind": ..., "description": ...}}`` for metadata."""
-        with self._lock:
-            return {
-                m.name: {"kind": m.kind, "description": m.description}
-                for m in self._metrics.values()
-            }
-
 
 _registry = MetricsRegistry()
 
 
 def get_metrics_registry() -> MetricsRegistry:
     """Return the process-wide metrics registry."""
-    return _registry
-
-
-def reset_metrics_registry() -> MetricsRegistry:
-    """Replace the process-wide registry with a fresh one (tests only).
-
-    Note: modules that bound labelled children at import time keep
-    incrementing their old children; prefer reading deltas in tests
-    instead of resetting when exact totals matter.
-    """
-    global _registry
-    _registry = MetricsRegistry()
     return _registry

@@ -24,7 +24,6 @@ this environment (see README.md, "Substitutions"):
 from repro.parallel.comm import CommunicationLedger, SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.distributed_fft import DistributedFFT
-from repro.parallel.ghost import exchange_ghost_layers
 from repro.parallel.scatter import ScatterInterpolationPlan
 from repro.parallel.operators import DistributedSpectralOperators
 from repro.parallel.transport import DistributedSemiLagrangian, DistributedTransportSolver
@@ -40,7 +39,6 @@ __all__ = [
     "SimulatedCommunicator",
     "PencilDecomposition",
     "DistributedFFT",
-    "exchange_ghost_layers",
     "ScatterInterpolationPlan",
     "DistributedSpectralOperators",
     "DistributedSemiLagrangian",

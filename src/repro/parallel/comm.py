@@ -1,8 +1,7 @@
 """Simulated MPI communicator with a communication ledger.
 
 The distributed kernels in this package are written in SPMD style against a
-small communicator interface (all-to-all-v, point-to-point exchange,
-all-reduce).  :class:`SimulatedCommunicator` provides that interface for a
+small communicator interface (all-to-all-v and point-to-point exchange).  :class:`SimulatedCommunicator` provides that interface for a
 set of ranks living in one Python process: "sending" moves numpy arrays
 between per-rank slots, and every transfer is recorded in a
 :class:`CommunicationLedger` (message count, payload bytes, per category).
@@ -181,19 +180,3 @@ class SimulatedCommunicator:
             span.set_attr("messages", count)
             span.set_attr("bytes", payload)
         return inbox
-
-    def allreduce_sum(self, values: Sequence[float], category: str = "allreduce") -> float:
-        """Sum-all-reduce of one scalar per rank."""
-        if len(values) != self.size:
-            raise ValueError(f"expected {self.size} values, got {len(values)}")
-        # a tree all-reduce moves O(2 p) scalar messages
-        self.ledger.record(category, 2 * (self.size - 1), 8 * 2 * (self.size - 1))
-        return float(np.sum(values))
-
-    def allgather(self, values: Sequence[np.ndarray], category: str = "allgather") -> List[np.ndarray]:
-        """Each rank contributes one array; everyone receives all of them."""
-        if len(values) != self.size:
-            raise ValueError(f"expected {self.size} arrays, got {len(values)}")
-        payload = sum(self._payload_bytes(v) for v in values)
-        self.ledger.record(category, self.size * (self.size - 1), payload * (self.size - 1))
-        return [np.asarray(v) for v in values]

@@ -19,9 +19,8 @@ single field, with ``B`` times the payload per message.  The per-field
 ghost exchange was the dominant distributed overhead once the scatter
 plans were pooled (each transported field used to pay the full
 latency-bound neighbour round), so the batched distributed
-``interpolate_many`` ships every stacked field's halos together.  The
-scalar :func:`exchange_ghost_layers` is the ``B = 1`` case of the same
-implementation, bit-for-bit.
+``interpolate_many`` ships every stacked field's halos together.  A single
+field is the ``B = 1`` stack ``block[None]``.
 """
 
 from __future__ import annotations
@@ -170,48 +169,3 @@ def exchange_ghost_layers_batched(
                 )
             extended = new_stacks
     return extended
-
-
-def exchange_ghost_layers(
-    blocks: Sequence[np.ndarray],
-    decomposition: PencilDecomposition,
-    width: int,
-    comm: SimulatedCommunicator,
-    distributed_axes: Tuple[int, int] = (0, 1),
-) -> List[np.ndarray]:
-    """Extend every rank's block by *width* periodic ghost layers on all axes.
-
-    The single-field (``B = 1``) case of
-    :func:`exchange_ghost_layers_batched`: same messages, same ledger
-    charges, same bits.
-
-    Parameters
-    ----------
-    blocks:
-        Per-rank local blocks in the ``distributed_axes`` distribution.
-    decomposition:
-        The pencil decomposition.
-    width:
-        Halo width in grid points (2 is enough for tricubic interpolation).
-    comm:
-        Communicator used (and charged) for the neighbour exchanges.
-    distributed_axes:
-        Which two axes are distributed (default: the input distribution).
-
-    Returns
-    -------
-    list of numpy.ndarray
-        Per-rank blocks enlarged by ``2 * width`` points along every axis.
-    """
-    stacks = []
-    for rank, block in enumerate(blocks):
-        block = np.asarray(block)
-        if block.ndim != 3:
-            raise ValueError(
-                f"block of rank {rank} must be 3-dimensional, got shape {block.shape}"
-            )
-        stacks.append(block[None])
-    extended = exchange_ghost_layers_batched(
-        stacks, decomposition, width, comm, distributed_axes
-    )
-    return [stack[0] for stack in extended]

@@ -2,7 +2,7 @@
 
 These are the distributed counterparts of
 :class:`repro.spectral.operators.SpectralOperators`: gradient, divergence,
-Laplacian (and its inverse), biharmonic, and the Leray projection, each
+Laplacian, biharmonic, and the Leray projection, each
 applied to per-rank local blocks in the input (pencil) distribution.  They
 are validated against the serial operators in the test-suite, which is the
 correctness argument behind using the *serial* transform plus the *counted*
@@ -68,7 +68,7 @@ class DistributedSpectralOperators:
         )
 
     @cached_property
-    def _minus_ksq(self) -> np.ndarray:
+    def _laplacian_symbol(self) -> np.ndarray:
         k1 = self.grid.wavenumbers_1d(0)[:, None, None]
         k2 = self.grid.wavenumbers_1d(1)[None, :, None]
         k3 = self.grid.wavenumbers_1d(2)[None, None, :]
@@ -109,19 +109,11 @@ class DistributedSpectralOperators:
 
     def laplacian(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Distributed Laplacian."""
-        return self.fft.apply_symbol(blocks, self._minus_ksq)
-
-    def inverse_laplacian(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Distributed pseudo-inverse of the Laplacian."""
-        sym = self._minus_ksq
-        inv = np.zeros_like(sym)
-        nonzero = sym != 0.0
-        inv[nonzero] = 1.0 / sym[nonzero]
-        return self.fft.apply_symbol(blocks, inv)
+        return self.fft.apply_symbol(blocks, self._laplacian_symbol)
 
     def biharmonic(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Distributed biharmonic operator."""
-        return self.fft.apply_symbol(blocks, self._minus_ksq**2)
+        return self.fft.apply_symbol(blocks, self._laplacian_symbol**2)
 
     # ------------------------------------------------------------------ #
     # vector operators

@@ -33,7 +33,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.parallel.machines import MachineSpec
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_shape_3d
 
 #: Floating point work per interpolated point (paper: "roughly 10 x 64").
 INTERP_FLOPS_PER_POINT = 640
@@ -108,7 +108,7 @@ class KernelCostModel:
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_tasks, "num_tasks")
-        self.grid_shape = tuple(int(n) for n in self.grid_shape)
+        self.grid_shape = check_shape_3d(self.grid_shape, "grid_shape")
 
     # ------------------------------------------------------------------ #
     @property

@@ -30,16 +30,16 @@ pooled **as one unit** (:class:`ScatterPlanData`) in the shared plan pool
 an unchanged velocity — a re-built distributed solver, the backward
 characteristics of an adjoint sweep — is a single warm hit with *zero*
 ``alltoallv`` setup: no owner computation, no point scatter, no operator
-builds.  Every ``interpolate`` call then only exchanges ghosts and applies
-the cached operators.
+builds.  Every ``interpolate_many`` call then only exchanges ghosts and
+applies the cached operators.
 
 The evaluation side batches too:
 :meth:`ScatterInterpolationPlan.interpolate_many` ships a whole
 ``(B, ...)`` stack of fields through **one** ghost-exchange round, **one**
 gather per owner and **one** value-return ``alltoallv`` — the same message
 counts as a single field with ``B`` times the payload — mirroring how the
-serial ``interpolate_many`` batches gathers.  The scalar
-:meth:`interpolate` is the ``B = 1`` case of the same code path.
+serial ``interpolate_many`` batches gathers.  A single field is the
+``B = 1`` stack ``block[None]`` on every rank.
 """
 
 from __future__ import annotations
@@ -244,8 +244,8 @@ class ScatterInterpolationPlan:
         Each owner applies its cached operator once for the whole batch (one
         index computation serves every field, the serial batching win) and
         splits the values by requester.  Per-field values are bitwise
-        identical to ``B`` separate :meth:`interpolate` calls; only the
-        ledger's latency story changes.
+        identical to ``B`` separate ``B = 1`` calls; only the ledger's
+        latency story changes.
 
         Parameters
         ----------
@@ -305,34 +305,3 @@ class ScatterInterpolationPlan:
                     values[:, mask] = returned[rank][source]
             output.append(values)
         return output
-
-    def interpolate(self, blocks: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Interpolate a distributed scalar field at the planned points.
-
-        The single-field (``B = 1``) case of :meth:`interpolate_many` —
-        same code path, same ledger charges, same bits.
-
-        Parameters
-        ----------
-        blocks:
-            Per-rank local blocks (input distribution) of the field to
-            interpolate.
-
-        Returns
-        -------
-        list of numpy.ndarray
-            For every rank, the interpolated values at its original
-            departure points, in their original order.
-        """
-        deco = self.decomposition
-        if len(blocks) != deco.num_tasks:
-            raise ValueError(f"expected {deco.num_tasks} blocks, got {len(blocks)}")
-        stacks = []
-        for rank, block in enumerate(blocks):
-            block = np.asarray(block)
-            if block.ndim != 3:
-                raise ValueError(
-                    f"block of rank {rank} must be 3-dimensional, got shape {block.shape}"
-                )
-            stacks.append(block[None])
-        return [values[0] for values in self.interpolate_many(stacks)]

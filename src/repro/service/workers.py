@@ -90,7 +90,8 @@ class RegistrationService:
         Execution configuration applied process-wide at service start and
         passed to every registration solve
         (:class:`repro.config.RegistrationConfig`); ``None`` keeps the
-        ambient environment-driven defaults.
+        ambient environment-driven defaults.  Either way a malformed
+        ``REPRO_*`` variable raises ``ValueError`` naming it.
     num_workers:
         Worker threads draining the queue (at least 1).  ``None`` reads
         ``REPRO_SERVICE_WORKERS``, else :data:`~repro.config.DEFAULT_SERVICE_WORKERS`
@@ -125,8 +126,8 @@ class RegistrationService:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.config = config
-        if config is not None:
-            config.apply()
+        # validates the REPRO_* environment even when no config is given
+        (config or RegistrationConfig()).apply()
         if num_workers is None:
             num_workers = env_service_workers() or DEFAULT_SERVICE_WORKERS
         self.num_workers = max(1, int(num_workers))

@@ -2,9 +2,8 @@
 
 The paper discretizes every spatial operation on a regular periodic grid via
 Fourier expansions (Sec. III-B1): derivatives, the Laplacian and biharmonic
-regularization operators, their inverses (used by the preconditioner and by
-the Leray projection), spectral Gaussian smoothing of the input images, and
-zero padding of non-periodic data.  This package provides all of those
+regularization operators, the Leray projection, and spectral Gaussian
+smoothing of the input images.  This package provides all of those
 building blocks for the single-node (serial) path; the distributed
 counterparts built on the pencil-decomposed FFT live in
 :mod:`repro.parallel`.
@@ -15,17 +14,10 @@ per grid through the :mod:`repro.spectral.symbols` store.
 """
 
 from repro.spectral.fft import FFTCounters, FourierTransform
-from repro.spectral.filters import (
-    gaussian_smooth,
-    low_pass_filter,
-    prolong,
-    remove_padding,
-    restrict,
-    zero_pad,
-)
+from repro.spectral.filters import gaussian_smooth
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
-from repro.spectral.symbols import SymbolTable, clear_symbol_cache, get_symbols
+from repro.spectral.symbols import SymbolTable, get_symbols
 
 __all__ = [
     "FFTCounters",
@@ -33,12 +25,6 @@ __all__ = [
     "Grid",
     "SpectralOperators",
     "SymbolTable",
-    "clear_symbol_cache",
     "gaussian_smooth",
     "get_symbols",
-    "low_pass_filter",
-    "prolong",
-    "remove_padding",
-    "restrict",
-    "zero_pad",
 ]

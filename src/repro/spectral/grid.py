@@ -231,22 +231,5 @@ class Grid:
     # ------------------------------------------------------------------ #
     # misc
     # ------------------------------------------------------------------ #
-    def with_shape(self, shape: Iterable[int]) -> "Grid":
-        """Grid on the same domain with a different resolution."""
-        return Grid(shape, self.lengths, self.dtype)
-
-    def coarsen(self, factor: int = 2) -> "Grid":
-        """Grid coarsened by an integer factor in every dimension."""
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        new_shape = tuple(max(2, n // factor) for n in self.shape)
-        return self.with_shape(new_shape)
-
-    def refine(self, factor: int = 2) -> "Grid":
-        """Grid refined by an integer factor in every dimension."""
-        if factor < 1:
-            raise ValueError(f"factor must be >= 1, got {factor}")
-        return self.with_shape(tuple(n * factor for n in self.shape))
-
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"Grid(shape={self.shape}, lengths={tuple(round(L, 6) for L in self.lengths)})"

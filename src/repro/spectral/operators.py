@@ -6,14 +6,12 @@ III-B1 of the paper):
 * first derivatives, gradient and divergence,
 * the (vector) Laplacian ``lap`` used by the H1 regularization,
 * the biharmonic operator ``lap^2`` used by the H2 regularization,
-* their (pseudo-)inverses, applied as spectral diagonal scalings,
 * the Leray projection ``P = I - grad lap^{-1} div`` which eliminates the
-  incompressibility constraint ``div v = 0`` from the optimality system,
-* the curl (used for diagnostics on volume-preserving velocity fields).
+  incompressibility constraint ``div v = 0`` from the optimality system.
 
 All operators are Fourier multipliers, hence commute, are exact for band
-limited fields, and are applied in ``O(N^3 log N)`` time.  The inverse of the
-Laplacian/biharmonic is the Moore-Penrose pseudo-inverse: the constant
+limited fields, and are applied in ``O(N^3 log N)`` time.  The ``lap^{-1}``
+of the Leray projection is the Moore-Penrose pseudo-inverse: the constant
 (zero-frequency) mode, which lies in the null space, is mapped to zero.
 
 Two performance properties of this layer:
@@ -58,38 +56,6 @@ class SpectralOperators:
         self.symbols: SymbolTable = get_symbols(self.grid)
 
     # ------------------------------------------------------------------ #
-    # cached spectral symbols (shared through the symbol store)
-    # ------------------------------------------------------------------ #
-    @property
-    def _ik(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcastable ``i*k_j`` multipliers for the three derivatives."""
-        return self.symbols.ik
-
-    @property
-    def _minus_ksq(self) -> np.ndarray:
-        """Laplacian symbol ``-|k|^2`` (negative semi-definite)."""
-        return self.symbols.minus_ksq
-
-    @property
-    def _inv_minus_ksq(self) -> np.ndarray:
-        """Pseudo-inverse of the Laplacian symbol (zero on the constant mode)."""
-        return self.symbols.inv_minus_ksq
-
-    @property
-    def _ksq(self) -> np.ndarray:
-        return self.symbols.ksq
-
-    @property
-    def _k4(self) -> np.ndarray:
-        """Biharmonic symbol ``|k|^4``."""
-        return self.symbols.k4
-
-    @property
-    def _inv_k4(self) -> np.ndarray:
-        """Pseudo-inverse of the biharmonic symbol."""
-        return self.symbols.inv_k4
-
-    # ------------------------------------------------------------------ #
     # scalar operators
     # ------------------------------------------------------------------ #
     def derivative(self, field: np.ndarray, axis: int) -> np.ndarray:
@@ -97,7 +63,7 @@ class SpectralOperators:
         if axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
         spectrum = self.fft.forward(field)
-        spectrum = spectrum * self._ik[axis]
+        spectrum = spectrum * self.symbols.ik[axis]
         return self.fft.backward(spectrum)
 
     def gradient(self, field: np.ndarray) -> np.ndarray:
@@ -107,7 +73,7 @@ class SpectralOperators:
         the three inverse transforms run as one batched call.
         """
         spectrum = self.fft.forward(field)
-        ik1, ik2, ik3 = self._ik
+        ik1, ik2, ik3 = self.symbols.ik
         stacked = np.stack([ik1 * spectrum, ik2 * spectrum, ik3 * spectrum], axis=0)
         return self.fft.inverse_vector(stacked)
 
@@ -127,25 +93,17 @@ class SpectralOperators:
                 f"field stack has shape {fields.shape}, expected (B, {', '.join(map(str, self.grid.shape))})"
             )
         spectra = self.fft.forward_batch(fields)
-        ik1, ik2, ik3 = self._ik
+        ik1, ik2, ik3 = self.symbols.ik
         stacked = np.stack([ik1 * spectra, ik2 * spectra, ik3 * spectra], axis=1)
         return self.fft.backward_batch(stacked)
 
     def laplacian(self, field: np.ndarray) -> np.ndarray:
         """Scalar Laplacian ``lap field``."""
-        return self.fft.apply_symbol(field, self._minus_ksq)
-
-    def inverse_laplacian(self, field: np.ndarray) -> np.ndarray:
-        """Pseudo-inverse of the Laplacian (zero-mean result)."""
-        return self.fft.apply_symbol(field, self._inv_minus_ksq)
+        return self.fft.apply_symbol(field, self.symbols.minus_ksq)
 
     def biharmonic(self, field: np.ndarray) -> np.ndarray:
         """Biharmonic operator ``lap^2 field``."""
-        return self.fft.apply_symbol(field, self._k4)
-
-    def inverse_biharmonic(self, field: np.ndarray) -> np.ndarray:
-        """Pseudo-inverse of the biharmonic operator."""
-        return self.fft.apply_symbol(field, self._inv_k4)
+        return self.fft.apply_symbol(field, self.symbols.k4)
 
     def apply_scalar_symbol(self, field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply an arbitrary Fourier multiplier to a scalar field."""
@@ -161,7 +119,7 @@ class SpectralOperators:
 
     def divergence_of_spectra(self, spectra: np.ndarray) -> np.ndarray:
         """Divergence (a real field) of the vector field with half-spectra *spectra*."""
-        ik1, ik2, ik3 = self._ik
+        ik1, ik2, ik3 = self.symbols.ik
         return self.fft.backward(ik1 * spectra[0] + ik2 * spectra[1] + ik3 * spectra[2])
 
     def divergence_many(self, vector_fields: np.ndarray) -> np.ndarray:
@@ -179,37 +137,22 @@ class SpectralOperators:
                 f"expected (B, 3, {', '.join(map(str, self.grid.shape))})"
             )
         spectra = self.fft.forward_batch(vector_fields)
-        ik1, ik2, ik3 = self._ik
+        ik1, ik2, ik3 = self.symbols.ik
         combined = ik1 * spectra[:, 0] + ik2 * spectra[:, 1] + ik3 * spectra[:, 2]
         return self.fft.backward_batch(combined)
 
     def vector_laplacian(self, vector_field: np.ndarray) -> np.ndarray:
         """Component-wise Laplacian of a vector field (one batched call)."""
-        return self.apply_vector_symbol(vector_field, self._minus_ksq)
+        return self.apply_vector_symbol(vector_field, self.symbols.minus_ksq)
 
     def vector_biharmonic(self, vector_field: np.ndarray) -> np.ndarray:
         """Component-wise biharmonic operator on a vector field."""
-        return self.apply_vector_symbol(vector_field, self._k4)
+        return self.apply_vector_symbol(vector_field, self.symbols.k4)
 
     def apply_vector_symbol(self, vector_field: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         """Apply a Fourier multiplier to each component of a vector field."""
         vector_field = check_velocity_shape(vector_field, self.grid.shape)
         return self.fft.apply_symbol_vector(vector_field, symbol)
-
-    def curl(self, vector_field: np.ndarray) -> np.ndarray:
-        """Curl of a vector field (diagnostic for solenoidal fields)."""
-        vector_field = check_velocity_shape(vector_field, self.grid.shape)
-        spectra = self.fft.forward_vector(vector_field)
-        ik1, ik2, ik3 = self._ik
-        curl_spectra = np.stack(
-            [
-                ik2 * spectra[2] - ik3 * spectra[1],
-                ik3 * spectra[0] - ik1 * spectra[2],
-                ik1 * spectra[1] - ik2 * spectra[0],
-            ],
-            axis=0,
-        )
-        return self.fft.inverse_vector(curl_spectra)
 
     def jacobian(self, vector_field: np.ndarray) -> np.ndarray:
         """Full Jacobian ``d v_i / d x_j`` of a vector field, shape ``(3, 3, ...)``.
@@ -219,7 +162,7 @@ class SpectralOperators:
         """
         vector_field = check_velocity_shape(vector_field, self.grid.shape)
         spectra = self.fft.forward_vector(vector_field)
-        ik = self._ik
+        ik = self.symbols.ik
         rows = np.stack(
             [
                 np.stack([ik[j] * spectra[i] for j in range(3)], axis=0)
@@ -247,7 +190,7 @@ class SpectralOperators:
         if spectra is None:
             vector_field = check_velocity_shape(vector_field, self.grid.shape)
             spectra = self.fft.forward_vector(vector_field)
-        ik1, ik2, ik3 = self._ik
+        ik1, ik2, ik3 = self.symbols.ik
         out = velocity[0] * self.fft.inverse_vector(ik1 * spectra)
         out += velocity[1] * self.fft.inverse_vector(ik2 * spectra)
         out += velocity[2] * self.fft.inverse_vector(ik3 * spectra)

@@ -1,9 +1,9 @@
 """Cached spectral-symbol store, keyed by grid.
 
 Every Fourier-multiplier operator in the code base (derivatives, Laplacian,
-biharmonic, their pseudo-inverses, the Leray projection, the Gaussian and
-low-pass filters, the Sobolev regularization symbols) is a fixed array that
-depends only on the grid (and, for the filters, a scalar parameter).  The
+biharmonic, the Leray projection, the Gaussian filter, the Sobolev
+regularization symbols and their pseudo-inverses) is a fixed array that
+depends only on the grid (and, for the parametric symbols, an order or a width).  The
 seed implementation recomputed several of these per consumer; this store
 computes each symbol once per grid and shares it across every
 :class:`~repro.spectral.operators.SpectralOperators`, regularization and
@@ -67,19 +67,9 @@ class SymbolTable:
         return _readonly(-self.minus_ksq)
 
     @cached_property
-    def inv_minus_ksq(self) -> np.ndarray:
-        """Pseudo-inverse of the Laplacian symbol (zero on the constant mode)."""
-        return _readonly(_pseudo_inverse(self.minus_ksq))
-
-    @cached_property
     def k4(self) -> np.ndarray:
         """Biharmonic symbol ``|k|^4``."""
         return _readonly(self.ksq * self.ksq)
-
-    @cached_property
-    def inv_k4(self) -> np.ndarray:
-        """Pseudo-inverse of the biharmonic symbol."""
-        return _readonly(_pseudo_inverse(self.k4))
 
     @cached_property
     def derivative_ksq(self) -> np.ndarray:
@@ -97,7 +87,7 @@ class SymbolTable:
         return _readonly(_pseudo_inverse(self.derivative_ksq))
 
     # ------------------------------------------------------------------ #
-    # parametric symbols (Sobolev orders, filters)
+    # parametric symbols (Sobolev orders, Gaussian filter)
     # ------------------------------------------------------------------ #
     def sobolev(self, order: int) -> np.ndarray:
         """Sobolev seminorm symbol ``|k|^(2*order)`` (H1, H2, H3, ...)."""
@@ -124,23 +114,6 @@ class SymbolTable:
             self._parametric[key] = _readonly(np.exp(-0.5 * exponent))
         return self._parametric[key]
 
-    def low_pass_mask(self, cutoff_fraction: float) -> np.ndarray:
-        """Sharp low-pass mask of the classic de-aliasing rule."""
-        key = ("low_pass", float(cutoff_fraction))
-        if key not in self._parametric:
-            k1, k2, k3 = self.grid.wavenumber_mesh(real_last_axis=True)
-            cutoffs = [
-                float(cutoff_fraction) * (n / 2) * (2.0 * np.pi / L)
-                for n, L in zip(self.grid.shape, self.grid.lengths)
-            ]
-            mask = (
-                (np.abs(k1) <= cutoffs[0])
-                & (np.abs(k2) <= cutoffs[1])
-                & (np.abs(k3) <= cutoffs[2])
-            ).astype(self.grid.dtype)
-            self._parametric[key] = _readonly(mask)
-        return self._parametric[key]
-
 
 def _pseudo_inverse(symbol: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse of a diagonal symbol (0 maps to 0)."""
@@ -154,8 +127,3 @@ def _pseudo_inverse(symbol: np.ndarray) -> np.ndarray:
 def get_symbols(grid: Grid) -> SymbolTable:
     """The shared :class:`SymbolTable` of *grid* (process-wide cache)."""
     return SymbolTable(grid)
-
-
-def clear_symbol_cache() -> None:
-    """Drop every cached symbol table (used by tests and benchmarks)."""
-    get_symbols.cache_clear()

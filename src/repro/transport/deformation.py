@@ -19,7 +19,7 @@ expansion, and ``<= 0`` a non-diffeomorphic (folding or singular) map.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -136,30 +136,3 @@ class DeformationMap:
         if image.shape != self.grid.shape:
             raise ValueError(f"image has shape {image.shape}, expected {self.grid.shape}")
         return self._solver.interpolator(image, self.map())
-
-    # ------------------------------------------------------------------ #
-    # diagnostics (paper Fig. 2 / Fig. 7)
-    # ------------------------------------------------------------------ #
-    def determinant_statistics(self) -> Dict[str, float]:
-        """Summary of ``det(grad y1)``: min / max / mean / fraction non-diffeo."""
-        det = self.determinant()
-        return {
-            "min": float(det.min()),
-            "max": float(det.max()),
-            "mean": float(det.mean()),
-            "fraction_nonpositive": float(np.mean(det <= 0.0)),
-            "deviation_from_volume_preservation": float(np.max(np.abs(det - 1.0))),
-        }
-
-    @staticmethod
-    def classify_determinant(value: float) -> str:
-        """Classify a determinant value as in Fig. 2 of the paper."""
-        if value < 0.0:
-            return "non-diffeomorphic (folding)"
-        if value == 0.0:
-            return "singular"
-        if value < 1.0:
-            return "compression"
-        if value == 1.0:
-            return "volume preserving"
-        return "expansion"

@@ -11,7 +11,6 @@ from repro.utils.validation import (
     check_finite,
     check_positive,
     check_positive_int,
-    check_probability,
     check_same_shape,
     check_shape_3d,
     check_velocity_shape,
@@ -24,7 +23,6 @@ __all__ = [
     "check_finite",
     "check_positive",
     "check_positive_int",
-    "check_probability",
     "check_same_shape",
     "check_shape_3d",
     "check_velocity_shape",

@@ -44,14 +44,6 @@ def check_choice(value: Any, name: str, choices: Sequence[Any]) -> Any:
     return value
 
 
-def check_probability(value: float, name: str) -> float:
-    """Ensure *value* lies in the closed interval [0, 1]."""
-    value = float(value)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return value
-
-
 def check_shape_3d(shape: Sequence[int], name: str = "shape") -> Tuple[int, int, int]:
     """Validate a 3D grid shape (three positive integers)."""
     shape = tuple(int(s) for s in shape)

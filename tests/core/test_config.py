@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.config import RegistrationConfig
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
-from repro.observability.trace import tracing_enabled
+from repro.observability.trace import TRACE_ENV_VAR, tracing_enabled
 from repro.runtime.plan_pool import get_plan_pool
 
 
@@ -157,6 +161,34 @@ class TestSolverIntegration:
             config=RegistrationConfig(trace=False),
         )
         assert result.relative_residual < 1.0
+
+    def test_register_rejects_a_malformed_trace_env(
+        self, monkeypatch, tiny_problem, fast_options
+    ):
+        monkeypatch.setenv(TRACE_ENV_VAR, "banana")
+        with pytest.raises(ValueError, match=TRACE_ENV_VAR):
+            register(tiny_problem.template, tiny_problem.reference, options=fast_options)
+
+    def test_service_rejects_a_malformed_trace_env(self, monkeypatch):
+        from repro.service import RegistrationService
+
+        monkeypatch.setenv(TRACE_ENV_VAR, "banana")
+        with pytest.raises(ValueError, match=TRACE_ENV_VAR):
+            RegistrationService()
+
+    def test_import_survives_a_malformed_trace_env(self):
+        """Only the entry points validate; ``import repro`` never raises."""
+        import repro
+
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+            **{TRACE_ENV_VAR: "banana"},
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", "import repro"], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
     def test_solver_has_no_engine_argument(self):
         with pytest.raises(TypeError, match="fft_backend"):

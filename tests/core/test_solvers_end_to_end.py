@@ -6,14 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.metrics import (
-    determinant_summary,
-    dice_overlap,
-    max_pointwise_residual,
-    mismatch_reduction,
-    relative_residual,
-    residual_norm,
-)
+from repro.core.metrics import determinant_summary, relative_residual, residual_norm
 from repro.core.optim.continuation import BetaContinuation
 from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
 from repro.core.optim.gradient_descent import GradientDescent
@@ -405,15 +398,35 @@ class TestMetrics:
         assert relative_residual(
             synthetic.reference, synthetic.template, synthetic.template, grid
         ) == pytest.approx(1.0)
-        assert mismatch_reduction(
-            synthetic.reference, synthetic.template, synthetic.reference, grid
-        ) == pytest.approx(1.0)
 
-    def test_max_pointwise_residual(self):
-        a = np.zeros((4, 4, 4))
-        b = np.zeros((4, 4, 4))
-        b[1, 2, 3] = 2.5
-        assert max_pointwise_residual(a, b) == 2.5
+    def test_relative_residual_of_a_perfect_match_is_zero(self, synthetic):
+        grid = synthetic.grid
+        assert relative_residual(
+            synthetic.reference, synthetic.template, synthetic.reference, grid
+        ) == 0.0
+
+    def test_residual_norm_rejects_mismatched_shapes(self):
+        grid = Grid((8, 8, 8))
+        with pytest.raises(ValueError, match="images must have identical shapes"):
+            residual_norm(grid.zeros(), np.zeros((8, 8, 4)), grid)
+
+    def test_residual_norm_of_a_constant_offset(self):
+        # ||c|| over the 2 pi cube is |c| * sqrt(8 pi^3)
+        grid = Grid((8, 8, 8))
+        offset = np.full(grid.shape, 0.5)
+        assert residual_norm(offset, grid.zeros(), grid) == pytest.approx(
+            0.5 * np.sqrt(8 * np.pi**3)
+        )
+
+    def test_determinant_summary_of_the_identity_map(self):
+        stats = determinant_summary(np.ones((4, 4, 4)))
+        assert stats == {
+            "min": 1.0,
+            "max": 1.0,
+            "mean": 1.0,
+            "std": 0.0,
+            "fraction_nonpositive": 0.0,
+        }
 
     def test_determinant_summary(self):
         det = np.array([[[0.5, 1.0], [1.5, -0.1]]])
@@ -421,14 +434,3 @@ class TestMetrics:
         assert stats["min"] == pytest.approx(-0.1)
         assert stats["max"] == pytest.approx(1.5)
         assert stats["fraction_nonpositive"] == pytest.approx(0.25)
-
-    def test_dice_overlap(self):
-        a = np.zeros((4, 4, 4), dtype=bool)
-        b = np.zeros((4, 4, 4), dtype=bool)
-        assert dice_overlap(a, b) == 1.0
-        a[:2] = True
-        b[:2] = True
-        assert dice_overlap(a, b) == 1.0
-        b[:] = False
-        b[2:] = True
-        assert dice_overlap(a, b) == 0.0

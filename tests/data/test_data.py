@@ -11,7 +11,7 @@ from repro.data.brain import (
     warped_self_pair,
 )
 from repro.data.io import load_problem, save_problem
-from repro.data.preprocessing import normalize_intensity, pad_image, smooth_image
+from repro.data.preprocessing import normalize_intensity, smooth_image
 from repro.data.synthetic import (
     sinusoidal_template,
     solenoidal_velocity,
@@ -45,17 +45,6 @@ class TestPreprocessing:
         np.testing.assert_allclose(smooth_image(image, grid, 0.0), image)
         with pytest.raises(ValueError):
             smooth_image(image, grid, -1.0)
-
-    def test_pad_image_grows_grid_consistently(self):
-        grid = Grid((8, 8, 8))
-        image = np.ones(grid.shape)
-        padded, new_grid = pad_image(image, grid, pad_cells=2)
-        assert padded.shape == (12, 12, 12)
-        assert new_grid.shape == (12, 12, 12)
-        # spacing unchanged
-        assert new_grid.spacing == pytest.approx(grid.spacing)
-        with pytest.raises(ValueError):
-            pad_image(image, grid, pad_cells=-1)
 
 
 class TestSyntheticProblem:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.parallel.comm import SimulatedCommunicator
+from repro.parallel.ghost import exchange_ghost_layers_batched
 from repro.parallel.pencil import PencilDecomposition
 from repro.spectral.grid import Grid
 
@@ -224,6 +225,21 @@ def make_scatter_plan(
     plan = ScatterInterpolationPlan(grid, deco, comm, points, **plan_kwargs)
     return deco, comm, points, plan
 
+
+def exchange_one_field(blocks, deco, width, comm, distributed_axes=(0, 1)):
+    """Ghost-extend one distributed field: the ``B = 1`` batched exchange."""
+    stacks = [np.asarray(block)[None] for block in blocks]
+    extended = exchange_ghost_layers_batched(stacks, deco, width, comm, distributed_axes)
+    return [stack[0] for stack in extended]
+
+
+def interpolate_one_field(plan, blocks):
+    """Interpolate one distributed field: the ``B = 1`` batched scatter.
+
+    Returns, per rank, the ``(M_r,)`` values at its departure points.
+    """
+    stacks = [np.asarray(block)[None] for block in blocks]
+    return [values[0] for values in plan.interpolate_many(stacks)]
 
 
 # --------------------------------------------------------------------------- #

@@ -179,6 +179,24 @@ class TestRegisterCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["register", "--synthetic", "8", "--nt", "0"], "num_time_steps"),
+            (["register", "--synthetic", "1"], "shape"),
+            (["serve", "--synthetic", "8", "--subjects", "1", "--max-batch", "0"], "max_batch"),
+            (["serve", "--synthetic", "8", "--subjects", "1", "--max-batch", "-2"], "max_batch"),
+            (["scaling", "--grid", "16", "--tasks", "0"], "num_tasks"),
+            (["scaling", "--grid", "0", "--tasks", "4"], "grid_shape"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_bad_input_is_a_clean_error(self, capsys, argv, name):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and name in captured.err
+        assert "Modeled cost" not in captured.out
+
     @pytest.mark.parametrize("value", ["512M", "-1"])
     def test_malformed_runtime_env_vars_are_clean_errors(self, capsys, monkeypatch, value):
         from repro.runtime import POOL_BYTES_ENV_VAR, configure_plan_pool

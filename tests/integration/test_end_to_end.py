@@ -24,7 +24,7 @@ from repro.transport.deformation import DeformationMap
 from repro.transport.semi_lagrangian import compute_departure_points
 from repro.transport.solvers import TransportSolver
 
-from tests.fixtures import periodic_gather
+from tests.fixtures import interpolate_one_field, periodic_gather
 
 pytestmark = pytest.mark.slow
 
@@ -136,7 +136,7 @@ class TestDistributedConsistencyEndToEnd:
             for rank in range(deco.num_tasks)
         ]
         plan = ScatterInterpolationPlan(grid, deco, comm, local_points)
-        values = plan.interpolate(deco.scatter(deformed))
+        values = interpolate_one_field(plan, deco.scatter(deformed))
         serial = periodic_gather(grid, deformed, departure)
         for rank in range(deco.num_tasks):
             np.testing.assert_allclose(

@@ -64,14 +64,6 @@ class TestRegistry:
         with pytest.raises(ValueError, match="already registered as counter"):
             registry.gauge("x")
 
-    def test_describe(self, registry):
-        registry.counter("a", "first")
-        registry.gauge("b", "second")
-        assert registry.describe() == {
-            "a": {"kind": "counter", "description": "first"},
-            "b": {"kind": "gauge", "description": "second"},
-        }
-
     def test_collector_merges_at_collect_time(self, registry):
         state = {"hits": 0}
         registry.register_collector(

@@ -5,13 +5,12 @@ import pytest
 
 from repro.parallel.comm import CommunicationLedger, SimulatedCommunicator
 from repro.parallel.distributed_fft import DistributedFFT
-from repro.parallel.ghost import exchange_ghost_layers
 from repro.parallel.operators import DistributedSpectralOperators
 from repro.parallel.pencil import PencilDecomposition
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 
-from tests.fixtures import smooth_scalar_field, smooth_vector_field
+from tests.fixtures import exchange_one_field, smooth_scalar_field, smooth_vector_field
 
 pytestmark = pytest.mark.mpi
 
@@ -69,17 +68,6 @@ class TestCommunicator:
         comm = SimulatedCommunicator(2)
         with pytest.raises(ValueError):
             comm.exchange([(0, 5, np.zeros(1))])
-
-    def test_allreduce_sum(self):
-        comm = SimulatedCommunicator(4)
-        assert comm.allreduce_sum([1.0, 2.0, 3.0, 4.0]) == 10.0
-        with pytest.raises(ValueError):
-            comm.allreduce_sum([1.0])
-
-    def test_allgather(self):
-        comm = SimulatedCommunicator(2)
-        out = comm.allgather([np.zeros(2), np.ones(2)])
-        assert len(out) == 2
 
 
 @pytest.mark.parametrize(
@@ -144,7 +132,7 @@ class TestGhostExchange:
         data = rng.standard_normal(shape)
         blocks = deco.scatter(data)
         width = 2
-        extended = exchange_ghost_layers(blocks, deco, width, comm)
+        extended = exchange_one_field(blocks, deco, width, comm)
         padded = np.pad(data, width, mode="wrap")
         for rank in range(deco.num_tasks):
             slices = deco.local_slices(rank)
@@ -161,7 +149,7 @@ class TestGhostExchange:
         deco = PencilDecomposition((8, 8, 8), 2, 2)
         comm = SimulatedCommunicator(4)
         blocks = deco.scatter(rng.standard_normal((8, 8, 8)))
-        out = exchange_ghost_layers(blocks, deco, 0, comm)
+        out = exchange_one_field(blocks, deco, 0, comm)
         for a, b in zip(out, blocks):
             np.testing.assert_array_equal(a, b)
 
@@ -170,9 +158,9 @@ class TestGhostExchange:
         comm = SimulatedCommunicator(4)
         blocks = deco.scatter(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError):
-            exchange_ghost_layers(blocks, deco, -1, comm)
+            exchange_one_field(blocks, deco, -1, comm)
         with pytest.raises(ValueError):
-            exchange_ghost_layers(blocks, deco, 10, comm)
+            exchange_one_field(blocks, deco, 10, comm)
 
 
 class TestDistributedOperators:

@@ -5,17 +5,17 @@ suite; these tests pin its contract directly: correct periodic halos
 (including the corner regions carried by the axis-by-axis trick),
 width/periodicity edge cases, and the batched mode's ledger guarantee —
 one neighbour round for a whole field stack, with per-field bits identical
-to the scalar exchange.
+to ``B = 1`` exchanges of each field.
 """
 
 import numpy as np
 import pytest
 
 from repro.parallel.comm import SimulatedCommunicator
-from repro.parallel.ghost import exchange_ghost_layers, exchange_ghost_layers_batched
+from repro.parallel.ghost import exchange_ghost_layers_batched
 from repro.parallel.pencil import PencilDecomposition
 
-from tests.fixtures import make_grid, smooth_scalar_field
+from tests.fixtures import exchange_one_field, make_grid, smooth_scalar_field
 
 pytestmark = pytest.mark.mpi
 
@@ -35,7 +35,7 @@ class TestScalarExchange:
     def test_halos_match_the_periodically_padded_global_field(self, pgrid, width):
         """Every rank's extended block is a window of np.pad(..., wrap)."""
         field, deco, comm, blocks = _setup(pgrid=pgrid)
-        extended = exchange_ghost_layers(blocks, deco, width, comm)
+        extended = exchange_one_field(blocks, deco, width, comm)
         padded = np.pad(field, width, mode="wrap")
         for rank in range(deco.num_tasks):
             s1, s2, _ = deco.local_slices(rank)
@@ -48,7 +48,7 @@ class TestScalarExchange:
 
     def test_interior_is_the_original_block(self):
         field, deco, comm, blocks = _setup()
-        extended = exchange_ghost_layers(blocks, deco, 2, comm)
+        extended = exchange_one_field(blocks, deco, 2, comm)
         for rank in range(deco.num_tasks):
             np.testing.assert_array_equal(
                 extended[rank][2:-2, 2:-2, 2:-2], blocks[rank]
@@ -56,7 +56,7 @@ class TestScalarExchange:
 
     def test_width_zero_is_a_communication_free_copy(self):
         field, deco, comm, blocks = _setup()
-        extended = exchange_ghost_layers(blocks, deco, 0, comm)
+        extended = exchange_one_field(blocks, deco, 0, comm)
         for rank in range(deco.num_tasks):
             np.testing.assert_array_equal(extended[rank], blocks[rank])
             assert extended[rank] is not blocks[rank]
@@ -65,7 +65,7 @@ class TestScalarExchange:
     def test_periodic_ring_of_length_two_is_unambiguous(self):
         """p=2 along an axis: predecessor == successor; halos must not mix."""
         field, deco, comm, blocks = _setup(pgrid=(2, 1))
-        extended = exchange_ghost_layers(blocks, deco, 2, comm)
+        extended = exchange_one_field(blocks, deco, 2, comm)
         padded = np.pad(field, 2, mode="wrap")
         for rank in range(deco.num_tasks):
             s1, s2, _ = deco.local_slices(rank)
@@ -77,18 +77,16 @@ class TestScalarExchange:
     def test_edge_cases_rejected(self):
         field, deco, comm, blocks = _setup()
         with pytest.raises(ValueError, match="non-negative"):
-            exchange_ghost_layers(blocks, deco, -1, comm)
+            exchange_one_field(blocks, deco, -1, comm)
         with pytest.raises(ValueError, match="exceeds the smallest local extent"):
-            exchange_ghost_layers(blocks, deco, 7, comm)  # local extent is 6/4
+            exchange_one_field(blocks, deco, 7, comm)  # local extent is 6/4
         with pytest.raises(ValueError, match="expected"):
-            exchange_ghost_layers(blocks[:-1], deco, 2, comm)
+            exchange_one_field(blocks[:-1], deco, 2, comm)
         bad = [np.zeros((5, 5, 5)) for _ in range(deco.num_tasks)]
         with pytest.raises(ValueError, match="grid shape"):
-            exchange_ghost_layers(bad, deco, 2, comm)
-        with pytest.raises(ValueError, match="3-dimensional"):
-            exchange_ghost_layers(
-                [b[None] for b in blocks], deco, 2, comm
-            )
+            exchange_one_field(bad, deco, 2, comm)
+        with pytest.raises(ValueError, match=r"must be \(B, n1, n2, n3\)"):
+            exchange_ghost_layers_batched(blocks, deco, 2, comm)
 
 
 class TestBatchedExchange:
@@ -100,7 +98,7 @@ class TestBatchedExchange:
         for field in fields:
             comm = SimulatedCommunicator(deco.num_tasks)
             per_field.append(
-                exchange_ghost_layers(deco.scatter(field), deco, 2, comm)
+                exchange_one_field(deco.scatter(field), deco, 2, comm)
             )
         comm = SimulatedCommunicator(deco.num_tasks)
         stacks = [
@@ -112,13 +110,37 @@ class TestBatchedExchange:
             for b in range(4):
                 np.testing.assert_array_equal(batched[rank][b], per_field[b][rank])
 
+    @pytest.mark.parametrize("pgrid", [(1, 3), (3, 2)])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_every_stack_member_gets_its_own_halos(self, pgrid, width):
+        """No crosstalk in the stack: member b is a window of its own wrap-pad."""
+        grid = make_grid((12, 12, 12))
+        deco = PencilDecomposition(grid.shape, *pgrid)
+        fields = [smooth_scalar_field(grid, seed=10 + s) for s in range(3)]
+        stacks = [
+            np.stack([deco.scatter(field)[rank] for field in fields], axis=0)
+            for rank in range(deco.num_tasks)
+        ]
+        comm = SimulatedCommunicator(deco.num_tasks)
+        batched = exchange_ghost_layers_batched(stacks, deco, width, comm)
+        for b, field in enumerate(fields):
+            padded = np.pad(field, width, mode="wrap")
+            for rank in range(deco.num_tasks):
+                s1, s2, _ = deco.local_slices(rank)
+                window = padded[
+                    s1.start : s1.stop + 2 * width,
+                    s2.start : s2.stop + 2 * width,
+                    : field.shape[2] + 2 * width,
+                ]
+                np.testing.assert_array_equal(batched[rank][b], window)
+
     def test_one_round_for_the_whole_batch(self):
         """The latency pin: B fields cost the message count of one field."""
         grid = make_grid((12, 12, 12))
         deco = PencilDecomposition(grid.shape, 2, 3)
         field = smooth_scalar_field(grid, seed=1)
         scalar_comm = SimulatedCommunicator(deco.num_tasks)
-        exchange_ghost_layers(deco.scatter(field), deco, 2, scalar_comm)
+        exchange_one_field(deco.scatter(field), deco, 2, scalar_comm)
         scalar = scalar_comm.ledger.entries["ghost_exchange"]
 
         batch = 5

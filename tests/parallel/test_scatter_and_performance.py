@@ -18,6 +18,7 @@ from repro.spectral.grid import Grid
 from repro.transport.semi_lagrangian import compute_departure_points
 
 from tests.fixtures import (
+    interpolate_one_field,
     make_scatter_plan,
     periodic_gather,
     smooth_scalar_field,
@@ -37,7 +38,7 @@ class TestScatterInterpolation:
     def test_matches_serial_catmull_rom(self, grid, pgrid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, pgrid)
         field = rng.standard_normal(grid.shape)
-        values = plan.interpolate(deco.scatter(field))
+        values = interpolate_one_field(plan, deco.scatter(field))
         for rank in range(deco.num_tasks):
             serial = periodic_gather(grid, field, points[rank])
             np.testing.assert_allclose(values[rank], serial, atol=1e-13)
@@ -54,7 +55,7 @@ class TestScatterInterpolation:
         ]
         plan = ScatterInterpolationPlan(grid, deco, comm, local_points)
         field = smooth_scalar_field(grid, seed=3)
-        values = plan.interpolate(deco.scatter(field))
+        values = interpolate_one_field(plan, deco.scatter(field))
         serial = periodic_gather(grid, field, departure)
         for rank in range(deco.num_tasks):
             expected = serial[deco.local_slices(rank)].reshape(-1)
@@ -91,7 +92,7 @@ class TestScatterInterpolation:
         points = [np.stack([x.ravel(), y.ravel(), z]) for _ in range(deco.num_tasks)]
         plan = ScatterInterpolationPlan(grid, deco, comm, points)
         field = rng.standard_normal(grid.shape)
-        values = plan.interpolate(deco.scatter(field))
+        values = interpolate_one_field(plan, deco.scatter(field))
         for rank in range(deco.num_tasks):
             np.testing.assert_allclose(
                 values[rank], periodic_gather(grid, field, points[rank]), rtol=0, atol=1e-12
@@ -99,7 +100,7 @@ class TestScatterInterpolation:
 
     def test_communication_is_recorded(self, grid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 3))
-        plan.interpolate(deco.scatter(rng.standard_normal(grid.shape)))
+        interpolate_one_field(plan, deco.scatter(rng.standard_normal(grid.shape)))
         assert comm.ledger.bytes("interp_scatter") > 0
         assert comm.ledger.bytes("interp_return") > 0
         assert comm.ledger.bytes("ghost_exchange") > 0
@@ -123,7 +124,7 @@ class TestScatterInterpolation:
         assert builds_after_init == 4
         assert (plan_pool.stats.hits, plan_pool.stats.misses) == (0, 1)
         for _ in range(3):
-            plan.interpolate(deco.scatter(rng.standard_normal(grid.shape)))
+            interpolate_one_field(plan, deco.scatter(rng.standard_normal(grid.shape)))
         assert plan.operator_builds == builds_after_init
 
     def test_replanning_same_points_is_one_whole_plan_hit(self, grid, plan_pool):
@@ -139,7 +140,7 @@ class TestScatterInterpolation:
         assert comm.ledger.bytes("interp_scatter") == 0
         # and the warm plans still interpolate correctly
         field = smooth_scalar_field(grid, seed=13)
-        values = warm.interpolate(deco.scatter(field))
+        values = interpolate_one_field(warm, deco.scatter(field))
         for rank in range(deco.num_tasks):
             serial = periodic_gather(grid, field, points[rank])
             np.testing.assert_allclose(values[rank], serial, atol=1e-13)
@@ -182,7 +183,7 @@ class TestScatterInterpolation:
             ScatterInterpolationPlan(grid, deco, comm, [np.zeros((2, 5))] * 4)
         plan = ScatterInterpolationPlan(grid, deco, comm, [np.zeros((3, 5))] * 4)
         with pytest.raises(ValueError):
-            plan.interpolate([np.zeros((6, 6, 12))] * 3)
+            interpolate_one_field(plan, [np.zeros((6, 6, 12))] * 3)
 
 
 def stacked_blocks(deco, fields):
@@ -197,7 +198,7 @@ class TestBatchedScatterInterpolation:
     def test_batched_matches_per_field_bitwise(self, grid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 3), seed=21)
         fields = np.stack([rng.standard_normal(grid.shape) for _ in range(4)])
-        per_field = [plan.interpolate(deco.scatter(field)) for field in fields]
+        per_field = [interpolate_one_field(plan, deco.scatter(field)) for field in fields]
         batched = plan.interpolate_many(stacked_blocks(deco, fields))
         for rank in range(deco.num_tasks):
             assert batched[rank].shape == (4, points[rank].shape[1])
@@ -212,7 +213,7 @@ class TestBatchedScatterInterpolation:
         field = rng.standard_normal(grid.shape)
         deco, scalar_comm, points, scalar_plan = make_scatter_plan(grid, (2, 2), seed=22)
         scalar_comm.ledger.reset()  # drop the construction traffic
-        scalar_plan.interpolate(deco.scatter(field))
+        interpolate_one_field(scalar_plan, deco.scatter(field))
         scalar = scalar_comm.ledger.summary()
 
         _, batched_comm, _, batched_plan = make_scatter_plan(grid, (2, 2), seed=22)
@@ -228,14 +229,6 @@ class TestBatchedScatterInterpolation:
         assert batched["ghost_exchange"]["calls"] == 4  # 2 axes x 2 directions
         # no other traffic: the batch reused the cached plan end to end
         assert set(batched) == {"ghost_exchange", "interp_return"}
-
-    def test_scalar_interpolate_is_the_batch_one_case(self, grid, rng):
-        deco, comm, points, plan = make_scatter_plan(grid, (1, 3), seed=23)
-        field = rng.standard_normal(grid.shape)
-        scalar = plan.interpolate(deco.scatter(field))
-        batched = plan.interpolate_many(stacked_blocks(deco, field[None]))
-        for rank in range(deco.num_tasks):
-            np.testing.assert_array_equal(batched[rank][0], scalar[rank])
 
     def test_batched_matches_serial_interpolate_many(self, grid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, (2, 2), seed=24)

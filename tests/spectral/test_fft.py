@@ -203,7 +203,6 @@ class TestCounters:
         "gradient": (1, 3),
         "laplacian": (1, 1),
         "divergence": (3, 1),
-        "curl": (3, 3),
         "jacobian": (3, 9),
         "leray_project": (3, 3),
         "vector_laplacian": (3, 3),

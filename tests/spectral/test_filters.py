@@ -3,18 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.spectral.filters import (
-    gaussian_smooth,
-    gaussian_symbol,
-    low_pass_filter,
-    prolong,
-    remove_padding,
-    restrict,
-    zero_pad,
-)
+from repro.spectral.filters import gaussian_smooth, gaussian_symbol
 from repro.spectral.grid import Grid
-
-from tests.fixtures import smooth_scalar_field
+from repro.spectral.operators import SpectralOperators
 
 
 class TestGaussianSmoothing:
@@ -65,110 +56,46 @@ class TestGaussianSmoothing:
         np.testing.assert_allclose(out.mean(axis=2), field.mean(axis=2), atol=1e-10)
 
 
-class TestLowPass:
-    def test_constant_preserved(self):
-        grid = Grid((8, 8, 8))
-        field = np.full(grid.shape, 2.0)
-        np.testing.assert_allclose(low_pass_filter(field, grid), field, atol=1e-12)
+class TestGaussianMultiplier:
+    """The filter is the Fourier multiplier ``exp(-|k sigma|^2 / 2)``."""
 
-    def test_cutoff_one_keeps_everything(self, rng):
-        grid = Grid((8, 8, 8))
+    @pytest.mark.parametrize("mode", [(1, 0, 0), (0, 2, 0), (0, 0, 3), (1, 1, 1)])
+    def test_single_mode_is_damped_by_its_symbol(self, mode):
+        grid = Grid((16, 16, 16))
+        x1, x2, x3 = grid.coordinates(sparse=True)
+        field = np.cos(mode[0] * x1 + mode[1] * x2 + mode[2] * x3)
+        sigma = 0.3
+        damping = np.exp(-0.5 * sigma**2 * sum(k * k for k in mode))
+        np.testing.assert_allclose(
+            gaussian_smooth(field, grid, sigma=sigma), damping * field, atol=1e-12
+        )
+
+    def test_is_self_adjoint(self, rng):
+        grid = Grid((8, 10, 12))
+        f = rng.standard_normal(grid.shape)
+        g = rng.standard_normal(grid.shape)
+        lhs = grid.inner(gaussian_smooth(f, grid, sigma=0.4), g)
+        rhs = grid.inner(f, gaussian_smooth(g, grid, sigma=0.4))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_two_passes_are_one_pass_of_the_combined_width(self, rng):
+        grid = Grid((12, 12, 12))
         field = rng.standard_normal(grid.shape)
-        np.testing.assert_allclose(low_pass_filter(field, grid, 1.0), field, atol=1e-10)
+        twice = gaussian_smooth(gaussian_smooth(field, grid, sigma=0.3), grid, sigma=0.4)
+        once = gaussian_smooth(field, grid, sigma=0.5)
+        np.testing.assert_allclose(twice, once, atol=1e-12)
 
-    def test_removes_nyquist_mode(self):
-        grid = Grid((8, 8, 8))
-        x1 = grid.coordinates()[0]
-        nyquist = np.cos(4 * x1)
-        filtered = low_pass_filter(nyquist, grid, cutoff_fraction=2.0 / 3.0)
-        assert np.max(np.abs(filtered)) < 1e-10
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_commutes_with_the_derivative(self, rng, axis):
+        grid = Grid((12, 12, 12))
+        ops = SpectralOperators(grid)
+        field = gaussian_smooth(rng.standard_normal(grid.shape), grid, sigma=0.5)
+        np.testing.assert_allclose(
+            ops.derivative(gaussian_smooth(field, grid, sigma=0.3), axis),
+            gaussian_smooth(ops.derivative(field, axis), grid, sigma=0.3),
+            atol=1e-10,
+        )
 
-    def test_keeps_low_mode(self):
-        grid = Grid((8, 8, 8))
-        x1 = grid.coordinates()[0]
-        low = np.cos(x1)
-        np.testing.assert_allclose(low_pass_filter(low, grid), low, atol=1e-10)
-
-    def test_invalid_cutoff_raises(self):
-        with pytest.raises(ValueError):
-            low_pass_filter(np.zeros((8, 8, 8)), Grid((8, 8, 8)), cutoff_fraction=0.0)
-
-
-class TestZeroPadding:
-    def test_pad_shape(self):
-        image = np.ones((4, 5, 6))
-        padded = zero_pad(image, 2)
-        assert padded.shape == (8, 9, 10)
-
-    def test_pad_and_crop_round_trip(self, rng):
-        image = rng.standard_normal((4, 5, 6))
-        np.testing.assert_array_equal(remove_padding(zero_pad(image, 3), 3), image)
-
-    def test_pad_margin_is_zero(self):
-        padded = zero_pad(np.ones((4, 4, 4)), 1)
-        assert padded[0].max() == 0.0
-        assert padded[-1].max() == 0.0
-        assert padded[:, 0].max() == 0.0
-
-    def test_asymmetric_pad_widths(self):
-        padded = zero_pad(np.ones((4, 4, 4)), (1, 2, 0))
-        assert padded.shape == (6, 8, 4)
-
-    def test_zero_pad_requires_3d(self):
-        with pytest.raises(ValueError):
-            zero_pad(np.ones((4, 4)), 1)
-
-    def test_negative_pad_rejected(self):
-        with pytest.raises(ValueError):
-            zero_pad(np.ones((4, 4, 4)), -1)
-
-    def test_zero_width_is_identity(self, rng):
-        image = rng.standard_normal((4, 4, 4))
-        np.testing.assert_array_equal(zero_pad(image, 0), image)
-
-
-class TestGridTransfer:
-    def test_restrict_then_prolong_preserves_low_modes(self):
-        fine = Grid((16, 16, 16))
-        coarse = Grid((8, 8, 8))
-        field = smooth_scalar_field(fine, seed=3, modes=2)
-        down = restrict(field, fine, coarse)
-        up = prolong(down, coarse, fine)
-        np.testing.assert_allclose(up, field, atol=1e-8)
-
-    def test_restrict_shape(self):
-        fine, coarse = Grid((16, 16, 16)), Grid((8, 8, 8))
-        out = restrict(np.zeros(fine.shape), fine, coarse)
-        assert out.shape == coarse.shape
-
-    def test_prolong_shape(self):
-        fine, coarse = Grid((16, 16, 16)), Grid((8, 8, 8))
-        out = prolong(np.zeros(coarse.shape), coarse, fine)
-        assert out.shape == fine.shape
-
-    def test_constant_preserved_by_transfer(self):
-        fine, coarse = Grid((16, 16, 16)), Grid((8, 8, 8))
-        const = np.full(fine.shape, 3.3)
-        np.testing.assert_allclose(restrict(const, fine, coarse), 3.3, atol=1e-10)
-        np.testing.assert_allclose(prolong(np.full(coarse.shape, 3.3), coarse, fine), 3.3, atol=1e-10)
-
-    def test_restrict_rejects_finer_target(self):
-        with pytest.raises(ValueError):
-            restrict(np.zeros((8, 8, 8)), Grid((8, 8, 8)), Grid((16, 16, 16)))
-
-    def test_prolong_rejects_coarser_target(self):
-        with pytest.raises(ValueError):
-            prolong(np.zeros((16, 16, 16)), Grid((16, 16, 16)), Grid((8, 8, 8)))
-
-    def test_transfer_requires_same_domain(self):
-        fine = Grid((16, 16, 16), lengths=(1.0, 1.0, 1.0))
-        coarse = Grid((8, 8, 8))
-        with pytest.raises(ValueError):
-            restrict(np.zeros(fine.shape), fine, coarse)
-
-    def test_anisotropic_transfer(self):
-        fine = Grid((16, 12, 8))
-        coarse = Grid((8, 6, 4))
-        field = smooth_scalar_field(fine, seed=5, modes=1)
-        up = prolong(restrict(field, fine, coarse), coarse, fine)
-        np.testing.assert_allclose(up, field, atol=1e-8)
+    def test_symbol_rejects_a_sigma_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="3 non-negative"):
+            gaussian_symbol(Grid((8, 8, 8)), sigma=(1.0, 1.0))

@@ -86,6 +86,21 @@ class TestWavenumbers:
         # domain half as long -> wavenumbers twice as large
         assert k[1] == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_derivative_wavenumbers_zero_the_nyquist_mode_of_an_even_axis(self, n):
+        grid = Grid((n, 8, n))
+        k = grid.wavenumbers_1d(0)
+        kd = grid.derivative_wavenumbers_1d(0)
+        assert kd[n // 2] == 0.0 and k[n // 2] == -(n // 2)
+        np.testing.assert_array_equal(np.delete(kd, n // 2), np.delete(k, n // 2))
+        assert grid.derivative_wavenumbers_1d(2, real_axis=True)[-1] == 0.0
+
+    def test_derivative_wavenumbers_of_an_odd_axis_are_unchanged(self):
+        grid = Grid((9, 8, 8))
+        np.testing.assert_array_equal(
+            grid.derivative_wavenumbers_1d(0), grid.wavenumbers_1d(0)
+        )
+
     def test_laplacian_symbol_nonpositive(self):
         grid = Grid((8, 10, 12))
         sym = grid.laplacian_symbol()
@@ -128,28 +143,6 @@ class TestFieldFactoriesAndInnerProduct:
         a = grid.random_field(np.random.default_rng(1))
         b = grid.random_field(np.random.default_rng(1))
         np.testing.assert_array_equal(a, b)
-
-
-class TestGridTransfers:
-    def test_coarsen_halves_shape(self):
-        assert Grid((16, 16, 16)).coarsen().shape == (8, 8, 8)
-
-    def test_refine_doubles_shape(self):
-        assert Grid((8, 8, 8)).refine().shape == (16, 16, 16)
-
-    def test_coarsen_never_below_two(self):
-        assert Grid((2, 2, 2)).coarsen(4).shape == (2, 2, 2)
-
-    def test_with_shape_preserves_domain(self):
-        grid = Grid((8, 8, 8), lengths=(1.0, 2.0, 3.0))
-        new = grid.with_shape((16, 16, 16))
-        assert new.lengths == grid.lengths
-
-    def test_invalid_factor_raises(self):
-        with pytest.raises(ValueError):
-            Grid((8, 8, 8)).coarsen(0)
-        with pytest.raises(ValueError):
-            Grid((8, 8, 8)).refine(-1)
 
 
 class TestPropertyBased:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.metrics import determinant_summary
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.deformation import DeformationMap, deformation_gradient_determinant
@@ -66,13 +67,13 @@ class TestDeformationMap:
         dmap = DeformationMap(grid, solenoidal(grid, 0.5), num_time_steps=8)
         det = dmap.determinant()
         np.testing.assert_allclose(det, 1.0, atol=5e-2)
-        stats = dmap.determinant_statistics()
-        assert stats["deviation_from_volume_preservation"] < 5e-2
+        stats = determinant_summary(det)
+        assert max(stats["max"] - 1.0, 1.0 - stats["min"]) < 5e-2
 
     def test_smooth_velocity_yields_diffeomorphic_map(self, grid):
         dmap = DeformationMap(grid, 0.3 * smooth_vector_field(grid, seed=2), num_time_steps=4)
         assert dmap.is_diffeomorphic()
-        stats = dmap.determinant_statistics()
+        stats = determinant_summary(dmap.determinant())
         assert stats["fraction_nonpositive"] == 0.0
         assert stats["min"] > 0.0
 
@@ -157,18 +158,3 @@ class TestDeformationMap:
         first = dmap.displacement()
         second = dmap.displacement()
         assert first is second
-
-
-class TestClassification:
-    @pytest.mark.parametrize(
-        "value, expected",
-        [
-            (-0.5, "non-diffeomorphic (folding)"),
-            (0.0, "singular"),
-            (0.5, "compression"),
-            (1.0, "volume preserving"),
-            (2.0, "expansion"),
-        ],
-    )
-    def test_classify_determinant(self, value, expected):
-        assert DeformationMap.classify_determinant(value) == expected

@@ -1,12 +1,16 @@
 """Tests for repro.utils.validation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_choice,
+    check_finite,
+    check_nonnegative,
     check_positive,
     check_positive_int,
-    check_probability,
     check_real_dtype,
     check_same_shape,
     check_shape_3d,
@@ -38,6 +42,45 @@ class TestCheckPositive:
             check_positive(float("inf"), "x")
 
 
+class TestCheckNonnegative:
+    @pytest.mark.parametrize("value", [0.0, 0.5, 7])
+    def test_accepts_finite_nonnegative(self, value):
+        assert check_nonnegative(value, "beta") == float(value)
+
+    @pytest.mark.parametrize("value", [-1e-12, np.nan, np.inf])
+    def test_rejects_negative_and_non_finite(self, value):
+        with pytest.raises(ValueError, match="beta"):
+            check_nonnegative(value, "beta")
+
+
+class TestCheckChoice:
+    def test_accepts_a_member(self):
+        assert check_choice("h1", "regularization", ("h1", "h2")) == "h1"
+
+    def test_rejects_a_non_member_listing_the_choices(self):
+        with pytest.raises(ValueError, match=r"regularization must be one of \('h1', 'h2'\)"):
+            check_choice("h3", "regularization", ("h1", "h2"))
+
+
+class TestCheckFinite:
+    def test_returns_a_finite_array_unchanged(self):
+        a = np.arange(6.0)
+        assert check_finite(a, "image") is a
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([np.nan], "image has 1 non-finite value "),
+            ([np.inf, -np.inf], "image has 2 non-finite values "),
+            ([np.nan, np.inf, np.nan], "image has 3 non-finite values "),
+        ],
+    )
+    def test_names_the_array_and_counts_the_bad_entries(self, bad, message):
+        a = np.concatenate([np.ones(4), bad])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_finite(a, "image")
+
+
 class TestCheckPositiveInt:
     def test_accepts_positive_int(self):
         assert check_positive_int(4, "n") == 4
@@ -60,17 +103,6 @@ class TestCheckPositiveInt:
     def test_rejects_bool(self):
         with pytest.raises(TypeError):
             check_positive_int(True, "n")
-
-
-class TestCheckProbability:
-    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
-    def test_accepts_valid(self, value):
-        assert check_probability(value, "p") == value
-
-    @pytest.mark.parametrize("value", [-0.1, 1.1, 5.0])
-    def test_rejects_out_of_range(self, value):
-        with pytest.raises(ValueError):
-            check_probability(value, "p")
 
 
 class TestCheckShape3d:
