@@ -14,14 +14,13 @@ mesh sizes and compares the PCG iteration counts:
 
 from repro.analysis.reporting import format_rows
 from repro.core.optim.pcg import pcg
-from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.problem import RegistrationProblem
 from repro.data.synthetic import synthetic_registration_problem
 
 RESOLUTIONS = (8, 12, 16, 24)
 
 
-def _pcg_iterations(resolution: int, variant: str, beta: float = 1e-2) -> int:
+def _pcg_iterations(resolution: int, preconditioned: bool, beta: float = 1e-2) -> int:
     synthetic = synthetic_registration_problem(resolution)
     problem = RegistrationProblem(
         grid=synthetic.grid,
@@ -29,13 +28,12 @@ def _pcg_iterations(resolution: int, variant: str, beta: float = 1e-2) -> int:
         template=synthetic.template,
         beta=beta,
     )
-    iterate = problem.linearize(problem.zero_velocity())
-    preconditioner = SpectralPreconditioner(problem.regularizer, variant)
+    iterate = problem.linearize(problem.start(None))
     result = pcg(
         problem.hessian_operator(iterate),
         -iterate.gradient_spectrum,
-        problem.operators.fft,
-        preconditioner,
+        problem.krylov_space,
+        problem.preconditioner() if preconditioned else None,
         rel_tol=1e-2,
         max_iterations=200,
     )
@@ -49,10 +47,8 @@ def test_ablation_preconditioner_mesh_independence(benchmark, record_text, recor
             rows.append(
                 {
                     "resolution": resolution,
-                    "pcg_iterations_preconditioned": _pcg_iterations(
-                        resolution, "inverse_regularization"
-                    ),
-                    "pcg_iterations_unpreconditioned": _pcg_iterations(resolution, "none"),
+                    "pcg_iterations_preconditioned": _pcg_iterations(resolution, True),
+                    "pcg_iterations_unpreconditioned": _pcg_iterations(resolution, False),
                 }
             )
         return rows

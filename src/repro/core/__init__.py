@@ -12,7 +12,8 @@ preconditioned, inexact Gauss-Newton-Krylov solver used to minimize it
 * :mod:`repro.core.preconditioner` — the spectral preconditioner (inverse of
   the regularization operator),
 * :mod:`repro.core.optim` — PCG, Armijo line search, the inexact
-  Gauss-Newton-Krylov driver, the gradient-descent baseline and the
+  Gauss-Newton-Krylov driver (which sees the problem through the
+  ``NewtonProblem`` protocol), the gradient-descent baseline and the
   ``beta``-continuation scheme,
 * :mod:`repro.core.registration` — the high-level :func:`register` front end
   producing a :class:`RegistrationResult`.

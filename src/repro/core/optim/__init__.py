@@ -3,6 +3,8 @@
 * :mod:`repro.core.optim.pcg` — matrix-free preconditioned conjugate
   gradients for the Newton system ``H(v) v~ = -g(v)``.
 * :mod:`repro.core.optim.line_search` — Armijo backtracking globalization.
+* :mod:`repro.core.optim.protocol` — what the driver needs of a problem
+  (:class:`~repro.core.optim.protocol.NewtonProblem`).
 * :mod:`repro.core.optim.gauss_newton` — the inexact (Eisenstat-Walker
   forcing), preconditioned Gauss-Newton-Krylov driver.
 * :mod:`repro.core.optim.gradient_descent` — the (preconditioned) steepest

@@ -4,9 +4,10 @@ This is the optimization driver of the paper (Sec. III-A):
 
 * outer iteration: Newton's method globalized with an Armijo line search,
 * inner iteration: matrix-free PCG on the (Gauss-)Newton system
-  ``H(v) v~ = -g(v)``, preconditioned with the spectral inverse of the
-  regularization operator — iterated on half-spectra, where that inverse
-  is one multiply, and transformed back once, as the step,
+  ``H(v) v~ = -g(v)``, preconditioned with the problem's ``M^{-1}`` — for
+  the registration the spectral inverse of the regularization operator,
+  iterated on half-spectra, where that inverse is one multiply, and
+  transformed back once, as the step,
 * inexactness: the PCG relative tolerance is the quadratic Eisenstat-Walker
   forcing term ``sqrt(||g|| / ||g0||)`` ("an inexact Newton method with
   quadratic forcing", Sec. IV-A3),
@@ -21,7 +22,8 @@ This is the optimization driver of the paper (Sec. III-A):
 every step the fallback's.  The paper's C++ implementation delegates the loop
 to PETSc/TAO; here it is written out explicitly, with the same control
 parameters exposed (PCG tolerance selection and nonlinear termination
-criteria).
+criteria).  It sees the problem only through
+:class:`~repro.core.optim.protocol.NewtonProblem`.
 """
 
 from __future__ import annotations
@@ -33,13 +35,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.optim.line_search import ArmijoLineSearch, LineSearchResult
-from repro.core.optim.pcg import pcg
-from repro.core.preconditioner import PRECONDITIONERS, SpectralPreconditioner
-from repro.core.problem import OuterIterate, RegistrationProblem
+from repro.core.optim.pcg import MatVec, pcg
+from repro.core.optim.protocol import Iterate, NewtonProblem
 from repro.observability.trace import trace_span
 from repro.runtime.cancellation import check_cancelled
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_finite, check_nonnegative, check_positive
+from repro.utils.validation import check_nonnegative, check_positive
 
 LOGGER = get_logger("core.optim.gauss_newton")
 
@@ -62,9 +63,6 @@ class SolverOptions:
         Cap on PCG iterations (Hessian mat-vecs) per Newton step.
     forcing_max:
         Upper bound on the quadratic forcing term (PCG relative tolerance).
-    preconditioner:
-        Variant passed to :class:`SpectralPreconditioner` (``"none"``
-        disables preconditioning; used by the ablation bench).
     line_search:
         Armijo line-search parameters.
     max_wall_clock_seconds:
@@ -81,10 +79,9 @@ class SolverOptions:
         starting the next Newton step or Hessian mat-vec.  Never serialized
         with the options.
 
-    An unknown preconditioner, a negative Newton or non-positive
-    Krylov cap, a negative or non-finite tolerance and a non-positive or
-    non-finite wall-clock budget are a :class:`ValueError` naming the field,
-    at construction.
+    A negative Newton or non-positive Krylov cap, a negative or non-finite
+    tolerance and a non-positive or non-finite wall-clock budget are a
+    :class:`ValueError` naming the field, at construction.
     """
 
     gradient_tolerance: float = 1e-2
@@ -92,18 +89,12 @@ class SolverOptions:
     max_newton_iterations: int = 50
     max_krylov_iterations: int = 100
     forcing_max: float = 0.5
-    preconditioner: str = "inverse_regularization"
     line_search: ArmijoLineSearch = field(default_factory=ArmijoLineSearch)
     max_wall_clock_seconds: Optional[float] = None
     verbose: bool = False
     cancel_token: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.preconditioner not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner {self.preconditioner!r}; "
-                f"expected one of {PRECONDITIONERS}"
-            )
         for name, least in (("max_newton_iterations", 0), ("max_krylov_iterations", 1)):
             if getattr(self, name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
@@ -152,7 +143,7 @@ class OptimizationResult:
     converged: bool
     termination_reason: str
     iterations: List[NewtonIterationRecord]
-    final_iterate: OuterIterate
+    final_iterate: Iterate
     total_hessian_matvecs: int
     total_pcg_iterations: int
     elapsed_seconds: float
@@ -177,37 +168,29 @@ class GaussNewtonKrylov:
     Parameters
     ----------
     problem:
-        The discretized registration problem (provides objective, gradient
-        and Hessian mat-vec).
+        What is minimized (:class:`~repro.core.optim.protocol.NewtonProblem`:
+        objective, gradient, Hessian mat-vec, preconditioner), e.g. the
+        discretized registration problem.
     options:
         Solver control parameters.
     """
 
-    problem: RegistrationProblem
+    problem: NewtonProblem
     options: SolverOptions = field(default_factory=SolverOptions)
 
     def solve(self, initial_velocity: Optional[np.ndarray] = None) -> OptimizationResult:
-        """Run the outer loop starting from *initial_velocity* (or 0).
-
-        A non-finite *initial_velocity* is a :class:`ValueError` naming it,
-        raised before any transform runs.
-        """
+        """Run the outer loop from *initial_velocity* (or the problem's own
+        start point), as :meth:`NewtonProblem.start` checks it."""
         problem = self.problem
         options = self.options
         start = time.perf_counter()
 
-        if initial_velocity is None:
-            velocity = problem.zero_velocity()
-        else:
-            velocity = np.array(initial_velocity, dtype=problem.grid.dtype, copy=True)
-            velocity = problem.project(check_finite(velocity, "initial_velocity"))
-
-        preconditioner = SpectralPreconditioner(problem.regularizer, options.preconditioner)
+        velocity = problem.start(initial_velocity)
+        preconditioner = problem.preconditioner()
         iterate = problem.linearize(velocity)
         initial_gradient_norm = max(iterate.gradient_norm, 1e-300)
 
         records: List[NewtonIterationRecord] = []
-        total_matvecs = 0
         total_pcg = 0
         converged = False
         reason = "max_iterations"
@@ -240,22 +223,20 @@ class GaussNewtonKrylov:
                 reason = "wall_clock_budget"
                 break
 
-            matvec_count_before = problem.hessian_matvec_count
             with trace_span("newton.iteration", iteration=iteration) as iteration_span:
                 direction, forcing, pcg_iterations, negative_curvature = self._step(
                     iterate, preconditioner, initial_gradient_norm
                 )
-                matvecs_this_iteration = problem.hessian_matvec_count - matvec_count_before
-                total_matvecs += matvecs_this_iteration
+                # PCG starts from zero: each of its iterations is one mat-vec
                 total_pcg += pcg_iterations
-                iteration_span.set_attr("hessian_matvecs", matvecs_this_iteration)
+                iteration_span.set_attr("hessian_matvecs", pcg_iterations)
 
-                gradient = iterate.gradient  # a field, for the line search's slope
+                gradient = iterate.gradient  # a point, for the line search's slope
                 ls = None if direction is None else self._search(iterate, gradient, direction)
                 gradient_fallback = ls is None or not ls.success
                 if gradient_fallback:
-                    # the one fallback: the preconditioned negative gradient
-                    direction = self._gradient_step(iterate, preconditioner)
+                    # the one fallback: the preconditioned negative gradient -M^{-1} g
+                    direction = problem.as_point(preconditioner(-iterate.gradient_spectrum))
                     ls = self._search(iterate, gradient, direction, fallback=True)
                 if ls.success:
                     with trace_span("newton.linearize"):
@@ -274,7 +255,7 @@ class GaussNewtonKrylov:
                     relative_gradient_norm=iterate.gradient_norm / initial_gradient_norm,
                     forcing_term=forcing,
                     pcg_iterations=pcg_iterations,
-                    hessian_matvecs=matvecs_this_iteration,
+                    hessian_matvecs=pcg_iterations,
                     step_length=ls.step_length,
                     line_search_evaluations=ls.evaluations,
                     elapsed_seconds=time.perf_counter() - start,
@@ -292,56 +273,44 @@ class GaussNewtonKrylov:
             termination_reason=reason,
             iterations=records,
             final_iterate=iterate,
-            total_hessian_matvecs=total_matvecs,
+            total_hessian_matvecs=total_pcg,
             total_pcg_iterations=total_pcg,
             elapsed_seconds=elapsed,
         )
 
     def _step(
         self,
-        iterate: OuterIterate,
-        preconditioner: SpectralPreconditioner,
+        iterate: Iterate,
+        preconditioner: MatVec,
         initial_gradient_norm: float,
     ) -> Tuple[Optional[np.ndarray], float, int, bool]:
-        """PCG on half-spectra to the forcing term: the step as a field (None
-        when PCG returns zero), the forcing term, the iteration count and
-        PCG's negative-curvature flag."""
+        """PCG in the Krylov space to the forcing term: the step as a point
+        (None when PCG returns zero), the forcing term, the iteration count
+        and PCG's negative-curvature flag."""
         problem = self.problem
         forcing = self.options.forcing_term(iterate.gradient_norm, initial_gradient_norm)
         with trace_span("newton.pcg", forcing=forcing):
             result = pcg(
                 matvec=problem.hessian_operator(iterate),
                 rhs=-iterate.gradient_spectrum,
-                space=problem.operators.fft,
+                space=problem.krylov_space,
                 preconditioner=preconditioner,
                 rel_tol=forcing,
                 max_iterations=self.options.max_krylov_iterations,
                 cancel_token=self.options.cancel_token,
             )
-        direction = (
-            problem.operators.fft.inverse_vector(result.solution)
-            if np.any(result.solution)
-            else None
-        )
+        direction = problem.as_point(result.solution) if np.any(result.solution) else None
         return direction, forcing, result.iterations, result.negative_curvature
 
-    def _gradient_step(
-        self, iterate: OuterIterate, preconditioner: SpectralPreconditioner
-    ) -> np.ndarray:
-        """The preconditioned negative gradient ``-M^{-1} g`` as a field."""
-        return self.problem.operators.fft.inverse_vector(
-            preconditioner(-iterate.gradient_spectrum)
-        )
-
     def _search(
-        self, iterate: OuterIterate, gradient: np.ndarray, direction: np.ndarray, **span_attrs
+        self, iterate: Iterate, gradient: np.ndarray, direction: np.ndarray, **span_attrs
     ) -> LineSearchResult:
-        """One Armijo search from *iterate* (whose gradient field is
+        """One Armijo search from *iterate* (whose gradient as a point is
         *gradient*) along *direction*."""
         with trace_span("newton.line_search", **span_attrs):
             return self.options.line_search.search(
                 objective=self.problem.trial_objective,
-                grid=self.problem.grid,
+                space=self.problem.point_space,
                 current_point=iterate.velocity,
                 current_objective=iterate.objective.total,
                 gradient=gradient,

@@ -16,11 +16,12 @@ class GradientDescent(GaussNewtonKrylov):
     """Preconditioned steepest descent with the Newton driver's loop.
 
     Every step is the driver's fallback, ``d = -M^{-1} g(v)`` with ``M^{-1}``
-    the spectral preconditioner (the "preconditioned gradient descent" of
-    the GPU LDDMM codes cited in the related work), under the same Armijo
-    search, cancellation, budget and termination criteria.  The Krylov
-    options are ignored; each record reads forcing term 0, no PCG
-    iterations, no Hessian mat-vecs and ``gradient_fallback``.
+    the problem's preconditioner — for the registration the spectral one
+    (the "preconditioned gradient descent" of the GPU LDDMM codes cited in
+    the related work) — under the same Armijo search, cancellation, budget
+    and termination criteria.  The Krylov options are ignored; each record
+    reads forcing term 0, no PCG iterations, no Hessian mat-vecs and
+    ``gradient_fallback``.
     """
 
     def _step(self, iterate, preconditioner, initial_gradient_norm):

@@ -23,8 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.optim.pcg import VectorSpace
 from repro.observability.trace import trace_span
-from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
 from repro.utils.validation import check_positive
 
@@ -74,7 +74,7 @@ class ArmijoLineSearch:
     def search(
         self,
         objective: Callable[[np.ndarray], float],
-        grid: Grid,
+        space: VectorSpace,
         current_point: np.ndarray,
         current_objective: float,
         gradient: np.ndarray,
@@ -85,11 +85,12 @@ class ArmijoLineSearch:
         Parameters
         ----------
         objective:
-            Callable evaluating ``J`` at a trial velocity.
-        grid:
-            Grid defining the inner product for the directional derivative.
+            Callable evaluating ``J`` at a trial point.
+        space:
+            Its ``inner`` gives the directional derivative (a ``Grid`` for
+            velocity fields).
         current_point:
-            Current velocity ``v``.
+            Current point ``v``.
         current_objective:
             ``J(v)`` (already computed by the outer iteration).
         gradient:
@@ -97,7 +98,7 @@ class ArmijoLineSearch:
         direction:
             Search direction ``d`` (the PCG step or the gradient step).
         """
-        directional_derivative = grid.inner(gradient, direction)
+        directional_derivative = space.inner(gradient, direction)
         if directional_derivative >= 0.0:
             LOGGER.debug(
                 "direction is not a descent direction (g.d = %.3e)", directional_derivative

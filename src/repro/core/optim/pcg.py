@@ -52,12 +52,6 @@ class PCGResult:
     converged: bool = False
     negative_curvature: bool = False
 
-    @property
-    def final_relative_residual(self) -> float:
-        if not self.residual_norms:
-            return float("nan")
-        return self.residual_norms[-1] / max(self.residual_norms[0], 1e-300)
-
 
 def pcg(
     matvec: MatVec,
@@ -65,12 +59,13 @@ def pcg(
     space: VectorSpace,
     preconditioner: Optional[MatVec] = None,
     rel_tol: float = 1e-2,
-    abs_tol: float = 0.0,
     max_iterations: int = 100,
-    x0: Optional[np.ndarray] = None,
     cancel_token: Optional[object] = None,
 ) -> PCGResult:
-    """Solve ``H x = rhs`` with preconditioned conjugate gradients.
+    """Solve ``H x = rhs`` with preconditioned conjugate gradients from ``x = 0``.
+
+    Each iteration applies *matvec* once, so ``iterations`` is the number of
+    mat-vecs.
 
     Parameters
     ----------
@@ -87,13 +82,8 @@ def pcg(
     rel_tol:
         Relative residual tolerance (the forcing term of the inexact Newton
         method).
-    abs_tol:
-        Absolute residual tolerance.
     max_iterations:
         Hard cap on the number of mat-vecs.
-    x0:
-        Optional initial guess (zero by default, the usual choice for
-        Newton systems).
     cancel_token:
         Optional cooperative cancellation token
         (:class:`repro.runtime.cancellation.CancelToken`).  Polled before
@@ -108,25 +98,24 @@ def pcg(
     PCGResult
         Solution, iteration count, residual history and status flags.
     """
-    if rel_tol < 0 or abs_tol < 0:
-        raise ValueError("tolerances must be non-negative")
+    if rel_tol < 0:
+        raise ValueError(f"rel_tol must be non-negative, got {rel_tol}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     rhs = np.asarray(rhs)
 
     apply_prec = preconditioner if preconditioner is not None else (lambda r: r)
 
-    x = np.zeros_like(rhs) if x0 is None else np.array(x0, copy=True)
-    r = rhs - matvec(x) if x0 is not None and np.any(x0) else rhs.copy()
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     z = apply_prec(r)
     p = z.copy()
     rz = space.inner(r, z)
 
     r_norm = space.norm(r)
     residual_norms = [r_norm]
-    # the relative tolerance is measured against ||rhs|| (scipy convention),
-    # so a warm start that already satisfies the system converges immediately
-    target = max(rel_tol * space.norm(rhs), abs_tol)
+    # the relative tolerance is measured against ||rhs|| (scipy convention)
+    target = rel_tol * r_norm
 
     if r_norm <= target:
         return PCGResult(solution=x, iterations=0, residual_norms=residual_norms, converged=True)

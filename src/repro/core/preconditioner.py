@@ -12,27 +12,21 @@ the spectrum around ``1 + (beta A)^+ Q``: the number of PCG iterations is
 then independent of the mesh size, but it degrades as ``beta`` is reduced —
 exactly the behaviour the paper reports in Table V.
 
-``M^{-1}`` is diagonal in Fourier space and the Krylov solve iterates on
+``M^{-1} = (beta A)^+``, with the identity on the (null-space) constant
+mode, is diagonal in Fourier space and the Krylov solve iterates on
 half-spectra (:mod:`repro.core.optim.pcg`), so applying it is one multiply
-by its symbol — no transform.  Two variants are provided:
-
-``"inverse_regularization"``
-    ``M^{-1} = (beta A)^+`` with the identity on the (null-space) constant
-    mode — the paper's choice.
-``"none"``
-    The identity (used by the ablation bench).
+by its symbol — no transform.  The registration problem builds one per
+solve (:meth:`~repro.core.problem.RegistrationProblem.preconditioner`), after
+any ``beta`` change of a continuation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from repro.core.regularization import _SobolevSeminormRegularization
-
-PRECONDITIONERS = ("inverse_regularization", "none")
 
 
 @dataclass
@@ -44,34 +38,17 @@ class SpectralPreconditioner:
     regularizer:
         The Sobolev-seminorm regularization of the problem; provides the
         spectral symbol ``beta * a(k)``.
-    variant:
-        ``"inverse_regularization"`` (paper default) or ``"none"``.
     """
 
     regularizer: _SobolevSeminormRegularization
-    variant: str = "inverse_regularization"
 
     def __post_init__(self) -> None:
-        if self.variant not in PRECONDITIONERS:
-            raise ValueError(
-                f"unknown preconditioner variant {self.variant!r}; "
-                f"expected one of {PRECONDITIONERS}"
-            )
-
-    @cached_property
-    def _symbol(self) -> np.ndarray | None:
-        """Spectral symbol of ``M^{-1}`` (None for the identity)."""
-        if self.variant == "none":
-            return None
-        # pseudo-inverse with identity on the null space; the unweighted
-        # pseudo-inverse comes pre-computed from the per-grid symbol store
-        # via the regularizer
-        symbol = self.regularizer.inverse_symbol / self.regularizer.beta
-        symbol[self.regularizer.symbol == 0.0] = 1.0
-        return symbol
+        # the symbol of M^{-1}: pseudo-inverse with identity on the null
+        # space; the unweighted pseudo-inverse comes pre-computed from the
+        # per-grid symbol store via the regularizer
+        self._symbol = self.regularizer.inverse_symbol / self.regularizer.beta
+        self._symbol[self.regularizer.symbol == 0.0] = 1.0
 
     def __call__(self, spectrum: np.ndarray) -> np.ndarray:
         """Apply ``M^{-1}`` to the half-spectra of a (vector-field) residual."""
-        if self._symbol is None:
-            return spectrum.copy()
         return spectrum * self._symbol

@@ -27,7 +27,7 @@ half-spectrum (what the Krylov solver iterates on) transforms twice —
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -40,13 +40,19 @@ from repro.core.gradients import (
     plan_state_gradients,
     trapezoid_weights,
 )
+from repro.core.preconditioner import SpectralPreconditioner
 from repro.core.regularization import make_regularization
 from repro.observability.trace import trace_span
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
 from repro.transport.solvers import TransportPlan, TransportSolver
-from repro.utils.validation import check_positive_int, check_velocity_shape
+from repro.utils.validation import (
+    check_finite,
+    check_positive_int,
+    check_real_dtype,
+    check_velocity_shape,
+)
 
 
 @dataclass
@@ -160,6 +166,8 @@ class RegistrationProblem:
     gauss_newton:
         Use the Gauss-Newton approximation of the Hessian (the paper's
         default for all reported experiments).
+
+    The problem is a :class:`~repro.core.optim.protocol.NewtonProblem`.
     """
 
     grid: Grid
@@ -172,7 +180,6 @@ class RegistrationProblem:
     gauss_newton: bool = True
     operators: Optional[SpectralOperators] = None
     transport: Optional[TransportSolver] = None
-    hessian_matvec_count: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         check_positive_int(self.num_time_steps, "num_time_steps")
@@ -195,6 +202,8 @@ class RegistrationProblem:
                 operators=self.operators,
             )
         self.regularizer = make_regularization(self.regularization, self.operators, self.beta)
+        #: PCG iterates on half-spectra; the points are velocity fields
+        self.krylov_space, self.point_space = self.operators.fft, self.grid
         #: the most recent line-search trial: (velocity, spectrum, plan, state history)
         self._trial: Optional[tuple] = None
         #: the live iterate (the last :meth:`linearize` result) and its velocity's spectrum
@@ -206,6 +215,23 @@ class RegistrationProblem:
     def zero_velocity(self) -> np.ndarray:
         """Initial guess ``v = 0`` (the paper's initialization)."""
         return self.grid.zeros_vector()
+
+    def start(self, initial: Optional[np.ndarray]) -> np.ndarray:
+        """Zero, or *initial* checked — real (``TypeError``) and finite
+        (``ValueError``), naming ``initial_velocity`` before any transform —
+        and projected."""
+        if initial is None:
+            return self.zero_velocity()
+        check_real_dtype(np.asarray(initial).dtype, "initial_velocity")
+        velocity = np.array(initial, dtype=self.grid.dtype, copy=True)
+        return self.project(check_finite(velocity, "initial_velocity"))
+
+    def as_point(self, step: np.ndarray) -> np.ndarray:
+        return self.operators.fft.inverse_vector(step)
+
+    def preconditioner(self) -> SpectralPreconditioner:
+        """``M^{-1} = (beta A)^+`` at the current ``beta``."""
+        return SpectralPreconditioner(self.regularizer)
 
     def set_beta(self, beta: float) -> None:
         """Change the regularization weight (used by the continuation)."""
@@ -434,7 +460,6 @@ class RegistrationProblem:
             direction = self.operators.leray_project_spectra(
                 direction, out=direction if real else None
             )
-        self.hessian_matvec_count += 1
         matvec = self._reduced_spectrum(
             fft.forward_vector(self._body_force_tilde(iterate, fft.inverse_vector(direction))),
             direction,

@@ -209,7 +209,7 @@ class RegistrationSolver:
         Standard deviation of the spectral Gaussian pre-smoothing in units of
         grid cells (paper: one grid cell).  ``0`` disables smoothing.
     options:
-        Solver options (tolerances, iteration caps, preconditioner variant).
+        Solver options (tolerances, iteration caps, budget).
     config:
         Consolidated execution configuration
         (:class:`repro.config.RegistrationConfig`).  When provided it is

@@ -8,7 +8,7 @@ library and the existing versioned-document discipline:
 * **Spec documents.**  :func:`spec_to_dict` / :func:`spec_from_dict`
   serialize :class:`~repro.service.jobs.RegistrationJobSpec` and
   :class:`~repro.service.jobs.TransportJobSpec` as versioned JSON
-  (``repro.service-jobspec`` v1).  Arrays are embedded bitwise (base64 of
+  (``repro.service-jobspec`` v2).  Arrays are embedded bitwise (base64 of
   the C-contiguous buffer + dtype + shape), so a replayed job computes the
   *identical* result the original submission would have.  The same schema
   is the wire format of the HTTP front's ``POST /jobs``.  The decoder only
@@ -30,8 +30,10 @@ library and the existing versioned-document discipline:
   records through the atomic temp-file + ``os.replace`` pattern (fsync'd
   before the swap), bounding the journal's size by the live backlog
   instead of the service's lifetime; the service compacts on every start.
-  ``segment-<n>.jsonl`` files an earlier version rotated through are read
-  first, in index order, and removed by the first compaction.
+  A journal an older version wrote — a v1 spec, or the ``segment-<n>.jsonl``
+  files those versions rotated through — is a :class:`ValueError` naming
+  the file and the version: replay re-queues nothing it cannot run as
+  submitted, and drops nothing that was acknowledged.
 
 Journal sizing: a record is ~1.4x the spec's array payload (base64) plus
 ~300 bytes of envelope; terminal records are ~150 bytes.
@@ -47,7 +49,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -62,7 +64,6 @@ from repro.service.jobs import (
 )
 from repro.spectral.grid import Grid
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_choice, check_nonnegative
 
 LOGGER = get_logger("service.journal")
 
@@ -81,7 +82,7 @@ __all__ = [
 #: Name and version of the serialized job-spec document (also the HTTP
 #: submission wire format); bump the version on any breaking field change.
 SPEC_SCHEMA = "repro.service-jobspec"
-SPEC_SCHEMA_VERSION = 1
+SPEC_SCHEMA_VERSION = 2
 
 #: Name and version of one journal record (one JSON line per event).
 JOURNAL_SCHEMA = "repro.service-journal"
@@ -89,10 +90,6 @@ JOURNAL_SCHEMA_VERSION = 1
 
 #: The journal file inside the journal directory.
 JOURNAL_FILE = "journal.jsonl"
-
-#: Files an earlier version rotated through: ``segment-<n>.jsonl``.
-_SEGMENT_PREFIX = "segment-"
-_SEGMENT_SUFFIX = ".jsonl"
 
 
 class MalformedSpecError(ValueError):
@@ -172,11 +169,6 @@ def _decode_options(doc: Any) -> Optional[SolverOptions]:
     try:
         fields = dict(doc)
         fields.pop("cancel_token", None)
-        # documents written while the forcing rule was a setting carry it and
-        # its constant: the quadratic rule and a usable constant are dropped
-        check_choice(fields.pop("forcing", "quadratic"), "forcing", ("quadratic",))
-        if "constant_forcing" in fields:
-            check_nonnegative(fields.pop("constant_forcing"), "constant_forcing")
         line_search = fields.pop("line_search", None)
         if line_search is not None:
             fields["line_search"] = ArmijoLineSearch(**line_search)
@@ -236,15 +228,12 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     Raises
     ------
     MalformedSpecError
-        The document is not a valid v1 jobspec (schema, kind, an array,
-        grid or solver-options document that does not decode), a retired
-        key is set to anything but what every solve now does (an
-        ``interpolation`` other than ``cubic_bspline``, a ``normalize`` that
-        is not ``true``, a ``forcing`` other than ``"quadratic"``, a
-        negative or non-finite ``constant_forcing``), or the spec
-        constructor raised — with the constructor's message.  The message is
-        clean and client-facing: the HTTP front returns it verbatim with a
-        400, before anything is journaled.
+        The document is not a valid v2 jobspec (schema, version, kind, a
+        key the spec does not have, an array, grid or solver-options
+        document that does not decode), or the spec constructor raised —
+        with the constructor's message.  The message is clean and
+        client-facing: the HTTP front returns it verbatim with a 400, before
+        anything is journaled.
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -261,22 +250,18 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     payload = document.get("spec")
     if not isinstance(payload, dict):
         raise MalformedSpecError("jobspec 'spec' section must be a JSON object")
+    spec_type = {"register": RegistrationJobSpec, "transport": TransportJobSpec}.get(kind)
+    if spec_type is None:
+        raise MalformedSpecError(
+            f"jobspec kind must be 'register' or 'transport', got {kind!r}"
+        )
+    # v2 carries exactly the spec's fields: a retired key is an error, not ignored
+    unknown = sorted(set(payload) - {field.name for field in dataclasses.fields(spec_type)})
+    if unknown:
+        raise MalformedSpecError(f"unknown {kind} jobspec key(s) {unknown}")
     job_class = document.get("job_class", JOB_CLASS_INTERACTIVE)
     try:
         if kind == "register":
-            # documents from before the kernel option name the one kernel
-            check_choice(
-                str(payload.get("interpolation", "cubic_bspline")),
-                "interpolation",
-                ("cubic_bspline",),
-            )
-            # ... and while normalization was a switch, they carry it: only
-            # the value every solve now uses is accepted (and dropped)
-            if payload.get("normalize", True) is not True:
-                raise MalformedSpecError(
-                    f"normalize must be true (images are always normalized), "
-                    f"got {payload['normalize']!r}"
-                )
             return RegistrationJobSpec(
                 template=_decode_array(payload.get("template"), "template"),
                 reference=_decode_array(payload.get("reference"), "reference"),
@@ -291,20 +276,16 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
                 grid=_decode_grid(payload.get("grid")),
                 job_class=job_class,
             )
-        if kind == "transport":
-            return TransportJobSpec(
-                velocity=_decode_array(payload.get("velocity"), "velocity"),
-                moving=_decode_array(payload.get("moving"), "moving"),
-                num_time_steps=int(payload.get("num_time_steps", 4)),
-                num_tasks=int(payload.get("num_tasks", 4)),
-                grid=_decode_grid(payload.get("grid")),
-                job_class=job_class,
-            )
+        return TransportJobSpec(
+            velocity=_decode_array(payload.get("velocity"), "velocity"),
+            moving=_decode_array(payload.get("moving"), "moving"),
+            num_time_steps=int(payload.get("num_time_steps", 4)),
+            num_tasks=int(payload.get("num_tasks", 4)),
+            grid=_decode_grid(payload.get("grid")),
+            job_class=job_class,
+        )
     except (TypeError, ValueError) as exc:
         raise MalformedSpecError(str(exc)) from None
-    raise MalformedSpecError(
-        f"jobspec kind must be 'register' or 'transport', got {kind!r}"
-    )
 
 
 # --------------------------------------------------------------------- #
@@ -342,21 +323,6 @@ class JobJournal:
         self.path = self.directory / JOURNAL_FILE
         self._lock = threading.Lock()
         self._active: Optional[Any] = None  # open append handle of the file
-
-    def _legacy_segments(self) -> List[Path]:
-        """``segment-<n>.jsonl`` files of an earlier version, by index."""
-        segments: List[Tuple[int, Path]] = []
-        for path in self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}"):
-            stem = path.name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-            try:
-                segments.append((int(stem), path))
-            except ValueError:  # foreign file; never touch it
-                continue
-        return [path for _, path in sorted(segments)]
-
-    def _files(self) -> List[Path]:
-        """Every file holding records, oldest first."""
-        return self._legacy_segments() + ([self.path] if self.path.exists() else [])
 
     def close(self) -> None:
         """Close the append handle (the journal stays replayable)."""
@@ -411,45 +377,51 @@ class JobJournal:
     # replay + compaction
     # ------------------------------------------------------------------ #
     def _iter_records(self) -> Iterator[Dict[str, Any]]:
-        files = self._files()
-        for position, path in enumerate(files):
-            text = path.read_text(encoding="utf-8")
-            lines = text.split("\n")
-            # a file killed mid-append may end in a torn line (no trailing
-            # newline); only the FINAL line of the FINAL file may be
-            # legitimately torn — anything else is corruption worth a warning
-            for line_number, line in enumerate(lines):
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    last_file = position == len(files) - 1
-                    torn_tail = line_number == len(lines) - 1 and not text.endswith("\n")
-                    if last_file and torn_tail:
-                        LOGGER.warning(
-                            "journal %s: skipping torn final record (crash mid-append)",
-                            path.name,
-                        )
-                    else:
-                        LOGGER.warning(
-                            "journal %s:%d: skipping unreadable record",
-                            path.name,
-                            line_number + 1,
-                        )
-                    continue
-                if record.get("schema") != JOURNAL_SCHEMA:
-                    LOGGER.warning(
-                        "journal %s:%d: skipping foreign record (schema %r)",
-                        path.name,
-                        line_number + 1,
-                        record.get("schema"),
-                    )
-                    continue
-                yield record
+        segments = sorted(self.directory.glob("segment-*.jsonl"))
+        if segments:
+            raise ValueError(
+                f"journal {segments[0]} is a segment file, which only versions "
+                f"writing jobspec v1 rotated through; this service reads "
+                f"{JOURNAL_FILE} with jobspec v{SPEC_SCHEMA_VERSION}"
+            )
+        if not self.path.exists():
+            return
+        text = self.path.read_text(encoding="utf-8")
+        lines = text.split("\n")
+        # a file killed mid-append may end in a torn line (no trailing
+        # newline); only the FINAL line may be legitimately torn — anything
+        # else is corruption worth a warning
+        for line_number, line in enumerate(lines):
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                torn = line_number == len(lines) - 1 and not text.endswith("\n")
+                LOGGER.warning(
+                    "journal %s:%d: skipping %s record",
+                    self.path.name,
+                    line_number + 1,
+                    "torn final (crash mid-append)" if torn else "unreadable",
+                )
+                continue
+            if record.get("schema") != JOURNAL_SCHEMA:
+                LOGGER.warning(
+                    "journal %s:%d: skipping foreign record (schema %r)",
+                    self.path.name,
+                    line_number + 1,
+                    record.get("schema"),
+                )
+                continue
+            yield record
 
     def replay(self) -> List[PendingJob]:
-        """Jobs submitted but never finished, in submission order."""
+        """Jobs submitted but never finished, in submission order.
+
+        A ``segment-<n>.jsonl`` file in the directory, or a submitted record
+        whose spec is missing or of another jobspec version, is a
+        :class:`ValueError` naming the file and the version.
+        """
         with trace_span("service.journal.replay"):
             pending: Dict[str, PendingJob] = {}
             for record in self._iter_records():
@@ -457,12 +429,12 @@ class JobJournal:
                 event = record.get("event")
                 if event == "submitted":
                     spec_doc = record.get("spec")
-                    if not isinstance(spec_doc, dict):
-                        LOGGER.warning(
-                            "journal: submitted record of job %s has no spec; skipping",
-                            job_id,
+                    version = spec_doc.get("schema_version") if isinstance(spec_doc, dict) else None
+                    if version != SPEC_SCHEMA_VERSION:
+                        raise ValueError(
+                            f"journal {self.path}: job {job_id} holds a jobspec "
+                            f"v{version} spec; this service reads v{SPEC_SCHEMA_VERSION}"
                         )
-                        continue
                     pending[job_id] = PendingJob(
                         job_id=job_id,
                         job_class=record.get("job_class", JOB_CLASS_INTERACTIVE),
@@ -476,16 +448,14 @@ class JobJournal:
         """Rewrite the journal down to its pending records; return them.
 
         The surviving records are written to a temp file, fsync'd and swapped
-        in with ``os.replace``; legacy segments are removed after the swap.
-        A crash at any point leaves either the old records or the compacted
-        ones (plus segments whose records the compacted file repeats), never
-        a journal missing a live record.
+        in with ``os.replace``.  A crash at any point leaves either the old
+        records or the compacted ones, never a journal missing a live record;
+        a journal :meth:`replay` refuses is left as it is.
         """
         with self._lock:
             if self._active is not None and not self._active.closed:
                 self._active.close()
             pending = self.replay()
-            segments = self._legacy_segments()
             tmp = self.path.with_suffix(self.path.suffix + ".tmp")
             with open(tmp, "w", encoding="utf-8") as handle:
                 for entry in pending:
@@ -500,8 +470,6 @@ class JobJournal:
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)
-            for path in segments:
-                path.unlink(missing_ok=True)
             self._active = None
             return pending
 
@@ -511,5 +479,5 @@ class JobJournal:
         with self._lock:
             return {
                 "directory": str(self.directory),
-                "bytes": sum(path.stat().st_size for path in self._files()),
+                "bytes": self.path.stat().st_size if self.path.exists() else 0,
             }

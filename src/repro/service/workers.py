@@ -159,21 +159,17 @@ class RegistrationService:
         """Re-queue journaled jobs that never finished (before workers start).
 
         Compaction first: the surviving ``submitted`` records stay live in
-        the fresh segment, so a *second* crash before these jobs finish
-        still replays them — no re-journaling needed.
+        the compacted file, so a *second* crash before these jobs finish
+        still replays them — no re-journaling needed.  A journal an older
+        version wrote, or a spec that does not decode, is a
+        :class:`ValueError`: an acknowledged job is never dropped.
         """
         if self.journal is None:
             return []
-        recovered: List[Job] = []
-        for entry in self.journal.compact():
-            try:
-                spec = entry.spec()
-            except ValueError:
-                LOGGER.exception(
-                    "journal: dropping unreadable spec of job %s", entry.job_id
-                )
-                continue
-            recovered.append(self._enqueue(spec, job_id=entry.job_id, journal=False))
+        recovered = [
+            self._enqueue(entry.spec(), job_id=entry.job_id, journal=False)
+            for entry in self.journal.compact()
+        ]
         if recovered:
             LOGGER.info("journal: re-queued %d unfinished job(s)", len(recovered))
         return recovered

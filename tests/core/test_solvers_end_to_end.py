@@ -134,10 +134,20 @@ class TestGaussNewtonKrylov:
         assert result.termination_reason in ("wall_clock_budget", "gradient_tolerance")
         assert result.num_iterations <= 1
 
-    def test_records_are_consistent(self, problem):
+    def test_records_are_consistent(self, problem, monkeypatch):
+        """PCG starts from zero, so its iteration count is the number of
+        mat-vecs the problem applied: one count, reported under both names."""
+        applied = []
+        matvec = problem.hessian_matvec
+        monkeypatch.setattr(
+            problem, "hessian_matvec", lambda *args: applied.append(1) or matvec(*args)
+        )
         result = GaussNewtonKrylov(problem, quick_options(max_newton_iterations=3)).solve()
+        for record in result.iterations:
+            assert record.hessian_matvecs == record.pcg_iterations
         total = sum(r.hessian_matvecs for r in result.iterations)
-        assert total <= result.total_hessian_matvecs + 2
+        assert total == result.total_hessian_matvecs == result.total_pcg_iterations
+        assert total == len(applied) > 0
         table = result.convergence_table()
         assert len(table) == result.num_iterations
         assert all("objective" in row for row in table)
@@ -228,6 +238,24 @@ class TestInitialVelocityBoundary:
         before = transforms()
         with pytest.raises(ValueError, match="initial_velocity has 1 non-finite value"):
             OUTER_SOLVERS[entry](problem)(velocity)
+        assert transforms() == before
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.bool_], ids=["complex", "bool"])
+    @pytest.mark.parametrize("entry", sorted(OUTER_SOLVERS))
+    def test_non_real_initial_velocity_rejected_before_any_transform(
+        self, synthetic, entry, dtype
+    ):
+        """Casting would drop the imaginary part (numpy only warns) or read a
+        mask as a velocity; the problem's start point names it instead."""
+        problem = RegistrationProblem(
+            grid=synthetic.grid, reference=synthetic.reference, template=synthetic.template
+        )
+        velocity = problem.zero_velocity().astype(dtype)
+        before = transforms()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TypeError, match="initial_velocity must hold real"):
+                OUTER_SOLVERS[entry](problem)(velocity)
         assert transforms() == before
 
 
@@ -342,6 +370,13 @@ class TestRegistrationFrontEnd:
         with pytest.raises(ValueError, match="initial_velocity has 1 non-finite value"):
             solver.run(synthetic.template, synthetic.reference, initial_velocity=velocity)
 
+    def test_complex_initial_velocity_rejected(self, synthetic):
+        """``v + 1j`` used to solve from ``Re v`` after a ``ComplexWarning``."""
+        velocity = np.zeros((3, *synthetic.grid.shape)) + 1j
+        solver = RegistrationSolver(options=quick_options())
+        with pytest.raises(TypeError, match="initial_velocity must hold real .* complex128"):
+            solver.run(synthetic.template, synthetic.reference, initial_velocity=velocity)
+
     @pytest.mark.parametrize("entry", ["solver", "register"])
     @pytest.mark.parametrize("name", ["regularization", "optimizer"])
     def test_unknown_choice_rejected_at_construction(self, synthetic, name, entry):
@@ -387,6 +422,33 @@ class TestRegistrationFrontEnd:
         )
         assert result.num_hessian_matvecs == 0
         assert result.relative_residual <= 1.0
+
+
+class TestTwoPointAxis:
+    """``Grid`` accepts an axis of 2 points, and nothing moves along it.
+
+    Its spectrum holds only the ``k = 0`` and Nyquist modes, and the spectral
+    derivative zeroes the Nyquist mode, so every image gradient — hence the
+    body force, the reduced gradient and each Newton step — has no component
+    along that axis: the velocity component there stays exactly 0, while the
+    other two register as on any grid.  This is intended: a 2-point axis
+    carries no resolvable displacement, and the solve must neither fail nor
+    fold the map.
+    """
+
+    @pytest.mark.parametrize("shape, axis", [((2, 8, 8), 0), ((8, 8, 2), 2)], ids=str)
+    def test_converges_without_motion_along_the_axis(self, shape, axis):
+        i0, i1, i2 = 2 * np.pi * np.indices(shape) / np.reshape(shape, (3, 1, 1, 1))
+        # varies along all three axes, the 2-point one at its Nyquist mode;
+        # the reference is the template shifted one cell along axis 1
+        template = np.sin(i1) * (3.0 + np.cos(i0) + np.cos(i2))
+        result = register(template, np.roll(template, 1, axis=1))
+        assert result.optimization.converged
+        assert result.optimization.termination_reason == "gradient_tolerance"
+        assert np.max(np.abs(result.velocity[axis])) == 0.0
+        assert np.max(np.abs(result.velocity[1])) > 0.1
+        assert result.det_grad_stats["min"] > 0.0
+        assert result.relative_residual < 0.5
 
 
 class TestMetrics:

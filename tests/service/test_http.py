@@ -246,28 +246,24 @@ class TestMalformedSubmissions:
         assert status == 400
         assert "template" in doc["error"]
 
-    @pytest.mark.parametrize("kernel", ["linear", "catmull_rom"])
-    def test_other_kernel_is_400_before_anything_is_journaled(self, tmp_path, kernel):
-        """``catmull_rom`` is the scatter's kernel, not a solver option."""
+    def test_v1_document_is_400_before_anything_is_journaled(self, tmp_path):
         document = _registration_document()
-        document["spec"]["interpolation"] = kernel
+        document["schema_version"] = 1
         status, doc = _post_rejected(tmp_path, document)
         assert status == 400
-        assert "interpolation must be one of ('cubic_bspline',)" in doc["error"]
+        assert "unsupported jobspec schema version 1" in doc["error"]
 
 
 #: Solver settings no solve can use: (jobspec section, field, value).
 BAD_SETTINGS = [
     ("spec", "beta", 0.0), ("spec", "beta", -1e-2), ("spec", "beta", float("nan")),
     ("spec", "smooth_sigma", -1.0), ("spec", "smooth_sigma", float("nan")),
-    ("options", "preconditioner", "bogus"), ("options", "preconditioner", "shifted"),
     ("options", "max_newton_iterations", -1), ("options", "max_krylov_iterations", 0),
     ("options", "forcing_max", -1.0), ("options", "gradient_tolerance", float("nan")),
     ("options", "absolute_gradient_tolerance", float("inf")),
     ("options", "max_wall_clock_seconds", 0.0),
     ("spec", "beta", float("inf")), ("spec", "smooth_sigma", float("inf")),
     ("options", "max_newton_iterations", -5), ("options", "max_krylov_iterations", -1),
-    ("options", "preconditioner", ""),
     ("options", "forcing_max", float("nan")), ("options", "gradient_tolerance", -1e-3),
     ("options", "absolute_gradient_tolerance", -1.0),
     ("options", "max_wall_clock_seconds", -1.0),
@@ -282,47 +278,17 @@ EDGE_SETTINGS = [
     ("options", "gradient_tolerance", 0.0), ("options", "absolute_gradient_tolerance", 0.0),
     ("options", "forcing_max", 0.0),
     ("options", "max_wall_clock_seconds", None), ("options", "max_wall_clock_seconds", 1e-3),
+]
+
+#: Switches that are gone, as documents written while they existed carried
+#: them: (jobspec section, key, value).  Neither the constructors nor a v2
+#: document take them.
+RETIRED_KEYS = [
+    ("spec", "interpolation", "cubic_bspline"), ("spec", "normalize", True),
+    ("options", "forcing", "quadratic"), ("options", "constant_forcing", 0.1),
+    ("options", "preconditioner", "inverse_regularization"),
     ("options", "preconditioner", "none"),
 ]
-
-#: Switches that are gone, set to what no solve does any more: (jobspec
-#: section, field, value).  The constructors no longer take the field.
-RETIRED_SETTINGS = [
-    ("options", "forcing", "linear"), ("options", "forcing", "constant"),
-    ("options", "forcing", "foo"), ("options", "forcing", "Quadratic"),
-    ("options", "constant_forcing", -0.1), ("options", "constant_forcing", float("inf")),
-    ("options", "constant_forcing", float("nan")), ("spec", "normalize", False),
-]
-
-#: Switches that are gone, set as every solve now runs: documents written
-#: while they existed carry them, and they are accepted and dropped.
-DROPPED_SETTINGS = [
-    ("options", "forcing", "quadratic"), ("options", "constant_forcing", 0.0),
-    ("options", "constant_forcing", 0.1), ("spec", "normalize", True),
-]
-
-
-def _legacy_document():
-    """A register jobspec exactly as the encoder wrote it while the forcing
-    rule and the normalize switch were settings."""
-    document = _registration_document()
-    document["spec"]["normalize"] = True
-    document["spec"]["options"] = {
-        "gradient_tolerance": 0.01,
-        "absolute_gradient_tolerance": 1e-12,
-        "max_newton_iterations": 50,
-        "max_krylov_iterations": 100,
-        "forcing": "quadratic",
-        "forcing_max": 0.5,
-        "constant_forcing": 0.1,
-        "preconditioner": "inverse_regularization",
-        "line_search": {
-            "c1": 0.0001, "contraction": 0.5, "max_evaluations": 20, "initial_step": 1.0
-        },
-        "max_wall_clock_seconds": None,
-        "verbose": False,
-    }
-    return document
 
 
 class TestBadSolverSettings:
@@ -364,11 +330,11 @@ class TestBadSolverSettings:
         spec = spec_from_dict(json.loads(json.dumps(document)))
         assert getattr(spec if section == "spec" else spec.options, name) == value
 
-    @pytest.mark.parametrize("section, name, value", RETIRED_SETTINGS)
-    def test_retired_setting_rejected_at_every_boundary(self, tmp_path, section, name, value):
-        """The constructors no longer take the field; a document that sets it
-        to anything but what every solve does is rejected, naming it, before
-        any transform runs or anything is journaled."""
+    @pytest.mark.parametrize("section, name, value", RETIRED_KEYS)
+    def test_retired_key_rejected_at_every_boundary(self, tmp_path, section, name, value):
+        """The constructors no longer take the key and a v2 document that
+        carries it, at any value, is rejected naming it, before any
+        transform runs or anything is journaled."""
         document = _registration_document()
         before = _transforms()
         with pytest.raises(TypeError, match=name):
@@ -383,29 +349,6 @@ class TestBadSolverSettings:
         status, doc = _post_rejected(tmp_path, document)
         assert status == 400 and name in doc["error"]
         assert _transforms() == before
-
-    @pytest.mark.parametrize("section, name, value", DROPPED_SETTINGS)
-    def test_retired_default_accepted_and_dropped(self, section, name, value):
-        document = _registration_document()
-        fields = document["spec"] if section == "spec" else document["spec"]["options"]
-        fields[name] = value
-        spec = spec_from_dict(json.loads(json.dumps(document)))
-        assert not hasattr(spec if section == "spec" else spec.options, name)
-        assert spec_to_dict(spec) == _registration_document()
-
-    def test_legacy_document_solves_like_the_default(self, served):
-        """POSTed as the encoder wrote it while the switches existed, a
-        document solves bitwise like the default-options one."""
-        service, base = served
-        results = []
-        for document in (_legacy_document(), _registration_document()):
-            status, submitted = _request(f"{base}/jobs", "POST", document)
-            assert status == 202
-            results.append(service.job(submitted["job_id"]).result(timeout=120))
-        legacy, plain = results
-        assert legacy.num_newton_iterations == plain.num_newton_iterations >= 1
-        np.testing.assert_array_equal(legacy.velocity, plain.velocity)
-        np.testing.assert_array_equal(legacy.deformed_template, plain.deformed_template)
 
 
 class TestCancelOverHTTP:

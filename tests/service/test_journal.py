@@ -90,35 +90,6 @@ class TestSpecRoundTrip:
         assert back.options.max_newton_iterations == 2
         assert back.options.gradient_tolerance == 5e-2
 
-    def test_document_naming_the_solver_kernel_solves_bitwise_alike(self):
-        """Documents from when the kernel was an option name it; they solve alike."""
-        doc = spec_to_dict(_registration_spec(options=SolverOptions(max_newton_iterations=1)))
-        assert "interpolation" not in doc["spec"]
-        named = json.loads(json.dumps(doc))
-        named["spec"]["interpolation"] = "cubic_bspline"
-        with RegistrationService(num_workers=1) as service:
-            submit = service.submit_registration
-            plain, kernel = (submit(spec_from_dict(d)).result(timeout=120) for d in (doc, named))
-        np.testing.assert_array_equal(kernel.velocity, plain.velocity)
-        np.testing.assert_array_equal(kernel.deformed_template, plain.deformed_template)
-
-    @pytest.mark.parametrize("kernel", ["linear", "catmull_rom", "CUBIC_BSPLINE", "", None])
-    def test_document_naming_another_kernel_raises_malformed(self, kernel):
-        doc = spec_to_dict(_registration_spec())
-        doc["spec"]["interpolation"] = kernel
-        message = r"interpolation must be one of \('cubic_bspline',\)"
-        with pytest.raises(MalformedSpecError, match=message):
-            spec_from_dict(json.loads(json.dumps(doc)))
-
-    @pytest.mark.parametrize("named", [False, True], ids=["absent", "cubic_bspline"])
-    def test_kernel_key_absent_or_named_decodes_alike(self, named):
-        spec = _registration_spec()
-        doc = spec_to_dict(spec)
-        if named:
-            doc["spec"]["interpolation"] = "cubic_bspline"
-        back = spec_from_dict(json.loads(json.dumps(doc)))
-        assert spec_to_dict(back) == spec_to_dict(spec)
-
     def test_transport_spec_round_trips_bitwise(self):
         spec = _transport_spec()
         back = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
@@ -279,17 +250,29 @@ class TestMalformedSpecs:
             spec_from_dict(spec_to_dict(spec))
 
     @pytest.mark.parametrize(
-        "field, value, message",
+        "kind, section, key, value",
         [
-            ("interpolation", "bogus", "interpolation must be one of"),
-            ("normalize", False, "normalize must be true"),
-            ("normalize", "yes", "normalize must be true"),
+            ("register", "spec", "interpolation", "cubic_bspline"),
+            ("register", "spec", "normalize", True),
+            ("register", "options", "preconditioner", "inverse_regularization"),
+            ("register", "options", "forcing", "quadratic"),
+            ("register", "options", "constant_forcing", 0.1),
+            ("transport", "spec", "interpolation", "catmull_rom"),
         ],
     )
-    def test_retired_keys_set_otherwise_raise_malformed(self, field, value, message):
+    def test_keys_the_spec_does_not_have_raise_malformed(self, kind, section, key, value):
+        """A v2 document carries exactly the spec's fields: a key a retired
+        switch left behind is named, not decoded or dropped."""
+        spec = _registration_spec() if kind == "register" else _transport_spec()
+        doc = spec_to_dict(spec)
+        (doc["spec"] if section == "spec" else doc["spec"]["options"])[key] = value
+        with pytest.raises(MalformedSpecError, match=key):
+            spec_from_dict(json.loads(json.dumps(doc)))
+
+    def test_v1_document_raises_malformed(self):
         doc = spec_to_dict(_registration_spec())
-        doc["spec"][field] = value
-        with pytest.raises(MalformedSpecError, match=message):
+        doc["schema_version"] = 1
+        with pytest.raises(MalformedSpecError, match="unsupported jobspec schema version 1"):
             spec_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -328,7 +311,13 @@ class TestMalformedSpecs:
     def test_schema_constants_in_document(self):
         doc = spec_to_dict(_transport_spec())
         assert doc["schema"] == SPEC_SCHEMA
-        assert doc["schema_version"] == SPEC_SCHEMA_VERSION
+        assert doc["schema_version"] == SPEC_SCHEMA_VERSION == 2
+
+    def test_encoded_options_are_the_solver_options(self):
+        doc = spec_to_dict(_registration_spec())
+        names = {field.name for field in dataclasses.fields(SolverOptions)}
+        assert set(doc["spec"]["options"]) == names - {"cancel_token"}
+        assert "preconditioner" not in doc["spec"]["options"]
 
 
 class TestJournalReplay:
@@ -384,28 +373,6 @@ class TestJournalReplay:
             handle.write(json.dumps({"schema": "someone-else", "event": "x"}) + "\n")
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [job.job_id]
 
-    def test_legacy_record_replays_and_solves_like_the_default(self, tmp_path):
-        """A journal line written while the forcing rule and the normalize
-        switch were settings replays after the upgrade, under its id, and
-        solves bitwise like the spec without them."""
-        spec = _registration_spec(options=SolverOptions(max_newton_iterations=2))
-        journal = JobJournal(tmp_path)
-        job = _job(spec)
-        journal.record_submitted(job)
-        journal.close()
-        path = tmp_path / "journal.jsonl"
-        record = json.loads(path.read_text(encoding="utf-8"))
-        record["spec"]["spec"]["normalize"] = True
-        record["spec"]["spec"]["options"].update(forcing="quadratic", constant_forcing=0.1)
-        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
-        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
-            (recovered,) = service.recovered_jobs
-            assert recovered.job_id == job.job_id
-            replayed = recovered.result(timeout=120)
-            plain = service.submit_registration(spec).result(timeout=120)
-        np.testing.assert_array_equal(replayed.velocity, plain.velocity)
-        np.testing.assert_array_equal(replayed.deformed_template, plain.deformed_template)
-
     def test_every_commit_is_fsynced(self, tmp_path, monkeypatch):
         synced = []
         real_fsync = os.fsync
@@ -420,6 +387,61 @@ class TestJournalReplay:
         journal.close()
         with pytest.raises(TypeError):
             JobJournal(tmp_path, fsync_on_commit=False)
+
+
+def _journal_of_older_version(directory):
+    """A journal as a version writing jobspec v1 left it: one pending job."""
+    journal = JobJournal(directory)
+    journal.record_submitted(_job(_registration_spec()))
+    journal.close()
+    record = json.loads(journal.path.read_text(encoding="utf-8"))
+    record["spec"]["schema_version"] = 1
+    journal.path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    return journal.path
+
+
+class TestOlderJournals:
+    """A journal an older version wrote stops the start, naming the file and
+    the version, and stays as it was: no acknowledged job is dropped."""
+
+    def test_v1_spec_refuses_the_start(self, tmp_path):
+        path = _journal_of_older_version(tmp_path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=r"journal\.jsonl: job .* jobspec v1 spec"):
+            RegistrationService(num_workers=1, journal_dir=tmp_path)
+        assert path.read_bytes() == before
+
+    def test_v1_spec_of_a_finished_job_refuses_the_start(self, tmp_path):
+        path = _journal_of_older_version(tmp_path)
+        job_id = json.loads(path.read_text(encoding="utf-8"))["job_id"]
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(JobJournal(tmp_path)._record("done", job_id)) + "\n")
+        with pytest.raises(ValueError, match="jobspec v1 spec"):
+            JobJournal(tmp_path).compact()
+
+    def test_segment_file_refuses_the_start(self, tmp_path):
+        writer = JobJournal(tmp_path)
+        writer.record_submitted(_job(_transport_spec()))
+        writer.close()
+        segment = tmp_path / "segment-00000001.jsonl"
+        writer.path.rename(segment)
+        with pytest.raises(ValueError, match=r"segment-00000001\.jsonl is a segment file.*v1"):
+            RegistrationService(num_workers=1, journal_dir=tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [segment.name]
+
+    @pytest.mark.parametrize("older", ["v1", "segment"])
+    def test_repro_serve_prints_the_error_and_exits_2(self, tmp_path, capsys, older):
+        from repro.cli import serve_main
+
+        if older == "v1":
+            _journal_of_older_version(tmp_path)
+        else:
+            (tmp_path / "segment-00000003.jsonl").write_text("", encoding="utf-8")
+        argv = ["--synthetic", "8", "--subjects", "1", "--max-newton", "1"]
+        assert serve_main([*argv, "--journal", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: journal ")
+        assert ("jobspec v1 spec" if older == "v1" else "segment-00000003.jsonl") in err
 
 
 class TestCompaction:
@@ -451,34 +473,6 @@ class TestCompaction:
         journal.close()
         ids = {e.job_id for e in JobJournal(tmp_path).replay()}
         assert late.job_id in ids and len(ids) == 2
-
-    def test_legacy_segments_replay_in_order_and_compact_away(self, tmp_path):
-        """Two ``segment-<n>.jsonl`` files as an earlier version rotated them,
-        with pending jobs in both: replayed across the files in index order,
-        re-queued under their ids, and compacted into ``journal.jsonl``."""
-        writer = JobJournal(tmp_path / "writer")
-        jobs = [_job(_transport_spec(seed=s)) for s in range(4)]
-        for job in jobs:
-            writer.record_submitted(job)
-        jobs[1]._complete(None)
-        writer.record_terminal(jobs[1])
-        writer.close()
-        # the record format is unchanged; only the file layout is legacy
-        lines = writer.path.read_text(encoding="utf-8").splitlines(keepends=True)
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        (legacy / "segment-00000001.jsonl").write_text("".join(lines[:2]), encoding="utf-8")
-        (legacy / "segment-00000002.jsonl").write_text("".join(lines[2:]), encoding="utf-8")
-        pending = [jobs[0], jobs[2], jobs[3]]
-        pending_ids = [job.job_id for job in pending]
-        assert [e.job_id for e in JobJournal(legacy).replay()] == pending_ids
-        with RegistrationService(num_workers=1, journal_dir=legacy) as service:
-            assert [job.job_id for job in service.recovered_jobs] == pending_ids
-            assert [p.name for p in legacy.iterdir()] == ["journal.jsonl"]
-            results = service.gather(service.recovered_jobs, timeout=120)
-        for job, result in zip(pending, results):
-            assert result.shape == job.spec.moving.shape
-        assert JobJournal(legacy).replay() == []
 
     def test_stats_shape(self, tmp_path):
         journal = JobJournal(tmp_path)
