@@ -33,11 +33,9 @@ Synchronous quick start
 >>> result.relative_residual < 1.0
 True
 
-Queued (service) style::
-
-    import repro
-    jobs = [repro.submit(moving, atlas) for moving in subjects]
-    results = repro.gather(jobs)
+Queued (service) style: a script owns a :class:`repro.RegistrationService`
+and submits :class:`repro.service.RegistrationJobSpec` jobs to it (see
+:mod:`repro.service`); there is no process-wide default service.
 
 Execution knobs (pool budget, tracing) travel in a
 :class:`repro.RegistrationConfig`; see its docstring for the precedence
@@ -47,7 +45,7 @@ rules against the ``REPRO_*`` environment variables.
 from repro.config import RegistrationConfig
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import RegistrationResult, RegistrationSolver, register
-from repro.service import Job, JobStatus, RegistrationService, gather, submit
+from repro.service import Job, JobStatus, RegistrationService
 from repro.spectral.grid import Grid
 
 __version__ = "1.1.0"
@@ -62,7 +60,5 @@ __all__ = [
     "RegistrationSolver",
     "SolverOptions",
     "__version__",
-    "gather",
     "register",
-    "submit",
 ]

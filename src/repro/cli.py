@@ -462,10 +462,10 @@ def _run_serve(
         f"service: {stats['jobs_submitted']} jobs on {stats['num_workers']} workers, "
         f"{stats['batches_executed']} batches ({stats['batched_jobs']} jobs batched)"
     )
-    pool = stats["plan_pool"]
+    pool = stats["observability"]["plan_pool"]
     print(
         f"plan pool: {pool['hits']} hits, {pool['misses']} misses "
-        f"(hit rate {stats['plan_pool_hit_rate']:.0%}), "
+        f"(hit rate {pool['hits'] / max(pool['hits'] + pool['misses'], 1):.0%}), "
         f"{pool['current_bytes']} bytes resident"
     )
     for job in atlas.jobs:

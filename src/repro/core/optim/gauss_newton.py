@@ -40,7 +40,12 @@ from repro.core.optim.protocol import Iterate, NewtonProblem
 from repro.observability.trace import trace_span
 from repro.runtime.cancellation import check_cancelled
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.validation import (
+    check_bool,
+    check_integer,
+    check_nonnegative,
+    check_positive,
+)
 
 LOGGER = get_logger("core.optim.gauss_newton")
 
@@ -81,7 +86,9 @@ class SolverOptions:
 
     A negative Newton or non-positive Krylov cap, a negative or non-finite
     tolerance and a non-positive or non-finite wall-clock budget are a
-    :class:`ValueError` naming the field, at construction.
+    :class:`ValueError` naming the field, at construction; a cap that is not
+    an integer, a tolerance or budget that is not a real number and a
+    ``verbose`` that is not a bool are a :class:`TypeError` naming it.
     """
 
     gradient_tolerance: float = 1e-2
@@ -96,18 +103,20 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         for name, least in (("max_newton_iterations", 0), ("max_krylov_iterations", 1)):
-            if getattr(self, name) < least:
+            if check_integer(getattr(self, name), name) < least:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("gradient_tolerance", "absolute_gradient_tolerance", "forcing_max"):
             check_nonnegative(getattr(self, name), name)
         if self.max_wall_clock_seconds is not None:
             check_positive(self.max_wall_clock_seconds, "max_wall_clock_seconds")
+        check_bool(self.verbose, "verbose")
 
     def forcing_term(self, gradient_norm: float, initial_gradient_norm: float) -> float:
         """Relative PCG tolerance for the current Newton iteration:
-        ``sqrt(||g|| / ||g0||)``, capped at :attr:`forcing_max`."""
+        ``sqrt(||g|| / ||g0||)``, capped at :attr:`forcing_max`, never below
+        ``1e-12`` (so ``forcing_max = 0`` still lets PCG stop)."""
         ratio = gradient_norm / max(initial_gradient_norm, 1e-300)
-        return float(min(self.forcing_max, max(np.sqrt(ratio), 1e-12)))
+        return float(max(min(self.forcing_max, np.sqrt(ratio)), 1e-12))
 
 
 @dataclass

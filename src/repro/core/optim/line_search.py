@@ -26,7 +26,7 @@ import numpy as np
 from repro.core.optim.pcg import VectorSpace
 from repro.observability.trace import trace_span
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_positive, check_positive_int, check_real
 
 LOGGER = get_logger("core.optim.line_search")
 
@@ -65,10 +65,9 @@ class ArmijoLineSearch:
 
     def __post_init__(self) -> None:
         check_positive(self.c1, "c1")
-        if not 0.0 < self.contraction < 1.0:
+        if not 0.0 < check_real(self.contraction, "contraction") < 1.0:
             raise ValueError(f"contraction must lie in (0, 1), got {self.contraction}")
-        if self.max_evaluations < 1:
-            raise ValueError("max_evaluations must be >= 1")
+        check_positive_int(self.max_evaluations, "max_evaluations")
         check_positive(self.initial_step, "initial_step")
 
     def search(

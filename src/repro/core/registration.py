@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,12 +35,14 @@ from repro.spectral.grid import Grid
 from repro.transport.deformation import DeformationMap
 from repro.utils.logging import get_logger
 from repro.utils.validation import (
+    check_bool,
     check_choice,
     check_finite,
     check_nonnegative,
     check_positive,
     check_positive_int,
     check_real_dtype,
+    check_shape_3d,
 )
 
 LOGGER = get_logger("core.registration")
@@ -100,14 +102,45 @@ def check_settings(settings: Any) -> None:
     :class:`~repro.service.jobs.RegistrationJobSpec`, whose constructors both
     call this: ``regularization`` must be one of :data:`REGULARIZATIONS`,
     ``optimizer`` one of :data:`OPTIMIZERS`, ``num_time_steps`` a positive
-    integer (``TypeError`` for a non-integer), ``beta`` positive and finite
-    and ``smooth_sigma`` finite and ``>= 0`` (``ValueError`` otherwise).
+    integer, ``beta`` positive and finite and ``smooth_sigma`` finite and
+    ``>= 0`` (``ValueError`` otherwise).  A setting of the wrong type — a
+    non-integer ``num_time_steps``, a ``beta`` or ``smooth_sigma`` that is
+    not a real number, an ``incompressible`` or ``gauss_newton`` that is not
+    a bool — is a ``TypeError`` naming it: no value is parsed from text.
     """
     check_choice(settings.regularization, "regularization", REGULARIZATIONS)
     check_choice(settings.optimizer, "optimizer", OPTIMIZERS)
     check_positive_int(settings.num_time_steps, "num_time_steps")
     check_positive(settings.beta, "beta")
     check_nonnegative(settings.smooth_sigma, "smooth_sigma")
+    check_bool(settings.incompressible, "incompressible")
+    check_bool(settings.gauss_newton, "gauss_newton")
+
+
+def check_image_pair(
+    template: Any, reference: Any, grid: Optional[Grid]
+) -> Tuple[int, int, int]:
+    """Raise naming the first rule an image pair breaks; return its shape.
+
+    Both images must be 3-D with every axis at least 2 wide, of one shape
+    and of ``grid``'s shape when a grid is given (``ValueError``), hold real
+    floating-point or integer values (``TypeError``) and no NaN or infinity
+    (``ValueError``).  :meth:`RegistrationSolver.build_problem` and the
+    service's :class:`~repro.service.jobs.RegistrationJobSpec` both call this.
+    """
+    shape = check_shape_3d(np.shape(template), "template shape")
+    if np.shape(reference) != shape:
+        raise ValueError(
+            f"template and reference must share a shape, got {shape} "
+            f"and {np.shape(reference)}"
+        )
+    if grid is not None and grid.shape != shape:
+        raise ValueError(f"grid shape {grid.shape} does not match the image shape {shape}")
+    for name, image in (("template", template), ("reference", reference)):
+        image = np.asarray(image)
+        check_real_dtype(image.dtype, name)
+        check_finite(image, name)
+    return shape
 
 
 @dataclass
@@ -219,8 +252,8 @@ class RegistrationSolver:
 
     A setting :func:`check_settings` refuses (an unknown ``regularization``
     or ``optimizer``, ``num_time_steps < 1``, a ``beta`` that is not positive
-    and finite, a ``smooth_sigma`` that is negative or not finite) raises at
-    construction, before any image is touched.
+    and finite, a ``smooth_sigma`` that is negative or not finite, a setting
+    of the wrong type) raises at construction, before any image is touched.
     """
 
     beta: float = 1e-2
@@ -247,27 +280,11 @@ class RegistrationSolver:
     ) -> RegistrationProblem:
         """Pre-process the images and assemble the discretized problem.
 
-        Both images are rescaled to ``[0, 1]``, then smoothed.
+        Both images are rescaled to ``[0, 1]``, then smoothed.  A pair
+        :func:`check_image_pair` refuses raises before either is touched.
         """
-        template = np.asarray(template)
-        reference = np.asarray(reference)
-        check_real_dtype(template.dtype, "template")
-        check_real_dtype(reference.dtype, "reference")
-        template = np.asarray(template, dtype=np.float64)
-        reference = np.asarray(reference, dtype=np.float64)
-        if template.shape != reference.shape:
-            raise ValueError(
-                f"template and reference must share a shape, got {template.shape} "
-                f"and {reference.shape}"
-            )
-        grid = grid or Grid(template.shape)
-        if grid.shape != template.shape:
-            raise ValueError(
-                f"grid shape {grid.shape} does not match the image shape {template.shape}"
-            )
-        check_finite(template, "template")
-        check_finite(reference, "reference")
-
+        shape = check_image_pair(template, reference, grid)
+        grid = grid or Grid(shape)
         template = normalize_intensity(template)
         reference = normalize_intensity(reference)
         if self.smooth_sigma > 0:

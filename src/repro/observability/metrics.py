@@ -16,8 +16,7 @@ A bound child holds a plain float cell guarded by a lock; ``inc`` does no
 dict allocation, so the cost on kernel paths is one lock round-trip.
 
 **Pull collectors** — mechanisms that already keep their own state
-(``PlanPool.stats``, the gradient-cache log)
-register a zero-argument callable; :meth:`MetricsRegistry.collect`
+(the gradient-cache log) register a zero-argument callable; :meth:`MetricsRegistry.collect`
 invokes it at snapshot time and merges the returned
 ``{metric_name: {label_key: value}}`` mapping.  The owning object keeps
 its API and its state; the registry only reads.

@@ -39,7 +39,6 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
-from repro.observability.metrics import get_metrics_registry
 from repro.observability.trace import trace_span
 
 #: Environment variable with the pool budget in bytes.
@@ -365,14 +364,3 @@ def reset_plan_pool() -> PlanPool:
     pool.reset()
     return pool
 
-
-def _collect_pool_metrics() -> Dict[str, Dict[str, int]]:
-    """Pull collector publishing the shared pool's stats into the registry
-    (pool-wide values, under the empty label key)."""
-    return {
-        f"plan_pool.{key}": {"": value}
-        for key, value in get_plan_pool().stats.as_dict().items()
-    }
-
-
-get_metrics_registry().register_collector("plan_pool", _collect_pool_metrics)

@@ -31,22 +31,22 @@ service without forking the numerics:
 :mod:`repro.service.atlas`
     Atlas/population registration driver, the first batch workload.
 
-For scripts, a process-wide default service is available through
-:func:`submit` / :func:`gather` (mirrored at the top level as
-``repro.submit`` / ``repro.gather``)::
+A script owns its service; leaving the ``with`` block drains the queue and
+joins the workers::
 
-    import repro
-    jobs = [repro.submit(moving, atlas) for moving in subjects]
-    results = repro.gather(jobs)
+    from repro.service import RegistrationJobSpec, RegistrationService
+
+    with RegistrationService() as service:
+        jobs = [
+            service.submit_registration(
+                RegistrationJobSpec(template=moving, reference=atlas)
+            )
+            for moving in subjects
+        ]
+        results = service.gather(jobs)
 """
 
 from __future__ import annotations
-
-import atexit
-import threading
-from typing import Any, List, Optional, Sequence
-
-import numpy as np
 
 from repro.service.artifacts import (
     ARTIFACT_SCHEMA,
@@ -103,59 +103,11 @@ __all__ = [
     "SubmissionQueue",
     "TransportJobSpec",
     "batch_key",
-    "default_service",
-    "gather",
     "job_artifact",
     "run_atlas",
     "serve_http",
-    "shutdown_default_service",
     "spec_from_dict",
     "spec_to_dict",
-    "submit",
     "submit_atlas",
     "write_job_artifact",
 ]
-
-_default_service: Optional[RegistrationService] = None
-_default_lock = threading.Lock()
-
-
-def default_service() -> RegistrationService:
-    """The lazily created process-wide service (shut down at exit)."""
-    global _default_service
-    with _default_lock:
-        if _default_service is None:
-            _default_service = RegistrationService()
-        return _default_service
-
-
-def shutdown_default_service(drain: bool = True) -> None:
-    """Shut down (and forget) the process-wide default service, if any."""
-    global _default_service
-    with _default_lock:
-        service = _default_service
-        _default_service = None
-    if service is not None:
-        service.shutdown(drain=drain)
-
-
-atexit.register(shutdown_default_service)
-
-
-def submit(template: np.ndarray, reference: np.ndarray, **kwargs: Any) -> Job:
-    """Queue a registration on the default service; returns the job handle.
-
-    Keyword arguments mirror :func:`repro.register`
-    (see :class:`~repro.service.jobs.RegistrationJobSpec`).
-    """
-    spec = RegistrationJobSpec(template=template, reference=reference, **kwargs)
-    return default_service().submit_registration(spec)
-
-
-def gather(
-    jobs: Sequence[Job],
-    timeout: Optional[float] = None,
-    raise_on_error: bool = True,
-) -> List[Any]:
-    """Results of *jobs* in submission order (default-service convenience)."""
-    return default_service().gather(jobs, timeout=timeout, raise_on_error=raise_on_error)

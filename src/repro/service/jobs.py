@@ -46,12 +46,12 @@ import time
 import uuid
 from dataclasses import dataclass, field as dataclass_field
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
-from repro.core.registration import check_settings, json_safe
+from repro.core.registration import check_image_pair, check_settings, json_safe
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import check_ghost_width
 from repro.runtime.cancellation import CancelToken
@@ -88,11 +88,6 @@ JOB_CLASS_ATLAS = "atlas-burst"
 def _check_job_class(job_class: Any) -> None:
     if not isinstance(job_class, str) or not job_class:
         raise ValueError(f"job_class must be a non-empty string, got {job_class!r}")
-
-
-def _check_grid(grid: Optional[Grid], shape: Tuple[int, ...]) -> None:
-    if grid is not None and grid.shape != shape:
-        raise ValueError(f"grid shape {grid.shape} does not match the image shape {shape}")
 
 
 def _check_values(array: Any, name: str) -> None:
@@ -148,12 +143,15 @@ class RegistrationJobSpec:
     what they share across requests is the spectral symbol store and the
     worker pools.
 
-    The constructor defines a valid job (the jobspec decoder builds specs
-    through it) and raises before anything is journaled or queued: images
-    that are not 3-D with every axis at least 2 wide, of unequal shape or of
-    another shape than ``grid``, holding a NaN or an infinity, or not real
-    (``TypeError``); an empty ``job_class``; and every setting
-    :func:`~repro.core.registration.check_settings` refuses.
+    The fields are :func:`repro.register`'s parameters (without ``config``),
+    with its defaults, plus ``job_class``.  The constructor defines a valid
+    job (the jobspec decoder builds specs through it, from the client's
+    values as sent) and raises before anything is journaled or queued: for
+    an image pair :func:`~repro.core.registration.check_image_pair` refuses,
+    an empty ``job_class``, ``options`` that are not a ``SolverOptions``
+    (``TypeError``), and every setting
+    :func:`~repro.core.registration.check_settings` or
+    :class:`~repro.core.optim.gauss_newton.SolverOptions` refuses.
     """
 
     template: np.ndarray
@@ -173,16 +171,12 @@ class RegistrationJobSpec:
 
     def __post_init__(self) -> None:
         _check_job_class(self.job_class)
-        shape = check_shape_3d(np.shape(self.template), "template shape")
-        if np.shape(self.reference) != shape:
-            raise ValueError(
-                f"template and reference must share a shape, got {shape} "
-                f"and {np.shape(self.reference)}"
-            )
-        _check_grid(self.grid, shape)
-        _check_values(self.template, "template")
-        _check_values(self.reference, "reference")
+        check_image_pair(self.template, self.reference, self.grid)
         check_settings(self)
+        if self.options is not None and not isinstance(self.options, SolverOptions):
+            raise TypeError(
+                f"options must be a SolverOptions or None, got {type(self.options).__name__}"
+            )
 
 
 @dataclass
@@ -223,7 +217,10 @@ class TransportJobSpec:
                 f"velocity must have shape {(3, *shape)} for a moving image of "
                 f"shape {shape}, got {np.shape(self.velocity)}"
             )
-        _check_grid(self.grid, shape)
+        if self.grid is not None and self.grid.shape != shape:
+            raise ValueError(
+                f"grid shape {self.grid.shape} does not match the image shape {shape}"
+            )
         _check_values(self.moving, "moving")
         _check_values(self.velocity, "velocity")
         check_positive_int(self.num_time_steps, "num_time_steps")

@@ -11,9 +11,12 @@ library and the existing versioned-document discipline:
   (``repro.service-jobspec`` v2).  Arrays are embedded bitwise (base64 of
   the C-contiguous buffer + dtype + shape), so a replayed job computes the
   *identical* result the original submission would have.  The same schema
-  is the wire format of the HTTP front's ``POST /jobs``.  The decoder only
-  decodes: every rule of a valid job is the spec constructor's, so a
-  document and a Python-built spec are rejected with the same message.
+  is the wire format of the HTTP front's ``POST /jobs``.  The ``spec``
+  section has one key per field of the kind's spec class; only arrays, the
+  grid and the solver options have a codec.  The decoder only decodes:
+  every other value reaches the spec constructor as sent, and every rule of
+  a valid job — types included — is the constructor's, so a document and a
+  Python-built spec are rejected with the same message.
 
 * **One append-only file.**  A journal is a directory holding
   ``journal.jsonl``.  Every submission appends one ``submitted`` record
@@ -55,6 +58,7 @@ import numpy as np
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.line_search import ArmijoLineSearch
+from repro.core.registration import json_safe
 from repro.observability.trace import trace_span
 from repro.service.jobs import (
     JOB_CLASS_INTERACTIVE,
@@ -97,7 +101,7 @@ class MalformedSpecError(ValueError):
 
 
 # --------------------------------------------------------------------- #
-# array / dataclass encoding
+# spec documents
 # --------------------------------------------------------------------- #
 def _encode_array(array: np.ndarray) -> Dict[str, Any]:
     array = np.ascontiguousarray(array)
@@ -109,27 +113,25 @@ def _encode_array(array: np.ndarray) -> Dict[str, Any]:
     }
 
 
-def _decode_array(doc: Any, what: str) -> np.ndarray:
+def _decode_array(doc: Any, name: str) -> np.ndarray:
     if not isinstance(doc, dict) or not doc.get("__ndarray__"):
-        raise MalformedSpecError(f"{what} must be an encoded ndarray document")
+        raise MalformedSpecError(f"{name} must be an encoded ndarray document")
     try:
         dtype = np.dtype(doc["dtype"])
         shape = tuple(int(n) for n in doc["shape"])
         raw = base64.b64decode(doc["data"], validate=True)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpecError(f"{what} is not a valid ndarray document: {exc}") from None
+        raise MalformedSpecError(f"{name} is not a valid ndarray document: {exc}") from None
     expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
     if len(raw) != expected:
         raise MalformedSpecError(
-            f"{what} payload has {len(raw)} bytes, expected {expected} "
+            f"{name} payload has {len(raw)} bytes, expected {expected} "
             f"for dtype {dtype} and shape {shape}"
         )
     return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
-def _encode_grid(grid: Optional[Grid]) -> Optional[Dict[str, Any]]:
-    if grid is None:
-        return None
+def _encode_grid(grid: Grid) -> Dict[str, Any]:
     return {
         "shape": list(grid.shape),
         "lengths": list(grid.lengths),
@@ -137,19 +139,15 @@ def _encode_grid(grid: Optional[Grid]) -> Optional[Dict[str, Any]]:
     }
 
 
-def _decode_grid(doc: Any) -> Optional[Grid]:
-    if doc is None:
-        return None
+def _decode_grid(doc: Any, name: str) -> Grid:
     try:
         return Grid(doc["shape"], lengths=doc["lengths"], dtype=np.dtype(doc["dtype"]))
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedSpecError(f"invalid grid document: {exc}") from None
+        raise MalformedSpecError(f"invalid {name} document: {exc}") from None
 
 
-def _encode_options(options: Optional[SolverOptions]) -> Optional[Dict[str, Any]]:
-    if options is None:
-        return None
-    # field-by-field, NOT dataclasses.asdict: asdict deep-copies every
+def _encode_options(options: SolverOptions) -> Dict[str, Any]:
+    # field by field, NOT dataclasses.asdict: asdict deep-copies every
     # value, and a live cancel token holds a threading lock (unpicklable);
     # the token is a handle of THIS process and is never serialized anyway
     doc: Dict[str, Any] = {}
@@ -159,62 +157,62 @@ def _encode_options(options: Optional[SolverOptions]) -> Optional[Dict[str, Any]
         value = getattr(options, field.name)
         if isinstance(value, ArmijoLineSearch):
             value = dataclasses.asdict(value)
-        doc[field.name] = value
+        doc[field.name] = json_safe(value)
     return doc
 
 
-def _decode_options(doc: Any) -> Optional[SolverOptions]:
-    if doc is None:
-        return None
-    try:
-        fields = dict(doc)
-        fields.pop("cancel_token", None)
-        line_search = fields.pop("line_search", None)
-        if line_search is not None:
-            fields["line_search"] = ArmijoLineSearch(**line_search)
-        return SolverOptions(**fields)
-    except (TypeError, ValueError) as exc:
-        raise MalformedSpecError(f"invalid solver-options document: {exc}") from None
+def _decode_options(doc: Any, name: str) -> SolverOptions:
+    if not isinstance(doc, dict):
+        raise MalformedSpecError(f"{name} must be a solver-options document (a JSON object)")
+    fields = dict(doc)
+    fields.pop("cancel_token", None)
+    line_search = fields.pop("line_search", None)
+    if line_search is not None:
+        fields["line_search"] = ArmijoLineSearch(**line_search)
+    return SolverOptions(**fields)
 
 
-# --------------------------------------------------------------------- #
-# spec documents
-# --------------------------------------------------------------------- #
+#: The spec class of each jobspec kind.
+_SPEC_TYPES = {"register": RegistrationJobSpec, "transport": TransportJobSpec}
+
+#: ``(encode, decode)`` of the spec fields that are not JSON scalars, for a
+#: value other than ``None``; every other value is written through
+#: ``json_safe`` and read back as sent.
+_FIELD_CODECS = {
+    "template": (_encode_array, _decode_array),
+    "reference": (_encode_array, _decode_array),
+    "velocity": (_encode_array, _decode_array),
+    "moving": (_encode_array, _decode_array),
+    "grid": (_encode_grid, _decode_grid),
+    "options": (_encode_options, _decode_options),
+}
+
+#: The spec field the document carries in its envelope, not in ``spec``.
+_ENVELOPE_FIELD = "job_class"
+
+
+def _payload_fields(spec_type: type) -> List[str]:
+    """The ``spec`` section's keys: the spec's fields, in declaration order."""
+    return [f.name for f in dataclasses.fields(spec_type) if f.name != _ENVELOPE_FIELD]
+
+
 def spec_to_dict(spec: Union[RegistrationJobSpec, TransportJobSpec]) -> Dict[str, Any]:
     """Serialize a job spec as a versioned, JSON-ready document.
 
-    Arrays are embedded bitwise; :func:`spec_from_dict` reconstructs a
-    spec whose solve is numerically identical to the original's.
+    One key per spec field, in declaration order.  Arrays are embedded
+    bitwise; :func:`spec_from_dict` reconstructs a spec whose solve is
+    numerically identical to the original's.
     """
-    if spec.kind == "register":
-        payload: Dict[str, Any] = {
-            "template": _encode_array(spec.template),
-            "reference": _encode_array(spec.reference),
-            "beta": float(spec.beta),
-            "regularization": spec.regularization,
-            "incompressible": bool(spec.incompressible),
-            "num_time_steps": int(spec.num_time_steps),
-            "gauss_newton": bool(spec.gauss_newton),
-            "optimizer": spec.optimizer,
-            "smooth_sigma": float(spec.smooth_sigma),
-            "options": _encode_options(spec.options),
-            "grid": _encode_grid(spec.grid),
-        }
-    elif spec.kind == "transport":
-        payload = {
-            "velocity": _encode_array(spec.velocity),
-            "moving": _encode_array(spec.moving),
-            "num_time_steps": int(spec.num_time_steps),
-            "num_tasks": int(spec.num_tasks),
-            "grid": _encode_grid(spec.grid),
-        }
-    else:  # pragma: no cover - new spec kinds must extend this module
-        raise ValueError(f"unknown job-spec kind {spec.kind!r}")
+    payload = {}
+    for name in _payload_fields(type(spec)):
+        value = getattr(spec, name)
+        has_codec = name in _FIELD_CODECS and value is not None
+        payload[name] = _FIELD_CODECS[name][0](value) if has_codec else json_safe(value)
     return {
         "schema": SPEC_SCHEMA,
         "schema_version": SPEC_SCHEMA_VERSION,
         "kind": spec.kind,
-        "job_class": getattr(spec, "job_class", JOB_CLASS_INTERACTIVE),
+        "job_class": spec.job_class,
         "spec": payload,
     }
 
@@ -222,18 +220,20 @@ def spec_to_dict(spec: Union[RegistrationJobSpec, TransportJobSpec]) -> Dict[str
 def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec]:
     """Reconstruct a job spec from :func:`spec_to_dict` output.
 
-    Decodes the document and builds the spec through its constructor, which
-    owns every rule of a valid job.
+    Decodes the arrays, grid and solver options and hands every value to
+    the spec constructor as sent — a missing key takes the constructor's
+    default —, so the constructor owns every rule of a valid job, types
+    included.
 
     Raises
     ------
     MalformedSpecError
         The document is not a valid v2 jobspec (schema, version, kind, a
-        key the spec does not have, an array, grid or solver-options
-        document that does not decode), or the spec constructor raised —
-        with the constructor's message.  The message is clean and
-        client-facing: the HTTP front returns it verbatim with a 400, before
-        anything is journaled.
+        key the spec does not have, an array or grid document that does not
+        decode), or a constructor — the spec's, ``SolverOptions``' or
+        ``ArmijoLineSearch``' — raised, with that constructor's message.
+        The message is clean and client-facing: the HTTP front returns it
+        verbatim with a 400, before anything is journaled.
     """
     if not isinstance(document, dict):
         raise MalformedSpecError("jobspec document must be a JSON object")
@@ -250,40 +250,25 @@ def spec_from_dict(document: Any) -> Union[RegistrationJobSpec, TransportJobSpec
     payload = document.get("spec")
     if not isinstance(payload, dict):
         raise MalformedSpecError("jobspec 'spec' section must be a JSON object")
-    spec_type = {"register": RegistrationJobSpec, "transport": TransportJobSpec}.get(kind)
+    spec_type = _SPEC_TYPES.get(kind)
     if spec_type is None:
         raise MalformedSpecError(
             f"jobspec kind must be 'register' or 'transport', got {kind!r}"
         )
     # v2 carries exactly the spec's fields: a retired key is an error, not ignored
-    unknown = sorted(set(payload) - {field.name for field in dataclasses.fields(spec_type)})
+    unknown = sorted(set(payload) - set(_payload_fields(spec_type)))
     if unknown:
         raise MalformedSpecError(f"unknown {kind} jobspec key(s) {unknown}")
-    job_class = document.get("job_class", JOB_CLASS_INTERACTIVE)
     try:
-        if kind == "register":
-            return RegistrationJobSpec(
-                template=_decode_array(payload.get("template"), "template"),
-                reference=_decode_array(payload.get("reference"), "reference"),
-                beta=float(payload.get("beta", 1e-2)),
-                regularization=str(payload.get("regularization", "h1")),
-                incompressible=bool(payload.get("incompressible", False)),
-                num_time_steps=int(payload.get("num_time_steps", 4)),
-                gauss_newton=bool(payload.get("gauss_newton", True)),
-                optimizer=str(payload.get("optimizer", "gauss_newton")),
-                smooth_sigma=float(payload.get("smooth_sigma", 1.0)),
-                options=_decode_options(payload.get("options")),
-                grid=_decode_grid(payload.get("grid")),
-                job_class=job_class,
-            )
-        return TransportJobSpec(
-            velocity=_decode_array(payload.get("velocity"), "velocity"),
-            moving=_decode_array(payload.get("moving"), "moving"),
-            num_time_steps=int(payload.get("num_time_steps", 4)),
-            num_tasks=int(payload.get("num_tasks", 4)),
-            grid=_decode_grid(payload.get("grid")),
-            job_class=job_class,
-        )
+        fields = {
+            name: _FIELD_CODECS[name][1](value, name)
+            if name in _FIELD_CODECS and value is not None
+            else value
+            for name, value in payload.items()
+        }
+        if _ENVELOPE_FIELD in document:
+            fields[_ENVELOPE_FIELD] = document[_ENVELOPE_FIELD]
+        return spec_type(**fields)
     except (TypeError, ValueError) as exc:
         raise MalformedSpecError(str(exc)) from None
 

@@ -64,7 +64,6 @@ from repro.observability import trace_span
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.transport import DistributedTransportSolver
 from repro.runtime.cancellation import CombinedCancelToken, SolveCancelled
-from repro.runtime.plan_pool import get_plan_pool
 from repro.service.artifacts import write_job_artifact
 from repro.service.jobs import (
     Job,
@@ -278,7 +277,8 @@ class RegistrationService:
     # introspection
     # ------------------------------------------------------------------ #
     def service_stats(self) -> Dict[str, Any]:
-        """Aggregate service counters plus the shared pool's statistics."""
+        """Aggregate service counters plus the observability snapshot, whose
+        ``plan_pool`` block holds the shared pool's statistics."""
         with self._stats_lock:
             jobs = list(self._jobs)
             batches = self._batches_executed
@@ -286,7 +286,6 @@ class RegistrationService:
         by_status: Dict[str, int] = {}
         for job in jobs:
             by_status[job.status.value] = by_status.get(job.status.value, 0) + 1
-        pool = get_plan_pool().stats
         return {
             "num_workers": self.num_workers,
             "max_batch": self.max_batch,
@@ -297,8 +296,6 @@ class RegistrationService:
             "batches_executed": batches,
             "batched_jobs": batched_jobs,
             "journal": self.journal.stats() if self.journal is not None else None,
-            "plan_pool": pool.as_dict(),
-            "plan_pool_hit_rate": pool.hits / max(pool.hits + pool.misses, 1),
             "observability": observability_snapshot(),
         }
 
@@ -339,28 +336,21 @@ class RegistrationService:
     def _execute_registration(self, job: Job) -> None:
         """One register job: its metrics are the result document."""
         spec: RegistrationJobSpec = job.spec
+        # the spec's fields are register()'s parameters, plus job_class
+        arguments = {
+            field.name: getattr(spec, field.name)
+            for field in dataclasses.fields(spec)
+            if field.name != "job_class"
+        }
         # hand the job's cancel token to the Newton loop on a per-job copy:
         # the caller's options object is never mutated
-        options = dataclasses.replace(
+        arguments["options"] = dataclasses.replace(
             spec.options if spec.options is not None else SolverOptions(),
             cancel_token=job.cancel_token,
         )
         try:
             with trace_span("service.job", kind="registration", job_id=job.job_id):
-                result = register(
-                    spec.template,
-                    spec.reference,
-                    beta=spec.beta,
-                    regularization=spec.regularization,
-                    incompressible=spec.incompressible,
-                    num_time_steps=spec.num_time_steps,
-                    gauss_newton=spec.gauss_newton,
-                    optimizer=spec.optimizer,
-                    options=options,
-                    grid=spec.grid,
-                    smooth_sigma=spec.smooth_sigma,
-                    config=self.config,
-                )
+                result = register(**arguments, config=self.config)
         except SolveCancelled:
             job._cancelled()
             self._finalize(job)

@@ -7,22 +7,48 @@ numpy broadcasting failure three layers down.
 
 from __future__ import annotations
 
+import numbers
 from typing import Any, Sequence, Tuple
 
 import numpy as np
 
 
+def check_real(value: Any, name: str) -> float:
+    """Raise ``TypeError`` unless *value* is a real number; return it as a float.
+
+    Python and numpy integers and floats qualify; a ``bool``, a string or
+    ``None`` does not, so a setting is never parsed or guessed from text.
+    """
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    return float(value)
+
+
+def check_bool(value: Any, name: str) -> bool:
+    """Raise ``TypeError`` unless *value* is a ``bool`` or a ``np.bool_``."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
+    return bool(value)
+
+
+def check_integer(value: Any, name: str) -> int:
+    """Raise ``TypeError`` unless *value* is a Python or numpy integer (no ``bool``)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    return int(value)
+
+
 def check_positive(value: float, name: str) -> float:
-    """Ensure *value* is a finite, strictly positive scalar."""
-    value = float(value)
+    """Ensure *value* is a finite, strictly positive real number."""
+    value = check_real(value, name)
     if not np.isfinite(value) or value <= 0.0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
 
 def check_nonnegative(value: float, name: str) -> float:
-    """Ensure *value* is a finite scalar ``>= 0``."""
-    value = float(value)
+    """Ensure *value* is a finite real number ``>= 0``."""
+    value = check_real(value, name)
     if not np.isfinite(value) or value < 0.0:
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     return value
@@ -30,11 +56,10 @@ def check_nonnegative(value: float, name: str) -> float:
 
 def check_positive_int(value: int, name: str) -> int:
     """Ensure *value* is a strictly positive integer."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    value = check_integer(value, name)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
-    return int(value)
+    return value
 
 
 def check_choice(value: Any, name: str, choices: Sequence[Any]) -> Any:

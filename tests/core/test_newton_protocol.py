@@ -201,14 +201,18 @@ class TestRosenbrock:
 class TestLeastSquares:
     @pytest.mark.parametrize("name", sorted(JACOBIANS))
     def test_exact_krylov_solve_converges_in_one_newton_step(self, name):
-        """A forcing term of 0 solves the quadratic's Newton system exactly: the
-        unit step lands on the minimum and the next gradient test stops."""
+        """``forcing_max = 0`` gives PCG the floor tolerance ``1e-12``: it
+        solves the quadratic's Newton system to rounding, in at most as many
+        mat-vecs as unknowns plus one (not on until the residual is exactly
+        0), the unit step lands on the minimum and the next gradient test
+        stops."""
         J = JACOBIANS[name]
         problem = least_squares(J)
         result = GaussNewtonKrylov(problem, SolverOptions(forcing_max=0.0)).solve()
         assert result.converged
         (record,) = result.iterations
-        assert record.forcing_term == 0.0
+        assert record.forcing_term == 1e-12
+        assert record.hessian_matvecs <= 5
         assert record.step_length == 1.0 and record.line_search_evaluations == 1
         assert not record.gradient_fallback
         np.testing.assert_allclose(result.velocity, np.linalg.solve(J, np.ones(4)), rtol=1e-8)

@@ -259,6 +259,15 @@ class TestArmijoLineSearch:
         with pytest.raises(ValueError):
             ArmijoLineSearch(c1=-1.0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("c1", "1e-4"), ("contraction", "0.5"), ("max_evaluations", 2.5),
+         ("max_evaluations", True), ("initial_step", True)],
+    )
+    def test_mistyped_parameter_is_a_type_error_naming_it(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            ArmijoLineSearch(**{name: value})
+
 
 def precondition(prec, ops, v):
     """``M^{-1} v`` as a field: the preconditioner multiplies half-spectra."""

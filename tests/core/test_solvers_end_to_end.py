@@ -94,8 +94,13 @@ class TestSolverOptions:
         assert options.forcing_term(1e-4, 1.0) == pytest.approx(1e-2)
 
     def test_forcing_max_caps_the_forcing_term(self):
-        assert SolverOptions(forcing_max=0.0).forcing_term(1.0, 1.0) == 0.0
         assert SolverOptions(forcing_max=0.05).forcing_term(0.25, 1.0) == pytest.approx(0.05)
+
+    def test_the_forcing_floor_holds_after_the_cap(self):
+        """``forcing_max = 0`` leaves PCG the ``1e-12`` floor, not a tolerance
+        of exactly 0 that only an exactly zero residual meets."""
+        assert SolverOptions(forcing_max=0.0).forcing_term(1.0, 1.0) == 1e-12
+        assert SolverOptions().forcing_term(0.0, 1.0) == 1e-12
 
     @pytest.mark.parametrize(
         "name, value", [("forcing", "quadratic"), ("forcing", "linear"), ("constant_forcing", 0.1)]

@@ -99,15 +99,17 @@ class TestRegistry:
 
 class TestProcessRegistry:
     def test_kernel_frontends_registered_their_collectors(self):
-        # importing the kernel layers registers the pull collectors for the
-        # plan pool and gradient-cache decisions
+        # importing the kernel layers registers the pull collector of the
+        # gradient-cache decisions; the plan pool's statistics are the
+        # snapshot's own ``plan_pool`` block, not registry metrics
         import repro.core.gradients  # noqa: F401
         import repro.runtime.plan_pool  # noqa: F401
         import repro.transport.kernels  # noqa: F401
 
         names = get_metrics_registry().collector_names()
-        assert "plan_pool" in names
+        assert "plan_pool" not in names
         assert "gradient_cache_decisions" in names
+        assert not any(name.startswith("plan_pool.") for name in get_metrics_registry().collect())
 
     def test_push_metrics_flow_into_the_registry(self, small_grid, smooth_field):
         from repro.spectral.fft import FourierTransform

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 import repro
-from repro.core.optim.gauss_newton import SolverOptions
-from repro.data.synthetic import synthetic_registration_problem
+import repro.service
 
 
 class TestFacadeExports:
@@ -22,8 +18,6 @@ class TestFacadeExports:
             "Grid",
             "Job",
             "JobStatus",
-            "submit",
-            "gather",
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
@@ -33,29 +27,10 @@ class TestFacadeExports:
 
         assert repro.RegistrationConfig is RegistrationConfig
 
-
-class TestDefaultServiceHelpers:
-    @pytest.fixture(autouse=True)
-    def _clean_default_service(self):
-        from repro.service import shutdown_default_service
-
-        shutdown_default_service()
-        yield
-        shutdown_default_service()
-
-    def test_submit_and_gather_roundtrip(self):
-        problem = synthetic_registration_problem(8)
-        options = SolverOptions(max_newton_iterations=1, max_krylov_iterations=3)
-        jobs = [
-            repro.submit(problem.template, problem.reference, options=options)
-            for _ in range(2)
-        ]
-        results = repro.gather(jobs, timeout=120)
-        assert len(results) == 2
-        np.testing.assert_array_equal(results[0].velocity, results[1].velocity)
-        assert all(job.status is repro.JobStatus.DONE for job in jobs)
-
-    def test_default_service_is_a_singleton(self):
-        from repro.service import default_service
-
-        assert default_service() is default_service()
+    def test_no_process_wide_default_service(self):
+        """A script owns its ``RegistrationService``: no module-level one to
+        submit to, and nothing shut down at interpreter exit."""
+        for module in (repro, repro.service):
+            for name in ("submit", "gather", "default_service", "shutdown_default_service"):
+                assert name not in module.__all__
+                assert not hasattr(module, name)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.optim.line_search import ArmijoLineSearch
-from repro.core.registration import RegistrationSolver
+from repro.core.registration import RegistrationSolver, register
 from repro.observability import get_metrics_registry
 from repro.service import RegistrationService, spec_to_dict
 from repro.service.http import serve_http
@@ -349,6 +349,64 @@ class TestBadSolverSettings:
         status, doc = _post_rejected(tmp_path, document)
         assert status == 400 and name in doc["error"]
         assert _transforms() == before
+
+
+#: Settings of the wrong type, as a client might send them: (jobspec section,
+#: field, value).  None of them is parsed or rounded into a usable one.
+MISTYPED_SETTINGS = [
+    ("spec", "incompressible", "false"), ("spec", "incompressible", 1),
+    ("spec", "gauss_newton", "true"), ("spec", "gauss_newton", 0),
+    ("spec", "beta", "0.01"), ("spec", "beta", True),
+    ("spec", "smooth_sigma", "1"), ("spec", "smooth_sigma", False),
+    ("spec", "num_time_steps", 4.7), ("spec", "num_time_steps", 4.5),
+    ("spec", "num_time_steps", "4"),
+    ("options", "verbose", "false"), ("options", "verbose", 0),
+    ("options", "gradient_tolerance", "1e-2"),
+    ("options", "absolute_gradient_tolerance", True),
+    ("options", "forcing_max", "0.5"), ("options", "max_wall_clock_seconds", "60"),
+    ("options", "max_newton_iterations", 2.5), ("options", "max_newton_iterations", True),
+    ("options", "max_krylov_iterations", 2.5), ("options", "max_krylov_iterations", True),
+]
+
+
+class TestMistypedSettings:
+    @pytest.mark.parametrize("section, name, value", MISTYPED_SETTINGS)
+    def test_rejected_with_one_message_at_every_boundary(
+        self, tmp_path, section, name, value
+    ):
+        """The constructor, ``register()`` and ``POST /jobs`` raise one
+        ``TypeError`` message naming the field, before any transform runs or
+        anything is journaled."""
+        document = _registration_document()
+        images = np.zeros((2, 8, 8, 8))
+        before = _transforms()
+        with pytest.raises(TypeError, match=name) as built:
+            if section == "spec":
+                RegistrationJobSpec(template=images[0], reference=images[1], **{name: value})
+            else:
+                SolverOptions(**{name: value})
+        if section == "spec":
+            with pytest.raises(TypeError) as registered:
+                register(images[0], images[1], **{name: value})
+            assert str(registered.value) == str(built.value)
+        fields = document["spec"] if section == "spec" else document["spec"]["options"]
+        fields[name] = value
+        status, doc = _post_rejected(tmp_path, document)
+        assert (status, doc["error"]) == (400, str(built.value))
+        assert _transforms() == before
+
+    @pytest.mark.parametrize(
+        "name, value", [("num_time_steps", 4.5), ("num_tasks", 1.9), ("num_tasks", "2")]
+    )
+    def test_transport_counts_are_integers(self, tmp_path, name, value):
+        grid = make_grid(8)
+        spec = _transport_spec(grid)
+        with pytest.raises(TypeError, match=name) as built:
+            TransportJobSpec(velocity=spec.velocity, moving=spec.moving, **{name: value})
+        document = spec_to_dict(spec)
+        document["spec"][name] = value
+        status, doc = _post_rejected(tmp_path, document)
+        assert (status, doc["error"]) == (400, str(built.value))
 
 
 class TestCancelOverHTTP:

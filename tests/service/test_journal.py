@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import os
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.optim.gauss_newton import SolverOptions
+from repro.core.registration import RegistrationSolver, register
 from repro.service.jobs import (
     JOB_CLASS_ATLAS,
     Job,
@@ -113,6 +117,18 @@ class TestSpecRoundTrip:
         back = spec_from_dict(spec_to_dict(spec))
         assert back.options.line_search.max_evaluations == 3
 
+    @pytest.mark.parametrize("kind", ["register", "transport"])
+    def test_missing_keys_take_the_constructor_defaults(self, kind):
+        spec = _registration_spec() if kind == "register" else _transport_spec()
+        arrays = ("template", "reference") if kind == "register" else ("velocity", "moving")
+        doc = spec_to_dict(spec)
+        doc["spec"] = {name: doc["spec"][name] for name in arrays}
+        del doc["job_class"]
+        back = spec_from_dict(doc)
+        for field in dataclasses.fields(back):
+            if field.name not in arrays:
+                assert getattr(back, field.name) == field.default, field.name
+
     def test_cancel_token_is_never_serialized(self):
         from repro.runtime.cancellation import CancelToken
 
@@ -122,6 +138,37 @@ class TestSpecRoundTrip:
         doc = spec_to_dict(spec)
         assert "cancel_token" not in doc["spec"]["options"]
         assert spec_from_dict(doc).options.cancel_token is None
+
+
+#: The settings fields of a registration spec: ``register()``'s parameters.
+SPEC_SETTINGS = [
+    field for field in dataclasses.fields(RegistrationJobSpec) if field.name != "job_class"
+]
+
+
+class TestSpecFieldsAreRegisterParameters:
+    """A registration spec is the arguments of :func:`repro.register`: the
+    one copy of the settings and defaults besides ``RegistrationSolver``'s,
+    pinned here so the three cannot drift apart."""
+
+    def test_same_names(self):
+        parameters = set(inspect.signature(register).parameters) - {"config"}
+        assert {field.name for field in SPEC_SETTINGS} == parameters
+
+    @pytest.mark.parametrize("field", SPEC_SETTINGS, ids=lambda field: field.name)
+    def test_same_default(self, field):
+        parameter = inspect.signature(register).parameters[field.name]
+        required = field.default is dataclasses.MISSING
+        assert (inspect.Parameter.empty if required else field.default) == parameter.default
+        solver_fields = {f.name: f for f in dataclasses.fields(RegistrationSolver)}
+        if field.name in solver_fields:
+            solver_default = solver_fields[field.name]
+            if solver_default.default is dataclasses.MISSING:
+                solver_default = solver_default.default_factory()
+            else:
+                solver_default = solver_default.default
+            expected = SolverOptions() if field.name == "options" else field.default
+            assert solver_default == expected
 
 
 def _poked(name, value):
@@ -186,6 +233,12 @@ class TestMalformedSpecs:
         with pytest.raises(MalformedSpecError) as decoded:
             spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert str(decoded.value) == str(built.value)
+
+    @pytest.mark.parametrize("options", [{"max_newton_iterations": 2}, "fast"])
+    def test_options_that_are_not_solver_options_raise_at_construction(self, options):
+        """Not in the worker, where the job would fail without a terminal record."""
+        with pytest.raises(TypeError, match="options must be a SolverOptions"):
+            _registration_spec(options=options)
 
     @pytest.mark.parametrize(
         "mutate",
@@ -484,3 +537,76 @@ class TestCompaction:
     def test_segment_size_is_not_an_option(self, tmp_path):
         with pytest.raises(TypeError):
             JobJournal(tmp_path, max_segment_bytes=1024)
+
+
+#: A journal the jobspec v2 codec wrote before the spec documents were built
+#: from the spec classes' fields: two registrations (every setting at its
+#: default; every setting changed) and a transport job, none finished.
+V2_JOURNAL = Path(__file__).parent / "data" / "jobspec_v2_journal.jsonl"
+
+
+def _v2_journal_specs():
+    """The specs the journal in :data:`V2_JOURNAL` was written from."""
+    grid = make_grid(8)
+    return [
+        RegistrationJobSpec(
+            template=smooth_scalar_field(grid, seed=1),
+            reference=smooth_scalar_field(grid, seed=2),
+        ),
+        RegistrationJobSpec(
+            template=smooth_scalar_field(grid, seed=3),
+            reference=smooth_scalar_field(grid, seed=4),
+            beta=3e-2,
+            regularization="h2",
+            incompressible=True,
+            num_time_steps=3,
+            gauss_newton=False,
+            smooth_sigma=0.5,
+            options=SolverOptions(max_newton_iterations=2, gradient_tolerance=5e-2),
+            grid=grid,
+            job_class=JOB_CLASS_ATLAS,
+        ),
+        TransportJobSpec(
+            velocity=smooth_velocity_field(grid, seed=5),
+            moving=smooth_scalar_field(grid, seed=45),
+            num_time_steps=3,
+            num_tasks=2,
+            grid=grid,
+        ),
+    ]
+
+
+class TestJournalOfTheV2Codec:
+    def test_documents_are_what_spec_to_dict_writes(self, tmp_path):
+        """The field-driven codec writes the v2 documents key for key."""
+        shutil.copy(V2_JOURNAL, tmp_path / "journal.jsonl")
+        pending = JobJournal(tmp_path).replay()
+        assert [entry.job_id for entry in pending] == ["1-00000001", "2-00000002", "3-00000003"]
+        for entry, spec in zip(pending, _v2_journal_specs()):
+            assert json.dumps(spec_to_dict(spec), sort_keys=True) == json.dumps(
+                entry.spec_document, sort_keys=True
+            )
+            assert list(spec_to_dict(spec)["spec"]) == [
+                field.name for field in dataclasses.fields(spec) if field.name != "job_class"
+            ]
+
+    def test_replayed_jobs_solve_bitwise(self, tmp_path):
+        """A restarted service re-queues the journal's jobs and computes what
+        the same specs built in Python compute."""
+        shutil.copy(V2_JOURNAL, tmp_path / "journal.jsonl")
+        with RegistrationService(num_workers=1, journal_dir=tmp_path) as service:
+            replayed = service.gather(service.recovered_jobs, timeout=120)
+        with RegistrationService(num_workers=1) as service:
+            jobs = [
+                service.submit_registration(spec)
+                if spec.kind == "register"
+                else service.submit_transport(spec)
+                for spec in _v2_journal_specs()
+            ]
+            direct = service.gather(jobs, timeout=120)
+        assert len(replayed) == len(direct) == 3
+        for back, fresh in zip(replayed[:2], direct[:2]):
+            np.testing.assert_array_equal(back.velocity, fresh.velocity)
+            np.testing.assert_array_equal(back.deformed_template, fresh.deformed_template)
+        np.testing.assert_array_equal(replayed[2], direct[2])
+        assert JobJournal(tmp_path).replay() == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -23,8 +24,24 @@ from repro.service import (
     workers,
 )
 from repro.service.journal import JobJournal
+from repro.service.queue import SubmissionQueue
 
 from tests.fixtures import make_grid, smooth_scalar_field, smooth_velocity_field
+
+
+def _hold_claims(monkeypatch) -> threading.Event:
+    """Workers started after this claim nothing until the returned event is
+    set, so every job submitted before that is queued at the first claim,
+    however the threads are scheduled."""
+    released = threading.Event()
+    claim_batch = SubmissionQueue.claim_batch
+
+    def held(queue, *args, **kwargs):
+        assert released.wait(timeout=120), "claims were never released"
+        return claim_batch(queue, *args, **kwargs)
+
+    monkeypatch.setattr(SubmissionQueue, "claim_batch", held)
+    return released
 
 
 @pytest.fixture()
@@ -156,8 +173,10 @@ class TestFailureIsolation:
 
         monkeypatch.setattr(DistributedTransportSolver, "solve_state_many", fail)
         spec = _transport_spec(make_grid(8))
+        claims = _hold_claims(monkeypatch)
         with RegistrationService(num_workers=1, max_batch=2) as service:
             jobs = [service.submit_transport(spec) for _ in range(2)]
+            claims.set()
             service.drain()
         assert all(job.status is JobStatus.FAILED for job in jobs)
         assert all(job.record.batch_size == 2 for job in jobs)
@@ -205,7 +224,7 @@ class TestFailureIsolation:
 
 
 class TestMicroBatching:
-    def test_compatible_jobs_merge_and_match_serial_bitwise(self):
+    def test_compatible_jobs_merge_and_match_serial_bitwise(self, monkeypatch):
         grid = make_grid(8)
         velocity = smooth_velocity_field(grid, seed=13)
         movings = [smooth_scalar_field(grid, seed=s) for s in (30, 31, 32, 33)]
@@ -217,22 +236,15 @@ class TestMicroBatching:
             for moving in movings
         ]
 
-        # one worker, so all four jobs are queued when the claim happens
+        claims = _hold_claims(monkeypatch)
         with RegistrationService(num_workers=1, max_batch=4) as service:
-            blocker = service.submit_transport(
-                TransportJobSpec(
-                    velocity=smooth_velocity_field(grid, seed=99),
-                    moving=movings[0],
-                    grid=grid,
-                )
-            )
             jobs = [
                 service.submit_transport(
                     TransportJobSpec(velocity=velocity, moving=moving, grid=grid)
                 )
                 for moving in movings
             ]
-            blocker.result(timeout=120)
+            claims.set()
             results = service.gather(jobs, timeout=120)
 
         for expected, got in zip(serial, results):
@@ -369,8 +381,9 @@ class TestArtifactsAndStats:
         assert stats["jobs_submitted"] == 2
         assert stats["jobs_by_status"]["done"] == 2
         assert stats["num_workers"] == 2
-        assert 0.0 <= stats["plan_pool_hit_rate"] <= 1.0
-        assert stats["plan_pool"]["hits"] == get_plan_pool().stats.hits
+        # the pool's statistics appear once, in the observability snapshot
+        assert "plan_pool" not in stats and "plan_pool_hit_rate" not in stats
+        assert stats["observability"]["plan_pool"]["hits"] == get_plan_pool().stats.hits
         assert "layout_decisions" not in stats
 
     def test_shutdown_without_drain_cancels_queued(self):

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from repro.utils.validation import (
+    check_bool,
     check_choice,
     check_finite,
+    check_integer,
     check_nonnegative,
     check_positive,
     check_positive_int,
+    check_real,
     check_real_dtype,
     check_same_shape,
     check_shape_3d,
@@ -51,6 +54,38 @@ class TestCheckNonnegative:
     def test_rejects_negative_and_non_finite(self, value):
         with pytest.raises(ValueError, match="beta"):
             check_nonnegative(value, "beta")
+
+
+class TestSettingTypes:
+    """No setting is parsed from text or taken from a bool of another type."""
+
+    @pytest.mark.parametrize("value", [2, 2.5, np.float32(2.5), np.int64(2)])
+    def test_real_accepts_python_and_numpy_numbers(self, value):
+        assert check_real(value, "beta") == float(value)
+
+    @pytest.mark.parametrize("value", ["0.01", True, np.bool_(False), None, 1j])
+    def test_real_rejects_text_bools_and_the_rest(self, value):
+        with pytest.raises(TypeError, match="beta must be a real number"):
+            check_real(value, "beta")
+
+    @pytest.mark.parametrize("check", [check_positive, check_nonnegative])
+    def test_range_checks_check_the_type_first(self, check):
+        with pytest.raises(TypeError, match="sigma must be a real number, got str"):
+            check("1", "sigma")
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    def test_bool_accepts_python_and_numpy_bools(self, value):
+        assert check_bool(value, "verbose") is bool(value)
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_bool_rejects_text_and_numbers(self, value):
+        with pytest.raises(TypeError, match="verbose must be a bool"):
+            check_bool(value, "verbose")
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+    def test_integer_rejects_floats_bools_and_text(self, value):
+        with pytest.raises(TypeError, match="n must be an integer"):
+            check_integer(value, "n")
 
 
 class TestCheckChoice:
