@@ -16,8 +16,9 @@ reference) the four *distinct* subjects run as jobs on **one** worker thread
 and on **two**, and the burst wall, the process CPU and the median
 RUNNING -> DONE time of a job are recorded for both.  Most of a solve holds
 the GIL, so the second thread roughly doubles every job's latency and buys
-little or no throughput (``repro.config.DEFAULT_SERVICE_WORKERS``); the numbers are
-recorded, not asserted — four jobs do not resolve the burst wall.
+little or no throughput (``repro.service.workers.DEFAULT_SERVICE_WORKERS``);
+the numbers are recorded, not asserted — four jobs do not resolve the burst
+wall.
 
 The deterministic results (asserted, so no wall-clock gate can flake):
 

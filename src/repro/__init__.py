@@ -37,12 +37,11 @@ Queued (service) style: a script owns a :class:`repro.RegistrationService`
 and submits :class:`repro.service.RegistrationJobSpec` jobs to it (see
 :mod:`repro.service`); there is no process-wide default service.
 
-Execution knobs (pool budget, tracing) travel in a
-:class:`repro.RegistrationConfig`; see its docstring for the precedence
-rules against the ``REPRO_*`` environment variables.
+The two process-wide settings, the plan pool's budget and tracing, are read
+from ``REPRO_PLAN_POOL_BYTES`` and ``REPRO_TRACE`` (see :mod:`repro.config`);
+every other setting is an argument of the call that uses it.
 """
 
-from repro.config import RegistrationConfig
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import RegistrationResult, RegistrationSolver, register
 from repro.service import Job, JobStatus, RegistrationService
@@ -54,7 +53,6 @@ __all__ = [
     "Grid",
     "Job",
     "JobStatus",
-    "RegistrationConfig",
     "RegistrationResult",
     "RegistrationService",
     "RegistrationSolver",

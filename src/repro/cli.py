@@ -20,17 +20,16 @@ Python:
     Run an atlas (population) workload through the registration service:
     every subject image is queued as a job, a worker pool executes the
     solves, and per-job JSON artifacts
-    can be journaled with ``--artifacts-dir``.  With ``--http PORT`` (or
-    ``$REPRO_HTTP_PORT``) the command instead runs a long-lived service
-    exposing the stdlib HTTP front (``POST /jobs``, ``GET /jobs/<id>``,
-    ``DELETE /jobs/<id>``, ``GET /stats``); with ``--journal DIR`` (or
-    ``$REPRO_SERVICE_JOURNAL``) every submission is crash-safe — a killed
-    service re-queues its unfinished jobs on restart.
+    can be journaled with ``--artifacts-dir``.  With ``--http PORT`` the
+    command instead runs a long-lived service exposing the stdlib HTTP front
+    (``POST /jobs``, ``GET /jobs/<id>``, ``DELETE /jobs/<id>``,
+    ``GET /stats``); with ``--journal DIR`` every submission is crash-safe —
+    a killed service re-queues its unfinished jobs on restart.
 
-Execution knobs (``--plan-pool-bytes``, ``--trace``, ...)
-are shared by ``register`` and ``serve``; internally they are layered onto
-a :class:`repro.config.RegistrationConfig` (flags beat config fields beat
-``REPRO_*`` environment variables beat built-in defaults).
+The process-wide flags ``--plan-pool-bytes``, ``--trace`` and ``--trace-out``
+are shared by ``register`` and ``serve``.  They set the state the
+``REPRO_PLAN_POOL_BYTES`` / ``REPRO_TRACE`` variables set, after both
+variables are checked, so a flag wins over its variable.
 
 Examples
 --------
@@ -54,7 +53,7 @@ import numpy as np
 
 from repro.analysis.experiments import reproduce_scaling_table
 from repro.analysis.reporting import format_breakdown_table, format_rows
-from repro.config import RegistrationConfig, env_http_port
+from repro.config import check_environment
 from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import OPTIMIZERS, RegistrationSolver
@@ -62,24 +61,15 @@ from repro.core.regularization import REGULARIZATIONS
 from repro.data.brain import brain_registration_pair
 from repro.data.io import load_problem
 from repro.data.synthetic import synthetic_population, synthetic_registration_problem
-from repro.observability import (
-    env_trace_out,
-    format_phase_table,
-    tracing_enabled,
-    write_chrome_trace,
-)
+from repro.observability import enable_tracing, format_phase_table, write_chrome_trace
 from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
+from repro.runtime.plan_pool import configure_plan_pool
 from repro.utils.logging import set_verbosity
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
-    """Execution-configuration flags shared by ``register`` and ``serve``.
-
-    Each flag maps onto one :class:`repro.config.RegistrationConfig` field
-    (see :func:`_config_from_args`); leaving a flag unset defers to the
-    config/environment defaults.
-    """
+def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
+    """The process-wide flags ``register`` and ``serve`` share."""
     sub.add_argument(
         "--plan-pool-bytes",
         type=int,
@@ -96,7 +86,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "record structured tracing spans for every solver/runtime phase "
-            "(default: $REPRO_TRACE; results are bitwise unchanged)"
+            "(default: $REPRO_TRACE or off; results are bitwise unchanged)"
         ),
     )
     sub.add_argument(
@@ -106,8 +96,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
         metavar="PATH",
         help=(
             "write the recorded spans as Chrome trace-event JSON to PATH "
-            "(loadable in Perfetto / chrome://tracing; implies --trace; "
-            "default: $REPRO_TRACE_OUT)"
+            "(loadable in Perfetto / chrome://tracing; implies --trace)"
         ),
     )
 
@@ -126,17 +115,17 @@ def _add_solver_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-krylov", type=int, default=50, help="maximum PCG iterations per step")
 
 
-def _config_from_args(
-    args: argparse.Namespace, base: Optional[RegistrationConfig] = None
-) -> RegistrationConfig:
-    """Layer the CLI's configuration flags over *base* (flags win)."""
-    base = base if base is not None else RegistrationConfig()
-    overrides = {
-        "plan_pool_bytes": args.plan_pool_bytes,
-        "trace": args.trace,
-        "trace_out": args.trace_out,
-    }
-    return base.replace(**{name: value for name, value in overrides.items() if value is not None})
+def _apply_runtime_flags(args: argparse.Namespace) -> None:
+    """Check the environment, then set the process-wide state the flags name.
+
+    A malformed ``REPRO_PLAN_POOL_BYTES`` / ``REPRO_TRACE`` or a negative
+    ``--plan-pool-bytes`` raises :class:`ValueError` before any work.
+    """
+    check_environment()
+    if args.plan_pool_bytes is not None:
+        configure_plan_pool(args.plan_pool_bytes)
+    if args.trace or args.trace_out:
+        enable_tracing()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="gauss_newton",
         help="outer optimizer",
     )
-    _add_config_flags(reg)
+    _add_runtime_flags(reg)
 
     serve = subparsers.add_parser(
         "serve",
@@ -205,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="service worker threads (default: $REPRO_SERVICE_WORKERS or 1: solves hold the GIL)",
+        help="service worker threads (default: 1, as solves hold the GIL)",
     )
     serve.add_argument(
         "--max-batch",
@@ -227,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "durable job journal directory (default: $REPRO_SERVICE_JOURNAL); "
-            "submissions are fsync'd before they are acknowledged and a "
-            "restarted service re-queues unfinished jobs"
+            "durable job journal directory (default: none); submissions are "
+            "fsync'd before they are acknowledged and a restarted service "
+            "re-queues unfinished jobs"
         ),
     )
     serve.add_argument(
@@ -239,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PORT",
         help=(
             "serve submissions over HTTP on PORT instead of running an atlas "
-            "workload (default: $REPRO_HTTP_PORT; 0 binds any free port)"
+            "workload (0 binds any free port)"
         ),
     )
     serve.add_argument(
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="HOST",
         help="bind address of the HTTP front (default: 127.0.0.1)",
     )
-    _add_config_flags(serve)
+    _add_runtime_flags(serve)
 
     scal = subparsers.add_parser("scaling", help="print paper-vs-model scaling tables")
     scal.add_argument("--table", choices=("I", "II", "III", "IV"), default=None)
@@ -265,15 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _export_trace(config: RegistrationConfig) -> Optional[str]:
-    """Write the Chrome trace file when tracing is on and a path is set."""
-    if not tracing_enabled():
-        return None
-    path = config.trace_out if config.trace_out is not None else env_trace_out()
-    if not path:
-        return None
-    write_chrome_trace(path)
-    return path
+def _export_trace(args: argparse.Namespace) -> None:
+    """Write the Chrome trace file ``--trace-out`` names, if any."""
+    if args.trace_out:
+        write_chrome_trace(args.trace_out)
+        print(f"trace written to {args.trace_out}")
 
 
 def _solver_options(args: argparse.Namespace) -> SolverOptions:
@@ -298,14 +283,11 @@ def _load_pair(args: argparse.Namespace):
     return pair.reference, pair.template, pair.grid
 
 
-def _run_register(
-    args: argparse.Namespace, base_config: Optional[RegistrationConfig] = None
-) -> int:
+def _run_register(args: argparse.Namespace) -> int:
     try:
-        # construct, validate and apply every knob (flag or environment) and
-        # solver setting early, for a clean error message before any data is
-        # loaded
-        config = _config_from_args(args, base_config).apply()
+        # check the environment, apply the flags and build the solver before
+        # any data is loaded, for a clean error message
+        _apply_runtime_flags(args)
         solver = RegistrationSolver(
             beta=args.beta,
             regularization=args.regularization,
@@ -313,7 +295,6 @@ def _run_register(
             num_time_steps=args.nt,
             optimizer=args.optimizer,
             options=_solver_options(args),
-            config=config,
         )
         # an image size no grid holds (``--synthetic 1``) fails here
         reference, template, grid = _load_pair(args)
@@ -343,9 +324,7 @@ def _run_register(
         if phase_table:
             print("phase timings (traced spans):")
             print(phase_table)
-    trace_path = _export_trace(config)
-    if trace_path:
-        print(f"trace written to {trace_path}")
+    _export_trace(args)
     if args.output:
         np.savez_compressed(
             args.output,
@@ -377,9 +356,7 @@ def _load_population(args: argparse.Namespace):
     return population.atlas, population.subjects
 
 
-def _run_http_service(
-    args: argparse.Namespace, config: RegistrationConfig, port: int
-) -> int:
+def _run_http_service(args: argparse.Namespace) -> int:
     """Long-lived server mode: submissions arrive over HTTP, not argv."""
     import threading
 
@@ -387,7 +364,6 @@ def _run_http_service(
     from repro.service.http import serve_http
 
     with RegistrationService(
-        config=config,
         num_workers=args.num_workers,
         max_batch=args.max_batch,
         artifacts_dir=args.artifacts_dir,
@@ -395,7 +371,7 @@ def _run_http_service(
     ) as service:
         if service.recovered_jobs:
             print(f"journal: re-queued {len(service.recovered_jobs)} unfinished job(s)")
-        server = serve_http(service, port, host=args.http_host)
+        server = serve_http(service, args.http, host=args.http_host)
         print(f"service listening on http://{args.http_host}:{server.port}", flush=True)
         try:
             # serve_forever runs on the daemon thread; park this one
@@ -407,22 +383,19 @@ def _run_http_service(
     return 0
 
 
-def _run_serve(
-    args: argparse.Namespace, base_config: Optional[RegistrationConfig] = None
-) -> int:
+def _run_serve(args: argparse.Namespace) -> int:
     # imported here: the service pulls in the whole parallel stack, which the
     # plain register/scaling paths never need
     from repro.service import RegistrationService, run_atlas
 
     try:
-        http_port = args.http if args.http is not None else env_http_port()
-        if http_port is not None and not 0 <= http_port <= 65535:
-            raise ValueError(f"--http port must lie in [0, 65535], got {http_port}")
-        config = _config_from_args(args, base_config).apply()
-        if http_port is not None:
+        if args.http is not None and not 0 <= args.http <= 65535:
+            raise ValueError(f"--http port must lie in [0, 65535], got {args.http}")
+        _apply_runtime_flags(args)
+        if args.http is not None:
             if args.input is not None or args.synthetic is not None:
                 raise ValueError("--http serves submissions; drop --input/--synthetic")
-            return _run_http_service(args, config, http_port)
+            return _run_http_service(args)
         if args.input is None and args.synthetic is None:
             raise ValueError("one of --input, --synthetic or --http is required")
         options = _solver_options(args)
@@ -431,7 +404,6 @@ def _run_serve(
         RegistrationSolver(beta=args.beta, regularization=args.regularization, options=options)
         reference, subjects = _load_population(args)
         service = RegistrationService(
-            config=config,
             num_workers=args.num_workers,
             max_batch=args.max_batch,
             artifacts_dir=args.artifacts_dir,
@@ -471,9 +443,7 @@ def _run_serve(
     for job in atlas.jobs:
         if job.record.error is not None:
             print(f"job {job.job_id} failed: {job.record.error}", file=sys.stderr)
-    trace_path = _export_trace(config)
-    if trace_path:
-        print(f"trace written to {trace_path}")
+    _export_trace(args)
     if args.artifacts_dir:
         print(f"per-job artifacts written to {args.artifacts_dir}")
     if args.output and atlas.mean_deformed is not None:
@@ -524,24 +494,16 @@ def _run_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(
-    argv: Optional[Sequence[str]] = None,
-    config: Optional[RegistrationConfig] = None,
-) -> int:
-    """Entry point of the ``repro-register`` console script.
-
-    *config* is an optional base :class:`repro.config.RegistrationConfig`
-    for embedding callers; the command-line flags are layered on top of it
-    (flags win field by field).
-    """
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Entry point of the ``repro-register`` console script."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.verbose:
         set_verbosity("info")
     if args.command == "register":
-        return _run_register(args, config)
+        return _run_register(args)
     if args.command == "serve":
-        return _run_serve(args, config)
+        return _run_serve(args)
     return _run_scaling(args)
 
 

@@ -18,7 +18,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.config import RegistrationConfig
+from repro.config import check_environment
 from repro.core.metrics import determinant_summary, relative_residual, residual_norm
 from repro.core.optim.gauss_newton import (
     GaussNewtonKrylov,
@@ -243,17 +243,14 @@ class RegistrationSolver:
         grid cells (paper: one grid cell).  ``0`` disables smoothing.
     options:
         Solver options (tolerances, iteration caps, budget).
-    config:
-        Consolidated execution configuration
-        (:class:`repro.config.RegistrationConfig`).  When provided it is
-        applied process-wide (pool budget, tracing).  Either way the
-        ``REPRO_*`` environment is validated: a malformed variable raises
-        ``ValueError`` naming it.
 
     A setting :func:`check_settings` refuses (an unknown ``regularization``
     or ``optimizer``, ``num_time_steps < 1``, a ``beta`` that is not positive
     and finite, a ``smooth_sigma`` that is negative or not finite, a setting
-    of the wrong type) raises at construction, before any image is touched.
+    of the wrong type) raises at construction, before any image is touched,
+    and so does a malformed ``REPRO_PLAN_POOL_BYTES`` or ``REPRO_TRACE``
+    (:func:`repro.config.check_environment`).  Constructing a solver writes
+    no process-wide state.
     """
 
     beta: float = 1e-2
@@ -264,13 +261,10 @@ class RegistrationSolver:
     optimizer: str = "gauss_newton"
     smooth_sigma: float = 1.0
     options: SolverOptions = field(default_factory=SolverOptions)
-    config: Optional[RegistrationConfig] = None
 
     def __post_init__(self) -> None:
         check_settings(self)
-        # an empty config applies nothing but still validates the REPRO_*
-        # environment, so a malformed variable is a named error here
-        (self.config or RegistrationConfig()).apply()
+        check_environment()
 
     def build_problem(
         self,
@@ -372,13 +366,12 @@ def register(
     options: Optional[SolverOptions] = None,
     grid: Optional[Grid] = None,
     smooth_sigma: float = 1.0,
-    config: Optional[RegistrationConfig] = None,
 ) -> RegistrationResult:
     """Register *template* onto *reference* (functional convenience wrapper).
 
     See :class:`RegistrationSolver` for the meaning of every parameter.
-    Execution knobs (pool budget, tracing) belong in
-    *config* (:class:`repro.config.RegistrationConfig`).
+    The pool budget and tracing are process-wide settings
+    (:mod:`repro.config`), not arguments of a solve.
 
     Examples
     --------
@@ -397,6 +390,5 @@ def register(
         optimizer=optimizer,
         options=options or SolverOptions(),
         smooth_sigma=smooth_sigma,
-        config=config,
     )
     return solver.run(template, reference, grid=grid)

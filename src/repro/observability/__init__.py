@@ -19,7 +19,7 @@ observability is off:
     disabled path is one module-level boolean check returning a shared
     no-op context manager — no span objects, no recorder traffic.  Enabled
     via ``REPRO_TRACE=1``, the ``--trace`` CLI flag, or
-    ``RegistrationConfig(trace=True)``.  Exports Chrome trace-event JSON
+    :func:`enable_tracing`.  Exports Chrome trace-event JSON
     (``--trace-out run.trace.json``), loadable in Perfetto.
 
 :mod:`repro.observability.metrics`
@@ -57,14 +57,12 @@ from repro.observability.snapshot import (
 )
 from repro.observability.trace import (
     TRACE_ENV_VAR,
-    TRACE_OUT_ENV_VAR,
     TraceRecorder,
     TraceSpan,
     chrome_trace_document,
     disable_tracing,
     enable_tracing,
     env_trace_enabled,
-    env_trace_out,
     get_trace_recorder,
     trace_span,
     tracing_enabled,
@@ -83,14 +81,12 @@ __all__ = [
     "validate_chrome_trace",
     "validate_snapshot",
     "TRACE_ENV_VAR",
-    "TRACE_OUT_ENV_VAR",
     "TraceRecorder",
     "TraceSpan",
     "chrome_trace_document",
     "disable_tracing",
     "enable_tracing",
     "env_trace_enabled",
-    "env_trace_out",
     "get_trace_recorder",
     "trace_span",
     "tracing_enabled",

@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional
 
 __all__ = [
     "TRACE_ENV_VAR",
-    "TRACE_OUT_ENV_VAR",
     "TraceSpan",
     "TraceRecorder",
     "trace_span",
@@ -55,13 +54,11 @@ __all__ = [
     "disable_tracing",
     "get_trace_recorder",
     "env_trace_enabled",
-    "env_trace_out",
     "chrome_trace_document",
     "write_chrome_trace",
 ]
 
 TRACE_ENV_VAR = "REPRO_TRACE"
-TRACE_OUT_ENV_VAR = "REPRO_TRACE_OUT"
 
 _TRUE_VALUES = frozenset({"1", "true", "yes", "on"})
 _FALSE_VALUES = frozenset({"0", "false", "no", "off", ""})
@@ -206,7 +203,7 @@ def env_trace_enabled(environ: Optional[Dict[str, str]] = None) -> Optional[bool
 
     Returns ``None`` when unset, ``True``/``False`` for recognised values,
     and raises :class:`ValueError` naming the variable otherwise — the
-    same clean-error contract as every other ``REPRO_*`` variable.
+    same clean-error contract as ``REPRO_PLAN_POOL_BYTES``.
     """
     env = os.environ if environ is None else environ
     raw = env.get(TRACE_ENV_VAR)
@@ -221,15 +218,6 @@ def env_trace_enabled(environ: Optional[Dict[str, str]] = None) -> Optional[bool
         f"{TRACE_ENV_VAR} must be a boolean flag (1/0/true/false/yes/no/on/off), "
         f"got {raw!r}"
     )
-
-
-def env_trace_out(environ: Optional[Dict[str, str]] = None) -> Optional[str]:
-    """Return the ``REPRO_TRACE_OUT`` path, or ``None`` when unset/empty."""
-    env = os.environ if environ is None else environ
-    raw = env.get(TRACE_OUT_ENV_VAR)
-    if raw is None or not raw.strip():
-        return None
-    return raw.strip()
 
 
 class _NullSpan:

@@ -40,6 +40,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from repro.observability.trace import trace_span
+from repro.utils.validation import check_nonnegative_int
 
 #: Environment variable with the pool budget in bytes.
 POOL_BYTES_ENV_VAR = "REPRO_PLAN_POOL_BYTES"
@@ -149,17 +150,16 @@ class PlanPool:
     Parameters
     ----------
     max_bytes:
-        Storage budget.  ``None`` resolves ``REPRO_PLAN_POOL_BYTES`` (falling
-        back to :data:`DEFAULT_POOL_BYTES`); ``0`` disables storage (every
-        :meth:`get` builds and returns without caching).
+        Storage budget, an integer ``>= 0``.  ``None`` resolves
+        ``REPRO_PLAN_POOL_BYTES`` (falling back to :data:`DEFAULT_POOL_BYTES`);
+        ``0`` disables storage (every :meth:`get` builds and returns without
+        caching).
     """
 
     def __init__(self, max_bytes: Optional[int] = None) -> None:
         if max_bytes is None:
             max_bytes = env_pool_budget()
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
-        self.max_bytes = int(max_bytes)
+        self.max_bytes = check_nonnegative_int(max_bytes, "max_bytes")
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._inflight: Dict[Hashable, _InflightBuild] = {}
         self._lock = threading.RLock()
@@ -264,10 +264,9 @@ class PlanPool:
 
     def set_max_bytes(self, max_bytes: int) -> None:
         """Change the budget, evicting LRU entries if it shrinks below use."""
-        if max_bytes < 0:
-            raise ValueError(f"max_bytes must be non-negative, got {max_bytes}")
+        max_bytes = check_nonnegative_int(max_bytes, "max_bytes")
         with self._lock:
-            self.max_bytes = int(max_bytes)
+            self.max_bytes = max_bytes
             self._evict_to_fit()
 
     def reset(self) -> None:
@@ -350,6 +349,7 @@ def get_plan_pool() -> PlanPool:
 def configure_plan_pool(max_bytes: Optional[int]) -> PlanPool:
     """Set the budget of the shared pool (``None`` re-reads the environment).
 
+    A budget that is not an integer ``>= 0`` raises, naming ``max_bytes``.
     Shrinking below the current contents evicts least-recently-used entries
     immediately, so the accounting stays exact after a reconfiguration.
     """

@@ -143,10 +143,10 @@ class RegistrationJobSpec:
     what they share across requests is the spectral symbol store and the
     worker pools.
 
-    The fields are :func:`repro.register`'s parameters (without ``config``),
-    with its defaults, plus ``job_class``.  The constructor defines a valid
-    job (the jobspec decoder builds specs through it, from the client's
-    values as sent) and raises before anything is journaled or queued: for
+    The fields are :func:`repro.register`'s parameters, with its defaults,
+    plus ``job_class``.  The constructor defines a valid job (the jobspec
+    decoder builds specs through it, from the client's values as sent) and
+    raises before anything is journaled or queued: for
     an image pair :func:`~repro.core.registration.check_image_pair` refuses,
     an empty ``job_class``, ``options`` that are not a ``SolverOptions``
     (``TypeError``), and every setting

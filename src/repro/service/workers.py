@@ -4,7 +4,7 @@
 submit work (full registrations or distributed transport solves) and get
 :class:`~repro.service.jobs.Job` handles back immediately; daemon worker
 threads — one unless asked otherwise: solves hold the GIL, a second thread
-only time-slices the first (:data:`repro.config.DEFAULT_SERVICE_WORKERS`) —
+only time-slices the first (:data:`DEFAULT_SERVICE_WORKERS`) —
 drain the :class:`~repro.service.queue.SubmissionQueue` and execute every
 job through the *existing* synchronous paths — :func:`repro.register` and
 :class:`~repro.parallel.transport.DistributedTransportSolver` — so a queued
@@ -29,7 +29,7 @@ What the service adds over a loop of direct calls:
   can be journaled to a per-job JSON artifact
   (:mod:`repro.service.artifacts`).
 * **Durability.**  With a journal directory
-  (``journal_dir`` / ``REPRO_SERVICE_JOURNAL``), every submission is
+  (``journal_dir`` / ``--journal``), every submission is
   fsync'd to an append-only journal before the submit call returns, and a
   restarted service re-queues every journaled job that never reached a
   terminal state — a kill -9 mid-solve loses no work
@@ -51,12 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.config import (
-    DEFAULT_SERVICE_WORKERS,
-    RegistrationConfig,
-    env_service_journal,
-    env_service_workers,
-)
+from repro.config import check_environment
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.registration import register
 from repro.observability import snapshot as observability_snapshot
@@ -74,10 +69,19 @@ from repro.service.jobs import (
 from repro.service.journal import JobJournal
 from repro.service.queue import SubmissionQueue
 from repro.utils.logging import get_logger
+from repro.utils.validation import check_positive_int
 
 LOGGER = get_logger("service.workers")
 
-__all__ = ["RegistrationService"]
+__all__ = ["DEFAULT_SERVICE_WORKERS", "RegistrationService"]
+
+#: Service width when ``num_workers=`` is not given.  Every worker thread
+#: drives whole solves, and most of a solve (the CSR gather product, the
+#: window copies) holds the GIL, so two workers time-slice one interpreter.
+#: burst16 on 2 -> 1 workers (BENCH_20.json): register job 0.35 -> 0.16 s,
+#: 9.2 -> 10.5 jobs/s, CPU 1.23x -> 0.95x wall.  Width > 1 buys only that a
+#: short job never queues behind a long one.
+DEFAULT_SERVICE_WORKERS = 1
 
 
 class RegistrationService:
@@ -85,26 +89,24 @@ class RegistrationService:
 
     Parameters
     ----------
-    config:
-        Execution configuration applied process-wide at service start and
-        passed to every registration solve
-        (:class:`repro.config.RegistrationConfig`); ``None`` keeps the
-        ambient environment-driven defaults.  Either way a malformed
-        ``REPRO_*`` variable raises ``ValueError`` naming it.
     num_workers:
-        Worker threads draining the queue (at least 1).  ``None`` reads
-        ``REPRO_SERVICE_WORKERS``, else :data:`~repro.config.DEFAULT_SERVICE_WORKERS`
-        (1: see the module docstring).
+        Worker threads draining the queue, a positive integer; ``None`` is
+        :data:`DEFAULT_SERVICE_WORKERS` (1: see the module docstring).
     max_batch:
-        Upper bound on the micro-batch size (1 disables batching).
+        Upper bound on the micro-batch size, a positive integer (1 disables
+        batching).
     artifacts_dir:
         When set, every finished job (including failures) is journaled to
         ``<artifacts_dir>/job-<id>.json``.
     journal_dir:
-        Directory of the durable job journal; defaults to
-        ``$REPRO_SERVICE_JOURNAL`` (unset = no journal, PR-6 in-memory
-        behavior).  On start, journaled jobs without a terminal record are
-        compacted and re-queued with their original ids.
+        Directory of the durable job journal (``None`` = no journal: jobs
+        live in memory only).  On start, journaled jobs without a terminal
+        record are compacted and re-queued with their original ids.
+
+    A count that is not a positive integer (``0``, ``2.5``, ``True``) and a
+    malformed ``REPRO_PLAN_POOL_BYTES`` or ``REPRO_TRACE`` raise here, before
+    the journal is opened or a worker starts.  The service writes no
+    process-wide setting.
 
     The service is a context manager; leaving the ``with`` block drains the
     queue and joins the workers::
@@ -116,24 +118,17 @@ class RegistrationService:
 
     def __init__(
         self,
-        config: Optional[RegistrationConfig] = None,
         num_workers: Optional[int] = None,
         max_batch: int = 4,
         artifacts_dir: Optional[Union[str, Path]] = None,
         journal_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        self.config = config
-        # validates the REPRO_* environment even when no config is given
-        (config or RegistrationConfig()).apply()
         if num_workers is None:
-            num_workers = env_service_workers() or DEFAULT_SERVICE_WORKERS
-        self.num_workers = max(1, int(num_workers))
-        self.max_batch = int(max_batch)
+            num_workers = DEFAULT_SERVICE_WORKERS
+        self.num_workers = check_positive_int(num_workers, "num_workers")
+        self.max_batch = check_positive_int(max_batch, "max_batch")
+        check_environment()
         self.artifacts_dir = Path(artifacts_dir) if artifacts_dir is not None else None
-        if journal_dir is None:
-            journal_dir = env_service_journal()
         self.journal = JobJournal(journal_dir) if journal_dir is not None else None
         self.queue = SubmissionQueue()
         self._jobs: List[Job] = []
@@ -350,7 +345,7 @@ class RegistrationService:
         )
         try:
             with trace_span("service.job", kind="registration", job_id=job.job_id):
-                result = register(**arguments, config=self.config)
+                result = register(**arguments)
         except SolveCancelled:
             job._cancelled()
             self._finalize(job)

@@ -93,6 +93,12 @@ class TransportPlan:
         return self.divergence.nbytes + self.forward_stepper.nbytes + self.backward_stepper.nbytes
 
 
+#: Relative ``||div v|| / ||v||`` at or below which a velocity counts as
+#: divergence-free: its backward stepper then carries no ``nu div v`` source
+#: (``phi = 1``).
+DIVERGENCE_TOLERANCE = 1e-8
+
+
 @dataclass
 class TransportSolver:
     """Semi-Lagrangian solver for the state/adjoint/incremental equations.
@@ -110,7 +116,6 @@ class TransportSolver:
     grid: Grid
     num_time_steps: int = 4
     operators: Optional[SpectralOperators] = None
-    divergence_tolerance: float = 1e-8
     _interpolator: PeriodicInterpolator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -157,7 +162,7 @@ class TransportSolver:
                 spectrum = self.operators.fft.forward_vector(velocity)
             div_v = self.operators.divergence_of_spectra(spectrum)
             vel_scale = max(self.grid.norm(velocity), 1e-30)
-            div_free = self.grid.norm(div_v) <= self.divergence_tolerance * vel_scale
+            div_free = self.grid.norm(div_v) <= DIVERGENCE_TOLERANCE * vel_scale
             a, b = flow_derivatives(velocity, self.operators, spectrum)
             forward = SemiLagrangianStepper(
                 self.grid, velocity, self.dt, self._interpolator, derivatives=(a, b)

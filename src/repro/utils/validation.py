@@ -62,6 +62,14 @@ def check_positive_int(value: int, name: str) -> int:
     return value
 
 
+def check_nonnegative_int(value: int, name: str) -> int:
+    """Ensure *value* is an integer ``>= 0``."""
+    value = check_integer(value, name)
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
+
+
 def check_choice(value: Any, name: str, choices: Sequence[Any]) -> Any:
     """Ensure *value* is one of *choices*."""
     if value not in choices:

@@ -1,4 +1,10 @@
-"""Tests of the consolidated :class:`repro.config.RegistrationConfig`."""
+"""The runtime settings: two environment variables, no configuration object.
+
+``REPRO_PLAN_POOL_BYTES`` and ``REPRO_TRACE`` are the only settings read from
+the environment (:func:`repro.config.check_environment`); every entry point
+checks them before any work, and none takes a ``config=`` argument or writes
+the process-wide budget or tracing flag.
+"""
 
 from __future__ import annotations
 
@@ -9,11 +15,19 @@ import sys
 import numpy as np
 import pytest
 
-from repro.config import RegistrationConfig
+import repro
+from repro.cli import main
+from repro.config import check_environment
 from repro.core.registration import RegistrationSolver, register
 from repro.data.synthetic import synthetic_registration_problem
-from repro.observability.trace import TRACE_ENV_VAR, tracing_enabled
-from repro.runtime.plan_pool import get_plan_pool
+from repro.observability.trace import (
+    TRACE_ENV_VAR,
+    disable_tracing,
+    enable_tracing,
+    tracing_enabled,
+)
+from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR, configure_plan_pool, get_plan_pool
+from repro.service import RegistrationService
 
 
 @pytest.fixture()
@@ -28,158 +42,85 @@ def fast_options():
     return SolverOptions(max_newton_iterations=1, max_krylov_iterations=3)
 
 
-class TestConstruction:
-    def test_default_config_is_all_none(self):
-        config = RegistrationConfig()
-        assert all(value is None for value in config.as_dict().values())
+def _entry_points(problem, options):
+    """Each public entry point, as a call that builds it with *kwargs*."""
 
-    def test_validation_of_bad_fields(self):
-        with pytest.raises(ValueError, match="plan_pool_bytes"):
-            RegistrationConfig(plan_pool_bytes=-1)
+    def run_register(**kwargs):
+        return register(problem.template, problem.reference, options=options, **kwargs)
 
-    def test_replace_derives_a_variant(self):
-        base = RegistrationConfig(plan_pool_bytes=1000)
-        derived = base.replace(trace=True)
-        assert derived.plan_pool_bytes == 1000
-        assert derived.trace is True
-        assert base.trace is None  # frozen: the base is untouched
+    def start_service(**kwargs):
+        RegistrationService(**kwargs).shutdown()
 
-    def test_from_env_snapshots_concrete_values(self):
-        config = RegistrationConfig.from_env()
-        assert config.plan_pool_bytes == get_plan_pool().max_bytes
-        assert config.trace is not None
-
-    @pytest.mark.parametrize("service_env", [None, "3"])
-    def test_from_env_apply_changes_no_service_width(self, monkeypatch, service_env):
-        from repro.config import SERVICE_WORKERS_ENV_VAR, env_service_workers
-
-        monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
-        if service_env is not None:
-            monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, service_env)
-        before = env_service_workers()
-        config = RegistrationConfig.from_env().apply()
-        # the width is the service's own knob, never a config field
-        assert "workers" not in config.as_dict()
-        assert env_service_workers() == before
-        assert before == (None if service_env is None else int(service_env))
+    return {
+        "register": run_register,
+        "RegistrationSolver": lambda **kwargs: RegistrationSolver(options=options, **kwargs),
+        "RegistrationService": start_service,
+    }
 
 
-class TestValidateAndApply:
-    def test_config_has_the_three_knobs(self):
-        assert set(RegistrationConfig().as_dict()) == {
-            "plan_pool_bytes", "trace", "trace_out",
-        }
+ENTRY_POINTS = ["register", "RegistrationSolver", "RegistrationService"]
+
+
+class TestNoConfigurationObject:
+    def test_the_facade_exports_no_config_class(self):
+        assert "RegistrationConfig" not in repro.__all__
+        assert not hasattr(repro, "RegistrationConfig")
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_config_is_a_type_error(self, tiny_problem, fast_options, entry):
+        call = _entry_points(tiny_problem, fast_options)[entry]
+        with pytest.raises(TypeError, match="config"):
+            call(config=None)
+
+    def test_cli_main_takes_no_config(self):
+        with pytest.raises(TypeError, match="config"):
+            main(["scaling", "--table", "I"], config=None)
+
+
+class TestEnvironmentCheck:
+    def test_well_formed_or_unset_variables_pass(self, monkeypatch):
+        monkeypatch.delenv(POOL_BYTES_ENV_VAR, raising=False)
+        monkeypatch.delenv(TRACE_ENV_VAR, raising=False)
+        check_environment()
+        monkeypatch.setenv(POOL_BYTES_ENV_VAR, "0")
+        monkeypatch.setenv(TRACE_ENV_VAR, "off")
+        check_environment()
 
     @pytest.mark.parametrize(
-        "removed",
-        [
-            {"plan_layout": "lean"},
-            {"field_source": "memmap"},
-            {"interp_backend": "scipy"},
-            {"fft_backend": "numpy"},
-            {"workers": 2},
-            {"gradient_cache": False},
-        ],
+        "variable, value",
+        [(POOL_BYTES_ENV_VAR, "lots"), (POOL_BYTES_ENV_VAR, "-1"), (TRACE_ENV_VAR, "banana")],
     )
-    def test_removed_knobs_are_type_errors(self, removed):
-        with pytest.raises(TypeError):
-            RegistrationConfig(**removed)
-
-    @pytest.mark.parametrize("value", ["lots", "-1"])
-    def test_validate_surfaces_malformed_env(self, monkeypatch, value):
-        from repro.runtime.plan_pool import POOL_BYTES_ENV_VAR
-
-        monkeypatch.setenv(POOL_BYTES_ENV_VAR, value)
-        with pytest.raises(ValueError, match=POOL_BYTES_ENV_VAR):
-            RegistrationConfig().validate()
-
-    def test_apply_pushes_only_set_fields(self):
-        budget_before = get_plan_pool().max_bytes
-        RegistrationConfig(trace=True).apply()
-        assert tracing_enabled()
-        # unset fields leave the other process-wide knobs untouched
-        assert get_plan_pool().max_bytes == budget_before
-
-    def test_apply_sets_the_budget(self):
-        RegistrationConfig(plan_pool_bytes=123456).apply()
-        assert get_plan_pool().max_bytes == 123456
-
-    def test_apply_returns_self_for_chaining(self):
-        config = RegistrationConfig()
-        assert config.apply() is config
+    @pytest.mark.parametrize("entry", ["check_environment", *ENTRY_POINTS])
+    def test_a_malformed_variable_is_a_named_value_error(
+        self, monkeypatch, tiny_problem, fast_options, entry, variable, value
+    ):
+        calls = _entry_points(tiny_problem, fast_options)
+        calls["check_environment"] = check_environment
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ValueError, match=variable):
+            calls[entry]()
 
 
-class TestServiceEnvVars:
-    def test_env_service_journal_round_trip(self, monkeypatch):
-        from repro.config import SERVICE_JOURNAL_ENV_VAR, env_service_journal
+class TestNoProcessWideWrites:
+    """Building a solver or a service, or running a solve, leaves the budget
+    and the tracing flag as it found them."""
 
-        monkeypatch.delenv(SERVICE_JOURNAL_ENV_VAR, raising=False)
-        assert env_service_journal() is None
-        monkeypatch.setenv(SERVICE_JOURNAL_ENV_VAR, "/tmp/some-journal")
-        assert str(env_service_journal()) == "/tmp/some-journal"
-
-    def test_env_http_port_parses_and_validates(self, monkeypatch):
-        from repro.config import HTTP_PORT_ENV_VAR, env_http_port
-
-        monkeypatch.delenv(HTTP_PORT_ENV_VAR, raising=False)
-        assert env_http_port() is None
-        monkeypatch.setenv(HTTP_PORT_ENV_VAR, "8787")
-        assert env_http_port() == 8787
-        for bad in ("eighty", "-1", "70000"):
-            monkeypatch.setenv(HTTP_PORT_ENV_VAR, bad)
-            with pytest.raises(ValueError, match=HTTP_PORT_ENV_VAR):
-                env_http_port()
-
-    def test_validate_surfaces_malformed_service_env(self, monkeypatch):
-        from repro.config import HTTP_PORT_ENV_VAR, SERVICE_WORKERS_ENV_VAR
-
-        monkeypatch.setenv(HTTP_PORT_ENV_VAR, "not-a-port")
-        with pytest.raises(ValueError, match=HTTP_PORT_ENV_VAR):
-            RegistrationConfig().validate()
-        monkeypatch.delenv(HTTP_PORT_ENV_VAR)
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
-            RegistrationConfig().validate()
+    @pytest.mark.parametrize("budget, tracing", [(None, False), (123456, True), (0, False)])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_entry_points_leave_budget_and_tracing_alone(
+        self, tiny_problem, fast_options, entry, budget, tracing
+    ):
+        configure_plan_pool(budget)
+        (enable_tracing if tracing else disable_tracing)()
+        before = get_plan_pool().max_bytes
+        _entry_points(tiny_problem, fast_options)[entry]()
+        assert get_plan_pool().max_bytes == before
+        assert tracing_enabled() is tracing
 
 
 class TestSolverIntegration:
-    def test_solver_applies_its_config(self, tiny_problem, fast_options):
-        solver = RegistrationSolver(
-            options=fast_options,
-            config=RegistrationConfig(plan_pool_bytes=0),
-        )
-        assert get_plan_pool().max_bytes == 0
-        result = solver.run(tiny_problem.template, tiny_problem.reference)
-        for removed in ("fft_backend", "interp_backend", "plan_pool_hits", "plan_pool_misses"):
-            assert removed not in result.summary()
-
-    def test_register_accepts_config(self, tiny_problem, fast_options):
-        result = register(
-            tiny_problem.template,
-            tiny_problem.reference,
-            options=fast_options,
-            config=RegistrationConfig(trace=False),
-        )
-        assert result.relative_residual < 1.0
-
-    def test_register_rejects_a_malformed_trace_env(
-        self, monkeypatch, tiny_problem, fast_options
-    ):
-        monkeypatch.setenv(TRACE_ENV_VAR, "banana")
-        with pytest.raises(ValueError, match=TRACE_ENV_VAR):
-            register(tiny_problem.template, tiny_problem.reference, options=fast_options)
-
-    def test_service_rejects_a_malformed_trace_env(self, monkeypatch):
-        from repro.service import RegistrationService
-
-        monkeypatch.setenv(TRACE_ENV_VAR, "banana")
-        with pytest.raises(ValueError, match=TRACE_ENV_VAR):
-            RegistrationService()
-
     def test_import_survives_a_malformed_trace_env(self):
         """Only the entry points validate; ``import repro`` never raises."""
-        import repro
-
         env = dict(
             os.environ,
             PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),

@@ -8,6 +8,8 @@ import pytest
 from repro.cli import build_parser, main
 from repro.data.io import save_problem
 from repro.data.synthetic import synthetic_registration_problem
+from repro.runtime.plan_pool import configure_plan_pool
+from repro.service import RegistrationService
 
 #: Destinations of the flags ``register`` and ``serve`` both declare.
 SOLVER_FLAGS = {
@@ -209,20 +211,57 @@ class TestRegisterCommand:
         monkeypatch.delenv(POOL_BYTES_ENV_VAR)
         configure_plan_pool(None)
 
-    #: retired variable -> a value its old parser rejected
+    #: retired variable -> a value its old parser rejected (or, for the
+    #: journal and trace paths, a path no file can be written under)
     RETIRED_VALUES = {
         "REPRO_FFT_BACKEND": "fftw3",
         "REPRO_FFT_WORKERS": "fftw3",
         "REPRO_GRADIENT_CACHE": "maybe",
+        "REPRO_HTTP_PORT": "eighty",
         "REPRO_SERVICE_CLASS_WEIGHTS": "x",
+        "REPRO_SERVICE_JOURNAL": "/dev/null/journal",
+        "REPRO_SERVICE_WORKERS": "many",
+        "REPRO_TRACE_OUT": "/dev/null/run.trace.json",
     }
 
     @pytest.mark.parametrize("retired", sorted(RETIRED_VALUES))
     def test_retired_engine_variables_are_not_read(self, capsys, monkeypatch, retired):
         # a value that once failed validation is now simply ignored
         monkeypatch.setenv(retired, self.RETIRED_VALUES[retired])
-        assert main(["register", "--synthetic", "8", "--max-newton", "1"]) == 0
+        assert main(["register", "--synthetic", "8", "--max-newton", "1", "--trace"]) == 0
         assert retired not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "retired",
+        ["REPRO_HTTP_PORT", "REPRO_SERVICE_JOURNAL", "REPRO_SERVICE_WORKERS", "REPRO_TRACE_OUT"],
+    )
+    def test_serve_reads_no_retired_service_variable(self, capsys, monkeypatch, retired):
+        monkeypatch.setenv(retired, self.RETIRED_VALUES[retired])
+        argv = ["serve", "--synthetic", "8", "--subjects", "1", "--max-newton", "1", "--trace"]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "on 1 workers" in captured.out
+        assert retired not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, refuse",
+        [
+            (["serve", "--synthetic", "8", "--subjects", "1", "--num-workers", "0"],
+             lambda: RegistrationService(num_workers=0)),
+            (["serve", "--synthetic", "8", "--subjects", "1", "--max-batch", "0"],
+             lambda: RegistrationService(max_batch=0)),
+            (["register", "--synthetic", "8", "--plan-pool-bytes", "-1"],
+             lambda: configure_plan_pool(-1)),
+            (["serve", "--synthetic", "8", "--subjects", "1", "--plan-pool-bytes", "-1"],
+             lambda: configure_plan_pool(-1)),
+        ],
+        ids=lambda value: " ".join(value[-2:]) if isinstance(value, list) else "",
+    )
+    def test_a_bad_count_gets_the_python_callers_message(self, capsys, argv, refuse):
+        with pytest.raises(ValueError) as excinfo:
+            refuse()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
 
     def test_brain_incompressible_run(self, capsys):
         code = main(
@@ -269,10 +308,9 @@ class TestServeCommand:
             *extra,
         ]
 
-    def test_serve_requires_a_source_or_http(self, monkeypatch, capsys):
+    def test_serve_requires_a_source_or_http(self, capsys):
         # no parse-time failure anymore (--http mode has no population
         # source), but a bare serve still fails fast with a clean error
-        monkeypatch.delenv("REPRO_HTTP_PORT", raising=False)
         assert main(["serve"]) == 2
         assert "--http" in capsys.readouterr().err
 
@@ -284,10 +322,34 @@ class TestServeCommand:
         assert main(["serve", "--http", "99999"]) == 2
         assert "65535" in capsys.readouterr().err
 
-    def test_serve_surfaces_malformed_http_port_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_HTTP_PORT", "eighty")
-        assert main(["serve", "--synthetic", "8", "--subjects", "2"]) == 2
-        assert "REPRO_HTTP_PORT" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flag, env, name",
+        [
+            (["--num-workers", "0"], {}, "num_workers"),
+            (["--max-batch", "0"], {}, "max_batch"),
+            ([], {"REPRO_TRACE": "maybe"}, "REPRO_TRACE"),
+            ([], {"REPRO_PLAN_POOL_BYTES": "512M"}, "REPRO_PLAN_POOL_BYTES"),
+        ],
+    )
+    def test_http_mode_refuses_before_serving(self, tmp_path, flag, env, name):
+        """A refused ``--http`` start exits 2 instead of serving forever, and
+        opens no journal (a subprocess, so a wrong accept times out)."""
+        import os
+        import subprocess
+        import sys
+
+        journal = tmp_path / "journal"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--http", "0",
+             "--journal", str(journal), *flag],
+            env={**os.environ, "PYTHONPATH": "src", **env},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stdout
+        assert proc.stderr.startswith("error: ") and name in proc.stderr
+        assert not (journal / "journal.jsonl").exists()
 
     def test_synthetic_atlas_run(self, tmp_path, capsys):
         out_path = tmp_path / "atlas.npz"
@@ -423,34 +485,26 @@ class TestObservabilityCLI:
         assert "fft.forward" in names
         assert "newton.iteration" in names
 
-    def test_trace_env_var_enables_tracing(self, tmp_path):
+    def test_trace_env_var_enables_tracing(self):
         # REPRO_TRACE is read at interpreter startup, so exercise the real
-        # CLI path: a fresh process with the variable exported.
-        import json
+        # CLI path: a fresh process with the variable exported and no flag.
         import os
         import subprocess
         import sys
 
-        from repro.observability import TRACE_ENV_VAR, TRACE_OUT_ENV_VAR, validate_chrome_trace
+        from repro.observability import TRACE_ENV_VAR
 
-        trace_path = tmp_path / "env.trace.json"
         env = dict(os.environ)
         env[TRACE_ENV_VAR] = "1"
-        env[TRACE_OUT_ENV_VAR] = str(trace_path)
         env["PYTHONPATH"] = "src"
         proc = subprocess.run(
-            [
-                sys.executable, "-c",
-                "import sys; from repro.cli import main; "
-                "sys.exit(main(sys.argv[1:]))",
-                *self._register_args(),
-            ],
+            [sys.executable, "-m", "repro.cli", "--verbose", *self._register_args()],
             env=env,
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        validate_chrome_trace(json.loads(trace_path.read_text()))
+        assert "phase timings (traced spans):" in proc.stdout
 
     def test_malformed_trace_env_is_a_clean_error(self, capsys, monkeypatch):
         from repro.observability import TRACE_ENV_VAR
@@ -458,21 +512,6 @@ class TestObservabilityCLI:
         monkeypatch.setenv(TRACE_ENV_VAR, "maybe")
         assert main(self._register_args()) == 2
         assert TRACE_ENV_VAR in capsys.readouterr().err
-
-    def test_malformed_service_workers_env_is_a_clean_error(self, capsys, monkeypatch):
-        from repro.config import SERVICE_WORKERS_ENV_VAR
-
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "3.5")
-        assert main(self._register_args()) == 2
-        assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
-
-    def test_serve_rejects_malformed_service_workers_env_too(self, capsys, monkeypatch):
-        from repro.config import SERVICE_WORKERS_ENV_VAR
-
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "many")
-        code = main(["serve", "--synthetic", "8", "--subjects", "1"])
-        assert code == 2
-        assert SERVICE_WORKERS_ENV_VAR in capsys.readouterr().err
 
     def test_verbose_report_agrees_with_result_document(self, capsys):
         from repro.observability import get_trace_recorder

@@ -7,14 +7,12 @@ import pytest
 
 from repro.observability.trace import (
     TRACE_ENV_VAR,
-    TRACE_OUT_ENV_VAR,
     TraceRecorder,
     TraceSpan,
     chrome_trace_document,
     disable_tracing,
     enable_tracing,
     env_trace_enabled,
-    env_trace_out,
     get_trace_recorder,
     trace_span,
     tracing_enabled,
@@ -153,11 +151,6 @@ class TestEnvKnobs:
     def test_env_trace_enabled_malformed_names_the_variable(self):
         with pytest.raises(ValueError, match=TRACE_ENV_VAR):
             env_trace_enabled({TRACE_ENV_VAR: "maybe"})
-
-    def test_env_trace_out(self):
-        assert env_trace_out({}) is None
-        assert env_trace_out({TRACE_OUT_ENV_VAR: " "}) is None
-        assert env_trace_out({TRACE_OUT_ENV_VAR: "run.json"}) == "run.json"
 
 
 class TestChromeExport:

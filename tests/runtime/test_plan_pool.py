@@ -101,6 +101,21 @@ class TestPlanPoolCore:
         with pytest.raises(ValueError):
             PlanPool(max_bytes=-1)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "10"])
+    def test_a_budget_that_is_not_an_integer_is_a_named_type_error(self, budget):
+        before = get_plan_pool().max_bytes
+        for set_budget in (PlanPool, get_plan_pool().set_max_bytes, configure_plan_pool):
+            with pytest.raises(TypeError, match="max_bytes must be an integer"):
+                set_budget(budget)
+        assert get_plan_pool().max_bytes == before
+
+    def test_configure_refuses_a_negative_budget_by_name(self):
+        before = get_plan_pool().max_bytes
+        with pytest.raises(ValueError, match="max_bytes must be non-negative, got -1"):
+            configure_plan_pool(-1)
+        assert get_plan_pool().max_bytes == before
+        assert configure_plan_pool(np.int64(7)).max_bytes == 7
+
     def test_configure_shrink_evicts_to_fit(self, plan_pool):
         pool = get_plan_pool()
         configure_plan_pool(100)

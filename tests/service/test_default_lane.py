@@ -1,8 +1,8 @@
 """The service's default width — one compute lane — and what it buys.
 
 A solve's kernels hold the GIL, so ``RegistrationService()`` starts one worker
-thread (``repro.config.DEFAULT_SERVICE_WORKERS``); ``num_workers=`` beats
-``REPRO_SERVICE_WORKERS`` beats that default.  On one lane two things the
+thread (``repro.service.workers.DEFAULT_SERVICE_WORKERS``) unless
+``num_workers=`` asks for more.  On one lane two things the
 artifacts report become deterministic: the rest of a burst is queued while the
 first job runs, so the micro-batcher claims *full* batches, and the first
 transport batch of a velocity is the one whose own ledger shows the cold
@@ -22,7 +22,6 @@ from repro.data.synthetic import synthetic_registration_problem
 from repro.parallel.comm import SimulatedCommunicator
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
-from repro.config import SERVICE_WORKERS_ENV_VAR, env_service_workers
 from repro.runtime.plan_pool import get_plan_pool
 from repro.service import RegistrationJobSpec, RegistrationService, TransportJobSpec
 
@@ -32,11 +31,6 @@ NUM_TASKS = 4
 MAX_BATCH = 4
 
 
-@pytest.fixture(autouse=True)
-def no_worker_env(monkeypatch):
-    monkeypatch.delenv(SERVICE_WORKERS_ENV_VAR, raising=False)
-
-
 class TestDefaultWidth:
     def test_a_default_service_runs_one_worker(self):
         with RegistrationService() as service:
@@ -44,36 +38,40 @@ class TestDefaultWidth:
             assert service.service_stats()["num_workers"] == 1
             assert len(service._threads) == 1
 
-    def test_argument_and_environment_still_start_two(self, monkeypatch):
-        with RegistrationService(num_workers=2) as service:
+    def test_the_argument_starts_two(self):
+        with RegistrationService(num_workers=np.int64(2)) as service:
             assert len(service._threads) == service.service_stats()["num_workers"] == 2
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "2")
-        with RegistrationService() as service:
-            assert len(service._threads) == service.service_stats()["num_workers"] == 2
-        with RegistrationService(num_workers=1) as service:  # explicit beats the variable
-            assert service.num_workers == 1
+            assert type(service.num_workers) is int
 
-    def test_the_retired_shared_variable_is_not_read(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "3")
-        with RegistrationService() as service:
-            assert service.num_workers == 1
-        monkeypatch.setenv("REPRO_WORKERS", "three")  # not even validated
-        with RegistrationService() as service:
-            assert service.num_workers == 1
+    @pytest.mark.parametrize(
+        "retired", ["REPRO_WORKERS", "REPRO_SERVICE_WORKERS", "REPRO_SERVICE_JOURNAL"]
+    )
+    def test_retired_variables_are_not_read(self, monkeypatch, tmp_path, retired):
+        monkeypatch.chdir(tmp_path)
+        for value in ("3", "three"):  # not even validated
+            monkeypatch.setenv(retired, value)
+            with RegistrationService() as service:
+                assert service.num_workers == 1
+                assert service.journal is None
+        assert list(tmp_path.iterdir()) == []
 
-    def test_counts_are_clamped_to_one(self, monkeypatch):
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, "0")
-        assert env_service_workers() == 1
-        with RegistrationService(num_workers=-3) as service:
-            assert service.num_workers == 1
 
-    @pytest.mark.parametrize("bad", ["two", "3.5"])
-    def test_malformed_variable_is_a_clean_value_error(self, monkeypatch, bad):
-        monkeypatch.setenv(SERVICE_WORKERS_ENV_VAR, bad)
-        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
-            env_service_workers()
-        with pytest.raises(ValueError, match=SERVICE_WORKERS_ENV_VAR):
-            RegistrationService()
+class TestCountsAreChecked:
+    """A count that is not a positive integer is refused, never clamped or
+    truncated, before the journal is opened or a worker starts."""
+
+    @pytest.mark.parametrize("name", ["num_workers", "max_batch"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_a_count_below_one_is_a_value_error(self, tmp_path, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive, got {value}"):
+            RegistrationService(**{name: value}, journal_dir=tmp_path / "journal")
+        assert not (tmp_path / "journal").exists()
+
+    @pytest.mark.parametrize("name", ["num_workers", "max_batch"])
+    @pytest.mark.parametrize("value", [2.5, True, "2"])
+    def test_a_count_that_is_not_an_integer_is_a_type_error(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be an integer"):
+            RegistrationService(**{name: value})
 
 
 def _mixed_burst(service):

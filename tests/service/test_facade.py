@@ -10,7 +10,6 @@ class TestFacadeExports:
     def test_public_names(self):
         for name in (
             "register",
-            "RegistrationConfig",
             "RegistrationResult",
             "RegistrationSolver",
             "RegistrationService",
@@ -21,11 +20,6 @@ class TestFacadeExports:
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is not None
-
-    def test_config_identity(self):
-        from repro.config import RegistrationConfig
-
-        assert repro.RegistrationConfig is RegistrationConfig
 
     def test_no_process_wide_default_service(self):
         """A script owns its ``RegistrationService``: no module-level one to

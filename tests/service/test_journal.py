@@ -152,7 +152,7 @@ class TestSpecFieldsAreRegisterParameters:
     pinned here so the three cannot drift apart."""
 
     def test_same_names(self):
-        parameters = set(inspect.signature(register).parameters) - {"config"}
+        parameters = set(inspect.signature(register).parameters)
         assert {field.name for field in SPEC_SETTINGS} == parameters
 
     @pytest.mark.parametrize("field", SPEC_SETTINGS, ids=lambda field: field.name)

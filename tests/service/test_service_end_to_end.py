@@ -8,13 +8,12 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import RegistrationConfig
 from repro.core.gradients import gradient_cache_decision_log
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.data.synthetic import synthetic_registration_problem
 from repro.parallel.pencil import PencilDecomposition
 from repro.parallel.transport import DistributedTransportSolver
-from repro.runtime.plan_pool import get_plan_pool
+from repro.runtime.plan_pool import configure_plan_pool, get_plan_pool
 from repro.service import (
     JobFailedError,
     JobStatus,
@@ -102,10 +101,9 @@ class TestRegistrationJobs:
         assert job.status is JobStatus.DONE
         assert job.record.metrics["result"]["schema"] == "repro.registration-result"
 
-    def test_service_applies_its_config(self, tiny_problem, fast_options):
-        with RegistrationService(
-            config=RegistrationConfig(plan_pool_bytes=0), num_workers=1
-        ) as service:
+    def test_service_jobs_run_under_the_process_budget(self, tiny_problem, fast_options):
+        configure_plan_pool(0)
+        with RegistrationService(num_workers=1) as service:
             assert get_plan_pool().max_bytes == 0
             job = service.submit_registration(
                 RegistrationJobSpec(

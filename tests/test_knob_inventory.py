@@ -34,4 +34,4 @@ def test_table_rows_match_the_knobs_in_the_source():
 
 
 def test_knob_count():
-    assert len(_source_knobs()) == 6
+    assert _source_knobs() == {"REPRO_PLAN_POOL_BYTES", "REPRO_TRACE"}
