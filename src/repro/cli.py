@@ -66,6 +66,7 @@ from repro.parallel.machines import get_machine
 from repro.parallel.performance import RegistrationCostModel
 from repro.runtime.plan_pool import configure_plan_pool
 from repro.utils.logging import set_verbosity
+from repro.utils.validation import check_positive_int
 
 
 def _add_runtime_flags(sub: argparse.ArgumentParser) -> None:
@@ -399,9 +400,13 @@ def _run_serve(args: argparse.Namespace) -> int:
         if args.input is None and args.synthetic is None:
             raise ValueError("one of --input, --synthetic or --http is required")
         options = _solver_options(args)
-        # every subject's job runs these settings: check them before any
-        # image is loaded
+        # every subject's job runs these settings, and the service these
+        # counts: check them before any image is loaded (the journal still
+        # opens with the service, after the load)
         RegistrationSolver(beta=args.beta, regularization=args.regularization, options=options)
+        if args.num_workers is not None:
+            check_positive_int(args.num_workers, "num_workers")
+        check_positive_int(args.max_batch, "max_batch")
         reference, subjects = _load_population(args)
         service = RegistrationService(
             num_workers=args.num_workers,

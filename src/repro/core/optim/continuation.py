@@ -105,7 +105,10 @@ class BetaContinuation:
         plan, state, adjoint and gradient stack and recomputes only what
         ``beta`` changes (no plan, no sweep), and its gather operators are
         still resident.  The admissibility check transports through the final
-        iterate's own plan.  When the run ends the problem releases its
+        iterate's own plan.  Only the last step's result keeps its
+        ``final_iterate``; an earlier step's is ``None`` (its velocity,
+        records, gradient norm and ``det_grad_min`` stay), so the run holds
+        one iterate at a time.  When the run ends the problem releases its
         per-velocity data (:meth:`RegistrationProblem.release`).
         """
         start = time.perf_counter()
@@ -120,6 +123,11 @@ class BetaContinuation:
         accepted_beta = beta
 
         for level in range(self.max_levels):
+            if steps:
+                # a level goes on: the one before keeps its velocity and
+                # records, not its iterate (the problem's live slot holds it
+                # for this level's first linearize)
+                steps[-1].result.final_iterate = None
             problem.set_beta(beta)
             solver = GaussNewtonKrylov(problem, self.options)
             result = solver.solve(velocity)
@@ -131,6 +139,7 @@ class BetaContinuation:
                 plan=result.final_iterate.plan,
             )
             det_min = float(deformation.determinant().min())
+            del deformation  # its plan and displacement stay out of the next level
             accepted = det_min >= self.det_grad_bound
             steps.append(
                 ContinuationStep(beta=beta, result=result, det_grad_min=det_min, accepted=accepted)

@@ -152,7 +152,11 @@ class OptimizationResult:
     converged: bool
     termination_reason: str
     iterations: List[NewtonIterationRecord]
-    final_iterate: Iterate
+    #: the iterate at :attr:`velocity`; ``None`` on an earlier level of a
+    #: ``beta``-continuation, which keeps only the last level's
+    final_iterate: Optional[Iterate]
+    #: ``||g||`` at :attr:`velocity` (kept when the iterate is dropped)
+    final_gradient_norm: float
     total_hessian_matvecs: int
     total_pcg_iterations: int
     elapsed_seconds: float
@@ -160,10 +164,6 @@ class OptimizationResult:
     @property
     def num_iterations(self) -> int:
         return len(self.iterations)
-
-    @property
-    def final_gradient_norm(self) -> float:
-        return self.final_iterate.gradient_norm
 
     def convergence_table(self) -> List[dict]:
         """The convergence history as a list of plain dictionaries."""
@@ -194,9 +194,9 @@ class GaussNewtonKrylov:
         options = self.options
         start = time.perf_counter()
 
-        velocity = problem.start(initial_velocity)
         preconditioner = problem.preconditioner()
-        iterate = problem.linearize(velocity)
+        # the start point is the first iterate's: no local outlives it
+        iterate = problem.linearize(problem.start(initial_velocity))
         initial_gradient_norm = max(iterate.gradient_norm, 1e-300)
 
         records: List[NewtonIterationRecord] = []
@@ -247,7 +247,12 @@ class GaussNewtonKrylov:
                     # the one fallback: the preconditioned negative gradient -M^{-1} g
                     direction = problem.as_point(preconditioner(-iterate.gradient_spectrum))
                     ls = self._search(iterate, gradient, direction, fallback=True)
+                del gradient, direction  # the search's points: dead from here on
                 if ls.success:
+                    # one iterate alive at a time: the old one (its plan,
+                    # histories and gradient stack) goes before the new one
+                    # is built from the kept trial
+                    iterate = None
                     with trace_span("newton.linearize"):
                         iterate = problem.linearize(problem.trial_velocity)
                 else:
@@ -282,6 +287,7 @@ class GaussNewtonKrylov:
             termination_reason=reason,
             iterations=records,
             final_iterate=iterate,
+            final_gradient_norm=iterate.gradient_norm,
             total_hessian_matvecs=total_pcg,
             total_pcg_iterations=total_pcg,
             elapsed_seconds=elapsed,

@@ -108,9 +108,8 @@ def pcg(
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = apply_prec(r)
-    p = z.copy()
-    rz = space.inner(r, z)
+    p = np.array(apply_prec(r))  # a copy: the identity hands back r itself
+    rz = space.inner(r, p)
 
     r_norm = space.norm(r)
     residual_norms = [r_norm]
@@ -139,6 +138,7 @@ def pcg(
         alpha = rz / curvature
         x += alpha * p
         r -= alpha * hp
+        del hp  # x, r and p are all the next mat-vec needs alive
         r_norm = space.norm(r)
         residual_norms.append(r_norm)
         if r_norm <= target:
@@ -146,7 +146,10 @@ def pcg(
             break
         z = apply_prec(r)
         rz_new = space.inner(r, z)
-        p = z + (rz_new / rz) * p
+        # p <- z + (rz_new / rz) p in p's own array: the same bits, no fourth vector
+        p *= rz_new / rz
+        p += z
+        del z
         rz = rz_new
 
     return PCGResult(

@@ -102,8 +102,8 @@ class OuterIterate:
     def gradient(self) -> np.ndarray:
         """The reduced gradient as a field, transformed on demand (3 transforms).
 
-        Not stored: results and continuation levels retain their final
-        iterates, and a line search asks for the field once per Newton step.
+        Not stored: a result retains its final iterate, and a line search
+        asks for the field once per Newton step.
         """
         return self.fft.inverse_vector(self.gradient_spectrum)
 
@@ -362,6 +362,7 @@ class RegistrationProblem:
             residual, adjoint_history = previous.residual, previous.adjoint_history
             state_gradients = previous.state_gradients
         else:
+            live = None  # not reused: the old iterate goes before a new one is built
             if trial is not None and np.array_equal(trial[0], velocity):
                 _, spectrum, plan, state_history = trial
             else:
@@ -471,12 +472,17 @@ class RegistrationProblem:
         state_gradients = gradient_levels_of(
             self.operators, iterate.state_history, iterate.state_gradients
         )
+        # Gauss-Newton reads only rho~(1); full Newton differentiates every level
         rho_tilde = self.transport.solve_incremental_state(
-            iterate.plan, direction, iterate.state_history, state_gradients
+            iterate.plan,
+            direction,
+            iterate.state_history,
+            state_gradients,
+            keep_history=not self.gauss_newton,
         )
         lam_tilde = self.transport.solve_incremental_adjoint(
             iterate.plan,
-            terminal=-rho_tilde[-1],
+            terminal=-(rho_tilde if self.gauss_newton else rho_tilde[-1]),
             perturbation=direction,
             adjoint_history=iterate.adjoint_history,
             gauss_newton=self.gauss_newton,

@@ -159,7 +159,9 @@ class SemiLagrangianStepper:
     grid:
         Computational grid.
     velocity:
-        Stationary velocity of the transport equation.
+        Stationary velocity of the transport equation.  Not kept: past
+        planning the stepper holds only the gather plan and the per-axis
+        maxima ``max_speed`` (:meth:`cfl_number`).
     dt:
         Time-step size.
     interpolator:
@@ -179,23 +181,26 @@ class SemiLagrangianStepper:
     """
 
     grid: Grid
-    velocity: np.ndarray
+    velocity: InitVar[np.ndarray]
     dt: float
     interpolator: Optional[PeriodicInterpolator] = None
     derivatives: InitVar[Optional[Tuple[np.ndarray, np.ndarray]]] = None
     divergence: Optional[np.ndarray] = field(default=None, repr=False)
     departure_plan: Optional[GatherPlan] = field(default=None, init=False)
     growth: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+    #: ``max |v_j|`` per axis, for :meth:`cfl_number`
+    max_speed: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, derivatives) -> None:
-        self.velocity = check_velocity_shape(self.velocity, self.grid.shape)
+    def __post_init__(self, velocity, derivatives) -> None:
+        velocity = check_velocity_shape(velocity, self.grid.shape)
+        self.max_speed = np.max(np.abs(velocity.reshape(3, -1)), axis=1)
         if self.interpolator is None:
             self.interpolator = PeriodicInterpolator(self.grid)
-        if self.velocity.any():
+        if velocity.any():
             # the paper's planning phase: the gather stencil of the departure
             # points is computed once and reused by every step of every field
             self.departure_plan = self.interpolator.plan(
-                compute_departure_points(self.grid, self.velocity, self.dt, derivatives)
+                compute_departure_points(self.grid, velocity, self.dt, derivatives)
             )
 
     # ------------------------------------------------------------------ #
@@ -289,5 +294,4 @@ class SemiLagrangianStepper:
         the CFL number (Sec. IV-A3).
         """
         h = np.asarray(self.grid.spacing)
-        vmax = np.max(np.abs(self.velocity.reshape(3, -1)), axis=1)
-        return float(np.max(vmax * self.dt / h))
+        return float(np.max(self.max_speed * self.dt / h))

@@ -284,6 +284,7 @@ class TransportSolver:
         perturbation: np.ndarray,
         state_history: np.ndarray,
         state_gradients: Optional[object] = None,
+        keep_history: bool = True,
     ) -> np.ndarray:
         """Solve the incremental (linearized) state equation.
 
@@ -296,6 +297,10 @@ class TransportSolver:
         :class:`repro.core.gradients.StateGradients`; duck-typed to keep the
         transport layer below the core) serves them from the per-iterate
         cache — zero gradient FFTs on the Hessian mat-vec hot path.
+
+        Returns the history ``rho~[j] = rho~(., t_j)``, or without
+        *keep_history* only ``rho~(., 1)`` — the same steps and bits, one
+        level of memory (all a Gauss-Newton mat-vec reads).
         """
         perturbation = check_velocity_shape(perturbation, self.grid.shape)
         nt = plan.num_time_steps
@@ -318,7 +323,7 @@ class TransportSolver:
             )
 
         with trace_span("transport.incremental_state", nt=nt):
-            return self._march(plan, self.grid.zeros(), source=rhs)
+            return self._march(plan, self.grid.zeros(), source=rhs, keep_history=keep_history)
 
     # ------------------------------------------------------------------ #
     # incremental adjoint equation (Eq. 5c)

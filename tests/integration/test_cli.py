@@ -182,6 +182,27 @@ class TestRegisterCommand:
         assert err.startswith("error: ") and field in err
 
     @pytest.mark.parametrize(
+        "flag, refuse",
+        [
+            ("--num-workers", lambda: RegistrationService(num_workers=0)),
+            ("--max-batch", lambda: RegistrationService(max_batch=0)),
+        ],
+    )
+    def test_a_bad_service_count_is_refused_before_loading(
+        self, capsys, monkeypatch, flag, refuse
+    ):
+        import repro.cli as cli
+
+        def no_data(args):
+            raise AssertionError("population loaded before the service counts were checked")
+
+        monkeypatch.setattr(cli, "_load_population", no_data)
+        with pytest.raises(ValueError) as excinfo:
+            refuse()
+        assert main(["serve", "--synthetic", "32", "--subjects", "8", flag, "0"]) == 2
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+
+    @pytest.mark.parametrize(
         "argv, name",
         [
             (["register", "--synthetic", "8", "--nt", "0"], "num_time_steps"),

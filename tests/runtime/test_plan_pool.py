@@ -235,12 +235,18 @@ class TestPerLevelOwnership:
             gradient_tolerance=1e-2, max_newton_iterations=3, max_krylov_iterations=6
         )
 
-    def _run(self, synthetic):
-        problem = RegistrationProblem(
+    def _problem(self, synthetic):
+        return RegistrationProblem(
             grid=synthetic.grid, reference=synthetic.reference, template=synthetic.template
         )
+
+    def _run(self, synthetic, problem=None):
         return BetaContinuation(
-            problem, self._options(), initial_beta=1e-1, target_beta=1e-2, reduction=0.1
+            problem or self._problem(synthetic),
+            self._options(),
+            initial_beta=1e-1,
+            target_beta=1e-2,
+            reduction=0.1,
         ).run()
 
     def test_continuation_run_touches_no_pool(self, plan_pool):
@@ -277,10 +283,17 @@ class TestPerLevelOwnership:
         )
 
     def test_every_level_releases_its_operators(self, plan_pool):
-        result = self._run(synthetic_registration_problem(16))
-        for step in result.steps:
-            plan = step.result.final_iterate.plan
-            assert plan.forward_stepper.interpolator.resident_operators == 0
+        synthetic = synthetic_registration_problem(16)
+        problem = self._problem(synthetic)
+        result = self._run(synthetic, problem)
+        assert result.num_levels == 2
+        # every level gathers through the problem's one interpolator (only
+        # the last level keeps its final iterate, and so a plan to ask)
+        interpolator = problem.transport.interpolator
+        assert result.steps[-1].result.final_iterate.plan.forward_stepper.interpolator is (
+            interpolator
+        )
+        assert interpolator.resident_operators == 0
 
     # half of either budget is below the 12^3 operator pair (2 x 394 kB); the
     # gradient stack (207 kB) misses the first and fits the second
