@@ -13,7 +13,7 @@ more expensive.
 from repro.analysis.reporting import format_rows
 from repro.data.synthetic import sinusoidal_template, synthetic_velocity
 from repro.spectral.grid import Grid
-from repro.transport.semi_lagrangian import SemiLagrangianStepper
+from repro.transport.semi_lagrangian import cfl_number
 from repro.transport.solvers import TransportSolver
 
 
@@ -30,7 +30,7 @@ def test_ablation_time_steps(benchmark, record_text, record_json):
             solver = TransportSolver(grid, num_time_steps=nt)
             result = solver.solve_state(solver.plan(velocity), template)[-1]
             error = grid.norm(result - reference) / grid.norm(reference)
-            cfl = SemiLagrangianStepper(grid, velocity, 1.0 / nt).cfl_number()
+            cfl = cfl_number(grid, velocity, 1.0 / nt)
             rows.append({"nt": nt, "error_vs_nt32": error, "cfl_number": cfl})
         return rows
 

@@ -24,7 +24,7 @@ Usage::
 
     python benchmarks/bench_memory.py                        # traced 32^3, 64^3; RSS 64^3
     python benchmarks/bench_memory.py --sizes 16 --rss 16    # smoke size
-    python benchmarks/bench_memory.py --with-128             # adds the RSS of 128^3 (~2 GB)
+    python benchmarks/bench_memory.py --rss 64 128           # adds the RSS of 128^3 (~2 GB)
 
 Writes ``benchmarks/results/memory_phases.{txt,json}`` (the JSON in the
 ``repro.bench-result`` envelope).
@@ -62,20 +62,18 @@ PHASES = [
     (RegistrationProblem, "hessian_matvec", "mat-vec"),
 ]
 
-#: the solve, in a fresh interpreter: prints its ``ru_maxrss`` in MB
+#: :func:`solve`, in a fresh interpreter: prints its ``ru_maxrss`` in MB
 RSS_PROGRAM = """
 import resource, sys
-from repro import register
-from repro.core.optim.gauss_newton import SolverOptions
+from bench_memory import solve
 from repro.data.synthetic import synthetic_registration_problem
-problem = synthetic_registration_problem(int(sys.argv[1]))
-register(problem.template, problem.reference, beta=1e-2, regularization="h1",
-         num_time_steps=4, gauss_newton=True, options=SolverOptions(gradient_tolerance=1e-2))
+solve(synthetic_registration_problem(int(sys.argv[1])))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
 """
 
 
 def solve(problem):
+    """The measured solve: ``solve32``'s settings of ``benchmarks/e2e``."""
     return register(
         problem.template, problem.reference, beta=1e-2, regularization="h1",
         num_time_steps=4, gauss_newton=True, options=SolverOptions(gradient_tolerance=1e-2),
@@ -144,7 +142,8 @@ def fresh_rss_mb(size: int) -> float:
     """``ru_maxrss`` (MB) of a fresh interpreter that sets up and solves *size*^3."""
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    here = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, here, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", RSS_PROGRAM, str(size)],
         env=env, check=True, capture_output=True, text=True,
@@ -178,14 +177,12 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[32, 64],
                         help="grids of the traced solves (default: 32 64)")
     parser.add_argument("--rss", type=int, nargs="*", default=[64],
-                        help="grids of the fresh-process RSS solves (default: 64)")
-    parser.add_argument("--with-128", action="store_true",
-                        help="also measure the RSS of a 128^3 solve (about 2 GB, minutes)")
+                        help="grids of the fresh-process RSS solves (default: 64; "
+                        "128 takes about 2 GB and minutes)")
     args = parser.parse_args(argv)
-    rss_sizes = list(args.rss) + ([128] if args.with_128 else [])
 
     traced = [traced_phases(size) for size in args.sizes]
-    rss = [{"size": size, "ru_maxrss_mb": fresh_rss_mb(size)} for size in rss_sizes]
+    rss = [{"size": size, "ru_maxrss_mb": fresh_rss_mb(size)} for size in args.rss]
     text = table(traced, rss)
     print(text)
 

@@ -38,7 +38,13 @@ class ContinuationStep:
 
 @dataclass
 class ContinuationResult:
-    """Outcome of a ``beta``-continuation run."""
+    """Outcome of a ``beta``-continuation run.
+
+    ``velocity`` and ``final_beta`` are those of the last accepted level.  The
+    one iterate kept, ``steps[-1].result.final_iterate``, is at
+    ``steps[-1].result.velocity``: when the last level was rejected that is
+    not ``velocity``, and no iterate at ``velocity`` is kept.
+    """
 
     velocity: np.ndarray
     final_beta: float
@@ -108,8 +114,10 @@ class BetaContinuation:
         iterate's own plan.  Only the last step's result keeps its
         ``final_iterate``; an earlier step's is ``None`` (its velocity,
         records, gradient norm and ``det_grad_min`` stay), so the run holds
-        one iterate at a time.  When the run ends the problem releases its
-        per-velocity data (:meth:`RegistrationProblem.release`).
+        one iterate at a time.  A rejected last level keeps its own iterate,
+        at its velocity, not at the returned (accepted) one.  When the run
+        ends the problem releases its per-velocity data
+        (:meth:`RegistrationProblem.release`).
         """
         start = time.perf_counter()
         problem = self.problem

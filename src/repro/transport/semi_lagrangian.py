@@ -160,8 +160,7 @@ class SemiLagrangianStepper:
         Computational grid.
     velocity:
         Stationary velocity of the transport equation.  Not kept: past
-        planning the stepper holds only the gather plan and the per-axis
-        maxima ``max_speed`` (:meth:`cfl_number`).
+        planning the stepper holds only the gather plan.
     dt:
         Time-step size.
     interpolator:
@@ -188,12 +187,9 @@ class SemiLagrangianStepper:
     divergence: Optional[np.ndarray] = field(default=None, repr=False)
     departure_plan: Optional[GatherPlan] = field(default=None, init=False)
     growth: Optional[np.ndarray] = field(default=None, init=False, repr=False)
-    #: ``max |v_j|`` per axis, for :meth:`cfl_number`
-    max_speed: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, velocity, derivatives) -> None:
         velocity = check_velocity_shape(velocity, self.grid.shape)
-        self.max_speed = np.max(np.abs(velocity.reshape(3, -1)), axis=1)
         if self.interpolator is None:
             self.interpolator = PeriodicInterpolator(self.grid)
         if velocity.any():
@@ -285,13 +281,14 @@ class SemiLagrangianStepper:
             for array in (self.departure_plan, self.growth)
         )
 
-    # ------------------------------------------------------------------ #
-    def cfl_number(self) -> float:
-        """CFL number ``max |v_j| dt / h_j`` of this stepper.
 
-        The semi-Lagrangian scheme is unconditionally stable, so this is a
-        diagnostic only; the paper relates the accuracy (choice of ``nt``) to
-        the CFL number (Sec. IV-A3).
-        """
-        h = np.asarray(self.grid.spacing)
-        return float(np.max(self.max_speed * self.dt / h))
+def cfl_number(grid: Grid, velocity: np.ndarray, dt: float) -> float:
+    """CFL number ``max_j max |v_j| dt / h_j`` of a time step *dt* of *velocity*.
+
+    The semi-Lagrangian scheme is unconditionally stable, so this is a
+    diagnostic only; the paper relates the accuracy (choice of ``nt``) to
+    the CFL number (Sec. IV-A3).  Per-axis extrema, no ``|v|`` temporary.
+    """
+    flat = check_velocity_shape(velocity, grid.shape).reshape(3, -1)
+    speed = np.maximum(np.max(flat, axis=1), -np.min(flat, axis=1))
+    return float(np.max(speed * dt / np.asarray(grid.spacing)))

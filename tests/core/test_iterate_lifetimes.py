@@ -24,7 +24,7 @@ from repro.data.synthetic import (
     synthetic_velocity,
 )
 from repro.spectral.grid import Grid
-from repro.transport.semi_lagrangian import SemiLagrangianStepper
+from repro.transport.semi_lagrangian import SemiLagrangianStepper, cfl_number
 from repro.transport.solvers import TransportSolver
 
 OPTIONS = SolverOptions(gradient_tolerance=1e-3, max_newton_iterations=5)
@@ -158,6 +158,30 @@ class TestContinuationKeepsTheLastIterate:
         gc.collect()
         assert [ref() for ref in alive(lifetimes["iterates"])] == [last.result.final_iterate]
 
+    def test_a_rejected_last_level_keeps_its_own_iterate(self, lifetimes):
+        # at 12^3 the levels reach min det(grad y1) of about 0.55, 0.22, 0.12:
+        # a bound of 0.3 accepts the first level and rejects the second
+        problem = make_problem()
+        result = BetaContinuation(
+            problem,
+            SolverOptions(gradient_tolerance=1e-2, max_newton_iterations=4),
+            initial_beta=1e-1,
+            target_beta=1e-3,
+            reduction=0.1,
+            det_grad_bound=0.3,
+        ).run()
+        accepted, rejected = result.steps
+        assert accepted.accepted and not rejected.accepted
+        assert result.velocity is accepted.result.velocity
+        assert result.final_beta == accepted.beta
+        # the run's answer holds no iterate; the one kept is the rejected level's
+        assert accepted.result.final_iterate is None
+        kept = rejected.result.final_iterate
+        np.testing.assert_array_equal(kept.velocity, rejected.result.velocity)
+        assert not np.array_equal(kept.velocity, result.velocity)
+        gc.collect()
+        assert [ref() for ref in alive(lifetimes["iterates"])] == [kept]
+
 
 class TestStepperKeepsNoVelocity:
     def test_no_velocity_array_after_planning(self):
@@ -189,6 +213,6 @@ class TestStepperKeepsNoVelocity:
         dt = 1.0 / nt
         vmax = np.max(np.abs(velocity.reshape(3, -1)), axis=1)
         expected = float(np.max(vmax * dt / np.asarray(grid.spacing)))
-        assert SemiLagrangianStepper(grid, velocity, dt).cfl_number() == expected
+        assert cfl_number(grid, velocity, dt) == expected
         # the backward direction of a plan reads the same speeds
-        assert SemiLagrangianStepper(grid, -velocity, dt).cfl_number() == expected
+        assert cfl_number(grid, -velocity, dt) == expected
