@@ -20,6 +20,11 @@ where the solve peaks (``plan`` runs inside ``trial`` and inside the first
 reports its ``ru_maxrss`` (imports, problem set-up and solve), the number the
 end-to-end harness's ``peak_rss_mb`` reads.
 
+What outlives a solve is the finished result: the bench reports the array
+bytes one ``register()`` result still reaches (:func:`retained_array_bytes`,
+per grid point) and the bytes the results of a 12-job 16^3 service burst
+hold together — what a service keeps per finished job.
+
 Usage::
 
     python benchmarks/bench_memory.py                        # traced 32^3, 64^3; RSS 64^3
@@ -39,16 +44,20 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, List
 
+import numpy as np
+
 import repro
-from repro import register
+from repro import RegistrationService, register
 from repro.core.optim.gauss_newton import SolverOptions
 from repro.core.problem import RegistrationProblem
-from repro.data.synthetic import synthetic_registration_problem
+from repro.data.synthetic import synthetic_population, synthetic_registration_problem
+from repro.service import RegistrationJobSpec
 from repro.transport.solvers import TransportSolver
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -78,6 +87,52 @@ def solve(problem):
         problem.template, problem.reference, beta=1e-2, regularization="h1",
         num_time_steps=4, gauss_newton=True, options=SolverOptions(gradient_tolerance=1e-2),
     )
+
+
+def retained_array_bytes(root) -> int:
+    """Bytes of the distinct array buffers reachable from *root*.
+
+    Walks instance attributes and containers (not modules, classes or
+    functions) and counts each reachable array's base buffer once, so views
+    of one history and arrays two objects share are not counted twice.
+    """
+    seen, buffers, stack = set(), {}, [root]
+    skipped = (type, types.ModuleType, types.FunctionType, types.MethodType)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skipped):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            buffers[id(obj)] = obj.nbytes
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+    return sum(buffers.values())
+
+
+def burst_results(size: int = 16, jobs: int = 12) -> dict:
+    """Array bytes the register results of a *jobs*-job *size*^3 burst hold."""
+    population = synthetic_population(size, num_subjects=jobs)
+    options = SolverOptions(gradient_tolerance=1e-2)
+    with RegistrationService() as service:
+        results = service.gather([
+            service.submit_registration(
+                RegistrationJobSpec(template=subject, reference=population.atlas, options=options))
+            for subject in population.subjects
+        ])
+    held = retained_array_bytes(results)
+    return {
+        "size": size,
+        "jobs": jobs,
+        "held_bytes": held,
+        "bytes_per_point_per_result": held / (jobs * size**3),
+    }
 
 
 class PhasePeaks:
@@ -135,6 +190,7 @@ def traced_phases(size: int) -> dict:
         ],
         "newton_iterations": result.num_newton_iterations,
         "hessian_matvecs": result.num_hessian_matvecs,
+        "result_bytes_per_point": retained_array_bytes(result) / size**3,
     }
 
 
@@ -151,7 +207,7 @@ def fresh_rss_mb(size: int) -> float:
     return float(out.stdout.split()[-1])
 
 
-def table(traced: List[dict], rss: List[dict]) -> str:
+def table(traced: List[dict], rss: List[dict], burst: dict) -> str:
     lines = [
         "Traced peak of one register() per phase (MiB; tracemalloc, NumPy buffers included)",
         f"{'grid':>6} {'phase':>10} {'calls':>6} {'peak MiB':>10}",
@@ -169,6 +225,15 @@ def table(traced: List[dict], rss: List[dict]) -> str:
     lines.append("Fresh-process ru_maxrss (MB): imports, problem set-up and one solve")
     for row in rss:
         lines.append(f"{row['size']:>5}^3 {row['ru_maxrss_mb']:>10.1f}")
+    lines.append("")
+    lines.append("Finished result: array bytes it still reaches (B/point)")
+    for run in traced:
+        lines.append(f"{run['size']:>5}^3 {run['result_bytes_per_point']:>10.1f}")
+    lines.append(
+        f"{burst['jobs']}-job {burst['size']}^3 service burst: its results hold "
+        f"{burst['held_bytes'] / MIB:.2f} MiB "
+        f"({burst['bytes_per_point_per_result']:.1f} B/point per result)"
+    )
     return "\n".join(lines)
 
 
@@ -183,7 +248,8 @@ def main(argv=None) -> int:
 
     traced = [traced_phases(size) for size in args.sizes]
     rss = [{"size": size, "ru_maxrss_mb": fresh_rss_mb(size)} for size in args.rss]
-    text = table(traced, rss)
+    burst = burst_results()
+    text = table(traced, rss, burst)
     print(text)
 
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
@@ -195,6 +261,10 @@ def main(argv=None) -> int:
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "solve_peak_mib": {f"{run['size']}^3": run["solve_peak_mib"] for run in traced},
         "ru_maxrss_mb": {f"{row['size']}^3": row["ru_maxrss_mb"] for row in rss},
+        "result_bytes_per_point": {
+            f"{run['size']}^3": run["result_bytes_per_point"] for run in traced
+        },
+        "burst_results": burst,
         "traced": traced,
     }
     (RESULTS_DIR / "memory_phases.json").write_text(json.dumps(document, indent=2) + "\n")

@@ -153,7 +153,8 @@ class OptimizationResult:
     termination_reason: str
     iterations: List[NewtonIterationRecord]
     #: the iterate at :attr:`velocity`; ``None`` on an earlier level of a
-    #: ``beta``-continuation, which keeps only the last level's
+    #: ``beta``-continuation, which keeps only the last level's, and on a
+    #: finished :class:`~repro.core.registration.RegistrationResult`
     final_iterate: Optional[Iterate]
     #: ``||g||`` at :attr:`velocity` (kept when the iterate is dropped)
     final_gradient_norm: float

@@ -102,8 +102,9 @@ class OuterIterate:
     def gradient(self) -> np.ndarray:
         """The reduced gradient as a field, transformed on demand (3 transforms).
 
-        Not stored: a result retains its final iterate, and a line search
-        asks for the field once per Newton step.
+        Not stored: an iterate lives through its whole Newton step (the last
+        one is a solve's answer), and a line search asks for the field once
+        per Newton step.
         """
         return self.fft.inverse_vector(self.gradient_spectrum)
 
@@ -311,8 +312,12 @@ class RegistrationProblem:
 
         The accepted trial is the next iterate as it stands — projected
         once, here, as a half-spectrum — with its spectrum, plan and state
-        history (:meth:`linearize`).
+        history (:meth:`linearize`).  No gather of a search reads the live
+        iterate's operators, so each evaluation starts by releasing every
+        resident one: the trial plans and transports without them, and the
+        accepted trial's forward operator survives into :meth:`linearize`.
         """
+        self.transport.interpolator.release_operators()
         velocity, spectrum = self._projected(velocity)
         return self.evaluate_objective(velocity, keep_trial=True, spectrum=spectrum).total
 
@@ -330,8 +335,8 @@ class RegistrationProblem:
 
         The kept trial, the live iterate and the resident gather operators of
         the transport solver's interpolator go; what a caller still holds (a
-        result's final iterate and its plan) stays valid — a later gather
-        through it builds its operator block by block, same bits.
+        driver's final iterate and its plan) stays valid — a later gather
+        through it builds its operator again, same bits.
         """
         self._trial = None
         self._live = None

@@ -145,7 +145,15 @@ def check_image_pair(
 
 @dataclass
 class RegistrationResult:
-    """Everything the paper reports for a single registration run."""
+    """Everything the paper reports for a single registration run.
+
+    A finished result keeps its answer, not its solver: the velocity, its own
+    deformed template, the deformation map (whose displacement is computed
+    and whose plan is dropped), the records, and :attr:`problem` (the
+    pre-processed pair and the operators, without per-velocity data).
+    ``optimization.final_iterate`` is ``None``: the state and adjoint
+    histories, the gradient stack and the plan end with the solve.
+    """
 
     velocity: np.ndarray
     deformed_template: np.ndarray
@@ -316,19 +324,24 @@ class RegistrationSolver:
             driver = _DRIVERS[self.optimizer](problem, self.options)
             optimization = driver.solve(initial_velocity)
 
+            final, optimization.final_iterate = optimization.final_iterate, None
             deformation = DeformationMap(
                 problem.grid,
                 optimization.velocity,
                 transport=problem.transport,
-                plan=optimization.final_iterate.plan,
+                plan=final.plan,
             )
-            deformed_template = optimization.final_iterate.deformed_template
+            deformation.displacement()  # the final plan's last reader
+            # its own array: the result does not pin the (nt + 1)-level history
+            deformed_template = final.deformed_template.copy()
+            # the solve is over: a finished result (or service job) keeps its
+            # answer, not the iterate, a gather operator, a kept trial or a
+            # live-iterate slot — all gone before the determinant's Jacobian
+            final = None
+            problem.release()
             res_before = residual_norm(problem.reference, problem.template, problem.grid)
             res_after = residual_norm(problem.reference, deformed_template, problem.grid)
             det_stats = determinant_summary(deformation.determinant())
-            # the solve is over: a finished result (or service job) pins no
-            # gather operator, no kept trial and no live-iterate slot
-            problem.release()
         elapsed = time.perf_counter() - start
 
         LOGGER.info(

@@ -333,7 +333,9 @@ class JobJournal:
             "schema_version": JOURNAL_SCHEMA_VERSION,
             "event": event,
             "job_id": job_id,
-            "at": time.time(),
+            # integer nanoseconds: fixed width, so the journal's size is an
+            # exact count of what was journaled (replay ignores the key)
+            "at": time.time_ns(),
             **extra,
         }
 

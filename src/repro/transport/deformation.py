@@ -69,7 +69,9 @@ class DeformationMap:
         The :class:`~repro.transport.solvers.TransportPlan` of *velocity*
         when the caller owns one (a registration's final iterate does);
         when omitted the velocity is planned again — the flow expansion and
-        both departure sets, nothing is shared with earlier plans.
+        both departure sets, nothing is shared with earlier plans.  Dropped
+        (``None``) once :meth:`displacement` is cached; :meth:`map`,
+        :meth:`determinant` and :meth:`warp` read only the displacement.
     """
 
     grid: Grid
@@ -104,7 +106,11 @@ class DeformationMap:
     # displacement / map
     # ------------------------------------------------------------------ #
     def displacement(self) -> np.ndarray:
-        """Displacement ``u = y1 - x`` (computed lazily, then cached)."""
+        """Displacement ``u = y1 - x`` (computed lazily, then cached).
+
+        The transport is the plan's last reader: once the displacement is
+        cached, :attr:`plan` is ``None``.
+        """
         if self._displacement is None:
             plan = self.plan or self._solver.plan(self.velocity)
             minus_v = -self.velocity
@@ -113,6 +119,7 @@ class DeformationMap:
             self._displacement = self._solver._march(
                 plan, self.grid.zeros_vector(), source=lambda level: minus_v, keep_history=False
             )
+            self.plan = None
         return self._displacement
 
     def map(self) -> np.ndarray:

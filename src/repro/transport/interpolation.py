@@ -17,10 +17,10 @@ and the name of the gather operator reused across every field interpolated
 at one set of departure points), the resident gather operators themselves
 (at most two per interpolator — the forward and backward characteristics
 of the live velocity — held here, not in the process-wide plan pool, and
-released with :meth:`PeriodicInterpolator.release_operators` when their
-solve ends) and the interpolation counters, which the test-suite pins at
-``2*nt`` sweeps per Hessian mat-vec, inside the paper's ``4*nt``
-complexity model.
+released with :meth:`PeriodicInterpolator.release_operators` when a line
+search starts and when their solve ends) and the interpolation counters,
+which the test-suite pins at ``2*nt`` sweeps per Hessian mat-vec, inside the
+paper's ``4*nt`` complexity model.
 """
 
 from __future__ import annotations

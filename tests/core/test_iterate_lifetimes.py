@@ -4,8 +4,10 @@ A solve keeps the state and adjoint histories of its current iterate in
 memory (Sec. III-B2 of the paper), and nothing else of the kind: the previous
 iterate is gone before the next one is built, a Gauss-Newton mat-vec keeps
 one level of the incremental state, a stepper keeps no velocity, and a
-``beta``-continuation keeps only its last level's iterate.  Pinned with weak
-references, so the tests are deterministic and read no memory counter.
+``beta``-continuation keeps only its last level's iterate.  A finished
+``register()`` keeps its answer, not its solver: no iterate, no gradient
+stack, no plan.  Pinned with weak references, so the tests are deterministic
+and read no memory counter.
 """
 
 import gc
@@ -14,6 +16,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro import register
 from repro.core import gradients
 from repro.core.optim.continuation import BetaContinuation
 from repro.core.optim.gauss_newton import GaussNewtonKrylov, SolverOptions
@@ -109,6 +112,35 @@ class TestOneIterateAlive:
         gc.collect()
         assert len(alive(lifetimes["iterates"])) == len(alive(lifetimes["stacks"])) == 1
         assert alive(lifetimes["iterates"])[0]() is result.final_iterate
+
+
+class TestAFinishedResultKeepsItsAnswer:
+    @pytest.fixture()
+    def finished(self, lifetimes):
+        synthetic = synthetic_registration_problem(12)
+        result = register(synthetic.template, synthetic.reference, options=OPTIONS)
+        gc.collect()
+        return result
+
+    def test_no_iterate_or_gradient_stack_outlives_register(self, lifetimes, finished):
+        assert finished.num_newton_iterations >= 3
+        assert lifetimes["iterates"] and lifetimes["stacks"]
+        assert alive(lifetimes["iterates"]) == alive(lifetimes["stacks"]) == []
+        assert finished.optimization.final_iterate is None
+
+    def test_the_deformed_template_owns_its_data(self, finished):
+        template = finished.deformed_template
+        assert template.flags.owndata and template.base is None
+        assert template.shape == finished.problem.grid.shape
+
+    def test_the_deformation_map_drops_its_plan(self, finished):
+        deformation = finished.deformation
+        assert deformation.plan is None
+        # map, determinant and warp read the cached displacement
+        displacement = deformation.displacement()
+        assert deformation.map().shape == displacement.shape
+        assert deformation.determinant().min() == finished.det_grad_stats["min"]
+        assert deformation.plan is None
 
 
 class TestIncrementalStateFinalLevel:

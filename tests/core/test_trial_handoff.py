@@ -141,9 +141,10 @@ class TestTrialSlot:
 
     def test_rejected_trial_leaves_no_slot_and_no_extra_operator(self, plan_pool):
         """One slot: the next trial replaces (releases) a rejected one, and a
-        search that gives up releases the last; the interpolator holds exactly
-        what history-free evaluations of the same trials leave there, and the
-        pool holds nothing."""
+        search that gives up releases the last; each trial starts by releasing
+        every resident operator, so the interpolator holds only the last
+        trial's forward one — history-free evaluations of the same trials,
+        which release nothing, leave two — and the pool holds nothing."""
         problem = make_problem()
         first = smooth_velocity_field(problem.grid, seed=5, amplitude=0.2)
         second = 0.5 * first
@@ -160,7 +161,8 @@ class TestTrialSlot:
         plain = make_problem()
         plain.evaluate_objective(first)
         plain.evaluate_objective(second)
-        assert plain.transport.interpolator.resident_operators == kept == 2
+        assert kept == 1
+        assert plain.transport.interpolator.resident_operators == 2
         assert plan_pool.stats.entries == 0
 
     def test_failed_line_search_releases_the_trial(self):

@@ -426,6 +426,39 @@ class TestJournalReplay:
             handle.write(json.dumps({"schema": "someone-else", "event": "x"}) + "\n")
         assert [e.job_id for e in JobJournal(tmp_path).replay()] == [job.job_id]
 
+    def test_records_of_one_job_are_equally_long(self, tmp_path):
+        """``at`` is integer nanoseconds, so a record's length does not
+        depend on the clock and the journal's bytes are an exact count."""
+        lines = []
+        for name in ("first", "second"):
+            journal = JobJournal(tmp_path / name)
+            job = _job(_transport_spec(), job_id="job-1")
+            journal.record_submitted(job)
+            job._complete(None)
+            journal.record_terminal(job)
+            journal.close()
+            lines.append(journal.path.read_text(encoding="utf-8").splitlines())
+        for first, second in zip(*lines):
+            assert isinstance(json.loads(first)["at"], int)
+            assert len(first) == len(second)
+
+    def test_a_float_at_still_replays(self, tmp_path):
+        """Journals written before ``at`` was an integer replay as before."""
+        journal = JobJournal(tmp_path)
+        pending, done = _job(_transport_spec(seed=1)), _job(_transport_spec(seed=2))
+        for job in (pending, done):
+            journal.record_submitted(job)
+        done._complete(None)
+        journal.record_terminal(done)
+        journal.close()
+        records = [json.loads(line) for line in journal.path.read_text().splitlines()]
+        for record in records:
+            record["at"] = 1760000000.1234567
+        journal.path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+        (back,) = JobJournal(tmp_path).replay()
+        assert back.job_id == pending.job_id
+        np.testing.assert_array_equal(back.spec().velocity, pending.spec.velocity)
+
     def test_every_commit_is_fsynced(self, tmp_path, monkeypatch):
         synced = []
         real_fsync = os.fsync

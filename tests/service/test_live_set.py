@@ -5,10 +5,14 @@ to its problem and are released when its solve ends; the process-wide plan
 pool keeps only what crosses jobs — the scatter plans that transport jobs
 with one velocity share.  So the pool's contents after a burst do not grow
 with the number of register jobs, a finished result's interpolator holds no
-operator, and the result's deformation map still warps with the same bits.
+operator, the result reaches its answer's arrays and no iterate's, and its
+deformation map still warps with the same bits.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +27,12 @@ from repro.transport.kernels import projected_gather_operator_nbytes
 from tests.fixtures import smooth_velocity_field
 
 OPTIONS = SolverOptions(max_newton_iterations=2, max_krylov_iterations=5)
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_memory", Path(__file__).resolve().parents[2] / "benchmarks" / "bench_memory.py"
+)
+bench_memory = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_memory)
 
 
 @pytest.fixture(scope="module")
@@ -69,12 +79,30 @@ def test_a_finished_result_holds_no_operator(population, plan_pool):
     interpolator = result.problem.transport.interpolator
     assert interpolator.resident_operators == 0
     assert result.problem.trial_velocity is None
-    plan = result.optimization.final_iterate.plan
-    assert plan.forward_stepper.interpolator is interpolator
+    # the interpolator the result's deformation map gathers through
+    assert result.deformation.transport.interpolator is interpolator
+
+
+def test_a_finished_result_reaches_only_its_answer(population, plan_pool):
+    """Velocity, deformed template, displacement and the problem's pair: no
+    histories, gradient stack or plan (about 386 B/point before).
+
+    A result's own bytes are what the burst's results hold with it, less
+    what the other five hold: the spectral symbols all results of one grid
+    share (a process-wide memo whose contents depend on what ran before)
+    cancel out.
+    """
+    results = burst(population, 6)
+    assert len(results) == 6
+    together = bench_memory.retained_array_bytes(results)
+    for index in range(len(results)):
+        others = bench_memory.retained_array_bytes(results[:index] + results[index + 1:])
+        assert 0 < together - others <= 100 * population.grid.num_points
 
 
 def test_a_finished_deformation_warps_like_a_resident_gather(population, plan_pool):
     (result,) = burst(population, 1)
+    assert result.deformation.plan is None
     grid = population.grid
     image = population.subjects[0]
     warped = result.deformation.warp(image)
