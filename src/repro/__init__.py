@@ -11,9 +11,9 @@ The package is organized bottom-up, mirroring the structure of the paper:
 * :mod:`repro.core` — the optimal-control registration problem and the
   preconditioned inexact Gauss-Newton-Krylov solver (Sec. II-B, III-A),
 * :mod:`repro.parallel` — the distributed-memory substrate: pencil
-  decomposition, distributed FFT, ghost exchange, semi-Lagrangian scatter,
-  and the analytic performance model used to reproduce the scaling studies
-  (Sec. III-C, IV),
+  decomposition, ghost exchange, semi-Lagrangian scatter and distributed
+  transport, and the analytic performance model used to reproduce the
+  scaling studies (Sec. III-C, IV),
 * :mod:`repro.service` — the async job layer: queued registrations,
   one compute lane, transport micro-batching and the atlas workload,
 * :mod:`repro.data` — the synthetic problem of Fig. 5 and the brain-phantom

@@ -6,10 +6,13 @@ set of ranks living in one Python process: "sending" moves numpy arrays
 between per-rank slots, and every transfer is recorded in a
 :class:`CommunicationLedger` (message count, payload bytes, per category).
 
-The ledger is what connects the executable distributed algorithms to the
-paper's performance analysis: the counted volumes are fed to the latency /
-bandwidth machine model (:mod:`repro.parallel.performance`) to regenerate
-the communication columns of Tables I-IV.
+The ledger measures what the executable distributed transport moves: the
+ghost exchange (``ghost_exchange``), the scatter plan's point scatter
+(``interp_scatter``) and its value return (``interp_return``).  It does not
+feed the latency / bandwidth machine model
+(:mod:`repro.parallel.performance`): Tables I-IV are closed form, and the
+ledger's volumes and the model's charges are not reconciled (README.md,
+"Substitutions").
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ def exchange_ghost_layers_batched(
     decomposition: PencilDecomposition,
     width: int,
     comm: SimulatedCommunicator,
-    distributed_axes: Tuple[int, int] = (0, 1),
 ) -> List[np.ndarray]:
     """Extend per-rank ``(B, n1, n2, n3)`` stacks by periodic ghost layers.
 
@@ -61,17 +60,14 @@ def exchange_ghost_layers_batched(
     Parameters
     ----------
     stacks:
-        Per-rank field stacks in the ``distributed_axes`` distribution,
-        each of shape ``(B, n1, n2, n3)`` with one common batch size ``B``.
+        Per-rank field stacks, each of shape ``(B, n1, n2, n3)`` with one
+        common batch size ``B``.
     decomposition:
         The pencil decomposition.
     width:
         Halo width in grid points (2 is enough for tricubic interpolation).
     comm:
         Communicator used (and charged) for the neighbour exchanges.
-    distributed_axes:
-        Which two *grid* axes are distributed (default: the input
-        distribution).
 
     Returns
     -------
@@ -84,9 +80,6 @@ def exchange_ghost_layers_batched(
     p = deco.num_tasks
     if len(stacks) != p:
         raise ValueError(f"expected {p} block stacks, got {len(stacks)}")
-    axis_a, axis_b = distributed_axes
-    local_axis = ({0, 1, 2} - {axis_a, axis_b}).pop()
-
     extended = [np.asarray(s).copy() for s in stacks]
     batch = None
     for rank in range(p):
@@ -102,7 +95,7 @@ def exchange_ghost_layers_batched(
                 f"stack of rank {rank} has batch size {stack.shape[0]}, "
                 f"expected {batch} (all ranks must ship the same batch)"
             )
-        expected = deco.local_shape(rank, distributed_axes)
+        expected = deco.local_shape(rank)
         if stack.shape[1:] != expected:
             raise ValueError(
                 f"stack of rank {rank} has grid shape {stack.shape[1:]}, expected {expected}"
@@ -111,17 +104,15 @@ def exchange_ghost_layers_batched(
     if width == 0:
         return extended
 
-    min_extent = min(
-        min(deco.local_shape(rank, distributed_axes)) for rank in range(p)
-    )
+    min_extent = min(min(deco.local_shape(rank)) for rank in range(p))
     if width > min_extent:
         raise ValueError(
             f"ghost width {width} exceeds the smallest local extent {min_extent}"
         )
 
     for rank in range(p):
-        # the non-distributed axis is periodic locally (+1: the batch axis)
-        extended[rank] = _periodic_pad_axis(extended[rank], local_axis + 1, width)
+        # grid axis 2 is not distributed: periodic locally (+1: the batch axis)
+        extended[rank] = _periodic_pad_axis(extended[rank], 3, width)
 
     def neighbours(rank: int, direction: str) -> Tuple[int, int]:
         """Predecessor and successor of *rank* along one process-grid direction."""
@@ -143,7 +134,7 @@ def exchange_ghost_layers_batched(
     with trace_span(
         "parallel.ghost_exchange", width=width, ranks=p, batch=int(batch)
     ):
-        for grid_axis, direction in ((axis_a, "p1"), (axis_b, "p2")):
+        for grid_axis, direction in ((0, "p1"), (1, "p2")):
             axis = grid_axis + 1  # account for the batch axis
             high_messages = []
             low_messages = []

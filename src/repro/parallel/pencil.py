@@ -4,14 +4,13 @@ The paper partitions the data "using the pencil decomposition for 3D FFTs"
 (Fig. 4): with ``p = p1 * p2`` MPI tasks, each task owns an
 ``(N1/p1) x (N2/p2) x N3`` block of the grid — the first two axes are
 distributed over a two-dimensional process grid and the third axis is local.
-During the distributed transform the data are transposed twice so that each
-axis becomes local when its 1-D FFTs are computed.
+This is the only layout here: the paper's FFT transposes it into two more,
+but the pencil FFT is not simulated (README.md, "Substitutions").
 
-:class:`PencilDecomposition` provides the index bookkeeping for all of this:
-block boundaries per axis, local slices of a rank for any distribution of
-two axes over the process grid, scatter/gather between a global array and
-the per-rank blocks, and the owner lookup used by the semi-Lagrangian
-scatter phase.
+:class:`PencilDecomposition` provides the index bookkeeping: block
+boundaries per axis, the local slices of a rank, scatter/gather between a
+global array and the per-rank blocks, and the owner lookup used by the
+semi-Lagrangian scatter phase.
 """
 
 from __future__ import annotations
@@ -54,9 +53,8 @@ class PencilDecomposition:
         Global grid shape ``(N1, N2, N3)``.
     p1, p2:
         Process-grid dimensions; the total number of ranks is ``p1 * p2``.
-        The *input* distribution assigns axis 0 to the ``p1`` direction and
-        axis 1 to the ``p2`` direction (axis 2 local), exactly as in Fig. 4a
-        of the paper.
+        Axis 0 is split over the ``p1`` direction and axis 1 over the
+        ``p2`` direction (axis 2 local), exactly as in Fig. 4a of the paper.
     """
 
     global_shape: Tuple[int, int, int]
@@ -105,14 +103,6 @@ class PencilDecomposition:
             raise ValueError(f"process-grid coordinates ({r1}, {r2}) out of range")
         return r1 * self.p2 + r2
 
-    def row_group(self, r1: int) -> List[int]:
-        """Ranks sharing the first process-grid coordinate (``p2`` of them)."""
-        return [self.rank_of(r1, r2) for r2 in range(self.p2)]
-
-    def column_group(self, r2: int) -> List[int]:
-        """Ranks sharing the second process-grid coordinate (``p1`` of them)."""
-        return [self.rank_of(r1, r2) for r1 in range(self.p1)]
-
     # ------------------------------------------------------------------ #
     # block boundaries and local slices
     # ------------------------------------------------------------------ #
@@ -120,43 +110,23 @@ class PencilDecomposition:
         """Block boundaries of *axis* split into *parts* contiguous pieces."""
         return split_axis(self.global_shape[axis], parts)
 
-    def local_slices(
-        self, rank: int, distributed_axes: Tuple[int, int] = (0, 1)
-    ) -> Tuple[slice, slice, slice]:
-        """Slices of the global array owned by *rank* for a given distribution.
-
-        ``distributed_axes = (a, b)`` means axis ``a`` is split over the
-        ``p1`` process-grid direction and axis ``b`` over the ``p2``
-        direction; the remaining axis is local.  The paper's input
-        distribution is ``(0, 1)``; the distributions after the first and
-        second FFT transpose are ``(0, 2)`` and ``(1, 2)``.
-        """
-        a, b = distributed_axes
-        if a == b or not {a, b} <= {0, 1, 2}:
-            raise ValueError(f"distributed_axes must be two distinct axes, got {distributed_axes}")
+    def local_slices(self, rank: int) -> Tuple[slice, slice, slice]:
+        """Slices of the global array owned by *rank* (axis 2 whole)."""
         r1, r2 = self.rank_coordinates(rank)
-        bounds_a = self.axis_blocks(a, self.p1)[r1]
-        bounds_b = self.axis_blocks(b, self.p2)[r2]
-        slices: List[slice] = [slice(None)] * 3
-        slices[a] = slice(*bounds_a)
-        slices[b] = slice(*bounds_b)
-        return tuple(slices)
-
-    def local_shape(
-        self, rank: int, distributed_axes: Tuple[int, int] = (0, 1)
-    ) -> Tuple[int, int, int]:
-        slices = self.local_slices(rank, distributed_axes)
-        return tuple(
-            (s.stop - s.start) if s.start is not None else self.global_shape[axis]
-            for axis, s in enumerate(slices)
+        return (
+            slice(*self.axis_blocks(0, self.p1)[r1]),
+            slice(*self.axis_blocks(1, self.p2)[r2]),
+            slice(None),
         )
+
+    def local_shape(self, rank: int) -> Tuple[int, int, int]:
+        s1, s2, _ = self.local_slices(rank)
+        return (s1.stop - s1.start, s2.stop - s2.start, self.global_shape[2])
 
     # ------------------------------------------------------------------ #
     # scatter / gather between global arrays and per-rank blocks
     # ------------------------------------------------------------------ #
-    def scatter(
-        self, global_array: np.ndarray, distributed_axes: Tuple[int, int] = (0, 1)
-    ) -> List[np.ndarray]:
+    def scatter(self, global_array: np.ndarray) -> List[np.ndarray]:
         """Split a global array into the per-rank local blocks (copies)."""
         global_array = np.asarray(global_array)
         if global_array.shape != self.global_shape:
@@ -164,21 +134,19 @@ class PencilDecomposition:
                 f"array has shape {global_array.shape}, expected {self.global_shape}"
             )
         return [
-            global_array[self.local_slices(rank, distributed_axes)].copy()
+            global_array[self.local_slices(rank)].copy()
             for rank in range(self.num_tasks)
         ]
 
-    def gather(
-        self, blocks: Sequence[np.ndarray], distributed_axes: Tuple[int, int] = (0, 1)
-    ) -> np.ndarray:
+    def gather(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
         """Reassemble the global array from the per-rank blocks."""
         if len(blocks) != self.num_tasks:
             raise ValueError(f"expected {self.num_tasks} blocks, got {len(blocks)}")
         dtype = np.result_type(*[np.asarray(b).dtype for b in blocks])
         out = np.empty(self.global_shape, dtype=dtype)
         for rank, block in enumerate(blocks):
-            slices = self.local_slices(rank, distributed_axes)
-            expected = self.local_shape(rank, distributed_axes)
+            slices = self.local_slices(rank)
+            expected = self.local_shape(rank)
             block = np.asarray(block)
             if block.shape != expected:
                 raise ValueError(
@@ -190,9 +158,7 @@ class PencilDecomposition:
     # ------------------------------------------------------------------ #
     # ownership lookup (used by the semi-Lagrangian scatter phase)
     # ------------------------------------------------------------------ #
-    def owner_of_indices(
-        self, indices: np.ndarray, distributed_axes: Tuple[int, int] = (0, 1)
-    ) -> np.ndarray:
+    def owner_of_indices(self, indices: np.ndarray) -> np.ndarray:
         """Rank owning each (integer, already-wrapped) grid index.
 
         Parameters
@@ -203,9 +169,8 @@ class PencilDecomposition:
         indices = np.asarray(indices)
         if indices.ndim != 2 or indices.shape[0] != 3:
             raise ValueError(f"indices must have shape (3, M), got {indices.shape}")
-        a, b = distributed_axes
-        bounds_a = np.array([stop for (_, stop) in self.axis_blocks(a, self.p1)])
-        bounds_b = np.array([stop for (_, stop) in self.axis_blocks(b, self.p2)])
-        r1 = np.searchsorted(bounds_a, indices[a], side="right")
-        r2 = np.searchsorted(bounds_b, indices[b], side="right")
+        bounds_1 = np.array([stop for (_, stop) in self.axis_blocks(0, self.p1)])
+        bounds_2 = np.array([stop for (_, stop) in self.axis_blocks(1, self.p2)])
+        r1 = np.searchsorted(bounds_1, indices[0], side="right")
+        r2 = np.searchsorted(bounds_2, indices[1], side="right")
         return r1 * self.p2 + r2

@@ -114,7 +114,7 @@ class ScatterInterpolationPlan:
         Global grid (provides the spacing used to map physical coordinates
         to fractional grid indices).
     decomposition:
-        Pencil decomposition of the grid (input distribution, axes 0 and 1).
+        Pencil decomposition of the grid (axes 0 and 1 split).
     comm:
         Simulated communicator (charged for the scatter and the ghost
         exchange).
@@ -202,11 +202,9 @@ class ScatterInterpolationPlan:
             if not counts[owner].any():
                 continue
             q = np.concatenate(points_by_owner[owner], axis=1)
-            slices = deco.local_slices(owner, (0, 1))
+            slices = deco.local_slices(owner)
             offsets = np.array([s.start or 0 for s in slices], dtype=np.float64)[:, None]
-            extended_shape = tuple(
-                n + 2 * GHOST_WIDTH for n in deco.local_shape(owner, (0, 1))
-            )
+            extended_shape = tuple(n + 2 * GHOST_WIDTH for n in deco.local_shape(owner))
             # the owner test guarantees floor(q) lies in the owner's index
             # range, so the shift into the ghost-extended block needs no
             # periodic unwrapping — but its floating-point sum may round a
@@ -250,7 +248,7 @@ class ScatterInterpolationPlan:
         Parameters
         ----------
         block_stacks:
-            Per-rank ``(B, n1, n2, n3)`` stacks (input distribution) of the
+            Per-rank ``(B, n1, n2, n3)`` stacks (pencil blocks) of the
             fields to interpolate.
 
         Returns

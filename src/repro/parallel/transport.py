@@ -86,7 +86,7 @@ class DistributedSemiLagrangian:
     grid:
         Global grid.
     decomposition:
-        Pencil decomposition (input distribution, axes 0 and 1).
+        Pencil decomposition (axes 0 and 1 split).
     velocity:
         Stationary velocity as a *global* ``(3, N1, N2, N3)`` array (each
         rank only ever touches its own block plus what the scatter plan

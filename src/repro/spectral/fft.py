@@ -3,9 +3,9 @@
 The paper's implementation uses AccFFT (built on FFTW) for its distributed
 transforms; the serial, single-process transform used by the core solver here
 calls :mod:`numpy.fft` (pocketfft) directly.  All fields of the problem are
-real, so the transforms are real-to-complex.  The distributed
-pencil-decomposed transform that mirrors AccFFT's communication pattern lives
-in :mod:`repro.parallel.distributed_fft` and is validated against this one.
+real, so the transforms are real-to-complex.  AccFFT's pencil-decomposed
+transform is not simulated; the analytic performance model
+(:mod:`repro.parallel.performance`) charges its transposes in closed form.
 
 The frontend also counts the number of (scalar 3D) transforms performed.
 The paper's complexity model (Sec. III-C4) expresses the per-iteration cost

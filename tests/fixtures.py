@@ -94,15 +94,6 @@ def random_points(
     return np.random.default_rng(seed).uniform(low, high, size=(3, num_points))
 
 
-def departure_like_points(grid: Grid, seed: int = 0, cells: float = 3.0) -> np.ndarray:
-    """Grid-ordered points displaced by a few cells — the SL access pattern."""
-    rng = np.random.default_rng(seed)
-    spacing = np.asarray(grid.spacing)[:, None]
-    return grid.coordinate_stack().reshape(3, -1) + spacing * cells * rng.standard_normal(
-        (3, grid.num_points)
-    )
-
-
 def periodic_gather(grid: Grid, fields, points, kernel: str = "catmull_rom") -> np.ndarray:
     """A cubic kernel's periodic operator at physical *points* — an oracle.
 
@@ -226,10 +217,10 @@ def make_scatter_plan(
     return deco, comm, points, plan
 
 
-def exchange_one_field(blocks, deco, width, comm, distributed_axes=(0, 1)):
+def exchange_one_field(blocks, deco, width, comm):
     """Ghost-extend one distributed field: the ``B = 1`` batched exchange."""
     stacks = [np.asarray(block)[None] for block in blocks]
-    extended = exchange_ghost_layers_batched(stacks, deco, width, comm, distributed_axes)
+    extended = exchange_ghost_layers_batched(stacks, deco, width, comm)
     return [stack[0] for stack in extended]
 
 

@@ -44,7 +44,6 @@ class TestExamples:
             "quickstart.py",
             "brain_registration.py",
             "volume_preserving_registration.py",
-            "distributed_kernels_demo.py",
             "scaling_study.py",
         } <= names
 
@@ -64,14 +63,6 @@ class TestExamples:
         out = run_example("brain_registration.py", "12")
         assert "Registration summary" in out
         assert "det(grad y1)" in out
-
-    def test_distributed_kernels_demo(self):
-        """Exits 0 only when every process grid reproduces the serial kernels."""
-        out = run_example("distributed_kernels_demo.py")
-        assert "Distributed kernels vs serial kernels" in out
-        assert "reproduce the serial results to machine precision" in out
-        for process_grid in ("1x2", "2x2", "2x4", "4x4"):
-            assert process_grid in out
 
     @pytest.mark.parametrize("script", ["quickstart.py"])
     def test_examples_have_module_docstring_and_main(self, script):

@@ -5,7 +5,8 @@ suite; these tests pin its contract directly: correct periodic halos
 (including the corner regions carried by the axis-by-axis trick),
 width/periodicity edge cases, and the batched mode's ledger guarantee —
 one neighbour round for a whole field stack, with per-field bits identical
-to ``B = 1`` exchanges of each field.
+to ``B = 1`` exchanges of each field — and the exact halo volume and
+message count the ledger charges.
 """
 
 import numpy as np
@@ -165,3 +166,40 @@ class TestBatchedExchange:
         comm = SimulatedCommunicator(deco.num_tasks)
         with pytest.raises(ValueError, match="batch"):
             exchange_ghost_layers_batched(stacks, deco, 2, comm)
+
+
+class TestChargedVolume:
+    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_ledger_charges_the_closed_form_halo(self, pgrid, batch, rng):
+        """Bytes and messages are exactly the halo strips sent to other ranks.
+
+        Axis 2 is padded locally first; the axis-0 strips are ``w x n2 x
+        (n3 + 2w)`` and the axis-1 strips, cut from the axis-0-extended
+        block, ``(n1 + 2w) x w x (n3 + 2w)``, two per rank and axis, each
+        of ``8 B`` bytes per point.  Along a process-grid direction of
+        size 1 both neighbours are the rank itself: the communicator does
+        not charge self-messages.
+        """
+        width = 2
+        deco = PencilDecomposition((8, 9, 10), *pgrid)
+        stacks = [
+            rng.standard_normal((batch, *deco.local_shape(rank)))
+            for rank in range(deco.num_tasks)
+        ]
+        comm = SimulatedCommunicator(deco.num_tasks)
+        exchange_ghost_layers_batched(stacks, deco, width, comm)
+
+        messages = points = 0
+        for rank in range(deco.num_tasks):
+            n1, n2, n3 = deco.local_shape(rank)
+            if deco.p1 > 1:
+                messages += 2
+                points += 2 * width * n2 * (n3 + 2 * width)
+            if deco.p2 > 1:
+                messages += 2
+                points += 2 * (n1 + 2 * width) * width * (n3 + 2 * width)
+        entry = comm.ledger.entries["ghost_exchange"]
+        assert entry.calls == 4
+        assert entry.messages == messages
+        assert entry.bytes == 8 * batch * points

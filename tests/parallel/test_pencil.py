@@ -69,38 +69,24 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             deco.rank_of(2, 0)
 
-    def test_row_and_column_groups(self):
-        deco = PencilDecomposition((8, 8, 8), 2, 3)
-        assert deco.row_group(0) == [0, 1, 2]
-        assert deco.row_group(1) == [3, 4, 5]
-        assert deco.column_group(1) == [1, 4]
-
     def test_local_shapes_cover_grid(self):
         deco = PencilDecomposition((9, 10, 11), 3, 2)
         total = sum(np.prod(deco.local_shape(r)) for r in range(deco.num_tasks))
         assert total == 9 * 10 * 11
 
-    def test_local_slices_distribution_variants(self):
+    def test_axis_2_is_local(self):
         deco = PencilDecomposition((8, 12, 10), 2, 3)
-        s_in = deco.local_slices(0, (0, 1))
-        assert s_in[2] == slice(None)
-        s_out = deco.local_slices(0, (1, 2))
-        assert s_out[0] == slice(None)
-
-    def test_local_slices_invalid_axes(self):
-        deco = PencilDecomposition((8, 8, 8), 2, 2)
-        with pytest.raises(ValueError):
-            deco.local_slices(0, (1, 1))
+        assert deco.local_slices(5) == (slice(4, 8), slice(8, 12), slice(None))
+        assert deco.local_shape(5) == (4, 4, 10)
 
 
 class TestScatterGather:
-    @pytest.mark.parametrize("dist", [(0, 1), (0, 2), (1, 2)])
-    def test_scatter_gather_round_trip(self, dist, rng):
+    def test_scatter_gather_round_trip(self, rng):
         deco = PencilDecomposition((8, 9, 10), 2, 3)
         data = rng.standard_normal((8, 9, 10))
-        blocks = deco.scatter(data, dist)
+        blocks = deco.scatter(data)
         assert len(blocks) == 6
-        np.testing.assert_array_equal(deco.gather(blocks, dist), data)
+        np.testing.assert_array_equal(deco.gather(blocks), data)
 
     def test_scatter_validates_shape(self):
         deco = PencilDecomposition((8, 8, 8), 2, 2)

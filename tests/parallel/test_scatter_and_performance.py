@@ -34,7 +34,9 @@ def grid():
 
 
 class TestScatterInterpolation:
-    @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (3, 2), (1, 1), (1, 4), (4, 2)])
+    @pytest.mark.parametrize(
+        "pgrid", [(2, 2), (1, 3), (3, 2), (1, 1), (1, 4), (4, 2), (2, 4), (4, 4)]
+    )
     def test_matches_serial_catmull_rom(self, grid, pgrid, rng):
         deco, comm, points, plan = make_scatter_plan(grid, pgrid)
         field = rng.standard_normal(grid.shape)

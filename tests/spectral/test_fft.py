@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.parallel.distributed_fft import DistributedFFT
-from repro.parallel.pencil import PencilDecomposition
 from repro.spectral.fft import FourierTransform
 from repro.spectral.grid import Grid
 from repro.spectral.operators import SpectralOperators
@@ -80,33 +78,6 @@ class TestBatched:
         np.testing.assert_array_equal(
             fft.inverse_vector(spectra), np.stack([fft.backward(s) for s in spectra])
         )
-
-
-class TestDistributedAgainstSerial:
-    def test_forward_matches_the_serial_half_spectrum(self):
-        deco = PencilDecomposition((8, 8, 8), p1=2, p2=2)
-        field = np.random.default_rng(9).standard_normal((8, 8, 8))
-        serial = FourierTransform(Grid((8, 8, 8))).forward(field)
-        full = DistributedFFT(deco).forward_global(field)
-        np.testing.assert_allclose(full[..., : serial.shape[-1]], serial, atol=1e-10)
-        np.testing.assert_allclose(full, np.fft.fftn(field), atol=1e-10)
-
-    def test_round_trip(self):
-        deco = PencilDecomposition((8, 12, 10), p1=2, p2=2)
-        dfft = DistributedFFT(deco)
-        field = np.random.default_rng(10).standard_normal((8, 12, 10))
-        out = dfft.backward_global(dfft.forward_global(field))
-        np.testing.assert_allclose(np.real(out), field, atol=1e-10)
-
-    @pytest.mark.parametrize("p1, p2", [(1, 4), (4, 1), (2, 3)])
-    def test_every_process_grid_matches_the_serial_transform(self, p1, p2):
-        shape = (8, 12, 10)
-        dfft = DistributedFFT(PencilDecomposition(shape, p1=p1, p2=p2))
-        field = np.random.default_rng(11).standard_normal(shape)
-        serial = FourierTransform(Grid(shape)).forward(field)
-        full = dfft.forward_global(field)
-        np.testing.assert_allclose(full[..., : serial.shape[-1]], serial, atol=1e-10)
-        np.testing.assert_allclose(np.real(dfft.backward_global(full)), field, atol=1e-10)
 
 
 class TestShapesAndValidation:

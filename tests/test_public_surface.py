@@ -30,9 +30,6 @@ SCANNED = ("src", "benchmarks", "examples")
 #: Exported ``module.name``s that no package, benchmark or example code
 #: reaches, kept on purpose.
 ALLOWLIST = {
-    "repro.parallel.DistributedSpectralOperators": (
-        "README 'Substitutions' rests on its agreement with the serial operators"
-    ),
     "repro.data.save_problem": "writes the .npz that the CLI's --input reads",
     "repro.observability.validate_snapshot": "schema checker the observability smoke test runs",
     "repro.observability.validate_chrome_trace": (
