@@ -60,6 +60,19 @@ class TestCommunicator:
         assert len(inbox[1]) == 1 and inbox[1][0][0] == 0
         assert len(inbox[0]) == 1 and inbox[0][0][0] == 1
 
+    def test_self_and_empty_messages_are_delivered_but_not_charged(self):
+        comm = SimulatedCommunicator(2)
+        inbox = comm.exchange(
+            [(0, 0, np.arange(4.0)), (1, 0, np.zeros(0)), (1, 0, np.arange(3.0))],
+            category="p2p",
+        )
+        assert [source for source, _ in inbox[0]] == [0, 1, 1]
+        np.testing.assert_array_equal(inbox[0][0][1], np.arange(4.0))
+        assert inbox[1] == []
+        assert comm.ledger.messages("p2p") == 1
+        assert comm.ledger.bytes("p2p") == 3 * 8
+        assert comm.ledger.entries["p2p"].calls == 1
+
     def test_exchange_validates_ranks(self):
         comm = SimulatedCommunicator(2)
         with pytest.raises(ValueError):

@@ -171,7 +171,8 @@ class TestBatchedExchange:
 class TestChargedVolume:
     @pytest.mark.parametrize("pgrid", [(2, 2), (1, 3), (2, 3), (4, 2)])
     @pytest.mark.parametrize("batch", [1, 3])
-    def test_ledger_charges_the_closed_form_halo(self, pgrid, batch, rng):
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_ledger_charges_the_closed_form_halo(self, pgrid, batch, width, rng):
         """Bytes and messages are exactly the halo strips sent to other ranks.
 
         Axis 2 is padded locally first; the axis-0 strips are ``w x n2 x
@@ -181,7 +182,6 @@ class TestChargedVolume:
         size 1 both neighbours are the rank itself: the communicator does
         not charge self-messages.
         """
-        width = 2
         deco = PencilDecomposition((8, 9, 10), *pgrid)
         stacks = [
             rng.standard_normal((batch, *deco.local_shape(rank)))

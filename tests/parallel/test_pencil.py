@@ -56,6 +56,17 @@ class TestDecomposition:
         deco = PencilDecomposition.from_num_tasks((64, 64, 64), 8)
         assert deco.p1 * deco.p2 == 8
 
+    @pytest.mark.parametrize("num_tasks", [1, 2, 3, 4, 6, 8, 12, 16])
+    def test_from_num_tasks_is_the_most_square_factorization(self, num_tasks):
+        """``p1`` is the largest divisor of the task count not above its root."""
+        deco = PencilDecomposition.from_num_tasks((64, 64, 64), num_tasks)
+        assert deco.p1 * deco.p2 == num_tasks
+        assert deco.p1 <= deco.p2
+        assert not any(
+            num_tasks % d == 0 and d * d <= num_tasks
+            for d in range(deco.p1 + 1, num_tasks + 1)
+        )
+
     def test_rank_coordinate_round_trip(self):
         deco = PencilDecomposition((8, 8, 8), 2, 3)
         for rank in range(deco.num_tasks):
@@ -74,6 +85,19 @@ class TestDecomposition:
         total = sum(np.prod(deco.local_shape(r)) for r in range(deco.num_tasks))
         assert total == 9 * 10 * 11
 
+    @pytest.mark.parametrize("pgrid", [(1, 1), (2, 3), (3, 2), (4, 5)])
+    def test_every_point_has_exactly_one_owner(self, pgrid):
+        """The local slices tile the grid and agree with ``owner_of_indices``."""
+        deco = PencilDecomposition((9, 10, 11), *pgrid)
+        owner = np.full(deco.global_shape, -1)
+        for rank in range(deco.num_tasks):
+            assert np.all(owner[deco.local_slices(rank)] == -1)
+            owner[deco.local_slices(rank)] = rank
+        indices = np.indices(deco.global_shape).reshape(3, -1)
+        np.testing.assert_array_equal(
+            deco.owner_of_indices(indices), owner.reshape(-1)
+        )
+
     def test_axis_2_is_local(self):
         deco = PencilDecomposition((8, 12, 10), 2, 3)
         assert deco.local_slices(5) == (slice(4, 8), slice(8, 12), slice(None))
@@ -81,11 +105,15 @@ class TestDecomposition:
 
 
 class TestScatterGather:
-    def test_scatter_gather_round_trip(self, rng):
-        deco = PencilDecomposition((8, 9, 10), 2, 3)
+    @pytest.mark.parametrize("pgrid", [(1, 1), (2, 3), (3, 2), (4, 1), (1, 5)])
+    def test_scatter_gather_round_trip(self, pgrid, rng):
+        deco = PencilDecomposition((8, 9, 10), *pgrid)
         data = rng.standard_normal((8, 9, 10))
         blocks = deco.scatter(data)
-        assert len(blocks) == 6
+        assert len(blocks) == deco.num_tasks
+        for rank, block in enumerate(blocks):
+            assert block.shape == deco.local_shape(rank)
+            np.testing.assert_array_equal(block, data[deco.local_slices(rank)])
         np.testing.assert_array_equal(deco.gather(blocks), data)
 
     def test_scatter_validates_shape(self):
